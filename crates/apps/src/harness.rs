@@ -146,12 +146,27 @@ fn alloc_io(it: &mut Interp, lowered: &Lowered, inputs: &[(&str, &[f64])]) -> Ex
 }
 
 /// Maximum relative error between two buffers (denominator floored at 1).
+///
+/// Never reads as "close" for an output that is not one: buffers of
+/// different lengths are `∞` apart, and an element that is NaN (or an
+/// infinity the other side does not share) makes the result NaN or `∞` —
+/// both fail every `error < tolerance` check.
 #[must_use]
 pub fn max_rel_error(got: &[f64], want: &[f64]) -> f64 {
+    if got.len() != want.len() {
+        return f64::INFINITY;
+    }
     got.iter()
         .zip(want.iter())
         .map(|(g, w)| (g - w).abs() / w.abs().max(1.0))
-        .fold(0.0, f64::max)
+        // `f64::max` drops NaN; keep it.
+        .fold(0.0, |worst: f64, e| {
+            if worst.is_nan() || e.is_nan() {
+                f64::NAN
+            } else {
+                worst.max(e)
+            }
+        })
 }
 
 /// Deterministic pseudo-random test data in roughly `[-1, 1]`.
@@ -186,5 +201,32 @@ mod tests {
     fn max_rel_error_basics() {
         assert_eq!(max_rel_error(&[1.0, 2.0], &[1.0, 2.0]), 0.0);
         assert!(max_rel_error(&[1.1], &[1.0]) > 0.09);
+    }
+
+    #[test]
+    fn max_rel_error_does_not_hide_non_finite_outputs() {
+        // A NaN anywhere — first, middle or last — must survive the fold.
+        for at in 0..3 {
+            let mut got = [1.0, 2.0, 3.0];
+            got[at] = f64::NAN;
+            let err = max_rel_error(&got, &[1.0, 2.0, 3.0]);
+            assert!(err.is_nan(), "NaN at {at} read as error {err}");
+            let passes = err < 0.08;
+            assert!(!passes, "a NaN output passed the tolerance check");
+        }
+        assert_eq!(
+            max_rel_error(&[f64::INFINITY, 1.0], &[1.0, 1.0]),
+            f64::INFINITY
+        );
+        assert!(max_rel_error(&[1.0], &[f64::NAN]).is_nan());
+    }
+
+    #[test]
+    fn max_rel_error_rejects_length_mismatch() {
+        // `zip` would compare the common prefix and call these equal.
+        assert_eq!(max_rel_error(&[1.0], &[1.0, 2.0]), f64::INFINITY);
+        assert_eq!(max_rel_error(&[1.0, 2.0], &[1.0]), f64::INFINITY);
+        assert_eq!(max_rel_error(&[], &[1.0]), f64::INFINITY);
+        assert_eq!(max_rel_error(&[], &[]), 0.0);
     }
 }

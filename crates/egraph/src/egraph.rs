@@ -25,9 +25,10 @@
 //!   ([`EGraph::modified_candidates_per_class`], the
 //!   [`DeltaTracking::PerClass`] A/B baseline).
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 use std::fmt::Debug;
 
+use crate::hash::{FastMap, FastSet};
 use crate::language::{Language, RecExpr};
 use crate::relation::Relations;
 use crate::snapshot::{
@@ -151,8 +152,8 @@ impl<L, D> EClass<L, D> {
 #[derive(Debug, Clone)]
 pub struct EGraph<L: Language, N: Analysis<L> = ()> {
     unionfind: UnionFind,
-    memo: HashMap<L, Id>,
-    classes: HashMap<Id, EClass<L, N::Data>>,
+    memo: FastMap<L, Id>,
+    classes: FastMap<Id, EClass<L, N::Data>>,
     pending: Vec<(L, Id)>,
     analysis_pending: Vec<(L, Id)>,
     /// Datalog-style relations over e-class ids (egglog's `relation`s).
@@ -161,9 +162,9 @@ pub struct EGraph<L: Language, N: Analysis<L> = ()> {
     /// Operator index: `op_key` → classes containing a node with that key.
     /// Entries may be stale (non-canonical) or duplicated between rebuilds;
     /// readers canonicalize and dedup ([`EGraph::candidates_for`]).
-    classes_by_op: HashMap<u64, Vec<Id>>,
+    classes_by_op: FastMap<u64, Vec<Id>>,
     /// Op keys whose index rows need compaction on the next rebuild.
-    dirty_ops: HashSet<u64>,
+    dirty_ops: FastSet<u64>,
     /// Classes whose node lists need re-canonicalization on the next
     /// rebuild (union winners and classes containing parents of losers).
     dirty_classes: Vec<Id>,
@@ -183,7 +184,7 @@ pub struct EGraph<L: Language, N: Analysis<L> = ()> {
     /// a union merged `k`-nodes into it, or a change propagated up through
     /// a parent node with op `k`. Compacted deterministically on rebuild
     /// once a log outgrows its index row.
-    modified_log_by_op: HashMap<u64, Vec<(u64, Id)>>,
+    modified_log_by_op: FastMap<u64, Vec<(u64, Id)>>,
     /// Monotone modification clock; see [`EGraph::bump_epoch`].
     work_epoch: u64,
     /// Whether any union happened since the last rebuild (gates relation
@@ -195,18 +196,18 @@ impl<L: Language, N: Analysis<L>> Default for EGraph<L, N> {
     fn default() -> Self {
         EGraph {
             unionfind: UnionFind::new(),
-            memo: HashMap::new(),
-            classes: HashMap::new(),
+            memo: FastMap::default(),
+            classes: FastMap::default(),
             pending: Vec::new(),
             analysis_pending: Vec::new(),
             relations: Relations::default(),
             clean: true,
-            classes_by_op: HashMap::new(),
-            dirty_ops: HashSet::new(),
+            classes_by_op: FastMap::default(),
+            dirty_ops: FastSet::default(),
             dirty_classes: Vec::new(),
             touched: Vec::new(),
             modified_log: Vec::new(),
-            modified_log_by_op: HashMap::new(),
+            modified_log_by_op: FastMap::default(),
             work_epoch: 1,
             unioned_since_rebuild: false,
         }
@@ -247,6 +248,15 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
     /// Iterates over all e-classes.
     pub fn classes(&self) -> impl Iterator<Item = &EClass<L, N::Data>> {
         self.classes.values()
+    }
+
+    /// Canonical ids of all e-classes, ascending — the deterministic
+    /// enumeration order of every whole-graph scan.
+    #[must_use]
+    pub fn sorted_class_ids(&self) -> Vec<Id> {
+        let mut ids: Vec<Id> = self.classes.keys().copied().collect();
+        ids.sort_unstable();
+        ids
     }
 
     /// The class with canonical id `id`.
@@ -614,7 +624,7 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
     /// `compaction_is_deterministic_and_exact` in `tests/engine.rs`.
     fn compact_modified_log(&mut self) {
         if self.modified_log.len() > 1024.max(4 * self.classes.len()) {
-            let mut max_epoch: HashMap<Id, u64> = HashMap::new();
+            let mut max_epoch: FastMap<Id, u64> = FastMap::default();
             for &(e, id) in &self.modified_log {
                 let id = self.unionfind.find(id);
                 if self.classes.contains_key(&id) {
@@ -629,7 +639,7 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
             if log.len() <= 64.max(4 * row_len) {
                 continue;
             }
-            let mut max_epoch: HashMap<Id, u64> = HashMap::new();
+            let mut max_epoch: FastMap<Id, u64> = FastMap::default();
             for &(e, id) in log.iter() {
                 // No liveness filter needed: `find` maps every logged id
                 // to a live root, and node lists only ever grow, so the
@@ -645,7 +655,7 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
     /// A compacted log in its canonical order: strictly sorted by
     /// `(epoch, id)` (ids are unique keys, so this is a total order
     /// independent of the map's hash-iteration order).
-    fn sorted_log(max_epoch: HashMap<Id, u64>) -> Vec<(u64, Id)> {
+    fn sorted_log(max_epoch: FastMap<Id, u64>) -> Vec<(u64, Id)> {
         let mut log: Vec<(u64, Id)> = max_epoch.into_iter().map(|(id, e)| (e, id)).collect();
         log.sort_unstable();
         log
@@ -725,7 +735,7 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
     /// Panics with a diagnostic if the index and the recomputation differ.
     pub fn check_op_index(&self) {
         assert!(self.is_clean(), "check_op_index requires a rebuilt e-graph");
-        let mut expected: HashMap<u64, Vec<Id>> = HashMap::new();
+        let mut expected: FastMap<u64, Vec<Id>> = FastMap::default();
         for class in self.classes.values() {
             for node in &class.nodes {
                 expected.entry(node.op_key()).or_default().push(class.id);
@@ -777,7 +787,7 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
         // A probe at cutoff `c` re-surfaces a class iff its max logged
         // epoch is ≥ `c`, so this is exactly the coverage the row check
         // below needs — without an O(rows × log) probe per row.
-        let mut coverage: HashMap<u64, HashMap<Id, u64>> = HashMap::new();
+        let mut coverage: FastMap<u64, FastMap<Id, u64>> = FastMap::default();
         for (key, log) in &self.modified_log_by_op {
             let map = coverage.entry(*key).or_default();
             for &(e, id) in log {
@@ -826,12 +836,12 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
     #[must_use]
     pub fn any_term(&self, id: Id) -> Option<RecExpr<L>> {
         let mut out = RecExpr::new();
-        let mut on_stack = std::collections::HashSet::new();
+        let mut on_stack = FastSet::default();
         fn go<L: Language, N: Analysis<L>>(
             eg: &EGraph<L, N>,
             id: Id,
             out: &mut RecExpr<L>,
-            on_stack: &mut std::collections::HashSet<Id>,
+            on_stack: &mut FastSet<Id>,
         ) -> Option<Id> {
             let id = eg.find(id);
             if !on_stack.insert(id) {
@@ -923,7 +933,7 @@ where
         for node in reps.values() {
             node.write_node(&mut w);
         }
-        let index_of: HashMap<u64, u64> = reps
+        let index_of: FastMap<u64, u64> = reps
             .keys()
             .enumerate()
             .map(|(i, &k)| (k, i as u64))
@@ -1067,7 +1077,7 @@ where
 
         let n_ops = r.len()?;
         let mut op_keys = Vec::with_capacity(n_ops);
-        let mut seen_keys = HashSet::with_capacity(n_ops);
+        let mut seen_keys = FastSet::with_capacity_and_hasher(n_ops, Default::default());
         for _ in 0..n_ops {
             let node = L::read_node(&mut r)?;
             let key = node.op_key();
@@ -1081,7 +1091,8 @@ where
         if n_classes != n_roots {
             return Err(corrupt("class count does not match union-find roots"));
         }
-        let mut classes: HashMap<Id, EClass<L, N::Data>> = HashMap::with_capacity(n_classes);
+        let mut classes: FastMap<Id, EClass<L, N::Data>> =
+            FastMap::with_capacity_and_hasher(n_classes, Default::default());
         let mut last_id: Option<Id> = None;
         for _ in 0..n_classes {
             let id = r.id()?;
@@ -1148,7 +1159,7 @@ where
 
         // The memo is derivable state on a clean graph: every canonical
         // node maps to the class whose node list holds it.
-        let mut memo: HashMap<L, Id> = HashMap::new();
+        let mut memo: FastMap<L, Id> = FastMap::default();
         for class in classes.values() {
             for node in &class.nodes {
                 if memo.insert(node.clone(), class.id).is_some() {
@@ -1158,7 +1169,8 @@ where
         }
 
         let n_rows = r.len()?;
-        let mut classes_by_op: HashMap<u64, Vec<Id>> = HashMap::with_capacity(n_rows);
+        let mut classes_by_op: FastMap<u64, Vec<Id>> =
+            FastMap::with_capacity_and_hasher(n_rows, Default::default());
         for _ in 0..n_rows {
             let key = key_at(&op_keys, r.u64()?)?;
             let len = r.len()?;
@@ -1202,7 +1214,8 @@ where
         };
         let modified_log = read_log(&mut r)?;
         let n_logs = r.len()?;
-        let mut modified_log_by_op: HashMap<u64, Vec<(u64, Id)>> = HashMap::with_capacity(n_logs);
+        let mut modified_log_by_op: FastMap<u64, Vec<(u64, Id)>> =
+            FastMap::with_capacity_and_hasher(n_logs, Default::default());
         for _ in 0..n_logs {
             let key = key_at(&op_keys, r.u64()?)?;
             let log = read_log(&mut r)?;
@@ -1225,7 +1238,7 @@ where
             relations,
             clean: true,
             classes_by_op,
-            dirty_ops: HashSet::new(),
+            dirty_ops: FastSet::default(),
             dirty_classes: Vec::new(),
             touched: Vec::new(),
             modified_log,

@@ -30,9 +30,10 @@
 //! session-level plug-in.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use crate::egraph::{Analysis, EGraph};
+use crate::hash::{FastMap, FastSet};
 use crate::language::{Language, RecExpr};
 use crate::unionfind::Id;
 
@@ -133,7 +134,7 @@ pub trait Extract<L: Language> {
 pub struct WorklistExtractor<'a, L: Language, N: Analysis<L>, C: CostFunction<L>> {
     egraph: &'a EGraph<L, N>,
     cost_fn: C,
-    best: HashMap<Id, (u64, L)>,
+    best: FastMap<Id, (u64, L)>,
 }
 
 /// The pre-strategy-API name of [`WorklistExtractor`].
@@ -150,7 +151,7 @@ impl<'a, L: Language, N: Analysis<L>, C: CostFunction<L>> WorklistExtractor<'a, 
         let mut ex = WorklistExtractor {
             egraph,
             cost_fn,
-            best: HashMap::new(),
+            best: FastMap::default(),
         };
         ex.solve();
         ex.canonicalize_ties();
@@ -190,7 +191,7 @@ impl<'a, L: Language, N: Analysis<L>, C: CostFunction<L>> WorklistExtractor<'a, 
     fn solve(&mut self) {
         // Parent index over canonical ids: child class -> classes holding a
         // node with that child (the edges improvements propagate along).
-        let mut parents: HashMap<Id, Vec<Id>> = HashMap::new();
+        let mut parents: FastMap<Id, Vec<Id>> = FastMap::default();
         for class in self.egraph.classes() {
             let cid = self.egraph.find(class.id);
             for node in &class.nodes {
@@ -206,9 +207,8 @@ impl<'a, L: Language, N: Analysis<L>, C: CostFunction<L>> WorklistExtractor<'a, 
             row.sort_unstable();
             row.dedup();
         }
-        let mut queue: VecDeque<Id> = self.egraph.classes().map(|c| c.id).collect();
-        queue.make_contiguous().sort_unstable();
-        let mut queued: HashSet<Id> = queue.iter().copied().collect();
+        let mut queue = VecDeque::from(self.egraph.sorted_class_ids());
+        let mut queued: FastSet<Id> = queue.iter().copied().collect();
         while let Some(id) = queue.pop_front() {
             queued.remove(&id);
             let Some((cost, node)) = self.best_of(id) else {
@@ -264,7 +264,7 @@ impl<'a, L: Language, N: Analysis<L>, C: CostFunction<L>> WorklistExtractor<'a, 
         order.sort_unstable();
         // Class-vs-class orderings recur under every tied parent; memoize
         // them across the pass.
-        let mut memo: HashMap<(Id, Id), std::cmp::Ordering> = HashMap::new();
+        let mut memo: FastMap<(Id, Id), std::cmp::Ordering> = FastMap::default();
         for (cost, id) in order {
             let class = self.egraph.class(id);
             if class.nodes.len() <= 1 {
@@ -315,7 +315,7 @@ impl<'a, L: Language, N: Analysis<L>, C: CostFunction<L>> WorklistExtractor<'a, 
         a: &L,
         b: &L,
         limit: u64,
-        memo: &mut HashMap<(Id, Id), std::cmp::Ordering>,
+        memo: &mut FastMap<(Id, Id), std::cmp::Ordering>,
     ) -> std::cmp::Ordering {
         a.op_key()
             .cmp(&b.op_key())
@@ -345,7 +345,7 @@ impl<'a, L: Language, N: Analysis<L>, C: CostFunction<L>> WorklistExtractor<'a, 
         a: Id,
         b: Id,
         limit: u64,
-        memo: &mut HashMap<(Id, Id), std::cmp::Ordering>,
+        memo: &mut FastMap<(Id, Id), std::cmp::Ordering>,
     ) -> std::cmp::Ordering {
         let a = self.egraph.find(a);
         let b = self.egraph.find(b);
@@ -415,11 +415,11 @@ impl<L: Language, N: Analysis<L>, C: CostFunction<L>> Extract<L>
 /// sub-dag with its own memo).
 fn extract_from_table<L: Language, N: Analysis<L>>(
     egraph: &EGraph<L, N>,
-    table: &HashMap<Id, (u64, L)>,
+    table: &FastMap<Id, (u64, L)>,
     id: Id,
 ) -> RecExpr<L> {
     let mut out = RecExpr::new();
-    let mut cache: HashMap<Id, Id> = HashMap::new();
+    let mut cache: FastMap<Id, Id> = FastMap::default();
     let root = extract_into(egraph, table, id, &mut out, &mut cache);
     debug_assert_eq!(root, out.root_id());
     out
@@ -427,10 +427,10 @@ fn extract_from_table<L: Language, N: Analysis<L>>(
 
 fn extract_into<L: Language, N: Analysis<L>>(
     egraph: &EGraph<L, N>,
-    table: &HashMap<Id, (u64, L)>,
+    table: &FastMap<Id, (u64, L)>,
     id: Id,
     out: &mut RecExpr<L>,
-    cache: &mut HashMap<Id, Id>,
+    cache: &mut FastMap<Id, Id>,
 ) -> Id {
     let id = egraph.find(id);
     if let Some(&done) = cache.get(&id) {
@@ -466,7 +466,7 @@ struct TermBank<L> {
     /// Materialized nodes; children reference earlier bank slots.
     nodes: Vec<L>,
     /// Canonical class → bank slot.
-    slot: HashMap<Id, Id>,
+    slot: FastMap<Id, Id>,
     /// Lookups served from sub-dags banked by **earlier** readouts — the
     /// cross-root reuse the bank exists for. Hits on slots created within
     /// the current readout are not counted: that intra-root sharing is
@@ -485,7 +485,7 @@ impl<L: Language> TermBank<L> {
     fn new() -> Self {
         TermBank {
             nodes: Vec::new(),
-            slot: HashMap::new(),
+            slot: FastMap::default(),
             reused: 0,
             copy_memo: Vec::new(),
             copy_gen: Vec::new(),
@@ -500,7 +500,7 @@ impl<L: Language> TermBank<L> {
     fn ensure<N: Analysis<L>>(
         &mut self,
         egraph: &EGraph<L, N>,
-        table: &HashMap<Id, (u64, L)>,
+        table: &FastMap<Id, (u64, L)>,
         id: Id,
         preexisting: usize,
     ) -> Id {
@@ -699,16 +699,16 @@ impl<L: Language, N: Analysis<L>, C: CostFunction<L>> Extract<L>
 pub struct DagCostExtractor<'a, L: Language, N: Analysis<L>, C: CostFunction<L>> {
     tree: WorklistExtractor<'a, L, N, C>,
     /// Canonical class → (dag cost, chosen node).
-    dag: HashMap<Id, (u64, L)>,
+    dag: FastMap<Id, (u64, L)>,
     /// Canonical class → sorted classes in its chosen dag (incl. itself).
-    sets: HashMap<Id, Vec<Id>>,
+    sets: FastMap<Id, Vec<Id>>,
     /// Canonical class → what a parent dag pays for including it: the
     /// chosen node's own cost normally, or the full tree cost for
     /// fallback classes, whose `sets` entry is *opaque* (just the class
     /// itself — charging only an own cost there would silently drop the
     /// whole subtree from parents' accounting). Also a cache: the cost
     /// function runs once per class, not once per set membership.
-    charges: HashMap<Id, u64>,
+    charges: FastMap<Id, u64>,
 }
 
 impl<'a, L: Language, N: Analysis<L>, C: CostFunction<L>> DagCostExtractor<'a, L, N, C> {
@@ -717,9 +717,9 @@ impl<'a, L: Language, N: Analysis<L>, C: CostFunction<L>> DagCostExtractor<'a, L
     pub fn new(egraph: &'a EGraph<L, N>, cost_fn: C) -> Self {
         let mut ex = DagCostExtractor {
             tree: WorklistExtractor::new(egraph, cost_fn),
-            dag: HashMap::new(),
-            sets: HashMap::new(),
-            charges: HashMap::new(),
+            dag: FastMap::default(),
+            sets: FastMap::default(),
+            charges: FastMap::default(),
         };
         ex.solve();
         ex

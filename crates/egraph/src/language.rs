@@ -3,6 +3,7 @@
 use std::fmt::Debug;
 use std::hash::{Hash, Hasher};
 
+use crate::hash::WordHasher;
 use crate::unionfind::Id;
 
 /// An e-node operator with child e-class ids.
@@ -54,14 +55,14 @@ pub trait Language: Clone + Eq + Hash + Ord + Debug + Send + Sync {
     }
 }
 
-/// A fresh hasher for [`Language::op_key`] implementations.
-///
-/// `DefaultHasher::new()` uses fixed keys, so op keys are stable within and
-/// across runs of the same binary (the index never leaves the process, so
-/// cross-version stability is not required).
+/// A fresh hasher for [`Language::op_key`] implementations: the engine's
+/// unkeyed [`WordHasher`], so op keys are cheap (they are computed on every
+/// [`crate::egraph::EGraph::add`]) and stable within and across runs of the
+/// same binary (the index never leaves the process, so cross-version
+/// stability is not required).
 #[must_use]
-pub fn op_hasher() -> std::collections::hash_map::DefaultHasher {
-    std::collections::hash_map::DefaultHasher::new()
+pub fn op_hasher() -> WordHasher {
+    WordHasher::default()
 }
 
 /// A term over `L`: nodes stored in a flat vector, children referring to

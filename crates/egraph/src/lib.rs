@@ -20,21 +20,37 @@
 //! on ~1.8k-class whole-program workloads; see `BENCH_eqsat.json` at the
 //! repo root):
 //!
-//! * **Interned substitutions.** [`pattern::Pattern::compile`] /
-//!   [`rewrite::Query::compile`] intern variables to `u32` slots once;
-//!   match-time bindings are dense `Vec<Option<Id>>` slot tables with no
-//!   string hashing or per-binding allocation. [`pattern::Subst`] keeps the
+//! * **One backtracking e-matcher.** [`pattern::Pattern::compile`] /
+//!   [`rewrite::Query::compile`] intern variables to `u32` slots and
+//!   flatten every pattern into a two-instruction program (`Bind`: for
+//!   each e-node of this class with that operator, load its children into
+//!   registers; `Var`: compare with the variable's binding, or bind it) —
+//!   the e-matching abstract machine of de Moura & Bjørner, as egg uses
+//!   it. A whole query — first atom, later atoms rooted at bound or fresh
+//!   variables, relation atoms — runs as *one* depth-first walk over a
+//!   single binding buffer and register file, undoing bindings as it
+//!   backtracks; a binding row is copied out only at a complete match, so
+//!   a candidate that fails costs no copy and no allocation. The same walk
+//!   serves full searches, single-root delta probes, semi-naive rounds
+//!   (which start at their delta atom) and the chunks of a parallel
+//!   search, and — pre-order depth-first search being the lexicographic
+//!   order of the naive matcher's nested loops — returns the reference
+//!   matcher's exact match *sequence* in all of them. The scheduler holds
+//!   one [`pattern::MatchScratch`] (the buffer, the registers, the probe
+//!   counters) per saturation run. [`pattern::Subst`] keeps the
 //!   string-keyed `get`/`bind` API as a compatibility shim for rule
 //!   appliers (a linear scan of the shared name table — patterns bind a
 //!   handful of variables).
 //!
-//! * **Reusable binding buffers.** Match loops draw every binding row and
-//!   row list from a [`pattern::MatchScratch`] arena and return dead
-//!   buffers to it, so steady-state matching does not allocate per
-//!   candidate. The scheduler holds one scratch per saturation run and
-//!   threads it through every rule's search (`*_with` / `run_delta` entry
-//!   points); rows only leave the arena when they graduate into
-//!   [`pattern::Subst`]s handed to appliers.
+//! * **A cheap deterministic hasher.** Every engine table — hash-cons
+//!   memo, class map, operator index, per-op logs, the extractors' cost
+//!   tables — and [`language::Language::op_key`] itself hash with
+//!   [`hash::WordHasher`], an unkeyed multiply-rotate word hash: the keys
+//!   are ids and e-nodes the program made itself, so SipHash's flooding
+//!   resistance bought nothing on the `add` / `class()` / memo hot paths.
+//!   No behaviour depends on table iteration order (every enumeration is
+//!   sorted first); being unkeyed only makes op keys and allocation
+//!   counts repeat exactly from run to run.
 //!
 //! * **Operator index.** [`egraph::EGraph`] maintains `op_key → classes`
 //!   rows ([`language::Language::op_key`] is a payload-aware discriminant;
@@ -127,9 +143,10 @@
 //!   computed once, serially (delta-probe counters recorded there, once),
 //!   then split into contiguous chunks; each worker runs the full
 //!   multi-atom join for its chunk with a dedicated per-worker
-//!   [`pattern::MatchScratch`]. Because every atom maps partial matches
-//!   to output runs *in order*, chunk-order concatenation reproduces the
-//!   serial match order exactly — not just the same match *set*.
+//!   [`pattern::MatchScratch`]. The depth-first join maps each root to a
+//!   run of matches and emits the runs in root order, so chunk-order
+//!   concatenation reproduces the serial match order exactly — not just
+//!   the same match *set*.
 //! * **Serial, deterministic apply.** The scheduler applies the
 //!   concatenated matches on the one `&mut EGraph`, in that order, on its
 //!   own thread. Rule order, match order, union order, and therefore
@@ -173,9 +190,9 @@
 //! version-bumped input with a typed [`snapshot::SnapshotError`] (never a
 //! panic, so callers can fall back to a cold build). Design points:
 //!
-//! * **Op-key indirection.** [`language::Language::op_key`] values come
-//!   from the standard hasher — stable within one binary, not across
-//!   builds — so the wire format stores a table of representative
+//! * **Op-key indirection.** [`language::Language::op_key`] values are
+//!   hashes of discriminants and payloads — stable within one binary, not
+//!   across builds — so the wire format stores a table of representative
 //!   e-nodes and re-derives the keys at restore time.
 //! * **Derived state is rebuilt, not stored.** The hash-cons memo is
 //!   reconstructed from the class node lists (exact on the clean graphs
@@ -221,12 +238,14 @@
 //! The pre-overhaul naive matcher is retained
 //! ([`pattern::Pattern::search`], [`rewrite::Query::search`],
 //! `Runner::use_naive_matcher`) as the reference oracle — algorithmically
-//! unchanged (full class scans, string-keyed binding), with one amendment:
-//! class enumeration is sorted by id so equal-cost extraction tie-breaks
-//! downstream are reproducible across runs. Equivalence tests
-//! in `tests/engine.rs` assert identical `(Id, Subst)` match sets and
-//! saturation outcomes, and `crates/bench/src/bin/eqsat_saturation.rs`
-//! measures the speedup against it.
+//! unchanged (full class scans, string-keyed binding, a fresh list of
+//! substitutions per pattern node), with one amendment: class enumeration
+//! is sorted by id so equal-cost extraction tie-breaks downstream are
+//! reproducible across runs. Equivalence tests in `tests/engine.rs`
+//! assert identical match *sequences* on random graphs and random queries
+//! of every shape, and identical saturation outcomes, and
+//! `crates/bench/src/bin/eqsat_saturation.rs` measures the speedup
+//! against it.
 //!
 //! ## Example
 //!
@@ -261,6 +280,7 @@ pub mod egraph;
 pub mod extract;
 #[cfg(feature = "fault-injection")]
 pub mod fault;
+pub mod hash;
 pub mod language;
 pub mod math_lang;
 pub mod pattern;

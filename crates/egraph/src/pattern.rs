@@ -1,31 +1,43 @@
 //! Patterns and e-matching.
 //!
 //! A [`Pattern`] is a term with named holes. Matching has two
-//! implementations with identical semantics:
+//! implementations with identical semantics — the same matches in the
+//! same order:
 //!
-//! * the **compiled, indexed matcher** ([`Pattern::compile`] →
-//!   [`CompiledPattern`]): variables are interned to `u32` slots once at
-//!   compile time, substitutions are flat `Vec<Option<Id>>` slot tables
-//!   (no string hashing or per-binding allocation), and whole-graph
-//!   searches enumerate only the classes the e-graph's operator index
-//!   reports as candidates for the pattern root's [`crate::language::Language::op_key`];
+//! * the **compiled backtracking matcher** ([`Pattern::compile`] →
+//!   [`CompiledPattern`]). Compilation interns variables to `u32` slots and
+//!   flattens the pattern, in pre-order, into a `Program` of two
+//!   instructions over a register file of e-class ids: `Bind` enumerates
+//!   the e-nodes of the class in one register that carry a given operator
+//!   and loads their children into fresh registers; `Var` compares a
+//!   register with a variable's binding, or binds the variable if it has
+//!   none yet. `Program::run` executes it depth-first over one
+//!   `Frame` (registers + variable slots), undoing each binding on the
+//!   way back, and calls its continuation at every complete match — no
+//!   binding row is copied or allocated while a candidate is explored.
+//!   Whole-graph searches enumerate only the classes the e-graph's
+//!   operator index reports for the root's
+//!   [`crate::language::Language::op_key`]. Conjunctive queries
+//!   ([`crate::rewrite::CompiledQuery`]) chain one program per pattern
+//!   atom through the continuation, so one matcher serves patterns and
+//!   queries in every search mode;
 //! * the **naive reference matcher** ([`Pattern::search`] /
 //!   [`Pattern::search_class`]): the original walk over every class,
 //!   retained verbatim as the oracle for equivalence tests and for
-//!   benchmarking the indexed path against (see `Runner::use_naive_matcher`).
+//!   benchmarking the compiled path against (see
+//!   `Runner::use_naive_matcher`). Pre-order depth-first search visits
+//!   matches in exactly the lexicographic (e-node, child 0, child 1, …)
+//!   order of its nested loops.
 //!
 //! [`Subst`] keeps its string-keyed API ([`Subst::get`], [`Subst::bind`])
 //! as a compatibility shim for rule appliers; internally it is a shared
 //! variable table plus a dense slot→binding vector.
 //!
-//! The compiled matcher never allocates per candidate: every binding row
-//! (`Vec<Option<Id>>`) and row list it needs comes from a [`MatchScratch`]
-//! arena that recycles buffers across candidates, atoms, rules and passes.
 //! Callers that search in a loop (the scheduler, above all) hold one
-//! `MatchScratch` for the whole run and thread it through the `_with`
-//! search entry points; the scratch-less entry points create a transient
-//! arena and are intended for one-off searches and tests. Rows only leave
-//! the arena when they graduate into [`Subst`]s handed to rule appliers.
+//! [`MatchScratch`] — the frame's buffers plus the delta-probe counters —
+//! for the whole run and thread it through the `_with` search entry
+//! points; the scratch-less entry points create a transient one and are
+//! intended for one-off searches and tests.
 
 use std::sync::Arc;
 
@@ -33,14 +45,38 @@ use crate::egraph::{Analysis, EGraph};
 use crate::language::Language;
 use crate::unionfind::Id;
 
-/// Reusable buffers for the compiled matcher: binding rows and row lists
-/// are taken from (and returned to) these free lists instead of being
-/// allocated per candidate. One scratch per saturation run amortizes
-/// essentially all match-loop allocation.
-///
-/// The scratch is language-independent (rows are plain `Vec<Option<Id>>`),
-/// so one arena serves every rule in a rule set regardless of variable
-/// counts: rows are resized to the width each query needs when taken.
+/// The matcher's working state: one register file and one binding buffer,
+/// mutated in place as [`Program::run`] descends and restored as it
+/// backtracks.
+#[derive(Debug, Default)]
+pub(crate) struct Frame {
+    /// Variable slot → bound class. A row is copied out of here only at a
+    /// complete match.
+    pub(crate) vars: Vec<Option<Id>>,
+    /// Register → class under inspection (pattern roots and the children
+    /// `Bind` loaded). Always canonical: every id comes from a root
+    /// enumeration or a node list of a rebuilt graph.
+    pub(crate) regs: Vec<Id>,
+    /// Slots bound by relation atoms, in binding order — their undo log.
+    pub(crate) trail: Vec<u32>,
+}
+
+impl Frame {
+    /// Clears every binding and sizes the frame for a query with `nvars`
+    /// variables and `nregs` registers.
+    pub(crate) fn reset(&mut self, nvars: usize, nregs: usize) {
+        self.vars.clear();
+        self.vars.resize(nvars, None);
+        self.regs.clear();
+        self.regs.resize(nregs, Id(0));
+        self.trail.clear();
+    }
+}
+
+/// Reusable state for the compiled matcher. One scratch per saturation run
+/// (per worker, under parallel search) keeps the `Frame` buffers alive
+/// across candidates, atoms, rules and passes; it is language-independent,
+/// so one serves every rule in a rule set.
 ///
 /// The scratch doubles as the **delta-probe counter** carrier: it is the
 /// one `&mut` context already threaded through every search, so the
@@ -50,8 +86,7 @@ use crate::unionfind::Id;
 /// counters into its `RunReport` via [`MatchScratch::take_probe_counters`].
 #[derive(Debug, Default)]
 pub struct MatchScratch {
-    rows: Vec<Vec<Option<Id>>>,
-    lists: Vec<Vec<Vec<Option<Id>>>>,
+    pub(crate) frame: Frame,
     /// Candidate classes enumerated by delta probes since the last drain.
     probed_rows: usize,
     /// Candidate classes delta probes did *not* have to visit: the probed
@@ -60,7 +95,7 @@ pub struct MatchScratch {
 }
 
 impl MatchScratch {
-    /// An empty scratch arena.
+    /// An empty scratch.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
@@ -81,46 +116,6 @@ impl MatchScratch {
         self.probed_rows = 0;
         self.skipped_rows = 0;
         out
-    }
-
-    /// A row initialized as a copy of `seed`.
-    pub(crate) fn row_from(&mut self, seed: &[Option<Id>]) -> Vec<Option<Id>> {
-        match self.rows.pop() {
-            Some(mut row) => {
-                row.clear();
-                row.extend_from_slice(seed);
-                row
-            }
-            None => seed.to_vec(),
-        }
-    }
-
-    /// A row of `width` unbound slots.
-    pub(crate) fn blank_row(&mut self, width: usize) -> Vec<Option<Id>> {
-        match self.rows.pop() {
-            Some(mut row) => {
-                row.clear();
-                row.resize(width, None);
-                row
-            }
-            None => vec![None; width],
-        }
-    }
-
-    /// Recycles a dead row.
-    pub(crate) fn give_row(&mut self, row: Vec<Option<Id>>) {
-        self.rows.push(row);
-    }
-
-    /// An empty row list.
-    pub(crate) fn take_list(&mut self) -> Vec<Vec<Option<Id>>> {
-        self.lists.pop().unwrap_or_default()
-    }
-
-    /// Recycles a row list, reclaiming any rows still inside it.
-    pub(crate) fn give_list(&mut self, mut list: Vec<Vec<Option<Id>>>) {
-        self.rows.append(&mut list);
-        self.lists.push(list);
     }
 }
 
@@ -230,89 +225,92 @@ pub enum Pattern<L> {
     Node(L, Vec<Pattern<L>>),
 }
 
-/// A pattern compiled for the indexed matcher: variables interned to slots
-/// in a shared table, the root operator's index key precomputed.
+/// One instruction of a compiled pattern (see the module docs).
 #[derive(Debug, Clone)]
-pub struct CompiledPattern<L> {
-    pub(crate) node: CompiledNode<L>,
-    pub(crate) vars: Arc<Vec<String>>,
-}
-
-/// Compiled pattern body; mirrors [`Pattern`] with slot-interned variables.
-#[derive(Debug, Clone)]
-pub(crate) enum CompiledNode<L> {
-    Var(u32),
-    Node {
+pub(crate) enum Instr<L> {
+    /// For every e-node of the class in `regs[reg]` whose operator matches
+    /// `op` and that has `arity` children: load the children into
+    /// `regs[out..out + arity]` and continue.
+    Bind {
+        reg: u32,
+        out: u32,
+        arity: u32,
         op: L,
-        op_key: u64,
-        children: Vec<CompiledNode<L>>,
     },
+    /// The class in `regs[reg]` must be variable `slot`'s binding; binds
+    /// the variable (until backtracking) if it has none.
+    Var { reg: u32, slot: u32 },
 }
 
-impl<L: Language> CompiledNode<L> {
-    /// The operator-index key of the root, or `None` for variable roots
-    /// (which match every class and cannot use the index).
-    pub(crate) fn root_key(&self) -> Option<u64> {
-        match self {
-            CompiledNode::Var(_) => None,
-            CompiledNode::Node { op_key, .. } => Some(*op_key),
-        }
-    }
+/// A pattern flattened for the backtracking matcher. Registers are
+/// numbered by the caller's counter, so the programs of one query's atoms
+/// never share a register and can run nested inside each other.
+#[derive(Debug, Clone)]
+pub(crate) struct Program<L> {
+    /// Register the caller loads the root class into.
+    pub(crate) root: u32,
+    /// The root operator's index key; `None` for variable roots (which
+    /// match every class and cannot use the index).
+    pub(crate) root_key: Option<u64>,
+    code: Box<[Instr<L>]>,
+}
 
-    /// Matches against class `id`, appending every consistent extension of
-    /// `seed` to `out`. Bindings are dense slot tables over the pattern's
-    /// variable table; every row comes from (and dead rows return to) the
-    /// `scratch` arena.
-    pub(crate) fn match_class<N: Analysis<L>>(
+impl<L: Language> Program<L> {
+    /// Runs the program from instruction `pc` against the classes loaded
+    /// in `frame`, calling `on_match` — with the frame holding that
+    /// match's bindings — once per way the remaining instructions can be
+    /// satisfied, in pre-order. The frame's bindings are back to their
+    /// entry state on return.
+    pub(crate) fn run<N: Analysis<L>>(
         &self,
         egraph: &EGraph<L, N>,
-        id: Id,
-        seed: &[Option<Id>],
-        out: &mut Vec<Vec<Option<Id>>>,
-        scratch: &mut MatchScratch,
+        pc: usize,
+        frame: &mut Frame,
+        on_match: &mut dyn FnMut(&mut Frame),
     ) {
-        let id = egraph.find(id);
-        match self {
-            CompiledNode::Var(slot) => {
-                let slot = *slot as usize;
-                match seed[slot] {
-                    Some(existing) => {
-                        if existing == id {
-                            out.push(scratch.row_from(seed));
+        match self.code.get(pc) {
+            None => on_match(frame),
+            Some(&Instr::Var { reg, slot }) => {
+                let id = frame.regs[reg as usize];
+                debug_assert_eq!(id, egraph.find(id), "registers hold canonical ids");
+                match frame.vars[slot as usize] {
+                    Some(bound) => {
+                        if bound == id {
+                            self.run(egraph, pc + 1, frame, on_match);
                         }
                     }
                     None => {
-                        let mut next = scratch.row_from(seed);
-                        next[slot] = Some(id);
-                        out.push(next);
+                        frame.vars[slot as usize] = Some(id);
+                        self.run(egraph, pc + 1, frame, on_match);
+                        frame.vars[slot as usize] = None;
                     }
                 }
             }
-            CompiledNode::Node { op, children, .. } => {
-                let mut partial = scratch.take_list();
-                let mut step = scratch.take_list();
-                for node in &egraph.class(id).nodes {
-                    if !node.matches_op(op) || node.children().len() != children.len() {
-                        continue;
+            Some(Instr::Bind {
+                reg,
+                out,
+                arity,
+                op,
+            }) => {
+                let (out, arity) = (*out as usize, *arity as usize);
+                for node in &egraph.class(frame.regs[*reg as usize]).nodes {
+                    if node.matches_op(op) && node.children().len() == arity {
+                        frame.regs[out..out + arity].copy_from_slice(node.children());
+                        self.run(egraph, pc + 1, frame, on_match);
                     }
-                    partial.push(scratch.row_from(seed));
-                    for (child_pat, &child_id) in children.iter().zip(node.children()) {
-                        for s in partial.drain(..) {
-                            child_pat.match_class(egraph, child_id, &s, &mut step, scratch);
-                            scratch.give_row(s);
-                        }
-                        std::mem::swap(&mut partial, &mut step);
-                        if partial.is_empty() {
-                            break;
-                        }
-                    }
-                    out.append(&mut partial);
                 }
-                scratch.give_list(partial);
-                scratch.give_list(step);
             }
         }
     }
+}
+
+/// A pattern compiled for the backtracking matcher: variables interned to
+/// slots in a shared table, the body flattened to a `Program`.
+#[derive(Debug, Clone)]
+pub struct CompiledPattern<L> {
+    program: Program<L>,
+    nregs: u32,
+    vars: Arc<Vec<String>>,
 }
 
 impl<L: Language> CompiledPattern<L> {
@@ -322,6 +320,23 @@ impl<L: Language> CompiledPattern<L> {
         self.vars.len()
     }
 
+    /// Hands `emit` every match rooted at class `id`.
+    fn match_root<N: Analysis<L>>(
+        &self,
+        egraph: &EGraph<L, N>,
+        id: Id,
+        frame: &mut Frame,
+        emit: &mut dyn FnMut(Subst),
+    ) {
+        frame.regs[self.program.root as usize] = id;
+        self.program.run(egraph, 0, frame, &mut |frame| {
+            emit(Subst::from_bindings(
+                Arc::clone(&self.vars),
+                frame.vars.clone(),
+            ));
+        });
+    }
+
     /// Matches against e-class `id` starting from an empty substitution.
     #[must_use]
     pub fn search_class<N: Analysis<L>>(&self, egraph: &EGraph<L, N>, id: Id) -> Vec<Subst> {
@@ -329,7 +344,7 @@ impl<L: Language> CompiledPattern<L> {
     }
 
     /// [`CompiledPattern::search_class`] with a caller-provided scratch
-    /// arena (reuse it across calls to avoid re-allocating match buffers).
+    /// (reuse it across calls to avoid re-allocating match buffers).
     #[must_use]
     pub fn search_class_with<N: Analysis<L>>(
         &self,
@@ -338,23 +353,21 @@ impl<L: Language> CompiledPattern<L> {
         scratch: &mut MatchScratch,
     ) -> Vec<Subst> {
         debug_assert!(egraph.is_clean(), "search requires a rebuilt e-graph");
-        let seed = scratch.blank_row(self.vars.len());
-        let mut raw = Vec::new();
-        self.node.match_class(egraph, id, &seed, &mut raw, scratch);
-        scratch.give_row(seed);
-        raw.into_iter()
-            .map(|b| Subst::from_bindings(Arc::clone(&self.vars), b))
-            .collect()
+        scratch.frame.reset(self.vars.len(), self.nregs as usize);
+        let mut out = Vec::new();
+        let frame = &mut scratch.frame;
+        self.match_root(egraph, egraph.find(id), frame, &mut |m| out.push(m));
+        out
     }
 
     /// Searches the whole graph through the operator index; returns
-    /// `(root_id, subst)` pairs. Same match set as [`Pattern::search`].
+    /// `(root_id, subst)` pairs — the same sequence as [`Pattern::search`].
     #[must_use]
     pub fn search<N: Analysis<L>>(&self, egraph: &EGraph<L, N>) -> Vec<(Id, Subst)> {
         self.search_with(egraph, &mut MatchScratch::new())
     }
 
-    /// [`CompiledPattern::search`] with a caller-provided scratch arena.
+    /// [`CompiledPattern::search`] with a caller-provided scratch.
     #[must_use]
     pub fn search_with<N: Analysis<L>>(
         &self,
@@ -362,34 +375,19 @@ impl<L: Language> CompiledPattern<L> {
         scratch: &mut MatchScratch,
     ) -> Vec<(Id, Subst)> {
         debug_assert!(egraph.is_clean(), "search requires a rebuilt e-graph");
-        let seed = scratch.blank_row(self.vars.len());
+        scratch.frame.reset(self.vars.len(), self.nregs as usize);
         let mut out = Vec::new();
-        let mut raw = Vec::new();
-        let visit = |id: Id,
-                     raw: &mut Vec<Vec<Option<Id>>>,
-                     out: &mut Vec<(Id, Subst)>,
-                     scratch: &mut MatchScratch| {
-            raw.clear();
-            self.node.match_class(egraph, id, &seed, raw, scratch);
-            for b in raw.drain(..) {
-                out.push((id, Subst::from_bindings(Arc::clone(&self.vars), b)));
+        let all_ids;
+        let roots = match self.program.root_key {
+            Some(key) => egraph.candidates_for(key),
+            None => {
+                all_ids = egraph.sorted_class_ids();
+                &all_ids
             }
         };
-        match self.node.root_key() {
-            Some(key) => {
-                for &id in egraph.candidates_for(key) {
-                    visit(id, &mut raw, &mut out, scratch);
-                }
-            }
-            None => {
-                let mut ids: Vec<Id> = egraph.classes().map(|c| c.id).collect();
-                ids.sort_unstable();
-                for id in ids {
-                    visit(id, &mut raw, &mut out, scratch);
-                }
-            }
+        for &id in roots {
+            self.match_root(egraph, id, &mut scratch.frame, &mut |m| out.push((id, m)));
         }
-        scratch.give_row(seed);
         out
     }
 }
@@ -437,27 +435,58 @@ impl<L: Language> Pattern<L> {
         u32::try_from(slot).expect("pattern variable slot overflow")
     }
 
-    /// Compiles the body against a shared variable table (used by queries
-    /// whose atoms share bindings).
-    pub(crate) fn compile_into(&self, vars: &mut Vec<String>) -> CompiledNode<L> {
-        match self {
-            Pattern::Var(v) => CompiledNode::Var(Self::intern(vars, v)),
-            Pattern::Node(op, children) => CompiledNode::Node {
-                op: op.clone(),
-                op_key: op.op_key(),
-                children: children.iter().map(|c| c.compile_into(vars)).collect(),
+    /// Compiles the body against a shared variable table and register
+    /// counter (used by queries, whose atoms share bindings and must not
+    /// share registers).
+    pub(crate) fn compile_into(&self, vars: &mut Vec<String>, nregs: &mut u32) -> Program<L> {
+        let root = *nregs;
+        *nregs += 1;
+        let mut code = Vec::new();
+        self.emit(root, vars, nregs, &mut code);
+        Program {
+            root,
+            root_key: match self {
+                Pattern::Var(_) => None,
+                Pattern::Node(op, _) => Some(op.op_key()),
             },
+            code: code.into_boxed_slice(),
         }
     }
 
-    /// Compiles the pattern for the indexed matcher. Compile once, search
-    /// many times.
+    /// Emits, in pre-order, the instructions matching `self` against
+    /// register `reg`.
+    fn emit(&self, reg: u32, vars: &mut Vec<String>, nregs: &mut u32, code: &mut Vec<Instr<L>>) {
+        match self {
+            Pattern::Var(v) => code.push(Instr::Var {
+                reg,
+                slot: Self::intern(vars, v),
+            }),
+            Pattern::Node(op, children) => {
+                let out = *nregs;
+                let arity = u32::try_from(children.len()).expect("pattern arity overflow");
+                *nregs = out.checked_add(arity).expect("pattern register overflow");
+                code.push(Instr::Bind {
+                    reg,
+                    out,
+                    arity,
+                    op: op.clone(),
+                });
+                for (r, c) in (out..).zip(children) {
+                    c.emit(r, vars, nregs, code);
+                }
+            }
+        }
+    }
+
+    /// Compiles the pattern for the backtracking matcher. Compile once,
+    /// search many times.
     #[must_use]
     pub fn compile(&self) -> CompiledPattern<L> {
-        let mut vars = Vec::new();
-        let node = self.compile_into(&mut vars);
+        let (mut vars, mut nregs) = (Vec::new(), 0);
+        let program = self.compile_into(&mut vars, &mut nregs);
         CompiledPattern {
-            node,
+            program,
+            nregs,
             vars: Arc::new(vars),
         }
     }
@@ -517,9 +546,7 @@ impl<L: Language> Pattern<L> {
     #[must_use]
     pub fn search<N: Analysis<L>>(&self, egraph: &EGraph<L, N>) -> Vec<(Id, Subst)> {
         let mut out = Vec::new();
-        let mut ids: Vec<Id> = egraph.classes().map(|c| c.id).collect();
-        ids.sort_unstable();
-        for id in ids {
+        for id in egraph.sorted_class_ids() {
             for s in self.search_class(egraph, id, &Subst::new()) {
                 out.push((id, s));
             }

@@ -2,10 +2,44 @@
 //! appliers — the engine's equivalent of egglog's `rewrite` and `rule`.
 //!
 //! Every [`Rewrite`] compiles its [`Query`] once at construction into a
-//! [`CompiledQuery`] (interned variables, precomputed operator keys), which
-//! is what [`Rewrite::run`] searches with. The uncompiled
-//! [`Query::search`] is retained as the naive reference implementation for
-//! equivalence tests and benchmarking.
+//! [`CompiledQuery`], which is what [`Rewrite::run`] searches with. The
+//! uncompiled [`Query::search`] is retained as the naive reference
+//! implementation for equivalence tests and benchmarking.
+//!
+//! ## One matcher
+//!
+//! A compiled query is a list of atoms over one shared variable table and
+//! one register file: each pattern atom is a flat
+//! `pattern::Program`, each relation atom a list of column slots.
+//! A search — private `CompiledQuery::join` — is a single depth-first walk
+//! over one binding buffer: the first atom enumerates its roots (or
+//! tuples); at every way its program can be satisfied the walk continues
+//! *into* the next atom — a pattern atom rooted at a variable that is
+//! bound by then is just more `Bind`s under that class, one rooted at a
+//! fresh variable scans its operator's index row, a relation atom scans
+//! its tuples, binding the columns' unbound variables — and past the last
+//! atom the buffer is copied out as one match row. Every binding is
+//! undone on the way back, so nothing is copied or allocated for a
+//! candidate that does not match. Pre-order depth-first search emits
+//! matches in the lexicographic (atom 0's choices, atom 1's, …) order of
+//! the naive nested loops, so the compiled and naive matchers return the
+//! same *sequence*.
+//!
+//! Every search mode is this walk with a different first step:
+//!
+//! * a **full** search starts at atom 0 with its operator's whole index
+//!   row;
+//! * a **single-root delta** search starts at atom 0 with only the rows
+//!   stamped since the cutoff;
+//! * a **semi-naive round** starts at its delta atom — that atom's
+//!   modified rows or changed tuples — and visits the others in query
+//!   order from there (a conjunction's matches do not depend on the order
+//!   its atoms are visited in; whether a variable occurrence binds or
+//!   compares is decided at run time by whether its slot is bound);
+//! * a **parallel chunk** is any of the above handed a contiguous slice of
+//!   the first atom's root enumeration: the walk maps each root to a run
+//!   of matches and emits the runs in root order, so chunk results
+//!   concatenate to the serial result.
 //!
 //! ## Delta search
 //!
@@ -37,11 +71,13 @@
 //! candidate rows it visited vs. skipped into the
 //! [`MatchScratch`] counters.
 
+use std::borrow::Cow;
+use std::cell::OnceCell;
 use std::sync::Arc;
 
 use crate::egraph::{Analysis, DeltaTracking, EGraph};
 use crate::language::Language;
-use crate::pattern::{CompiledNode, MatchScratch, Pattern, Subst};
+use crate::pattern::{Frame, MatchScratch, Pattern, Program, Subst};
 use crate::pool::SearchPool;
 use crate::unionfind::Id;
 
@@ -60,7 +96,7 @@ pub(crate) const PARALLEL_MIN_ROOTS: usize = 64;
 pub struct ParallelCtx<'a> {
     /// Pool shared across every search of one saturation run.
     pub pool: &'a SearchPool,
-    /// Per-worker scratch arenas (`len() >= pool.threads()`).
+    /// Per-worker scratches (`len() >= pool.threads()`).
     pub scratches: &'a mut [MatchScratch],
 }
 
@@ -123,10 +159,12 @@ impl<L: Language> Query<L> {
     }
 
     /// Compiles the query: interns every variable (shared across atoms)
-    /// and precomputes pattern operator keys.
+    /// and flattens every pattern atom into a matcher program over one
+    /// shared register file.
     #[must_use]
     pub fn compile(&self) -> CompiledQuery<L> {
         let mut vars: Vec<String> = Vec::new();
+        let mut nregs = 0;
         let intern = Pattern::<L>::intern;
         // Delta-eligibility: a *single* delta probe at the first atom's
         // root is sound when the only *enumeration* of classes happens
@@ -149,8 +187,8 @@ impl<L: Language> Query<L> {
                     if i > 0 && (slot as usize) >= vars_before {
                         delta_eligible = false;
                     }
-                    let node = pattern.compile_into(&mut vars);
-                    CompiledAtom::Pat { slot, node }
+                    let program = pattern.compile_into(&mut vars, &mut nregs);
+                    CompiledAtom::Pat { slot, program }
                 }
                 Atom::Rel { name, vars: cols } => {
                     delta_eligible = false;
@@ -164,6 +202,7 @@ impl<L: Language> Query<L> {
         CompiledQuery {
             vars: Arc::new(vars),
             atoms,
+            nregs,
             delta_eligible,
         }
     }
@@ -193,9 +232,7 @@ impl<L: Language> Query<L> {
                             // reference matcher's match *order* (and hence
                             // equal-cost extraction tie-breaks downstream)
                             // reproducible across runs.
-                            let mut ids: Vec<Id> = egraph.classes().map(|c| c.id).collect();
-                            ids.sort_unstable();
-                            for id in ids {
+                            for id in egraph.sorted_class_ids() {
                                 for mut m in pattern.search_class(egraph, id, s) {
                                     if m.bind(var, egraph.find(id)) {
                                         next.push(m);
@@ -237,7 +274,7 @@ impl<L: Language> Query<L> {
 
 /// A compiled atom: variables as slots into the query's table.
 enum CompiledAtom<L> {
-    Pat { slot: u32, node: CompiledNode<L> },
+    Pat { slot: u32, program: Program<L> },
     Rel { name: String, slots: Vec<u32> },
 }
 
@@ -246,15 +283,14 @@ enum CompiledAtom<L> {
 enum Restrict {
     /// Full join over every atom.
     Full,
-    /// Single-root delta: unbound-root enumeration probes only classes
-    /// whose root-operator rows were stamped at or after the epoch (sound
-    /// for delta-eligible queries, whose only enumeration is the first
-    /// atom's root).
+    /// Single-root delta: the first atom's root enumeration probes only
+    /// classes whose root-operator rows were stamped at or after the epoch
+    /// (sound for delta-eligible queries, whose only enumeration that is).
     Root(u64),
-    /// One semi-naive round: atom `index` is restricted to its delta
-    /// (classes modified at/after `epoch` for pattern atoms, tuples
-    /// changed after `rel_tick` for relation atoms); every other atom
-    /// joins in full.
+    /// One semi-naive round: atom `index` is evaluated first and
+    /// restricted to its delta (classes modified at/after `epoch` for
+    /// pattern atoms, tuples changed after `rel_tick` for relation atoms);
+    /// every other atom joins in full.
     Atom {
         index: usize,
         epoch: u64,
@@ -262,12 +298,122 @@ enum Restrict {
     },
 }
 
-/// A [`Query`] compiled for the indexed matcher: one shared variable table,
-/// patterns with interned slots and precomputed op keys.
+/// A complete match: one binding per query variable.
+type Row = Vec<Option<Id>>;
+
+/// A [`Query`] compiled for the backtracking matcher: one shared variable
+/// table and register file, one `Program` per pattern atom.
 pub struct CompiledQuery<L> {
     vars: Arc<Vec<String>>,
     atoms: Vec<CompiledAtom<L>>,
+    nregs: u32,
     delta_eligible: bool,
+}
+
+/// One pass of the matcher over a query: the depth-first join described
+/// in the module docs. `atom(0, …)` appends every match to `out`.
+struct Join<'a, L: Language, N: Analysis<L>> {
+    query: &'a CompiledQuery<L>,
+    egraph: &'a EGraph<L, N>,
+    /// The atom evaluated first: the delta atom of a semi-naive round,
+    /// else atom 0. The others follow in query order.
+    first: usize,
+    /// The first atom's root enumeration, when it is a pattern atom.
+    roots: &'a [Id],
+    /// The first atom's tuple cutoff, when it is a delta relation atom.
+    rel_since: Option<u64>,
+    /// Sorted class ids for variable-rooted atoms after the first,
+    /// computed at most once per pass.
+    all_ids: OnceCell<Vec<Id>>,
+}
+
+impl<L: Language, N: Analysis<L>> Join<'_, L, N> {
+    /// Evaluates the `pos`-th atom in evaluation order against the
+    /// bindings in `frame`, continuing into the next atom at each of its
+    /// matches; past the last atom, `frame.vars` is a complete match.
+    fn atom(&self, pos: usize, frame: &mut Frame, out: &mut Vec<Row>) {
+        let atoms = &self.query.atoms;
+        if pos == atoms.len() {
+            out.push(frame.vars.clone());
+            return;
+        }
+        let index = match pos {
+            0 => self.first,
+            p if p <= self.first => p - 1,
+            p => p,
+        };
+        match &atoms[index] {
+            CompiledAtom::Pat { slot, program } => {
+                let (slot, root_reg) = (*slot as usize, program.root as usize);
+                let mut next = |frame: &mut Frame| self.atom(pos + 1, frame, out);
+                if let Some(id) = frame.vars[slot] {
+                    // Rooted at an already-bound variable: just more binds.
+                    frame.regs[root_reg] = id;
+                    program.run(self.egraph, 0, frame, &mut next);
+                    return;
+                }
+                let roots = match (pos, program.root_key) {
+                    (0, _) => self.roots,
+                    (_, Some(key)) => self.egraph.candidates_for(key),
+                    (_, None) => self.all_ids.get_or_init(|| self.egraph.sorted_class_ids()),
+                };
+                for &root in roots {
+                    frame.vars[slot] = Some(root);
+                    frame.regs[root_reg] = root;
+                    program.run(self.egraph, 0, frame, &mut next);
+                }
+                frame.vars[slot] = None;
+            }
+            CompiledAtom::Rel { name, slots } => {
+                let relations = &self.egraph.relations;
+                let visit = |tuple: &Vec<Id>| self.tuple(pos, slots, tuple, frame, out);
+                match self.rel_since.filter(|_| pos == 0) {
+                    Some(tick) => relations.tuples_since(name, tick).for_each(visit),
+                    None => relations.tuples(name).for_each(visit),
+                }
+            }
+        }
+    }
+
+    /// Unifies one relation tuple with the bindings (binding the columns'
+    /// unbound variables), continues into the next atom if it fits, and
+    /// undoes its bindings.
+    fn tuple(
+        &self,
+        pos: usize,
+        slots: &[u32],
+        tuple: &[Id],
+        frame: &mut Frame,
+        out: &mut Vec<Row>,
+    ) {
+        if tuple.len() != slots.len() {
+            return;
+        }
+        let mark = frame.trail.len();
+        let mut fits = true;
+        for (&slot, &id) in slots.iter().zip(tuple) {
+            let id = self.egraph.find(id);
+            match frame.vars[slot as usize] {
+                // Also catches nonlinear tuple variables: the first
+                // occurrence bound the slot just above.
+                Some(bound) if bound != id => {
+                    fits = false;
+                    break;
+                }
+                Some(_) => {}
+                None => {
+                    frame.vars[slot as usize] = Some(id);
+                    frame.trail.push(slot);
+                }
+            }
+        }
+        if fits {
+            self.atom(pos + 1, frame, out);
+        }
+        for slot in frame.trail.drain(mark..) {
+            frame.vars[slot as usize] = None;
+        }
+    }
 }
 
 impl<L: Language> CompiledQuery<L> {
@@ -282,51 +428,39 @@ impl<L: Language> CompiledQuery<L> {
     }
 
     /// Enumerates all substitutions satisfying the query, using the
-    /// operator index for root enumeration. Same result set as
+    /// operator index for root enumeration. The same sequence as
     /// [`Query::search`].
     #[must_use]
     pub fn search<N: Analysis<L>>(&self, egraph: &EGraph<L, N>) -> Vec<Subst> {
         self.search_with(egraph, &mut MatchScratch::new())
     }
 
-    /// [`CompiledQuery::search`] with a caller-provided scratch arena.
+    /// [`CompiledQuery::search`] with a caller-provided scratch.
     #[must_use]
     pub fn search_with<N: Analysis<L>>(
         &self,
         egraph: &EGraph<L, N>,
         scratch: &mut MatchScratch,
     ) -> Vec<Subst> {
-        let rows = self.search_rows(
-            egraph,
-            &Restrict::Full,
-            DeltaTracking::OpKeyed,
-            scratch,
-            None,
-        );
+        let rows = self.pass(egraph, Restrict::Full, DeltaTracking::OpKeyed, scratch);
         self.rows_to_substs(rows)
     }
 
-    /// Like [`CompiledQuery::search`], but for delta-eligible queries the
-    /// root enumeration only probes classes whose root-operator rows were
-    /// stamped at or after `cutoff` — the classes whose match sets can
-    /// have changed since the epoch was recorded (see
-    /// [`EGraph::bump_epoch`]). For non-eligible queries this is a full
-    /// search; use [`CompiledQuery::search_delta`] to get semi-naive
-    /// evaluation for those.
+    /// [`CompiledQuery::search_with`] with the first atom's root
+    /// enumeration partitioned across the context's pool. Byte-identical
+    /// to the serial search (see `CompiledQuery::pass_parallel`).
     #[must_use]
-    pub fn search_since<N: Analysis<L>>(&self, egraph: &EGraph<L, N>, cutoff: u64) -> Vec<Subst> {
-        let restrict = if self.delta_eligible {
-            Restrict::Root(cutoff)
-        } else {
-            Restrict::Full
-        };
-        let rows = self.search_rows(
-            egraph,
-            &restrict,
-            DeltaTracking::OpKeyed,
-            &mut MatchScratch::new(),
-            None,
-        );
+    pub fn search_ctx<N: Analysis<L>>(
+        &self,
+        egraph: &EGraph<L, N>,
+        scratch: &mut MatchScratch,
+        ctx: &mut ParallelCtx<'_>,
+    ) -> Vec<Subst>
+    where
+        N::Data: Sync,
+    {
+        let tracking = DeltaTracking::OpKeyed;
+        let rows = self.pass_parallel(egraph, Restrict::Full, tracking, scratch, ctx);
         self.rows_to_substs(rows)
     }
 
@@ -346,13 +480,8 @@ impl<L: Language> CompiledQuery<L> {
         rel_cutoff: u64,
         scratch: &mut MatchScratch,
     ) -> Vec<Subst> {
-        self.search_delta_tracked(
-            egraph,
-            epoch_cutoff,
-            rel_cutoff,
-            DeltaTracking::OpKeyed,
-            scratch,
-        )
+        let tracking = DeltaTracking::OpKeyed;
+        self.search_delta_tracked(egraph, epoch_cutoff, rel_cutoff, tracking, scratch)
     }
 
     /// [`CompiledQuery::search_delta`] with an explicit change-tracking
@@ -368,48 +497,17 @@ impl<L: Language> CompiledQuery<L> {
         tracking: DeltaTracking,
         scratch: &mut MatchScratch,
     ) -> Vec<Subst> {
-        if self.delta_eligible {
-            let rows = self.search_rows(
-                egraph,
-                &Restrict::Root(epoch_cutoff),
-                tracking,
-                scratch,
-                None,
-            );
-            return self.rows_to_substs(rows);
-        }
-        let classes_dirty = egraph.any_modified_since(epoch_cutoff);
-        let rels_dirty = egraph.relations.tick() > rel_cutoff;
-        if !classes_dirty && !rels_dirty {
-            return Vec::new();
-        }
-        let mut rows: Vec<Vec<Option<Id>>> = Vec::new();
-        for (index, atom) in self.atoms.iter().enumerate() {
-            let delta_nonempty = match atom {
-                CompiledAtom::Pat { .. } => classes_dirty,
-                CompiledAtom::Rel { name, .. } => {
-                    rels_dirty && egraph.relations.changed_since(name, rel_cutoff)
-                }
-            };
-            if !delta_nonempty {
-                continue;
-            }
-            let restrict = Restrict::Atom {
-                index,
-                epoch: epoch_cutoff,
-                rel_tick: rel_cutoff,
-            };
-            rows.extend(self.search_rows(egraph, &restrict, tracking, scratch, None));
-        }
-        self.dedup_round_rows(&mut rows, scratch);
-        self.rows_to_substs(rows)
+        self.delta(egraph, epoch_cutoff, rel_cutoff, |restrict| {
+            self.pass(egraph, restrict, tracking, scratch)
+        })
     }
 
     /// [`CompiledQuery::search_delta_tracked`] with a parallel-search
     /// context: the single-root probe of delta-eligible queries *and* each
     /// semi-naive round's delta enumeration are partitioned across the
-    /// pool. Byte-identical to the serial search — see
-    /// `CompiledQuery::search_delta_rounds` (private) for why.
+    /// pool. Byte-identical to the serial search: every pass is (see
+    /// `CompiledQuery::pass_parallel`), and the rounds accumulate and
+    /// merge exactly as the serial ones do.
     #[must_use]
     pub fn search_delta_tracked_ctx<N: Analysis<L>>(
         &self,
@@ -423,419 +521,200 @@ impl<L: Language> CompiledQuery<L> {
     where
         N::Data: Sync,
     {
-        if self.delta_eligible {
-            return self.search_parallel(
-                egraph,
-                Restrict::Root(epoch_cutoff),
-                tracking,
-                scratch,
-                ctx,
-            );
-        }
-        self.search_delta_rounds(egraph, epoch_cutoff, rel_cutoff, tracking, scratch, ctx)
+        self.delta(egraph, epoch_cutoff, rel_cutoff, |restrict| {
+            self.pass_parallel(egraph, restrict, tracking, scratch, ctx)
+        })
     }
 
-    /// Semi-naive evaluation: round `i` restricts atom `i` to its delta,
-    /// and the join *starts* from that delta (the restricted atom is
-    /// evaluated first), so a round costs work proportional to its delta —
-    /// not a full re-join. A match is found by round `i` iff atom `i`'s
-    /// contribution is new, so the union over rounds covers every new
-    /// match; duplicates (matches with several new atoms) are deduplicated
-    /// below. Rounds whose delta is provably empty are skipped outright,
-    /// which is what makes quiescent passes free.
+    /// Delta evaluation over a pass runner (serial or parallel). A
+    /// delta-eligible query is one [`Restrict::Root`] pass. Anything else
+    /// is evaluated semi-naively: round `i` restricts atom `i` to its
+    /// delta, and the join *starts* from that delta, so a round costs work
+    /// proportional to its delta — not a full re-join. A match is found by
+    /// round `i` iff atom `i`'s contribution is new, so the union over
+    /// rounds covers every new match. Rounds whose delta is provably empty
+    /// are skipped outright, which is what makes quiescent passes free.
     ///
-    /// With a [`ParallelCtx`], each pattern-atom round's delta enumeration
-    /// is computed once here (probe counters recorded on the scheduler's
-    /// scratch, exactly as the serial round records them) and partitioned
-    /// across the pool. This is byte-identical to the serial evaluation:
-    /// chunk-order concatenation reproduces the serial row order within
-    /// each round (the `first_roots` contract on `search_rows`), rounds
-    /// accumulate in the same atom order, and the final deterministic
-    /// `(round, enumeration, binding)`-ordered sort + dedup is shared with
-    /// the serial path — so the merged delta match set cannot depend on
-    /// the thread count. Relation-atom rounds have no root enumeration to
-    /// partition and always run serially; their deltas are log tails and
-    /// tiny by construction.
-    fn search_delta_rounds<N: Analysis<L>>(
+    /// The rounds' rows are merged by a total-order sort and a dedup
+    /// (matches with several new atoms are found by several rounds), so
+    /// the result is a pure function of the match *set*.
+    fn delta<N: Analysis<L>>(
         &self,
         egraph: &EGraph<L, N>,
         epoch_cutoff: u64,
         rel_cutoff: u64,
-        tracking: DeltaTracking,
-        scratch: &mut MatchScratch,
-        ctx: &mut ParallelCtx<'_>,
-    ) -> Vec<Subst>
-    where
-        N::Data: Sync,
-    {
+        mut pass: impl FnMut(Restrict) -> Vec<Row>,
+    ) -> Vec<Subst> {
+        if self.delta_eligible {
+            return self.rows_to_substs(pass(Restrict::Root(epoch_cutoff)));
+        }
         let classes_dirty = egraph.any_modified_since(epoch_cutoff);
         let rels_dirty = egraph.relations.tick() > rel_cutoff;
-        if !classes_dirty && !rels_dirty {
-            return Vec::new();
-        }
-        let mut rows: Vec<Vec<Option<Id>>> = Vec::new();
+        let mut rows: Vec<Row> = Vec::new();
         for (index, atom) in self.atoms.iter().enumerate() {
-            let restrict = Restrict::Atom {
-                index,
-                epoch: epoch_cutoff,
-                rel_tick: rel_cutoff,
-            };
-            match atom {
-                CompiledAtom::Pat { node, .. } => {
-                    if !classes_dirty {
-                        continue;
-                    }
-                    let roots = delta_roots(egraph, node, epoch_cutoff, tracking, scratch);
-                    rows.extend(
-                        self.rows_partitioned(egraph, restrict, tracking, scratch, ctx, &roots),
-                    );
-                }
+            let delta_nonempty = match atom {
+                CompiledAtom::Pat { .. } => classes_dirty,
                 CompiledAtom::Rel { name, .. } => {
-                    if !(rels_dirty && egraph.relations.changed_since(name, rel_cutoff)) {
-                        continue;
-                    }
-                    rows.extend(self.search_rows(egraph, &restrict, tracking, scratch, None));
+                    rels_dirty && egraph.relations.changed_since(name, rel_cutoff)
                 }
+            };
+            if delta_nonempty {
+                rows.extend(pass(Restrict::Atom {
+                    index,
+                    epoch: epoch_cutoff,
+                    rel_tick: rel_cutoff,
+                }));
             }
         }
-        self.dedup_round_rows(&mut rows, scratch);
+        rows.sort_unstable();
+        rows.dedup();
         self.rows_to_substs(rows)
     }
 
-    /// The deterministic merge shared by the serial and parallel round
-    /// evaluations: a total-order sort over the accumulated round rows
-    /// followed by adjacent dedup (matches found by several rounds appear
-    /// once). Because both paths feed rows in the same round order with
-    /// the same per-round row order, sorting makes the merged result a
-    /// pure function of the match *set* — byte-identical at any thread
-    /// count.
-    fn dedup_round_rows(&self, rows: &mut Vec<Vec<Option<Id>>>, scratch: &mut MatchScratch) {
-        rows.sort_unstable();
-        rows.dedup_by(|a, b| {
-            if a == b {
-                // `a` is the one removed: reclaim its buffer.
-                scratch.give_row(std::mem::take(a));
-                true
-            } else {
-                false
-            }
-        });
-    }
-
-    fn rows_to_substs(&self, rows: Vec<Vec<Option<Id>>>) -> Vec<Subst> {
+    fn rows_to_substs(&self, rows: Vec<Row>) -> Vec<Subst> {
         rows.into_iter()
             .map(|b| Subst::from_bindings(Arc::clone(&self.vars), b))
             .collect()
     }
 
-    /// The join loop shared by every search mode. `first_roots`, when
-    /// given, overrides the *first evaluated atom's* root enumeration with
-    /// an explicit slice — the parallel path partitions the enumeration it
-    /// computed once into chunks and runs this loop per chunk, so the
-    /// concatenation of the chunk results in chunk order is exactly the
-    /// serial result (each atom maps partials to output runs in order; a
-    /// per-partial concat-map commutes with partitioning the seed list).
-    /// Probe counters are *not* recorded when `first_roots` is given; the
-    /// caller that computed the enumeration already recorded them.
-    #[allow(clippy::too_many_lines)]
-    fn search_rows<N: Analysis<L>>(
+    /// The root enumeration of the pass's first atom, when that is a
+    /// pattern atom: its operator's index row (every class, sorted, for a
+    /// variable root) in a full pass; in a delta pass, the classes whose
+    /// root-operator rows were stamped at or after the cutoff —
+    /// O(changes to that operator's rows) via the per-op log (or the
+    /// retained per-class log ∩ index row under the baseline tracking),
+    /// nothing when the operator was quiet — with the probe counters
+    /// recorded on `scratch`, once.
+    fn first_roots<'a, N: Analysis<L>>(
         &self,
-        egraph: &EGraph<L, N>,
-        restrict: &Restrict,
+        egraph: &'a EGraph<L, N>,
+        restrict: Restrict,
         tracking: DeltaTracking,
         scratch: &mut MatchScratch,
-        first_roots: Option<&[Id]>,
-    ) -> Vec<Vec<Option<Id>>> {
-        debug_assert!(egraph.is_clean(), "search requires a rebuilt e-graph");
-        let nvars = self.vars.len();
-        let mut partials = scratch.take_list();
-        partials.push(scratch.blank_row(nvars));
-        let mut next = scratch.take_list();
-        // Atom evaluation order: a conjunctive join is order-independent in
-        // its result, so a semi-naive round starts from its delta atom and
-        // the remaining atoms filter/extend from there — the round's cost
-        // scales with the delta, not the full join.
-        let delta_first = match restrict {
-            Restrict::Atom { index, .. } => Some(*index),
-            _ => None,
+    ) -> Option<Cow<'a, [Id]>> {
+        let (first, cutoff) = match restrict {
+            Restrict::Full => (0, None),
+            Restrict::Root(epoch) => (0, Some(epoch)),
+            Restrict::Atom { index, epoch, .. } => (index, Some(epoch)),
         };
-        let first_atom = delta_first.unwrap_or(0);
-        let order = delta_first
-            .into_iter()
-            .chain((0..self.atoms.len()).filter(|&j| Some(j) != delta_first));
-        for i in order {
-            let atom = &self.atoms[i];
-            match atom {
-                CompiledAtom::Pat { slot, node } => {
-                    let slot = *slot as usize;
-                    // `enum_cutoff` limits this atom's unbound-root
-                    // enumeration to modified classes. A delta-restricted
-                    // pattern atom always evaluates first (on the single
-                    // all-unbound seed row), so restricting the enumeration
-                    // is the whole restriction — its root slot cannot be
-                    // bound yet.
-                    let enum_cutoff = match restrict {
-                        Restrict::Full => None,
-                        Restrict::Root(cut) => Some(*cut),
-                        Restrict::Atom { index, epoch, .. } if *index == i => Some(*epoch),
-                        Restrict::Atom { .. } => None,
-                    };
-                    let mut step = scratch.take_list();
-                    // Sorted full enumeration for variable-rooted patterns,
-                    // computed at most once per atom (not per partial).
-                    let mut all_ids: Option<Vec<Id>> = None;
-                    for p in partials.iter() {
-                        if let Some(id) = p[slot] {
-                            debug_assert!(
-                                !matches!(restrict, Restrict::Atom { index, .. } if *index == i),
-                                "delta atom is evaluated first; its root is never pre-bound"
-                            );
-                            node.match_class(egraph, id, p, &mut next, scratch);
-                        } else {
-                            let visit =
-                                |root: Id,
-                                 step: &mut Vec<Vec<Option<Id>>>,
-                                 next: &mut Vec<Vec<Option<Id>>>,
-                                 scratch: &mut MatchScratch| {
-                                    node.match_class(egraph, root, p, step, scratch);
-                                    for mut m in step.drain(..) {
-                                        match m[slot] {
-                                            Some(existing) if existing != root => {
-                                                scratch.give_row(m);
-                                                continue;
-                                            }
-                                            _ => m[slot] = Some(root),
-                                        }
-                                        next.push(m);
-                                    }
-                                };
-                            if let Some(roots) = first_roots.filter(|_| i == first_atom) {
-                                // Explicit chunk from the parallel path
-                                // (or the whole enumeration, computed by
-                                // the caller); probes already recorded.
-                                for &root in roots {
-                                    visit(root, &mut step, &mut next, scratch);
-                                }
-                            } else if let Some(cut) = enum_cutoff {
-                                // Delta probe, keyed by the atom's root
-                                // operator: O(changes to that op's rows)
-                                // via the per-op log (or the retained
-                                // per-class log ∩ index row under the
-                                // baseline tracking), zero when the op was
-                                // quiet.
-                                let (roots, universe) = match node.root_key() {
-                                    Some(key) => (
-                                        match tracking {
-                                            DeltaTracking::OpKeyed => {
-                                                egraph.modified_candidates_for(key, cut)
-                                            }
-                                            DeltaTracking::PerClass => {
-                                                egraph.modified_candidates_per_class(key, cut)
-                                            }
-                                        },
-                                        egraph.candidates_for(key).len(),
-                                    ),
-                                    None => (egraph.modified_since(cut), egraph.num_classes()),
-                                };
-                                scratch.record_probe(roots.len(), universe);
-                                for root in roots {
-                                    visit(root, &mut step, &mut next, scratch);
-                                }
-                            } else {
-                                match node.root_key() {
-                                    Some(key) => {
-                                        for &root in egraph.candidates_for(key) {
-                                            visit(root, &mut step, &mut next, scratch);
-                                        }
-                                    }
-                                    None => {
-                                        let ids = all_ids.get_or_insert_with(|| {
-                                            let mut ids: Vec<Id> =
-                                                egraph.classes().map(|c| c.id).collect();
-                                            ids.sort_unstable();
-                                            ids
-                                        });
-                                        for &id in ids.iter() {
-                                            visit(id, &mut step, &mut next, scratch);
-                                        }
-                                    }
-                                }
+        let CompiledAtom::Pat { program, .. } = self.atoms.get(first)? else {
+            return None;
+        };
+        Some(match (cutoff, program.root_key) {
+            (None, Some(key)) => Cow::Borrowed(egraph.candidates_for(key)),
+            (None, None) => Cow::Owned(egraph.sorted_class_ids()),
+            (Some(cut), root_key) => {
+                let (roots, universe) = match root_key {
+                    Some(key) => (
+                        match tracking {
+                            DeltaTracking::OpKeyed => egraph.modified_candidates_for(key, cut),
+                            DeltaTracking::PerClass => {
+                                egraph.modified_candidates_per_class(key, cut)
                             }
-                        }
-                    }
-                    scratch.give_list(step);
-                }
-                CompiledAtom::Rel { name, slots } => {
-                    let rel_cutoff = match restrict {
-                        Restrict::Atom {
-                            index, rel_tick, ..
-                        } if *index == i => Some(*rel_tick),
-                        _ => None,
-                    };
-                    for p in partials.iter() {
-                        let tuples: Box<dyn Iterator<Item = &Vec<Id>>> = match rel_cutoff {
-                            Some(t) => Box::new(egraph.relations.tuples_since(name, t)),
-                            None => Box::new(egraph.relations.tuples(name)),
-                        };
-                        'tuples: for tuple in tuples {
-                            if tuple.len() != slots.len() {
-                                continue;
-                            }
-                            // Pre-filter on already-bound slots so a
-                            // mismatching tuple costs no allocation.
-                            for (&slot, &id) in slots.iter().zip(tuple.iter()) {
-                                if let Some(existing) = p[slot as usize] {
-                                    if existing != egraph.find(id) {
-                                        continue 'tuples;
-                                    }
-                                }
-                            }
-                            let mut m = scratch.row_from(p);
-                            for (&slot, &id) in slots.iter().zip(tuple.iter()) {
-                                let id = egraph.find(id);
-                                match m[slot as usize] {
-                                    // Nonlinear tuple variables can still
-                                    // conflict within this pass.
-                                    Some(existing) if existing != id => {
-                                        scratch.give_row(m);
-                                        continue 'tuples;
-                                    }
-                                    _ => m[slot as usize] = Some(id),
-                                }
-                            }
-                            next.push(m);
-                        }
-                    }
-                }
+                        },
+                        egraph.candidates_for(key).len(),
+                    ),
+                    None => (egraph.modified_since(cut), egraph.num_classes()),
+                };
+                scratch.record_probe(roots.len(), universe);
+                Cow::Owned(roots)
             }
-            for row in partials.drain(..) {
-                scratch.give_row(row);
-            }
-            std::mem::swap(&mut partials, &mut next);
-            if partials.is_empty() {
-                break;
-            }
-        }
-        scratch.give_list(next);
-        partials
+        })
     }
 
-    /// Full or single-root-delta search with the root enumeration
-    /// partitioned across a [`SearchPool`]. Byte-identical to the serial
-    /// search by construction: the enumeration is computed once here —
-    /// exactly as [`CompiledQuery::search_rows`] would, probe counters
-    /// recorded on the *scheduler's* scratch — then partitioned by
-    /// [`CompiledQuery::rows_partitioned`].
-    ///
-    /// Relation-rooted queries have no root enumeration to partition and
-    /// fall back to the serial join. Semi-naive rounds go through
-    /// [`CompiledQuery::search_delta_tracked_ctx`] instead, which computes
-    /// each round's delta enumeration before partitioning it the same way.
-    fn search_parallel<N: Analysis<L>>(
+    /// Runs the matcher over the whole query with the first atom's root
+    /// enumeration given as `roots` — the complete enumeration or one
+    /// contiguous chunk of it. The depth-first join maps each root to a
+    /// run of matches and emits the runs in root order, so the results of
+    /// consecutive chunks concatenate to the result of the whole.
+    fn join<N: Analysis<L>>(
+        &self,
+        egraph: &EGraph<L, N>,
+        restrict: Restrict,
+        roots: &[Id],
+        scratch: &mut MatchScratch,
+    ) -> Vec<Row> {
+        debug_assert!(egraph.is_clean(), "search requires a rebuilt e-graph");
+        let (first, rel_since) = match restrict {
+            Restrict::Atom {
+                index, rel_tick, ..
+            } => (index, Some(rel_tick)),
+            Restrict::Full | Restrict::Root(_) => (0, None),
+        };
+        let join = Join {
+            query: self,
+            egraph,
+            first,
+            roots,
+            rel_since,
+            all_ids: OnceCell::new(),
+        };
+        let mut out = Vec::new();
+        scratch.frame.reset(self.vars.len(), self.nregs as usize);
+        join.atom(0, &mut scratch.frame, &mut out);
+        out
+    }
+
+    /// One serial pass: the first atom's enumeration, then the join.
+    fn pass<N: Analysis<L>>(
         &self,
         egraph: &EGraph<L, N>,
         restrict: Restrict,
         tracking: DeltaTracking,
         scratch: &mut MatchScratch,
-        ctx: &mut ParallelCtx<'_>,
-    ) -> Vec<Subst>
-    where
-        N::Data: Sync,
-    {
-        debug_assert!(matches!(restrict, Restrict::Full | Restrict::Root(_)));
-        let Some(CompiledAtom::Pat { node, .. }) = self.atoms.first() else {
-            let rows = self.search_rows(egraph, &restrict, tracking, scratch, None);
-            return self.rows_to_substs(rows);
-        };
-        // The enumeration the serial path would perform at the first atom,
-        // computed once; for delta probes the probe counters are recorded
-        // here (once), exactly as the serial path records them.
-        let mut owned: Option<Vec<Id>> = None;
-        let roots: &[Id] = match restrict {
-            Restrict::Full => match node.root_key() {
-                Some(key) => egraph.candidates_for(key),
-                None => {
-                    let mut ids: Vec<Id> = egraph.classes().map(|c| c.id).collect();
-                    ids.sort_unstable();
-                    owned.insert(ids)
-                }
-            },
-            Restrict::Root(cut) => owned.insert(delta_roots(egraph, node, cut, tracking, scratch)),
-            Restrict::Atom { .. } => unreachable!("rounds go through search_delta_tracked_ctx"),
-        };
-        let rows = self.rows_partitioned(egraph, restrict, tracking, scratch, ctx, roots);
-        self.rows_to_substs(rows)
+    ) -> Vec<Row> {
+        let roots = self.first_roots(egraph, restrict, tracking, scratch);
+        self.join(
+            egraph,
+            restrict,
+            roots.as_deref().unwrap_or_default(),
+            scratch,
+        )
     }
 
-    /// Runs the shared join loop over an explicitly computed first-atom
-    /// root enumeration, partitioned across the context's pool: the slice
-    /// is split into contiguous chunks, each chunk's join evaluated
+    /// [`CompiledQuery::pass`] with the join partitioned across the
+    /// context's pool: the enumeration is computed once, here (probe
+    /// counters on the *scheduler's* scratch, exactly as the serial pass
+    /// records them), split into contiguous chunks, each chunk joined
     /// against the immutable `&EGraph` snapshot with its own per-worker
     /// scratch, and the chunk results concatenated in chunk order — which
-    /// is exactly the serial result (see the `first_roots` contract on
-    /// [`CompiledQuery::search_rows`]). Enumerations below
-    /// [`PARALLEL_MIN_ROOTS`] run inline on the caller — still through
-    /// the same override path, so the match order never depends on the
-    /// threshold. Probe counters are never recorded here; the caller that
-    /// computed the enumeration already recorded them.
-    fn rows_partitioned<N: Analysis<L>>(
+    /// is exactly the serial result (see [`CompiledQuery::join`]).
+    /// Enumerations below [`PARALLEL_MIN_ROOTS`] — and passes that start
+    /// at a relation atom, which have no root enumeration to partition —
+    /// run inline on the caller through the same `join`, so the match
+    /// order never depends on the threshold or the thread count.
+    fn pass_parallel<N: Analysis<L>>(
         &self,
         egraph: &EGraph<L, N>,
         restrict: Restrict,
         tracking: DeltaTracking,
         scratch: &mut MatchScratch,
         ctx: &mut ParallelCtx<'_>,
-        roots: &[Id],
-    ) -> Vec<Vec<Option<Id>>>
+    ) -> Vec<Row>
     where
         N::Data: Sync,
     {
+        let roots = self.first_roots(egraph, restrict, tracking, scratch);
+        let roots = roots.as_deref().unwrap_or_default();
         let threads = ctx.pool.threads().min(ctx.scratches.len());
         if threads < 2 || roots.len() < PARALLEL_MIN_ROOTS {
-            return self.search_rows(egraph, &restrict, tracking, scratch, Some(roots));
+            return self.join(egraph, restrict, roots, scratch);
         }
         let chunks: Vec<&[Id]> = roots.chunks(roots.len().div_ceil(threads)).collect();
-        let mut outs: Vec<Vec<Vec<Option<Id>>>> = Vec::new();
+        let mut outs: Vec<Vec<Row>> = Vec::new();
         outs.resize_with(chunks.len(), Vec::new);
         let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = chunks
             .iter()
             .zip(outs.iter_mut())
             .zip(ctx.scratches.iter_mut())
             .map(|((&chunk, out), scr)| {
-                Box::new(move || {
-                    *out = self.search_rows(egraph, &restrict, tracking, scr, Some(chunk));
-                }) as Box<dyn FnOnce() + Send + '_>
+                Box::new(move || *out = self.join(egraph, restrict, chunk, scr))
+                    as Box<dyn FnOnce() + Send + '_>
             })
             .collect();
         ctx.pool.scatter(jobs);
-        // Chunk-order concatenation == serial match order (see above).
         outs.into_iter().flatten().collect()
     }
-}
-
-/// The delta enumeration the serial path performs for an unbound pattern
-/// root: classes whose root-operator rows were stamped at or after `cut`,
-/// with the probe counters recorded on `scratch` — once, exactly as the
-/// serial enumeration records them.
-fn delta_roots<L: Language, N: Analysis<L>>(
-    egraph: &EGraph<L, N>,
-    node: &CompiledNode<L>,
-    cut: u64,
-    tracking: DeltaTracking,
-    scratch: &mut MatchScratch,
-) -> Vec<Id> {
-    let (roots, universe) = match node.root_key() {
-        Some(key) => (
-            match tracking {
-                DeltaTracking::OpKeyed => egraph.modified_candidates_for(key, cut),
-                DeltaTracking::PerClass => egraph.modified_candidates_per_class(key, cut),
-            },
-            egraph.candidates_for(key).len(),
-        ),
-        None => (egraph.modified_since(cut), egraph.num_classes()),
-    };
-    scratch.record_probe(roots.len(), universe);
-    roots
 }
 
 /// Guard predicate evaluated on each match before application.
@@ -958,21 +837,15 @@ impl<L: Language, N: Analysis<L>> Rewrite<L, N> {
         changed
     }
 
-    /// Runs the rule once over the whole graph (search with the compiled,
-    /// indexed matcher, then apply all matches). Returns the number of
-    /// matches that changed the graph. Rebuilds first if the graph is
-    /// dirty, but does **not** rebuild after applying.
+    /// Runs the rule once over the whole graph (search with the compiled
+    /// matcher, then apply all matches). Returns the number of matches
+    /// that changed the graph. Rebuilds first if the graph is dirty, but
+    /// does **not** rebuild after applying.
     pub fn run(&self, egraph: &mut EGraph<L, N>) -> usize {
-        self.run_with(egraph, &mut MatchScratch::new())
-    }
-
-    /// [`Rewrite::run`] with a caller-provided scratch arena (the scheduler
-    /// holds one per saturation run).
-    pub fn run_with(&self, egraph: &mut EGraph<L, N>, scratch: &mut MatchScratch) -> usize {
         if !egraph.is_clean() {
             egraph.rebuild();
         }
-        let matches = self.compiled.search_with(egraph, scratch);
+        let matches = self.compiled.search(egraph);
         self.apply_matches(egraph, matches)
     }
 
@@ -985,80 +858,44 @@ impl<L: Language, N: Analysis<L>> Rewrite<L, N> {
         let matches = self.query.search(egraph);
         self.apply_matches(egraph, matches)
     }
-
-    /// Delta run: searches only classes modified at or after `cutoff`
-    /// (falling back to a full search for non-delta-eligible queries).
-    /// The caller is responsible for `cutoff` bookkeeping — see
-    /// `schedule::Runner`.
-    pub fn run_since(&self, egraph: &mut EGraph<L, N>, cutoff: u64) -> usize {
-        if !egraph.is_clean() {
-            egraph.rebuild();
-        }
-        let matches = self.compiled.search_since(egraph, cutoff);
-        self.apply_matches(egraph, matches)
-    }
-
-    /// Full delta run: applies every match that is new relative to the
-    /// recorded cutoffs (`epoch_cutoff` from [`EGraph::bump_epoch`],
-    /// `rel_cutoff` from [`crate::relation::Relations::tick`]) — single
-    /// root probe for delta-eligible queries, semi-naive rounds otherwise.
-    /// `tracking` selects the probe granularity (op-keyed, or the
-    /// retained per-class baseline); match sets are identical either way.
-    pub fn run_delta(
-        &self,
-        egraph: &mut EGraph<L, N>,
-        epoch_cutoff: u64,
-        rel_cutoff: u64,
-        tracking: DeltaTracking,
-        scratch: &mut MatchScratch,
-    ) -> usize {
-        if !egraph.is_clean() {
-            egraph.rebuild();
-        }
-        let matches =
-            self.compiled
-                .search_delta_tracked(egraph, epoch_cutoff, rel_cutoff, tracking, scratch);
-        self.apply_matches(egraph, matches)
-    }
 }
 
 impl<L: Language, N: Analysis<L>> Rewrite<L, N>
 where
     N::Data: Sync,
 {
-    /// [`Rewrite::run_with`] with an optional parallel-search context:
-    /// the *search* is partitioned across the context's pool (see
-    /// [`ParallelCtx`]), the matches are applied serially in the exact
-    /// order the serial search would produce them. With `None` this is
-    /// `run_with` verbatim.
+    /// [`Rewrite::run`] for the scheduler: a caller-provided scratch (one
+    /// per saturation run) and an optional parallel-search context. With
+    /// a context the *search* is partitioned across its pool (see
+    /// [`ParallelCtx`]); the matches are applied serially either way, in
+    /// the exact order the serial search produces them.
     pub fn run_with_ctx(
         &self,
         egraph: &mut EGraph<L, N>,
         scratch: &mut MatchScratch,
         par: Option<&mut ParallelCtx<'_>>,
     ) -> usize {
-        let Some(ctx) = par else {
-            return self.run_with(egraph, scratch);
-        };
         if !egraph.is_clean() {
             egraph.rebuild();
         }
-        let matches = self.compiled.search_parallel(
-            egraph,
-            Restrict::Full,
-            DeltaTracking::OpKeyed,
-            scratch,
-            ctx,
-        );
+        let matches = match par {
+            Some(ctx) => self.compiled.search_ctx(egraph, scratch, ctx),
+            None => self.compiled.search_with(egraph, scratch),
+        };
         self.apply_matches(egraph, matches)
     }
 
-    /// [`Rewrite::run_delta`] with an optional parallel-search context:
-    /// the single-root delta probe of delta-eligible queries *and* the
-    /// pattern-atom rounds of semi-naive evaluation (relation joins,
-    /// fresh-variable atoms) are partitioned across the pool — the merged
-    /// delta match set is byte-identical to serial at any thread count
-    /// (see [`CompiledQuery::search_delta_tracked_ctx`]).
+    /// Delta run: applies every match that is new relative to the
+    /// recorded cutoffs (`epoch_cutoff` from [`EGraph::bump_epoch`],
+    /// `rel_cutoff` from [`crate::relation::Relations::tick`]) — single
+    /// root probe for delta-eligible queries, semi-naive rounds otherwise.
+    /// `tracking` selects the probe granularity (op-keyed, or the retained
+    /// per-class baseline); match sets are identical either way. With a
+    /// parallel-search context the probe and the pattern-atom rounds are
+    /// partitioned across the pool — the merged delta match set is
+    /// byte-identical to serial at any thread count (see
+    /// [`CompiledQuery::search_delta_tracked_ctx`]). The caller is
+    /// responsible for the cutoff bookkeeping — see `schedule::Runner`.
     pub fn run_delta_ctx(
         &self,
         egraph: &mut EGraph<L, N>,
@@ -1068,20 +905,23 @@ where
         scratch: &mut MatchScratch,
         par: Option<&mut ParallelCtx<'_>>,
     ) -> usize {
-        let Some(ctx) = par else {
-            return self.run_delta(egraph, epoch_cutoff, rel_cutoff, tracking, scratch);
-        };
         if !egraph.is_clean() {
             egraph.rebuild();
         }
-        let matches = self.compiled.search_delta_tracked_ctx(
-            egraph,
-            epoch_cutoff,
-            rel_cutoff,
-            tracking,
-            scratch,
-            ctx,
-        );
+        let compiled = &self.compiled;
+        let matches = match par {
+            Some(ctx) => compiled.search_delta_tracked_ctx(
+                egraph,
+                epoch_cutoff,
+                rel_cutoff,
+                tracking,
+                scratch,
+                ctx,
+            ),
+            None => {
+                compiled.search_delta_tracked(egraph, epoch_cutoff, rel_cutoff, tracking, scratch)
+            }
+        };
         self.apply_matches(egraph, matches)
     }
 }
@@ -1362,13 +1202,17 @@ mod tests {
         // Full search finds the existing product.
         assert_eq!(q.search(&eg).len(), 1);
         let cutoff = eg.bump_epoch();
+        let rel_cutoff = eg.relations.tick();
+        let mut scratch = MatchScratch::new();
         // Nothing changed since the cutoff: delta search is empty.
-        assert!(q.search_since(&eg, cutoff).is_empty());
+        assert!(q
+            .search_delta(&eg, cutoff, rel_cutoff, &mut scratch)
+            .is_empty());
         // A new product appears: delta search reports exactly it.
         let b = eg.add(Math::Sym("b".into()));
         let mb = eg.add(Math::Mul([b, two]));
         eg.rebuild();
-        let delta = q.search_since(&eg, cutoff);
+        let delta = q.search_delta(&eg, cutoff, rel_cutoff, &mut scratch);
         assert_eq!(delta.len(), 1);
         assert_eq!(delta[0].get("e"), Some(eg.find(mb)));
     }

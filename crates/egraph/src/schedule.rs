@@ -23,16 +23,19 @@
 //! relation store are quiescent; for rules *not* marked pure, any new
 //! relation tuple since their last run forces a full search as a safety
 //! net (their guards may read relation state the query does not mention).
-//! One [`MatchScratch`] arena per saturation run is threaded through every
-//! search so the compiled matcher's binding buffers are recycled across
-//! candidates, rules and passes. Setting [`Runner::use_naive_matcher`]
+//! One [`MatchScratch`] per saturation run is threaded through every
+//! search, so the compiled matcher's one binding buffer and register file
+//! live across candidates, rules and passes. Setting [`Runner::use_naive_matcher`]
 //! bypasses all of this and benchmarks the retained naive reference
 //! matcher.
 //!
 //! **Profiling:** [`Runner::profile_sink`] opts a run into per-rule
 //! observability — each searched rule reports an
 //! [`hb_obs::RuleSearchSample`] (name, probed rows, matches, duration)
-//! and each end-of-pass congruence rebuild reports its duration. With no
+//! and each congruence rebuild — the one a rule's unions force before the
+//! next rule may search, and the one that ends the pass — reports its
+//! duration separately, so a rule's sample never carries the previous
+//! rule's rebuild. With no
 //! sink installed (the default) every hook site is a single branch: no
 //! clock reads, no probe-counter drains, nothing the saturation loop can
 //! feel.
@@ -448,7 +451,7 @@ impl Default for Runner {
 }
 
 /// One saturation run's parallel-search state: the worker pool plus one
-/// scratch arena per pool thread (chunk *i* of every partitioned search
+/// scratch per pool thread (chunk *i* of every partitioned search
 /// uses scratch *i*; the scheduler's own scratch keeps the probe
 /// counters).
 struct ParallelSearch {
@@ -611,6 +614,11 @@ impl Runner {
             if let Some(plan) = &self.fault_plan {
                 plan.on_search(&rule.name);
             }
+            // A rebuild the previous rule's unions left pending is its own
+            // profile event, not part of this rule's search.
+            if !egraph.is_clean() {
+                self.rebuild_profiled(egraph);
+            }
             // The profile hook's "absence is free" contract: no clock
             // reads and no per-rule counter drains unless a sink is
             // installed.
@@ -628,9 +636,6 @@ impl Runner {
                     });
                 }
                 continue;
-            }
-            if !egraph.is_clean() {
-                egraph.rebuild();
             }
             let rel_version = egraph.relations.version();
             // Quiescence skip: a pure rule sees only its matched classes
@@ -699,12 +704,18 @@ impl Runner {
         let (probed, skipped) = scratch.take_probe_counters();
         report.delta_probed_rows += probed;
         report.delta_skipped_rows += skipped;
-        let rebuild_started = self.profile_sink.as_ref().map(|_| Instant::now());
+        self.rebuild_profiled(egraph);
+        applied
+    }
+
+    /// Rebuilds the graph, reporting the rebuild's duration to the profile
+    /// sink when one is installed (and reading no clock otherwise).
+    fn rebuild_profiled<L: Language, N: Analysis<L>>(&self, egraph: &mut EGraph<L, N>) {
+        let started = self.profile_sink.as_ref().map(|_| Instant::now());
         egraph.rebuild();
-        if let (Some(sink), Some(started)) = (&self.profile_sink, rebuild_started) {
+        if let (Some(sink), Some(started)) = (&self.profile_sink, started) {
             sink.on_rebuild(started.elapsed());
         }
-        applied
     }
 
     /// Runs the rules to saturation (or the iteration/node limit, or the
@@ -827,7 +838,7 @@ impl Runner {
     /// The paper's phased schedule: `outer_iters` rounds of the main rules,
     /// with the supporting rules saturated before the first round and after
     /// every round. Delta state persists across rounds, so a supporting
-    /// fixpoint over an unchanged graph is near-free; one scratch arena
+    /// fixpoint over an unchanged graph is near-free; one scratch
     /// serves both rule sets for the whole run.
     pub fn run_phased<L: Language, N: Analysis<L>>(
         &self,
@@ -1316,6 +1327,34 @@ mod tests {
                 "derived relations must match at {threads} threads"
             );
         }
+    }
+
+    /// Profiling attribution: the rebuild that `assoc`'s union forces
+    /// before `div-self` may search is reported through `on_rebuild`, not
+    /// folded into `div-self`'s sample — so a pass whose first rule fired
+    /// reports more rebuilds than the one that ends it.
+    #[test]
+    fn mid_pass_rebuilds_are_reported_separately() {
+        let (mut eg, a, d) = fig1_graph();
+        let sink = Arc::new(hb_obs::CollectingSink::new());
+        let report = Runner::default()
+            .with_profile_sink(sink.clone())
+            .run_to_fixpoint(&mut eg, &fig1_rules());
+        assert!(report.saturated);
+        assert_eq!(eg.find(d), eg.find(a));
+        assert!(
+            sink.rebuilds().len() > report.iterations,
+            "{} rebuilds over {} passes: mid-pass rebuilds went unreported",
+            sink.rebuilds().len(),
+            report.iterations
+        );
+        // Sink or no sink, the run is the same run.
+        let (mut plain, _, _) = fig1_graph();
+        let mut unprofiled = Runner::default().run_to_fixpoint(&mut plain, &fig1_rules());
+        let mut profiled = report;
+        unprofiled.elapsed = Duration::ZERO;
+        profiled.elapsed = Duration::ZERO;
+        assert_eq!(profiled, unprofiled);
     }
 
     #[test]

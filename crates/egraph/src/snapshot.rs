@@ -27,15 +27,17 @@
 //!
 //! ## Operator-key indirection
 //!
-//! [`crate::language::Language::op_key`] values come from the standard
-//! hasher, which is stable within one binary but **not across binaries**
-//! (or compiler versions). Raw keys therefore never appear in a snapshot:
+//! [`crate::language::Language::op_key`] values are hashes of whatever
+//! the language feeds [`crate::language::op_hasher`] — discriminants,
+//! payload bytes — which are stable within one binary but **not across
+//! binaries** (or compiler versions). Raw keys therefore never appear in
+//! a snapshot:
 //! the payload carries a table of *representative e-nodes*, one per
 //! distinct operator, and every keyed structure (op rows, per-op logs,
 //! index rows) refers to operators by table index. `EGraph::restore`
 //! re-derives the keys by calling `op_key()` on the representatives, so a
-//! snapshot written by one build restores correctly under another build's
-//! hash seeds.
+//! snapshot written by one build restores correctly under another
+//! build's key values.
 //!
 //! Node payloads and analysis data are language-specific, so languages
 //! opt in by implementing [`SnapshotNode`] (and [`SnapshotAnalysis`] for

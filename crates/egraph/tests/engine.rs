@@ -10,7 +10,11 @@
 //!   equivalences) and extracts the same terms as the naive matcher path;
 //! * op-keyed delta probes skip classes whose probed-operator rows were
 //!   untouched (counter-based), and modification-log compaction is
-//!   deterministic and exact.
+//!   deterministic and exact;
+//! * on random graphs and random queries of every shape the backtracking
+//!   matcher emits the naive reference's match *sequence*, its delta
+//!   search covers every match created since the cutoffs, and its chunked
+//!   (parallel) evaluation concatenates to the serial sequence.
 
 use proptest::prelude::*;
 
@@ -19,7 +23,8 @@ use hb_egraph::extract::{AstSize, WorklistExtractor};
 use hb_egraph::language::Language;
 use hb_egraph::math_lang::{n, padd, pdiv, pmul, pshl, pvar, Math};
 use hb_egraph::pattern::{MatchScratch, Pattern, Subst};
-use hb_egraph::rewrite::{Query, Rewrite};
+use hb_egraph::pool::SearchPool;
+use hb_egraph::rewrite::{ParallelCtx, Query, Rewrite};
 use hb_egraph::schedule::Runner;
 use hb_egraph::unionfind::Id;
 
@@ -329,6 +334,202 @@ proptest! {
             }
         }
         eg.check_op_epochs();
+    }
+}
+
+/// Variables pattern leaves draw from — few, so nonlinear repeats and
+/// variables shared between atoms are the common case.
+const PAT_VARS: [&str; 4] = ["x", "y", "z", "e"];
+/// Variables atoms are rooted at: fresh roots (`f`), roots an earlier
+/// pattern bound (`x`, `y`), and roots the atom's own pattern mentions.
+const ROOT_VARS: [&str; 4] = ["e", "f", "x", "y"];
+
+/// Decodes a pattern of at most `depth` operator levels from a gene
+/// stream: variables, literals and binary operators.
+fn gen_pattern(genes: &mut impl Iterator<Item = u32>, depth: u32) -> Pattern<Math> {
+    let g = genes.next().unwrap_or(0);
+    let pick = (g / 8) as usize;
+    match g % 8 {
+        0..=2 => pvar(PAT_VARS[pick % 4]),
+        3 => n((pick % 3) as i64 + 1),
+        _ if depth == 0 => pvar(PAT_VARS[pick % 4]),
+        _ => {
+            let lhs = gen_pattern(genes, depth - 1);
+            let rhs = gen_pattern(genes, depth - 1);
+            match pick % 3 {
+                0 => pmul(lhs, rhs),
+                1 => padd(lhs, rhs),
+                _ => pdiv(lhs, rhs),
+            }
+        }
+    }
+}
+
+/// Decodes a query of one to `max_atoms` atoms from a gene stream. Every
+/// shape the matcher distinguishes comes up: operator- and variable-rooted
+/// patterns, nonlinear variables, later atoms rooted at bound and at fresh
+/// variables, and relation atoms (unary and binary, possibly nonlinear) in
+/// any position — including first.
+fn gen_query(genes: &[u32], max_atoms: u32) -> Query<Math> {
+    let mut genes = genes.iter().copied();
+    let atoms = 1 + genes.next().unwrap_or(0) % max_atoms;
+    let mut query = Query { atoms: vec![] };
+    for _ in 0..atoms {
+        let g = genes.next().unwrap_or(0) as usize;
+        let root = ROOT_VARS[(g / 8) % 4];
+        query = match g % 8 {
+            0 => query.with_relation("good", &[root]),
+            1 => query.with_relation("pair", &[root, PAT_VARS[(g / 32) % 4]]),
+            2 => query.also(root, pvar(PAT_VARS[(g / 32) % 4])),
+            _ => query.also(root, gen_pattern(&mut genes, 2)),
+        };
+    }
+    query
+}
+
+/// Asserts `delta` is sound (⊆ `full`) and complete (⊇ `full` − `before`).
+fn assert_delta_covers(before: &[Subst], full: &[Subst], delta: &[Subst], ctx: &str) {
+    // `Subst` equality is by bound pairs; key by them once instead of
+    // comparing every pair of matches.
+    let key = |m: &Subst| {
+        let mut pairs: Vec<(String, Id)> = m.iter().map(|(v, &id)| (v.clone(), id)).collect();
+        pairs.sort();
+        pairs
+    };
+    let keys = |ms: &[Subst]| ms.iter().map(key).collect::<std::collections::HashSet<_>>();
+    let (before, full_keys, delta_keys) = (keys(before), keys(full), keys(delta));
+    for m in delta {
+        assert!(full_keys.contains(&key(m)), "{ctx}: delta invented {m:?}");
+    }
+    for m in full {
+        let k = key(m);
+        assert!(
+            before.contains(&k) || delta_keys.contains(&k),
+            "{ctx}: delta missed the new match {m:?}"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    // Full searches: not just the same match set — the same *sequence* as
+    // the naive nested loops (pre-order depth-first search is their
+    // lexicographic order), which is what keeps rule application order,
+    // and with it every id and tie-break downstream, matcher-independent.
+    #[test]
+    fn matcher_emits_the_naive_sequence_on_random_queries(
+        steps in proptest::collection::vec((0u8..6, 0u32..64, 0u32..64), 40),
+        tuples in proptest::collection::vec((0u8..2, 0u32..64, 0u32..64), 8),
+        genes in proptest::collection::vec(proptest::collection::vec(0u32..256, 24), 6),
+    ) {
+        let (mut eg, ids) = replay(&steps);
+        insert_tuples(&mut eg, &ids, &tuples);
+        eg.rebuild();
+        let mut scratch = MatchScratch::new();
+        for g in &genes {
+            let query = gen_query(g, 3);
+            let naive = query.search(&eg);
+            // One scratch across queries of different widths, as the
+            // scheduler holds it.
+            let compiled = query.compile().search_with(&eg, &mut scratch);
+            prop_assert_eq!(&naive, &compiled, "genes {:?}", g);
+        }
+    }
+
+    // Delta searches, single-root and semi-naive alike, report every match
+    // that appeared after the cutoffs, under both tracking granularities.
+    #[test]
+    fn delta_search_covers_new_matches_on_random_queries(
+        steps1 in proptest::collection::vec((0u8..6, 0u32..64, 0u32..64), 40),
+        tuples1 in proptest::collection::vec((0u8..2, 0u32..64, 0u32..64), 6),
+        steps2 in proptest::collection::vec((0u8..6, 0u32..64, 0u32..64), 25),
+        tuples2 in proptest::collection::vec((0u8..2, 0u32..64, 0u32..64), 6),
+        genes in proptest::collection::vec(proptest::collection::vec(0u32..256, 24), 6),
+    ) {
+        let (mut eg, mut ids) = replay(&steps1);
+        insert_tuples(&mut eg, &ids, &tuples1);
+        eg.rebuild();
+        let compiled: Vec<_> = genes.iter().map(|g| gen_query(g, 3).compile()).collect();
+        let before: Vec<Vec<Subst>> = compiled.iter().map(|c| c.search(&eg)).collect();
+        let epoch_cutoff = eg.bump_epoch();
+        let rel_cutoff = eg.relations.tick();
+
+        apply_steps(&mut eg, &mut ids, &steps2);
+        insert_tuples(&mut eg, &ids, &tuples2);
+        eg.rebuild();
+
+        let mut scratch = MatchScratch::new();
+        for ((c, before), g) in compiled.iter().zip(&before).zip(&genes) {
+            let full = c.search(&eg);
+            for tracking in [DeltaTracking::OpKeyed, DeltaTracking::PerClass] {
+                let delta =
+                    c.search_delta_tracked(&eg, epoch_cutoff, rel_cutoff, tracking, &mut scratch);
+                assert_delta_covers(before, &full, &delta, &format!("{tracking:?} genes {g:?}"));
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    // Chunked evaluation: with the first atom's root enumeration split
+    // across 2 and 3 workers, the chunk results concatenate to exactly the
+    // serial sequence — full and delta, probe counters included. The two
+    // generations of products are wider than the partitioning threshold,
+    // so Mul- and variable-rooted enumerations really are chunked.
+    #[test]
+    fn chunked_search_concatenates_to_the_serial_sequence(
+        steps1 in proptest::collection::vec((0u8..6, 0u32..256, 0u32..256), 30),
+        steps2 in proptest::collection::vec((0u8..6, 0u32..256, 0u32..256), 30),
+        tuples in proptest::collection::vec((0u8..2, 0u32..256, 0u32..256), 12),
+        genes in proptest::collection::vec(proptest::collection::vec(0u32..256, 16), 4),
+    ) {
+        let mut eg = EG::new();
+        let mut ids = vec![eg.add(Math::Sym("a".into()))];
+        let widen = |eg: &mut EG, ids: &mut Vec<Id>, generation: &str| {
+            for i in 0..70 {
+                let s = eg.add(Math::Sym(format!("{generation}{i}")));
+                ids.push(eg.add(Math::Mul([ids[0], s])));
+            }
+        };
+        widen(&mut eg, &mut ids, "old");
+        apply_steps(&mut eg, &mut ids, &steps1);
+        insert_tuples(&mut eg, &ids, &tuples[..6]);
+        eg.rebuild();
+        let epoch_cutoff = eg.bump_epoch();
+        let rel_cutoff = eg.relations.tick();
+        widen(&mut eg, &mut ids, "new");
+        apply_steps(&mut eg, &mut ids, &steps2);
+        insert_tuples(&mut eg, &ids, &tuples[6..]);
+        eg.rebuild();
+
+        let pools = [SearchPool::new(2), SearchPool::new(3)];
+        let tracking = DeltaTracking::OpKeyed;
+        for g in &genes {
+            let c = gen_query(g, 2).compile();
+            let mut scratch = MatchScratch::new();
+            let serial = c.search_with(&eg, &mut scratch);
+            let serial_delta =
+                c.search_delta_tracked(&eg, epoch_cutoff, rel_cutoff, tracking, &mut scratch);
+            let serial_probes = scratch.take_probe_counters();
+            for pool in &pools {
+                let mut scratches: Vec<MatchScratch> =
+                    (0..pool.threads()).map(|_| MatchScratch::new()).collect();
+                let mut ctx = ParallelCtx { pool, scratches: &mut scratches };
+                let chunked = c.search_ctx(&eg, &mut scratch, &mut ctx);
+                prop_assert_eq!(&serial, &chunked, "{} threads, genes {:?}", pool.threads(), g);
+                let chunked_delta = c.search_delta_tracked_ctx(
+                    &eg, epoch_cutoff, rel_cutoff, tracking, &mut scratch, &mut ctx,
+                );
+                prop_assert_eq!(
+                    &serial_delta, &chunked_delta,
+                    "delta, {} threads, genes {:?}", pool.threads(), g
+                );
+                prop_assert_eq!(serial_probes, scratch.take_probe_counters());
+            }
+        }
     }
 }
 

@@ -37,7 +37,9 @@ pub trait ProfileSink: Send + Sync {
     /// Called once per rule search (skipped quiescent rules excluded).
     fn on_rule_search(&self, sample: &RuleSearchSample<'_>);
 
-    /// Called once per end-of-iteration congruence rebuild.
+    /// Called once per congruence rebuild the scheduler runs: between two
+    /// rule searches when the first one's unions left the graph dirty, and
+    /// at the end of every pass.
     fn on_rebuild(&self, duration: Duration) {
         let _ = duration;
     }

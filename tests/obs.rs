@@ -3,8 +3,9 @@
 //! profiling sinks observing the engine through the session API, and one
 //! registry aggregating engine, session and service metrics.
 
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 
+use hardboiled_repro::hardboiled::session::{CompileError, IntoProgram, Program};
 use hardboiled_repro::hardboiled::{
     Batching, CollectingSink, MetricsRegistry, Placements, ReportCache, Session, TestClock, Tracer,
     TracingSink,
@@ -207,6 +208,25 @@ fn registry_aggregates_session_and_cache_metrics_exactly() {
     assert!(text.contains("compile_outcome_saturated 2"));
 }
 
+/// A source that parks the worker in `to_program` until the gate opens, so
+/// a request behind it is queued — not racing the worker — when its ticket
+/// is dropped.
+struct Gated {
+    inner: Stmt,
+    gate: Arc<(Mutex<bool>, Condvar)>,
+}
+
+impl IntoProgram for Gated {
+    fn to_program(&self) -> Result<Program, CompileError> {
+        let (open, cv) = &*self.gate;
+        let mut open = open.lock().unwrap();
+        while !*open {
+            open = cv.wait(open).unwrap();
+        }
+        self.inner.to_program()
+    }
+}
+
 /// Service lifecycle metrics land in the shared registry: the global and
 /// per-target queue-depth gauges, the busy/cancel counters and the
 /// cancellation latency histogram all resolve — and per-target gauges
@@ -229,15 +249,26 @@ fn service_lifecycle_metrics_share_the_registry() {
     let scalar = service.submit("scalar", tile_leaf(1)).unwrap();
     assert!(sim.wait().is_ok());
     assert!(scalar.wait().is_ok());
-    // One cancellation: dropped while the single worker drains the rest.
-    let victim = service.submit("sim", tile_leaf(2)).unwrap();
+    // One cancellation: dropped while queued behind a request that holds
+    // the single worker (an idle worker could finish the victim before
+    // the drop lands).
+    let gate = Arc::new((Mutex::new(false), Condvar::new()));
+    let holder = Gated {
+        inner: tile_leaf(2),
+        gate: Arc::clone(&gate),
+    };
+    let holder = service.submit("sim", holder).unwrap();
+    let victim = service.submit("sim", tile_leaf(3)).unwrap();
     drop(victim);
-    // A probe after the victim guarantees the skip has been processed by
-    // the time its reply arrives (single worker, FIFO per target).
-    assert!(service.submit("sim", tile_leaf(3)).unwrap().wait().is_ok());
+    *gate.0.lock().unwrap() = true;
+    gate.1.notify_all();
+    // FIFO per target on one worker: once the holder has replied and a
+    // probe after the victim has too, the skip has been processed.
+    assert!(holder.wait().is_ok());
+    assert!(service.submit("sim", tile_leaf(4)).unwrap().wait().is_ok());
 
     let snap = metrics.snapshot();
-    assert_eq!(snap.counter("service.requests"), Some(4));
+    assert_eq!(snap.counter("service.requests"), Some(5));
     assert_eq!(snap.counter("service.rejected_busy"), Some(0));
     assert_eq!(snap.counter("service.cancelled"), Some(1));
     assert_eq!(
@@ -250,7 +281,7 @@ fn service_lifecycle_metrics_share_the_registry() {
     assert_eq!(snap.gauge("service.queue_depth.scalar"), Some(0));
     // The session-level ledger sits next to the service counters: the
     // cancelled request never compiled.
-    assert_eq!(snap.counter("compile.outcome.saturated"), Some(3));
+    assert_eq!(snap.counter("compile.outcome.saturated"), Some(4));
     // Rendering carries the new names.
     let text = snap.render_text();
     assert!(text.contains("service_cancelled 1"), "{text}");
