@@ -127,7 +127,7 @@ pub fn saturation_leaves(lowered: &Lowered) -> Vec<Stmt> {
     }
     let annotated = annotate_stmt(&lowered.stmt, &placements);
     let mut leaves: Vec<Stmt> = Vec::new();
-    let _ = annotated.rewrite_stmts_bottom_up(&mut |s| {
+    annotated.for_each_stmt(&mut |s| {
         let mut movement = false;
         s.for_each_expr(&mut |e| {
             if matches!(e, hb_ir::expr::Expr::LocToLoc { .. }) {
@@ -137,7 +137,6 @@ pub fn saturation_leaves(lowered: &Lowered) -> Vec<Stmt> {
         if movement && matches!(s, Stmt::Store { .. } | Stmt::Evaluate(_)) {
             leaves.push(s.clone());
         }
-        None
     });
     leaves
 }

@@ -39,39 +39,47 @@ fn accel_location(placements: &Placements, buffer: &str) -> Option<Location> {
     })
 }
 
-/// Wraps accelerator-buffer loads in an expression.
-#[must_use]
-pub fn annotate_expr(e: &Expr, placements: &Placements) -> Expr {
-    e.rewrite_bottom_up(&mut |node| match node {
-        Expr::Load { buffer, .. } => accel_location(placements, buffer)
-            .map(|loc| loc_to_loc(loc, Location::Mem, node.clone())),
-        _ => None,
+/// Wraps the accelerator-buffer loads of an expression, in place.
+fn annotate_expr(e: &mut Expr, placements: &Placements) -> bool {
+    e.rewrite_bottom_up(&mut |node| {
+        let Expr::Load { buffer, .. } = &*node else {
+            return false;
+        };
+        let Some(loc) = accel_location(placements, buffer) else {
+            return false;
+        };
+        *node = loc_to_loc(loc, Location::Mem, node.take());
+        true
     })
 }
 
-/// Annotates a whole statement tree with data movements.
-#[must_use]
-pub fn annotate_stmt(stmt: &Stmt, placements: &Placements) -> Stmt {
-    stmt.rewrite_stmts_bottom_up(&mut |s| match s {
+/// Annotates a whole statement tree with data movements, in place; returns
+/// whether it inserted one.
+pub fn annotate_in_place(stmt: &mut Stmt, placements: &Placements) -> bool {
+    stmt.rewrite_stmts_in_place(&mut |s| match s {
         Stmt::Store {
             buffer,
             index,
             value,
         } => {
-            let index = annotate_expr(index, placements);
-            let mut value = annotate_expr(value, placements);
-            if let Some(loc) = accel_location(placements, buffer) {
-                value = loc_to_loc(Location::Mem, loc, value);
-            }
-            Some(Stmt::Store {
-                buffer: buffer.clone(),
-                index,
-                value,
-            })
+            let loads = annotate_expr(index, placements) | annotate_expr(value, placements);
+            let Some(loc) = accel_location(placements, buffer) else {
+                return loads;
+            };
+            *value = loc_to_loc(Location::Mem, loc, value.take());
+            true
         }
-        Stmt::Evaluate(e) => Some(Stmt::Evaluate(annotate_expr(e, placements))),
-        _ => None,
+        Stmt::Evaluate(e) => annotate_expr(e, placements),
+        _ => false,
     })
+}
+
+/// [`annotate_in_place`] on a copy.
+#[must_use]
+pub fn annotate_stmt(stmt: &Stmt, placements: &Placements) -> Stmt {
+    let mut out = stmt.clone();
+    annotate_in_place(&mut out, placements);
+    out
 }
 
 #[cfg(test)]

@@ -79,88 +79,62 @@ impl std::fmt::Display for MaterializeError {
 
 impl std::error::Error for MaterializeError {}
 
-/// Replaces `__expr_var(inner)` markers in an expression with buffer-name
-/// variables, returning the rewritten expression and the materializations.
-///
-/// # Errors
-///
-/// Returns [`MaterializeError`] on a marker call with no argument.
-pub fn try_extract_materializations(
-    e: &Expr,
-) -> Result<(Expr, Vec<Materialization>), MaterializeError> {
-    let mut mats = Vec::new();
-    let mut error: Option<MaterializeError> = None;
-    let out = e.rewrite_bottom_up(&mut |node| match node {
-        Expr::Call { name, args, .. } if name == EXPR_VAR_MARKER => {
-            let Some(inner) = args.first() else {
-                error.get_or_insert_with(|| {
-                    MaterializeError(format!("{EXPR_VAR_MARKER} marker with no argument"))
-                });
-                return None;
-            };
-            let inner = inner.clone();
-            let ty = inner.ty();
-            let tmp = fresh_name();
-            mats.push(Materialization {
-                name: tmp.clone(),
-                elem: ty.elem,
-                size: u64::from(ty.lanes),
-                init: inner,
-            });
-            Some(Expr::Var(tmp, ScalarType::I32))
+/// Replaces the `__expr_var(inner)` markers of an expression with
+/// buffer-name variables, in place, moving each `inner` into `mats`.
+fn extract_materializations(
+    e: &mut Expr,
+    mats: &mut Vec<Materialization>,
+) -> Result<(), MaterializeError> {
+    let mut malformed = false;
+    e.rewrite_bottom_up(&mut |node| {
+        let Expr::Call { name, args, .. } = node else {
+            return false;
+        };
+        if name != EXPR_VAR_MARKER {
+            return false;
         }
-        _ => None,
+        let Some(inner) = args.first_mut().map(Expr::take) else {
+            malformed = true;
+            return false;
+        };
+        let ty = inner.ty();
+        let tmp = fresh_name();
+        mats.push(Materialization {
+            name: tmp.clone(),
+            elem: ty.elem,
+            size: u64::from(ty.lanes),
+            init: inner,
+        });
+        *node = Expr::Var(tmp, ScalarType::I32);
+        true
     });
-    match error {
-        Some(e) => Err(e),
-        None => Ok((out, mats)),
+    if malformed {
+        return Err(MaterializeError(format!(
+            "{EXPR_VAR_MARKER} marker with no argument"
+        )));
     }
+    Ok(())
 }
 
-/// Infallible shim over [`try_extract_materializations`].
-///
-/// # Panics
-///
-/// Panics on a malformed marker; error-tolerant callers (the session's
-/// splice path) use the `try_` form and degrade instead.
-#[must_use]
-pub fn extract_materializations(e: &Expr) -> (Expr, Vec<Materialization>) {
-    try_extract_materializations(e).expect("__expr_var has one argument")
-}
-
-/// Post-processes one leaf statement: materializes its `ExprVar`s in place,
-/// wrapping the statement in the needed allocations and initializing stores.
+/// Post-processes one leaf statement, consuming it: materializes its
+/// `ExprVar`s, wrapping the statement in the needed allocations and
+/// initializing stores.
 ///
 /// # Errors
 ///
 /// Returns [`MaterializeError`] on a malformed marker or a temp buffer too
 /// large to address with a 32-bit ramp.
-pub fn try_materialize_stmt(s: &Stmt) -> Result<Stmt, MaterializeError> {
-    let (new_stmt, mats) = match s {
-        Stmt::Store {
-            buffer,
-            index,
-            value,
-        } => {
-            let (index, mut m1) = try_extract_materializations(index)?;
-            let (value, m2) = try_extract_materializations(value)?;
-            m1.extend(m2);
-            (
-                Stmt::Store {
-                    buffer: buffer.clone(),
-                    index,
-                    value,
-                },
-                m1,
-            )
+pub fn try_materialize_owned(mut s: Stmt) -> Result<Stmt, MaterializeError> {
+    let mut mats = Vec::new();
+    match &mut s {
+        Stmt::Store { index, value, .. } => {
+            extract_materializations(index, &mut mats)?;
+            extract_materializations(value, &mut mats)?;
         }
-        Stmt::Evaluate(e) => {
-            let (e, m) = try_extract_materializations(e)?;
-            (Stmt::Evaluate(e), m)
-        }
-        other => (other.clone(), Vec::new()),
-    };
-    let mut out = new_stmt;
+        Stmt::Evaluate(e) => extract_materializations(e, &mut mats)?,
+        _ => {}
+    }
+    let mut out = s;
     for mat in mats.into_iter().rev() {
         let lanes = u32::try_from(mat.size).map_err(|_| {
             MaterializeError(format!(
@@ -182,6 +156,15 @@ pub fn try_materialize_stmt(s: &Stmt) -> Result<Stmt, MaterializeError> {
         );
     }
     Ok(out)
+}
+
+/// [`try_materialize_owned`] on a copy.
+///
+/// # Errors
+///
+/// As [`try_materialize_owned`].
+pub fn try_materialize_stmt(s: &Stmt) -> Result<Stmt, MaterializeError> {
+    try_materialize_owned(s.clone())
 }
 
 /// Infallible shim over [`try_materialize_stmt`].

@@ -86,8 +86,8 @@ use crate::cost::{CostModel, DeviceCost, ModelCost};
 use crate::decode::decode_stmt;
 use crate::encode::encode_stmt;
 use crate::lang::{HbGraph, HbLang};
-use crate::movement::{annotate_stmt, collect_placements, Placements};
-use crate::postprocess::try_materialize_stmt;
+use crate::movement::{annotate_in_place, collect_placements, Placements};
+use crate::postprocess::try_materialize_owned;
 use crate::rules::RuleSet;
 
 /// A compilation unit: an IR statement tree plus the buffer placements the
@@ -1609,11 +1609,11 @@ impl Session {
         }
 
         let mut annotate_span = self.tracer.span("annotate");
-        let annotated: Vec<Stmt> = programs
+        let mut annotated: Vec<Stmt> = programs
             .iter()
             .map(|(stmt, extra)| self.annotate(stmt, extra))
             .collect();
-        let (leaves, leaf_counts) = collect_suite_leaves(&annotated);
+        let (leaves, _) = collect_suite_leaves(&annotated);
         annotate_span.attr("leaves", leaves.len());
         report.stages.encode = annotate_span.finish();
         if leaves.is_empty() {
@@ -1652,14 +1652,14 @@ impl Session {
         report.eqsat_time = report.stages.saturate;
 
         let splice_span = self.tracer.span("splice");
-        let outs = splice_selected(&annotated, &leaf_counts, &selected);
+        splice_selected(&mut annotated, selected);
         report.stages.splice = splice_span.finish();
         report.total_time = total_started.elapsed();
         if let Some(obs) = &self.obs {
             obs.record_report(&report);
         }
         Ok(IrSuiteResult {
-            programs: outs,
+            programs: annotated,
             report,
         })
     }
@@ -1674,7 +1674,9 @@ impl Session {
         // Placement policy: placements the target cannot honor are
         // ignored; the affected statements keep their vector code.
         placements.retain(|_, m| self.target.supports(*m));
-        annotate_stmt(stmt, &placements)
+        let mut annotated = stmt.clone();
+        annotate_in_place(&mut annotated, &placements);
+        annotated
     }
 
     /// The stage pipeline shared by every entry point: annotate → collect
@@ -1706,7 +1708,7 @@ impl Session {
         };
 
         let mut annotate_span = self.tracer.span("annotate");
-        let annotated: Vec<Stmt> = programs
+        let mut annotated: Vec<Stmt> = programs
             .iter()
             .map(|(stmt, extra)| self.annotate(stmt, extra))
             .collect();
@@ -1776,7 +1778,7 @@ impl Session {
         report.eqsat_time = report.stages.saturate;
 
         let splice_span = self.tracer.span("splice");
-        let outs = splice_selected(&annotated, &leaf_counts, &selected);
+        splice_selected(&mut annotated, selected);
         report.stages.splice = splice_span.finish();
         report.total_time = total_started.elapsed();
         if let Some(obs) = &self.obs {
@@ -1793,7 +1795,7 @@ impl Session {
                     key,
                     programs,
                     CachedCompile {
-                        programs: outs.clone(),
+                        programs: annotated.clone(),
                         report: report.clone(),
                         leaf_counts: leaf_counts.clone(),
                     },
@@ -1806,7 +1808,7 @@ impl Session {
             }
         }
         CompiledPrograms {
-            programs: outs,
+            programs: annotated,
             report,
             leaf_counts,
         }
@@ -1817,7 +1819,7 @@ impl Session {
     /// schedule runs once, and each root is extracted independently.
     fn saturate_shared(
         &self,
-        leaves: &[Stmt],
+        leaves: &[&Stmt],
         rules: &RuleSet,
         budget: Budget,
         report: &mut CompileReport,
@@ -1868,7 +1870,7 @@ impl Session {
         &self,
         eg: &HbGraph,
         roots: &[Id],
-        leaves: &[Stmt],
+        leaves: &[&Stmt],
         report: &mut CompileReport,
     ) -> Vec<Stmt> {
         // One cost table serves every root; the resolved strategy (Auto →
@@ -1889,7 +1891,8 @@ impl Session {
         let (stats, readouts) = match &sync_extractor {
             Some(extractor) => {
                 let ex: &(dyn Extract<HbLang> + Sync) = extractor.as_ref();
-                let pairs: Vec<(Id, &Stmt)> = roots.iter().copied().zip(leaves).collect();
+                let pairs: Vec<(Id, &Stmt)> =
+                    roots.iter().copied().zip(leaves.iter().copied()).collect();
                 let chunk = pairs.len().div_ceil(threads);
                 let readouts: Vec<RootReadout> = std::thread::scope(|s| {
                     let handles: Vec<_> = pairs
@@ -1956,7 +1959,7 @@ impl Session {
     /// its siblings finish, feeding the usual `catch_unwind` ladder.
     fn saturate_per_leaf(
         &self,
-        leaves: &[Stmt],
+        leaves: &[&Stmt],
         rules: &RuleSet,
         budget: Budget,
         report: &mut CompileReport,
@@ -2098,18 +2101,18 @@ struct CompiledPrograms {
 }
 
 /// Pass 1 of the pipeline: each annotated program's selection leaves, in
-/// traversal order, plus per-program counts. `for_each_stmt` visits leaf
-/// statements in the same left-to-right order as the bottom-up rewrite
-/// used for splicing (leaves have no statement children), without
-/// rebuilding the tree.
-fn collect_suite_leaves(annotated: &[Stmt]) -> (Vec<Stmt>, Vec<usize>) {
-    let mut leaves: Vec<Stmt> = Vec::new();
+/// traversal order and borrowed from the trees, plus per-program counts.
+/// `for_each_stmt` visits leaf statements in the same left-to-right order
+/// as the bottom-up rewrite used for splicing (leaves have no statement
+/// children).
+fn collect_suite_leaves(annotated: &[Stmt]) -> (Vec<&Stmt>, Vec<usize>) {
+    let mut leaves: Vec<&Stmt> = Vec::new();
     let mut leaf_counts: Vec<usize> = Vec::with_capacity(annotated.len());
     for tree in annotated {
         let before = leaves.len();
         tree.for_each_stmt(&mut |s| {
             if is_selection_leaf(s) {
-                leaves.push(s.clone());
+                leaves.push(s);
             }
         });
         leaf_counts.push(leaves.len() - before);
@@ -2117,27 +2120,20 @@ fn collect_suite_leaves(annotated: &[Stmt]) -> (Vec<Stmt>, Vec<usize>) {
     (leaves, leaf_counts)
 }
 
-/// Pass 2 of the pipeline: splice each program's selected statements
-/// back over its leaves, in the same traversal order pass 1 collected
-/// them.
-fn splice_selected(annotated: &[Stmt], leaf_counts: &[usize], selected: &[Stmt]) -> Vec<Stmt> {
-    let mut outs = Vec::with_capacity(annotated.len());
-    let mut next = 0usize;
-    for (tree, &count) in annotated.iter().zip(leaf_counts) {
-        let end = next + count;
-        let out = tree.rewrite_stmts_bottom_up(&mut |s| {
-            if is_selection_leaf(s) {
-                let replacement = selected[next].clone();
-                next += 1;
-                Some(replacement)
-            } else {
-                None
+/// Pass 2 of the pipeline: move each selected statement over its leaf, in
+/// the same traversal order pass 1 collected them.
+fn splice_selected(annotated: &mut [Stmt], selected: Vec<Stmt>) {
+    let mut selected = selected.into_iter();
+    for tree in annotated {
+        tree.rewrite_stmts_in_place(&mut |s| {
+            if !is_selection_leaf(s) {
+                return false;
             }
+            *s = selected.next().expect("one selected statement per leaf");
+            true
         });
-        debug_assert_eq!(next, end, "leaf traversal order diverged");
-        outs.push(out);
     }
-    outs
+    debug_assert!(selected.next().is_none(), "leaf traversal order diverged");
 }
 
 /// Renders a caught panic payload (`&str` and `String` payloads pass
@@ -2187,7 +2183,7 @@ fn readout_root(extractor: &dyn Extract<HbLang>, root: Id, original: &Stmt) -> R
     };
     // The original has no `__expr_var` markers, so materialization on the
     // fallback path would be an identity — return it directly.
-    let materialized = decoded.and_then(|d| try_materialize_stmt(&d).ok());
+    let materialized = decoded.and_then(|d| try_materialize_owned(d).ok());
     let fallback = materialized.is_none();
     RootReadout {
         stmt: materialized.unwrap_or_else(|| original.clone()),

@@ -54,7 +54,7 @@ pub fn match_lanes(a: Expr, b: Expr) -> (Expr, Expr) {
         let b_l = lb;
         (bcast(a, b_l), b)
     } else if lb == 1 {
-        (a.clone(), bcast(b, la))
+        (a, bcast(b, la))
     } else {
         panic!("cannot match lanes {la} vs {lb}");
     }

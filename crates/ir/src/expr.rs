@@ -4,6 +4,19 @@
 //! instruction selector operates on (Fig. 9): vectorized loads, casts,
 //! arithmetic, `ramp`/`broadcast` index constructors, `vector_reduce_add`,
 //! intrinsic calls, and explicit `loc_to_loc` data-movement markers.
+//!
+//! # Rewriting discipline
+//!
+//! Trees are rewritten **in place**: [`Expr::rewrite_bottom_up`] and
+//! [`Expr::substitute`] take `&mut self`, touch only the nodes they replace,
+//! allocate nothing on a pass that replaces nothing, and report whether
+//! anything was replaced. That is the one implementation — there is no
+//! copying rewrite beside it. A rewrite that keeps a child moves it with
+//! [`Expr::take`]; a caller that must keep its input clones the tree once
+//! and rewrites the copy (the `&T -> T` entry points elsewhere in the stack
+//! — `simplify`, `annotate_stmt`, `widen_stmt` — are exactly that, two or
+//! three lines each). The copying rewrite survives only as the reference
+//! the property tests compare against (`reference.rs`, test builds only).
 
 use crate::types::{Location, ScalarType, Type};
 
@@ -321,66 +334,57 @@ impl Expr {
         }
     }
 
-    /// Bottom-up rewrite: children are rewritten first, then `f` is applied
-    /// to the node with rewritten children. `f` returning `None` keeps the
-    /// node unchanged.
-    #[must_use]
-    pub fn rewrite_bottom_up(&self, f: &mut dyn FnMut(&Expr) -> Option<Expr>) -> Expr {
-        let with_children = match self {
-            Expr::IntImm(_) | Expr::FloatImm(..) | Expr::Var(..) => self.clone(),
-            Expr::Cast(ty, v) => Expr::Cast(*ty, Box::new(v.rewrite_bottom_up(f))),
-            Expr::Binary(op, a, b) => Expr::Binary(
-                *op,
-                Box::new(a.rewrite_bottom_up(f)),
-                Box::new(b.rewrite_bottom_up(f)),
-            ),
-            Expr::Select(c, t, e) => Expr::Select(
-                Box::new(c.rewrite_bottom_up(f)),
-                Box::new(t.rewrite_bottom_up(f)),
-                Box::new(e.rewrite_bottom_up(f)),
-            ),
-            Expr::Ramp {
-                base,
-                stride,
-                lanes,
-            } => Expr::Ramp {
-                base: Box::new(base.rewrite_bottom_up(f)),
-                stride: Box::new(stride.rewrite_bottom_up(f)),
-                lanes: *lanes,
-            },
-            Expr::Broadcast { value, lanes } => Expr::Broadcast {
-                value: Box::new(value.rewrite_bottom_up(f)),
-                lanes: *lanes,
-            },
-            Expr::Load { ty, buffer, index } => Expr::Load {
-                ty: *ty,
-                buffer: buffer.clone(),
-                index: Box::new(index.rewrite_bottom_up(f)),
-            },
-            Expr::VectorReduceAdd { lanes, value } => Expr::VectorReduceAdd {
-                lanes: *lanes,
-                value: Box::new(value.rewrite_bottom_up(f)),
-            },
-            Expr::Call { ty, name, args } => Expr::Call {
-                ty: *ty,
-                name: name.clone(),
-                args: args.iter().map(|a| a.rewrite_bottom_up(f)).collect(),
-            },
-            Expr::LocToLoc { from, to, value } => Expr::LocToLoc {
-                from: *from,
-                to: *to,
-                value: Box::new(value.rewrite_bottom_up(f)),
-            },
-        };
-        f(&with_children).unwrap_or(with_children)
+    /// Moves the expression out, leaving `IntImm(0)` behind (no
+    /// allocation): how a rewrite promotes a child over its parent without
+    /// copying it.
+    pub fn take(&mut self) -> Expr {
+        std::mem::replace(self, Expr::IntImm(0))
     }
 
-    /// Substitutes every occurrence of variable `name` with `replacement`.
-    #[must_use]
-    pub fn substitute(&self, name: &str, replacement: &Expr) -> Expr {
+    /// Bottom-up rewrite, in place: children are rewritten first, then `f`
+    /// sees the node with its rewritten children and may edit or replace it
+    /// through the reference. `f` returns whether it changed the node; the
+    /// result is whether any call did. A node `f` installs is not visited
+    /// again in the same pass.
+    pub fn rewrite_bottom_up(&mut self, f: &mut dyn FnMut(&mut Expr) -> bool) -> bool {
+        let mut changed = false;
+        match self {
+            Expr::IntImm(_) | Expr::FloatImm(..) | Expr::Var(..) => {}
+            Expr::Cast(_, v)
+            | Expr::Broadcast { value: v, .. }
+            | Expr::VectorReduceAdd { value: v, .. }
+            | Expr::LocToLoc { value: v, .. }
+            | Expr::Load { index: v, .. } => changed |= v.rewrite_bottom_up(f),
+            Expr::Binary(_, a, b)
+            | Expr::Ramp {
+                base: a, stride: b, ..
+            } => {
+                changed |= a.rewrite_bottom_up(f);
+                changed |= b.rewrite_bottom_up(f);
+            }
+            Expr::Select(c, t, e) => {
+                changed |= c.rewrite_bottom_up(f);
+                changed |= t.rewrite_bottom_up(f);
+                changed |= e.rewrite_bottom_up(f);
+            }
+            Expr::Call { args, .. } => {
+                for a in args {
+                    changed |= a.rewrite_bottom_up(f);
+                }
+            }
+        }
+        f(self) | changed
+    }
+
+    /// Replaces every occurrence of variable `name` with a copy of
+    /// `replacement`, in place; returns whether there was one.
+    pub fn substitute(&mut self, name: &str, replacement: &Expr) -> bool {
         self.rewrite_bottom_up(&mut |e| match e {
-            Expr::Var(n, _) if n == name => Some(replacement.clone()),
-            _ => None,
+            Expr::Var(n, _) if n == name => {
+                *e = replacement.clone();
+                true
+            }
+            _ => false,
         })
     }
 
@@ -454,9 +458,35 @@ mod tests {
 
     #[test]
     fn substitute_replaces_vars() {
-        let e = add(var("x"), int(1));
-        let s = e.substitute("x", &int(41));
-        assert_eq!(s, add(int(41), int(1)));
+        let mut e = add(var("x"), int(1));
+        assert!(e.substitute("x", &int(41)));
+        assert_eq!(e, add(int(41), int(1)));
+        assert!(!e.substitute("x", &int(7)), "nothing left to replace");
+    }
+
+    #[test]
+    fn in_place_substitute_equals_the_rebuilding_reference() {
+        use crate::reference::{gen_expr, gen_scalar_int, rebuild_bottom_up, GENES};
+        use proptest::prelude::*;
+        let strategy = proptest::collection::vec(0u32..1_000_000, GENES);
+        let mut rng = TestRng::from_name("in_place_substitute_equals_the_rebuilding_reference");
+        let mut replaced = 0;
+        for _ in 0..512 {
+            let e = gen_expr(&strategy.generate(&mut rng));
+            // The replacement mentions `x` itself: an installed copy must
+            // not be substituted into again.
+            let replacement = gen_scalar_int(&strategy.generate(&mut rng));
+            let want = rebuild_bottom_up(&e, &mut |node| match node {
+                Expr::Var(n, _) if n == "x" => Some(replacement.clone()),
+                _ => None,
+            });
+            let mut got = e.clone();
+            let changed = got.substitute("x", &replacement);
+            assert_eq!(got, want, "substituting {replacement} for x in {e}");
+            assert_eq!(changed, e.uses_var("x"));
+            replaced += usize::from(changed);
+        }
+        assert!(replaced > 128, "only {replaced} of 512 inputs mention x");
     }
 
     #[test]

@@ -35,6 +35,8 @@ pub mod expr;
 pub mod interval;
 pub mod numeric;
 pub mod printer;
+#[cfg(test)]
+mod reference;
 pub mod simplify;
 pub mod stmt;
 pub mod types;

@@ -12,6 +12,19 @@
 //!
 //! HARDBOILED's axiomatic rules (crates/core) are what recover the nested
 //! forms inside the e-graph.
+//!
+//! # Pass structure
+//!
+//! [`simplify_in_place`] is the implementation: bottom-up passes over one
+//! owned tree, each applying the first matching local rule at every node
+//! (children first), until a pass replaces nothing or the cap of 16 passes
+//! is reached. A rule that keeps an operand moves it up instead of copying
+//! it, and a pass that replaces nothing allocates nothing. [`simplify`] and
+//! [`simplify_stmt`] clone their input once and simplify the copy. The
+//! rules, their order and the cap are those of the clone-rebuild-compare
+//! loop this replaced; a property test holds the two equal on random
+//! expressions, and the golden lowering test (`tests/lower_golden.rs`)
+//! holds every lowered benchmark program byte-identical.
 
 use crate::builder::{add, bcast, div, modulo};
 use crate::expr::{BinOp, Expr};
@@ -19,24 +32,43 @@ use crate::numeric::round_to;
 use crate::stmt::Stmt;
 use crate::types::{ScalarType, Type};
 
-/// Simplifies an expression to a fixpoint (bounded number of passes).
-#[must_use]
-pub fn simplify(e: &Expr) -> Expr {
-    let mut cur = e.clone();
-    for _ in 0..16 {
-        let next = cur.rewrite_bottom_up(&mut step);
-        if next == cur {
-            return cur;
+/// The pass cap: a tree still changing after this many passes is returned
+/// as it stands.
+const MAX_PASSES: usize = 16;
+
+/// Simplifies an expression in place: bottom-up passes of the local rules
+/// until a pass replaces nothing (at most 16 passes). Returns whether
+/// anything was replaced.
+pub fn simplify_in_place(e: &mut Expr) -> bool {
+    let mut changed = false;
+    for _ in 0..MAX_PASSES {
+        if !e.rewrite_bottom_up(&mut step) {
+            break;
         }
-        cur = next;
+        changed = true;
     }
-    cur
+    changed
 }
 
-/// Simplifies every expression in a statement tree.
+/// [`simplify_in_place`] on a copy.
+#[must_use]
+pub fn simplify(e: &Expr) -> Expr {
+    let mut out = e.clone();
+    simplify_in_place(&mut out);
+    out
+}
+
+/// Simplifies every expression in a statement tree, in place.
+pub fn simplify_stmt_in_place(s: &mut Stmt) -> bool {
+    s.map_exprs(&mut simplify_in_place)
+}
+
+/// [`simplify_stmt_in_place`] on a copy.
 #[must_use]
 pub fn simplify_stmt(s: &Stmt) -> Stmt {
-    s.map_exprs(&mut |e| simplify(e))
+    let mut out = s.clone();
+    simplify_stmt_in_place(&mut out);
+    out
 }
 
 fn fold_int(op: BinOp, a: i64, b: i64) -> Option<Expr> {
@@ -91,111 +123,35 @@ fn bool_imm(b: bool) -> Expr {
     Expr::IntImm(i64::from(b))
 }
 
-/// One bottom-up rewriting step; children have already been rewritten.
+/// A zero of `lanes` lanes (what `x - x` and `x * 0` fold to).
+fn int_zero(lanes: u32) -> Expr {
+    let z = Expr::IntImm(0);
+    if lanes == 1 {
+        z
+    } else {
+        bcast(z, lanes)
+    }
+}
+
+/// One bottom-up rewriting step on a node whose children have already been
+/// rewritten: the first rule that applies replaces the node (a surviving
+/// child is moved up, not copied). Returns whether one did.
 #[allow(clippy::too_many_lines)]
-fn step(e: &Expr) -> Option<Expr> {
-    match e {
+fn step(e: &mut Expr) -> bool {
+    let new = match e {
         Expr::Binary(op, a, b) => {
+            let op = *op;
             // Constant folding.
-            if let (Some(x), Some(y)) = (a.as_int(), b.as_int()) {
-                if let Some(folded) = fold_int(*op, x, y) {
-                    return Some(folded);
-                }
-            }
-            if let (Expr::FloatImm(x, st), Expr::FloatImm(y, _)) = (a.as_ref(), b.as_ref()) {
-                if let Some(folded) = fold_float(*op, *x, *y, *st) {
-                    return Some(folded);
-                }
-            }
-            // Algebraic identities (also through broadcasts of constants).
-            match op {
-                BinOp::Add => {
-                    if b.is_const_int(0) || is_const_float(b, 0.0) {
-                        return Some((**a).clone());
-                    }
-                    if a.is_const_int(0) || is_const_float(a, 0.0) {
-                        return Some((**b).clone());
-                    }
-                }
-                BinOp::Sub => {
-                    if b.is_const_int(0) || is_const_float(b, 0.0) {
-                        return Some((**a).clone());
-                    }
-                    // x - x => 0; (x + y) - y => x; (x + y) - x => y.
-                    // These arise when producer regions subtract their own
-                    // minima from global coordinates.
-                    if a == b {
-                        let lanes = e.lanes();
-                        let z = Expr::IntImm(0);
-                        return Some(if lanes == 1 { z } else { bcast(z, lanes) });
-                    }
-                    if let Expr::Binary(BinOp::Add, x, y) = a.as_ref() {
-                        if y == b {
-                            return Some((**x).clone());
-                        }
-                        if x == b {
-                            return Some((**y).clone());
-                        }
-                    }
-                }
-                BinOp::Mul => {
-                    if b.is_const_int(1) || is_const_float(b, 1.0) {
-                        return Some((**a).clone());
-                    }
-                    if a.is_const_int(1) || is_const_float(a, 1.0) {
-                        return Some((**b).clone());
-                    }
-                    if a.is_const_int(0) || b.is_const_int(0) {
-                        let lanes = e.lanes();
-                        let z = Expr::IntImm(0);
-                        return Some(if lanes == 1 { z } else { bcast(z, lanes) });
-                    }
-                }
-                BinOp::Div => {
-                    if b.is_const_int(1) {
-                        return Some((**a).clone());
-                    }
-                    // (c·x + y) / c  =>  c·x/c + y/c (Euclidean division
-                    // distributes over exactly-divisible addends).
-                    if let (Expr::IntImm(c), true) = (b.as_ref(), e.lanes() == 1) {
-                        if *c > 0 {
-                            if let Some(q) = div_exact(a, *c) {
-                                return Some(q);
-                            }
-                            if let Expr::Binary(BinOp::Add, x, y) = a.as_ref() {
-                                if let Some(qx) = div_exact(x, *c) {
-                                    return Some(add(qx, div((**y).clone(), (**b).clone())));
-                                }
-                                if let Some(qy) = div_exact(y, *c) {
-                                    return Some(add(div((**x).clone(), (**b).clone()), qy));
-                                }
-                            }
-                        }
-                    }
-                }
-                BinOp::Mod => {
-                    // (c·x + y) % c  =>  y % c.
-                    if let (Expr::IntImm(c), true) = (b.as_ref(), e.lanes() == 1) {
-                        if *c > 0 {
-                            if divisible_by(a, *c) {
-                                return Some(Expr::IntImm(0));
-                            }
-                            if let Expr::Binary(BinOp::Add, x, y) = a.as_ref() {
-                                if divisible_by(x, *c) {
-                                    return Some(modulo((**y).clone(), (**b).clone()));
-                                }
-                                if divisible_by(y, *c) {
-                                    return Some(modulo((**x).clone(), (**b).clone()));
-                                }
-                            }
-                        }
-                    }
-                }
-                _ => {}
-            }
-            // Pull broadcasts out of pointwise ops:
-            // op(xN(a), xN(b)) -> xN(op(a, b)).
-            if let (
+            let folded = match (a.as_ref(), b.as_ref()) {
+                (Expr::IntImm(x), Expr::IntImm(y)) => fold_int(op, *x, *y),
+                (Expr::FloatImm(x, st), Expr::FloatImm(y, _)) => fold_float(op, *x, *y, *st),
+                _ => None,
+            };
+            if let Some(folded) = folded {
+                folded
+            } else if let Some(new) = step_identity(op, a, b) {
+                new
+            } else if let (
                 Expr::Broadcast {
                     value: va,
                     lanes: la,
@@ -204,107 +160,202 @@ fn step(e: &Expr) -> Option<Expr> {
                     value: vb,
                     lanes: lb,
                 },
-            ) = (a.as_ref(), b.as_ref())
+            ) = (a.as_mut(), b.as_mut())
             {
-                if la == lb && va.lanes() == vb.lanes() {
-                    return Some(bcast(Expr::Binary(*op, va.clone(), vb.clone()), *la));
+                // Pull broadcasts out of pointwise ops:
+                // op(xN(a), xN(b)) -> xN(op(a, b)).
+                if la != lb || va.lanes() != vb.lanes() {
+                    return false;
                 }
+                bcast(
+                    Expr::Binary(op, Box::new(va.take()), Box::new(vb.take())),
+                    *la,
+                )
+            } else {
+                return false;
             }
-            None
         }
         // x1(v) -> v ; xN(xM(v)) -> x(N*M)(v)
         Expr::Broadcast { value, lanes } => {
             if *lanes == 1 {
-                return Some((**value).clone());
-            }
-            if let Expr::Broadcast {
+                value.take()
+            } else if let Expr::Broadcast {
                 value: inner,
                 lanes: m,
-            } = value.as_ref()
+            } = value.as_mut()
             {
-                return Some(bcast((**inner).clone(), lanes * m));
+                bcast(inner.take(), *lanes * *m)
+            } else {
+                return false;
             }
-            None
         }
         Expr::Ramp {
             base,
             stride,
             lanes,
         } => {
-            // ramp(b, s, 1) -> b
             if *lanes == 1 {
-                return Some((**base).clone());
-            }
-            // ramp(b, x(0), n) -> broadcast(b, n)
-            if stride.is_const_int(0) {
-                return Some(bcast((**base).clone(), *lanes));
-            }
-            // The A-matrix obfuscation (§III-B): un-nest a ramp whose base is
-            // a broadcast:  ramp(xM(b), s, n)
-            //            -> xN(xM(b)) + ramp(xM(0), s, n)
-            // (skip when the broadcast value is already zero so the rewrite
-            // terminates).
-            if let Expr::Broadcast {
-                value: bv,
-                lanes: m,
-            } = base.as_ref()
-            {
-                if !bv.is_const_int(0) && !is_const_float(bv, 0.0) {
-                    let inner_lanes = base.lanes();
-                    let zero = zero_like(bv);
-                    let rezeroed = Expr::Ramp {
-                        base: Box::new(bcast(zero, inner_lanes / bv.lanes() * bv.lanes())),
-                        stride: stride.clone(),
-                        lanes: *lanes,
-                    };
-                    let _ = m;
-                    return Some(add(bcast((**base).clone(), *lanes), rezeroed));
+                // ramp(b, s, 1) -> b
+                base.take()
+            } else if stride.is_const_int(0) {
+                // ramp(b, x(0), n) -> broadcast(b, n)
+                bcast(base.take(), *lanes)
+            } else if let Expr::Broadcast { value: bv, .. } = base.as_ref() {
+                // The A-matrix obfuscation (§III-B): un-nest a ramp whose
+                // base is a broadcast:  ramp(xM(b), s, n)
+                //                    -> xN(xM(b)) + ramp(xM(0), s, n)
+                // (skip when the broadcast value is already zero so the
+                // rewrite terminates).
+                if bv.is_const_int(0) || is_const_float(bv, 0.0) {
+                    return false;
                 }
+                let inner_lanes = base.lanes();
+                let rezeroed = Expr::Ramp {
+                    base: Box::new(bcast(zero_like(bv), inner_lanes / bv.lanes() * bv.lanes())),
+                    stride: Box::new(stride.take()),
+                    lanes: *lanes,
+                };
+                add(bcast(base.take(), *lanes), rezeroed)
+            } else {
+                return false;
             }
-            None
         }
         // The B-matrix obfuscation (§III-B): a load of a broadcast index
         // becomes a broadcast of the (narrower) load.
         Expr::Load { ty, buffer, index } => {
-            if let Expr::Broadcast { value: idx, lanes } = index.as_ref() {
-                let inner_ty = Type::new(ty.elem, idx.lanes());
-                return Some(bcast(
-                    Expr::Load {
-                        ty: inner_ty,
-                        buffer: buffer.clone(),
-                        index: idx.clone(),
-                    },
-                    *lanes,
-                ));
-            }
-            None
+            let Expr::Broadcast { value: idx, lanes } = index.as_mut() else {
+                return false;
+            };
+            bcast(
+                Expr::Load {
+                    ty: Type::new(ty.elem, idx.lanes()),
+                    buffer: std::mem::take(buffer),
+                    index: Box::new(idx.take()),
+                },
+                *lanes,
+            )
         }
         Expr::Cast(ty, v) => {
             if v.ty() == *ty {
-                return Some((**v).clone());
-            }
-            match v.as_ref() {
-                Expr::IntImm(x) if ty.elem.is_float() && ty.is_scalar() => {
-                    Some(Expr::FloatImm(round_to(ty.elem, *x as f64), ty.elem))
+                v.take()
+            } else {
+                match v.as_ref() {
+                    Expr::IntImm(x) if ty.elem.is_float() && ty.is_scalar() => {
+                        Expr::FloatImm(round_to(ty.elem, *x as f64), ty.elem)
+                    }
+                    Expr::FloatImm(x, _) if ty.elem.is_float() && ty.is_scalar() => {
+                        Expr::FloatImm(round_to(ty.elem, *x), ty.elem)
+                    }
+                    Expr::FloatImm(x, _) if ty.elem == ScalarType::I32 && ty.is_scalar() => {
+                        Expr::IntImm(*x as i64)
+                    }
+                    _ => return false,
                 }
-                Expr::FloatImm(x, _) if ty.elem.is_float() && ty.is_scalar() => {
-                    Some(Expr::FloatImm(round_to(ty.elem, *x), ty.elem))
-                }
-                Expr::FloatImm(x, _) if ty.elem == ScalarType::I32 && ty.is_scalar() => {
-                    Some(Expr::IntImm(*x as i64))
-                }
-                _ => None,
             }
         }
         Expr::Select(c, t, f) => {
             if c.is_const_int(1) {
-                return Some((**t).clone());
+                t.take()
+            } else if c.is_const_int(0) {
+                f.take()
+            } else {
+                return false;
             }
-            if c.is_const_int(0) {
-                return Some((**f).clone());
-            }
-            None
         }
+        _ => return false,
+    };
+    *e = new;
+    true
+}
+
+/// The algebraic identities of `op(a, b)` (also through broadcasts of
+/// constants): the replacement for the whole node, if one applies.
+fn step_identity(op: BinOp, a: &mut Expr, b: &mut Expr) -> Option<Expr> {
+    match op {
+        BinOp::Add => {
+            if b.is_const_int(0) || is_const_float(b, 0.0) {
+                return Some(a.take());
+            }
+            if a.is_const_int(0) || is_const_float(a, 0.0) {
+                return Some(b.take());
+            }
+        }
+        BinOp::Sub => {
+            if b.is_const_int(0) || is_const_float(b, 0.0) {
+                return Some(a.take());
+            }
+            // x - x => 0; (x + y) - y => x; (x + y) - x => y.
+            // These arise when producer regions subtract their own
+            // minima from global coordinates.
+            if a == b {
+                return Some(int_zero(a.lanes()));
+            }
+            if let Expr::Binary(BinOp::Add, x, y) = a {
+                if **y == *b {
+                    return Some(x.take());
+                }
+                if **x == *b {
+                    return Some(y.take());
+                }
+            }
+        }
+        BinOp::Mul => {
+            if b.is_const_int(1) || is_const_float(b, 1.0) {
+                return Some(a.take());
+            }
+            if a.is_const_int(1) || is_const_float(a, 1.0) {
+                return Some(b.take());
+            }
+            if a.is_const_int(0) || b.is_const_int(0) {
+                return Some(int_zero(a.lanes()));
+            }
+        }
+        BinOp::Div => {
+            if b.is_const_int(1) {
+                return Some(a.take());
+            }
+            // (c·x + y) / c  =>  c·x/c + y/c (Euclidean division
+            // distributes over exactly-divisible addends).
+            if let Some(c) = scalar_positive_divisor(a, b) {
+                if let Some(q) = div_exact(a, c) {
+                    return Some(q);
+                }
+                if let Expr::Binary(BinOp::Add, x, y) = a {
+                    if let Some(qx) = div_exact(x, c) {
+                        return Some(add(qx, div(y.take(), b.take())));
+                    }
+                    if let Some(qy) = div_exact(y, c) {
+                        return Some(add(div(x.take(), b.take()), qy));
+                    }
+                }
+            }
+        }
+        BinOp::Mod => {
+            // (c·x + y) % c  =>  y % c.
+            if let Some(c) = scalar_positive_divisor(a, b) {
+                if divisible_by(a, c) {
+                    return Some(Expr::IntImm(0));
+                }
+                if let Expr::Binary(BinOp::Add, x, y) = a {
+                    if divisible_by(x, c) {
+                        return Some(modulo(y.take(), b.take()));
+                    }
+                    if divisible_by(y, c) {
+                        return Some(modulo(x.take(), b.take()));
+                    }
+                }
+            }
+        }
+        _ => {}
+    }
+    None
+}
+
+/// `c` when `a / b` (or `a % b`) is a scalar operation by the positive
+/// constant `c`.
+fn scalar_positive_divisor(a: &Expr, b: &Expr) -> Option<i64> {
+    match b {
+        Expr::IntImm(c) if *c > 0 && a.lanes() == 1 => Some(*c),
         _ => None,
     }
 }
@@ -358,6 +409,55 @@ fn zero_like(e: &Expr) -> Expr {
 mod tests {
     use super::*;
     use crate::builder::*;
+    use crate::reference::{gen_expr, rebuild_bottom_up, GENES};
+    use proptest::prelude::*;
+
+    /// The clone-rebuild-compare loop `simplify` was before it moved in
+    /// place — same `step`, same cap — and the number of passes that
+    /// changed the tree.
+    fn simplify_reference(e: &Expr) -> (Expr, usize) {
+        let mut cur = e.clone();
+        for pass in 0..MAX_PASSES {
+            let next = rebuild_bottom_up(&cur, &mut |node| {
+                let mut node = node.clone();
+                step(&mut node).then_some(node)
+            });
+            if next == cur {
+                return (cur, pass);
+            }
+            cur = next;
+        }
+        (cur, MAX_PASSES)
+    }
+
+    #[test]
+    fn in_place_simplifier_equals_the_rebuilding_reference() {
+        let strategy = proptest::collection::vec(0u32..1_000_000, GENES);
+        let mut rng = TestRng::from_name("in_place_simplifier_equals_the_rebuilding_reference");
+        let (mut rewritten, mut multi_pass) = (0, 0);
+        for _ in 0..2048 {
+            let e = gen_expr(&strategy.generate(&mut rng));
+            let _ = e.ty(); // the generator's lane bookkeeping holds
+            let (want, passes) = simplify_reference(&e);
+            let mut got = e.clone();
+            let changed = simplify_in_place(&mut got);
+            assert_eq!(got, want, "simplifying {e}");
+            assert_eq!(changed, passes > 0, "change report for {e}");
+            assert_eq!(simplify(&e), want, "the borrowing wrapper on {e}");
+            rewritten += usize::from(passes > 0);
+            multi_pass += usize::from(passes > 1);
+        }
+        // The comparison is only worth something if the inputs exercise the
+        // rules, including the ones that need a second pass.
+        assert!(
+            rewritten > 1024,
+            "only {rewritten} of 2048 inputs rewritten"
+        );
+        assert!(
+            multi_pass > 128,
+            "only {multi_pass} of 2048 inputs took 2+ passes"
+        );
+    }
 
     #[test]
     fn constant_folding() {

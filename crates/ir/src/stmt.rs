@@ -1,4 +1,12 @@
 //! IR statements: stores, loops, allocations, and statement blocks.
+//!
+//! Statement trees follow the same rewriting discipline as expressions
+//! (see [`crate::expr`]): [`Stmt::map_exprs`] hands every top-level
+//! expression to an editor in place, [`Stmt::rewrite_stmts_in_place`] walks
+//! the statements bottom-up and lets the visitor replace nodes through the
+//! reference, and both report whether anything changed.
+//! [`Stmt::rewrite_stmts_bottom_up`] is the same rewrite on a copy, kept for
+//! callers that hold the tree by reference.
 
 use crate::expr::Expr;
 use crate::types::{MemoryType, ScalarType};
@@ -82,8 +90,9 @@ pub enum Stmt {
 }
 
 impl Stmt {
-    /// Pre-order traversal over all nested statements including `self`.
-    pub fn for_each_stmt(&self, f: &mut dyn FnMut(&Stmt)) {
+    /// Pre-order traversal over all nested statements including `self`
+    /// (the visitor may keep the references it is handed).
+    pub fn for_each_stmt<'a>(&'a self, f: &mut dyn FnMut(&'a Stmt)) {
         f(self);
         match self {
             Stmt::Store { .. } | Stmt::Evaluate(_) => {}
@@ -114,96 +123,55 @@ impl Stmt {
         });
     }
 
-    /// Rewrites every top-level expression in the tree with `f`
-    /// (statement structure is preserved).
-    #[must_use]
-    pub fn map_exprs(&self, f: &mut dyn FnMut(&Expr) -> Expr) -> Stmt {
+    /// Moves the statement out, leaving an empty `Block` behind (no
+    /// allocation).
+    pub fn take(&mut self) -> Stmt {
+        std::mem::replace(self, Stmt::Block(Vec::new()))
+    }
+
+    /// Hands every top-level expression of the tree to `f` for editing in
+    /// place (statement structure is preserved). `f` returns whether it
+    /// changed the expression; the result is whether any call did.
+    pub fn map_exprs(&mut self, f: &mut dyn FnMut(&mut Expr) -> bool) -> bool {
         match self {
-            Stmt::Store {
-                buffer,
-                index,
-                value,
-            } => Stmt::Store {
-                buffer: buffer.clone(),
-                index: f(index),
-                value: f(value),
-            },
-            Stmt::Evaluate(e) => Stmt::Evaluate(f(e)),
+            Stmt::Store { index, value, .. } => f(index) | f(value),
+            Stmt::Evaluate(e) => f(e),
             Stmt::For {
-                var,
-                min,
-                extent,
-                kind,
-                body,
-            } => Stmt::For {
-                var: var.clone(),
-                min: f(min),
-                extent: f(extent),
-                kind: *kind,
-                body: Box::new(body.map_exprs(f)),
-            },
-            Stmt::Block(stmts) => Stmt::Block(stmts.iter().map(|s| s.map_exprs(f)).collect()),
-            Stmt::Allocate {
-                name,
-                elem,
-                size,
-                memory,
-                body,
-            } => Stmt::Allocate {
-                name: name.clone(),
-                elem: *elem,
-                size: *size,
-                memory: *memory,
-                body: Box::new(body.map_exprs(f)),
-            },
-            Stmt::If { cond, then_case } => Stmt::If {
-                cond: f(cond),
-                then_case: Box::new(then_case.map_exprs(f)),
-            },
+                min, extent, body, ..
+            } => f(min) | f(extent) | body.map_exprs(f),
+            Stmt::Block(stmts) => stmts.iter_mut().fold(false, |c, s| s.map_exprs(f) | c),
+            Stmt::Allocate { body, .. } => body.map_exprs(f),
+            Stmt::If { cond, then_case } => f(cond) | then_case.map_exprs(f),
         }
     }
 
-    /// Rewrites every statement bottom-up; `f` returning `None` keeps the
-    /// node (with already-rewritten children).
+    /// Bottom-up statement rewrite, in place: nested statements first, then
+    /// `f` sees the node and may edit or replace it through the reference.
+    /// `f` returns whether it changed the node; the result is whether any
+    /// call did. A statement `f` installs is not visited again.
+    pub fn rewrite_stmts_in_place(&mut self, f: &mut dyn FnMut(&mut Stmt) -> bool) -> bool {
+        let changed = match self {
+            Stmt::Store { .. } | Stmt::Evaluate(_) => false,
+            Stmt::For { body, .. }
+            | Stmt::Allocate { body, .. }
+            | Stmt::If {
+                then_case: body, ..
+            } => body.rewrite_stmts_in_place(f),
+            Stmt::Block(stmts) => stmts
+                .iter_mut()
+                .fold(false, |c, s| s.rewrite_stmts_in_place(f) | c),
+        };
+        f(self) | changed
+    }
+
+    /// [`Stmt::rewrite_stmts_in_place`] on a copy, for callers that hold
+    /// the tree by reference: `f` returning `None` keeps the node (with
+    /// already-rewritten children).
     #[must_use]
     pub fn rewrite_stmts_bottom_up(&self, f: &mut dyn FnMut(&Stmt) -> Option<Stmt>) -> Stmt {
-        let with_children = match self {
-            Stmt::Store { .. } | Stmt::Evaluate(_) => self.clone(),
-            Stmt::For {
-                var,
-                min,
-                extent,
-                kind,
-                body,
-            } => Stmt::For {
-                var: var.clone(),
-                min: min.clone(),
-                extent: extent.clone(),
-                kind: *kind,
-                body: Box::new(body.rewrite_stmts_bottom_up(f)),
-            },
-            Stmt::Block(stmts) => {
-                Stmt::Block(stmts.iter().map(|s| s.rewrite_stmts_bottom_up(f)).collect())
-            }
-            Stmt::Allocate {
-                name,
-                elem,
-                size,
-                memory,
-                body,
-            } => Stmt::Allocate {
-                name: name.clone(),
-                elem: *elem,
-                size: *size,
-                memory: *memory,
-                body: Box::new(body.rewrite_stmts_bottom_up(f)),
-            },
-            Stmt::If { cond, then_case } => Stmt::If {
-                cond: cond.clone(),
-                then_case: Box::new(then_case.rewrite_stmts_bottom_up(f)),
-            },
-        };
-        f(&with_children).unwrap_or(with_children)
+        let mut out = self.clone();
+        out.rewrite_stmts_in_place(&mut |s| f(s).map(|new| *s = new).is_some());
+        out
     }
 
     /// Collects the names of all stores in pre-order.
@@ -251,7 +219,9 @@ mod tests {
 
     #[test]
     fn map_exprs_rewrites_indices() {
-        let s = sample().map_exprs(&mut |e| e.substitute("x", &int(7)));
+        let mut s = sample();
+        assert!(s.map_exprs(&mut |e| e.substitute("x", &int(7))));
+        assert!(!s.map_exprs(&mut |e| e.substitute("x", &int(7))));
         let mut saw = false;
         s.for_each_expr(&mut |e| {
             if let crate::expr::Expr::Ramp { base, .. } = e {
@@ -284,6 +254,28 @@ mod tests {
             Stmt::For { kind, .. } => assert_eq!(kind, ForKind::Parallel),
             other => panic!("expected for, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn in_place_rewrite_visits_children_first_and_reports_changes() {
+        // Unit blocks collapse bottom-up: the inner block is gone before
+        // the loop above it is seen.
+        let mut s = for_serial("x", int(0), int(4), block(vec![evaluate(int(1))]));
+        let mut seen = Vec::new();
+        let changed = s.rewrite_stmts_in_place(&mut |st| {
+            seen.push(std::mem::discriminant(st));
+            match st {
+                Stmt::Block(stmts) if stmts.len() == 1 => {
+                    *st = stmts[0].take();
+                    true
+                }
+                _ => false,
+            }
+        });
+        assert!(changed);
+        assert_eq!(s, for_serial("x", int(0), int(4), evaluate(int(1))));
+        assert_eq!(seen.len(), 3, "evaluate, block, for");
+        assert!(!s.rewrite_stmts_in_place(&mut |_| false));
     }
 
     #[test]

@@ -6,19 +6,36 @@
 //! nested vectorization ([`crate::vectorize`]) and a final pass of the
 //! pattern-obscuring simplifier ([`hb_ir::simplify`]) — the exact IR diet
 //! HARDBOILED's equality saturation is designed to digest.
+//!
+//! Every step owns the tree it works on and edits it in place (the
+//! discipline stated in [`hb_ir::expr`]): index expressions are built and
+//! then simplified where they stand, a vectorized loop hands its body to
+//! the consuming [`crate::vectorize::widen_stmt_owned`], an unrolled loop
+//! is one `clone` per copy plus an in-place substitute-and-simplify, and
+//! unit loops and the final simplification rewrite the finished statement
+//! without rebuilding it. Funcs are read through their `RefCell` borrow,
+//! not cloned, and schedules are consulted under the names the user wrote —
+//! only IR loop variables carry the `func__var` qualification.
+//!
+//! `lower` never panics on a schedule or algorithm the front-end API can
+//! express: inconsistent reorders, non-dividing splits and non-positive
+//! vector divisors all come back as [`LowerError`] (`Session::compile`
+//! calls it outside its `catch_unwind`).
 
 use std::collections::HashMap;
 
 use hb_ir::builder as b;
 use hb_ir::expr::Expr;
 use hb_ir::interval::{bounds, Interval, VarRanges};
-use hb_ir::simplify::{simplify, simplify_stmt};
+use hb_ir::simplify::{simplify_in_place, simplify_stmt_in_place};
 use hb_ir::stmt::{ForKind, Stmt};
 use hb_ir::types::{MemoryType, ScalarType, Type};
 
 use crate::ast::{ComputePlacement, Func, HExpr, Pipeline};
 use crate::schedule::{LoopKind, StageSchedule};
-use crate::vectorize::{decompose_mod_div, mod_div_divisor, widen_stmt, LowerError, LowerResult};
+use crate::vectorize::{
+    decompose_mod_div, mod_div_divisor, widen_stmt_owned, LowerError, LowerResult,
+};
 
 /// One dimension of a realized region.
 #[derive(Debug, Clone)]
@@ -50,70 +67,102 @@ pub struct Lowered {
     pub inputs: Vec<(String, ScalarType, i64)>,
 }
 
+/// One final loop of a stage.
+struct LoopVar {
+    /// IR loop variable: the schedule's name qualified with the func name,
+    /// so producer loops never shadow consumer loops (region minima
+    /// reference consumer variables symbolically).
+    name: String,
+    /// Trip count.
+    extent: i64,
+    /// How the loop executes.
+    kind: LoopKind,
+    /// Whether it descends from a reduction variable.
+    is_rvar: bool,
+}
+
 /// Per-stage lowering context.
-struct StageCtx {
-    /// Final loop variables, innermost first: `(name, extent, kind)`.
-    vars: Vec<(String, i64, LoopKind)>,
-    /// Original root variable → recombination over final loop variables
-    /// (local coordinates, starting at zero).
-    recomb: HashMap<String, Expr>,
-    /// Which final variables descend from reduction variables.
-    rvar_derived: HashMap<String, bool>,
+struct StageCtx<'a> {
+    /// Final loops, innermost first.
+    vars: Vec<LoopVar>,
+    /// Root variable (as the algorithm names it) → recombination over the
+    /// final loop variables (local coordinates, starting at zero).
+    recomb: Vec<(&'a str, Expr)>,
     /// Whether `atomic()` was requested.
     atomic: bool,
 }
 
-fn stage_ctx(
-    roots: &[(String, i64, bool)], // (name, extent, is_rvar) innermost first
-    sched: &StageSchedule,
-) -> LowerResult<StageCtx> {
-    let mut extents: HashMap<String, i64> = HashMap::new();
-    let mut rvar: HashMap<String, bool> = HashMap::new();
-    let mut recomb: HashMap<String, Expr> = HashMap::new();
-    for (name, extent, is_r) in roots {
-        extents.insert(name.clone(), *extent);
-        rvar.insert(name.clone(), *is_r);
-        recomb.insert(name.clone(), b::var(name));
+impl StageCtx<'_> {
+    fn recomb(&self, root: &str) -> &Expr {
+        let (_, e) = self
+            .recomb
+            .iter()
+            .find(|(name, _)| *name == root)
+            .expect("every root variable has a recombination");
+        e
     }
+}
+
+/// Builds the loop structure of one stage of `fname`. `roots` and the
+/// schedule use the algorithm's variable names; only the IR names in the
+/// result are qualified.
+fn stage_ctx<'a>(
+    fname: &str,
+    roots: &[(&'a str, i64, bool)], // (name, extent, is_rvar) innermost first
+    sched: &StageSchedule,
+) -> LowerResult<StageCtx<'a>> {
+    let q = |v: &str| format!("{fname}__{v}");
+    // Live variables as the splits rewrite them.
+    let mut live: Vec<(&str, i64, bool)> = roots.to_vec();
+    let mut recomb: Vec<(&str, Expr)> = roots
+        .iter()
+        .map(|(name, _, _)| (*name, b::var(&q(name))))
+        .collect();
     for split in &sched.splits {
-        let old_extent = *extents
-            .get(&split.old)
-            .ok_or_else(|| LowerError(format!("split of unknown variable {}", split.old)))?;
-        if old_extent % split.factor != 0 {
+        let old = q(&split.old);
+        let pos = live
+            .iter()
+            .position(|(name, _, _)| *name == split.old)
+            .ok_or_else(|| LowerError(format!("split of unknown variable {old}")))?;
+        let (_, old_extent, is_r) = live.swap_remove(pos);
+        if split.factor <= 0 || old_extent % split.factor != 0 {
             return Err(LowerError(format!(
-                "split of {} (extent {old_extent}) by non-dividing factor {}",
-                split.old, split.factor
+                "split of {old} (extent {old_extent}) by non-dividing factor {}",
+                split.factor
             )));
         }
         let replacement = b::add(
-            b::mul(b::var(&split.outer), b::int(split.factor)),
-            b::var(&split.inner),
+            b::mul(b::var(&q(&split.outer)), b::int(split.factor)),
+            b::var(&q(&split.inner)),
         );
-        for e in recomb.values_mut() {
-            *e = e.substitute(&split.old, &replacement);
+        for (_, e) in &mut recomb {
+            e.substitute(&old, &replacement);
         }
-        let is_r = rvar.remove(&split.old).unwrap_or(false);
-        extents.remove(&split.old);
-        extents.insert(split.inner.clone(), split.factor);
-        extents.insert(split.outer.clone(), old_extent / split.factor);
-        rvar.insert(split.inner.clone(), is_r);
-        rvar.insert(split.outer.clone(), is_r);
+        live.push((&split.inner, split.factor, is_r));
+        live.push((&split.outer, old_extent / split.factor, is_r));
     }
-    let names: Vec<String> = roots.iter().map(|(n, _, _)| n.clone()).collect();
-    let order = sched.loop_vars(&names);
+    let names: Vec<String> = roots.iter().map(|(n, _, _)| (*n).to_string()).collect();
+    let order = sched
+        .try_loop_vars(&names)
+        .map_err(|e| LowerError(format!("{fname}: {e}")))?;
     let vars = order
         .iter()
         .map(|v| {
-            let e = *extents
-                .get(v)
-                .unwrap_or_else(|| panic!("no extent for loop var {v}"));
-            (v.clone(), e, sched.kind(v))
+            let &(_, extent, is_rvar) = live
+                .iter()
+                .find(|(name, _, _)| name == v)
+                .expect("loop order and live variables come from the same splits");
+            LoopVar {
+                name: q(v),
+                extent,
+                kind: sched.kind(v),
+                is_rvar,
+            }
         })
         .collect();
     Ok(StageCtx {
         vars,
         recomb,
-        rvar_derived: rvar,
         atomic: sched.atomic,
     })
 }
@@ -186,7 +235,8 @@ impl<'a> Lowerer<'a> {
                 let a = self.lower_hexpr(a, env, regions)?;
                 idx = b::add(idx, b::mul(a, b::int(*s)));
             }
-            return Ok(b::load(Type::new(img.elem, 1), name, simplify(&idx)));
+            simplify_in_place(&mut idx);
+            return Ok(b::load(Type::new(img.elem, 1), name, idx));
         }
         let f = self
             .p
@@ -203,15 +253,9 @@ impl<'a> Lowerer<'a> {
                 }
                 let def = inner
                     .pure_def
-                    .clone()
+                    .as_ref()
                     .ok_or_else(|| LowerError(format!("inlined func {name} is undefined")))?;
-                let map: HashMap<String, HExpr> = inner
-                    .dims
-                    .iter()
-                    .cloned()
-                    .zip(args.iter().cloned())
-                    .collect();
-                let substituted = subst_hexpr(&def, &map);
+                let substituted = subst_hexpr(def, &inner.dims, args);
                 self.lower_hexpr(&substituted, env, regions)
             }
             ComputePlacement::At { .. } => {
@@ -228,7 +272,8 @@ impl<'a> Lowerer<'a> {
                     idx = b::add(idx, b::mul(local, b::int(stride)));
                     stride *= dim.size;
                 }
-                Ok(b::load(Type::new(inner.elem, 1), name, simplify(&idx)))
+                simplify_in_place(&mut idx);
+                Ok(b::load(Type::new(inner.elem, 1), name, idx))
             }
         }
     }
@@ -244,16 +289,16 @@ impl<'a> Lowerer<'a> {
         env: &HashMap<String, Expr>,
         regions: &Regions,
     ) -> LowerResult<Vec<RegionDim>> {
-        let pname = producer.name();
+        let pinner = producer.borrow();
+        let pname = pinner.name.as_str();
         // Gather call sites in the consumer's definitions.
         let cinner = consumer.borrow();
-        let mut sites: Vec<Vec<HExpr>> = Vec::new();
-        let mut scan = |e: &HExpr| collect_call_args(e, &pname, &mut sites);
+        let mut sites: Vec<&[HExpr]> = Vec::new();
         if let Some(d) = &cinner.pure_def {
-            scan(d);
+            collect_call_args(d, pname, &mut sites);
         }
         if let Some(u) = &cinner.update {
-            scan(&u.rhs);
+            collect_call_args(&u.rhs, pname, &mut sites);
         }
         if sites.is_empty() {
             return Err(LowerError(format!(
@@ -261,25 +306,23 @@ impl<'a> Lowerer<'a> {
                 cinner.name
             )));
         }
-        let arity = producer.borrow().dims.len();
+        let arity = pinner.dims.len();
         // Loop variables strictly inside `at_var` vary per instance.
         let pos = ctx
             .vars
             .iter()
-            .position(|(v, _, _)| v == at_var)
+            .position(|lv| lv.name == at_var)
             .ok_or_else(|| {
                 LowerError(format!(
                     "compute_at variable {at_var} not found in {}'s loops",
                     cinner.name
                 ))
             })?;
-        let inner_vars: Vec<(String, i64)> = ctx.vars[..pos]
-            .iter()
-            .map(|(v, e, _)| (v.clone(), *e))
-            .collect();
+        let inner_vars = &ctx.vars[..pos];
+        let zero = b::int(0);
 
         let mut region: Option<Vec<RegionDim>> = None;
-        for site in &sites {
+        for site in sites {
             if site.len() != arity {
                 return Err(LowerError(format!("arity mismatch calling {pname}")));
             }
@@ -288,27 +331,24 @@ impl<'a> Lowerer<'a> {
                 let idx = self.lower_hexpr(arg, env, regions)?;
                 // Size: inner vars range fully, everything else pinned to 0.
                 let mut ranges = VarRanges::new();
-                let mut free = Vec::new();
                 idx.for_each(&mut |e| {
                     if let Expr::Var(n, _) = e {
-                        free.push(n.clone());
+                        ranges.insert(n.clone(), Interval::point(0));
                     }
                 });
-                for n in &free {
-                    ranges.insert(n.clone(), Interval::point(0));
-                }
-                for (v, e) in &inner_vars {
-                    ranges.insert(v.clone(), Interval::new(0, e - 1));
+                for lv in inner_vars {
+                    ranges.insert(lv.name.clone(), Interval::new(0, lv.extent - 1));
                 }
                 let iv = bounds(&idx, &ranges)
                     .ok_or_else(|| LowerError(format!("cannot bound access {idx} to {pname}")))?;
                 // Min: substitute inner vars by zero, keep outer symbolic.
-                let mut min = idx.clone();
-                for (v, _) in &inner_vars {
-                    min = min.substitute(v, &b::int(0));
+                let mut min = idx;
+                for lv in inner_vars {
+                    min.substitute(&lv.name, &zero);
                 }
+                simplify_in_place(&mut min);
                 dims.push(RegionDim {
-                    min: simplify(&min),
+                    min,
                     size: iv.extent(),
                 });
             }
@@ -318,18 +358,16 @@ impl<'a> Lowerer<'a> {
                     .into_iter()
                     .zip(dims)
                     .map(|(a, bb)| {
-                        if a.min != bb.min {
-                            // Conservative: take the smaller min via Min node.
-                            RegionDim {
-                                min: simplify(&b::min(a.min, bb.min)),
-                                size: a.size.max(bb.size),
-                            }
+                        let size = a.size.max(bb.size);
+                        let min = if a.min == bb.min {
+                            a.min
                         } else {
-                            RegionDim {
-                                min: a.min,
-                                size: a.size.max(bb.size),
-                            }
-                        }
+                            // Conservative: take the smaller min via Min node.
+                            let mut min = b::min(a.min, bb.min);
+                            simplify_in_place(&mut min);
+                            min
+                        };
+                        RegionDim { min, size }
                     })
                     .collect(),
             });
@@ -341,161 +379,145 @@ impl<'a> Lowerer<'a> {
     /// (without the enclosing allocation — the caller scopes it).
     #[allow(clippy::too_many_lines)]
     fn realize(&mut self, f: &Func, region: &[RegionDim]) -> LowerResult<Stmt> {
-        let inner = f.borrow().clone();
-        let strides: Vec<i64> = {
-            let mut acc = 1;
-            region
-                .iter()
-                .map(|d| {
-                    let s = acc;
-                    acc *= d.size;
-                    s
-                })
-                .collect()
-        };
-
-        let mut stages: Vec<Stmt> = Vec::new();
-        let stage_descrs: Vec<(bool, &StageSchedule)> = {
-            let mut v = vec![(false, &inner.init_schedule)];
-            if inner.update.is_some() {
-                v.push((true, &inner.update_schedule));
-            }
-            v
-        };
-
-        // Loop variables are qualified with the func name so producer loops
-        // never shadow consumer loops (region minima reference consumer
-        // variables symbolically).
+        let inner = f.borrow();
         let q = |v: &str| format!("{}__{v}", inner.name);
-        for (is_update, sched) in stage_descrs {
+        let mut stages: Vec<Stmt> = Vec::new();
+        let update_stage = inner.update.as_ref();
+        let stage_descrs = std::iter::once((None, &inner.init_schedule))
+            .chain(update_stage.map(|u| (Some(u), &inner.update_schedule)));
+        for (update, sched) in stage_descrs {
             // Roots: reduction vars innermost, then dims.
-            let mut roots: Vec<(String, i64, bool)> = Vec::new();
-            if is_update {
-                if let Some(u) = &inner.update {
-                    for (rv, _, extent) in &u.rdom.vars {
-                        roots.push((q(rv), *extent, true));
-                    }
-                }
+            let rvars = update.map_or(&[][..], |u| &u.rdom.vars[..]);
+            let mut roots: Vec<(&str, i64, bool)> = Vec::new();
+            for (rv, _, extent) in rvars {
+                roots.push((rv, *extent, true));
             }
-            for (d, r) in inner.dims.iter().zip(region.iter()) {
-                roots.push((q(d), r.size, false));
+            for (d, r) in inner.dims.iter().zip(region) {
+                roots.push((d, r.size, false));
             }
-            let sched = qualify_schedule(sched, &inner.name);
-            let ctx = stage_ctx(&roots, &sched)?;
+            let ctx = stage_ctx(&inner.name, &roots, sched)?;
 
             // Environment: dim -> global expr; rvar -> min + recomb.
             let mut env: HashMap<String, Expr> = HashMap::new();
-            for (d, r) in inner.dims.iter().zip(region.iter()) {
-                env.insert(
-                    d.clone(),
-                    simplify(&b::add(r.min.clone(), ctx.recomb[&q(d)].clone())),
-                );
+            for (d, r) in inner.dims.iter().zip(region) {
+                let mut global = b::add(r.min.clone(), ctx.recomb(d).clone());
+                simplify_in_place(&mut global);
+                env.insert(d.clone(), global);
             }
-            if is_update {
-                if let Some(u) = &inner.update {
-                    for (rv, rmin, _) in &u.rdom.vars {
-                        env.insert(
-                            rv.clone(),
-                            simplify(&b::add(b::int(*rmin), ctx.recomb[&q(rv)].clone())),
-                        );
-                    }
-                }
+            for (rv, rmin, _) in rvars {
+                let mut global = b::add(b::int(*rmin), ctx.recomb(rv).clone());
+                simplify_in_place(&mut global);
+                env.insert(rv.clone(), global);
             }
 
             // Regions of this func's own producers (used in both leaf
-            // construction and loop wrapping).
+            // construction and loop wrapping), and where each is realized.
             let mut regions = Regions::new();
-            let mut realize_plan: Vec<(String, Func, Vec<RegionDim>)> = Vec::new();
+            let mut realize_plan: Vec<(String, Func)> = Vec::new();
             for prod in self.producers_of(&inner.name) {
-                let ComputePlacement::At { var, .. } = prod.borrow().placement.clone() else {
-                    continue;
+                let var = match &prod.borrow().placement {
+                    ComputePlacement::At { var, .. } => q(var),
+                    ComputePlacement::Inline => continue,
                 };
-                let var = q(&var);
-                if !ctx.vars.iter().any(|(v, _, _)| *v == var) {
+                if !ctx.vars.iter().any(|lv| lv.name == var) {
                     continue; // realized in the other stage's loops
                 }
                 let r = self.infer_region(f, &prod, &var, &ctx, &env, &regions)?;
-                regions.insert(prod.name(), r.clone());
-                realize_plan.push((var, prod, r));
+                regions.insert(prod.name(), r);
+                realize_plan.push((var, prod));
             }
 
             // Leaf statement.
             let mut idx = b::int(0);
-            for (d, s) in inner.dims.iter().zip(&strides) {
-                idx = b::add(idx, b::mul(ctx.recomb[&q(d)].clone(), b::int(*s)));
+            let mut stride = 1i64;
+            for (d, r) in inner.dims.iter().zip(region) {
+                idx = b::add(idx, b::mul(ctx.recomb(d).clone(), b::int(stride)));
+                stride *= r.size;
             }
-            let idx = simplify(&idx);
-            let mut body = if is_update {
-                let u = inner.update.clone().expect("update stage has update");
+            simplify_in_place(&mut idx);
+            let mut body = if let Some(u) = update {
                 let rhs = self.lower_hexpr(&u.rhs, &env, &regions)?;
                 let load = b::load(Type::new(inner.elem, 1), &inner.name, idx.clone());
                 b::store(&inner.name, idx, b::add(load, rhs))
             } else {
-                let d = inner.pure_def.clone().ok_or_else(|| {
+                let d = inner.pure_def.as_ref().ok_or_else(|| {
                     LowerError(format!("func {} has no pure definition", inner.name))
                 })?;
-                let rhs = self.lower_hexpr(&d, &env, &regions)?;
+                let rhs = self.lower_hexpr(d, &env, &regions)?;
                 b::store(&inner.name, idx, rhs)
             };
 
             // Wrap loops innermost-first.
-            for (var, extent, kind) in &ctx.vars {
+            for LoopVar {
+                name: var,
+                extent,
+                kind,
+                is_rvar,
+            } in &ctx.vars
+            {
                 // Attach producer realizations scheduled at this var (only
                 // if this stage actually uses them).
-                for (at_var, prod, r) in &realize_plan {
-                    if at_var == var {
-                        let mut used = false;
-                        body.for_each_expr(&mut |e| {
-                            if e.uses_buffer(&prod.name()) {
-                                used = true;
-                            }
-                        });
-                        if used {
-                            let prod_stmt = self.realize(prod, r)?;
-                            let pinner = prod.borrow();
-                            let size: i64 = r.iter().map(|d| d.size).product();
-                            self.placements.insert(pinner.name.clone(), pinner.store_in);
-                            body = b::allocate(
-                                &pinner.name,
-                                pinner.elem,
-                                size as u64,
-                                pinner.store_in,
-                                b::block(vec![prod_stmt, body]),
-                            );
-                        }
+                for (at_var, prod) in &realize_plan {
+                    if at_var != var {
+                        continue;
+                    }
+                    let pinner = prod.borrow();
+                    let mut used = false;
+                    body.for_each_expr(&mut |e| used |= e.uses_buffer(&pinner.name));
+                    if used {
+                        let r = &regions[&pinner.name];
+                        let prod_stmt = self.realize(prod, r)?;
+                        let size: i64 = r.iter().map(|d| d.size).product();
+                        self.placements.insert(pinner.name.clone(), pinner.store_in);
+                        body = b::allocate(
+                            &pinner.name,
+                            pinner.elem,
+                            size as u64,
+                            pinner.store_in,
+                            b::block(vec![prod_stmt, body]),
+                        );
                     }
                 }
                 match kind {
                     LoopKind::Vectorized => {
                         let n = u32::try_from(*extent)
                             .map_err(|_| LowerError(format!("vector extent {extent} too large")))?;
-                        let is_rvar = ctx.rvar_derived.get(var).copied().unwrap_or(false);
-                        if is_rvar && !ctx.atomic {
+                        if *is_rvar && !ctx.atomic {
                             return Err(LowerError(format!(
                                 "vectorizing reduction variable {var} requires atomic()"
                             )));
                         }
                         if let Some(c) = mod_div_divisor(&body, var)? {
-                            if extent % c != 0 {
+                            // The divisor is whatever constant the algorithm
+                            // wrote: zero or negative must not reach `%`.
+                            let inner_lanes = u32::try_from(c)
+                                .ok()
+                                .filter(|lanes| *lanes > 0)
+                                .ok_or_else(|| {
+                                    LowerError(format!(
+                                        "cannot vectorize {var} over its non-positive divisor {c}"
+                                    ))
+                                })?;
+                            if n % inner_lanes != 0 {
                                 return Err(LowerError(format!(
                                     "extent {extent} of {var} not divisible by {c}"
                                 )));
                             }
                             let v0 = format!("{var}__p0");
                             let v1 = format!("{var}__p1");
-                            let d = decompose_mod_div(&body, var, c, &v0, &v1);
-                            let w0 = widen_stmt(&d, &v0, 0, u32::try_from(c).unwrap())?;
-                            body = widen_stmt(&w0, &v1, 0, n / u32::try_from(c).unwrap())?;
+                            let d = decompose_mod_div(body, var, c, &v0, &v1);
+                            let w0 = widen_stmt_owned(d, &v0, 0, inner_lanes)?;
+                            body = widen_stmt_owned(w0, &v1, 0, n / inner_lanes)?;
                         } else {
-                            body = widen_stmt(&body, var, 0, n)?;
+                            body = widen_stmt_owned(body, var, 0, n)?;
                         }
                     }
                     LoopKind::Unrolled => {
                         let mut copies = Vec::with_capacity(*extent as usize);
                         for i in 0..*extent {
-                            copies.push(
-                                body.map_exprs(&mut |e| simplify(&e.substitute(var, &b::int(i)))),
-                            );
+                            let mut copy = body.clone();
+                            bind_var(&mut copy, var, &b::int(i));
+                            copies.push(copy);
                         }
                         body = b::block(copies);
                     }
@@ -517,32 +539,18 @@ impl<'a> Lowerer<'a> {
     }
 }
 
-/// Clones a schedule with every variable name qualified by the func name.
-fn qualify_schedule(s: &StageSchedule, fname: &str) -> StageSchedule {
-    let q = |v: &str| format!("{fname}__{v}");
-    StageSchedule {
-        splits: s
-            .splits
-            .iter()
-            .map(|sp| crate::schedule::Split {
-                old: q(&sp.old),
-                outer: q(&sp.outer),
-                inner: q(&sp.inner),
-                factor: sp.factor,
-            })
-            .collect(),
-        order: s.order.as_ref().map(|o| o.iter().map(|v| q(v)).collect()),
-        kinds: s.kinds.iter().map(|(k, v)| (q(k), *v)).collect(),
-        atomic: s.atomic,
-    }
+/// Binds `var` to `value` throughout `s`: substitutes it into every
+/// expression and simplifies each one, in place.
+fn bind_var(s: &mut Stmt, var: &str, value: &Expr) {
+    s.map_exprs(&mut |e| e.substitute(var, value) | simplify_in_place(e));
 }
 
-fn collect_call_args(e: &HExpr, name: &str, out: &mut Vec<Vec<HExpr>>) {
+fn collect_call_args<'a>(e: &'a HExpr, name: &str, out: &mut Vec<&'a [HExpr]>) {
     match e {
         HExpr::Int(_) | HExpr::Float(..) | HExpr::Var(_) => {}
         HExpr::Call(n, args) => {
             if n == name {
-                out.push(args.clone());
+                out.push(args);
             }
             for a in args {
                 collect_call_args(a, name, out);
@@ -561,42 +569,51 @@ fn collect_call_args(e: &HExpr, name: &str, out: &mut Vec<Vec<HExpr>>) {
     }
 }
 
-fn subst_hexpr(e: &HExpr, map: &HashMap<String, HExpr>) -> HExpr {
+/// `e` with each of `dims` replaced by the argument in the same position.
+fn subst_hexpr(e: &HExpr, dims: &[String], args: &[HExpr]) -> HExpr {
+    let sub = |e: &HExpr| Box::new(subst_hexpr(e, dims, args));
     match e {
         HExpr::Int(_) | HExpr::Float(..) => e.clone(),
-        HExpr::Var(v) => map.get(v).cloned().unwrap_or_else(|| e.clone()),
-        HExpr::Call(n, args) => HExpr::Call(
+        HExpr::Var(v) => dims
+            .iter()
+            .position(|d| d == v)
+            .and_then(|i| args.get(i))
+            .unwrap_or(e)
+            .clone(),
+        HExpr::Call(n, call_args) => HExpr::Call(
             n.clone(),
-            args.iter().map(|a| subst_hexpr(a, map)).collect(),
+            call_args
+                .iter()
+                .map(|a| subst_hexpr(a, dims, args))
+                .collect(),
         ),
-        HExpr::Binary(op, a, bb) => HExpr::Binary(
-            *op,
-            Box::new(subst_hexpr(a, map)),
-            Box::new(subst_hexpr(bb, map)),
-        ),
-        HExpr::Cast(st, inner) => HExpr::Cast(*st, Box::new(subst_hexpr(inner, map))),
-        HExpr::Select(c, t, f) => HExpr::Select(
-            Box::new(subst_hexpr(c, map)),
-            Box::new(subst_hexpr(t, map)),
-            Box::new(subst_hexpr(f, map)),
-        ),
+        HExpr::Binary(op, a, bb) => HExpr::Binary(*op, sub(a), sub(bb)),
+        HExpr::Cast(st, inner) => HExpr::Cast(*st, sub(inner)),
+        HExpr::Select(c, t, f) => HExpr::Select(sub(c), sub(t), sub(f)),
     }
 }
 
 /// Replaces unit-extent loops by binding the variable to its minimum.
-fn elide_unit_loops(s: &Stmt) -> Stmt {
-    s.rewrite_stmts_bottom_up(&mut |st| match st {
-        Stmt::For {
+fn elide_unit_loops(s: &mut Stmt) {
+    s.rewrite_stmts_in_place(&mut |st| {
+        let Stmt::For {
             var,
             min,
             extent,
             body,
             ..
-        } if extent.as_int() == Some(1) => {
-            Some(body.map_exprs(&mut |e| simplify(&e.substitute(var, min))))
+        } = st
+        else {
+            return false;
+        };
+        if extent.as_int() != Some(1) {
+            return false;
         }
-        _ => None,
-    })
+        let mut body = body.take();
+        bind_var(&mut body, var, min);
+        *st = body;
+        true
+    });
 }
 
 /// Lowers a pipeline to IR.
@@ -607,7 +624,7 @@ fn elide_unit_loops(s: &Stmt) -> Stmt {
 /// (non-dividing splits, reduction vectorization without `atomic()`), or an
 /// algorithm uses unsupported constructs.
 pub fn lower(p: &Pipeline) -> LowerResult<Lowered> {
-    let out = p.output.borrow().clone();
+    let out = p.output.borrow();
     let mut region = Vec::with_capacity(out.dims.len());
     for d in &out.dims {
         let (min, extent) = out.bounds.get(d).copied().ok_or_else(|| {
@@ -625,20 +642,23 @@ pub fn lower(p: &Pipeline) -> LowerResult<Lowered> {
         p,
         placements: HashMap::new(),
     };
-    let stmt = lowerer.realize(&p.output, &region)?;
-    let stmt = elide_unit_loops(&stmt);
-    let stmt = simplify_stmt(&stmt);
+    let mut stmt = lowerer.realize(&p.output, &region)?;
+    elide_unit_loops(&mut stmt);
+    simplify_stmt_in_place(&mut stmt);
 
     let mut placements = lowerer.placements;
     placements.insert(out.name.clone(), MemoryType::Heap);
     for img in p.images.values() {
         placements.insert(img.name.clone(), MemoryType::Heap);
     }
-    let inputs = p
+    // `images` is a randomly keyed map: list the inputs by name so two
+    // lowerings of one pipeline agree.
+    let mut inputs: Vec<(String, ScalarType, i64)> = p
         .images
         .values()
         .map(|i| (i.name.clone(), i.elem, i.len()))
         .collect();
+    inputs.sort_by(|a, b| a.0.cmp(&b.0));
     Ok(Lowered {
         stmt,
         placements,
@@ -657,7 +677,7 @@ pub fn lower(p: &Pipeline) -> LowerResult<Lowered> {
 impl hardboiled::IntoProgram for Pipeline {
     fn to_program(&self) -> Result<hardboiled::Program, hardboiled::CompileError> {
         let lowered = lower(self).map_err(|e| hardboiled::CompileError::Lower(e.to_string()))?;
-        hardboiled::IntoProgram::to_program(&lowered)
+        Ok(lowered.into_program())
     }
 }
 
@@ -665,10 +685,15 @@ impl hardboiled::IntoProgram for Pipeline {
 /// the I/O metadata for execution, and hands the rest to the session).
 impl hardboiled::IntoProgram for Lowered {
     fn to_program(&self) -> Result<hardboiled::Program, hardboiled::CompileError> {
-        Ok(hardboiled::Program {
-            stmt: self.stmt.clone(),
-            placements: self.placements.clone(),
-            name: Some(self.output_name.clone()),
+        Ok(self.clone().into_program())
+    }
+}
+
+impl Lowered {
+    /// The session's view of the lowered pipeline; the statement and the
+    /// placements move.
+    fn into_program(self) -> hardboiled::Program {
+        hardboiled::Program {
             notes: vec![format!(
                 "lowered pipeline '{}': {} input(s), {}-element {} output",
                 self.output_name,
@@ -676,7 +701,10 @@ impl hardboiled::IntoProgram for Lowered {
                 self.output_len,
                 self.output_elem,
             )],
-        })
+            stmt: self.stmt,
+            placements: self.placements,
+            name: Some(self.output_name),
+        }
     }
 }
 
@@ -733,6 +761,79 @@ mod tests {
             result.report.notes
         );
         assert!(result.report.stages.lower > std::time::Duration::ZERO);
+    }
+
+    #[test]
+    fn inputs_are_listed_by_name_whatever_the_map_order() {
+        // `Pipeline::images` is a randomly keyed map: two builds of one
+        // pipeline iterate it in different orders.
+        let build = || {
+            let names = ["e", "b", "d", "a", "c", "f"];
+            let imgs: Vec<ImageParam> = names
+                .iter()
+                .map(|n| ImageParam::new(n, ScalarType::F32, &[8]))
+                .collect();
+            let out = Func::new("out", &["x"], ScalarType::F32);
+            out.define(
+                imgs.iter()
+                    .map(|i| i.at(&[hv("x")]))
+                    .reduce(|a, b| a + b)
+                    .unwrap(),
+            );
+            out.bound("x", 0, 8);
+            let refs: Vec<&ImageParam> = imgs.iter().collect();
+            lower(&Pipeline::new(&out, &[], &refs)).unwrap()
+        };
+        let (first, second) = (build(), build());
+        assert_eq!(first.inputs, second.inputs);
+        let names: Vec<&str> = first.inputs.iter().map(|(n, _, _)| n.as_str()).collect();
+        assert_eq!(names, ["a", "b", "c", "d", "e", "f"]);
+    }
+
+    /// `lower` fails with a message containing `needle`, and so does the
+    /// session, as `CompileError::Lower` (`to_program` runs outside the
+    /// session's `catch_unwind`, so a panic here would take the caller down).
+    fn assert_lower_error(p: &Pipeline, needle: &str) {
+        let err = lower(p).unwrap_err();
+        assert!(err.0.contains(needle), "{err}");
+        match hardboiled::Session::default().compile(p) {
+            Err(hardboiled::CompileError::Lower(msg)) => assert!(msg.contains(needle), "{msg}"),
+            other => panic!("expected CompileError::Lower, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn bad_reorder_is_a_lower_error_not_a_panic() {
+        let img = ImageParam::new("in", ScalarType::F32, &[64]);
+        let out = Func::new("out", &["x"], ScalarType::F32);
+        out.define(img.at(&[hv("x")]));
+        out.bound("x", 0, 64);
+        // `x` no longer exists after the split, and `xo` is missing.
+        out.stage_init(|s| {
+            s.split("x", "xo", "xi", 8).reorder(&["xi", "x"]);
+        });
+        let p = Pipeline::new(&out, &[], &[&img]);
+        assert_lower_error(&p, "reorder must mention exactly");
+    }
+
+    #[test]
+    fn non_positive_vector_divisor_is_a_lower_error_not_a_panic() {
+        for (divisor, by_mod) in [(0, true), (0, false), (-2, true), (-2, false)] {
+            let img = ImageParam::new("in", ScalarType::F32, &[64]);
+            let out = Func::new("out", &["x"], ScalarType::F32);
+            let idx = if by_mod {
+                hv("x") % crate::ast::hi(divisor)
+            } else {
+                hv("x") / crate::ast::hi(divisor)
+            };
+            out.define(img.at(&[idx]));
+            out.bound("x", 0, 16);
+            out.stage_init(|s| {
+                s.vectorize("x");
+            });
+            let p = Pipeline::new(&out, &[], &[&img]);
+            assert_lower_error(&p, &format!("non-positive divisor {divisor}"));
+        }
     }
 
     #[test]

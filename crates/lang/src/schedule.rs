@@ -115,38 +115,51 @@ impl StageSchedule {
     /// (innermost first): applies splits to the default order, then any
     /// explicit reorder.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if a reorder lists an unknown variable or misses one.
-    #[must_use]
-    pub fn loop_vars(&self, root_vars_innermost_first: &[String]) -> Vec<String> {
+    /// Fails if a split names a variable that is not live, or a reorder does
+    /// not list exactly the post-split variables.
+    pub fn try_loop_vars(
+        &self,
+        root_vars_innermost_first: &[String],
+    ) -> Result<Vec<String>, String> {
         let mut vars: Vec<String> = root_vars_innermost_first.to_vec();
         for split in &self.splits {
             let pos = vars
                 .iter()
                 .position(|v| v == &split.old)
-                .unwrap_or_else(|| panic!("split of unknown variable {}", split.old));
+                .ok_or_else(|| format!("split of unknown variable {}", split.old))?;
             // inner takes old's slot; outer goes immediately outside.
             vars[pos] = split.inner.clone();
             vars.insert(pos + 1, split.outer.clone());
         }
-        if let Some(order) = &self.order {
-            assert_eq!(
-                {
-                    let mut a = order.clone();
-                    a.sort();
-                    a
-                },
-                {
-                    let mut b = vars.clone();
-                    b.sort();
-                    b
-                },
-                "reorder must mention exactly the post-split variables"
-            );
-            return order.clone();
+        let Some(order) = &self.order else {
+            return Ok(vars);
+        };
+        let sorted = |names: &[String]| {
+            let mut names = names.to_vec();
+            names.sort();
+            names
+        };
+        if sorted(order) != sorted(&vars) {
+            return Err(format!(
+                "reorder must mention exactly the post-split variables {vars:?}, not {order:?}"
+            ));
         }
-        vars
+        Ok(order.clone())
+    }
+
+    /// [`StageSchedule::try_loop_vars`] for schedules known to be
+    /// consistent.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a split names an unknown variable, or a reorder lists an
+    /// unknown variable or misses one.
+    #[must_use]
+    pub fn loop_vars(&self, root_vars_innermost_first: &[String]) -> Vec<String> {
+        self.try_loop_vars(root_vars_innermost_first)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 }
 

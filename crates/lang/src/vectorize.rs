@@ -10,6 +10,12 @@
 //! forms; everything else widens structurally and pointwise. Loops whose
 //! bodies use `v % c` / `v / c` (the VNNI layout idiom) are first decomposed
 //! into two nested lanes `v = c·v1 + v0`.
+//!
+//! [`widen_expr`], [`widen_stmt_owned`] and [`decompose_mod_div`] consume
+//! their input: `v`-free subtrees, buffer names and the boxes of widened
+//! nodes move into the result, so widening a statement allocates only the
+//! ramps and broadcasts it adds. [`widen_stmt`] is `widen_stmt_owned` on a
+//! copy, for callers that hold the statement by reference.
 
 use hb_ir::builder::{add, bcast, mul, ramp};
 use hb_ir::expr::{BinOp, Expr};
@@ -95,98 +101,109 @@ fn cv_align(c: Expr, lanes: u32) -> Expr {
 
 /// Pushes a broadcast of a `v`-dependent value inward through casts, loads
 /// and pointwise operations so the broadcast lands on integer indexes where
-/// affine widening can handle it.
-fn push_broadcast_inward(value: &Expr, lanes: u32) -> Option<Expr> {
-    match value {
-        Expr::Cast(ty, inner) => Some(Expr::Cast(
-            ty.with_lanes(ty.lanes * lanes),
-            Box::new(bcast((**inner).clone(), lanes)),
-        )),
-        Expr::Load { ty, buffer, index } => Some(Expr::Load {
+/// affine widening can handle it. A value of any other shape comes back
+/// untouched as the error.
+fn push_broadcast_inward(value: Expr, lanes: u32) -> Result<Expr, Expr> {
+    let wrap = |mut inner: Box<Expr>| {
+        *inner = bcast(inner.take(), lanes);
+        inner
+    };
+    Ok(match value {
+        Expr::Cast(ty, inner) => Expr::Cast(ty.with_lanes(ty.lanes * lanes), wrap(inner)),
+        Expr::Load { ty, buffer, index } => Expr::Load {
             ty: ty.with_lanes(ty.lanes * lanes),
-            buffer: buffer.clone(),
-            index: Box::new(bcast((**index).clone(), lanes)),
-        }),
-        Expr::Binary(op, a, b) => Some(Expr::Binary(
-            *op,
-            Box::new(bcast((**a).clone(), lanes)),
-            Box::new(bcast((**b).clone(), lanes)),
-        )),
+            buffer,
+            index: wrap(index),
+        },
+        Expr::Binary(op, a, b) => Expr::Binary(op, wrap(a), wrap(b)),
         Expr::Broadcast {
             value: inner,
             lanes: m,
-        } => Some(bcast((**inner).clone(), m * lanes)),
-        _ => None,
-    }
+        } => Expr::Broadcast {
+            value: inner,
+            lanes: m * lanes,
+        },
+        other => return Err(other),
+    })
 }
 
-/// Widens `e` over `v ∈ [min, min+n)`, the new dimension outermost.
+/// Widens `e` over `v ∈ [min, min+n)`, the new dimension outermost. The
+/// input is consumed: subtrees free of `v` and the boxes of widened nodes
+/// move into the result.
 ///
 /// # Errors
 ///
 /// Fails on constructs that cannot be vectorized (loads with non-affine
 /// broadcast structure, intrinsic calls, `v`-dependent strides).
-pub fn widen_expr(e: &Expr, v: &str, min: i64, n: u32) -> LowerResult<Expr> {
+pub fn widen_expr(e: Expr, v: &str, min: i64, n: u32) -> LowerResult<Expr> {
     if !e.uses_var(v) {
-        return Ok(bcast(e.clone(), n));
+        return Ok(bcast(e, n));
     }
     // Affine integer indexes widen into one nested ramp.
     if e.ty().elem == ScalarType::I32 {
-        if let Some(coeff) = affine_coeff(e, v) {
-            let base = e.substitute(v, &Expr::IntImm(min));
+        if let Some(coeff) = affine_coeff(&e, v) {
+            let mut base = e;
+            base.substitute(v, &Expr::IntImm(min));
             let stride = cv_align(coeff, base.lanes());
             return Ok(ramp(base, stride, n));
         }
     }
+    let widen = |mut child: Box<Expr>| -> LowerResult<Box<Expr>> {
+        *child = widen_expr(child.take(), v, min, n)?;
+        Ok(child)
+    };
     match e {
         Expr::Var(name, _) if name == v => Ok(ramp(Expr::IntImm(min), Expr::IntImm(1), n)),
-        Expr::Binary(op, a, b) => Ok(Expr::Binary(
-            *op,
-            Box::new(widen_expr(a, v, min, n)?),
-            Box::new(widen_expr(b, v, min, n)?),
-        )),
-        Expr::Select(c, t, f) => Ok(Expr::Select(
-            Box::new(widen_expr(c, v, min, n)?),
-            Box::new(widen_expr(t, v, min, n)?),
-            Box::new(widen_expr(f, v, min, n)?),
-        )),
-        Expr::Cast(ty, value) => Ok(Expr::Cast(
-            ty.with_lanes(ty.lanes * n),
-            Box::new(widen_expr(value, v, min, n)?),
-        )),
+        Expr::Binary(op, a, b) => Ok(Expr::Binary(op, widen(a)?, widen(b)?)),
+        Expr::Select(c, t, f) => Ok(Expr::Select(widen(c)?, widen(t)?, widen(f)?)),
+        Expr::Cast(ty, value) => Ok(Expr::Cast(ty.with_lanes(ty.lanes * n), widen(value)?)),
         Expr::Load { ty, buffer, index } => Ok(Expr::Load {
             ty: ty.with_lanes(ty.lanes * n),
-            buffer: buffer.clone(),
-            index: Box::new(widen_expr(index, v, min, n)?),
+            buffer,
+            index: widen(index)?,
         }),
         Expr::VectorReduceAdd { lanes, value } => Ok(Expr::VectorReduceAdd {
             lanes: lanes * n,
-            value: Box::new(widen_expr(value, v, min, n)?),
+            value: widen(value)?,
         }),
-        Expr::Broadcast { value, lanes } => {
-            // v-dependent broadcast: push it inward first, then retry.
-            match push_broadcast_inward(value, *lanes) {
-                Some(pushed) => widen_expr(&pushed, v, min, n),
-                None => Err(LowerError(format!(
-                    "cannot vectorize broadcast of {v}-dependent value: {e}"
-                ))),
-            }
-        }
-        Expr::Ramp { .. } => Err(LowerError(format!(
-            "non-affine ramp in vectorized index over {v}: {e}"
+        // v-dependent broadcast: push it inward first, then retry.
+        Expr::Broadcast { value, lanes } => match push_broadcast_inward(*value, lanes) {
+            Ok(pushed) => widen_expr(pushed, v, min, n),
+            Err(value) => Err(LowerError(format!(
+                "cannot vectorize broadcast of {v}-dependent value: {}",
+                bcast(value, lanes)
+            ))),
+        },
+        ramp @ Expr::Ramp { .. } => Err(LowerError(format!(
+            "non-affine ramp in vectorized index over {v}: {ramp}"
         ))),
         other => Err(LowerError(format!("cannot vectorize {other} over {v}"))),
     }
 }
 
-/// Widens one leaf statement over `v`. Reduction updates (store index free
-/// of `v`, value of the form `f[idx] + rhs`) become `vector_reduce_add`s —
-/// this requires the stage to be `atomic()` (checked by the caller).
+/// Whether `lhs` is the accumulator `buffer[index]` of a reduction update
+/// over `v` (and so free of `v`).
+fn is_accumulator(lhs: &Expr, buffer: &str, index: &Expr, v: &str) -> bool {
+    let Expr::Load {
+        buffer: b2,
+        index: i2,
+        ..
+    } = lhs
+    else {
+        return false;
+    };
+    b2 == buffer && i2.as_ref() == index && !lhs.uses_var(v)
+}
+
+/// Widens one leaf statement over `v`, consuming it. Reduction updates
+/// (store index free of `v`, value of the form `f[idx] + rhs`) become
+/// `vector_reduce_add`s — this requires the stage to be `atomic()` (checked
+/// by the caller).
 ///
 /// # Errors
 ///
 /// Fails on statements that cannot be vectorized over `v`.
-pub fn widen_stmt(s: &Stmt, v: &str, min: i64, n: u32) -> LowerResult<Stmt> {
+pub fn widen_stmt_owned(s: Stmt, v: &str, min: i64, n: u32) -> LowerResult<Stmt> {
     match s {
         Stmt::Store {
             buffer,
@@ -195,48 +212,43 @@ pub fn widen_stmt(s: &Stmt, v: &str, min: i64, n: u32) -> LowerResult<Stmt> {
         } => {
             if index.uses_var(v) {
                 return Ok(Stmt::Store {
-                    buffer: buffer.clone(),
+                    buffer,
                     index: widen_expr(index, v, min, n)?,
                     value: widen_expr(value, v, min, n)?,
                 });
             }
             // Reduction vectorization: f[idx] = f[idx] + rhs, idx free of v.
-            if let Expr::Binary(BinOp::Add, lhs, rhs) = value {
-                if let Expr::Load {
-                    buffer: b2,
-                    index: i2,
-                    ..
-                } = lhs.as_ref()
-                {
-                    if b2 == buffer && i2.as_ref() == index && !lhs.uses_var(v) {
-                        // Extend an existing reduction (second rvar lane
-                        // level, e.g. after mod/div decomposition) instead
-                        // of nesting vector_reduce_adds.
-                        let reduced = match rhs.as_ref() {
-                            Expr::VectorReduceAdd {
-                                lanes,
-                                value: inner,
-                            } if *lanes == index.lanes() => Expr::VectorReduceAdd {
-                                lanes: *lanes,
-                                value: Box::new(widen_expr(inner, v, min, n)?),
-                            },
-                            _ => Expr::VectorReduceAdd {
-                                lanes: index.lanes(),
-                                value: Box::new(widen_expr(rhs, v, min, n)?),
-                            },
-                        };
-                        return Ok(Stmt::Store {
-                            buffer: buffer.clone(),
-                            index: index.clone(),
-                            value: add((**lhs).clone(), reduced),
-                        });
-                    }
+            let value = match value {
+                Expr::Binary(BinOp::Add, lhs, rhs) if is_accumulator(&lhs, &buffer, &index, v) => {
+                    // Extend an existing reduction (second rvar lane level,
+                    // e.g. after mod/div decomposition) instead of nesting
+                    // vector_reduce_adds.
+                    let (lanes, inner) = match *rhs {
+                        Expr::VectorReduceAdd { lanes, value } if lanes == index.lanes() => {
+                            (lanes, *value)
+                        }
+                        rhs => (index.lanes(), rhs),
+                    };
+                    let reduced = Expr::VectorReduceAdd {
+                        lanes,
+                        value: Box::new(widen_expr(inner, v, min, n)?),
+                    };
+                    return Ok(Stmt::Store {
+                        buffer,
+                        index,
+                        value: add(*lhs, reduced),
+                    });
                 }
-            }
+                other => other,
+            };
             if !value.uses_var(v) {
                 // Store of a v-invariant value to a v-invariant address:
                 // keep one lane (idempotent writes).
-                return Ok(s.clone());
+                return Ok(Stmt::Store {
+                    buffer,
+                    index,
+                    value,
+                });
             }
             Err(LowerError(format!(
                 "cannot vectorize store to {buffer} over reduction var {v} \
@@ -246,14 +258,23 @@ pub fn widen_stmt(s: &Stmt, v: &str, min: i64, n: u32) -> LowerResult<Stmt> {
         Stmt::Evaluate(e) => Ok(Stmt::Evaluate(widen_expr(e, v, min, n)?)),
         Stmt::Block(stmts) => Ok(Stmt::Block(
             stmts
-                .iter()
-                .map(|st| widen_stmt(st, v, min, n))
+                .into_iter()
+                .map(|st| widen_stmt_owned(st, v, min, n))
                 .collect::<LowerResult<Vec<_>>>()?,
         )),
         other => Err(LowerError(format!(
             "cannot vectorize across an inner loop/allocation over {v}: {other:?}"
         ))),
     }
+}
+
+/// [`widen_stmt_owned`] on a copy.
+///
+/// # Errors
+///
+/// Fails on statements that cannot be vectorized over `v`.
+pub fn widen_stmt(s: &Stmt, v: &str, min: i64, n: u32) -> LowerResult<Stmt> {
+    widen_stmt_owned(s.clone(), v, min, n)
 }
 
 /// Finds a divisor `c` such that the statement uses `v % c` or `v / c`
@@ -288,33 +309,31 @@ pub fn mod_div_divisor(s: &Stmt, v: &str) -> LowerResult<Option<i64>> {
     Ok(found)
 }
 
-/// Rewrites `v % c → v0`, `v / c → v1`, and remaining `v → v0 + c·v1`.
+/// Rewrites `v % c → v0`, `v / c → v1`, and remaining `v → v0 + c·v1`,
+/// consuming the statement.
 #[must_use]
-pub fn decompose_mod_div(s: &Stmt, v: &str, c: i64, v0: &str, v1: &str) -> Stmt {
+pub fn decompose_mod_div(mut s: Stmt, v: &str, c: i64, v0: &str, v1: &str) -> Stmt {
+    let recombined = add(
+        Expr::Var(v0.to_string(), ScalarType::I32),
+        mul(Expr::IntImm(c), Expr::Var(v1.to_string(), ScalarType::I32)),
+    );
     s.map_exprs(&mut |e| {
-        let replaced = e.rewrite_bottom_up(&mut |node| match node {
-            Expr::Binary(BinOp::Mod, a, b) => match (a.as_ref(), b.as_ref()) {
+        let split = e.rewrite_bottom_up(&mut |node| {
+            let Expr::Binary(op @ (BinOp::Mod | BinOp::Div), a, b) = &*node else {
+                return false;
+            };
+            match (a.as_ref(), b.as_ref()) {
                 (Expr::Var(name, st), Expr::IntImm(cc)) if name == v && *cc == c => {
-                    Some(Expr::Var(v0.to_string(), *st))
+                    let part = if *op == BinOp::Mod { v0 } else { v1 };
+                    *node = Expr::Var(part.to_string(), *st);
+                    true
                 }
-                _ => None,
-            },
-            Expr::Binary(BinOp::Div, a, b) => match (a.as_ref(), b.as_ref()) {
-                (Expr::Var(name, st), Expr::IntImm(cc)) if name == v && *cc == c => {
-                    Some(Expr::Var(v1.to_string(), *st))
-                }
-                _ => None,
-            },
-            _ => None,
+                _ => false,
+            }
         });
-        replaced.substitute(
-            v,
-            &add(
-                Expr::Var(v0.to_string(), ScalarType::I32),
-                mul(Expr::IntImm(c), Expr::Var(v1.to_string(), ScalarType::I32)),
-            ),
-        )
-    })
+        e.substitute(v, &recombined) | split
+    });
+    s
 }
 
 #[cfg(test)]
@@ -337,7 +356,7 @@ mod tests {
 
     #[test]
     fn widen_scalar_var_to_ramp() {
-        let e = widen_expr(&b::var("x"), "x", 0, 8).unwrap();
+        let e = widen_expr(b::var("x"), "x", 0, 8).unwrap();
         assert_eq!(e, b::ramp(b::int(0), b::int(1), 8));
     }
 
@@ -346,9 +365,9 @@ mod tests {
         // Widening r then x of A's index x*32 + r gives the canonical
         // two-level nest of the paper's Fig. 3 (pre-simplification).
         let idx = b::add(b::mul(b::var("x"), b::int(32)), b::var("r"));
-        let after_r = widen_expr(&idx, "r", 0, 32).unwrap();
-        let after_y = widen_expr(&after_r, "y", 0, 16).unwrap(); // y-free: broadcast
-        let after_x = widen_expr(&after_y, "x", 0, 16).unwrap();
+        let after_r = widen_expr(idx, "r", 0, 32).unwrap();
+        let after_y = widen_expr(after_r, "y", 0, 16).unwrap(); // y-free: broadcast
+        let after_x = widen_expr(after_y, "x", 0, 16).unwrap();
         let s = simplify(&after_x);
         // Canonical: ramp(x16(ramp(0,1,32)) [+0 terms folded], x512(32), 16)
         // after the simplifier's obfuscation it becomes the Add form; both
@@ -358,7 +377,7 @@ mod tests {
 
     #[test]
     fn widen_v_free_broadcasts() {
-        let e = widen_expr(&b::flt(1.5), "x", 0, 4).unwrap();
+        let e = widen_expr(b::flt(1.5), "x", 0, 4).unwrap();
         assert_eq!(e, b::bcast(b::flt(1.5), 4));
     }
 
@@ -371,7 +390,7 @@ mod tests {
             b::ramp(b::mul(b::var("x"), b::int(32)), b::int(1), 32),
         );
         let e = b::bcast(b::cast(Type::f32().with_lanes(32), load), 16);
-        let w = widen_expr(&e, "x", 0, 16).unwrap();
+        let w = widen_expr(e, "x", 0, 16).unwrap();
         assert_eq!(w.lanes(), 8192);
         // The result must be a cast of a load of an affine nested ramp.
         match &w {
@@ -416,13 +435,154 @@ mod tests {
         assert!(saw);
     }
 
+    /// `widen_expr` as it was when it borrowed its input and copied every
+    /// subtree it kept.
+    fn widen_expr_reference(e: &Expr, v: &str, min: i64, n: u32) -> LowerResult<Expr> {
+        let go = |e: &Expr| widen_expr_reference(e, v, min, n).map(Box::new);
+        if !e.uses_var(v) {
+            return Ok(bcast(e.clone(), n));
+        }
+        if e.ty().elem == ScalarType::I32 {
+            if let Some(coeff) = affine_coeff(e, v) {
+                let mut base = e.clone();
+                base.substitute(v, &Expr::IntImm(min));
+                let stride = cv_align(coeff, base.lanes());
+                return Ok(ramp(base, stride, n));
+            }
+        }
+        match e {
+            Expr::Var(name, _) if name == v => Ok(ramp(Expr::IntImm(min), Expr::IntImm(1), n)),
+            Expr::Binary(op, a, b) => Ok(Expr::Binary(*op, go(a)?, go(b)?)),
+            Expr::Select(c, t, f) => Ok(Expr::Select(go(c)?, go(t)?, go(f)?)),
+            Expr::Cast(ty, value) => Ok(Expr::Cast(ty.with_lanes(ty.lanes * n), go(value)?)),
+            Expr::Load { ty, buffer, index } => Ok(Expr::Load {
+                ty: ty.with_lanes(ty.lanes * n),
+                buffer: buffer.clone(),
+                index: go(index)?,
+            }),
+            Expr::VectorReduceAdd { lanes, value } => Ok(Expr::VectorReduceAdd {
+                lanes: lanes * n,
+                value: go(value)?,
+            }),
+            Expr::Broadcast { value, lanes } => {
+                let wrap = |e: &Expr| Box::new(bcast(e.clone(), *lanes));
+                let pushed = match value.as_ref() {
+                    Expr::Cast(ty, inner) => {
+                        Expr::Cast(ty.with_lanes(ty.lanes * lanes), wrap(inner))
+                    }
+                    Expr::Load { ty, buffer, index } => Expr::Load {
+                        ty: ty.with_lanes(ty.lanes * lanes),
+                        buffer: buffer.clone(),
+                        index: wrap(index),
+                    },
+                    Expr::Binary(op, a, b) => Expr::Binary(*op, wrap(a), wrap(b)),
+                    Expr::Broadcast {
+                        value: inner,
+                        lanes: m,
+                    } => bcast((**inner).clone(), m * lanes),
+                    _ => {
+                        return Err(LowerError(format!(
+                            "cannot vectorize broadcast of {v}-dependent value: {e}"
+                        )))
+                    }
+                };
+                widen_expr_reference(&pushed, v, min, n)
+            }
+            Expr::Ramp { .. } => Err(LowerError(format!(
+                "non-affine ramp in vectorized index over {v}: {e}"
+            ))),
+            other => Err(LowerError(format!("cannot vectorize {other} over {v}"))),
+        }
+    }
+
+    /// Decodes genes into a scalar expression over `x`, `y`, `r`: affine
+    /// and non-affine indexes, loads, casts, selects, reductions, and the
+    /// shapes widening rejects (calls, `x`-dependent broadcasts of them).
+    struct Genes<'a>(&'a [u32], usize);
+
+    impl Genes<'_> {
+        fn pick(&mut self, n: u32) -> u32 {
+            let gene = self.0.get(self.1).copied().unwrap_or(0);
+            self.1 += 1;
+            gene % n
+        }
+
+        fn index(&mut self, depth: u32) -> Expr {
+            if depth == 0 {
+                return match self.pick(4) {
+                    0 => b::int(i64::from(self.pick(7)) - 3),
+                    1 => b::var("x"),
+                    2 => b::var("y"),
+                    _ => b::var("r"),
+                };
+            }
+            let d = depth - 1;
+            match self.pick(6) {
+                0 => b::add(self.index(d), self.index(d)),
+                1 => b::sub(self.index(d), self.index(d)),
+                2 => b::mul(self.index(d), b::int(i64::from(self.pick(5)))),
+                3 => b::mul(self.index(d), self.index(d)),
+                4 => b::cast(Type::i32(), self.index(d)),
+                _ => self.index(0),
+            }
+        }
+
+        fn value(&mut self, depth: u32) -> Expr {
+            if depth == 0 {
+                return b::load(Type::f32(), "A", self.index(2));
+            }
+            let d = depth - 1;
+            match self.pick(8) {
+                0 => b::add(self.value(d), self.value(d)),
+                1 => b::mul(self.value(d), b::flt(2.0)),
+                2 => b::cast_f32(self.index(2)),
+                3 => b::select(
+                    b::lt(self.index(1), self.index(1)),
+                    self.value(d),
+                    self.value(d),
+                ),
+                4 => b::vreduce_add(1, b::bcast(self.value(d), 1)),
+                5 => b::bcast(self.value(d), 1),
+                6 => b::call(Type::f32(), "opaque", vec![self.index(1)]),
+                _ => self.value(0),
+            }
+        }
+    }
+
+    #[test]
+    fn consuming_widen_equals_the_copying_reference() {
+        use proptest::prelude::*;
+        let strategy = proptest::collection::vec(0u32..1_000_000, 64);
+        let mut rng = TestRng::from_name("consuming_widen_equals_the_copying_reference");
+        let (mut widened, mut rejected) = (0, 0);
+        for _ in 0..1024 {
+            let genes = strategy.generate(&mut rng);
+            let mut g = Genes(&genes, 0);
+            let e = if g.pick(3) == 0 {
+                g.index(3)
+            } else {
+                g.value(3)
+            };
+            let (min, n) = (i64::from(g.pick(3)), 2 << g.pick(3));
+            // Nested, as `lower` applies it: r innermost, then x outside it.
+            let want = widen_expr_reference(&e, "r", min, n)
+                .and_then(|w| widen_expr_reference(&w, "x", 0, 4));
+            let got = widen_expr(e.clone(), "r", min, n).and_then(|w| widen_expr(w, "x", 0, 4));
+            assert_eq!(got, want, "widening {e}");
+            widened += usize::from(want.is_ok());
+            rejected += usize::from(want.is_err());
+        }
+        assert!(widened > 256, "only {widened} of 1024 inputs widened");
+        assert!(rejected > 32, "only {rejected} of 1024 inputs rejected");
+    }
+
     #[test]
     fn widen_semantics_match_scalar_loop() {
         // Evaluate f[x] = g[2x + 3] both as a scalar loop and vectorized.
         use hb_exec::Interp;
         let g: Vec<f64> = (0..64).map(f64::from).collect();
         let idx = b::add(b::mul(b::var("x"), b::int(2)), b::int(3));
-        let val = b::load(Type::f32(), "g", idx.clone());
+        let val = b::load(Type::f32(), "g", idx);
         // Scalar loop.
         let mut it1 = Interp::new();
         it1.mem
@@ -487,7 +647,7 @@ mod tests {
         let s = b::store("B", b::int(0), b::cast(Type::f32(), idx));
         assert_eq!(mod_div_divisor(&s, "r").unwrap(), Some(2));
         assert_eq!(mod_div_divisor(&s, "y").unwrap(), None);
-        let d = decompose_mod_div(&s, "r", 2, "r0", "r1");
+        let d = decompose_mod_div(s, "r", 2, "r0", "r1");
         let mut uses_r = false;
         d.for_each_expr(&mut |e| {
             if e.uses_var("r") {
