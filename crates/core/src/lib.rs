@@ -59,6 +59,50 @@
 //! extraction readouts) is the orthogonal
 //! [`SessionBuilder::compile_threads`] knob.
 //!
+//! ## Compile contexts
+//!
+//! A compile *unit* — one leaf in [`Batching::PerLeaf`] mode, the shared
+//! graph of a call in [`Batching::Batched`] mode — builds its e-graph,
+//! runs its searches and solves its extraction in a `CompileCtx`: an
+//! [`HbGraph`], the engine's matcher scratch and its extraction scratch.
+//! A session keeps these between units in a small pool (a mutex around a
+//! vector, held only to pop and to push): a unit pops one — a fresh one
+//! when none is at rest — and, when it is done, clears the graph
+//! (`EGraph::clear`: everything observable reset, every table's capacity
+//! kept) and pushes the context back. Units that run at once, a
+//! compile's scoped threads or service workers sharing the session, each
+//! pop their own, so the pool's size follows the concurrency actually
+//! seen (up to 8); a [`CompileService`] gives all of its sessions *one*
+//! pool, because a context is target-independent and a worker runs one
+//! compile at a time — one context per worker, not per worker and target.
+//! A warmed session therefore compiles without rebuilding its tables:
+//! `tests/compile_allocs.rs` budgets the allocations of a steady-state
+//! compile (9.5 per encoded e-node on its set; 30.3 before the pool), and
+//! `tests/reuse.rs` pins that a reused context is invisible — programs,
+//! report counters and engine run reports equal those of fresh sessions,
+//! also after truncated, cancelled and panicked compiles.
+//!
+//! Two rules bound what the pool holds. *Discard on panic:* the unit runs
+//! between the pop and the push, so a panic unwinds past the push and
+//! drops the context it was working in — a half-rewritten graph is never
+//! cleared and reused; the session's `catch_unwind` ladder then degrades
+//! that compile as before, and the next one starts from a fresh context.
+//! *Retention bound:* a context whose unit made more than 1 024 e-class
+//! ids (`MAX_RETAINED_IDS`) is dropped instead of pooled. The constant
+//! was sized on the benchmark: per-leaf graphs make 16–100 ids and small
+//! batched programs a few hundred — the compiles whose fixed costs the
+//! pool exists to remove — and a context of that size rests at
+//! 50–300 KB; the suites and large unrolled programs make 1 200–2 100,
+//! where table set-up is a small share of the compile and a pooled
+//! context carries the capacity envelope of the largest graph it ever
+//! held (power-of-two tables stay doubled for every later, smaller
+//! graph): retaining up to 16 384 ids read `peak_live_bytes` +4.2 % on
+//! `unrolled_large` and +6.2 % on `suite_batched` against the benchmark's
+//! 5 % bound; at 1 024 it reads +0.6 % and +2.7 %, and one pathological
+//! program cannot pin megabytes for the life of a service. There is no
+//! option for any of this: the pool size follows use, the bounds are the
+//! two constants in `session.rs`.
+//!
 //! Because compilation is deterministic, repeated work can be memoized:
 //! the [`cache`] subsystem adds a bounded content-addressed
 //! [`ReportCache`] (attach with [`SessionBuilder::report_cache`] or

@@ -307,6 +307,9 @@ impl CompileServiceBuilder {
         });
         let capacity = self.queue_capacity.unwrap_or(DEFAULT_QUEUE_CAPACITY);
         let metrics = self.metrics.unwrap_or_default();
+        // One pool of compile contexts for every session: a worker runs one
+        // compile at a time, whichever target it is for.
+        let ctx_pool = Arc::<crate::session::CtxPool>::default();
         let mut sessions = HashMap::new();
         for (name, spec) in self.entries {
             let mut session = match spec {
@@ -317,6 +320,7 @@ impl CompileServiceBuilder {
                 session.install_cache(Arc::clone(cache));
             }
             session.install_metrics(Arc::clone(&metrics));
+            session.share_ctx_pool(Arc::clone(&ctx_pool));
             if sessions.insert(name.clone(), Arc::new(session)).is_some() {
                 return Err(BuildError::DuplicateTarget(name));
             }

@@ -44,8 +44,10 @@
 //! A `Session` is `Send + Sync` and designed to be **owned once, shared
 //! everywhere**: every field is immutable after `build()` except the
 //! lazily compiled rule set (a `OnceLock` — first compile wins, every
-//! thread reuses it) and the per-call state, which lives entirely on the
-//! calling thread's stack. Any number of threads may call
+//! thread reuses it), the pool of compile contexts at rest (a mutex held
+//! only to pop and push one; see "Compile contexts" in the crate docs)
+//! and the per-call state, which lives on the calling thread's stack and
+//! in the context it popped. Any number of threads may call
 //! [`Session::compile`] / [`Session::compile_suite`] on one shared
 //! session concurrently, and each call's output is byte-identical to
 //! what a serial caller would get — this is the contract
@@ -67,11 +69,14 @@
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use hb_accel::target::{ExtractionPolicy, SimTarget, Target};
-use hb_egraph::extract::{DagCostExtractor, Extract, SharedTableExtractor, WorklistExtractor};
+use hb_egraph::extract::{
+    DagCostExtractor, Extract, ExtractScratch, SharedTableExtractor, WorklistExtractor,
+};
+use hb_egraph::pattern::MatchScratch;
 use hb_egraph::pool::SearchPool;
 use hb_egraph::schedule::{Budget, CancelToken, RunReport, Runner, WarmStart};
 use hb_egraph::unionfind::Id;
@@ -845,6 +850,7 @@ impl SessionBuilder {
             runner,
             threads,
             rules: OnceLock::new(),
+            ctx_pool: Arc::default(),
             cache: self.cache,
             tracer: self.tracer.unwrap_or_default(),
             metrics: self.metrics,
@@ -969,12 +975,49 @@ pub struct Session {
     runner: Runner,
     threads: usize,
     rules: OnceLock<RuleSet>,
+    /// Compile contexts at rest, one per compile unit that ran at once
+    /// (see [`Session::with_ctx`]). A service's sessions share one pool:
+    /// contexts are target-independent, so it holds one per worker, not
+    /// one per worker and target.
+    ctx_pool: Arc<CtxPool>,
     cache: Option<Arc<ReportCache>>,
     tracer: Tracer,
     metrics: Option<Arc<MetricsRegistry>>,
     obs: Option<ObsHandles>,
     fingerprint: u64,
 }
+
+/// Everything one compile unit — one leaf in [`Batching::PerLeaf`] mode,
+/// the shared graph of a call in [`Batching::Batched`] mode — builds,
+/// matches and extracts in. Kept by the session between units so that a
+/// long-lived session (a service worker's, above all) stops allocating its
+/// tables: the graph is cleared, the scratches refill in place.
+#[derive(Default)]
+pub(crate) struct CompileCtx {
+    graph: HbGraph,
+    matcher: MatchScratch,
+    extract: ExtractScratch<HbLang>,
+}
+
+/// The contexts a session (or a service, for all of its sessions) keeps
+/// at rest.
+pub(crate) type CtxPool = Mutex<Vec<CompileCtx>>;
+
+/// A context whose unit made more e-class ids than this is dropped, not
+/// pooled. The pool exists for the compiles whose fixed costs it removes:
+/// per-leaf graphs (16–100 ids on the benchmark) and small batched programs
+/// (a few hundred), whose contexts rest at 50–300 KB. Suites and large
+/// unrolled programs make 1 200–2 100 ids; pooling those read
+/// `peak_live_bytes` +4.2 % / +6.2 % (`unrolled_large` / `suite_batched`,
+/// bound 5 %) — a pooled context carries the capacity of the largest graph
+/// it ever held into every later compile — against +0.6 % / +2.7 % here.
+/// See "Compile contexts" in the crate docs.
+const MAX_RETAINED_IDS: usize = 1 << 10;
+
+/// Contexts a session keeps at rest. The pool's size follows use — one
+/// context per unit that ran at once: a service's workers, a compile's
+/// scoped threads — up to this.
+const MAX_POOLED_CTXS: usize = 8;
 
 impl Default for Session {
     fn default() -> Self {
@@ -1036,6 +1079,7 @@ impl Session {
             runner,
             threads: 1,
             rules: OnceLock::new(),
+            ctx_pool: Arc::default(),
             cache: None,
             tracer: Tracer::disabled(),
             metrics: None,
@@ -1105,6 +1149,13 @@ impl Session {
         self.metrics.as_ref()
     }
 
+    /// Makes this session draw its compile contexts from `pool` (how
+    /// [`CompileService`](crate::service::CompileService) keeps one
+    /// context per worker across its registered sessions).
+    pub(crate) fn share_ctx_pool(&mut self, pool: Arc<CtxPool>) {
+        self.ctx_pool = pool;
+    }
+
     /// Installs a metrics registry post-build if the session has none
     /// (how [`CompileService`](crate::service::CompileService) shares
     /// one registry across its registered sessions).
@@ -1141,38 +1192,48 @@ impl Session {
         }
     }
 
-    /// Builds the resolved strategy over one saturated graph.
+    /// Builds the resolved strategy over one saturated graph, in the
+    /// tables `scratch` brings (see [`Extract::into_scratch`]).
     fn build_extractor<'g>(
         &'g self,
         eg: &'g HbGraph,
         batched: bool,
-    ) -> Box<dyn Extract<HbLang> + 'g> {
+        scratch: ExtractScratch<HbLang>,
+    ) -> Box<dyn Extract<HbLang> + Sync + 'g> {
         let cost = ModelCost(self.cost.as_ref());
         match self.resolved_extraction(batched) {
-            ExtractionPolicy::SharedTable => Box::new(SharedTableExtractor::new(eg, cost)),
-            ExtractionPolicy::DagCost => Box::new(DagCostExtractor::new(eg, cost)),
+            ExtractionPolicy::SharedTable => {
+                Box::new(SharedTableExtractor::with_scratch(eg, cost, scratch))
+            }
+            ExtractionPolicy::DagCost => {
+                Box::new(DagCostExtractor::with_scratch(eg, cost, scratch))
+            }
             ExtractionPolicy::Auto | ExtractionPolicy::Worklist => {
-                Box::new(WorklistExtractor::new(eg, cost))
+                Box::new(WorklistExtractor::with_scratch(eg, cost, scratch))
             }
         }
     }
 
-    /// The resolved strategy when it is shareable across readout threads
-    /// (`None` for the shared-table strategy, whose term bank is a
-    /// single-threaded `RefCell` — its readouts stay serial).
-    fn build_sync_extractor<'g>(
-        &'g self,
-        eg: &'g HbGraph,
-        batched: bool,
-    ) -> Option<Box<dyn Extract<HbLang> + Sync + 'g>> {
-        let cost = ModelCost(self.cost.as_ref());
-        match self.resolved_extraction(batched) {
-            ExtractionPolicy::SharedTable => None,
-            ExtractionPolicy::DagCost => Some(Box::new(DagCostExtractor::new(eg, cost))),
-            ExtractionPolicy::Auto | ExtractionPolicy::Worklist => {
-                Some(Box::new(WorklistExtractor::new(eg, cost)))
+    /// Runs one compile unit in a pooled [`CompileCtx`] (a fresh one when
+    /// none is at rest), then clears the context's graph and returns it to
+    /// the pool — unless the unit panicked, in which case the unwind drops
+    /// the context it was working in before this function can pool it, or
+    /// the context outgrew [`MAX_RETAINED_IDS`]. Units running at once
+    /// (scoped compile threads, service workers sharing the session) each
+    /// pop their own.
+    fn with_ctx<R>(&self, unit: impl FnOnce(&mut CompileCtx) -> R) -> R {
+        const LOCK: &str = "the context pool lock is held across no panic";
+        let pooled = self.ctx_pool.lock().expect(LOCK).pop();
+        let mut ctx = pooled.unwrap_or_default();
+        let out = unit(&mut ctx);
+        if ctx.graph.id_bound() <= MAX_RETAINED_IDS {
+            ctx.graph.clear();
+            let mut pool = self.ctx_pool.lock().expect(LOCK);
+            if pool.len() < MAX_POOLED_CTXS {
+                pool.push(ctx);
             }
         }
+        out
     }
 
     /// The rule set, built on first use for the target's rule profile.
@@ -1587,12 +1648,17 @@ impl Session {
         }
         let _root = self.tracer.span("compile_warm");
         let restore_span = self.tracer.span("restore");
-        let mut eg = HbGraph::restore(&snapshot.engine).map_err(WarmRejection::Snapshot)?;
+        // A context of its own, around the restored graph: what it would
+        // bring to the pool is another graph's capacity, not this one's.
+        let mut ctx = CompileCtx {
+            graph: HbGraph::restore(&snapshot.engine).map_err(WarmRejection::Snapshot)?,
+            ..CompileCtx::default()
+        };
         let restore = restore_span.finish();
         // Everything in the restored graph predates the warm epoch: the
         // delta the phased schedule re-searches is exactly what the new
         // leaves add below.
-        let warm = WarmStart::capture(&mut eg);
+        let warm = WarmStart::capture(&mut ctx.graph);
 
         let budget = self.compile_budget();
         let total_started = Instant::now();
@@ -1629,25 +1695,28 @@ impl Session {
 
         let rules = self.rules();
         let encode_span = self.tracer.span("encode");
-        let roots: Vec<Id> = leaves.iter().map(|s| encode_stmt(&mut eg, s)).collect();
-        eg.rebuild();
+        let roots: Vec<Id> = (leaves.iter())
+            .map(|s| encode_stmt(&mut ctx.graph, s))
+            .collect();
+        ctx.graph.rebuild();
         report.stages.encode += encode_span.finish();
 
         let mut saturate_span = self.tracer.span("saturate");
-        let run = self.runner.run_phased_warm(
-            &mut eg,
+        let run = self.runner.run_phased_in(
+            &mut ctx.graph,
             &rules.main,
             &rules.support,
             self.outer_iters,
             budget,
-            warm,
+            Some(warm),
+            &mut ctx.matcher,
         );
         saturate_span.attr("iterations", run.iterations);
         saturate_span.attr("applied", run.applied);
         report.stages.saturate += saturate_span.finish();
         report.outcome = report.outcome.worst(CompileOutcome::of_run(&run));
 
-        let selected = self.extract_shared(&eg, &roots, &leaves, &mut report);
+        let selected = self.extract_shared(&mut ctx, &roots, &leaves, &mut report);
         report.batch = Some(run);
         report.eqsat_time = report.stages.saturate;
 
@@ -1825,41 +1894,46 @@ impl Session {
         report: &mut CompileReport,
         export: Option<&mut Option<SuiteSnapshot>>,
     ) -> Vec<Stmt> {
-        let encode_span = self.tracer.span("encode");
-        let mut eg = HbGraph::default();
-        crate::rules::app_specific::declare_relations(&mut eg);
-        let roots: Vec<Id> = leaves.iter().map(|s| encode_stmt(&mut eg, s)).collect();
-        report.stages.encode += encode_span.finish();
+        self.with_ctx(|ctx| {
+            let encode_span = self.tracer.span("encode");
+            let eg = &mut ctx.graph;
+            crate::rules::app_specific::declare_relations(eg);
+            let roots: Vec<Id> = leaves.iter().map(|s| encode_stmt(eg, s)).collect();
+            report.stages.encode += encode_span.finish();
 
-        let mut saturate_span = self.tracer.span("saturate");
-        let run = self.runner.run_phased_budgeted(
-            &mut eg,
-            &rules.main,
-            &rules.support,
-            self.outer_iters,
-            budget,
-        );
-        saturate_span.attr("iterations", run.iterations);
-        saturate_span.attr("applied", run.applied);
-        report.stages.saturate += saturate_span.finish();
-        report.outcome = report.outcome.worst(CompileOutcome::of_run(&run));
+            let mut saturate_span = self.tracer.span("saturate");
+            let run = self.runner.run_phased_in(
+                eg,
+                &rules.main,
+                &rules.support,
+                self.outer_iters,
+                budget,
+                None,
+                &mut ctx.matcher,
+            );
+            saturate_span.attr("iterations", run.iterations);
+            saturate_span.attr("applied", run.applied);
+            report.stages.saturate += saturate_span.finish();
+            report.outcome = report.outcome.worst(CompileOutcome::of_run(&run));
 
-        // Layer-2 export: only a run that completed its schedule is worth
-        // snapshotting — a budget-truncated graph would warm-start future
-        // compiles from an unsaturated state and could select different
-        // programs than their cold compile would.
-        if let Some(slot) = export {
-            if CompileOutcome::of_run(&run) == CompileOutcome::Saturated {
-                *slot = Some(SuiteSnapshot {
-                    engine: eg.snapshot(),
-                    fingerprint: self.fingerprint,
-                });
+            // Layer-2 export: only a run that completed its schedule is
+            // worth snapshotting — a budget-truncated graph would
+            // warm-start future compiles from an unsaturated state and
+            // could select different programs than their cold compile
+            // would.
+            if let Some(slot) = export {
+                if CompileOutcome::of_run(&run) == CompileOutcome::Saturated {
+                    *slot = Some(SuiteSnapshot {
+                        engine: eg.snapshot(),
+                        fingerprint: self.fingerprint,
+                    });
+                }
             }
-        }
 
-        let selected = self.extract_shared(&eg, &roots, leaves, report);
-        report.batch = Some(run);
-        selected
+            let selected = self.extract_shared(ctx, &roots, leaves, report);
+            report.batch = Some(run);
+            selected
+        })
     }
 
     /// Shared-graph extraction: one settled cost table serves every
@@ -1868,7 +1942,7 @@ impl Session {
     /// it).
     fn extract_shared(
         &self,
-        eg: &HbGraph,
+        ctx: &mut CompileCtx,
         roots: &[Id],
         leaves: &[&Stmt],
         report: &mut CompileReport,
@@ -1883,45 +1957,39 @@ impl Session {
         let mut extract_span = self.tracer.span("extract");
         extract_span.attr("roots", roots.len());
         let threads = self.threads.min(roots.len());
-        let sync_extractor = if threads > 1 {
-            self.build_sync_extractor(eg, true)
-        } else {
-            None
-        };
-        let (stats, readouts) = match &sync_extractor {
-            Some(extractor) => {
-                let ex: &(dyn Extract<HbLang> + Sync) = extractor.as_ref();
-                let pairs: Vec<(Id, &Stmt)> =
-                    roots.iter().copied().zip(leaves.iter().copied()).collect();
-                let chunk = pairs.len().div_ceil(threads);
-                let readouts: Vec<RootReadout> = std::thread::scope(|s| {
-                    let handles: Vec<_> = pairs
-                        .chunks(chunk)
-                        .map(|c| {
-                            s.spawn(move || {
-                                c.iter()
-                                    .map(|&(root, original)| readout_root(ex, root, original))
-                                    .collect::<Vec<_>>()
-                            })
+        let extractor = self.build_extractor(&ctx.graph, true, std::mem::take(&mut ctx.extract));
+        let ex: &(dyn Extract<HbLang> + Sync) = extractor.as_ref();
+        // The shared-table strategy's term bank serves one readout at a
+        // time: its readouts stay serial.
+        let parallel =
+            threads > 1 && self.resolved_extraction(true) != ExtractionPolicy::SharedTable;
+        let readouts: Vec<RootReadout> = if parallel {
+            let pairs: Vec<(Id, &Stmt)> =
+                roots.iter().copied().zip(leaves.iter().copied()).collect();
+            let chunk = pairs.len().div_ceil(threads);
+            std::thread::scope(|s| {
+                let handles: Vec<_> = pairs
+                    .chunks(chunk)
+                    .map(|c| {
+                        s.spawn(move || {
+                            c.iter()
+                                .map(|&(root, original)| readout_root(ex, root, original))
+                                .collect::<Vec<_>>()
                         })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                        .collect()
-                });
-                (extractor.stats(), readouts)
-            }
-            None => {
-                let extractor = self.build_extractor(eg, true);
-                let readouts = roots
-                    .iter()
-                    .zip(leaves)
-                    .map(|(&root, original)| readout_root(extractor.as_ref(), root, original))
+                    })
                     .collect();
-                (extractor.stats(), readouts)
-            }
+                handles
+                    .into_iter()
+                    .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                    .collect()
+            })
+        } else {
+            (roots.iter().zip(leaves))
+                .map(|(&root, original)| readout_root(ex, root, original))
+                .collect()
         };
+        let stats = extractor.stats();
+        ctx.extract = extractor.into_scratch();
         let mut extraction = ExtractionReport {
             strategy: stats.strategy,
             ..ExtractionReport::default()
@@ -1947,7 +2015,7 @@ impl Session {
         selected
     }
 
-    /// Per-leaf mode: a fresh e-graph per leaf, saturated and extracted
+    /// Per-leaf mode: an e-graph per leaf, saturated and extracted
     /// independently (the reference mode batched outputs are asserted
     /// against). With `compile_threads > 1` the leaves partition into
     /// contiguous chunks across scoped threads — each leaf is already an
@@ -2024,9 +2092,10 @@ impl Session {
         selected
     }
 
-    /// One leaf through encode → saturate → extract on a fresh e-graph,
-    /// touching no shared state — the unit [`Session::saturate_per_leaf`]
-    /// runs serially or fans across threads.
+    /// One leaf through encode → saturate → extract in a context of its
+    /// own ([`Session::with_ctx`]), touching no other shared state — the
+    /// unit [`Session::saturate_per_leaf`] runs serially or fans across
+    /// threads.
     fn compile_leaf(
         &self,
         runner: &Runner,
@@ -2038,41 +2107,46 @@ impl Session {
         // thread, where the calling thread's span stack is not visible —
         // they record as roots there (the span stack is thread-local by
         // design; see the `hb_obs` crate docs).
-        let encode_span = self.tracer.span("encode");
-        let mut eg = HbGraph::default();
-        crate::rules::app_specific::declare_relations(&mut eg);
-        let root = encode_stmt(&mut eg, stmt);
-        let encode = encode_span.finish();
+        self.with_ctx(|ctx| {
+            let encode_span = self.tracer.span("encode");
+            let eg = &mut ctx.graph;
+            crate::rules::app_specific::declare_relations(eg);
+            let root = encode_stmt(eg, stmt);
+            let encode = encode_span.finish();
 
-        let mut saturate_span = self.tracer.span("saturate");
-        let run = runner.run_phased_budgeted(
-            &mut eg,
-            &rules.main,
-            &rules.support,
-            self.outer_iters,
-            budget,
-        );
-        saturate_span.attr("iterations", run.iterations);
-        saturate_span.attr("applied", run.applied);
-        let saturate = saturate_span.finish();
+            let mut saturate_span = self.tracer.span("saturate");
+            let run = runner.run_phased_in(
+                eg,
+                &rules.main,
+                &rules.support,
+                self.outer_iters,
+                budget,
+                None,
+                &mut ctx.matcher,
+            );
+            saturate_span.attr("iterations", run.iterations);
+            saturate_span.attr("applied", run.applied);
+            let saturate = saturate_span.finish();
 
-        let extract_span = self.tracer.span("extract");
-        let extractor = self.build_extractor(&eg, false);
-        let readout = readout_root(extractor.as_ref(), root, stmt);
-        let stats = extractor.stats();
-        let extract = extract_span.finish();
-        LeafOut {
-            readout,
-            original: stmt.to_string(),
-            run,
-            encode,
-            saturate,
-            extract,
-            strategy: stats.strategy,
-            table_entries: stats.table_entries,
-            bank_nodes: stats.bank_nodes,
-            reused_readouts: stats.reused_readouts,
-        }
+            let extract_span = self.tracer.span("extract");
+            let extractor = self.build_extractor(eg, false, std::mem::take(&mut ctx.extract));
+            let readout = readout_root(extractor.as_ref(), root, stmt);
+            let stats = extractor.stats();
+            ctx.extract = extractor.into_scratch();
+            let extract = extract_span.finish();
+            LeafOut {
+                readout,
+                original: stmt.to_string(),
+                run,
+                encode,
+                saturate,
+                extract,
+                strategy: stats.strategy,
+                table_entries: stats.table_entries,
+                bank_nodes: stats.bank_nodes,
+                reused_readouts: stats.reused_readouts,
+            }
+        })
     }
 }
 

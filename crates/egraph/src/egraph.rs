@@ -4,6 +4,10 @@
 //! Performance machinery on top of the basic algorithm (see the crate docs
 //! for the design):
 //!
+//! * **dense, reusable storage**: the class table is a slot vector indexed
+//!   by id over a compact slab of classes, and [`EGraph::clear`] empties
+//!   the graph while keeping every table's capacity and parking the
+//!   per-class vectors for the next graph built in it;
 //! * an **operator index** (`op_key` → candidate classes) kept current
 //!   through [`EGraph::add`] / [`EGraph::union`] / [`EGraph::rebuild`], so
 //!   indexed e-matching visits only classes that can possibly match;
@@ -141,6 +145,14 @@ impl<L, D> EClass<L, D> {
         }
     }
 
+    /// Turns the class into a shell: its vectors emptied, the small ones
+    /// kept for the class that takes its place (see [`SPARE_CAPACITY`]).
+    fn empty(&mut self) {
+        park(&mut self.nodes);
+        park(&mut self.parents);
+        park(&mut self.op_epochs);
+    }
+
     /// Ids of classes containing a parent e-node of this class (possibly
     /// stale — canonicalize with [`EGraph::find`] before use).
     pub fn parent_classes(&self) -> impl Iterator<Item = Id> + '_ {
@@ -148,12 +160,92 @@ impl<L, D> EClass<L, D> {
     }
 }
 
+/// Slot value of an id that has no class of its own: it lost a union.
+const NO_CLASS: u32 = u32::MAX;
+
+/// Largest capacity, in elements, a class vector or an index row keeps
+/// when what held it is cleared away for reuse. Reuse pairs vectors with
+/// new owners in no particular order, so anything larger — a hub's parent
+/// list, a common operator's index row — would in time sit under every
+/// class and every row of a long-reused graph. Nearly all need no more: a
+/// class holds a node or two under one operator and has a parent or two, a
+/// literal's row holds one class. (New vectors start at one element and
+/// grow to four next, so a reused graph's vectors creep from the first
+/// size to the second at most: ~0.3 KB a class.)
+const SPARE_CAPACITY: usize = 4;
+
+/// Empties `vector` for reuse (see [`SPARE_CAPACITY`]).
+fn park<T>(vector: &mut Vec<T>) {
+    vector.clear();
+    if vector.capacity() > SPARE_CAPACITY {
+        *vector = Vec::new();
+    }
+}
+
+/// `op_key → Vec<T>` rows — the operator index and the per-op delta logs.
+/// [`OpRows::clear`] empties the table but parks the row vectors, so a
+/// reused graph refills its rows without allocating. A row exists only
+/// while it is non-empty.
+#[derive(Debug, Clone)]
+struct OpRows<T> {
+    rows: FastMap<u64, Vec<T>>,
+    spare: Vec<Vec<T>>,
+}
+
+impl<T> Default for OpRows<T> {
+    fn default() -> Self {
+        OpRows {
+            rows: FastMap::default(),
+            spare: Vec::new(),
+        }
+    }
+}
+
+impl<T> OpRows<T> {
+    fn row(&self, key: u64) -> &[T] {
+        self.rows.get(&key).map(Vec::as_slice).unwrap_or_default()
+    }
+
+    fn push(&mut self, key: u64, item: T) {
+        let spare = &mut self.spare;
+        self.rows
+            .entry(key)
+            .or_insert_with(|| spare.pop().unwrap_or_else(|| Vec::with_capacity(1)))
+            .push(item);
+    }
+
+    fn clear(&mut self) {
+        for (_, mut row) in self.rows.drain() {
+            park(&mut row);
+            self.spare.push(row);
+        }
+    }
+}
+
 /// The e-graph.
+///
+/// Storage is dense and reusable (see "Dense, reusable storage" in the
+/// crate docs): ids
+/// index a slot vector over a compact class slab, and [`EGraph::clear`]
+/// empties the graph while keeping every table's capacity.
 #[derive(Debug, Clone)]
 pub struct EGraph<L: Language, N: Analysis<L> = ()> {
     unionfind: UnionFind,
     memo: FastMap<L, Id>,
-    classes: FastMap<Id, EClass<L, N::Data>>,
+    /// Class table, by id: the position of the id's class in `slab`, or
+    /// [`NO_CLASS`] once the id lost a union. One `u32` per id ever made.
+    slots: Vec<u32>,
+    /// Class table, the classes themselves: `slab[..live]` are the graph's,
+    /// compact (a union moves the last of them into the loser's place), so
+    /// the slab's size follows the class count, not the ids ever made.
+    /// `slab[live..]` are shells — classes that are gone (merged away, or
+    /// cleared), kept for their emptied vectors, which the next `add`s
+    /// fill again; nothing else of a shell is ever read.
+    slab: Vec<EClass<L, N::Data>>,
+    live: usize,
+    /// Total e-nodes across classes (`add` and the rebuild's dedup keep it;
+    /// [`EGraph::check_op_index`] checks it against a recount).
+    num_nodes: usize,
     pending: Vec<(L, Id)>,
     analysis_pending: Vec<(L, Id)>,
     /// Datalog-style relations over e-class ids (egglog's `relation`s).
@@ -161,8 +253,9 @@ pub struct EGraph<L: Language, N: Analysis<L> = ()> {
     clean: bool,
     /// Operator index: `op_key` → classes containing a node with that key.
     /// Entries may be stale (non-canonical) or duplicated between rebuilds;
-    /// readers canonicalize and dedup ([`EGraph::candidates_for`]).
-    classes_by_op: FastMap<u64, Vec<Id>>,
+    /// a rebuild compacts the rows unions touched
+    /// ([`EGraph::candidates_for`]).
+    classes_by_op: OpRows<Id>,
     /// Op keys whose index rows need compaction on the next rebuild.
     dirty_ops: FastSet<u64>,
     /// Classes whose node lists need re-canonicalization on the next
@@ -184,12 +277,18 @@ pub struct EGraph<L: Language, N: Analysis<L> = ()> {
     /// a union merged `k`-nodes into it, or a change propagated up through
     /// a parent node with op `k`. Compacted deterministically on rebuild
     /// once a log outgrows its index row.
-    modified_log_by_op: FastMap<u64, Vec<(u64, Id)>>,
+    modified_log_by_op: OpRows<(u64, Id)>,
     /// Monotone modification clock; see [`EGraph::bump_epoch`].
     work_epoch: u64,
     /// Whether any union happened since the last rebuild (gates relation
     /// canonicalization).
     unioned_since_rebuild: bool,
+    /// Rebuild scratch: the `(parent class, parent op)` rows of the class
+    /// whose epoch is being propagated.
+    parent_rows: Vec<(Id, u64)>,
+    /// Log-compaction scratch, by id: the highest epoch logged for the id.
+    /// All zero between compactions (epochs start at 1).
+    max_epoch: Vec<u64>,
 }
 
 impl<L: Language, N: Analysis<L>> Default for EGraph<L, N> {
@@ -197,21 +296,51 @@ impl<L: Language, N: Analysis<L>> Default for EGraph<L, N> {
         EGraph {
             unionfind: UnionFind::new(),
             memo: FastMap::default(),
-            classes: FastMap::default(),
+            slots: Vec::new(),
+            slab: Vec::new(),
+            live: 0,
+            num_nodes: 0,
             pending: Vec::new(),
             analysis_pending: Vec::new(),
             relations: Relations::default(),
             clean: true,
-            classes_by_op: FastMap::default(),
+            classes_by_op: OpRows::default(),
             dirty_ops: FastSet::default(),
             dirty_classes: Vec::new(),
             touched: Vec::new(),
             modified_log: Vec::new(),
-            modified_log_by_op: FastMap::default(),
+            modified_log_by_op: OpRows::default(),
             work_epoch: 1,
             unioned_since_rebuild: false,
+            parent_rows: Vec::new(),
+            max_epoch: Vec::new(),
         }
     }
+}
+
+/// Bounds a modification log: one entry per live class at its maximum
+/// logged epoch, in place. Exact (not lossy) for every future cutoff, and
+/// **deterministic**: the result is fully ordered by `(epoch, id)`, ids
+/// being unique keys. `max_epoch` is the all-zero by-id scratch; it is all
+/// zero again on return. Pinned by `compaction_is_deterministic_and_exact`
+/// in `tests/engine.rs`.
+fn compact_log(log: &mut Vec<(u64, Id)>, unionfind: &UnionFind, max_epoch: &mut Vec<u64>) {
+    // No liveness filter needed: `find` maps every logged id to a live
+    // root (which, in a per-op log, still holds a node with that op key —
+    // node lists only ever grow).
+    max_epoch.resize(unionfind.len(), 0);
+    for &(epoch, id) in log.iter() {
+        let slot = &mut max_epoch[unionfind.find(id).index()];
+        *slot = (*slot).max(epoch);
+    }
+    // The first entry of each class takes the class's maximum and zeroes
+    // the scratch; its later entries then read zero and are dropped.
+    log.retain_mut(|entry| {
+        let id = unionfind.find(entry.1);
+        *entry = (std::mem::take(&mut max_epoch[id.index()]), id);
+        entry.0 != 0
+    });
+    log.sort_unstable();
 }
 
 impl<L: Language, N: Analysis<L>> EGraph<L, N> {
@@ -219,6 +348,32 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Empties the graph — no ids, classes, relations or logs, the clock
+    /// back at 1: indistinguishable from [`EGraph::new`] to every caller —
+    /// while keeping the capacity of every table and turning the classes
+    /// into shells whose (small) vectors the classes to come fill again,
+    /// so building the next graph in it allocates little.
+    pub fn clear(&mut self) {
+        self.unionfind.clear();
+        self.memo.clear();
+        self.slots.clear();
+        self.slab[..self.live].iter_mut().for_each(EClass::empty);
+        self.live = 0;
+        self.num_nodes = 0;
+        self.pending.clear();
+        self.analysis_pending.clear();
+        self.relations.clear();
+        self.clean = true;
+        self.classes_by_op.clear();
+        self.dirty_ops.clear();
+        self.dirty_classes.clear();
+        self.touched.clear();
+        self.modified_log.clear();
+        self.modified_log_by_op.clear();
+        self.work_epoch = 1;
+        self.unioned_since_rebuild = false;
     }
 
     /// Canonical id for `id`.
@@ -230,33 +385,46 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
     /// Number of e-classes.
     #[must_use]
     pub fn num_classes(&self) -> usize {
-        self.classes.len()
+        self.live
     }
 
     /// Total number of e-nodes across classes.
     #[must_use]
     pub fn num_nodes(&self) -> usize {
-        self.classes.values().map(|c| c.nodes.len()).sum()
+        self.num_nodes
+    }
+
+    /// One past the largest id ever made: the length of a table indexed by
+    /// class id.
+    #[must_use]
+    pub fn id_bound(&self) -> usize {
+        self.slots.len()
     }
 
     /// Whether the graph has no classes.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.classes.is_empty()
+        self.live == 0
     }
 
-    /// Iterates over all e-classes.
+    /// Iterates over all e-classes, by ascending canonical id — the
+    /// deterministic enumeration order of every whole-graph scan.
     pub fn classes(&self) -> impl Iterator<Item = &EClass<L, N::Data>> {
-        self.classes.values()
+        self.slots
+            .iter()
+            .filter(|&&slot| slot != NO_CLASS)
+            .map(|&slot| &self.slab[slot as usize])
     }
 
-    /// Canonical ids of all e-classes, ascending — the deterministic
-    /// enumeration order of every whole-graph scan.
+    /// Canonical ids of all e-classes, ascending.
     #[must_use]
     pub fn sorted_class_ids(&self) -> Vec<Id> {
-        let mut ids: Vec<Id> = self.classes.keys().copied().collect();
-        ids.sort_unstable();
-        ids
+        self.classes().map(|class| class.id).collect()
+    }
+
+    /// Position in `slab` of the class with *canonical* id `id`.
+    fn slot(&self, id: Id) -> usize {
+        self.slots[id.index()] as usize
     }
 
     /// The class with canonical id `id`.
@@ -266,8 +434,7 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
     /// Panics if `id` is unknown.
     #[must_use]
     pub fn class(&self, id: Id) -> &EClass<L, N::Data> {
-        let id = self.find(id);
-        self.classes.get(&id).expect("unknown e-class id")
+        &self.slab[self.slot(self.find(id))]
     }
 
     /// Analysis data of a class.
@@ -304,10 +471,7 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
     #[must_use]
     pub fn candidates_for(&self, key: u64) -> &[Id] {
         debug_assert!(self.clean, "candidates_for requires a rebuilt e-graph");
-        self.classes_by_op
-            .get(&key)
-            .map(Vec::as_slice)
-            .unwrap_or_default()
+        self.classes_by_op.row(key)
     }
 
     /// Stamps `id` (which must be canonical) as modified now: the class
@@ -321,44 +485,40 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
     /// allocation.
     fn stamp(&mut self, id: Id) {
         let epoch = self.work_epoch;
-        let Some(class) = self.classes.get_mut(&id) else {
-            return;
-        };
+        let slot = self.slot(id);
+        let class = &mut self.slab[slot];
         class.modified = epoch;
         for &mut (key, ref mut row) in &mut class.op_epochs {
             if *row < epoch {
                 *row = epoch;
-                self.modified_log_by_op
-                    .entry(key)
-                    .or_default()
-                    .push((epoch, id));
+                self.modified_log_by_op.push(key, (epoch, id));
             }
         }
         self.touched.push(id);
         self.modified_log.push((epoch, id));
     }
 
-    /// Canonical ids of classes (transitively) modified at or after
-    /// `cutoff`, via the modification log — O(changes), not O(classes), so
-    /// a delta probe over a saturated graph is free. May contain classes
-    /// whose last modification is slightly older than `cutoff` (log entries
-    /// are stamped at append time); such false positives only cost the
-    /// matcher a probe.
-    #[must_use]
-    pub fn modified_since(&self, cutoff: u64) -> Vec<Id> {
-        let start = self.modified_log.partition_point(|&(e, _)| e < cutoff);
-        if start == self.modified_log.len() {
-            return Vec::new();
-        }
-        let mut out: Vec<Id> = self.modified_log[start..]
-            .iter()
-            .map(|&(_, id)| self.find(id))
-            .collect();
+    /// Writes to `out` the canonical ids, sorted and deduplicated, of the
+    /// classes a modification log names at or after `cutoff`.
+    fn log_tail(&self, log: &[(u64, Id)], cutoff: u64, out: &mut Vec<Id>) {
+        out.clear();
+        let start = log.partition_point(|&(e, _)| e < cutoff);
+        // No liveness filter needed: `find` maps every logged id to a
+        // canonical root, and every root has a live class.
+        out.extend(log[start..].iter().map(|&(_, id)| self.find(id)));
         out.sort_unstable();
         out.dedup();
-        // No liveness filter needed: `find` maps every logged id to a
-        // canonical root, and every root has a live class entry.
-        out
+    }
+
+    /// Writes to `out` (replacing its contents) the canonical ids of
+    /// classes (transitively) modified at or after `cutoff`, via the
+    /// modification log — O(changes), not O(classes), so a delta probe
+    /// over a saturated graph is free. May contain classes whose last
+    /// modification is slightly older than `cutoff` (log entries are
+    /// stamped at append time); such false positives only cost the matcher
+    /// a probe.
+    pub fn modified_since(&self, cutoff: u64, out: &mut Vec<Id>) {
+        self.log_tail(&self.modified_log, cutoff, out);
     }
 
     /// Whether any class was (transitively) modified at or after `cutoff`.
@@ -368,111 +528,96 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
         self.modified_log.partition_point(|&(e, _)| e < cutoff) < self.modified_log.len()
     }
 
-    /// Canonical ids of classes whose `(class, key)` rows were stamped at
-    /// or after `cutoff` — the **op-keyed** delta-probe enumeration for a
-    /// pattern rooted at that operator. Reads the per-op log tail, so the
-    /// cost is O(changes to `key` rows), zero when that operator was
-    /// untouched — a union in a region with no `key` activity no longer
-    /// widens this probe. Sorted and deduplicated; may over-approximate
-    /// like [`EGraph::modified_since`] (false positives cost the matcher a
+    /// Writes to `out` (replacing its contents) the canonical ids of
+    /// classes whose `(class, key)` rows were stamped at or after `cutoff`
+    /// — the **op-keyed** delta-probe enumeration for a pattern rooted at
+    /// that operator. Reads the per-op log tail, so the cost is O(changes
+    /// to `key` rows), zero when that operator was untouched — a union in
+    /// a region with no `key` activity does not widen this probe. Sorted
+    /// and deduplicated; may over-approximate like
+    /// [`EGraph::modified_since`] (false positives cost the matcher a
     /// probe).
-    #[must_use]
-    pub fn modified_candidates_for(&self, key: u64, cutoff: u64) -> Vec<Id> {
-        let Some(log) = self.modified_log_by_op.get(&key) else {
-            return Vec::new();
-        };
-        let start = log.partition_point(|&(e, _)| e < cutoff);
-        if start == log.len() {
-            return Vec::new();
-        }
-        let mut out: Vec<Id> = log[start..].iter().map(|&(_, id)| self.find(id)).collect();
-        out.sort_unstable();
-        out.dedup();
-        out
+    pub fn modified_candidates_for(&self, key: u64, cutoff: u64, out: &mut Vec<Id>) {
+        self.log_tail(self.modified_log_by_op.row(key), cutoff, out);
     }
 
     /// [`EGraph::modified_since`] restricted to classes that contain a node
     /// with the given [`Language::op_key`] — the retained **per-class**
     /// delta-probe enumeration ([`DeltaTracking::PerClass`]): any change to
-    /// a class re-surfaces it for every root operator it contains.
-    /// Sorted-merge intersection of the global log tail with the operator
-    /// index row; empty tail short-circuits to zero work. Always a
-    /// superset of [`EGraph::modified_candidates_for`] at the same cutoff.
-    #[must_use]
-    pub fn modified_candidates_per_class(&self, key: u64, cutoff: u64) -> Vec<Id> {
-        let tail = self.modified_since(cutoff);
-        if tail.is_empty() {
-            return tail;
-        }
-        let row: &[Id] = self.candidates_for(key);
-        let mut out = Vec::with_capacity(tail.len().min(row.len()));
-        let (mut i, mut j) = (0, 0);
-        while i < tail.len() && j < row.len() {
-            match tail[i].cmp(&row[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    out.push(tail[i]);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        out
+    /// a class re-surfaces it for every root operator it contains. The
+    /// sorted global log tail, intersected in place with the sorted
+    /// operator index row. Always a superset of
+    /// [`EGraph::modified_candidates_for`] at the same cutoff.
+    pub fn modified_candidates_per_class(&self, key: u64, cutoff: u64, out: &mut Vec<Id>) {
+        self.modified_since(cutoff, out);
+        let mut row = self.candidates_for(key);
+        out.retain(|id| {
+            row = &row[row.partition_point(|r| r < id)..];
+            row.first() == Some(id)
+        });
     }
 
-    fn canonicalize(&self, node: &L) -> L {
-        node.map_children(|c| self.find(c))
-    }
-
-    /// Canonicalization with path compression (for `&mut self` hot paths).
-    fn canonicalize_mut(&mut self, node: &L) -> L {
-        let uf = &mut self.unionfind;
-        node.map_children(|c| uf.find_mut(c))
+    /// Canonicalizes the children of `node` in place, compressing paths.
+    fn canonicalize(&mut self, node: &mut L) {
+        for child in node.children_mut() {
+            *child = self.unionfind.find_mut(*child);
+        }
     }
 
     /// Looks up an e-node (children need not be canonical) without inserting.
     #[must_use]
     pub fn lookup(&self, node: &L) -> Option<Id> {
-        let canon = self.canonicalize(node);
+        let canon = node.map_children(|c| self.find(c));
         self.memo.get(&canon).map(|&id| self.find(id))
     }
 
     /// Adds an e-node, returning the id of its class (hash-consed).
-    pub fn add(&mut self, node: L) -> Id {
-        let canon = self.canonicalize_mut(&node);
-        if let Some(&existing) = self.memo.get(&canon) {
+    pub fn add(&mut self, mut node: L) -> Id {
+        self.canonicalize(&mut node);
+        if let Some(&existing) = self.memo.get(&node) {
             return self.find(existing);
         }
         let id = self.unionfind.make_set();
-        let data = N::make(self, &canon);
-        for &child in canon.children() {
-            let child = self.find(child);
-            self.classes
-                .get_mut(&child)
-                .expect("child class must exist")
-                .parents
-                .push((canon.clone(), id));
+        let data = N::make(self, &node);
+        for &child in node.children() {
+            let slot = self.slot(child);
+            let parents = &mut self.slab[slot].parents;
+            if parents.capacity() == 0 {
+                parents.reserve_exact(1);
+            }
+            parents.push((node.clone(), id));
         }
-        let key = canon.op_key();
-        self.classes.insert(
-            id,
-            EClass {
+        let key = node.op_key();
+        let epoch = self.work_epoch;
+        debug_assert_eq!(id.index(), self.slots.len(), "ids are dense");
+        self.slots
+            .push(u32::try_from(self.live).expect("no more classes than ids"));
+        // The first shell becomes the class; past the last shell, a new
+        // one.
+        match self.slab.get_mut(self.live) {
+            Some(shell) => {
+                shell.id = id;
+                shell.data = data;
+                shell.modified = epoch;
+            }
+            None => self.slab.push(EClass {
                 id,
-                nodes: vec![canon.clone()],
+                nodes: Vec::with_capacity(1),
                 data,
                 parents: Vec::new(),
-                modified: self.work_epoch,
-                op_epochs: vec![(key, self.work_epoch)],
-            },
-        );
-        self.classes_by_op.entry(key).or_default().push(id);
-        self.modified_log.push((self.work_epoch, id));
-        self.modified_log_by_op
-            .entry(key)
-            .or_default()
-            .push((self.work_epoch, id));
-        self.memo.insert(canon, id);
+                modified: epoch,
+                op_epochs: Vec::with_capacity(1),
+            }),
+        }
+        let class = &mut self.slab[self.live];
+        class.nodes.push(node.clone());
+        class.op_epochs.push((key, epoch));
+        self.live += 1;
+        self.num_nodes += 1;
+        self.classes_by_op.push(key, id);
+        self.modified_log.push((epoch, id));
+        self.modified_log_by_op.push(key, (epoch, id));
+        self.memo.insert(node, id);
         id
     }
 
@@ -498,43 +643,46 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
         self.clean = false;
         self.unioned_since_rebuild = true;
         // Keep the class with more parents as the winner to move less data.
-        let (winner, loser) = {
-            let pa = self.classes[&a].parents.len();
-            let pb = self.classes[&b].parents.len();
-            if pa >= pb {
-                (a, b)
-            } else {
-                (b, a)
-            }
+        let parents_of = |id: Id| self.slab[self.slot(id)].parents.len();
+        let (winner, loser) = if parents_of(a) >= parents_of(b) {
+            (a, b)
+        } else {
+            (b, a)
         };
         self.unionfind.union_roots(winner, loser);
-        let loser_class = self.classes.remove(&loser).expect("loser class exists");
+        // The slab stays compact: the last class takes the loser's place,
+        // and the loser becomes the first shell.
+        let hole = std::mem::replace(&mut self.slots[loser.index()], NO_CLASS) as usize;
+        self.live -= 1;
+        self.slab.swap(hole, self.live);
+        if hole != self.live {
+            let moved = self.slab[hole].id;
+            self.slots[moved.index()] = u32::try_from(hole).expect("was a slot value");
+        }
+        let (classes, shells) = self.slab.split_at_mut(self.live);
+        let winner_class = &mut classes[self.slots[winner.index()] as usize];
+        let lost = &mut shells[0];
         // Loser's parents must be re-canonicalized and re-hashed, and the
         // classes holding those parent nodes re-canonicalized.
-        self.pending.extend(loser_class.parents.iter().cloned());
-        for &(_, parent_class) in &loser_class.parents {
-            self.dirty_classes.push(parent_class);
-        }
-        // The loser's index rows now resolve to the winner; compact them on
-        // the next rebuild.
-        for node in &loser_class.nodes {
-            self.dirty_ops.insert(node.op_key());
-        }
+        self.pending.extend(lost.parents.iter().cloned());
+        self.dirty_classes
+            .extend(lost.parents.iter().map(|&(_, parent_class)| parent_class));
         self.dirty_classes.push(winner);
-        let winner_class = self.classes.get_mut(&winner).expect("winner class exists");
-        winner_class.nodes.extend(loser_class.nodes);
-        // Carry the loser's op rows over so the winner's row keys keep
-        // covering its (now merged) node list; the stamp below then lifts
-        // every row to the current epoch.
-        for &(key, epoch) in &loser_class.op_epochs {
+        winner_class.nodes.append(&mut lost.nodes);
+        // The loser's index rows now resolve to the winner (compact them
+        // on the next rebuild), and its op rows carry over so the winner's
+        // row keys keep covering its (now merged) node list; the stamp
+        // below then lifts every row to the current epoch.
+        for (key, epoch) in lost.op_epochs.drain(..) {
+            self.dirty_ops.insert(key);
             winner_class.bump_op_epoch(key, epoch);
         }
-        winner_class.parents.extend(loser_class.parents);
-        let data_changed = N::merge(&mut winner_class.data, loser_class.data);
-        if data_changed {
+        winner_class.parents.append(&mut lost.parents);
+        if N::merge(&mut winner_class.data, lost.data.clone()) {
             self.analysis_pending
-                .extend(self.classes[&winner].parents.iter().cloned());
+                .extend(winner_class.parents.iter().cloned());
         }
+        lost.empty();
         self.stamp(winner);
         (winner, true)
     }
@@ -550,53 +698,56 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
     /// a union actually happened. A saturated rebuild is near-free.
     pub fn rebuild(&mut self) {
         while !self.pending.is_empty() || !self.analysis_pending.is_empty() {
-            while let Some((node, cls)) = self.pending.pop() {
+            while let Some((mut node, cls)) = self.pending.pop() {
                 let cls = self.unionfind.find_mut(cls);
                 self.memo.remove(&node);
-                let canon = self.canonicalize_mut(&node);
-                if let Some(&other) = self.memo.get(&canon) {
+                self.canonicalize(&mut node);
+                if let Some(&other) = self.memo.get(&node) {
                     let other = self.find(other);
                     if other != cls {
                         self.union(other, cls);
                     }
                 } else {
-                    self.memo.insert(canon, cls);
+                    self.memo.insert(node, cls);
                 }
             }
-            while let Some((node, cls)) = self.analysis_pending.pop() {
+            while let Some((mut node, cls)) = self.analysis_pending.pop() {
                 let cls = self.unionfind.find_mut(cls);
-                let canon = self.canonicalize(&node);
-                let new_data = N::make(self, &canon);
-                let class = self.classes.get_mut(&cls).expect("class exists");
+                self.canonicalize(&mut node);
+                let new_data = N::make(self, &node);
+                let slot = self.slot(cls);
+                let class = &mut self.slab[slot];
                 if N::merge(&mut class.data, new_data) {
-                    self.analysis_pending
-                        .extend(self.classes[&cls].parents.iter().cloned());
+                    self.analysis_pending.extend(class.parents.iter().cloned());
                     self.stamp(cls);
                 }
             }
         }
         // Canonicalize node lists and dedup — only where unions could have
         // left stale children or congruent duplicates.
-        let mut dirty: Vec<Id> = std::mem::take(&mut self.dirty_classes)
-            .into_iter()
-            .map(|id| self.unionfind.find_mut(id))
-            .collect();
+        let mut dirty = std::mem::take(&mut self.dirty_classes);
+        for id in &mut dirty {
+            *id = self.unionfind.find_mut(*id);
+        }
         dirty.sort_unstable();
         dirty.dedup();
-        for id in dirty {
-            let Some(mut class) = self.classes.remove(&id) else {
-                continue; // merged away by a congruence union above
-            };
-            for n in &mut class.nodes {
-                *n = n.map_children(|c| self.unionfind.find_mut(c));
+        for id in dirty.drain(..) {
+            let slot = self.slot(id);
+            let nodes = &mut self.slab[slot].nodes;
+            for node in nodes.iter_mut() {
+                for child in node.children_mut() {
+                    *child = self.unionfind.find_mut(*child);
+                }
             }
-            class.nodes.sort();
-            class.nodes.dedup();
-            self.classes.insert(id, class);
+            nodes.sort();
+            let before = nodes.len();
+            nodes.dedup();
+            self.num_nodes -= before - nodes.len();
         }
+        self.dirty_classes = dirty;
         // Compact index rows touched by unions.
-        for key in std::mem::take(&mut self.dirty_ops) {
-            if let Some(row) = self.classes_by_op.get_mut(&key) {
+        for key in self.dirty_ops.drain() {
+            if let Some(row) = self.classes_by_op.rows.get_mut(&key) {
                 for id in row.iter_mut() {
                     *id = self.unionfind.find_mut(*id);
                 }
@@ -610,55 +761,22 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
             self.unioned_since_rebuild = false;
         }
         self.propagate_epochs();
-        self.compact_modified_log();
+        self.compact_modified_logs();
         self.clean = true;
     }
 
-    /// Bounds the modification logs: keep one entry per live class (per
-    /// op row, for the per-op logs) at its maximum logged epoch. Exact
-    /// (not lossy) for every future cutoff, and **deterministic**: the
-    /// intermediate max-epoch map is a `HashMap`, so the compacted log is
-    /// fully ordered by `(epoch, id)` before it replaces the old one —
-    /// epochs are unique per id, so hash-iteration order can never leak
-    /// into the log (and thence into delta probe order). Pinned by
-    /// `compaction_is_deterministic_and_exact` in `tests/engine.rs`.
-    fn compact_modified_log(&mut self) {
-        if self.modified_log.len() > 1024.max(4 * self.classes.len()) {
-            let mut max_epoch: FastMap<Id, u64> = FastMap::default();
-            for &(e, id) in &self.modified_log {
-                let id = self.unionfind.find(id);
-                if self.classes.contains_key(&id) {
-                    let slot = max_epoch.entry(id).or_insert(e);
-                    *slot = (*slot).max(e);
-                }
-            }
-            self.modified_log = Self::sorted_log(max_epoch);
+    /// Bounds the modification logs once they outgrow what they describe:
+    /// the global log against the class table, each per-op log against its
+    /// index row (see [`compact_log`]).
+    fn compact_modified_logs(&mut self) {
+        if self.modified_log.len() > 1024.max(4 * self.live) {
+            compact_log(&mut self.modified_log, &self.unionfind, &mut self.max_epoch);
         }
-        for (key, log) in &mut self.modified_log_by_op {
-            let row_len = self.classes_by_op.get(key).map_or(0, Vec::len);
-            if log.len() <= 64.max(4 * row_len) {
-                continue;
+        for (&key, log) in &mut self.modified_log_by_op.rows {
+            if log.len() > 64.max(4 * self.classes_by_op.row(key).len()) {
+                compact_log(log, &self.unionfind, &mut self.max_epoch);
             }
-            let mut max_epoch: FastMap<Id, u64> = FastMap::default();
-            for &(e, id) in log.iter() {
-                // No liveness filter needed: `find` maps every logged id
-                // to a live root, and node lists only ever grow, so the
-                // root still holds a node with this op key.
-                let id = self.unionfind.find(id);
-                let slot = max_epoch.entry(id).or_insert(e);
-                *slot = (*slot).max(e);
-            }
-            *log = Self::sorted_log(max_epoch);
         }
-    }
-
-    /// A compacted log in its canonical order: strictly sorted by
-    /// `(epoch, id)` (ids are unique keys, so this is a total order
-    /// independent of the map's hash-iteration order).
-    fn sorted_log(max_epoch: FastMap<Id, u64>) -> Vec<(u64, Id)> {
-        let mut log: Vec<(u64, Id)> = max_epoch.into_iter().map(|(id, e)| (e, id)).collect();
-        log.sort_unstable();
-        log
     }
 
     /// Pushes modification epochs to transitive parents so that delta
@@ -676,17 +794,15 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
     /// already-traversed parent through a different-op parent node must
     /// still stamp that op's row.
     fn propagate_epochs(&mut self) {
-        let mut worklist: Vec<Id> = std::mem::take(&mut self.touched)
-            .into_iter()
-            .map(|id| self.unionfind.find_mut(id))
-            .collect();
+        let mut worklist = std::mem::take(&mut self.touched);
+        for id in &mut worklist {
+            *id = self.unionfind.find_mut(*id);
+        }
         worklist.sort_unstable();
         worklist.dedup();
-        let mut parent_rows: Vec<(Id, u64)> = Vec::new();
+        let mut parent_rows = std::mem::take(&mut self.parent_rows);
         while let Some(id) = worklist.pop() {
-            let Some(class) = self.classes.get(&id) else {
-                continue;
-            };
+            let class = &self.slab[self.slot(id)];
             let epoch = class.modified;
             parent_rows.clear();
             parent_rows.extend(
@@ -699,23 +815,22 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
             parent_rows.dedup();
             for &(pid, key) in &parent_rows {
                 let pid = self.unionfind.find_mut(pid);
-                if let Some(parent) = self.classes.get_mut(&pid) {
-                    if parent.bump_op_epoch(key, epoch) {
-                        // Logged at the clock's current value to keep the
-                        // log sorted; any cutoff ≤ `epoch` still sees it.
-                        self.modified_log_by_op
-                            .entry(key)
-                            .or_default()
-                            .push((self.work_epoch, pid));
-                    }
-                    if parent.modified < epoch {
-                        parent.modified = epoch;
-                        self.modified_log.push((self.work_epoch, pid));
-                        worklist.push(pid);
-                    }
+                let slot = self.slot(pid);
+                let parent = &mut self.slab[slot];
+                if parent.bump_op_epoch(key, epoch) {
+                    // Logged at the clock's current value to keep the
+                    // log sorted; any cutoff ≤ `epoch` still sees it.
+                    self.modified_log_by_op.push(key, (self.work_epoch, pid));
+                }
+                if parent.modified < epoch {
+                    parent.modified = epoch;
+                    self.modified_log.push((self.work_epoch, pid));
+                    worklist.push(pid);
                 }
             }
         }
+        self.touched = worklist;
+        self.parent_rows = parent_rows;
     }
 
     /// Whether the graph is rebuilt (safe to search).
@@ -725,8 +840,9 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
     }
 
     /// Asserts that the operator index is exactly consistent with a
-    /// from-scratch recomputation: for every op key, the canonicalized
-    /// index row equals the set of classes containing a node with that key.
+    /// from-scratch recomputation — for every op key, the canonicalized
+    /// index row equals the set of classes containing a node with that key
+    /// — and that the maintained node counter equals a recount.
     ///
     /// Testing/debugging aid (used by the engine's property tests).
     ///
@@ -736,15 +852,21 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
     pub fn check_op_index(&self) {
         assert!(self.is_clean(), "check_op_index requires a rebuilt e-graph");
         let mut expected: FastMap<u64, Vec<Id>> = FastMap::default();
-        for class in self.classes.values() {
+        let mut nodes = 0;
+        // Ascending class ids: every expected row comes out sorted.
+        for class in self.classes() {
+            nodes += class.nodes.len();
             for node in &class.nodes {
-                expected.entry(node.op_key()).or_default().push(class.id);
+                let row = expected.entry(node.op_key()).or_default();
+                if row.last() != Some(&class.id) {
+                    row.push(class.id);
+                }
             }
         }
-        for row in expected.values_mut() {
-            row.sort_unstable();
-            row.dedup();
-        }
+        assert_eq!(
+            self.num_nodes, nodes,
+            "maintained node counter diverged from a recount"
+        );
         for (key, want) in &expected {
             let got = self.candidates_for(*key);
             assert_eq!(
@@ -755,7 +877,7 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
         }
         // No phantom rows — and every stored row must itself be canonical,
         // sorted and deduplicated (candidates_for borrows rows as-is).
-        for (key, row) in &self.classes_by_op {
+        for (key, row) in &self.classes_by_op.rows {
             let want = expected.get(key).map(Vec::as_slice).unwrap_or_default();
             assert_eq!(
                 row.as_slice(),
@@ -783,20 +905,17 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
             self.is_clean(),
             "check_op_epochs requires a rebuilt e-graph"
         );
-        // One pass over the per-op logs: canonical id → max logged epoch.
-        // A probe at cutoff `c` re-surfaces a class iff its max logged
-        // epoch is ≥ `c`, so this is exactly the coverage the row check
-        // below needs — without an O(rows × log) probe per row.
-        let mut coverage: FastMap<u64, FastMap<Id, u64>> = FastMap::default();
-        for (key, log) in &self.modified_log_by_op {
-            let map = coverage.entry(*key).or_default();
-            for &(e, id) in log {
-                let id = self.find(id);
-                let slot = map.entry(id).or_insert(e);
-                *slot = (*slot).max(e);
-            }
+        // One pass over the per-op logs, sorted: `(key, canonical id,
+        // logged epoch)`. A probe at cutoff `c` re-surfaces a class iff its
+        // max logged epoch is ≥ `c`, so the last entry of a `(key, id)`
+        // run is exactly the coverage the row check below needs — without
+        // an O(rows × log) probe per row.
+        let mut logged: Vec<(u64, Id, u64)> = Vec::new();
+        for (&key, log) in &self.modified_log_by_op.rows {
+            logged.extend(log.iter().map(|&(e, id)| (key, self.find(id), e)));
         }
-        for class in self.classes.values() {
+        logged.sort_unstable();
+        for class in self.classes() {
             let mut want: Vec<u64> = class.nodes.iter().map(Language::op_key).collect();
             want.sort_unstable();
             want.dedup();
@@ -814,11 +933,11 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
                 class.id
             );
             for &(key, epoch) in &class.op_epochs {
-                let covered = coverage
-                    .get(&key)
-                    .and_then(|m| m.get(&class.id))
-                    .copied()
-                    .unwrap_or(0);
+                let run_end = logged.partition_point(|&entry| entry <= (key, class.id, u64::MAX));
+                let covered = match run_end.checked_sub(1).map(|i| logged[i]) {
+                    Some((k, id, e)) if (k, id) == (key, class.id) => e,
+                    _ => 0,
+                };
                 assert!(
                     covered >= epoch,
                     "class {}: row (key {key:#x}, epoch {epoch}) is not log-covered \
@@ -835,45 +954,30 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
     /// cost-aware extraction.
     #[must_use]
     pub fn any_term(&self, id: Id) -> Option<RecExpr<L>> {
-        let mut out = RecExpr::new();
-        let mut on_stack = FastSet::default();
         fn go<L: Language, N: Analysis<L>>(
             eg: &EGraph<L, N>,
             id: Id,
             out: &mut RecExpr<L>,
-            on_stack: &mut FastSet<Id>,
+            on_stack: &mut [bool],
         ) -> Option<Id> {
             let id = eg.find(id);
-            if !on_stack.insert(id) {
+            if std::mem::replace(&mut on_stack[id.index()], true) {
                 return None; // cycle
             }
-            let class = eg.classes.get(&id)?;
-            for node in &class.nodes {
-                let mut child_ids = Vec::new();
+            let found = eg.class(id).nodes.iter().find_map(|node| {
                 let mut ok = true;
-                for &c in node.children() {
-                    match go(eg, c, out, on_stack) {
-                        Some(cid) => child_ids.push(cid),
-                        None => {
-                            ok = false;
-                            break;
-                        }
-                    }
-                }
-                if ok {
-                    let mut k = 0;
-                    let remapped = node.map_children(|_| {
-                        let id = child_ids[k];
-                        k += 1;
-                        id
-                    });
-                    on_stack.remove(&id);
-                    return Some(out.add(remapped));
-                }
-            }
-            on_stack.remove(&id);
-            None
+                let remapped = node.map_children(|c| {
+                    let child = if ok { go(eg, c, out, on_stack) } else { None };
+                    ok &= child.is_some();
+                    child.unwrap_or(c)
+                });
+                ok.then(|| out.add(remapped))
+            });
+            on_stack[id.index()] = false;
+            found
         }
+        let mut out = RecExpr::new();
+        let mut on_stack = vec![false; self.id_bound()];
         go(self, id, &mut out, &mut on_stack).map(|_| out)
     }
 }
@@ -921,7 +1025,7 @@ where
         // appears in some node list — node lists only ever grow — so the
         // table covers the op rows, index rows and per-op logs below.
         let mut reps: BTreeMap<u64, &L> = BTreeMap::new();
-        for class in self.classes.values() {
+        for class in self.classes() {
             for node in &class.nodes {
                 let rep = reps.entry(node.op_key()).or_insert(node);
                 if node < *rep {
@@ -944,12 +1048,9 @@ where
                 .expect("every tracked op key has a representative node")
         };
 
-        let mut ids: Vec<Id> = self.classes.keys().copied().collect();
-        ids.sort_unstable();
-        w.len(ids.len());
-        for id in ids {
-            let class = &self.classes[&id];
-            w.id(id);
+        w.len(self.live);
+        for class in self.classes() {
+            w.id(class.id);
             w.len(class.nodes.len());
             for node in &class.nodes {
                 node.write_node(&mut w);
@@ -970,6 +1071,7 @@ where
 
         let mut op_rows: Vec<(u64, &Vec<Id>)> = self
             .classes_by_op
+            .rows
             .iter()
             .map(|(&k, row)| (k, row))
             .collect();
@@ -991,6 +1093,7 @@ where
 
         let mut op_logs: Vec<(u64, &Vec<(u64, Id)>)> = self
             .modified_log_by_op
+            .rows
             .iter()
             .map(|(&k, log)| (k, log))
             .collect();
@@ -1091,8 +1194,9 @@ where
         if n_classes != n_roots {
             return Err(corrupt("class count does not match union-find roots"));
         }
-        let mut classes: FastMap<Id, EClass<L, N::Data>> =
-            FastMap::with_capacity_and_hasher(n_classes, Default::default());
+        let mut slots = vec![NO_CLASS; n];
+        let mut slab: Vec<EClass<L, N::Data>> = Vec::with_capacity(n_classes);
+        let mut num_nodes = 0;
         let mut last_id: Option<Id> = None;
         for _ in 0..n_classes {
             let id = r.id()?;
@@ -1144,23 +1248,23 @@ where
                 }
                 op_epochs.push((key, epoch));
             }
-            classes.insert(
+            num_nodes += nodes.len();
+            slots[id.index()] =
+                u32::try_from(slab.len()).map_err(|_| corrupt("too many classes"))?;
+            slab.push(EClass {
                 id,
-                EClass {
-                    id,
-                    nodes,
-                    data,
-                    parents: class_parents,
-                    modified,
-                    op_epochs,
-                },
-            );
+                nodes,
+                data,
+                parents: class_parents,
+                modified,
+                op_epochs,
+            });
         }
 
         // The memo is derivable state on a clean graph: every canonical
         // node maps to the class whose node list holds it.
         let mut memo: FastMap<L, Id> = FastMap::default();
-        for class in classes.values() {
+        for class in &slab {
             for node in &class.nodes {
                 if memo.insert(node.clone(), class.id).is_some() {
                     return Err(corrupt("one e-node appears in two classes"));
@@ -1169,8 +1273,7 @@ where
         }
 
         let n_rows = r.len()?;
-        let mut classes_by_op: FastMap<u64, Vec<Id>> =
-            FastMap::with_capacity_and_hasher(n_rows, Default::default());
+        let mut classes_by_op: OpRows<Id> = OpRows::default();
         for _ in 0..n_rows {
             let key = key_at(&op_keys, r.u64()?)?;
             let len = r.len()?;
@@ -1178,7 +1281,7 @@ where
             let mut prev: Option<Id> = None;
             for _ in 0..len {
                 let id = r.id()?;
-                if !classes.contains_key(&id) {
+                if slots.get(id.index()).is_none_or(|&slot| slot == NO_CLASS) {
                     return Err(corrupt("op index row names a dead class"));
                 }
                 if prev.is_some_and(|p| id <= p) {
@@ -1187,7 +1290,7 @@ where
                 prev = Some(id);
                 row.push(id);
             }
-            if classes_by_op.insert(key, row).is_some() {
+            if classes_by_op.rows.insert(key, row).is_some() {
                 return Err(corrupt("duplicate op index row"));
             }
         }
@@ -1214,12 +1317,11 @@ where
         };
         let modified_log = read_log(&mut r)?;
         let n_logs = r.len()?;
-        let mut modified_log_by_op: FastMap<u64, Vec<(u64, Id)>> =
-            FastMap::with_capacity_and_hasher(n_logs, Default::default());
+        let mut modified_log_by_op: OpRows<(u64, Id)> = OpRows::default();
         for _ in 0..n_logs {
             let key = key_at(&op_keys, r.u64()?)?;
             let log = read_log(&mut r)?;
-            if modified_log_by_op.insert(key, log).is_some() {
+            if modified_log_by_op.rows.insert(key, log).is_some() {
                 return Err(corrupt("duplicate per-op modification log"));
             }
         }
@@ -1232,7 +1334,10 @@ where
         Ok(EGraph {
             unionfind,
             memo,
-            classes,
+            slots,
+            live: slab.len(),
+            slab,
+            num_nodes,
             pending: Vec::new(),
             analysis_pending: Vec::new(),
             relations,
@@ -1245,6 +1350,8 @@ where
             modified_log_by_op,
             work_epoch,
             unioned_since_rebuild: false,
+            parent_rows: Vec::new(),
+            max_epoch: Vec::new(),
         })
     }
 }
@@ -1255,6 +1362,13 @@ mod tests {
     use crate::math_lang::Math;
 
     type EG = EGraph<Math, ()>;
+
+    /// The op-keyed delta probe, collected.
+    fn probe(eg: &EG, key: u64, cutoff: u64) -> Vec<Id> {
+        let mut out = Vec::new();
+        eg.modified_candidates_for(key, cutoff, &mut out);
+        out
+    }
 
     #[test]
     fn hashconsing_dedups() {
@@ -1393,16 +1507,17 @@ mod tests {
         eg.union(b, c);
         eg.rebuild();
         assert!(
-            eg.modified_candidates_for(div_key, cutoff).contains(&u),
+            probe(&eg, div_key, cutoff).contains(&u),
             "the Div row must re-surface the class"
         );
         assert!(
-            !eg.modified_candidates_for(mul_key, cutoff).contains(&u),
+            !probe(&eg, mul_key, cutoff).contains(&u),
             "the untouched Mul row must not re-surface the class"
         );
+        let mut per_class = Vec::new();
+        eg.modified_candidates_per_class(mul_key, cutoff, &mut per_class);
         assert!(
-            eg.modified_candidates_per_class(mul_key, cutoff)
-                .contains(&u),
+            per_class.contains(&u),
             "the per-class baseline re-surfaces the class for every op it contains"
         );
         eg.check_op_epochs();
@@ -1429,11 +1544,9 @@ mod tests {
         eg.rebuild();
         let mul_key = Math::Mul([Id(0), Id(0)]).op_key();
         let div_key = Math::Div([Id(0), Id(0)]).op_key();
-        assert!(eg
-            .modified_candidates_for(mul_key, cutoff)
-            .contains(&eg.find(m)));
+        assert!(probe(&eg, mul_key, cutoff).contains(&eg.find(m)));
         assert!(
-            eg.modified_candidates_for(div_key, cutoff).is_empty(),
+            probe(&eg, div_key, cutoff).is_empty(),
             "no Div row changed, so the Div probe must be empty"
         );
         assert!(

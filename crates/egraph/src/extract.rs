@@ -29,11 +29,12 @@
 //! counters), which is what lets the selector treat the strategy as a
 //! session-level plug-in.
 
-use std::cell::RefCell;
+use std::cmp::Ordering;
 use std::collections::VecDeque;
+use std::sync::{Mutex, PoisonError};
 
-use crate::egraph::{Analysis, EGraph};
-use crate::hash::{FastMap, FastSet};
+use crate::egraph::{Analysis, EClass, EGraph};
+use crate::hash::FastMap;
 use crate::language::{Language, RecExpr};
 use crate::unionfind::Id;
 
@@ -111,6 +112,135 @@ pub trait Extract<L: Language> {
 
     /// Counters describing the work done so far (table size, bank reuse).
     fn stats(&self) -> ExtractionStats;
+
+    /// Ends the extractor and hands back its tables, for the next
+    /// extractor's `with_scratch` (see [`ExtractScratch`]).
+    fn into_scratch(self: Box<Self>) -> ExtractScratch<L>;
+}
+
+/// Marks "no node": a class without a cost-table entry, or one not banked.
+const NONE: u32 = u32::MAX;
+
+/// An `index → Id` memo over a dense index space, valid for one readout
+/// and emptied in O(1) by moving to the next generation — cheaper than a
+/// fresh index-sized memo per root when terms are much smaller than the
+/// space.
+#[derive(Debug, Default)]
+struct StampedMemo {
+    value: Vec<Id>,
+    /// `value[i]` belongs to the current readout iff `stamp[i] == gen`.
+    stamp: Vec<u32>,
+    gen: u32,
+}
+
+impl StampedMemo {
+    /// Starts a readout over indices `0..len` with nothing memoized.
+    fn begin(&mut self, len: usize) {
+        self.gen = self.gen.wrapping_add(1);
+        if self.gen == 0 {
+            // Practically unreachable; keep the stamps sound anyway.
+            self.stamp.fill(0);
+            self.gen = 1;
+        }
+        if self.value.len() < len {
+            self.value.resize(len, Id(0));
+            self.stamp.resize(len, 0);
+        }
+    }
+
+    fn get(&self, i: usize) -> Option<Id> {
+        (self.stamp[i] == self.gen).then(|| self.value[i])
+    }
+
+    fn set(&mut self, i: usize, id: Id) {
+        self.value[i] = id;
+        self.stamp[i] = self.gen;
+    }
+}
+
+/// The solved cost table and what solving it needs — every part a vector
+/// indexed by class id (or a queue of ids), sized by
+/// [`EGraph::id_bound`] and refilled, not reallocated, by the next solve.
+#[derive(Debug, Default)]
+struct CostTable {
+    /// By class id: `(best cost, position of the chosen node in the
+    /// class's node list)`, the position [`NONE`] while the class has no
+    /// constructible term. Positions instead of nodes: the graph is
+    /// borrowed for the extractor's whole life, so nothing is cloned.
+    best: Vec<(u64, u32)>,
+    /// Classes with an entry in `best`.
+    entries: usize,
+    /// The entries as `(cost, class)`, by ascending cost — the order ties
+    /// are finalized in.
+    order: Vec<(u64, Id)>,
+    /// Tie-break memo, by class id: the class's place in the content
+    /// order of all classes with an entry — cost first, then the
+    /// representative's content; equal for classes of equal content. Final
+    /// for every class cheaper than the cost level being finalized.
+    rank: Vec<u32>,
+    /// By class id: [`Language::op_key`] of the class's representative.
+    rep_key: Vec<u64>,
+    /// Parent index, compressed rows: the classes holding a node with
+    /// child `c` are `parent_edges[parent_start[c]..parent_start[c + 1]]`,
+    /// ascending (repeats possible).
+    parent_start: Vec<u32>,
+    parent_edges: Vec<Id>,
+    /// The solver's worklist, and by class id whether the class is on it.
+    queue: VecDeque<Id>,
+    queued: Vec<bool>,
+}
+
+impl CostTable {
+    /// `(best cost, chosen node's position)` of a canonical class.
+    fn entry(&self, id: Id) -> Option<(u64, u32)> {
+        let (cost, node) = self.best[id.index()];
+        (node != NONE).then_some((cost, node))
+    }
+}
+
+/// What readouts keep between them.
+#[derive(Debug)]
+struct Readout<L> {
+    /// The readout in progress: class id → position in the term being
+    /// written (worklist strategy), or bank slot → position (shared-table).
+    memo: StampedMemo,
+    /// The shared term bank: each class's chosen node, children remapped
+    /// to earlier bank slots, materialized at most once, on the first
+    /// readout that reaches it; later readouts copy.
+    bank: Vec<L>,
+    /// By class id: the class's bank slot, or [`NONE`].
+    bank_slot: Vec<u32>,
+    /// Lookups served from sub-dags banked by **earlier** readouts — the
+    /// cross-root reuse the bank exists for. Hits on slots created within
+    /// the current readout are not counted: that intra-root sharing is
+    /// memoized by any strategy's per-root cache.
+    reused: usize,
+}
+
+/// The tables of an extraction — cost table, parent index, queue marks,
+/// tie-break ranks, readout memo and term bank — kept from one extractor
+/// to the next: [`Extract::into_scratch`] hands them back,
+/// `with_scratch` constructors take them, and a caller that extracts from
+/// graph after graph (a compile session) stops allocating them. Contents
+/// never carry over; only capacity does.
+#[derive(Debug)]
+pub struct ExtractScratch<L> {
+    table: CostTable,
+    readout: Readout<L>,
+}
+
+impl<L> Default for ExtractScratch<L> {
+    fn default() -> Self {
+        ExtractScratch {
+            table: CostTable::default(),
+            readout: Readout {
+                memo: StampedMemo::default(),
+                bank: Vec::new(),
+                bank_slot: Vec::new(),
+                reused: 0,
+            },
+        }
+    }
 }
 
 /// Bottom-up tree-cost extractor: computes, for every class, the cheapest
@@ -134,7 +264,11 @@ pub trait Extract<L: Language> {
 pub struct WorklistExtractor<'a, L: Language, N: Analysis<L>, C: CostFunction<L>> {
     egraph: &'a EGraph<L, N>,
     cost_fn: C,
-    best: FastMap<Id, (u64, L)>,
+    /// Settled at construction, read-only afterwards.
+    table: CostTable,
+    /// Behind a lock so that `extract(&self)` can reuse it while the
+    /// extractor stays shareable across readout threads.
+    readout: Mutex<Readout<L>>,
 }
 
 /// The pre-strategy-API name of [`WorklistExtractor`].
@@ -145,237 +279,299 @@ pub struct WorklistExtractor<'a, L: Language, N: Analysis<L>, C: CostFunction<L>
 pub type Extractor<'a, L, N, C> = WorklistExtractor<'a, L, N, C>;
 
 impl<'a, L: Language, N: Analysis<L>, C: CostFunction<L>> WorklistExtractor<'a, L, N, C> {
-    /// Builds the cost table (worklist propagation over classes).
+    /// Builds the cost table (worklist propagation over classes) in fresh
+    /// tables.
     #[must_use]
     pub fn new(egraph: &'a EGraph<L, N>, cost_fn: C) -> Self {
+        Self::with_scratch(egraph, cost_fn, ExtractScratch::default())
+    }
+
+    /// [`WorklistExtractor::new`] in the tables an earlier extractor
+    /// handed back.
+    #[must_use]
+    pub fn with_scratch(egraph: &'a EGraph<L, N>, cost_fn: C, scratch: ExtractScratch<L>) -> Self {
+        let ExtractScratch { table, mut readout } = scratch;
+        readout.bank.clear();
+        readout.bank_slot.clear();
+        readout.bank_slot.resize(egraph.id_bound(), NONE);
+        readout.reused = 0;
         let mut ex = WorklistExtractor {
             egraph,
             cost_fn,
-            best: FastMap::default(),
+            table,
+            readout: Mutex::new(readout),
         };
         ex.solve();
         ex.canonicalize_ties();
         ex
     }
 
-    /// The best (cost, node) for one class under the current table: the
-    /// *first* minimum-cost feasible node in the class's (sorted) node
-    /// list. Depending only on the table contents — never on visit order —
-    /// keeps equal-cost tie-breaks deterministic across runs.
-    fn best_of(&self, id: Id) -> Option<(u64, L)> {
-        let class = self.egraph.class(id);
-        let mut winner: Option<(u64, L)> = None;
-        for node in &class.nodes {
-            let mut feasible = true;
-            let best = &self.best;
-            let cost = self.cost_fn.cost(node, &mut |cid| {
-                let cid = self.egraph.find(cid);
-                match best.get(&cid) {
-                    Some((c, _)) => *c,
-                    None => {
-                        feasible = false;
-                        u64::MAX / 4
-                    }
+    /// Hands the tables back (see [`ExtractScratch`]).
+    #[must_use]
+    pub fn into_scratch(self) -> ExtractScratch<L> {
+        ExtractScratch {
+            table: self.table,
+            // A readout that panicked mid-way left nothing half-written
+            // (see `SharedTableExtractor::extract`).
+            readout: self
+                .readout
+                .into_inner()
+                .unwrap_or_else(PoisonError::into_inner),
+        }
+    }
+
+    /// The node the table chose for canonical class `id`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the class has no constructible term.
+    fn chosen(&self, id: Id) -> &'a L {
+        match self.table.entry(id) {
+            Some((_, node)) => &self.egraph.class(id).nodes[node as usize],
+            None => panic!("no constructible term for {id}"),
+        }
+    }
+
+    /// Cost of one node under the current table, or `None` if a child has
+    /// no constructible term.
+    fn node_cost(&self, node: &L) -> Option<u64> {
+        let mut feasible = true;
+        let cost = self.cost_fn.cost(
+            node,
+            &mut |cid| match self.table.entry(self.egraph.find(cid)) {
+                Some((c, _)) => c,
+                None => {
+                    feasible = false;
+                    u64::MAX / 4
                 }
-            });
-            if !feasible {
-                continue;
-            }
-            if winner.as_ref().is_none_or(|(w, _)| cost < *w) {
-                winner = Some((cost, node.clone()));
+            },
+        );
+        feasible.then_some(cost)
+    }
+
+    /// The best `(cost, node position)` for one class under the current
+    /// table: the *first* minimum-cost feasible node in the class's
+    /// (sorted) node list. Depending only on the table contents — never on
+    /// visit order — keeps equal-cost tie-breaks deterministic across runs.
+    fn best_of(&self, id: Id) -> Option<(u64, u32)> {
+        let mut winner: Option<(u64, u32)> = None;
+        for (at, node) in self.egraph.class(id).nodes.iter().enumerate() {
+            if let Some(cost) = self.node_cost(node) {
+                if winner.is_none_or(|(w, _)| cost < w) {
+                    // A class holds fewer nodes than the graph has ids.
+                    winner = Some((cost, at as u32));
+                }
             }
         }
         winner
     }
 
     fn solve(&mut self) {
+        let egraph = self.egraph;
+        let n = egraph.id_bound();
+        let table = &mut self.table;
+        table.best.clear();
+        table.best.resize(n, (0, NONE));
+        table.entries = 0;
         // Parent index over canonical ids: child class -> classes holding a
         // node with that child (the edges improvements propagate along).
-        let mut parents: FastMap<Id, Vec<Id>> = FastMap::default();
-        for class in self.egraph.classes() {
-            let cid = self.egraph.find(class.id);
-            for node in &class.nodes {
-                for &child in node.children() {
-                    parents
-                        .entry(self.egraph.find(child))
-                        .or_default()
-                        .push(cid);
-                }
+        // Counted into `[child + 2]`, summed, then filled through
+        // `[child + 1]`, which leaves row `c` at `[c]..[c + 1]`; classes
+        // are walked in ascending id order, so every row is ascending.
+        let children_of = |class: &'a EClass<L, N::Data>| {
+            let nodes = class.nodes.iter();
+            nodes.flat_map(|node| node.children().iter().map(|&c| egraph.find(c).index()))
+        };
+        table.parent_start.clear();
+        table.parent_start.resize(n + 2, 0);
+        for class in egraph.classes() {
+            for child in children_of(class) {
+                table.parent_start[child + 2] += 1;
             }
         }
-        for row in parents.values_mut() {
-            row.sort_unstable();
-            row.dedup();
+        for i in 1..table.parent_start.len() {
+            table.parent_start[i] += table.parent_start[i - 1];
         }
-        let mut queue = VecDeque::from(self.egraph.sorted_class_ids());
-        let mut queued: FastSet<Id> = queue.iter().copied().collect();
+        table.parent_edges.clear();
+        table
+            .parent_edges
+            .resize(table.parent_start[n + 1] as usize, Id(0));
+        for class in egraph.classes() {
+            for child in children_of(class) {
+                let at = &mut table.parent_start[child + 1];
+                table.parent_edges[*at as usize] = class.id;
+                *at += 1;
+            }
+        }
+        let mut queue = std::mem::take(&mut table.queue);
+        queue.clear();
+        queue.extend(egraph.classes().map(|class| class.id));
+        table.queued.clear();
+        table.queued.resize(n, false);
+        for &id in &queue {
+            table.queued[id.index()] = true;
+        }
         while let Some(id) = queue.pop_front() {
-            queued.remove(&id);
+            self.table.queued[id.index()] = false;
             let Some((cost, node)) = self.best_of(id) else {
                 continue;
             };
-            match self.best.get(&id) {
+            let table = &mut self.table;
+            match table.entry(id) {
                 // Cost unchanged: keep the canonical (first-in-node-list)
                 // winner but don't re-propagate.
-                Some((old, old_node)) if *old == cost => {
-                    if *old_node != node {
-                        self.best.insert(id, (cost, node));
-                    }
-                }
-                Some((old, _)) if *old < cost => {}
-                _ => {
-                    self.best.insert(id, (cost, node));
-                    for &parent in parents.get(&id).map(Vec::as_slice).unwrap_or_default() {
-                        if queued.insert(parent) {
+                Some((old, _)) if old == cost => table.best[id.index()].1 = node,
+                Some((old, _)) if old < cost => {}
+                old => {
+                    table.entries += usize::from(old.is_none());
+                    table.best[id.index()] = (cost, node);
+                    let row = table.parent_start[id.index()]..table.parent_start[id.index() + 1];
+                    for &parent in &table.parent_edges[row.start as usize..row.end as usize] {
+                        if !std::mem::replace(&mut table.queued[parent.index()], true) {
                             queue.push_back(parent);
                         }
                     }
                 }
             }
         }
-    }
-
-    /// Cost of one node under the settled table, or `None` if a child has
-    /// no constructible term.
-    fn node_cost(&self, node: &L) -> Option<u64> {
-        let mut feasible = true;
-        let best = &self.best;
-        let egraph = self.egraph;
-        let cost = self
-            .cost_fn
-            .cost(node, &mut |cid| match best.get(&egraph.find(cid)) {
-                Some((c, _)) => *c,
-                None => {
-                    feasible = false;
-                    u64::MAX / 4
-                }
-            });
-        feasible.then_some(cost)
+        self.table.queue = queue;
     }
 
     /// Re-picks each class's representative among its minimum-cost nodes by
-    /// content order (see the type docs). Classes are finalized in
-    /// ascending cost order: any cost function whose nodes cost strictly
-    /// more than their children (true of [`AstSize`] and everything built
-    /// on additive positive weights) then guarantees a node's children are
-    /// already final when the node is compared.
+    /// content order (see the type docs) and ranks the classes by it.
+    /// Classes are finalized one cost level at a time, ascending: any cost
+    /// function whose nodes cost strictly more than their children (true
+    /// of [`AstSize`] and everything built on additive positive weights)
+    /// then guarantees a node's children are already final — ranked — when
+    /// the node is compared, so a comparison is a few table reads: no
+    /// recursion, no pairwise memo.
     fn canonicalize_ties(&mut self) {
-        let mut order: Vec<(u64, Id)> = self.best.iter().map(|(&id, &(c, _))| (c, id)).collect();
+        let n = self.egraph.id_bound();
+        let mut order = std::mem::take(&mut self.table.order);
+        order.clear();
+        order.extend(
+            (self.egraph.classes())
+                .filter_map(|class| self.table.entry(class.id).map(|(cost, _)| (cost, class.id))),
+        );
         order.sort_unstable();
-        // Class-vs-class orderings recur under every tied parent; memoize
-        // them across the pass.
-        let mut memo: FastMap<(Id, Id), std::cmp::Ordering> = FastMap::default();
-        for (cost, id) in order {
-            let class = self.egraph.class(id);
-            if class.nodes.len() <= 1 {
-                continue; // nothing to tie-break, table entry is already it
-            }
-            let mut winner: Option<L> = None;
-            for node in &class.nodes {
-                if self.node_cost(node) != Some(cost) {
-                    continue;
+        self.table.rank.clear();
+        self.table.rank.resize(n, 0);
+        self.table.rep_key.clear();
+        self.table.rep_key.resize(n, 0);
+        let mut next_rank = 0;
+        let mut rest = &mut order[..];
+        while let Some(&(cost, _)) = rest.first() {
+            let (level, above) = rest.split_at_mut(rest.partition_point(|&(c, _)| c == cost));
+            rest = above;
+            for &(_, id) in level.iter() {
+                if let Some(node) = self.tie_winner(id, cost) {
+                    self.table.best[id.index()].1 = node;
                 }
-                // The determinism argument needs strict monotonicity: a
-                // min-cost node's children must already be finalized, i.e.
-                // strictly cheaper than this class. Nodes violating it
-                // (possible only under non-monotone cost functions, e.g.
-                // zero own-cost nodes — where a node can even be its own
-                // descendant) are skipped so the pass never installs a
-                // representative extraction could cycle through; if no
-                // node qualifies, the solve() winner stands.
-                if !node.children().iter().all(|&c| {
-                    self.best
-                        .get(&self.egraph.find(c))
-                        .is_some_and(|(child_cost, _)| *child_cost < cost)
-                }) {
-                    continue;
-                }
-                let better = match &winner {
-                    None => true,
-                    Some(w) => self.cmp_nodes(node, w, cost, &mut memo) == std::cmp::Ordering::Less,
-                };
-                if better {
-                    winner = Some(node.clone());
-                }
+                self.table.rep_key[id.index()] = self.chosen(id).op_key();
             }
-            if let Some(node) = winner {
-                self.best.insert(id, (cost, node));
+            // Classes of equal content share a rank; the level's ranks
+            // follow every cheaper level's.
+            level.sort_unstable_by(|&(_, a), &(_, b)| self.cmp_reps(a, b, cost));
+            for i in 0..level.len() {
+                if i > 0 && self.cmp_reps(level[i - 1].1, level[i].1, cost) != Ordering::Equal {
+                    next_rank += 1;
+                }
+                self.table.rank[level[i].1.index()] = next_rank;
             }
+            next_rank += 1;
         }
+        self.table.order = order;
     }
 
-    /// Content order on two nodes of the same class (or of classes already
-    /// compared equal): operator key (a content-only payload digest —
-    /// deterministic across graphs, unlike e-class ids), then arity, then
-    /// children pairwise by their canonical representatives. `limit` is
-    /// the cost of the class the nodes belong to; comparisons only descend
-    /// into strictly cheaper classes (see [`WorklistExtractor::cmp_classes`]).
-    fn cmp_nodes(
-        &self,
-        a: &L,
-        b: &L,
-        limit: u64,
-        memo: &mut FastMap<(Id, Id), std::cmp::Ordering>,
-    ) -> std::cmp::Ordering {
-        a.op_key()
-            .cmp(&b.op_key())
+    /// The content-smallest of class `id`'s minimum-cost nodes, by
+    /// position — `None` to let the solve()'s choice stand.
+    fn tie_winner(&self, id: Id, cost: u64) -> Option<u32> {
+        let nodes = &self.egraph.class(id).nodes;
+        if nodes.len() <= 1 {
+            return None; // nothing to tie-break, table entry is already it
+        }
+        let mut winner: Option<(usize, &L)> = None;
+        for (at, node) in nodes.iter().enumerate() {
+            if self.node_cost(node) != Some(cost) {
+                continue;
+            }
+            // The determinism argument needs strict monotonicity: a
+            // min-cost node's children must already be finalized, i.e.
+            // strictly cheaper than this class. Nodes violating it
+            // (possible only under non-monotone cost functions, e.g.
+            // zero own-cost nodes — where a node can even be its own
+            // descendant) are skipped so the pass never installs a
+            // representative extraction could cycle through; if no
+            // node qualifies, the solve() winner stands.
+            let child_cost = |&c: &Id| self.table.entry(self.egraph.find(c));
+            if !(node.children().iter()).all(|c| child_cost(c).is_some_and(|(cc, _)| cc < cost)) {
+                continue;
+            }
+            if winner.is_none_or(|(_, w)| self.cmp_nodes(node, w, cost) == Ordering::Less) {
+                winner = Some((at, node));
+            }
+        }
+        winner.map(|(at, _)| at as u32)
+    }
+
+    /// Content order on two nodes of one class, or the representatives of
+    /// two classes, of cost `limit`: operator key (a content-only payload
+    /// digest — deterministic across graphs, unlike e-class ids), then
+    /// arity, then children pairwise by [`WorklistExtractor::cmp_classes`].
+    fn cmp_nodes(&self, a: &L, b: &L, limit: u64) -> Ordering {
+        self.cmp_content((a.op_key(), a), (b.op_key(), b), limit)
+    }
+
+    /// [`WorklistExtractor::cmp_nodes`] on the representatives of classes
+    /// `a` and `b`, both of cost `limit`.
+    fn cmp_reps(&self, a: Id, b: Id, limit: u64) -> Ordering {
+        let keyed = |id: Id| (self.table.rep_key[id.index()], self.chosen(id));
+        self.cmp_content(keyed(a), keyed(b), limit)
+    }
+
+    fn cmp_content(&self, (ka, a): (u64, &L), (kb, b): (u64, &L), limit: u64) -> Ordering {
+        ka.cmp(&kb)
             .then(a.children().len().cmp(&b.children().len()))
             .then_with(|| {
-                for (&ca, &cb) in a.children().iter().zip(b.children()) {
-                    let ord = self.cmp_classes(ca, cb, limit, memo);
-                    if ord != std::cmp::Ordering::Equal {
-                        return ord;
-                    }
-                }
-                std::cmp::Ordering::Equal
+                let pairs = a.children().iter().zip(b.children());
+                pairs
+                    .map(|(&ca, &cb)| self.cmp_classes(ca, cb, limit))
+                    .find(|&ord| ord != Ordering::Equal)
+                    .unwrap_or(Ordering::Equal)
             })
     }
 
-    /// Content order on two classes: best cost first, then the canonical
-    /// representatives recursively. Descent is gated on the classes being
-    /// strictly cheaper than `limit` (the cost of the class whose nodes
-    /// are being compared), so every recursion strictly decreases the
-    /// cost and terminates even under a non-monotone cost function —
-    /// where a solve()-installed representative may reference equal-cost
-    /// classes cyclically. Under such functions equal-cost chains compare
-    /// `Equal` here (no content guarantee, which is documented to require
-    /// monotonicity); under monotone ones the gate never triggers.
-    fn cmp_classes(
-        &self,
-        a: Id,
-        b: Id,
-        limit: u64,
-        memo: &mut FastMap<(Id, Id), std::cmp::Ordering>,
-    ) -> std::cmp::Ordering {
-        let a = self.egraph.find(a);
-        let b = self.egraph.find(b);
+    /// Content order on two classes, as children of nodes of cost `limit`:
+    /// best cost first, then — for classes strictly cheaper than `limit`,
+    /// whose levels are final — their ranks, which stand for the recursive
+    /// comparison of their representatives. Under a non-monotone cost
+    /// function a child can cost as much as its parent; such classes are
+    /// not ranked yet and compare `Equal` beyond their cost (no content
+    /// guarantee there, which is documented to require monotonicity);
+    /// under monotone ones the gate never triggers.
+    fn cmp_classes(&self, a: Id, b: Id, limit: u64) -> Ordering {
+        let (a, b) = (self.egraph.find(a), self.egraph.find(b));
         if a == b {
-            return std::cmp::Ordering::Equal;
+            return Ordering::Equal;
         }
-        if let Some(&ord) = memo.get(&(a, b)) {
-            return ord;
-        }
-        let ord = match (self.best.get(&a), self.best.get(&b)) {
-            (Some((ca, na)), Some((cb, nb))) => ca.cmp(cb).then_with(|| {
-                if *ca >= limit {
-                    std::cmp::Ordering::Equal
+        match (self.table.entry(a), self.table.entry(b)) {
+            (Some((ca, _)), Some((cb, _))) => ca.cmp(&cb).then_with(|| {
+                if ca >= limit {
+                    Ordering::Equal
                 } else {
-                    self.cmp_nodes(na, nb, *ca, memo)
+                    self.table.rank[a.index()].cmp(&self.table.rank[b.index()])
                 }
             }),
-            (Some(_), None) => std::cmp::Ordering::Less,
-            (None, Some(_)) => std::cmp::Ordering::Greater,
-            (None, None) => std::cmp::Ordering::Equal,
-        };
-        memo.insert((a, b), ord);
-        memo.insert((b, a), ord.reverse());
-        ord
+            (Some(_), None) => Ordering::Less,
+            (None, Some(_)) => Ordering::Greater,
+            (None, None) => Ordering::Equal,
+        }
     }
 
     /// Best cost for a class, if any term is constructible.
     #[must_use]
     pub fn cost_of(&self, id: Id) -> Option<u64> {
-        self.best.get(&self.egraph.find(id)).map(|(c, _)| *c)
+        self.table.entry(self.egraph.find(id)).map(|(c, _)| c)
     }
 
     /// Extracts the best term rooted at `id`.
@@ -385,7 +581,21 @@ impl<'a, L: Language, N: Analysis<L>, C: CostFunction<L>> WorklistExtractor<'a, 
     /// Panics if the class has no constructible term (cyclic-only class).
     #[must_use]
     pub fn extract(&self, id: Id) -> RecExpr<L> {
-        extract_from_table(self.egraph, &self.best, id)
+        // The extractor's own memo, unless another thread's readout holds
+        // it (or one panicked holding it): then a fresh one.
+        let mut own;
+        let mut fresh;
+        let memo = match self.readout.try_lock() {
+            Ok(guard) => {
+                own = guard;
+                &mut own.memo
+            }
+            Err(_) => {
+                fresh = StampedMemo::default();
+                &mut fresh
+            }
+        };
+        read_out(self.egraph, &|id| self.chosen(id), id, memo)
     }
 }
 
@@ -403,184 +613,98 @@ impl<L: Language, N: Analysis<L>, C: CostFunction<L>> Extract<L>
     fn stats(&self) -> ExtractionStats {
         ExtractionStats {
             strategy: "worklist",
-            table_entries: self.best.len(),
+            table_entries: self.table.entries,
             bank_nodes: 0,
             reused_readouts: 0,
         }
     }
+
+    fn into_scratch(self: Box<Self>) -> ExtractScratch<L> {
+        WorklistExtractor::into_scratch(*self)
+    }
 }
 
-/// Reads the best term for `id` out of a settled `class -> (cost, node)`
-/// table, sharing nothing across calls (each readout re-walks the chosen
-/// sub-dag with its own memo).
-fn extract_from_table<L: Language, N: Analysis<L>>(
+/// Reads the best term for `id` out of a settled table — `chosen` maps a
+/// canonical class to its chosen node — sharing nothing across calls
+/// (each readout re-walks the chosen sub-dag; `memo`, keyed by class id,
+/// keeps it from walking a shared subterm twice).
+fn read_out<'n, L: Language + 'n, N: Analysis<L>>(
     egraph: &EGraph<L, N>,
-    table: &FastMap<Id, (u64, L)>,
+    chosen: &dyn Fn(Id) -> &'n L,
     id: Id,
+    memo: &mut StampedMemo,
 ) -> RecExpr<L> {
+    fn go<'n, L: Language + 'n, N: Analysis<L>>(
+        egraph: &EGraph<L, N>,
+        chosen: &dyn Fn(Id) -> &'n L,
+        id: Id,
+        out: &mut RecExpr<L>,
+        memo: &mut StampedMemo,
+    ) -> Id {
+        let id = egraph.find(id);
+        if let Some(done) = memo.get(id.index()) {
+            // RecExpr is append-only, and children must reference earlier
+            // nodes, so a memoized position stays valid.
+            return done;
+        }
+        let node = chosen(id).map_children(|c| go(egraph, chosen, c, out, memo));
+        let new_id = out.add(node);
+        memo.set(id.index(), new_id);
+        new_id
+    }
     let mut out = RecExpr::new();
-    let mut cache: FastMap<Id, Id> = FastMap::default();
-    let root = extract_into(egraph, table, id, &mut out, &mut cache);
+    memo.begin(egraph.id_bound());
+    let root = go(egraph, chosen, id, &mut out, memo);
     debug_assert_eq!(root, out.root_id());
     out
 }
 
-fn extract_into<L: Language, N: Analysis<L>>(
-    egraph: &EGraph<L, N>,
-    table: &FastMap<Id, (u64, L)>,
-    id: Id,
-    out: &mut RecExpr<L>,
-    cache: &mut FastMap<Id, Id>,
-) -> Id {
-    let id = egraph.find(id);
-    if let Some(&done) = cache.get(&id) {
-        // Re-add the cached subtree's root? RecExpr is append-only, and
-        // children must reference earlier nodes, so a cached index stays
-        // valid.
-        return done;
-    }
-    let (_, node) = table
-        .get(&id)
-        .unwrap_or_else(|| panic!("no constructible term for {id}"));
-    let child_ids: Vec<Id> = node
-        .children()
-        .iter()
-        .map(|&c| extract_into(egraph, table, c, out, cache))
-        .collect();
-    let mut k = 0;
-    let remapped = node.map_children(|_| {
-        let cid = child_ids[k];
-        k += 1;
-        cid
-    });
-    let new_id = out.add(remapped);
-    cache.insert(id, new_id);
-    new_id
-}
-
-/// The shared term bank behind [`SharedTableExtractor`]: each class's chosen
-/// node is materialized (children remapped to bank slots) at most once, on
-/// the first readout that reaches it; later readouts copy.
-#[derive(Debug)]
-struct TermBank<L> {
-    /// Materialized nodes; children reference earlier bank slots.
-    nodes: Vec<L>,
-    /// Canonical class → bank slot.
-    slot: FastMap<Id, Id>,
-    /// Lookups served from sub-dags banked by **earlier** readouts — the
-    /// cross-root reuse the bank exists for. Hits on slots created within
-    /// the current readout are not counted: that intra-root sharing is
-    /// memoized by any strategy's per-root cache.
-    reused: usize,
-    /// Readout memo, reused across readouts: `copy_memo[s]` is valid for
-    /// the current readout iff `copy_gen[s] == gen`. Generation stamping
-    /// beats a fresh (bank-sized) memo per root — terms are usually much
-    /// smaller than the bank.
-    copy_memo: Vec<Id>,
-    copy_gen: Vec<u32>,
-    gen: u32,
-}
-
-impl<L: Language> TermBank<L> {
-    fn new() -> Self {
-        TermBank {
-            nodes: Vec::new(),
-            slot: FastMap::default(),
-            reused: 0,
-            copy_memo: Vec::new(),
-            copy_gen: Vec::new(),
-            gen: 0,
-        }
-    }
-
+impl<L: Language> Readout<L> {
     /// Materializes the chosen sub-dag of `id` into the bank (memoized
     /// across every readout of this extractor) and returns its slot.
     /// `preexisting` is the bank size when the current readout started;
     /// only hits below it count as cross-root reuse.
-    fn ensure<N: Analysis<L>>(
+    fn ensure<N: Analysis<L>, C: CostFunction<L>>(
         &mut self,
-        egraph: &EGraph<L, N>,
-        table: &FastMap<Id, (u64, L)>,
+        table: &WorklistExtractor<'_, L, N, C>,
         id: Id,
         preexisting: usize,
     ) -> Id {
-        let id = egraph.find(id);
-        if let Some(&slot) = self.slot.get(&id) {
-            if (slot.0 as usize) < preexisting {
+        let id = table.egraph.find(id);
+        let slot = self.bank_slot[id.index()];
+        if slot != NONE {
+            if (slot as usize) < preexisting {
                 self.reused += 1;
             }
-            return slot;
+            return Id(slot);
         }
-        let (_, node) = table
-            .get(&id)
-            .unwrap_or_else(|| panic!("no constructible term for {id}"));
-        let node = node.clone();
-        let child_slots: Vec<Id> = node
-            .children()
-            .iter()
-            .map(|&c| self.ensure(egraph, table, c, preexisting))
-            .collect();
-        let mut k = 0;
-        let remapped = node.map_children(|_| {
-            let s = child_slots[k];
-            k += 1;
-            s
-        });
-        let slot = Id(u32::try_from(self.nodes.len()).expect("term bank overflow"));
-        self.nodes.push(remapped);
-        self.slot.insert(id, slot);
+        let node = table
+            .chosen(id)
+            .map_children(|c| self.ensure(table, c, preexisting));
+        let slot = Id::from(self.bank.len());
+        self.bank.push(node);
+        self.bank_slot[id.index()] = slot.0;
         slot
-    }
-
-    /// Starts a new readout: bumps the memo generation and sizes the memo
-    /// to the bank (growth only — existing stamps stay valid-by-absence).
-    fn begin_readout(&mut self) {
-        if self.gen == u32::MAX {
-            // Practically unreachable; keep the stamp sound anyway.
-            self.gen = 0;
-            self.copy_gen.iter_mut().for_each(|g| *g = u32::MAX);
-        }
-        self.gen += 1;
-        self.copy_memo.resize(self.nodes.len(), Id(0));
-        self.copy_gen
-            .resize(self.nodes.len(), self.gen.wrapping_sub(1));
     }
 }
 
-/// Copies the banked sub-dag at `slot` into a fresh [`RecExpr`]. The
-/// traversal is the same children-first first-visit DFS as
-/// [`extract_into`], so the emitted node sequence — and therefore the
-/// term — is byte-identical to a direct table readout; but unlike a table
-/// readout it needs no union-find chasing and no hashing — the memo is a
-/// dense slot-indexed table validated by generation stamp, which is what
-/// makes warm readouts cheap.
+/// Copies the banked sub-dag at `slot` into `out`. The traversal is the
+/// same children-first first-visit DFS as [`read_out`], so the emitted node
+/// sequence — and therefore the term — is byte-identical to a direct table
+/// readout; but unlike a table readout it needs no union-find chasing —
+/// which is what makes warm readouts cheap. `memo` is keyed by bank slot.
 fn copy_from_bank<L: Language>(
-    nodes: &[L],
+    bank: &[L],
     slot: Id,
     out: &mut RecExpr<L>,
-    memo: &mut [Id],
-    stamps: &mut [u32],
-    gen: u32,
+    memo: &mut StampedMemo,
 ) -> Id {
-    let i = slot.0 as usize;
-    if stamps[i] == gen {
-        return memo[i];
+    if let Some(done) = memo.get(slot.index()) {
+        return done;
     }
-    let node = &nodes[i];
-    let child_ids: Vec<Id> = node
-        .children()
-        .iter()
-        .map(|&c| copy_from_bank(nodes, c, out, memo, stamps, gen))
-        .collect();
-    let mut k = 0;
-    let remapped = node.map_children(|_| {
-        let cid = child_ids[k];
-        k += 1;
-        cid
-    });
-    let new_id = out.add(remapped);
-    memo[i] = new_id;
-    stamps[i] = gen;
+    let node = bank[slot.index()].map_children(|c| copy_from_bank(bank, c, out, memo));
+    let new_id = out.add(node);
+    memo.set(slot.index(), new_id);
     new_id
 }
 
@@ -591,22 +715,35 @@ fn copy_from_bank<L: Language>(
 /// shared sub-dags, which dominates the extract stage when hundreds of suite
 /// roots read out of one saturated graph, becomes a memoized arena copy.
 ///
-/// `extract` takes `&self`; the bank lives behind a [`RefCell`] (readouts
-/// are not re-entrant, which a `&self`-recursive readout cannot be anyway).
+/// `extract` takes `&self`; the bank lives behind the table's readout lock
+/// (readouts are not re-entrant, which a `&self`-recursive readout cannot
+/// be anyway, and one bank serves one readout at a time).
 pub struct SharedTableExtractor<'a, L: Language, N: Analysis<L>, C: CostFunction<L>> {
     table: WorklistExtractor<'a, L, N, C>,
-    bank: RefCell<TermBank<L>>,
 }
 
 impl<'a, L: Language, N: Analysis<L>, C: CostFunction<L>> SharedTableExtractor<'a, L, N, C> {
     /// Solves the cost table (identically to [`WorklistExtractor::new`])
-    /// and prepares an empty bank.
+    /// and prepares an empty bank, in fresh tables.
     #[must_use]
     pub fn new(egraph: &'a EGraph<L, N>, cost_fn: C) -> Self {
+        Self::with_scratch(egraph, cost_fn, ExtractScratch::default())
+    }
+
+    /// [`SharedTableExtractor::new`] in the tables an earlier extractor
+    /// handed back.
+    #[must_use]
+    pub fn with_scratch(egraph: &'a EGraph<L, N>, cost_fn: C, scratch: ExtractScratch<L>) -> Self {
         SharedTableExtractor {
-            table: WorklistExtractor::new(egraph, cost_fn),
-            bank: RefCell::new(TermBank::new()),
+            table: WorklistExtractor::with_scratch(egraph, cost_fn, scratch),
         }
+    }
+
+    /// The bank. A readout that panicked (a root with no constructible
+    /// term) poisoned the lock but left the bank valid: a node is banked,
+    /// and its slot recorded, only after all of its children were.
+    fn readout(&self) -> std::sync::MutexGuard<'_, Readout<L>> {
+        (self.table.readout.lock()).unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Best cost for a class, if any term is constructible.
@@ -623,19 +760,13 @@ impl<'a, L: Language, N: Analysis<L>, C: CostFunction<L>> SharedTableExtractor<'
     /// Panics if the class has no constructible term (cyclic-only class).
     #[must_use]
     pub fn extract(&self, id: Id) -> RecExpr<L> {
-        let mut bank = self.bank.borrow_mut();
-        let preexisting = bank.nodes.len();
-        let slot = bank.ensure(self.table.egraph, &self.table.best, id, preexisting);
-        bank.begin_readout();
-        let TermBank {
-            nodes,
-            copy_memo,
-            copy_gen,
-            gen,
-            ..
-        } = &mut *bank;
+        let mut guard = self.readout();
+        let readout = &mut *guard;
+        let preexisting = readout.bank.len();
+        let slot = readout.ensure(&self.table, id, preexisting);
+        readout.memo.begin(readout.bank.len());
         let mut out = RecExpr::new();
-        let root = copy_from_bank(nodes, slot, &mut out, copy_memo, copy_gen, *gen);
+        let root = copy_from_bank(&readout.bank, slot, &mut out, &mut readout.memo);
         debug_assert_eq!(root, out.root_id());
         out
     }
@@ -653,13 +784,17 @@ impl<L: Language, N: Analysis<L>, C: CostFunction<L>> Extract<L>
     }
 
     fn stats(&self) -> ExtractionStats {
-        let bank = self.bank.borrow();
+        let readout = self.readout();
         ExtractionStats {
             strategy: "shared-table",
-            table_entries: self.table.best.len(),
-            bank_nodes: bank.nodes.len(),
-            reused_readouts: bank.reused,
+            table_entries: self.table.table.entries,
+            bank_nodes: readout.bank.len(),
+            reused_readouts: readout.reused,
         }
+    }
+
+    fn into_scratch(self: Box<Self>) -> ExtractScratch<L> {
+        self.table.into_scratch()
     }
 }
 
@@ -715,8 +850,16 @@ impl<'a, L: Language, N: Analysis<L>, C: CostFunction<L>> DagCostExtractor<'a, L
     /// Solves the tree table, then finalizes dag choices bottom-up.
     #[must_use]
     pub fn new(egraph: &'a EGraph<L, N>, cost_fn: C) -> Self {
+        Self::with_scratch(egraph, cost_fn, ExtractScratch::default())
+    }
+
+    /// [`DagCostExtractor::new`] with the tree table solved in the tables
+    /// an earlier extractor handed back (the dag tables are this
+    /// extractor's own).
+    #[must_use]
+    pub fn with_scratch(egraph: &'a EGraph<L, N>, cost_fn: C, scratch: ExtractScratch<L>) -> Self {
         let mut ex = DagCostExtractor {
-            tree: WorklistExtractor::new(egraph, cost_fn),
+            tree: WorklistExtractor::with_scratch(egraph, cost_fn, scratch),
             dag: FastMap::default(),
             sets: FastMap::default(),
             charges: FastMap::default(),
@@ -738,8 +881,8 @@ impl<'a, L: Language, N: Analysis<L>, C: CostFunction<L>> DagCostExtractor<'a, L
         let mut set: Vec<Id> = vec![cid];
         for &child in node.children() {
             let child = self.tree.egraph.find(child);
-            let (child_tree_cost, _) = self.tree.best.get(&child)?;
-            if *child_tree_cost >= limit {
+            let (child_tree_cost, _) = self.tree.table.entry(child)?;
+            if child_tree_cost >= limit {
                 return None;
             }
             set.extend_from_slice(self.sets.get(&child)?);
@@ -757,15 +900,10 @@ impl<'a, L: Language, N: Analysis<L>, C: CostFunction<L>> DagCostExtractor<'a, L
     }
 
     fn solve(&mut self) {
-        let mut order: Vec<(u64, Id)> = self
-            .tree
-            .best
-            .iter()
-            .map(|(&id, &(c, _))| (c, id))
-            .collect();
+        let mut order = self.tree.table.order.clone();
         order.sort_unstable();
         for (tree_cost, id) in order {
-            let tree_node = self.tree.best[&id].1.clone();
+            let tree_node = self.tree.chosen(id).clone();
             // The tree-canonical winner is the incumbent; other nodes must
             // strictly beat it on dag cost, keeping ties deterministic and
             // aligned with the tree strategy's content order.
@@ -819,7 +957,11 @@ impl<'a, L: Language, N: Analysis<L>, C: CostFunction<L>> DagCostExtractor<'a, L
     /// Panics if the class has no constructible term (cyclic-only class).
     #[must_use]
     pub fn extract(&self, id: Id) -> RecExpr<L> {
-        extract_from_table(self.tree.egraph, &self.dag, id)
+        let chosen = |id: Id| match self.dag.get(&id) {
+            Some((_, node)) => node,
+            None => panic!("no constructible term for {id}"),
+        };
+        read_out(self.tree.egraph, &chosen, id, &mut StampedMemo::default())
     }
 }
 
@@ -839,6 +981,10 @@ impl<L: Language, N: Analysis<L>, C: CostFunction<L>> Extract<L> for DagCostExtr
             bank_nodes: 0,
             reused_readouts: 0,
         }
+    }
+
+    fn into_scratch(self: Box<Self>) -> ExtractScratch<L> {
+        self.tree.into_scratch()
     }
 }
 

@@ -29,25 +29,70 @@
 //!   it. A whole query — first atom, later atoms rooted at bound or fresh
 //!   variables, relation atoms — runs as *one* depth-first walk over a
 //!   single binding buffer and register file, undoing bindings as it
-//!   backtracks; a binding row is copied out only at a complete match, so
-//!   a candidate that fails costs no copy and no allocation. The same walk
+//!   backtracks; a binding row is copied out — appended to the search's
+//!   flat match buffer — only at a complete match, so a candidate that
+//!   fails costs no copy, and no match costs an allocation. The same walk
 //!   serves full searches, single-root delta probes, semi-naive rounds
 //!   (which start at their delta atom) and the chunks of a parallel
 //!   search, and — pre-order depth-first search being the lexicographic
 //!   order of the naive matcher's nested loops — returns the reference
 //!   matcher's exact match *sequence* in all of them. The scheduler holds
-//!   one [`pattern::MatchScratch`] (the buffer, the registers, the probe
-//!   counters) per saturation run. [`pattern::Subst`] keeps the
+//!   one [`pattern::MatchScratch`] (the buffers, the registers, the probe
+//!   counters) per saturation run — or, through
+//!   [`schedule::Runner::run_phased_in`], the caller's, across runs. [`pattern::Subst`] keeps the
 //!   string-keyed `get`/`bind` API as a compatibility shim for rule
 //!   appliers (a linear scan of the shared name table — patterns bind a
 //!   handful of variables).
 //!
-//! * **A cheap deterministic hasher.** Every engine table — hash-cons
-//!   memo, class map, operator index, per-op logs, the extractors' cost
-//!   tables — and [`language::Language::op_key`] itself hash with
+//! * **Dense, reusable storage.** E-class ids are consecutive `u32`s, so
+//!   nothing keyed by one is a hash table. The class table is a *slot
+//!   vector* (id → position, 4 bytes per id ever made) over a *compact
+//!   slab* of classes: a union moves the slab's last class into the
+//!   loser's place, so the slab's size follows the live class count —
+//!   a `Vec<Option<EClass>>` would pay a ~110-byte slot for every id a
+//!   union retired. [`egraph::EGraph::class`] is a `find` and two array
+//!   reads. The matcher writes its matches into one flat buffer and hands
+//!   them to appliers through one reused [`pattern::Subst`]
+//!   ([`pattern::MatchScratch`]); delta probes fill a scratch vector; the
+//!   extractors keep cost table, parent index, queue marks, tie-break
+//!   ranks, readout memo and term-bank slots in vectors indexed by class
+//!   id ([`extract::ExtractScratch`]), the cost table holding node
+//!   *positions*, not node clones. The node counter is maintained, not
+//!   recounted (`check_op_index` recounts it).
+//!
+//!   [`egraph::EGraph::clear`] empties a graph for the next one. It
+//!   **resets** everything a caller can observe — ids restart at 0, the
+//!   epoch clock at 1, the relation store (names included), memo, index
+//!   rows, delta logs and worklists are empty — so a cleared graph is
+//!   indistinguishable from a new one: same ids for the same `add`s, same
+//!   match sequences, same snapshot bytes (pinned by
+//!   `cleared_context_rebuilds_the_fresh_graph` in `tests/engine.rs`). It
+//!   **keeps** capacity: the union-find, slot, slab, log and worklist
+//!   vectors, the memo's and the op tables' buckets. The classes
+//!   themselves stay in the slab as *shells* past the live prefix, their
+//!   three vectors (nodes, parents, op rows) emptied, and the next `add`s
+//!   fill them again — the slab's dead tail is the free list; emptied
+//!   index rows and per-op logs wait on a free list of their own. A shell
+//!   or a free list keeps only small vectors (four elements; new ones
+//!   start at one): they are handed to new owners in no particular order,
+//!   so a hub's 300-entry parent list would otherwise end up under every
+//!   class of a long-reused graph. The scratches need no clearing — every
+//!   search and every solve resets what it reads.
+//!
+//!   Whole-graph scans ([`egraph::EGraph::classes`], the snapshot writer,
+//!   the extractors' solve, variable-rooted searches) walk the slot vector,
+//!   i.e. ascending canonical id — the order the hash-map version had to
+//!   *sort into* before every such scan to be deterministic. The order is
+//!   now a property of the layout rather than of each call site
+//!   remembering to sort.
+//!
+//! * **A cheap deterministic hasher.** The tables that are still hashed —
+//!   the hash-cons memo (keyed by e-node), the operator index and the
+//!   per-op logs (keyed by op key), the relation store (keyed by name) —
+//!   and [`language::Language::op_key`] itself hash with
 //!   [`hash::WordHasher`], an unkeyed multiply-rotate word hash: the keys
-//!   are ids and e-nodes the program made itself, so SipHash's flooding
-//!   resistance bought nothing on the `add` / `class()` / memo hot paths.
+//!   are e-nodes and names the program made itself, so SipHash's flooding
+//!   resistance bought nothing on the `add` / memo hot paths.
 //!   No behaviour depends on table iteration order (every enumeration is
 //!   sorted first); being unkeyed only makes op keys and allocation
 //!   counts repeat exactly from run to run.
@@ -112,7 +157,9 @@
 //!   [`extract::WorklistExtractor`], solves costs by parent-propagation
 //!   from the leaves up instead of repeated full passes to a fixpoint,
 //!   then finalizes equal-cost ties by *content* (operator key + recursive
-//!   child comparison, memoized) rather than by e-class id order — two
+//!   child comparison — realized as per-class ranks assigned one cost level
+//!   at a time, so a comparison is a few table reads) rather than by
+//!   e-class id order — two
 //!   graphs holding the same equivalences extract identical terms however
 //!   their ids were assigned, which is what lets the selector's shared
 //!   (batched) e-graph mode reproduce the per-leaf output byte for byte.
@@ -293,7 +340,7 @@ pub mod unionfind;
 
 pub use egraph::{Analysis, DeltaTracking, EClass, EGraph};
 pub use extract::{
-    AstSize, CostFunction, DagCostExtractor, Extract, ExtractionStats, FnCost,
+    AstSize, CostFunction, DagCostExtractor, Extract, ExtractScratch, ExtractionStats, FnCost,
     SharedTableExtractor, WorklistExtractor,
 };
 #[cfg(feature = "fault-injection")]

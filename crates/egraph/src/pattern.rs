@@ -34,10 +34,12 @@
 //! variable table plus a dense slot→binding vector.
 //!
 //! Callers that search in a loop (the scheduler, above all) hold one
-//! [`MatchScratch`] — the frame's buffers plus the delta-probe counters —
-//! for the whole run and thread it through the `_with` search entry
-//! points; the scratch-less entry points create a transient one and are
-//! intended for one-off searches and tests.
+//! [`MatchScratch`] — the frame's buffers, the flat buffer a search writes
+//! its matches to, the delta-probe enumeration, the one [`Subst`] matches
+//! are handed to appliers through, and the delta-probe counters — for the
+//! whole run (a compile session: across runs) and thread it through the
+//! `_with` search entry points; the scratch-less entry points create a
+//! transient one and are intended for one-off searches and tests.
 
 use std::sync::Arc;
 
@@ -73,10 +75,68 @@ impl Frame {
     }
 }
 
+/// The complete matches of one search, written row after row — each
+/// `width` bindings wide — into one flat buffer that is reused from search
+/// to search; `order` lists the rows in the sequence they are to be read
+/// (and counts them, which a flat buffer of zero-width rows could not).
+#[derive(Debug, Default)]
+pub(crate) struct MatchBuf {
+    width: usize,
+    flat: Vec<Option<Id>>,
+    order: Vec<u32>,
+}
+
+impl MatchBuf {
+    /// Forgets every row; the next rows are `width` bindings wide.
+    pub(crate) fn reset(&mut self, width: usize) {
+        self.width = width;
+        self.flat.clear();
+        self.order.clear();
+    }
+
+    /// Appends one match.
+    pub(crate) fn push(&mut self, row: &[Option<Id>]) {
+        debug_assert_eq!(row.len(), self.width);
+        self.order
+            .push(u32::try_from(self.order.len()).expect("fewer than 2^32 matches per search"));
+        self.flat.extend_from_slice(row);
+    }
+
+    /// Appends the rows of `other` (as wide as this buffer's) in their
+    /// order.
+    pub(crate) fn append(&mut self, other: &MatchBuf) {
+        debug_assert_eq!(other.width, self.width);
+        for i in 0..other.len() {
+            self.push(other.row(i));
+        }
+    }
+
+    /// Number of matches.
+    pub(crate) fn len(&self) -> usize {
+        self.order.len()
+    }
+
+    /// The `i`-th match in reading order.
+    pub(crate) fn row(&self, i: usize) -> &[Option<Id>] {
+        let at = self.order[i] as usize * self.width;
+        &self.flat[at..at + self.width]
+    }
+
+    /// Puts the rows in their total order and drops repeats, so the
+    /// sequence read is a pure function of the match *set*.
+    pub(crate) fn sort_dedup(&mut self) {
+        let (flat, width) = (&self.flat, self.width);
+        let row = |i: u32| &flat[i as usize * width..(i as usize + 1) * width];
+        self.order.sort_unstable_by(|&a, &b| row(a).cmp(row(b)));
+        self.order.dedup_by(|a, b| row(*a) == row(*b));
+    }
+}
+
 /// Reusable state for the compiled matcher. One scratch per saturation run
-/// (per worker, under parallel search) keeps the `Frame` buffers alive
-/// across candidates, atoms, rules and passes; it is language-independent,
-/// so one serves every rule in a rule set.
+/// (per worker, under parallel search) — or per compile context, across
+/// runs — keeps the `Frame` buffers, the match buffer and the probe
+/// enumeration alive across candidates, atoms, rules and passes; it is
+/// language-independent, so one serves every rule in a rule set.
 ///
 /// The scratch doubles as the **delta-probe counter** carrier: it is the
 /// one `&mut` context already threaded through every search, so the
@@ -87,6 +147,14 @@ impl Frame {
 #[derive(Debug, Default)]
 pub struct MatchScratch {
     pub(crate) frame: Frame,
+    /// Where a search leaves its matches.
+    pub(crate) matches: MatchBuf,
+    /// The root enumeration of a delta probe (filled by the e-graph's
+    /// `modified_*` read paths instead of a fresh vector per probe).
+    pub(crate) roots: Vec<Id>,
+    /// The substitution each match is loaded into for its guard and
+    /// applier — one, reused, instead of a clone per match.
+    pub(crate) subst: Subst,
     /// Candidate classes enumerated by delta probes since the last drain.
     probed_rows: usize,
     /// Candidate classes delta probes did *not* have to visit: the probed
@@ -143,6 +211,17 @@ impl Subst {
     pub(crate) fn from_bindings(vars: Arc<Vec<String>>, bindings: Vec<Option<Id>>) -> Self {
         debug_assert_eq!(vars.len(), bindings.len());
         Subst { vars, bindings }
+    }
+
+    /// Makes this the substitution of one match: `vars`' names bound to
+    /// `row`. Reuses the binding vector (and shares the name table).
+    pub(crate) fn load(&mut self, vars: &Arc<Vec<String>>, row: &[Option<Id>]) {
+        debug_assert_eq!(vars.len(), row.len());
+        if !Arc::ptr_eq(&self.vars, vars) {
+            self.vars = Arc::clone(vars);
+        }
+        self.bindings.clear();
+        self.bindings.extend_from_slice(row);
     }
 
     fn slot_of(&self, var: &str) -> Option<usize> {
@@ -565,15 +644,12 @@ impl<L: Language> Pattern<L> {
                 .get(v)
                 .unwrap_or_else(|| panic!("unbound pattern variable ?{v}")),
             Pattern::Node(op, children) => {
-                let child_ids: Vec<Id> = children
-                    .iter()
-                    .map(|c| c.instantiate(egraph, subst))
-                    .collect();
-                let mut k = 0;
-                let node = op.map_children(|_| {
-                    let id = child_ids[k];
-                    k += 1;
-                    id
+                // `op`'s own children are placeholders, one per subpattern.
+                let mut subpatterns = children.iter();
+                let node = op.map_children(|placeholder| {
+                    subpatterns
+                        .next()
+                        .map_or(placeholder, |c| c.instantiate(egraph, subst))
                 });
                 egraph.add(node)
             }

@@ -27,8 +27,9 @@
 //! [`Relations::tuples_since`] delta round costs O(changes to that
 //! relation) — not a scan of its whole table.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
+use crate::hash::FastMap;
 use crate::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 use crate::unionfind::Id;
 
@@ -36,16 +37,16 @@ use crate::unionfind::Id;
 /// of their last change.
 #[derive(Debug, Clone, Default)]
 pub struct Relations {
-    tables: HashMap<String, BTreeMap<Vec<Id>, u64>>,
+    tables: FastMap<String, BTreeMap<Vec<Id>, u64>>,
     /// Highest tuple stamp per relation — the O(1) "anything changed since
     /// tick t?" probe backing [`Relations::changed_since`].
-    max_ticks: HashMap<String, u64>,
+    max_ticks: FastMap<String, u64>,
     /// Per-relation append-only `(tick, tuple)` change logs, ticks
     /// nondecreasing — the delta read path behind
     /// [`Relations::tuples_since`]. A log entry is *current* while the
     /// table still stamps its tuple at that tick; superseded and
     /// merged-away entries are filtered on read and dropped by compaction.
-    change_logs: HashMap<String, Vec<(u64, Vec<Id>)>>,
+    change_logs: FastMap<String, Vec<(u64, Vec<Id>)>>,
     version: u64,
     tick: u64,
 }
@@ -66,6 +67,16 @@ fn compact_change_log(log: &mut Vec<(u64, Vec<Id>)>, table: &BTreeMap<Vec<Id>, u
     *log = fresh;
 }
 
+/// `map[name]`, default-inserted first if absent. Looked up by `&str`: the
+/// key is allocated (and hashed a second time) only for a new name, not
+/// on every tuple a rule re-derives.
+fn entry<'a, V: Default>(map: &'a mut FastMap<String, V>, name: &str) -> &'a mut V {
+    if !map.contains_key(name) {
+        map.insert(name.to_string(), V::default());
+    }
+    map.get_mut(name).expect("present: inserted just above")
+}
+
 impl Relations {
     /// Creates an empty store.
     #[must_use]
@@ -73,24 +84,34 @@ impl Relations {
         Self::default()
     }
 
+    /// Forgets every relation, tuple and tick, keeping the name tables'
+    /// capacity: the store is indistinguishable from [`Relations::new`].
+    pub fn clear(&mut self) {
+        self.tables.clear();
+        self.max_ticks.clear();
+        self.change_logs.clear();
+        self.version = 0;
+        self.tick = 0;
+    }
+
     /// Declares a relation (idempotent). Insertion auto-declares, so this is
     /// only needed when emptiness of an undeclared relation matters.
     pub fn declare(&mut self, name: &str) {
-        self.tables.entry(name.to_string()).or_default();
+        entry(&mut self.tables, name);
     }
 
     /// Inserts a tuple; returns whether it was new.
     pub fn insert(&mut self, name: &str, tuple: Vec<Id>) -> bool {
-        let table = self.tables.entry(name.to_string()).or_default();
+        let table = entry(&mut self.tables, name);
         if table.contains_key(&tuple) {
             return false;
         }
         self.tick += 1;
-        let log = self.change_logs.entry(name.to_string()).or_default();
+        let log = entry(&mut self.change_logs, name);
         log.push((self.tick, tuple.clone()));
         table.insert(tuple, self.tick);
         compact_change_log(log, table);
-        self.max_ticks.insert(name.to_string(), self.tick);
+        *entry(&mut self.max_ticks, name) = self.tick;
         self.version += 1;
         true
     }
@@ -195,7 +216,7 @@ impl Relations {
                 *slot = (*slot).max(stamp);
             }
             *table = new;
-            let log = self.change_logs.entry(name.clone()).or_default();
+            let log = entry(&mut self.change_logs, name);
             // Log the restamped tuples (ordered table walk → entries with
             // the shared tick are appended in deterministic tuple order).
             for (tuple, &stamp) in table.iter() {
@@ -204,7 +225,7 @@ impl Relations {
                 }
             }
             compact_change_log(log, table);
-            self.max_ticks.insert(name.clone(), self.tick);
+            *entry(&mut self.max_ticks, name) = self.tick;
         }
     }
 
@@ -257,7 +278,7 @@ impl Relations {
     /// nondecreasing (`tuples_since` uses `partition_point`) and every
     /// stamp at or below the restored clock.
     pub(crate) fn read_snapshot(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let mut tables: HashMap<String, BTreeMap<Vec<Id>, u64>> = HashMap::new();
+        let mut tables: FastMap<String, BTreeMap<Vec<Id>, u64>> = FastMap::default();
         let n_tables = r.len()?;
         for _ in 0..n_tables {
             let name = r.str()?;
@@ -276,14 +297,14 @@ impl Relations {
                 return Err(SnapshotError::Corrupt("duplicate relation table".into()));
             }
         }
-        let mut max_ticks: HashMap<String, u64> = HashMap::new();
+        let mut max_ticks: FastMap<String, u64> = FastMap::default();
         let n_max = r.len()?;
         for _ in 0..n_max {
             let name = r.str()?;
             let tick = r.u64()?;
             max_ticks.insert(name, tick);
         }
-        let mut change_logs: HashMap<String, Vec<(u64, Vec<Id>)>> = HashMap::new();
+        let mut change_logs: FastMap<String, Vec<(u64, Vec<Id>)>> = FastMap::default();
         let n_logs = r.len()?;
         for _ in 0..n_logs {
             let name = r.str()?;

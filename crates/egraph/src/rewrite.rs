@@ -18,9 +18,12 @@
 //! bound by then is just more `Bind`s under that class, one rooted at a
 //! fresh variable scans its operator's index row, a relation atom scans
 //! its tuples, binding the columns' unbound variables — and past the last
-//! atom the buffer is copied out as one match row. Every binding is
-//! undone on the way back, so nothing is copied or allocated for a
-//! candidate that does not match. Pre-order depth-first search emits
+//! atom the buffer is appended, as one row, to the search's flat match
+//! buffer (`pattern::MatchBuf`, kept in the [`MatchScratch`] from search to
+//! search). Every binding is undone on the way back, so nothing is copied
+//! for a candidate that does not match, and nothing is allocated for one
+//! that does: [`Rewrite`] hands its guard and applier each row through the
+//! scratch's one reused [`Subst`]. Pre-order depth-first search emits
 //! matches in the lexicographic (atom 0's choices, atom 1's, …) order of
 //! the naive nested loops, so the compiled and naive matchers return the
 //! same *sequence*.
@@ -71,13 +74,12 @@
 //! candidate rows it visited vs. skipped into the
 //! [`MatchScratch`] counters.
 
-use std::borrow::Cow;
 use std::cell::OnceCell;
 use std::sync::Arc;
 
 use crate::egraph::{Analysis, DeltaTracking, EGraph};
 use crate::language::Language;
-use crate::pattern::{Frame, MatchScratch, Pattern, Program, Subst};
+use crate::pattern::{Frame, MatchBuf, MatchScratch, Pattern, Program, Subst};
 use crate::pool::SearchPool;
 use crate::unionfind::Id;
 
@@ -298,9 +300,6 @@ enum Restrict {
     },
 }
 
-/// A complete match: one binding per query variable.
-type Row = Vec<Option<Id>>;
-
 /// A [`Query`] compiled for the backtracking matcher: one shared variable
 /// table and register file, one `Program` per pattern atom.
 pub struct CompiledQuery<L> {
@@ -311,7 +310,8 @@ pub struct CompiledQuery<L> {
 }
 
 /// One pass of the matcher over a query: the depth-first join described
-/// in the module docs. `atom(0, …)` appends every match to `out`.
+/// in the module docs. `atom(0, …)` appends every match — one binding per
+/// query variable — to `out`.
 struct Join<'a, L: Language, N: Analysis<L>> {
     query: &'a CompiledQuery<L>,
     egraph: &'a EGraph<L, N>,
@@ -331,10 +331,10 @@ impl<L: Language, N: Analysis<L>> Join<'_, L, N> {
     /// Evaluates the `pos`-th atom in evaluation order against the
     /// bindings in `frame`, continuing into the next atom at each of its
     /// matches; past the last atom, `frame.vars` is a complete match.
-    fn atom(&self, pos: usize, frame: &mut Frame, out: &mut Vec<Row>) {
+    fn atom(&self, pos: usize, frame: &mut Frame, out: &mut MatchBuf) {
         let atoms = &self.query.atoms;
         if pos == atoms.len() {
-            out.push(frame.vars.clone());
+            out.push(&frame.vars);
             return;
         }
         let index = match pos {
@@ -384,7 +384,7 @@ impl<L: Language, N: Analysis<L>> Join<'_, L, N> {
         slots: &[u32],
         tuple: &[Id],
         frame: &mut Frame,
-        out: &mut Vec<Row>,
+        out: &mut MatchBuf,
     ) {
         if tuple.len() != slots.len() {
             return;
@@ -442,8 +442,9 @@ impl<L: Language> CompiledQuery<L> {
         egraph: &EGraph<L, N>,
         scratch: &mut MatchScratch,
     ) -> Vec<Subst> {
-        let rows = self.pass(egraph, Restrict::Full, DeltaTracking::OpKeyed, scratch);
-        self.rows_to_substs(rows)
+        scratch.matches.reset(self.vars.len());
+        self.pass(egraph, Restrict::Full, DeltaTracking::OpKeyed, scratch);
+        self.substs(&scratch.matches)
     }
 
     /// [`CompiledQuery::search_with`] with the first atom's root
@@ -459,9 +460,9 @@ impl<L: Language> CompiledQuery<L> {
     where
         N::Data: Sync,
     {
-        let tracking = DeltaTracking::OpKeyed;
-        let rows = self.pass_parallel(egraph, Restrict::Full, tracking, scratch, ctx);
-        self.rows_to_substs(rows)
+        scratch.matches.reset(self.vars.len());
+        self.pass_parallel(egraph, Restrict::Full, DeltaTracking::OpKeyed, scratch, ctx);
+        self.substs(&scratch.matches)
     }
 
     /// Every match that did not exist when the cutoffs were recorded:
@@ -497,9 +498,16 @@ impl<L: Language> CompiledQuery<L> {
         tracking: DeltaTracking,
         scratch: &mut MatchScratch,
     ) -> Vec<Subst> {
-        self.delta(egraph, epoch_cutoff, rel_cutoff, |restrict| {
-            self.pass(egraph, restrict, tracking, scratch)
-        })
+        self.delta(
+            egraph,
+            epoch_cutoff,
+            rel_cutoff,
+            scratch,
+            |restrict, scratch| {
+                self.pass(egraph, restrict, tracking, scratch);
+            },
+        );
+        self.substs(&scratch.matches)
     }
 
     /// [`CompiledQuery::search_delta_tracked`] with a parallel-search
@@ -521,19 +529,27 @@ impl<L: Language> CompiledQuery<L> {
     where
         N::Data: Sync,
     {
-        self.delta(egraph, epoch_cutoff, rel_cutoff, |restrict| {
-            self.pass_parallel(egraph, restrict, tracking, scratch, ctx)
-        })
+        self.delta(
+            egraph,
+            epoch_cutoff,
+            rel_cutoff,
+            scratch,
+            |restrict, scratch| {
+                self.pass_parallel(egraph, restrict, tracking, scratch, ctx);
+            },
+        );
+        self.substs(&scratch.matches)
     }
 
-    /// Delta evaluation over a pass runner (serial or parallel). A
-    /// delta-eligible query is one [`Restrict::Root`] pass. Anything else
-    /// is evaluated semi-naively: round `i` restricts atom `i` to its
-    /// delta, and the join *starts* from that delta, so a round costs work
-    /// proportional to its delta — not a full re-join. A match is found by
-    /// round `i` iff atom `i`'s contribution is new, so the union over
-    /// rounds covers every new match. Rounds whose delta is provably empty
-    /// are skipped outright, which is what makes quiescent passes free.
+    /// Delta evaluation over a pass runner (serial or parallel), into the
+    /// emptied `scratch.matches`. A delta-eligible query is one
+    /// [`Restrict::Root`] pass. Anything else is evaluated semi-naively:
+    /// round `i` restricts atom `i` to its delta, and the join *starts*
+    /// from that delta, so a round costs work proportional to its delta —
+    /// not a full re-join. A match is found by round `i` iff atom `i`'s
+    /// contribution is new, so the union over rounds covers every new
+    /// match. Rounds whose delta is provably empty are skipped outright,
+    /// which is what makes quiescent passes free.
     ///
     /// The rounds' rows are merged by a total-order sort and a dedup
     /// (matches with several new atoms are found by several rounds), so
@@ -543,14 +559,15 @@ impl<L: Language> CompiledQuery<L> {
         egraph: &EGraph<L, N>,
         epoch_cutoff: u64,
         rel_cutoff: u64,
-        mut pass: impl FnMut(Restrict) -> Vec<Row>,
-    ) -> Vec<Subst> {
+        scratch: &mut MatchScratch,
+        mut pass: impl FnMut(Restrict, &mut MatchScratch),
+    ) {
+        scratch.matches.reset(self.vars.len());
         if self.delta_eligible {
-            return self.rows_to_substs(pass(Restrict::Root(epoch_cutoff)));
+            return pass(Restrict::Root(epoch_cutoff), scratch);
         }
         let classes_dirty = egraph.any_modified_since(epoch_cutoff);
         let rels_dirty = egraph.relations.tick() > rel_cutoff;
-        let mut rows: Vec<Row> = Vec::new();
         for (index, atom) in self.atoms.iter().enumerate() {
             let delta_nonempty = match atom {
                 CompiledAtom::Pat { .. } => classes_dirty,
@@ -559,81 +576,91 @@ impl<L: Language> CompiledQuery<L> {
                 }
             };
             if delta_nonempty {
-                rows.extend(pass(Restrict::Atom {
+                let restrict = Restrict::Atom {
                     index,
                     epoch: epoch_cutoff,
                     rel_tick: rel_cutoff,
-                }));
+                };
+                pass(restrict, scratch);
             }
         }
-        rows.sort_unstable();
-        rows.dedup();
-        self.rows_to_substs(rows)
+        scratch.matches.sort_dedup();
     }
 
-    fn rows_to_substs(&self, rows: Vec<Row>) -> Vec<Subst> {
-        rows.into_iter()
-            .map(|b| Subst::from_bindings(Arc::clone(&self.vars), b))
+    /// The matches a search left in its buffer, as owned substitutions —
+    /// the form the scratch-less and `Vec`-returning entry points hand out.
+    fn substs(&self, matches: &MatchBuf) -> Vec<Subst> {
+        (0..matches.len())
+            .map(|i| Subst::from_bindings(Arc::clone(&self.vars), matches.row(i).to_vec()))
             .collect()
     }
 
     /// The root enumeration of the pass's first atom, when that is a
-    /// pattern atom: its operator's index row (every class, sorted, for a
-    /// variable root) in a full pass; in a delta pass, the classes whose
+    /// pattern atom: its operator's index row (every class, ascending, for
+    /// a variable root) in a full pass; in a delta pass, the classes whose
     /// root-operator rows were stamped at or after the cutoff —
     /// O(changes to that operator's rows) via the per-op log (or the
     /// retained per-class log ∩ index row under the baseline tracking),
     /// nothing when the operator was quiet — with the probe counters
     /// recorded on `scratch`, once.
+    ///
+    /// An index row is returned borrowed from the graph; every other
+    /// enumeration (none at all, for a pass that starts at a relation
+    /// atom) is left in `scratch.roots` and `None` returned.
     fn first_roots<'a, N: Analysis<L>>(
         &self,
         egraph: &'a EGraph<L, N>,
         restrict: Restrict,
         tracking: DeltaTracking,
         scratch: &mut MatchScratch,
-    ) -> Option<Cow<'a, [Id]>> {
+    ) -> Option<&'a [Id]> {
         let (first, cutoff) = match restrict {
             Restrict::Full => (0, None),
             Restrict::Root(epoch) => (0, Some(epoch)),
             Restrict::Atom { index, epoch, .. } => (index, Some(epoch)),
         };
-        let CompiledAtom::Pat { program, .. } = self.atoms.get(first)? else {
+        scratch.roots.clear();
+        let Some(CompiledAtom::Pat { program, .. }) = self.atoms.get(first) else {
             return None;
         };
-        Some(match (cutoff, program.root_key) {
-            (None, Some(key)) => Cow::Borrowed(egraph.candidates_for(key)),
-            (None, None) => Cow::Owned(egraph.sorted_class_ids()),
+        match (cutoff, program.root_key) {
+            (None, Some(key)) => return Some(egraph.candidates_for(key)),
+            (None, None) => scratch.roots.extend(egraph.classes().map(|c| c.id)),
             (Some(cut), root_key) => {
-                let (roots, universe) = match root_key {
-                    Some(key) => (
-                        match tracking {
-                            DeltaTracking::OpKeyed => egraph.modified_candidates_for(key, cut),
-                            DeltaTracking::PerClass => {
-                                egraph.modified_candidates_per_class(key, cut)
-                            }
-                        },
-                        egraph.candidates_for(key).len(),
-                    ),
-                    None => (egraph.modified_since(cut), egraph.num_classes()),
+                let universe = match (root_key, tracking) {
+                    (Some(key), DeltaTracking::OpKeyed) => {
+                        egraph.modified_candidates_for(key, cut, &mut scratch.roots);
+                        egraph.candidates_for(key).len()
+                    }
+                    (Some(key), DeltaTracking::PerClass) => {
+                        egraph.modified_candidates_per_class(key, cut, &mut scratch.roots);
+                        egraph.candidates_for(key).len()
+                    }
+                    (None, _) => {
+                        egraph.modified_since(cut, &mut scratch.roots);
+                        egraph.num_classes()
+                    }
                 };
-                scratch.record_probe(roots.len(), universe);
-                Cow::Owned(roots)
+                scratch.record_probe(scratch.roots.len(), universe);
             }
-        })
+        }
+        None
     }
 
     /// Runs the matcher over the whole query with the first atom's root
     /// enumeration given as `roots` — the complete enumeration or one
-    /// contiguous chunk of it. The depth-first join maps each root to a
-    /// run of matches and emits the runs in root order, so the results of
-    /// consecutive chunks concatenate to the result of the whole.
+    /// contiguous chunk of it — appending every match to `out`. The
+    /// depth-first join maps each root to a run of matches and emits the
+    /// runs in root order, so the results of consecutive chunks
+    /// concatenate to the result of the whole.
     fn join<N: Analysis<L>>(
         &self,
         egraph: &EGraph<L, N>,
         restrict: Restrict,
         roots: &[Id],
-        scratch: &mut MatchScratch,
-    ) -> Vec<Row> {
+        frame: &mut Frame,
+        out: &mut MatchBuf,
+    ) {
         debug_assert!(egraph.is_clean(), "search requires a rebuilt e-graph");
         let (first, rel_since) = match restrict {
             Restrict::Atom {
@@ -649,27 +676,27 @@ impl<L: Language> CompiledQuery<L> {
             rel_since,
             all_ids: OnceCell::new(),
         };
-        let mut out = Vec::new();
-        scratch.frame.reset(self.vars.len(), self.nregs as usize);
-        join.atom(0, &mut scratch.frame, &mut out);
-        out
+        frame.reset(self.vars.len(), self.nregs as usize);
+        join.atom(0, frame, out);
     }
 
-    /// One serial pass: the first atom's enumeration, then the join.
+    /// One serial pass: the first atom's enumeration, then the join, its
+    /// matches appended to `scratch.matches`.
     fn pass<N: Analysis<L>>(
         &self,
         egraph: &EGraph<L, N>,
         restrict: Restrict,
         tracking: DeltaTracking,
         scratch: &mut MatchScratch,
-    ) -> Vec<Row> {
-        let roots = self.first_roots(egraph, restrict, tracking, scratch);
-        self.join(
-            egraph,
-            restrict,
-            roots.as_deref().unwrap_or_default(),
-            scratch,
-        )
+    ) {
+        let index_row = self.first_roots(egraph, restrict, tracking, scratch);
+        let MatchScratch {
+            frame,
+            matches,
+            roots,
+            ..
+        } = scratch;
+        self.join(egraph, restrict, index_row.unwrap_or(roots), frame, matches);
     }
 
     /// [`CompiledQuery::pass`] with the join partitioned across the
@@ -677,7 +704,7 @@ impl<L: Language> CompiledQuery<L> {
     /// counters on the *scheduler's* scratch, exactly as the serial pass
     /// records them), split into contiguous chunks, each chunk joined
     /// against the immutable `&EGraph` snapshot with its own per-worker
-    /// scratch, and the chunk results concatenated in chunk order — which
+    /// scratch, and the chunk results appended in chunk order — which
     /// is exactly the serial result (see [`CompiledQuery::join`]).
     /// Enumerations below [`PARALLEL_MIN_ROOTS`] — and passes that start
     /// at a relation atom, which have no root enumeration to partition —
@@ -690,30 +717,60 @@ impl<L: Language> CompiledQuery<L> {
         tracking: DeltaTracking,
         scratch: &mut MatchScratch,
         ctx: &mut ParallelCtx<'_>,
-    ) -> Vec<Row>
-    where
+    ) where
         N::Data: Sync,
     {
-        let roots = self.first_roots(egraph, restrict, tracking, scratch);
-        let roots = roots.as_deref().unwrap_or_default();
+        let index_row = self.first_roots(egraph, restrict, tracking, scratch);
+        let MatchScratch {
+            frame,
+            matches,
+            roots,
+            ..
+        } = scratch;
+        let roots: &[Id] = index_row.unwrap_or(roots);
         let threads = ctx.pool.threads().min(ctx.scratches.len());
         if threads < 2 || roots.len() < PARALLEL_MIN_ROOTS {
-            return self.join(egraph, restrict, roots, scratch);
+            return self.join(egraph, restrict, roots, frame, matches);
         }
-        let chunks: Vec<&[Id]> = roots.chunks(roots.len().div_ceil(threads)).collect();
-        let mut outs: Vec<Vec<Row>> = Vec::new();
-        outs.resize_with(chunks.len(), Vec::new);
+        let chunks = roots.chunks(roots.len().div_ceil(threads));
+        let workers = &mut ctx.scratches[..chunks.len()];
         let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = chunks
-            .iter()
-            .zip(outs.iter_mut())
-            .zip(ctx.scratches.iter_mut())
-            .map(|((&chunk, out), scr)| {
-                Box::new(move || *out = self.join(egraph, restrict, chunk, scr))
-                    as Box<dyn FnOnce() + Send + '_>
+            .zip(workers.iter_mut())
+            .map(|(chunk, worker)| {
+                Box::new(move || {
+                    worker.matches.reset(self.vars.len());
+                    self.join(
+                        egraph,
+                        restrict,
+                        chunk,
+                        &mut worker.frame,
+                        &mut worker.matches,
+                    );
+                }) as Box<dyn FnOnce() + Send + '_>
             })
             .collect();
         ctx.pool.scatter(jobs);
-        outs.into_iter().flatten().collect()
+        for worker in workers.iter() {
+            matches.append(&worker.matches);
+        }
+    }
+
+    /// [`CompiledQuery::pass_parallel`] under a parallel-search context,
+    /// [`CompiledQuery::pass`] without one.
+    fn pass_in<N: Analysis<L>>(
+        &self,
+        egraph: &EGraph<L, N>,
+        restrict: Restrict,
+        tracking: DeltaTracking,
+        scratch: &mut MatchScratch,
+        par: Option<&mut ParallelCtx<'_>>,
+    ) where
+        N::Data: Sync,
+    {
+        match par {
+            Some(ctx) => self.pass_parallel(egraph, restrict, tracking, scratch, ctx),
+            None => self.pass(egraph, restrict, tracking, scratch),
+        }
     }
 }
 
@@ -820,21 +877,23 @@ impl<L: Language + 'static, N: Analysis<L>> Rewrite<L, N> {
 }
 
 impl<L: Language, N: Analysis<L>> Rewrite<L, N> {
-    /// Applies `matches`, honoring the guard; returns how many changed the
-    /// graph.
-    fn apply_matches(&self, egraph: &mut EGraph<L, N>, matches: Vec<Subst>) -> usize {
-        let mut changed = 0;
-        for m in matches {
-            if let Some(g) = &self.guard {
-                if !g(egraph, &m) {
-                    continue;
-                }
-            }
-            if (self.applier)(egraph, &m) {
-                changed += 1;
-            }
-        }
-        changed
+    /// Applies one match, honoring the guard; returns whether it changed
+    /// the graph.
+    fn apply(&self, egraph: &mut EGraph<L, N>, m: &Subst) -> bool {
+        self.guard.as_ref().is_none_or(|guard| guard(egraph, m)) && (self.applier)(egraph, m)
+    }
+
+    /// Applies the matches the compiled query's last search left in
+    /// `scratch`, in their order, each loaded into the scratch's one
+    /// substitution; returns how many changed the graph.
+    fn apply_matches(&self, egraph: &mut EGraph<L, N>, scratch: &mut MatchScratch) -> usize {
+        let MatchScratch { matches, subst, .. } = scratch;
+        (0..matches.len())
+            .filter(|&i| {
+                subst.load(&self.compiled.vars, matches.row(i));
+                self.apply(egraph, subst)
+            })
+            .count()
     }
 
     /// Runs the rule once over the whole graph (search with the compiled
@@ -845,8 +904,11 @@ impl<L: Language, N: Analysis<L>> Rewrite<L, N> {
         if !egraph.is_clean() {
             egraph.rebuild();
         }
-        let matches = self.compiled.search(egraph);
-        self.apply_matches(egraph, matches)
+        let scratch = &mut MatchScratch::new();
+        scratch.matches.reset(self.compiled.vars.len());
+        self.compiled
+            .pass(egraph, Restrict::Full, DeltaTracking::OpKeyed, scratch);
+        self.apply_matches(egraph, scratch)
     }
 
     /// Like [`Rewrite::run`] but with the retained naive matcher — the
@@ -856,7 +918,7 @@ impl<L: Language, N: Analysis<L>> Rewrite<L, N> {
             egraph.rebuild();
         }
         let matches = self.query.search(egraph);
-        self.apply_matches(egraph, matches)
+        matches.iter().filter(|m| self.apply(egraph, m)).count()
     }
 }
 
@@ -865,10 +927,11 @@ where
     N::Data: Sync,
 {
     /// [`Rewrite::run`] for the scheduler: a caller-provided scratch (one
-    /// per saturation run) and an optional parallel-search context. With
-    /// a context the *search* is partitioned across its pool (see
-    /// [`ParallelCtx`]); the matches are applied serially either way, in
-    /// the exact order the serial search produces them.
+    /// per saturation run, or longer-lived) and an optional
+    /// parallel-search context. With a context the *search* is partitioned
+    /// across its pool (see [`ParallelCtx`]); the matches are applied
+    /// serially either way, in the exact order the serial search produces
+    /// them.
     pub fn run_with_ctx(
         &self,
         egraph: &mut EGraph<L, N>,
@@ -878,11 +941,10 @@ where
         if !egraph.is_clean() {
             egraph.rebuild();
         }
-        let matches = match par {
-            Some(ctx) => self.compiled.search_ctx(egraph, scratch, ctx),
-            None => self.compiled.search_with(egraph, scratch),
-        };
-        self.apply_matches(egraph, matches)
+        scratch.matches.reset(self.compiled.vars.len());
+        self.compiled
+            .pass_in(egraph, Restrict::Full, DeltaTracking::OpKeyed, scratch, par);
+        self.apply_matches(egraph, scratch)
     }
 
     /// Delta run: applies every match that is new relative to the
@@ -903,26 +965,22 @@ where
         rel_cutoff: u64,
         tracking: DeltaTracking,
         scratch: &mut MatchScratch,
-        par: Option<&mut ParallelCtx<'_>>,
+        mut par: Option<&mut ParallelCtx<'_>>,
     ) -> usize {
         if !egraph.is_clean() {
             egraph.rebuild();
         }
         let compiled = &self.compiled;
-        let matches = match par {
-            Some(ctx) => compiled.search_delta_tracked_ctx(
-                egraph,
-                epoch_cutoff,
-                rel_cutoff,
-                tracking,
-                scratch,
-                ctx,
-            ),
-            None => {
-                compiled.search_delta_tracked(egraph, epoch_cutoff, rel_cutoff, tracking, scratch)
-            }
-        };
-        self.apply_matches(egraph, matches)
+        compiled.delta(
+            egraph,
+            epoch_cutoff,
+            rel_cutoff,
+            scratch,
+            |restrict, scratch| {
+                compiled.pass_in(egraph, restrict, tracking, scratch, par.as_deref_mut());
+            },
+        );
+        self.apply_matches(egraph, scratch)
     }
 }
 

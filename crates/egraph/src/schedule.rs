@@ -23,9 +23,11 @@
 //! relation store are quiescent; for rules *not* marked pure, any new
 //! relation tuple since their last run forces a full search as a safety
 //! net (their guards may read relation state the query does not mention).
-//! One [`MatchScratch`] per saturation run is threaded through every
-//! search, so the compiled matcher's one binding buffer and register file
-//! live across candidates, rules and passes. Setting [`Runner::use_naive_matcher`]
+//! One [`MatchScratch`] per saturation run — the caller's, through
+//! [`Runner::run_phased_in`], when it has one to reuse across runs — is
+//! threaded through every search, so the compiled matcher's binding
+//! buffer, register file and match buffer live across candidates, rules
+//! and passes. Setting [`Runner::use_naive_matcher`]
 //! bypasses all of this and benchmarks the retained naive reference
 //! matcher.
 //!
@@ -875,13 +877,15 @@ impl Runner {
     where
         N::Data: Sync,
     {
-        self.run_phased_seeded(
+        let scratch = &mut MatchScratch::new();
+        self.run_phased_in(
             egraph,
             main_rules,
             supporting_rules,
             outer_iters,
             budget,
-            RuleState::default(),
+            None,
+            scratch,
         )
     }
 
@@ -907,41 +911,50 @@ impl Runner {
     where
         N::Data: Sync,
     {
-        self.run_phased_seeded(
+        let scratch = &mut MatchScratch::new();
+        self.run_phased_in(
             egraph,
             main_rules,
             supporting_rules,
             outer_iters,
             budget,
-            warm.seed(),
+            Some(warm),
+            scratch,
         )
     }
 
+    /// The phased schedule itself, in the caller's matcher scratch: cold
+    /// ([`Runner::run_phased_budgeted`]) without `warm`, warm-started
+    /// ([`Runner::run_phased_warm`]) with it. A caller that saturates graph
+    /// after graph keeps one scratch for all of its runs; what a run
+    /// leaves in it never reaches the next (every search resets what it
+    /// reads).
     #[allow(clippy::too_many_arguments)]
-    fn run_phased_seeded<L: Language, N: Analysis<L>>(
+    pub fn run_phased_in<L: Language, N: Analysis<L>>(
         &self,
         egraph: &mut EGraph<L, N>,
         main_rules: &[Rewrite<L, N>],
         supporting_rules: &[Rewrite<L, N>],
         outer_iters: usize,
         budget: Budget,
-        seed: RuleState,
+        warm: Option<WarmStart>,
+        scratch: &mut MatchScratch,
     ) -> RunReport
     where
         N::Data: Sync,
     {
         let start = Instant::now();
         let mut report = RunReport::default();
+        let seed = warm.map(WarmStart::seed).unwrap_or_default();
         let mut main_states = vec![seed; main_rules.len()];
         let mut support_states = vec![seed; supporting_rules.len()];
-        let mut scratch = MatchScratch::new();
         let mut par = self.parallel_search();
         let mut clock = BudgetClock::new(budget.tighten(self.budget_from_now()));
         let support = self.fixpoint_with_states(
             egraph,
             supporting_rules,
             &mut support_states,
-            &mut scratch,
+            scratch,
             &mut par,
             &mut clock,
             false,
@@ -961,7 +974,7 @@ impl Runner {
                 egraph,
                 main_rules,
                 &mut main_states,
-                &mut scratch,
+                scratch,
                 &mut par,
                 &mut clock,
                 &mut report,
@@ -974,7 +987,7 @@ impl Runner {
                 egraph,
                 supporting_rules,
                 &mut support_states,
-                &mut scratch,
+                scratch,
                 &mut par,
                 &mut clock,
                 false,

@@ -47,6 +47,11 @@ impl UnionFind {
         id
     }
 
+    /// Forgets every id, keeping the capacity; the next id is 0 again.
+    pub fn clear(&mut self) {
+        self.parents.clear();
+    }
+
     /// Number of ids ever created (not the number of sets).
     #[must_use]
     pub fn len(&self) -> usize {

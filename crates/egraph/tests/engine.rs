@@ -14,18 +14,22 @@
 //! * on random graphs and random queries of every shape the backtracking
 //!   matcher emits the naive reference's match *sequence*, its delta
 //!   search covers every match created since the cutoffs, and its chunked
-//!   (parallel) evaluation concatenates to the serial sequence.
+//!   (parallel) evaluation concatenates to the serial sequence;
+//! * a graph, matcher scratch and extraction scratch that served one graph
+//!   and were cleared rebuild another exactly as fresh ones do: same ids,
+//!   same saturation report, same match sequences, same extraction, same
+//!   snapshot bytes.
 
 use proptest::prelude::*;
 
 use hb_egraph::egraph::{DeltaTracking, EGraph};
-use hb_egraph::extract::{AstSize, WorklistExtractor};
+use hb_egraph::extract::{AstSize, Extract, SharedTableExtractor, WorklistExtractor};
 use hb_egraph::language::Language;
 use hb_egraph::math_lang::{n, padd, pdiv, pmul, pshl, pvar, Math};
 use hb_egraph::pattern::{MatchScratch, Pattern, Subst};
 use hb_egraph::pool::SearchPool;
 use hb_egraph::rewrite::{ParallelCtx, Query, Rewrite};
-use hb_egraph::schedule::Runner;
+use hb_egraph::schedule::{Budget, Runner};
 use hb_egraph::unionfind::Id;
 
 type EG = EGraph<Math, ()>;
@@ -52,15 +56,23 @@ fn apply_steps(eg: &mut EG, ids: &mut Vec<Id>, steps: &[Step]) {
     eg.rebuild();
 }
 
-/// Replays a step sequence, returning the graph and the ids it created.
-fn replay(steps: &[Step]) -> (EG, Vec<Id>) {
-    let mut eg = EG::new();
+/// Replays a step sequence into an empty graph, returning the ids it
+/// created.
+fn replay_into(eg: &mut EG, steps: &[Step]) -> Vec<Id> {
+    assert!(eg.is_empty());
     let mut ids: Vec<Id> = Vec::new();
     // Seed a few leaves so binary ops always have operands.
     for s in ["a", "b", "c"] {
         ids.push(eg.add(Math::Sym(s.into())));
     }
-    apply_steps(&mut eg, &mut ids, steps);
+    apply_steps(eg, &mut ids, steps);
+    ids
+}
+
+/// Replays a step sequence, returning the graph and the ids it created.
+fn replay(steps: &[Step]) -> (EG, Vec<Id>) {
+    let mut eg = EG::new();
+    let ids = replay_into(&mut eg, steps);
     (eg, ids)
 }
 
@@ -533,6 +545,84 @@ proptest! {
     }
 }
 
+/// Saturates `eg` with the math rules in `scratch`, then checks the engine
+/// invariants; the report with its wall clock zeroed.
+fn saturate_in(eg: &mut EG, scratch: &mut MatchScratch) -> hb_egraph::schedule::RunReport {
+    let runner = Runner::new(16, 5_000);
+    let budget = Budget::none();
+    let mut report = runner.run_phased_in(eg, &math_rules(), &[], 4, budget, None, scratch);
+    report.elapsed = std::time::Duration::ZERO;
+    eg.check_op_index();
+    eg.check_op_epochs();
+    report
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    // Reuse safety: a context — graph, matcher scratch, extraction scratch —
+    // that built, saturated and extracted one graph and was cleared must
+    // build the next graph exactly as a fresh context does. Nothing the
+    // first graph left behind (ids, rows, logs, relation tuples, epochs,
+    // match rows, cost-table entries, bank slots) may show.
+    #[test]
+    fn cleared_context_rebuilds_the_fresh_graph(
+        earlier in proptest::collection::vec((0u8..6, 0u32..64, 0u32..64), 50),
+        earlier_tuples in proptest::collection::vec((0u8..2, 0u32..64, 0u32..64), 6),
+        steps in proptest::collection::vec((0u8..5, 0u32..64, 0u32..64), 40),
+        tuples in proptest::collection::vec((0u8..2, 0u32..64, 0u32..64), 6),
+        genes in proptest::collection::vec(proptest::collection::vec(0u32..256, 24), 4),
+    ) {
+        // The used context: another graph, all the way through.
+        let mut eg = EG::new();
+        let mut scratch = MatchScratch::new();
+        let earlier_ids = replay_into(&mut eg, &earlier);
+        insert_tuples(&mut eg, &earlier_ids, &earlier_tuples);
+        saturate_in(&mut eg, &mut scratch);
+        let shared = SharedTableExtractor::new(&eg, AstSize);
+        for &id in &earlier_ids {
+            let _ = shared.extract(id);
+        }
+        let used_tables = Box::new(shared).into_scratch();
+        eg.clear();
+        prop_assert!(eg.is_empty() && eg.is_clean());
+        prop_assert_eq!((eg.num_nodes(), eg.id_bound(), eg.work_epoch()), (0, 0, 1));
+
+        // The same graph in the used and in a fresh context.
+        let ids = replay_into(&mut eg, &steps);
+        let (mut fresh, fresh_ids) = replay(&steps);
+        prop_assert_eq!(&ids, &fresh_ids);
+        insert_tuples(&mut eg, &ids, &tuples);
+        insert_tuples(&mut fresh, &fresh_ids, &tuples);
+        let report = saturate_in(&mut eg, &mut scratch);
+        let fresh_report = saturate_in(&mut fresh, &mut MatchScratch::new());
+        prop_assert_eq!(report, fresh_report);
+        prop_assert_eq!(eg.snapshot(), fresh.snapshot());
+
+        for g in &genes {
+            let query = gen_query(g, 3).compile();
+            prop_assert_eq!(
+                query.search_with(&eg, &mut scratch),
+                query.search(&fresh),
+                "genes {:?}", g
+            );
+        }
+
+        let reused = SharedTableExtractor::with_scratch(&eg, AstSize, used_tables);
+        let reference = WorklistExtractor::new(&fresh, AstSize);
+        // Roots in replay order, so the bank fills across readouts.
+        for &id in &ids {
+            prop_assert_eq!(reused.cost_of(id), reference.cost_of(id));
+            prop_assert_eq!(reused.extract(id).nodes(), reference.extract(id).nodes());
+        }
+        let again = WorklistExtractor::with_scratch(&eg, AstSize, Box::new(reused).into_scratch());
+        for &id in &ids {
+            prop_assert_eq!(again.extract(id).nodes(), reference.extract(id).nodes());
+        }
+        prop_assert_eq!(again.stats().table_entries, reference.stats().table_entries);
+    }
+}
+
 #[test]
 fn scheduler_semi_naive_finds_late_tuples_without_full_research() {
     // The main rule joins against a relation that is *empty* when the rule
@@ -691,14 +781,15 @@ fn op_keyed_runner_probes_fewer_rows_than_per_class() {
 
 #[test]
 fn compaction_is_deterministic_and_exact() {
-    // Regression: modification-log compaction builds its max-epoch map in
-    // a HashMap; the compacted log must be fully ordered by (epoch, id)
-    // so delta replay never depends on hash-iteration order. Two replicas
-    // of the same workout use independently seeded HashMaps, so any
-    // order leak diverges their probe results.
+    // Regression: modification-log compaction folds the log through a
+    // by-id scratch kept between rebuilds (and across `clear()`); the
+    // compacted log must be fully ordered by (epoch, id) and the scratch
+    // must come back all zero, so delta replay depends on neither. The
+    // second replica of the workout is built in a graph that already
+    // compacted another workout's logs, so a leak diverges their probes.
     let mul_key = Math::Mul([Id(0), Id(0)]).op_key();
-    let build = || {
-        let mut eg = EG::new();
+    let build = |mut eg: EG| {
+        eg.clear();
         let two = eg.add(Math::Num(2));
         // A Mul chain deep enough that every union propagates ~40 epochs.
         let mut chain = vec![eg.add(Math::Sym("x".into()))];
@@ -717,24 +808,31 @@ fn compaction_is_deterministic_and_exact() {
         }
         (eg, cutoffs)
     };
-    let (a, cutoffs_a) = build();
-    let (b, cutoffs_b) = build();
+    let (a, cutoffs_a) = build(EG::new());
+    let (used, _) = build(EG::new());
+    let (b, cutoffs_b) = build(used);
     assert_eq!(cutoffs_a, cutoffs_b, "replicas must replay identically");
+    fn collect(read: impl FnOnce(&mut Vec<Id>)) -> Vec<Id> {
+        let mut out = Vec::new();
+        read(&mut out);
+        out
+    }
     for &cutoff in &cutoffs_a {
         assert_eq!(
-            a.modified_since(cutoff),
-            b.modified_since(cutoff),
+            collect(|out| a.modified_since(cutoff, out)),
+            collect(|out| b.modified_since(cutoff, out)),
             "global log diverged between replicas at cutoff {cutoff}"
         );
+        let per_op = collect(|out| a.modified_candidates_for(mul_key, cutoff, out));
         assert_eq!(
-            a.modified_candidates_for(mul_key, cutoff),
-            b.modified_candidates_for(mul_key, cutoff),
+            per_op,
+            collect(|out| b.modified_candidates_for(mul_key, cutoff, out)),
             "per-op log diverged between replicas at cutoff {cutoff}"
         );
         // Exactness after compaction: the whole chain was restamped after
         // every cutoff, so every chain class must still be reported.
         assert_eq!(
-            a.modified_candidates_for(mul_key, cutoff).len(),
+            per_op.len(),
             40,
             "compaction lost chain entries at cutoff {cutoff}"
         );

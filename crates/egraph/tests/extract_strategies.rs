@@ -9,14 +9,23 @@
 //! * property test: on randomized saturated graphs, every root's
 //!   shared-table readout is byte-identical to the worklist readout and
 //!   the two report the same cost — the oracle that lets the selector's
-//!   batched mode switch strategies without changing a single output byte.
+//!   batched mode switch strategies without changing a single output byte;
+//! * property test: the worklist strategy's dense tables and per-class
+//!   tie-break ranks choose, class by class, what the reference solver —
+//!   hash maps, and a recursive, pairwise-memoized content comparison —
+//!   chooses.
 
 use proptest::prelude::*;
 
 use hb_egraph::egraph::EGraph;
+use std::cmp::Ordering;
+use std::collections::HashMap;
+
 use hb_egraph::extract::{
-    AstSize, DagCostExtractor, Extract, FnCost, SharedTableExtractor, WorklistExtractor,
+    AstSize, CostFunction, DagCostExtractor, Extract, FnCost, SharedTableExtractor,
+    WorklistExtractor,
 };
+use hb_egraph::language::Language;
 use hb_egraph::math_lang::{n, pdiv, pmul, pvar, Math};
 use hb_egraph::rewrite::Rewrite;
 use hb_egraph::schedule::Runner;
@@ -228,6 +237,165 @@ proptest! {
                 check.find(reimported), check.find(root),
                 "dag extraction {} left the class of {}", term.to_sexp(), root
             );
+        }
+    }
+}
+
+/// The reference tree-cost solver the dense [`WorklistExtractor`] must
+/// agree with: full passes to a fixpoint over a `class → (cost, node)`
+/// map, then equal-cost ties re-picked by content — operator key, arity,
+/// children compared recursively through their representatives, descending
+/// only into strictly cheaper classes, class pairs memoized.
+struct ReferenceTable<'a, C> {
+    eg: &'a EG,
+    cost_fn: C,
+    best: HashMap<Id, (u64, Math)>,
+}
+
+impl<'a, C: CostFunction<Math>> ReferenceTable<'a, C> {
+    fn solve(eg: &'a EG, cost_fn: C) -> Self {
+        let mut table = ReferenceTable {
+            eg,
+            cost_fn,
+            best: HashMap::new(),
+        };
+        loop {
+            let mut changed = false;
+            for class in eg.classes() {
+                let winner = (class.nodes.iter())
+                    .filter_map(|node| Some((table.node_cost(node)?, node)))
+                    .reduce(|w, c| if c.0 < w.0 { c } else { w });
+                if let Some((cost, node)) = winner {
+                    let new = (cost, node.clone());
+                    changed |= table.best.get(&class.id).is_none_or(|old| old.0 != cost);
+                    table.best.insert(class.id, new);
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+        let mut order: Vec<(u64, Id)> = table.best.iter().map(|(&id, e)| (e.0, id)).collect();
+        order.sort_unstable();
+        let mut memo = HashMap::new();
+        for (cost, id) in order {
+            let nodes = &eg.class(id).nodes;
+            let mut winner: Option<&Math> = None;
+            for node in nodes.iter().filter(|_| nodes.len() > 1) {
+                let cheaper = |c: &Id| table.best.get(&eg.find(*c)).is_some_and(|e| e.0 < cost);
+                if table.node_cost(node) == Some(cost)
+                    && node.children().iter().all(cheaper)
+                    && winner
+                        .is_none_or(|w| table.cmp_nodes(node, w, cost, &mut memo) == Ordering::Less)
+                {
+                    winner = Some(node);
+                }
+            }
+            if let Some(node) = winner {
+                table.best.insert(id, (cost, node.clone()));
+            }
+        }
+        table
+    }
+
+    fn node_cost(&self, node: &Math) -> Option<u64> {
+        let mut feasible = true;
+        let cost = self.cost_fn.cost(node, &mut |c| {
+            let known = self.best.get(&self.eg.find(c)).map(|e| e.0);
+            feasible &= known.is_some();
+            known.unwrap_or(u64::MAX / 4)
+        });
+        feasible.then_some(cost)
+    }
+
+    fn cmp_nodes(
+        &self,
+        a: &Math,
+        b: &Math,
+        limit: u64,
+        memo: &mut HashMap<(Id, Id), Ordering>,
+    ) -> Ordering {
+        (a.op_key().cmp(&b.op_key()))
+            .then(a.children().len().cmp(&b.children().len()))
+            .then_with(|| {
+                let pairs = a.children().iter().zip(b.children());
+                pairs
+                    .map(|(&ca, &cb)| self.cmp_classes(ca, cb, limit, memo))
+                    .find(|&ord| ord != Ordering::Equal)
+                    .unwrap_or(Ordering::Equal)
+            })
+    }
+
+    fn cmp_classes(
+        &self,
+        a: Id,
+        b: Id,
+        limit: u64,
+        memo: &mut HashMap<(Id, Id), Ordering>,
+    ) -> Ordering {
+        let (a, b) = (self.eg.find(a), self.eg.find(b));
+        if a == b {
+            return Ordering::Equal;
+        }
+        if let Some(&ord) = memo.get(&(a, b)) {
+            return ord;
+        }
+        let ord = match (self.best.get(&a), self.best.get(&b)) {
+            (Some((ca, na)), Some((cb, nb))) => ca.cmp(cb).then_with(|| {
+                if *ca >= limit {
+                    Ordering::Equal
+                } else {
+                    self.cmp_nodes(na, nb, *ca, memo)
+                }
+            }),
+            (Some(_), None) => Ordering::Less,
+            (None, Some(_)) => Ordering::Greater,
+            (None, None) => Ordering::Equal,
+        };
+        memo.insert((a, b), ord);
+        memo.insert((b, a), ord.reverse());
+        ord
+    }
+
+    /// The chosen term of `id`, as an s-expression.
+    fn term(&self, id: Id) -> String {
+        let (_, node) = &self.best[&self.eg.find(id)];
+        if node.children().is_empty() {
+            return node.op_name();
+        }
+        let children: Vec<String> = node.children().iter().map(|&c| self.term(c)).collect();
+        format!("({} {})", node.op_name(), children.join(" "))
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    // Saturated graphs are where ties live: `a * 2` beside `a << 1`,
+    // re-associated products of equal size. Under `AstSize` every node
+    // costs 1, so equal-cost alternatives are the common case; the weighted
+    // function moves the ties elsewhere.
+    #[test]
+    fn worklist_choices_equal_the_reference_solver(
+        steps in proptest::collection::vec((0u8..6, 0u32..64, 0u32..64), 60),
+        weighted in 0u8..2,
+    ) {
+        let (mut eg, ids) = replay(&steps);
+        let mut rules = math_rules();
+        rules.push(Rewrite::rewrite("comm-mul", pmul(pvar("a"), pvar("b")), pmul(pvar("b"), pvar("a"))));
+        Runner::new(6, 4_000).run_to_fixpoint(&mut eg, &rules);
+        let weigh = |node: &Math| match node {
+            Math::Mul(_) if weighted == 1 => 2,
+            _ => 1,
+        };
+        let dense = WorklistExtractor::new(&eg, FnCost(weigh));
+        let reference = ReferenceTable::solve(&eg, FnCost(weigh));
+        for &root in &ids {
+            let want = reference.best.get(&eg.find(root)).map(|e| e.0);
+            prop_assert_eq!(dense.cost_of(root), want);
+            if want.is_some() {
+                prop_assert_eq!(dense.extract(root).to_sexp(), reference.term(root), "root {}", root);
+            }
         }
     }
 }
