@@ -25,13 +25,10 @@
 //!    workload pool encoded into one e-graph and saturated with the phased
 //!    schedule, indexed vs naive (the engine-level speedup), plus the
 //!    run's delta/full/skipped search counters and the per-op delta-probe
-//!    row counts (probed vs skipped op rows). The same pool is also run
-//!    with the retained per-class delta baseline
-//!    (`Runner::use_per_class_deltas`) — identical outcomes asserted — to
-//!    record how many probe rows op-keyed tracking saves.
+//!    row counts (probed vs skipped op rows).
 //!
 //! Passing `--check` runs only the equivalence oracles (per-leaf vs
-//! batched programs, indexed vs naive vs per-class-delta saturation)
+//! batched programs, indexed vs naive saturation)
 //! without repetitions, timing assertions or the JSON write — CI runs
 //! this on every PR.
 //!
@@ -44,14 +41,8 @@
 //! and would double-fail a noisy shared runner that the 25% ratio
 //! comparison already polices.
 //!
-//! Passing `--threads N` turns on intra-compile parallelism (parallel
-//! rule search and extraction readouts, `compile_threads` /
-//! `Runner::search_threads`) in **every** measured session — results are
-//! asserted byte-identical either way, so the flag only moves the
-//! wall-clock numbers. The default is 1 (serial) to keep the committed
-//! baseline comparable across machines; the thread knob and the actual
-//! core count are recorded in the JSON's `metadata` block.
-//! `serve_throughput` owns the parallel-vs-serial A/B series.
+//! Every measured session is serial (a compile has no threads); the core
+//! count the run saw is recorded in the JSON's `metadata` block.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -63,9 +54,7 @@ use hardboiled::postprocess::normalize_temps;
 use hardboiled::rules;
 use hardboiled::{Batching, CompileOutcome, CompileReport, ExtractionPolicy, Session};
 use hb_bench::guard::{compare_against_baseline, timing_floor};
-use hb_bench::workloads::{
-    metadata_json, saturation_leaves, saturation_pool, threads_flag, workloads, Workload,
-};
+use hb_bench::workloads::{metadata_json, saturation_leaves, saturation_pool, workloads, Workload};
 use hb_egraph::schedule::Runner;
 use hb_egraph::unionfind::Id;
 use hb_ir::stmt::Stmt;
@@ -98,41 +87,28 @@ fn run_session(w: &Workload, session: &Session, reps: usize) -> Measurement {
 }
 
 /// The per-leaf reference session, optionally on the naive matcher.
-fn per_leaf_session(naive: bool, threads: usize) -> Session {
+fn per_leaf_session(naive: bool) -> Session {
     Session::builder()
         .runner(Runner::new(16, 200_000).with_naive_matcher(naive))
-        .compile_threads(threads)
-        .build()
-        .expect("valid session")
-}
-
-/// A per-leaf session on the retained per-class delta baseline — the
-/// op-keyed ≡ per-class selection oracle.
-fn per_class_session(threads: usize) -> Session {
-    Session::builder()
-        .runner(Runner::new(16, 200_000).with_per_class_deltas(true))
-        .compile_threads(threads)
         .build()
         .expect("valid session")
 }
 
 /// The shared-e-graph session (`Auto` extraction resolves to the
 /// shared-table strategy in batched mode).
-fn batched_session(threads: usize) -> Session {
+fn batched_session() -> Session {
     Session::builder()
         .batching(Batching::Batched)
-        .compile_threads(threads)
         .build()
         .expect("valid session")
 }
 
 /// A shared-e-graph session with a forced extraction strategy, for the
 /// shared-table vs per-root-worklist comparison.
-fn batched_session_with(extractor: ExtractionPolicy, threads: usize) -> Session {
+fn batched_session_with(extractor: ExtractionPolicy) -> Session {
     Session::builder()
         .batching(Batching::Batched)
         .extractor(extractor)
-        .compile_threads(threads)
         .build()
         .expect("valid session")
 }
@@ -153,17 +129,8 @@ struct BatchRun {
     graph: HbGraph,
 }
 
-fn run_batched_saturation(
-    leaves: &[Stmt],
-    naive: bool,
-    per_class: bool,
-    threads: usize,
-    reps: usize,
-) -> BatchRun {
-    let runner = Runner::new(16, 500_000)
-        .with_naive_matcher(naive)
-        .with_per_class_deltas(per_class)
-        .with_search_threads(threads);
+fn run_batched_saturation(leaves: &[Stmt], naive: bool, reps: usize) -> BatchRun {
+    let runner = Runner::new(16, 500_000).with_naive_matcher(naive);
     run_batched_with(&runner, leaves, reps)
 }
 
@@ -173,11 +140,9 @@ fn run_batched_saturation(
 /// slow drift hits both arms equally. Returns the best-of-`reps`
 /// saturate time per arm and the instrumented side's last run for the
 /// graph-equivalence oracle.
-fn run_obs_overhead_ab(leaves: &[Stmt], threads: usize, reps: usize) -> (f64, f64, BatchRun) {
-    let uninstrumented = Runner::new(16, 500_000).with_search_threads(threads);
-    let instrumented = Runner::new(16, 500_000)
-        .with_search_threads(threads)
-        .with_profile_sink(Arc::new(NullSink));
+fn run_obs_overhead_ab(leaves: &[Stmt], reps: usize) -> (f64, f64, BatchRun) {
+    let uninstrumented = Runner::new(16, 500_000);
+    let instrumented = Runner::new(16, 500_000).with_profile_sink(Arc::new(NullSink));
     let mut plain_sat_ms = f64::INFINITY;
     let mut profiled_sat_ms = f64::INFINITY;
     let mut profiled: Option<BatchRun> = None;
@@ -309,14 +274,10 @@ fn assert_extractor_equivalence(
     all: &[Workload],
     shared_outs: &[Stmt],
     shared_report: &CompileReport,
-    threads: usize,
     reps: usize,
 ) -> CompileReport {
-    let (worklist_outs, worklist_report, _) = run_suite_batched(
-        all,
-        &batched_session_with(ExtractionPolicy::Worklist, threads),
-        reps,
-    );
+    let (worklist_outs, worklist_report, _) =
+        run_suite_batched(all, &batched_session_with(ExtractionPolicy::Worklist), reps);
     for ((w, shared), worklist) in all.iter().zip(shared_outs).zip(&worklist_outs) {
         assert_eq!(
             normalize_temps(&shared.to_string()),
@@ -361,28 +322,20 @@ fn assert_saturation_equivalent(fast: &BatchRun, naive: &BatchRun) {
 
 /// `--check`: equivalence oracles only — no repetitions, no timing
 /// assertions, no JSON. This is what CI runs on every PR.
-fn check_mode(all: &[Workload], threads: usize) {
-    let indexed_session = per_leaf_session(false, threads);
-    let naive_session = per_leaf_session(true, threads);
-    let per_class = per_class_session(threads);
-    let shared_session = batched_session(threads);
+fn check_mode(all: &[Workload]) {
+    let indexed_session = per_leaf_session(false);
+    let naive_session = per_leaf_session(true);
+    let shared_session = batched_session();
     let mut canonical_programs = Vec::new();
     for w in all {
         let per_leaf = run_session(w, &indexed_session, 1);
         let naive = run_session(w, &naive_session, 1);
-        let pc = run_session(w, &per_class, 1);
         let batched = run_session(w, &shared_session, 1);
         let canonical = normalize_temps(&per_leaf.selected.to_string());
         assert_eq!(
             canonical,
             normalize_temps(&naive.selected.to_string()),
             "{}: naive-matcher selection diverged",
-            w.name
-        );
-        assert_eq!(
-            canonical,
-            normalize_temps(&pc.selected.to_string()),
-            "{}: per-class-delta selection diverged",
             w.name
         );
         assert_eq!(
@@ -398,13 +351,13 @@ fn check_mode(all: &[Workload], threads: usize) {
             w.name
         );
         println!(
-            "{:<26} ok ({} stmts, batched identical, naive + per-class oracles identical)",
+            "{:<26} ok ({} stmts, batched identical, naive oracle identical)",
             w.name,
             per_leaf.report.num_statements()
         );
         canonical_programs.push(canonical);
     }
-    let (suite_outs, suite_report, _) = run_suite_batched(all, &batched_session(threads), 1);
+    let (suite_outs, suite_report, _) = run_suite_batched(all, &batched_session(), 1);
     for ((w, canonical), out) in all.iter().zip(&canonical_programs).zip(&suite_outs) {
         assert_eq!(
             *canonical,
@@ -420,7 +373,7 @@ fn check_mode(all: &[Workload], threads: usize) {
     // Extractor-equivalence oracle: the suite read out through the shared
     // table (the batched default) must be byte-identical to the same suite
     // forced onto per-root worklist readouts.
-    let _ = assert_extractor_equivalence(all, &suite_outs, &suite_report, threads, 1);
+    let _ = assert_extractor_equivalence(all, &suite_outs, &suite_report, 1);
     let shared_ex = suite_report
         .extraction
         .as_ref()
@@ -432,8 +385,8 @@ fn check_mode(all: &[Workload], threads: usize) {
         shared_ex.reused_readouts
     );
     let leaves = saturation_pool(all);
-    let fast = run_batched_saturation(&leaves, false, false, threads, 1);
-    let naive = run_batched_saturation(&leaves, true, false, threads, 1);
+    let fast = run_batched_saturation(&leaves, false, 1);
+    let naive = run_batched_saturation(&leaves, true, 1);
     assert_saturation_equivalent(&fast, &naive);
     println!(
         "batched saturation     ok ({} leaves, {} nodes, {} classes, indexed ≡ naive)",
@@ -441,21 +394,10 @@ fn check_mode(all: &[Workload], threads: usize) {
         fast.nodes,
         fast.classes
     );
-    // Op-keyed ≡ per-class oracle: the retained per-class delta baseline
-    // must reach the same saturated graph, while probing at least as many
-    // delta rows as the op-keyed default.
-    let per_class = run_batched_saturation(&leaves, false, true, threads, 1);
-    assert_saturation_equivalent(&fast, &per_class);
-    assert!(
-        fast.probed_rows <= per_class.probed_rows,
-        "op-keyed tracking probed more rows ({}) than the per-class baseline ({})",
-        fast.probed_rows,
-        per_class.probed_rows
-    );
     fast.graph.check_op_epochs();
     println!(
-        "delta tracking         ok (op-keyed ≡ per-class; probed rows {} vs {}, skipped {} vs {})",
-        fast.probed_rows, per_class.probed_rows, fast.skipped_rows, per_class.skipped_rows
+        "delta tracking         ok (op-epoch rows consistent; probed rows {}, skipped {})",
+        fast.probed_rows, fast.skipped_rows
     );
     println!("all equivalence oracles passed");
 }
@@ -474,10 +416,9 @@ fn main() {
             .unwrap_or_else(|e| panic!("--compare: cannot read {path}: {e}"))
     });
     let strict_timing = compare_baseline.is_none();
-    let threads = threads_flag(&args, 1);
     let all = workloads();
     if check_only {
-        check_mode(&all, threads);
+        check_mode(&all);
         return;
     }
 
@@ -488,9 +429,9 @@ fn main() {
         "{:<22} {:>12} {:>12} {:>8}   {:>6} {:>8}",
         "workload", "indexed (ms)", "naive (ms)", "speedup", "stmts", "nodes"
     );
-    let indexed_session = per_leaf_session(false, threads);
-    let naive_session = per_leaf_session(true, threads);
-    let shared_session = batched_session(threads);
+    let indexed_session = per_leaf_session(false);
+    let naive_session = per_leaf_session(true);
+    let shared_session = batched_session();
     let mut sel_indexed = 0.0;
     let mut sel_naive = 0.0;
     let mut per_leaf_runs: Vec<Measurement> = Vec::new();
@@ -607,11 +548,10 @@ fn main() {
         );
     }
 
-    // The headline: the whole suite as ONE batch (`select_batched_many`) —
+    // The headline: the whole suite as ONE batch (`compile_ir_suite`) —
     // every leaf of every workload in one shared e-graph, one saturation —
     // against the per-leaf path's total from [1].
-    let (suite_outs, suite_report, suite_batched) =
-        run_suite_batched(&all, &batched_session(threads), 5);
+    let (suite_outs, suite_report, suite_batched) = run_suite_batched(&all, &batched_session(), 5);
     for ((w, per_leaf), out) in all.iter().zip(&per_leaf_runs).zip(&suite_outs) {
         assert_eq!(
             normalize_temps(&per_leaf.selected.to_string()),
@@ -673,8 +613,7 @@ fn main() {
     // out through the shared table (the batched default) vs the same suite
     // forced onto per-root worklist readouts — byte-identical programs
     // (asserted), the stage time difference is the strategy's win.
-    let worklist_report =
-        assert_extractor_equivalence(&all, &suite_outs, &suite_report, threads, 5);
+    let worklist_report = assert_extractor_equivalence(&all, &suite_outs, &suite_report, 5);
     let suite_extraction = suite_report
         .extraction
         .as_ref()
@@ -724,7 +663,6 @@ fn main() {
         .batching(Batching::Batched)
         .deadline(std::time::Duration::from_secs(120))
         .match_budget(usize::MAX / 2)
-        .compile_threads(threads)
         .build()
         .expect("valid session");
     let (budgeted_outs, budgeted_report, budgeted_ms) =
@@ -769,16 +707,11 @@ fn main() {
     });
 
     // [3] batched whole-program saturation: all leaves, one e-graph, engine
-    // level (no encode/extract), indexed vs naive — plus the per-class
-    // delta baseline for the probed-row A/B.
+    // level (no encode/extract), indexed vs naive.
     let leaves = saturation_pool(&all);
-    let fast = run_batched_saturation(&leaves, false, false, threads, 7);
-    let naive = run_batched_saturation(&leaves, true, false, threads, 2);
+    let fast = run_batched_saturation(&leaves, false, 7);
+    let naive = run_batched_saturation(&leaves, true, 2);
     assert_saturation_equivalent(&fast, &naive);
-    // Same rep count as the op-keyed arm: both sides of the A/B keep the
-    // best-of-N minimum, so unequal N would bias the timing comparison.
-    let per_class = run_batched_saturation(&leaves, false, true, threads, 7);
-    assert_saturation_equivalent(&fast, &per_class);
     fast.graph.check_op_epochs();
 
     let speedup = naive.saturate_ms / fast.saturate_ms;
@@ -794,19 +727,9 @@ fn main() {
         "    searches: {} delta, {} full, {} skipped (semi-naive keeps relation rules off the full path)",
         fast.delta_searches, fast.full_searches, fast.skipped_searches
     );
-    // max(1) keeps the ratio finite if a future rule set probes nothing
-    // (an `inf` token would corrupt the JSON).
-    let probe_reduction = per_class.probed_rows.max(1) as f64 / fast.probed_rows.max(1) as f64;
     println!(
-        "    delta probes: op-keyed {} probed / {} skipped rows, per-class baseline {} probed / {} skipped — {:.2}x fewer probes",
-        fast.probed_rows, fast.skipped_rows, per_class.probed_rows, per_class.skipped_rows,
-        probe_reduction
-    );
-    assert!(
-        fast.probed_rows <= per_class.probed_rows,
-        "op-keyed tracking probed more rows ({}) than the per-class baseline ({})",
-        fast.probed_rows,
-        per_class.probed_rows
+        "    delta probes: {} probed / {} skipped rows",
+        fast.probed_rows, fast.skipped_rows
     );
     // ≥5x is the engine's target on this workload (measured headroom:
     // ~8x on an idle machine); treat <5x as noise-suspect and <3x as a
@@ -829,7 +752,7 @@ fn main() {
     // plumbing meets. The arms are interleaved one rep per pass (slow
     // drift hits both equally; `fast` from [3] was measured too long ago
     // to reuse), best-of-7 each, graph equivalence asserted.
-    let (plain_sat_ms, profiled_sat_ms, profiled) = run_obs_overhead_ab(&leaves, threads, 7);
+    let (plain_sat_ms, profiled_sat_ms, profiled) = run_obs_overhead_ab(&leaves, 7);
     assert_saturation_equivalent(&fast, &profiled);
     let obs_overhead_pct = (profiled_sat_ms / plain_sat_ms - 1.0) * 100.0;
     println!(
@@ -848,7 +771,6 @@ fn main() {
     let obs_metrics = Arc::new(MetricsRegistry::default());
     let obs_session = Session::builder()
         .batching(Batching::Batched)
-        .compile_threads(threads)
         .metrics(Arc::clone(&obs_metrics))
         .build()
         .expect("valid session");
@@ -912,10 +834,8 @@ fn main() {
     "naive": {{ "encode_ms": {n_enc:.3}, "saturate_ms": {n_sat:.3} }},
     "searches": {{ "delta": {f_delta}, "full": {f_full}, "skipped": {f_skip} }},
     "delta_probe_stats": {{
-      "description": "candidate op rows visited vs skipped by delta probes: op-keyed tracking probes only classes whose (class, root_op) rows changed since each rule last ran; per_class is the same saturation on the retained Runner::use_per_class_deltas baseline (identical saturated graph asserted), which re-probes every modified class containing the root operator",
-      "op_keyed": {{ "probed_rows": {f_probed}, "skipped_rows": {f_skipped_rows}, "saturate_ms": {f_sat:.3} }},
-      "per_class": {{ "probed_rows": {pc_probed}, "skipped_rows": {pc_skipped_rows}, "saturate_ms": {pc_sat:.3} }},
-      "probe_reduction": {probe_reduction:.2}
+      "description": "candidate op rows visited vs skipped by delta probes: op-keyed tracking probes only classes whose (class, root_op) rows changed since each rule last ran. The per-class baseline it replaced (re-probe every modified class containing the root operator; retired, it reached the identical saturated graph) probed 10519 rows against 9291 on this pool, 1.13x, when last measured",
+      "op_keyed": {{ "probed_rows": {f_probed}, "skipped_rows": {f_skipped_rows}, "saturate_ms": {f_sat:.3} }}
     }},
     "speedup": {speedup:.2}
   }},
@@ -930,7 +850,7 @@ fn main() {
   "headline_batched_select_speedup": {prehoist_speedup:.2}
 }}
 "#,
-        metadata = metadata_json(threads),
+        metadata = metadata_json(1),
         sel_speedup = sel_naive / sel_indexed,
         outcomes_saturated = outcomes[0],
         outcomes_truncated = outcomes[1],
@@ -966,18 +886,13 @@ fn main() {
         f_skip = fast.skipped_searches,
         f_probed = fast.probed_rows,
         f_skipped_rows = fast.skipped_rows,
-        pc_probed = per_class.probed_rows,
-        pc_skipped_rows = per_class.skipped_rows,
-        pc_sat = per_class.saturate_ms,
     );
     std::fs::write("BENCH_eqsat.json", json).expect("write BENCH_eqsat.json");
     println!("wrote BENCH_eqsat.json");
 
     if let Some(baseline) = compare_baseline {
         // The tracked ratios: the engine headline, the whole-suite batched
-        // selection ratios and the per-leaf selector total. Probe-count
-        // ratios are deterministic but machine-independent, so they are
-        // guarded by the hard assert above instead.
+        // selection ratios and the per-leaf selector total.
         let tracked = [
             ("headline_speedup", "headline_speedup", speedup),
             (

@@ -1,5 +1,4 @@
-//! Compile-service throughput and intra-compile parallelism benchmark,
-//! written to `BENCH_serve.json`.
+//! Compile-service benchmark, written to `BENCH_serve.json`.
 //!
 //! Five measurements over the shared workload pool
 //! (`hb_bench::workloads`):
@@ -9,35 +8,30 @@
 //!    once on `--threads` workers: requests/sec plus p50/p99 per-request
 //!    latency (submit → reply, queue wait included — a closed-loop burst
 //!    is the service's worst case).
-//! 2. **saturate-stage series** — the whole suite through one batched
-//!    session (`Batching::Batched`, one shared e-graph, one saturation)
-//!    at `compile_threads` 1 / 2 / `--threads`: parallel rule search
-//!    against the immutable e-graph snapshot with serial deterministic
-//!    match application, byte-identical programs asserted at every
-//!    thread count, stage wall times recorded.
-//! 3. **extract-readout series** — the same suite forced onto per-root
-//!    worklist readouts (the `Sync` extraction strategy), serial vs
-//!    parallel readout partitions.
-//! 4. **cached-burst series** — the pool submitted for several rounds
+//! 2. **cached-burst series** — the pool submitted for several rounds
 //!    through a service sharing one [`ReportCache`]: round 1 cold-fills,
 //!    later rounds are hits; per-round rps/p50/p99 plus the final hit
 //!    rate (deterministic: (rounds−1)/rounds).
-//! 5. **warm-start** — the pool exported as a `SuiteSnapshot`, then one
+//! 3. **warm-start** — the pool exported as a `SuiteSnapshot`, then one
 //!    new workload warm-started into it vs a cold compile of the
 //!    extended suite: selected programs identical, delta-probed relation
 //!    rows strictly fewer (`probe_reduction` = cold/warm), restore time.
+//! 4. **backpressure / cancellation** — a burst against a full bounded
+//!    queue under a parked worker, then dropped tickets drained.
+//! 5. **observability overhead** — the batched suite through a fully
+//!    instrumented session vs a plain one.
 //!
-//! On a 1-core machine a parallel wall-clock *win* is impossible, so the
-//! win floors only arm when [`cores`] ≥ 2 (the JSON's `metadata` block
-//! records both the knob and the cores, keeping numbers from different
-//! machines interpretable). Correctness never depends on core count:
-//! every mode asserts byte-identical programs against serial.
+//! `--threads N` is the service's worker count (a compile itself is
+//! serial). A multi-worker wall-clock *win* needs cores the process can
+//! actually use, which [`cores`] cannot tell (it counts visible CPUs), so
+//! a 1-vs-N throughput ratio at or below 1 is printed as a warning, never
+//! asserted; the JSON's `metadata` block records both the knob and the
+//! cores, keeping numbers from different machines interpretable.
 //!
-//! `--check` runs only the equivalence oracles — parallel ≡ serial for
-//! per-leaf / batched / suite-batched compilation under all three
-//! extraction strategies, service replies ≡ direct session calls,
-//! cache hits ≡ cold compiles, and warm-started suites ≡ cold suites
-//! (with strictly fewer probed rows) — with no timing floors and no
+//! `--check` runs only the equivalence oracles — service replies ≡ direct
+//! session calls, instrumented ≡ plain, cache hits ≡ cold compiles,
+//! warm-started suites ≡ cold suites (with strictly fewer probed rows) and
+//! the backpressure + cancellation ledger — with no timing floors and no
 //! JSON write. CI runs this on every PR.
 //!
 //! `--compare <path>` reloads a committed `BENCH_serve.json` and exits
@@ -49,8 +43,8 @@ use std::time::{Duration, Instant};
 
 use hardboiled::postprocess::normalize_temps;
 use hardboiled::{
-    Batching, CacheOutcome, CompileError, CompileService, ExtractionPolicy, IntoProgram, Program,
-    ReportCache, ServiceError, Session,
+    Batching, CacheOutcome, CompileError, CompileService, IntoProgram, Program, ReportCache,
+    ServiceError, Session,
 };
 use hb_apps::gemm_wmma::GemmWmma;
 use hb_bench::guard::{compare_against_baseline, timing_floor};
@@ -112,17 +106,12 @@ fn wait_for_pickup(service: &CompileService, target: &str) {
     }
 }
 
-/// A session over the default `sim` target with the given batching,
-/// forced extraction strategy (None = the target's `Auto` policy) and
-/// intra-compile thread count.
-fn session(batching: Batching, policy: Option<ExtractionPolicy>, threads: usize) -> Session {
-    let mut b = Session::builder()
+/// A session over the default `sim` target with the given batching.
+fn session(batching: Batching) -> Session {
+    Session::builder()
         .batching(batching)
-        .compile_threads(threads);
-    if let Some(p) = policy {
-        b = b.extractor(p);
-    }
-    b.build().expect("valid session")
+        .build()
+        .expect("valid session")
 }
 
 /// Compiles every workload per-leaf through `session` and returns the
@@ -152,40 +141,15 @@ fn compile_suite(all: &[Workload], session: &Session) -> (Vec<String>, hardboile
     (outs, result.report)
 }
 
-/// The parallel ≡ serial oracle for one batching × extraction strategy:
-/// identical programs at every parallel thread count.
-fn assert_parallel_identity(
-    all: &[Workload],
-    batching: Batching,
-    policy: Option<ExtractionPolicy>,
-    label: &str,
-) {
-    let reference = compile_pool(all, &session(batching, policy, 1));
-    for threads in [2, 4] {
-        let parallel = compile_pool(all, &session(batching, policy, threads));
-        for (w, (expect, got)) in all.iter().zip(reference.iter().zip(&parallel)) {
-            assert_eq!(
-                expect, got,
-                "{}: {label} selection diverged at compile_threads={threads}",
-                w.name
-            );
-        }
-    }
-    println!(
-        "{label:<28} ok ({} workloads, threads 2 and 4 ≡ serial)",
-        all.len()
-    );
-}
-
 /// The service oracle: replies through a multi-worker service are
-/// byte-identical to direct single-threaded session calls, twice in a
-/// row (no cross-request state).
+/// byte-identical to direct session calls, twice in a row (no
+/// cross-request state).
 fn assert_service_identity(all: &[Workload]) {
-    let direct = session(Batching::PerLeaf, None, 1);
+    let direct = session(Batching::PerLeaf);
     let reference = compile_pool(all, &direct);
     let service = CompileService::builder()
         .worker_threads(4)
-        .register("default", session(Batching::PerLeaf, None, 1))
+        .register("default", session(Batching::PerLeaf))
         .build()
         .expect("valid service");
     for round in 0..2 {
@@ -246,7 +210,7 @@ fn assert_cache_identity(all: &[Workload]) {
     let cache = Arc::new(ReportCache::new(1024));
     let service = CompileService::builder()
         .worker_threads(2)
-        .register("default", session(Batching::PerLeaf, None, 1))
+        .register("default", session(Batching::PerLeaf))
         .shared_cache(Arc::clone(&cache))
         .build()
         .expect("valid service");
@@ -285,40 +249,6 @@ fn assert_cache_identity(all: &[Workload]) {
     );
 }
 
-/// The service-level delta-rounds oracle: replies from services whose
-/// sessions saturate with 2 and 4 intra-compile threads are
-/// byte-identical to the serial direct session — parallel semi-naive
-/// delta rounds included, since every multi-iteration saturation runs
-/// them.
-fn assert_service_parallel_identity(all: &[Workload]) {
-    let reference = compile_pool(all, &session(Batching::PerLeaf, None, 1));
-    for threads in [2, 4] {
-        let service = CompileService::builder()
-            .worker_threads(2)
-            .register("default", session(Batching::PerLeaf, None, threads))
-            .build()
-            .expect("valid service");
-        let sources: Vec<_> = all.iter().map(|w| w.lowered.clone()).collect();
-        let replies = service
-            .compile_batch("default", sources)
-            .expect("submission must be accepted");
-        for (w, (expect, reply)) in all.iter().zip(reference.iter().zip(&replies)) {
-            let reply = reply.as_ref().expect("request must compile");
-            assert_eq!(
-                *expect,
-                normalize_temps(&reply.program.to_string()),
-                "{}: service reply with compile_threads={threads} diverged from serial",
-                w.name
-            );
-        }
-        service.shutdown();
-    }
-    println!(
-        "service parallel ≡ serial    ok ({} workloads, sessions at compile_threads 2 and 4)",
-        all.len()
-    );
-}
-
 /// The backpressure/cancellation oracle (deterministic — no timing):
 /// a full per-target queue refuses with `Busy` carrying the exact
 /// depth, a ticket dropped while queued is skipped without compiling,
@@ -331,7 +261,7 @@ fn assert_backpressure_and_cancellation(all: &[Workload]) {
     let service = CompileService::builder()
         .worker_threads(1)
         .queue_capacity(2)
-        .register("default", session(Batching::PerLeaf, None, 1))
+        .register("default", session(Batching::PerLeaf))
         .shared_metrics(Arc::clone(&metrics))
         .build()
         .expect("valid service");
@@ -437,7 +367,7 @@ struct WarmStats {
 /// warm. Asserts identical selections and strictly fewer probed rows;
 /// returns the row counts and restore time.
 fn run_warm_start(all: &[Workload]) -> WarmStats {
-    let session = session(Batching::Batched, None, 1);
+    let session = session(Batching::Batched);
     let known: Vec<(&Stmt, &hardboiled::movement::Placements)> = all
         .iter()
         .map(|w| (&w.lowered.stmt, &w.lowered.placements))
@@ -493,109 +423,9 @@ fn run_warm_start(all: &[Workload]) -> WarmStats {
     }
 }
 
-/// The session-level delta-rounds oracle: one snapshot warm-started at
-/// compile_threads 1 / 2 / 4 yields byte-identical programs AND exactly
-/// equal delta-probed row counts — the semi-naive rounds are partitioned
-/// across threads, never re-enumerated or reordered.
-fn assert_warm_delta_rounds_identity(all: &[Workload]) {
-    let serial = session(Batching::Batched, None, 1);
-    let known: Vec<(&Stmt, &hardboiled::movement::Placements)> = all
-        .iter()
-        .map(|w| (&w.lowered.stmt, &w.lowered.placements))
-        .collect();
-    let extra = extra_workload();
-    let mut full = known.clone();
-    full.push((&extra.stmt, &extra.placements));
-    let (_, snapshot) = serial.compile_ir_suite_exporting(&known);
-    let snapshot = snapshot.expect("a saturated batched pool compile exports a snapshot");
-    let (reference, rejection) = serial.compile_ir_suite_warm(&full, &snapshot);
-    assert!(
-        rejection.is_none(),
-        "serial warm-start rejected: {rejection:?}"
-    );
-    let reference_programs: Vec<String> = reference
-        .programs
-        .iter()
-        .map(|p| normalize_temps(&p.to_string()))
-        .collect();
-    let reference_rows = reference
-        .report
-        .batch
-        .as_ref()
-        .expect("batched run")
-        .delta_probed_rows;
-    for threads in [2, 4] {
-        let parallel = session(Batching::Batched, None, threads);
-        let (warm, rejection) = parallel.compile_ir_suite_warm(&full, &snapshot);
-        assert!(
-            rejection.is_none(),
-            "warm-start at compile_threads={threads} rejected: {rejection:?}"
-        );
-        let programs: Vec<String> = warm
-            .programs
-            .iter()
-            .map(|p| normalize_temps(&p.to_string()))
-            .collect();
-        assert_eq!(
-            reference_programs, programs,
-            "warm delta rounds diverged at compile_threads={threads}"
-        );
-        assert_eq!(
-            reference_rows,
-            warm.report
-                .batch
-                .as_ref()
-                .expect("batched run")
-                .delta_probed_rows,
-            "delta probe counters diverged at compile_threads={threads}"
-        );
-    }
-    println!(
-        "warm delta rounds ≡ serial   ok ({} workloads + 1 new, threads 2 and 4, probed rows exact)",
-        all.len()
-    );
-}
-
 fn check_mode(all: &[Workload]) {
-    assert_parallel_identity(all, Batching::PerLeaf, None, "per-leaf auto");
-    assert_parallel_identity(all, Batching::Batched, None, "batched shared-table");
-    assert_parallel_identity(
-        all,
-        Batching::PerLeaf,
-        Some(ExtractionPolicy::Worklist),
-        "per-leaf worklist",
-    );
-    assert_parallel_identity(
-        all,
-        Batching::Batched,
-        Some(ExtractionPolicy::Worklist),
-        "batched worklist",
-    );
-    assert_parallel_identity(
-        all,
-        Batching::PerLeaf,
-        Some(ExtractionPolicy::DagCost),
-        "per-leaf dag-cost",
-    );
-    assert_parallel_identity(
-        all,
-        Batching::Batched,
-        Some(ExtractionPolicy::DagCost),
-        "batched dag-cost",
-    );
     // Suite-batched (every workload's every leaf in ONE graph).
-    let (reference, _) = compile_suite(all, &session(Batching::Batched, None, 1));
-    for threads in [2, 4] {
-        let (parallel, _) = compile_suite(all, &session(Batching::Batched, None, threads));
-        assert_eq!(
-            reference, parallel,
-            "suite-batched selection diverged at compile_threads={threads}"
-        );
-    }
-    println!(
-        "suite-batched                ok ({} workloads in one shared graph, threads 2 and 4 ≡ serial)",
-        all.len()
-    );
+    let (reference, _) = compile_suite(all, &session(Batching::Batched));
     // Full observability stack installed ⇒ identical programs.
     let metrics = Arc::new(MetricsRegistry::default());
     let (instrumented, _) = compile_suite(all, &instrumented_session(&metrics));
@@ -607,10 +437,8 @@ fn check_mode(all: &[Workload]) {
         "instrumented ≡ plain         ok (tracer + metrics + null profile sink, identical programs)"
     );
     assert_service_identity(all);
-    assert_service_parallel_identity(all);
     assert_backpressure_and_cancellation(all);
     assert_cache_identity(all);
-    assert_warm_delta_rounds_identity(all);
     let warm = run_warm_start(all);
     println!(
         "warm ≡ cold                  ok ({} workloads + 1 new, identical programs, probed rows {} vs {})",
@@ -618,7 +446,7 @@ fn check_mode(all: &[Workload]) {
         warm.warm_probed_rows,
         warm.cold_probed_rows
     );
-    println!("all parallel-equivalence oracles passed");
+    println!("all service, cache and warm-start oracles passed");
 }
 
 struct ServeStats {
@@ -650,7 +478,7 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
 fn run_service(all: &[Workload], workers: usize, rounds: usize) -> ServeStats {
     let service = CompileService::builder()
         .worker_threads(workers)
-        .register("default", session(Batching::PerLeaf, None, 1))
+        .register("default", session(Batching::PerLeaf))
         .build()
         .expect("valid service");
     // Warm-up round: first-touch allocations and lazily-built rule sets.
@@ -704,7 +532,7 @@ fn run_cached_service(all: &[Workload], workers: usize, rounds: usize) -> (Vec<S
     let cache = Arc::new(ReportCache::new(1024));
     let service = CompileService::builder()
         .worker_threads(workers)
-        .register("default", session(Batching::PerLeaf, None, 1))
+        .register("default", session(Batching::PerLeaf))
         .shared_cache(Arc::clone(&cache))
         .build()
         .expect("valid service");
@@ -781,7 +609,7 @@ fn run_backpressure(all: &[Workload]) -> BackpressureStats {
     let service = CompileService::builder()
         .worker_threads(1)
         .queue_capacity(capacity)
-        .register("default", session(Batching::PerLeaf, None, 1))
+        .register("default", session(Batching::PerLeaf))
         .shared_metrics(Arc::clone(&metrics))
         .build()
         .expect("valid service");
@@ -869,7 +697,6 @@ struct ObsOverhead {
 fn instrumented_session(metrics: &Arc<MetricsRegistry>) -> Session {
     Session::builder()
         .batching(Batching::Batched)
-        .compile_threads(1)
         .tracer(Tracer::new())
         .metrics(Arc::clone(metrics))
         .profile_sink(Arc::new(NullSink))
@@ -880,10 +707,9 @@ fn instrumented_session(metrics: &Arc<MetricsRegistry>) -> Session {
 /// A/B of the whole batched suite: a plain session vs one carrying the
 /// full observability stack, best-of-`reps` suite walls each with the
 /// arms interleaved (slow drift hits both equally), programs asserted
-/// byte-identical against `reference`. One compile thread keeps the
-/// measurement free of scheduler noise.
+/// byte-identical against `reference`.
 fn run_obs_overhead(all: &[Workload], reps: usize, reference: &[String]) -> ObsOverhead {
-    let plain = session(Batching::Batched, None, 1);
+    let plain = session(Batching::Batched);
     let metrics = Arc::new(MetricsRegistry::default());
     let instrumented = instrumented_session(&metrics);
     let _ = compile_suite(all, &plain); // warm-up: first-touch + rule build
@@ -908,70 +734,6 @@ fn run_obs_overhead(all: &[Workload], reps: usize, reference: &[String]) -> ObsO
     }
 }
 
-struct StageRun {
-    threads: usize,
-    wall_ms: f64,
-    saturate_ms: f64,
-    extract_ms: f64,
-    readout_ms: f64,
-}
-
-/// Best-of-`reps` whole-suite batched compile at one thread count,
-/// asserting the programs against `reference` (pass an empty slice to
-/// establish the reference). Best is by suite wall; the saturate stage is
-/// additionally min-tracked across reps (same rationale as the readout
-/// min in `eqsat_saturation`: stage times are small enough that a single
-/// scheduler hiccup would swamp the series).
-fn run_stage(
-    all: &[Workload],
-    policy: Option<ExtractionPolicy>,
-    threads: usize,
-    reps: usize,
-    reference: &[String],
-) -> (Vec<String>, StageRun) {
-    let session = session(Batching::Batched, policy, threads);
-    let _ = compile_suite(all, &session); // warm-up
-    let mut best: Option<(Vec<String>, StageRun)> = None;
-    let mut min_saturate = f64::INFINITY;
-    let mut min_readout = f64::INFINITY;
-    for _ in 0..reps {
-        let started = Instant::now();
-        let (outs, report) = compile_suite(all, &session);
-        let wall_ms = started.elapsed().as_secs_f64() * 1e3;
-        let saturate_ms = report.stages.saturate.as_secs_f64() * 1e3;
-        let extract_ms = report.stages.extract.as_secs_f64() * 1e3;
-        let readout_ms = report
-            .extraction
-            .as_ref()
-            .map_or(0.0, |ex| ex.readout_time.as_secs_f64() * 1e3);
-        min_saturate = min_saturate.min(saturate_ms);
-        min_readout = min_readout.min(readout_ms);
-        if !reference.is_empty() {
-            assert_eq!(
-                reference,
-                &outs[..],
-                "suite programs diverged at compile_threads={threads}"
-            );
-        }
-        if best.as_ref().is_none_or(|(_, b)| wall_ms < b.wall_ms) {
-            best = Some((
-                outs,
-                StageRun {
-                    threads,
-                    wall_ms,
-                    saturate_ms,
-                    extract_ms,
-                    readout_ms,
-                },
-            ));
-        }
-    }
-    let (outs, mut run) = best.expect("at least one rep");
-    run.saturate_ms = min_saturate;
-    run.readout_ms = min_readout;
-    (outs, run)
-}
-
 #[allow(clippy::too_many_lines)]
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -990,7 +752,6 @@ fn main() {
         return;
     }
     let threads = threads_flag(&args, cores().max(2));
-    let multi_core = cores() >= 2;
 
     // [1] service throughput: 1 worker vs `threads` workers.
     println!(
@@ -1008,66 +769,16 @@ fn main() {
         );
     }
     println!("  throughput speedup: {rps_speedup:.2}x");
-    if multi_core {
-        timing_floor(strict_timing, rps_speedup > 1.0, || {
-            format!(
-                "{} service workers did not beat 1 worker ({rps_speedup:.2}x) despite {} cores",
-                threads,
-                cores()
-            )
-        });
-    } else {
-        println!(
-            "  (1 core visible — a multi-worker wall-clock win is impossible here; floors off)"
+    if rps_speedup <= 1.0 {
+        // Not a floor: visible cores need not be usable ones (see the
+        // module docs); `--compare` guards the ratio against the baseline.
+        eprintln!(
+            "warning: {threads} service workers did not beat 1 worker ({rps_speedup:.2}x) with {} cores visible",
+            cores()
         );
     }
 
-    // [2] intra-compile saturate-stage series: whole suite, one shared
-    // graph, compile_threads 1 / 2 / `threads`.
-    let mut counts = vec![1, 2, threads];
-    counts.dedup();
-    println!("\nsaturate-stage series (whole suite, one shared e-graph, parallel rule search)");
-    let (reference, serial_stage) = run_stage(&all, None, 1, 5, &[]);
-    let mut series = vec![serial_stage];
-    for &t in counts.iter().skip(1) {
-        let (_, run) = run_stage(&all, None, t, 5, &reference);
-        series.push(run);
-    }
-    for run in &series {
-        println!(
-            "  threads={:<2} saturate {:>7.2} ms, extract {:>6.2} ms, suite wall {:>8.2} ms",
-            run.threads, run.saturate_ms, run.extract_ms, run.wall_ms
-        );
-    }
-    let saturate_speedup_2t = series[0].saturate_ms / series[1].saturate_ms;
-    println!("  saturate speedup at 2 threads: {saturate_speedup_2t:.2}x (programs byte-identical, asserted)");
-    if multi_core {
-        timing_floor(strict_timing, saturate_speedup_2t > 1.0, || {
-            format!(
-                "parallel rule search on 2 threads did not beat serial \
-                 ({saturate_speedup_2t:.2}x) despite {} cores",
-                cores()
-            )
-        });
-    }
-
-    // [3] extract-readout series: worklist strategy (per-root readouts
-    // partition across threads), serial vs `threads`.
-    let (wl_reference, wl_serial) = run_stage(&all, Some(ExtractionPolicy::Worklist), 1, 5, &[]);
-    let (_, wl_parallel) = run_stage(
-        &all,
-        Some(ExtractionPolicy::Worklist),
-        threads,
-        5,
-        &wl_reference,
-    );
-    let readout_speedup = wl_serial.readout_ms / wl_parallel.readout_ms;
-    println!(
-        "\nextract readouts (worklist strategy): serial {:.3} ms vs {} threads {:.3} ms — {readout_speedup:.2}x",
-        wl_serial.readout_ms, threads, wl_parallel.readout_ms
-    );
-
-    // [4] cached-burst series: the same pool re-submitted through a
+    // [2] cached-burst series: the same pool re-submitted through a
     // service sharing one report cache — round 1 cold-fills, the rest hit.
     let cache_rounds = 3;
     let (cached_series, hit_rate) = run_cached_service(&all, threads, cache_rounds);
@@ -1089,7 +800,7 @@ fn main() {
         "  hit rate {hit_rate:.3}, hit-round throughput {cache_rps_speedup:.2}x the cold round"
     );
 
-    // [5] warm-start: pool exported, one new workload delta-saturated.
+    // [3] warm-start: pool exported, one new workload delta-saturated.
     let warm = run_warm_start(&all);
     println!(
         "\nwarm-start (pool snapshot + 1 new workload): probed rows {} vs cold {} — {:.2}x fewer, restore {:.3} ms, snapshot {:.1} KiB",
@@ -1100,7 +811,7 @@ fn main() {
         warm.snapshot_kib
     );
 
-    // [6] backpressure/cancellation: bounded-queue refusal and dropped-
+    // [4] backpressure/cancellation: bounded-queue refusal and dropped-
     // ticket cancellation under a parked worker — deterministic ratios,
     // measured burst/drain walls.
     let bp = run_backpressure(&all);
@@ -1120,29 +831,23 @@ fn main() {
         bp.drain_ms
     );
 
-    // [7] observability: the same batched suite through a session
+    // [5] observability: the same batched suite through a session
     // carrying the full stack — enabled tracer, metrics registry, no-op
     // ProfileSink — vs the plain session. The bar is the subsystem's
     // contract: <2% end to end, same as the budget-plumbing bar.
+    let (reference, _) = compile_suite(&all, &session(Batching::Batched));
     let obs = run_obs_overhead(&all, 7, &reference);
     println!(
-        "\nobservability (tracer + metrics + null profile sink, whole batched suite, 1 thread)\n  \
+        "\nobservability (tracer + metrics + null profile sink, whole batched suite)\n  \
          instrumented {:.2} ms vs plain {:.2} ms — {:+.2}% overhead (programs byte-identical, asserted)",
         obs.instrumented_ms, obs.plain_ms, obs.overhead_pct
     );
     println!("  metrics: {}", obs.summary);
-    timing_floor(strict_timing, obs.overhead_pct < 2.0, || {
-        format!(
-            "full observability (tracer + metrics + profile sink) costs {:.2}% \
-             on the batched suite (bar: 2%)",
-            obs.overhead_pct
-        )
-    });
 
     let json = format!(
         r#"{{
   "benchmark": "serve_throughput",
-  "description": "CompileService request throughput (burst-submitted workload pool, per-request submit-to-reply latency) and intra-compile parallelism (parallel rule search + parallel extraction readouts on the batched suite), byte-identical programs asserted against serial at every thread count",
+  "description": "CompileService request throughput (burst-submitted workload pool, per-request submit-to-reply latency), shared report cache, snapshot warm-start, backpressure/cancellation and observability overhead; metadata.threads is the service's worker count (a compile is serial)",
   {metadata},
   "service": {{
     "description": "one per-leaf sim-target session behind a worker pool; the full pool x 3 rounds submitted as a burst, latency includes queue wait",
@@ -1150,18 +855,6 @@ fn main() {
     "workers_1": {{ "workers": 1, "wall_ms": {s_wall:.3}, "rps": {s_rps:.2}, "p50_ms": {s_p50:.3}, "p99_ms": {s_p99:.3} }},
     "workers_n": {{ "workers": {p_workers}, "wall_ms": {p_wall:.3}, "rps": {p_rps:.2}, "p50_ms": {p_p50:.3}, "p99_ms": {p_p99:.3} }},
     "rps_speedup": {rps_speedup:.2}
-  }},
-  "saturate_series": [
-{stage_rows}
-  ],
-  "saturate_speedup_2t": {saturate_speedup_2t:.2},
-  "extract_readout": {{
-    "description": "per-root worklist readouts (the Sync strategy) partitioned across threads on the batched suite",
-    "strategy": "worklist",
-    "serial_ms": {wl_serial_ms:.3},
-    "parallel_ms": {wl_parallel_ms:.3},
-    "parallel_threads": {threads},
-    "readout_speedup": {readout_speedup:.2}
   }},
   "cache": {{
     "description": "the pool re-submitted through a service sharing one ReportCache; round 1 cold-fills, later rounds hit — replies byte-identical either way, hit_rate is deterministic (rounds-1)/rounds",
@@ -1211,18 +904,6 @@ fn main() {
         p_rps = parallel.rps,
         p_p50 = parallel.p50_ms,
         p_p99 = parallel.p99_ms,
-        stage_rows = series
-            .iter()
-            .map(|r| {
-                format!(
-                    r#"    {{ "threads": {}, "saturate_ms": {:.3}, "extract_ms": {:.3}, "suite_wall_ms": {:.3} }}"#,
-                    r.threads, r.saturate_ms, r.extract_ms, r.wall_ms
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",\n"),
-        wl_serial_ms = wl_serial.readout_ms,
-        wl_parallel_ms = wl_parallel.readout_ms,
         cache_rows = cached_series
             .iter()
             .enumerate()
@@ -1258,6 +939,14 @@ fn main() {
     );
     std::fs::write("BENCH_serve.json", json).expect("write BENCH_serve.json");
     println!("\nwrote BENCH_serve.json");
+    // After the write: a missed floor must not cost the run its numbers.
+    timing_floor(strict_timing, obs.overhead_pct < 2.0, || {
+        format!(
+            "full observability (tracer + metrics + profile sink) costs {:.2}% \
+             on the batched suite (bar: 2%)",
+            obs.overhead_pct
+        )
+    });
 
     if let Some(baseline) = compare_baseline {
         // Tracked ratios only — absolute rps/latency are machine-bound.
@@ -1267,12 +956,6 @@ fn main() {
         // `hit_rps_speedup` stays untracked — wall-clock noise.
         let tracked = [
             ("service", "rps_speedup", rps_speedup),
-            (
-                "saturate_speedup_2t",
-                "saturate_speedup_2t",
-                saturate_speedup_2t,
-            ),
-            ("extract_readout", "readout_speedup", readout_speedup),
             ("cache", "hit_rate", hit_rate),
             ("warm_start", "probe_reduction", warm.probe_reduction),
             ("backpressure", "busy_reject_ratio", bp.busy_reject_ratio),

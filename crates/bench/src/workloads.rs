@@ -179,16 +179,18 @@ pub fn threads_flag(args: &[String], default: usize) -> usize {
 
 /// Cores visible to this process ([`std::thread::available_parallelism`],
 /// so cgroup/affinity limits count). Recorded in every bench JSON so
-/// wall-clock numbers taken on different machines stay interpretable —
-/// on a 1-core runner a parallel win is *impossible* and the benches
-/// assert wins only when this is ≥ 2.
+/// wall-clock numbers taken on different machines stay interpretable.
+/// Visible is not usable: a shared 2-vCPU box can read 2 here while two
+/// busy threads scale barely past one, so no bench asserts a
+/// multi-threaded win on the strength of this number.
 #[must_use]
 pub fn cores() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// The `"metadata"` JSON object both bench files embed: the thread knob
-/// the run was configured with and the cores it actually had.
+/// The `"metadata"` JSON object both bench files embed: the threads the
+/// run was configured with (`serve_throughput`'s service workers;
+/// `eqsat_saturation` is serial and records 1) and the cores it saw.
 #[must_use]
 pub fn metadata_json(threads: usize) -> String {
     format!(

@@ -111,8 +111,7 @@ fn canonical_hash_separates_the_corpus() {
 fn policy_fingerprints_separate_targets_policies_and_budgets() {
     // Every knob the fingerprint folds must actually separate sessions;
     // a collision here would let a warm-start select under the wrong
-    // policy. Thread count is deliberately absent (byte-identity holds
-    // at any parallelism, so snapshots port across machines).
+    // policy.
     let mut prints: Vec<(String, u64)> = Vec::new();
     let mut add = |label: String, s: &Session| prints.push((label, s.policy_fingerprint()));
 
@@ -160,10 +159,8 @@ fn policy_fingerprints_separate_targets_policies_and_budgets() {
         }
     }
 
-    // Stability and the deliberate thread-count exclusion.
+    // Stability: equal configurations, equal fingerprints.
     let one = Session::builder().build().unwrap();
     let again = Session::builder().build().unwrap();
-    let threaded = Session::builder().compile_threads(4).build().unwrap();
     assert_eq!(one.policy_fingerprint(), again.policy_fingerprint());
-    assert_eq!(one.policy_fingerprint(), threaded.policy_fingerprint());
 }

@@ -247,9 +247,10 @@ fn cost_probe_nodes() -> Vec<HbLang> {
 
 /// Fingerprint of everything besides the programs that can change a
 /// compile's output: target, batching, extraction policy, budgets,
-/// matcher choice, and a cost-model probe. Thread counts and search
-/// pools are deliberately excluded — outputs are byte-identical at any
-/// parallelism, so cached reports and snapshots port across it.
+/// matcher choice, and a cost-model probe. What only observes a compile
+/// (tracer, metrics registry, profile sink) is deliberately excluded, so
+/// cached reports and snapshots port across instrumented and plain
+/// sessions.
 #[allow(clippy::too_many_arguments)] // one call site, in SessionBuilder::build
 pub(crate) fn policy_fingerprint(
     target_name: &str,
@@ -265,14 +266,13 @@ pub(crate) fn policy_fingerprint(
         "target={target_name}\u{1f}batching={batching:?}\u{1f}extraction={extraction:?}\
          \u{1f}outer={outer_iters}\u{1f}deadline={:?}\u{1f}match={match_budget:?}\
          \u{1f}iters={}\u{1f}nodes={}\u{1f}time={:?}\u{1f}runner_match={:?}\
-         \u{1f}naive={}\u{1f}per_class={}",
+         \u{1f}naive={}",
         deadline.map(|d| d.as_nanos()),
         runner.max_iterations,
         runner.node_limit,
         runner.time_budget.map(|d| d.as_nanos()),
         runner.match_budget,
         runner.use_naive_matcher,
-        runner.use_per_class_deltas,
     );
     for node in cost_probe_nodes() {
         let _ = write!(text, "\u{1f}{}", cost.node_cost(&node));

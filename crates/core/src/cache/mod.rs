@@ -38,9 +38,10 @@
 //! * The policy fingerprint folds in everything else that can change the
 //!   output: target name, batching mode, extraction policy, outer
 //!   iterations, node/match/deadline budgets, matcher choice, and a probe
-//!   of the cost model over representative e-nodes. Thread counts are
-//!   deliberately excluded — outputs are byte-identical at any
-//!   parallelism, so cached results and snapshots port across it.
+//!   of the cost model over representative e-nodes. Observers (tracer,
+//!   metrics registry, profile sink) are deliberately excluded — they
+//!   never change an output, so cached results and snapshots port across
+//!   instrumented and plain sessions.
 //!
 //! Hash collisions cannot corrupt results: a hit additionally requires
 //! the stored request (exact statements and placements) to equal the

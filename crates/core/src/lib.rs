@@ -55,9 +55,13 @@
 //! top: one long-lived session per registered target, `compile` /
 //! `compile_suite` requests fanned across `std::thread` workers with
 //! per-request panic isolation and a drain/shutdown path — see
-//! [`service`]. Intra-compile parallelism (parallel rule search and
-//! extraction readouts) is the orthogonal
-//! [`SessionBuilder::compile_threads`] knob.
+//! [`service`]. The service's workers are the one concurrency axis: a
+//! single compile is serial. A worker's unit of work is a whole compile
+//! (0.2 ms and up on the benchmark), which dwarfs a queue hand-off, while
+//! the largest grain *inside* a compile — one rule's join over a wide
+//! index row — averages ~12 µs even on the 161-leaf shared suite graph
+//! (and no per-leaf graph has a row wide enough to split at all), so a
+//! scatter/barrier per rule search costs about what it could save.
 //!
 //! ## Compile contexts
 //!
@@ -69,8 +73,8 @@
 //! vector, held only to pop and to push): a unit pops one — a fresh one
 //! when none is at rest — and, when it is done, clears the graph
 //! (`EGraph::clear`: everything observable reset, every table's capacity
-//! kept) and pushes the context back. Units that run at once, a
-//! compile's scoped threads or service workers sharing the session, each
+//! kept) and pushes the context back. Units that run at once — service
+//! workers, or callers sharing the session from several threads — each
 //! pop their own, so the pool's size follows the concurrency actually
 //! seen (up to 8); a [`CompileService`] gives all of its sessions *one*
 //! pool, because a context is target-independent and a worker runs one
@@ -141,9 +145,6 @@
 //! * **Front ends** implement [`session::IntoProgram`]; `hb-lang` does so
 //!   for its `Pipeline` and `Lowered` types, which makes
 //!   `session.compile(&pipeline)` lower and select in one call.
-//!
-//! The pre-`Session` free functions ([`selector::select`] and friends)
-//! remain as deprecated shims with byte-identical outputs.
 
 pub mod cache;
 pub mod cost;
@@ -153,7 +154,6 @@ pub mod lang;
 pub mod movement;
 pub mod postprocess;
 pub mod rules;
-pub mod selector;
 pub mod service;
 pub mod session;
 
@@ -172,7 +172,6 @@ pub use hb_obs::{
 pub use lang::{HbAnalysis, HbGraph, HbLang};
 pub use movement::Placements;
 pub use postprocess::MaterializeError;
-pub use selector::{SelectionReport, SelectorConfig};
 pub use service::{
     CompileService, CompileServiceBuilder, ServiceError, Ticket, DEFAULT_QUEUE_CAPACITY,
 };
@@ -181,6 +180,3 @@ pub use session::{
     ExtractionReport, IntoProgram, IrSuiteResult, Program, Session, SessionBuilder, StageTimings,
     StmtReport, SuiteResult, TruncationReason,
 };
-
-#[allow(deprecated)]
-pub use selector::{select, select_default};

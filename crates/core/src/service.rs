@@ -215,7 +215,7 @@ enum SessionSpec {
     /// Build a default session for this registered target name.
     Default,
     /// Use this pre-built session (custom batching, budgets, fault
-    /// plans, `compile_threads`, …).
+    /// plans, …).
     Ready(Box<Session>),
 }
 
@@ -247,8 +247,8 @@ impl CompileServiceBuilder {
     }
 
     /// Registers `name` with a caller-configured [`Session`] — the hook
-    /// for custom batching, extraction policy, budgets, intra-compile
-    /// `compile_threads`, or (in tests) fault plans.
+    /// for custom batching, extraction policy, budgets, or (in tests)
+    /// fault plans.
     #[must_use]
     pub fn register(mut self, name: &str, session: Session) -> Self {
         self.entries
@@ -810,7 +810,7 @@ impl Drop for CompileService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::Program;
+    use crate::session::{Batching, Program};
     use hb_ir::builder as b;
     use hb_ir::stmt::Stmt;
     use hb_ir::types::{MemoryType, ScalarType, Type};
@@ -995,7 +995,7 @@ mod tests {
     fn custom_session_registration_is_honored() {
         let session = Session::builder()
             .target_name("amx")
-            .compile_threads(2)
+            .batching(Batching::Batched)
             .build()
             .unwrap();
         let service = CompileService::builder()
@@ -1003,7 +1003,10 @@ mod tests {
             .register("fast-amx", session)
             .build()
             .unwrap();
-        assert_eq!(service.session("fast-amx").unwrap().threads(), 2);
+        assert_eq!(
+            service.session("fast-amx").unwrap().batching(),
+            Batching::Batched
+        );
         assert!(service
             .submit("fast-amx", tile_leaf(0))
             .unwrap()

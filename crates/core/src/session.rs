@@ -36,9 +36,6 @@
 //! wall-clock timings ([`StageTimings`]) so regressions can be pinned to
 //! the stage that caused them.
 //!
-//! The free functions in [`crate::selector`] remain as deprecated shims
-//! over this API.
-//!
 //! ## Thread safety and service ownership
 //!
 //! A `Session` is `Send + Sync` and designed to be **owned once, shared
@@ -53,19 +50,6 @@
 //! what a serial caller would get — this is the contract
 //! [`crate::service::CompileService`] builds on (one long-lived session
 //! per registered target, fanned across a worker pool).
-//!
-//! Orthogonally, [`SessionBuilder::compile_threads`] parallelizes the
-//! *inside* of a single compile call: per-leaf saturations
-//! ([`Batching::PerLeaf`]) and per-root extraction readouts are
-//! partitioned across `std::thread::scope` workers, and the shared
-//! saturation run ([`Batching::Batched`]) searches rules across the
-//! engine's `SearchPool` (snapshot-search, serial-apply — see the
-//! `hb-egraph` crate docs). All of it preserves the byte-identity
-//! oracles: results and reports match the single-threaded compile
-//! exactly, only wall-clock changes. A worker panic is re-raised on the
-//! calling thread after every sibling finishes, so the session's
-//! `catch_unwind` degradation ladder behaves as if the panic had
-//! happened serially.
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -77,7 +61,6 @@ use hb_egraph::extract::{
     DagCostExtractor, Extract, ExtractScratch, SharedTableExtractor, WorklistExtractor,
 };
 use hb_egraph::pattern::MatchScratch;
-use hb_egraph::pool::SearchPool;
 use hb_egraph::schedule::{Budget, CancelToken, RunReport, Runner, WarmStart};
 use hb_egraph::unionfind::Id;
 use hb_ir::expr::Expr;
@@ -178,8 +161,6 @@ pub enum BuildError {
     InvalidDeadline,
     /// `match_budget` must be at least 1.
     InvalidMatchBudget,
-    /// `compile_threads` must be at least 1.
-    InvalidThreads,
     /// [`crate::service::CompileServiceBuilder::worker_threads`] must be
     /// at least 1.
     InvalidWorkers,
@@ -205,7 +186,6 @@ impl fmt::Display for BuildError {
             BuildError::InvalidNodeLimit => write!(f, "node_limit must be at least 1"),
             BuildError::InvalidDeadline => write!(f, "deadline must be a non-zero duration"),
             BuildError::InvalidMatchBudget => write!(f, "match_budget must be at least 1"),
-            BuildError::InvalidThreads => write!(f, "compile_threads must be at least 1"),
             BuildError::InvalidWorkers => write!(f, "worker_threads must be at least 1"),
             BuildError::InvalidQueueCapacity => write!(f, "queue_capacity must be at least 1"),
             BuildError::DuplicateTarget(name) => {
@@ -513,8 +493,7 @@ impl SuiteResult {
 
 /// Result of the raw IR-level suite entry point
 /// ([`Session::compile_ir_suite`]): infallible, no isolation wrapping —
-/// the historical shape the deprecated selector shims and the benches
-/// consume.
+/// the shape the benches and the snapshot / warm-start paths consume.
 #[derive(Debug, Clone)]
 pub struct IrSuiteResult {
     /// The selected programs, in input order.
@@ -537,8 +516,6 @@ pub struct SessionBuilder {
     deadline: Option<Duration>,
     match_budget: Option<usize>,
     runner: Option<Runner>,
-    naive_matcher: bool,
-    threads: Option<usize>,
     cache: Option<Arc<ReportCache>>,
     tracer: Option<Tracer>,
     metrics: Option<Arc<MetricsRegistry>>,
@@ -561,8 +538,6 @@ impl SessionBuilder {
             deadline: None,
             match_budget: None,
             runner: None,
-            naive_matcher: false,
-            threads: None,
             cache: None,
             tracer: None,
             metrics: None,
@@ -682,28 +657,8 @@ impl SessionBuilder {
         self
     }
 
-    /// Uses the retained naive reference matcher instead of the
-    /// indexed/delta matcher (correctness oracle / benchmark baseline).
-    #[must_use]
-    pub fn naive_matcher(mut self, naive: bool) -> Self {
-        self.naive_matcher = naive;
-        self
-    }
-
-    /// Threads for intra-compile parallelism (default 1 — fully serial).
-    /// `N > 1` partitions per-leaf saturations and per-root extraction
-    /// readouts across `N` scoped threads and runs parallel rule search
-    /// inside shared saturation runs; outputs and reports stay
-    /// byte-identical to the serial compile (see the module docs). Zero
-    /// is a [`BuildError::InvalidThreads`].
-    #[must_use]
-    pub fn compile_threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
-        self
-    }
-
     /// Full control over the saturation [`Runner`] (overrides
-    /// `node_limit` / `naive_matcher`).
+    /// `node_limit`).
     #[must_use]
     pub fn runner(mut self, runner: Runner) -> Self {
         self.runner = Some(runner);
@@ -789,9 +744,6 @@ impl SessionBuilder {
         if self.match_budget == Some(0) {
             return Err(BuildError::InvalidMatchBudget);
         }
-        if self.threads == Some(0) {
-            return Err(BuildError::InvalidThreads);
-        }
         let batching = self.batching.unwrap_or_default();
         let target = self.target.unwrap_or_else(|| Box::new(SimTarget::new()));
         let cost = self
@@ -803,7 +755,7 @@ impl SessionBuilder {
                 Batching::PerLeaf => 200_000,
                 Batching::Batched => 500_000,
             });
-            Runner::new(16, limit).with_naive_matcher(self.naive_matcher)
+            Runner::new(16, limit)
         });
         #[cfg(feature = "fault-injection")]
         if let Some(plan) = self.fault_plan {
@@ -811,19 +763,6 @@ impl SessionBuilder {
         }
         if let Some(sink) = self.profile_sink {
             runner.profile_sink = Some(ProfileHandle::new(sink));
-        }
-        let threads = self.threads.unwrap_or(1);
-        if self.threads.is_some() {
-            // Explicit knob wins over whatever a custom runner carried;
-            // an untouched knob leaves a custom runner's choice alone.
-            runner.search_threads = threads;
-        }
-        if runner.search_threads > 1 && runner.shared_pool.is_none() {
-            // One search pool for the session's lifetime: every shared
-            // saturation run of every compile reuses it instead of
-            // spawning (and joining) a fresh pool per run.
-            let pool = Arc::new(SearchPool::new(runner.search_threads));
-            runner = runner.with_shared_pool(pool);
         }
         let extraction = self
             .extraction
@@ -848,7 +787,6 @@ impl SessionBuilder {
             deadline: self.deadline,
             match_budget: self.match_budget,
             runner,
-            threads,
             rules: OnceLock::new(),
             ctx_pool: Arc::default(),
             cache: self.cache,
@@ -973,7 +911,6 @@ pub struct Session {
     deadline: Option<Duration>,
     match_budget: Option<usize>,
     runner: Runner,
-    threads: usize,
     rules: OnceLock<RuleSet>,
     /// Compile contexts at rest, one per compile unit that ran at once
     /// (see [`Session::with_ctx`]). A service's sessions share one pool:
@@ -1015,8 +952,8 @@ pub(crate) type CtxPool = Mutex<Vec<CompileCtx>>;
 const MAX_RETAINED_IDS: usize = 1 << 10;
 
 /// Contexts a session keeps at rest. The pool's size follows use — one
-/// context per unit that ran at once: a service's workers, a compile's
-/// scoped threads — up to this.
+/// context per unit that ran at once (a service's workers, callers sharing
+/// the session) — up to this.
 const MAX_POOLED_CTXS: usize = 8;
 
 impl Default for Session {
@@ -1034,7 +971,6 @@ impl fmt::Debug for Session {
             .field("batching", &self.batching)
             .field("extraction", &self.extraction)
             .field("outer_iters", &self.outer_iters)
-            .field("threads", &self.threads)
             .finish_non_exhaustive()
     }
 }
@@ -1044,48 +980,6 @@ impl Session {
     #[must_use]
     pub fn builder() -> SessionBuilder {
         SessionBuilder::new()
-    }
-
-    /// Compatibility constructor for the deprecated `selector` shims:
-    /// accepts any historical `SelectorConfig` verbatim — including
-    /// degenerate budgets like `outer_iters == 0`, which the builder
-    /// rejects for new code — so the shims behave exactly like the
-    /// original free functions did.
-    pub(crate) fn from_selector_parts(
-        batching: Batching,
-        outer_iters: usize,
-        runner: Runner,
-    ) -> Session {
-        let target = SimTarget::new();
-        let cost = DeviceCost::from_profile(target.device());
-        let fingerprint = crate::cache::policy_fingerprint(
-            target.name(),
-            batching,
-            ExtractionPolicy::Auto,
-            outer_iters,
-            None,
-            None,
-            &runner,
-            &cost,
-        );
-        Session {
-            target: Box::new(target),
-            cost: Box::new(cost),
-            batching,
-            extraction: ExtractionPolicy::Auto,
-            outer_iters,
-            deadline: None,
-            match_budget: None,
-            runner,
-            threads: 1,
-            rules: OnceLock::new(),
-            ctx_pool: Arc::default(),
-            cache: None,
-            tracer: Tracer::disabled(),
-            metrics: None,
-            obs: None,
-            fingerprint,
-        }
     }
 
     /// The session's target.
@@ -1098,13 +992,6 @@ impl Session {
     #[must_use]
     pub fn batching(&self) -> Batching {
         self.batching
-    }
-
-    /// The session's intra-compile thread count (see
-    /// [`SessionBuilder::compile_threads`]).
-    #[must_use]
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// The session's extraction policy (builder override, else the
@@ -1199,7 +1086,7 @@ impl Session {
         eg: &'g HbGraph,
         batched: bool,
         scratch: ExtractScratch<HbLang>,
-    ) -> Box<dyn Extract<HbLang> + Sync + 'g> {
+    ) -> Box<dyn Extract<HbLang> + 'g> {
         let cost = ModelCost(self.cost.as_ref());
         match self.resolved_extraction(batched) {
             ExtractionPolicy::SharedTable => {
@@ -1219,8 +1106,7 @@ impl Session {
     /// the pool — unless the unit panicked, in which case the unwind drops
     /// the context it was working in before this function can pool it, or
     /// the context outgrew [`MAX_RETAINED_IDS`]. Units running at once
-    /// (scoped compile threads, service workers sharing the session) each
-    /// pop their own.
+    /// (service workers, callers sharing the session) each pop their own.
     fn with_ctx<R>(&self, unit: impl FnOnce(&mut CompileCtx) -> R) -> R {
         const LOCK: &str = "the context pool lock is held across no panic";
         let pooled = self.ctx_pool.lock().expect(LOCK).pop();
@@ -1539,8 +1425,7 @@ impl Session {
 
     /// IR-level entry point: compiles one statement tree with explicit
     /// extra placements (infallible — no front end involved, no panic
-    /// isolation: this is the raw pipeline the deprecated
-    /// `selector::select` shims and the benches measure).
+    /// isolation: this is the raw pipeline the benches measure).
     #[must_use]
     pub fn compile_ir(&self, stmt: &Stmt, extra_placements: &Placements) -> CompileResult {
         let _root = self.tracer.span("compile");
@@ -1555,9 +1440,8 @@ impl Session {
         }
     }
 
-    /// IR-level suite entry point (infallible, no isolation wrapping;
-    /// accepts empty suites for backward compatibility with
-    /// `select_batched_many`).
+    /// IR-level suite entry point (infallible, no isolation wrapping; an
+    /// empty suite compiles to an empty result).
     #[must_use]
     pub fn compile_ir_suite(&self, programs: &[(&Stmt, &Placements)]) -> IrSuiteResult {
         let CompiledPrograms {
@@ -1949,45 +1833,13 @@ impl Session {
     ) -> Vec<Stmt> {
         // One cost table serves every root; the resolved strategy (Auto →
         // shared-table here) additionally shares readout work across roots
-        // through its term bank. With `compile_threads > 1` and a
-        // thread-shareable strategy, the per-root readouts partition into
-        // contiguous chunks across scoped workers and fold back in root
-        // order — byte-identical to the serial loop, since each readout
-        // depends only on the settled cost table.
+        // through its term bank.
         let mut extract_span = self.tracer.span("extract");
         extract_span.attr("roots", roots.len());
-        let threads = self.threads.min(roots.len());
         let extractor = self.build_extractor(&ctx.graph, true, std::mem::take(&mut ctx.extract));
-        let ex: &(dyn Extract<HbLang> + Sync) = extractor.as_ref();
-        // The shared-table strategy's term bank serves one readout at a
-        // time: its readouts stay serial.
-        let parallel =
-            threads > 1 && self.resolved_extraction(true) != ExtractionPolicy::SharedTable;
-        let readouts: Vec<RootReadout> = if parallel {
-            let pairs: Vec<(Id, &Stmt)> =
-                roots.iter().copied().zip(leaves.iter().copied()).collect();
-            let chunk = pairs.len().div_ceil(threads);
-            std::thread::scope(|s| {
-                let handles: Vec<_> = pairs
-                    .chunks(chunk)
-                    .map(|c| {
-                        s.spawn(move || {
-                            c.iter()
-                                .map(|&(root, original)| readout_root(ex, root, original))
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                    .collect()
-            })
-        } else {
-            (roots.iter().zip(leaves))
-                .map(|(&root, original)| readout_root(ex, root, original))
-                .collect()
-        };
+        let readouts: Vec<RootReadout> = (roots.iter().zip(leaves))
+            .map(|(&root, original)| readout_root(extractor.as_ref(), root, original))
+            .collect();
         let stats = extractor.stats();
         ctx.extract = extractor.into_scratch();
         let mut extraction = ExtractionReport {
@@ -2017,14 +1869,7 @@ impl Session {
 
     /// Per-leaf mode: an e-graph per leaf, saturated and extracted
     /// independently (the reference mode batched outputs are asserted
-    /// against). With `compile_threads > 1` the leaves partition into
-    /// contiguous chunks across scoped threads — each leaf is already an
-    /// independent encode → saturate → extract unit, so only the report
-    /// folding (done here, in leaf order) ever touches shared state, and
-    /// the results are byte-identical to the serial loop. Stage timings
-    /// then sum the per-leaf work across threads (aggregate work time,
-    /// not wall-clock). A panicking leaf re-raises on this thread after
-    /// its siblings finish, feeding the usual `catch_unwind` ladder.
+    /// against).
     fn saturate_per_leaf(
         &self,
         leaves: &[&Stmt],
@@ -2032,37 +1877,10 @@ impl Session {
         budget: Budget,
         report: &mut CompileReport,
     ) -> Vec<Stmt> {
-        let threads = self.threads.min(leaves.len());
-        let outs: Vec<LeafOut> = if threads > 1 {
-            // Each leaf's saturation searches serially: the leaves
-            // themselves are the parallel grain here (nesting a search
-            // pool per leaf would oversubscribe the cores).
-            let runner = self.runner.clone().with_search_threads(1);
-            let chunk = leaves.len().div_ceil(threads);
-            let budget = &budget;
-            std::thread::scope(|s| {
-                let handles: Vec<_> = leaves
-                    .chunks(chunk)
-                    .map(|c| {
-                        let runner = &runner;
-                        s.spawn(move || {
-                            c.iter()
-                                .map(|stmt| self.compile_leaf(runner, stmt, rules, budget.clone()))
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                    .collect()
-            })
-        } else {
-            leaves
-                .iter()
-                .map(|stmt| self.compile_leaf(&self.runner, stmt, rules, budget.clone()))
-                .collect()
-        };
+        let outs: Vec<LeafOut> = leaves
+            .iter()
+            .map(|stmt| self.compile_leaf(stmt, rules, budget.clone()))
+            .collect();
 
         let mut extraction: Option<ExtractionReport> = None;
         let selected: Vec<Stmt> = outs
@@ -2093,20 +1911,8 @@ impl Session {
     }
 
     /// One leaf through encode → saturate → extract in a context of its
-    /// own ([`Session::with_ctx`]), touching no other shared state — the
-    /// unit [`Session::saturate_per_leaf`] runs serially or fans across
-    /// threads.
-    fn compile_leaf(
-        &self,
-        runner: &Runner,
-        stmt: &Stmt,
-        rules: &RuleSet,
-        budget: Budget,
-    ) -> LeafOut {
-        // With `compile_threads > 1` these spans open on a scoped worker
-        // thread, where the calling thread's span stack is not visible —
-        // they record as roots there (the span stack is thread-local by
-        // design; see the `hb_obs` crate docs).
+    /// own ([`Session::with_ctx`]), touching no other shared state.
+    fn compile_leaf(&self, stmt: &Stmt, rules: &RuleSet, budget: Budget) -> LeafOut {
         self.with_ctx(|ctx| {
             let encode_span = self.tracer.span("encode");
             let eg = &mut ctx.graph;
@@ -2115,7 +1921,7 @@ impl Session {
             let encode = encode_span.finish();
 
             let mut saturate_span = self.tracer.span("saturate");
-            let run = runner.run_phased_in(
+            let run = self.runner.run_phased_in(
                 eg,
                 &rules.main,
                 &rules.support,
@@ -2222,8 +2028,7 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// One root's readout, computed independently of any report state — the
-/// unit both the serial loops and the parallel readout partitions produce,
+/// One root's readout, computed independently of any report state and
 /// folded into the report in root order by [`fold_readout`].
 struct RootReadout {
     /// The selected statement (or the original, on a fallback).
@@ -2268,9 +2073,7 @@ fn readout_root(extractor: &dyn Extract<HbLang>, root: Id, original: &Stmt) -> R
 }
 
 /// Accounts one [`RootReadout`] into the extraction report and the
-/// compile's outcome ladder, returning the selected statement. Called in
-/// root order whichever thread produced the readout, so the report is
-/// identical to a serial run's.
+/// compile's outcome ladder, returning the selected statement.
 fn fold_readout(
     r: RootReadout,
     extraction: &mut ExtractionReport,
@@ -2319,13 +2122,13 @@ mod tests {
     use super::*;
     use hb_accel::target::{AmxTarget, ScalarTarget};
     use hb_ir::builder as b;
-    use hb_ir::types::{MemoryType, ScalarType};
+    use hb_ir::types::{MemoryType, ScalarType, Type};
 
     fn amx_square_stmt() -> Stmt {
         // A store into an AMX buffer whose value is not a recognizable
         // tensor op (a plain elementwise square) — saturates, never lowers.
         let idx = b::ramp(b::int(0), b::int(1), 8);
-        let ld = b::load(hb_ir::types::Type::f32().with_lanes(8), "x", idx.clone());
+        let ld = b::load(Type::f32().with_lanes(8), "x", idx.clone());
         b::allocate(
             "acc",
             ScalarType::F32,
@@ -2366,63 +2169,97 @@ mod tests {
         }
     }
 
-    /// A block of distinct accelerator-touching leaves, so both the
-    /// per-leaf fan-out and the per-root readout partition actually split
-    /// work when `compile_threads > 1`.
-    fn multi_leaf_block(leaves: usize) -> Stmt {
-        let stmts = (0..leaves)
-            .map(|i| {
-                let idx = b::ramp(b::int(i64::try_from(i).unwrap()), b::int(1), 8);
-                let ld = b::load(
-                    hb_ir::types::Type::f32().with_lanes(8),
-                    &format!("x{i}"),
-                    idx.clone(),
-                );
-                b::allocate(
-                    &format!("acc{i}"),
-                    ScalarType::F32,
-                    8,
-                    MemoryType::AmxTile,
-                    b::store(&format!("acc{i}"), idx, b::mul(ld.clone(), ld)),
-                )
-            })
-            .collect();
-        b::block(stmts)
+    /// Builds the paper's Fig. 3 MatMul statements by hand: the vectorized,
+    /// simplifier-obscured IR for a 16x32 · 32x16 bf16 MatMul on AMX.
+    fn fig3_matmul() -> Stmt {
+        // A index (obscured): ramp(x512(0), x512(32), 16) + x256(ramp(0,1,32))
+        let idx_a = b::add(
+            b::ramp(b::bcast(b::int(0), 512), b::bcast(b::int(32), 512), 16),
+            b::bcast(b::ramp(b::int(0), b::int(1), 32), 256),
+        );
+        let load_a = b::cast(
+            Type::f32().with_lanes(8192),
+            b::load(Type::bf16().with_lanes(8192), "A", idx_a),
+        );
+        // B (obscured): x16(cast<f32x512>(B[ramp(ramp(0,16,32), x32(1), 16)]))
+        let idx_b = b::ramp(
+            b::ramp(b::int(0), b::int(16), 32),
+            b::bcast(b::int(1), 32),
+            16,
+        );
+        let load_b = b::bcast(
+            b::cast(
+                Type::f32().with_lanes(512),
+                b::load(Type::bf16().with_lanes(512), "B", idx_b),
+            ),
+            16,
+        );
+        let acc_idx = b::ramp(
+            b::ramp(b::int(0), b::int(1), 16),
+            b::bcast(b::int(16), 16),
+            16,
+        );
+        let acc_load = b::load(Type::f32().with_lanes(256), "matmul", acc_idx.clone());
+        let update = b::store(
+            "matmul",
+            acc_idx.clone(),
+            b::add(b::vreduce_add(256, b::mul(load_a, load_b)), acc_load),
+        );
+        let init = b::store("matmul", acc_idx.clone(), b::bcast(b::flt(0.0), 256));
+        let wrapper = b::store(
+            "matmul_wrapper",
+            acc_idx,
+            b::load(
+                Type::f32().with_lanes(256),
+                "matmul",
+                b::ramp(
+                    b::ramp(b::int(0), b::int(1), 16),
+                    b::bcast(b::int(16), 16),
+                    16,
+                ),
+            ),
+        );
+        b::allocate(
+            "matmul",
+            ScalarType::F32,
+            256,
+            MemoryType::AmxTile,
+            b::block(vec![init, update, wrapper]),
+        )
     }
 
     #[test]
-    fn parallel_compile_is_byte_identical_to_serial() {
-        let program = multi_leaf_block(5);
-        for batching in [Batching::PerLeaf, Batching::Batched] {
-            let serial = Session::builder().batching(batching).build().unwrap();
-            let parallel = Session::builder()
-                .batching(batching)
-                .compile_threads(3)
-                .build()
-                .unwrap();
-            let a = serial.compile(&program).unwrap();
-            let b = parallel.compile(&program).unwrap();
-            assert_eq!(
-                a.program.to_string(),
-                b.program.to_string(),
-                "{batching:?} outputs must not depend on compile_threads"
-            );
-            assert_eq!(a.report.num_statements(), b.report.num_statements());
-            assert_eq!(a.report.outcome, b.report.outcome);
-            let (ea, eb) = (
-                a.report.extraction.as_ref().unwrap(),
-                b.report.extraction.as_ref().unwrap(),
-            );
-            assert_eq!(ea.strategy, eb.strategy);
-            assert_eq!(ea.root_costs, eb.root_costs);
-            assert_eq!(ea.table_entries, eb.table_entries);
-        }
+    fn fig3_matmul_lowers_to_amx_intrinsics() {
+        let stmt = hb_ir::simplify::simplify_stmt(&fig3_matmul());
+        let CompileResult {
+            program: out,
+            report,
+        } = Session::default().compile_ir(&stmt, &Placements::new());
+        assert_eq!(report.num_statements(), 3, "init, update, wrapper");
+        assert!(
+            report.all_lowered(),
+            "all three statements must lower:\n{out}"
+        );
+        let text = out.to_string();
+        assert!(text.contains("tile_zero"), "{text}");
+        assert!(text.contains("tile_matmul"), "{text}");
+        assert!(text.contains("tile_store"), "{text}");
+        assert!(
+            text.contains("kway_interleave"),
+            "standard-layout B needs a VNNI swizzle:\n{text}"
+        );
     }
 
     #[test]
-    fn zero_compile_threads_is_rejected() {
-        let err = Session::builder().compile_threads(0).build().unwrap_err();
-        assert_eq!(err, BuildError::InvalidThreads);
+    fn statements_without_accelerator_buffers_untouched() {
+        let s = b::store(
+            "out",
+            b::ramp(b::int(0), b::int(1), 4),
+            b::bcast(b::flt(1.0), 4),
+        );
+        let result = Session::default().compile_ir(&s, &Placements::new());
+        assert_eq!(result.program, s);
+        assert_eq!(result.report.num_statements(), 0);
     }
 
     #[test]

@@ -24,10 +24,7 @@
 //!   since epoch `e`" an O(changes-to-`k`) query
 //!   ([`EGraph::modified_candidates_for`]). A class-level epoch (the max
 //!   over its rows) and a global log are kept alongside: they serve
-//!   variable-rooted patterns, the scheduler's quiescence check, and the
-//!   retained per-class read path
-//!   ([`EGraph::modified_candidates_per_class`], the
-//!   [`DeltaTracking::PerClass`] A/B baseline).
+//!   variable-rooted patterns and the scheduler's quiescence check.
 
 use std::collections::BTreeMap;
 use std::fmt::Debug;
@@ -40,26 +37,6 @@ use crate::snapshot::{
     SnapshotWriter,
 };
 use crate::unionfind::{Id, UnionFind};
-
-/// Which change-tracking granularity a delta search reads.
-///
-/// Both granularities are maintained by every graph; this only selects the
-/// read path. [`DeltaTracking::OpKeyed`] probes the per-`(class, op_key)`
-/// rows — a pattern rooted at operator `k` re-probes only classes whose
-/// `k` rows changed. [`DeltaTracking::PerClass`] is the pre-op-keying
-/// behavior (any change to a class re-probes it for every root operator it
-/// contains), retained as the A/B baseline the same way the naive matcher
-/// is retained (`Runner::use_per_class_deltas`). Match sets are identical;
-/// only the number of probed rows differs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DeltaTracking {
-    /// Probe per-`(class, op_key)` rows (the default).
-    #[default]
-    OpKeyed,
-    /// Probe per-class epochs intersected with the operator index — the
-    /// pre-op-keying baseline.
-    PerClass,
-}
 
 /// An e-class analysis: a lattice value maintained per e-class
 /// (constants, types, …). See egg's `Analysis`.
@@ -539,22 +516,6 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
     /// probe).
     pub fn modified_candidates_for(&self, key: u64, cutoff: u64, out: &mut Vec<Id>) {
         self.log_tail(self.modified_log_by_op.row(key), cutoff, out);
-    }
-
-    /// [`EGraph::modified_since`] restricted to classes that contain a node
-    /// with the given [`Language::op_key`] — the retained **per-class**
-    /// delta-probe enumeration ([`DeltaTracking::PerClass`]): any change to
-    /// a class re-surfaces it for every root operator it contains. The
-    /// sorted global log tail, intersected in place with the sorted
-    /// operator index row. Always a superset of
-    /// [`EGraph::modified_candidates_for`] at the same cutoff.
-    pub fn modified_candidates_per_class(&self, key: u64, cutoff: u64, out: &mut Vec<Id>) {
-        self.modified_since(cutoff, out);
-        let mut row = self.candidates_for(key);
-        out.retain(|id| {
-            row = &row[row.partition_point(|r| r < id)..];
-            row.first() == Some(id)
-        });
     }
 
     /// Canonicalizes the children of `node` in place, compressing paths.
@@ -1485,8 +1446,7 @@ mod tests {
     #[test]
     fn op_rows_track_only_the_changed_operator() {
         // A class holding nodes of two operators with disjoint subtrees:
-        // a change under one subtree must stamp only that operator's row,
-        // while the per-class baseline re-surfaces the class for both.
+        // a change under one subtree must stamp only that operator's row.
         let mut eg = EG::new();
         let a = eg.add(Math::Sym("a".into()));
         let b = eg.add(Math::Sym("b".into()));
@@ -1514,11 +1474,11 @@ mod tests {
             !probe(&eg, mul_key, cutoff).contains(&u),
             "the untouched Mul row must not re-surface the class"
         );
-        let mut per_class = Vec::new();
-        eg.modified_candidates_per_class(mul_key, cutoff, &mut per_class);
+        let mut any_op = Vec::new();
+        eg.modified_since(cutoff, &mut any_op);
         assert!(
-            per_class.contains(&u),
-            "the per-class baseline re-surfaces the class for every op it contains"
+            any_op.contains(&u),
+            "the class-level log still names the class"
         );
         eg.check_op_epochs();
     }

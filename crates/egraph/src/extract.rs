@@ -29,9 +29,9 @@
 //! counters), which is what lets the selector treat the strategy as a
 //! session-level plug-in.
 
+use std::cell::{RefCell, RefMut};
 use std::cmp::Ordering;
 use std::collections::VecDeque;
-use std::sync::{Mutex, PoisonError};
 
 use crate::egraph::{Analysis, EClass, EGraph};
 use crate::hash::FastMap;
@@ -266,17 +266,10 @@ pub struct WorklistExtractor<'a, L: Language, N: Analysis<L>, C: CostFunction<L>
     cost_fn: C,
     /// Settled at construction, read-only afterwards.
     table: CostTable,
-    /// Behind a lock so that `extract(&self)` can reuse it while the
-    /// extractor stays shareable across readout threads.
-    readout: Mutex<Readout<L>>,
+    /// In a cell so that `extract(&self)` can reuse it from one readout
+    /// to the next; an extractor is never shared between threads.
+    readout: RefCell<Readout<L>>,
 }
-
-/// The pre-strategy-API name of [`WorklistExtractor`].
-#[deprecated(
-    since = "0.3.0",
-    note = "use WorklistExtractor (or another Extract strategy) directly"
-)]
-pub type Extractor<'a, L, N, C> = WorklistExtractor<'a, L, N, C>;
 
 impl<'a, L: Language, N: Analysis<L>, C: CostFunction<L>> WorklistExtractor<'a, L, N, C> {
     /// Builds the cost table (worklist propagation over classes) in fresh
@@ -299,7 +292,7 @@ impl<'a, L: Language, N: Analysis<L>, C: CostFunction<L>> WorklistExtractor<'a, 
             egraph,
             cost_fn,
             table,
-            readout: Mutex::new(readout),
+            readout: RefCell::new(readout),
         };
         ex.solve();
         ex.canonicalize_ties();
@@ -312,11 +305,8 @@ impl<'a, L: Language, N: Analysis<L>, C: CostFunction<L>> WorklistExtractor<'a, 
         ExtractScratch {
             table: self.table,
             // A readout that panicked mid-way left nothing half-written
-            // (see `SharedTableExtractor::extract`).
-            readout: self
-                .readout
-                .into_inner()
-                .unwrap_or_else(PoisonError::into_inner),
+            // (see `SharedTableExtractor::readout`).
+            readout: self.readout.into_inner(),
         }
     }
 
@@ -581,20 +571,9 @@ impl<'a, L: Language, N: Analysis<L>, C: CostFunction<L>> WorklistExtractor<'a, 
     /// Panics if the class has no constructible term (cyclic-only class).
     #[must_use]
     pub fn extract(&self, id: Id) -> RecExpr<L> {
-        // The extractor's own memo, unless another thread's readout holds
-        // it (or one panicked holding it): then a fresh one.
-        let mut own;
-        let mut fresh;
-        let memo = match self.readout.try_lock() {
-            Ok(guard) => {
-                own = guard;
-                &mut own.memo
-            }
-            Err(_) => {
-                fresh = StampedMemo::default();
-                &mut fresh
-            }
-        };
+        // A readout that panicked released the borrow as it unwound, and
+        // `read_out` begins by resetting the memo, so the next one is sound.
+        let memo = &mut self.readout.borrow_mut().memo;
         read_out(self.egraph, &|id| self.chosen(id), id, memo)
     }
 }
@@ -715,7 +694,7 @@ fn copy_from_bank<L: Language>(
 /// shared sub-dags, which dominates the extract stage when hundreds of suite
 /// roots read out of one saturated graph, becomes a memoized arena copy.
 ///
-/// `extract` takes `&self`; the bank lives behind the table's readout lock
+/// `extract` takes `&self`; the bank lives in the table's readout cell
 /// (readouts are not re-entrant, which a `&self`-recursive readout cannot
 /// be anyway, and one bank serves one readout at a time).
 pub struct SharedTableExtractor<'a, L: Language, N: Analysis<L>, C: CostFunction<L>> {
@@ -740,10 +719,11 @@ impl<'a, L: Language, N: Analysis<L>, C: CostFunction<L>> SharedTableExtractor<'
     }
 
     /// The bank. A readout that panicked (a root with no constructible
-    /// term) poisoned the lock but left the bank valid: a node is banked,
-    /// and its slot recorded, only after all of its children were.
-    fn readout(&self) -> std::sync::MutexGuard<'_, Readout<L>> {
-        (self.table.readout.lock()).unwrap_or_else(PoisonError::into_inner)
+    /// term) released its borrow as it unwound and left the bank valid: a
+    /// node is banked, and its slot recorded, only after all of its
+    /// children were.
+    fn readout(&self) -> RefMut<'_, Readout<L>> {
+        self.table.readout.borrow_mut()
     }
 
     /// Best cost for a class, if any term is constructible.
@@ -1078,12 +1058,27 @@ mod tests {
     }
 
     #[test]
-    fn deprecated_extractor_alias_still_resolves() {
-        #![allow(deprecated)]
+    fn a_panicked_readout_leaves_the_extractor_usable() {
+        // No graph built through `add`/`union` holds a class without a
+        // constructible term, so take one class's table entry away.
         let mut eg = EG::new();
         let a = eg.add(Math::Sym("a".into()));
-        let ex: Extractor<'_, Math, (), AstSize> = Extractor::new(&eg, AstSize);
-        assert_eq!(ex.cost_of(a), Some(1));
+        let two = eg.add(Math::Num(2));
+        let m = eg.add(Math::Mul([a, two]));
+        let d = eg.add(Math::Div([a, two]));
+        let r = eg.add(Math::Add([d, m]));
+        let mut worklist = WorklistExtractor::new(&eg, AstSize);
+        worklist.table.best[m.index()].1 = NONE;
+        let mut shared = SharedTableExtractor::new(&eg, AstSize);
+        shared.table.table.best[m.index()].1 = NONE;
+        let extractors: [&dyn Extract<Math>; 2] = [&worklist, &shared];
+        for ex in extractors {
+            // The readout memoizes `d` (and banks it) before `m` panics.
+            let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ex.extract(r)));
+            assert!(panicked.is_err(), "a root over a term-less class panics");
+            assert_eq!(ex.extract(d).to_sexp(), "(/ a 2)");
+            assert_eq!(ex.extract(two).to_sexp(), "2");
+        }
     }
 
     #[test]

@@ -32,17 +32,16 @@
 //!   backtracks; a binding row is copied out — appended to the search's
 //!   flat match buffer — only at a complete match, so a candidate that
 //!   fails costs no copy, and no match costs an allocation. The same walk
-//!   serves full searches, single-root delta probes, semi-naive rounds
-//!   (which start at their delta atom) and the chunks of a parallel
-//!   search, and — pre-order depth-first search being the lexicographic
-//!   order of the naive matcher's nested loops — returns the reference
-//!   matcher's exact match *sequence* in all of them. The scheduler holds
-//!   one [`pattern::MatchScratch`] (the buffers, the registers, the probe
-//!   counters) per saturation run — or, through
-//!   [`schedule::Runner::run_phased_in`], the caller's, across runs. [`pattern::Subst`] keeps the
-//!   string-keyed `get`/`bind` API as a compatibility shim for rule
-//!   appliers (a linear scan of the shared name table — patterns bind a
-//!   handful of variables).
+//!   serves full searches, single-root delta probes and semi-naive rounds
+//!   (which start at their delta atom), and — pre-order depth-first
+//!   search being the lexicographic order of the naive matcher's nested
+//!   loops — returns the reference matcher's exact match *sequence* in
+//!   all of them. The scheduler holds one [`pattern::MatchScratch`] (the
+//!   buffers, the registers, the probe counters) per saturation run — or,
+//!   through [`schedule::Runner::run_phased_in`], the caller's, across
+//!   runs. [`pattern::Subst`] keeps the string-keyed `get`/`bind` API as a
+//!   compatibility shim for rule appliers (a linear scan of the shared
+//!   name table — patterns bind a handful of variables).
 //!
 //! * **Dense, reusable storage.** E-class ids are consecutive `u32`s, so
 //!   nothing keyed by one is a hash table. The class table is a *slot
@@ -127,14 +126,9 @@
 //!   records a per-rule epoch so a rule rooted at `Mul` re-probes only
 //!   classes whose `Mul` rows changed since it last ran; saturated phases
 //!   cost almost nothing. A class-level epoch (the max over rows) and a
-//!   global log back variable-rooted patterns and the quiescence check,
-//!   and double as the retained per-class read path
-//!   ([`egraph::DeltaTracking::PerClass`], `Runner::use_per_class_deltas`)
-//!   — the A/B baseline, kept the way the naive matcher is. Probed vs
-//!   skipped row counts land in `RunReport::delta_probed_rows` /
-//!   `delta_skipped_rows` (on the 161-leaf suite: ~12% fewer probed rows
-//!   and ~1.2x faster saturation than the per-class baseline, identical
-//!   outcomes asserted). Soundness and the fallbacks are documented in
+//!   global log back variable-rooted patterns and the quiescence check.
+//!   Probed vs skipped row counts land in `RunReport::delta_probed_rows` /
+//!   `delta_skipped_rows`. Soundness and the fallbacks are documented in
 //!   [`schedule`].
 //!
 //! * **Semi-naive relation queries.** Queries that join relation atoms or
@@ -173,58 +167,15 @@
 //!   bottom-up in ascending tree-cost order with a strict-descent gate
 //!   that keeps every chosen dag acyclic.
 //!
-//! ## Parallel search (snapshot-search, serial-apply)
+//! ## Cancellation
 //!
-//! With [`schedule::Runner::with_search_threads`] the scheduler runs each
-//! rule's *search* across a fixed [`pool::SearchPool`], while keeping
-//! every *application* serial. The invariants that make parallelism
-//! byte-invisible:
-//!
-//! * **Immutable snapshot.** A search only ever sees `&EGraph` — no rule
-//!   is applied, no class touched, while any worker is searching. All
-//!   read paths are genuinely `&self` (`UnionFind::find` is the
-//!   non-compressing walk; no interior mutability anywhere on the read
-//!   side), so `EGraph<L, N>: Sync` whenever `N::Data: Sync` and workers
-//!   share the snapshot freely.
-//! * **Partition, don't race.** The first atom's root enumeration is
-//!   computed once, serially (delta-probe counters recorded there, once),
-//!   then split into contiguous chunks; each worker runs the full
-//!   multi-atom join for its chunk with a dedicated per-worker
-//!   [`pattern::MatchScratch`]. The depth-first join maps each root to a
-//!   run of matches and emits the runs in root order, so chunk-order
-//!   concatenation reproduces the serial match order exactly — not just
-//!   the same match *set*.
-//! * **Serial, deterministic apply.** The scheduler applies the
-//!   concatenated matches on the one `&mut EGraph`, in that order, on its
-//!   own thread. Rule order, match order, union order, and therefore
-//!   every extraction tie-break downstream are identical to the serial
-//!   run; `RunReport`s compare equal field-for-field (asserted in
-//!   [`schedule`]'s tests).
-//!
-//! Semi-naive delta rounds partition the same way: each pattern-atom
-//! round's delta enumeration is computed once, serially (probe counters
-//! recorded there), then chunked across the pool, and the round results
-//! accumulate in atom order before the deterministic sort + dedup shared
-//! with the serial path — so the merged delta match set is byte-identical
-//! to serial at any thread count. Only relation-atom rounds (no root
-//! enumeration to partition; their deltas are log tails) and enumerations
-//! below `PARALLEL_MIN_ROOTS` run inline — both through the same code
-//! path, so the threshold can never change observable behavior, only
-//! timing.
-//!
-//! Runs are also **cancellable**: a [`schedule::CancelToken`] attached to
+//! Runs are **cancellable**: a [`schedule::CancelToken`] attached to
 //! the run's [`schedule::Budget`] is polled (one atomic load) at every
 //! rule-search boundary — the same safe stopping points the deadline
 //! uses — so an external holder aborts a run mid-saturation with the
 //! graph left rebuilt and valid and `RunReport::cancelled` recording the
 //! stop truthfully. The `hardboiled` compile service hangs its
 //! dropped-ticket cancellation off exactly this hook.
-//!
-//! A caller that saturates many graphs in sequence can install one pool
-//! on the runner ([`schedule::Runner::shared_pool`]) instead of paying
-//! the worker spawn per run; reuse is behavior-neutral (the per-run
-//! scratches are still private) and pinned by a construction-count
-//! regression test ([`pool::SearchPool::constructions`]).
 //!
 //! ## Snapshots and warm-started saturation
 //!
@@ -331,14 +282,13 @@ pub mod hash;
 pub mod language;
 pub mod math_lang;
 pub mod pattern;
-pub mod pool;
 pub mod relation;
 pub mod rewrite;
 pub mod schedule;
 pub mod snapshot;
 pub mod unionfind;
 
-pub use egraph::{Analysis, DeltaTracking, EClass, EGraph};
+pub use egraph::{Analysis, EClass, EGraph};
 pub use extract::{
     AstSize, CostFunction, DagCostExtractor, Extract, ExtractScratch, ExtractionStats, FnCost,
     SharedTableExtractor, WorklistExtractor,
@@ -347,9 +297,8 @@ pub use extract::{
 pub use fault::{Fault, FaultPlan, InjectedStop};
 pub use language::{Language, RecExpr};
 pub use pattern::{CompiledPattern, MatchScratch, Pattern, Subst};
-pub use pool::SearchPool;
 pub use relation::Relations;
-pub use rewrite::{Atom, CompiledQuery, ParallelCtx, Query, Rewrite};
+pub use rewrite::{Atom, CompiledQuery, Query, Rewrite};
 pub use schedule::{Budget, CancelToken, RunReport, Runner, WarmStart};
 pub use snapshot::{SnapshotAnalysis, SnapshotError, SnapshotNode, SnapshotReader, SnapshotWriter};
 pub use unionfind::{Id, UnionFind};

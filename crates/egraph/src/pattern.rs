@@ -102,15 +102,6 @@ impl MatchBuf {
         self.flat.extend_from_slice(row);
     }
 
-    /// Appends the rows of `other` (as wide as this buffer's) in their
-    /// order.
-    pub(crate) fn append(&mut self, other: &MatchBuf) {
-        debug_assert_eq!(other.width, self.width);
-        for i in 0..other.len() {
-            self.push(other.row(i));
-        }
-    }
-
     /// Number of matches.
     pub(crate) fn len(&self) -> usize {
         self.order.len()
@@ -133,10 +124,10 @@ impl MatchBuf {
 }
 
 /// Reusable state for the compiled matcher. One scratch per saturation run
-/// (per worker, under parallel search) — or per compile context, across
-/// runs — keeps the `Frame` buffers, the match buffer and the probe
-/// enumeration alive across candidates, atoms, rules and passes; it is
-/// language-independent, so one serves every rule in a rule set.
+/// — or per compile context, across runs — keeps the `Frame` buffers, the
+/// match buffer and the probe enumeration alive across candidates, atoms,
+/// rules and passes; it is language-independent, so one serves every rule
+/// in a rule set.
 ///
 /// The scratch doubles as the **delta-probe counter** carrier: it is the
 /// one `&mut` context already threaded through every search, so the

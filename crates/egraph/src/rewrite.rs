@@ -38,11 +38,7 @@
 //!   modified rows or changed tuples — and visits the others in query
 //!   order from there (a conjunction's matches do not depend on the order
 //!   its atoms are visited in; whether a variable occurrence binds or
-//!   compares is decided at run time by whether its slot is bound);
-//! * a **parallel chunk** is any of the above handed a contiguous slice of
-//!   the first atom's root enumeration: the walk maps each root to a run
-//!   of matches and emits the runs in root order, so chunk results
-//!   concatenate to the serial result.
+//!   compares is decided at run time by whether its slot is bound).
 //!
 //! ## Delta search
 //!
@@ -67,40 +63,16 @@
 //! atom enumerates only classes whose `(class, op_key)` rows changed
 //! ([`crate::egraph::EGraph::modified_candidates_for`]), so activity
 //! confined to other operators — even in this atom's transitive ancestors
-//! — costs it nothing. The pre-op-keying read path (any modified class
-//! that contains the operator) is retained behind
-//! [`crate::egraph::DeltaTracking::PerClass`] as the A/B baseline; both
-//! paths produce identical match sets, and every probe records how many
-//! candidate rows it visited vs. skipped into the
-//! [`MatchScratch`] counters.
+//! — costs it nothing. Every probe records how many candidate rows it
+//! visited vs. skipped into the [`MatchScratch`] counters.
 
 use std::cell::OnceCell;
 use std::sync::Arc;
 
-use crate::egraph::{Analysis, DeltaTracking, EGraph};
+use crate::egraph::{Analysis, EGraph};
 use crate::language::Language;
 use crate::pattern::{Frame, MatchBuf, MatchScratch, Pattern, Program, Subst};
-use crate::pool::SearchPool;
 use crate::unionfind::Id;
-
-/// Minimum root-enumeration size at which a parallel-context search
-/// actually partitions across the pool. Below it the scatter/barrier
-/// overhead (a few channel round-trips) exceeds the join work, so the
-/// search runs inline on the scheduler thread — bit-for-bit the serial
-/// path. Delta probes over quiescent regions are tiny and stay inline;
-/// first-iteration full searches over populated operator rows partition.
-pub(crate) const PARALLEL_MIN_ROOTS: usize = 64;
-
-/// Borrowed parallel-search context: the saturation run's worker pool and
-/// one [`MatchScratch`] per pool thread. Chunk *i* of a partitioned search
-/// always uses scratch *i*, so the probe counters and recycled buffers are
-/// never shared between workers.
-pub struct ParallelCtx<'a> {
-    /// Pool shared across every search of one saturation run.
-    pub pool: &'a SearchPool,
-    /// Per-worker scratches (`len() >= pool.threads()`).
-    pub scratches: &'a mut [MatchScratch],
-}
 
 /// One atom of a rule's query.
 pub enum Atom<L> {
@@ -443,25 +415,7 @@ impl<L: Language> CompiledQuery<L> {
         scratch: &mut MatchScratch,
     ) -> Vec<Subst> {
         scratch.matches.reset(self.vars.len());
-        self.pass(egraph, Restrict::Full, DeltaTracking::OpKeyed, scratch);
-        self.substs(&scratch.matches)
-    }
-
-    /// [`CompiledQuery::search_with`] with the first atom's root
-    /// enumeration partitioned across the context's pool. Byte-identical
-    /// to the serial search (see `CompiledQuery::pass_parallel`).
-    #[must_use]
-    pub fn search_ctx<N: Analysis<L>>(
-        &self,
-        egraph: &EGraph<L, N>,
-        scratch: &mut MatchScratch,
-        ctx: &mut ParallelCtx<'_>,
-    ) -> Vec<Subst>
-    where
-        N::Data: Sync,
-    {
-        scratch.matches.reset(self.vars.len());
-        self.pass_parallel(egraph, Restrict::Full, DeltaTracking::OpKeyed, scratch, ctx);
+        self.pass(egraph, Restrict::Full, scratch);
         self.substs(&scratch.matches)
     }
 
@@ -471,8 +425,7 @@ impl<L: Language> CompiledQuery<L> {
     /// delta-eligible queries; semi-naive rounds (one per atom) otherwise.
     /// May return a match that already existed (delta probes
     /// over-approximate); appliers are idempotent, so re-applying is
-    /// harmless. Probes are op-keyed; see
-    /// [`CompiledQuery::search_delta_tracked`] for the per-class baseline.
+    /// harmless.
     #[must_use]
     pub fn search_delta<N: Analysis<L>>(
         &self,
@@ -481,75 +434,18 @@ impl<L: Language> CompiledQuery<L> {
         rel_cutoff: u64,
         scratch: &mut MatchScratch,
     ) -> Vec<Subst> {
-        let tracking = DeltaTracking::OpKeyed;
-        self.search_delta_tracked(egraph, epoch_cutoff, rel_cutoff, tracking, scratch)
-    }
-
-    /// [`CompiledQuery::search_delta`] with an explicit change-tracking
-    /// granularity — [`DeltaTracking::PerClass`] selects the retained
-    /// pre-op-keying probe as the A/B baseline. Identical match sets;
-    /// only the probed-row counts differ.
-    #[must_use]
-    pub fn search_delta_tracked<N: Analysis<L>>(
-        &self,
-        egraph: &EGraph<L, N>,
-        epoch_cutoff: u64,
-        rel_cutoff: u64,
-        tracking: DeltaTracking,
-        scratch: &mut MatchScratch,
-    ) -> Vec<Subst> {
-        self.delta(
-            egraph,
-            epoch_cutoff,
-            rel_cutoff,
-            scratch,
-            |restrict, scratch| {
-                self.pass(egraph, restrict, tracking, scratch);
-            },
-        );
+        self.delta(egraph, epoch_cutoff, rel_cutoff, scratch);
         self.substs(&scratch.matches)
     }
 
-    /// [`CompiledQuery::search_delta_tracked`] with a parallel-search
-    /// context: the single-root probe of delta-eligible queries *and* each
-    /// semi-naive round's delta enumeration are partitioned across the
-    /// pool. Byte-identical to the serial search: every pass is (see
-    /// `CompiledQuery::pass_parallel`), and the rounds accumulate and
-    /// merge exactly as the serial ones do.
-    #[must_use]
-    pub fn search_delta_tracked_ctx<N: Analysis<L>>(
-        &self,
-        egraph: &EGraph<L, N>,
-        epoch_cutoff: u64,
-        rel_cutoff: u64,
-        tracking: DeltaTracking,
-        scratch: &mut MatchScratch,
-        ctx: &mut ParallelCtx<'_>,
-    ) -> Vec<Subst>
-    where
-        N::Data: Sync,
-    {
-        self.delta(
-            egraph,
-            epoch_cutoff,
-            rel_cutoff,
-            scratch,
-            |restrict, scratch| {
-                self.pass_parallel(egraph, restrict, tracking, scratch, ctx);
-            },
-        );
-        self.substs(&scratch.matches)
-    }
-
-    /// Delta evaluation over a pass runner (serial or parallel), into the
-    /// emptied `scratch.matches`. A delta-eligible query is one
-    /// [`Restrict::Root`] pass. Anything else is evaluated semi-naively:
-    /// round `i` restricts atom `i` to its delta, and the join *starts*
-    /// from that delta, so a round costs work proportional to its delta —
-    /// not a full re-join. A match is found by round `i` iff atom `i`'s
-    /// contribution is new, so the union over rounds covers every new
-    /// match. Rounds whose delta is provably empty are skipped outright,
-    /// which is what makes quiescent passes free.
+    /// Delta evaluation into the emptied `scratch.matches`. A
+    /// delta-eligible query is one [`Restrict::Root`] pass. Anything else
+    /// is evaluated semi-naively: round `i` restricts atom `i` to its
+    /// delta, and the join *starts* from that delta, so a round costs work
+    /// proportional to its delta — not a full re-join. A match is found by
+    /// round `i` iff atom `i`'s contribution is new, so the union over
+    /// rounds covers every new match. Rounds whose delta is provably empty
+    /// are skipped outright, which is what makes quiescent passes free.
     ///
     /// The rounds' rows are merged by a total-order sort and a dedup
     /// (matches with several new atoms are found by several rounds), so
@@ -560,11 +456,10 @@ impl<L: Language> CompiledQuery<L> {
         epoch_cutoff: u64,
         rel_cutoff: u64,
         scratch: &mut MatchScratch,
-        mut pass: impl FnMut(Restrict, &mut MatchScratch),
     ) {
         scratch.matches.reset(self.vars.len());
         if self.delta_eligible {
-            return pass(Restrict::Root(epoch_cutoff), scratch);
+            return self.pass(egraph, Restrict::Root(epoch_cutoff), scratch);
         }
         let classes_dirty = egraph.any_modified_since(epoch_cutoff);
         let rels_dirty = egraph.relations.tick() > rel_cutoff;
@@ -581,7 +476,7 @@ impl<L: Language> CompiledQuery<L> {
                     epoch: epoch_cutoff,
                     rel_tick: rel_cutoff,
                 };
-                pass(restrict, scratch);
+                self.pass(egraph, restrict, scratch);
             }
         }
         scratch.matches.sort_dedup();
@@ -599,9 +494,8 @@ impl<L: Language> CompiledQuery<L> {
     /// pattern atom: its operator's index row (every class, ascending, for
     /// a variable root) in a full pass; in a delta pass, the classes whose
     /// root-operator rows were stamped at or after the cutoff —
-    /// O(changes to that operator's rows) via the per-op log (or the
-    /// retained per-class log ∩ index row under the baseline tracking),
-    /// nothing when the operator was quiet — with the probe counters
+    /// O(changes to that operator's rows) via the per-op log, nothing
+    /// when the operator was quiet — with the probe counters
     /// recorded on `scratch`, once.
     ///
     /// An index row is returned borrowed from the graph; every other
@@ -611,7 +505,6 @@ impl<L: Language> CompiledQuery<L> {
         &self,
         egraph: &'a EGraph<L, N>,
         restrict: Restrict,
-        tracking: DeltaTracking,
         scratch: &mut MatchScratch,
     ) -> Option<&'a [Id]> {
         let (first, cutoff) = match restrict {
@@ -627,16 +520,12 @@ impl<L: Language> CompiledQuery<L> {
             (None, Some(key)) => return Some(egraph.candidates_for(key)),
             (None, None) => scratch.roots.extend(egraph.classes().map(|c| c.id)),
             (Some(cut), root_key) => {
-                let universe = match (root_key, tracking) {
-                    (Some(key), DeltaTracking::OpKeyed) => {
+                let universe = match root_key {
+                    Some(key) => {
                         egraph.modified_candidates_for(key, cut, &mut scratch.roots);
                         egraph.candidates_for(key).len()
                     }
-                    (Some(key), DeltaTracking::PerClass) => {
-                        egraph.modified_candidates_per_class(key, cut, &mut scratch.roots);
-                        egraph.candidates_for(key).len()
-                    }
-                    (None, _) => {
+                    None => {
                         egraph.modified_since(cut, &mut scratch.roots);
                         egraph.num_classes()
                     }
@@ -648,11 +537,7 @@ impl<L: Language> CompiledQuery<L> {
     }
 
     /// Runs the matcher over the whole query with the first atom's root
-    /// enumeration given as `roots` — the complete enumeration or one
-    /// contiguous chunk of it — appending every match to `out`. The
-    /// depth-first join maps each root to a run of matches and emits the
-    /// runs in root order, so the results of consecutive chunks
-    /// concatenate to the result of the whole.
+    /// enumeration given as `roots`, appending every match to `out`.
     fn join<N: Analysis<L>>(
         &self,
         egraph: &EGraph<L, N>,
@@ -680,16 +565,15 @@ impl<L: Language> CompiledQuery<L> {
         join.atom(0, frame, out);
     }
 
-    /// One serial pass: the first atom's enumeration, then the join, its
-    /// matches appended to `scratch.matches`.
+    /// One pass: the first atom's enumeration, then the join, its matches
+    /// appended to `scratch.matches`.
     fn pass<N: Analysis<L>>(
         &self,
         egraph: &EGraph<L, N>,
         restrict: Restrict,
-        tracking: DeltaTracking,
         scratch: &mut MatchScratch,
     ) {
-        let index_row = self.first_roots(egraph, restrict, tracking, scratch);
+        let index_row = self.first_roots(egraph, restrict, scratch);
         let MatchScratch {
             frame,
             matches,
@@ -697,80 +581,6 @@ impl<L: Language> CompiledQuery<L> {
             ..
         } = scratch;
         self.join(egraph, restrict, index_row.unwrap_or(roots), frame, matches);
-    }
-
-    /// [`CompiledQuery::pass`] with the join partitioned across the
-    /// context's pool: the enumeration is computed once, here (probe
-    /// counters on the *scheduler's* scratch, exactly as the serial pass
-    /// records them), split into contiguous chunks, each chunk joined
-    /// against the immutable `&EGraph` snapshot with its own per-worker
-    /// scratch, and the chunk results appended in chunk order — which
-    /// is exactly the serial result (see [`CompiledQuery::join`]).
-    /// Enumerations below [`PARALLEL_MIN_ROOTS`] — and passes that start
-    /// at a relation atom, which have no root enumeration to partition —
-    /// run inline on the caller through the same `join`, so the match
-    /// order never depends on the threshold or the thread count.
-    fn pass_parallel<N: Analysis<L>>(
-        &self,
-        egraph: &EGraph<L, N>,
-        restrict: Restrict,
-        tracking: DeltaTracking,
-        scratch: &mut MatchScratch,
-        ctx: &mut ParallelCtx<'_>,
-    ) where
-        N::Data: Sync,
-    {
-        let index_row = self.first_roots(egraph, restrict, tracking, scratch);
-        let MatchScratch {
-            frame,
-            matches,
-            roots,
-            ..
-        } = scratch;
-        let roots: &[Id] = index_row.unwrap_or(roots);
-        let threads = ctx.pool.threads().min(ctx.scratches.len());
-        if threads < 2 || roots.len() < PARALLEL_MIN_ROOTS {
-            return self.join(egraph, restrict, roots, frame, matches);
-        }
-        let chunks = roots.chunks(roots.len().div_ceil(threads));
-        let workers = &mut ctx.scratches[..chunks.len()];
-        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = chunks
-            .zip(workers.iter_mut())
-            .map(|(chunk, worker)| {
-                Box::new(move || {
-                    worker.matches.reset(self.vars.len());
-                    self.join(
-                        egraph,
-                        restrict,
-                        chunk,
-                        &mut worker.frame,
-                        &mut worker.matches,
-                    );
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        ctx.pool.scatter(jobs);
-        for worker in workers.iter() {
-            matches.append(&worker.matches);
-        }
-    }
-
-    /// [`CompiledQuery::pass_parallel`] under a parallel-search context,
-    /// [`CompiledQuery::pass`] without one.
-    fn pass_in<N: Analysis<L>>(
-        &self,
-        egraph: &EGraph<L, N>,
-        restrict: Restrict,
-        tracking: DeltaTracking,
-        scratch: &mut MatchScratch,
-        par: Option<&mut ParallelCtx<'_>>,
-    ) where
-        N::Data: Sync,
-    {
-        match par {
-            Some(ctx) => self.pass_parallel(egraph, restrict, tracking, scratch, ctx),
-            None => self.pass(egraph, restrict, tracking, scratch),
-        }
     }
 }
 
@@ -901,14 +711,7 @@ impl<L: Language, N: Analysis<L>> Rewrite<L, N> {
     /// that changed the graph. Rebuilds first if the graph is dirty, but
     /// does **not** rebuild after applying.
     pub fn run(&self, egraph: &mut EGraph<L, N>) -> usize {
-        if !egraph.is_clean() {
-            egraph.rebuild();
-        }
-        let scratch = &mut MatchScratch::new();
-        scratch.matches.reset(self.compiled.vars.len());
-        self.compiled
-            .pass(egraph, Restrict::Full, DeltaTracking::OpKeyed, scratch);
-        self.apply_matches(egraph, scratch)
+        self.run_with(egraph, &mut MatchScratch::new())
     }
 
     /// Like [`Rewrite::run`] but with the retained naive matcher — the
@@ -920,71 +723,39 @@ impl<L: Language, N: Analysis<L>> Rewrite<L, N> {
         let matches = self.query.search(egraph);
         matches.iter().filter(|m| self.apply(egraph, m)).count()
     }
-}
 
-impl<L: Language, N: Analysis<L>> Rewrite<L, N>
-where
-    N::Data: Sync,
-{
     /// [`Rewrite::run`] for the scheduler: a caller-provided scratch (one
-    /// per saturation run, or longer-lived) and an optional
-    /// parallel-search context. With a context the *search* is partitioned
-    /// across its pool (see [`ParallelCtx`]); the matches are applied
-    /// serially either way, in the exact order the serial search produces
-    /// them.
-    pub fn run_with_ctx(
-        &self,
-        egraph: &mut EGraph<L, N>,
-        scratch: &mut MatchScratch,
-        par: Option<&mut ParallelCtx<'_>>,
-    ) -> usize {
+    /// per saturation run, or longer-lived).
+    pub fn run_with(&self, egraph: &mut EGraph<L, N>, scratch: &mut MatchScratch) -> usize {
         if !egraph.is_clean() {
             egraph.rebuild();
         }
         scratch.matches.reset(self.compiled.vars.len());
-        self.compiled
-            .pass_in(egraph, Restrict::Full, DeltaTracking::OpKeyed, scratch, par);
+        self.compiled.pass(egraph, Restrict::Full, scratch);
         self.apply_matches(egraph, scratch)
     }
 
     /// Delta run: applies every match that is new relative to the
     /// recorded cutoffs (`epoch_cutoff` from [`EGraph::bump_epoch`],
     /// `rel_cutoff` from [`crate::relation::Relations::tick`]) — single
-    /// root probe for delta-eligible queries, semi-naive rounds otherwise.
-    /// `tracking` selects the probe granularity (op-keyed, or the retained
-    /// per-class baseline); match sets are identical either way. With a
-    /// parallel-search context the probe and the pattern-atom rounds are
-    /// partitioned across the pool — the merged delta match set is
-    /// byte-identical to serial at any thread count (see
-    /// [`CompiledQuery::search_delta_tracked_ctx`]). The caller is
-    /// responsible for the cutoff bookkeeping — see `schedule::Runner`.
-    pub fn run_delta_ctx(
+    /// root probe for delta-eligible queries, semi-naive rounds otherwise
+    /// (see [`CompiledQuery::search_delta`]). The caller is responsible
+    /// for the cutoff bookkeeping — see `schedule::Runner`.
+    pub fn run_delta(
         &self,
         egraph: &mut EGraph<L, N>,
         epoch_cutoff: u64,
         rel_cutoff: u64,
-        tracking: DeltaTracking,
         scratch: &mut MatchScratch,
-        mut par: Option<&mut ParallelCtx<'_>>,
     ) -> usize {
         if !egraph.is_clean() {
             egraph.rebuild();
         }
-        let compiled = &self.compiled;
-        compiled.delta(
-            egraph,
-            epoch_cutoff,
-            rel_cutoff,
-            scratch,
-            |restrict, scratch| {
-                compiled.pass_in(egraph, restrict, tracking, scratch, par.as_deref_mut());
-            },
-        );
+        self.compiled
+            .delta(egraph, epoch_cutoff, rel_cutoff, scratch);
         self.apply_matches(egraph, scratch)
     }
-}
 
-impl<L: Language, N: Analysis<L>> Rewrite<L, N> {
     /// Whether the engine knows this rule's guard/applier depend only on
     /// the matched classes (see the field docs).
     #[must_use]
@@ -1160,90 +931,6 @@ mod tests {
             assert_eq!(naive.len(), compiled.len());
             for m in &naive {
                 assert!(compiled.contains(m), "compiled missed {m:?}");
-            }
-        }
-    }
-
-    /// Tentpole oracle: semi-naive delta rounds partitioned across a pool
-    /// produce the *byte-identical* match set — same substitutions, same
-    /// order, same probe counters — as the serial rounds, at any thread
-    /// count, for both non-eligible query shapes (relation atoms and
-    /// fresh-variable pattern atoms) with deltas wide enough
-    /// (> `PARALLEL_MIN_ROOTS`) to actually partition.
-    #[test]
-    fn parallel_delta_rounds_are_byte_identical_to_serial() {
-        use crate::pool::SearchPool;
-        let mut eg = EG::new();
-        let a = eg.add(Math::Sym("a".into()));
-        // A first generation of products, searched once to set the cutoffs.
-        for i in 0..20 {
-            let s = eg.add(Math::Sym(format!("old{i}")));
-            let m = eg.add(Math::Mul([a, s]));
-            if i % 2 == 0 {
-                eg.relations.insert("good", vec![s]);
-            }
-            let _ = m;
-        }
-        eg.rebuild();
-        let epoch_cutoff = eg.bump_epoch();
-        let rel_cutoff = eg.relations.tick();
-        // A delta far wider than PARALLEL_MIN_ROOTS: new products and new
-        // relation tuples, so every round of both queries is non-empty.
-        for i in 0..200 {
-            let s = eg.add(Math::Sym(format!("new{i}")));
-            let _ = eg.add(Math::Mul([a, s]));
-            if i % 3 == 0 {
-                eg.relations.insert("good", vec![s]);
-            }
-        }
-        eg.rebuild();
-
-        let queries: Vec<CompiledQuery<Math>> = vec![
-            Query::single("e", pmul(pvar("x"), pvar("y")))
-                .with_relation("good", &["y"])
-                .compile(),
-            Query::single("e", pmul(pvar("x"), pvar("y")))
-                .also("f", pmul(pvar("p"), pvar("q")))
-                .compile(),
-        ];
-        for q in &queries {
-            assert!(!q.delta_eligible());
-            let mut serial_scratch = MatchScratch::new();
-            let serial = q.search_delta_tracked(
-                &eg,
-                epoch_cutoff,
-                rel_cutoff,
-                DeltaTracking::OpKeyed,
-                &mut serial_scratch,
-            );
-            assert!(!serial.is_empty(), "the delta must actually match");
-            let serial_probes = serial_scratch.take_probe_counters();
-            for threads in [2, 4] {
-                let pool = SearchPool::new(threads);
-                let mut scratches: Vec<MatchScratch> =
-                    (0..pool.threads()).map(|_| MatchScratch::new()).collect();
-                let mut ctx = ParallelCtx {
-                    pool: &pool,
-                    scratches: &mut scratches,
-                };
-                let mut scratch = MatchScratch::new();
-                let par = q.search_delta_tracked_ctx(
-                    &eg,
-                    epoch_cutoff,
-                    rel_cutoff,
-                    DeltaTracking::OpKeyed,
-                    &mut scratch,
-                    &mut ctx,
-                );
-                assert_eq!(
-                    serial, par,
-                    "match set must be identical at {threads} threads"
-                );
-                assert_eq!(
-                    serial_probes,
-                    scratch.take_probe_counters(),
-                    "probe counters must be identical at {threads} threads"
-                );
             }
         }
     }

@@ -14,10 +14,9 @@
 //! its rules costs almost nothing. Probes are **keyed by each atom's root
 //! operator**: a rule rooted at `Mul` re-probes only classes whose `Mul`
 //! rows changed since it last ran, not every modified class that happens
-//! to contain a `Mul` node ([`Runner::use_per_class_deltas`] restores the
-//! broader pre-op-keying probes as the A/B baseline, and
-//! [`RunReport::delta_probed_rows`] / [`RunReport::delta_skipped_rows`]
-//! count the difference). Rules marked [`Rewrite::assume_pure`]
+//! to contain a `Mul` node ([`RunReport::delta_probed_rows`] /
+//! [`RunReport::delta_skipped_rows`] count what the probes visited and
+//! what they left alone). Rules marked [`Rewrite::assume_pure`]
 //! (applicability depends only on the matched classes and the query's own
 //! relation atoms) are additionally skipped outright while the graph and
 //! relation store are quiescent; for rules *not* marked pure, any new
@@ -48,11 +47,10 @@ use std::time::{Duration, Instant};
 
 use hb_obs::{ProfileHandle, RuleSearchSample};
 
-use crate::egraph::{Analysis, DeltaTracking, EGraph};
+use crate::egraph::{Analysis, EGraph};
 use crate::language::Language;
 use crate::pattern::MatchScratch;
-use crate::pool::SearchPool;
-use crate::rewrite::{ParallelCtx, Rewrite};
+use crate::rewrite::Rewrite;
 
 /// Statistics from a saturation run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -82,10 +80,9 @@ pub struct RunReport {
     pub full_searches: usize,
     /// Rule searches skipped entirely by the quiescence check.
     pub skipped_searches: usize,
-    /// Candidate op rows (classes) delta probes actually visited. Under
-    /// op-keyed tracking a probe enumerates only classes whose
-    /// `(class, root_op)` rows changed since the rule last ran; under the
-    /// per-class baseline, every modified class containing the root op.
+    /// Candidate op rows (classes) delta probes actually visited: a probe
+    /// enumerates only classes whose `(class, root_op)` rows changed since
+    /// the rule last ran.
     pub delta_probed_rows: usize,
     /// Candidate op rows delta probes skipped: the probed operators'
     /// remaining index-row entries, which were quiet since the rule last
@@ -403,30 +400,10 @@ pub struct Runner {
     /// indexed/delta path (for benchmarking and cross-checking; the match
     /// sets are identical, only the time spent differs).
     pub use_naive_matcher: bool,
-    /// Run delta probes against the retained per-class epochs instead of
-    /// the op-keyed rows (the pre-op-keying A/B baseline, kept the same
-    /// way the naive matcher is; identical match sets, broader probes —
-    /// the difference shows in [`RunReport::delta_probed_rows`]).
-    pub use_per_class_deltas: bool,
-    /// Threads for parallel rule *search* (see the crate docs' parallel
-    /// section): each run owns a [`SearchPool`] of this many threads and
-    /// partitions large root enumerations across it; match application
-    /// stays serial and deterministically ordered, so reports, graphs and
-    /// extraction are byte-identical to the serial run. `1` (the default)
-    /// never touches the pool; the naive matcher ignores this knob.
-    pub search_threads: usize,
-    /// A pre-built [`SearchPool`] shared across runs. When set (and its
-    /// thread count matches [`Runner::search_threads`]), every run this
-    /// runner starts scatters onto it instead of spawning a fresh pool —
-    /// a session compiling many programs pays the thread-spawn cost once.
-    /// Ignored (a private pool is built per run) on a thread-count
-    /// mismatch, so a stale handle can degrade performance but never
-    /// change behavior.
-    pub shared_pool: Option<Arc<SearchPool>>,
     /// Opt-in profiling callbacks at rule-search boundaries (see the
     /// module docs). `None` (the default) keeps every hook site down to
-    /// one branch. Excluded from cache policy fingerprints like the
-    /// thread knobs: a sink observes a run but never changes it.
+    /// one branch. Excluded from cache policy fingerprints: a sink
+    /// observes a run but never changes it.
     pub profile_sink: Option<ProfileHandle>,
     /// Deterministic fault plan for chaos testing (see [`crate::fault`]);
     /// shared so one plan's one-shot counters span every run it observes.
@@ -442,29 +419,10 @@ impl Default for Runner {
             time_budget: None,
             match_budget: None,
             use_naive_matcher: false,
-            use_per_class_deltas: false,
-            search_threads: 1,
-            shared_pool: None,
             profile_sink: None,
             #[cfg(feature = "fault-injection")]
             fault_plan: None,
         }
-    }
-}
-
-/// One saturation run's parallel-search state: the worker pool plus one
-/// scratch per pool thread (chunk *i* of every partitioned search
-/// uses scratch *i*; the scheduler's own scratch keeps the probe
-/// counters).
-struct ParallelSearch {
-    pool: Arc<SearchPool>,
-    scratches: Vec<MatchScratch>,
-}
-
-impl ParallelSearch {
-    fn new(pool: Arc<SearchPool>) -> Self {
-        let scratches = (0..pool.threads()).map(|_| MatchScratch::new()).collect();
-        ParallelSearch { pool, scratches }
     }
 }
 
@@ -519,56 +477,11 @@ impl Runner {
         self
     }
 
-    /// Flips the runner onto the retained per-class delta baseline.
-    #[must_use]
-    pub fn with_per_class_deltas(mut self, per_class: bool) -> Self {
-        self.use_per_class_deltas = per_class;
-        self
-    }
-
-    /// Sets the parallel-search thread count (clamped to at least 1).
-    #[must_use]
-    pub fn with_search_threads(mut self, threads: usize) -> Self {
-        self.search_threads = threads.max(1);
-        self
-    }
-
-    /// Installs a pre-built shared [`SearchPool`] for this runner's runs
-    /// (see [`Runner::shared_pool`]).
-    #[must_use]
-    pub fn with_shared_pool(mut self, pool: Arc<SearchPool>) -> Self {
-        self.shared_pool = Some(pool);
-        self
-    }
-
     /// Installs a profiling sink (see [`Runner::profile_sink`]).
     #[must_use]
     pub fn with_profile_sink(mut self, sink: Arc<dyn hb_obs::ProfileSink>) -> Self {
         self.profile_sink = Some(ProfileHandle::new(sink));
         self
-    }
-
-    /// The parallel-search state for one run, when the knobs call for it:
-    /// the shared pool when one is installed with a matching thread
-    /// count, a freshly spawned private pool otherwise.
-    fn parallel_search(&self) -> Option<ParallelSearch> {
-        (self.search_threads > 1 && !self.use_naive_matcher).then(|| {
-            let pool = match &self.shared_pool {
-                Some(pool) if pool.threads() == self.search_threads => Arc::clone(pool),
-                _ => Arc::new(SearchPool::new(self.search_threads)),
-            };
-            ParallelSearch::new(pool)
-        })
-    }
-
-    /// The change-tracking granularity this runner's delta probes read.
-    #[must_use]
-    pub fn delta_tracking(&self) -> DeltaTracking {
-        if self.use_per_class_deltas {
-            DeltaTracking::PerClass
-        } else {
-            DeltaTracking::OpKeyed
-        }
     }
 
     /// Runs every rule once, then rebuilds. Returns matches applied.
@@ -589,20 +502,15 @@ impl Runner {
     /// One pass over `rules` with delta bookkeeping, then a rebuild.
     /// Returns the matches applied; search-mode counters accumulate into
     /// `report`.
-    #[allow(clippy::too_many_arguments)]
     fn run_iter<L: Language, N: Analysis<L>>(
         &self,
         egraph: &mut EGraph<L, N>,
         rules: &[Rewrite<L, N>],
         states: &mut [RuleState],
         scratch: &mut MatchScratch,
-        par: &mut Option<ParallelSearch>,
         clock: &mut BudgetClock,
         report: &mut RunReport,
-    ) -> usize
-    where
-        N::Data: Sync,
-    {
+    ) -> usize {
         debug_assert_eq!(rules.len(), states.len());
         let mut applied = 0;
         for (rule, state) in rules.iter().zip(states.iter_mut()) {
@@ -664,23 +572,12 @@ impl Runner {
             // unions and tuple inserts are re-probed on its next run.
             let searched_at = egraph.bump_epoch();
             let rel_tick_at = egraph.relations.tick();
-            let mut ctx = par.as_mut().map(|p| ParallelCtx {
-                pool: &p.pool,
-                scratches: &mut p.scratches[..],
-            });
             let n = if delta_ok {
                 report.delta_searches += 1;
-                rule.run_delta_ctx(
-                    egraph,
-                    epoch_cutoff,
-                    rel_cutoff,
-                    self.delta_tracking(),
-                    scratch,
-                    ctx.as_mut(),
-                )
+                rule.run_delta(egraph, epoch_cutoff, rel_cutoff, scratch)
             } else {
                 report.full_searches += 1;
-                rule.run_with_ctx(egraph, scratch, ctx.as_mut())
+                rule.run_with(egraph, scratch)
             };
             applied += n;
             clock.note_applied(n);
@@ -726,10 +623,7 @@ impl Runner {
         &self,
         egraph: &mut EGraph<L, N>,
         rules: &[Rewrite<L, N>],
-    ) -> RunReport
-    where
-        N::Data: Sync,
-    {
+    ) -> RunReport {
         self.run_to_fixpoint_budgeted(egraph, rules, self.budget_from_now())
     }
 
@@ -742,41 +636,25 @@ impl Runner {
         egraph: &mut EGraph<L, N>,
         rules: &[Rewrite<L, N>],
         budget: Budget,
-    ) -> RunReport
-    where
-        N::Data: Sync,
-    {
+    ) -> RunReport {
         let mut states = vec![RuleState::default(); rules.len()];
         let mut scratch = MatchScratch::new();
-        let mut par = self.parallel_search();
         let mut clock = BudgetClock::new(budget.tighten(self.budget_from_now()));
-        let mut report = self.fixpoint_with_states(
-            egraph,
-            rules,
-            &mut states,
-            &mut scratch,
-            &mut par,
-            &mut clock,
-            true,
-        );
+        let mut report =
+            self.fixpoint_with_states(egraph, rules, &mut states, &mut scratch, &mut clock, true);
         clock.stamp(&mut report);
         report
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn fixpoint_with_states<L: Language, N: Analysis<L>>(
         &self,
         egraph: &mut EGraph<L, N>,
         rules: &[Rewrite<L, N>],
         states: &mut [RuleState],
         scratch: &mut MatchScratch,
-        par: &mut Option<ParallelSearch>,
         clock: &mut BudgetClock,
         _inject_faults: bool,
-    ) -> RunReport
-    where
-        N::Data: Sync,
-    {
+    ) -> RunReport {
         let start = Instant::now();
         let mut report = RunReport::default();
         for _ in 0..self.max_iterations {
@@ -790,7 +668,7 @@ impl Runner {
             }
             report.iterations += 1;
             let relations_before = egraph.relations.version();
-            let applied = self.run_iter(egraph, rules, states, scratch, par, clock, &mut report);
+            let applied = self.run_iter(egraph, rules, states, scratch, clock, &mut report);
             let relations_changed = egraph.relations.version() != relations_before;
             report.applied += applied;
             if applied == 0 && !relations_changed && !clock.exhausted() {
@@ -848,10 +726,7 @@ impl Runner {
         main_rules: &[Rewrite<L, N>],
         supporting_rules: &[Rewrite<L, N>],
         outer_iters: usize,
-    ) -> RunReport
-    where
-        N::Data: Sync,
-    {
+    ) -> RunReport {
         self.run_phased_budgeted(
             egraph,
             main_rules,
@@ -873,10 +748,7 @@ impl Runner {
         supporting_rules: &[Rewrite<L, N>],
         outer_iters: usize,
         budget: Budget,
-    ) -> RunReport
-    where
-        N::Data: Sync,
-    {
+    ) -> RunReport {
         let scratch = &mut MatchScratch::new();
         self.run_phased_in(
             egraph,
@@ -907,10 +779,7 @@ impl Runner {
         outer_iters: usize,
         budget: Budget,
         warm: WarmStart,
-    ) -> RunReport
-    where
-        N::Data: Sync,
-    {
+    ) -> RunReport {
         let scratch = &mut MatchScratch::new();
         self.run_phased_in(
             egraph,
@@ -939,23 +808,18 @@ impl Runner {
         budget: Budget,
         warm: Option<WarmStart>,
         scratch: &mut MatchScratch,
-    ) -> RunReport
-    where
-        N::Data: Sync,
-    {
+    ) -> RunReport {
         let start = Instant::now();
         let mut report = RunReport::default();
         let seed = warm.map(WarmStart::seed).unwrap_or_default();
         let mut main_states = vec![seed; main_rules.len()];
         let mut support_states = vec![seed; supporting_rules.len()];
-        let mut par = self.parallel_search();
         let mut clock = BudgetClock::new(budget.tighten(self.budget_from_now()));
         let support = self.fixpoint_with_states(
             egraph,
             supporting_rules,
             &mut support_states,
             scratch,
-            &mut par,
             &mut clock,
             false,
         );
@@ -975,7 +839,6 @@ impl Runner {
                 main_rules,
                 &mut main_states,
                 scratch,
-                &mut par,
                 &mut clock,
                 &mut report,
             );
@@ -988,7 +851,6 @@ impl Runner {
                 supporting_rules,
                 &mut support_states,
                 scratch,
-                &mut par,
                 &mut clock,
                 false,
             );
@@ -1239,107 +1101,6 @@ mod tests {
         assert!(report.saturated);
         assert!(!report.truncated());
         assert_eq!(eg.find(d), eg.find(a));
-    }
-
-    /// A left-deep product chain wide enough (> `PARALLEL_MIN_ROOTS`
-    /// Mul-rooted classes) that parallel search actually partitions.
-    fn wide_mul_chain(len: usize) -> (EG, crate::unionfind::Id) {
-        let mut eg = EG::new();
-        let mut acc = eg.add(Math::Sym("s0".into()));
-        for i in 1..len {
-            let s = eg.add(Math::Sym(format!("s{i}")));
-            acc = eg.add(Math::Mul([acc, s]));
-        }
-        (eg, acc)
-    }
-
-    fn mul_rules() -> Vec<Rewrite<Math>> {
-        vec![
-            Rewrite::rewrite(
-                "comm-mul",
-                pmul(pvar("x"), pvar("y")),
-                pmul(pvar("y"), pvar("x")),
-            ),
-            Rewrite::rewrite(
-                "assoc-mul",
-                pmul(pmul(pvar("a"), pvar("b")), pvar("c")),
-                pmul(pvar("a"), pmul(pvar("b"), pvar("c"))),
-            ),
-        ]
-    }
-
-    /// Satellite invariant: parallel search is byte-invisible. Reports
-    /// (every counter, including the delta probed/skipped rows), graph
-    /// sizes and the extracted term must all match the serial run exactly
-    /// — only `elapsed` may differ.
-    #[test]
-    fn parallel_search_is_byte_identical_to_serial() {
-        use crate::extract::{AstSize, WorklistExtractor};
-        for threads in [2, 3] {
-            let (mut eg_serial, root_s) = wide_mul_chain(80);
-            let (mut eg_par, root_p) = wide_mul_chain(80);
-            let runner = Runner::new(3, 1_000_000);
-            let mut serial = runner.run_to_fixpoint(&mut eg_serial, &mul_rules());
-            let mut par = runner
-                .with_search_threads(threads)
-                .run_to_fixpoint(&mut eg_par, &mul_rules());
-            serial.elapsed = Duration::ZERO;
-            par.elapsed = Duration::ZERO;
-            assert_eq!(serial, par, "reports must match at {threads} threads");
-            let best_s =
-                WorklistExtractor::new(&eg_serial, AstSize).extract(eg_serial.find(root_s));
-            let best_p = WorklistExtractor::new(&eg_par, AstSize).extract(eg_par.find(root_p));
-            assert_eq!(
-                best_s.to_sexp(),
-                best_p.to_sexp(),
-                "extraction must match at {threads} threads"
-            );
-        }
-    }
-
-    /// Tentpole oracle at the scheduler level: a rule whose query is *not*
-    /// delta-eligible (fresh-variable second atom) runs its delta as
-    /// semi-naive rounds — now partitioned across the pool — and the full
-    /// run (every report counter, the derived relation contents) stays
-    /// byte-identical to serial at 2 and 4 threads.
-    #[test]
-    fn parallel_delta_rounds_are_byte_identical_at_runner_level() {
-        fn rules() -> Vec<Rewrite<Math>> {
-            let mut rules = mul_rules();
-            rules.push(Rewrite::<Math>::rule(
-                "pair-products",
-                Query::single("e", pmul(pvar("x"), pvar("y")))
-                    .also("f", pmul(pvar("p"), pvar("q"))),
-                Box::new(|eg, s| {
-                    let e = crate::rewrite::bound(s, "e");
-                    let f = crate::rewrite::bound(s, "f");
-                    eg.relations.insert("paired", vec![e, f])
-                }),
-            ));
-            rules
-        }
-        let (mut eg_serial, _) = wide_mul_chain(80);
-        let runner = Runner::new(2, 1_000_000);
-        let mut serial = runner.run_to_fixpoint(&mut eg_serial, &rules());
-        serial.elapsed = Duration::ZERO;
-        assert!(
-            eg_serial.relations.len("paired") > 0,
-            "the non-eligible rule must actually fire"
-        );
-        for threads in [2, 4] {
-            let (mut eg_par, _) = wide_mul_chain(80);
-            let mut par = runner
-                .clone()
-                .with_search_threads(threads)
-                .run_to_fixpoint(&mut eg_par, &rules());
-            par.elapsed = Duration::ZERO;
-            assert_eq!(serial, par, "reports must match at {threads} threads");
-            assert_eq!(
-                eg_serial.relations.len("paired"),
-                eg_par.relations.len("paired"),
-                "derived relations must match at {threads} threads"
-            );
-        }
     }
 
     /// Profiling attribution: the rebuild that `assoc`'s union forces

@@ -5,16 +5,16 @@
 //! * the compiled/indexed matcher returns the same `(Id, Subst)` sets as
 //!   the retained naive reference matcher, on random graphs and across
 //!   full saturation of the `math_lang` rule suite;
-//! * saturation with the indexed + delta scheduler — under op-keyed *and*
-//!   per-class change tracking — reaches the same e-graph (nodes, classes,
-//!   equivalences) and extracts the same terms as the naive matcher path;
+//! * saturation with the indexed + delta scheduler reaches the same
+//!   e-graph (nodes, classes, equivalences) and extracts the same terms as
+//!   the naive matcher path;
 //! * op-keyed delta probes skip classes whose probed-operator rows were
 //!   untouched (counter-based), and modification-log compaction is
 //!   deterministic and exact;
 //! * on random graphs and random queries of every shape the backtracking
-//!   matcher emits the naive reference's match *sequence*, its delta
-//!   search covers every match created since the cutoffs, and its chunked
-//!   (parallel) evaluation concatenates to the serial sequence;
+//!   matcher emits the naive reference's match *sequence* and its delta
+//!   search covers every match created since the cutoffs — also on index
+//!   rows of well over a hundred roots;
 //! * a graph, matcher scratch and extraction scratch that served one graph
 //!   and were cleared rebuild another exactly as fresh ones do: same ids,
 //!   same saturation report, same match sequences, same extraction, same
@@ -22,13 +22,12 @@
 
 use proptest::prelude::*;
 
-use hb_egraph::egraph::{DeltaTracking, EGraph};
+use hb_egraph::egraph::EGraph;
 use hb_egraph::extract::{AstSize, Extract, SharedTableExtractor, WorklistExtractor};
 use hb_egraph::language::Language;
 use hb_egraph::math_lang::{n, padd, pdiv, pmul, pshl, pvar, Math};
 use hb_egraph::pattern::{MatchScratch, Pattern, Subst};
-use hb_egraph::pool::SearchPool;
-use hb_egraph::rewrite::{ParallelCtx, Query, Rewrite};
+use hb_egraph::rewrite::{Query, Rewrite};
 use hb_egraph::schedule::{Budget, Runner};
 use hb_egraph::unionfind::Id;
 
@@ -149,36 +148,20 @@ proptest! {
     fn saturation_agrees_between_matchers(
         steps in proptest::collection::vec((0u8..5, 0u32..64, 0u32..64), 40),
     ) {
-        // Saturate three copies of the same graph — op-keyed deltas (the
-        // default), the retained per-class delta baseline, and the naive
-        // matcher — and compare the resulting e-graphs and extracted
-        // terms.
+        // Saturate two copies of the same graph — the indexed + delta
+        // scheduler and the naive matcher — and compare the resulting
+        // e-graphs and extracted terms.
         let (mut fast, ids) = replay(&steps);
-        let mut per_class = fast.clone();
         let mut naive = fast.clone();
         let runner = Runner::new(16, 20_000);
         let rules = math_rules();
         let r1 = runner.run_to_fixpoint(&mut fast, &rules);
-        let r_pc = runner
-            .clone()
-            .with_per_class_deltas(true)
-            .run_to_fixpoint(&mut per_class, &rules);
         let r2 = runner
             .with_naive_matcher(true)
             .run_to_fixpoint(&mut naive, &rules);
         prop_assert_eq!(r1.saturated, r2.saturated);
         prop_assert_eq!(r1.nodes, r2.nodes, "node counts diverged");
         prop_assert_eq!(r1.classes, r2.classes, "class counts diverged");
-        prop_assert_eq!(r1.saturated, r_pc.saturated);
-        prop_assert_eq!(r1.nodes, r_pc.nodes, "per-class node counts diverged");
-        prop_assert_eq!(r1.classes, r_pc.classes, "per-class class counts diverged");
-        // Op-keyed probes never visit more rows than the per-class
-        // baseline on the same workload.
-        prop_assert!(
-            r1.delta_probed_rows <= r_pc.delta_probed_rows,
-            "op-keyed probed {} rows, per-class {}",
-            r1.delta_probed_rows, r_pc.delta_probed_rows
-        );
         fast.check_op_epochs();
         // Same equivalences between all tracked ids.
         for &x in &ids {
@@ -187,11 +170,6 @@ proptest! {
                     fast.find(x) == fast.find(y),
                     naive.find(x) == naive.find(y),
                     "equivalence of {} and {} diverged", x, y
-                );
-                prop_assert_eq!(
-                    fast.find(x) == fast.find(y),
-                    per_class.find(x) == per_class.find(y),
-                    "per-class equivalence of {} and {} diverged", x, y
                 );
             }
         }
@@ -323,27 +301,6 @@ proptest! {
                     );
                 }
             }
-            // The retained per-class probe must be equally sound and
-            // complete — it only probes more rows, never different
-            // match semantics.
-            let pc = c.search_delta_tracked(
-                &eg,
-                epoch_cutoff,
-                rel_cutoff,
-                DeltaTracking::PerClass,
-                &mut scratch,
-            );
-            for m in &pc {
-                prop_assert!(full.contains(m), "per-class delta invented {m:?}");
-            }
-            for m in &full {
-                if !before.contains(m) {
-                    prop_assert!(
-                        pc.contains(m),
-                        "per-class delta missed the new match {m:?}"
-                    );
-                }
-            }
         }
         eg.check_op_epochs();
     }
@@ -450,7 +407,7 @@ proptest! {
     }
 
     // Delta searches, single-root and semi-naive alike, report every match
-    // that appeared after the cutoffs, under both tracking granularities.
+    // that appeared after the cutoffs.
     #[test]
     fn delta_search_covers_new_matches_on_random_queries(
         steps1 in proptest::collection::vec((0u8..6, 0u32..64, 0u32..64), 40),
@@ -474,11 +431,8 @@ proptest! {
         let mut scratch = MatchScratch::new();
         for ((c, before), g) in compiled.iter().zip(&before).zip(&genes) {
             let full = c.search(&eg);
-            for tracking in [DeltaTracking::OpKeyed, DeltaTracking::PerClass] {
-                let delta =
-                    c.search_delta_tracked(&eg, epoch_cutoff, rel_cutoff, tracking, &mut scratch);
-                assert_delta_covers(before, &full, &delta, &format!("{tracking:?} genes {g:?}"));
-            }
+            let delta = c.search_delta(&eg, epoch_cutoff, rel_cutoff, &mut scratch);
+            assert_delta_covers(before, &full, &delta, &format!("genes {g:?}"));
         }
     }
 }
@@ -486,13 +440,14 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    // Chunked evaluation: with the first atom's root enumeration split
-    // across 2 and 3 workers, the chunk results concatenate to exactly the
-    // serial sequence — full and delta, probe counters included. The two
-    // generations of products are wider than the partitioning threshold,
-    // so Mul- and variable-rooted enumerations really are chunked.
+    // Wide index rows: two generations of 70 products put well over a
+    // hundred roots in the Mul row (and in every variable-rooted
+    // enumeration). The compiled full search still emits the naive
+    // sequence, the delta search is sound and complete across the
+    // generations, and a second run of both — in the scratch the first
+    // left behind — repeats the matches and the probe counters exactly.
     #[test]
-    fn chunked_search_concatenates_to_the_serial_sequence(
+    fn wide_rows_search_like_the_naive_matcher(
         steps1 in proptest::collection::vec((0u8..6, 0u32..256, 0u32..256), 30),
         steps2 in proptest::collection::vec((0u8..6, 0u32..256, 0u32..256), 30),
         tuples in proptest::collection::vec((0u8..2, 0u32..256, 0u32..256), 12),
@@ -510,6 +465,9 @@ proptest! {
         apply_steps(&mut eg, &mut ids, &steps1);
         insert_tuples(&mut eg, &ids, &tuples[..6]);
         eg.rebuild();
+        let queries: Vec<_> = genes.iter().map(|g| gen_query(g, 2)).collect();
+        let compiled: Vec<_> = queries.iter().map(Query::compile).collect();
+        let before: Vec<Vec<Subst>> = compiled.iter().map(|c| c.search(&eg)).collect();
         let epoch_cutoff = eg.bump_epoch();
         let rel_cutoff = eg.relations.tick();
         widen(&mut eg, &mut ids, "new");
@@ -517,30 +475,20 @@ proptest! {
         insert_tuples(&mut eg, &ids, &tuples[6..]);
         eg.rebuild();
 
-        let pools = [SearchPool::new(2), SearchPool::new(3)];
-        let tracking = DeltaTracking::OpKeyed;
-        for g in &genes {
-            let c = gen_query(g, 2).compile();
-            let mut scratch = MatchScratch::new();
-            let serial = c.search_with(&eg, &mut scratch);
-            let serial_delta =
-                c.search_delta_tracked(&eg, epoch_cutoff, rel_cutoff, tracking, &mut scratch);
-            let serial_probes = scratch.take_probe_counters();
-            for pool in &pools {
-                let mut scratches: Vec<MatchScratch> =
-                    (0..pool.threads()).map(|_| MatchScratch::new()).collect();
-                let mut ctx = ParallelCtx { pool, scratches: &mut scratches };
-                let chunked = c.search_ctx(&eg, &mut scratch, &mut ctx);
-                prop_assert_eq!(&serial, &chunked, "{} threads, genes {:?}", pool.threads(), g);
-                let chunked_delta = c.search_delta_tracked_ctx(
-                    &eg, epoch_cutoff, rel_cutoff, tracking, &mut scratch, &mut ctx,
-                );
-                prop_assert_eq!(
-                    &serial_delta, &chunked_delta,
-                    "delta, {} threads, genes {:?}", pool.threads(), g
-                );
-                prop_assert_eq!(serial_probes, scratch.take_probe_counters());
-            }
+        let mut scratch = MatchScratch::new();
+        for (((query, c), before), g) in queries.iter().zip(&compiled).zip(&before).zip(&genes) {
+            let full = c.search_with(&eg, &mut scratch);
+            prop_assert_eq!(&query.search(&eg), &full, "genes {:?}", g);
+            let delta = c.search_delta(&eg, epoch_cutoff, rel_cutoff, &mut scratch);
+            assert_delta_covers(before, &full, &delta, &format!("genes {g:?}"));
+            let probes = scratch.take_probe_counters();
+            prop_assert_eq!(&full, &c.search_with(&eg, &mut scratch), "rerun, genes {:?}", g);
+            prop_assert_eq!(
+                &delta,
+                &c.search_delta(&eg, epoch_cutoff, rel_cutoff, &mut scratch),
+                "delta rerun, genes {:?}", g
+            );
+            prop_assert_eq!(probes, scratch.take_probe_counters());
         }
     }
 }
@@ -672,10 +620,9 @@ fn scheduler_semi_naive_finds_late_tuples_without_full_research() {
 fn untouched_op_rows_are_not_probed() {
     // Epoch exactness, counter-based: a class holding both a Mul and a Div
     // node sees a change under its Mul subtree only. The Div-rooted
-    // query's op-keyed delta probe must visit zero rows, while the
-    // per-class baseline re-probes the class (it is modified and contains
-    // a Div node). Match sets are empty either way — the probe count is
-    // the difference under test.
+    // query's delta probe must visit zero rows, although the class is
+    // modified and contains a Div node; the Mul-rooted one must visit the
+    // changed row.
     let mut eg = EG::new();
     let two = eg.add(Math::Num(2));
     let three = eg.add(Math::Num(3));
@@ -705,18 +652,6 @@ fn untouched_op_rows_are_not_probed() {
         div_probed, 0,
         "no Div row changed — the op-keyed Div probe must visit nothing"
     );
-    let _ = q_div.search_delta_tracked(
-        &eg,
-        cutoff,
-        rel_cutoff,
-        DeltaTracking::PerClass,
-        &mut scratch,
-    );
-    let (div_probed_pc, _) = scratch.take_probe_counters();
-    assert!(
-        div_probed_pc > 0,
-        "the per-class baseline re-probes the modified multi-op class"
-    );
     let _ = q_mul.search_delta(&eg, cutoff, rel_cutoff, &mut scratch);
     let (mul_probed, _) = scratch.take_probe_counters();
     assert!(
@@ -727,25 +662,24 @@ fn untouched_op_rows_are_not_probed() {
 }
 
 #[test]
-fn op_keyed_runner_probes_fewer_rows_than_per_class() {
-    // Runner-level A/B: multi-op classes u_i hold a Mul node and a Div
+fn runner_delta_probes_skip_the_untouched_operator() {
+    // Runner-level pin: multi-op classes u_i hold a Mul node and a Div
     // node with disjoint subtrees. A rule that only changes the Div
     // side's shared leaf (`3` gains a Div node) restamps the u_i through
     // their Div parent nodes alone, so the Mul-rooted rule's delta probe
-    // visits zero rows under op-keyed tracking — while the per-class
-    // baseline re-probes every modified u_i (each contains a Mul node).
-    // Outcomes must be identical; only probe counts may differ.
-    let mut op_keyed = EG::new();
-    let two = op_keyed.add(Math::Num(2));
-    let three = op_keyed.add(Math::Num(3));
+    // skips all eight u_i (each is modified and contains a Mul node) and
+    // only the Div- and literal-rooted probes visit rows.
+    let mut eg = EG::new();
+    let two = eg.add(Math::Num(2));
+    let three = eg.add(Math::Num(3));
     for i in 0..8 {
-        let a = op_keyed.add(Math::Sym(format!("a{i}")));
-        let b = op_keyed.add(Math::Sym(format!("b{i}")));
-        let m = op_keyed.add(Math::Mul([a, two]));
-        let d = op_keyed.add(Math::Div([b, three]));
-        op_keyed.union(m, d);
+        let a = eg.add(Math::Sym(format!("a{i}")));
+        let b = eg.add(Math::Sym(format!("b{i}")));
+        let m = eg.add(Math::Mul([a, two]));
+        let d = eg.add(Math::Div([b, three]));
+        eg.union(m, d);
     }
-    op_keyed.rebuild();
+    eg.rebuild();
     let rules: Vec<Rewrite<Math>> = vec![
         // Never fires; its delta probes of the Mul rows are under test.
         // Runs first so the Div-side change below lands *after* its first
@@ -756,27 +690,16 @@ fn op_keyed_runner_probes_fewer_rows_than_per_class() {
         // Fires once: `3` ≡ `3/1`, a change strictly on the Div side.
         Rewrite::rewrite("three-div-one", n(3), pdiv(n(3), n(1))),
     ];
-    let mut per_class = op_keyed.clone();
-    let runner = Runner::new(16, 20_000);
-    let r_op = runner.run_to_fixpoint(&mut op_keyed, &rules);
-    let r_pc = runner
-        .with_per_class_deltas(true)
-        .run_to_fixpoint(&mut per_class, &rules);
-    assert!(r_op.saturated && r_pc.saturated);
-    assert_eq!(r_op.nodes, r_pc.nodes);
-    assert_eq!(r_op.classes, r_pc.classes);
-    assert_eq!(r_op.applied, r_pc.applied);
-    assert!(
-        r_op.delta_probed_rows < r_pc.delta_probed_rows,
-        "op-keyed probed {} rows, per-class {} — expected strictly fewer",
-        r_op.delta_probed_rows,
-        r_pc.delta_probed_rows
+    let report = Runner::new(16, 20_000).run_to_fixpoint(&mut eg, &rules);
+    assert!(report.saturated);
+    assert_eq!((report.nodes, report.classes, report.applied), (36, 27, 1));
+    assert_eq!((report.full_searches, report.delta_searches), (3, 3));
+    assert_eq!(report.delta_probed_rows, 10);
+    assert_eq!(
+        report.delta_skipped_rows, 8,
+        "the Mul-rooted probe must skip every u_i"
     );
-    assert!(
-        r_op.delta_skipped_rows > r_pc.delta_skipped_rows,
-        "op-keyed must skip the rows per-class probes"
-    );
-    op_keyed.check_op_epochs();
+    eg.check_op_epochs();
 }
 
 #[test]

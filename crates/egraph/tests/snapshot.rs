@@ -10,19 +10,13 @@
 //! * a restored *saturated* graph warm-starts: new leaves added after the
 //!   restore saturate to the same closure and extract byte-identically to
 //!   a cold run over the combined input, with zero full searches and
-//!   strictly fewer probed rows;
-//! * one shared `SearchPool` serves many runs (construction-count
-//!   regression) without changing reports.
-
-use std::sync::Arc;
-use std::time::Duration;
+//!   strictly fewer probed rows.
 
 use proptest::prelude::*;
 
 use hb_egraph::egraph::EGraph;
 use hb_egraph::extract::{AstSize, WorklistExtractor};
 use hb_egraph::math_lang::{pmul, pvar, Math};
-use hb_egraph::pool::SearchPool;
 use hb_egraph::rewrite::Rewrite;
 use hb_egraph::schedule::{Budget, Runner, WarmStart};
 use hb_egraph::snapshot::{SnapshotError, SNAPSHOT_VERSION};
@@ -258,60 +252,4 @@ fn corrupted_truncated_and_bumped_bytes_are_typed_errors() {
     let report = Runner::new(8, 1_000_000).run_to_fixpoint(&mut cold, &mul_rules());
     assert!(report.saturated);
     assert!(cold.find(root).index() < cold.num_nodes() + cold.num_classes());
-}
-
-/// Satellite regression: a shared pool is constructed once and reused by
-/// every run, and sharing never changes reports or extraction.
-#[test]
-fn shared_search_pool_is_constructed_once() {
-    let rules = mul_rules();
-    let fresh_runner = Runner::new(3, 1_000_000).with_search_threads(2);
-    let pool = Arc::new(SearchPool::new(2));
-    let shared_runner = fresh_runner.clone().with_shared_pool(Arc::clone(&pool));
-
-    // Shared: zero constructions across any number of runs.
-    let before = SearchPool::constructions();
-    let mut shared_reports = Vec::new();
-    for _ in 0..3 {
-        let mut eg = EG::new();
-        let _ = mul_chain(&mut eg, 0, 40);
-        shared_reports.push(shared_runner.run_to_fixpoint(&mut eg, &rules));
-    }
-    assert_eq!(
-        SearchPool::constructions(),
-        before,
-        "shared-pool runs must not construct pools"
-    );
-
-    // Unshared: one construction per run (the behavior being replaced).
-    let before = SearchPool::constructions();
-    let mut fresh_reports = Vec::new();
-    for _ in 0..3 {
-        let mut eg = EG::new();
-        let _ = mul_chain(&mut eg, 0, 40);
-        fresh_reports.push(fresh_runner.run_to_fixpoint(&mut eg, &rules));
-    }
-    assert_eq!(
-        SearchPool::constructions(),
-        before + 3,
-        "each unshared run constructs its own pool"
-    );
-
-    // Sharing is behavior-neutral: identical reports modulo timing.
-    for (mut a, mut b) in shared_reports.into_iter().zip(fresh_reports) {
-        a.elapsed = Duration::ZERO;
-        b.elapsed = Duration::ZERO;
-        assert_eq!(a, b);
-    }
-
-    // A thread-count mismatch falls back to a private pool (degraded,
-    // never wrong).
-    let mismatched = Runner::new(3, 1_000_000)
-        .with_search_threads(3)
-        .with_shared_pool(pool);
-    let before = SearchPool::constructions();
-    let mut eg = EG::new();
-    let _ = mul_chain(&mut eg, 0, 40);
-    let _ = mismatched.run_to_fixpoint(&mut eg, &rules);
-    assert_eq!(SearchPool::constructions(), before + 1);
 }

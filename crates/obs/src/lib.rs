@@ -19,8 +19,8 @@
 //! call signatures — the session opens `compile`, each stage opens its
 //! own child, and engine-side samples land under whatever stage is open
 //! on that thread. Records carry ordered key→value attributes and merge
-//! into one store across threads, so a parallel compile yields one
-//! coherent trace. `Span::finish` returns the measured
+//! into one store across threads, so concurrent compiles sharing a tracer
+//! yield one coherent trace. `Span::finish` returns the measured
 //! [`Duration`](std::time::Duration), which is how the session
 //! populates its public `StageTimings` from
 //! the very same spans: tracing and stage timing cannot drift apart.

@@ -157,7 +157,7 @@ impl ProfileSink for CollectingSink {
 
 /// A sink that records each callback as a completed span on a
 /// [`Tracer`], nesting under whichever span is open on the engine
-/// thread (the session's `saturate` span, in a serial compile).
+/// thread (the session's `saturate` span, in a compile).
 #[derive(Debug, Clone)]
 pub struct TracingSink {
     tracer: Tracer,

@@ -4,11 +4,10 @@
 //! `__hb_tmp` counter, renumbered before comparison), and the same
 //! per-statement lowering outcomes.
 //!
-//! These oracles deliberately run through the deprecated `select*` shims:
-//! they pin the historical free-function surface to the `Session`
-//! implementation underneath (see `tests/session.rs` for the
-//! `Session`-native equivalents).
-#![allow(deprecated)]
+//! The oracles run through the raw IR-level entry points
+//! (`Session::compile_ir` / `compile_ir_suite`: no cache, no panic
+//! isolation); `tests/session.rs` holds their `compile` / `compile_suite`
+//! counterparts.
 
 use hardboiled_repro::apps::conv1d::Conv1d;
 use hardboiled_repro::apps::conv2d::Conv2d;
@@ -16,23 +15,21 @@ use hardboiled_repro::apps::gemm_wmma::GemmWmma;
 use hardboiled_repro::apps::matmul_amx::{AmxMatmul, Layout, Variant};
 use hardboiled_repro::apps::resample_int::{Downsample, Upsample};
 use hardboiled_repro::hardboiled::postprocess::normalize_temps;
-use hardboiled_repro::hardboiled::selector::{select, select_batched_many, SelectorConfig};
+use hardboiled_repro::hardboiled::{Batching, Session};
 use hardboiled_repro::lang::lower::lower;
 use hardboiled_repro::lang::Pipeline;
+
+fn session(batching: Batching) -> Session {
+    Session::builder().batching(batching).build().unwrap()
+}
 
 /// Selects the pipeline through both modes and asserts equivalence.
 fn assert_batched_equivalent(name: &str, pipeline: &Pipeline) {
     let lowered = lower(pipeline).unwrap_or_else(|e| panic!("{name}: lowering failed: {e}"));
-    let (per_leaf, r_leaf) = select(
-        &lowered.stmt,
-        &lowered.placements,
-        &SelectorConfig::default(),
-    );
-    let (batched, r_batch) = select(
-        &lowered.stmt,
-        &lowered.placements,
-        &SelectorConfig::batched(),
-    );
+    let leaf = session(Batching::PerLeaf).compile_ir(&lowered.stmt, &lowered.placements);
+    let batch = session(Batching::Batched).compile_ir(&lowered.stmt, &lowered.placements);
+    let (per_leaf, r_leaf) = (leaf.program, leaf.report);
+    let (batched, r_batch) = (batch.program, batch.report);
     assert_eq!(
         normalize_temps(&per_leaf.to_string()),
         normalize_temps(&batched.to_string()),
@@ -113,9 +110,9 @@ fn resampling_workloads_select_identically() {
 
 #[test]
 fn whole_suite_batch_selects_identically() {
-    // `select_batched_many`: leaves of several different programs share
-    // one e-graph; every program must still come out byte-identical to
-    // its independent per-leaf selection.
+    // `compile_ir_suite`, batched: leaves of several different programs
+    // share one e-graph; every program must still come out byte-identical
+    // to its independent per-leaf selection.
     let pipelines = [
         Conv1d { n: 1024, k: 16 }.pipeline(true),
         Conv1d { n: 512, k: 32 }.pipeline_tc_unrolled(),
@@ -131,15 +128,15 @@ fn whole_suite_batch_selects_identically() {
     ];
     let lowereds: Vec<_> = pipelines.iter().map(|p| lower(p).unwrap()).collect();
     let programs: Vec<_> = lowereds.iter().map(|l| (&l.stmt, &l.placements)).collect();
-    let (outs, report) = select_batched_many(&programs, &SelectorConfig::batched());
+    let suite = session(Batching::Batched).compile_ir_suite(&programs);
+    let outs = suite.programs;
     assert_eq!(outs.len(), lowereds.len());
-    assert!(report.batch.is_some());
+    assert!(suite.report.batch.is_some());
+    let per_leaf_session = session(Batching::PerLeaf);
     for (i, (lowered, out)) in lowereds.iter().zip(&outs).enumerate() {
-        let (per_leaf, _) = select(
-            &lowered.stmt,
-            &lowered.placements,
-            &SelectorConfig::default(),
-        );
+        let per_leaf = per_leaf_session
+            .compile_ir(&lowered.stmt, &lowered.placements)
+            .program;
         assert_eq!(
             normalize_temps(&per_leaf.to_string()),
             normalize_temps(&out.to_string()),
@@ -154,12 +151,8 @@ fn statements_without_movement_are_untouched_in_batched_mode() {
     // batched mode must return the tree unchanged with an empty report.
     let app = Conv1d { n: 256, k: 8 };
     let lowered = lower(&app.pipeline(false)).unwrap();
-    let (out, report) = select(
-        &lowered.stmt,
-        &lowered.placements,
-        &SelectorConfig::batched(),
-    );
-    assert_eq!(report.num_statements(), 0);
-    assert!(report.batch.is_none());
-    assert_eq!(out.to_string(), lowered.stmt.to_string());
+    let result = session(Batching::Batched).compile_ir(&lowered.stmt, &lowered.placements);
+    assert_eq!(result.report.num_statements(), 0);
+    assert!(result.report.batch.is_none());
+    assert_eq!(result.program.to_string(), lowered.stmt.to_string());
 }

@@ -1,8 +1,8 @@
 //! Concurrency suite: one shared [`Session`] (and the [`CompileService`]
 //! built on it) hammered from many threads must produce byte-identical
-//! programs to serial compilation — sessions are immutable after build,
-//! the service adds no cross-request state, and intra-compile
-//! parallelism (`compile_threads`) composes with concurrent callers.
+//! programs to serial compilation — sessions are immutable after build
+//! but for the compile contexts they pool, and the service adds no
+//! cross-request state.
 //!
 //! The backpressure/cancellation half pins the service lifecycle: full
 //! per-target queues refuse with `Busy` without touching their
@@ -80,26 +80,25 @@ fn shared_session_hammered_from_many_threads_matches_serial() {
 }
 
 #[test]
-fn intra_compile_parallelism_composes_with_concurrent_callers() {
-    // Every caller thread drives a compile that is *itself* parallel
-    // (parallel rule search + readouts); results must still match the
-    // fully serial session.
+fn concurrent_callers_share_the_context_pool_and_match_serial() {
+    // A default (per-leaf) session pops and pushes one compile context per
+    // leaf, so three callers on one session contend for its pool all the
+    // time; results must still match a session only one thread ever used.
     let sources = sources();
-    let serial_session = Session::builder().build().unwrap();
-    let serial = programs_via(&serial_session, &sources);
-    let parallel = Arc::new(Session::builder().compile_threads(2).build().unwrap());
+    let serial = programs_via(&Session::default(), &sources);
+    let shared = Session::default();
     thread::scope(|scope| {
         for t in 0..3 {
-            let parallel = &parallel;
+            let shared = &shared;
             let sources = &sources;
             let serial = &serial;
             scope.spawn(move || {
                 for (i, source) in sources.iter().enumerate() {
-                    let result = parallel.compile(source).expect("source must compile");
+                    let result = shared.compile(source).expect("source must compile");
                     assert_eq!(
                         serial[i],
                         normalize_temps(&result.program.to_string()),
-                        "thread {t} program {i}: parallel compile diverged from serial"
+                        "thread {t} program {i}: shared session diverged from serial"
                     );
                 }
             });
