@@ -44,33 +44,8 @@ pub enum RuleProfile {
     None,
 }
 
-/// Which extraction strategy a target asks the selector to run by default.
-///
-/// Like [`RuleProfile`], this only *names* the strategy — the concrete
-/// extractor implementations live in the e-graph engine (`hb_egraph::extract`)
-/// and the selector resolves the name when it builds one, so accelerator
-/// descriptions stay free of e-graph machinery. A session-level override
-/// (`SessionBuilder::extractor`) always wins over the target's default.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExtractionPolicy {
-    /// Pick by compilation shape: the worklist strategy for per-leaf
-    /// graphs, the shared-table strategy for multi-root batched graphs
-    /// (byte-identical outputs, so the switch is purely a speed choice).
-    #[default]
-    Auto,
-    /// Always the bottom-up tree-cost worklist solver.
-    Worklist,
-    /// Always the shared-table strategy (one cost table + term bank reused
-    /// across every root of the graph).
-    SharedTable,
-    /// DAG-aware costs: shared subterms charged once per readout — a
-    /// different objective for CSE-heavy unrolled workloads; outputs may
-    /// differ from the tree-cost strategies.
-    DagCost,
-}
-
 /// One compilation target: device parameters + placement policy + rule
-/// profile + default extraction policy.
+/// profile.
 ///
 /// Implementations must be consistent: [`Target::supports`] should accept
 /// exactly the memory spaces the [`Target::rule_profile`] can lower, or
@@ -94,17 +69,6 @@ pub trait Target: Send + Sync {
 
     /// Which rewrite-rule families the selector should load.
     fn rule_profile(&self) -> RuleProfile;
-
-    /// Which extraction strategy the selector should run when the session
-    /// does not override it. Every built-in target keeps [`Auto`]
-    /// (worklist per-leaf, shared-table batched); targets backing
-    /// CSE-performing code generators can return
-    /// [`ExtractionPolicy::DagCost`] instead.
-    ///
-    /// [`Auto`]: ExtractionPolicy::Auto
-    fn extraction_policy(&self) -> ExtractionPolicy {
-        ExtractionPolicy::Auto
-    }
 }
 
 /// Intel AMX tile units (the paper's §IV CPU platform).
@@ -373,22 +337,5 @@ mod tests {
         assert_eq!(WmmaTarget::new().rule_profile(), RuleProfile::Wmma);
         assert_eq!(ScalarTarget::new().rule_profile(), RuleProfile::None);
         assert_eq!(SimTarget::new().rule_profile(), RuleProfile::All);
-    }
-
-    #[test]
-    fn built_in_targets_default_to_auto_extraction() {
-        for t in [
-            &AmxTarget::new() as &dyn Target,
-            &WmmaTarget::new(),
-            &ScalarTarget::new(),
-            &SimTarget::new(),
-        ] {
-            assert_eq!(
-                t.extraction_policy(),
-                ExtractionPolicy::Auto,
-                "{}",
-                t.name()
-            );
-        }
     }
 }

@@ -47,7 +47,7 @@ use hardboiled::{
     ServiceError, Session,
 };
 use hb_apps::gemm_wmma::GemmWmma;
-use hb_bench::guard::{compare_against_baseline, timing_floor};
+use hb_bench::guard::{compare_against_baseline, timing_floors};
 use hb_bench::workloads::{cores, metadata_json, threads_flag, workloads, Workload};
 use hb_ir::stmt::Stmt;
 use hb_lang::lower::{lower, Lowered};
@@ -940,13 +940,14 @@ fn main() {
     std::fs::write("BENCH_serve.json", json).expect("write BENCH_serve.json");
     println!("\nwrote BENCH_serve.json");
     // After the write: a missed floor must not cost the run its numbers.
-    timing_floor(strict_timing, obs.overhead_pct < 2.0, || {
+    let missed_floor = (obs.overhead_pct >= 2.0).then(|| {
         format!(
             "full observability (tracer + metrics + profile sink) costs {:.2}% \
              on the batched suite (bar: 2%)",
             obs.overhead_pct
         )
     });
+    timing_floors(strict_timing, missed_floor.as_slice());
 
     if let Some(baseline) = compare_baseline {
         // Tracked ratios only — absolute rps/latency are machine-bound.

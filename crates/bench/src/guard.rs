@@ -51,18 +51,28 @@ pub fn compare_against_baseline(baseline: &str, tracked: &[(&str, &str, f64)]) -
     ok
 }
 
-/// A wall-clock acceptance floor: panics when running locally (strict),
-/// warns when running as the CI bench-guard (`--compare`) — absolute
-/// floors calibrated on the dev machine don't transfer to shared CI
-/// runners, where the guard's 25% ratio comparison is the gate instead.
+/// Wall-clock acceptance floors, reported once the run's JSON is on disk
+/// (a missed floor must not cost a run its numbers): every missed floor is
+/// printed, then the run fails when running locally (strict) and carries on
+/// when running as the CI bench-guard (`--compare`) — absolute floors
+/// calibrated on the dev machine don't transfer to shared CI runners, where
+/// the guard's 25% ratio comparison is the gate instead.
 ///
 /// # Panics
 ///
-/// When `strict` and the floor did not hold.
-pub fn timing_floor(strict: bool, ok: bool, msg: impl Fn() -> String) {
-    if ok {
-        return;
+/// When `strict` and any floor was missed.
+pub fn timing_floors(strict: bool, missed: &[String]) {
+    for msg in missed {
+        let soft = if strict {
+            ""
+        } else {
+            " (soft under --compare)"
+        };
+        eprintln!("warning: {msg}{soft}");
     }
-    assert!(!strict, "{}", msg());
-    eprintln!("warning: {} (soft under --compare)", msg());
+    assert!(
+        !strict || missed.is_empty(),
+        "{} wall-clock floor(s) missed — the numbers are written; see the warnings above",
+        missed.len()
+    );
 }

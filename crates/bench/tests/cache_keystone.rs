@@ -11,7 +11,7 @@ use std::collections::HashMap;
 use hardboiled::cache::canonical_text;
 use hardboiled::movement::Placements;
 use hardboiled::postprocess::normalize_temps;
-use hardboiled::{canonical_program_hash, Batching, ExtractionPolicy, Session};
+use hardboiled::{canonical_program_hash, Batching, Session};
 use hb_apps::gemm_wmma::GemmWmma;
 use hb_bench::workloads::{saturation_pool, workloads};
 use hb_ir::stmt::Stmt;
@@ -108,7 +108,7 @@ fn canonical_hash_separates_the_corpus() {
 }
 
 #[test]
-fn policy_fingerprints_separate_targets_policies_and_budgets() {
+fn policy_fingerprints_separate_targets_batching_and_budgets() {
     // Every knob the fingerprint folds must actually separate sessions;
     // a collision here would let a warm-start select under the wrong
     // policy.
@@ -124,14 +124,6 @@ fn policy_fingerprints_separate_targets_policies_and_budgets() {
                 .unwrap();
             add(format!("{target}/{batching:?}"), &s);
         }
-    }
-    for policy in [
-        ExtractionPolicy::Worklist,
-        ExtractionPolicy::SharedTable,
-        ExtractionPolicy::DagCost,
-    ] {
-        let s = Session::builder().extractor(policy).build().unwrap();
-        add(format!("sim/{policy:?}"), &s);
     }
     for (label, s) in [
         (

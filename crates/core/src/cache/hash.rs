@@ -14,7 +14,6 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::time::Duration;
 
-use hb_accel::target::ExtractionPolicy;
 use hb_egraph::schedule::Runner;
 use hb_egraph::snapshot::payload_checksum;
 use hb_egraph::unionfind::Id;
@@ -246,16 +245,14 @@ fn cost_probe_nodes() -> Vec<HbLang> {
 }
 
 /// Fingerprint of everything besides the programs that can change a
-/// compile's output: target, batching, extraction policy, budgets,
-/// matcher choice, and a cost-model probe. What only observes a compile
+/// compile's output: target, batching, budgets, matcher choice, and a
+/// cost-model probe. What only observes a compile
 /// (tracer, metrics registry, profile sink) is deliberately excluded, so
 /// cached reports and snapshots port across instrumented and plain
 /// sessions.
-#[allow(clippy::too_many_arguments)] // one call site, in SessionBuilder::build
 pub(crate) fn policy_fingerprint(
     target_name: &str,
     batching: Batching,
-    extraction: ExtractionPolicy,
     outer_iters: usize,
     deadline: Option<Duration>,
     match_budget: Option<usize>,
@@ -263,7 +260,7 @@ pub(crate) fn policy_fingerprint(
     cost: &dyn CostModel,
 ) -> u64 {
     let mut text = format!(
-        "target={target_name}\u{1f}batching={batching:?}\u{1f}extraction={extraction:?}\
+        "target={target_name}\u{1f}batching={batching:?}\
          \u{1f}outer={outer_iters}\u{1f}deadline={:?}\u{1f}match={match_budget:?}\
          \u{1f}iters={}\u{1f}nodes={}\u{1f}time={:?}\u{1f}runner_match={:?}\
          \u{1f}naive={}",

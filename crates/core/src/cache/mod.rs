@@ -2,7 +2,7 @@
 //! snapshots for saturation-as-a-service.
 //!
 //! Suite compilation is deterministic — the same programs, target, cost
-//! model, extraction policy, batching mode and budgets always select the
+//! model, batching mode and budgets always select the
 //! same programs (the byte-identity oracles in `tests/` pin this down).
 //! That determinism is what makes caching sound, and this module exploits
 //! it at two granularities:
@@ -36,7 +36,7 @@
 //!   `splitmix64` chain over the canonical rendering, so it is stable
 //!   across processes, `HashMap` iteration orders and id assignments.
 //! * The policy fingerprint folds in everything else that can change the
-//!   output: target name, batching mode, extraction policy, outer
+//!   output: target name, batching mode, outer
 //!   iterations, node/match/deadline budgets, matcher choice, and a probe
 //!   of the cost model over representative e-nodes. Observers (tracer,
 //!   metrics registry, profile sink) are deliberately excluded — they
@@ -69,5 +69,4 @@ mod store;
 pub use hash::{canonical_program_hash, canonical_text};
 pub(crate) use hash::{policy_fingerprint, request_hash};
 pub use snapshot::{SuiteSnapshot, WarmRejection};
-pub(crate) use store::CachedCompile;
 pub use store::{CacheOutcome, CacheStats, ReportCache};

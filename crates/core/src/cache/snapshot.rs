@@ -26,7 +26,7 @@ pub struct SuiteSnapshot {
 
 impl SuiteSnapshot {
     /// The exporting session's policy fingerprint (target, batching,
-    /// extraction, budgets, cost probe — see the module docs in
+    /// budgets, cost probe — see the module docs in
     /// [`super`]).
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
@@ -81,7 +81,7 @@ pub enum WarmRejection {
     /// an unsupported format version).
     Snapshot(SnapshotError),
     /// The snapshot was exported under a different policy fingerprint
-    /// (different target, batching mode, extraction policy, budgets or
+    /// (different target, batching mode, budgets or
     /// cost model) — warm-starting it could select different programs.
     PolicyMismatch {
         /// This session's fingerprint.

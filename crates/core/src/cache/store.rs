@@ -8,7 +8,7 @@ use std::sync::Mutex;
 use hb_ir::stmt::Stmt;
 
 use crate::movement::Placements;
-use crate::session::CompileReport;
+use crate::session::CompiledPrograms;
 
 /// How the report cache treated one compile. Lands on
 /// [`CompileReport::cache`](crate::session::CompileReport::cache).
@@ -50,22 +50,12 @@ impl CacheStats {
     }
 }
 
-/// Everything a cache hit must reproduce: the selected programs, the
-/// finished report, and the per-program leaf counts the suite entry
-/// points slice reports with.
-#[derive(Debug, Clone)]
-pub(crate) struct CachedCompile {
-    pub programs: Vec<Stmt>,
-    pub report: CompileReport,
-    pub leaf_counts: Vec<usize>,
-}
-
 /// One stored compile, bucketed under its content hash. The exact
 /// request rides along so a hash collision (including the intentional
 /// renamed-sibling collisions) can never serve the wrong entry.
 struct Entry {
     request: Vec<(Stmt, Placements)>,
-    value: CachedCompile,
+    value: CompiledPrograms,
     last_used: u64,
 }
 
@@ -177,7 +167,7 @@ impl ReportCache {
         &self,
         key: u64,
         request: &[(&Stmt, &Placements)],
-    ) -> Option<CachedCompile> {
+    ) -> Option<CompiledPrograms> {
         let mut inner = self.lock();
         inner.clock += 1;
         let clock = inner.clock;
@@ -211,7 +201,7 @@ impl ReportCache {
         &self,
         key: u64,
         request: &[(&Stmt, &Placements)],
-        value: CachedCompile,
+        value: CompiledPrograms,
     ) -> bool {
         let mut inner = self.lock();
         inner.clock += 1;

@@ -247,8 +247,8 @@ impl CompileServiceBuilder {
     }
 
     /// Registers `name` with a caller-configured [`Session`] — the hook
-    /// for custom batching, extraction policy, budgets, or (in tests)
-    /// fault plans.
+    /// for custom batching, cost models, budgets, or (in tests) fault
+    /// plans.
     #[must_use]
     pub fn register(mut self, name: &str, session: Session) -> Self {
         self.entries

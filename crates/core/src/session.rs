@@ -36,6 +36,24 @@
 //! wall-clock timings ([`StageTimings`]) so regressions can be pinned to
 //! the stage that caused them.
 //!
+//! ## One path through a compile
+//!
+//! The eight public `compile*` methods differ in what they accept (a
+//! front-end source, IR, a suite), in whether they isolate panics, and in
+//! what they do besides selecting (export the saturated graph, warm-start
+//! from one, honour a [`CancelToken`]) — not in how they compile. Each is a
+//! few lines over one private frame, `compile_programs`: annotate →
+//! collect leaves → consult the report cache → compile unit(s) → splice →
+//! record → store. A *unit* is the one function that touches an e-graph,
+//! `run_unit`: encode its leaves into a context's graph, run the phased
+//! schedule, export if asked, solve one [`WorklistExtractor`] cost table,
+//! read every root out of it. [`Batching::PerLeaf`] runs it once per leaf,
+//! [`Batching::Batched`] once for all leaves of the call, a warm compile
+//! once in the restored context; nothing else distinguishes the modes.
+//! There is no extraction knob: the session extracts one way (see
+//! "Extension points" in the crate docs for the measurements that retired
+//! the alternatives).
+//!
 //! ## Thread safety and service ownership
 //!
 //! A `Session` is `Send + Sync` and designed to be **owned once, shared
@@ -56,10 +74,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use hb_accel::target::{ExtractionPolicy, SimTarget, Target};
-use hb_egraph::extract::{
-    DagCostExtractor, Extract, ExtractScratch, SharedTableExtractor, WorklistExtractor,
-};
+use hb_accel::target::{SimTarget, Target};
+use hb_egraph::extract::{Extract, ExtractScratch, WorklistExtractor};
 use hb_egraph::pattern::MatchScratch;
 use hb_egraph::schedule::{Budget, CancelToken, RunReport, Runner, WarmStart};
 use hb_egraph::unionfind::Id;
@@ -67,9 +83,7 @@ use hb_ir::expr::Expr;
 use hb_ir::stmt::Stmt;
 use hb_obs::{Counter, Histogram, MetricsRegistry, ProfileHandle, ProfileSink, Tracer};
 
-use crate::cache::{
-    request_hash, CacheOutcome, CachedCompile, ReportCache, SuiteSnapshot, WarmRejection,
-};
+use crate::cache::{request_hash, CacheOutcome, ReportCache, SuiteSnapshot, WarmRejection};
 use crate::cost::{CostModel, DeviceCost, ModelCost};
 use crate::decode::decode_stmt;
 use crate::encode::encode_stmt;
@@ -332,19 +346,15 @@ pub struct StageTimings {
     pub splice: Duration,
 }
 
-/// What the extraction stage did, whatever strategy ran: the settled
-/// cost-table size(s), each root's extraction cost, the shared-table reuse
-/// counters, and the wall-clock spent reading roots out (cost lookup +
-/// term extraction — the per-root, strategy-dependent half of the extract
-/// stage; the per-graph cost solve and the strategy-independent decode /
-/// materialization are excluded).
+/// What the extraction stage did: the settled cost-table size(s), each
+/// root's extraction cost, and the wall-clock spent reading roots out (cost
+/// lookup + term extraction — the per-root half of the extract stage; the
+/// per-graph cost solve and the decode / materialization are excluded).
 ///
-/// In per-leaf mode every leaf solves its own table; the sizes and counters
-/// below are summed across leaves.
+/// In per-leaf mode every leaf solves its own table; the sizes below are
+/// summed across leaves.
 #[derive(Debug, Clone, Default)]
 pub struct ExtractionReport {
-    /// Strategy that ran (`"worklist"`, `"shared-table"`, `"dag-cost"`).
-    pub strategy: &'static str,
     /// Cost-table entries (classes with a constructible term), summed over
     /// every e-graph the compile solved.
     pub table_entries: usize,
@@ -352,15 +362,8 @@ pub struct ExtractionReport {
     /// root with no constructible term — cannot happen for encoded
     /// statements, kept honest for custom pipelines).
     pub root_costs: Vec<Option<u64>>,
-    /// Nodes materialized in the shared term bank (shared-table strategy;
-    /// 0 otherwise).
-    pub bank_nodes: usize,
-    /// Readout lookups served from sub-dags banked by *earlier* readouts —
-    /// the cross-root reuse the shared-table strategy exists for
-    /// (intra-root sharing is excluded; every strategy memoizes that).
-    pub reused_readouts: usize,
     /// Total wall-clock across all per-root term readouts (decode and
-    /// materialization excluded — they cost the same under any strategy).
+    /// materialization excluded).
     pub readout_time: Duration,
 }
 
@@ -404,9 +407,8 @@ pub struct CompileReport {
     /// per-statement `eqsat` reports are then empty defaults — the work
     /// happened once, here).
     pub batch: Option<RunReport>,
-    /// What the extraction stage did (strategy, cost-table size, per-root
-    /// costs, shared-table reuse, readout time). `None` when nothing was
-    /// saturated.
+    /// What the extraction stage did (cost-table size, per-root costs,
+    /// readout time). `None` when nothing was saturated.
     pub extraction: Option<ExtractionReport>,
     /// Where on the degradation ladder this compile landed (the worst
     /// rung across its leaves; see [`CompileOutcome`]).
@@ -503,14 +505,17 @@ pub struct IrSuiteResult {
     pub report: CompileReport,
 }
 
-/// Builder for [`Session`] (see the module docs for the knobs).
+/// Builder for [`Session`]: target, cost model, batching mode, the
+/// saturation budgets (outer iterations, node limit, deadline, match cap —
+/// or a whole [`Runner`]), a report cache, and the three observers (tracer,
+/// metrics registry, profile sink). Everything else about a compile is
+/// fixed — in particular how it extracts (see the module docs).
 pub struct SessionBuilder {
     target: Option<Box<dyn Target>>,
     unknown_target: Option<String>,
     cost: Option<Box<dyn CostModel>>,
     batching: Option<Batching>,
     batching_conflict: Option<(Batching, Batching)>,
-    extraction: Option<ExtractionPolicy>,
     outer_iters: usize,
     node_limit: Option<usize>,
     deadline: Option<Duration>,
@@ -532,7 +537,6 @@ impl SessionBuilder {
             cost: None,
             batching: None,
             batching_conflict: None,
-            extraction: None,
             outer_iters: 8,
             node_limit: None,
             deadline: None,
@@ -579,19 +583,6 @@ impl SessionBuilder {
     #[must_use]
     pub fn cost_model(mut self, cost: impl CostModel + 'static) -> Self {
         self.cost = Some(Box::new(cost));
-        self
-    }
-
-    /// Overrides the extraction strategy (default: the target's
-    /// [`Target::extraction_policy`], which is [`ExtractionPolicy::Auto`]
-    /// for every built-in target — the worklist strategy per leaf, the
-    /// shared-table strategy for batched multi-root graphs; the two are
-    /// byte-identical, so `Auto` is purely a speed choice).
-    /// [`ExtractionPolicy::DagCost`] changes the objective (shared
-    /// subterms charged once) and may select different programs.
-    #[must_use]
-    pub fn extractor(mut self, policy: ExtractionPolicy) -> Self {
-        self.extraction = Some(policy);
         self
     }
 
@@ -764,13 +755,9 @@ impl SessionBuilder {
         if let Some(sink) = self.profile_sink {
             runner.profile_sink = Some(ProfileHandle::new(sink));
         }
-        let extraction = self
-            .extraction
-            .unwrap_or_else(|| target.extraction_policy());
         let fingerprint = crate::cache::policy_fingerprint(
             target.name(),
             batching,
-            extraction,
             self.outer_iters,
             self.deadline,
             self.match_budget,
@@ -782,7 +769,6 @@ impl SessionBuilder {
             target,
             cost,
             batching,
-            extraction,
             outer_iters: self.outer_iters,
             deadline: self.deadline,
             match_budget: self.match_budget,
@@ -906,14 +892,13 @@ pub struct Session {
     target: Box<dyn Target>,
     cost: Box<dyn CostModel>,
     batching: Batching,
-    extraction: ExtractionPolicy,
     outer_iters: usize,
     deadline: Option<Duration>,
     match_budget: Option<usize>,
     runner: Runner,
     rules: OnceLock<RuleSet>,
     /// Compile contexts at rest, one per compile unit that ran at once
-    /// (see [`Session::with_ctx`]). A service's sessions share one pool:
+    /// (see [`Session::run_unit`]). A service's sessions share one pool:
     /// contexts are target-independent, so it holds one per worker, not
     /// one per worker and target.
     ctx_pool: Arc<CtxPool>,
@@ -932,6 +917,8 @@ pub struct Session {
 #[derive(Default)]
 pub(crate) struct CompileCtx {
     graph: HbGraph,
+    /// The unit's leaves as encoded, in leaf order.
+    roots: Vec<Id>,
     matcher: MatchScratch,
     extract: ExtractScratch<HbLang>,
 }
@@ -956,6 +943,8 @@ const MAX_RETAINED_IDS: usize = 1 << 10;
 /// the session) — up to this.
 const MAX_POOLED_CTXS: usize = 8;
 
+const POOL_LOCK: &str = "the context pool lock is held across no panic";
+
 impl Default for Session {
     fn default() -> Self {
         Session::builder()
@@ -969,7 +958,6 @@ impl fmt::Debug for Session {
         f.debug_struct("Session")
             .field("target", &self.target.name())
             .field("batching", &self.batching)
-            .field("extraction", &self.extraction)
             .field("outer_iters", &self.outer_iters)
             .finish_non_exhaustive()
     }
@@ -994,16 +982,9 @@ impl Session {
         self.batching
     }
 
-    /// The session's extraction policy (builder override, else the
-    /// target's default).
-    #[must_use]
-    pub fn extraction_policy(&self) -> ExtractionPolicy {
-        self.extraction
-    }
-
     /// The session's policy fingerprint: a stable hash of everything
     /// besides the programs that can change a compile's output (target,
-    /// batching, extraction, budgets, cost-model probe). Cache keys fold
+    /// batching, budgets, cost-model probe). Cache keys fold
     /// it in, and [`SuiteSnapshot`]s carry the exporting session's value
     /// so warm-starts only run under a compatible policy.
     #[must_use]
@@ -1067,59 +1048,25 @@ impl Session {
         }
     }
 
-    /// Resolves [`ExtractionPolicy::Auto`] for one compilation shape: the
-    /// worklist strategy on single-root per-leaf graphs, the shared-table
-    /// strategy on multi-root batched graphs (byte-identical outputs —
-    /// `Auto` only picks the faster readout path).
-    fn resolved_extraction(&self, batched: bool) -> ExtractionPolicy {
-        match self.extraction {
-            ExtractionPolicy::Auto if batched => ExtractionPolicy::SharedTable,
-            ExtractionPolicy::Auto => ExtractionPolicy::Worklist,
-            other => other,
-        }
+    /// A context for one compile unit: one at rest in the pool, or a fresh
+    /// one when none is. Units running at once (service workers, callers
+    /// sharing the session) each pop their own.
+    fn pop_ctx(&self) -> CompileCtx {
+        let pooled = self.ctx_pool.lock().expect(POOL_LOCK).pop();
+        pooled.unwrap_or_default()
     }
 
-    /// Builds the resolved strategy over one saturated graph, in the
-    /// tables `scratch` brings (see [`Extract::into_scratch`]).
-    fn build_extractor<'g>(
-        &'g self,
-        eg: &'g HbGraph,
-        batched: bool,
-        scratch: ExtractScratch<HbLang>,
-    ) -> Box<dyn Extract<HbLang> + 'g> {
-        let cost = ModelCost(self.cost.as_ref());
-        match self.resolved_extraction(batched) {
-            ExtractionPolicy::SharedTable => {
-                Box::new(SharedTableExtractor::with_scratch(eg, cost, scratch))
-            }
-            ExtractionPolicy::DagCost => {
-                Box::new(DagCostExtractor::with_scratch(eg, cost, scratch))
-            }
-            ExtractionPolicy::Auto | ExtractionPolicy::Worklist => {
-                Box::new(WorklistExtractor::with_scratch(eg, cost, scratch))
-            }
-        }
-    }
-
-    /// Runs one compile unit in a pooled [`CompileCtx`] (a fresh one when
-    /// none is at rest), then clears the context's graph and returns it to
-    /// the pool — unless the unit panicked, in which case the unwind drops
-    /// the context it was working in before this function can pool it, or
-    /// the context outgrew [`MAX_RETAINED_IDS`]. Units running at once
-    /// (service workers, callers sharing the session) each pop their own.
-    fn with_ctx<R>(&self, unit: impl FnOnce(&mut CompileCtx) -> R) -> R {
-        const LOCK: &str = "the context pool lock is held across no panic";
-        let pooled = self.ctx_pool.lock().expect(LOCK).pop();
-        let mut ctx = pooled.unwrap_or_default();
-        let out = unit(&mut ctx);
+    /// Clears a finished unit's graph and puts its context to rest, unless
+    /// it outgrew [`MAX_RETAINED_IDS`]. A unit that panicked never gets
+    /// here: the unwind dropped the context it was working in.
+    fn rest_ctx(&self, mut ctx: CompileCtx) {
         if ctx.graph.id_bound() <= MAX_RETAINED_IDS {
             ctx.graph.clear();
-            let mut pool = self.ctx_pool.lock().expect(LOCK);
+            let mut pool = self.ctx_pool.lock().expect(POOL_LOCK);
             if pool.len() < MAX_POOLED_CTXS {
                 pool.push(ctx);
             }
         }
-        out
     }
 
     /// The rule set, built on first use for the target's rule profile.
@@ -1193,17 +1140,12 @@ impl Session {
         let lower_span = self.tracer.span("lower");
         let program = source.to_program()?;
         let lower = lower_span.finish();
-        let mut result = self.compile_unit(
-            &program.stmt,
-            &program.placements,
-            self.request_budget(cancel),
-        )?;
+        let mut result = self.compile_program(&program, self.request_budget(cancel))?;
         result.report.stages.lower = lower;
         result.report.total_time += lower;
         if let Some(obs) = &self.obs {
             obs.stage_lower.observe_duration(lower);
         }
-        result.report.notes.extend(program.notes.iter().cloned());
         Ok(result)
     }
 
@@ -1271,7 +1213,7 @@ impl Session {
             let refs: Vec<(&Stmt, &Placements)> =
                 programs.iter().map(|p| (&p.stmt, &p.placements)).collect();
             let shared = catch_unwind(AssertUnwindSafe(|| {
-                self.compile_programs(&refs, budget.clone())
+                self.compile_programs(&refs, budget.clone(), None, None)
             }));
             if let Ok(compiled) = shared {
                 return Ok(self.split_suite(compiled, &programs, lower));
@@ -1282,7 +1224,8 @@ impl Session {
         }
 
         // Isolated path: one unit per program, errors confined to their
-        // slot, all programs sharing the call-level budget.
+        // slot, all programs sharing the call-level budget. The suite
+        // report sums what the units report, as `split_suite`'s does.
         let mut report = CompileReport {
             target: self.target.name().to_string(),
             stages: StageTimings {
@@ -1294,14 +1237,16 @@ impl Session {
         let mut results = Vec::with_capacity(lowered.len());
         for lowered_program in lowered {
             results.push(lowered_program.and_then(|program| {
-                let unit = self.compile_unit(&program.stmt, &program.placements, budget.clone());
-                if let Ok(u) = &unit {
-                    report.outcome = report.outcome.worst(u.report.outcome);
-                    report.stmts.extend(u.report.stmts.iter().cloned());
-                    report.notes.extend(u.report.notes.iter().cloned());
-                    report.notes.extend(program.notes.iter().cloned());
-                }
-                unit
+                let unit = self.compile_program(&program, budget.clone())?;
+                report.outcome = report.outcome.worst(unit.report.outcome);
+                report.stmts.extend(unit.report.stmts.iter().cloned());
+                report.notes.extend(unit.report.notes.iter().cloned());
+                report.stages.encode += unit.report.stages.encode;
+                report.stages.saturate += unit.report.stages.saturate;
+                report.stages.extract += unit.report.stages.extract;
+                report.stages.splice += unit.report.stages.splice;
+                report.eqsat_time += unit.report.eqsat_time;
+                Ok(unit)
             }));
         }
         report.total_time = lower_started.elapsed();
@@ -1356,33 +1301,28 @@ impl Session {
         SuiteResult { results, report }
     }
 
-    /// One program through the pipeline with both isolation layers: an
-    /// engine panic degrades to the unoptimized fallback; a second panic
-    /// (inside annotation or the fallback itself) becomes
-    /// [`CompileError::Engine`].
-    fn compile_unit(
+    /// One lowered program through the pipeline with both isolation layers
+    /// — an engine panic degrades to the unoptimized fallback; a second
+    /// panic (inside annotation or the fallback itself) becomes
+    /// [`CompileError::Engine`] — its front-end notes on its report.
+    fn compile_program(
         &self,
-        stmt: &Stmt,
-        placements: &Placements,
+        program: &Program,
         budget: Budget,
     ) -> Result<CompileResult, CompileError> {
-        catch_unwind(AssertUnwindSafe(|| {
+        let (stmt, placements) = (&program.stmt, &program.placements);
+        let mut result = catch_unwind(AssertUnwindSafe(|| {
             let optimized = catch_unwind(AssertUnwindSafe(|| {
-                self.compile_programs(&[(stmt, placements)], budget)
+                self.compile_programs(&[(stmt, placements)], budget, None, None)
             }));
             match optimized {
-                Ok(CompiledPrograms {
-                    mut programs,
-                    report,
-                    ..
-                }) => CompileResult {
-                    program: programs.pop().expect("one program in, one program out"),
-                    report,
-                },
+                Ok(compiled) => compiled.into_single(),
                 Err(payload) => self.fallback_unit(stmt, placements, &panic_message(&payload)),
             }
         }))
-        .map_err(|payload| CompileError::Engine(panic_message(&payload)))
+        .map_err(|payload| CompileError::Engine(panic_message(&payload)))?;
+        result.report.notes.extend(program.notes.iter().cloned());
+        Ok(result)
     }
 
     /// The ladder's last rung: splice the plain lowered (annotated)
@@ -1429,30 +1369,17 @@ impl Session {
     #[must_use]
     pub fn compile_ir(&self, stmt: &Stmt, extra_placements: &Placements) -> CompileResult {
         let _root = self.tracer.span("compile");
-        let CompiledPrograms {
-            mut programs,
-            report,
-            ..
-        } = self.compile_programs(&[(stmt, extra_placements)], self.compile_budget());
-        CompileResult {
-            program: programs.pop().expect("one program in, one program out"),
-            report,
-        }
+        let programs = [(stmt, extra_placements)];
+        let compiled = self.compile_programs(&programs, self.compile_budget(), None, None);
+        compiled.into_single()
     }
 
     /// IR-level suite entry point (infallible, no isolation wrapping; an
     /// empty suite compiles to an empty result).
     #[must_use]
     pub fn compile_ir_suite(&self, programs: &[(&Stmt, &Placements)]) -> IrSuiteResult {
-        let CompiledPrograms {
-            programs: selected,
-            report,
-            ..
-        } = self.compile_programs(programs, self.compile_budget());
-        IrSuiteResult {
-            programs: selected,
-            report,
-        }
+        let compiled = self.compile_programs(programs, self.compile_budget(), None, None);
+        compiled.into_ir_suite()
     }
 
     /// [`Session::compile_ir_suite`] that additionally exports the
@@ -1469,18 +1396,9 @@ impl Session {
         programs: &[(&Stmt, &Placements)],
     ) -> (IrSuiteResult, Option<SuiteSnapshot>) {
         let mut snapshot = None;
-        let CompiledPrograms {
-            programs: selected,
-            report,
-            ..
-        } = self.compile_programs_with(programs, self.compile_budget(), Some(&mut snapshot));
-        (
-            IrSuiteResult {
-                programs: selected,
-                report,
-            },
-            snapshot,
-        )
+        let compiled =
+            self.compile_programs(programs, self.compile_budget(), Some(&mut snapshot), None);
+        (compiled.into_ir_suite(), snapshot)
     }
 
     /// Warm-start suite compile: restores the saturated suite e-graph
@@ -1517,8 +1435,9 @@ impl Session {
         }
     }
 
-    /// The warm path proper: validate → restore → capture the warm
-    /// epoch → encode → warm saturate → shared extract → splice.
+    /// The warm path's own part: validate the fingerprint, restore the
+    /// graph into a context, capture the warm epoch — then the pipeline
+    /// every compile takes.
     fn try_compile_warm(
         &self,
         programs: &[(&Stmt, &Placements)],
@@ -1541,80 +1460,13 @@ impl Session {
         let restore = restore_span.finish();
         // Everything in the restored graph predates the warm epoch: the
         // delta the phased schedule re-searches is exactly what the new
-        // leaves add below.
+        // leaves add.
         let warm = WarmStart::capture(&mut ctx.graph);
-
         let budget = self.compile_budget();
-        let total_started = Instant::now();
-        let mut report = CompileReport {
-            target: self.target.name().to_string(),
-            snapshot_restore: Some(restore),
-            ..CompileReport::default()
-        };
-        if let Some(cache) = &self.cache {
-            cache.note_bypass();
-            if let Some(obs) = &self.obs {
-                obs.cache_bypasses.inc();
-            }
-        }
-
-        let mut annotate_span = self.tracer.span("annotate");
-        let mut annotated: Vec<Stmt> = programs
-            .iter()
-            .map(|(stmt, extra)| self.annotate(stmt, extra))
-            .collect();
-        let (leaves, _) = collect_suite_leaves(&annotated);
-        annotate_span.attr("leaves", leaves.len());
-        report.stages.encode = annotate_span.finish();
-        if leaves.is_empty() {
-            report.total_time = total_started.elapsed();
-            if let Some(obs) = &self.obs {
-                obs.record_outcome(report.outcome);
-            }
-            return Ok(IrSuiteResult {
-                programs: annotated,
-                report,
-            });
-        }
-
-        let rules = self.rules();
-        let encode_span = self.tracer.span("encode");
-        let roots: Vec<Id> = (leaves.iter())
-            .map(|s| encode_stmt(&mut ctx.graph, s))
-            .collect();
-        ctx.graph.rebuild();
-        report.stages.encode += encode_span.finish();
-
-        let mut saturate_span = self.tracer.span("saturate");
-        let run = self.runner.run_phased_in(
-            &mut ctx.graph,
-            &rules.main,
-            &rules.support,
-            self.outer_iters,
-            budget,
-            Some(warm),
-            &mut ctx.matcher,
-        );
-        saturate_span.attr("iterations", run.iterations);
-        saturate_span.attr("applied", run.applied);
-        report.stages.saturate += saturate_span.finish();
-        report.outcome = report.outcome.worst(CompileOutcome::of_run(&run));
-
-        let selected = self.extract_shared(&mut ctx, &roots, &leaves, &mut report);
-        report.batch = Some(run);
-        report.eqsat_time = report.stages.saturate;
-
-        let splice_span = self.tracer.span("splice");
-        splice_selected(&mut annotated, selected);
-        report.stages.splice = splice_span.finish();
-        report.total_time = total_started.elapsed();
-        if let Some(obs) = &self.obs {
-            obs.record_report(&report);
-        }
-        Ok(IrSuiteResult {
-            programs: annotated,
-            report,
-        })
+        let compiled = self.compile_programs(programs, budget, None, Some((ctx, warm)));
+        let mut result = compiled.into_ir_suite();
+        result.report.snapshot_restore = Some(restore);
+        Ok(result)
     }
 
     /// Applies the target's placement policy and annotates data movements
@@ -1632,27 +1484,23 @@ impl Session {
         annotated
     }
 
-    /// The stage pipeline shared by every entry point: annotate → collect
-    /// leaves → saturate (per-leaf or shared graph) → extract → splice,
-    /// all under one call-level [`Budget`].
+    /// The one path every entry point takes: annotate → collect leaves →
+    /// cache consult → compile unit(s) → splice → record → store, all
+    /// under one call-level [`Budget`].
+    ///
+    /// A unit is one leaf in [`Batching::PerLeaf`] mode — its engine
+    /// report lands in its [`StmtReport::eqsat`] — and every leaf of the
+    /// call otherwise, the shared run landing in [`CompileReport::batch`].
+    /// With `export`, a batched run that completed its schedule fills the
+    /// slot with the saturated graph; with `warm`, the one unit runs in
+    /// the restored context, warm-started. Either bypasses the report
+    /// cache: the caller wants the graph, not a memoized answer.
     fn compile_programs(
         &self,
         programs: &[(&Stmt, &Placements)],
         budget: Budget,
-    ) -> CompiledPrograms {
-        self.compile_programs_with(programs, budget, None)
-    }
-
-    /// [`Session::compile_programs`] with an optional snapshot export
-    /// slot. When `export` is `Some`, the compile bypasses the report
-    /// cache (the caller wants the saturated graph, not a memoized
-    /// answer) and a batched run that completed its schedule fills the
-    /// slot with the saturated suite graph.
-    fn compile_programs_with(
-        &self,
-        programs: &[(&Stmt, &Placements)],
-        budget: Budget,
         export: Option<&mut Option<SuiteSnapshot>>,
+        mut warm: Option<(CompileCtx, WarmStart)>,
     ) -> CompiledPrograms {
         let total_started = Instant::now();
         let mut report = CompileReport {
@@ -1668,31 +1516,16 @@ impl Session {
         let (leaves, leaf_counts) = collect_suite_leaves(&annotated);
         annotate_span.attr("leaves", leaves.len());
         report.stages.encode = annotate_span.finish();
-        if leaves.is_empty() {
-            // Leaf-free programs never touch the rule set (nor build it)
-            // — and never the cache: there is nothing to memoize.
-            if let Some(cache) = &self.cache {
-                cache.note_bypass();
-                if let Some(obs) = &self.obs {
-                    obs.cache_bypasses.inc();
-                }
-            }
-            report.total_time = total_started.elapsed();
-            if let Some(obs) = &self.obs {
-                obs.record_outcome(report.outcome);
-            }
-            return CompiledPrograms {
-                programs: annotated,
-                report,
-                leaf_counts,
-            };
-        }
 
         // Layer-1 consult: key on the canonical content of the whole
-        // request plus this session's policy fingerprint. Exporting
-        // compiles and fault-injected sessions bypass (see
-        // `cache_consultable`).
-        let consult = self.cache.is_some() && export.is_none() && self.cache_consultable();
+        // request plus this session's policy fingerprint. Leaf-free
+        // programs (nothing to memoize), exporting and warm compiles and
+        // fault-injected sessions (see `cache_consultable`) bypass.
+        let consult = !leaves.is_empty()
+            && self.cache.is_some()
+            && export.is_none()
+            && warm.is_none()
+            && self.cache_consultable();
         let key = consult.then(|| request_hash(programs, self.fingerprint));
         if let Some(key) = key {
             let cache = self.cache.as_ref().expect("consulted implies attached");
@@ -1706,11 +1539,7 @@ impl Session {
                     // saturated compiles are stored).
                     obs.record_outcome(hit.report.outcome);
                 }
-                return CompiledPrograms {
-                    programs: hit.programs,
-                    report: hit.report,
-                    leaf_counts: hit.leaf_counts,
-                };
+                return hit;
             }
             report.cache = CacheOutcome::Miss;
             if let Some(obs) = &self.obs {
@@ -1722,12 +1551,39 @@ impl Session {
                 obs.cache_bypasses.inc();
             }
         }
+        if leaves.is_empty() {
+            // Leaf-free programs never touch the rule set (nor build it).
+            report.total_time = total_started.elapsed();
+            if let Some(obs) = &self.obs {
+                obs.record_outcome(report.outcome);
+            }
+            return CompiledPrograms {
+                programs: annotated,
+                report,
+                leaf_counts,
+            };
+        }
 
-        let rules = self.rules();
-        let selected = match self.batching {
-            Batching::Batched => self.saturate_shared(&leaves, rules, budget, &mut report, export),
-            Batching::PerLeaf => self.saturate_per_leaf(&leaves, rules, budget, &mut report),
-        };
+        // A restored graph is a shared graph, whatever the session's mode.
+        let per_leaf = self.batching == Batching::PerLeaf && warm.is_none();
+        let mut export = export.filter(|_| !per_leaf);
+        let mut selected = Vec::with_capacity(leaves.len());
+        for unit in leaves.chunks(if per_leaf { 1 } else { leaves.len() }) {
+            let run = self.run_unit(
+                unit,
+                budget.clone(),
+                warm.take(),
+                export.as_deref_mut(),
+                &mut report,
+                &mut selected,
+            );
+            if per_leaf {
+                let leaf = report.stmts.last_mut();
+                leaf.expect("a unit reports every leaf it was given").eqsat = run;
+            } else {
+                report.batch = Some(run);
+            }
+        }
         report.eqsat_time = report.stages.saturate;
 
         let splice_span = self.tracer.span("splice");
@@ -1737,247 +1593,164 @@ impl Session {
         if let Some(obs) = &self.obs {
             obs.record_report(&report);
         }
+        let compiled = CompiledPrograms {
+            programs: annotated,
+            report,
+            leaf_counts,
+        };
 
         // Only the reference rung is worth memoizing: a truncated or
         // degraded result must not shadow a later clean compile of the
         // same request (budgets are in the key, but deadlines race).
         if let Some(key) = key {
-            if report.outcome == CompileOutcome::Saturated {
+            if compiled.report.outcome == CompileOutcome::Saturated {
                 let cache = self.cache.as_ref().expect("consulted implies attached");
-                let evicted = cache.store(
-                    key,
-                    programs,
-                    CachedCompile {
-                        programs: annotated.clone(),
-                        report: report.clone(),
-                        leaf_counts: leaf_counts.clone(),
-                    },
-                );
-                if evicted {
+                if cache.store(key, programs, compiled.clone()) {
                     if let Some(obs) = &self.obs {
                         obs.cache_evictions.inc();
                     }
                 }
             }
         }
-        CompiledPrograms {
-            programs: annotated,
-            report,
-            leaf_counts,
+        compiled
+    }
+
+    /// One compile unit: encode `leaves` into one e-graph — the restored
+    /// one's, warm; a pooled context's otherwise — saturate it under the
+    /// phased schedule, export it if asked, solve its cost table once and
+    /// read every root out of it. Hash-consing dedups what the leaves
+    /// share, and equal-cost ties break by content, so a leaf selects the
+    /// same statement whichever leaves share its graph. Stage timings, the
+    /// outcome rung, one [`StmtReport`] per leaf and the extraction
+    /// figures accumulate into `report`, the selected statements onto
+    /// `selected`; the engine's report is returned for the caller to
+    /// place.
+    ///
+    /// The context is this function's until it rests it: a panic anywhere
+    /// below unwinds past that and drops it, so a half-rewritten graph is
+    /// never cleared and reused.
+    fn run_unit(
+        &self,
+        leaves: &[&Stmt],
+        budget: Budget,
+        warm: Option<(CompileCtx, WarmStart)>,
+        export: Option<&mut Option<SuiteSnapshot>>,
+        report: &mut CompileReport,
+        selected: &mut Vec<Stmt>,
+    ) -> RunReport {
+        let (mut ctx, warm) = match warm {
+            Some((ctx, warm)) => (ctx, Some(warm)),
+            None => (self.pop_ctx(), None),
+        };
+        let rules = self.rules();
+
+        let encode_span = self.tracer.span("encode");
+        let eg = &mut ctx.graph;
+        crate::rules::app_specific::declare_relations(eg);
+        ctx.roots.clear();
+        ctx.roots.extend(leaves.iter().map(|s| encode_stmt(eg, s)));
+        // Encoding only adds, so this finds nothing to do on a fresh graph;
+        // on a restored one it bounds the modification logs the new
+        // leaves just extended.
+        eg.rebuild();
+        report.stages.encode += encode_span.finish();
+
+        let mut saturate_span = self.tracer.span("saturate");
+        let run = self.runner.run_phased_in(
+            eg,
+            &rules.main,
+            &rules.support,
+            self.outer_iters,
+            budget,
+            warm,
+            &mut ctx.matcher,
+        );
+        saturate_span.attr("iterations", run.iterations);
+        saturate_span.attr("applied", run.applied);
+        report.stages.saturate += saturate_span.finish();
+        let outcome = CompileOutcome::of_run(&run);
+        report.outcome = report.outcome.worst(outcome);
+
+        // Layer-2 export: only a run that completed its schedule is worth
+        // snapshotting — a budget-truncated graph would warm-start future
+        // compiles from an unsaturated state and could select different
+        // programs than their cold compile would.
+        if let Some(slot) = export {
+            if outcome == CompileOutcome::Saturated {
+                *slot = Some(SuiteSnapshot {
+                    engine: eg.snapshot(),
+                    fingerprint: self.fingerprint,
+                });
+            }
+        }
+
+        let mut extract_span = self.tracer.span("extract");
+        extract_span.attr("roots", ctx.roots.len());
+        let cost = ModelCost(self.cost.as_ref());
+        let tables = std::mem::take(&mut ctx.extract);
+        let extractor = WorklistExtractor::with_scratch(&ctx.graph, cost, tables);
+        let extraction = report.extraction.get_or_insert_with(Default::default);
+        for (&root, &original) in ctx.roots.iter().zip(leaves) {
+            let readout_started = Instant::now();
+            let cost = extractor.cost_of(root);
+            // A root with no constructible term (possible only for custom
+            // pipelines encoding cyclic-only classes) keeps its original
+            // form — extract() would panic on it.
+            let term = cost.is_some().then(|| extractor.extract(root));
+            extraction.readout_time += readout_started.elapsed();
+            extraction.root_costs.push(cost);
+            // Undecodable terms and malformed materializations keep the
+            // original (annotated, unoptimized) statement too, and demote
+            // the compile. The original has no `__expr_var` markers, so
+            // materializing it would be an identity.
+            let materialized = (term.and_then(|t| decode_stmt(&t).ok()))
+                .and_then(|decoded| try_materialize_owned(decoded).ok());
+            if materialized.is_none() {
+                report.outcome = report.outcome.worst(CompileOutcome::FallbackUnoptimized);
+            }
+            let stmt = materialized.unwrap_or_else(|| original.clone());
+            report.stmts.push(StmtReport {
+                original: original.to_string(),
+                lowered: !stmt_has_movement(&stmt),
+                eqsat: RunReport::default(),
+            });
+            selected.push(stmt);
+        }
+        extraction.table_entries += extractor.stats().table_entries;
+        ctx.extract = extractor.into_scratch();
+        report.stages.extract += extract_span.finish();
+        self.rest_ctx(ctx);
+        run
+    }
+}
+
+/// The result of one [`Session::compile_programs`] run — also what the
+/// report cache stores and a hit reproduces: selected programs, the unified
+/// report, and each program's leaf count (so suite entry points can slice
+/// the concatenated statement reports).
+#[derive(Debug, Clone)]
+pub(crate) struct CompiledPrograms {
+    pub(crate) programs: Vec<Stmt>,
+    pub(crate) report: CompileReport,
+    pub(crate) leaf_counts: Vec<usize>,
+}
+
+impl CompiledPrograms {
+    /// The result of a one-program request.
+    fn into_single(mut self) -> CompileResult {
+        CompileResult {
+            program: (self.programs.pop()).expect("one program in, one program out"),
+            report: self.report,
         }
     }
 
-    /// Batched mode: one shared e-graph for every leaf; hash-consing
-    /// dedups common subterms across leaves and programs, the phased
-    /// schedule runs once, and each root is extracted independently.
-    fn saturate_shared(
-        &self,
-        leaves: &[&Stmt],
-        rules: &RuleSet,
-        budget: Budget,
-        report: &mut CompileReport,
-        export: Option<&mut Option<SuiteSnapshot>>,
-    ) -> Vec<Stmt> {
-        self.with_ctx(|ctx| {
-            let encode_span = self.tracer.span("encode");
-            let eg = &mut ctx.graph;
-            crate::rules::app_specific::declare_relations(eg);
-            let roots: Vec<Id> = leaves.iter().map(|s| encode_stmt(eg, s)).collect();
-            report.stages.encode += encode_span.finish();
-
-            let mut saturate_span = self.tracer.span("saturate");
-            let run = self.runner.run_phased_in(
-                eg,
-                &rules.main,
-                &rules.support,
-                self.outer_iters,
-                budget,
-                None,
-                &mut ctx.matcher,
-            );
-            saturate_span.attr("iterations", run.iterations);
-            saturate_span.attr("applied", run.applied);
-            report.stages.saturate += saturate_span.finish();
-            report.outcome = report.outcome.worst(CompileOutcome::of_run(&run));
-
-            // Layer-2 export: only a run that completed its schedule is
-            // worth snapshotting — a budget-truncated graph would
-            // warm-start future compiles from an unsaturated state and
-            // could select different programs than their cold compile
-            // would.
-            if let Some(slot) = export {
-                if CompileOutcome::of_run(&run) == CompileOutcome::Saturated {
-                    *slot = Some(SuiteSnapshot {
-                        engine: eg.snapshot(),
-                        fingerprint: self.fingerprint,
-                    });
-                }
-            }
-
-            let selected = self.extract_shared(ctx, &roots, leaves, report);
-            report.batch = Some(run);
-            selected
-        })
+    /// The result of a suite request through the raw IR entry points.
+    fn into_ir_suite(self) -> IrSuiteResult {
+        IrSuiteResult {
+            programs: self.programs,
+            report: self.report,
+        }
     }
-
-    /// Shared-graph extraction: one settled cost table serves every
-    /// root. Factored out of [`Session::saturate_shared`] so warm-start
-    /// compiles run the identical readout path (byte-identity depends on
-    /// it).
-    fn extract_shared(
-        &self,
-        ctx: &mut CompileCtx,
-        roots: &[Id],
-        leaves: &[&Stmt],
-        report: &mut CompileReport,
-    ) -> Vec<Stmt> {
-        // One cost table serves every root; the resolved strategy (Auto →
-        // shared-table here) additionally shares readout work across roots
-        // through its term bank.
-        let mut extract_span = self.tracer.span("extract");
-        extract_span.attr("roots", roots.len());
-        let extractor = self.build_extractor(&ctx.graph, true, std::mem::take(&mut ctx.extract));
-        let readouts: Vec<RootReadout> = (roots.iter().zip(leaves))
-            .map(|(&root, original)| readout_root(extractor.as_ref(), root, original))
-            .collect();
-        let stats = extractor.stats();
-        ctx.extract = extractor.into_scratch();
-        let mut extraction = ExtractionReport {
-            strategy: stats.strategy,
-            ..ExtractionReport::default()
-        };
-        let selected: Vec<Stmt> = readouts
-            .into_iter()
-            .zip(leaves)
-            .map(|(r, original)| {
-                let materialized = fold_readout(r, &mut extraction, &mut report.outcome);
-                report.stmts.push(StmtReport {
-                    original: original.to_string(),
-                    lowered: !stmt_has_movement(&materialized),
-                    eqsat: RunReport::default(),
-                });
-                materialized
-            })
-            .collect();
-        extraction.table_entries = stats.table_entries;
-        extraction.bank_nodes = stats.bank_nodes;
-        extraction.reused_readouts = stats.reused_readouts;
-        report.extraction = Some(extraction);
-        report.stages.extract += extract_span.finish();
-        selected
-    }
-
-    /// Per-leaf mode: an e-graph per leaf, saturated and extracted
-    /// independently (the reference mode batched outputs are asserted
-    /// against).
-    fn saturate_per_leaf(
-        &self,
-        leaves: &[&Stmt],
-        rules: &RuleSet,
-        budget: Budget,
-        report: &mut CompileReport,
-    ) -> Vec<Stmt> {
-        let outs: Vec<LeafOut> = leaves
-            .iter()
-            .map(|stmt| self.compile_leaf(stmt, rules, budget.clone()))
-            .collect();
-
-        let mut extraction: Option<ExtractionReport> = None;
-        let selected: Vec<Stmt> = outs
-            .into_iter()
-            .map(|out| {
-                report.stages.encode += out.encode;
-                report.stages.saturate += out.saturate;
-                report.stages.extract += out.extract;
-                report.outcome = report.outcome.worst(CompileOutcome::of_run(&out.run));
-                let agg = extraction.get_or_insert_with(|| ExtractionReport {
-                    strategy: out.strategy,
-                    ..ExtractionReport::default()
-                });
-                let materialized = fold_readout(out.readout, agg, &mut report.outcome);
-                agg.table_entries += out.table_entries;
-                agg.bank_nodes += out.bank_nodes;
-                agg.reused_readouts += out.reused_readouts;
-                report.stmts.push(StmtReport {
-                    original: out.original,
-                    lowered: !stmt_has_movement(&materialized),
-                    eqsat: out.run,
-                });
-                materialized
-            })
-            .collect();
-        report.extraction = extraction;
-        selected
-    }
-
-    /// One leaf through encode → saturate → extract in a context of its
-    /// own ([`Session::with_ctx`]), touching no other shared state.
-    fn compile_leaf(&self, stmt: &Stmt, rules: &RuleSet, budget: Budget) -> LeafOut {
-        self.with_ctx(|ctx| {
-            let encode_span = self.tracer.span("encode");
-            let eg = &mut ctx.graph;
-            crate::rules::app_specific::declare_relations(eg);
-            let root = encode_stmt(eg, stmt);
-            let encode = encode_span.finish();
-
-            let mut saturate_span = self.tracer.span("saturate");
-            let run = self.runner.run_phased_in(
-                eg,
-                &rules.main,
-                &rules.support,
-                self.outer_iters,
-                budget,
-                None,
-                &mut ctx.matcher,
-            );
-            saturate_span.attr("iterations", run.iterations);
-            saturate_span.attr("applied", run.applied);
-            let saturate = saturate_span.finish();
-
-            let extract_span = self.tracer.span("extract");
-            let extractor = self.build_extractor(eg, false, std::mem::take(&mut ctx.extract));
-            let readout = readout_root(extractor.as_ref(), root, stmt);
-            let stats = extractor.stats();
-            ctx.extract = extractor.into_scratch();
-            let extract = extract_span.finish();
-            LeafOut {
-                readout,
-                original: stmt.to_string(),
-                run,
-                encode,
-                saturate,
-                extract,
-                strategy: stats.strategy,
-                table_entries: stats.table_entries,
-                bank_nodes: stats.bank_nodes,
-                reused_readouts: stats.reused_readouts,
-            }
-        })
-    }
-}
-
-/// Everything one per-leaf compile produces, folded into the report in
-/// leaf order by [`Session::saturate_per_leaf`].
-struct LeafOut {
-    readout: RootReadout,
-    original: String,
-    run: RunReport,
-    encode: Duration,
-    saturate: Duration,
-    extract: Duration,
-    strategy: &'static str,
-    table_entries: usize,
-    bank_nodes: usize,
-    reused_readouts: usize,
-}
-
-/// The internal result of one `compile_programs` pipeline run: selected
-/// programs, the unified report, and each program's leaf count (so suite
-/// entry points can slice the concatenated statement reports).
-struct CompiledPrograms {
-    programs: Vec<Stmt>,
-    report: CompileReport,
-    leaf_counts: Vec<usize>,
 }
 
 /// Pass 1 of the pipeline: each annotated program's selection leaves, in
@@ -2026,65 +1799,6 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "non-string panic payload".to_string()
     }
-}
-
-/// One root's readout, computed independently of any report state and
-/// folded into the report in root order by [`fold_readout`].
-struct RootReadout {
-    /// The selected statement (or the original, on a fallback).
-    stmt: Stmt,
-    /// Extraction cost of the root (`None`: no constructible term).
-    cost: Option<u64>,
-    /// Whether this root fell back to its original statement.
-    fallback: bool,
-    /// Wall-clock of the term readout itself (cost lookup + extraction;
-    /// decoding and materialization cost the same under any strategy and
-    /// are excluded, matching [`ExtractionReport::readout_time`]).
-    elapsed: Duration,
-}
-
-/// Extracts, decodes and post-processes one saturated root back into a
-/// statement. Non-constructible roots, undecodable terms and malformed
-/// materializations fall back to the original (annotated, unoptimized)
-/// statement; the caller demotes the compile outcome when `fallback` is
-/// set.
-fn readout_root(extractor: &dyn Extract<HbLang>, root: Id, original: &Stmt) -> RootReadout {
-    let readout_started = Instant::now();
-    let cost = extractor.cost_of(root);
-    // A root with no constructible term (possible only for custom
-    // pipelines encoding cyclic-only classes) keeps its original form —
-    // extract() would panic on it.
-    let term = cost.is_some().then(|| extractor.extract(root));
-    let elapsed = readout_started.elapsed();
-    let decoded = match term.as_ref().map(decode_stmt) {
-        Some(Ok(s)) => Some(s),
-        Some(Err(_)) | None => None,
-    };
-    // The original has no `__expr_var` markers, so materialization on the
-    // fallback path would be an identity — return it directly.
-    let materialized = decoded.and_then(|d| try_materialize_owned(d).ok());
-    let fallback = materialized.is_none();
-    RootReadout {
-        stmt: materialized.unwrap_or_else(|| original.clone()),
-        cost,
-        fallback,
-        elapsed,
-    }
-}
-
-/// Accounts one [`RootReadout`] into the extraction report and the
-/// compile's outcome ladder, returning the selected statement.
-fn fold_readout(
-    r: RootReadout,
-    extraction: &mut ExtractionReport,
-    outcome: &mut CompileOutcome,
-) -> Stmt {
-    extraction.root_costs.push(r.cost);
-    extraction.readout_time += r.elapsed;
-    if r.fallback {
-        *outcome = outcome.worst(CompileOutcome::FallbackUnoptimized);
-    }
-    r.stmt
 }
 
 fn expr_has_movement(e: &Expr) -> bool {

@@ -1,40 +1,37 @@
-//! Cost-based extraction of the optimal term from an e-graph — a pluggable
-//! strategy API.
+//! Cost-based extraction of the optimal term from an e-graph.
 //!
 //! The paper's cost model (§III-D3) is AST size — instruction selection under
 //! a user-given schedule is "hit or miss", so smaller terms (which use the
-//! coarse accelerator intrinsics) always win. Extraction is nonetheless
-//! generic twice over: over a [`CostFunction`] (what a node costs) and over an
-//! [`Extract`] strategy (how the e-graph is solved and read out). Three
-//! strategies ship with the engine:
+//! coarse accelerator intrinsics) always win. Extraction is generic over a
+//! [`CostFunction`] (what a node costs); there is one solver, and two ways
+//! to read a root out of its settled table:
 //!
-//! * [`WorklistExtractor`] — the reference bottom-up tree-cost solver with
+//! * [`WorklistExtractor`] — the bottom-up tree-cost solver with
 //!   content-deterministic tie-breaks. One cost table, per-root readouts that
-//!   each re-walk the chosen sub-dag.
+//!   each walk the chosen sub-dag through a dense stamped memo. **This is
+//!   what compile sessions run**, on one-root per-leaf graphs and on
+//!   multi-root suite graphs alike.
 //! * [`SharedTableExtractor`] — the same cost table (identical choices,
-//!   byte-identical terms), but readouts go through a shared **term bank**:
-//!   the first root to touch a class materializes its chosen node once, and
-//!   every later root — in a multi-root suite graph — copies it out of the
-//!   bank instead of re-deriving it. This is the batched/suite mode's
-//!   extractor: with hundreds of roots sharing one saturated graph, per-root
-//!   readout cost drops to an arena copy.
-//! * [`DagCostExtractor`] — a genuinely different cost *semantics*: shared
-//!   subterms are charged **once** per readout dag rather than once per use,
-//!   which models CSE-performing backends and flips winners on unrolled
-//!   workloads where a slightly larger term with heavy internal sharing beats
-//!   a smaller tree without it.
+//!   byte-identical terms), with readouts going through a shared **term
+//!   bank**: the first root to touch a class materializes its chosen node
+//!   once, later roots copy it out of the bank.
 //!
-//! All three implement the object-safe [`Extract`] trait (solve costs at
-//! construction, then `cost_of`/`extract` readouts plus [`ExtractionStats`]
-//! counters), which is what lets the selector treat the strategy as a
-//! session-level plug-in.
+//! Sessions stopped choosing between the two when the measurements did: on
+//! the 158-root suite graph the bank's readouts read 1.42x faster than the
+//! worklist's when it was introduced, 0.98x once the matcher rewrite shrank
+//! everything around them, and 0.73–0.79x after the worklist memo became a
+//! dense stamped vector — 0.05 ms of a ~6 ms compile either way, and the
+//! bank is memory the worklist does not hold. [`SharedTableExtractor`] and
+//! the object-safe [`Extract`] trait are still here only because the
+//! `benchmark/` package's staged path constructs them; the oracles below
+//! and in `tests/extract_strategies.rs` keep shared-table ≡ worklist pinned
+//! for as long as both exist.
 
 use std::cell::{RefCell, RefMut};
 use std::cmp::Ordering;
 use std::collections::VecDeque;
 
 use crate::egraph::{Analysis, EClass, EGraph};
-use crate::hash::FastMap;
 use crate::language::{Language, RecExpr};
 use crate::unionfind::Id;
 
@@ -79,7 +76,7 @@ impl<L: Language, F: Fn(&L) -> u64> CostFunction<L> for FnCost<F> {
 /// the selector's `ExtractionReport`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExtractionStats {
-    /// Strategy name (`"worklist"`, `"shared-table"`, `"dag-cost"`).
+    /// Strategy name (`"worklist"`, `"shared-table"`).
     pub strategy: &'static str,
     /// Classes with a settled cost-table entry.
     pub table_entries: usize,
@@ -97,8 +94,8 @@ pub struct ExtractionStats {
 /// root can be priced ([`Extract::cost_of`]) or read out
 /// ([`Extract::extract`]) against the settled solution.
 ///
-/// Object-safe, so pipeline drivers can hold `Box<dyn Extract<L> + '_>` and
-/// make the strategy a runtime plug-in.
+/// Object-safe, so a driver that times both strategies can hold a
+/// `Box<dyn Extract<L> + '_>`.
 pub trait Extract<L: Language> {
     /// Best cost for a class, if any term is constructible.
     fn cost_of(&self, id: Id) -> Option<u64>;
@@ -112,10 +109,6 @@ pub trait Extract<L: Language> {
 
     /// Counters describing the work done so far (table size, bank reuse).
     fn stats(&self) -> ExtractionStats;
-
-    /// Ends the extractor and hands back its tables, for the next
-    /// extractor's `with_scratch` (see [`ExtractScratch`]).
-    fn into_scratch(self: Box<Self>) -> ExtractScratch<L>;
 }
 
 /// Marks "no node": a class without a cost-table entry, or one not banked.
@@ -219,8 +212,8 @@ struct Readout<L> {
 
 /// The tables of an extraction — cost table, parent index, queue marks,
 /// tie-break ranks, readout memo and term bank — kept from one extractor
-/// to the next: [`Extract::into_scratch`] hands them back,
-/// `with_scratch` constructors take them, and a caller that extracts from
+/// to the next: `into_scratch` hands them back, `with_scratch`
+/// constructors take them, and a caller that extracts from
 /// graph after graph (a compile session) stops allocating them. Contents
 /// never carry over; only capacity does.
 #[derive(Debug)]
@@ -572,9 +565,29 @@ impl<'a, L: Language, N: Analysis<L>, C: CostFunction<L>> WorklistExtractor<'a, 
     #[must_use]
     pub fn extract(&self, id: Id) -> RecExpr<L> {
         // A readout that panicked released the borrow as it unwound, and
-        // `read_out` begins by resetting the memo, so the next one is sound.
+        // this one begins by resetting the memo, so it is sound.
         let memo = &mut self.readout.borrow_mut().memo;
-        read_out(self.egraph, &|id| self.chosen(id), id, memo)
+        memo.begin(self.egraph.id_bound());
+        let mut out = RecExpr::new();
+        let root = self.read_out(id, &mut out, memo);
+        debug_assert_eq!(root, out.root_id());
+        out
+    }
+
+    /// Appends the best term for `id` to `out`, sharing nothing across
+    /// readouts (each re-walks the chosen sub-dag; `memo`, keyed by class
+    /// id, keeps it from walking a shared subterm twice).
+    fn read_out(&self, id: Id, out: &mut RecExpr<L>, memo: &mut StampedMemo) -> Id {
+        let id = self.egraph.find(id);
+        if let Some(done) = memo.get(id.index()) {
+            // RecExpr is append-only, and children must reference earlier
+            // nodes, so a memoized position stays valid.
+            return done;
+        }
+        let node = (self.chosen(id)).map_children(|c| self.read_out(c, out, memo));
+        let new_id = out.add(node);
+        memo.set(id.index(), new_id);
+        new_id
     }
 }
 
@@ -597,45 +610,6 @@ impl<L: Language, N: Analysis<L>, C: CostFunction<L>> Extract<L>
             reused_readouts: 0,
         }
     }
-
-    fn into_scratch(self: Box<Self>) -> ExtractScratch<L> {
-        WorklistExtractor::into_scratch(*self)
-    }
-}
-
-/// Reads the best term for `id` out of a settled table — `chosen` maps a
-/// canonical class to its chosen node — sharing nothing across calls
-/// (each readout re-walks the chosen sub-dag; `memo`, keyed by class id,
-/// keeps it from walking a shared subterm twice).
-fn read_out<'n, L: Language + 'n, N: Analysis<L>>(
-    egraph: &EGraph<L, N>,
-    chosen: &dyn Fn(Id) -> &'n L,
-    id: Id,
-    memo: &mut StampedMemo,
-) -> RecExpr<L> {
-    fn go<'n, L: Language + 'n, N: Analysis<L>>(
-        egraph: &EGraph<L, N>,
-        chosen: &dyn Fn(Id) -> &'n L,
-        id: Id,
-        out: &mut RecExpr<L>,
-        memo: &mut StampedMemo,
-    ) -> Id {
-        let id = egraph.find(id);
-        if let Some(done) = memo.get(id.index()) {
-            // RecExpr is append-only, and children must reference earlier
-            // nodes, so a memoized position stays valid.
-            return done;
-        }
-        let node = chosen(id).map_children(|c| go(egraph, chosen, c, out, memo));
-        let new_id = out.add(node);
-        memo.set(id.index(), new_id);
-        new_id
-    }
-    let mut out = RecExpr::new();
-    memo.begin(egraph.id_bound());
-    let root = go(egraph, chosen, id, &mut out, memo);
-    debug_assert_eq!(root, out.root_id());
-    out
 }
 
 impl<L: Language> Readout<L> {
@@ -668,7 +642,7 @@ impl<L: Language> Readout<L> {
 }
 
 /// Copies the banked sub-dag at `slot` into `out`. The traversal is the
-/// same children-first first-visit DFS as [`read_out`], so the emitted node
+/// same children-first first-visit DFS as [`WorklistExtractor::read_out`], so the emitted node
 /// sequence — and therefore the term — is byte-identical to a direct table
 /// readout; but unlike a table readout it needs no union-find chasing —
 /// which is what makes warm readouts cheap. `memo` is keyed by bank slot.
@@ -716,6 +690,12 @@ impl<'a, L: Language, N: Analysis<L>, C: CostFunction<L>> SharedTableExtractor<'
         SharedTableExtractor {
             table: WorklistExtractor::with_scratch(egraph, cost_fn, scratch),
         }
+    }
+
+    /// Hands the tables back (see [`ExtractScratch`]).
+    #[must_use]
+    pub fn into_scratch(self) -> ExtractScratch<L> {
+        self.table.into_scratch()
     }
 
     /// The bank. A readout that panicked (a root with no constructible
@@ -771,200 +751,6 @@ impl<L: Language, N: Analysis<L>, C: CostFunction<L>> Extract<L>
             bank_nodes: readout.bank.len(),
             reused_readouts: readout.reused,
         }
-    }
-
-    fn into_scratch(self: Box<Self>) -> ExtractScratch<L> {
-        self.table.into_scratch()
-    }
-}
-
-/// DAG-cost extraction: the cost of a readout is the sum of its **distinct**
-/// nodes' own costs — a subterm used five times is charged once, as a
-/// CSE-performing backend would execute it. Under tree cost, `f(x, x)` pays
-/// for `x` twice and loses to a marginally smaller unshared term; under dag
-/// cost it wins, which is the right call on unrolled loop bodies full of
-/// repeated index algebra.
-///
-/// A node's *own* cost is obtained from the [`CostFunction`] by folding
-/// zero-cost children (`cost(node, |_| 0)`), so any existing cost model
-/// works unchanged.
-///
-/// The solve is two-phase and deterministic:
-///
-/// 1. the [`WorklistExtractor`] tree table settles (content-canonical
-///    choices — the baseline every class starts from);
-/// 2. classes are finalized in ascending tree-cost order; each class
-///    re-picks, among its nodes whose children are all **strictly cheaper**
-///    (tree cost) than the class itself, the node minimizing the dag cost
-///    of `{class} ∪ children's chosen dags`. The strict-descent gate makes
-///    every chosen dag acyclic by construction and guarantees children are
-///    final before parents ask for their dags. Ties keep the tree-canonical
-///    incumbent; classes where no node passes the gate (possible only under
-///    non-monotone cost functions) keep their tree choice, priced at tree
-///    cost.
-///
-/// Unlike the other two strategies, dag cost is a different optimization
-/// objective: extracted terms may legitimately differ from the worklist
-/// output, and the greedy per-class finalization is a heuristic (globally
-/// optimal dag extraction is NP-hard). Candidate evaluation merges the
-/// children's class sets — O(sub-dag size) per candidate with per-class
-/// charges cached — which is fine at selector scale (thousands of
-/// classes) but makes this the most expensive of the three strategies on
-/// very large graphs.
-pub struct DagCostExtractor<'a, L: Language, N: Analysis<L>, C: CostFunction<L>> {
-    tree: WorklistExtractor<'a, L, N, C>,
-    /// Canonical class → (dag cost, chosen node).
-    dag: FastMap<Id, (u64, L)>,
-    /// Canonical class → sorted classes in its chosen dag (incl. itself).
-    sets: FastMap<Id, Vec<Id>>,
-    /// Canonical class → what a parent dag pays for including it: the
-    /// chosen node's own cost normally, or the full tree cost for
-    /// fallback classes, whose `sets` entry is *opaque* (just the class
-    /// itself — charging only an own cost there would silently drop the
-    /// whole subtree from parents' accounting). Also a cache: the cost
-    /// function runs once per class, not once per set membership.
-    charges: FastMap<Id, u64>,
-}
-
-impl<'a, L: Language, N: Analysis<L>, C: CostFunction<L>> DagCostExtractor<'a, L, N, C> {
-    /// Solves the tree table, then finalizes dag choices bottom-up.
-    #[must_use]
-    pub fn new(egraph: &'a EGraph<L, N>, cost_fn: C) -> Self {
-        Self::with_scratch(egraph, cost_fn, ExtractScratch::default())
-    }
-
-    /// [`DagCostExtractor::new`] with the tree table solved in the tables
-    /// an earlier extractor handed back (the dag tables are this
-    /// extractor's own).
-    #[must_use]
-    pub fn with_scratch(egraph: &'a EGraph<L, N>, cost_fn: C, scratch: ExtractScratch<L>) -> Self {
-        let mut ex = DagCostExtractor {
-            tree: WorklistExtractor::with_scratch(egraph, cost_fn, scratch),
-            dag: FastMap::default(),
-            sets: FastMap::default(),
-            charges: FastMap::default(),
-        };
-        ex.solve();
-        ex
-    }
-
-    /// The node's own cost: the cost function folded over zero-cost
-    /// children.
-    fn own_cost(&self, node: &L) -> u64 {
-        self.tree.cost_fn.cost(node, &mut |_| 0)
-    }
-
-    /// Evaluates one candidate node for `cid`: `None` if any child is
-    /// infeasible or not strictly cheaper (tree cost) than `limit`;
-    /// otherwise the dag cost and the merged class set.
-    fn dag_candidate(&self, cid: Id, node: &L, limit: u64) -> Option<(u64, Vec<Id>)> {
-        let mut set: Vec<Id> = vec![cid];
-        for &child in node.children() {
-            let child = self.tree.egraph.find(child);
-            let (child_tree_cost, _) = self.tree.table.entry(child)?;
-            if child_tree_cost >= limit {
-                return None;
-            }
-            set.extend_from_slice(self.sets.get(&child)?);
-        }
-        set.sort_unstable();
-        set.dedup();
-        let mut cost = self.own_cost(node);
-        for &d in &set {
-            if d == cid {
-                continue;
-            }
-            cost = cost.saturating_add(self.charges[&d]);
-        }
-        Some((cost, set))
-    }
-
-    fn solve(&mut self) {
-        let mut order = self.tree.table.order.clone();
-        order.sort_unstable();
-        for (tree_cost, id) in order {
-            let tree_node = self.tree.chosen(id).clone();
-            // The tree-canonical winner is the incumbent; other nodes must
-            // strictly beat it on dag cost, keeping ties deterministic and
-            // aligned with the tree strategy's content order.
-            let mut winner = self
-                .dag_candidate(id, &tree_node, tree_cost)
-                .map(|(cost, set)| (cost, tree_node.clone(), set));
-            for node in &self.tree.egraph.class(id).nodes {
-                if *node == tree_node {
-                    continue;
-                }
-                let Some((cost, set)) = self.dag_candidate(id, node, tree_cost) else {
-                    continue;
-                };
-                let better = match &winner {
-                    None => true,
-                    Some((w, _, _)) => cost < *w,
-                };
-                if better {
-                    winner = Some((cost, node.clone(), set));
-                }
-            }
-            match winner {
-                Some((cost, node, set)) => {
-                    self.charges.insert(id, self.own_cost(&node));
-                    self.dag.insert(id, (cost, node));
-                    self.sets.insert(id, set);
-                }
-                None => {
-                    // Non-monotone fallback: keep the tree choice at tree
-                    // cost with an opaque one-element set, and charge
-                    // parents the *whole* tree cost — the set carries no
-                    // subtree detail to share or double-count against.
-                    self.charges.insert(id, tree_cost);
-                    self.dag.insert(id, (tree_cost, tree_node));
-                    self.sets.insert(id, vec![id]);
-                }
-            }
-        }
-    }
-
-    /// Best dag cost for a class, if any term is constructible.
-    #[must_use]
-    pub fn cost_of(&self, id: Id) -> Option<u64> {
-        self.dag.get(&self.tree.egraph.find(id)).map(|(c, _)| *c)
-    }
-
-    /// Extracts the dag-cheapest term rooted at `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the class has no constructible term (cyclic-only class).
-    #[must_use]
-    pub fn extract(&self, id: Id) -> RecExpr<L> {
-        let chosen = |id: Id| match self.dag.get(&id) {
-            Some((_, node)) => node,
-            None => panic!("no constructible term for {id}"),
-        };
-        read_out(self.tree.egraph, &chosen, id, &mut StampedMemo::default())
-    }
-}
-
-impl<L: Language, N: Analysis<L>, C: CostFunction<L>> Extract<L> for DagCostExtractor<'_, L, N, C> {
-    fn cost_of(&self, id: Id) -> Option<u64> {
-        DagCostExtractor::cost_of(self, id)
-    }
-
-    fn extract(&self, id: Id) -> RecExpr<L> {
-        DagCostExtractor::extract(self, id)
-    }
-
-    fn stats(&self) -> ExtractionStats {
-        ExtractionStats {
-            strategy: "dag-cost",
-            table_entries: self.dag.len(),
-            bank_nodes: 0,
-            reused_readouts: 0,
-        }
-    }
-
-    fn into_scratch(self: Box<Self>) -> ExtractScratch<L> {
-        self.tree.into_scratch()
     }
 }
 
@@ -1108,78 +894,6 @@ mod tests {
     }
 
     #[test]
-    fn dag_cost_charges_shared_subterms_once() {
-        // One class holding both  big + big  (a shared 3-node subterm) and
-        // x / y  over two *distinct* 3-node subterms. Tree cost: the add is
-        // 7, the div is 7 — the tie-break decides. Dag cost: the add's dag
-        // is {+, big's 3 nodes} = 4, the div's is {/, 3, 3} = 7: the add
-        // must win outright.
-        let mut eg = EG::new();
-        let a = eg.add(Math::Sym("a".into()));
-        let two = eg.add(Math::Num(2));
-        let big = eg.add(Math::Mul([a, two]));
-        let add = eg.add(Math::Add([big, big]));
-        let b = eg.add(Math::Sym("b".into()));
-        let three = eg.add(Math::Num(3));
-        let x = eg.add(Math::Mul([b, three]));
-        let c = eg.add(Math::Sym("c".into()));
-        let four = eg.add(Math::Num(4));
-        let y = eg.add(Math::Mul([c, four]));
-        let div = eg.add(Math::Div([x, y]));
-        eg.union(add, div);
-        eg.rebuild();
-        let dag = DagCostExtractor::new(&eg, AstSize);
-        assert_eq!(dag.cost_of(add), Some(4));
-        assert_eq!(dag.extract(add).to_sexp(), "(+ (* a 2) (* a 2))");
-        // The tree strategies are allowed to pick either (both cost 7);
-        // dag cost is the genuinely different objective.
-        let tree = WorklistExtractor::new(&eg, AstSize);
-        assert_eq!(tree.cost_of(add), Some(7));
-    }
-
-    #[test]
-    fn dag_fallback_classes_charge_parents_their_full_tree_cost() {
-        // A non-monotone cost function (Mul and Num are free) makes the
-        // strict-descent gate fail for  big = a * 0  (its child `a` costs
-        // as much as the class), so `big` takes the fallback path with an
-        // opaque one-element set. A parent including `big` must then be
-        // charged big's whole tree cost — not just the free Mul node,
-        // which would price  big + big  at 1 and shadow every real
-        // alternative.
-        let weigh = || {
-            FnCost(|node: &Math| match node {
-                Math::Sym(_) => 5,
-                Math::Add(_) => 1,
-                _ => 0,
-            })
-        };
-        let mut eg = EG::new();
-        let a = eg.add(Math::Sym("a".into()));
-        let zero = eg.add(Math::Num(0));
-        let big = eg.add(Math::Mul([a, zero]));
-        let add = eg.add(Math::Add([big, big]));
-        let tree = WorklistExtractor::new(&eg, weigh());
-        assert_eq!(tree.cost_of(big), Some(5));
-        let dag = DagCostExtractor::new(&eg, weigh());
-        // own(Add) + charge(big) = 1 + 5; the buggy accounting said 1.
-        assert_eq!(dag.cost_of(add), Some(6));
-        assert_eq!(dag.extract(add).to_sexp(), "(+ (* a 0) (* a 0))");
-    }
-
-    #[test]
-    fn dag_cost_handles_cycles_and_trivial_graphs() {
-        let mut eg = EG::new();
-        let x = eg.add(Math::Sym("x".into()));
-        let one = eg.add(Math::Num(1));
-        let fx = eg.add(Math::Mul([x, one]));
-        eg.union(x, fx);
-        eg.rebuild();
-        let dag = DagCostExtractor::new(&eg, AstSize);
-        assert_eq!(dag.extract(x).to_sexp(), "x");
-        assert_eq!(dag.cost_of(x), Some(1));
-    }
-
-    #[test]
     fn deep_terms_saturate_instead_of_overflowing() {
         // A 64-deep chain where every node claims half the u64 range: any
         // unchecked summation would overflow (and panic in debug builds);
@@ -1192,15 +906,11 @@ mod tests {
         }
         let ex = WorklistExtractor::new(&eg, FnCost(|_: &Math| u64::MAX / 2));
         assert_eq!(ex.cost_of(cur), Some(u64::MAX));
-        let dag = DagCostExtractor::new(&eg, FnCost(|_: &Math| u64::MAX / 2));
-        assert_eq!(dag.cost_of(cur), Some(u64::MAX));
         // AstSize on a deep-but-cheap chain stays exact: 2 nodes per level
         // plus the root symbol as a tree (the shared `1` is re-charged per
-        // level), 66 distinct nodes as a dag.
+        // level).
         let sized = WorklistExtractor::new(&eg, AstSize);
         assert_eq!(sized.cost_of(cur), Some(129));
-        let sized_dag = DagCostExtractor::new(&eg, AstSize);
-        assert_eq!(sized_dag.cost_of(cur), Some(66));
     }
 
     #[test]
@@ -1212,7 +922,6 @@ mod tests {
         let strategies: Vec<Box<dyn Extract<Math> + '_>> = vec![
             Box::new(WorklistExtractor::new(&eg, AstSize)),
             Box::new(SharedTableExtractor::new(&eg, AstSize)),
-            Box::new(DagCostExtractor::new(&eg, AstSize)),
         ];
         for ex in &strategies {
             assert_eq!(ex.cost_of(m), Some(3), "{}", ex.stats().strategy);

@@ -6,8 +6,7 @@
 //! [`rewrite::Rewrite`] rules with egglog-style Datalog
 //! [`relation::Relations`], phased [`schedule::Runner`] scheduling
 //! (§III-D2), per-class [`egraph::Analysis`] lattices, and cost-based
-//! term extraction (§III-D3) behind the pluggable [`extract::Extract`]
-//! strategy API.
+//! term extraction (§III-D3; [`extract::WorklistExtractor`]).
 //!
 //! The engine is generic over a [`language::Language`]; the HARDBOILED
 //! tensor language lives in the `hardboiled` crate, and a small arithmetic
@@ -144,12 +143,9 @@
 //!   nearly nothing at quiescence, where they previously re-ran a full
 //!   join every pass.
 //!
-//! * **Pluggable extraction strategies.** Extraction is a strategy API
-//!   behind the object-safe [`extract::Extract`] trait (solve once at
-//!   construction, then `cost_of`/`extract` readouts plus
-//!   [`extract::ExtractionStats`] counters). The reference strategy,
-//!   [`extract::WorklistExtractor`], solves costs by parent-propagation
-//!   from the leaves up instead of repeated full passes to a fixpoint,
+//! * **One extraction solver.** [`extract::WorklistExtractor`] solves
+//!   costs once at construction, by parent-propagation from the leaves up
+//!   instead of repeated full passes to a fixpoint,
 //!   then finalizes equal-cost ties by *content* (operator key + recursive
 //!   child comparison — realized as per-class ranks assigned one cost level
 //!   at a time, so a comparison is a few table reads) rather than by
@@ -157,15 +153,14 @@
 //!   graphs holding the same equivalences extract identical terms however
 //!   their ids were assigned, which is what lets the selector's shared
 //!   (batched) e-graph mode reproduce the per-leaf output byte for byte.
+//!   Each root is then read out through a dense stamped memo. This is the
+//!   extractor compile sessions run in every mode.
 //!   [`extract::SharedTableExtractor`] keeps the same table (and therefore
-//!   byte-identical terms, asserted by proptest against the worklist
-//!   strategy) but routes every readout through a shared term bank, so the
-//!   sub-dags hundreds of suite roots have in common are materialized once
-//!   instead of once per root — the extract-stage speedup of batched mode.
-//!   [`extract::DagCostExtractor`] changes the *objective*: shared
-//!   subterms are charged once per readout dag (CSE semantics), finalized
-//!   bottom-up in ascending tree-cost order with a strict-descent gate
-//!   that keeps every chosen dag acyclic.
+//!   byte-identical terms, asserted by proptest against the worklist's)
+//!   but routes readouts through a shared term bank; measured no faster
+//!   than the worklist's readouts since the memo went dense (see the
+//!   [`extract`] module docs), it and the object-safe [`extract::Extract`]
+//!   trait remain only for the `benchmark/` package's staged path.
 //!
 //! ## Cancellation
 //!
@@ -199,7 +194,7 @@
 //!   relation change ticks round-trip exactly, so a restored *saturated*
 //!   graph can warm-start: capture [`schedule::WarmStart`] cutoffs, encode
 //!   the new material (hash-consing dedups everything already present),
-//!   and run [`schedule::Runner::run_phased_warm`] — every rule starts
+//!   and pass them to [`schedule::Runner::run_phased_in`] — every rule starts
 //!   "as if it had just searched the old graph" and only the semi-naive
 //!   delta for the new leaves is evaluated. Warm results are
 //!   byte-identical to cold ones (same closure, same content-based
@@ -290,8 +285,8 @@ pub mod unionfind;
 
 pub use egraph::{Analysis, EClass, EGraph};
 pub use extract::{
-    AstSize, CostFunction, DagCostExtractor, Extract, ExtractScratch, ExtractionStats, FnCost,
-    SharedTableExtractor, WorklistExtractor,
+    AstSize, CostFunction, Extract, ExtractScratch, ExtractionStats, FnCost, SharedTableExtractor,
+    WorklistExtractor,
 };
 #[cfg(feature = "fault-injection")]
 pub use fault::{Fault, FaultPlan, InjectedStop};

@@ -338,7 +338,7 @@ struct RuleState {
 /// delta for material added *after* the restore is evaluated.
 ///
 /// Capture with [`WarmStart::capture`] on the restored graph **before**
-/// encoding anything new into it; run with [`Runner::run_phased_warm`].
+/// encoding anything new into it; pass it to [`Runner::run_phased_in`].
 /// Sound only when the snapshot was taken from a *saturated* run under
 /// the **same rule set**: warm rules never re-search the quiet region, so
 /// any match missing there would stay missing.
@@ -392,7 +392,8 @@ pub struct Runner {
     /// Wall-clock budget applied to each run this runner starts
     /// (converted to an absolute deadline at run entry). Callers that
     /// need one deadline across several runs pass an absolute [`Budget`]
-    /// to the `*_budgeted` entry points instead.
+    /// to [`Runner::run_phased_in`] / [`Runner::run_to_fixpoint_budgeted`]
+    /// instead.
     pub time_budget: Option<Duration>,
     /// Cap on total matches applied per run.
     pub match_budget: Option<usize>,
@@ -482,21 +483,6 @@ impl Runner {
     pub fn with_profile_sink(mut self, sink: Arc<dyn hb_obs::ProfileSink>) -> Self {
         self.profile_sink = Some(ProfileHandle::new(sink));
         self
-    }
-
-    /// Runs every rule once, then rebuilds. Returns matches applied.
-    /// Full (non-delta) searches; the scheduler-internal path threads
-    /// per-rule delta state instead.
-    pub fn run_once<L: Language, N: Analysis<L>>(
-        egraph: &mut EGraph<L, N>,
-        rules: &[Rewrite<L, N>],
-    ) -> usize {
-        let mut applied = 0;
-        for rule in rules {
-            applied += rule.run(egraph);
-        }
-        egraph.rebuild();
-        applied
     }
 
     /// One pass over `rules` with delta bookkeeping, then a rebuild.
@@ -715,11 +701,8 @@ impl Runner {
         }
     }
 
-    /// The paper's phased schedule: `outer_iters` rounds of the main rules,
-    /// with the supporting rules saturated before the first round and after
-    /// every round. Delta state persists across rounds, so a supporting
-    /// fixpoint over an unchanged graph is near-free; one scratch
-    /// serves both rule sets for the whole run.
+    /// The paper's phased schedule ([`Runner::run_phased_in`]) under the
+    /// runner's own budgets, cold, in a matcher scratch of its own.
     pub fn run_phased<L: Language, N: Analysis<L>>(
         &self,
         egraph: &mut EGraph<L, N>,
@@ -727,77 +710,40 @@ impl Runner {
         supporting_rules: &[Rewrite<L, N>],
         outer_iters: usize,
     ) -> RunReport {
-        self.run_phased_budgeted(
-            egraph,
-            main_rules,
-            supporting_rules,
-            outer_iters,
-            self.budget_from_now(),
-        )
-    }
-
-    /// [`Runner::run_phased`] under an explicit absolute [`Budget`]
-    /// (tightened by the runner's own budgets). The budget is enforced
-    /// between rule searches with an amortized clock check plus one
-    /// unamortized check per outer round, so overshoot is bounded by one
-    /// iteration; the graph is always left rebuilt and valid.
-    pub fn run_phased_budgeted<L: Language, N: Analysis<L>>(
-        &self,
-        egraph: &mut EGraph<L, N>,
-        main_rules: &[Rewrite<L, N>],
-        supporting_rules: &[Rewrite<L, N>],
-        outer_iters: usize,
-        budget: Budget,
-    ) -> RunReport {
-        let scratch = &mut MatchScratch::new();
         self.run_phased_in(
             egraph,
             main_rules,
             supporting_rules,
             outer_iters,
-            budget,
+            Budget::none(),
             None,
-            scratch,
+            &mut MatchScratch::new(),
         )
     }
 
-    /// [`Runner::run_phased_budgeted`] warm-started from a restored,
-    /// saturated snapshot: every rule's delta state is seeded with the
-    /// [`WarmStart`] cutoffs, so the first pass probes only classes and
-    /// relation tuples changed since the capture (the leaves encoded
-    /// after the restore) instead of re-searching the whole graph.
+    /// The paper's phased schedule: `outer_iters` rounds of the main rules,
+    /// with the supporting rules saturated before the first round and after
+    /// every round. Delta state persists across rounds, so a supporting
+    /// fixpoint over an unchanged graph is near-free; one scratch — the
+    /// caller's — serves both rule sets for the whole run. A caller that
+    /// saturates graph after graph keeps one scratch for all of its runs;
+    /// what a run leaves in it never reaches the next (every search resets
+    /// what it reads).
     ///
-    /// Byte-identity with the cold run rests on the same invariants as
-    /// every other delta path — semi-naive completeness plus
-    /// content-based extraction tie-breaks — and holds only when the
-    /// snapshot came from a **saturated** run of the **same rules**.
-    pub fn run_phased_warm<L: Language, N: Analysis<L>>(
-        &self,
-        egraph: &mut EGraph<L, N>,
-        main_rules: &[Rewrite<L, N>],
-        supporting_rules: &[Rewrite<L, N>],
-        outer_iters: usize,
-        budget: Budget,
-        warm: WarmStart,
-    ) -> RunReport {
-        let scratch = &mut MatchScratch::new();
-        self.run_phased_in(
-            egraph,
-            main_rules,
-            supporting_rules,
-            outer_iters,
-            budget,
-            Some(warm),
-            scratch,
-        )
-    }
-
-    /// The phased schedule itself, in the caller's matcher scratch: cold
-    /// ([`Runner::run_phased_budgeted`]) without `warm`, warm-started
-    /// ([`Runner::run_phased_warm`]) with it. A caller that saturates graph
-    /// after graph keeps one scratch for all of its runs; what a run
-    /// leaves in it never reaches the next (every search resets what it
-    /// reads).
+    /// `budget` is absolute and tightened by the runner's own budgets. It
+    /// is enforced between rule searches with an amortized clock check
+    /// plus one unamortized check per outer round, so overshoot is bounded
+    /// by one iteration; the graph is always left rebuilt and valid.
+    ///
+    /// With `warm` — captured on a restored, saturated snapshot — every
+    /// rule's delta state is seeded with the [`WarmStart`] cutoffs, so the
+    /// first pass probes only classes and relation tuples changed since
+    /// the capture (the leaves encoded after the restore) instead of
+    /// re-searching the whole graph. Byte-identity with the cold run rests
+    /// on the same invariants as every other delta path — semi-naive
+    /// completeness plus content-based extraction tie-breaks — and holds
+    /// only when the snapshot came from a **saturated** run of the **same
+    /// rules**.
     #[allow(clippy::too_many_arguments)]
     pub fn run_phased_in<L: Language, N: Analysis<L>>(
         &self,
@@ -1026,7 +972,9 @@ mod tests {
             ..Budget::none()
         };
         let runner = Runner::new(1000, usize::MAX);
-        let report = runner.run_phased_budgeted(&mut eg, &[successor_rule()], &[], 1000, budget);
+        let rules = [successor_rule()];
+        let scratch = &mut MatchScratch::new();
+        let report = runner.run_phased_in(&mut eg, &rules, &[], 1000, budget, None, scratch);
         assert!(report.deadline_hit);
         assert!(!report.saturated);
     }

@@ -531,7 +531,7 @@ proptest! {
         for &id in &earlier_ids {
             let _ = shared.extract(id);
         }
-        let used_tables = Box::new(shared).into_scratch();
+        let used_tables = shared.into_scratch();
         eg.clear();
         prop_assert!(eg.is_empty() && eg.is_clean());
         prop_assert_eq!((eg.num_nodes(), eg.id_bound(), eg.work_epoch()), (0, 0, 1));
@@ -563,7 +563,7 @@ proptest! {
             prop_assert_eq!(reused.cost_of(id), reference.cost_of(id));
             prop_assert_eq!(reused.extract(id).nodes(), reference.extract(id).nodes());
         }
-        let again = WorklistExtractor::with_scratch(&eg, AstSize, Box::new(reused).into_scratch());
+        let again = WorklistExtractor::with_scratch(&eg, AstSize, reused.into_scratch());
         for &id in &ids {
             prop_assert_eq!(again.extract(id).nodes(), reference.extract(id).nodes());
         }

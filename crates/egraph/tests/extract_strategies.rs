@@ -1,15 +1,15 @@
-//! The extraction strategy API's cross-strategy contracts:
+//! The extraction strategies' cross-strategy contracts:
 //!
 //! * cyclic classes (`x = f(x)`) extract through their acyclic members
-//!   under **all three** strategies;
+//!   under **both** strategies;
 //! * equal-cost tie-breaks are deterministic: the worklist and
 //!   shared-table strategies are *content*-deterministic (identical terms
-//!   from differently-id'd graphs holding the same equivalences), and the
-//!   dag-cost strategy is run-deterministic (same graph → same term);
+//!   from differently-id'd graphs holding the same equivalences);
 //! * property test: on randomized saturated graphs, every root's
 //!   shared-table readout is byte-identical to the worklist readout and
-//!   the two report the same cost — the oracle that lets the selector's
-//!   batched mode switch strategies without changing a single output byte;
+//!   the two report the same cost — the oracle that keeps the `benchmark/`
+//!   package's staged path (shared-table on batched graphs) comparable
+//!   with compile sessions (worklist everywhere);
 //! * property test: the worklist strategy's dense tables and per-class
 //!   tie-break ranks choose, class by class, what the reference solver —
 //!   hash maps, and a recursive, pairwise-memoized content comparison —
@@ -22,8 +22,7 @@ use std::cmp::Ordering;
 use std::collections::HashMap;
 
 use hb_egraph::extract::{
-    AstSize, CostFunction, DagCostExtractor, Extract, FnCost, SharedTableExtractor,
-    WorklistExtractor,
+    AstSize, CostFunction, Extract, FnCost, SharedTableExtractor, WorklistExtractor,
 };
 use hb_egraph::language::Language;
 use hb_egraph::math_lang::{n, pdiv, pmul, pvar, Math};
@@ -92,7 +91,6 @@ fn cyclic_classes_extract_under_every_strategy() {
     let strategies: Vec<Box<dyn Extract<Math> + '_>> = vec![
         Box::new(WorklistExtractor::new(&eg, AstSize)),
         Box::new(SharedTableExtractor::new(&eg, AstSize)),
-        Box::new(DagCostExtractor::new(&eg, AstSize)),
     ];
     for ex in &strategies {
         let name = ex.stats().strategy;
@@ -142,55 +140,6 @@ fn tree_strategies_break_ties_by_content_across_id_orders() {
     assert_eq!(s2.to_sexp(), w2.to_sexp(), "shared-table diverged (g2)");
 }
 
-#[test]
-fn dag_strategy_is_run_deterministic_on_ties() {
-    // Dag cost does not (and cannot cheaply) promise content determinism
-    // across id orders, but repeated runs over the same graph must agree —
-    // including on equal-dag-cost ties, which keep the tree-canonical
-    // incumbent.
-    let (g1, r1, _, _) = tied_graphs();
-    let first = DagCostExtractor::new(&g1, AstSize).extract(r1);
-    for _ in 0..3 {
-        let again = DagCostExtractor::new(&g1, AstSize).extract(r1);
-        assert_eq!(first.to_sexp(), again.to_sexp());
-    }
-    // And the tie falls where the tree strategy's content order fell.
-    let tree = WorklistExtractor::new(&g1, AstSize).extract(r1);
-    assert_eq!(first.to_sexp(), tree.to_sexp());
-}
-
-#[test]
-fn dag_strategy_flips_winners_only_when_sharing_pays() {
-    // Weight Sym high so subterm duplication matters: add = +(m, m) shares
-    // a 3-node subterm, div = /(p, q) needs two distinct ones. Tree costs
-    // tie at 11; dag cost prefers the shared form outright.
-    let cost = || {
-        FnCost(|node: &Math| match node {
-            Math::Sym(_) => 3,
-            _ => 1,
-        })
-    };
-    let mut eg = EG::new();
-    let a = eg.add(Math::Sym("a".into()));
-    let two = eg.add(Math::Num(2));
-    let m = eg.add(Math::Mul([a, two]));
-    let add = eg.add(Math::Add([m, m]));
-    let b = eg.add(Math::Sym("b".into()));
-    let three = eg.add(Math::Num(3));
-    let p = eg.add(Math::Mul([b, three]));
-    let c = eg.add(Math::Sym("c".into()));
-    let four = eg.add(Math::Num(4));
-    let q = eg.add(Math::Mul([c, four]));
-    let div = eg.add(Math::Div([p, q]));
-    eg.union(add, div);
-    eg.rebuild();
-    let tree = WorklistExtractor::new(&eg, cost());
-    assert_eq!(tree.cost_of(add), Some(11));
-    let dag = DagCostExtractor::new(&eg, cost());
-    assert_eq!(dag.cost_of(add), Some(6), "shared subterm charged once");
-    assert_eq!(dag.extract(add).to_sexp(), "(+ (* a 2) (* a 2))");
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -219,23 +168,6 @@ proptest! {
             prop_assert_eq!(
                 w.nodes(), s.nodes(),
                 "root {}: shared-table readout diverged", root
-            );
-        }
-        // The dag strategy must stay sound on the same roots: every
-        // extracted term re-imports into the root's own class, and its dag
-        // cost never exceeds the tree cost.
-        let dag = DagCostExtractor::new(&eg, AstSize);
-        for &root in &ids {
-            prop_assert_eq!(dag.cost_of(root).is_some(), worklist.cost_of(root).is_some());
-            let Some(dag_cost) = dag.cost_of(root) else { continue };
-            prop_assert!(dag_cost <= worklist.cost_of(root).unwrap());
-            let term = dag.extract(root);
-            let mut check = eg.clone();
-            let reimported = check.add_recexpr(&term);
-            check.rebuild();
-            prop_assert_eq!(
-                check.find(reimported), check.find(root),
-                "dag extraction {} left the class of {}", term.to_sexp(), root
             );
         }
     }

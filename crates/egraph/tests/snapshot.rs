@@ -17,6 +17,7 @@ use proptest::prelude::*;
 use hb_egraph::egraph::EGraph;
 use hb_egraph::extract::{AstSize, WorklistExtractor};
 use hb_egraph::math_lang::{pmul, pvar, Math};
+use hb_egraph::pattern::MatchScratch;
 use hb_egraph::rewrite::Rewrite;
 use hb_egraph::schedule::{Budget, Runner, WarmStart};
 use hb_egraph::snapshot::{SnapshotError, SNAPSHOT_VERSION};
@@ -136,13 +137,14 @@ proptest! {
         let bytes = eg.snapshot();
         let mut back = EG::restore(&bytes).expect("restore");
         let warm_cutoffs = WarmStart::capture(&mut back);
-        let warm = runner.run_phased_warm(
+        let warm = runner.run_phased_in(
             &mut back,
             &mul_rules(),
             &[],
             8,
             Budget::none(),
-            warm_cutoffs,
+            Some(warm_cutoffs),
+            &mut MatchScratch::new(),
         );
         prop_assert!(warm.saturated);
         prop_assert_eq!(warm.applied, 0, "nothing new to apply");
@@ -183,7 +185,15 @@ fn warm_start_matches_cold_and_probes_fewer_rows() {
     let cutoffs = WarmStart::capture(&mut warm_eg);
     let new_root = mul_chain(&mut warm_eg, 100, 4);
     warm_eg.rebuild();
-    let warm = runner.run_phased_warm(&mut warm_eg, &mul_rules(), &[], 16, Budget::none(), cutoffs);
+    let warm = runner.run_phased_in(
+        &mut warm_eg,
+        &mul_rules(),
+        &[],
+        16,
+        Budget::none(),
+        Some(cutoffs),
+        &mut MatchScratch::new(),
+    );
     assert!(warm.saturated);
     assert_eq!(warm.full_searches, 0, "warm rules only ever delta-search");
     assert!(

@@ -34,10 +34,9 @@ fn main() {
         .build()
         .expect("valid session");
     println!(
-        "session: target `{}`, {:?} batching, {:?} extraction\n",
+        "session: target `{}`, {:?} batching\n",
         session.target().name(),
-        session.batching(),
-        session.extraction_policy()
+        session.batching()
     );
 
     let reference = app.reference();
@@ -62,13 +61,9 @@ fn main() {
             );
             if let Some(ex) = &report.extraction {
                 println!(
-                    "  extraction: `{}` strategy, {} table entries, {} roots, \
-                     bank {} nodes ({} reused), readout {:?}",
-                    ex.strategy,
+                    "  extraction: {} table entries, {} roots, readout {:?}",
                     ex.table_entries,
                     ex.roots(),
-                    ex.bank_nodes,
-                    ex.reused_readouts,
                     ex.readout_time
                 );
             }

@@ -7,15 +7,21 @@
 //! The oracles run through the raw IR-level entry points
 //! (`Session::compile_ir` / `compile_ir_suite`: no cache, no panic
 //! isolation); `tests/session.rs` holds their `compile` / `compile_suite`
-//! counterparts.
+//! counterparts. The last test drives every shape of compile that shares
+//! the session's one compile unit — per-leaf, batched, exporting, warm,
+//! cancellable — over one suite.
 
 use hardboiled_repro::apps::conv1d::Conv1d;
 use hardboiled_repro::apps::conv2d::Conv2d;
 use hardboiled_repro::apps::gemm_wmma::GemmWmma;
 use hardboiled_repro::apps::matmul_amx::{AmxMatmul, Layout, Variant};
 use hardboiled_repro::apps::resample_int::{Downsample, Upsample};
+use hardboiled_repro::egraph::schedule::RunReport;
 use hardboiled_repro::hardboiled::postprocess::normalize_temps;
-use hardboiled_repro::hardboiled::{Batching, Session};
+use hardboiled_repro::hardboiled::{
+    Batching, CancelToken, CompileOutcome, CompileReport, ReportCache, Session,
+};
+use hardboiled_repro::ir::stmt::Stmt;
 use hardboiled_repro::lang::lower::lower;
 use hardboiled_repro::lang::Pipeline;
 
@@ -155,4 +161,87 @@ fn statements_without_movement_are_untouched_in_batched_mode() {
     assert_eq!(result.report.num_statements(), 0);
     assert!(result.report.batch.is_none());
     assert_eq!(result.program.to_string(), lowered.stmt.to_string());
+}
+
+#[test]
+fn every_compile_shape_runs_the_same_unit() {
+    // One three-program suite through the five shapes of compile that
+    // share `Session`'s one encode → saturate → extract unit. They differ
+    // in where the engine's report lands and in what happens besides
+    // selecting — never in what is selected or what it cost.
+    let lowereds = [
+        lower(&Conv1d { n: 512, k: 16 }.pipeline(true)).unwrap(),
+        lower(
+            &GemmWmma {
+                m: 32,
+                k: 32,
+                n: 32,
+            }
+            .pipeline(true),
+        )
+        .unwrap(),
+        lower(
+            &AmxMatmul::default()
+                .pipeline(Layout::Standard, Variant::Reference)
+                .unwrap(),
+        )
+        .unwrap(),
+    ];
+    let programs: Vec<_> = lowereds.iter().map(|l| (&l.stmt, &l.placements)).collect();
+    let texts = |programs: &[Stmt]| -> Vec<String> {
+        (programs.iter())
+            .map(|p| normalize_temps(&p.to_string()))
+            .collect()
+    };
+
+    let cache = std::sync::Arc::new(ReportCache::new(8));
+    let cached = Session::builder()
+        .batching(Batching::Batched)
+        .report_cache(std::sync::Arc::clone(&cache))
+        .build()
+        .unwrap();
+    let bypasses = || cache.stats().bypasses;
+
+    let per_leaf = session(Batching::PerLeaf).compile_ir_suite(&programs);
+    let batched = session(Batching::Batched).compile_ir_suite(&programs);
+    let before = bypasses();
+    let (exporting, snapshot) = cached.compile_ir_suite_exporting(&programs);
+    assert_eq!(bypasses(), before + 1, "an exporting compile bypasses once");
+    let snapshot = snapshot.expect("a saturated batched run exports its graph");
+    let (warm, rejection) = cached.compile_ir_suite_warm(&programs, &snapshot);
+    assert_eq!(bypasses(), before + 2, "a warm compile bypasses once");
+    assert_eq!(rejection, None);
+    assert!(warm.report.snapshot_restore.is_some());
+    let cancellable = session(Batching::Batched)
+        .compile_suite_cancellable(&lowereds, CancelToken::new())
+        .unwrap();
+    let cancelled: Vec<Stmt> = (cancellable.programs().unwrap())
+        .into_iter()
+        .cloned()
+        .collect();
+
+    // (shape, selected programs, report, whether one shared graph ran)
+    let shapes: [(&str, &[Stmt], &CompileReport, bool); 5] = [
+        ("per-leaf", &per_leaf.programs, &per_leaf.report, false),
+        ("batched", &batched.programs, &batched.report, true),
+        ("exporting", &exporting.programs, &exporting.report, true),
+        ("warm", &warm.programs, &warm.report, true),
+        ("cancellable", &cancelled, &cancellable.report, true),
+    ];
+    let reference = texts(&per_leaf.programs);
+    let reference_costs = &per_leaf.report.extraction.as_ref().unwrap().root_costs;
+    assert!(per_leaf.report.num_statements() > 3, "a suite with leaves");
+    for (shape, selected, report, shared) in &shapes {
+        assert_eq!(texts(selected), reference, "{shape}: programs differ");
+        assert_eq!(report.outcome, CompileOutcome::Saturated, "{shape}");
+        let extraction = report.extraction.as_ref().expect("leaves were extracted");
+        assert_eq!(&extraction.root_costs, reference_costs, "{shape}: costs");
+        assert_eq!(extraction.roots(), report.num_statements(), "{shape}");
+        assert_eq!(report.batch.is_some(), *shared, "{shape}: batch report");
+        // The engine's report lands in the statements exactly when each
+        // had a graph of its own.
+        for stmt in &report.stmts {
+            assert_eq!(stmt.eqsat == RunReport::default(), *shared, "{shape}");
+        }
+    }
 }

@@ -62,15 +62,7 @@ fn digest(result: &CompileResult) -> String {
     let stmts: Vec<_> = (report.stmts.iter())
         .map(|s| (&s.original, s.lowered, timeless(&s.eqsat)))
         .collect();
-    let extraction = report.extraction.as_ref().map(|e| {
-        (
-            e.strategy,
-            e.table_entries,
-            &e.root_costs,
-            e.bank_nodes,
-            e.reused_readouts,
-        )
-    });
+    let extraction = (report.extraction.as_ref()).map(|e| (e.table_entries, &e.root_costs));
     format!(
         "{}\n{:?}\n{stmts:#?}\n{:?}\n{extraction:?}\n{:?}",
         normalize_temps(&result.program.to_string()),

@@ -3,7 +3,7 @@
 //! lazy-rule-construction guarantee.
 
 use hardboiled_repro::accel::device::DeviceProfile;
-use hardboiled_repro::accel::target::{ExtractionPolicy, ScalarTarget, SimTarget, WmmaTarget};
+use hardboiled_repro::accel::target::{ScalarTarget, SimTarget, WmmaTarget};
 use hardboiled_repro::apps::conv1d::Conv1d;
 use hardboiled_repro::apps::gemm_wmma::GemmWmma;
 use hardboiled_repro::apps::matmul_amx::{AmxMatmul, Layout, Variant};
@@ -255,12 +255,12 @@ fn wmma_target_compiles_wmma_but_skips_amx_placements() {
 }
 
 // ---------------------------------------------------------------------------
-// Extraction strategies.
+// The extraction report.
 
 #[test]
-fn auto_policy_resolves_by_batching_mode() {
-    // Per-leaf sessions run the worklist strategy, batched sessions the
-    // shared-table strategy; the extraction report names which one ran.
+fn extraction_report_covers_every_root_in_both_modes_and_scalar_has_none() {
+    // Every saturated leaf is a root with a cost, whether it had a cost
+    // table of its own (per-leaf) or shared one (batched).
     let lowered = lower(&Conv1d { n: 512, k: 16 }.pipeline(true)).unwrap();
     let per_leaf = Session::default().compile(&lowered).unwrap();
     let extraction = per_leaf
@@ -268,7 +268,6 @@ fn auto_policy_resolves_by_batching_mode() {
         .extraction
         .as_ref()
         .expect("saturated → report");
-    assert_eq!(extraction.strategy, "worklist");
     assert_eq!(extraction.roots(), per_leaf.report.num_statements());
     assert!(extraction.table_entries > 0);
     assert!(extraction.root_costs.iter().all(Option::is_some));
@@ -278,13 +277,14 @@ fn auto_policy_resolves_by_batching_mode() {
         .build()
         .unwrap();
     let result = batched.compile(&lowered).unwrap();
-    let extraction = result
+    let shared = result
         .report
         .extraction
         .as_ref()
         .expect("saturated → report");
-    assert_eq!(extraction.strategy, "shared-table");
-    assert!(extraction.bank_nodes > 0);
+    assert_eq!(shared.roots(), result.report.num_statements());
+    assert!(shared.table_entries > 0);
+    assert_eq!(shared.root_costs, extraction.root_costs);
     // No-leaf compiles have no extraction stage at all.
     let scalar = Session::builder()
         .target(ScalarTarget::new())
@@ -296,83 +296,6 @@ fn auto_policy_resolves_by_batching_mode() {
         .report
         .extraction
         .is_none());
-}
-
-#[test]
-fn shared_table_matches_worklist_per_root_on_suites() {
-    // The Session-native equivalence oracle for the strategy redesign: a
-    // batched suite read out through the shared table must be
-    // byte-identical to the same suite forced onto per-root worklist
-    // readouts, per program and per statement.
-    let sources = vec![
-        lower(&Conv1d { n: 512, k: 16 }.pipeline(true)).unwrap(),
-        lower(&Conv1d { n: 512, k: 32 }.pipeline_tc_unrolled()).unwrap(),
-        lower(
-            &GemmWmma {
-                m: 32,
-                k: 32,
-                n: 32,
-            }
-            .pipeline(true),
-        )
-        .unwrap(),
-    ];
-    let shared = Session::builder()
-        .batching(Batching::Batched)
-        .extractor(ExtractionPolicy::SharedTable)
-        .build()
-        .unwrap();
-    let worklist = Session::builder()
-        .batching(Batching::Batched)
-        .extractor(ExtractionPolicy::Worklist)
-        .build()
-        .unwrap();
-    let a = shared.compile_suite(&sources).unwrap();
-    let b = worklist.compile_suite(&sources).unwrap();
-    let a_programs = a.programs().expect("shared-table suite fully compiled");
-    let b_programs = b.programs().expect("worklist suite fully compiled");
-    for (i, (sa, sb)) in a_programs.iter().zip(&b_programs).enumerate() {
-        assert_eq!(
-            normalize_temps(&sa.to_string()),
-            normalize_temps(&sb.to_string()),
-            "program {i}: shared-table readout diverged from worklist"
-        );
-    }
-    let ea = a.report.extraction.unwrap();
-    let eb = b.report.extraction.unwrap();
-    assert_eq!(ea.strategy, "shared-table");
-    assert_eq!(eb.strategy, "worklist");
-    assert_eq!(ea.root_costs, eb.root_costs, "per-root costs diverged");
-    // The unrolled conv multiplies structurally identical leaves — the
-    // bank must have served repeated sub-dags instead of re-deriving them.
-    assert!(ea.reused_readouts > 0, "shared table never reused anything");
-    assert_eq!(eb.reused_readouts, 0, "worklist has no bank to reuse");
-}
-
-#[test]
-fn dag_cost_strategy_is_a_session_plugin() {
-    let lowered = lower(&Conv1d { n: 512, k: 16 }.pipeline(true)).unwrap();
-    let session = Session::builder()
-        .extractor(ExtractionPolicy::DagCost)
-        .build()
-        .unwrap();
-    assert_eq!(session.extraction_policy(), ExtractionPolicy::DagCost);
-    let result = session.compile(&lowered).unwrap();
-    let extraction = result
-        .report
-        .extraction
-        .as_ref()
-        .expect("saturated → report");
-    assert_eq!(extraction.strategy, "dag-cost");
-    // Charging shared subterms once must not un-lower the conv: intrinsic
-    // forms stay far below the movement penalty under either objective.
-    assert!(result.report.all_lowered());
-    // Dag costs price each root at no more than its tree cost.
-    let tree = Session::default().compile(&lowered).unwrap();
-    let tree_costs = tree.report.extraction.unwrap().root_costs;
-    for (dag, tree) in extraction.root_costs.iter().zip(&tree_costs) {
-        assert!(dag.unwrap() <= tree.unwrap(), "dag {dag:?} > tree {tree:?}");
-    }
 }
 
 // The lazy-rule-construction regression test lives in its own binary,
@@ -422,6 +345,79 @@ fn suite_compilation_matches_per_program_compilation() {
             .count(),
         2
     );
+}
+
+/// A suite member that either lowered (`Some`) or did not.
+struct Source(Option<hardboiled::Program>);
+
+impl hardboiled::IntoProgram for Source {
+    fn to_program(&self) -> Result<hardboiled::Program, CompileError> {
+        let lowered = self.0.clone();
+        lowered.ok_or_else(|| CompileError::Lower("no bounds".into()))
+    }
+}
+
+#[test]
+fn isolated_suite_reports_like_the_shared_path() {
+    // One unlowerable member sends the whole suite down the isolated path
+    // (one compile per program). What the survivors and the suite report
+    // must not depend on which path ran: each program's front-end notes on
+    // its own report, the units' stage timings in the suite's.
+    use hardboiled::IntoProgram;
+    let mut programs = [
+        lower(&Conv1d { n: 512, k: 16 }.pipeline(true)).unwrap(),
+        lower(
+            &GemmWmma {
+                m: 32,
+                k: 32,
+                n: 32,
+            }
+            .pipeline(true),
+        )
+        .unwrap(),
+    ]
+    .map(|lowered| lowered.to_program().unwrap());
+    for (i, program) in programs.iter_mut().enumerate() {
+        program.notes.push(format!("front-end note {i}"));
+    }
+    let session = Session::builder()
+        .batching(Batching::Batched)
+        .build()
+        .unwrap();
+    let clean = session.compile_suite(&programs).unwrap();
+    let clean_programs = clean.programs().expect("clean suite fully compiled");
+
+    let [first, second] = programs.clone();
+    let sources = [Source(Some(first)), Source(None), Source(Some(second))];
+    let suite = session.compile_suite(&sources).unwrap();
+    assert_eq!(suite.errors(), 1);
+    assert_eq!(
+        suite.results[1].as_ref().unwrap_err(),
+        &CompileError::Lower("no bounds".into())
+    );
+    for (slot, nth) in [(0, 0), (2, 1)] {
+        let survivor = suite.results[slot].as_ref().expect("lowered → compiled");
+        assert_eq!(
+            survivor.report.notes, programs[nth].notes,
+            "program {nth}: its own front-end notes, as on the shared path"
+        );
+        assert_eq!(
+            normalize_temps(&survivor.program.to_string()),
+            normalize_temps(&clean_programs[nth].to_string()),
+            "program {nth}: isolated selection diverged from the clean suite's"
+        );
+    }
+    let notes: Vec<String> = programs.iter().flat_map(|p| p.notes.clone()).collect();
+    assert_eq!(suite.report.notes, notes);
+    assert_eq!(suite.report.notes, clean.report.notes);
+    assert_eq!(suite.report.num_statements(), clean.report.num_statements());
+    // Every unit encoded, saturated, extracted and spliced; the suite
+    // report says so.
+    let stages = suite.report.stages;
+    let zero = std::time::Duration::ZERO;
+    assert!(stages.encode > zero && stages.saturate > zero);
+    assert!(stages.extract > zero && stages.splice > zero);
+    assert_eq!(suite.report.eqsat_time, stages.saturate);
 }
 
 // ---------------------------------------------------------------------------
