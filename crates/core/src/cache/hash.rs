@@ -215,7 +215,7 @@ fn cost_probe_nodes() -> Vec<HbLang> {
         HbLang::Bcast([Id(0), Id(1)]),
         HbLang::Load([Id(0), Id(1), Id(2)]),
         HbLang::Vra([Id(0), Id(1)]),
-        HbLang::Call("tile_matmul".into(), vec![Id(0)]),
+        HbLang::call("tile_matmul", [Id(0)]),
         HbLang::ExprVar([Id(0)]),
         HbLang::StoreS([Id(0), Id(1), Id(2)]),
         HbLang::EvalS([Id(0)]),

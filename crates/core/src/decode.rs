@@ -51,7 +51,7 @@ fn decode_ty(rec: &RecExpr<HbLang>, id: Id) -> Result<Type, DecodeError> {
 
 fn decode_str(rec: &RecExpr<HbLang>, id: Id) -> Result<String, DecodeError> {
     match rec.node(id) {
-        HbLang::Str(s) => Ok(s.clone()),
+        HbLang::Str(s) => Ok(s.to_string()),
         // Materialization markers may stand where a buffer name is expected;
         // post-processing replaces them before execution.
         other => Err(DecodeError(format!(
@@ -65,11 +65,11 @@ fn at(rec: &RecExpr<HbLang>, id: Id) -> Result<Expr, DecodeError> {
     match rec.node(id) {
         HbLang::Num(v) => Ok(Expr::IntImm(*v)),
         HbLang::Flt(bits, st) => Ok(Expr::FloatImm(f64::from_bits(*bits), *st)),
-        HbLang::VarE(name) => Ok(Expr::Var(name.clone(), hb_ir::types::ScalarType::I32)),
+        HbLang::VarE(name) => Ok(Expr::Var(name.to_string(), hb_ir::types::ScalarType::I32)),
         HbLang::Str(name) => {
             // Buffer references inside intrinsic argument positions decode to
             // int32 vars carrying the buffer name (the exec convention).
-            Ok(Expr::Var(name.clone(), hb_ir::types::ScalarType::I32))
+            Ok(Expr::Var(name.to_string(), hb_ir::types::ScalarType::I32))
         }
         HbLang::Ty(..) | HbLang::MultiplyLanes(_) => {
             Err(DecodeError("type node in expression position".to_string()))
@@ -116,7 +116,7 @@ fn at(rec: &RecExpr<HbLang>, id: Id) -> Result<Expr, DecodeError> {
                 .collect::<Result<Vec<_>, _>>()?;
             Ok(Expr::Call {
                 ty,
-                name: name.clone(),
+                name: name.to_string(),
                 args,
             })
         }

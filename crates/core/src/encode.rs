@@ -24,7 +24,7 @@ pub fn encode_expr(eg: &mut HbGraph, e: &Expr) -> Id {
     match e {
         Expr::IntImm(v) => eg.add(HbLang::Num(*v)),
         Expr::FloatImm(v, st) => eg.add(HbLang::Flt(v.to_bits(), *st)),
-        Expr::Var(name, _) => eg.add(HbLang::VarE(name.clone())),
+        Expr::Var(name, _) => eg.add(HbLang::VarE(name.into())),
         Expr::Cast(ty, v) => {
             let t = add_type(eg, *ty);
             let v = encode_expr(eg, v);
@@ -58,7 +58,7 @@ pub fn encode_expr(eg: &mut HbGraph, e: &Expr) -> Id {
         }
         Expr::Load { ty, buffer, index } => {
             let t = add_type(eg, *ty);
-            let n = eg.add(HbLang::Str(buffer.clone()));
+            let n = eg.add(HbLang::Str(buffer.into()));
             let i = encode_expr(eg, index);
             eg.add(HbLang::Load([t, n, i]))
         }
@@ -69,11 +69,13 @@ pub fn encode_expr(eg: &mut HbGraph, e: &Expr) -> Id {
         }
         Expr::Call { ty, name, args } => {
             let t = add_type(eg, *ty);
-            let mut children = vec![t];
+            // Exactly sized: the node keeps it as a boxed slice.
+            let mut children = Vec::with_capacity(1 + args.len());
+            children.push(t);
             for a in args {
                 children.push(encode_expr(eg, a));
             }
-            eg.add(HbLang::Call(name.clone(), children))
+            eg.add(HbLang::call(name, children))
         }
         Expr::LocToLoc { from, to, value } => {
             let v = encode_expr(eg, value);
@@ -95,7 +97,7 @@ pub fn encode_stmt(eg: &mut HbGraph, s: &Stmt) -> Id {
             index,
             value,
         } => {
-            let n = eg.add(HbLang::Str(buffer.clone()));
+            let n = eg.add(HbLang::Str(buffer.into()));
             let i = encode_expr(eg, index);
             let v = encode_expr(eg, value);
             eg.add(HbLang::StoreS([n, i, v]))
@@ -127,7 +129,7 @@ pub fn pnum(v: i64) -> Pattern<HbLang> {
 /// Buffer-name pattern.
 #[must_use]
 pub fn pstr(s: &str) -> Pattern<HbLang> {
-    Pattern::Node(HbLang::Str(s.to_string()), vec![])
+    Pattern::Node(HbLang::Str(s.into()), vec![])
 }
 
 /// Type pattern with a lanes subpattern.
@@ -208,7 +210,7 @@ pub fn ploc(from: Location, to: Location, v: Pattern<HbLang>) -> Pattern<HbLang>
 #[must_use]
 pub fn pcall(name: &str, children: Vec<Pattern<HbLang>>) -> Pattern<HbLang> {
     let n = children.len();
-    Pattern::Node(HbLang::Call(name.to_string(), vec![Id(0); n]), children)
+    Pattern::Node(HbLang::call(name, vec![Id(0); n]), children)
 }
 
 /// Store-statement pattern.

@@ -4,10 +4,46 @@
 //! e-nodes rather than payloads, exactly as in egglog, so pattern variables
 //! can bind lane counts and rule actions can compute new ones (the
 //! `MultiplyLanes` idiom of the paper's supporting rules).
+//!
+//! # Names are [`Symbol`]s
+//!
+//! Buffer, variable and intrinsic names sit in e-nodes as a [`Symbol`]: a
+//! 4-byte index into one process-wide, append-only table of distinct names.
+//! With call arguments in a boxed slice that makes an [`HbLang`] 24 bytes
+//! (48 with `String` / `Vec<Id>`), and the saturation loop — which copies a
+//! node into its class, the memo and one parent entry per child on every
+//! insert, and hashes and compares it on every lookup — never touches a
+//! `String`: symbol equality, hashing and [`Language::matches_op`] are
+//! integer operations that read no table and take no lock.
+//!
+//! The table is process-wide because everything that names a node is
+//! context-free: [`Language::op_key`], the derived `Ord`, `Display` and the
+//! snapshot codec take no context argument, and a session's rule patterns
+//! are built once and must equal nodes of every pooled graph (and of every
+//! graph of every other session of a service). It grows with the distinct
+//! identifiers the process has compiled and never shrinks — under a hundred
+//! bytes plus the name per identifier ([`Symbol::interned`] is exported as
+//! the `core.symbols.interned` gauge).
+//!
+//! A symbol's *number* depends on what the process compiled before, so
+//! nothing that can reach a selected program may read it: `Ord` (class node
+//! lists are sorted, which fixes match order) compares the names when the
+//! symbols differ, and `op_key` (extraction tie-breaks and every per-op
+//! table are ordered by it) finishes a hasher that was primed with the
+//! name when it was interned. Programs, node order and every deterministic
+//! count are therefore functions of the names alone, and the snapshot wire
+//! format keeps writing strings.
 
+use std::cmp::Ordering;
+use std::collections::HashMap;
+use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::mem::discriminant;
+use std::ops::Deref;
+use std::sync::{LazyLock, Mutex, OnceLock};
 
 use hb_egraph::egraph::{Analysis, EGraph};
+use hb_egraph::hash::WordHasher;
 use hb_egraph::language::{op_hasher, Language};
 use hb_egraph::snapshot::{
     SnapshotAnalysis, SnapshotError, SnapshotNode, SnapshotReader, SnapshotWriter,
@@ -15,6 +51,150 @@ use hb_egraph::snapshot::{
 use hb_egraph::unionfind::Id;
 use hb_ir::expr::BinOp;
 use hb_ir::types::{Location, ScalarType};
+
+/// An interned name (see the module docs): equal names, equal symbols.
+///
+/// `Eq`, `Hash` and `Clone` work on the 4-byte index alone; `Ord`,
+/// `Display` and `Deref<Target = str>` go through the name.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Symbol(u32);
+
+/// One interned name and what [`Language::op_key`] needs of it.
+struct SymbolEntry {
+    name: &'static str,
+    /// [`op_hasher`]s that have hashed the discriminant of
+    /// [`HbLang::Str`], [`HbLang::VarE`] and [`HbLang::Call`] (in that
+    /// order) and then `name`, so an op key costs no pass over the string.
+    primed: [WordHasher; 3],
+}
+
+/// Name → symbol; the lock every [`Symbol::from`] takes, and the only one.
+static SYMBOLS: LazyLock<Mutex<HashMap<&'static str, Symbol>>> = LazyLock::new(Mutex::default);
+
+/// Symbol → entry, readable without a lock: chunk `c` holds
+/// `FIRST_CHUNK << c` write-once slots and is allocated when its first
+/// symbol is interned, so no entry ever moves.
+static ENTRIES: [OnceLock<Box<[OnceLock<SymbolEntry>]>>; NUM_CHUNKS] =
+    [const { OnceLock::new() }; NUM_CHUNKS];
+const FIRST_CHUNK: usize = 64;
+const NUM_CHUNKS: usize = (u32::BITS - FIRST_CHUNK.ilog2() + 1) as usize;
+
+const SYMBOLS_LOCK: &str = "the symbol table lock is held across no panic";
+
+impl Symbol {
+    /// Chunk and offset of the entry of symbol number `index`.
+    fn slot(index: u32) -> (usize, usize) {
+        let i = index as usize + FIRST_CHUNK;
+        let chunk = (i.ilog2() - FIRST_CHUNK.ilog2()) as usize;
+        (chunk, i - (FIRST_CHUNK << chunk))
+    }
+
+    fn intern(name: &str) -> Symbol {
+        let mut symbols = SYMBOLS.lock().expect(SYMBOLS_LOCK);
+        if let Some(&symbol) = symbols.get(name) {
+            return symbol;
+        }
+        let index = u32::try_from(symbols.len()).expect("fewer than 2^32 distinct names");
+        // Names live as long as the process: the table is append-only.
+        let name: &'static str = Box::leak(name.into());
+        let primed = [
+            HbLang::Str(Symbol(index)),
+            HbLang::VarE(Symbol(index)),
+            HbLang::Call(Symbol(index), Box::default()),
+        ]
+        .map(|variant| {
+            let mut h = op_hasher();
+            discriminant(&variant).hash(&mut h);
+            name.hash(&mut h);
+            h
+        });
+        let (chunk, offset) = Symbol::slot(index);
+        let slots = ENTRIES[chunk]
+            .get_or_init(|| (0..FIRST_CHUNK << chunk).map(|_| OnceLock::new()).collect());
+        assert!(
+            slots[offset].set(SymbolEntry { name, primed }).is_ok(),
+            "a slot is written once, under the symbol table lock"
+        );
+        symbols.insert(name, Symbol(index));
+        Symbol(index)
+    }
+
+    fn entry(self) -> &'static SymbolEntry {
+        let (chunk, offset) = Symbol::slot(self.0);
+        ENTRIES[chunk]
+            .get()
+            .and_then(|slots| slots[offset].get())
+            .expect("a symbol is handed out after its entry is written")
+    }
+
+    /// The name.
+    #[must_use]
+    pub fn as_str(self) -> &'static str {
+        self.entry().name
+    }
+
+    /// How many distinct names this process has interned.
+    #[must_use]
+    pub fn interned() -> usize {
+        SYMBOLS.lock().expect(SYMBOLS_LOCK).len()
+    }
+}
+
+impl From<&str> for Symbol {
+    fn from(name: &str) -> Self {
+        Symbol::intern(name)
+    }
+}
+
+impl From<&String> for Symbol {
+    fn from(name: &String) -> Self {
+        Symbol::intern(name)
+    }
+}
+
+impl From<String> for Symbol {
+    fn from(name: String) -> Self {
+        Symbol::intern(&name)
+    }
+}
+
+impl Deref for Symbol {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl Ord for Symbol {
+    /// By name: a symbol's number depends on interning order (see the
+    /// module docs).
+    fn cmp(&self, other: &Self) -> Ordering {
+        if self == other {
+            Ordering::Equal
+        } else {
+            self.as_str().cmp(other.as_str())
+        }
+    }
+}
+
+impl PartialOrd for Symbol {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl fmt::Display for Symbol {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
+impl fmt::Debug for Symbol {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
 
 /// E-nodes of the HARDBOILED internal representation.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -24,9 +204,9 @@ pub enum HbLang {
     /// Float literal (bits) with element type.
     Flt(u64, ScalarType),
     /// String literal: buffer names.
-    Str(String),
+    Str(Symbol),
     /// Scalar variable (loop vars).
-    VarE(String),
+    VarE(Symbol),
     /// Vector type: element tag + lane-count child (a `Num`).
     Ty(ScalarType, [Id; 1]),
     /// Deferred lane multiplication over a type (supporting rules rewrite to
@@ -47,7 +227,7 @@ pub enum HbLang {
     /// `vector_reduce_add(out_lanes, value)`.
     Vra([Id; 2]),
     /// Intrinsic call; children are `[result_ty, args…]`.
-    Call(String, Vec<Id>),
+    Call(Symbol, Box<[Id]>),
     /// `loc_to_loc` data movement.
     Loc(Location, Location, [Id; 1]),
     /// Pointer to a temporary buffer holding the evaluated expression
@@ -57,6 +237,15 @@ pub enum HbLang {
     StoreS([Id; 3]),
     /// An evaluate statement as a term.
     EvalS([Id; 1]),
+}
+
+impl HbLang {
+    /// An intrinsic call node; `children` are `[result_ty, args…]`. From an
+    /// array and an already interned name this is one allocation.
+    #[must_use]
+    pub fn call(name: impl Into<Symbol>, children: impl Into<Box<[Id]>>) -> Self {
+        HbLang::Call(name.into(), children.into())
+    }
 }
 
 impl Language for HbLang {
@@ -88,7 +277,12 @@ impl Language for HbLang {
         }
     }
 
+    #[inline]
     fn matches_op(&self, other: &Self) -> bool {
+        // Most candidates the matcher offers differ in the operator itself.
+        if discriminant(self) != discriminant(other) {
+            return false;
+        }
         match (self, other) {
             (HbLang::Num(a), HbLang::Num(b)) => a == b,
             (HbLang::Flt(a, sa), HbLang::Flt(b, sb)) => a == b && sa == sb,
@@ -116,7 +310,7 @@ impl Language for HbLang {
             HbLang::Num(v) => v.to_string(),
             HbLang::Flt(bits, st) => format!("{}{st}", f64::from_bits(*bits)),
             HbLang::Str(s) => format!("{s:?}"),
-            HbLang::VarE(v) => v.clone(),
+            HbLang::VarE(v) => v.to_string(),
             HbLang::Ty(st, _) => format!("{st}"),
             HbLang::MultiplyLanes(_) => "MultiplyLanes".into(),
             HbLang::Cast(_) => "Cast".into(),
@@ -126,7 +320,7 @@ impl Language for HbLang {
             HbLang::Bcast(_) => "Broadcast".into(),
             HbLang::Load(_) => "Load".into(),
             HbLang::Vra(_) => "VectorReduceAdd".into(),
-            HbLang::Call(name, _) => name.clone(),
+            HbLang::Call(name, _) => name.to_string(),
             HbLang::Loc(f, t, _) => format!("{f}2{t}"),
             HbLang::ExprVar(_) => "ExprVar".into(),
             HbLang::StoreS(_) => "Store".into(),
@@ -138,26 +332,35 @@ impl Language for HbLang {
         // Discriminant + payload (never children), mirroring `matches_op`:
         // two nodes that match ops always produce the same key, so the
         // e-graph's operator index can stand in for a matches_op pre-filter.
-        let mut h = op_hasher();
-        std::mem::discriminant(self).hash(&mut h);
+        // A name enters through the hasher primed with it at interning —
+        // the value hashing the string here would give, and never the
+        // symbol's number.
+        let mut h = match self {
+            HbLang::Str(s) => s.entry().primed[0],
+            HbLang::VarE(s) => s.entry().primed[1],
+            HbLang::Call(name, _) => name.entry().primed[2],
+            _ => {
+                let mut h = op_hasher();
+                discriminant(self).hash(&mut h);
+                h
+            }
+        };
         match self {
             HbLang::Num(v) => v.hash(&mut h),
             HbLang::Flt(bits, st) => {
                 bits.hash(&mut h);
                 st.hash(&mut h);
             }
-            HbLang::Str(s) | HbLang::VarE(s) => s.hash(&mut h),
             HbLang::Ty(st, _) => st.hash(&mut h),
             HbLang::Bin(op, _) => op.hash(&mut h),
-            HbLang::Call(name, args) => {
-                name.hash(&mut h);
-                args.len().hash(&mut h);
-            }
+            HbLang::Call(_, args) => args.len().hash(&mut h),
             HbLang::Loc(from, to, _) => {
                 from.hash(&mut h);
                 to.hash(&mut h);
             }
-            HbLang::MultiplyLanes(_)
+            HbLang::Str(_)
+            | HbLang::VarE(_)
+            | HbLang::MultiplyLanes(_)
             | HbLang::Cast(_)
             | HbLang::Select(_)
             | HbLang::Ramp(_)
@@ -351,8 +554,8 @@ impl SnapshotNode for HbLang {
                 let bits = r.u64()?;
                 HbLang::Flt(bits, scalar_type_from_tag(r.u8()?)?)
             }
-            2 => HbLang::Str(r.str()?),
-            3 => HbLang::VarE(r.str()?),
+            2 => HbLang::Str(r.str()?.into()),
+            3 => HbLang::VarE(r.str()?.into()),
             4 => {
                 let st = scalar_type_from_tag(r.u8()?)?;
                 HbLang::Ty(st, read_ids(r)?)
@@ -371,8 +574,8 @@ impl SnapshotNode for HbLang {
             13 => {
                 let name = r.str()?;
                 let n = r.len()?;
-                let args = (0..n).map(|_| r.id()).collect::<Result<Vec<_>, _>>()?;
-                HbLang::Call(name, args)
+                let args = (0..n).map(|_| r.id()).collect::<Result<Box<[_]>, _>>()?;
+                HbLang::Call(name.into(), args)
             }
             14 => {
                 let from = location_from_tag(r.u8()?)?;
@@ -594,6 +797,13 @@ pub fn const_int(egraph: &HbGraph, id: Id) -> Option<i64> {
 mod tests {
     use super::*;
 
+    // `op_key`s of `Str("acc")`, `VarE("i")` and a four-child
+    // `Call("tile_matmul", …)` as the `String` / `Vec<Id>` representation
+    // computed them.
+    const PINNED_STR_ACC: u64 = 0x7521_13f9_fdaa_bae6;
+    const PINNED_VAR_I: u64 = 0xf7ac_d2a2_1125_7359;
+    const PINNED_CALL_TILE_MATMUL_4: u64 = 0xaac9_4679_ca6a_518f;
+
     #[test]
     fn constants_propagate_through_broadcasts() {
         let mut eg = HbGraph::default();
@@ -669,7 +879,7 @@ mod tests {
             HbLang::Bcast([Id(7), Id(8)]),
             HbLang::Load([Id(1), Id(2), Id(3)]),
             HbLang::Vra([Id(9), Id(10)]),
-            HbLang::Call("tile_matmul".into(), vec![Id(1), Id(2), Id(3), Id(4)]),
+            HbLang::call("tile_matmul", [Id(1), Id(2), Id(3), Id(4)]),
             HbLang::Loc(Location::Mem, Location::Wmma, [Id(11)]),
             HbLang::ExprVar([Id(12)]),
             HbLang::StoreS([Id(1), Id(2), Id(3)]),
@@ -714,6 +924,105 @@ mod tests {
             HbLang::read_node(&mut r),
             Err(SnapshotError::Corrupt(_))
         ));
+    }
+
+    #[test]
+    fn nodes_are_three_words_and_symbols_one_u32() {
+        // What `EGraph::add` copies 2 + arity times per new node.
+        assert!(std::mem::size_of::<HbLang>() <= 24);
+        assert_eq!(std::mem::size_of::<Symbol>(), 4);
+    }
+
+    /// The parent representation's key: discriminant, then the name as a
+    /// `str`, then (for calls) the arity — a function of the string alone.
+    fn key_from_content(variant: &HbLang, name: &str, arity: Option<usize>) -> u64 {
+        let mut h = op_hasher();
+        discriminant(variant).hash(&mut h);
+        name.hash(&mut h);
+        if let Some(n) = arity {
+            n.hash(&mut h);
+        }
+        h.finish()
+    }
+
+    #[test]
+    fn op_keys_of_named_nodes_come_from_the_name_alone() {
+        // Interned between other names, so the three get no particular
+        // numbers; the pinned values are what `String`-carrying nodes
+        // hashed to.
+        let _ = Symbol::from("op-key-test-filler-0");
+        let acc = HbLang::Str("acc".into());
+        let _ = Symbol::from("op-key-test-filler-1");
+        let i = HbLang::VarE("i".into());
+        let matmul = HbLang::call("tile_matmul", [Id(1), Id(2), Id(3), Id(4)]);
+        assert_eq!(acc.op_key(), key_from_content(&acc, "acc", None));
+        assert_eq!(i.op_key(), key_from_content(&i, "i", None));
+        assert_eq!(
+            matmul.op_key(),
+            key_from_content(&matmul, "tile_matmul", Some(4))
+        );
+        assert_eq!(acc.op_key(), PINNED_STR_ACC);
+        assert_eq!(i.op_key(), PINNED_VAR_I);
+        assert_eq!(matmul.op_key(), PINNED_CALL_TILE_MATMUL_4);
+        // Same name, different variant or arity: different operators.
+        assert_ne!(acc.op_key(), HbLang::VarE("acc".into()).op_key());
+        assert_ne!(
+            matmul.op_key(),
+            HbLang::call("tile_matmul", [Id(1)]).op_key()
+        );
+        assert!(!matmul.matches_op(&HbLang::call("tile_matmul", [Id(1)])));
+    }
+
+    #[test]
+    fn symbols_order_and_print_by_name() {
+        // Interned in descending order: numbers and names disagree.
+        let names = ["sym-order-zz", "sym-order-m", "sym-order-a"];
+        let symbols: Vec<Symbol> = names.iter().map(|&n| n.into()).collect();
+        assert!(symbols[0].0 < symbols[1].0 && symbols[1].0 < symbols[2].0);
+        assert!(symbols[0] > symbols[1] && symbols[1] > symbols[2]);
+        assert!(HbLang::Str(symbols[0]) > HbLang::Str(symbols[2]));
+        assert_eq!(symbols[1], Symbol::from(String::from("sym-order-m")));
+        assert_eq!(symbols[1].to_string(), "sym-order-m");
+        assert_eq!(format!("{:?}", symbols[1]), "\"sym-order-m\"");
+        assert_eq!(HbLang::Str(symbols[1]).op_name(), "\"sym-order-m\"");
+        assert_eq!(&*symbols[2], "sym-order-a");
+    }
+
+    #[test]
+    fn concurrent_interning_agrees_on_every_name() {
+        // Eight threads, released together, each interning a window of a
+        // shared name list wide enough to cross the first chunks: names in
+        // several windows must get one symbol whichever thread wins.
+        const THREADS: usize = 8;
+        let names: Vec<String> = (0..400).map(|i| format!("concurrent-sym-{i}")).collect();
+        let before = Symbol::interned();
+        let barrier = std::sync::Barrier::new(THREADS);
+        let per_thread: Vec<Vec<(usize, Symbol)>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let (names, barrier) = (&names, &barrier);
+                    s.spawn(move || {
+                        barrier.wait();
+                        (t * 40..t * 40 + 120)
+                            .map(|i| (i, Symbol::from(&names[i])))
+                            .collect()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("interning does not panic"))
+                .collect()
+        });
+        let mut by_name = vec![None; names.len()];
+        for (i, symbol) in per_thread.into_iter().flatten() {
+            assert_eq!(symbol.as_str(), names[i]);
+            assert_eq!(*by_name[i].get_or_insert(symbol), symbol, "{}", names[i]);
+            assert_eq!(Symbol::from(names[i].as_str()), symbol);
+        }
+        assert!(by_name.iter().all(Option::is_some));
+        // Other tests intern too; these 400 were all new.
+        assert!(Symbol::interned() >= before + names.len());
     }
 
     #[test]

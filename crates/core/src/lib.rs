@@ -89,21 +89,33 @@
 //! drops the context it was working in — a half-rewritten graph is never
 //! cleared and reused; the session's `catch_unwind` ladder then degrades
 //! that compile as before, and the next one starts from a fresh context.
-//! *Retention bound:* a context whose unit made more than 1 024 e-class
-//! ids (`MAX_RETAINED_IDS`) is dropped instead of pooled. The constant
-//! was sized on the benchmark: per-leaf graphs make 16–100 ids and small
-//! batched programs a few hundred — the compiles whose fixed costs the
-//! pool exists to remove — and a context of that size rests at
-//! 50–300 KB; the suites and large unrolled programs make 1 200–2 100,
-//! where table set-up is a small share of the compile and a pooled
-//! context carries the capacity envelope of the largest graph it ever
-//! held (power-of-two tables stay doubled for every later, smaller
-//! graph): retaining up to 16 384 ids read `peak_live_bytes` +4.2 % on
-//! `unrolled_large` and +6.2 % on `suite_batched` against the benchmark's
-//! 5 % bound; at 1 024 it reads +0.6 % and +2.7 %, and one pathological
+//! *Retention bound:* a context whose unit made more than 4 096 e-class
+//! ids (`MAX_RETAINED_IDS`) is dropped instead of pooled — the smallest
+//! power of two above every graph the benchmark builds: per-leaf graphs
+//! make 16–100 ids, small batched programs a few hundred, the suites and
+//! large unrolled programs 1 600–2 100. A pooled context carries the
+//! capacity envelope of the largest graph it ever held (power-of-two
+//! tables stay doubled for every later, smaller graph), so what the bound
+//! admits is paid for in resident bytes: with 48-byte e-nodes, pooling the
+//! large graphs read `peak_live_bytes` +4.2 % on `unrolled_large` and
+//! +6.2 % on `suite_batched` against the benchmark's 5 % bound, and the
+//! bound sat at 1 024. With 24-byte nodes (see [`lang`]) the same graphs
+//! peak 18 % and 12 % lower, pooling them takes back 3–4 points of that —
+//! −15.0 % / −7.6 % against the 48-byte unpooled tree, −8.9 % and −2.9 % on
+//! the two small-graph workloads — and their table set-up leaves every
+//! compile after the first. The bound stays so that one pathological
 //! program cannot pin megabytes for the life of a service. There is no
 //! option for any of this: the pool size follows use, the bounds are the
 //! two constants in `session.rs`.
+//!
+//! What a context does *not* own is names. E-nodes carry
+//! [`lang::Symbol`]s — indices into one process-wide, append-only table —
+//! because the session's rule patterns are built once and must equal nodes
+//! of every pooled graph, and `op_key`, `Ord`, `Display` and the snapshot
+//! codec have no context to ask. The table grows with the distinct
+//! identifiers the process has compiled and never shrinks (gauge
+//! `core.symbols.interned`); the [`lang`] module docs say why a symbol's
+//! number never reaches a selected program.
 //!
 //! Because compilation is deterministic, repeated work can be memoized:
 //! the [`cache`] subsystem adds a bounded content-addressed
@@ -164,7 +176,7 @@ pub use hb_obs::{
     CollectingSink, MetricsRegistry, MetricsSnapshot, NullSink, ProfileSink, TestClock, Tracer,
     TracingSink,
 };
-pub use lang::{HbAnalysis, HbGraph, HbLang};
+pub use lang::{HbAnalysis, HbGraph, HbLang, Symbol};
 pub use movement::Placements;
 pub use postprocess::MaterializeError;
 pub use service::{

@@ -16,7 +16,7 @@ use hb_ir::types::{Location, ScalarType};
 
 use crate::encode::{padd, pbcast, pcast, pload, ploc, pmul, pnum, pramp, pty, pv, pvra};
 use crate::lang::{HbGraph, HbLang};
-use crate::rules::{cis, num, ty, Rw};
+use crate::rules::{cis, num, ty, Intrinsics, Rw};
 
 /// AMX architectural limits for one `tdpbf16ps`.
 const AMX_MAX_M: i64 = 16;
@@ -82,6 +82,7 @@ fn amx_a_guards(eg: &HbGraph, s: &hb_egraph::pattern::Subst) -> Option<(i64, i64
 #[must_use]
 #[allow(clippy::too_many_lines)]
 pub fn rules() -> Vec<Rw> {
+    let names = Intrinsics::intern();
     let mut out = Vec::new();
 
     // --- AMX operand A, standard layout, loaded from memory. -------------
@@ -92,7 +93,7 @@ pub fn rules() -> Vec<Rw> {
             pload(pty(ScalarType::BF16, pv("mk")), pv("An"), pv("idxA")),
         )
         .also("idxA", a_index_pattern()),
-        Box::new(|eg: &mut HbGraph, s| {
+        Box::new(move |eg: &mut HbGraph, s| {
             let Some((m, k)) = amx_a_guards(eg, s) else {
                 return false;
             };
@@ -104,12 +105,12 @@ pub fn rules() -> Vec<Rw> {
             );
             let tyid = ty(eg, ScalarType::BF16, m * k);
             let m_lit = num(eg, m);
-            let tile = eg.add(HbLang::Call(
-                "tile_load".into(),
-                vec![tyid, an, base, stride, m_lit],
+            let tile = eg.add(HbLang::call(
+                names.tile_load,
+                [tyid, an, base, stride, m_lit],
             ));
             let (m_id, k_id) = (bound(s, "m"), bound(s, "k"));
-            eg.relations.insert("amx-a-tile", vec![a, tile, m_id, k_id])
+            eg.relations.insert("amx-a-tile", &[a, tile, m_id, k_id])
         }),
     ));
 
@@ -138,8 +139,7 @@ pub fn rules() -> Vec<Rw> {
             let idx = eg.add(HbLang::Ramp([row, stride_b, m_id]));
             let tyid = ty(eg, ScalarType::BF16, m * k);
             let dense = eg.add(HbLang::Load([tyid, an, idx]));
-            eg.relations
-                .insert("amx-a-tile", vec![a, dense, m_id, k_id])
+            eg.relations.insert("amx-a-tile", &[a, dense, m_id, k_id])
         }),
     ));
 
@@ -151,7 +151,7 @@ pub fn rules() -> Vec<Rw> {
             pload(pty(ScalarType::BF16, pv("nk")), pv("Bn"), pv("idxB")),
         )
         .also("idxB", b_std_index_pattern()),
-        Box::new(|eg: &mut HbGraph, s| {
+        Box::new(move |eg: &mut HbGraph, s| {
             let Some([k, n, m, nk]) = cis(eg, s, ["k", "n", "m", "nk"]) else {
                 return false;
             };
@@ -175,20 +175,20 @@ pub fn rules() -> Vec<Rw> {
             let dense = eg.add(HbLang::Load([tyid, bn, dense_idx]));
             // Swizzle into VNNI and materialize.
             let two = num(eg, 2);
-            let swizzle = eg.add(HbLang::Call(
-                "kway_interleave".into(),
-                vec![tyid, two, k_lit, dense],
+            let swizzle = eg.add(HbLang::call(
+                names.kway_interleave,
+                [tyid, two, k_lit, dense],
             ));
             let tmp = eg.add(HbLang::ExprVar([swizzle]));
             let zero = num(eg, 0);
             let two_n = num(eg, 2 * n);
             let khalf = num(eg, k / 2);
-            let tile = eg.add(HbLang::Call(
-                "tile_load".into(),
-                vec![tyid, tmp, zero, two_n, khalf],
+            let tile = eg.add(HbLang::call(
+                names.tile_load,
+                [tyid, tmp, zero, two_n, khalf],
             ));
             let (k_id, n_id) = (bound(s, "k"), bound(s, "n"));
-            eg.relations.insert("amx-b-tile", vec![b, tile, k_id, n_id])
+            eg.relations.insert("amx-b-tile", &[b, tile, k_id, n_id])
         }),
     ));
 
@@ -200,7 +200,7 @@ pub fn rules() -> Vec<Rw> {
             pload(pty(ScalarType::BF16, pv("nk")), pv("Bn"), pv("idxB")),
         )
         .also("idxB", b_vnni_index_pattern()),
-        Box::new(|eg: &mut HbGraph, s| {
+        Box::new(move |eg: &mut HbGraph, s| {
             let Some([khalf, kk, n]) = cis(eg, s, ["khalf", "kk", "n"]) else {
                 return false;
             };
@@ -215,14 +215,13 @@ pub fn rules() -> Vec<Rw> {
             );
             let tyid = ty(eg, ScalarType::BF16, 2 * khalf * n);
             let khalf_id = bound(s, "khalf");
-            let tile = eg.add(HbLang::Call(
-                "tile_load".into(),
-                vec![tyid, bn, base, stride, khalf_id],
+            let tile = eg.add(HbLang::call(
+                names.tile_load,
+                [tyid, bn, base, stride, khalf_id],
             ));
             let k_full = num(eg, 2 * khalf);
             let n_id = bound(s, "n");
-            eg.relations
-                .insert("amx-b-tile", vec![b, tile, k_full, n_id])
+            eg.relations.insert("amx-b-tile", &[b, tile, k_full, n_id])
         }),
     ));
 
@@ -255,8 +254,7 @@ pub fn rules() -> Vec<Rw> {
             let dense = eg.add(HbLang::Load([tyid, bn, idx]));
             let k_full = num(eg, 2 * khalf);
             let n_id = bound(s, "n");
-            eg.relations
-                .insert("amx-b-tile", vec![b, dense, k_full, n_id])
+            eg.relations.insert("amx-b-tile", &[b, dense, k_full, n_id])
         }),
     ));
 
@@ -286,7 +284,7 @@ pub fn rules() -> Vec<Rw> {
             pload(pty(ScalarType::F16, pv("knl")), pv("Bn"), pv("idxB")),
         )
         .also("idxB", b_std_index_pattern()),
-        Box::new(|eg: &mut HbGraph, s| {
+        Box::new(move |eg: &mut HbGraph, s| {
             let Some([m, n, k, mn, mnk]) = cis(eg, s, ["m", "n", "k", "mn", "mnk"]) else {
                 return false;
             };
@@ -299,20 +297,20 @@ pub fn rules() -> Vec<Rw> {
             let (bn, base_b, stride_b) = (bound(s, "Bn"), bound(s, "baseB"), bound(s, "strideB"));
             let (m_id, n_id, k_id) = (bound(s, "m"), bound(s, "n"), bound(s, "k"));
             let ty_a = ty(eg, ScalarType::F16, m * k);
-            let a = eg.add(HbLang::Call(
-                "wmma_load_a".into(),
-                vec![ty_a, an, base_a, stride_a, m_id, k_id],
+            let a = eg.add(HbLang::call(
+                names.wmma_load_a,
+                [ty_a, an, base_a, stride_a, m_id, k_id],
             ));
             let ty_b = ty(eg, ScalarType::F16, k * n);
-            let b = eg.add(HbLang::Call(
-                "wmma_load_b".into(),
-                vec![ty_b, bn, base_b, stride_b, k_id, n_id],
+            let b = eg.add(HbLang::call(
+                names.wmma_load_b,
+                [ty_b, bn, base_b, stride_b, k_id, n_id],
             ));
             let cw = eg.add(HbLang::Loc(Location::Mem, Location::Wmma, [c]));
             let ty_c = ty(eg, ScalarType::F32, m * n);
-            let call = eg.add(HbLang::Call(
-                "wmma_mma".into(),
-                vec![ty_c, a, b, cw, m_id, n_id, k_id],
+            let call = eg.add(HbLang::call(
+                names.wmma_mma,
+                [ty_c, a, b, cw, m_id, n_id, k_id],
             ));
             let res = eg.add(HbLang::Loc(Location::Wmma, Location::Mem, [call]));
             eg.union(e, res).1
@@ -321,6 +319,7 @@ pub fn rules() -> Vec<Rw> {
 
     // --- Convolution-like patterns on WMMA. -------------------------------
     out.push(conv_like_rule(
+        names,
         "wmma-conv1d",
         // I index: ramp(ramp(base, 1, 8), x8(1), 256)
         pramp(
@@ -331,6 +330,7 @@ pub fn rules() -> Vec<Rw> {
         ConvKind::Conv,
     ));
     out.push(conv_like_rule(
+        names,
         "wmma-downsample",
         // I index: ramp(ramp(base, 1, 8), x8(2), 128)
         pramp(
@@ -384,7 +384,7 @@ pub fn rules() -> Vec<Rw> {
                 pv("L"),
             ),
         ),
-        Box::new(|eg: &mut HbGraph, s| {
+        Box::new(move |eg: &mut HbGraph, s| {
             let Some([t, tt, l, lout]) = cis(eg, s, ["t", "tt", "L", "Lout"]) else {
                 return false;
             };
@@ -398,32 +398,29 @@ pub fn rules() -> Vec<Rw> {
             let ld4 = num(eg, 4);
             let m32 = num(eg, 32);
             let k16 = num(eg, 16);
-            let a = eg.add(HbLang::Call(
-                "wmma_load_a".into(),
-                vec![ty_a, i_n, base_i, ld4, m32, k16],
+            let a = eg.add(HbLang::call(
+                names.wmma_load_a,
+                [ty_a, i_n, base_i, ld4, m32, k16],
             ));
             let ty_b = ty(eg, ScalarType::F16, 128);
             let rows16 = num(eg, 16);
             let taps8 = num(eg, 8);
             let phases2 = num(eg, 2);
-            let shuffle = eg.add(HbLang::Call(
-                "upsample_shuffle".into(),
-                vec![ty_b, k_n, base_k, rows16, taps8, phases2],
+            let shuffle = eg.add(HbLang::call(
+                names.upsample_shuffle,
+                [ty_b, k_n, base_k, rows16, taps8, phases2],
             ));
             let tmp = eg.add(HbLang::ExprVar([shuffle]));
             let zero = num(eg, 0);
             let ld8 = num(eg, 8);
             let n8 = num(eg, 8);
-            let b = eg.add(HbLang::Call(
-                "wmma_load_b".into(),
-                vec![ty_b, tmp, zero, ld8, k16, n8],
+            let b = eg.add(HbLang::call(
+                names.wmma_load_b,
+                [ty_b, tmp, zero, ld8, k16, n8],
             ));
             let cw = eg.add(HbLang::Loc(Location::Mem, Location::Wmma, [c]));
             let ty_c = ty(eg, ScalarType::F32, 256);
-            let call = eg.add(HbLang::Call(
-                "wmma_mma".into(),
-                vec![ty_c, a, b, cw, m32, n8, k16],
-            ));
+            let call = eg.add(HbLang::call(names.wmma_mma, [ty_c, a, b, cw, m32, n8, k16]));
             let res = eg.add(HbLang::Loc(Location::Wmma, Location::Mem, [call]));
             eg.union(e, res).1
         }),
@@ -445,7 +442,12 @@ enum ConvKind {
 /// rules: both map to an `m32n8k16` WMMA MatMul against a Toeplitz matrix
 /// built by `convolution_shuffle`; downsampling uses a strided Toeplitz and
 /// only the first 4 result columns are meaningful (`wmma_mma_cols`).
-fn conv_like_rule(name: &str, idx_i: hb_egraph::pattern::Pattern<HbLang>, kind: ConvKind) -> Rw {
+fn conv_like_rule(
+    names: Intrinsics,
+    name: &str,
+    idx_i: hb_egraph::pattern::Pattern<HbLang>,
+    kind: ConvKind,
+) -> Rw {
     Rw::rule(
         name,
         Query::single(
@@ -493,9 +495,9 @@ fn conv_like_rule(name: &str, idx_i: hb_egraph::pattern::Pattern<HbLang>, kind: 
             let ld8 = num(eg, 8);
             let m32 = num(eg, 32);
             let k16 = num(eg, 16);
-            let a = eg.add(HbLang::Call(
-                "wmma_load_a".into(),
-                vec![ty_a, i_n, base_i, ld8, m32, k16],
+            let a = eg.add(HbLang::call(
+                names.wmma_load_a,
+                [ty_a, i_n, base_i, ld8, m32, k16],
             ));
             // B: the 16x8 (strided) Toeplitz matrix, materialized.
             let stride = match kind {
@@ -506,33 +508,30 @@ fn conv_like_rule(name: &str, idx_i: hb_egraph::pattern::Pattern<HbLang>, kind: 
             let rows16 = num(eg, 16);
             let t_id = bound(s, "t");
             let stride_id = num(eg, stride);
-            let shuffle = eg.add(HbLang::Call(
-                "convolution_shuffle".into(),
-                vec![ty_b, k_n, base_k, rows16, t_id, stride_id],
+            let shuffle = eg.add(HbLang::call(
+                names.convolution_shuffle,
+                [ty_b, k_n, base_k, rows16, t_id, stride_id],
             ));
             let tmp = eg.add(HbLang::ExprVar([shuffle]));
             let zero = num(eg, 0);
             let n8 = num(eg, 8);
-            let b = eg.add(HbLang::Call(
-                "wmma_load_b".into(),
-                vec![ty_b, tmp, zero, ld8, k16, n8],
+            let b = eg.add(HbLang::call(
+                names.wmma_load_b,
+                [ty_b, tmp, zero, ld8, k16, n8],
             ));
             let cw = eg.add(HbLang::Loc(Location::Mem, Location::Wmma, [c]));
             let call = match kind {
                 ConvKind::Conv => {
                     let ty_c = ty(eg, ScalarType::F32, 256);
-                    eg.add(HbLang::Call(
-                        "wmma_mma".into(),
-                        vec![ty_c, a, b, cw, m32, n8, k16],
-                    ))
+                    eg.add(HbLang::call(names.wmma_mma, [ty_c, a, b, cw, m32, n8, k16]))
                 }
                 ConvKind::Downsample => {
                     // Only 4 of the 8 tile columns carry complete sums.
                     let ty_c = ty(eg, ScalarType::F32, 128);
                     let n4 = num(eg, 4);
-                    eg.add(HbLang::Call(
-                        "wmma_mma_cols".into(),
-                        vec![ty_c, a, b, cw, m32, n4, n8, k16],
+                    eg.add(HbLang::call(
+                        names.wmma_mma_cols,
+                        [ty_c, a, b, cw, m32, n4, n8, k16],
                     ))
                 }
             };

@@ -6,12 +6,13 @@ use hb_ir::types::{Location, ScalarType};
 
 use crate::encode::{padd, pbcast, pcast, pload, ploc, pmul, pnum, pramp, pstore, pty, pv, pvra};
 use crate::lang::{ConstVal, HbGraph, HbLang};
-use crate::rules::{cis, num, ty, Rw};
+use crate::rules::{cis, num, ty, Intrinsics, Rw};
 
 /// Builds the lowering rule set.
 #[must_use]
 #[allow(clippy::too_many_lines)]
 pub fn rules() -> Vec<Rw> {
+    let names = Intrinsics::intern();
     let mut out = Vec::new();
 
     // --- AMX MatMul (Fig. 10a, first rule). -------------------------------
@@ -35,7 +36,7 @@ pub fn rules() -> Vec<Rw> {
         )
         .with_relation("amx-a-tile", &["A", "tileA", "m", "k"])
         .with_relation("amx-b-tile", &["B", "tileB", "k", "n"]),
-        Box::new(|eg: &mut HbGraph, s| {
+        Box::new(move |eg: &mut HbGraph, s| {
             let Some([m, n, k, mn, mnk]) = cis(eg, s, ["m", "n", "k", "mn", "mnk"]) else {
                 return false;
             };
@@ -47,9 +48,9 @@ pub fn rules() -> Vec<Rw> {
             let (m_id, k_id, n_id) = (bound(s, "m"), bound(s, "k"), bound(s, "n"));
             let cm = eg.add(HbLang::Loc(Location::Mem, Location::Amx, [c]));
             let ty_c = ty(eg, ScalarType::F32, mn);
-            let call = eg.add(HbLang::Call(
-                "tile_matmul".into(),
-                vec![ty_c, cm, tile_a, tile_b, m_id, k_id, n_id],
+            let call = eg.add(HbLang::call(
+                names.tile_matmul,
+                [ty_c, cm, tile_a, tile_b, m_id, k_id, n_id],
             ));
             let res = eg.add(HbLang::Loc(Location::Amx, Location::Mem, [call]));
             eg.union(e, res).1
@@ -74,7 +75,7 @@ pub fn rules() -> Vec<Rw> {
         out.push(Rw::rule(
             name,
             Query::single("e", ploc(Location::Mem, loc, pv("z"))),
-            Box::new(|eg: &mut HbGraph, s| {
+            Box::new(move |eg: &mut HbGraph, s| {
                 let z = bound(s, "z");
                 let data = *eg.data(z);
                 let zero = data.constant.is_some_and(ConstVal::is_zero);
@@ -86,7 +87,7 @@ pub fn rules() -> Vec<Rw> {
                 }
                 let e = bound(s, "e");
                 let ty_id = ty(eg, ScalarType::F32, i64::from(lanes));
-                let call = eg.add(HbLang::Call("tile_zero".into(), vec![ty_id]));
+                let call = eg.add(HbLang::call(names.tile_zero, [ty_id]));
                 eg.union(e, call).1
             }),
         ));
@@ -112,7 +113,7 @@ pub fn rules() -> Vec<Rw> {
                 pv("rows"),
             ),
         ),
-        Box::new(|eg: &mut HbGraph, s| {
+        Box::new(move |eg: &mut HbGraph, s| {
             let Some([rows, cols, l]) = cis(eg, s, ["rows", "cols", "l"]) else {
                 return false;
             };
@@ -127,9 +128,9 @@ pub fn rules() -> Vec<Rw> {
             );
             let ty_id = ty(eg, ScalarType::BF16, l);
             let rows_id = bound(s, "rows");
-            let call = eg.add(HbLang::Call(
-                "tile_load".into(),
-                vec![ty_id, name, base, stride, rows_id],
+            let call = eg.add(HbLang::call(
+                names.tile_load,
+                [ty_id, name, base, stride, rows_id],
             ));
             eg.union(e, call).1
         }),
@@ -156,7 +157,7 @@ pub fn rules() -> Vec<Rw> {
                 pv("m"),
             ),
         ),
-        Box::new(|eg: &mut HbGraph, s| {
+        Box::new(move |eg: &mut HbGraph, s| {
             let Some([_n, m]) = cis(eg, s, ["n", "m"]) else {
                 return false;
             };
@@ -169,9 +170,9 @@ pub fn rules() -> Vec<Rw> {
             );
             let ty_id = ty(eg, ScalarType::I32, 1);
             let m_lit = num(eg, m);
-            let call = eg.add(HbLang::Call(
-                "tile_store".into(),
-                vec![ty_id, buf, base, stride, m_lit, tile],
+            let call = eg.add(HbLang::call(
+                names.tile_store,
+                [ty_id, buf, base, stride, m_lit, tile],
             ));
             let ev = eg.add(HbLang::EvalS([call]));
             eg.union(st, ev).1
@@ -196,7 +197,7 @@ pub fn rules() -> Vec<Rw> {
                 pv("m"),
             ),
         ),
-        Box::new(|eg: &mut HbGraph, s| {
+        Box::new(move |eg: &mut HbGraph, s| {
             let Some([n, m]) = cis(eg, s, ["n", "m"]) else {
                 return false;
             };
@@ -210,9 +211,9 @@ pub fn rules() -> Vec<Rw> {
             let ty_id = ty(eg, ScalarType::I32, 1);
             let m_lit = num(eg, m);
             let n_lit = num(eg, n);
-            let call = eg.add(HbLang::Call(
-                "wmma_store".into(),
-                vec![ty_id, buf, base, stride, m_lit, n_lit, tile],
+            let call = eg.add(HbLang::call(
+                names.wmma_store,
+                [ty_id, buf, base, stride, m_lit, n_lit, tile],
             ));
             let ev = eg.add(HbLang::EvalS([call]));
             eg.union(st, ev).1
@@ -233,7 +234,7 @@ pub fn rules() -> Vec<Rw> {
             ),
         )
         .also("idx", pramp(pv("base"), pnum(1), pv("l"))),
-        Box::new(|eg: &mut HbGraph, s| {
+        Box::new(move |eg: &mut HbGraph, s| {
             let Some([l]) = cis(eg, s, ["l"]) else {
                 return false;
             };
@@ -246,9 +247,9 @@ pub fn rules() -> Vec<Rw> {
             let ld = num(eg, 8);
             let m = num(eg, l / 8);
             let n = num(eg, 8);
-            let call = eg.add(HbLang::Call(
-                "wmma_store".into(),
-                vec![ty_id, buf, base, ld, m, n, tile],
+            let call = eg.add(HbLang::call(
+                names.wmma_store,
+                [ty_id, buf, base, ld, m, n, tile],
             ));
             let ev = eg.add(HbLang::EvalS([call]));
             eg.union(st, ev).1
@@ -266,7 +267,7 @@ pub fn rules() -> Vec<Rw> {
             ),
         )
         .also("idx", pramp(pv("base"), pnum(1), pv("l"))),
-        Box::new(|eg: &mut HbGraph, s| {
+        Box::new(move |eg: &mut HbGraph, s| {
             let Some([l]) = cis(eg, s, ["l"]) else {
                 return false;
             };
@@ -278,9 +279,9 @@ pub fn rules() -> Vec<Rw> {
             let ty_id = ty(eg, ScalarType::I32, 1);
             let stride = num(eg, 16);
             let rows = num(eg, l / 16);
-            let call = eg.add(HbLang::Call(
-                "tile_store".into(),
-                vec![ty_id, buf, base, stride, rows, tile],
+            let call = eg.add(HbLang::call(
+                names.tile_store,
+                [ty_id, buf, base, stride, rows, tile],
             ));
             let ev = eg.add(HbLang::EvalS([call]));
             eg.union(st, ev).1

@@ -21,7 +21,7 @@ use hb_egraph::pattern::Subst;
 use hb_egraph::rewrite::Rewrite;
 use hb_egraph::unionfind::Id;
 
-use crate::lang::{const_int, HbAnalysis, HbGraph, HbLang};
+use crate::lang::{const_int, HbAnalysis, HbGraph, HbLang, Symbol};
 
 /// The rewrite type all rule sets share.
 pub type Rw = Rewrite<HbLang, HbAnalysis>;
@@ -52,6 +52,44 @@ pub fn num(eg: &mut HbGraph, v: i64) -> Id {
 pub fn ty(eg: &mut HbGraph, st: hb_ir::types::ScalarType, lanes: i64) -> Id {
     let l = num(eg, lanes);
     eg.add(HbLang::Ty(st, [l]))
+}
+
+/// The intrinsic names the appliers emit, interned once per rule-set build
+/// and captured by value, so applying a rule builds its call nodes without
+/// looking a name up.
+#[derive(Clone, Copy)]
+pub(crate) struct Intrinsics {
+    pub tile_load: Symbol,
+    pub tile_store: Symbol,
+    pub tile_zero: Symbol,
+    pub tile_matmul: Symbol,
+    pub kway_interleave: Symbol,
+    pub wmma_load_a: Symbol,
+    pub wmma_load_b: Symbol,
+    pub wmma_mma: Symbol,
+    pub wmma_mma_cols: Symbol,
+    pub wmma_store: Symbol,
+    pub convolution_shuffle: Symbol,
+    pub upsample_shuffle: Symbol,
+}
+
+impl Intrinsics {
+    pub(crate) fn intern() -> Self {
+        Intrinsics {
+            tile_load: "tile_load".into(),
+            tile_store: "tile_store".into(),
+            tile_zero: "tile_zero".into(),
+            tile_matmul: "tile_matmul".into(),
+            kway_interleave: "kway_interleave".into(),
+            wmma_load_a: "wmma_load_a".into(),
+            wmma_load_b: "wmma_load_b".into(),
+            wmma_mma: "wmma_mma".into(),
+            wmma_mma_cols: "wmma_mma_cols".into(),
+            wmma_store: "wmma_store".into(),
+            convolution_shuffle: "convolution_shuffle".into(),
+            upsample_shuffle: "upsample_shuffle".into(),
+        }
+    }
 }
 
 /// The complete main rule set (axiomatic + app-specific + lowering).

@@ -42,7 +42,7 @@ pub fn rules() -> Vec<Rw> {
             Box::new(|eg: &mut HbGraph, s| {
                 let e = bound(s, "e");
                 let t = bound(s, "t");
-                eg.relations.insert("has-type", vec![e, t])
+                eg.relations.insert("has-type", &[e, t])
             }),
         ));
     }

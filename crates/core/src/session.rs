@@ -81,13 +81,13 @@ use hb_egraph::schedule::{Budget, CancelToken, RunReport, Runner, WarmStart};
 use hb_egraph::unionfind::Id;
 use hb_ir::expr::Expr;
 use hb_ir::stmt::Stmt;
-use hb_obs::{Counter, Histogram, MetricsRegistry, ProfileHandle, ProfileSink, Tracer};
+use hb_obs::{Counter, Gauge, Histogram, MetricsRegistry, ProfileHandle, ProfileSink, Tracer};
 
 use crate::cache::{request_hash, CacheOutcome, ReportCache, SuiteSnapshot, WarmRejection};
 use crate::cost::{CostModel, DeviceCost, ModelCost};
 use crate::decode::decode_stmt;
 use crate::encode::encode_stmt;
-use crate::lang::{HbGraph, HbLang};
+use crate::lang::{HbGraph, HbLang, Symbol};
 use crate::movement::{annotate_in_place, collect_placements, Placements};
 use crate::postprocess::try_materialize_owned;
 use crate::rules::RuleSet;
@@ -806,6 +806,7 @@ struct ObsHandles {
     stage_saturate: Histogram,
     stage_extract: Histogram,
     stage_splice: Histogram,
+    symbols_interned: Gauge,
 }
 
 impl ObsHandles {
@@ -828,10 +829,15 @@ impl ObsHandles {
             stage_saturate: metrics.histogram("stage.saturate_ns"),
             stage_extract: metrics.histogram("stage.extract_ns"),
             stage_splice: metrics.histogram("stage.splice_ns"),
+            symbols_interned: metrics.gauge("core.symbols.interned"),
         }
     }
 
+    /// Counts a finished compile under its outcome rung and refreshes the
+    /// size of the process-wide symbol table (every compile can grow it).
     fn record_outcome(&self, outcome: CompileOutcome) {
+        self.symbols_interned
+            .set(i64::try_from(Symbol::interned()).unwrap_or(i64::MAX));
         match outcome {
             CompileOutcome::Saturated => self.outcome_saturated.inc(),
             CompileOutcome::Truncated {
@@ -928,15 +934,18 @@ pub(crate) struct CompileCtx {
 pub(crate) type CtxPool = Mutex<Vec<CompileCtx>>;
 
 /// A context whose unit made more e-class ids than this is dropped, not
-/// pooled. The pool exists for the compiles whose fixed costs it removes:
-/// per-leaf graphs (16–100 ids on the benchmark) and small batched programs
-/// (a few hundred), whose contexts rest at 50–300 KB. Suites and large
-/// unrolled programs make 1 200–2 100 ids; pooling those read
-/// `peak_live_bytes` +4.2 % / +6.2 % (`unrolled_large` / `suite_batched`,
-/// bound 5 %) — a pooled context carries the capacity of the largest graph
-/// it ever held into every later compile — against +0.6 % / +2.7 % here.
-/// See "Compile contexts" in the crate docs.
-const MAX_RETAINED_IDS: usize = 1 << 10;
+/// pooled: the smallest power of two above every graph the benchmark's
+/// four workloads build (per-leaf graphs 16–100 ids, suites and large
+/// unrolled programs 1 600–2 100), so one pathological program cannot pin
+/// megabytes for the life of a service. A pooled context carries the
+/// capacity of the largest graph it ever held into every later compile;
+/// with 24-byte e-nodes that reads `peak_live_bytes` −8.9 % / −15.0 % /
+/// −7.6 % / −2.9 % (`interactive_small` / `unrolled_large` /
+/// `suite_batched` / `service_mixed`) against the 48-byte-node tree that
+/// pooled nothing above 1 024 ids (dropping the large contexts instead:
+/// −8.9 % / −18.3 % / −11.7 % / −2.9 %). See "Compile contexts" in the
+/// crate docs.
+const MAX_RETAINED_IDS: usize = 1 << 12;
 
 /// Contexts a session keeps at rest. The pool's size follows use — one
 /// context per unit that ran at once (a service's workers, callers sharing
@@ -1046,6 +1055,13 @@ impl Session {
         {
             true
         }
+    }
+
+    /// Compile contexts at rest in the session's pool (a service's sessions
+    /// share one): what the next units pop instead of building their own.
+    #[must_use]
+    pub fn pooled_contexts(&self) -> usize {
+        self.ctx_pool.lock().expect(POOL_LOCK).len()
     }
 
     /// A context for one compile unit: one at rest in the pool, or a fresh

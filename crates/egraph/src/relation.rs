@@ -100,16 +100,17 @@ impl Relations {
         entry(&mut self.tables, name);
     }
 
-    /// Inserts a tuple; returns whether it was new.
-    pub fn insert(&mut self, name: &str, tuple: Vec<Id>) -> bool {
+    /// Inserts a tuple; returns whether it was new. A tuple already present
+    /// (what a rule re-deriving its facts offers) is not copied.
+    pub fn insert(&mut self, name: &str, tuple: &[Id]) -> bool {
         let table = entry(&mut self.tables, name);
-        if table.contains_key(&tuple) {
+        if table.contains_key(tuple) {
             return false;
         }
         self.tick += 1;
         let log = entry(&mut self.change_logs, name);
-        log.push((self.tick, tuple.clone()));
-        table.insert(tuple, self.tick);
+        log.push((self.tick, tuple.to_vec()));
+        table.insert(tuple.to_vec(), self.tick);
         compact_change_log(log, table);
         *entry(&mut self.max_ticks, name) = self.tick;
         self.version += 1;
@@ -354,8 +355,8 @@ mod tests {
     #[test]
     fn insert_and_query() {
         let mut r = Relations::new();
-        assert!(r.insert("amx-B-tile", vec![Id(1), Id(2)]));
-        assert!(!r.insert("amx-B-tile", vec![Id(1), Id(2)]), "duplicate");
+        assert!(r.insert("amx-B-tile", &[Id(1), Id(2)]));
+        assert!(!r.insert("amx-B-tile", &[Id(1), Id(2)]), "duplicate");
         assert!(r.contains("amx-B-tile", &[Id(1), Id(2)]));
         assert!(!r.contains("amx-B-tile", &[Id(2), Id(1)]));
         assert_eq!(r.len("amx-B-tile"), 1);
@@ -367,8 +368,8 @@ mod tests {
     #[test]
     fn canonicalize_merges_tuples() {
         let mut r = Relations::new();
-        r.insert("rel", vec![Id(1), Id(5)]);
-        r.insert("rel", vec![Id(2), Id(5)]);
+        r.insert("rel", &[Id(1), Id(5)]);
+        r.insert("rel", &[Id(2), Id(5)]);
         // Pretend 2 was unioned into 1.
         r.canonicalize(|id| if id == Id(2) { Id(1) } else { id });
         assert_eq!(r.len("rel"), 1);
@@ -386,21 +387,21 @@ mod tests {
     #[test]
     fn tuples_since_sees_only_new_insertions() {
         let mut r = Relations::new();
-        r.insert("rel", vec![Id(1)]);
+        r.insert("rel", &[Id(1)]);
         let cutoff = r.tick();
         assert_eq!(r.tuples_since("rel", cutoff).count(), 0);
         assert!(!r.changed_since("rel", cutoff));
-        r.insert("rel", vec![Id(2)]);
+        r.insert("rel", &[Id(2)]);
         let delta: Vec<_> = r.tuples_since("rel", cutoff).cloned().collect();
         assert_eq!(delta, vec![vec![Id(2)]]);
         assert!(r.changed_since("rel", cutoff));
         // Re-inserting an existing tuple is not a change.
         let cutoff2 = r.tick();
-        r.insert("rel", vec![Id(2)]);
+        r.insert("rel", &[Id(2)]);
         assert_eq!(r.tuples_since("rel", cutoff2).count(), 0);
         assert!(!r.changed_since("rel", cutoff2));
         // The probe is per-relation: changes elsewhere don't leak in.
-        r.insert("other", vec![Id(3)]);
+        r.insert("other", &[Id(3)]);
         assert!(!r.changed_since("rel", cutoff2));
         assert!(r.changed_since("other", cutoff2));
     }
@@ -408,8 +409,8 @@ mod tests {
     #[test]
     fn canonicalization_restamps_rewritten_tuples_only() {
         let mut r = Relations::new();
-        r.insert("rel", vec![Id(1)]);
-        r.insert("rel", vec![Id(2)]);
+        r.insert("rel", &[Id(1)]);
+        r.insert("rel", &[Id(2)]);
         let cutoff = r.tick();
         // 2 unioned into 1: tuple [2] is rewritten to [1] and merges with
         // the unchanged [1]; the merged tuple must look new to a delta

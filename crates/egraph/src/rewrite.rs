@@ -715,13 +715,15 @@ impl<L: Language, N: Analysis<L>> Rewrite<L, N> {
     }
 
     /// Like [`Rewrite::run`] but with the retained naive matcher — the
-    /// benchmark/reference path.
-    pub fn run_naive(&self, egraph: &mut EGraph<L, N>) -> usize {
+    /// benchmark/reference path. Returns `(matches found, matches that
+    /// changed the graph)`.
+    pub fn run_naive(&self, egraph: &mut EGraph<L, N>) -> (usize, usize) {
         if !egraph.is_clean() {
             egraph.rebuild();
         }
         let matches = self.query.search(egraph);
-        matches.iter().filter(|m| self.apply(egraph, m)).count()
+        let changed = matches.iter().filter(|m| self.apply(egraph, m)).count();
+        (matches.len(), changed)
     }
 
     /// [`Rewrite::run`] for the scheduler: a caller-provided scratch (one
@@ -852,14 +854,14 @@ mod tests {
         let two = eg.add(Math::Num(2));
         let m_good = eg.add(Math::Mul([a, two]));
         let _m_bad = eg.add(Math::Mul([a, b]));
-        eg.relations.insert("good", vec![two]);
+        eg.relations.insert("good", &[two]);
 
         let rule = Rewrite::<Math>::rule(
             "mark-good-products",
             Query::single("e", pmul(pvar("x"), pvar("y"))).with_relation("good", &["y"]),
             Box::new(|eg, s| {
                 let e = bound(s, "e");
-                eg.relations.insert("marked", vec![e])
+                eg.relations.insert("marked", &[e])
             }),
         );
         rule.run(&mut eg);
@@ -873,8 +875,8 @@ mod tests {
         let mut eg = EG::new();
         let a = eg.add(Math::Sym("a".into()));
         let b = eg.add(Math::Sym("b".into()));
-        eg.relations.insert("pair", vec![a, b]);
-        eg.relations.insert("pair", vec![b, a]);
+        eg.relations.insert("pair", &[a, b]);
+        eg.relations.insert("pair", &[b, a]);
         let q: Query<Math> = Query { atoms: vec![] };
         let q = q.with_relation("pair", &["x", "y"]);
         assert_eq!(q.search(&eg).len(), 2);
@@ -915,8 +917,8 @@ mod tests {
         let m1 = eg.add(Math::Mul([a, two]));
         let _m2 = eg.add(Math::Mul([b, two]));
         let _s = eg.add(Math::Add([m1, b]));
-        eg.relations.insert("good", vec![two]);
-        eg.relations.insert("good", vec![b]);
+        eg.relations.insert("good", &[two]);
+        eg.relations.insert("good", &[b]);
 
         let queries: Vec<Query<Math>> = vec![
             Query::single("e", pmul(pvar("x"), pvar("y"))),

@@ -32,11 +32,11 @@
 //!
 //! **Profiling:** [`Runner::profile_sink`] opts a run into per-rule
 //! observability — each searched rule reports an
-//! [`hb_obs::RuleSearchSample`] (name, probed rows, matches, duration)
-//! and each congruence rebuild — the one a rule's unions force before the
-//! next rule may search, and the one that ends the pass — reports its
-//! duration separately, so a rule's sample never carries the previous
-//! rule's rebuild. With no
+//! [`hb_obs::RuleSearchSample`] (name, probed rows, matches found,
+//! matches that changed the graph, duration) and each congruence rebuild —
+//! the one a rule's unions force before the next rule may search, and the
+//! one that ends the pass — reports its duration separately, so a rule's
+//! sample never carries the previous rule's rebuild. With no
 //! sink installed (the default) every hook site is a single branch: no
 //! clock reads, no probe-counter drains, nothing the saturation loop can
 //! feel.
@@ -520,13 +520,14 @@ impl Runner {
             // installed.
             let search_started = self.profile_sink.as_ref().map(|_| Instant::now());
             if self.use_naive_matcher {
-                let n = rule.run_naive(egraph);
+                let (found, n) = rule.run_naive(egraph);
                 applied += n;
                 clock.note_applied(n);
                 if let (Some(sink), Some(started)) = (&self.profile_sink, search_started) {
                     sink.on_rule_search(&RuleSearchSample {
                         rule: &rule.name,
                         probed_rows: 0,
+                        found,
                         matches: n,
                         duration: started.elapsed(),
                     });
@@ -581,6 +582,7 @@ impl Runner {
                 sink.on_rule_search(&RuleSearchSample {
                     rule: &rule.name,
                     probed_rows: probed,
+                    found: scratch.matches.len(),
                     matches: n,
                     duration: started.elapsed(),
                 });
@@ -1070,6 +1072,16 @@ mod tests {
             sink.rebuilds().len(),
             report.iterations
         );
+        // The pass that found the fixpoint searched a graph the pass before
+        // had restamped but that pass itself left unchanged: its delta
+        // searches re-found matches already applied. `matches` alone would
+        // call them empty.
+        let samples = sink.samples();
+        assert!(samples.iter().all(|s| s.matches <= s.found), "{samples:?}");
+        assert!(
+            samples.iter().any(|s| s.found > 0 && s.matches == 0),
+            "no search re-found an applied match: {samples:?}"
+        );
         // Sink or no sink, the run is the same run.
         let (mut plain, _, _) = fig1_graph();
         let mut unprofiled = Runner::default().run_to_fixpoint(&mut plain, &fig1_rules());
@@ -1094,7 +1106,7 @@ mod tests {
             Query::single("e", n(2)),
             Box::new(|eg, s| {
                 let e = crate::rewrite::bound(s, "e");
-                eg.relations.insert("even", vec![e])
+                eg.relations.insert("even", &[e])
             }),
         );
         // Main: products by an even number get marked.
@@ -1103,7 +1115,7 @@ mod tests {
             Query::single("e", pmul(pvar("x"), pvar("y"))).with_relation("even", &["y"]),
             Box::new(|eg, s| {
                 let e = crate::rewrite::bound(s, "e");
-                eg.relations.insert("marked", vec![e])
+                eg.relations.insert("marked", &[e])
             }),
         );
         let report = Runner::default().run_phased(&mut eg, &[main], &[support], 3);

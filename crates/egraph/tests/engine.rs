@@ -243,9 +243,9 @@ fn insert_tuples(eg: &mut EG, ids: &[Id], tuples: &[(u8, u32, u32)]) {
     for &(which, x, y) in tuples {
         let pick = |v: u32| ids[v as usize % ids.len()];
         if which % 2 == 0 {
-            eg.relations.insert("good", vec![pick(x)]);
+            eg.relations.insert("good", &[pick(x)]);
         } else {
-            eg.relations.insert("pair", vec![pick(x), pick(y)]);
+            eg.relations.insert("pair", &[pick(x), pick(y)]);
         }
     }
 }
@@ -586,7 +586,7 @@ fn scheduler_semi_naive_finds_late_tuples_without_full_research() {
         Query::single("e", pmul(pvar("x"), pvar("y"))).with_relation("good", &["y"]),
         Box::new(|eg, s| {
             let e = hb_egraph::rewrite::bound(s, "e");
-            eg.relations.insert("marked", vec![e])
+            eg.relations.insert("marked", &[e])
         }),
     )
     .assume_pure();
@@ -595,7 +595,7 @@ fn scheduler_semi_naive_finds_late_tuples_without_full_research() {
         Query::single("e", n(2)),
         Box::new(|eg, s| {
             let e = hb_egraph::rewrite::bound(s, "e");
-            eg.relations.insert("good", vec![e])
+            eg.relations.insert("good", &[e])
         }),
     )
     .assume_pure();

@@ -13,7 +13,13 @@
 //! * property test: the worklist strategy's dense tables and per-class
 //!   tie-break ranks choose, class by class, what the reference solver —
 //!   hash maps, and a recursive, pairwise-memoized content comparison —
-//!   chooses.
+//!   chooses;
+//! * property test, ground truth: every class's `cost_of` is the minimum a
+//!   Bellman-Ford relaxation over plain vectors finds (nothing shared with
+//!   the extractor: no worklist, no parent index, no tie-breaks), every
+//!   extracted term costs what `cost_of` says and is a member of its
+//!   class — also through a reused `ExtractScratch` and on a graph rebuilt
+//!   after `EGraph::clear()`.
 
 use proptest::prelude::*;
 
@@ -22,9 +28,9 @@ use std::cmp::Ordering;
 use std::collections::HashMap;
 
 use hb_egraph::extract::{
-    AstSize, CostFunction, Extract, FnCost, SharedTableExtractor, WorklistExtractor,
+    AstSize, CostFunction, Extract, ExtractScratch, FnCost, SharedTableExtractor, WorklistExtractor,
 };
-use hb_egraph::language::Language;
+use hb_egraph::language::{Language, RecExpr};
 use hb_egraph::math_lang::{n, pdiv, pmul, pvar, Math};
 use hb_egraph::rewrite::Rewrite;
 use hb_egraph::schedule::Runner;
@@ -37,6 +43,11 @@ type Step = (u8, u32, u32);
 
 fn replay(steps: &[Step]) -> (EG, Vec<Id>) {
     let mut eg = EG::new();
+    let ids = replay_into(&mut eg, steps);
+    (eg, ids)
+}
+
+fn replay_into(eg: &mut EG, steps: &[Step]) -> Vec<Id> {
     let mut ids: Vec<Id> = Vec::new();
     for s in ["a", "b", "c"] {
         ids.push(eg.add(Math::Sym(s.into())));
@@ -55,7 +66,7 @@ fn replay(steps: &[Step]) -> (EG, Vec<Id>) {
         }
     }
     eg.rebuild();
-    (eg, ids)
+    ids
 }
 
 fn math_rules() -> Vec<Rewrite<Math>> {
@@ -329,5 +340,101 @@ proptest! {
                 prop_assert_eq!(dense.extract(root).to_sexp(), reference.term(root), "root {}", root);
             }
         }
+    }
+}
+
+/// Ground truth for [`AstSize`]: every class starts unreachable, a pass
+/// lowers each class to the cheapest of its nodes whose children are all
+/// reachable (one plus the children's costs), and passes repeat until one
+/// lowers nothing.
+fn min_ast_sizes(eg: &EG) -> Vec<Option<u64>> {
+    let mut best: Vec<Option<u64>> = vec![None; eg.id_bound()];
+    loop {
+        let mut lowered = false;
+        for class in eg.classes() {
+            for node in &class.nodes {
+                let mut children = node.children().iter().map(|&c| best[eg.find(c).index()]);
+                let cost = children.try_fold(1u64, |sum, c| Some(sum.saturating_add(c?)));
+                let slot = &mut best[class.id.index()];
+                if cost.is_some_and(|cost| slot.is_none_or(|old| cost < old)) {
+                    *slot = cost;
+                    lowered = true;
+                }
+            }
+        }
+        if !lowered {
+            return best;
+        }
+    }
+}
+
+/// A term's cost as a tree: one per node, shared subterms counted at
+/// every use.
+fn tree_size(term: &RecExpr<Math>) -> u64 {
+    let mut sizes: Vec<u64> = Vec::with_capacity(term.len());
+    for node in term.nodes() {
+        let children = node.children().iter().map(|c| sizes[c.index()]);
+        sizes.push(children.fold(1, u64::saturating_add));
+    }
+    *sizes.last().expect("an extracted term has a root")
+}
+
+/// Checks every class of `eg` against [`min_ast_sizes`] with an extractor
+/// built over `scratch`, and hands the scratch back.
+fn assert_ground_truth(
+    eg: &mut EG,
+    scratch: ExtractScratch<Math>,
+    ctx: &str,
+) -> ExtractScratch<Math> {
+    let truth = min_ast_sizes(eg);
+    let extractor = WorklistExtractor::with_scratch(eg, AstSize, scratch);
+    let mut terms = Vec::new();
+    for class in eg.classes() {
+        let want = truth[class.id.index()];
+        assert_eq!(
+            extractor.cost_of(class.id),
+            want,
+            "{ctx}: class {}",
+            class.id
+        );
+        if let Some(want) = want {
+            let term = extractor.extract(class.id);
+            assert_eq!(tree_size(&term), want, "{ctx}: term of class {}", class.id);
+            terms.push((class.id, term));
+        }
+    }
+    let scratch = extractor.into_scratch();
+    // A term is made of its class's own nodes: adding it back finds them.
+    let nodes = eg.num_nodes();
+    for (id, term) in &terms {
+        let landed = eg.add_recexpr(term);
+        assert_eq!(eg.find(landed), eg.find(*id), "{ctx}: class {id}");
+    }
+    assert_eq!(eg.num_nodes(), nodes, "{ctx}: re-adding grew the graph");
+    scratch
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    // Raw replays hold unions that make classes cyclic (a class among its
+    // own descendants) and classes no root reaches; saturated ones add the
+    // equal-cost ties. Every class is checked, not just the replay's ids.
+    #[test]
+    fn worklist_costs_equal_the_bellman_ford_ground_truth(
+        steps in proptest::collection::vec((0u8..6, 0u32..64, 0u32..64), 60),
+        saturate in 0u8..2,
+    ) {
+        let (mut eg, _) = replay(&steps);
+        if saturate == 1 {
+            Runner::new(6, 4_000).run_to_fixpoint(&mut eg, &math_rules());
+        }
+        let scratch = assert_ground_truth(&mut eg, ExtractScratch::default(), "fresh scratch");
+        let scratch = assert_ground_truth(&mut eg, scratch, "reused scratch");
+        // Another graph in the cleared storage, solved in the same scratch.
+        eg.clear();
+        let reversed: Vec<Step> = steps.iter().rev().copied().collect();
+        replay_into(&mut eg, &reversed);
+        assert_ground_truth(&mut eg, scratch, "cleared graph");
     }
 }

@@ -46,10 +46,10 @@ fn replay(steps: &[Step]) -> (EG, Vec<Id>) {
                 eg.union(pick(x), pick(y));
             }
             5 => {
-                eg.relations.insert("rel-a", vec![pick(x)]);
+                eg.relations.insert("rel-a", &[pick(x)]);
             }
             6 => {
-                eg.relations.insert("rel-b", vec![pick(x), pick(y)]);
+                eg.relations.insert("rel-b", &[pick(x), pick(y)]);
             }
             _ => eg.rebuild(),
         }
@@ -221,7 +221,7 @@ fn warm_start_matches_cold_and_probes_fewer_rows() {
 fn corrupted_truncated_and_bumped_bytes_are_typed_errors() {
     let mut eg = EG::new();
     let _ = mul_chain(&mut eg, 0, 6);
-    eg.relations.insert("rel-a", vec![Id(0)]);
+    eg.relations.insert("rel-a", &[Id(0)]);
     eg.rebuild();
     let bytes = eg.snapshot();
 

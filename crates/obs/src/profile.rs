@@ -25,7 +25,13 @@ pub struct RuleSearchSample<'a> {
     /// Candidate index rows the search probed (0 for naive searches,
     /// which scan without the delta index).
     pub probed_rows: usize,
-    /// Matches found and applied.
+    /// Matches the search found — the rows it left in the match buffer,
+    /// every one of which went through the rule's guard and applier.
+    pub found: usize,
+    /// The found matches whose application changed the graph. A delta
+    /// search over dirty roots mostly re-finds what an earlier pass applied,
+    /// so `matches == 0` says the search was fruitless, not that it was
+    /// empty: that is `found == 0`.
     pub matches: usize,
     /// Wall time of the search + apply.
     pub duration: Duration,
@@ -95,6 +101,8 @@ pub struct OwnedRuleSearch {
     pub rule: String,
     /// See [`RuleSearchSample::probed_rows`].
     pub probed_rows: usize,
+    /// See [`RuleSearchSample::found`].
+    pub found: usize,
     /// See [`RuleSearchSample::matches`].
     pub matches: usize,
     /// See [`RuleSearchSample::duration`].
@@ -142,6 +150,7 @@ impl ProfileSink for CollectingSink {
             .push(OwnedRuleSearch {
                 rule: sample.rule.to_string(),
                 probed_rows: sample.probed_rows,
+                found: sample.found,
                 matches: sample.matches,
                 duration: sample.duration,
             });
@@ -179,6 +188,7 @@ impl ProfileSink for TracingSink {
             vec![
                 ("rule", sample.rule.to_string()),
                 ("probed_rows", sample.probed_rows.to_string()),
+                ("found", sample.found.to_string()),
                 ("matches", sample.matches.to_string()),
             ],
         );
@@ -199,12 +209,14 @@ mod tests {
         sink.on_rule_search(&RuleSearchSample {
             rule: "a",
             probed_rows: 2,
+            found: 4,
             matches: 1,
             duration: Duration::from_nanos(5),
         });
         sink.on_rule_search(&RuleSearchSample {
             rule: "b",
             probed_rows: 0,
+            found: 0,
             matches: 0,
             duration: Duration::ZERO,
         });
@@ -212,6 +224,7 @@ mod tests {
         let samples = sink.samples();
         assert_eq!(samples.len(), 2);
         assert_eq!(samples[0].rule, "a");
+        assert_eq!(samples[0].found, 4);
         assert_eq!(samples[1].matches, 0);
         assert_eq!(sink.rebuilds(), vec![Duration::from_nanos(7)]);
     }
@@ -224,15 +237,16 @@ mod tests {
         sink.on_rule_search(&RuleSearchSample {
             rule: "mul-comm",
             probed_rows: 3,
+            found: 5,
             matches: 2,
             duration: Duration::from_nanos(1),
         });
         sink.on_rebuild(Duration::from_nanos(1));
         drop(root);
         let spans = tracer.finished();
-        assert!(spans.iter().any(
-            |s| s.name == "rule_search" && s.attrs.contains(&("rule", "mul-comm".to_string()))
-        ));
+        assert!(spans.iter().any(|s| s.name == "rule_search"
+            && s.attrs.contains(&("rule", "mul-comm".to_string()))
+            && s.attrs.contains(&("found", "5".to_string()))));
         assert!(spans.iter().any(|s| s.name == "rebuild"));
     }
 }

@@ -10,7 +10,7 @@ use std::sync::Arc;
 use hardboiled_repro::egraph::snapshot::SnapshotError;
 use hardboiled_repro::hardboiled::{
     Batching, CacheOutcome, CompileService, Placements, ReportCache, Session, SuiteSnapshot,
-    WarmRejection,
+    Symbol, WarmRejection,
 };
 use hardboiled_repro::ir::builder as b;
 use hardboiled_repro::ir::stmt::Stmt;
@@ -217,6 +217,46 @@ fn snapshot_bytes_round_trip_through_serialization() {
             .compile_ir_suite(&suite_refs(&stmts, &placements))
             .programs
     );
+}
+
+#[test]
+fn snapshots_carry_names_not_symbols() {
+    // E-nodes hold interned symbols; the wire holds the strings. A snapshot
+    // restored into a symbol table that has grown since the export (as in
+    // any process other than the exporting one) warm-starts like a cold
+    // compile, and exporting again writes the same bytes.
+    let session = batched_session();
+    let placements = Placements::new();
+    let known: Vec<Stmt> = ["wire_a", "wire_b"].map(tile_leaf).to_vec();
+    let full: Vec<Stmt> = ["wire_a", "wire_b", "wire_c"].map(tile_leaf).to_vec();
+    let (_, snapshot) = session.compile_ir_suite_exporting(&suite_refs(&known, &placements));
+    let bytes = snapshot
+        .expect("a saturated batched compile exports")
+        .to_bytes();
+    for name in ["x_wire_a", "acc_wire_b"] {
+        assert!(
+            bytes.windows(name.len()).any(|w| w == name.as_bytes()),
+            "{name} is not on the wire as text"
+        );
+    }
+
+    let before = Symbol::interned();
+    for i in 0..300 {
+        let _ = Symbol::from(format!("unrelated-to-the-snapshot-{i}"));
+    }
+    assert!(Symbol::interned() >= before + 300);
+
+    let restored = SuiteSnapshot::from_bytes(&bytes).unwrap();
+    let cold = session.compile_ir_suite(&suite_refs(&full, &placements));
+    let (warm, rejection) =
+        session.compile_ir_suite_warm(&suite_refs(&full, &placements), &restored);
+    assert_eq!(rejection, None);
+    assert_eq!(warm.programs, cold.programs);
+    assert_eq!(warm.report.outcome, cold.report.outcome);
+    assert!(warm.report.snapshot_restore.is_some());
+
+    let (_, again) = session.compile_ir_suite_exporting(&suite_refs(&known, &placements));
+    assert_eq!(again.unwrap().to_bytes(), bytes);
 }
 
 #[test]

@@ -1,12 +1,13 @@
 //! Allocation budget of a warmed `Session::compile_ir`: heap allocations
 //! per encoded e-node, in steady state, over a fixed small set of the
 //! programs the benchmark draws from. A session keeps its compile contexts
-//! — e-graph, matcher scratch, extraction tables — between compiles and
-//! the engine's tables are dense and flat, so a compile allocates little
-//! beyond the e-nodes' own payloads and the program it returns. A change
-//! that goes back to building those tables per compile — the parent of the
-//! context pool read 30.3 allocations per encoded node on this set — fails
-//! here even on a box too noisy to time anything.
+//! — e-graph, matcher scratch, extraction tables — between compiles, the
+//! engine's tables are dense and flat, and e-nodes hold interned names, so
+//! a compile allocates little beyond the call nodes' argument slices and
+//! the program it returns. A change that goes back to building those
+//! tables per compile — the parent of the context pool read 30.3
+//! allocations per encoded node on this set — or to owned strings in
+//! e-nodes (9.5) fails here even on a box too noisy to time anything.
 //!
 //! This file holds one test, so nothing else allocates while it counts.
 
@@ -132,9 +133,11 @@ fn encoded_nodes(lowered: &Lowered, batching: Batching) -> usize {
 }
 
 /// Allocations per encoded e-node the whole set may average: measured
-/// 9.47 (3 780 allocations for 399 nodes) when the context pool landed,
-/// plus 10%. Its parent read 30.28 (12 082) on this set.
-const BUDGET_PER_NODE: f64 = 10.4;
+/// 7.29 (2 909 allocations for 399 nodes) with interned names and boxed
+/// call arguments in the e-nodes, plus 10%. History on this set: 30.28
+/// (12 082) with per-compile tables, 9.47 (3 780) when the context pool
+/// landed and nodes still carried a `String` and a `Vec<Id>`.
+const BUDGET_PER_NODE: f64 = 8.0;
 
 #[test]
 fn a_warmed_compile_stays_within_its_allocation_budget() {

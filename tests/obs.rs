@@ -7,8 +7,8 @@ use std::sync::{Arc, Condvar, Mutex};
 
 use hardboiled_repro::hardboiled::session::{CompileError, IntoProgram, Program};
 use hardboiled_repro::hardboiled::{
-    Batching, CollectingSink, MetricsRegistry, Placements, ReportCache, Session, TestClock, Tracer,
-    TracingSink,
+    Batching, CollectingSink, MetricsRegistry, Placements, ReportCache, Session, Symbol, TestClock,
+    Tracer, TracingSink,
 };
 use hardboiled_repro::ir::builder as b;
 use hardboiled_repro::ir::stmt::Stmt;
@@ -127,6 +127,7 @@ fn collecting_sink_observes_rule_searches() {
     let samples = sink.samples();
     assert!(!samples.is_empty(), "no rule searches observed");
     assert!(samples.iter().all(|s| !s.rule.is_empty()));
+    assert!(samples.iter().all(|s| s.matches <= s.found));
     assert!(!sink.rebuilds().is_empty(), "no rebuilds observed");
     // Per-rule draining re-attributes rows; it must not invent any.
     let probed: usize = samples.iter().map(|s| s.probed_rows).sum();
@@ -163,9 +164,11 @@ fn tracing_sink_nests_rule_searches_under_saturate() {
         searches.iter().all(|s| s.parent == Some(saturate_ids[0])),
         "rule_search spans escaped the saturate span"
     );
-    assert!(searches
-        .iter()
-        .all(|s| s.attrs.iter().any(|(k, _)| *k == "rule")));
+    for key in ["rule", "found", "matches"] {
+        assert!(searches
+            .iter()
+            .all(|s| s.attrs.iter().any(|(k, _)| *k == key)));
+    }
 }
 
 /// One registry, three layers: the session's cache counters mirror the
@@ -202,6 +205,13 @@ fn registry_aggregates_session_and_cache_metrics_exactly() {
             "{stage} miscounted"
         );
     }
+    // The process-wide symbol table holds at least this compile's names
+    // (and every other test's: it only grows).
+    let interned = snap
+        .gauge("core.symbols.interned")
+        .expect("set per compile");
+    assert!(interned >= 3, "{interned} symbols after a compile");
+    assert!(interned <= i64::try_from(Symbol::interned()).unwrap());
     // Rendering includes every metric the compile produced.
     let text = snap.render_text();
     assert!(text.contains("cache_hits 1"));

@@ -1,8 +1,10 @@
 //! Reuse safety of the session's compile contexts: a context — e-graph,
 //! matcher scratch, extraction scratch — that served one program and was
 //! cleared must compile the next exactly as a fresh session does. The
-//! oracle compiles families that differ in operators and relations (a
-//! `conv1d`, an AMX Vnni matmul, an upsample) back to back on one session
+//! oracle compiles families that differ in operators, relations and size (a
+//! `conv1d`, an AMX Vnni matmul, an upsample, and the unrolled 256-tap
+//! `conv1d` whose batched graph is the largest kind the pool retains) back
+//! to back on one session
 //! and compares every selected program, every `CompileReport` counter and
 //! every engine `RunReport` with those of fresh sessions, so no row, log,
 //! relation tuple, epoch or bank slot can leak across `clear()` unseen —
@@ -26,9 +28,16 @@ use hardboiled_repro::hardboiled::{
 use hardboiled_repro::lang::lower::{lower, Lowered};
 use hardboiled_repro::obs::RuleSearchSample;
 
-/// Three families with little in common: different operators, different
+/// `conv1d_unrolled_k256` of the bench suites: 34 leaves, and batched one
+/// graph of well over a thousand e-class ids.
+fn large_unrolled() -> Lowered {
+    lower(&Conv1d { n: 1024, k: 256 }.pipeline_tc_unrolled()).unwrap()
+}
+
+/// Four families with little in common: different operators, different
 /// intrinsics, different relations (`has-type` everywhere, the AMX tile
-/// relations only under the matmul).
+/// relations only under the matmul), and a context that rests fifteen
+/// times larger after the last than after the others.
 fn families() -> Vec<Lowered> {
     let amx = AmxMatmul {
         m: 32,
@@ -39,12 +48,14 @@ fn families() -> Vec<Lowered> {
         lower(&Conv1d { n: 512, k: 16 }.pipeline(true)).unwrap(),
         lower(&amx.pipeline(Layout::Vnni, Variant::PreloadB).unwrap()).unwrap(),
         lower(&Upsample { n: 1024, taps: 8 }.pipeline(true)).unwrap(),
+        large_unrolled(),
     ]
 }
 
-/// The order the shared session sees them in: every family follows every
-/// other one, and the first comes back after the others.
-const ORDER: [usize; 5] = [0, 1, 2, 1, 0];
+/// The order the shared session sees them in: every small family follows
+/// every other one and the large one, the large one follows itself, and
+/// the first comes back after the others.
+const ORDER: [usize; 8] = [0, 1, 3, 3, 2, 1, 3, 0];
 
 fn timeless(run: &RunReport) -> RunReport {
     RunReport {
@@ -104,6 +115,34 @@ fn a_reused_session_compiles_like_fresh_ones() {
             assert!(r.report.num_statements() > 0, "the oracle must saturate");
         }
     }
+}
+
+#[test]
+fn a_large_batched_context_comes_back_from_the_pool() {
+    // Contexts above a thousand ids used to be dropped: every large compile
+    // built its tables again.
+    let large = large_unrolled();
+    let session = Session::builder()
+        .batching(Batching::Batched)
+        .build()
+        .unwrap();
+    assert_eq!(session.pooled_contexts(), 0);
+    let first = session.compile(&large).unwrap();
+    let run = first.report.batch.as_ref().unwrap();
+    assert!(
+        run.nodes > 1024,
+        "{} nodes, so at least as many ids",
+        run.nodes
+    );
+    assert_eq!(
+        session.pooled_contexts(),
+        1,
+        "the large context was dropped"
+    );
+    // The second compile pops that context and puts it back: none is built.
+    let second = session.compile(&large).unwrap();
+    assert_eq!(session.pooled_contexts(), 1);
+    assert_eq!(digest(&second), digest(&first));
 }
 
 #[test]
