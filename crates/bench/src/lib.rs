@@ -1,11 +1,12 @@
 //! # hb-bench — harnesses regenerating every table and figure of the paper
 //!
-//! One binary per experiment (see DESIGN.md's per-experiment index) plus
-//! Criterion microbenchmarks of the substrate itself. Binaries print the
-//! same rows/series the paper reports; EXPERIMENTS.md records the
-//! paper-vs-measured comparison.
+//! One binary per experiment under `src/bin/`, printing the same rows and
+//! series the paper reports, plus the shared selector workload pool
+//! ([`workloads`]) whose deterministic counts and identity oracles
+//! `tests/pool.rs` and `tests/cache_keystone.rs` pin. Nothing here times a
+//! compile (`fig6_compile_time` prints the durations a `CompileReport`
+//! carries): performance is read from `benchmark/` at the repo root.
 
-pub mod guard;
 pub mod micro;
 pub mod workloads;
 

@@ -1,11 +1,9 @@
-//! The shared benchmark workload pool and bench-CLI helpers.
-//!
-//! `eqsat_saturation` (engine/selector trajectory, `BENCH_eqsat.json`)
-//! and `serve_throughput` (service + intra-compile parallelism,
-//! `BENCH_serve.json`) measure the **same** conv1d / conv2d / GEMM /
-//! AMX-MatMul pool so their numbers compose: the suite the service fans
-//! across workers is the suite whose stage times the engine bench breaks
-//! down.
+//! The shared selector workload pool: conv1d (tensorized and unrolled),
+//! conv2d, WMMA GEMM and AMX MatMul shapes — 14 workloads, 158 saturated
+//! roots, 161 leaves with [`saturation_pool`]'s extra GEMM.
+//! `tests/pool.rs` pins the pool's deterministic counts and identity
+//! oracles, `tests/cache_keystone.rs` its warm-start; timings of the same
+//! families are read from `benchmark/` at the repo root.
 
 use hardboiled::movement::{annotate_stmt, collect_placements};
 use hb_apps::conv1d::Conv1d;
@@ -17,7 +15,7 @@ use hb_lang::lower::{lower, Lowered};
 
 /// One named, pre-lowered pipeline.
 pub struct Workload {
-    /// Stable name used in printed rows and JSON keys.
+    /// Stable name, the key of `tests/pool.rs`'s count table.
     pub name: &'static str,
     /// The lowered program (statement + placements).
     pub lowered: Lowered,
@@ -157,44 +155,4 @@ pub fn saturation_pool(all: &[Workload]) -> Vec<Stmt> {
     .pipeline(true);
     leaves.extend(saturation_leaves(&lower(&extra).expect("lowering")));
     leaves
-}
-
-/// Parses `--threads N` from a bench binary's argument list, falling back
-/// to `default`. Clamped to at least 1.
-///
-/// # Panics
-///
-/// When `--threads` is present without a positive integer after it.
-#[must_use]
-pub fn threads_flag(args: &[String], default: usize) -> usize {
-    args.iter()
-        .position(|a| a == "--threads")
-        .map_or(default, |i| {
-            args.get(i + 1)
-                .and_then(|n| n.parse::<usize>().ok())
-                .expect("--threads requires a positive integer")
-        })
-        .max(1)
-}
-
-/// Cores visible to this process ([`std::thread::available_parallelism`],
-/// so cgroup/affinity limits count). Recorded in every bench JSON so
-/// wall-clock numbers taken on different machines stay interpretable.
-/// Visible is not usable: a shared 2-vCPU box can read 2 here while two
-/// busy threads scale barely past one, so no bench asserts a
-/// multi-threaded win on the strength of this number.
-#[must_use]
-pub fn cores() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
-
-/// The `"metadata"` JSON object both bench files embed: the threads the
-/// run was configured with (`serve_throughput`'s service workers;
-/// `eqsat_saturation` is serial and records 1) and the cores it saw.
-#[must_use]
-pub fn metadata_json(threads: usize) -> String {
-    format!(
-        r#""metadata": {{ "threads": {threads}, "cores": {} }}"#,
-        cores()
-    )
 }

@@ -7,19 +7,17 @@
 //! none exists the movement survives and the selector reports the statement
 //! as not lowered (the "miss" of the paper's hit-or-miss framing).
 //!
-//! Two implementations ship with the crate:
-//!
-//! * [`DeviceCost`] — the `Session` default, **derived from the target's
-//!   [`DeviceProfile`]**: the per-intrinsic charge reflects how the
-//!   device's tensor units compare to its general-purpose cores, so
-//!   extraction prefers intrinsics exactly when the device makes them
-//!   worthwhile. On every built-in profile (A100, RTX 4070 SUPER, AMX
-//!   host) the derivation lands on the historical constants, so selections
-//!   are byte-identical to the original hardcoded model; a profile with
-//!   pathologically slow tensor units instead prices intrinsics above the
-//!   movement penalty and extraction falls back to vector code.
-//! * [`HbCost`] — the original hardcoded constants, kept as the reference
-//!   model (and as proof any [`CostModel`] plugs into the pipeline).
+//! One implementation ships with the crate: [`DeviceCost`], the `Session`
+//! default, **derived from the target's [`DeviceProfile`]** — the
+//! per-intrinsic charge reflects how the device's tensor units compare to
+//! its general-purpose cores, so extraction prefers intrinsics exactly when
+//! the device makes them worthwhile. On every built-in profile (A100, RTX
+//! 4070 SUPER, AMX host) the derivation lands on the historical constants
+//! ([`MOVEMENT_PENALTY`], [`INTRINSIC_COST`]; the unit tests below keep the
+//! original hardcoded model as their reference), so selections are
+//! byte-identical to it; a profile with pathologically slow tensor units
+//! instead prices intrinsics above the movement penalty and extraction
+//! falls back to vector code.
 //!
 //! Custom models implement [`CostModel`] (a per-node charge; the extractor
 //! adds children) and plug in via `Session::builder().cost_model(...)`.
@@ -61,28 +59,6 @@ impl CostFunction<HbLang> for ModelCost<'_> {
     }
 }
 
-/// The original HARDBOILED cost function: fixed constants, no device input.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct HbCost;
-
-impl CostModel for HbCost {
-    fn node_cost(&self, node: &HbLang) -> u64 {
-        match node {
-            HbLang::Loc(..) => MOVEMENT_PENALTY,
-            // Intrinsic calls are single instructions; keep them competitive
-            // with the vector soup they replace.
-            HbLang::Call(..) => INTRINSIC_COST,
-            _ => 1,
-        }
-    }
-}
-
-impl CostFunction<HbLang> for HbCost {
-    fn cost(&self, node: &HbLang, child_cost: &mut dyn FnMut(Id) -> u64) -> u64 {
-        ModelCost(self).cost(node, child_cost)
-    }
-}
-
 /// The device-derived cost model: AST size with the intrinsic charge
 /// computed from a [`DeviceProfile`].
 ///
@@ -91,7 +67,7 @@ impl CostFunction<HbLang> for HbCost {
 /// rounded, floored at 1 — i.e. how many "ordinary vector node" units of
 /// time a tensor instruction costs *relative to what the same device could
 /// do without it*. Devices whose tensor units outrun their cores (every
-/// real profile) get the minimum charge of 2, matching [`HbCost`]; a
+/// real profile) get the minimum charge of 2, [`INTRINSIC_COST`]; a
 /// device whose tensor path is slower than its cores prices intrinsics
 /// proportionally higher, and past [`MOVEMENT_PENALTY`] extraction prefers
 /// the un-lowered vector form — the selector then honestly reports the
@@ -157,11 +133,27 @@ mod tests {
     use hb_ir::builder as b;
     use hb_ir::types::Type;
 
+    /// The original HARDBOILED cost function — fixed constants, no device
+    /// input — kept as the reference [`DeviceCost`] is held to.
+    struct HbCost;
+
+    impl CostModel for HbCost {
+        fn node_cost(&self, node: &HbLang) -> u64 {
+            match node {
+                HbLang::Loc(..) => MOVEMENT_PENALTY,
+                // Intrinsic calls are single instructions; keep them
+                // competitive with the vector soup they replace.
+                HbLang::Call(..) => INTRINSIC_COST,
+                _ => 1,
+            }
+        }
+    }
+
     #[test]
     fn movements_dominate_cost() {
         let mut eg = HbGraph::default();
         let id = encode_expr(&mut eg, &b::mem_to_amx(b::bcast(b::flt(0.0), 4)));
-        let ex = WorklistExtractor::new(&eg, HbCost);
+        let ex = WorklistExtractor::new(&eg, ModelCost(&HbCost));
         assert!(ex.cost_of(id).unwrap() >= MOVEMENT_PENALTY);
     }
 
@@ -175,7 +167,7 @@ mod tests {
         );
         eg.union(moved, call);
         eg.rebuild();
-        let ex = WorklistExtractor::new(&eg, HbCost);
+        let ex = WorklistExtractor::new(&eg, ModelCost(&HbCost));
         let term = ex.extract(moved);
         assert_eq!(
             crate::decode::decode_expr(&term).unwrap(),

@@ -169,7 +169,7 @@ pub mod session;
 pub use cache::{
     canonical_program_hash, CacheOutcome, CacheStats, ReportCache, SuiteSnapshot, WarmRejection,
 };
-pub use cost::{CostModel, DeviceCost, HbCost};
+pub use cost::{CostModel, DeviceCost};
 pub use hb_accel::target::{AmxTarget, RuleProfile, ScalarTarget, SimTarget, Target, WmmaTarget};
 pub use hb_egraph::schedule::CancelToken;
 pub use hb_obs::{

@@ -27,7 +27,7 @@ fn fresh_name() -> String {
 /// selector runs compare equal: the temp counter above is global to the
 /// process, not per-run, so byte-comparing selected programs across runs
 /// requires this canonicalization first. Used by every equivalence oracle
-/// (the batched-vs-per-leaf tests and the `eqsat_saturation` bench).
+/// (the batched-vs-per-leaf tests, `crates/bench/tests/pool.rs`).
 #[must_use]
 pub fn normalize_temps(program: &str) -> String {
     let mut out = String::with_capacity(program.len());
@@ -167,17 +167,6 @@ pub fn try_materialize_stmt(s: &Stmt) -> Result<Stmt, MaterializeError> {
     try_materialize_owned(s.clone())
 }
 
-/// Infallible shim over [`try_materialize_stmt`].
-///
-/// # Panics
-///
-/// Panics on a malformed statement; error-tolerant callers use the `try_`
-/// form and degrade instead.
-#[must_use]
-pub fn materialize_stmt(s: &Stmt) -> Stmt {
-    try_materialize_stmt(s).expect("materialization failed")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,7 +192,7 @@ mod tests {
             vec![marker(inner.clone()), b::int(0), b::int(8), b::int(1)],
         );
         let s = b::evaluate(call);
-        let out = materialize_stmt(&s);
+        let out = try_materialize_stmt(&s).unwrap();
         match &out {
             Stmt::Allocate {
                 elem,
@@ -234,7 +223,7 @@ mod tests {
     fn marker_replaced_by_buffer_var() {
         let inner = b::bcast(b::flt(2.0), 4);
         let s = b::store("out", b::ramp(b::int(0), b::int(1), 4), marker(inner));
-        let out = materialize_stmt(&s);
+        let out = try_materialize_stmt(&s).unwrap();
         let mut found_var = false;
         out.for_each_expr(&mut |e| {
             if let Expr::Var(name, _) = e {
@@ -263,7 +252,7 @@ mod tests {
     #[test]
     fn statements_without_markers_unchanged() {
         let s = b::store("out", b::int(0), b::flt(1.0));
-        assert_eq!(materialize_stmt(&s), s);
+        assert_eq!(try_materialize_stmt(&s).unwrap(), s);
     }
 
     #[test]
@@ -271,7 +260,7 @@ mod tests {
         let m1 = marker(b::bcast(b::flt(1.0), 2));
         let m2 = marker(b::bcast(b::flt(2.0), 2));
         let s = b::store("out", b::ramp(b::int(0), b::int(1), 2), b::add(m1, m2));
-        let out = materialize_stmt(&s);
+        let out = try_materialize_stmt(&s).unwrap();
         let mut allocs = 0;
         out.for_each_stmt(&mut |st| {
             if matches!(st, Stmt::Allocate { .. }) {

@@ -566,7 +566,7 @@ impl CompileService {
     /// depths, wait/run/cancel latency histograms, plus everything the
     /// registered sessions recorded into the shared registry. The natural
     /// companion to [`CompileService::cache_stats`]; render it with
-    /// `MetricsSnapshot::render_text` / `render_json` / `summary_line`.
+    /// `MetricsSnapshot::render_text` / `render_json`.
     #[must_use]
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         self.metrics.snapshot()

@@ -373,12 +373,6 @@ impl ExtractionReport {
     pub fn roots(&self) -> usize {
         self.root_costs.len()
     }
-
-    /// Mean per-root readout time.
-    #[must_use]
-    pub fn per_root_readout(&self) -> Duration {
-        self.readout_time / u32::try_from(self.roots().max(1)).unwrap_or(u32::MAX)
-    }
 }
 
 /// Outcome for one statement that went through equality saturation.
@@ -506,10 +500,10 @@ pub struct IrSuiteResult {
 }
 
 /// Builder for [`Session`]: target, cost model, batching mode, the
-/// saturation budgets (outer iterations, node limit, deadline, match cap —
-/// or a whole [`Runner`]), a report cache, and the three observers (tracer,
-/// metrics registry, profile sink). Everything else about a compile is
-/// fixed — in particular how it extracts (see the module docs).
+/// saturation budgets (outer iterations, node limit, deadline, match cap),
+/// a report cache, and the three observers (tracer, metrics registry,
+/// profile sink). Everything else about a compile is fixed — in particular
+/// how it extracts (see the module docs).
 pub struct SessionBuilder {
     target: Option<Box<dyn Target>>,
     unknown_target: Option<String>,
@@ -520,7 +514,6 @@ pub struct SessionBuilder {
     node_limit: Option<usize>,
     deadline: Option<Duration>,
     match_budget: Option<usize>,
-    runner: Option<Runner>,
     cache: Option<Arc<ReportCache>>,
     tracer: Option<Tracer>,
     metrics: Option<Arc<MetricsRegistry>>,
@@ -541,7 +534,6 @@ impl SessionBuilder {
             node_limit: None,
             deadline: None,
             match_budget: None,
-            runner: None,
             cache: None,
             tracer: None,
             metrics: None,
@@ -648,14 +640,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Full control over the saturation [`Runner`] (overrides
-    /// `node_limit`).
-    #[must_use]
-    pub fn runner(mut self, runner: Runner) -> Self {
-        self.runner = Some(runner);
-        self
-    }
-
     /// Attaches a report cache (default: none — every compile runs the
     /// pipeline). Pass the same `Arc` to several sessions (or to
     /// [`CompileServiceBuilder::shared_cache`]) to share one bounded
@@ -702,8 +686,7 @@ impl SessionBuilder {
     /// Attaches an engine profiling sink (default: none — every hook
     /// site in the engine stays a single branch). The sink observes each
     /// rule search (rule name, rows probed, matches, duration) and each
-    /// rebuild; see `hb_obs::ProfileSink`. Overrides the sink on a
-    /// custom [`SessionBuilder::runner`].
+    /// rebuild; see `hb_obs::ProfileSink`.
     #[must_use]
     pub fn profile_sink(mut self, sink: Arc<dyn ProfileSink>) -> Self {
         self.profile_sink = Some(sink);
@@ -741,13 +724,13 @@ impl SessionBuilder {
             .cost
             .unwrap_or_else(|| Box::new(DeviceCost::from_profile(target.device())));
         #[allow(unused_mut)]
-        let mut runner = self.runner.unwrap_or_else(|| {
-            let limit = self.node_limit.unwrap_or(match batching {
+        let mut runner = Runner::new(
+            16,
+            self.node_limit.unwrap_or(match batching {
                 Batching::PerLeaf => 200_000,
                 Batching::Batched => 500_000,
-            });
-            Runner::new(16, limit)
-        });
+            }),
+        );
         #[cfg(feature = "fault-injection")]
         if let Some(plan) = self.fault_plan {
             runner.fault_plan = Some(plan);

@@ -14,10 +14,11 @@
 //!
 //! ## Performance design
 //!
-//! The engine keeps every hot path indexed and incremental (measured
-//! ~8x end-to-end saturation speedup over the retained naive reference
-//! on ~1.8k-class whole-program workloads; see `BENCH_eqsat.json` at the
-//! repo root):
+//! The engine keeps every hot path indexed and incremental (the work it
+//! does on the ~1.8k-class whole-program pool — nodes, classes, searches
+//! by kind, probed and skipped rows — is pinned at equality by
+//! `crates/bench/tests/pool.rs`; its timings are read from `benchmark/`
+//! at the repo root):
 //!
 //! * **One backtracking e-matcher.** [`pattern::Pattern::compile`] /
 //!   [`rewrite::Query::compile`] intern variables to `u32` slots and
@@ -247,8 +248,9 @@
 //! reproducible across runs. Equivalence tests in `tests/engine.rs`
 //! assert identical match *sequences* on random graphs and random queries
 //! of every shape, and identical saturation outcomes, and
-//! `crates/bench/src/bin/eqsat_saturation.rs` measures the speedup
-//! against it.
+//! `crates/bench/tests/pool.rs` holds the compiled matcher to it on the
+//! 161-leaf whole-program graph (sizes, root equivalences, extracted
+//! terms).
 //!
 //! ## Example
 //!

@@ -50,9 +50,8 @@
 //! (p50/p90/p99) read out as the upper bound of the bucket where the
 //! cumulative count crosses the rank — bucket-granular by design, the
 //! same trade Prometheus histograms make. Snapshots render as
-//! Prometheus-style text ([`MetricsSnapshot::render_text`]), JSON
-//! ([`MetricsSnapshot::render_json`]), or a one-line benchmark summary
-//! ([`MetricsSnapshot::summary_line`]).
+//! Prometheus-style text ([`MetricsSnapshot::render_text`]) or JSON
+//! ([`MetricsSnapshot::render_json`]).
 //!
 //! # Profiling hooks ([`profile`])
 //!

@@ -461,50 +461,6 @@ impl MetricsSnapshot {
         out.push_str("\n  }\n}\n");
         out
     }
-
-    /// A compact single-line summary for benchmark logs: every counter,
-    /// every non-zero gauge, and `name{n=… p50=… p99=…}` per non-empty
-    /// histogram.
-    #[must_use]
-    pub fn summary_line(&self) -> String {
-        let mut parts: Vec<String> = Vec::new();
-        for (name, value) in &self.counters {
-            parts.push(format!("{name}={value}"));
-        }
-        for (name, value) in &self.gauges {
-            if *value != 0 {
-                parts.push(format!("{name}={value}"));
-            }
-        }
-        for h in &self.histograms {
-            if h.count == 0 {
-                continue;
-            }
-            parts.push(format!(
-                "{}{{n={} p50={} p99={}}}",
-                h.name,
-                h.count,
-                fmt_ns(h.p50().unwrap_or(0)),
-                fmt_ns(h.p99().unwrap_or(0)),
-            ));
-        }
-        parts.join(" ")
-    }
-}
-
-/// Human-readable rendering of a nanosecond quantity.
-fn fmt_ns(ns: u64) -> String {
-    #[allow(clippy::cast_precision_loss)]
-    let ns_f = ns as f64;
-    if ns < 1_000 {
-        format!("{ns}ns")
-    } else if ns < 1_000_000 {
-        format!("{:.1}us", ns_f / 1e3)
-    } else if ns < 1_000_000_000 {
-        format!("{:.1}ms", ns_f / 1e6)
-    } else {
-        format!("{:.2}s", ns_f / 1e9)
-    }
 }
 
 fn json_opt(value: Option<u64>) -> String {

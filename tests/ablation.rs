@@ -9,9 +9,10 @@
 //!    `MultiplyLanes` concretization, axiom-produced loads keep symbolic
 //!    types and the app rules cannot bind shapes.
 
+use hardboiled_repro::accel::device::DeviceProfile;
 use hardboiled_repro::egraph::extract::{AstSize, WorklistExtractor};
 use hardboiled_repro::egraph::schedule::Runner;
-use hardboiled_repro::hardboiled::cost::HbCost;
+use hardboiled_repro::hardboiled::cost::DeviceCost;
 use hardboiled_repro::hardboiled::decode::decode_stmt;
 use hardboiled_repro::hardboiled::encode::encode_stmt;
 use hardboiled_repro::hardboiled::movement::{annotate_stmt, Placements};
@@ -62,18 +63,24 @@ fn obscured_update() -> Stmt {
     simplify_stmt(&annotate_stmt(&update, &placements))
 }
 
+/// The shipped cost model (AST size + movement penalty) on the AMX host
+/// the obscured MatMul is placed on.
+fn device_cost() -> DeviceCost {
+    DeviceCost::from_profile(&DeviceProfile::amx_host())
+}
+
 fn saturate_and_extract(
     stmt: &Stmt,
     main: Vec<hardboiled_repro::hardboiled::rules::Rw>,
-    use_hb_cost: bool,
+    penalize_movement: bool,
 ) -> Stmt {
     let mut eg = HbGraph::default();
     hardboiled_repro::hardboiled::rules::app_specific::declare_relations(&mut eg);
     let root = encode_stmt(&mut eg, stmt);
     let support = rules::supporting_rules();
     Runner::new(16, 200_000).run_phased(&mut eg, &main, &support, 8);
-    let term = if use_hb_cost {
-        WorklistExtractor::new(&eg, HbCost).extract(root)
+    let term = if penalize_movement {
+        WorklistExtractor::new(&eg, device_cost()).extract(root)
     } else {
         WorklistExtractor::new(&eg, AstSize).extract(root)
     };
@@ -115,13 +122,13 @@ fn ablation_without_axiomatic_rules_fails_to_lower() {
 fn ablation_ast_size_cost_without_movement_penalty() {
     // Plain AST size can prefer the original (smaller) unlowered statement
     // over the intrinsic form in adversarial cases; at minimum it must not
-    // crash, and the HbCost extraction must be at least as lowered.
+    // crash, and the DeviceCost extraction must be at least as lowered.
     let stmt = obscured_update();
     let plain = saturate_and_extract(&stmt, rules::main_rules(), false);
     let weighted = saturate_and_extract(&stmt, rules::main_rules(), true);
     assert!(is_lowered(&weighted));
     // The movement penalty strictly dominates: whenever plain AST size finds
-    // a lowered form, so does HbCost (the converse does not hold).
+    // a lowered form, so does DeviceCost (the converse does not hold).
     if is_lowered(&plain) {
         assert!(is_lowered(&weighted));
     }
@@ -140,7 +147,7 @@ fn ablation_without_supporting_rules_types_stay_symbolic() {
     let main = rules::main_rules();
     // Note: run_to_fixpoint over main rules only — no supporting phase.
     Runner::new(8, 200_000).run_to_fixpoint(&mut eg, &main);
-    let term = WorklistExtractor::new(&eg, HbCost).extract(root);
+    let term = WorklistExtractor::new(&eg, device_cost()).extract(root);
     let out = decode_stmt(&term).unwrap_or(stmt);
     assert!(
         !is_lowered(&out),

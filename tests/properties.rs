@@ -187,9 +187,10 @@ proptest! {
     ) {
         // Saturate a nested index expression with the HARDBOILED axioms and
         // check the extracted form evaluates identically.
+        use hardboiled_repro::accel::device::DeviceProfile;
         use hardboiled_repro::egraph::extract::WorklistExtractor;
         use hardboiled_repro::egraph::schedule::Runner;
-        use hardboiled_repro::hardboiled::cost::HbCost;
+        use hardboiled_repro::hardboiled::cost::DeviceCost;
         use hardboiled_repro::hardboiled::decode::decode_expr;
         use hardboiled_repro::hardboiled::encode::encode_expr;
         use hardboiled_repro::hardboiled::rules;
@@ -207,7 +208,8 @@ proptest! {
             &rules::supporting_rules(),
             4,
         );
-        let term = WorklistExtractor::new(&eg, HbCost).extract(id);
+        let cost = DeviceCost::from_profile(&DeviceProfile::a100());
+        let term = WorklistExtractor::new(&eg, cost).extract(id);
         let back = decode_expr(&term).unwrap();
         let v1 = eval_lanes(&e, 0, 0).unwrap();
         let v2 = eval_lanes(&back, 0, 0).unwrap();
