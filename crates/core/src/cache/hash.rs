@@ -6,175 +6,274 @@
 //! identical programs — e.g. unrolled loop bodies differing only in the
 //! temporaries a front end generated — collide on purpose, while any
 //! structural difference (shape, operators, types, lane counts, intrinsic
-//! names, placements) keeps hashes apart. The hash itself is a
-//! `splitmix64` chain over the canonical rendering: no `DefaultHasher`,
-//! no iteration-order dependence, stable across processes.
+//! names, placements) keeps hashes apart. The canonical form is never
+//! built: one walk over the borrowed tree feeds node tags, payloads and
+//! name indices straight into a `splitmix64` chain. No `DefaultHasher`, no
+//! iteration-order dependence, stable across processes.
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::time::Duration;
 
 use hb_egraph::schedule::Runner;
-use hb_egraph::snapshot::payload_checksum;
+use hb_egraph::snapshot::{payload_checksum, splitmix64};
 use hb_egraph::unionfind::Id;
 use hb_ir::expr::{BinOp, Expr};
 use hb_ir::stmt::Stmt;
-use hb_ir::types::{Location, ScalarType};
+use hb_ir::types::{Location, ScalarType, Type};
 
 use crate::cost::CostModel;
 use crate::lang::HbLang;
 use crate::movement::Placements;
 use crate::session::Batching;
 
-/// First-occurrence renamer: the n-th distinct name seen on the canonical
-/// walk becomes `c{n}`, whatever it was called. Variables and buffers
-/// share one namespace (they share one in the e-graph's `Str`/`VarE`
-/// leaves too — a buffer and a loop var with the same name alias).
-#[derive(Default)]
-struct Renamer {
-    map: HashMap<String, String>,
-    next: usize,
+/// Node tags of the word stream. Every node feeds its tag, then its
+/// payload words, then its children in walk order; arities are fixed by
+/// the tag (`Block` and `Call` feed their lengths), so the stream decodes
+/// to exactly one canonical tree and two trees feed equal streams only
+/// when they are equal up to renaming. The numbers are part of the key:
+/// changing one moves every hash (`tests/properties.rs` pins a constant).
+mod tag {
+    pub const INT: u64 = 1;
+    pub const FLOAT: u64 = 2;
+    pub const VAR: u64 = 3;
+    pub const CAST: u64 = 4;
+    pub const BINARY: u64 = 5;
+    pub const SELECT: u64 = 6;
+    pub const RAMP: u64 = 7;
+    pub const BROADCAST: u64 = 8;
+    pub const LOAD: u64 = 9;
+    pub const REDUCE_ADD: u64 = 10;
+    pub const CALL: u64 = 11;
+    pub const LOC_TO_LOC: u64 = 12;
+    pub const STORE: u64 = 13;
+    pub const EVALUATE: u64 = 14;
+    pub const FOR: u64 = 15;
+    pub const BLOCK: u64 = 16;
+    pub const ALLOCATE: u64 = 17;
+    pub const IF: u64 = 18;
+    pub const PLACED: u64 = 19;
+    pub const UNMENTIONED: u64 = 20;
+    pub const PROGRAM_END: u64 = 21;
 }
 
-impl Renamer {
-    fn rename(&mut self, name: &str) -> String {
-        if let Some(canon) = self.map.get(name) {
-            return canon.clone();
+/// The streaming canonical hasher: the `splitmix64` chain state plus the
+/// first-occurrence renamer of the program being walked. The n-th
+/// distinct name seen on the walk feeds the index `n`, whatever it was
+/// called. Variables and buffers share one namespace (they share one in
+/// the e-graph's `Str`/`VarE` leaves too — a buffer and a loop var with
+/// the same name alias). Names are borrowed from the tree and searched
+/// newest first: programs mention few distinct names, and mostly the one
+/// they mentioned last.
+struct CanonHasher<'a> {
+    state: u64,
+    names: Vec<&'a str>,
+}
+
+impl<'a> CanonHasher<'a> {
+    fn new() -> Self {
+        CanonHasher {
+            state: 0,
+            names: Vec::with_capacity(16),
         }
-        let canon = format!("c{}", self.next);
-        self.next += 1;
-        self.map.insert(name.to_string(), canon.clone());
-        canon
     }
-}
 
-fn canon_expr(e: &Expr, r: &mut Renamer) -> Expr {
-    match e {
-        Expr::IntImm(_) | Expr::FloatImm(..) => e.clone(),
-        Expr::Var(name, st) => Expr::Var(r.rename(name), *st),
-        Expr::Cast(ty, v) => Expr::Cast(*ty, Box::new(canon_expr(v, r))),
-        Expr::Binary(op, a, b) => {
-            Expr::Binary(*op, Box::new(canon_expr(a, r)), Box::new(canon_expr(b, r)))
+    fn word(&mut self, word: u64) {
+        self.state = splitmix64(self.state ^ word);
+    }
+
+    fn ty(&mut self, ty: Type) {
+        self.word(ty.elem as u64);
+        self.word(u64::from(ty.lanes));
+    }
+
+    fn index_of(&self, name: &str) -> Option<usize> {
+        self.names.iter().rposition(|known| *known == name)
+    }
+
+    fn name(&mut self, name: &'a str) {
+        let index = self.index_of(name).unwrap_or_else(|| {
+            self.names.push(name);
+            self.names.len() - 1
+        });
+        self.word(index as u64);
+    }
+
+    fn expr(&mut self, e: &'a Expr) {
+        match e {
+            Expr::IntImm(v) => {
+                self.word(tag::INT);
+                self.word(v.cast_unsigned());
+            }
+            Expr::FloatImm(v, st) => {
+                self.word(tag::FLOAT);
+                self.word(v.to_bits());
+                self.word(*st as u64);
+            }
+            Expr::Var(name, st) => {
+                self.word(tag::VAR);
+                self.word(*st as u64);
+                self.name(name);
+            }
+            Expr::Cast(ty, v) => {
+                self.word(tag::CAST);
+                self.ty(*ty);
+                self.expr(v);
+            }
+            Expr::Binary(op, a, b) => {
+                self.word(tag::BINARY);
+                self.word(*op as u64);
+                self.expr(a);
+                self.expr(b);
+            }
+            Expr::Select(c, t, f) => {
+                self.word(tag::SELECT);
+                self.expr(c);
+                self.expr(t);
+                self.expr(f);
+            }
+            Expr::Ramp {
+                base,
+                stride,
+                lanes,
+            } => {
+                self.word(tag::RAMP);
+                self.word(u64::from(*lanes));
+                self.expr(base);
+                self.expr(stride);
+            }
+            Expr::Broadcast { value, lanes } => {
+                self.word(tag::BROADCAST);
+                self.word(u64::from(*lanes));
+                self.expr(value);
+            }
+            Expr::Load { ty, buffer, index } => {
+                self.word(tag::LOAD);
+                self.ty(*ty);
+                // The buffer before the index: pre-order, like `Var`.
+                self.name(buffer);
+                self.expr(index);
+            }
+            Expr::VectorReduceAdd { lanes, value } => {
+                self.word(tag::REDUCE_ADD);
+                self.word(u64::from(*lanes));
+                self.expr(value);
+            }
+            // Intrinsic names are semantic (they pick the instruction), so
+            // they feed by content (their checksum), unlike buffer/variable
+            // names.
+            Expr::Call { ty, name, args } => {
+                self.word(tag::CALL);
+                self.ty(*ty);
+                self.word(payload_checksum(name.as_bytes()));
+                self.word(args.len() as u64);
+                for arg in args {
+                    self.expr(arg);
+                }
+            }
+            Expr::LocToLoc { from, to, value } => {
+                self.word(tag::LOC_TO_LOC);
+                self.word(*from as u64);
+                self.word(*to as u64);
+                self.expr(value);
+            }
         }
-        Expr::Select(c, t, f) => Expr::Select(
-            Box::new(canon_expr(c, r)),
-            Box::new(canon_expr(t, r)),
-            Box::new(canon_expr(f, r)),
-        ),
-        Expr::Ramp {
-            base,
-            stride,
-            lanes,
-        } => Expr::Ramp {
-            base: Box::new(canon_expr(base, r)),
-            stride: Box::new(canon_expr(stride, r)),
-            lanes: *lanes,
-        },
-        Expr::Broadcast { value, lanes } => Expr::Broadcast {
-            value: Box::new(canon_expr(value, r)),
-            lanes: *lanes,
-        },
-        Expr::Load { ty, buffer, index } => Expr::Load {
-            ty: *ty,
-            // Rename the buffer before descending: pre-order, like `Var`.
-            buffer: r.rename(buffer),
-            index: Box::new(canon_expr(index, r)),
-        },
-        Expr::VectorReduceAdd { lanes, value } => Expr::VectorReduceAdd {
-            lanes: *lanes,
-            value: Box::new(canon_expr(value, r)),
-        },
-        // Intrinsic names are semantic (they pick the instruction), so
-        // they pass through by content, unlike buffer/variable names.
-        Expr::Call { ty, name, args } => Expr::Call {
-            ty: *ty,
-            name: name.clone(),
-            args: args.iter().map(|a| canon_expr(a, r)).collect(),
-        },
-        Expr::LocToLoc { from, to, value } => Expr::LocToLoc {
-            from: *from,
-            to: *to,
-            value: Box::new(canon_expr(value, r)),
-        },
     }
-}
 
-fn canon_stmt(s: &Stmt, r: &mut Renamer) -> Stmt {
-    match s {
-        Stmt::Store {
-            buffer,
-            index,
-            value,
-        } => Stmt::Store {
-            buffer: r.rename(buffer),
-            index: canon_expr(index, r),
-            value: canon_expr(value, r),
-        },
-        Stmt::Evaluate(e) => Stmt::Evaluate(canon_expr(e, r)),
-        Stmt::For {
-            var,
-            min,
-            extent,
-            kind,
-            body,
-        } => Stmt::For {
-            var: r.rename(var),
-            min: canon_expr(min, r),
-            extent: canon_expr(extent, r),
-            kind: *kind,
-            body: Box::new(canon_stmt(body, r)),
-        },
-        Stmt::Block(stmts) => Stmt::Block(stmts.iter().map(|s| canon_stmt(s, r)).collect()),
-        Stmt::Allocate {
-            name,
-            elem,
-            size,
-            memory,
-            body,
-        } => Stmt::Allocate {
-            name: r.rename(name),
-            elem: *elem,
-            size: *size,
-            memory: *memory,
-            body: Box::new(canon_stmt(body, r)),
-        },
-        Stmt::If { cond, then_case } => Stmt::If {
-            cond: canon_expr(cond, r),
-            then_case: Box::new(canon_stmt(then_case, r)),
-        },
+    fn stmt(&mut self, s: &'a Stmt) {
+        match s {
+            Stmt::Store {
+                buffer,
+                index,
+                value,
+            } => {
+                self.word(tag::STORE);
+                self.name(buffer);
+                self.expr(index);
+                self.expr(value);
+            }
+            Stmt::Evaluate(e) => {
+                self.word(tag::EVALUATE);
+                self.expr(e);
+            }
+            Stmt::For {
+                var,
+                min,
+                extent,
+                kind,
+                body,
+            } => {
+                self.word(tag::FOR);
+                self.word(*kind as u64);
+                self.name(var);
+                self.expr(min);
+                self.expr(extent);
+                self.stmt(body);
+            }
+            Stmt::Block(stmts) => {
+                self.word(tag::BLOCK);
+                self.word(stmts.len() as u64);
+                for s in stmts {
+                    self.stmt(s);
+                }
+            }
+            Stmt::Allocate {
+                name,
+                elem,
+                size,
+                memory,
+                body,
+            } => {
+                self.word(tag::ALLOCATE);
+                self.word(*elem as u64);
+                self.word(*size);
+                self.word(*memory as u64);
+                self.name(name);
+                self.stmt(body);
+            }
+            Stmt::If { cond, then_case } => {
+                self.word(tag::IF);
+                self.expr(cond);
+                self.stmt(then_case);
+            }
+        }
     }
-}
 
-/// The canonical rendering [`canonical_program_hash`] hashes: the
-/// statement tree with names replaced by first-occurrence indices,
-/// debug-printed, followed by the requested placements sorted by
-/// canonical name (names the statement never mentions keep their raw
-/// name and sort after the canonical ones). Two programs hash equal iff
-/// their canonical texts are equal — exposed so tests can use it as the
-/// collision oracle.
-#[must_use]
-pub fn canonical_text(stmt: &Stmt, placements: &Placements) -> String {
-    let mut renamer = Renamer::default();
-    let canon = canon_stmt(stmt, &mut renamer);
-    let mut entries: Vec<(bool, String, String)> = placements
-        .iter()
-        .map(|(name, mem)| match renamer.map.get(name) {
-            Some(canon_name) => (false, canon_name.clone(), format!("{mem:?}")),
-            None => (true, name.clone(), format!("{mem:?}")),
-        })
-        .collect();
-    // Canonical names are `c{index}`; zero-pad so the lexicographic sort
-    // matches occurrence order for any count.
-    entries.sort_by(|a, b| {
-        let key =
-            |(unknown, name, _): &(bool, String, String)| (*unknown, name.len(), name.clone());
-        key(a).cmp(&key(b))
-    });
-    let mut text = format!("{canon:?}");
-    for (_, name, mem) in entries {
-        let _ = write!(text, "\u{1f}{name}={mem}");
+    /// The requested placements, after the tree they annotate: those of
+    /// names the tree mentions in first-occurrence order (the renamer's own
+    /// order, whatever the map's), then those of names it never mentions
+    /// as an order-free sum of per-entry hashes of the raw name — such a
+    /// name has no canonical index, so it counts by content.
+    fn placements(&mut self, placements: &Placements) {
+        let mut mentioned = 0;
+        for index in 0..self.names.len() {
+            if let Some(memory) = placements.get(self.names[index]) {
+                mentioned += 1;
+                self.word(tag::PLACED);
+                self.word(index as u64);
+                self.word(*memory as u64);
+            }
+        }
+        let mut unmentioned = 0u64;
+        if mentioned < placements.len() {
+            for (name, memory) in placements {
+                if self.index_of(name).is_none() {
+                    let entry = splitmix64(payload_checksum(name.as_bytes()));
+                    unmentioned = unmentioned.wrapping_add(splitmix64(entry ^ *memory as u64));
+                }
+            }
+        }
+        self.word(tag::UNMENTIONED);
+        self.word((placements.len() - mentioned) as u64);
+        self.word(unmentioned);
     }
-    text
+
+    /// One whole program; the renamer starts over for the next.
+    fn program(&mut self, stmt: &'a Stmt, placements: &Placements) {
+        self.names.clear();
+        self.stmt(stmt);
+        self.placements(placements);
+        self.word(tag::PROGRAM_END);
+    }
 }
 
 /// Content-addressed hash of one program (statement tree + requested
@@ -182,19 +281,20 @@ pub fn canonical_text(stmt: &Stmt, placements: &Placements) -> String {
 /// placement-map iteration order. See the module docs for the scheme.
 #[must_use]
 pub fn canonical_program_hash(stmt: &Stmt, placements: &Placements) -> u64 {
-    payload_checksum(canonical_text(stmt, placements).as_bytes())
+    let mut hasher = CanonHasher::new();
+    hasher.program(stmt, placements);
+    hasher.state
 }
 
-/// Cache key for a whole compile request: every program's canonical text
-/// plus the session's policy fingerprint, in one checksum.
+/// Cache key for a whole compile request: every program's canonical word
+/// stream, in order, then the session's policy fingerprint, in one chain.
 pub(crate) fn request_hash(programs: &[(&Stmt, &Placements)], fingerprint: u64) -> u64 {
-    let mut text = String::new();
+    let mut hasher = CanonHasher::new();
     for (stmt, placements) in programs {
-        text.push_str(&canonical_text(stmt, placements));
-        text.push('\u{1e}');
+        hasher.program(stmt, placements);
     }
-    let _ = write!(text, "policy={fingerprint:016x}");
-    payload_checksum(text.as_bytes())
+    hasher.word(fingerprint);
+    hasher.state
 }
 
 /// E-nodes whose costs a fingerprint samples: one per shape the built-in
@@ -300,7 +400,6 @@ mod tests {
         let (a, pa) = leaf("out0", "t0");
         let (b, pb) = leaf("out1", "some_other_temp");
         assert_ne!(a, b);
-        assert_eq!(canonical_text(&a, &pa), canonical_text(&b, &pb));
         assert_eq!(
             canonical_program_hash(&a, &pa),
             canonical_program_hash(&b, &pb)

@@ -26,15 +26,20 @@
 //!
 //! The key is content-addressed, never identity-addressed:
 //!
-//! * Each program hashes through [`canonical_program_hash`] — a
-//!   first-occurrence renaming of every buffer/variable name over a
-//!   pre-order walk of the statement tree, folded with the requested
-//!   placements (sorted by canonical name). Two structurally identical
-//!   programs that differ only in the names of their temporaries — the
-//!   unrolled bodies a front end stamps out — hash equal; intrinsic call
-//!   names are semantic and hash by content. The hash is a plain
-//!   `splitmix64` chain over the canonical rendering, so it is stable
-//!   across processes, `HashMap` iteration orders and id assignments.
+//! * Each program hashes through [`canonical_program_hash`]: one
+//!   pre-order walk over the borrowed statement tree that feeds a
+//!   `splitmix64` chain, word by word, with each node's tag, its payload
+//!   (operator, type, lane count, immediate, intrinsic name by content) and
+//!   — in place of every buffer/variable name — the index of that name's
+//!   first occurrence on the walk; then the requested placements in
+//!   first-occurrence order of the names they place. Nothing is copied,
+//!   rendered or sorted. Two structurally identical programs that differ
+//!   only in the names of their temporaries — the unrolled bodies a front
+//!   end stamps out — hash equal; intrinsic call names are semantic and
+//!   hash by content, as do placements of names the tree never mentions.
+//!   The chain is stable across processes, `HashMap` iteration orders and
+//!   id assignments. A request's key chains its programs' streams and the
+//!   policy fingerprint the same way.
 //! * The policy fingerprint folds in everything else that can change the
 //!   output: target name, batching mode, outer
 //!   iterations, node/match/deadline budgets, matcher choice, and a probe
@@ -45,8 +50,14 @@
 //!
 //! Hash collisions cannot corrupt results: a hit additionally requires
 //! the stored request (exact statements and placements) to equal the
-//! incoming one, so canonically-colliding renamed siblings occupy
-//! separate entries and each caller gets back its own names.
+//! incoming one — on every lookup, a service's front door included — so
+//! canonically-colliding renamed siblings occupy separate entries and
+//! each caller gets back its own names.
+//!
+//! The consult runs first, on the request as the caller holds it: a hit
+//! clones nothing but the stored result, and a miss hands its key to the
+//! compile, which stores the request it owns by value (see `Session`'s
+//! "One path through a compile" and the service's "Front door").
 //!
 //! ## Eviction and observability
 //!
@@ -55,9 +66,11 @@
 //! advances a logical clock, and inserting into a full cache evicts the
 //! entry with the oldest clock value. [`CacheStats`] exposes monotone
 //! hit/miss/bypass/eviction counters; each compile's own treatment lands
-//! on its report as a [`CacheOutcome`]. Compiles that never consult the
-//! cache — leaf-free programs, warm-starts, snapshot-exporting compiles,
-//! and fault-injected sessions — count as bypasses, and only fully
+//! on its report as a [`CacheOutcome`]. Compiles the cache has nothing for
+//! by construction — leaf-free programs (never stored), warm-starts,
+//! snapshot-exporting compiles, and fault-injected sessions — count as
+//! bypasses; every request counts as exactly one hit, miss or bypass,
+//! however often it was looked up; and only fully
 //! [`Saturated`](crate::session::CompileOutcome::Saturated) compiles are
 //! stored (a truncated or degraded result must not shadow a later clean
 //! one).
@@ -66,7 +79,7 @@ mod hash;
 mod snapshot;
 mod store;
 
-pub use hash::{canonical_program_hash, canonical_text};
+pub use hash::canonical_program_hash;
 pub(crate) use hash::{policy_fingerprint, request_hash};
 pub use snapshot::{SuiteSnapshot, WarmRejection};
 pub use store::{CacheOutcome, CacheStats, ReportCache};

@@ -19,9 +19,10 @@ pub enum CacheOutcome {
     /// The cache was consulted, missed, and (for fully saturated
     /// outcomes) the fresh result was stored.
     Miss,
-    /// The cache was not consulted: no cache is attached, the request had
-    /// no selection leaves, the compile warm-started from a snapshot or
-    /// exported one, or the session carries a fault plan.
+    /// The cache had nothing to offer by construction: none is attached,
+    /// the request had no selection leaves (such compiles are never
+    /// stored), the compile warm-started from a snapshot or exported one,
+    /// or the session carries a fault plan.
     #[default]
     Bypass,
 }
@@ -161,8 +162,18 @@ impl ReportCache {
         self.bypasses.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Records a consulted compile that ran the pipeline. Apart from
+    /// [`ReportCache::lookup`] because one request may be looked up twice
+    /// (at a service's front door, then by the worker it was queued for)
+    /// and must still count once — when its compile starts.
+    pub(crate) fn note_miss(&self) {
+        self.misses.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Looks up a request by content hash, verifying the stored request
     /// matches exactly (hash collisions can never serve a wrong entry).
+    /// Counts a hit; an unanswered lookup counts nothing (see
+    /// [`ReportCache::note_miss`]).
     pub(crate) fn lookup(
         &self,
         key: u64,
@@ -171,46 +182,39 @@ impl ReportCache {
         let mut inner = self.lock();
         inner.clock += 1;
         let clock = inner.clock;
-        let found = inner.buckets.get_mut(&key).and_then(|entries| {
+        let entry = inner.buckets.get_mut(&key).and_then(|entries| {
             entries
                 .iter_mut()
                 .find(|e| matches_request(&e.request, request))
-        });
-        match found {
-            Some(entry) => {
-                entry.last_used = clock;
-                let value = entry.value.clone();
-                drop(inner);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(value)
-            }
-            None => {
-                drop(inner);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        })?;
+        entry.last_used = clock;
+        let value = entry.value.clone();
+        drop(inner);
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(value)
     }
 
-    /// Stores a finished compile, evicting the least-recently-used entry
-    /// when at capacity. Re-storing an existing request refreshes its
-    /// value and recency instead of duplicating it. Returns whether an
-    /// entry was evicted, so callers mirroring [`CacheStats`] into a
-    /// metrics registry can count evictions without re-reading stats.
+    /// Stores a finished compile under the request that produced it (by
+    /// value: the entry keeps it for [`ReportCache::lookup`]'s exact
+    /// check), evicting the least-recently-used entry when at capacity.
+    /// Re-storing an existing request refreshes its value and recency
+    /// instead of duplicating it. Returns whether an entry was evicted, so
+    /// callers mirroring [`CacheStats`] into a metrics registry can count
+    /// evictions without re-reading stats.
     pub(crate) fn store(
         &self,
         key: u64,
-        request: &[(&Stmt, &Placements)],
+        request: Vec<(Stmt, Placements)>,
         value: CompiledPrograms,
     ) -> bool {
         let mut inner = self.lock();
         inner.clock += 1;
         let clock = inner.clock;
-        if let Some(entry) = inner.buckets.get_mut(&key).and_then(|entries| {
-            entries
-                .iter_mut()
-                .find(|e| matches_request(&e.request, request))
-        }) {
+        if let Some(entry) = inner
+            .buckets
+            .get_mut(&key)
+            .and_then(|entries| entries.iter_mut().find(|e| e.request == request))
+        {
             entry.value = value;
             entry.last_used = clock;
             return false;
@@ -221,10 +225,7 @@ impl ReportCache {
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
         inner.buckets.entry(key).or_default().push(Entry {
-            request: request
-                .iter()
-                .map(|(stmt, placements)| ((*stmt).clone(), (*placements).clone()))
-                .collect(),
+            request,
             value,
             last_used: clock,
         });

@@ -25,6 +25,31 @@
 //!
 //! ## Request lifecycle
 //!
+//! **Front door.** A source that is already lowered offers its tree and
+//! placements borrowed ([`IntoProgram::view`]: `Stmt`, `Program`,
+//! `hb_lang::Lowered`). When the target's session carries a consultable
+//! report cache, `submit` / `submit_wait` / `compile_batch` — and
+//! `submit_suite` when every source of the suite has a view — ask the cache
+//! on the *submitting* thread, before anything is cloned or queued
+//! ([`Session`]'s one consult: one streaming hash of the request, one
+//! lookup that answers only a request equal to the stored one). A hit
+//! returns an already-resolved [`Ticket`]: no queue slot (so a full queue
+//! does not refuse it, and `service.rejected_busy` does not move), no
+//! worker wake-up, no reply hand-off, nothing to cancel (dropping the
+//! ticket counts no cancellation). It is counted in `service.requests` and
+//! in `service.door_hits`, and refused with
+//! [`ServiceError::ShuttingDown`] once shutdown has begun, like any other
+//! request. A miss is queued *with its key*, so the worker hashes nothing:
+//! its compile looks again under that key — another worker may have stored
+//! the entry in the meantime — and the request is counted once, as the hit,
+//! miss or bypass the worker's compile turns out to be. Sources without a
+//! view (real front ends) and sessions whose cache cannot be consulted
+//! (none attached, or a fault plan installed) are queued unasked: no front
+//! end ever runs on the submitting thread. `service.wait_ns`,
+//! `service.run_ns` and the queue-depth gauges therefore describe *queued*
+//! requests only — with a warm cache that is the misses, whose means are
+//! higher than the all-request means an unconsulted service reports.
+//!
 //! **Queueing.** Every registered target owns its own bounded FIFO queue
 //! ([`CompileServiceBuilder::queue_capacity`] slots, default 256). Workers
 //! drain the queues with a round-robin cursor over the sorted target
@@ -66,7 +91,8 @@
 //! Each request runs under its own `catch_unwind`, on top of the
 //! session's internal two-layer isolation (see
 //! [`crate::session`]): a panic anywhere in one request — including in
-//! the front end's [`IntoProgram::to_program`], which runs *before* the
+//! the front end's conversion ([`IntoProgram::into_program`]: a worker
+//! owns the source it was queued with), which runs *before* the
 //! session's own isolation — surfaces as that request's
 //! [`CompileError::Engine`] while the workers keep serving everything
 //! else. Per-request degradation ([`crate::CompileOutcome`]'s ladder)
@@ -93,21 +119,23 @@
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc::{channel, Receiver};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use hb_egraph::schedule::CancelToken;
+use hb_ir::stmt::Stmt;
 use hb_obs::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot};
 
 use crate::cache::{CacheStats, ReportCache};
+use crate::movement::Placements;
 use crate::session::{
-    panic_message, BuildError, CompileError, CompileResult, IntoProgram, Session, SuiteResult,
+    panic_message, BuildError, CompileError, CompileResult, Consult, IntoProgram, Session,
+    SuiteResult,
 };
 
-/// A queued request: a closure that performs the compile and sends the
-/// reply on its own channel (so one queue can carry any reply type).
+/// A queued request: a closure that performs the compile and fills its
+/// own reply slot (so one queue can carry any reply type).
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
 /// Default per-target queue capacity
@@ -155,19 +183,108 @@ impl fmt::Display for ServiceError {
 
 impl std::error::Error for ServiceError {}
 
-/// A pending request's handle. [`Ticket::wait`] blocks until the worker
-/// that picked the request up finishes it.
+/// A request's handle. [`Ticket::wait`] blocks until the worker that
+/// picked the request up finishes it — or returns at once when the request
+/// was answered at the front door (see the module docs).
 ///
 /// Dropping a ticket without waiting *cancels* the request: if it is
 /// still queued the worker skips it, and if it is already running the
 /// compile is aborted at the next rule-search boundary (see the module
 /// docs' lifecycle section). Dropping after completion is a no-op.
 #[must_use = "a ticket resolves to the request's result; dropping it cancels the compile"]
-#[derive(Debug)]
 pub struct Ticket<T = CompileResult> {
-    rx: Receiver<Result<T, CompileError>>,
+    /// Where the result is, or will be: filled by the worker's job, or
+    /// born settled when the request was answered at the front door.
+    reply: Arc<ReplySlot<T>>,
     /// `Some` while cancel-on-drop is armed; [`Ticket::wait`] disarms.
+    /// Never armed on a ticket that was resolved at the front door.
     cancel: Option<CancelToken>,
+}
+
+/// The one-shot hand-off from a worker's job to the ticket waiting on it.
+struct ReplySlot<T> {
+    state: Mutex<SlotState<T>>,
+    settled: Condvar,
+}
+
+impl<T> ReplySlot<T> {
+    fn new(state: SlotState<T>) -> Arc<Self> {
+        Arc::new(ReplySlot {
+            state: Mutex::new(state),
+            settled: Condvar::new(),
+        })
+    }
+}
+
+enum SlotState<T> {
+    Waiting,
+    Done(Result<T, CompileError>),
+    /// The job was dropped without running to its reply, or the reply was
+    /// taken.
+    Abandoned,
+}
+
+impl<T> ReplySlot<T> {
+    /// Every update of the state is one assignment, so a poisoned lock
+    /// still guards a valid state.
+    fn lock(&self) -> std::sync::MutexGuard<'_, SlotState<T>> {
+        self.state
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    fn settle(&self, outcome: SlotState<T>) {
+        let mut state = self.lock();
+        if matches!(*state, SlotState::Waiting) {
+            *state = outcome;
+            // Unlock first: the waiter wakes to a free lock.
+            drop(state);
+            self.settled.notify_one();
+        }
+    }
+
+    fn wait(&self) -> Result<T, CompileError> {
+        let mut state = self.lock();
+        while matches!(*state, SlotState::Waiting) {
+            state = self
+                .settled
+                .wait(state)
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+        }
+        match std::mem::replace(&mut *state, SlotState::Abandoned) {
+            SlotState::Done(result) => result,
+            // Unreachable in practice: workers always reply exactly once
+            // (panics are caught inside the job), and shutdown drains the
+            // queue. Degrade to an error rather than hanging the caller.
+            _ => Err(CompileError::Engine(
+                "compile worker exited before replying".to_string(),
+            )),
+        }
+    }
+}
+
+/// The job's end of a [`ReplySlot`]. Dropping it unfilled settles the slot
+/// as abandoned, so a ticket never waits for a reply that cannot come.
+struct ReplySender<T>(Arc<ReplySlot<T>>);
+
+impl<T> ReplySender<T> {
+    fn send(self, result: Result<T, CompileError>) {
+        self.0.settle(SlotState::Done(result));
+    }
+}
+
+impl<T> Drop for ReplySender<T> {
+    fn drop(&mut self) {
+        self.0.settle(SlotState::Abandoned);
+    }
+}
+
+impl<T> fmt::Debug for Ticket<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Ticket")
+            .field("cancel_on_drop", &self.cancel.is_some())
+            .finish_non_exhaustive()
+    }
 }
 
 impl<T> Ticket<T> {
@@ -181,14 +298,7 @@ impl<T> Ticket<T> {
         // Disarm cancel-on-drop: waiting out the result is the opposite
         // of abandoning the request.
         self.cancel = None;
-        // Unreachable in practice: workers always send exactly one reply
-        // (panics are caught inside the job), and shutdown drains the
-        // queue. Degrade to an error rather than panicking the caller.
-        self.rx.recv().unwrap_or_else(|_| {
-            Err(CompileError::Engine(
-                "compile worker exited before replying".to_string(),
-            ))
-        })
+        self.reply.wait()
     }
 }
 
@@ -361,6 +471,8 @@ struct Dispatcher {
     capacity: usize,
 }
 
+const DISPATCH_LOCK: &str = "the dispatch lock is held across no panic";
+
 impl fmt::Debug for Dispatcher {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str("Dispatcher(..)")
@@ -396,14 +508,15 @@ pub struct CompileService {
     workers: Vec<JoinHandle<()>>,
     cache: Option<Arc<ReportCache>>,
     metrics: Arc<MetricsRegistry>,
-    obs: ServiceObs,
+    obs: Arc<ServiceObs>,
 }
 
 /// Pre-resolved service-level metric handles (same rationale as the
-/// session's: one registry lookup at spawn, lock-free bumps per request).
-#[derive(Clone)]
+/// session's: one registry lookup at spawn, lock-free bumps per request),
+/// shared by the service, its workers and every queued job.
 struct ServiceObs {
     requests: Counter,
+    door_hits: Counter,
     requests_panicked: Counter,
     rejected_busy: Counter,
     cancelled: Counter,
@@ -426,6 +539,7 @@ impl ServiceObs {
     fn resolve(metrics: &MetricsRegistry, names: &[String]) -> ServiceObs {
         ServiceObs {
             requests: metrics.counter("service.requests"),
+            door_hits: metrics.counter("service.door_hits"),
             requests_panicked: metrics.counter("service.requests_panicked"),
             rejected_busy: metrics.counter("service.rejected_busy"),
             cancelled: metrics.counter("service.cancelled"),
@@ -466,7 +580,7 @@ impl CompileService {
             .iter()
             .map(|name| Arc::clone(&by_name[name]))
             .collect();
-        let obs = ServiceObs::resolve(&metrics, &names);
+        let obs = Arc::new(ServiceObs::resolve(&metrics, &names));
         let dispatcher = Arc::new(Dispatcher {
             state: Mutex::new(DispatchState {
                 open: true,
@@ -480,7 +594,7 @@ impl CompileService {
         let workers = (0..workers)
             .map(|_| {
                 let dispatcher = Arc::clone(&dispatcher);
-                let obs = obs.clone();
+                let obs = Arc::clone(&obs);
                 std::thread::spawn(move || Self::worker_loop(&dispatcher, &obs))
             })
             .collect();
@@ -600,6 +714,43 @@ impl CompileService {
             .ok_or_else(|| ServiceError::UnknownTarget(target.to_string()))
     }
 
+    /// The front door (see the module docs): runs `work` here, on the
+    /// submitting thread, for a request whose consult already holds the
+    /// answer. No queue slot is taken, so a full queue does not refuse it.
+    fn answer_at_the_door<T>(
+        &self,
+        work: impl FnOnce(Option<CancelToken>) -> Result<T, CompileError>,
+    ) -> Ticket<T> {
+        self.obs.requests.inc();
+        self.obs.door_hits.inc();
+        let result = catch_unwind(AssertUnwindSafe(|| work(None))).unwrap_or_else(|payload| {
+            self.obs.requests_panicked.inc();
+            Err(CompileError::Engine(panic_message(&*payload)))
+        });
+        Ticket {
+            reply: ReplySlot::new(SlotState::Done(result)),
+            cancel: None,
+        }
+    }
+
+    /// What the front door asks the session's cache about `views`, if
+    /// anything: nothing for a source without a view or a session without
+    /// a cache, and nothing once shutdown has begun — a request that is
+    /// going to be refused must not be counted as a hit first.
+    fn ask_at_the_door(
+        &self,
+        session: &Session,
+        views: Option<&[(&Stmt, &Placements)]>,
+    ) -> Result<Option<Consult>, ServiceError> {
+        let Some(views) = views.filter(|_| session.report_cache().is_some()) else {
+            return Ok(None);
+        };
+        if !self.dispatcher.state.lock().expect(DISPATCH_LOCK).open {
+            return Err(ServiceError::ShuttingDown);
+        }
+        Ok(Some(session.consult(views, None)))
+    }
+
     /// Queues `work` on target queue `idx` and returns the ticket its
     /// reply will arrive on. `deadline`: `None` rejects a full queue
     /// immediately; `Some` blocks for a slot until that instant.
@@ -611,11 +762,12 @@ impl CompileService {
     ) -> Result<Ticket<T>, ServiceError>
     where
         T: Send + 'static,
-        F: FnOnce(CancelToken) -> Result<T, CompileError> + Send + 'static,
+        F: FnOnce(Option<CancelToken>) -> Result<T, CompileError> + Send + 'static,
     {
         let cancel = CancelToken::new();
-        let (tx, rx) = channel();
-        let obs = self.obs.clone();
+        let slot = ReplySlot::new(SlotState::Waiting);
+        let reply = ReplySender(Arc::clone(&slot));
+        let obs = Arc::clone(&self.obs);
         let job_cancel = cancel.clone();
         let enqueued = Instant::now();
         let job: Job = Box::new(move || {
@@ -626,12 +778,11 @@ impl CompileService {
             // panic counter feeds the chaos suite's truth check: every
             // request-level fault must show up here, exactly once.
             let run_cancel = job_cancel.clone();
-            let outcome = catch_unwind(AssertUnwindSafe(move || work(run_cancel))).unwrap_or_else(
-                |payload| {
+            let outcome = catch_unwind(AssertUnwindSafe(move || work(Some(run_cancel))))
+                .unwrap_or_else(|payload| {
                     obs.requests_panicked.inc();
                     Err(CompileError::Engine(panic_message(&*payload)))
-                },
-            );
+                });
             // Observed *before* `run_ns`, so once the run histogram shows
             // this request, a later ticket drop can no longer be
             // miscounted as an effective cancellation.
@@ -643,10 +794,10 @@ impl CompileService {
             }
             obs.run_ns.observe_duration(run_started.elapsed());
             // A dropped ticket just means nobody is waiting.
-            let _ = tx.send(outcome);
+            reply.send(outcome);
         });
 
-        let mut st = self.dispatcher.state.lock().unwrap();
+        let mut st = self.dispatcher.state.lock().expect(DISPATCH_LOCK);
         loop {
             if !st.open {
                 return Err(ServiceError::ShuttingDown);
@@ -673,7 +824,7 @@ impl CompileService {
                         .dispatcher
                         .space_cv
                         .wait_timeout(st, timeout)
-                        .unwrap()
+                        .expect(DISPATCH_LOCK)
                         .0;
                 }
             }
@@ -688,9 +839,33 @@ impl CompileService {
         drop(st);
         self.dispatcher.work_cv.notify_one();
         Ok(Ticket {
-            rx,
+            reply: slot,
             cancel: Some(cancel),
         })
+    }
+
+    /// One source as one request: consulted at the front door when it
+    /// offers a view, queued unless the door holds its answer.
+    fn submit_by<S>(
+        &self,
+        target: &str,
+        source: S,
+        deadline: Option<Instant>,
+    ) -> Result<Ticket, ServiceError>
+    where
+        S: IntoProgram + Send + 'static,
+    {
+        let (idx, session) = self.resolve(target)?;
+        let view = source.view();
+        let consulted = self.ask_at_the_door(&session, view.as_ref().map(std::slice::from_ref))?;
+        let answered = matches!(consulted, Some(Consult::Hit(_)));
+        let work =
+            move |cancel| session.compile_lowered(|| source.into_program(), cancel, consulted);
+        if answered {
+            Ok(self.answer_at_the_door(work))
+        } else {
+            self.dispatch(idx, deadline, work)
+        }
     }
 
     /// Submits one program for compilation on `target`'s session. Never
@@ -705,10 +880,7 @@ impl CompileService {
     where
         S: IntoProgram + Send + 'static,
     {
-        let (idx, session) = self.resolve(target)?;
-        self.dispatch(idx, None, move |cancel| {
-            session.compile_cancellable(&source, cancel)
-        })
+        self.submit_by(target, source, None)
     }
 
     /// [`CompileService::submit`], but on a full queue blocks up to
@@ -728,10 +900,7 @@ impl CompileService {
     where
         S: IntoProgram + Send + 'static,
     {
-        let (idx, session) = self.resolve(target)?;
-        self.dispatch(idx, Some(Instant::now() + timeout), move |cancel| {
-            session.compile_cancellable(&source, cancel)
-        })
+        self.submit_by(target, source, Some(Instant::now() + timeout))
     }
 
     /// Submits a whole suite as one request ([`Session::compile_suite`]
@@ -750,9 +919,21 @@ impl CompileService {
         S: IntoProgram + Send + 'static,
     {
         let (idx, session) = self.resolve(target)?;
-        self.dispatch(idx, None, move |cancel| {
-            session.compile_suite_cancellable(&sources, cancel)
-        })
+        // The suite is one request under one key: the door can ask about
+        // it only when every source offers a view.
+        let views: Option<Vec<_>> = sources.iter().map(IntoProgram::view).collect();
+        let views = views.filter(|views| !views.is_empty());
+        let consulted = self.ask_at_the_door(&session, views.as_deref())?;
+        let answered = matches!(consulted, Some(Consult::Hit(_)));
+        let work = move |cancel| {
+            let lowering = sources.into_iter().map(IntoProgram::into_program);
+            session.compile_suite_lowering(lowering, cancel, consulted)
+        };
+        if answered {
+            Ok(self.answer_at_the_door(work))
+        } else {
+            self.dispatch(idx, None, work)
+        }
     }
 
     /// Batch API: submits every source as its *own* request (so each gets
@@ -946,6 +1127,39 @@ mod tests {
         // next to the service counters.
         assert_eq!(snap.counter("compile.outcome.saturated"), Some(4));
         service.shutdown();
+    }
+
+    /// Reachable only from inside the crate — `shutdown` consumes the
+    /// service — but the door must not outlive the queues it fronts: once
+    /// draining has begun, a request the cache could answer is refused like
+    /// any other, and counted nowhere.
+    #[test]
+    fn a_would_be_door_hit_is_refused_once_shutdown_has_begun() {
+        let mut service = CompileService::builder()
+            .worker_threads(1)
+            .register_target("sim")
+            .shared_cache(Arc::new(ReportCache::new(4)))
+            .build()
+            .unwrap();
+        assert!(service.submit("sim", tile_leaf(0)).unwrap().wait().is_ok());
+        let hit = service.submit("sim", tile_leaf(0)).unwrap().wait().unwrap();
+        assert_eq!(hit.report.cache, crate::cache::CacheOutcome::Hit);
+        let before = service.metrics_snapshot();
+        let stats = service.cache_stats();
+        service.drain();
+        assert_eq!(
+            service.submit("sim", tile_leaf(0)).unwrap_err(),
+            ServiceError::ShuttingDown
+        );
+        assert_eq!(
+            service.submit("sim", tile_leaf(1)).unwrap_err(),
+            ServiceError::ShuttingDown
+        );
+        let after = service.metrics_snapshot();
+        for name in ["service.requests", "service.door_hits", "cache.hits"] {
+            assert_eq!(after.counter(name), before.counter(name), "{name} moved");
+        }
+        assert_eq!(service.cache_stats(), stats);
     }
 
     #[test]

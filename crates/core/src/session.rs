@@ -42,9 +42,11 @@
 //! front-end source, IR, a suite), in whether they isolate panics, and in
 //! what they do besides selecting (export the saturated graph, warm-start
 //! from one, honour a [`CancelToken`]) — not in how they compile. Each is a
-//! few lines over one private frame, `compile_programs`: annotate →
-//! collect leaves → consult the report cache → compile unit(s) → splice →
-//! record → store. A *unit* is the one function that touches an e-graph,
+//! few lines over one private frame, `compile_frame`: consult the report
+//! cache (on the borrowed request, before anything is cloned) → annotate →
+//! collect leaves → compile unit(s) → splice → record, the caller storing
+//! what the frame says is worth storing. A *unit* is the one function that
+//! touches an e-graph,
 //! `run_unit`: encode its leaves into a context's graph, run the phased
 //! schedule, export if asked, solve one [`WorklistExtractor`] cost table,
 //! read every root out of it. [`Batching::PerLeaf`] runs it once per leaf,
@@ -146,17 +148,61 @@ pub trait IntoProgram {
     /// Implementations return [`CompileError::Lower`] when the source
     /// cannot be lowered to IR.
     fn to_program(&self) -> Result<Program, CompileError>;
+
+    /// [`IntoProgram::to_program`] for a caller that is done with the
+    /// source (a [`CompileService`](crate::service::CompileService) worker
+    /// owns each request's): sources that already hold their tree move it
+    /// instead of cloning it.
+    ///
+    /// # Errors
+    ///
+    /// Exactly as [`IntoProgram::to_program`].
+    fn into_program(self) -> Result<Program, CompileError>
+    where
+        Self: Sized,
+    {
+        self.to_program()
+    }
+
+    /// The statement tree and placements of a source that is already
+    /// lowered, borrowed — what a report-cache consult hashes and compares
+    /// without cloning anything. `None` (the default) for a real front end:
+    /// its program exists only once [`IntoProgram::to_program`] has run. A
+    /// source that answers `Some` promises that its conversions hand over
+    /// exactly this tree and these placements and do no work worth
+    /// isolating: a service answers such a source's cache hit on the
+    /// submitting thread.
+    fn view(&self) -> Option<(&Stmt, &Placements)> {
+        None
+    }
 }
 
 impl IntoProgram for Program {
     fn to_program(&self) -> Result<Program, CompileError> {
         Ok(self.clone())
     }
+
+    fn into_program(self) -> Result<Program, CompileError> {
+        Ok(self)
+    }
+
+    fn view(&self) -> Option<(&Stmt, &Placements)> {
+        Some((&self.stmt, &self.placements))
+    }
 }
 
 impl IntoProgram for Stmt {
     fn to_program(&self) -> Result<Program, CompileError> {
         Ok(Program::new(self.clone()))
+    }
+
+    fn into_program(self) -> Result<Program, CompileError> {
+        Ok(Program::new(self))
+    }
+
+    fn view(&self) -> Option<(&Stmt, &Placements)> {
+        static NO_PLACEMENTS: OnceLock<Placements> = OnceLock::new();
+        Some((self, NO_PLACEMENTS.get_or_init(Placements::new)))
     }
 }
 
@@ -1135,11 +1181,36 @@ impl Session {
         source: &S,
         cancel: Option<CancelToken>,
     ) -> Result<CompileResult, CompileError> {
+        self.compile_lowered(|| source.to_program(), cancel, None)
+    }
+
+    /// One source through `lower` and the pipeline. `consulted` is what a
+    /// caller that already asked the report cache about this very source
+    /// found (the service's front door, through [`IntoProgram::view`]): a
+    /// hit is finished here — the stored compile under this source's own
+    /// notes and lowering time — and a miss's key rides into the compile, so
+    /// nothing is hashed twice.
+    pub(crate) fn compile_lowered(
+        &self,
+        lower: impl FnOnce() -> Result<Program, CompileError>,
+        cancel: Option<CancelToken>,
+        consulted: Option<Consult>,
+    ) -> Result<CompileResult, CompileError> {
         let _root = self.tracer.span("compile");
         let lower_span = self.tracer.span("lower");
-        let program = source.to_program()?;
+        let program = lower()?;
         let lower = lower_span.finish();
-        let mut result = self.compile_program(&program, self.request_budget(cancel))?;
+        let mut result = match consulted {
+            Some(Consult::Hit(hit)) => {
+                let mut result = hit.into_single();
+                result.report.notes.extend(program.notes);
+                result
+            }
+            unanswered => {
+                let key = unanswered.and_then(|consulted| consulted.key());
+                self.compile_program(program, self.request_budget(cancel), key)?
+            }
+        };
         result.report.stages.lower = lower;
         result.report.total_time += lower;
         if let Some(obs) = &self.obs {
@@ -1191,29 +1262,47 @@ impl Session {
         sources: &[S],
         cancel: Option<CancelToken>,
     ) -> Result<SuiteResult, CompileError> {
-        if sources.is_empty() {
+        self.compile_suite_lowering(sources.iter().map(IntoProgram::to_program), cancel, None)
+    }
+
+    /// A suite through `lowering` (one front-end run per item, in suite
+    /// order) and the pipeline; `consulted` as in
+    /// [`Session::compile_lowered`], for the suite as one request.
+    pub(crate) fn compile_suite_lowering(
+        &self,
+        lowering: impl ExactSizeIterator<Item = Result<Program, CompileError>>,
+        cancel: Option<CancelToken>,
+        consulted: Option<Consult>,
+    ) -> Result<SuiteResult, CompileError> {
+        if lowering.len() == 0 {
             return Err(CompileError::EmptySuite);
         }
         let budget = self.request_budget(cancel);
         let _root = self.tracer.span("compile_suite");
         let lower_started = Instant::now();
         let lower_span = self.tracer.span("lower");
-        let lowered: Vec<Result<Program, CompileError>> =
-            sources.iter().map(IntoProgram::to_program).collect();
+        let lowered: Vec<Result<Program, CompileError>> = lowering.collect();
         let lower = lower_span.finish();
         if let Some(obs) = &self.obs {
             obs.stage_lower.observe_duration(lower);
         }
 
         // Fast path: every program lowered and the whole-suite compile
-        // (one shared e-graph in batched mode) survives.
+        // (one shared e-graph in batched mode) survives — or the caller's
+        // consult already holds it.
         if lowered.iter().all(Result::is_ok) {
             let programs: Vec<&Program> = lowered.iter().filter_map(|r| r.as_ref().ok()).collect();
-            let refs: Vec<(&Stmt, &Placements)> =
-                programs.iter().map(|p| (&p.stmt, &p.placements)).collect();
-            let shared = catch_unwind(AssertUnwindSafe(|| {
-                self.compile_programs(&refs, budget.clone(), None, None)
-            }));
+            let shared = match consulted {
+                Some(Consult::Hit(hit)) => Ok(*hit),
+                unanswered => {
+                    let key = unanswered.and_then(|consulted| consulted.key());
+                    let refs: Vec<(&Stmt, &Placements)> =
+                        programs.iter().map(|p| (&p.stmt, &p.placements)).collect();
+                    catch_unwind(AssertUnwindSafe(|| {
+                        self.compile_programs(&refs, budget.clone(), key, None, None)
+                    }))
+                }
+            };
             if let Ok(compiled) = shared {
                 return Ok(self.split_suite(compiled, &programs, lower));
             }
@@ -1236,7 +1325,7 @@ impl Session {
         let mut results = Vec::with_capacity(lowered.len());
         for lowered_program in lowered {
             results.push(lowered_program.and_then(|program| {
-                let unit = self.compile_program(&program, budget.clone())?;
+                let unit = self.compile_program(program, budget.clone(), None)?;
                 report.outcome = report.outcome.worst(unit.report.outcome);
                 report.stmts.extend(unit.report.stmts.iter().cloned());
                 report.notes.extend(unit.report.notes.iter().cloned());
@@ -1303,24 +1392,38 @@ impl Session {
     /// One lowered program through the pipeline with both isolation layers
     /// — an engine panic degrades to the unoptimized fallback; a second
     /// panic (inside annotation or the fallback itself) becomes
-    /// [`CompileError::Engine`] — its front-end notes on its report.
+    /// [`CompileError::Engine`] — its front-end notes on its report. The
+    /// program is the compile's own: a stored compile's cache entry takes
+    /// the tree and the placements instead of copying them. `key` as in
+    /// [`Session::compile_frame`].
     fn compile_program(
         &self,
-        program: &Program,
+        program: Program,
         budget: Budget,
+        key: Option<u64>,
     ) -> Result<CompileResult, CompileError> {
-        let (stmt, placements) = (&program.stmt, &program.placements);
+        let Program {
+            stmt,
+            placements,
+            notes,
+            ..
+        } = program;
         let mut result = catch_unwind(AssertUnwindSafe(|| {
             let optimized = catch_unwind(AssertUnwindSafe(|| {
-                self.compile_programs(&[(stmt, placements)], budget, None, None)
+                self.compile_frame(&[(&stmt, &placements)], budget, key, None, None)
             }));
             match optimized {
-                Ok(compiled) => compiled.into_single(),
-                Err(payload) => self.fallback_unit(stmt, placements, &panic_message(&payload)),
+                Ok((compiled, store_under)) => {
+                    if let Some(key) = store_under {
+                        self.store(key, vec![(stmt, placements)], &compiled);
+                    }
+                    compiled.into_single()
+                }
+                Err(payload) => self.fallback_unit(&stmt, &placements, &panic_message(&payload)),
             }
         }))
         .map_err(|payload| CompileError::Engine(panic_message(&payload)))?;
-        result.report.notes.extend(program.notes.iter().cloned());
+        result.report.notes.extend(notes);
         Ok(result)
     }
 
@@ -1369,7 +1472,7 @@ impl Session {
     pub fn compile_ir(&self, stmt: &Stmt, extra_placements: &Placements) -> CompileResult {
         let _root = self.tracer.span("compile");
         let programs = [(stmt, extra_placements)];
-        let compiled = self.compile_programs(&programs, self.compile_budget(), None, None);
+        let compiled = self.compile_programs(&programs, self.compile_budget(), None, None, None);
         compiled.into_single()
     }
 
@@ -1377,7 +1480,7 @@ impl Session {
     /// empty suite compiles to an empty result).
     #[must_use]
     pub fn compile_ir_suite(&self, programs: &[(&Stmt, &Placements)]) -> IrSuiteResult {
-        let compiled = self.compile_programs(programs, self.compile_budget(), None, None);
+        let compiled = self.compile_programs(programs, self.compile_budget(), None, None, None);
         compiled.into_ir_suite()
     }
 
@@ -1395,8 +1498,8 @@ impl Session {
         programs: &[(&Stmt, &Placements)],
     ) -> (IrSuiteResult, Option<SuiteSnapshot>) {
         let mut snapshot = None;
-        let compiled =
-            self.compile_programs(programs, self.compile_budget(), Some(&mut snapshot), None);
+        let budget = self.compile_budget();
+        let compiled = self.compile_programs(programs, budget, None, Some(&mut snapshot), None);
         (compiled.into_ir_suite(), snapshot)
     }
 
@@ -1462,7 +1565,7 @@ impl Session {
         // leaves add.
         let warm = WarmStart::capture(&mut ctx.graph);
         let budget = self.compile_budget();
-        let compiled = self.compile_programs(programs, budget, None, Some((ctx, warm)));
+        let compiled = self.compile_programs(programs, budget, None, None, Some((ctx, warm)));
         let mut result = compiled.into_ir_suite();
         result.report.snapshot_restore = Some(restore);
         Ok(result)
@@ -1483,9 +1586,76 @@ impl Session {
         annotated
     }
 
-    /// The one path every entry point takes: annotate → collect leaves →
-    /// cache consult → compile unit(s) → splice → record → store, all
-    /// under one call-level [`Budget`].
+    /// Asks the report cache about one request, before anything is cloned,
+    /// annotated or lowered: the key is the canonical content of the whole
+    /// request plus this session's policy fingerprint (`key`, when a caller
+    /// computed it already), and a stored entry answers only a request
+    /// equal to the one that stored it. A hit is counted here, with the
+    /// outcome rung it reproduces; a miss is counted by the compile it
+    /// leads to ([`Session::compile_frame`]), so a request consulted twice —
+    /// at a service's front door, then by the worker it was queued for —
+    /// still counts once. Sessions without a cache and fault-injected ones
+    /// (see `cache_consultable`) have nothing to ask.
+    pub(crate) fn consult(&self, programs: &[(&Stmt, &Placements)], key: Option<u64>) -> Consult {
+        let Some(cache) = self.cache.as_ref().filter(|_| self.cache_consultable()) else {
+            return Consult::Bypass;
+        };
+        let key = key.unwrap_or_else(|| request_hash(programs, self.fingerprint));
+        let Some(mut hit) = cache.lookup(key, programs) else {
+            return Consult::Miss(key);
+        };
+        hit.report.cache = CacheOutcome::Hit;
+        if let Some(obs) = &self.obs {
+            obs.cache_hits.inc();
+            // The hit's stage timings describe the compile that populated
+            // the entry, not this call — count only the outcome rung
+            // (always the reference rung; only saturated compiles are
+            // stored).
+            obs.record_outcome(hit.report.outcome);
+        }
+        Consult::Hit(Box::new(hit))
+    }
+
+    /// Stores a compile [`Session::compile_frame`] asked to have stored,
+    /// under the request that produced it.
+    fn store(&self, key: u64, request: Vec<(Stmt, Placements)>, compiled: &CompiledPrograms) {
+        let cache = self.cache.as_ref().expect("a key implies a cache");
+        if cache.store(key, request, compiled.clone()) {
+            if let Some(obs) = &self.obs {
+                obs.cache_evictions.inc();
+            }
+        }
+    }
+
+    /// [`Session::compile_frame`] for a request borrowed from the caller:
+    /// a stored compile's cache entry takes a copy of it.
+    fn compile_programs(
+        &self,
+        programs: &[(&Stmt, &Placements)],
+        budget: Budget,
+        key: Option<u64>,
+        export: Option<&mut Option<SuiteSnapshot>>,
+        warm: Option<(CompileCtx, WarmStart)>,
+    ) -> CompiledPrograms {
+        let (compiled, store_under) = self.compile_frame(programs, budget, key, export, warm);
+        if let Some(key) = store_under {
+            let request = programs
+                .iter()
+                .map(|(stmt, placements)| ((*stmt).clone(), (*placements).clone()))
+                .collect();
+            self.store(key, request, &compiled);
+        }
+        compiled
+    }
+
+    /// The one path every entry point takes: cache consult → annotate →
+    /// collect leaves → compile unit(s) → splice → record, all under one
+    /// call-level [`Budget`]. `key` is the request's cache key when the
+    /// caller's own consult computed it and missed: the frame looks again
+    /// under it (a service worker may have stored the entry since).
+    /// Returns the compile and, when it is worth memoizing, the key to
+    /// store it under — the store is the caller's, which knows whether the
+    /// request is its own to give away.
     ///
     /// A unit is one leaf in [`Batching::PerLeaf`] mode — its engine
     /// report lands in its [`StmtReport::eqsat`] — and every leaf of the
@@ -1494,14 +1664,24 @@ impl Session {
     /// slot with the saturated graph; with `warm`, the one unit runs in
     /// the restored context, warm-started. Either bypasses the report
     /// cache: the caller wants the graph, not a memoized answer.
-    fn compile_programs(
+    fn compile_frame(
         &self,
         programs: &[(&Stmt, &Placements)],
         budget: Budget,
+        key: Option<u64>,
         export: Option<&mut Option<SuiteSnapshot>>,
         mut warm: Option<(CompileCtx, WarmStart)>,
-    ) -> CompiledPrograms {
+    ) -> (CompiledPrograms, Option<u64>) {
         let total_started = Instant::now();
+        let consulted = if export.is_none() && warm.is_none() {
+            self.consult(programs, key)
+        } else {
+            Consult::Bypass
+        };
+        let key = match consulted {
+            Consult::Hit(hit) => return (*hit, None),
+            unanswered => unanswered.key(),
+        };
         let mut report = CompileReport {
             target: self.target.name().to_string(),
             ..CompileReport::default()
@@ -1516,38 +1696,21 @@ impl Session {
         annotate_span.attr("leaves", leaves.len());
         report.stages.encode = annotate_span.finish();
 
-        // Layer-1 consult: key on the canonical content of the whole
-        // request plus this session's policy fingerprint. Leaf-free
-        // programs (nothing to memoize), exporting and warm compiles and
-        // fault-injected sessions (see `cache_consultable`) bypass.
-        let consult = !leaves.is_empty()
-            && self.cache.is_some()
-            && export.is_none()
-            && warm.is_none()
-            && self.cache_consultable();
-        let key = consult.then(|| request_hash(programs, self.fingerprint));
-        if let Some(key) = key {
-            let cache = self.cache.as_ref().expect("consulted implies attached");
-            if let Some(mut hit) = cache.lookup(key, programs) {
-                hit.report.cache = CacheOutcome::Hit;
+        // A leaf-free request has nothing to memoize and is never stored,
+        // so its consult could only miss: it counts as the bypass it is.
+        let key = key.filter(|_| !leaves.is_empty());
+        if let Some(cache) = &self.cache {
+            if key.is_some() {
+                report.cache = CacheOutcome::Miss;
+                cache.note_miss();
                 if let Some(obs) = &self.obs {
-                    obs.cache_hits.inc();
-                    // The hit's stage timings describe the compile that
-                    // populated the entry, not this call — count only
-                    // the outcome rung (always the reference rung; only
-                    // saturated compiles are stored).
-                    obs.record_outcome(hit.report.outcome);
+                    obs.cache_misses.inc();
                 }
-                return hit;
-            }
-            report.cache = CacheOutcome::Miss;
-            if let Some(obs) = &self.obs {
-                obs.cache_misses.inc();
-            }
-        } else if let Some(cache) = &self.cache {
-            cache.note_bypass();
-            if let Some(obs) = &self.obs {
-                obs.cache_bypasses.inc();
+            } else {
+                cache.note_bypass();
+                if let Some(obs) = &self.obs {
+                    obs.cache_bypasses.inc();
+                }
             }
         }
         if leaves.is_empty() {
@@ -1556,11 +1719,12 @@ impl Session {
             if let Some(obs) = &self.obs {
                 obs.record_outcome(report.outcome);
             }
-            return CompiledPrograms {
+            let compiled = CompiledPrograms {
                 programs: annotated,
                 report,
                 leaf_counts,
             };
+            return (compiled, None);
         }
 
         // A restored graph is a shared graph, whatever the session's mode.
@@ -1592,26 +1756,16 @@ impl Session {
         if let Some(obs) = &self.obs {
             obs.record_report(&report);
         }
+        // Only the reference rung is worth memoizing: a truncated or
+        // degraded result must not shadow a later clean compile of the
+        // same request (budgets are in the key, but deadlines race).
+        let store_under = key.filter(|_| report.outcome == CompileOutcome::Saturated);
         let compiled = CompiledPrograms {
             programs: annotated,
             report,
             leaf_counts,
         };
-
-        // Only the reference rung is worth memoizing: a truncated or
-        // degraded result must not shadow a later clean compile of the
-        // same request (budgets are in the key, but deadlines race).
-        if let Some(key) = key {
-            if compiled.report.outcome == CompileOutcome::Saturated {
-                let cache = self.cache.as_ref().expect("consulted implies attached");
-                if cache.store(key, programs, compiled.clone()) {
-                    if let Some(obs) = &self.obs {
-                        obs.cache_evictions.inc();
-                    }
-                }
-            }
-        }
-        compiled
+        (compiled, store_under)
     }
 
     /// One compile unit: encode `leaves` into one e-graph — the restored
@@ -1723,7 +1877,29 @@ impl Session {
     }
 }
 
-/// The result of one [`Session::compile_programs`] run — also what the
+/// What [`Session::consult`] found in the report cache for one request.
+pub(crate) enum Consult {
+    /// The stored compile of an equal request, its report marked
+    /// [`CacheOutcome::Hit`].
+    Hit(Box<CompiledPrograms>),
+    /// Nothing stored for this request; its key, so that whoever compiles
+    /// it need not hash it again.
+    Miss(u64),
+    /// Nothing to ask: no cache attached, or a fault-injected session.
+    Bypass,
+}
+
+impl Consult {
+    /// The key a miss found nothing under.
+    fn key(&self) -> Option<u64> {
+        match self {
+            Consult::Miss(key) => Some(*key),
+            Consult::Hit(_) | Consult::Bypass => None,
+        }
+    }
+}
+
+/// The result of one [`Session::compile_frame`] run — also what the
 /// report cache stores and a hit reproduces: selected programs, the unified
 /// report, and each program's leaf count (so suite entry points can slice
 /// the concatenated statement reports).

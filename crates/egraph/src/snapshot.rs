@@ -98,8 +98,12 @@ impl fmt::Display for SnapshotError {
 impl std::error::Error for SnapshotError {}
 
 /// splitmix64 — the same mixer the fault plan uses, duplicated here so the
-/// checksum does not depend on the `fault-injection` feature.
-fn splitmix64(mut x: u64) -> u64 {
+/// checksum does not depend on the `fault-injection` feature. Public as the
+/// one step of every stable, process-independent hash chain in the stack
+/// ([`payload_checksum`] here, the report cache's canonical program hash in
+/// `hardboiled`): `h = splitmix64(h ^ word)`.
+#[must_use]
+pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

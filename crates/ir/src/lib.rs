@@ -35,8 +35,7 @@ pub mod expr;
 pub mod interval;
 pub mod numeric;
 pub mod printer;
-#[cfg(test)]
-mod reference;
+pub mod reference;
 pub mod simplify;
 pub mod stmt;
 pub mod types;

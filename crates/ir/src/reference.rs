@@ -1,14 +1,16 @@
-//! Test-only references for the in-place rewriting primitives: the copying
-//! bottom-up rewrite this crate used before rewriting moved in place, and a
-//! gene-decoded generator of random well-typed expressions for the property
-//! tests that compare the two.
+//! Test support, compiled into the library so that the property tests of
+//! every crate in the stack can share it: the copying bottom-up rewrite this
+//! crate used before rewriting moved in place (the reference the in-place
+//! primitives are compared with), a gene-decoded generator of random
+//! well-typed expressions, and a whole-tree renamer.
 
 use crate::expr::{BinOp, Expr};
+use crate::stmt::Stmt;
 use crate::types::{ScalarType, Type};
 
 /// The copying bottom-up rewrite: rebuilds every node of the tree, children
 /// first, and lets `f` replace the rebuilt node.
-pub(crate) fn rebuild_bottom_up(e: &Expr, f: &mut dyn FnMut(&Expr) -> Option<Expr>) -> Expr {
+pub fn rebuild_bottom_up(e: &Expr, f: &mut dyn FnMut(&Expr) -> Option<Expr>) -> Expr {
     let mut go = |e: &Expr| Box::new(rebuild_bottom_up(e, f));
     let with_children = match e {
         Expr::IntImm(_) | Expr::FloatImm(..) | Expr::Var(..) => e.clone(),
@@ -53,14 +55,14 @@ pub(crate) fn rebuild_bottom_up(e: &Expr, f: &mut dyn FnMut(&Expr) -> Option<Exp
 
 /// Number of genes [`gen_expr`] wants (it pads with zeros, which decode to
 /// leaves, when it runs out).
-pub(crate) const GENES: usize = 96;
+pub const GENES: usize = 96;
 
 /// Decodes `genes` into a well-typed expression of 1, 2, 4 or 8 lanes,
 /// integer or float, rich in what the simplifier rewrites: nested ramps
 /// and broadcasts (unit ones included), ramps over broadcast bases, loads
 /// of broadcasts, identity and immediate casts, zero/one operands,
 /// `x - x`, `(x + y) - y`, and `(c·x + y) / c` and `% c` (c = 0 included).
-pub(crate) fn gen_expr(genes: &[u32]) -> Expr {
+pub fn gen_expr(genes: &[u32]) -> Expr {
     let mut g = Genes { genes, next: 0 };
     let lanes = 1 << g.pick(4);
     if g.pick(4) == 0 {
@@ -72,8 +74,31 @@ pub(crate) fn gen_expr(genes: &[u32]) -> Expr {
 
 /// Decodes `genes` into a scalar integer expression (a substitution
 /// replacement).
-pub(crate) fn gen_scalar_int(genes: &[u32]) -> Expr {
+pub fn gen_scalar_int(genes: &[u32]) -> Expr {
     Genes { genes, next: 0 }.int(1, 2)
+}
+
+/// Hands every buffer and variable name in the tree — `Store`, `For` and
+/// `Allocate` names, `Var`s and `Load` buffers; intrinsic names are not
+/// names in this sense — to `f` for renaming in place.
+pub fn rename_names(stmt: &mut Stmt, f: &mut dyn FnMut(&mut String)) {
+    stmt.rewrite_stmts_in_place(&mut |s| {
+        match s {
+            Stmt::Store { buffer: name, .. }
+            | Stmt::For { var: name, .. }
+            | Stmt::Allocate { name, .. } => f(name),
+            Stmt::Evaluate(_) | Stmt::Block(_) | Stmt::If { .. } => {}
+        }
+        true
+    });
+    stmt.map_exprs(&mut |e| {
+        e.rewrite_bottom_up(&mut |node| {
+            if let Expr::Var(name, _) | Expr::Load { buffer: name, .. } = node {
+                f(name);
+            }
+            true
+        })
+    });
 }
 
 struct Genes<'a> {

@@ -677,7 +677,7 @@ pub fn lower(p: &Pipeline) -> LowerResult<Lowered> {
 impl hardboiled::IntoProgram for Pipeline {
     fn to_program(&self) -> Result<hardboiled::Program, hardboiled::CompileError> {
         let lowered = lower(self).map_err(|e| hardboiled::CompileError::Lower(e.to_string()))?;
-        Ok(lowered.into_program())
+        hardboiled::IntoProgram::into_program(lowered)
     }
 }
 
@@ -685,15 +685,13 @@ impl hardboiled::IntoProgram for Pipeline {
 /// the I/O metadata for execution, and hands the rest to the session).
 impl hardboiled::IntoProgram for Lowered {
     fn to_program(&self) -> Result<hardboiled::Program, hardboiled::CompileError> {
-        Ok(self.clone().into_program())
+        hardboiled::IntoProgram::into_program(self.clone())
     }
-}
 
-impl Lowered {
     /// The session's view of the lowered pipeline; the statement and the
     /// placements move.
-    fn into_program(self) -> hardboiled::Program {
-        hardboiled::Program {
+    fn into_program(self) -> Result<hardboiled::Program, hardboiled::CompileError> {
+        Ok(hardboiled::Program {
             notes: vec![format!(
                 "lowered pipeline '{}': {} input(s), {}-element {} output",
                 self.output_name,
@@ -704,7 +702,11 @@ impl Lowered {
             stmt: self.stmt,
             placements: self.placements,
             name: Some(self.output_name),
-        }
+        })
+    }
+
+    fn view(&self) -> Option<(&Stmt, &hardboiled::Placements)> {
+        Some((&self.stmt, &self.placements))
     }
 }
 

@@ -6,16 +6,21 @@
 //! * interval analysis is sound,
 //! * the Toeplitz MatMul equals direct convolution for arbitrary kernels,
 //! * VNNI interleaving is the layout `tdpbf16ps` expects,
-//! * reduced-precision rounding is idempotent.
+//! * reduced-precision rounding is idempotent,
+//! * the report cache's canonical program hash ignores names and placement
+//!   order and nothing else.
 
 use proptest::prelude::*;
 
 use hardboiled_repro::exec::Interp;
+use hardboiled_repro::hardboiled::{canonical_program_hash, Placements};
 use hardboiled_repro::ir::builder as b;
-use hardboiled_repro::ir::expr::Expr;
+use hardboiled_repro::ir::expr::{BinOp, Expr};
 use hardboiled_repro::ir::interval::{bounds, Interval, VarRanges};
 use hardboiled_repro::ir::numeric::{round_bf16, round_f16};
+use hardboiled_repro::ir::reference::{gen_expr, rename_names, GENES};
 use hardboiled_repro::ir::simplify::simplify;
+use hardboiled_repro::ir::stmt::{ForKind, Stmt};
 use hardboiled_repro::ir::types::{MemoryType, ScalarType, Type};
 
 /// Random *scalar* integer expressions over variables `x`, `y`.
@@ -215,4 +220,247 @@ proptest! {
         let v2 = eval_lanes(&back, 0, 0).unwrap();
         prop_assert_eq!(v1, v2);
     }
+}
+
+// ---------------------------------------------------------------------
+// The canonical program hash (the report cache's key)
+// ---------------------------------------------------------------------
+
+/// A program around one gene-decoded expression (variables `x`, `y`,
+/// buffers `A`, `B`): stored from inside a loop over `i`, and passed to an
+/// intrinsic, under an accelerator allocation. The hash does not care that
+/// the store's index is scalar whatever the value's lanes.
+fn hashed_program(e: &Expr) -> Stmt {
+    let body = b::block(vec![
+        Stmt::Store {
+            buffer: "out".into(),
+            index: b::var("i"),
+            value: e.clone(),
+        },
+        b::evaluate(b::call(
+            e.ty(),
+            "tile_store",
+            vec![b::var("acc"), e.clone()],
+        )),
+    ]);
+    let looped = b::for_serial("i", b::int(0), b::int(4), body);
+    b::allocate("acc", ScalarType::F32, 64, MemoryType::AmxTile, looped)
+}
+
+/// Placements of two names every [`hashed_program`] mentions and two it
+/// never does, inserted in the given order.
+fn hashed_placements(order: [usize; 4]) -> Placements {
+    let all = [
+        ("out", MemoryType::Heap),
+        ("acc", MemoryType::AmxTile),
+        ("elsewhere", MemoryType::WmmaAccumulator),
+        ("nowhere", MemoryType::Stack),
+    ];
+    let mut placements = Placements::new();
+    for i in order {
+        placements.insert(all[i].0.to_string(), all[i].1);
+    }
+    placements
+}
+
+/// One structural edit of a program, applied to the `nth` expression node
+/// it applies to (modulo their number); whether there was one.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Edit {
+    Operator,
+    Lanes,
+    Type,
+    Intrinsic,
+    Immediate,
+}
+
+impl Edit {
+    fn apply(self, node: &mut Expr) -> bool {
+        let other = |st: &mut ScalarType| {
+            *st = if *st == ScalarType::F32 {
+                ScalarType::I32
+            } else {
+                ScalarType::F32
+            };
+        };
+        match (self, node) {
+            (Edit::Operator, Expr::Binary(op, ..)) => {
+                *op = if *op == BinOp::Add {
+                    BinOp::Sub
+                } else {
+                    BinOp::Add
+                };
+            }
+            (
+                Edit::Lanes,
+                Expr::Ramp { lanes, .. }
+                | Expr::Broadcast { lanes, .. }
+                | Expr::VectorReduceAdd { lanes, .. },
+            ) => *lanes += 1,
+            (Edit::Lanes, Expr::Cast(ty, _) | Expr::Load { ty, .. } | Expr::Call { ty, .. }) => {
+                ty.lanes += 1;
+            }
+            (Edit::Type, Expr::Cast(ty, _) | Expr::Load { ty, .. } | Expr::Call { ty, .. }) => {
+                other(&mut ty.elem);
+            }
+            (Edit::Type, Expr::Var(_, st) | Expr::FloatImm(_, st)) => other(st),
+            (Edit::Intrinsic, Expr::Call { name, .. }) => name.push('2'),
+            (Edit::Immediate, Expr::IntImm(v)) => *v += 1,
+            (Edit::Immediate, Expr::FloatImm(v, _)) => *v += 0.5,
+            _ => return false,
+        }
+        true
+    }
+
+    fn edit(self, stmt: &mut Stmt, nth: usize) -> bool {
+        let mut sites = 0usize;
+        stmt.for_each_expr(&mut |e| sites += usize::from(self.apply(&mut e.clone())));
+        if sites == 0 {
+            return false;
+        }
+        let (mut seen, target) = (0usize, nth % sites);
+        stmt.map_exprs(&mut |top| {
+            top.rewrite_bottom_up(&mut |node| {
+                // Count on a copy: only the target node is edited.
+                if !self.apply(&mut node.clone()) {
+                    return false;
+                }
+                seen += 1;
+                seen - 1 == target && self.apply(node)
+            })
+        })
+    }
+}
+
+#[test]
+fn canonical_hash_ignores_names_and_placement_order_and_nothing_else() {
+    let strategy = (
+        proptest::collection::vec(0u32..1_000_000, GENES),
+        0usize..1_000,
+    );
+    let mut rng = TestRng::from_name("canonical_hash_ignores_names_and_placement_order");
+    let edits = [
+        Edit::Operator,
+        Edit::Lanes,
+        Edit::Type,
+        Edit::Intrinsic,
+        Edit::Immediate,
+    ];
+    let mut applied = [0usize; 5];
+    for _ in 0..256 {
+        let (genes, nth) = strategy.generate(&mut rng);
+        let stmt = hashed_program(&gen_expr(&genes));
+        let placements = hashed_placements([0, 1, 2, 3]);
+        let hash = canonical_program_hash(&stmt, &placements);
+
+        // Renaming every buffer and variable moves nothing (the two
+        // placements of names the tree never mentions keep theirs: such a
+        // name counts by content); neither does the order the placements
+        // were inserted in.
+        let other_name = |name: &str| name.chars().rev().chain(['_']).collect::<String>();
+        let mut renamed = stmt.clone();
+        rename_names(&mut renamed, &mut |name| *name = other_name(name));
+        assert_ne!(renamed, stmt);
+        let mut renamed_placements = hashed_placements([3, 2, 1, 0]);
+        for mentioned in ["out", "acc"] {
+            let memory = renamed_placements.remove(mentioned).unwrap();
+            renamed_placements.insert(other_name(mentioned), memory);
+        }
+        assert_eq!(
+            canonical_program_hash(&renamed, &renamed_placements),
+            hash,
+            "renaming moved the hash of {stmt}"
+        );
+        for order in [[3, 2, 1, 0], [2, 0, 3, 1]] {
+            assert_eq!(
+                canonical_program_hash(&stmt, &hashed_placements(order)),
+                hash
+            );
+        }
+
+        // One operator, lane count, type, intrinsic name or immediate
+        // changed anywhere in the tree moves it.
+        for (k, edit) in edits.into_iter().enumerate() {
+            let mut edited = stmt.clone();
+            if edit.edit(&mut edited, nth) {
+                applied[k] += 1;
+                assert_ne!(
+                    canonical_program_hash(&edited, &placements),
+                    hash,
+                    "{edit:?} edit #{nth} left the hash of {stmt} where it was: {edited}"
+                );
+            }
+        }
+        // So does the loop kind, and a placement changed, dropped or added —
+        // of a name the tree mentions or of one it does not.
+        let mut unrolled = stmt.clone();
+        unrolled.rewrite_stmts_in_place(&mut |s| match s {
+            Stmt::For { kind, .. } => {
+                *kind = ForKind::Unrolled;
+                true
+            }
+            _ => false,
+        });
+        assert_ne!(canonical_program_hash(&unrolled, &placements), hash);
+        for name in ["out", "elsewhere"] {
+            let mut moved = placements.clone();
+            moved.insert(name.to_string(), MemoryType::GpuShared);
+            assert_ne!(canonical_program_hash(&stmt, &moved), hash, "{name} moved");
+            let mut dropped = placements.clone();
+            dropped.remove(name);
+            assert_ne!(
+                canonical_program_hash(&stmt, &dropped),
+                hash,
+                "{name} dropped"
+            );
+        }
+        for name in ["i", "somewhere"] {
+            let mut added = placements.clone();
+            added.insert(name.to_string(), MemoryType::Heap);
+            assert_ne!(canonical_program_hash(&stmt, &added), hash, "{name} added");
+        }
+    }
+    for (edit, count) in edits.iter().zip(applied) {
+        assert!(
+            count > 64,
+            "{edit:?} applied to only {count} of 256 programs"
+        );
+    }
+}
+
+/// The module docs promise a key that is stable across processes (and so
+/// across builds): one fixed program's hash, pinned. A deliberate change of
+/// the scheme — a node tag, the walk order, the mixer — re-records it.
+#[test]
+fn canonical_hash_of_a_fixed_program_is_pinned() {
+    let loaded = b::load(
+        Type::new(ScalarType::BF16, 16),
+        "tile",
+        b::ramp(b::var("i"), b::int(1), 16),
+    );
+    let stmt = b::for_serial(
+        "i",
+        b::int(0),
+        b::int(4),
+        b::store(
+            "out",
+            b::ramp(b::int(0), b::int(1), 16),
+            b::cast(
+                Type::new(ScalarType::F32, 16),
+                b::call(
+                    Type::new(ScalarType::BF16, 16),
+                    "tile_load",
+                    vec![loaded, b::flt(0.5)],
+                ),
+            ),
+        ),
+    );
+    let mut placements = Placements::new();
+    placements.insert("tile".to_string(), MemoryType::AmxTile);
+    placements.insert("unmentioned".to_string(), MemoryType::Stack);
+    assert_eq!(
+        canonical_program_hash(&stmt, &placements),
+        0x5b94_37b4_a8c9_b101,
+        "the canonical hash of a fixed program moved"
+    );
 }

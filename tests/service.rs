@@ -8,6 +8,11 @@
 //! per-target queues refuse with `Busy` without touching their
 //! neighbors, dropped tickets free their worker at every stage of the
 //! request's life, and the metrics ledger stays exact throughout.
+//!
+//! The front-door half pins what a service with a shared report cache
+//! answers on the submitting thread, what it still queues, and that every
+//! request is counted as exactly one hit, miss or bypass however many
+//! threads race for the same cache entry.
 
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
@@ -17,7 +22,12 @@ use hardboiled_repro::apps::conv1d::Conv1d;
 use hardboiled_repro::apps::gemm_wmma::GemmWmma;
 use hardboiled_repro::hardboiled::postprocess::normalize_temps;
 use hardboiled_repro::hardboiled::session::{CompileError, IntoProgram, Program};
-use hardboiled_repro::hardboiled::{Batching, CompileService, ServiceError, Session};
+use hardboiled_repro::hardboiled::{
+    Batching, CacheOutcome, CompileResult, CompileService, ReportCache, ServiceError, Session,
+};
+use hardboiled_repro::ir::builder as b;
+use hardboiled_repro::ir::stmt::Stmt;
+use hardboiled_repro::ir::types::{MemoryType, ScalarType, Type};
 use hardboiled_repro::lang::lower::{lower, Lowered};
 
 /// A small mixed pool (vector conv1d, unrolled conv1d, WMMA GEMM) — big
@@ -207,6 +217,17 @@ impl IntoProgram for GatedSource {
     fn to_program(&self) -> Result<Program, CompileError> {
         self.gate.wait_open();
         self.inner.to_program()
+    }
+}
+
+/// Opens its gate when dropped. Declared after a service, it is dropped
+/// before it: a failed assertion then unwinds into a service whose parked
+/// worker can finish, instead of into a `Drop` that joins it forever.
+struct OpenOnDrop(Gate);
+
+impl Drop for OpenOnDrop {
+    fn drop(&mut self) {
+        self.0.open();
     }
 }
 
@@ -483,5 +504,311 @@ fn submit_wait_times_out_then_succeeds_once_space_frees() {
     assert!(gated.wait().is_ok());
     assert!(queued.wait().is_ok());
     assert_eq!(counter(&service, "service.rejected_busy"), 1);
+    service.shutdown();
+}
+
+// ---------------------------------------------------------------------
+// The front door
+// ---------------------------------------------------------------------
+
+/// One accelerator-touching leaf (AMX-tile buffer), distinct per name but
+/// one canonical form: every `tile_leaf` is a renamed sibling of every
+/// other.
+fn tile_leaf(name: &str) -> Stmt {
+    let idx = b::ramp(b::int(0), b::int(1), 8);
+    let ld = b::load(Type::f32().with_lanes(8), &format!("x_{name}"), idx.clone());
+    b::allocate(
+        &format!("acc_{name}"),
+        ScalarType::F32,
+        8,
+        MemoryType::AmxTile,
+        b::store(&format!("acc_{name}"), idx, b::mul(ld.clone(), ld)),
+    )
+}
+
+/// A program with nothing to select: compiles to itself, is never stored.
+fn leaf_free(name: &str) -> Stmt {
+    b::store(
+        &format!("out_{name}"),
+        b::ramp(b::int(0), b::int(1), 4),
+        b::bcast(b::flt(2.0), 4),
+    )
+}
+
+/// A source that offers no borrowed view — what a real front end looks
+/// like to the front door — around one that would.
+struct NoView<S>(S);
+
+impl<S: IntoProgram> IntoProgram for NoView<S> {
+    fn to_program(&self) -> Result<Program, CompileError> {
+        self.0.to_program()
+    }
+}
+
+fn cached_service(workers: usize, queue: usize, entries: usize) -> CompileService {
+    CompileService::builder()
+        .worker_threads(workers)
+        .queue_capacity(queue)
+        .register_target("sim")
+        .shared_cache(Arc::new(ReportCache::new(entries)))
+        .build()
+        .unwrap()
+}
+
+/// What every route to one program's result must agree on.
+fn essence(result: &CompileResult) -> (String, Vec<(String, bool)>, Vec<String>) {
+    let stmts = result.report.stmts.iter();
+    (
+        normalize_temps(&result.program.to_string()),
+        stmts.map(|s| (s.original.clone(), s.lowered)).collect(),
+        result.report.notes.clone(),
+    )
+}
+
+/// A hit answered at the door, a hit found by a worker and the cold
+/// compile that stored the entry return the same program, statement
+/// reports and notes — and say truthfully which of the three they were.
+#[test]
+fn door_hit_worker_hit_and_cold_compile_agree() {
+    let source = conv_source();
+    let service = cached_service(1, 4, 8);
+    let direct = Session::default().compile(&source).unwrap();
+    assert!(
+        !direct.report.notes.is_empty(),
+        "a lowered source has notes"
+    );
+
+    let cold = service
+        .submit("sim", source.clone())
+        .unwrap()
+        .wait()
+        .unwrap();
+    assert_eq!(cold.report.cache, CacheOutcome::Miss);
+    assert_eq!(counter(&service, "service.door_hits"), 0);
+
+    let door = service
+        .submit("sim", source.clone())
+        .unwrap()
+        .wait()
+        .unwrap();
+    assert_eq!(door.report.cache, CacheOutcome::Hit);
+    assert_eq!(counter(&service, "service.door_hits"), 1);
+    // Answered without a worker: still only the cold request ran on one.
+    assert_eq!(hist_count(&service, "service.run_ns"), 1);
+
+    // No view, no question asked at the door: queued, and the worker's own
+    // consult finds the entry.
+    let queued = service.submit("sim", NoView(source.clone())).unwrap();
+    let worker = queued.wait().unwrap();
+    assert_eq!(worker.report.cache, CacheOutcome::Hit);
+    assert_eq!(counter(&service, "service.door_hits"), 1);
+    assert_eq!(hist_count(&service, "service.run_ns"), 2);
+
+    for (route, result) in [
+        ("cold", &cold),
+        ("door hit", &door),
+        ("worker hit", &worker),
+    ] {
+        assert_eq!(essence(result), essence(&direct), "{route} diverged");
+    }
+    let stats = service.cache_stats().unwrap();
+    assert_eq!((stats.hits, stats.misses, stats.bypasses), (2, 1, 0));
+    assert_eq!(counter(&service, "service.requests"), 3);
+    service.shutdown();
+}
+
+/// A door hit takes no queue slot: it resolves on a target whose queue is
+/// full and whose only worker is parked, moves neither `rejected_busy` nor
+/// the depth gauges, and leaves nothing to cancel. A source without a view
+/// is queued even when the cache holds its program — no front end runs on
+/// the submitting thread, or `submit` would park on the gate.
+#[test]
+fn door_hits_need_no_slot_and_leave_nothing_to_cancel() {
+    let gate = Gate::new();
+    let service = cached_service(1, 1, 8);
+    let _fail_not_hang = OpenOnDrop(gate.clone());
+    let hot = tile_leaf("hot");
+    let stored = service.submit("sim", hot.clone()).unwrap().wait().unwrap();
+    assert_eq!(stored.report.cache, CacheOutcome::Miss);
+
+    // Park the worker inside a request that has no view to ask about, then
+    // fill the queue's one slot with a program the cache does not hold.
+    let gated = service
+        .submit(
+            "sim",
+            GatedSource {
+                inner: conv_source(),
+                gate: gate.clone(),
+            },
+        )
+        .expect("accepted");
+    wait_until("the worker to pick up the gated request", || {
+        gauge(&service, "service.queue_depth.sim") == 0
+    });
+    let queued = service.submit("sim", tile_leaf("cold")).expect("slot 1");
+    assert!(matches!(
+        service.submit("sim", tile_leaf("colder")).unwrap_err(),
+        ServiceError::Busy { .. }
+    ));
+    assert_eq!(counter(&service, "service.rejected_busy"), 1);
+
+    // The cached program is answered all the same, by either entry point.
+    let answered = service.submit("sim", hot.clone()).expect("needs no slot");
+    let hit = answered.wait().unwrap();
+    assert_eq!(hit.report.cache, CacheOutcome::Hit);
+    assert_eq!(hit.program, stored.program);
+    let waited = service
+        .submit_wait("sim", hot.clone(), Duration::from_millis(1))
+        .expect("needs no slot");
+    assert_eq!(waited.wait().unwrap().report.cache, CacheOutcome::Hit);
+    assert_eq!(counter(&service, "service.rejected_busy"), 1);
+    assert_eq!(gauge(&service, "service.queue_depth.sim"), 1);
+    assert_eq!(counter(&service, "service.door_hits"), 2);
+
+    // Dropping a ticket that was born resolved cancels nothing.
+    drop(service.submit("sim", hot.clone()).expect("needs no slot"));
+    assert_eq!(counter(&service, "service.door_hits"), 3);
+    assert_eq!(counter(&service, "service.cancelled"), 0);
+
+    // A renamed sibling shares the cached program's key, not its entry:
+    // the door's lookup compares the request itself, so it is queued like
+    // any miss (here: refused, the queue being full).
+    assert!(matches!(
+        service.submit("sim", tile_leaf("sibling")).unwrap_err(),
+        ServiceError::Busy { .. }
+    ));
+    assert_eq!(counter(&service, "service.door_hits"), 3);
+
+    gate.open();
+    assert!(gated.wait().is_ok());
+    assert_eq!(queued.wait().unwrap().report.cache, CacheOutcome::Miss);
+    let sibling = service.submit("sim", tile_leaf("sibling")).unwrap();
+    let sibling = sibling.wait().unwrap();
+    assert_eq!(sibling.report.cache, CacheOutcome::Miss);
+    assert_ne!(sibling.program, stored.program, "a sibling keeps its names");
+    let again = service.submit("sim", tile_leaf("sibling")).unwrap();
+    assert_eq!(again.wait().unwrap().program, sibling.program);
+    assert_eq!(counter(&service, "service.cancelled"), 0);
+    assert_eq!(gauge(&service, "service.queue_depth"), 0);
+    service.shutdown();
+}
+
+/// A session with a fault plan installed never consults the cache — an
+/// injected fault must not be memoized — so its service has no front door:
+/// every request is queued and counted as a bypass, as before there was one.
+#[cfg(feature = "fault-injection")]
+#[test]
+fn fault_injected_sessions_have_no_front_door() {
+    use hardboiled_repro::egraph::fault::{Fault, FaultPlan};
+
+    let plan = FaultPlan::new(Fault::RulePanic {
+        at_search: u64::MAX,
+    });
+    let session = Session::builder().fault_plan(plan).build().unwrap();
+    let service = CompileService::builder()
+        .worker_threads(1)
+        .register("sim", session)
+        .shared_cache(Arc::new(ReportCache::new(8)))
+        .build()
+        .unwrap();
+    for _ in 0..2 {
+        let result = service
+            .submit("sim", tile_leaf("a"))
+            .unwrap()
+            .wait()
+            .unwrap();
+        assert_eq!(result.report.cache, CacheOutcome::Bypass);
+    }
+    let stats = service.cache_stats().unwrap();
+    assert_eq!((stats.hits, stats.misses, stats.bypasses), (0, 0, 2));
+    assert_eq!(counter(&service, "service.door_hits"), 0);
+    assert_eq!(hist_count(&service, "service.run_ns"), 2);
+    service.shutdown();
+}
+
+/// Four submitters race a skewed request sequence through two workers and
+/// an 8-entry cache: entries are stored, hit at the door, hit by a worker
+/// that was queued behind the compile storing them, and evicted, all at
+/// once. Every request must come back as the direct, uncached compile of
+/// its program and be counted exactly once — as the hit, miss or bypass
+/// its own report says it was.
+#[test]
+fn cache_accounting_is_conserved_under_contention() {
+    const SUBMITTERS: usize = 4;
+    const PER_SUBMITTER: usize = 72;
+    let mut programs: Vec<Stmt> = (0..16).map(|i| tile_leaf(&format!("p{i}"))).collect();
+    programs.extend((0..4).map(|i| leaf_free(&format!("p{i}"))));
+    let direct = Session::default();
+    let expected: Vec<_> = programs
+        .iter()
+        .map(|p| essence(&direct.compile(p).unwrap()))
+        .collect();
+    let service = cached_service(2, SUBMITTERS * PER_SUBMITTER, 8);
+
+    let tallies: Vec<[u64; 3]> = thread::scope(|scope| {
+        let submitters: Vec<_> = (0..SUBMITTERS)
+            .map(|t| {
+                let (service, programs, expected) = (&service, &programs, &expected);
+                scope.spawn(move || {
+                    // Cube skew, as in the benchmark's `service_mixed`:
+                    // half of the requests go to the first eighth of the
+                    // programs. Submit a window, then await it, so this
+                    // thread's requests overlap everyone else's.
+                    let picks: Vec<usize> = (0..PER_SUBMITTER)
+                        .map(|j| {
+                            let rank = (j * 29 + t * 17) % PER_SUBMITTER;
+                            let unit = (rank as f64 + 0.5) / PER_SUBMITTER as f64;
+                            (unit.powi(3) * programs.len() as f64) as usize
+                        })
+                        .collect();
+                    let mut tally = [0u64; 3];
+                    for window in picks.chunks(6) {
+                        let tickets: Vec<_> = window
+                            .iter()
+                            .map(|&i| {
+                                service
+                                    .submit("sim", programs[i].clone())
+                                    .expect("accepted")
+                            })
+                            .collect();
+                        for (&i, ticket) in window.iter().zip(tickets) {
+                            let result = ticket.wait().expect("request must compile");
+                            assert_eq!(essence(&result), expected[i], "program {i} diverged");
+                            let leaf_free = i >= 16;
+                            assert_eq!(
+                                result.report.cache == CacheOutcome::Bypass,
+                                leaf_free,
+                                "program {i} reported {:?}",
+                                result.report.cache
+                            );
+                            tally[result.report.cache as usize] += 1;
+                        }
+                    }
+                    tally
+                })
+            })
+            .collect();
+        submitters.into_iter().map(|s| s.join().unwrap()).collect()
+    });
+
+    let requests = (SUBMITTERS * PER_SUBMITTER) as u64;
+    let reported = |outcome: CacheOutcome| tallies.iter().map(|t| t[outcome as usize]).sum::<u64>();
+    let stats = service.cache_stats().unwrap();
+    assert_eq!(stats.hits + stats.misses + stats.bypasses, requests);
+    assert_eq!(counter(&service, "service.requests"), requests);
+    assert_eq!(stats.hits, reported(CacheOutcome::Hit));
+    assert_eq!(stats.misses, reported(CacheOutcome::Miss));
+    assert_eq!(stats.bypasses, reported(CacheOutcome::Bypass));
+    // The registry's mirror of the cache counters agrees with the cache.
+    assert_eq!(counter(&service, "cache.hits"), stats.hits);
+    assert_eq!(counter(&service, "cache.misses"), stats.misses);
+    assert_eq!(counter(&service, "cache.bypasses"), stats.bypasses);
+    // Every request was answered at the door or run by a worker, and the
+    // scenario did exercise what it is about.
+    let door_hits = counter(&service, "service.door_hits");
+    assert_eq!(door_hits + hist_count(&service, "service.run_ns"), requests);
+    assert!(door_hits > 0 && door_hits <= stats.hits);
+    assert!(stats.misses > 16, "nothing was evicted and compiled again");
+    assert!(stats.evictions > 0);
     service.shutdown();
 }
