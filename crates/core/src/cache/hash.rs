@@ -344,12 +344,12 @@ fn cost_probe_nodes() -> Vec<HbLang> {
     nodes
 }
 
-/// Fingerprint of everything besides the programs that can change a
-/// compile's output: target, batching, budgets, matcher choice, and a
-/// cost-model probe. What only observes a compile
-/// (tracer, metrics registry, profile sink) is deliberately excluded, so
-/// cached reports and snapshots port across instrumented and plain
-/// sessions.
+/// Fingerprint of everything a session can set that can change a
+/// compile's output: target, batching, outer rounds, budgets, the
+/// runner's iteration and node limits, and a cost-model probe. What only
+/// observes a compile (tracer, metrics registry, profile sink) is
+/// deliberately excluded, so cached reports and snapshots port across
+/// instrumented and plain sessions.
 pub(crate) fn policy_fingerprint(
     target_name: &str,
     batching: Batching,
@@ -362,14 +362,10 @@ pub(crate) fn policy_fingerprint(
     let mut text = format!(
         "target={target_name}\u{1f}batching={batching:?}\
          \u{1f}outer={outer_iters}\u{1f}deadline={:?}\u{1f}match={match_budget:?}\
-         \u{1f}iters={}\u{1f}nodes={}\u{1f}time={:?}\u{1f}runner_match={:?}\
-         \u{1f}naive={}",
+         \u{1f}iters={}\u{1f}nodes={}",
         deadline.map(|d| d.as_nanos()),
         runner.max_iterations,
         runner.node_limit,
-        runner.time_budget.map(|d| d.as_nanos()),
-        runner.match_budget,
-        runner.use_naive_matcher,
     );
     for node in cost_probe_nodes() {
         let _ = write!(text, "\u{1f}{}", cost.node_cost(&node));

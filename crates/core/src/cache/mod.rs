@@ -40,9 +40,9 @@
 //!   The chain is stable across processes, `HashMap` iteration orders and
 //!   id assignments. A request's key chains its programs' streams and the
 //!   policy fingerprint the same way.
-//! * The policy fingerprint folds in everything else that can change the
-//!   output: target name, batching mode, outer
-//!   iterations, node/match/deadline budgets, matcher choice, and a probe
+//! * The policy fingerprint folds in everything else a session can set
+//!   that can change the output: target name, batching mode, outer
+//!   iterations, iteration / node / match / deadline budgets, and a probe
 //!   of the cost model over representative e-nodes. Observers (tracer,
 //!   metrics registry, profile sink) are deliberately excluded — they
 //!   never change an output, so cached results and snapshots port across

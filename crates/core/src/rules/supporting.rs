@@ -58,7 +58,7 @@ mod tests {
     use crate::encode::encode_expr;
     use crate::lang::{HbAnalysis, HbGraph, HbLang};
     use hb_egraph::egraph::EGraph;
-    use hb_egraph::schedule::Runner;
+    use hb_egraph::schedule::{Budget, Runner};
     use hb_ir::builder as b;
     use hb_ir::types::Type;
 
@@ -69,7 +69,7 @@ mod tests {
         let t = eg.add(HbLang::Ty(ScalarType::F32, [l]));
         let f = eg.add(HbLang::Num(16));
         let ml = eg.add(HbLang::MultiplyLanes([t, f]));
-        Runner::default().run_to_fixpoint(&mut eg, &rules());
+        Runner::default().run_to_fixpoint(&mut eg, &rules(), Budget::none());
         let l2 = eg.add(HbLang::Num(8192));
         let want = eg.add(HbLang::Ty(ScalarType::F32, [l2]));
         assert_eq!(eg.find(ml), eg.find(want));
@@ -84,7 +84,7 @@ mod tests {
             b::ramp(b::int(0), b::int(1), 8),
         );
         let id = encode_expr(&mut eg, &e);
-        Runner::default().run_to_fixpoint(&mut eg, &rules());
+        Runner::default().run_to_fixpoint(&mut eg, &rules(), Budget::none());
         let facts: Vec<_> = eg.relations.tuples("has-type").collect();
         assert_eq!(facts.len(), 1);
         assert_eq!(eg.find(facts[0][0]), eg.find(id));
@@ -99,7 +99,7 @@ mod tests {
             b::ramp(b::int(0), b::int(1), 4),
         );
         let _ = encode_expr(&mut eg, &e);
-        let report = Runner::default().run_to_fixpoint(&mut eg, &rules());
+        let report = Runner::default().run_to_fixpoint(&mut eg, &rules(), Budget::none());
         assert!(report.saturated, "supporting rules must reach fixpoint");
     }
 }

@@ -302,7 +302,7 @@ pub enum TruncationReason {
     /// The request's [`CancelToken`] was tripped (e.g. a service caller
     /// dropped its ticket mid-saturation).
     Cancelled,
-    /// The session deadline (or the runner's time budget) passed.
+    /// The session deadline passed.
     Deadline,
     /// The e-graph node limit was hit.
     NodeLimit,
@@ -1121,16 +1121,10 @@ impl Session {
     }
 
     /// This call's [`Budget`]: the session deadline anchored at the
-    /// current instant (so every saturation run of the call shares it)
-    /// plus the match cap. The runner's own budgets tighten it further
-    /// inside the engine.
-    fn compile_budget(&self) -> Budget {
-        self.request_budget(None)
-    }
-
-    /// [`Session::compile_budget`] with an optional per-request
-    /// [`CancelToken`] attached — the hook the compile service's
-    /// dropped-ticket cancellation rides on.
+    /// current instant (so every saturation run of the call shares it),
+    /// the match cap, and an optional per-request [`CancelToken`] — the
+    /// hook the compile service's dropped-ticket cancellation rides on.
+    /// The engine uses it as given.
     fn request_budget(&self, cancel: Option<CancelToken>) -> Budget {
         Budget {
             deadline: self.deadline.map(|d| Instant::now() + d),
@@ -1472,7 +1466,8 @@ impl Session {
     pub fn compile_ir(&self, stmt: &Stmt, extra_placements: &Placements) -> CompileResult {
         let _root = self.tracer.span("compile");
         let programs = [(stmt, extra_placements)];
-        let compiled = self.compile_programs(&programs, self.compile_budget(), None, None, None);
+        let compiled =
+            self.compile_programs(&programs, self.request_budget(None), None, None, None);
         compiled.into_single()
     }
 
@@ -1480,7 +1475,7 @@ impl Session {
     /// empty suite compiles to an empty result).
     #[must_use]
     pub fn compile_ir_suite(&self, programs: &[(&Stmt, &Placements)]) -> IrSuiteResult {
-        let compiled = self.compile_programs(programs, self.compile_budget(), None, None, None);
+        let compiled = self.compile_programs(programs, self.request_budget(None), None, None, None);
         compiled.into_ir_suite()
     }
 
@@ -1498,7 +1493,7 @@ impl Session {
         programs: &[(&Stmt, &Placements)],
     ) -> (IrSuiteResult, Option<SuiteSnapshot>) {
         let mut snapshot = None;
-        let budget = self.compile_budget();
+        let budget = self.request_budget(None);
         let compiled = self.compile_programs(programs, budget, None, Some(&mut snapshot), None);
         (compiled.into_ir_suite(), snapshot)
     }
@@ -1564,7 +1559,7 @@ impl Session {
         // delta the phased schedule re-searches is exactly what the new
         // leaves add.
         let warm = WarmStart::capture(&mut ctx.graph);
-        let budget = self.compile_budget();
+        let budget = self.request_budget(None);
         let compiled = self.compile_programs(programs, budget, None, None, Some((ctx, warm)));
         let mut result = compiled.into_ir_suite();
         result.report.snapshot_restore = Some(restore);

@@ -759,7 +759,7 @@ mod tests {
     use super::*;
     use crate::math_lang::{n, pdiv, pmul, pvar, Math};
     use crate::rewrite::Rewrite;
-    use crate::schedule::Runner;
+    use crate::schedule::{Budget, Runner};
 
     type EG = EGraph<Math, ()>;
 
@@ -779,7 +779,7 @@ mod tests {
             Rewrite::rewrite("div-self", pdiv(n(2), n(2)), n(1)),
             Rewrite::rewrite("mul-one", pmul(pvar("a"), n(1)), pvar("a")),
         ];
-        Runner::default().run_to_fixpoint(&mut eg, &rules);
+        Runner::default().run_to_fixpoint(&mut eg, &rules, Budget::none());
         let ex = WorklistExtractor::new(&eg, AstSize);
         assert_eq!(ex.cost_of(d), Some(1));
         assert_eq!(ex.extract(d).to_sexp(), "a");

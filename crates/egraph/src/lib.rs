@@ -20,9 +20,9 @@
 //! `crates/bench/tests/pool.rs`; its timings are read from `benchmark/`
 //! at the repo root):
 //!
-//! * **One backtracking e-matcher.** [`pattern::Pattern::compile`] /
-//!   [`rewrite::Query::compile`] intern variables to `u32` slots and
-//!   flatten every pattern into a two-instruction program (`Bind`: for
+//! * **One backtracking e-matcher.** [`rewrite::Query::compile`] interns
+//!   variables to `u32` slots and flattens every pattern atom into a
+//!   two-instruction program (`Bind`: for
 //!   each e-node of this class with that operator, load its children into
 //!   registers; `Var`: compare with the variable's binding, or bind it) —
 //!   the e-matching abstract machine of de Moura & Bjørner, as egg uses
@@ -36,9 +36,16 @@
 //!   (which start at their delta atom), and — pre-order depth-first
 //!   search being the lexicographic order of the naive matcher's nested
 //!   loops — returns the reference matcher's exact match *sequence* in
-//!   all of them. The scheduler holds one [`pattern::MatchScratch`] (the
-//!   buffers, the registers, the probe counters) per saturation run — or,
-//!   through [`schedule::Runner::run_phased_in`], the caller's, across
+//!   all of them. One entry point per job:
+//!   [`rewrite::CompiledQuery::search`] searches and
+//!   [`rewrite::Rewrite::run`] searches and applies, each in full
+//!   (`since: None`) or against delta cutoffs (`Some`);
+//!   [`schedule::Runner::run_phased_in`] and
+//!   [`schedule::Runner::run_to_fixpoint`] saturate under the caller's
+//!   [`schedule::Budget`]. The scheduler holds one
+//!   [`pattern::MatchScratch`] (the buffers, the registers, the probe
+//!   counters) per saturation run — or, through
+//!   [`schedule::Runner::run_phased_in`], the caller's, across
 //!   runs. [`pattern::Subst`] keeps the string-keyed `get`/`bind` API as a
 //!   compatibility shim for rule appliers (a linear scan of the shared
 //!   name table — patterns bind a handful of variables).
@@ -145,7 +152,7 @@
 //!   fresh-variable pattern atoms (not coverable by a single root probe)
 //!   are delta-evaluated Datalog-style: [`relation::Relations`] stamps
 //!   every tuple with the tick of its last change (insertion *or*
-//!   canonicalization rewrite), and [`rewrite::CompiledQuery::search_delta`]
+//!   canonicalization rewrite), and a delta [`rewrite::CompiledQuery::search`]
 //!   runs one join round per atom with that atom restricted to — and the
 //!   join re-ordered to start from — its delta. Relation deltas are read
 //!   from per-relation change logs (mirroring the per-op class logs), so
@@ -259,7 +266,7 @@
 //! use hb_egraph::extract::{AstSize, WorklistExtractor};
 //! use hb_egraph::math_lang::{n, pdiv, pmul, pvar, Math};
 //! use hb_egraph::rewrite::Rewrite;
-//! use hb_egraph::schedule::Runner;
+//! use hb_egraph::schedule::{Budget, Runner};
 //!
 //! // Fig. 1: prove (a*2)/2 == a and extract the small form.
 //! let mut eg = EGraph::<Math>::new();
@@ -276,7 +283,7 @@
 //!     Rewrite::rewrite("div-self", pdiv(n(2), n(2)), n(1)),
 //!     Rewrite::rewrite("mul-one", pmul(pvar("a"), n(1)), pvar("a")),
 //! ];
-//! Runner::default().run_to_fixpoint(&mut eg, &rules);
+//! Runner::default().run_to_fixpoint(&mut eg, &rules, Budget::none());
 //! let best = WorklistExtractor::new(&eg, AstSize).extract(d);
 //! assert_eq!(best.to_sexp(), "a");
 //! ```
@@ -303,7 +310,7 @@ pub use extract::{
 #[cfg(feature = "fault-injection")]
 pub use fault::{Fault, FaultPlan, InjectedStop};
 pub use language::{Language, RecExpr};
-pub use pattern::{CompiledPattern, MatchScratch, Pattern, Subst};
+pub use pattern::{MatchScratch, Pattern, Subst};
 pub use relation::Relations;
 pub use rewrite::{Atom, CompiledQuery, Query, Rewrite};
 pub use schedule::{Budget, CancelToken, RunReport, Runner, WarmStart};

@@ -4,9 +4,11 @@
 //! implementations with identical semantics — the same matches in the
 //! same order:
 //!
-//! * the **compiled backtracking matcher** ([`Pattern::compile`] →
-//!   [`CompiledPattern`]). Compilation interns variables to `u32` slots and
-//!   flattens the pattern, in pre-order, into a `Program` of two
+//! * the **compiled backtracking matcher**, reached through
+//!   [`crate::rewrite::Query::compile`] — a compiled single-pattern search
+//!   is `Query::single(var, pattern).compile()`. Compilation interns
+//!   variables to `u32` slots and flattens each pattern, in pre-order, into
+//!   a `Program` of two
 //!   instructions over a register file of e-class ids: `Bind` enumerates
 //!   the e-nodes of the class in one register that carry a given operator
 //!   and loads their children into fresh registers; `Var` compares a
@@ -17,29 +19,27 @@
 //!   binding row is copied or allocated while a candidate is explored.
 //!   Whole-graph searches enumerate only the classes the e-graph's
 //!   operator index reports for the root's
-//!   [`crate::language::Language::op_key`]. Conjunctive queries
-//!   ([`crate::rewrite::CompiledQuery`]) chain one program per pattern
-//!   atom through the continuation, so one matcher serves patterns and
-//!   queries in every search mode;
+//!   [`crate::language::Language::op_key`]. A query
+//!   ([`crate::rewrite::CompiledQuery`]) chains one program per pattern
+//!   atom through the continuation, so one matcher serves every query
+//!   shape in every search mode;
 //! * the **naive reference matcher** ([`Pattern::search`] /
 //!   [`Pattern::search_class`]): the original walk over every class,
-//!   retained verbatim as the oracle for equivalence tests and for
-//!   benchmarking the compiled path against (see
-//!   `Runner::use_naive_matcher`). Pre-order depth-first search visits
-//!   matches in exactly the lexicographic (e-node, child 0, child 1, …)
-//!   order of its nested loops.
+//!   retained verbatim as the oracle for equivalence tests and the
+//!   scheduler's reference mode (`Runner::use_naive_matcher`). Pre-order
+//!   depth-first search visits matches in exactly the lexicographic
+//!   (e-node, child 0, child 1, …) order of its nested loops.
 //!
 //! [`Subst`] keeps its string-keyed API ([`Subst::get`], [`Subst::bind`])
 //! as a compatibility shim for rule appliers; internally it is a shared
 //! variable table plus a dense slot→binding vector.
 //!
-//! Callers that search in a loop (the scheduler, above all) hold one
-//! [`MatchScratch`] — the frame's buffers, the flat buffer a search writes
-//! its matches to, the delta-probe enumeration, the one [`Subst`] matches
-//! are handed to appliers through, and the delta-probe counters — for the
-//! whole run (a compile session: across runs) and thread it through the
-//! `_with` search entry points; the scratch-less entry points create a
-//! transient one and are intended for one-off searches and tests.
+//! Every compiled search takes a [`MatchScratch`] — the frame's buffers,
+//! the flat buffer a search writes its matches to, the delta-probe
+//! enumeration, the one [`Subst`] matches are handed to appliers through,
+//! and the delta-probe counters. Callers that search in a loop (the
+//! scheduler, above all) hold one for the whole run (a compile session:
+//! across runs); a one-off search passes a fresh one.
 
 use std::sync::Arc;
 
@@ -374,122 +374,11 @@ impl<L: Language> Program<L> {
     }
 }
 
-/// A pattern compiled for the backtracking matcher: variables interned to
-/// slots in a shared table, the body flattened to a `Program`.
-#[derive(Debug, Clone)]
-pub struct CompiledPattern<L> {
-    program: Program<L>,
-    nregs: u32,
-    vars: Arc<Vec<String>>,
-}
-
-impl<L: Language> CompiledPattern<L> {
-    /// Number of variable slots.
-    #[must_use]
-    pub fn num_vars(&self) -> usize {
-        self.vars.len()
-    }
-
-    /// Hands `emit` every match rooted at class `id`.
-    fn match_root<N: Analysis<L>>(
-        &self,
-        egraph: &EGraph<L, N>,
-        id: Id,
-        frame: &mut Frame,
-        emit: &mut dyn FnMut(Subst),
-    ) {
-        frame.regs[self.program.root as usize] = id;
-        self.program.run(egraph, 0, frame, &mut |frame| {
-            emit(Subst::from_bindings(
-                Arc::clone(&self.vars),
-                frame.vars.clone(),
-            ));
-        });
-    }
-
-    /// Matches against e-class `id` starting from an empty substitution.
-    #[must_use]
-    pub fn search_class<N: Analysis<L>>(&self, egraph: &EGraph<L, N>, id: Id) -> Vec<Subst> {
-        self.search_class_with(egraph, id, &mut MatchScratch::new())
-    }
-
-    /// [`CompiledPattern::search_class`] with a caller-provided scratch
-    /// (reuse it across calls to avoid re-allocating match buffers).
-    #[must_use]
-    pub fn search_class_with<N: Analysis<L>>(
-        &self,
-        egraph: &EGraph<L, N>,
-        id: Id,
-        scratch: &mut MatchScratch,
-    ) -> Vec<Subst> {
-        debug_assert!(egraph.is_clean(), "search requires a rebuilt e-graph");
-        scratch.frame.reset(self.vars.len(), self.nregs as usize);
-        let mut out = Vec::new();
-        let frame = &mut scratch.frame;
-        self.match_root(egraph, egraph.find(id), frame, &mut |m| out.push(m));
-        out
-    }
-
-    /// Searches the whole graph through the operator index; returns
-    /// `(root_id, subst)` pairs — the same sequence as [`Pattern::search`].
-    #[must_use]
-    pub fn search<N: Analysis<L>>(&self, egraph: &EGraph<L, N>) -> Vec<(Id, Subst)> {
-        self.search_with(egraph, &mut MatchScratch::new())
-    }
-
-    /// [`CompiledPattern::search`] with a caller-provided scratch.
-    #[must_use]
-    pub fn search_with<N: Analysis<L>>(
-        &self,
-        egraph: &EGraph<L, N>,
-        scratch: &mut MatchScratch,
-    ) -> Vec<(Id, Subst)> {
-        debug_assert!(egraph.is_clean(), "search requires a rebuilt e-graph");
-        scratch.frame.reset(self.vars.len(), self.nregs as usize);
-        let mut out = Vec::new();
-        let all_ids;
-        let roots = match self.program.root_key {
-            Some(key) => egraph.candidates_for(key),
-            None => {
-                all_ids = egraph.sorted_class_ids();
-                &all_ids
-            }
-        };
-        for &id in roots {
-            self.match_root(egraph, id, &mut scratch.frame, &mut |m| out.push((id, m)));
-        }
-        out
-    }
-}
-
 impl<L: Language> Pattern<L> {
     /// A variable pattern.
     #[must_use]
     pub fn var(name: &str) -> Self {
         Pattern::Var(name.to_string())
-    }
-
-    /// All variable names in the pattern.
-    #[must_use]
-    pub fn vars(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        self.collect_vars(&mut out);
-        out
-    }
-
-    fn collect_vars(&self, out: &mut Vec<String>) {
-        match self {
-            Pattern::Var(v) => {
-                if !out.contains(v) {
-                    out.push(v.clone());
-                }
-            }
-            Pattern::Node(_, children) => {
-                for c in children {
-                    c.collect_vars(out);
-                }
-            }
-        }
     }
 
     /// Interns a variable into `vars`, returning its slot. Shared with
@@ -505,9 +394,9 @@ impl<L: Language> Pattern<L> {
         u32::try_from(slot).expect("pattern variable slot overflow")
     }
 
-    /// Compiles the body against a shared variable table and register
-    /// counter (used by queries, whose atoms share bindings and must not
-    /// share registers).
+    /// Compiles the body against a query's shared variable table and
+    /// register counter (a query's atoms share bindings and must not share
+    /// registers).
     pub(crate) fn compile_into(&self, vars: &mut Vec<String>, nregs: &mut u32) -> Program<L> {
         let root = *nregs;
         *nregs += 1;
@@ -548,25 +437,13 @@ impl<L: Language> Pattern<L> {
         }
     }
 
-    /// Compiles the pattern for the backtracking matcher. Compile once,
-    /// search many times.
-    #[must_use]
-    pub fn compile(&self) -> CompiledPattern<L> {
-        let (mut vars, mut nregs) = (Vec::new(), 0);
-        let program = self.compile_into(&mut vars, &mut nregs);
-        CompiledPattern {
-            program,
-            nregs,
-            vars: Arc::new(vars),
-        }
-    }
-
     /// Matches the pattern against e-class `id`, extending `subst`.
     /// Returns every consistent extension.
     ///
     /// This is the **naive reference matcher** — kept byte-for-byte
     /// equivalent in observable behavior to the compiled path so the two
-    /// can be cross-checked; use [`Pattern::compile`] on hot paths.
+    /// can be cross-checked; hot paths search a compiled
+    /// [`crate::rewrite::Query`].
     #[must_use]
     pub fn search_class<N: Analysis<L>>(
         &self,
@@ -612,7 +489,8 @@ impl<L: Language> Pattern<L> {
     /// Searches every class in the graph; returns `(root_id, subst)` pairs.
     ///
     /// Naive reference path: iterates all classes. The compiled equivalent
-    /// is [`CompiledPattern::search`].
+    /// is a full search of `Query::single(var, pattern).compile()`, whose
+    /// matches carry the root as `var`'s binding.
     #[must_use]
     pub fn search<N: Analysis<L>>(&self, egraph: &EGraph<L, N>) -> Vec<(Id, Subst)> {
         let mut out = Vec::new();
@@ -652,6 +530,7 @@ impl<L: Language> Pattern<L> {
 mod tests {
     use super::*;
     use crate::math_lang::{n, pvar, Math};
+    use crate::rewrite::Query;
 
     fn p_mul(a: Pattern<Math>, b: Pattern<Math>) -> Pattern<Math> {
         Pattern::Node(Math::Mul([Id(0), Id(0)]), vec![a, b])
@@ -739,12 +618,6 @@ mod tests {
     }
 
     #[test]
-    fn vars_are_collected_in_order() {
-        let pat = p_mul(pvar("x"), p_mul(pvar("y"), pvar("x")));
-        assert_eq!(pat.vars(), vec!["x".to_string(), "y".to_string()]);
-    }
-
-    #[test]
     fn subst_bind_conflicts() {
         let mut s = Subst::new();
         assert!(s.bind("x", Id(1)));
@@ -752,6 +625,14 @@ mod tests {
         assert!(!s.bind("x", Id(2)));
         assert_eq!(s.len(), 1);
         assert!(!s.is_empty());
+    }
+
+    /// A compiled single-pattern search: `pattern`'s matches with their
+    /// root bound to `$root`.
+    fn compiled_search(eg: &EGraph<Math>, pattern: &Pattern<Math>) -> Vec<Subst> {
+        Query::single("$root", pattern.clone())
+            .compile()
+            .search(eg, None, &mut MatchScratch::new())
     }
 
     #[test]
@@ -769,13 +650,31 @@ mod tests {
             p_mul(pvar("x"), pvar("y")),
             pvar("e"),
         ] {
-            let naive: Vec<(Id, Subst)> = pat.search(&eg);
-            let compiled = pat.compile().search(&eg);
-            assert_eq!(naive.len(), compiled.len(), "pattern {pat:?}");
-            for m in &naive {
-                assert!(compiled.contains(m), "missing {m:?} for {pat:?}");
-            }
+            let naive: Vec<Subst> = pat
+                .search(&eg)
+                .into_iter()
+                .map(|(root, mut s)| {
+                    assert!(s.bind("$root", root));
+                    s
+                })
+                .collect();
+            assert_eq!(naive, compiled_search(&eg, &pat), "pattern {pat:?}");
         }
+    }
+
+    #[test]
+    fn vars_are_collected_in_order() {
+        // x * (y * x): variables are interned in order of first
+        // occurrence, after the query's root.
+        let mut eg = EGraph::<Math>::new();
+        let a = eg.add(Math::Sym("a".into()));
+        let b = eg.add(Math::Sym("b".into()));
+        let ba = eg.add(Math::Mul([b, a]));
+        let _ = eg.add(Math::Mul([a, ba]));
+        let matches = compiled_search(&eg, &p_mul(pvar("x"), p_mul(pvar("y"), pvar("x"))));
+        assert_eq!(matches.len(), 1);
+        let names: Vec<&String> = matches[0].iter().map(|(v, _)| v).collect();
+        assert_eq!(names, ["$root", "x", "y"]);
     }
 
     #[test]
@@ -784,9 +683,9 @@ mod tests {
         let a = eg.add(Math::Sym("a".into()));
         let two = eg.add(Math::Num(2));
         let m = eg.add(Math::Mul([a, two]));
-        let compiled = p_mul(pvar("x"), pvar("y")).compile();
-        let matches = compiled.search_class(&eg, m);
+        let matches = compiled_search(&eg, &p_mul(pvar("x"), pvar("y")));
         assert_eq!(matches.len(), 1);
+        assert_eq!(matches[0].get("$root"), Some(m));
         assert_eq!(matches[0].get("x"), Some(a));
         assert_eq!(matches[0].get("y"), Some(two));
         // Appliers can keep binding new names through the shim.

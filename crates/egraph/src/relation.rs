@@ -14,7 +14,7 @@
 //! tuples of one relation changed *after* a recorded tick. The scheduler
 //! records the tick before each rule's search, so a relation atom's delta
 //! probe sees exactly the tuples that changed since that rule last ran —
-//! see `rewrite::CompiledQuery::search_delta` for the join rounds built on
+//! see `rewrite::CompiledQuery::search` for the delta join rounds built on
 //! top of this.
 //!
 //! [`Relations::version`] is different and unchanged: it counts *new facts*

@@ -2,9 +2,11 @@
 //! appliers — the engine's equivalent of egglog's `rewrite` and `rule`.
 //!
 //! Every [`Rewrite`] compiles its [`Query`] once at construction into a
-//! [`CompiledQuery`], which is what [`Rewrite::run`] searches with. The
-//! uncompiled [`Query::search`] is retained as the naive reference
-//! implementation for equivalence tests and benchmarking.
+//! [`CompiledQuery`]; [`Rewrite::run`] searches it with
+//! [`CompiledQuery::search`] and applies what it found. The uncompiled
+//! [`Query::search`] (with [`Rewrite::run_naive`]) is retained as the
+//! naive reference implementation for equivalence tests and the
+//! scheduler's reference mode.
 //!
 //! ## One matcher
 //!
@@ -28,7 +30,9 @@
 //! the naive nested loops, so the compiled and naive matchers return the
 //! same *sequence*.
 //!
-//! Every search mode is this walk with a different first step:
+//! Every search mode is this walk with a different first step. One entry
+//! point serves them all: `since: None` is a full search, `Some((epoch,
+//! rel_tick))` a delta search against those cutoffs.
 //!
 //! * a **full** search starts at atom 0 with its operator's whole index
 //!   row;
@@ -42,8 +46,8 @@
 //!
 //! ## Delta search
 //!
-//! [`CompiledQuery::search_delta`] finds every match that did not exist
-//! when the caller's cutoffs were recorded. Two regimes:
+//! A delta search finds every match that did not exist when the caller's
+//! cutoffs were recorded. Two regimes:
 //!
 //! * **single-root** queries (every enumeration descends from the first
 //!   pattern atom's root — see [`CompiledQuery::delta_eligible`]) probe
@@ -148,7 +152,7 @@ impl<L: Language> Query<L> {
         // and epoch propagation marks that root whenever any of them
         // changes). A relation atom or a fresh-variable pattern atom
         // enumerates globally — not eligible; those queries are delta-
-        // evaluated semi-naively instead (see `search_delta`).
+        // evaluated semi-naively instead (see `CompiledQuery::search`).
         let mut delta_eligible = !self.atoms.is_empty();
         let atoms: Vec<CompiledAtom<L>> = self
             .atoms
@@ -393,53 +397,37 @@ impl<L: Language> CompiledQuery<L> {
     /// finds every new match: true when all bindings descend from that
     /// root. Queries where this is false (relation atoms, fresh-variable
     /// pattern atoms) still support delta search, via the semi-naive
-    /// rounds of [`CompiledQuery::search_delta`].
+    /// rounds of [`CompiledQuery::search`].
     #[must_use]
     pub fn delta_eligible(&self) -> bool {
         self.delta_eligible
     }
 
-    /// Enumerates all substitutions satisfying the query, using the
-    /// operator index for root enumeration. The same sequence as
-    /// [`Query::search`].
-    #[must_use]
-    pub fn search<N: Analysis<L>>(&self, egraph: &EGraph<L, N>) -> Vec<Subst> {
-        self.search_with(egraph, &mut MatchScratch::new())
-    }
-
-    /// [`CompiledQuery::search`] with a caller-provided scratch.
-    #[must_use]
-    pub fn search_with<N: Analysis<L>>(
-        &self,
-        egraph: &EGraph<L, N>,
-        scratch: &mut MatchScratch,
-    ) -> Vec<Subst> {
-        scratch.matches.reset(self.vars.len());
-        self.pass(egraph, Restrict::Full, scratch);
-        self.substs(&scratch.matches)
-    }
-
-    /// Every match that did not exist when the cutoffs were recorded:
+    /// Every substitution satisfying the query, through the operator
+    /// index. With `since: None`, a full search: the same sequence as
+    /// [`Query::search`]. With `since: Some((epoch_cutoff, rel_cutoff))` —
     /// `epoch_cutoff` from [`EGraph::bump_epoch`], `rel_cutoff` from
-    /// [`crate::relation::Relations::tick`]. Single delta probe for
-    /// delta-eligible queries; semi-naive rounds (one per atom) otherwise.
-    /// May return a match that already existed (delta probes
-    /// over-approximate); appliers are idempotent, so re-applying is
-    /// harmless.
+    /// [`crate::relation::Relations::tick`] — every match that did not
+    /// exist when the cutoffs were recorded: a single delta probe for
+    /// delta-eligible queries, semi-naive rounds (one per atom) otherwise.
+    /// A delta search may return a match that already existed (delta
+    /// probes over-approximate); appliers are idempotent, so re-applying
+    /// is harmless. Only a delta search's probes count into `scratch`'s
+    /// probe counters.
     #[must_use]
-    pub fn search_delta<N: Analysis<L>>(
+    pub fn search<N: Analysis<L>>(
         &self,
         egraph: &EGraph<L, N>,
-        epoch_cutoff: u64,
-        rel_cutoff: u64,
+        since: Option<(u64, u64)>,
         scratch: &mut MatchScratch,
     ) -> Vec<Subst> {
-        self.delta(egraph, epoch_cutoff, rel_cutoff, scratch);
+        self.find(egraph, since, scratch);
         self.substs(&scratch.matches)
     }
 
-    /// Delta evaluation into the emptied `scratch.matches`. A
-    /// delta-eligible query is one [`Restrict::Root`] pass. Anything else
+    /// [`CompiledQuery::search`] into the emptied `scratch.matches`. A full
+    /// search is one [`Restrict::Full`] pass, a delta search of a
+    /// delta-eligible query one [`Restrict::Root`] pass. Anything else
     /// is evaluated semi-naively: round `i` restricts atom `i` to its
     /// delta, and the join *starts* from that delta, so a round costs work
     /// proportional to its delta — not a full re-join. A match is found by
@@ -450,14 +438,16 @@ impl<L: Language> CompiledQuery<L> {
     /// The rounds' rows are merged by a total-order sort and a dedup
     /// (matches with several new atoms are found by several rounds), so
     /// the result is a pure function of the match *set*.
-    fn delta<N: Analysis<L>>(
+    fn find<N: Analysis<L>>(
         &self,
         egraph: &EGraph<L, N>,
-        epoch_cutoff: u64,
-        rel_cutoff: u64,
+        since: Option<(u64, u64)>,
         scratch: &mut MatchScratch,
     ) {
         scratch.matches.reset(self.vars.len());
+        let Some((epoch_cutoff, rel_cutoff)) = since else {
+            return self.pass(egraph, Restrict::Full, scratch);
+        };
         if self.delta_eligible {
             return self.pass(egraph, Restrict::Root(epoch_cutoff), scratch);
         }
@@ -482,8 +472,7 @@ impl<L: Language> CompiledQuery<L> {
         scratch.matches.sort_dedup();
     }
 
-    /// The matches a search left in its buffer, as owned substitutions —
-    /// the form the scratch-less and `Vec`-returning entry points hand out.
+    /// The matches a search left in its buffer, as owned substitutions.
     fn substs(&self, matches: &MatchBuf) -> Vec<Subst> {
         (0..matches.len())
             .map(|i| Subst::from_bindings(Arc::clone(&self.vars), matches.row(i).to_vec()))
@@ -706,17 +695,29 @@ impl<L: Language, N: Analysis<L>> Rewrite<L, N> {
             .count()
     }
 
-    /// Runs the rule once over the whole graph (search with the compiled
-    /// matcher, then apply all matches). Returns the number of matches
-    /// that changed the graph. Rebuilds first if the graph is dirty, but
-    /// does **not** rebuild after applying.
-    pub fn run(&self, egraph: &mut EGraph<L, N>) -> usize {
-        self.run_with(egraph, &mut MatchScratch::new())
+    /// Runs the rule once: searches the compiled query — in full with
+    /// `since: None`, else for the matches new since the cutoffs (see
+    /// [`CompiledQuery::search`]) — then applies every match, in order.
+    /// Returns the number of matches that changed the graph. Rebuilds first
+    /// if the graph is dirty, but does **not** rebuild after applying. The
+    /// scheduler threads one scratch through every run and keeps the
+    /// cutoff bookkeeping — see `schedule::Runner`.
+    pub fn run(
+        &self,
+        egraph: &mut EGraph<L, N>,
+        since: Option<(u64, u64)>,
+        scratch: &mut MatchScratch,
+    ) -> usize {
+        if !egraph.is_clean() {
+            egraph.rebuild();
+        }
+        self.compiled.find(egraph, since, scratch);
+        self.apply_matches(egraph, scratch)
     }
 
-    /// Like [`Rewrite::run`] but with the retained naive matcher — the
-    /// benchmark/reference path. Returns `(matches found, matches that
-    /// changed the graph)`.
+    /// Like [`Rewrite::run`] in full, but with the retained naive matcher —
+    /// the reference path. Returns `(matches found, matches that changed
+    /// the graph)`.
     pub fn run_naive(&self, egraph: &mut EGraph<L, N>) -> (usize, usize) {
         if !egraph.is_clean() {
             egraph.rebuild();
@@ -724,38 +725,6 @@ impl<L: Language, N: Analysis<L>> Rewrite<L, N> {
         let matches = self.query.search(egraph);
         let changed = matches.iter().filter(|m| self.apply(egraph, m)).count();
         (matches.len(), changed)
-    }
-
-    /// [`Rewrite::run`] for the scheduler: a caller-provided scratch (one
-    /// per saturation run, or longer-lived).
-    pub fn run_with(&self, egraph: &mut EGraph<L, N>, scratch: &mut MatchScratch) -> usize {
-        if !egraph.is_clean() {
-            egraph.rebuild();
-        }
-        scratch.matches.reset(self.compiled.vars.len());
-        self.compiled.pass(egraph, Restrict::Full, scratch);
-        self.apply_matches(egraph, scratch)
-    }
-
-    /// Delta run: applies every match that is new relative to the
-    /// recorded cutoffs (`epoch_cutoff` from [`EGraph::bump_epoch`],
-    /// `rel_cutoff` from [`crate::relation::Relations::tick`]) — single
-    /// root probe for delta-eligible queries, semi-naive rounds otherwise
-    /// (see [`CompiledQuery::search_delta`]). The caller is responsible
-    /// for the cutoff bookkeeping — see `schedule::Runner`.
-    pub fn run_delta(
-        &self,
-        egraph: &mut EGraph<L, N>,
-        epoch_cutoff: u64,
-        rel_cutoff: u64,
-        scratch: &mut MatchScratch,
-    ) -> usize {
-        if !egraph.is_clean() {
-            egraph.rebuild();
-        }
-        self.compiled
-            .delta(egraph, epoch_cutoff, rel_cutoff, scratch);
-        self.apply_matches(egraph, scratch)
     }
 
     /// Whether the engine knows this rule's guard/applier depend only on
@@ -795,7 +764,7 @@ mod tests {
             padd(pvar("x"), pvar("y")),
             padd(pvar("y"), pvar("x")),
         );
-        comm.run(&mut eg);
+        comm.run(&mut eg, None, &mut MatchScratch::new());
         eg.rebuild();
         assert_eq!(eg.find(ab), eg.find(ba));
     }
@@ -817,10 +786,11 @@ mod tests {
         let r2 = Rewrite::<Math>::rewrite("div-self", pdiv(n(2), n(2)), n(1));
         let r3 = Rewrite::<Math>::rewrite("mul-one", pmul(pvar("a"), n(1)), pvar("a"));
 
+        let scratch = &mut MatchScratch::new();
         for _ in 0..4 {
-            r1.run(&mut eg);
-            r2.run(&mut eg);
-            r3.run(&mut eg);
+            r1.run(&mut eg, None, scratch);
+            r2.run(&mut eg, None, scratch);
+            r3.run(&mut eg, None, scratch);
             eg.rebuild();
         }
         assert_eq!(eg.find(d), eg.find(a), "(a*2)/2 must equal a");
@@ -839,7 +809,7 @@ mod tests {
             pmul(pvar("y"), pvar("x")),
         )
         .with_guard(Box::new(|_, _| false));
-        assert_eq!(never.run(&mut eg), 0);
+        assert_eq!(never.run(&mut eg, None, &mut MatchScratch::new()), 0);
         eg.rebuild();
         let swapped = eg.lookup(&Math::Mul([two, a]));
         assert!(swapped.is_none() || swapped == Some(eg.find(m)));
@@ -864,7 +834,7 @@ mod tests {
                 eg.relations.insert("marked", &[e])
             }),
         );
-        rule.run(&mut eg);
+        rule.run(&mut eg, None, &mut MatchScratch::new());
         eg.rebuild();
         assert_eq!(eg.relations.len("marked"), 1);
         assert!(eg.relations.contains("marked", &[eg.find(m_good)]));
@@ -880,12 +850,22 @@ mod tests {
         let q: Query<Math> = Query { atoms: vec![] };
         let q = q.with_relation("pair", &["x", "y"]);
         assert_eq!(q.search(&eg).len(), 2);
-        assert_eq!(q.compile().search(&eg).len(), 2);
+        assert_eq!(
+            q.compile()
+                .search(&eg, None, &mut MatchScratch::new())
+                .len(),
+            2
+        );
         // Non-linear: pair(x, x) matches nothing.
         let q2: Query<Math> = Query { atoms: vec![] };
         let q2 = q2.with_relation("pair", &["x", "x"]);
         assert_eq!(q2.search(&eg).len(), 0);
-        assert_eq!(q2.compile().search(&eg).len(), 0);
+        assert_eq!(
+            q2.compile()
+                .search(&eg, None, &mut MatchScratch::new())
+                .len(),
+            0
+        );
     }
 
     #[test]
@@ -901,7 +881,10 @@ mod tests {
         let _m2 = eg.add(Math::Mul([plain, two]));
 
         let query = Query::single("e", pmul(pvar("x"), n(2))).also("x", padd(pvar("p"), pvar("q")));
-        for results in [query.search(&eg), query.compile().search(&eg)] {
+        for results in [
+            query.search(&eg),
+            query.compile().search(&eg, None, &mut MatchScratch::new()),
+        ] {
             assert_eq!(results.len(), 1, "only the sum-operand product matches");
             assert_eq!(results[0].get("p"), Some(p));
             assert_eq!(results[0].get("q"), Some(q));
@@ -929,7 +912,7 @@ mod tests {
         ];
         for q in &queries {
             let naive = q.search(&eg);
-            let compiled = q.compile().search(&eg);
+            let compiled = q.compile().search(&eg, None, &mut MatchScratch::new());
             assert_eq!(naive.len(), compiled.len());
             for m in &naive {
                 assert!(compiled.contains(m), "compiled missed {m:?}");
@@ -946,20 +929,19 @@ mod tests {
         eg.rebuild();
         let q = Query::single("e", pmul(pvar("x"), pvar("y"))).compile();
         assert!(q.delta_eligible());
+        let mut scratch = MatchScratch::new();
         // Full search finds the existing product.
-        assert_eq!(q.search(&eg).len(), 1);
+        assert_eq!(q.search(&eg, None, &mut scratch).len(), 1);
         let cutoff = eg.bump_epoch();
         let rel_cutoff = eg.relations.tick();
-        let mut scratch = MatchScratch::new();
         // Nothing changed since the cutoff: delta search is empty.
-        assert!(q
-            .search_delta(&eg, cutoff, rel_cutoff, &mut scratch)
-            .is_empty());
+        let since = Some((cutoff, rel_cutoff));
+        assert!(q.search(&eg, since, &mut scratch).is_empty());
         // A new product appears: delta search reports exactly it.
         let b = eg.add(Math::Sym("b".into()));
         let mb = eg.add(Math::Mul([b, two]));
         eg.rebuild();
-        let delta = q.search_delta(&eg, cutoff, rel_cutoff, &mut scratch);
+        let delta = q.search(&eg, since, &mut scratch);
         assert_eq!(delta.len(), 1);
         assert_eq!(delta[0].get("e"), Some(eg.find(mb)));
     }

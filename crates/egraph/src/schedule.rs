@@ -10,11 +10,12 @@
 //! last searched, and re-probes only what changed since — a single root
 //! probe for delta-eligible rules, semi-naive join rounds for rules with
 //! relation atoms or fresh-variable pattern atoms (see
-//! `CompiledQuery::search_delta`) — so once a phase saturates, re-running
-//! its rules costs almost nothing. Probes are **keyed by each atom's root
-//! operator**: a rule rooted at `Mul` re-probes only classes whose `Mul`
-//! rows changed since it last ran, not every modified class that happens
-//! to contain a `Mul` node ([`RunReport::delta_probed_rows`] /
+//! [`crate::rewrite::CompiledQuery::search`]) — so once a phase
+//! saturates, re-running its rules costs almost nothing. Probes are
+//! **keyed by each atom's root operator**: a rule rooted at `Mul`
+//! re-probes only classes whose `Mul` rows changed since it last ran, not
+//! every modified class that happens to contain a `Mul` node
+//! ([`RunReport::delta_probed_rows`] /
 //! [`RunReport::delta_skipped_rows`] count what the probes visited and
 //! what they left alone). Rules marked [`Rewrite::assume_pure`]
 //! (applicability depends only on the matched classes and the query's own
@@ -27,8 +28,12 @@
 //! threaded through every search, so the compiled matcher's binding
 //! buffer, register file and match buffer live across candidates, rules
 //! and passes. Setting [`Runner::use_naive_matcher`]
-//! bypasses all of this and benchmarks the retained naive reference
-//! matcher.
+//! bypasses all of this and runs every rule through the retained naive
+//! reference matcher ([`Rewrite::run_naive`]) — the path every matcher
+//! oracle compares against.
+//!
+//! Deadline, match cap and cancel token reach a run only through the
+//! [`Budget`] its caller passes, used as given.
 //!
 //! **Profiling:** [`Runner::profile_sink`] opts a run into per-rule
 //! observability — each searched rule reports an
@@ -197,32 +202,6 @@ impl Budget {
     pub fn none() -> Self {
         Budget::default()
     }
-
-    /// Component-wise minimum of two budgets: the earlier deadline, the
-    /// smaller match cap. A cancel token from either side is kept
-    /// (`self`'s wins when both carry one).
-    #[must_use]
-    pub fn tighten(self, other: Budget) -> Budget {
-        fn min_opt<T: Ord>(a: Option<T>, b: Option<T>) -> Option<T> {
-            match (a, b) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, None) => a,
-                (None, b) => b,
-            }
-        }
-        Budget {
-            deadline: min_opt(self.deadline, other.deadline),
-            match_budget: min_opt(self.match_budget, other.match_budget),
-            cancel: self.cancel.or(other.cancel),
-        }
-    }
-
-    /// Attaches a [`CancelToken`] (replacing any already present).
-    #[must_use]
-    pub fn with_cancel(mut self, token: CancelToken) -> Budget {
-        self.cancel = Some(token);
-        self
-    }
 }
 
 /// Budget ticks (rule searches) between real clock reads. `Instant::now`
@@ -389,16 +368,8 @@ pub struct Runner {
     pub max_iterations: usize,
     /// Stop when the graph exceeds this many e-nodes.
     pub node_limit: usize,
-    /// Wall-clock budget applied to each run this runner starts
-    /// (converted to an absolute deadline at run entry). Callers that
-    /// need one deadline across several runs pass an absolute [`Budget`]
-    /// to [`Runner::run_phased_in`] / [`Runner::run_to_fixpoint_budgeted`]
-    /// instead.
-    pub time_budget: Option<Duration>,
-    /// Cap on total matches applied per run.
-    pub match_budget: Option<usize>,
     /// Search with the retained naive reference matcher instead of the
-    /// indexed/delta path (for benchmarking and cross-checking; the match
+    /// indexed/delta path (the reference for cross-checking; the match
     /// sets are identical, only the time spent differs).
     pub use_naive_matcher: bool,
     /// Opt-in profiling callbacks at rule-search boundaries (see the
@@ -417,8 +388,6 @@ impl Default for Runner {
         Runner {
             max_iterations: 32,
             node_limit: 500_000,
-            time_budget: None,
-            match_budget: None,
             use_naive_matcher: false,
             profile_sink: None,
             #[cfg(feature = "fault-injection")]
@@ -438,37 +407,12 @@ impl Runner {
         }
     }
 
-    /// Sets a per-run wall-clock budget.
-    #[must_use]
-    pub fn with_time_budget(mut self, budget: Duration) -> Self {
-        self.time_budget = Some(budget);
-        self
-    }
-
-    /// Sets a per-run applied-match budget.
-    #[must_use]
-    pub fn with_match_budget(mut self, budget: usize) -> Self {
-        self.match_budget = Some(budget);
-        self
-    }
-
     /// Installs a deterministic fault plan (chaos testing only).
     #[cfg(feature = "fault-injection")]
     #[must_use]
     pub fn with_fault_plan(mut self, plan: std::sync::Arc<crate::fault::FaultPlan>) -> Self {
         self.fault_plan = Some(plan);
         self
-    }
-
-    /// This runner's own budgets as an absolute [`Budget`] anchored at
-    /// the current instant.
-    #[must_use]
-    pub fn budget_from_now(&self) -> Budget {
-        Budget {
-            deadline: self.time_budget.map(|d| Instant::now() + d),
-            match_budget: self.match_budget,
-            cancel: None,
-        }
     }
 
     /// Flips the runner onto the naive reference matcher.
@@ -559,13 +503,14 @@ impl Runner {
             // unions and tuple inserts are re-probed on its next run.
             let searched_at = egraph.bump_epoch();
             let rel_tick_at = egraph.relations.tick();
-            let n = if delta_ok {
+            let since = if delta_ok {
                 report.delta_searches += 1;
-                rule.run_delta(egraph, epoch_cutoff, rel_cutoff, scratch)
+                Some((epoch_cutoff, rel_cutoff))
             } else {
                 report.full_searches += 1;
-                rule.run_with(egraph, scratch)
+                None
             };
+            let n = rule.run(egraph, since, scratch);
             applied += n;
             clock.note_applied(n);
             state.last_epoch = searched_at;
@@ -605,21 +550,12 @@ impl Runner {
         }
     }
 
-    /// Runs the rules to saturation (or the iteration/node limit, or the
-    /// runner's own time/match budgets).
+    /// Runs the rules to saturation, or until the iteration or node limit
+    /// or the absolute `budget` ([`Budget::none`] for none) stops it.
+    /// Truncation leaves the graph rebuilt and valid;
+    /// [`RunReport::deadline_hit`] / [`RunReport::match_budget_hit`] /
+    /// [`RunReport::cancelled`] record which budget fired.
     pub fn run_to_fixpoint<L: Language, N: Analysis<L>>(
-        &self,
-        egraph: &mut EGraph<L, N>,
-        rules: &[Rewrite<L, N>],
-    ) -> RunReport {
-        self.run_to_fixpoint_budgeted(egraph, rules, self.budget_from_now())
-    }
-
-    /// [`Runner::run_to_fixpoint`] under an explicit absolute [`Budget`]
-    /// (tightened by the runner's own budgets). Truncation leaves the
-    /// graph rebuilt and valid; [`RunReport::deadline_hit`] /
-    /// [`RunReport::match_budget_hit`] record which budget fired.
-    pub fn run_to_fixpoint_budgeted<L: Language, N: Analysis<L>>(
         &self,
         egraph: &mut EGraph<L, N>,
         rules: &[Rewrite<L, N>],
@@ -627,7 +563,7 @@ impl Runner {
     ) -> RunReport {
         let mut states = vec![RuleState::default(); rules.len()];
         let mut scratch = MatchScratch::new();
-        let mut clock = BudgetClock::new(budget.tighten(self.budget_from_now()));
+        let mut clock = BudgetClock::new(budget);
         let mut report =
             self.fixpoint_with_states(egraph, rules, &mut states, &mut scratch, &mut clock, true);
         clock.stamp(&mut report);
@@ -703,8 +639,8 @@ impl Runner {
         }
     }
 
-    /// The paper's phased schedule ([`Runner::run_phased_in`]) under the
-    /// runner's own budgets, cold, in a matcher scratch of its own.
+    /// The paper's phased schedule ([`Runner::run_phased_in`]) with no
+    /// budget, cold, in a matcher scratch of its own.
     pub fn run_phased<L: Language, N: Analysis<L>>(
         &self,
         egraph: &mut EGraph<L, N>,
@@ -732,7 +668,7 @@ impl Runner {
     /// what a run leaves in it never reaches the next (every search resets
     /// what it reads).
     ///
-    /// `budget` is absolute and tightened by the runner's own budgets. It
+    /// `budget` is absolute and used as given. It
     /// is enforced between rule searches with an amortized clock check
     /// plus one unamortized check per outer round, so overshoot is bounded
     /// by one iteration; the graph is always left rebuilt and valid.
@@ -762,7 +698,7 @@ impl Runner {
         let seed = warm.map(WarmStart::seed).unwrap_or_default();
         let mut main_states = vec![seed; main_rules.len()];
         let mut support_states = vec![seed; supporting_rules.len()];
-        let mut clock = BudgetClock::new(budget.tighten(self.budget_from_now()));
+        let mut clock = BudgetClock::new(budget);
         let support = self.fixpoint_with_states(
             egraph,
             supporting_rules,
@@ -856,7 +792,7 @@ mod tests {
     fn fixpoint_saturates_and_reports() {
         let (mut eg, a, d) = fig1_graph();
         let rules = fig1_rules();
-        let report = Runner::default().run_to_fixpoint(&mut eg, &rules);
+        let report = Runner::default().run_to_fixpoint(&mut eg, &rules, Budget::none());
         assert!(report.saturated);
         assert!(report.iterations >= 2);
         assert_eq!(eg.find(d), eg.find(a));
@@ -867,10 +803,12 @@ mod tests {
     fn naive_matcher_reaches_the_same_fixpoint() {
         let (mut eg_fast, a1, d1) = fig1_graph();
         let (mut eg_naive, a2, d2) = fig1_graph();
-        let fast = Runner::default().run_to_fixpoint(&mut eg_fast, &fig1_rules());
-        let naive = Runner::default()
-            .with_naive_matcher(true)
-            .run_to_fixpoint(&mut eg_naive, &fig1_rules());
+        let fast = Runner::default().run_to_fixpoint(&mut eg_fast, &fig1_rules(), Budget::none());
+        let naive = Runner::default().with_naive_matcher(true).run_to_fixpoint(
+            &mut eg_naive,
+            &fig1_rules(),
+            Budget::none(),
+        );
         assert!(fast.saturated && naive.saturated);
         assert_eq!(fast.nodes, naive.nodes);
         assert_eq!(fast.classes, naive.classes);
@@ -907,18 +845,22 @@ mod tests {
         let mut eg = EG::new();
         let _ = eg.add(Math::Num(0));
         let runner = Runner::new(1000, 50);
-        let report = runner.run_to_fixpoint(&mut eg, &[successor_rule()]);
+        let report = runner.run_to_fixpoint(&mut eg, &[successor_rule()], Budget::none());
         assert!(report.node_limit_hit);
         assert!(report.truncated());
         assert!(!report.saturated);
     }
 
     #[test]
-    fn time_budget_stops_unsaturating_run() {
+    fn deadline_budget_stops_unsaturating_run() {
         let mut eg = EG::new();
         let _ = eg.add(Math::Num(0));
-        let runner = Runner::new(usize::MAX, usize::MAX).with_time_budget(Duration::from_millis(5));
-        let report = runner.run_to_fixpoint(&mut eg, &[successor_rule()]);
+        let budget = Budget {
+            deadline: Some(Instant::now() + Duration::from_millis(5)),
+            ..Budget::none()
+        };
+        let runner = Runner::new(usize::MAX, usize::MAX);
+        let report = runner.run_to_fixpoint(&mut eg, &[successor_rule()], budget);
         assert!(report.deadline_hit);
         assert!(report.truncated());
         assert!(!report.saturated);
@@ -935,7 +877,7 @@ mod tests {
             ..Budget::none()
         };
         let runner = Runner::new(1000, usize::MAX);
-        let report = runner.run_to_fixpoint_budgeted(&mut eg, &[successor_rule()], budget);
+        let report = runner.run_to_fixpoint(&mut eg, &[successor_rule()], budget);
         assert!(report.deadline_hit);
         assert_eq!(report.iterations, 0);
         assert!(!report.saturated, "a budget stop must not claim saturation");
@@ -945,8 +887,12 @@ mod tests {
     fn match_budget_stops_run() {
         let mut eg = EG::new();
         let _ = eg.add(Math::Num(0));
-        let runner = Runner::new(1000, usize::MAX).with_match_budget(7);
-        let report = runner.run_to_fixpoint(&mut eg, &[successor_rule()]);
+        let budget = Budget {
+            match_budget: Some(7),
+            ..Budget::none()
+        };
+        let runner = Runner::new(1000, usize::MAX);
+        let report = runner.run_to_fixpoint(&mut eg, &[successor_rule()], budget);
         assert!(report.match_budget_hit);
         assert!(!report.deadline_hit);
         assert!(report.applied >= 7, "stops only once the budget is spent");
@@ -956,10 +902,12 @@ mod tests {
     #[test]
     fn generous_budgets_do_not_change_saturation() {
         let (mut eg, a, d) = fig1_graph();
-        let runner = Runner::default()
-            .with_time_budget(Duration::from_secs(3600))
-            .with_match_budget(1_000_000);
-        let report = runner.run_to_fixpoint(&mut eg, &fig1_rules());
+        let budget = Budget {
+            deadline: Some(Instant::now() + Duration::from_secs(3600)),
+            match_budget: Some(1_000_000),
+            cancel: None,
+        };
+        let report = Runner::default().run_to_fixpoint(&mut eg, &fig1_rules(), budget);
         assert!(report.saturated);
         assert!(!report.truncated());
         assert_eq!(eg.find(d), eg.find(a));
@@ -982,34 +930,17 @@ mod tests {
     }
 
     #[test]
-    fn budget_tighten_takes_component_minima() {
-        let early = Instant::now();
-        let late = early + Duration::from_secs(60);
-        let a = Budget {
-            deadline: Some(late),
-            ..Budget::none()
-        };
-        let b = Budget {
-            deadline: Some(early),
-            match_budget: Some(10),
-            ..Budget::none()
-        };
-        let t = a.tighten(b);
-        assert_eq!(t.deadline, Some(early));
-        assert_eq!(t.match_budget, Some(10));
-        let n = Budget::none().tighten(Budget::none());
-        assert!(n.deadline.is_none() && n.match_budget.is_none());
-    }
-
-    #[test]
     fn pre_cancelled_token_stops_before_any_iteration() {
         let mut eg = EG::new();
         let _ = eg.add(Math::Num(0));
         let token = CancelToken::new();
         token.cancel();
-        let budget = Budget::none().with_cancel(token.clone());
+        let budget = Budget {
+            cancel: Some(token.clone()),
+            ..Budget::none()
+        };
         let runner = Runner::new(1000, usize::MAX);
-        let report = runner.run_to_fixpoint_budgeted(&mut eg, &[successor_rule()], budget);
+        let report = runner.run_to_fixpoint(&mut eg, &[successor_rule()], budget);
         assert!(report.cancelled);
         assert!(report.truncated());
         assert_eq!(report.iterations, 0);
@@ -1032,9 +963,12 @@ mod tests {
         });
         // Unbounded iterations and no deadline: this run terminates if and
         // only if the token aborts it.
-        let budget = Budget::none().with_cancel(token);
+        let budget = Budget {
+            cancel: Some(token),
+            ..Budget::none()
+        };
         let runner = Runner::new(usize::MAX, usize::MAX);
-        let report = runner.run_to_fixpoint_budgeted(&mut eg, &[successor_rule()], budget);
+        let report = runner.run_to_fixpoint(&mut eg, &[successor_rule()], budget);
         canceller.join().unwrap();
         assert!(report.cancelled);
         assert!(!report.deadline_hit && !report.match_budget_hit);
@@ -1046,8 +980,11 @@ mod tests {
     #[test]
     fn untripped_token_does_not_change_saturation() {
         let (mut eg, a, d) = fig1_graph();
-        let budget = Budget::none().with_cancel(CancelToken::new());
-        let report = Runner::default().run_to_fixpoint_budgeted(&mut eg, &fig1_rules(), budget);
+        let budget = Budget {
+            cancel: Some(CancelToken::new()),
+            ..Budget::none()
+        };
+        let report = Runner::default().run_to_fixpoint(&mut eg, &fig1_rules(), budget);
         assert!(report.saturated);
         assert!(!report.truncated());
         assert_eq!(eg.find(d), eg.find(a));
@@ -1063,7 +1000,7 @@ mod tests {
         let sink = Arc::new(hb_obs::CollectingSink::new());
         let report = Runner::default()
             .with_profile_sink(sink.clone())
-            .run_to_fixpoint(&mut eg, &fig1_rules());
+            .run_to_fixpoint(&mut eg, &fig1_rules(), Budget::none());
         assert!(report.saturated);
         assert_eq!(eg.find(d), eg.find(a));
         assert!(
@@ -1084,7 +1021,8 @@ mod tests {
         );
         // Sink or no sink, the run is the same run.
         let (mut plain, _, _) = fig1_graph();
-        let mut unprofiled = Runner::default().run_to_fixpoint(&mut plain, &fig1_rules());
+        let mut unprofiled =
+            Runner::default().run_to_fixpoint(&mut plain, &fig1_rules(), Budget::none());
         let mut profiled = report;
         unprofiled.elapsed = Duration::ZERO;
         profiled.elapsed = Duration::ZERO;

@@ -116,6 +116,32 @@ fn assert_same_matches(naive: &[(Id, Subst)], indexed: &[(Id, Subst)], ctx: &str
     }
 }
 
+/// Cross-checks the compiled matcher on one pattern: a full search of its
+/// single-atom query (root bound to `$root`) emits `Query::search`'s
+/// sequence and `Pattern::search`'s match set.
+fn assert_pattern_matchers_agree(eg: &EG, pat: &Pattern<Math>) {
+    let query = Query::single("$root", pat.clone());
+    let compiled = query.compile().search(eg, None, &mut MatchScratch::new());
+    assert_eq!(
+        compiled,
+        query.search(eg),
+        "{pat:?}: compiled vs naive query"
+    );
+    let naive: Vec<(Id, Subst)> = pat
+        .search(eg)
+        .into_iter()
+        .map(|(root, mut s)| {
+            assert!(s.bind("$root", root));
+            (root, s)
+        })
+        .collect();
+    let indexed: Vec<(Id, Subst)> = compiled
+        .into_iter()
+        .map(|s| (s.get("$root").expect("root bound"), s))
+        .collect();
+    assert_same_matches(&naive, &indexed, &format!("{pat:?}"));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -138,9 +164,7 @@ proptest! {
     ) {
         let (eg, _) = replay(&steps);
         for pat in probe_patterns() {
-            let naive = pat.search(&eg);
-            let indexed = pat.compile().search(&eg);
-            assert_same_matches(&naive, &indexed, &format!("{pat:?}"));
+            assert_pattern_matchers_agree(&eg, &pat);
         }
     }
 
@@ -155,10 +179,10 @@ proptest! {
         let mut naive = fast.clone();
         let runner = Runner::new(16, 20_000);
         let rules = math_rules();
-        let r1 = runner.run_to_fixpoint(&mut fast, &rules);
+        let r1 = runner.run_to_fixpoint(&mut fast, &rules, Budget::none());
         let r2 = runner
             .with_naive_matcher(true)
-            .run_to_fixpoint(&mut naive, &rules);
+            .run_to_fixpoint(&mut naive, &rules, Budget::none());
         prop_assert_eq!(r1.saturated, r2.saturated);
         prop_assert_eq!(r1.nodes, r2.nodes, "node counts diverged");
         prop_assert_eq!(r1.classes, r2.classes, "class counts diverged");
@@ -215,13 +239,11 @@ fn matchers_agree_after_full_math_saturation() {
     let two = eg.add(Math::Num(2));
     let m = eg.add(Math::Mul([a, two]));
     let d = eg.add(Math::Div([m, two]));
-    let report = Runner::new(16, 20_000).run_to_fixpoint(&mut eg, &math_rules());
+    let report = Runner::new(16, 20_000).run_to_fixpoint(&mut eg, &math_rules(), Budget::none());
     assert!(report.saturated);
     assert_eq!(eg.find(d), eg.find(a));
     for pat in probe_patterns() {
-        let naive = pat.search(&eg);
-        let indexed = pat.compile().search(&eg);
-        assert_same_matches(&naive, &indexed, &format!("{pat:?}"));
+        assert_pattern_matchers_agree(&eg, &pat);
     }
     eg.check_op_index();
 }
@@ -272,7 +294,7 @@ proptest! {
         for c in &compiled {
             prop_assert!(!c.delta_eligible(), "these queries must need semi-naive");
         }
-        let before: Vec<Vec<Subst>> = compiled.iter().map(|c| c.search(&eg)).collect();
+        let before: Vec<Vec<Subst>> = compiled.iter().map(|c| c.search(&eg, None, &mut MatchScratch::new())).collect();
         let epoch_cutoff = eg.bump_epoch();
         let rel_cutoff = eg.relations.tick();
 
@@ -282,14 +304,14 @@ proptest! {
 
         let mut scratch = MatchScratch::new();
         for ((query, c), before) in queries.iter().zip(&compiled).zip(&before) {
-            let full = c.search(&eg);
+            let full = c.search(&eg, None, &mut scratch);
             let naive = query.search(&eg);
             assert_same_matches(
                 &full.iter().map(|s| (Id(0), s.clone())).collect::<Vec<_>>(),
                 &naive.iter().map(|s| (Id(0), s.clone())).collect::<Vec<_>>(),
                 "full vs naive",
             );
-            let delta = c.search_delta(&eg, epoch_cutoff, rel_cutoff, &mut scratch);
+            let delta = c.search(&eg, Some((epoch_cutoff, rel_cutoff)), &mut scratch);
             for m in &delta {
                 prop_assert!(full.contains(m), "delta invented {m:?}");
             }
@@ -401,7 +423,7 @@ proptest! {
             let naive = query.search(&eg);
             // One scratch across queries of different widths, as the
             // scheduler holds it.
-            let compiled = query.compile().search_with(&eg, &mut scratch);
+            let compiled = query.compile().search(&eg, None, &mut scratch);
             prop_assert_eq!(&naive, &compiled, "genes {:?}", g);
         }
     }
@@ -420,7 +442,7 @@ proptest! {
         insert_tuples(&mut eg, &ids, &tuples1);
         eg.rebuild();
         let compiled: Vec<_> = genes.iter().map(|g| gen_query(g, 3).compile()).collect();
-        let before: Vec<Vec<Subst>> = compiled.iter().map(|c| c.search(&eg)).collect();
+        let before: Vec<Vec<Subst>> = compiled.iter().map(|c| c.search(&eg, None, &mut MatchScratch::new())).collect();
         let epoch_cutoff = eg.bump_epoch();
         let rel_cutoff = eg.relations.tick();
 
@@ -430,8 +452,8 @@ proptest! {
 
         let mut scratch = MatchScratch::new();
         for ((c, before), g) in compiled.iter().zip(&before).zip(&genes) {
-            let full = c.search(&eg);
-            let delta = c.search_delta(&eg, epoch_cutoff, rel_cutoff, &mut scratch);
+            let full = c.search(&eg, None, &mut scratch);
+            let delta = c.search(&eg, Some((epoch_cutoff, rel_cutoff)), &mut scratch);
             assert_delta_covers(before, &full, &delta, &format!("genes {g:?}"));
         }
     }
@@ -467,7 +489,7 @@ proptest! {
         eg.rebuild();
         let queries: Vec<_> = genes.iter().map(|g| gen_query(g, 2)).collect();
         let compiled: Vec<_> = queries.iter().map(Query::compile).collect();
-        let before: Vec<Vec<Subst>> = compiled.iter().map(|c| c.search(&eg)).collect();
+        let before: Vec<Vec<Subst>> = compiled.iter().map(|c| c.search(&eg, None, &mut MatchScratch::new())).collect();
         let epoch_cutoff = eg.bump_epoch();
         let rel_cutoff = eg.relations.tick();
         widen(&mut eg, &mut ids, "new");
@@ -477,15 +499,15 @@ proptest! {
 
         let mut scratch = MatchScratch::new();
         for (((query, c), before), g) in queries.iter().zip(&compiled).zip(&before).zip(&genes) {
-            let full = c.search_with(&eg, &mut scratch);
+            let full = c.search(&eg, None, &mut scratch);
             prop_assert_eq!(&query.search(&eg), &full, "genes {:?}", g);
-            let delta = c.search_delta(&eg, epoch_cutoff, rel_cutoff, &mut scratch);
+            let delta = c.search(&eg, Some((epoch_cutoff, rel_cutoff)), &mut scratch);
             assert_delta_covers(before, &full, &delta, &format!("genes {g:?}"));
             let probes = scratch.take_probe_counters();
-            prop_assert_eq!(&full, &c.search_with(&eg, &mut scratch), "rerun, genes {:?}", g);
+            prop_assert_eq!(&full, &c.search(&eg, None, &mut scratch), "rerun, genes {:?}", g);
             prop_assert_eq!(
                 &delta,
-                &c.search_delta(&eg, epoch_cutoff, rel_cutoff, &mut scratch),
+                &c.search(&eg, Some((epoch_cutoff, rel_cutoff)), &mut scratch),
                 "delta rerun, genes {:?}", g
             );
             prop_assert_eq!(probes, scratch.take_probe_counters());
@@ -550,8 +572,8 @@ proptest! {
         for g in &genes {
             let query = gen_query(g, 3).compile();
             prop_assert_eq!(
-                query.search_with(&eg, &mut scratch),
-                query.search(&fresh),
+                query.search(&eg, None, &mut scratch),
+                query.search(&fresh, None, &mut MatchScratch::new()),
                 "genes {:?}", g
             );
         }
@@ -600,7 +622,7 @@ fn scheduler_semi_naive_finds_late_tuples_without_full_research() {
     )
     .assume_pure();
     // Order matters: `main` searches before `good` is populated.
-    let report = Runner::new(16, 20_000).run_to_fixpoint(&mut eg, &[main, derive]);
+    let report = Runner::new(16, 20_000).run_to_fixpoint(&mut eg, &[main, derive], Budget::none());
     assert!(report.saturated);
     assert!(
         eg.relations.contains("marked", &[eg.find(m)]),
@@ -638,21 +660,20 @@ fn untouched_op_rows_are_not_probed() {
     eg.rebuild();
     let q_mul = Query::single("e", pmul(pvar("x"), pvar("y"))).compile();
     let q_div = Query::single("e", pdiv(pvar("x"), pvar("y"))).compile();
-    let cutoff = eg.bump_epoch();
-    let rel_cutoff = eg.relations.tick();
+    let since = Some((eg.bump_epoch(), eg.relations.tick()));
     // One change, strictly under one class's Mul subtree.
     let c = eg.add(Math::Sym("c".into()));
     eg.union(mul_roots[0].0, c);
     eg.rebuild();
 
     let mut scratch = MatchScratch::new();
-    let _ = q_div.search_delta(&eg, cutoff, rel_cutoff, &mut scratch);
+    let _ = q_div.search(&eg, since, &mut scratch);
     let (div_probed, _) = scratch.take_probe_counters();
     assert_eq!(
         div_probed, 0,
         "no Div row changed — the op-keyed Div probe must visit nothing"
     );
-    let _ = q_mul.search_delta(&eg, cutoff, rel_cutoff, &mut scratch);
+    let _ = q_mul.search(&eg, since, &mut scratch);
     let (mul_probed, _) = scratch.take_probe_counters();
     assert!(
         mul_probed > 0,
@@ -690,7 +711,7 @@ fn runner_delta_probes_skip_the_untouched_operator() {
         // Fires once: `3` ≡ `3/1`, a change strictly on the Div side.
         Rewrite::rewrite("three-div-one", n(3), pdiv(n(3), n(1))),
     ];
-    let report = Runner::new(16, 20_000).run_to_fixpoint(&mut eg, &rules);
+    let report = Runner::new(16, 20_000).run_to_fixpoint(&mut eg, &rules, Budget::none());
     assert!(report.saturated);
     assert_eq!((report.nodes, report.classes, report.applied), (36, 27, 1));
     assert_eq!((report.full_searches, report.delta_searches), (3, 3));
@@ -775,12 +796,12 @@ fn delta_runner_skips_saturated_phases_but_finds_late_matches() {
     let _d = eg.add(Math::Div([m, two]));
     let rules = math_rules();
     let runner = Runner::new(16, 20_000);
-    let first = runner.run_to_fixpoint(&mut eg, &rules);
+    let first = runner.run_to_fixpoint(&mut eg, &rules, Budget::none());
     assert!(first.saturated);
     // New work arrives.
     let b = eg.add(Math::Sym("b".into()));
     let mb = eg.add(Math::Mul([b, two]));
-    let second = runner.run_to_fixpoint(&mut eg, &rules);
+    let second = runner.run_to_fixpoint(&mut eg, &rules, Budget::none());
     assert!(second.saturated);
     // mul-two-shl must have fired on the new product.
     let one = eg.add(Math::Num(1));

@@ -4,7 +4,10 @@
 //!   under **both** strategies;
 //! * equal-cost tie-breaks are deterministic: the worklist and
 //!   shared-table strategies are *content*-deterministic (identical terms
-//!   from differently-id'd graphs holding the same equivalences);
+//!   from differently-id'd graphs holding the same equivalences) — on a
+//!   fixed pair of graphs, and as a property over random graphs whose ids
+//!   are shifted by interleaved decoys, reused after `EGraph::clear()` or
+//!   assigned in a seed-chosen order;
 //! * property test: on randomized saturated graphs, every root's
 //!   shared-table readout is byte-identical to the worklist readout and
 //!   the two report the same cost — the oracle that keeps the `benchmark/`
@@ -33,7 +36,7 @@ use hb_egraph::extract::{
 use hb_egraph::language::{Language, RecExpr};
 use hb_egraph::math_lang::{n, pdiv, pmul, pvar, Math};
 use hb_egraph::rewrite::Rewrite;
-use hb_egraph::schedule::Runner;
+use hb_egraph::schedule::{Budget, Runner};
 use hb_egraph::unionfind::Id;
 
 type EG = EGraph<Math, ()>;
@@ -48,11 +51,36 @@ fn replay(steps: &[Step]) -> (EG, Vec<Id>) {
 }
 
 fn replay_into(eg: &mut EG, steps: &[Step]) -> Vec<Id> {
+    replay_with_decoys(eg, steps, &[])
+}
+
+/// [`replay_into`] with unrelated decoy nodes interleaved: before step `i`
+/// (or after the last, for `i == steps.len()`), one decoy for every
+/// position in `decoys` equal to `i` modulo `steps.len() + 1` — a fresh
+/// symbol and its product with the previous decoy. Decoys share no node
+/// with the replay, no rule matches them and they are never picked as
+/// operands, so they shift every later id and index-row position while
+/// the replayed classes hold exactly what they hold without them. Returns
+/// the replayed ids only.
+fn replay_with_decoys(eg: &mut EG, steps: &[Step], decoys: &[u32]) -> Vec<Id> {
     let mut ids: Vec<Id> = Vec::new();
+    let mut last_decoy = None;
+    let mut add_decoys = |eg: &mut EG, at: usize| {
+        for _ in decoys
+            .iter()
+            .filter(|&&d| d as usize % (steps.len() + 1) == at)
+        {
+            let decoy = eg.add(Math::Sym(format!("decoy{}", eg.id_bound())));
+            let partner = last_decoy.unwrap_or(decoy);
+            eg.add(Math::Mul([decoy, partner]));
+            last_decoy = Some(decoy);
+        }
+    };
     for s in ["a", "b", "c"] {
         ids.push(eg.add(Math::Sym(s.into())));
     }
-    for &(op, x, y) in steps {
+    for (at, &(op, x, y)) in steps.iter().enumerate() {
+        add_decoys(eg, at);
         let pick = |v: u32| ids[v as usize % ids.len()];
         match op % 6 {
             0 => ids.push(eg.add(Math::Num(i64::from(x % 8)))),
@@ -65,6 +93,7 @@ fn replay_into(eg: &mut EG, steps: &[Step]) -> Vec<Id> {
             _ => eg.rebuild(),
         }
     }
+    add_decoys(eg, steps.len());
     eg.rebuild();
     ids
 }
@@ -151,6 +180,111 @@ fn tree_strategies_break_ties_by_content_across_id_orders() {
     assert_eq!(s2.to_sexp(), w2.to_sexp(), "shared-table diverged (g2)");
 }
 
+/// A graph holding exactly `eg`'s classes with ids assigned in a
+/// seed-chosen order: each step adds one node, picked by `order` among
+/// those whose children's classes the copy already holds, and unions it
+/// into its class's first node. `eg` is congruence-closed, so the copy is
+/// too and merges nothing else. Returns the copy and `eg`'s class ids
+/// mapped to it.
+fn permuted_copy(eg: &EG, order: &[u32]) -> (EG, HashMap<Id, Id>) {
+    let mut pending: Vec<(Id, Math)> = (eg.classes())
+        .flat_map(|class| class.nodes.iter().map(|node| (class.id, node.clone())))
+        .collect();
+    let mut picks = order.iter().cycle();
+    let (mut copy, mut map) = (EG::new(), HashMap::new());
+    while !pending.is_empty() {
+        let ready: Vec<usize> = (0..pending.len())
+            .filter(|&i| pending[i].1.children().iter().all(|c| map.contains_key(c)))
+            .collect();
+        let pick = picks.next().map_or(0, |&p| p as usize) % ready.len();
+        let (class, node) = pending.swap_remove(ready[pick]);
+        let id = copy.add(node.map_children(|c| map[&c]));
+        match map.get(&class) {
+            Some(&first) => {
+                copy.union(first, id);
+            }
+            None => {
+                map.insert(class, id);
+            }
+        }
+    }
+    copy.rebuild();
+    (copy, map)
+}
+
+/// Every root's cost and extracted term under `cost_fn` (`None` for a
+/// root with no finite term).
+fn readouts<C: CostFunction<Math>>(
+    eg: &EG,
+    roots: &[Id],
+    cost_fn: C,
+) -> Vec<Option<(u64, String)>> {
+    let extractor = WorklistExtractor::new(eg, cost_fn);
+    roots
+        .iter()
+        .map(|&root| Some((extractor.cost_of(root)?, extractor.extract(root).to_sexp())))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    // Tie-break determinism as a property: equal-cost candidates resolve
+    // by content, never by id or insertion order. One step sequence is
+    // replayed into a fresh graph, into a graph with decoys interleaved
+    // (every id and index-row position shifted) and into a graph cleared
+    // after holding and saturating another. A shift keeps the replayed
+    // classes' relative id order, so a fourth graph holds the fresh one's
+    // classes re-added in a seed-chosen order. Every root reads the same
+    // cost and term in all four — raw and saturated, under `AstSize` and
+    // under a weighted function.
+    // `tree_strategies_break_ties_by_content_across_id_orders` is the
+    // fixed, readable instance.
+    #[test]
+    fn tie_breaks_follow_content_not_ids(
+        steps in proptest::collection::vec((0u8..6, 0u32..64, 0u32..64), 60),
+        decoys in proptest::collection::vec(0u32..61, 8),
+        order in proptest::collection::vec(0u32..1024, 16),
+        saturate in 0u8..2,
+        weighted in 0u8..2,
+    ) {
+        let (mut fresh, ids) = replay(&steps);
+        let mut decoyed = EG::new();
+        let decoyed_ids = replay_with_decoys(&mut decoyed, &steps, &decoys);
+        let decoy_nodes = decoyed.num_nodes() - fresh.num_nodes();
+        let mut cleared = EG::new();
+        let earlier: Vec<Step> = steps.iter().rev().copied().collect();
+        replay_into(&mut cleared, &earlier);
+        Runner::new(16, 20_000).run_to_fixpoint(&mut cleared, &math_rules(), Budget::none());
+        cleared.clear();
+        let cleared_ids = replay_into(&mut cleared, &steps);
+        let (mut permuted, map) = permuted_copy(&fresh, &order);
+        let permuted_ids: Vec<Id> = ids.iter().map(|id| map[&fresh.find(*id)]).collect();
+        if saturate == 1 {
+            let saturate = |eg: &mut EG, node_limit: usize| {
+                Runner::new(16, node_limit).run_to_fixpoint(eg, &math_rules(), Budget::none());
+            };
+            saturate(&mut fresh, 20_000);
+            saturate(&mut cleared, 20_000);
+            saturate(&mut permuted, 20_000);
+            // The node limit counts the decoys too; they never grow.
+            saturate(&mut decoyed, 20_000 + decoy_nodes);
+        }
+        let weigh = |node: &Math| match node {
+            Math::Mul(_) if weighted == 1 => 2,
+            _ => 1,
+        };
+        let read = |eg: &EG, roots: &[Id]| match weighted {
+            1 => readouts(eg, roots, FnCost(weigh)),
+            _ => readouts(eg, roots, AstSize),
+        };
+        let want = read(&fresh, &ids);
+        prop_assert_eq!(&read(&decoyed, &decoyed_ids), &want, "decoys at {:?}", decoys);
+        prop_assert_eq!(&read(&cleared, &cleared_ids), &want, "cleared graph");
+        prop_assert_eq!(&read(&permuted, &permuted_ids), &want, "order {:?}", order);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -165,7 +299,7 @@ proptest! {
     ) {
         let (mut eg, ids) = replay(&steps);
         if saturate == 1 {
-            Runner::new(16, 20_000).run_to_fixpoint(&mut eg, &math_rules());
+            Runner::new(16, 20_000).run_to_fixpoint(&mut eg, &math_rules(), Budget::none());
         }
         let worklist = WorklistExtractor::new(&eg, AstSize);
         let shared = SharedTableExtractor::new(&eg, AstSize);
@@ -326,7 +460,7 @@ proptest! {
         let (mut eg, ids) = replay(&steps);
         let mut rules = math_rules();
         rules.push(Rewrite::rewrite("comm-mul", pmul(pvar("a"), pvar("b")), pmul(pvar("b"), pvar("a"))));
-        Runner::new(6, 4_000).run_to_fixpoint(&mut eg, &rules);
+        Runner::new(6, 4_000).run_to_fixpoint(&mut eg, &rules, Budget::none());
         let weigh = |node: &Math| match node {
             Math::Mul(_) if weighted == 1 => 2,
             _ => 1,
@@ -427,7 +561,7 @@ proptest! {
     ) {
         let (mut eg, _) = replay(&steps);
         if saturate == 1 {
-            Runner::new(6, 4_000).run_to_fixpoint(&mut eg, &math_rules());
+            Runner::new(6, 4_000).run_to_fixpoint(&mut eg, &math_rules(), Budget::none());
         }
         let scratch = assert_ground_truth(&mut eg, ExtractScratch::default(), "fresh scratch");
         let scratch = assert_ground_truth(&mut eg, scratch, "reused scratch");

@@ -132,7 +132,7 @@ proptest! {
         let mut eg = EG::new();
         let root = mul_chain(&mut eg, 0, len);
         let runner = Runner::new(8, 1_000_000);
-        let cold = runner.run_to_fixpoint(&mut eg, &mul_rules());
+        let cold = runner.run_to_fixpoint(&mut eg, &mul_rules(), Budget::none());
         prop_assert!(cold.saturated);
         let bytes = eg.snapshot();
         let mut back = EG::restore(&bytes).expect("restore");
@@ -171,14 +171,14 @@ fn warm_start_matches_cold_and_probes_fewer_rows() {
     let mut cold_eg = EG::new();
     let base_root_cold = mul_chain(&mut cold_eg, 0, 7);
     let new_root_cold = mul_chain(&mut cold_eg, 100, 4);
-    let cold = runner.run_to_fixpoint(&mut cold_eg, &mul_rules());
+    let cold = runner.run_to_fixpoint(&mut cold_eg, &mul_rules(), Budget::none());
     assert!(cold.saturated);
 
     // Warm path: saturate the base alone, snapshot, restore, add the new
     // chain, warm-start.
     let mut base_eg = EG::new();
     let base_root = mul_chain(&mut base_eg, 0, 7);
-    let pre = runner.run_to_fixpoint(&mut base_eg, &mul_rules());
+    let pre = runner.run_to_fixpoint(&mut base_eg, &mul_rules(), Budget::none());
     assert!(pre.saturated);
     let bytes = base_eg.snapshot();
     let mut warm_eg = EG::restore(&bytes).expect("restore");
@@ -259,7 +259,7 @@ fn corrupted_truncated_and_bumped_bytes_are_typed_errors() {
     // After any rejection, a cold build still works (the fallback path).
     let mut cold = EG::new();
     let root = mul_chain(&mut cold, 0, 6);
-    let report = Runner::new(8, 1_000_000).run_to_fixpoint(&mut cold, &mul_rules());
+    let report = Runner::new(8, 1_000_000).run_to_fixpoint(&mut cold, &mul_rules(), Budget::none());
     assert!(report.saturated);
     assert!(cold.find(root).index() < cold.num_nodes() + cold.num_classes());
 }

@@ -11,7 +11,7 @@
 
 use hardboiled_repro::accel::device::DeviceProfile;
 use hardboiled_repro::egraph::extract::{AstSize, WorklistExtractor};
-use hardboiled_repro::egraph::schedule::Runner;
+use hardboiled_repro::egraph::schedule::{Budget, Runner};
 use hardboiled_repro::hardboiled::cost::DeviceCost;
 use hardboiled_repro::hardboiled::decode::decode_stmt;
 use hardboiled_repro::hardboiled::encode::encode_stmt;
@@ -146,7 +146,7 @@ fn ablation_without_supporting_rules_types_stay_symbolic() {
     let root = encode_stmt(&mut eg, &stmt);
     let main = rules::main_rules();
     // Note: run_to_fixpoint over main rules only — no supporting phase.
-    Runner::new(8, 200_000).run_to_fixpoint(&mut eg, &main);
+    Runner::new(8, 200_000).run_to_fixpoint(&mut eg, &main, Budget::none());
     let term = WorklistExtractor::new(&eg, device_cost()).extract(root);
     let out = decode_stmt(&term).unwrap_or(stmt);
     assert!(
