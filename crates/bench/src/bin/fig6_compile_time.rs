@@ -18,7 +18,7 @@ fn main() {
         println!(
             "{:>5} {:>14.2} {:>14.2} {:>7}",
             k,
-            report.eqsat_time.as_secs_f64() * 1e3,
+            report.stages.saturate.as_secs_f64() * 1e3,
             report.total_time.as_secs_f64() * 1e3,
             report.num_statements(),
         );

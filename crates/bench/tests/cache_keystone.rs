@@ -322,10 +322,6 @@ fn policy_fingerprints_separate_targets_batching_and_budgets() {
     }
     for (label, s) in [
         (
-            "sim/outer4",
-            Session::builder().outer_iters(4).build().unwrap(),
-        ),
-        (
             "sim/match12345",
             Session::builder().match_budget(12_345).build().unwrap(),
         ),

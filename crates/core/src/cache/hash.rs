@@ -345,15 +345,15 @@ fn cost_probe_nodes() -> Vec<HbLang> {
 }
 
 /// Fingerprint of everything a session can set that can change a
-/// compile's output: target, batching, outer rounds, budgets, the
-/// runner's iteration and node limits, and a cost-model probe. What only
-/// observes a compile (tracer, metrics registry, profile sink) is
-/// deliberately excluded, so cached reports and snapshots port across
-/// instrumented and plain sessions.
+/// compile's output: target name, batching mode, deadline, match budget,
+/// the runner's node limit, and the cost model's price of every probe node
+/// (`cost_probe_nodes`). What is the same in every session (the outer
+/// rounds and the runner's iteration limit) and what only observes a
+/// compile (tracer, metrics registry, profile sink) is left out, so cached
+/// reports and snapshots port across instrumented and plain sessions.
 pub(crate) fn policy_fingerprint(
     target_name: &str,
     batching: Batching,
-    outer_iters: usize,
     deadline: Option<Duration>,
     match_budget: Option<usize>,
     runner: &Runner,
@@ -361,10 +361,8 @@ pub(crate) fn policy_fingerprint(
 ) -> u64 {
     let mut text = format!(
         "target={target_name}\u{1f}batching={batching:?}\
-         \u{1f}outer={outer_iters}\u{1f}deadline={:?}\u{1f}match={match_budget:?}\
-         \u{1f}iters={}\u{1f}nodes={}",
+         \u{1f}deadline={:?}\u{1f}match={match_budget:?}\u{1f}nodes={}",
         deadline.map(|d| d.as_nanos()),
-        runner.max_iterations,
         runner.node_limit,
     );
     for node in cost_probe_nodes() {

@@ -50,9 +50,9 @@
 //! [`ExtractionReport`] (cost-table size, per-root costs, readout time).
 //!
 //! For server-style use, [`CompileService`] stacks a fixed worker pool on
-//! top: one long-lived session per registered target, `compile` /
-//! `compile_suite` requests fanned across `std::thread` workers with
-//! per-request panic isolation and a drain/shutdown path — see
+//! top: one long-lived session per registered target, `compile` requests
+//! (one [`CompileService::submit`] each) fanned across `std::thread`
+//! workers with per-request panic isolation and a drain/shutdown path — see
 //! [`service`]. The service's workers are the one concurrency axis: a
 //! single compile is serial. A worker's unit of work is a whole compile
 //! (0.2 ms and up on the benchmark), which dwarfs a queue hand-off, while

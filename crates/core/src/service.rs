@@ -28,9 +28,8 @@
 //! **Front door.** A source that is already lowered offers its tree and
 //! placements borrowed ([`IntoProgram::view`]: `Stmt`, `Program`,
 //! `hb_lang::Lowered`). When the target's session carries a consultable
-//! report cache, `submit` / `submit_wait` / `compile_batch` — and
-//! `submit_suite` when every source of the suite has a view — ask the cache
-//! on the *submitting* thread, before anything is cloned or queued
+//! report cache, `submit` asks the cache on the *submitting* thread, before
+//! anything is cloned or queued
 //! ([`Session`]'s one consult: one streaming hash of the request, one
 //! lookup that answers only a request equal to the stored one). A hit
 //! returns an already-resolved [`Ticket`]: no queue slot (so a full queue
@@ -59,9 +58,7 @@
 //! **Backpressure.** [`CompileService::submit`] on a full queue refuses
 //! *immediately* with [`ServiceError::Busy`] — it never blocks and never
 //! grows the queue, and only the full target is affected (neighboring
-//! targets keep accepting at full depth). [`CompileService::submit_wait`]
-//! is the blocking variant: it waits up to a deadline for a slot to free
-//! up, then gives up with the same `Busy`. Rejections are counted in
+//! targets keep accepting at full depth). Rejections are counted in
 //! `service.rejected_busy`; per-target depths are live in the
 //! `service.queue_depth.<target>` gauges (plus the global
 //! `service.queue_depth` sum).
@@ -103,9 +100,8 @@
 //!
 //! Requests are independent and sessions are immutable, so results are
 //! byte-identical regardless of worker count, queue capacity or
-//! completion order; only the *reply* order of
-//! [`CompileService::compile_batch`] is defined (input order). The
-//! concurrency tests assert this against serial compilation.
+//! completion order. The concurrency tests assert this against serial
+//! compilation.
 //!
 //! ## Shutdown = drain
 //!
@@ -113,29 +109,25 @@
 //! the workers. Workers keep draining until every queue is empty, so
 //! every accepted request still completes and its [`Ticket`] resolves
 //! (cancelled ones are skipped as usual); only *new* submissions are
-//! refused ([`ServiceError::ShuttingDown`]), and blocked
-//! [`CompileService::submit_wait`] callers wake up with the same error.
+//! refused ([`ServiceError::ShuttingDown`]).
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use hb_egraph::schedule::CancelToken;
-use hb_ir::stmt::Stmt;
 use hb_obs::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot};
 
-use crate::cache::{CacheStats, ReportCache};
-use crate::movement::Placements;
+use crate::cache::ReportCache;
 use crate::session::{
     panic_message, BuildError, CompileError, CompileResult, Consult, IntoProgram, Session,
-    SuiteResult,
 };
 
 /// A queued request: a closure that performs the compile and fills its
-/// own reply slot (so one queue can carry any reply type).
+/// own reply slot.
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
 /// Default per-target queue capacity
@@ -152,8 +144,7 @@ pub enum ServiceError {
     UnknownTarget(String),
     /// The target's bounded queue is full — backpressure, not failure.
     /// `depth` is the queue depth observed at rejection time. Other
-    /// targets' queues are unaffected; retry later or use
-    /// [`CompileService::submit_wait`].
+    /// targets' queues are unaffected; retry later.
     Busy {
         /// The target whose queue was full.
         target: String,
@@ -192,94 +183,96 @@ impl std::error::Error for ServiceError {}
 /// compile is aborted at the next rule-search boundary (see the module
 /// docs' lifecycle section). Dropping after completion is a no-op.
 #[must_use = "a ticket resolves to the request's result; dropping it cancels the compile"]
-pub struct Ticket<T = CompileResult> {
+pub struct Ticket {
     /// Where the result is, or will be: filled by the worker's job, or
     /// born settled when the request was answered at the front door.
-    reply: Arc<ReplySlot<T>>,
+    reply: Arc<ReplySlot>,
     /// `Some` while cancel-on-drop is armed; [`Ticket::wait`] disarms.
     /// Never armed on a ticket that was resolved at the front door.
     cancel: Option<CancelToken>,
 }
 
 /// The one-shot hand-off from a worker's job to the ticket waiting on it.
-struct ReplySlot<T> {
-    state: Mutex<SlotState<T>>,
+struct ReplySlot {
+    state: Mutex<SlotState>,
     settled: Condvar,
 }
 
-impl<T> ReplySlot<T> {
-    fn new(state: SlotState<T>) -> Arc<Self> {
+/// Unsettled (the default) until the job replies or is dropped without
+/// replying; `reply` is then the reply, until the ticket takes it.
+#[derive(Default)]
+struct SlotState {
+    settled: bool,
+    reply: Option<Result<CompileResult, CompileError>>,
+}
+
+impl ReplySlot {
+    fn new(state: SlotState) -> Arc<Self> {
         Arc::new(ReplySlot {
             state: Mutex::new(state),
             settled: Condvar::new(),
         })
     }
-}
 
-enum SlotState<T> {
-    Waiting,
-    Done(Result<T, CompileError>),
-    /// The job was dropped without running to its reply, or the reply was
-    /// taken.
-    Abandoned,
-}
-
-impl<T> ReplySlot<T> {
     /// Every update of the state is one assignment, so a poisoned lock
     /// still guards a valid state.
-    fn lock(&self) -> std::sync::MutexGuard<'_, SlotState<T>> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, SlotState> {
         self.state
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    fn settle(&self, outcome: SlotState<T>) {
+    /// Settles the slot with `reply` (`None`: abandoned), unless it is
+    /// settled already.
+    fn settle(&self, reply: Option<Result<CompileResult, CompileError>>) {
         let mut state = self.lock();
-        if matches!(*state, SlotState::Waiting) {
-            *state = outcome;
+        if !state.settled {
+            *state = SlotState {
+                settled: true,
+                reply,
+            };
             // Unlock first: the waiter wakes to a free lock.
             drop(state);
             self.settled.notify_one();
         }
     }
 
-    fn wait(&self) -> Result<T, CompileError> {
+    fn wait(&self) -> Result<CompileResult, CompileError> {
         let mut state = self.lock();
-        while matches!(*state, SlotState::Waiting) {
+        while !state.settled {
             state = self
                 .settled
                 .wait(state)
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
         }
-        match std::mem::replace(&mut *state, SlotState::Abandoned) {
-            SlotState::Done(result) => result,
-            // Unreachable in practice: workers always reply exactly once
-            // (panics are caught inside the job), and shutdown drains the
-            // queue. Degrade to an error rather than hanging the caller.
-            _ => Err(CompileError::Engine(
+        // `None` is unreachable in practice: workers always reply exactly
+        // once (panics are caught inside the job), and shutdown drains the
+        // queue. Degrade to an error rather than hanging the caller.
+        state.reply.take().unwrap_or_else(|| {
+            Err(CompileError::Engine(
                 "compile worker exited before replying".to_string(),
-            )),
-        }
+            ))
+        })
     }
 }
 
 /// The job's end of a [`ReplySlot`]. Dropping it unfilled settles the slot
 /// as abandoned, so a ticket never waits for a reply that cannot come.
-struct ReplySender<T>(Arc<ReplySlot<T>>);
+struct ReplySender(Arc<ReplySlot>);
 
-impl<T> ReplySender<T> {
-    fn send(self, result: Result<T, CompileError>) {
-        self.0.settle(SlotState::Done(result));
+impl ReplySender {
+    fn send(self, result: Result<CompileResult, CompileError>) {
+        self.0.settle(Some(result));
     }
 }
 
-impl<T> Drop for ReplySender<T> {
+impl Drop for ReplySender {
     fn drop(&mut self) {
-        self.0.settle(SlotState::Abandoned);
+        self.0.settle(None);
     }
 }
 
-impl<T> fmt::Debug for Ticket<T> {
+impl fmt::Debug for Ticket {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Ticket")
             .field("cancel_on_drop", &self.cancel.is_some())
@@ -287,14 +280,14 @@ impl<T> fmt::Debug for Ticket<T> {
     }
 }
 
-impl<T> Ticket<T> {
+impl Ticket {
     /// Blocks until the request completes and returns its outcome.
     ///
     /// # Errors
     ///
     /// Whatever the compile itself produced — including
     /// [`CompileError::Engine`] when the request panicked in a worker.
-    pub fn wait(mut self) -> Result<T, CompileError> {
+    pub fn wait(mut self) -> Result<CompileResult, CompileError> {
         // Disarm cancel-on-drop: waiting out the result is the opposite
         // of abandoning the request.
         self.cancel = None;
@@ -302,7 +295,7 @@ impl<T> Ticket<T> {
     }
 }
 
-impl<T> Drop for Ticket<T> {
+impl Drop for Ticket {
     fn drop(&mut self) {
         if let Some(cancel) = self.cancel.take() {
             cancel.cancel();
@@ -373,7 +366,7 @@ impl CompileServiceBuilder {
     /// target — hit instead of recompiling. Keys include each session's
     /// policy fingerprint, so entries never cross targets or policies.
     /// Aggregate counters are available via
-    /// [`CompileService::cache_stats`].
+    /// [`CompileService::shared_cache`].
     #[must_use]
     pub fn shared_cache(mut self, cache: Arc<ReportCache>) -> Self {
         self.cache = Some(cache);
@@ -461,13 +454,11 @@ struct DispatchState {
     cursor: usize,
 }
 
-/// The queues + the two rendezvous points: `work_cv` wakes workers when
-/// a request lands, `space_cv` wakes blocked [`CompileService::submit_wait`]
-/// callers when a slot frees up.
+/// The queues + their rendezvous point: `work_cv` wakes workers when a
+/// request lands.
 struct Dispatcher {
     state: Mutex<DispatchState>,
     work_cv: Condvar,
-    space_cv: Condvar,
     capacity: usize,
 }
 
@@ -588,7 +579,6 @@ impl CompileService {
                 cursor: 0,
             }),
             work_cv: Condvar::new(),
-            space_cv: Condvar::new(),
             capacity,
         });
         let workers = (0..workers)
@@ -615,7 +605,7 @@ impl CompileService {
     /// so accepted requests always resolve.
     fn worker_loop(dispatcher: &Dispatcher, obs: &ServiceObs) {
         loop {
-            let (queued, _idx) = {
+            let queued = {
                 let mut st = dispatcher.state.lock().unwrap();
                 loop {
                     if let Some((queued, idx)) = Dispatcher::pop_fair(&mut st) {
@@ -623,7 +613,7 @@ impl CompileService {
                         // move under the lock, in step with the queues.
                         obs.queue_depth.add(-1);
                         obs.queue_depth_by_target[idx].add(-1);
-                        break (queued, idx);
+                        break queued;
                     }
                     if !st.open {
                         return;
@@ -631,9 +621,6 @@ impl CompileService {
                     st = dispatcher.work_cv.wait(st).unwrap();
                 }
             };
-            // A slot freed up on that target: wake blocked submit_wait
-            // callers (they re-check their own target's depth).
-            dispatcher.space_cv.notify_all();
             if queued.cancel.is_cancelled() {
                 // Cancelled while queued: skip without compiling. The
                 // reply channel is gone (only a dropped ticket cancels),
@@ -661,15 +648,8 @@ impl CompileService {
         self.dispatcher.capacity
     }
 
-    /// Aggregated hit/miss/bypass/eviction counters of the shared report
-    /// cache, across every worker and registered session (`None` when the
-    /// service was built without [`CompileServiceBuilder::shared_cache`]).
-    #[must_use]
-    pub fn cache_stats(&self) -> Option<CacheStats> {
-        self.cache.as_ref().map(|c| c.stats())
-    }
-
-    /// The shared report cache, if one was installed.
+    /// The shared report cache, if one was installed — its
+    /// [`ReportCache::stats`] aggregate every worker and registered session.
     #[must_use]
     pub fn shared_cache(&self) -> Option<&Arc<ReportCache>> {
         self.cache.as_ref()
@@ -678,9 +658,8 @@ impl CompileService {
     /// A point-in-time snapshot of the service's metrics registry —
     /// request/panic/busy/cancel counters, global and per-target queue
     /// depths, wait/run/cancel latency histograms, plus everything the
-    /// registered sessions recorded into the shared registry. The natural
-    /// companion to [`CompileService::cache_stats`]; render it with
-    /// `MetricsSnapshot::render_text` / `render_json`.
+    /// registered sessions recorded into the shared registry. Render it
+    /// with `MetricsSnapshot::render_text`.
     #[must_use]
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         self.metrics.snapshot()
@@ -717,10 +696,10 @@ impl CompileService {
     /// The front door (see the module docs): runs `work` here, on the
     /// submitting thread, for a request whose consult already holds the
     /// answer. No queue slot is taken, so a full queue does not refuse it.
-    fn answer_at_the_door<T>(
+    fn answer_at_the_door(
         &self,
-        work: impl FnOnce(Option<CancelToken>) -> Result<T, CompileError>,
-    ) -> Ticket<T> {
+        work: impl FnOnce(Option<CancelToken>) -> Result<CompileResult, CompileError>,
+    ) -> Ticket {
         self.obs.requests.inc();
         self.obs.door_hits.inc();
         let result = catch_unwind(AssertUnwindSafe(|| work(None))).unwrap_or_else(|payload| {
@@ -728,44 +707,40 @@ impl CompileService {
             Err(CompileError::Engine(panic_message(&*payload)))
         });
         Ticket {
-            reply: ReplySlot::new(SlotState::Done(result)),
+            reply: ReplySlot::new(SlotState {
+                settled: true,
+                reply: Some(result),
+            }),
             cancel: None,
         }
     }
 
-    /// What the front door asks the session's cache about `views`, if
+    /// What the front door asks the session's cache about `source`, if
     /// anything: nothing for a source without a view or a session without
     /// a cache, and nothing once shutdown has begun — a request that is
     /// going to be refused must not be counted as a hit first.
     fn ask_at_the_door(
         &self,
         session: &Session,
-        views: Option<&[(&Stmt, &Placements)]>,
+        source: &impl IntoProgram,
     ) -> Result<Option<Consult>, ServiceError> {
-        let Some(views) = views.filter(|_| session.report_cache().is_some()) else {
+        let Some(view) = source.view().filter(|_| session.report_cache().is_some()) else {
             return Ok(None);
         };
         if !self.dispatcher.state.lock().expect(DISPATCH_LOCK).open {
             return Err(ServiceError::ShuttingDown);
         }
-        Ok(Some(session.consult(views, None)))
+        Ok(Some(session.consult(std::slice::from_ref(&view), None)))
     }
 
     /// Queues `work` on target queue `idx` and returns the ticket its
-    /// reply will arrive on. `deadline`: `None` rejects a full queue
-    /// immediately; `Some` blocks for a slot until that instant.
-    fn dispatch<T, F>(
-        &self,
-        idx: usize,
-        deadline: Option<Instant>,
-        work: F,
-    ) -> Result<Ticket<T>, ServiceError>
+    /// reply will arrive on; a full queue is refused at once.
+    fn dispatch<F>(&self, idx: usize, work: F) -> Result<Ticket, ServiceError>
     where
-        T: Send + 'static,
-        F: FnOnce(Option<CancelToken>) -> Result<T, CompileError> + Send + 'static,
+        F: FnOnce(Option<CancelToken>) -> Result<CompileResult, CompileError> + Send + 'static,
     {
         let cancel = CancelToken::new();
-        let slot = ReplySlot::new(SlotState::Waiting);
+        let slot = ReplySlot::new(SlotState::default());
         let reply = ReplySender(Arc::clone(&slot));
         let obs = Arc::clone(&self.obs);
         let job_cancel = cancel.clone();
@@ -798,36 +773,16 @@ impl CompileService {
         });
 
         let mut st = self.dispatcher.state.lock().expect(DISPATCH_LOCK);
-        loop {
-            if !st.open {
-                return Err(ServiceError::ShuttingDown);
-            }
-            let depth = st.queues[idx].len();
-            if depth < self.dispatcher.capacity {
-                break;
-            }
-            // Full queue: reject now, or wait for space until the
-            // deadline. Either way, only THIS target's callers block —
-            // the lock is held just long enough to check/park.
-            let now = Instant::now();
-            let remaining = deadline.and_then(|d| d.checked_duration_since(now));
-            match remaining {
-                None => {
-                    self.obs.rejected_busy.inc();
-                    return Err(ServiceError::Busy {
-                        target: self.names[idx].clone(),
-                        depth,
-                    });
-                }
-                Some(timeout) => {
-                    st = self
-                        .dispatcher
-                        .space_cv
-                        .wait_timeout(st, timeout)
-                        .expect(DISPATCH_LOCK)
-                        .0;
-                }
-            }
+        if !st.open {
+            return Err(ServiceError::ShuttingDown);
+        }
+        let depth = st.queues[idx].len();
+        if depth >= self.dispatcher.capacity {
+            self.obs.rejected_busy.inc();
+            return Err(ServiceError::Busy {
+                target: self.names[idx].clone(),
+                depth,
+            });
         }
         st.queues[idx].push_back(QueuedJob {
             job,
@@ -844,32 +799,9 @@ impl CompileService {
         })
     }
 
-    /// One source as one request: consulted at the front door when it
-    /// offers a view, queued unless the door holds its answer.
-    fn submit_by<S>(
-        &self,
-        target: &str,
-        source: S,
-        deadline: Option<Instant>,
-    ) -> Result<Ticket, ServiceError>
-    where
-        S: IntoProgram + Send + 'static,
-    {
-        let (idx, session) = self.resolve(target)?;
-        let view = source.view();
-        let consulted = self.ask_at_the_door(&session, view.as_ref().map(std::slice::from_ref))?;
-        let answered = matches!(consulted, Some(Consult::Hit(_)));
-        let work =
-            move |cancel| session.compile_lowered(|| source.into_program(), cancel, consulted);
-        if answered {
-            Ok(self.answer_at_the_door(work))
-        } else {
-            self.dispatch(idx, deadline, work)
-        }
-    }
-
-    /// Submits one program for compilation on `target`'s session. Never
-    /// blocks: a full queue is [`ServiceError::Busy`].
+    /// Submits one program for compilation on `target`'s session: consulted
+    /// at the front door when it offers a view, queued unless the door holds
+    /// its answer. Never blocks: a full queue is [`ServiceError::Busy`].
     ///
     /// # Errors
     ///
@@ -880,83 +812,16 @@ impl CompileService {
     where
         S: IntoProgram + Send + 'static,
     {
-        self.submit_by(target, source, None)
-    }
-
-    /// [`CompileService::submit`], but on a full queue blocks up to
-    /// `timeout` for a slot to free before giving up with
-    /// [`ServiceError::Busy`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`CompileService::submit`], with `Busy` meaning the queue
-    /// stayed full for the whole timeout.
-    pub fn submit_wait<S>(
-        &self,
-        target: &str,
-        source: S,
-        timeout: Duration,
-    ) -> Result<Ticket, ServiceError>
-    where
-        S: IntoProgram + Send + 'static,
-    {
-        self.submit_by(target, source, Some(Instant::now() + timeout))
-    }
-
-    /// Submits a whole suite as one request ([`Session::compile_suite`]
-    /// semantics — with a batched session, one shared e-graph and one
-    /// saturation run for the entire suite).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`CompileService::submit`].
-    pub fn submit_suite<S>(
-        &self,
-        target: &str,
-        sources: Vec<S>,
-    ) -> Result<Ticket<SuiteResult>, ServiceError>
-    where
-        S: IntoProgram + Send + 'static,
-    {
         let (idx, session) = self.resolve(target)?;
-        // The suite is one request under one key: the door can ask about
-        // it only when every source offers a view.
-        let views: Option<Vec<_>> = sources.iter().map(IntoProgram::view).collect();
-        let views = views.filter(|views| !views.is_empty());
-        let consulted = self.ask_at_the_door(&session, views.as_deref())?;
+        let consulted = self.ask_at_the_door(&session, &source)?;
         let answered = matches!(consulted, Some(Consult::Hit(_)));
-        let work = move |cancel| {
-            let lowering = sources.into_iter().map(IntoProgram::into_program);
-            session.compile_suite_lowering(lowering, cancel, consulted)
-        };
+        let work =
+            move |cancel| session.compile_lowered(|| source.into_program(), cancel, consulted);
         if answered {
             Ok(self.answer_at_the_door(work))
         } else {
-            self.dispatch(idx, None, work)
+            self.dispatch(idx, work)
         }
-    }
-
-    /// Batch API: submits every source as its *own* request (so each gets
-    /// its own [`crate::CompileOutcome`] and failure isolation), then
-    /// waits for all of them. Replies are in input order.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError`] if any submission is refused; per-request
-    /// compile errors are confined to their slot in the returned vector.
-    pub fn compile_batch<S>(
-        &self,
-        target: &str,
-        sources: Vec<S>,
-    ) -> Result<Vec<Result<CompileResult, CompileError>>, ServiceError>
-    where
-        S: IntoProgram + Send + 'static,
-    {
-        let tickets = sources
-            .into_iter()
-            .map(|source| self.submit(target, source))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(tickets.into_iter().map(Ticket::wait).collect())
     }
 
     /// Drains and stops the service: already-queued requests still run to
@@ -972,10 +837,8 @@ impl CompileService {
             let mut st = self.dispatcher.state.lock().unwrap();
             st.open = false;
         }
-        // Everyone re-checks `open`: workers finish the queues then stop,
-        // blocked submit_wait callers give up with ShuttingDown.
+        // Every worker re-checks `open`: it finishes the queues, then stops.
         self.dispatcher.work_cv.notify_all();
-        self.dispatcher.space_cv.notify_all();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
@@ -1039,32 +902,13 @@ mod tests {
             .unwrap();
         let direct = Session::builder().target_name("sim").build().unwrap();
         let sources: Vec<Stmt> = (0..6).map(tile_leaf).collect();
-        let replies = service.compile_batch("sim", sources.clone()).unwrap();
-        assert_eq!(replies.len(), sources.len());
-        for (reply, source) in replies.iter().zip(&sources) {
+        let tickets: Vec<Ticket> = sources
+            .iter()
+            .map(|source| service.submit("sim", source.clone()).unwrap())
+            .collect();
+        for (ticket, source) in tickets.into_iter().zip(&sources) {
             let expect = direct.compile(source).unwrap();
-            assert_eq!(reply.as_ref().unwrap().program, expect.program);
-        }
-    }
-
-    #[test]
-    fn suite_request_matches_direct_compile_suite() {
-        let service = CompileService::builder()
-            .worker_threads(2)
-            .register_target("sim")
-            .build()
-            .unwrap();
-        let direct = Session::builder().target_name("sim").build().unwrap();
-        let sources: Vec<Stmt> = (0..3).map(tile_leaf).collect();
-        let served = service
-            .submit_suite("sim", sources.clone())
-            .unwrap()
-            .wait()
-            .unwrap();
-        let expect = direct.compile_suite(&sources).unwrap();
-        assert_eq!(served.results.len(), expect.results.len());
-        for (s, e) in served.results.iter().zip(&expect.results) {
-            assert_eq!(s.as_ref().unwrap().program, e.as_ref().unwrap().program);
+            assert_eq!(ticket.wait().unwrap().program, expect.program);
         }
     }
 
@@ -1108,10 +952,10 @@ mod tests {
             .register_target("sim")
             .build()
             .unwrap();
-        let replies = service
-            .compile_batch("sim", (0..4).map(tile_leaf).collect::<Vec<_>>())
-            .unwrap();
-        assert!(replies.iter().all(Result::is_ok));
+        let tickets: Vec<Ticket> = (0..4)
+            .map(|i| service.submit("sim", tile_leaf(i)).unwrap())
+            .collect();
+        assert!(tickets.into_iter().all(|ticket| ticket.wait().is_ok()));
         let snap = service.metrics_snapshot();
         assert_eq!(snap.counter("service.requests"), Some(4));
         assert_eq!(snap.counter("service.requests_panicked"), Some(0));
@@ -1145,7 +989,7 @@ mod tests {
         let hit = service.submit("sim", tile_leaf(0)).unwrap().wait().unwrap();
         assert_eq!(hit.report.cache, crate::cache::CacheOutcome::Hit);
         let before = service.metrics_snapshot();
-        let stats = service.cache_stats();
+        let stats = service.shared_cache().map(|c| c.stats());
         service.drain();
         assert_eq!(
             service.submit("sim", tile_leaf(0)).unwrap_err(),
@@ -1159,7 +1003,7 @@ mod tests {
         for name in ["service.requests", "service.door_hits", "cache.hits"] {
             assert_eq!(after.counter(name), before.counter(name), "{name} moved");
         }
-        assert_eq!(service.cache_stats(), stats);
+        assert_eq!(service.shared_cache().map(|c| c.stats()), stats);
     }
 
     #[test]

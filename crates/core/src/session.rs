@@ -104,8 +104,6 @@ pub struct Program {
     /// Extra placements for buffers allocated outside the tree (pipeline
     /// outputs, image inputs).
     pub placements: Placements,
-    /// Program name for reports (e.g. the pipeline's output func).
-    pub name: Option<String>,
     /// Front-end diagnostics (lowering notes), surfaced in
     /// [`CompileReport::notes`].
     pub notes: Vec<String>,
@@ -118,7 +116,6 @@ impl Program {
         Program {
             stmt,
             placements: Placements::new(),
-            name: None,
             notes: Vec::new(),
         }
     }
@@ -129,7 +126,6 @@ impl Program {
         Program {
             stmt,
             placements,
-            name: None,
             notes: Vec::new(),
         }
     }
@@ -213,8 +209,6 @@ pub enum BuildError {
     UnknownTarget(String),
     /// `batching` was set twice with different modes.
     ConflictingBatching(Batching, Batching),
-    /// `outer_iters` must be at least 1.
-    InvalidOuterIters,
     /// `node_limit` must be at least 1.
     InvalidNodeLimit,
     /// `deadline` must be a non-zero duration.
@@ -242,7 +236,6 @@ impl fmt::Display for BuildError {
             BuildError::ConflictingBatching(a, b) => {
                 write!(f, "conflicting batching modes: {a:?} then {b:?}")
             }
-            BuildError::InvalidOuterIters => write!(f, "outer_iters must be at least 1"),
             BuildError::InvalidNodeLimit => write!(f, "node_limit must be at least 1"),
             BuildError::InvalidDeadline => write!(f, "deadline must be a non-zero duration"),
             BuildError::InvalidMatchBudget => write!(f, "match_budget must be at least 1"),
@@ -455,9 +448,6 @@ pub struct CompileReport {
     pub outcome: CompileOutcome,
     /// Per-stage wall-clock breakdown.
     pub stages: StageTimings,
-    /// Total time spent inside equality saturation (equals
-    /// `stages.saturate`; kept as a named field for report consumers).
-    pub eqsat_time: Duration,
     /// End-to-end compile time (lowering included).
     pub total_time: Duration,
     /// How the session's report cache treated this compile
@@ -545,8 +535,12 @@ pub struct IrSuiteResult {
     pub report: CompileReport,
 }
 
+/// Outer rounds of the main rules in every session's phased schedule
+/// (§III-D2's fixed budget).
+const OUTER_ITERS: usize = 8;
+
 /// Builder for [`Session`]: target, cost model, batching mode, the
-/// saturation budgets (outer iterations, node limit, deadline, match cap),
+/// saturation budgets (node limit, deadline, match cap),
 /// a report cache, and the three observers (tracer, metrics registry,
 /// profile sink). Everything else about a compile is fixed — in particular
 /// how it extracts (see the module docs).
@@ -556,7 +550,6 @@ pub struct SessionBuilder {
     cost: Option<Box<dyn CostModel>>,
     batching: Option<Batching>,
     batching_conflict: Option<(Batching, Batching)>,
-    outer_iters: usize,
     node_limit: Option<usize>,
     deadline: Option<Duration>,
     match_budget: Option<usize>,
@@ -576,7 +569,6 @@ impl SessionBuilder {
             cost: None,
             batching: None,
             batching_conflict: None,
-            outer_iters: 8,
             node_limit: None,
             deadline: None,
             match_budget: None,
@@ -634,14 +626,6 @@ impl SessionBuilder {
             }
             _ => self.batching = Some(batching),
         }
-        self
-    }
-
-    /// Outer iterations of the main rules (§III-D2's fixed budget;
-    /// default 8).
-    #[must_use]
-    pub fn outer_iters(mut self, iters: usize) -> Self {
-        self.outer_iters = iters;
         self
     }
 
@@ -744,16 +728,13 @@ impl SessionBuilder {
     /// # Errors
     ///
     /// Returns a [`BuildError`] on an unknown target name, conflicting
-    /// batching modes, or zero iteration/node budgets.
+    /// batching modes, or a zero budget.
     pub fn build(self) -> Result<Session, BuildError> {
         if let Some(name) = self.unknown_target {
             return Err(BuildError::UnknownTarget(name));
         }
         if let Some((a, b)) = self.batching_conflict {
             return Err(BuildError::ConflictingBatching(a, b));
-        }
-        if self.outer_iters == 0 {
-            return Err(BuildError::InvalidOuterIters);
         }
         if self.node_limit == Some(0) {
             return Err(BuildError::InvalidNodeLimit);
@@ -787,7 +768,6 @@ impl SessionBuilder {
         let fingerprint = crate::cache::policy_fingerprint(
             target.name(),
             batching,
-            self.outer_iters,
             self.deadline,
             self.match_budget,
             &runner,
@@ -798,7 +778,6 @@ impl SessionBuilder {
             target,
             cost,
             batching,
-            outer_iters: self.outer_iters,
             deadline: self.deadline,
             match_budget: self.match_budget,
             runner,
@@ -927,7 +906,6 @@ pub struct Session {
     target: Box<dyn Target>,
     cost: Box<dyn CostModel>,
     batching: Batching,
-    outer_iters: usize,
     deadline: Option<Duration>,
     match_budget: Option<usize>,
     runner: Runner,
@@ -996,7 +974,6 @@ impl fmt::Debug for Session {
         f.debug_struct("Session")
             .field("target", &self.target.name())
             .field("batching", &self.batching)
-            .field("outer_iters", &self.outer_iters)
             .finish_non_exhaustive()
     }
 }
@@ -1251,52 +1228,36 @@ impl Session {
         self.compile_suite_with_cancel(sources, Some(cancel))
     }
 
+    /// The body of [`Session::compile_suite`] and
+    /// [`Session::compile_suite_cancellable`].
     fn compile_suite_with_cancel<S: IntoProgram>(
         &self,
         sources: &[S],
         cancel: Option<CancelToken>,
     ) -> Result<SuiteResult, CompileError> {
-        self.compile_suite_lowering(sources.iter().map(IntoProgram::to_program), cancel, None)
-    }
-
-    /// A suite through `lowering` (one front-end run per item, in suite
-    /// order) and the pipeline; `consulted` as in
-    /// [`Session::compile_lowered`], for the suite as one request.
-    pub(crate) fn compile_suite_lowering(
-        &self,
-        lowering: impl ExactSizeIterator<Item = Result<Program, CompileError>>,
-        cancel: Option<CancelToken>,
-        consulted: Option<Consult>,
-    ) -> Result<SuiteResult, CompileError> {
-        if lowering.len() == 0 {
+        if sources.is_empty() {
             return Err(CompileError::EmptySuite);
         }
         let budget = self.request_budget(cancel);
         let _root = self.tracer.span("compile_suite");
         let lower_started = Instant::now();
         let lower_span = self.tracer.span("lower");
-        let lowered: Vec<Result<Program, CompileError>> = lowering.collect();
+        let lowered: Vec<Result<Program, CompileError>> =
+            sources.iter().map(IntoProgram::to_program).collect();
         let lower = lower_span.finish();
         if let Some(obs) = &self.obs {
             obs.stage_lower.observe_duration(lower);
         }
 
         // Fast path: every program lowered and the whole-suite compile
-        // (one shared e-graph in batched mode) survives — or the caller's
-        // consult already holds it.
+        // (one shared e-graph in batched mode) survives.
         if lowered.iter().all(Result::is_ok) {
             let programs: Vec<&Program> = lowered.iter().filter_map(|r| r.as_ref().ok()).collect();
-            let shared = match consulted {
-                Some(Consult::Hit(hit)) => Ok(*hit),
-                unanswered => {
-                    let key = unanswered.and_then(|consulted| consulted.key());
-                    let refs: Vec<(&Stmt, &Placements)> =
-                        programs.iter().map(|p| (&p.stmt, &p.placements)).collect();
-                    catch_unwind(AssertUnwindSafe(|| {
-                        self.compile_programs(&refs, budget.clone(), key, None, None)
-                    }))
-                }
-            };
+            let refs: Vec<(&Stmt, &Placements)> =
+                programs.iter().map(|p| (&p.stmt, &p.placements)).collect();
+            let shared = catch_unwind(AssertUnwindSafe(|| {
+                self.compile_programs(&refs, budget.clone(), None, None, None)
+            }));
             if let Ok(compiled) = shared {
                 return Ok(self.split_suite(compiled, &programs, lower));
             }
@@ -1327,7 +1288,6 @@ impl Session {
                 report.stages.saturate += unit.report.stages.saturate;
                 report.stages.extract += unit.report.stages.extract;
                 report.stages.splice += unit.report.stages.splice;
-                report.eqsat_time += unit.report.eqsat_time;
                 Ok(unit)
             }));
         }
@@ -1367,7 +1327,6 @@ impl Session {
                     extraction: None,
                     outcome: report.outcome,
                     stages: report.stages,
-                    eqsat_time: report.eqsat_time,
                     total_time: report.total_time,
                     cache: report.cache,
                     snapshot_restore: report.snapshot_restore,
@@ -1400,7 +1359,6 @@ impl Session {
             stmt,
             placements,
             notes,
-            ..
         } = program;
         let mut result = catch_unwind(AssertUnwindSafe(|| {
             let optimized = catch_unwind(AssertUnwindSafe(|| {
@@ -1742,7 +1700,6 @@ impl Session {
                 report.batch = Some(run);
             }
         }
-        report.eqsat_time = report.stages.saturate;
 
         let splice_span = self.tracer.span("splice");
         splice_selected(&mut annotated, selected);
@@ -1808,7 +1765,7 @@ impl Session {
             eg,
             &rules.main,
             &rules.support,
-            self.outer_iters,
+            OUTER_ITERS,
             budget,
             warm,
             &mut ctx.matcher,
@@ -2178,7 +2135,6 @@ mod tests {
         assert!(stages.encode > Duration::ZERO);
         assert!(stages.saturate > Duration::ZERO);
         assert!(stages.extract > Duration::ZERO);
-        assert_eq!(result.report.eqsat_time, stages.saturate);
         assert!(result.report.total_time >= stages.saturate);
     }
 }

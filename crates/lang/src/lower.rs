@@ -701,7 +701,6 @@ impl hardboiled::IntoProgram for Lowered {
             )],
             stmt: self.stmt,
             placements: self.placements,
-            name: Some(self.output_name),
         })
     }
 

@@ -44,14 +44,13 @@
 //! cheap clones updated with `Relaxed` atomics — the registry lock is
 //! only for registration and snapshots, so sessions and service workers
 //! share one registry without contention on the hot path. Histograms
-//! use fixed bucket bounds chosen at registration (default: powers of
-//! four from ~1 µs to ~69 s, [`DEFAULT_DURATION_BOUNDS_NS`]) so
-//! `observe` is allocation-free and snapshots merge; quantiles
-//! (p50/p90/p99) read out as the upper bound of the bucket where the
-//! cumulative count crosses the rank — bucket-granular by design, the
-//! same trade Prometheus histograms make. Snapshots render as
-//! Prometheus-style text ([`MetricsSnapshot::render_text`]) or JSON
-//! ([`MetricsSnapshot::render_json`]).
+//! share one fixed bucket ladder (powers of four from ~1 µs to ~69 s,
+//! [`DEFAULT_DURATION_BOUNDS_NS`]) so `observe` is allocation-free and
+//! snapshots merge; quantiles (p50/p99) read out as the upper bound of
+//! the bucket where the cumulative count crosses the rank —
+//! bucket-granular by design, the same trade Prometheus histograms make.
+//! Snapshots render as Prometheus-style text
+//! ([`MetricsSnapshot::render_text`]).
 //!
 //! # Profiling hooks ([`profile`])
 //!

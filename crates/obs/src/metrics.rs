@@ -8,9 +8,9 @@
 //! which is what lets many `Session`s share one registry across a
 //! `CompileService` and have their counts aggregate.
 //!
-//! Histograms use **fixed** bucket bounds chosen at registration (the
-//! default ladder is powers of four from 1 µs to ~69 s, wide enough for
-//! a sub-millisecond cache hit and a multi-second saturation alike).
+//! Histograms share one **fixed** bucket ladder, powers of four from 1 µs
+//! to ~69 s ([`DEFAULT_DURATION_BOUNDS_NS`]), wide enough for a
+//! sub-millisecond cache hit and a multi-second saturation alike.
 //! Fixed buckets keep `observe` allocation-free and snapshots mergeable;
 //! quantiles are read out as the upper bound of the bucket where the
 //! cumulative count crosses the rank, i.e. with bucket-granular error —
@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
-/// Default histogram bucket upper bounds (nanoseconds): powers of four
+/// Every histogram's bucket upper bounds (nanoseconds): powers of four
 /// from 1024 ns (~1 µs) to ~69 s, 14 buckets plus overflow.
 pub const DEFAULT_DURATION_BOUNDS_NS: [u64; 14] = [
     1 << 10, // ~1 µs
@@ -85,36 +85,25 @@ impl Gauge {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct HistogramInner {
-    /// Sorted upper bounds; `counts` has one extra overflow slot.
-    bounds: Vec<u64>,
-    counts: Vec<AtomicU64>,
+    /// One count per [`DEFAULT_DURATION_BOUNDS_NS`] bucket, plus the
+    /// overflow slot.
+    counts: [AtomicU64; DEFAULT_DURATION_BOUNDS_NS.len() + 1],
     sum: AtomicU64,
     count: AtomicU64,
     max: AtomicU64,
 }
 
 /// A fixed-bucket histogram handle.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Histogram(Arc<HistogramInner>);
 
 impl Histogram {
-    fn with_bounds(bounds: &[u64]) -> Self {
-        debug_assert!(bounds.windows(2).all(|w| w[0] < w[1]), "bounds must ascend");
-        Histogram(Arc::new(HistogramInner {
-            bounds: bounds.to_vec(),
-            counts: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
-            sum: AtomicU64::new(0),
-            count: AtomicU64::new(0),
-            max: AtomicU64::new(0),
-        }))
-    }
-
     /// Records one observation.
     pub fn observe(&self, value: u64) {
         let inner = &self.0;
-        let bucket = inner.bounds.partition_point(|&b| b < value);
+        let bucket = DEFAULT_DURATION_BOUNDS_NS.partition_point(|&b| b < value);
         inner.counts[bucket].fetch_add(1, Ordering::Relaxed);
         inner.sum.fetch_add(value, Ordering::Relaxed);
         inner.count.fetch_add(1, Ordering::Relaxed);
@@ -140,8 +129,7 @@ impl Histogram {
             count: inner.count.load(Ordering::Relaxed),
             sum: inner.sum.load(Ordering::Relaxed),
             max: inner.max.load(Ordering::Relaxed),
-            buckets: inner
-                .bounds
+            buckets: DEFAULT_DURATION_BOUNDS_NS
                 .iter()
                 .map(|&b| Some(b))
                 .chain(std::iter::once(None))
@@ -197,12 +185,6 @@ impl HistogramSnapshot {
     #[must_use]
     pub fn p50(&self) -> Option<u64> {
         self.quantile(0.50)
-    }
-
-    /// 90th percentile.
-    #[must_use]
-    pub fn p90(&self) -> Option<u64> {
-        self.quantile(0.90)
     }
 
     /// 99th percentile.
@@ -293,26 +275,14 @@ impl MetricsRegistry {
         }
     }
 
-    /// The histogram registered under `name` with the default duration
-    /// buckets ([`DEFAULT_DURATION_BOUNDS_NS`]), creating it on first
-    /// use.
+    /// The histogram registered under `name` with the duration buckets
+    /// ([`DEFAULT_DURATION_BOUNDS_NS`]), creating it on first use.
     ///
     /// # Panics
     /// If `name` is already registered as a different metric kind.
     #[must_use]
     pub fn histogram(&self, name: &str) -> Histogram {
-        self.histogram_with_bounds(name, &DEFAULT_DURATION_BOUNDS_NS)
-    }
-
-    /// The histogram registered under `name`, creating it with the given
-    /// bucket upper bounds on first use (an existing histogram keeps its
-    /// original bounds).
-    ///
-    /// # Panics
-    /// If `name` is already registered as a different metric kind.
-    #[must_use]
-    pub fn histogram_with_bounds(&self, name: &str, bounds: &[u64]) -> Histogram {
-        match self.register(name, || Metric::Histogram(Histogram::with_bounds(bounds))) {
+        match self.register(name, || Metric::Histogram(Histogram::default())) {
             Metric::Histogram(h) => h,
             other => panic!("metric `{name}` is a {}, not a histogram", other.kind()),
         }
@@ -338,12 +308,6 @@ impl MetricsRegistry {
     #[must_use]
     pub fn render_text(&self) -> String {
         self.snapshot().render_text()
-    }
-
-    /// JSON export (see [`MetricsSnapshot::render_json`]).
-    #[must_use]
-    pub fn render_json(&self) -> String {
-        self.snapshot().render_json()
     }
 }
 
@@ -414,57 +378,6 @@ impl MetricsSnapshot {
         }
         out
     }
-
-    /// JSON export: `{"counters": {…}, "gauges": {…}, "histograms":
-    /// {name: {count, sum, max, p50, p90, p99, buckets: [[le, n], …]}}}`
-    /// (the overflow bucket's bound renders as `null`).
-    #[must_use]
-    pub fn render_json(&self) -> String {
-        let mut out = String::from("{\n  \"counters\": {");
-        for (i, (name, value)) in self.counters.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(out, "{sep}\n    \"{}\": {value}", escape(name));
-        }
-        out.push_str("\n  },\n  \"gauges\": {");
-        for (i, (name, value)) in self.gauges.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(out, "{sep}\n    \"{}\": {value}", escape(name));
-        }
-        out.push_str("\n  },\n  \"histograms\": {");
-        for (i, h) in self.histograms.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(
-                out,
-                "{sep}\n    \"{}\": {{ \"count\": {}, \"sum\": {}, \"max\": {}, \
-                 \"p50\": {}, \"p90\": {}, \"p99\": {}, \"buckets\": [",
-                escape(&h.name),
-                h.count,
-                h.sum,
-                h.max,
-                json_opt(h.p50()),
-                json_opt(h.p90()),
-                json_opt(h.p99()),
-            );
-            for (j, &(bound, count)) in h.buckets.iter().enumerate() {
-                let sep = if j == 0 { "" } else { ", " };
-                match bound {
-                    Some(b) => {
-                        let _ = write!(out, "{sep}[{b}, {count}]");
-                    }
-                    None => {
-                        let _ = write!(out, "{sep}[null, {count}]");
-                    }
-                }
-            }
-            out.push_str("] }");
-        }
-        out.push_str("\n  }\n}\n");
-        out
-    }
-}
-
-fn json_opt(value: Option<u64>) -> String {
-    value.map_or_else(|| "null".to_string(), |v| v.to_string())
 }
 
 fn sanitize(name: &str) -> String {
@@ -475,16 +388,6 @@ fn sanitize(name: &str) -> String {
             } else {
                 '_'
             }
-        })
-        .collect()
-}
-
-fn escape(name: &str) -> String {
-    name.chars()
-        .flat_map(|c| match c {
-            '"' | '\\' => vec!['\\', c],
-            c if c.is_control() => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
         })
         .collect()
 }
@@ -512,28 +415,28 @@ mod tests {
     #[test]
     fn histogram_quantiles_are_bucket_upper_bounds() {
         let registry = MetricsRegistry::new();
-        let h = registry.histogram_with_bounds("lat", &[10, 100, 1000]);
+        let h = registry.histogram("lat");
         for _ in 0..9 {
-            h.observe(5); // bucket le=10
+            h.observe(5); // bucket le=1024
         }
-        h.observe(500); // bucket le=1000
+        h.observe(5_000); // bucket le=16384
         let snap = registry.snapshot();
         let lat = snap.histogram("lat").expect("registered");
         assert_eq!(lat.count, 10);
-        assert_eq!(lat.p50(), Some(10));
-        assert_eq!(lat.p99(), Some(1000));
-        assert_eq!(lat.max, 500);
+        assert_eq!(lat.p50(), Some(1 << 10));
+        assert_eq!(lat.p99(), Some(1 << 14));
+        assert_eq!(lat.max, 5_000);
     }
 
     #[test]
     fn overflow_bucket_reports_the_observed_max() {
         let registry = MetricsRegistry::new();
-        let h = registry.histogram_with_bounds("big", &[10]);
-        h.observe(70_000);
+        let h = registry.histogram("big");
+        h.observe(1 << 40);
         let snap = registry.snapshot();
         assert_eq!(
             snap.histogram("big").and_then(HistogramSnapshot::p99),
-            Some(70_000)
+            Some(1 << 40)
         );
     }
 
@@ -542,29 +445,16 @@ mod tests {
         let registry = MetricsRegistry::new();
         registry.counter("cache.hits").add(3);
         registry.gauge("queue.depth").set(-2);
-        let h = registry.histogram_with_bounds("wait", &[10]);
+        let h = registry.histogram("wait");
         h.observe(4);
-        h.observe(40);
+        h.observe(1 << 40);
         let text = registry.render_text();
         assert!(text.contains("# TYPE cache_hits counter\ncache_hits 3\n"));
         assert!(text.contains("queue_depth -2"));
-        assert!(text.contains("wait_bucket{le=\"10\"} 1"));
+        assert!(text.contains("wait_bucket{le=\"1024\"} 1"));
         assert!(text.contains("wait_bucket{le=\"+Inf\"} 2"));
-        assert!(text.contains("wait_sum 44"));
+        assert!(text.contains(&format!("wait_sum {}", 4 + (1u64 << 40))));
         assert!(text.contains("wait_count 2"));
-    }
-
-    #[test]
-    fn render_json_mentions_every_metric() {
-        let registry = MetricsRegistry::new();
-        registry.counter("a").inc();
-        registry.gauge("b").set(7);
-        registry.histogram_with_bounds("c", &[10]).observe(3);
-        let json = registry.render_json();
-        assert!(json.contains("\"a\": 1"));
-        assert!(json.contains("\"b\": 7"));
-        assert!(json.contains("\"count\": 1"));
-        assert!(json.contains("[null, 0]"));
     }
 
     #[test]
@@ -577,10 +467,10 @@ mod tests {
                 let registry = Arc::clone(&registry);
                 scope.spawn(move || {
                     let c = registry.counter("hammered");
-                    let h = registry.histogram_with_bounds("hist", &[8, 64]);
+                    let h = registry.histogram("hist");
                     for i in 0..per_thread {
                         c.inc();
-                        h.observe(i % 100);
+                        h.observe((i % 100) << 10);
                     }
                 });
             }

@@ -140,7 +140,10 @@ fn service_workers_share_one_cache() {
     assert_eq!(second.report.cache, CacheOutcome::Hit);
     assert_eq!(second.program, first.program);
 
-    let stats = service.cache_stats().expect("service has a shared cache");
+    let stats = service
+        .shared_cache()
+        .expect("service has a shared cache")
+        .stats();
     assert_eq!(stats.hits, 1);
     assert_eq!(stats.misses, 1);
     service.shutdown();

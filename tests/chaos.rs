@@ -252,7 +252,7 @@ fn every_seeded_fault_leaves_suite_compilation_total() {
 #[test]
 fn seeded_fault_in_a_service_worker_is_confined_to_one_request() {
     quiet_injected_panics();
-    let sources = vec![
+    let sources = [
         lower(&Conv1d { n: 512, k: 16 }.pipeline(true)).unwrap(),
         lower(
             &GemmWmma {
@@ -284,9 +284,11 @@ fn seeded_fault_in_a_service_worker_is_confined_to_one_request() {
         .register("faulty", faulty)
         .build()
         .unwrap();
-    let replies = service
-        .compile_batch("faulty", sources.clone())
-        .expect("submissions accepted");
+    let tickets: Vec<_> = sources
+        .iter()
+        .map(|s| service.submit("faulty", s.clone()).expect("accepted"))
+        .collect();
+    let replies: Vec<_> = tickets.into_iter().map(|t| t.wait()).collect();
     assert_eq!(
         plan.times_fired(),
         1,
@@ -310,9 +312,11 @@ fn seeded_fault_in_a_service_worker_is_confined_to_one_request() {
     assert_eq!(degraded, 1, "exactly the faulted request degraded");
     // The service keeps serving after the fault: a fresh batch on the
     // (now spent) plan is clean end to end.
-    let replies = service
-        .compile_batch("faulty", sources.clone())
-        .expect("submissions accepted");
+    let tickets: Vec<_> = sources
+        .iter()
+        .map(|s| service.submit("faulty", s.clone()).expect("accepted"))
+        .collect();
+    let replies: Vec<_> = tickets.into_iter().map(|t| t.wait()).collect();
     for (i, reply) in replies.iter().enumerate() {
         let result = reply.as_ref().expect("request must compile");
         assert_eq!(result.report.outcome, CompileOutcome::Saturated);

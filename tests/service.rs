@@ -449,64 +449,6 @@ fn dropped_ticket_after_completion_moves_no_counters() {
     service.shutdown();
 }
 
-/// `submit_wait`: blocks for a slot instead of rejecting, gives up with
-/// `Busy` at its deadline, and succeeds once space frees up.
-#[test]
-fn submit_wait_times_out_then_succeeds_once_space_frees() {
-    let source = conv_source();
-    let gate = Gate::new();
-    let service = CompileService::builder()
-        .worker_threads(1)
-        .queue_capacity(1)
-        .register_target("sim")
-        .build()
-        .unwrap();
-
-    let gated = service
-        .submit(
-            "sim",
-            GatedSource {
-                inner: source.clone(),
-                gate: gate.clone(),
-            },
-        )
-        .expect("accepted");
-    wait_until("the worker to pick up the gated request", || {
-        gauge(&service, "service.queue_depth.sim") == 0
-    });
-    let queued = service.submit("sim", source.clone()).expect("slot 1");
-
-    // Full queue + parked worker: the deadline fires.
-    let started = Instant::now();
-    assert_eq!(
-        service
-            .submit_wait("sim", source.clone(), Duration::from_millis(50))
-            .unwrap_err(),
-        ServiceError::Busy {
-            target: "sim".to_string(),
-            depth: 1,
-        }
-    );
-    assert!(started.elapsed() >= Duration::from_millis(50));
-    assert_eq!(counter(&service, "service.rejected_busy"), 1);
-
-    // A generous waiter parks until the worker resumes and drains a slot.
-    thread::scope(|scope| {
-        let waiter = scope.spawn(|| {
-            service
-                .submit_wait("sim", source.clone(), Duration::from_secs(30))
-                .expect("space must free up well within the deadline")
-                .wait()
-        });
-        gate.open();
-        assert!(waiter.join().unwrap().is_ok());
-    });
-    assert!(gated.wait().is_ok());
-    assert!(queued.wait().is_ok());
-    assert_eq!(counter(&service, "service.rejected_busy"), 1);
-    service.shutdown();
-}
-
 // ---------------------------------------------------------------------
 // The front door
 // ---------------------------------------------------------------------
@@ -611,7 +553,7 @@ fn door_hit_worker_hit_and_cold_compile_agree() {
     ] {
         assert_eq!(essence(result), essence(&direct), "{route} diverged");
     }
-    let stats = service.cache_stats().unwrap();
+    let stats = service.shared_cache().unwrap().stats();
     assert_eq!((stats.hits, stats.misses, stats.bypasses), (2, 1, 0));
     assert_eq!(counter(&service, "service.requests"), 3);
     service.shutdown();
@@ -652,22 +594,18 @@ fn door_hits_need_no_slot_and_leave_nothing_to_cancel() {
     ));
     assert_eq!(counter(&service, "service.rejected_busy"), 1);
 
-    // The cached program is answered all the same, by either entry point.
+    // The cached program is answered all the same.
     let answered = service.submit("sim", hot.clone()).expect("needs no slot");
     let hit = answered.wait().unwrap();
     assert_eq!(hit.report.cache, CacheOutcome::Hit);
     assert_eq!(hit.program, stored.program);
-    let waited = service
-        .submit_wait("sim", hot.clone(), Duration::from_millis(1))
-        .expect("needs no slot");
-    assert_eq!(waited.wait().unwrap().report.cache, CacheOutcome::Hit);
     assert_eq!(counter(&service, "service.rejected_busy"), 1);
     assert_eq!(gauge(&service, "service.queue_depth.sim"), 1);
-    assert_eq!(counter(&service, "service.door_hits"), 2);
+    assert_eq!(counter(&service, "service.door_hits"), 1);
 
     // Dropping a ticket that was born resolved cancels nothing.
     drop(service.submit("sim", hot.clone()).expect("needs no slot"));
-    assert_eq!(counter(&service, "service.door_hits"), 3);
+    assert_eq!(counter(&service, "service.door_hits"), 2);
     assert_eq!(counter(&service, "service.cancelled"), 0);
 
     // A renamed sibling shares the cached program's key, not its entry:
@@ -677,7 +615,7 @@ fn door_hits_need_no_slot_and_leave_nothing_to_cancel() {
         service.submit("sim", tile_leaf("sibling")).unwrap_err(),
         ServiceError::Busy { .. }
     ));
-    assert_eq!(counter(&service, "service.door_hits"), 3);
+    assert_eq!(counter(&service, "service.door_hits"), 2);
 
     gate.open();
     assert!(gated.wait().is_ok());
@@ -719,7 +657,7 @@ fn fault_injected_sessions_have_no_front_door() {
             .unwrap();
         assert_eq!(result.report.cache, CacheOutcome::Bypass);
     }
-    let stats = service.cache_stats().unwrap();
+    let stats = service.shared_cache().unwrap().stats();
     assert_eq!((stats.hits, stats.misses, stats.bypasses), (0, 0, 2));
     assert_eq!(counter(&service, "service.door_hits"), 0);
     assert_eq!(hist_count(&service, "service.run_ns"), 2);
@@ -793,7 +731,7 @@ fn cache_accounting_is_conserved_under_contention() {
 
     let requests = (SUBMITTERS * PER_SUBMITTER) as u64;
     let reported = |outcome: CacheOutcome| tallies.iter().map(|t| t[outcome as usize]).sum::<u64>();
-    let stats = service.cache_stats().unwrap();
+    let stats = service.shared_cache().unwrap().stats();
     assert_eq!(stats.hits + stats.misses + stats.bypasses, requests);
     assert_eq!(counter(&service, "service.requests"), requests);
     assert_eq!(stats.hits, reported(CacheOutcome::Hit));

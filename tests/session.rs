@@ -65,10 +65,6 @@ fn conflicting_batching_modes_are_a_build_error() {
 #[test]
 fn zero_budgets_are_build_errors() {
     assert_eq!(
-        Session::builder().outer_iters(0).build().unwrap_err(),
-        BuildError::InvalidOuterIters
-    );
-    assert_eq!(
         Session::builder().node_limit(0).build().unwrap_err(),
         BuildError::InvalidNodeLimit
     );
@@ -436,7 +432,6 @@ fn isolated_suite_reports_like_the_shared_path() {
     let zero = std::time::Duration::ZERO;
     assert!(stages.encode > zero && stages.saturate > zero);
     assert!(stages.extract > zero && stages.splice > zero);
-    assert_eq!(suite.report.eqsat_time, stages.saturate);
 }
 
 // ---------------------------------------------------------------------------
