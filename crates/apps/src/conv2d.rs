@@ -126,22 +126,6 @@ impl Conv2d {
             self.kh as usize,
         )
     }
-
-    /// Counters for the paper's Fig. 7/8 configuration: a 2048×2048 image,
-    /// simulated at 2048×16 and scaled by the row batches.
-    #[must_use]
-    pub fn micro_counters(k: i64, tensor_cores: bool) -> hb_accel::counters::CostCounters {
-        let app = Conv2d {
-            width: 2048,
-            height: 16,
-            kw: k,
-            kh: k,
-        };
-        let r = app.run(tensor_cores);
-        let mut c = r.counters.scaled(2048 / 16);
-        c.kernel_launches = 1;
-        c
-    }
 }
 
 /// `K(rx, ry)` buffer (rx innermost) to row-major `ry × rx`.

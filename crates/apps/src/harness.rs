@@ -1,5 +1,5 @@
-//! Compile-and-run harness: lowers a pipeline, optionally runs HARDBOILED
-//! instruction selection through a [`Session`], executes it on the
+//! Compile-and-run harness: lowers a pipeline, runs HARDBOILED instruction
+//! selection through a [`Session`], executes it on the
 //! simulator, and reports outputs, cost counters and runtime estimates.
 
 use hardboiled::{CompileReport, Session};
@@ -62,35 +62,6 @@ pub fn compile_and_run_with(
         output,
         counters: it.counters(),
         selection: Some(result.report),
-        compile_time,
-    })
-}
-
-/// Compiles a pipeline (optionally through HARDBOILED, with the default
-/// session) and executes it with the given inputs.
-///
-/// # Errors
-///
-/// Fails on lowering or execution errors.
-pub fn compile_and_run(
-    pipeline: &Pipeline,
-    use_selector: bool,
-    inputs: &[(&str, &[f64])],
-) -> ExecResult<RunResult> {
-    if use_selector {
-        return compile_and_run_with(&Session::default(), pipeline, inputs);
-    }
-    let started = Instant::now();
-    let lowered = lower(pipeline).map_err(|e| ExecError(e.to_string()))?;
-    let compile_time = started.elapsed();
-    let mut it = Interp::new();
-    alloc_io(&mut it, &lowered, inputs)?;
-    it.run_kernel(&lowered.stmt)?;
-    let output = it.mem.snapshot(&lowered.output_name)?;
-    Ok(RunResult {
-        output,
-        counters: it.counters(),
-        selection: None,
         compile_time,
     })
 }

@@ -211,21 +211,6 @@ impl Upsample {
     }
 }
 
-/// Counters for the Fig. 7/8 microbenchmarks on a 2048² image (1-D apps are
-/// run per row and scaled).
-#[must_use]
-pub fn micro_counters(app: &str, k: i64, tensor_cores: bool) -> hb_accel::counters::CostCounters {
-    let rows = 2048u64;
-    let mut c = match app {
-        "downsample" => Downsample { n: 1024, k }.run(tensor_cores).counters,
-        "upsample" => Upsample { n: 4096, taps: 8 }.run(tensor_cores).counters,
-        other => panic!("unknown microbenchmark {other}"),
-    };
-    c = c.scaled(rows);
-    c.kernel_launches = 1;
-    c
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

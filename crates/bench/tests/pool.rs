@@ -92,7 +92,7 @@ fn batched() -> SessionBuilder {
 
 /// One workload through `session`: its normalized program and its report.
 fn compile(w: &Workload, session: &Session) -> (String, CompileReport) {
-    let result = session.compile_ir(&w.lowered.stmt, &w.lowered.placements);
+    let result = session.compile(&w.lowered).unwrap();
     (normalize_temps(&result.program.to_string()), result.report)
 }
 

@@ -126,12 +126,6 @@ pub fn pnum(v: i64) -> Pattern<HbLang> {
     Pattern::Node(HbLang::Num(v), vec![])
 }
 
-/// Buffer-name pattern.
-#[must_use]
-pub fn pstr(s: &str) -> Pattern<HbLang> {
-    Pattern::Node(HbLang::Str(s.into()), vec![])
-}
-
 /// Type pattern with a lanes subpattern.
 #[must_use]
 pub fn pty(st: ScalarType, lanes: Pattern<HbLang>) -> Pattern<HbLang> {
@@ -221,12 +215,6 @@ pub fn pstore(
     value: Pattern<HbLang>,
 ) -> Pattern<HbLang> {
     Pattern::Node(HbLang::StoreS([Id(0); 3]), vec![name, index, value])
-}
-
-/// `ExprVar(e)` pattern.
-#[must_use]
-pub fn pexprvar(v: Pattern<HbLang>) -> Pattern<HbLang> {
-    Pattern::Node(HbLang::ExprVar([Id(0)]), vec![v])
 }
 
 #[cfg(test)]

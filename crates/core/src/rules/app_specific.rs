@@ -11,7 +11,6 @@
 //!   `convolution_shuffle` / `upsample_shuffle` (§V-A/§V-B).
 
 use hb_egraph::rewrite::{bound, Query};
-use hb_egraph::unionfind::Id;
 use hb_ir::types::{Location, ScalarType};
 
 use crate::encode::{padd, pbcast, pcast, pload, ploc, pmul, pnum, pramp, pty, pv, pvra};
@@ -426,10 +425,7 @@ pub fn rules() -> Vec<Rw> {
         }),
     ));
 
-    // Every applier above reads only its match's bound classes (via
-    // `ci`/`cis`/`bound`/analysis data) and performs monotone writes, so
-    // the scheduler may delta-search and quiescence-skip these rules.
-    out.into_iter().map(Rw::assume_pure).collect()
+    out
 }
 
 #[derive(Clone, Copy, PartialEq)]
@@ -541,22 +537,10 @@ fn conv_like_rule(
     )
 }
 
-/// Exposes the tile relations' names for diagnostics.
-#[must_use]
-pub fn relation_names() -> [&'static str; 2] {
-    ["amx-a-tile", "amx-b-tile"]
-}
-
 /// Ensures a fresh e-graph has the tile relations declared (so emptiness
 /// checks are meaningful in reports).
 pub fn declare_relations(eg: &mut HbGraph) {
-    for r in relation_names() {
+    for r in ["amx-a-tile", "amx-b-tile"] {
         eg.relations.declare(r);
     }
 }
-
-#[allow(unused_imports)]
-use hb_egraph::pattern::Subst as _SubstForDocs;
-
-#[allow(dead_code)]
-fn _unused(_: Id) {}

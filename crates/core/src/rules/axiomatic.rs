@@ -282,10 +282,7 @@ pub fn rules() -> Vec<Rw> {
         }),
     ));
 
-    // Every applier above reads only its match's bound classes (via
-    // `ci`/`cis`/`bound`/analysis data) and performs monotone writes, so
-    // the scheduler may delta-search and quiescence-skip these rules.
-    out.into_iter().map(Rw::assume_pure).collect()
+    out
 }
 
 #[cfg(test)]

@@ -38,7 +38,7 @@
 //!
 //! ## One path through a compile
 //!
-//! The eight public `compile*` methods differ in what they accept (a
+//! The seven public `compile*` methods differ in what they accept (a
 //! front-end source, IR, a suite), in whether they isolate panics, and in
 //! what they do besides selecting (export the saturated graph, warm-start
 //! from one, honour a [`CancelToken`]) — not in how they compile. Each is a
@@ -116,16 +116,6 @@ impl Program {
         Program {
             stmt,
             placements: Placements::new(),
-            notes: Vec::new(),
-        }
-    }
-
-    /// A program with explicit extra placements.
-    #[must_use]
-    pub fn with_placements(stmt: Stmt, placements: Placements) -> Self {
-        Program {
-            stmt,
-            placements,
             notes: Vec::new(),
         }
     }
@@ -1417,18 +1407,6 @@ impl Session {
         }
     }
 
-    /// IR-level entry point: compiles one statement tree with explicit
-    /// extra placements (infallible — no front end involved, no panic
-    /// isolation: this is the raw pipeline the benches measure).
-    #[must_use]
-    pub fn compile_ir(&self, stmt: &Stmt, extra_placements: &Placements) -> CompileResult {
-        let _root = self.tracer.span("compile");
-        let programs = [(stmt, extra_placements)];
-        let compiled =
-            self.compile_programs(&programs, self.request_budget(None), None, None, None);
-        compiled.into_single()
-    }
-
     /// IR-level suite entry point (infallible, no isolation wrapping; an
     /// empty suite compiles to an empty result).
     #[must_use]
@@ -2075,7 +2053,7 @@ mod tests {
         let CompileResult {
             program: out,
             report,
-        } = Session::default().compile_ir(&stmt, &Placements::new());
+        } = Session::default().compile(&stmt).unwrap();
         assert_eq!(report.num_statements(), 3, "init, update, wrapper");
         assert!(
             report.all_lowered(),
@@ -2098,7 +2076,7 @@ mod tests {
             b::ramp(b::int(0), b::int(1), 4),
             b::bcast(b::flt(1.0), 4),
         );
-        let result = Session::default().compile_ir(&s, &Placements::new());
+        let result = Session::default().compile(&s).unwrap();
         assert_eq!(result.program, s);
         assert_eq!(result.report.num_statements(), 0);
     }

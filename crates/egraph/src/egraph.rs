@@ -129,12 +129,6 @@ impl<L, D> EClass<L, D> {
         park(&mut self.parents);
         park(&mut self.op_epochs);
     }
-
-    /// Ids of classes containing a parent e-node of this class (possibly
-    /// stale — canonicalize with [`EGraph::find`] before use).
-    pub fn parent_classes(&self) -> impl Iterator<Item = Id> + '_ {
-        self.parents.iter().map(|(_, id)| *id)
-    }
 }
 
 /// Slot value of an id that has no class of its own: it lost a union.
@@ -457,7 +451,7 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
     /// including cross-matcher root-id changes for ops that only one side
     /// contributed; `union` merges the loser's row keys into the winner
     /// first, so the rows cover the merged node list) and on analysis-data
-    /// changes (guards may read the data under any root operator). Walks
+    /// changes (appliers may read the data under any root operator). Walks
     /// the existing rows, not the node list — O(distinct ops), no
     /// allocation.
     fn stamp(&mut self, id: Id) {

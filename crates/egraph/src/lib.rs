@@ -2,7 +2,7 @@
 //!
 //! A from-scratch reimplementation of the egg/egglog machinery the paper
 //! builds HARDBOILED on: hash-consed [`egraph::EGraph`]s with congruence
-//! rebuilding, [`pattern::Pattern`] e-matching, conditional
+//! rebuilding, [`pattern::Pattern`] e-matching, pure
 //! [`rewrite::Rewrite`] rules with egglog-style Datalog
 //! [`relation::Relations`], phased [`schedule::Runner`] scheduling
 //! (§III-D2), per-class [`egraph::Analysis`] lattices, and cost-based
@@ -145,8 +145,8 @@
 //!   cost almost nothing. A class-level epoch (the max over rows) and a
 //!   global log back variable-rooted patterns and the quiescence check.
 //!   Probed vs skipped row counts land in `RunReport::delta_probed_rows` /
-//!   `delta_skipped_rows`. Soundness and the fallbacks are documented in
-//!   [`schedule`].
+//!   `delta_skipped_rows`. Soundness rests on every rule being pure
+//!   ([`rewrite::Rewrite::rule`]) and is documented in [`schedule`].
 //!
 //! * **Semi-naive relation queries.** Queries that join relation atoms or
 //!   fresh-variable pattern atoms (not coverable by a single root probe)

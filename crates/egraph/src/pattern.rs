@@ -143,8 +143,8 @@ pub struct MatchScratch {
     /// The root enumeration of a delta probe (filled by the e-graph's
     /// `modified_*` read paths instead of a fresh vector per probe).
     pub(crate) roots: Vec<Id>,
-    /// The substitution each match is loaded into for its guard and
-    /// applier — one, reused, instead of a clone per match.
+    /// The substitution each match is loaded into for its applier — one,
+    /// reused, instead of a clone per match.
     pub(crate) subst: Subst,
     /// Candidate classes enumerated by delta probes since the last drain.
     probed_rows: usize,

@@ -18,8 +18,8 @@
 //! top of this.
 //!
 //! [`Relations::version`] is different and unchanged: it counts *new facts*
-//! only (canonicalization never bumps it) and gates the scheduler's
-//! conservative full-search fallback for rules with impure guards.
+//! only (canonicalization never bumps it) and tells the scheduler's
+//! quiescence skip whether a rule could see a new fact since it last ran.
 //!
 //! Change reads are **log-backed**, mirroring the e-graph's per-op delta
 //! logs: every relation keeps an append-only `(tick, tuple)` change log
@@ -120,8 +120,8 @@ impl Relations {
     /// A counter bumped every time a genuinely new tuple is inserted.
     ///
     /// Canonicalization does not bump it: merging tuples never creates new
-    /// facts. The scheduler uses this to decide whether a rule with an
-    /// impure guard must fall back to a full search.
+    /// facts. The scheduler skips a rule only while this (and the graph)
+    /// stayed unchanged since the rule last ran.
     #[must_use]
     pub fn version(&self) -> u64 {
         self.version

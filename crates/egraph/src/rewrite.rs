@@ -1,5 +1,6 @@
-//! Rules: queries (conjunctions of patterns and relation atoms), guards and
+//! Rules: queries (conjunctions of patterns and relation atoms) and
 //! appliers — the engine's equivalent of egglog's `rewrite` and `rule`.
+//! Every rule is pure by contract (see [`Rewrite::rule`]).
 //!
 //! Every [`Rewrite`] compiles its [`Query`] once at construction into a
 //! [`CompiledQuery`]; [`Rewrite::run`] searches it with
@@ -24,7 +25,7 @@
 //! buffer (`pattern::MatchBuf`, kept in the [`MatchScratch`] from search to
 //! search). Every binding is undone on the way back, so nothing is copied
 //! for a candidate that does not match, and nothing is allocated for one
-//! that does: [`Rewrite`] hands its guard and applier each row through the
+//! that does: [`Rewrite`] hands its applier each row through the
 //! scratch's one reused [`Subst`]. Pre-order depth-first search emits
 //! matches in the lexicographic (atom 0's choices, atom 1's, …) order of
 //! the naive nested loops, so the compiled and naive matchers return the
@@ -573,13 +574,10 @@ impl<L: Language> CompiledQuery<L> {
     }
 }
 
-/// Guard predicate evaluated on each match before application.
-pub type Guard<L, N> = Box<dyn Fn(&EGraph<L, N>, &Subst) -> bool + Send + Sync>;
-
-/// Action run on each surviving match; returns whether the e-graph changed.
+/// Action run on each match; returns whether the e-graph changed.
 pub type ApplyFn<L, N> = Box<dyn Fn(&mut EGraph<L, N>, &Subst) -> bool + Send + Sync>;
 
-/// A named rule: query → guard → action.
+/// A named rule: query → action.
 pub struct Rewrite<L: Language, N: Analysis<L> = ()> {
     /// Rule name (for reports).
     pub name: String,
@@ -587,15 +585,8 @@ pub struct Rewrite<L: Language, N: Analysis<L> = ()> {
     pub query: Query<L>,
     /// Compiled query (the indexed path [`Rewrite::run`] uses).
     pub compiled: CompiledQuery<L>,
-    /// Optional guard (`:when` clauses).
-    pub guard: Option<Guard<L, N>>,
     /// Action side.
     pub applier: ApplyFn<L, N>,
-    /// Whether the engine *knows* the guard/applier read nothing beyond the
-    /// matched classes (true for guard-less [`Rewrite::rewrite`] rules,
-    /// whose applier is the internal instantiate-and-union). Pure rules
-    /// skip the scheduler's relations-version fallback for delta search.
-    pub(crate) known_pure: bool,
 }
 
 impl<L: Language + 'static, N: Analysis<L>> Rewrite<L, N> {
@@ -603,83 +594,47 @@ impl<L: Language + 'static, N: Analysis<L>> Rewrite<L, N> {
     /// matched class with the instantiated `rhs`.
     #[allow(clippy::self_named_constructors)] // egg's established API name
     pub fn rewrite(name: &str, lhs: Pattern<L>, rhs: Pattern<L>) -> Self {
-        Self::rewrite_when(name, lhs, rhs, None)
-    }
-
-    /// A conditional rewrite (egglog's `:when`).
-    pub fn rewrite_when(
-        name: &str,
-        lhs: Pattern<L>,
-        rhs: Pattern<L>,
-        guard: Option<Guard<L, N>>,
-    ) -> Self {
-        let root = "$root".to_string();
-        let rhs2 = rhs;
-        let known_pure = guard.is_none();
-        let mut rw = Self::rule_when(
+        Self::rule(
             name,
-            Query::single(&root, lhs),
-            guard,
+            Query::single("$root", lhs),
             Box::new(move |egraph, subst| {
                 let root_id = subst.get("$root").expect("root bound by query");
-                let new_id = rhs2.instantiate(egraph, subst);
+                let new_id = rhs.instantiate(egraph, subst);
                 egraph.union(root_id, new_id).1
             }),
-        );
-        rw.known_pure = known_pure;
-        rw
+        )
     }
 
     /// A general rule with an arbitrary action.
+    ///
+    /// Every rule is **pure** by contract: its applier reads only its
+    /// match — the matched classes' e-nodes and analysis data, plus the
+    /// query's relation atoms — never other classes or unrelated relation
+    /// state, and it writes only monotonically (adds, unions, tuple
+    /// inserts). The scheduler relies on it: a rule whose matched classes
+    /// and relations did not change since it last ran would find the same
+    /// matches and change nothing, so it is skipped, and every run after
+    /// the first is a delta search. An applier that read global state
+    /// could miss a match that state later enables; express such a read as
+    /// a relation atom of the query instead. Every rule `hardboiled` ships
+    /// keeps the contract: its appliers read only their match's bound
+    /// classes and those classes' analysis data, and only add, union and
+    /// insert.
     pub fn rule(name: &str, query: Query<L>, applier: ApplyFn<L, N>) -> Self {
-        Self::rule_when(name, query, None, applier)
-    }
-
-    fn rule_when(
-        name: &str,
-        query: Query<L>,
-        guard: Option<Guard<L, N>>,
-        applier: ApplyFn<L, N>,
-    ) -> Self {
         let compiled = query.compile();
         Rewrite {
             name: name.to_string(),
             query,
             compiled,
-            guard,
             applier,
-            known_pure: false,
         }
-    }
-
-    /// Attaches a guard.
-    #[must_use]
-    pub fn with_guard(mut self, guard: Guard<L, N>) -> Self {
-        self.guard = Some(guard);
-        self.known_pure = false;
-        self
-    }
-
-    /// Promises the engine that this rule's guard and applier depend only
-    /// on the matched classes (their e-nodes and analysis data) and the
-    /// query's relation atoms — never on other classes or unrelated
-    /// relation state. (Monotone *writes* — adds, unions, tuple inserts —
-    /// are always fine.) The scheduler then drops the conservative
-    /// relations-version fallback and may skip the rule entirely while the
-    /// graph is quiescent. Every rule in this repository qualifies; rules
-    /// whose appliers *read* global relation state must not call this.
-    #[must_use]
-    pub fn assume_pure(mut self) -> Self {
-        self.known_pure = true;
-        self
     }
 }
 
 impl<L: Language, N: Analysis<L>> Rewrite<L, N> {
-    /// Applies one match, honoring the guard; returns whether it changed
-    /// the graph.
+    /// Applies one match; returns whether it changed the graph.
     fn apply(&self, egraph: &mut EGraph<L, N>, m: &Subst) -> bool {
-        self.guard.as_ref().is_none_or(|guard| guard(egraph, m)) && (self.applier)(egraph, m)
+        (self.applier)(egraph, m)
     }
 
     /// Applies the matches the compiled query's last search left in
@@ -725,13 +680,6 @@ impl<L: Language, N: Analysis<L>> Rewrite<L, N> {
         let matches = self.query.search(egraph);
         let changed = matches.iter().filter(|m| self.apply(egraph, m)).count();
         (matches.len(), changed)
-    }
-
-    /// Whether the engine knows this rule's guard/applier depend only on
-    /// the matched classes (see the field docs).
-    #[must_use]
-    pub fn is_known_pure(&self) -> bool {
-        self.known_pure
     }
 }
 
@@ -794,25 +742,6 @@ mod tests {
             eg.rebuild();
         }
         assert_eq!(eg.find(d), eg.find(a), "(a*2)/2 must equal a");
-    }
-
-    #[test]
-    fn guards_filter_matches() {
-        let mut eg = EG::new();
-        let a = eg.add(Math::Sym("a".into()));
-        let two = eg.add(Math::Num(2));
-        let m = eg.add(Math::Mul([a, two]));
-        // Guarded rewrite that refuses every match.
-        let never = Rewrite::<Math>::rewrite(
-            "never",
-            pmul(pvar("x"), pvar("y")),
-            pmul(pvar("y"), pvar("x")),
-        )
-        .with_guard(Box::new(|_, _| false));
-        assert_eq!(never.run(&mut eg, None, &mut MatchScratch::new()), 0);
-        eg.rebuild();
-        let swapped = eg.lookup(&Math::Mul([two, a]));
-        assert!(swapped.is_none() || swapped == Some(eg.find(m)));
     }
 
     #[test]

@@ -17,12 +17,9 @@
 //! every modified class that happens to contain a `Mul` node
 //! ([`RunReport::delta_probed_rows`] /
 //! [`RunReport::delta_skipped_rows`] count what the probes visited and
-//! what they left alone). Rules marked [`Rewrite::assume_pure`]
-//! (applicability depends only on the matched classes and the query's own
-//! relation atoms) are additionally skipped outright while the graph and
-//! relation store are quiescent; for rules *not* marked pure, any new
-//! relation tuple since their last run forces a full search as a safety
-//! net (their guards may read relation state the query does not mention).
+//! what they left alone). Because every rule is pure by contract (see
+//! [`Rewrite::rule`]), a rule is searched in full only on its first run,
+//! and skipped outright while the graph and relation store are quiescent.
 //! One [`MatchScratch`] per saturation run — the caller's, through
 //! [`Runner::run_phased_in`], when it has one to reuse across runs — is
 //! threaded through every search, so the compiled matcher's binding
@@ -80,8 +77,7 @@ pub struct RunReport {
     pub cancelled: bool,
     /// Rule searches that ran as delta probes (single-root or semi-naive).
     pub delta_searches: usize,
-    /// Rule searches that ran in full (first runs and impure-guard
-    /// fallbacks after relation growth).
+    /// Rule searches that ran in full (first runs).
     pub full_searches: usize,
     /// Rule searches skipped entirely by the quiescence check.
     pub skipped_searches: usize,
@@ -303,9 +299,8 @@ struct RuleState {
     /// Relation change tick at the last search; tuples changed after it
     /// feed the semi-naive relation-atom rounds.
     last_rel_tick: u64,
-    /// Relations version at the last search; for rules with impure guards
-    /// a change forces a full search (the guard may read relation state
-    /// the query does not mention).
+    /// Relations version at the last search; the quiescence skip needs
+    /// "no new tuple since this rule last ran".
     last_rel_version: u64,
     /// Whether the rule has searched at all yet.
     ran_before: bool,
@@ -329,8 +324,8 @@ pub struct WarmStart {
     pub epoch: u64,
     /// Relation change-tick cutoff for the semi-naive relation rounds.
     pub rel_tick: u64,
-    /// Relation version at capture; growth past it sends impure-guard
-    /// rules through the usual full-search safety net.
+    /// Relation version at capture; growth past it keeps warm rules from
+    /// being quiescence-skipped.
     pub rel_version: u64,
 }
 
@@ -407,14 +402,6 @@ impl Runner {
         }
     }
 
-    /// Installs a deterministic fault plan (chaos testing only).
-    #[cfg(feature = "fault-injection")]
-    #[must_use]
-    pub fn with_fault_plan(mut self, plan: std::sync::Arc<crate::fault::FaultPlan>) -> Self {
-        self.fault_plan = Some(plan);
-        self
-    }
-
     /// Flips the runner onto the naive reference matcher.
     #[must_use]
     pub fn with_naive_matcher(mut self, naive: bool) -> Self {
@@ -479,12 +466,11 @@ impl Runner {
                 continue;
             }
             let rel_version = egraph.relations.version();
-            // Quiescence skip: a pure rule sees only its matched classes
-            // and relation atoms; if neither classes nor relations changed
+            // Quiescence skip: a rule sees only its matched classes and
+            // relation atoms; if neither classes nor relations changed
             // since it last ran, it would find the same matches and its
             // (idempotent) application would change nothing — skip it.
-            if rule.is_known_pure()
-                && state.ran_before
+            if state.ran_before
                 && state.last_rel_version == rel_version
                 && !egraph.any_modified_since(state.last_epoch)
             {
@@ -492,24 +478,18 @@ impl Runner {
                 continue;
             }
             // Delta search is sound for every query shape (single-root
-            // probe or semi-naive rounds); the only holdout is a rule with
-            // an impure guard after relation growth, whose guard may now
-            // accept matches the delta cannot re-surface.
-            let delta_ok =
-                state.ran_before && (rule.is_known_pure() || state.last_rel_version == rel_version);
-            let epoch_cutoff = state.last_epoch;
-            let rel_cutoff = state.last_rel_tick;
-            // Record the next cutoffs *before* applying so this rule's own
-            // unions and tuple inserts are re-probed on its next run.
-            let searched_at = egraph.bump_epoch();
-            let rel_tick_at = egraph.relations.tick();
-            let since = if delta_ok {
+            // probe or semi-naive rounds), so only a first run is full.
+            let since = if state.ran_before {
                 report.delta_searches += 1;
-                Some((epoch_cutoff, rel_cutoff))
+                Some((state.last_epoch, state.last_rel_tick))
             } else {
                 report.full_searches += 1;
                 None
             };
+            // Record the next cutoffs *before* applying so this rule's own
+            // unions and tuple inserts are re-probed on its next run.
+            let searched_at = egraph.bump_epoch();
+            let rel_tick_at = egraph.relations.tick();
             let n = rule.run(egraph, since, scratch);
             applied += n;
             clock.note_applied(n);

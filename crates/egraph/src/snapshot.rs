@@ -278,7 +278,7 @@ pub trait SnapshotNode: Language {
 
 /// An [`Analysis`] whose per-class data can be written to and read from
 /// snapshot payloads. Must round-trip exactly (`PartialEq`-equal), since
-/// analysis data feeds rule guards and must not drift across a
+/// analysis data feeds rule appliers and must not drift across a
 /// snapshot/restore cycle.
 pub trait SnapshotAnalysis<L: Language>: Analysis<L> {
     /// Serializes one class's analysis data.

@@ -610,8 +610,7 @@ fn scheduler_semi_naive_finds_late_tuples_without_full_research() {
             let e = hb_egraph::rewrite::bound(s, "e");
             eg.relations.insert("marked", &[e])
         }),
-    )
-    .assume_pure();
+    );
     let derive = Rewrite::<Math>::rule(
         "two-is-good",
         Query::single("e", n(2)),
@@ -619,8 +618,7 @@ fn scheduler_semi_naive_finds_late_tuples_without_full_research() {
             let e = hb_egraph::rewrite::bound(s, "e");
             eg.relations.insert("good", &[e])
         }),
-    )
-    .assume_pure();
+    );
     // Order matters: `main` searches before `good` is populated.
     let report = Runner::new(16, 20_000).run_to_fixpoint(&mut eg, &[main, derive], Budget::none());
     assert!(report.saturated);
@@ -635,6 +633,10 @@ fn scheduler_semi_naive_finds_late_tuples_without_full_research() {
     assert!(
         report.delta_searches >= 2,
         "later passes must run as delta probes"
+    );
+    assert_eq!(
+        report.skipped_searches, 1,
+        "a rule over a quiescent graph and relation store is skipped"
     );
 }
 

@@ -14,8 +14,8 @@
 //! copying rewrite beside it. A rewrite that keeps a child moves it with
 //! [`Expr::take`]; a caller that must keep its input clones the tree once
 //! and rewrites the copy (the `&T -> T` entry points elsewhere in the stack
-//! — `simplify`, `annotate_stmt`, `widen_stmt` — are exactly that, two or
-//! three lines each). The copying rewrite survives only as the reference
+//! — `simplify_stmt`, `annotate_stmt` — are exactly that, two or three
+//! lines each). The copying rewrite survives only as the reference
 //! the property tests compare against (`reference.rs`, test builds only).
 
 use crate::types::{Location, ScalarType, Type};
@@ -55,15 +55,6 @@ impl BinOp {
     #[must_use]
     pub fn is_comparison(self) -> bool {
         matches!(self, BinOp::Lt | BinOp::Le | BinOp::Eq)
-    }
-
-    /// Whether the operator is commutative.
-    #[must_use]
-    pub fn is_commutative(self) -> bool {
-        matches!(
-            self,
-            BinOp::Add | BinOp::Mul | BinOp::Min | BinOp::Max | BinOp::Eq | BinOp::And | BinOp::Or
-        )
     }
 
     /// Operator name used by the textual printers.
@@ -255,15 +246,6 @@ impl Expr {
         }
     }
 
-    /// Returns the constant float value if the expression is a `FloatImm`.
-    #[must_use]
-    pub fn as_float(&self) -> Option<f64> {
-        match self {
-            Expr::FloatImm(v, _) => Some(*v),
-            _ => None,
-        }
-    }
-
     /// Whether this expression is the integer constant `v` (scalar or
     /// a broadcast of it).
     #[must_use]
@@ -443,8 +425,6 @@ mod tests {
         let e = lt(int(1), int(2));
         assert_eq!(e.ty(), Type::bool());
         assert!(BinOp::Lt.is_comparison());
-        assert!(!BinOp::Sub.is_commutative());
-        assert!(BinOp::Add.is_commutative());
     }
 
     #[test]
@@ -503,10 +483,9 @@ mod tests {
     }
 
     #[test]
-    fn as_int_and_float() {
+    fn as_int_and_is_const_int() {
         assert_eq!(int(7).as_int(), Some(7));
         assert_eq!(var("x").as_int(), None);
-        assert_eq!(flt(2.5).as_float(), Some(2.5));
         assert!(bcast(int(3), 4).is_const_int(3));
     }
 }

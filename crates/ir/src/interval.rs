@@ -164,13 +164,6 @@ pub fn bounds(e: &Expr, env: &VarRanges) -> Option<Interval> {
     }
 }
 
-/// Exact extent (number of addressed elements) of an access if the bounds
-/// are computable: `max - min + 1`.
-#[must_use]
-pub fn access_extent(e: &Expr, env: &VarRanges) -> Option<i64> {
-    bounds(e, env).map(|i| i.extent())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -249,7 +242,7 @@ mod tests {
     fn extent_of_matrix_access() {
         // A 16x32 tile accessed with row stride 32: indices 0..511.
         let e = ramp(ramp(int(0), int(1), 32), bcast(int(32), 32), 16);
-        assert_eq!(access_extent(&e, &VarRanges::new()), Some(512));
+        assert_eq!(bounds(&e, &VarRanges::new()), Some(Interval::new(0, 511)));
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //! owned tree, each applying the first matching local rule at every node
 //! (children first), until a pass replaces nothing or the cap of 16 passes
 //! is reached. A rule that keeps an operand moves it up instead of copying
-//! it, and a pass that replaces nothing allocates nothing. [`simplify`] and
-//! [`simplify_stmt`] clone their input once and simplify the copy. The
+//! it, and a pass that replaces nothing allocates nothing.
+//! [`simplify_stmt`] clones its input once and simplifies the copy. The
 //! rules, their order and the cap are those of the clone-rebuild-compare
 //! loop this replaced; a property test holds the two equal on random
 //! expressions, and the golden lowering test (`tests/lower_golden.rs`)
@@ -48,14 +48,6 @@ pub fn simplify_in_place(e: &mut Expr) -> bool {
         changed = true;
     }
     changed
-}
-
-/// [`simplify_in_place`] on a copy.
-#[must_use]
-pub fn simplify(e: &Expr) -> Expr {
-    let mut out = e.clone();
-    simplify_in_place(&mut out);
-    out
 }
 
 /// Simplifies every expression in a statement tree, in place.
@@ -412,6 +404,13 @@ mod tests {
     use crate::reference::{gen_expr, rebuild_bottom_up, GENES};
     use proptest::prelude::*;
 
+    /// The simplified form of `e`, leaving `e` as it is.
+    fn simplified(e: &Expr) -> Expr {
+        let mut out = e.clone();
+        simplify_in_place(&mut out);
+        out
+    }
+
     /// The clone-rebuild-compare loop `simplify` was before it moved in
     /// place — same `step`, same cap — and the number of passes that
     /// changed the tree.
@@ -443,7 +442,6 @@ mod tests {
             let changed = simplify_in_place(&mut got);
             assert_eq!(got, want, "simplifying {e}");
             assert_eq!(changed, passes > 0, "change report for {e}");
-            assert_eq!(simplify(&e), want, "the borrowing wrapper on {e}");
             rewritten += usize::from(passes > 0);
             multi_pass += usize::from(passes > 1);
         }
@@ -461,39 +459,43 @@ mod tests {
 
     #[test]
     fn constant_folding() {
-        assert_eq!(simplify(&add(int(2), int(3))), int(5));
-        assert_eq!(simplify(&div(int(7), int(2))), int(3));
-        assert_eq!(simplify(&modulo(int(-1), int(4))), int(3), "euclidean mod");
-        assert_eq!(simplify(&mul(flt(2.0), flt(4.0))), flt(8.0));
-        assert_eq!(simplify(&lt(int(1), int(2))), int(1));
+        assert_eq!(simplified(&add(int(2), int(3))), int(5));
+        assert_eq!(simplified(&div(int(7), int(2))), int(3));
+        assert_eq!(
+            simplified(&modulo(int(-1), int(4))),
+            int(3),
+            "euclidean mod"
+        );
+        assert_eq!(simplified(&mul(flt(2.0), flt(4.0))), flt(8.0));
+        assert_eq!(simplified(&lt(int(1), int(2))), int(1));
     }
 
     #[test]
     fn algebraic_identities() {
         let x = var("x");
-        assert_eq!(simplify(&add(x.clone(), int(0))), x);
-        assert_eq!(simplify(&mul(x.clone(), int(1))), x);
-        assert_eq!(simplify(&mul(x.clone(), int(0))), int(0));
-        assert_eq!(simplify(&sub(x.clone(), int(0))), x);
-        assert_eq!(simplify(&div(x.clone(), int(1))), x);
+        assert_eq!(simplified(&add(x.clone(), int(0))), x);
+        assert_eq!(simplified(&mul(x.clone(), int(1))), x);
+        assert_eq!(simplified(&mul(x.clone(), int(0))), int(0));
+        assert_eq!(simplified(&sub(x.clone(), int(0))), x);
+        assert_eq!(simplified(&div(x.clone(), int(1))), x);
     }
 
     #[test]
     fn broadcast_flattening() {
         let e = bcast(bcast(var("x"), 16), 16);
-        assert_eq!(simplify(&e), bcast(var("x"), 256));
-        assert_eq!(simplify(&bcast(var("x"), 1)), var("x"));
+        assert_eq!(simplified(&e), bcast(var("x"), 256));
+        assert_eq!(simplified(&bcast(var("x"), 1)), var("x"));
     }
 
     #[test]
     fn ramp_of_one_lane_collapses() {
-        assert_eq!(simplify(&ramp(var("x"), int(3), 1)), var("x"));
+        assert_eq!(simplified(&ramp(var("x"), int(3), 1)), var("x"));
     }
 
     #[test]
     fn zero_stride_ramp_is_broadcast() {
         let e = ramp(var("x"), int(0), 8);
-        assert_eq!(simplify(&e), bcast(var("x"), 8));
+        assert_eq!(simplified(&e), bcast(var("x"), 8));
     }
 
     #[test]
@@ -501,7 +503,7 @@ mod tests {
         // B[x16(i)] -> x16(B[i])  (§III-B's second obfuscation).
         let idx = bcast(ramp(int(0), int(16), 32), 16);
         let ld = load(Type::bf16().with_lanes(512), "B", idx);
-        let s = simplify(&ld);
+        let s = simplified(&ld);
         match &s {
             Expr::Broadcast { value, lanes } => {
                 assert_eq!(*lanes, 16);
@@ -521,7 +523,7 @@ mod tests {
         // which is exactly the obscured A-matrix pattern of Fig. 3.
         let inner = ramp(int(0), int(1), 32);
         let e = ramp(bcast(inner.clone(), 16), bcast(int(32), 512), 16);
-        let s = simplify(&e);
+        let s = simplified(&e);
         let expected = add(
             bcast(inner, 256),
             ramp(bcast(int(0), 512), bcast(int(32), 512), 16),
@@ -533,21 +535,21 @@ mod tests {
     fn unnesting_terminates_on_zero_base() {
         let e = ramp(bcast(int(0), 512), bcast(int(32), 512), 16);
         // Must be a fixpoint (no infinite xN(0) + ... expansion).
-        assert_eq!(simplify(&e), e);
+        assert_eq!(simplified(&e), e);
     }
 
     #[test]
     fn broadcast_pairs_merge_through_binops() {
         let e = add(bcast(var("x"), 8), bcast(int(1), 8));
-        assert_eq!(simplify(&e), bcast(add(var("x"), int(1)), 8));
+        assert_eq!(simplified(&e), bcast(add(var("x"), int(1)), 8));
     }
 
     #[test]
     fn cast_identity_removed_and_imms_fold() {
         let x = var("x");
-        assert_eq!(simplify(&cast(Type::i32(), x.clone())), x);
-        assert_eq!(simplify(&cast(Type::f32(), int(3))), flt(3.0));
-        let h = simplify(&cast(Type::f16(), flt(1.0 + 2f64.powi(-12))));
+        assert_eq!(simplified(&cast(Type::i32(), x.clone())), x);
+        assert_eq!(simplified(&cast(Type::f32(), int(3))), flt(3.0));
+        let h = simplified(&cast(Type::f16(), flt(1.0 + 2f64.powi(-12))));
         match h {
             Expr::FloatImm(v, ScalarType::F16) => assert!((v - 1.0).abs() < 1e-3),
             other => panic!("expected f16 imm, got {other:?}"),
@@ -557,7 +559,7 @@ mod tests {
     #[test]
     fn select_on_constants() {
         let e = select(lt(int(1), int(2)), flt(1.0), flt(2.0));
-        assert_eq!(simplify(&e), flt(1.0));
+        assert_eq!(simplified(&e), flt(1.0));
     }
 
     #[test]

@@ -29,14 +29,6 @@ pub enum ForKind {
     GpuLane,
 }
 
-impl ForKind {
-    /// Whether iterations run concurrently (for the performance model).
-    #[must_use]
-    pub fn is_parallel(self) -> bool {
-        !matches!(self, ForKind::Serial | ForKind::Unrolled)
-    }
-}
-
 /// An IR statement.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Stmt {
@@ -173,18 +165,6 @@ impl Stmt {
         out.rewrite_stmts_in_place(&mut |s| f(s).map(|new| *s = new).is_some());
         out
     }
-
-    /// Collects the names of all stores in pre-order.
-    #[must_use]
-    pub fn stored_buffers(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        self.for_each_stmt(&mut |s| {
-            if let Stmt::Store { buffer, .. } = s {
-                out.push(buffer.clone());
-            }
-        });
-        out
-    }
 }
 
 #[cfg(test)]
@@ -210,11 +190,6 @@ mod tests {
         sample().for_each_stmt(&mut |_| count += 1);
         // for + block + store + evaluate
         assert_eq!(count, 4);
-    }
-
-    #[test]
-    fn stored_buffers_collects_names() {
-        assert_eq!(sample().stored_buffers(), vec!["out".to_string()]);
     }
 
     #[test]
@@ -276,13 +251,5 @@ mod tests {
         assert_eq!(s, for_serial("x", int(0), int(4), evaluate(int(1))));
         assert_eq!(seen.len(), 3, "evaluate, block, for");
         assert!(!s.rewrite_stmts_in_place(&mut |_| false));
-    }
-
-    #[test]
-    fn parallel_kinds() {
-        assert!(ForKind::GpuBlock.is_parallel());
-        assert!(ForKind::GpuLane.is_parallel());
-        assert!(!ForKind::Serial.is_parallel());
-        assert!(!ForKind::Unrolled.is_parallel());
     }
 }

@@ -129,12 +129,6 @@ impl Type {
         Type::new(self.elem, lanes)
     }
 
-    /// Whether this is a vector type (more than one lane).
-    #[must_use]
-    pub fn is_vector(self) -> bool {
-        self.lanes > 1
-    }
-
     /// Whether this is a scalar type (exactly one lane).
     #[must_use]
     pub fn is_scalar(self) -> bool {
@@ -274,7 +268,6 @@ mod tests {
     fn type_total_bytes() {
         let t = Type::new(ScalarType::BF16, 512);
         assert_eq!(t.bytes(), 1024);
-        assert!(t.is_vector());
         assert!(Type::f32().is_scalar());
     }
 

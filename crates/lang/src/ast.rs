@@ -46,38 +46,6 @@ impl HExpr {
             HExpr::Select(c, t, f) => c.uses_var(name) || t.uses_var(name) || f.uses_var(name),
         }
     }
-
-    /// Names of all funcs/images called.
-    #[must_use]
-    pub fn callees(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        self.collect_callees(&mut out);
-        out
-    }
-
-    fn collect_callees(&self, out: &mut Vec<String>) {
-        match self {
-            HExpr::Int(_) | HExpr::Float(..) | HExpr::Var(_) => {}
-            HExpr::Call(name, args) => {
-                if !out.contains(name) {
-                    out.push(name.clone());
-                }
-                for a in args {
-                    a.collect_callees(out);
-                }
-            }
-            HExpr::Binary(_, a, b) => {
-                a.collect_callees(out);
-                b.collect_callees(out);
-            }
-            HExpr::Cast(_, e) => e.collect_callees(out),
-            HExpr::Select(c, t, f) => {
-                c.collect_callees(out);
-                t.collect_callees(out);
-                f.collect_callees(out);
-            }
-        }
-    }
 }
 
 /// Float literal (f32).
@@ -468,13 +436,6 @@ mod tests {
     fn call_arity_checked() {
         let f = Func::new("f", &["x", "y"], ScalarType::F32);
         let _ = f.at(&[hv("x")]);
-    }
-
-    #[test]
-    fn callees_collects_unique_names() {
-        let f = Func::new("f", &["x"], ScalarType::F32);
-        let e = f.at(&[hv("x")]) + f.at(&[hv("x") + hi(1)]);
-        assert_eq!(e.callees(), vec!["f".to_string()]);
     }
 
     #[test]

@@ -148,19 +148,6 @@ impl StageSchedule {
         }
         Ok(order.clone())
     }
-
-    /// [`StageSchedule::try_loop_vars`] for schedules known to be
-    /// consistent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a split names an unknown variable, or a reorder lists an
-    /// unknown variable or misses one.
-    #[must_use]
-    pub fn loop_vars(&self, root_vars_innermost_first: &[String]) -> Vec<String> {
-        self.try_loop_vars(root_vars_innermost_first)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
 }
 
 #[cfg(test)]
@@ -175,14 +162,17 @@ mod tests {
     fn split_replaces_variable_in_order() {
         let mut s = StageSchedule::default();
         s.split("x", "xo", "xi", 256);
-        assert_eq!(s.loop_vars(&roots(&["x"])), vec!["xi", "xo"]);
+        assert_eq!(s.try_loop_vars(&roots(&["x"])).unwrap(), vec!["xi", "xo"]);
     }
 
     #[test]
     fn chained_splits() {
         let mut s = StageSchedule::default();
         s.split("x", "xo", "xi", 64).split("xi", "xim", "xii", 8);
-        assert_eq!(s.loop_vars(&roots(&["x"])), vec!["xii", "xim", "xo"]);
+        assert_eq!(
+            s.try_loop_vars(&roots(&["x"])).unwrap(),
+            vec!["xii", "xim", "xo"]
+        );
     }
 
     #[test]
@@ -192,17 +182,17 @@ mod tests {
             .split("rx", "rxo", "rxi", 8)
             .reorder(&["rxi", "xi", "rxo", "xo"]);
         assert_eq!(
-            s.loop_vars(&roots(&["x", "rx"])),
+            s.try_loop_vars(&roots(&["x", "rx"])).unwrap(),
             vec!["rxi", "xi", "rxo", "xo"]
         );
     }
 
     #[test]
-    #[should_panic(expected = "must mention exactly")]
     fn bad_reorder_rejected() {
         let mut s = StageSchedule::default();
         s.reorder(&["x", "zzz"]);
-        let _ = s.loop_vars(&roots(&["x", "y"]));
+        let err = s.try_loop_vars(&roots(&["x", "y"])).unwrap_err();
+        assert!(err.contains("must mention exactly"), "{err}");
     }
 
     #[test]

@@ -14,8 +14,7 @@
 //! [`widen_expr`], [`widen_stmt_owned`] and [`decompose_mod_div`] consume
 //! their input: `v`-free subtrees, buffer names and the boxes of widened
 //! nodes move into the result, so widening a statement allocates only the
-//! ramps and broadcasts it adds. [`widen_stmt`] is `widen_stmt_owned` on a
-//! copy, for callers that hold the statement by reference.
+//! ramps and broadcasts it adds.
 
 use hb_ir::builder::{add, bcast, mul, ramp};
 use hb_ir::expr::{BinOp, Expr};
@@ -268,15 +267,6 @@ pub fn widen_stmt_owned(s: Stmt, v: &str, min: i64, n: u32) -> LowerResult<Stmt>
     }
 }
 
-/// [`widen_stmt_owned`] on a copy.
-///
-/// # Errors
-///
-/// Fails on statements that cannot be vectorized over `v`.
-pub fn widen_stmt(s: &Stmt, v: &str, min: i64, n: u32) -> LowerResult<Stmt> {
-    widen_stmt_owned(s.clone(), v, min, n)
-}
-
 /// Finds a divisor `c` such that the statement uses `v % c` or `v / c`
 /// (the VNNI layout idiom); returns `None` when absent.
 ///
@@ -340,16 +330,21 @@ pub fn decompose_mod_div(mut s: Stmt, v: &str, c: i64, v0: &str, v1: &str) -> St
 mod tests {
     use super::*;
     use hb_ir::builder as b;
-    use hb_ir::simplify::simplify;
+    use hb_ir::simplify::simplify_in_place;
     use hb_ir::types::Type;
 
     #[test]
     fn affine_coefficients() {
         let v = "x";
-        assert_eq!(simplify(&affine_coeff(&b::var("x"), v).unwrap()), b::int(1));
+        let coeff = |e: &Expr| {
+            let mut c = affine_coeff(e, v).unwrap();
+            simplify_in_place(&mut c);
+            c
+        };
+        assert_eq!(coeff(&b::var("x")), b::int(1));
         let e = b::add(b::mul(b::var("x"), b::int(32)), b::var("r"));
-        assert_eq!(simplify(&affine_coeff(&e, v).unwrap()), b::int(32));
-        assert_eq!(simplify(&affine_coeff(&b::var("r"), v).unwrap()), b::int(0));
+        assert_eq!(coeff(&e), b::int(32));
+        assert_eq!(coeff(&b::var("r")), b::int(0));
         // Non-affine: x * x.
         assert!(affine_coeff(&b::mul(b::var("x"), b::var("x")), v).is_none());
     }
@@ -368,7 +363,8 @@ mod tests {
         let after_r = widen_expr(idx, "r", 0, 32).unwrap();
         let after_y = widen_expr(after_r, "y", 0, 16).unwrap(); // y-free: broadcast
         let after_x = widen_expr(after_y, "x", 0, 16).unwrap();
-        let s = simplify(&after_x);
+        let mut s = after_x;
+        simplify_in_place(&mut s);
         // Canonical: ramp(x16(ramp(0,1,32)) [+0 terms folded], x512(32), 16)
         // after the simplifier's obfuscation it becomes the Add form; both
         // must evaluate identically. Just check lanes and a couple of lanes.
@@ -411,7 +407,7 @@ mod tests {
             b::load(Type::f32(), "g", b::add(b::var("x"), b::var("r"))),
         );
         let s = b::store("f", idx, val);
-        let w = widen_stmt(&s, "r", 0, 8).unwrap();
+        let w = widen_stmt_owned(s, "r", 0, 8).unwrap();
         match &w {
             Stmt::Store { value, .. } => match value {
                 Expr::Binary(BinOp::Add, _, rhs) => match rhs.as_ref() {
@@ -423,7 +419,7 @@ mod tests {
             other => panic!("expected store, got {other:?}"),
         }
         // Widening the result again over x scales the reduction.
-        let w2 = widen_stmt(&w, "x", 0, 16).unwrap();
+        let w2 = widen_stmt_owned(w, "x", 0, 16).unwrap();
         let mut saw = false;
         w2.for_each_expr(&mut |e| {
             if let Expr::VectorReduceAdd { lanes, value } = e {
@@ -626,7 +622,7 @@ mod tests {
                 hb_ir::types::MemoryType::Heap,
             )
             .unwrap();
-        let w = widen_stmt(&b::store("f", b::var("x"), val), "x", 0, 16).unwrap();
+        let w = widen_stmt_owned(b::store("f", b::var("x"), val), "x", 0, 16).unwrap();
         it2.exec(&w).unwrap();
         assert_eq!(
             it1.mem.snapshot("f").unwrap(),

@@ -119,12 +119,6 @@ impl Tracer {
         }
     }
 
-    /// Whether spans are being recorded.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.inner.enabled
-    }
-
     fn identity(&self) -> usize {
         Arc::as_ptr(&self.inner) as usize
     }

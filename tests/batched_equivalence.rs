@@ -4,12 +4,11 @@
 //! `__hb_tmp` counter, renumbered before comparison), and the same
 //! per-statement lowering outcomes.
 //!
-//! The oracles run through the raw IR-level entry points
-//! (`Session::compile_ir` / `compile_ir_suite`: no cache, no panic
-//! isolation); `tests/session.rs` holds their `compile` / `compile_suite`
-//! counterparts. The last test drives every shape of compile that shares
-//! the session's one compile unit — per-leaf, batched, exporting, warm,
-//! cancellable — over one suite.
+//! The oracles run through `Session::compile` and the raw IR-level
+//! `compile_ir_suite` (no cache, no panic isolation); `tests/session.rs`
+//! holds the `compile_suite` counterparts. The last test drives every shape
+//! of compile that shares the session's one compile unit — per-leaf,
+//! batched, exporting, warm, cancellable — over one suite.
 
 use hardboiled_repro::apps::conv1d::Conv1d;
 use hardboiled_repro::apps::conv2d::Conv2d;
@@ -32,8 +31,8 @@ fn session(batching: Batching) -> Session {
 /// Selects the pipeline through both modes and asserts equivalence.
 fn assert_batched_equivalent(name: &str, pipeline: &Pipeline) {
     let lowered = lower(pipeline).unwrap_or_else(|e| panic!("{name}: lowering failed: {e}"));
-    let leaf = session(Batching::PerLeaf).compile_ir(&lowered.stmt, &lowered.placements);
-    let batch = session(Batching::Batched).compile_ir(&lowered.stmt, &lowered.placements);
+    let leaf = session(Batching::PerLeaf).compile(&lowered).unwrap();
+    let batch = session(Batching::Batched).compile(&lowered).unwrap();
     let (per_leaf, r_leaf) = (leaf.program, leaf.report);
     let (batched, r_batch) = (batch.program, batch.report);
     assert_eq!(
@@ -140,9 +139,7 @@ fn whole_suite_batch_selects_identically() {
     assert!(suite.report.batch.is_some());
     let per_leaf_session = session(Batching::PerLeaf);
     for (i, (lowered, out)) in lowereds.iter().zip(&outs).enumerate() {
-        let per_leaf = per_leaf_session
-            .compile_ir(&lowered.stmt, &lowered.placements)
-            .program;
+        let per_leaf = per_leaf_session.compile(lowered).unwrap().program;
         assert_eq!(
             normalize_temps(&per_leaf.to_string()),
             normalize_temps(&out.to_string()),
@@ -157,7 +154,7 @@ fn statements_without_movement_are_untouched_in_batched_mode() {
     // batched mode must return the tree unchanged with an empty report.
     let app = Conv1d { n: 256, k: 8 };
     let lowered = lower(&app.pipeline(false)).unwrap();
-    let result = session(Batching::Batched).compile_ir(&lowered.stmt, &lowered.placements);
+    let result = session(Batching::Batched).compile(&lowered).unwrap();
     assert_eq!(result.report.num_statements(), 0);
     assert!(result.report.batch.is_none());
     assert_eq!(result.program.to_string(), lowered.stmt.to_string());

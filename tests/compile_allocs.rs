@@ -1,4 +1,4 @@
-//! Allocation budget of a warmed `Session::compile_ir`: heap allocations
+//! Allocation budget of a warmed `Session::compile_ir_suite`: heap allocations
 //! per encoded e-node, in steady state, over a fixed small set of the
 //! programs the benchmark draws from. A session keeps its compile contexts
 //! — e-graph, matcher scratch, extraction tables — between compiles, the
@@ -147,11 +147,11 @@ fn a_warmed_compile_stays_within_its_allocation_budget() {
         let session = Session::builder().batching(batching).build().unwrap();
         // Rules built, a context pooled and grown to this program's size.
         for _ in 0..2 {
-            drop(session.compile_ir(&lowered.stmt, &lowered.placements));
+            drop(session.compile_ir_suite(&[(&lowered.stmt, &lowered.placements)]));
         }
         let before = ALLOCS.load(Ordering::Relaxed);
         ENABLED.store(true, Ordering::Relaxed);
-        let result = session.compile_ir(&lowered.stmt, &lowered.placements);
+        let result = session.compile_ir_suite(&[(&lowered.stmt, &lowered.placements)]);
         ENABLED.store(false, Ordering::Relaxed);
         let spent = ALLOCS.load(Ordering::Relaxed) - before;
         assert!(result.report.all_lowered(), "{name} must select");

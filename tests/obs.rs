@@ -7,8 +7,8 @@ use std::sync::{Arc, Condvar, Mutex};
 
 use hardboiled_repro::hardboiled::session::{CompileError, IntoProgram, Program};
 use hardboiled_repro::hardboiled::{
-    Batching, CollectingSink, MetricsRegistry, Placements, ReportCache, Session, Symbol, TestClock,
-    Tracer, TracingSink,
+    Batching, CollectingSink, MetricsRegistry, ReportCache, Session, Symbol, TestClock, Tracer,
+    TracingSink,
 };
 use hardboiled_repro::ir::builder as b;
 use hardboiled_repro::ir::stmt::Stmt;
@@ -42,12 +42,13 @@ fn span_tree_is_byte_stable_under_the_test_clock() {
         .build()
         .unwrap();
     let leaf = tile_leaf(0);
-    let result = session.compile_ir(&leaf, &Placements::new());
+    let result = session.compile(&leaf).unwrap();
     let run = result.report.batch.as_ref().expect("batched run report");
-    // Clock readings: compile opens at 0; five children each consume an
-    // open+close tick pair; compile closes at 11.
+    // Clock readings: compile opens at 0; six children each consume an
+    // open+close tick pair; compile closes at 13.
     let expected = format!(
-        "compile (11ns)\n  \
+        "compile (13ns)\n  \
+         lower (1ns)\n  \
          annotate (1ns) [leaves=1]\n  \
          encode (1ns)\n  \
          saturate (1ns) [iterations={} applied={}]\n  \
@@ -67,7 +68,7 @@ fn disabled_tracer_still_populates_stage_timings() {
         .batching(Batching::Batched)
         .build()
         .unwrap();
-    let result = session.compile_ir(&tile_leaf(0), &Placements::new());
+    let result = session.compile(&tile_leaf(0)).unwrap();
     let s = result.report.stages;
     assert!(s.encode > std::time::Duration::ZERO, "encode unmeasured");
     assert!(
@@ -93,7 +94,7 @@ fn stage_timings_equal_span_durations() {
         .tracer(tracer.clone())
         .build()
         .unwrap();
-    let result = session.compile_ir(&tile_leaf(0), &Placements::new());
+    let result = session.compile(&tile_leaf(0)).unwrap();
     let spans = tracer.finished();
     let sum = |name: &str| {
         spans
@@ -121,7 +122,7 @@ fn collecting_sink_observes_rule_searches() {
         .profile_sink(Arc::clone(&sink) as Arc<_>)
         .build()
         .unwrap();
-    let result = session.compile_ir(&tile_leaf(0), &Placements::new());
+    let result = session.compile(&tile_leaf(0)).unwrap();
     let run = result.report.batch.as_ref().expect("batched run report");
     let samples = sink.samples();
     assert!(!samples.is_empty(), "no rule searches observed");
@@ -149,7 +150,7 @@ fn tracing_sink_nests_rule_searches_under_saturate() {
         .profile_sink(Arc::new(TracingSink::new(tracer.clone())))
         .build()
         .unwrap();
-    let _ = session.compile_ir(&tile_leaf(0), &Placements::new());
+    let _ = session.compile(&tile_leaf(0)).unwrap();
     let spans = tracer.finished();
     let saturate_ids: Vec<u64> = spans
         .iter()
@@ -185,8 +186,8 @@ fn registry_aggregates_session_and_cache_metrics_exactly() {
         .build()
         .unwrap();
     let leaf = tile_leaf(0);
-    let _ = session.compile_ir(&leaf, &Placements::new()); // miss
-    let _ = session.compile_ir(&leaf, &Placements::new()); // hit
+    let _ = session.compile(&leaf).unwrap(); // miss
+    let _ = session.compile(&leaf).unwrap(); // hit
     let snap = metrics.snapshot();
     let stats = cache.stats();
     assert_eq!(snap.counter("cache.hits"), Some(stats.hits));

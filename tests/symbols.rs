@@ -182,7 +182,7 @@ fn digest(result: &CompileResult) -> String {
 
 fn compile(suffix: &str, batching: Batching) -> CompileResult {
     let session = Session::builder().batching(batching).build().unwrap();
-    session.compile_ir(&program(suffix), &Placements::new())
+    session.compile(&program(suffix)).unwrap()
 }
 
 /// Names interned ascending in the parent process and descending in the
