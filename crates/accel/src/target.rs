@@ -12,8 +12,9 @@
 //!   ignored by the selector, and the affected statements keep their
 //!   (correct) vector fallback code;
 //! * a **rule profile** ([`RuleProfile`]) — which rewrite-rule families the
-//!   selector should load, so an AMX-only target never pays for (or
-//!   saturates with) WMMA lowering rules.
+//!   selector should load, derived from the memory spaces the target
+//!   supports, so an AMX-only target never pays for (or saturates with)
+//!   WMMA lowering rules.
 //!
 //! Three built-in families implement the trait — [`AmxTarget`],
 //! [`WmmaTarget`] and the no-accelerator [`ScalarTarget`] — plus
@@ -23,7 +24,7 @@
 //! set if the backend needs its own lowering rules), no selector changes
 //! required.
 
-use hb_ir::types::MemoryType;
+use hb_ir::types::{Location, MemoryType};
 
 use crate::device::DeviceProfile;
 
@@ -46,10 +47,6 @@ pub enum RuleProfile {
 
 /// One compilation target: device parameters + placement policy + rule
 /// profile.
-///
-/// Implementations must be consistent: [`Target::supports`] should accept
-/// exactly the memory spaces the [`Target::rule_profile`] can lower, or
-/// statements will saturate without ever finding a movement-free form.
 pub trait Target: Send + Sync {
     /// Human-readable target name (also the registry key, lowercase).
     fn name(&self) -> &str;
@@ -67,8 +64,22 @@ pub trait Target: Send + Sync {
     /// The accelerator register classes this target can place buffers in.
     fn supported_memories(&self) -> &[MemoryType];
 
-    /// Which rewrite-rule families the selector should load.
-    fn rule_profile(&self) -> RuleProfile;
+    /// Which rewrite-rule families the selector should load: the lowering
+    /// rules of exactly the accelerator families
+    /// [`Target::supported_memories`] names.
+    fn rule_profile(&self) -> RuleProfile {
+        let has = |family| {
+            self.supported_memories()
+                .iter()
+                .any(|m| m.location() == family)
+        };
+        match (has(Location::Amx), has(Location::Wmma)) {
+            (true, true) => RuleProfile::All,
+            (true, false) => RuleProfile::Amx,
+            (false, true) => RuleProfile::Wmma,
+            (false, false) => RuleProfile::None,
+        }
+    }
 }
 
 /// Intel AMX tile units (the paper's §IV CPU platform).
@@ -110,10 +121,6 @@ impl Target for AmxTarget {
 
     fn supported_memories(&self) -> &[MemoryType] {
         &[MemoryType::AmxTile]
-    }
-
-    fn rule_profile(&self) -> RuleProfile {
-        RuleProfile::Amx
     }
 }
 
@@ -164,10 +171,6 @@ impl Target for WmmaTarget {
     fn supported_memories(&self) -> &[MemoryType] {
         WMMA_MEMORIES
     }
-
-    fn rule_profile(&self) -> RuleProfile {
-        RuleProfile::Wmma
-    }
 }
 
 /// The no-accelerator fallback: every pipeline compiles to plain vector
@@ -210,10 +213,6 @@ impl Target for ScalarTarget {
 
     fn supported_memories(&self) -> &[MemoryType] {
         &[]
-    }
-
-    fn rule_profile(&self) -> RuleProfile {
-        RuleProfile::None
     }
 }
 
@@ -266,10 +265,6 @@ impl Target for SimTarget {
 
     fn supported_memories(&self) -> &[MemoryType] {
         SIM_MEMORIES
-    }
-
-    fn rule_profile(&self) -> RuleProfile {
-        RuleProfile::All
     }
 }
 

@@ -41,11 +41,12 @@
 //!   id assignments. A request's key chains its programs' streams and the
 //!   policy fingerprint the same way.
 //! * The policy fingerprint folds in everything else a session can set
-//!   that can change the output: target name, batching mode, outer
-//!   iterations, iteration / node / match / deadline budgets, and a probe
-//!   of the cost model over representative e-nodes. Observers (tracer,
-//!   metrics registry, profile sink) are deliberately excluded — they
-//!   never change an output, so cached results and snapshots port across
+//!   that can change the output: target name, batching mode, deadline,
+//!   match budget, the runner's node limit, and a probe of the cost model
+//!   over representative e-nodes. What every session shares (the outer
+//!   rounds, the runner's iteration limit) is left out, and so are the
+//!   observers (tracer, metrics registry, profile sink) — they never
+//!   change an output, so cached results and snapshots port across
 //!   instrumented and plain sessions.
 //!
 //! Hash collisions cannot corrupt results: a hit additionally requires

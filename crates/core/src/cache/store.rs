@@ -8,7 +8,7 @@ use std::sync::Mutex;
 use hb_ir::stmt::Stmt;
 
 use crate::movement::Placements;
-use crate::session::CompiledPrograms;
+use crate::session::IrSuiteResult;
 
 /// How the report cache treated one compile. Lands on
 /// [`CompileReport::cache`](crate::session::CompileReport::cache).
@@ -40,23 +40,12 @@ pub struct CacheStats {
     pub evictions: u64,
 }
 
-impl CacheStats {
-    /// Hits as a fraction of consulted compiles (`None` before the first
-    /// consult).
-    #[must_use]
-    pub fn hit_rate(&self) -> Option<f64> {
-        let consulted = self.hits + self.misses;
-        #[allow(clippy::cast_precision_loss)]
-        (consulted > 0).then(|| self.hits as f64 / consulted as f64)
-    }
-}
-
 /// One stored compile, bucketed under its content hash. The exact
 /// request rides along so a hash collision (including the intentional
 /// renamed-sibling collisions) can never serve the wrong entry.
 struct Entry {
     request: Vec<(Stmt, Placements)>,
-    value: CompiledPrograms,
+    value: IrSuiteResult,
     last_used: u64,
 }
 
@@ -178,7 +167,7 @@ impl ReportCache {
         &self,
         key: u64,
         request: &[(&Stmt, &Placements)],
-    ) -> Option<CompiledPrograms> {
+    ) -> Option<IrSuiteResult> {
         let mut inner = self.lock();
         inner.clock += 1;
         let clock = inner.clock;
@@ -205,7 +194,7 @@ impl ReportCache {
         &self,
         key: u64,
         request: Vec<(Stmt, Placements)>,
-        value: CompiledPrograms,
+        value: IrSuiteResult,
     ) -> bool {
         let mut inner = self.lock();
         inner.clock += 1;

@@ -200,13 +200,6 @@ pub fn ploc(from: Location, to: Location, v: Pattern<HbLang>) -> Pattern<HbLang>
     Pattern::Node(HbLang::Loc(from, to, [Id(0)]), vec![v])
 }
 
-/// Intrinsic-call pattern (children are `[ty, args…]`).
-#[must_use]
-pub fn pcall(name: &str, children: Vec<Pattern<HbLang>>) -> Pattern<HbLang> {
-    let n = children.len();
-    Pattern::Node(HbLang::call(name, vec![Id(0); n]), children)
-}
-
 /// Store-statement pattern.
 #[must_use]
 pub fn pstore(
@@ -286,7 +279,11 @@ mod tests {
         let mut eg = HbGraph::default();
         let e = b::call(Type::f32().with_lanes(4), "tile_zero", vec![]);
         let id = encode_expr(&mut eg, &e);
-        let pat = pcall("tile_zero", vec![pty(ScalarType::F32, pv("l"))]);
+        // Intrinsic-call children are `[ty, args…]`.
+        let pat = Pattern::Node(
+            HbLang::call("tile_zero", vec![Id(0)]),
+            vec![pty(ScalarType::F32, pv("l"))],
+        );
         assert_eq!(
             pat.search_class(&eg, id, &hb_egraph::pattern::Subst::new())
                 .len(),

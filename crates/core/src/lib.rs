@@ -106,7 +106,7 @@
 //! compile after the first. The bound stays so that one pathological
 //! program cannot pin megabytes for the life of a service. There is no
 //! option for any of this: the pool size follows use, the bounds are the
-//! two constants in `session.rs`.
+//! two constants in `session/frame.rs`.
 //!
 //! What a context does *not* own is names. E-nodes carry
 //! [`lang::Symbol`]s — indices into one process-wide, append-only table —

@@ -1,0 +1,461 @@
+//! The one path every compile takes: the frame and its `Job`, the compile
+//! unit that touches an e-graph, and the pooled contexts units run in.
+
+use std::sync::Mutex;
+use std::time::Instant;
+
+use hb_egraph::extract::{Extract, ExtractScratch, WorklistExtractor};
+use hb_egraph::pattern::MatchScratch;
+use hb_egraph::schedule::{Budget, RunReport, WarmStart};
+use hb_egraph::unionfind::Id;
+use hb_ir::expr::Expr;
+use hb_ir::stmt::Stmt;
+
+use super::{Batching, CompileOutcome, CompileReport, IrSuiteResult, Session, StmtReport};
+use crate::cache::{request_hash, CacheOutcome, SuiteSnapshot};
+use crate::cost::ModelCost;
+use crate::decode::decode_stmt;
+use crate::encode::encode_stmt;
+use crate::lang::{HbGraph, HbLang};
+use crate::movement::{annotate_in_place, collect_placements, Placements};
+use crate::postprocess::try_materialize_owned;
+
+/// Outer rounds of the main rules in every session's phased schedule
+/// (§III-D2's fixed budget).
+const OUTER_ITERS: usize = 8;
+
+/// Everything one compile unit — one leaf in [`Batching::PerLeaf`] mode,
+/// the shared graph of a call in [`Batching::Batched`] mode — builds,
+/// matches and extracts in. Kept by the session between units so that a
+/// long-lived session (a service worker's, above all) stops allocating its
+/// tables: the graph is cleared, the scratches refill in place.
+#[derive(Default)]
+pub(crate) struct CompileCtx {
+    pub(super) graph: HbGraph,
+    /// The unit's leaves as encoded, in leaf order.
+    pub(super) roots: Vec<Id>,
+    pub(super) matcher: MatchScratch,
+    pub(super) extract: ExtractScratch<HbLang>,
+}
+
+/// The contexts a session (or a service, for all of its sessions) keeps
+/// at rest.
+pub(crate) type CtxPool = Mutex<Vec<CompileCtx>>;
+
+/// A context whose unit made more e-class ids than this is dropped, not
+/// pooled, so one pathological program cannot pin megabytes for the life
+/// of a service: the smallest power of two above every graph the
+/// benchmark builds. "Compile contexts" in the crate docs derives it and
+/// what it costs in `peak_live_bytes`.
+const MAX_RETAINED_IDS: usize = 1 << 12;
+
+/// Contexts a session keeps at rest. The pool's size follows use — one
+/// context per unit that ran at once (a service's workers, callers sharing
+/// the session) — up to this.
+const MAX_POOLED_CTXS: usize = 8;
+
+pub(super) const POOL_LOCK: &str = "the context pool lock is held across no panic";
+
+/// The one thing a compile frame is asked to do besides selecting — one
+/// value, so no call can ask for two at once.
+pub(super) enum Job<'a> {
+    /// An ordinary compile: consult the report cache — under the caller's
+    /// key when the caller's own consult already computed it and missed —
+    /// and say whether the result is worth storing.
+    Cached(Option<u64>),
+    /// Fill the slot with the saturated suite graph. Only a batched run
+    /// that reached [`CompileOutcome::Saturated`] exports: per-leaf mode
+    /// has no shared graph, and a budget-truncated one would warm-start
+    /// later compiles unsaturated.
+    Export(&'a mut Option<SuiteSnapshot>),
+    /// Run one shared unit in this restored context, warm-started, whatever
+    /// the session's batching.
+    Warm(Box<CompileCtx>, WarmStart),
+}
+
+/// What [`Session::consult`] found in the report cache for one request.
+pub(crate) enum Consult {
+    /// The stored compile of an equal request, its report marked
+    /// [`CacheOutcome::Hit`].
+    Hit(Box<IrSuiteResult>),
+    /// Nothing stored for this request; its key, so that whoever compiles
+    /// it need not hash it again.
+    Miss(u64),
+    /// Nothing to ask: no cache attached, or a fault-injected session.
+    Bypass,
+}
+
+impl Session {
+    /// A context for one compile unit: one at rest in the pool, or a fresh
+    /// one when none is. Units running at once (service workers, callers
+    /// sharing the session) each pop their own.
+    fn pop_ctx(&self) -> CompileCtx {
+        let pooled = self.ctx_pool.lock().expect(POOL_LOCK).pop();
+        pooled.unwrap_or_default()
+    }
+
+    /// Clears a finished unit's graph and puts its context to rest, unless
+    /// it outgrew [`MAX_RETAINED_IDS`]. A unit that panicked never gets
+    /// here: the unwind dropped the context it was working in.
+    fn rest_ctx(&self, mut ctx: CompileCtx) {
+        if ctx.graph.id_bound() <= MAX_RETAINED_IDS {
+            ctx.graph.clear();
+            let mut pool = self.ctx_pool.lock().expect(POOL_LOCK);
+            if pool.len() < MAX_POOLED_CTXS {
+                pool.push(ctx);
+            }
+        }
+    }
+
+    /// Applies the target's placement policy and annotates data movements
+    /// (the shared front half of both batching modes).
+    pub(super) fn annotate(&self, stmt: &Stmt, extra_placements: &Placements) -> Stmt {
+        let mut placements = collect_placements(stmt);
+        for (k, v) in extra_placements {
+            placements.insert(k.clone(), *v);
+        }
+        // Placement policy: placements the target cannot honor are
+        // ignored; the affected statements keep their vector code.
+        placements.retain(|_, m| self.target.supports(*m));
+        let mut annotated = stmt.clone();
+        annotate_in_place(&mut annotated, &placements);
+        annotated
+    }
+
+    /// Asks the report cache about one request, before anything is cloned,
+    /// annotated or lowered: the key is the canonical content of the whole
+    /// request plus this session's policy fingerprint (`key`, when a caller
+    /// computed it already), and a stored entry answers only a request
+    /// equal to the one that stored it. A hit is counted here, with the
+    /// outcome rung it reproduces; a miss is counted by the compile it
+    /// leads to ([`Session::compile_frame`]), so a request consulted twice —
+    /// at a service's front door, then by the worker it was queued for —
+    /// still counts once. Sessions without a cache have nothing to ask, and
+    /// neither do fault-injected ones: an injected engine fault would
+    /// otherwise poison the cache for every later (clean) compile of the
+    /// same request.
+    pub(crate) fn consult(&self, programs: &[(&Stmt, &Placements)], key: Option<u64>) -> Consult {
+        let cache = self.cache.as_ref();
+        #[cfg(feature = "fault-injection")]
+        let cache = cache.filter(|_| self.runner.fault_plan.is_none());
+        let Some(cache) = cache else {
+            return Consult::Bypass;
+        };
+        let key = key.unwrap_or_else(|| request_hash(programs, self.fingerprint));
+        let Some(mut hit) = cache.lookup(key, programs) else {
+            return Consult::Miss(key);
+        };
+        hit.report.cache = CacheOutcome::Hit;
+        if let Some(obs) = &self.obs {
+            obs.cache_hits.inc();
+            // The hit's stage timings describe the compile that populated
+            // the entry, not this call — count only the outcome rung
+            // (always the reference rung; only saturated compiles are
+            // stored).
+            obs.record_outcome(hit.report.outcome);
+        }
+        Consult::Hit(Box::new(hit))
+    }
+
+    /// Stores a compile [`Session::compile_frame`] asked to have stored,
+    /// under the request that produced it.
+    pub(super) fn store(
+        &self,
+        key: u64,
+        request: Vec<(Stmt, Placements)>,
+        compiled: &IrSuiteResult,
+    ) {
+        let cache = self.cache.as_ref().expect("a key implies a cache");
+        if cache.store(key, request, compiled.clone()) {
+            if let Some(obs) = &self.obs {
+                obs.cache_evictions.inc();
+            }
+        }
+    }
+
+    /// [`Session::compile_frame`] for a request borrowed from the caller:
+    /// a stored compile's cache entry takes a copy of it.
+    pub(super) fn compile_programs(
+        &self,
+        programs: &[(&Stmt, &Placements)],
+        budget: Budget,
+        job: Job<'_>,
+    ) -> IrSuiteResult {
+        let (compiled, store_under) = self.compile_frame(programs, budget, job);
+        if let Some(key) = store_under {
+            let request = programs
+                .iter()
+                .map(|(stmt, placements)| ((*stmt).clone(), (*placements).clone()))
+                .collect();
+            self.store(key, request, &compiled);
+        }
+        compiled
+    }
+
+    /// The one path every entry point takes: cache consult → annotate →
+    /// collect leaves → compile unit(s) → splice → record, all under one
+    /// call-level [`Budget`]. Returns the compile and, when it is worth
+    /// memoizing, the key to store it under — the store is the caller's,
+    /// which knows whether the request is its own to give away. Only a
+    /// [`Job::Cached`] compile consults or stores; the other jobs want the
+    /// graph, not a memoized answer, and count as bypasses.
+    ///
+    /// A unit is one leaf in [`Batching::PerLeaf`] mode — its engine
+    /// report lands in its [`StmtReport::eqsat`] — and every leaf of the
+    /// call otherwise, the shared run landing in [`CompileReport::batch`].
+    pub(super) fn compile_frame(
+        &self,
+        programs: &[(&Stmt, &Placements)],
+        budget: Budget,
+        job: Job<'_>,
+    ) -> (IrSuiteResult, Option<u64>) {
+        let total_started = Instant::now();
+        let key = match &job {
+            Job::Cached(key) => match self.consult(programs, *key) {
+                Consult::Hit(hit) => return (*hit, None),
+                Consult::Miss(key) => Some(key),
+                Consult::Bypass => None,
+            },
+            Job::Export(_) | Job::Warm(..) => None,
+        };
+        let mut report = CompileReport {
+            target: self.target.name().to_string(),
+            ..CompileReport::default()
+        };
+
+        let mut annotate_span = self.tracer.span("annotate");
+        let mut annotated: Vec<Stmt> = programs
+            .iter()
+            .map(|(stmt, extra)| self.annotate(stmt, extra))
+            .collect();
+        let (leaves, leaf_counts) = collect_suite_leaves(&annotated);
+        annotate_span.attr("leaves", leaves.len());
+        report.stages.encode = annotate_span.finish();
+
+        // A leaf-free request has nothing to memoize and is never stored,
+        // so its consult could only miss: it counts as the bypass it is.
+        let key = key.filter(|_| !leaves.is_empty());
+        if let Some(cache) = &self.cache {
+            if key.is_some() {
+                report.cache = CacheOutcome::Miss;
+                cache.note_miss();
+                if let Some(obs) = &self.obs {
+                    obs.cache_misses.inc();
+                }
+            } else {
+                cache.note_bypass();
+                if let Some(obs) = &self.obs {
+                    obs.cache_bypasses.inc();
+                }
+            }
+        }
+        if leaves.is_empty() {
+            // Leaf-free programs never touch the rule set (nor build it).
+            report.total_time = total_started.elapsed();
+            if let Some(obs) = &self.obs {
+                obs.record_outcome(report.outcome);
+            }
+            let compiled = IrSuiteResult {
+                programs: annotated,
+                report,
+                leaf_counts,
+            };
+            return (compiled, None);
+        }
+
+        let mut selected = Vec::with_capacity(leaves.len());
+        if self.batching == Batching::PerLeaf && !matches!(job, Job::Warm(..)) {
+            // Each leaf a plain unit of its own (the consult is done);
+            // per-leaf graphs are no suite graph, so an export's slot
+            // stays empty.
+            for unit in leaves.chunks(1) {
+                let run = self.run_unit(
+                    unit,
+                    budget.clone(),
+                    Job::Cached(None),
+                    &mut report,
+                    &mut selected,
+                );
+                let leaf = report.stmts.last_mut();
+                leaf.expect("a unit reports every leaf it was given").eqsat = run;
+            }
+        } else {
+            let run = self.run_unit(&leaves, budget, job, &mut report, &mut selected);
+            report.batch = Some(run);
+        }
+
+        let splice_span = self.tracer.span("splice");
+        splice_selected(&mut annotated, selected);
+        report.stages.splice = splice_span.finish();
+        report.total_time = total_started.elapsed();
+        if let Some(obs) = &self.obs {
+            obs.record_report(&report);
+        }
+        // Only the reference rung is worth memoizing: a truncated or
+        // degraded result must not shadow a later clean compile of the
+        // same request (budgets are in the key, but deadlines race).
+        let store_under = key.filter(|_| report.outcome == CompileOutcome::Saturated);
+        let compiled = IrSuiteResult {
+            programs: annotated,
+            report,
+            leaf_counts,
+        };
+        (compiled, store_under)
+    }
+
+    /// One compile unit: encode `leaves` into one e-graph — the restored
+    /// one's for a [`Job::Warm`] unit, a pooled context's otherwise —
+    /// saturate it under the phased schedule, export it for a
+    /// [`Job::Export`] unit that saturated, solve its cost table once and
+    /// read every root out of it. Hash-consing dedups what the leaves
+    /// share, and equal-cost ties break by content, so a leaf selects the
+    /// same statement whichever leaves share its graph. Stage timings, the
+    /// outcome rung, one [`StmtReport`] per leaf and the extraction
+    /// figures accumulate into `report`, the selected statements onto
+    /// `selected`; the engine's report is returned for the caller to
+    /// place.
+    ///
+    /// The context is this function's until it rests it: a panic anywhere
+    /// below unwinds past that and drops it, so a half-rewritten graph is
+    /// never cleared and reused.
+    fn run_unit(
+        &self,
+        leaves: &[&Stmt],
+        budget: Budget,
+        job: Job<'_>,
+        report: &mut CompileReport,
+        selected: &mut Vec<Stmt>,
+    ) -> RunReport {
+        let (mut ctx, warm, export) = match job {
+            Job::Warm(ctx, warm) => (*ctx, Some(warm), None),
+            Job::Export(slot) => (self.pop_ctx(), None, Some(slot)),
+            Job::Cached(_) => (self.pop_ctx(), None, None),
+        };
+        let rules = self.rules();
+
+        let encode_span = self.tracer.span("encode");
+        let eg = &mut ctx.graph;
+        crate::rules::app_specific::declare_relations(eg);
+        ctx.roots.clear();
+        ctx.roots.extend(leaves.iter().map(|s| encode_stmt(eg, s)));
+        // Encoding only adds, so this finds nothing to do on a fresh graph;
+        // on a restored one it bounds the modification logs the new
+        // leaves just extended.
+        eg.rebuild();
+        report.stages.encode += encode_span.finish();
+
+        let mut saturate_span = self.tracer.span("saturate");
+        let run = self.runner.run_phased_in(
+            eg,
+            &rules.main,
+            &rules.support,
+            OUTER_ITERS,
+            budget,
+            warm,
+            &mut ctx.matcher,
+        );
+        saturate_span.attr("iterations", run.iterations);
+        saturate_span.attr("applied", run.applied);
+        report.stages.saturate += saturate_span.finish();
+        let outcome = CompileOutcome::of_run(&run);
+        report.outcome = report.outcome.worst(outcome);
+
+        if let Some(slot) = export.filter(|_| outcome == CompileOutcome::Saturated) {
+            *slot = Some(SuiteSnapshot {
+                engine: eg.snapshot(),
+                fingerprint: self.fingerprint,
+            });
+        }
+
+        let mut extract_span = self.tracer.span("extract");
+        extract_span.attr("roots", ctx.roots.len());
+        let cost = ModelCost(self.cost.as_ref());
+        let tables = std::mem::take(&mut ctx.extract);
+        let extractor = WorklistExtractor::with_scratch(&ctx.graph, cost, tables);
+        let extraction = report.extraction.get_or_insert_with(Default::default);
+        for (&root, &original) in ctx.roots.iter().zip(leaves) {
+            let readout_started = Instant::now();
+            let cost = extractor.cost_of(root);
+            // A root with no constructible term (possible only for custom
+            // pipelines encoding cyclic-only classes) keeps its original
+            // form — extract() would panic on it.
+            let term = cost.is_some().then(|| extractor.extract(root));
+            extraction.readout_time += readout_started.elapsed();
+            extraction.root_costs.push(cost);
+            // Undecodable terms and malformed materializations keep the
+            // original (annotated, unoptimized) statement too, and demote
+            // the compile. The original has no `__expr_var` markers, so
+            // materializing it would be an identity.
+            let materialized = (term.and_then(|t| decode_stmt(&t).ok()))
+                .and_then(|decoded| try_materialize_owned(decoded).ok());
+            if materialized.is_none() {
+                report.outcome = report.outcome.worst(CompileOutcome::FallbackUnoptimized);
+            }
+            let stmt = materialized.unwrap_or_else(|| original.clone());
+            report.stmts.push(StmtReport {
+                original: original.to_string(),
+                lowered: !stmt_has_movement(&stmt),
+                eqsat: RunReport::default(),
+            });
+            selected.push(stmt);
+        }
+        extraction.table_entries += extractor.stats().table_entries;
+        ctx.extract = extractor.into_scratch();
+        report.stages.extract += extract_span.finish();
+        self.rest_ctx(ctx);
+        run
+    }
+}
+
+/// Pass 1 of the pipeline: each annotated program's selection leaves, in
+/// traversal order and borrowed from the trees, plus per-program counts.
+/// `for_each_stmt` visits leaf statements in the same left-to-right order
+/// as the bottom-up rewrite used for splicing (leaves have no statement
+/// children).
+pub(super) fn collect_suite_leaves(annotated: &[Stmt]) -> (Vec<&Stmt>, Vec<usize>) {
+    let mut leaves: Vec<&Stmt> = Vec::new();
+    let mut leaf_counts: Vec<usize> = Vec::with_capacity(annotated.len());
+    for tree in annotated {
+        let before = leaves.len();
+        tree.for_each_stmt(&mut |s| {
+            if is_selection_leaf(s) {
+                leaves.push(s);
+            }
+        });
+        leaf_counts.push(leaves.len() - before);
+    }
+    (leaves, leaf_counts)
+}
+
+/// Pass 2 of the pipeline: move each selected statement over its leaf, in
+/// the same traversal order pass 1 collected them.
+fn splice_selected(annotated: &mut [Stmt], selected: Vec<Stmt>) {
+    let mut selected = selected.into_iter();
+    for tree in annotated {
+        tree.rewrite_stmts_in_place(&mut |s| {
+            if !is_selection_leaf(s) {
+                return false;
+            }
+            *s = selected.next().expect("one selected statement per leaf");
+            true
+        });
+    }
+    debug_assert!(selected.next().is_none(), "leaf traversal order diverged");
+}
+
+/// Whether any expression of the statement tree moves data.
+fn stmt_has_movement(s: &Stmt) -> bool {
+    let mut found = false;
+    s.for_each_expr(&mut |e| {
+        if matches!(e, Expr::LocToLoc { .. }) {
+            found = true;
+        }
+    });
+    found
+}
+
+/// Whether the (annotated) statement is a leaf the selector must saturate:
+/// a `Store`/`Evaluate` containing data movement.
+fn is_selection_leaf(s: &Stmt) -> bool {
+    matches!(s, Stmt::Store { .. } | Stmt::Evaluate(_)) && stmt_has_movement(s)
+}

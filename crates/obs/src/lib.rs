@@ -60,14 +60,16 @@
 //! without forking the engine. The contract is that **absence is
 //! free**: the engine stores an `Option<`[`ProfileHandle`]`>` and every
 //! hook site is one branch when it is `None` — no clock reads, no
-//! virtual calls. The benchmark suite asserts the instrumented/null
-//! configuration stays under the same <2% overhead bar as the budget
-//! clock.
+//! virtual calls. That observers change no output is asserted at pool
+//! scale by `hb-bench`'s `pool.rs::observers_and_idle_budgets_change_nothing`
+//! (programs and run-report counters identical with a tracer, registry
+//! and sink installed); what they cost is read from outside, as
+//! `obs.overhead_share` in `benchmark/`.
 //!
 //! # Why no external dependencies
 //!
 //! The obvious alternative is the `tracing` + `metrics`/`prometheus`
-//! crate stack. This crate deliberately reimplements the ~600 lines it
+//! crate stack. This crate deliberately reimplements the ~1 100 lines it
 //! actually needs instead: (1) the workspace's engine crates are
 //! dependency-free and vendored-only by policy — determinism and
 //! auditability of the paper reproduction outrank ecosystem features;

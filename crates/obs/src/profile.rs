@@ -26,7 +26,7 @@ pub struct RuleSearchSample<'a> {
     /// which scan without the delta index).
     pub probed_rows: usize,
     /// Matches the search found — the rows it left in the match buffer,
-    /// every one of which went through the rule's guard and applier.
+    /// every one of which was handed to the rule's applier.
     pub found: usize,
     /// The found matches whose application changed the graph. A delta
     /// search over dirty roots mostly re-finds what an earlier pass applied,

@@ -9,8 +9,8 @@ use std::sync::Arc;
 
 use hardboiled_repro::egraph::snapshot::SnapshotError;
 use hardboiled_repro::hardboiled::{
-    Batching, CacheOutcome, CompileService, Placements, ReportCache, Session, SuiteSnapshot,
-    Symbol, WarmRejection,
+    Batching, CacheOutcome, CompileOutcome, CompileService, Placements, ReportCache, Session,
+    SuiteSnapshot, Symbol, TruncationReason, WarmRejection,
 };
 use hardboiled_repro::ir::builder as b;
 use hardboiled_repro::ir::stmt::Stmt;
@@ -62,7 +62,6 @@ fn repeat_compile_hits_and_returns_identical_program() {
     assert_eq!(stats.hits, 1);
     assert_eq!(stats.misses, 1);
     assert_eq!(cache.len(), 1);
-    assert_eq!(stats.hit_rate(), Some(0.5));
 }
 
 #[test]
@@ -354,4 +353,27 @@ fn per_leaf_sessions_export_nothing() {
     let stmts: Vec<Stmt> = ["a"].map(tile_leaf).to_vec();
     let (_, snapshot) = session.compile_ir_suite_exporting(&suite_refs(&stmts, &placements));
     assert!(snapshot.is_none(), "per-leaf mode has no shared graph");
+}
+
+#[test]
+fn truncated_runs_export_nothing() {
+    let session = Session::builder()
+        .target_name("sim")
+        .batching(Batching::Batched)
+        .match_budget(1)
+        .build()
+        .unwrap();
+    let placements = Placements::new();
+    let stmts: Vec<Stmt> = ["a", "b"].map(tile_leaf).to_vec();
+    let (result, snapshot) = session.compile_ir_suite_exporting(&suite_refs(&stmts, &placements));
+    assert_eq!(
+        result.report.outcome,
+        CompileOutcome::Truncated {
+            reason: TruncationReason::MatchBudget
+        }
+    );
+    assert!(
+        snapshot.is_none(),
+        "a truncated graph would warm-start later compiles unsaturated"
+    );
 }

@@ -24,7 +24,7 @@ fn tiny_node_limit_truncates_yet_executes_correctly() {
             reason: TruncationReason::NodeLimit
         }
     );
-    assert!(report.outcome.is_degraded());
+    assert_ne!(report.outcome, CompileOutcome::Saturated);
     assert!(
         max_rel_error(&r.output, &app.reference()) < 0.08,
         "node-limit-truncated program miscompiled"
@@ -139,7 +139,6 @@ fn generous_budgets_change_nothing() {
     let a = budgeted.compile(&lowered).unwrap();
     let b = plain.compile(&lowered).unwrap();
     assert_eq!(a.report.outcome, CompileOutcome::Saturated);
-    assert!(!a.report.outcome.is_degraded());
     assert_eq!(
         normalize_temps(&a.program.to_string()),
         normalize_temps(&b.program.to_string()),

@@ -44,22 +44,14 @@ fn later_valid_target_clears_an_unknown_name() {
 }
 
 #[test]
-fn conflicting_batching_modes_are_a_build_error() {
-    let err = Session::builder()
+fn later_batching_wins() {
+    // Last write wins, as for the target.
+    let s = Session::builder()
         .batching(Batching::PerLeaf)
         .batching(Batching::Batched)
         .build()
-        .unwrap_err();
-    assert_eq!(
-        err,
-        BuildError::ConflictingBatching(Batching::PerLeaf, Batching::Batched)
-    );
-    // Setting the same mode twice is fine — only *conflicts* error.
-    let ok = Session::builder()
-        .batching(Batching::Batched)
-        .batching(Batching::Batched)
-        .build();
-    assert!(ok.is_ok());
+        .unwrap();
+    assert_eq!(s.batching(), Batching::Batched);
 }
 
 #[test]
