@@ -14,6 +14,10 @@
 //!   graph (sizes, the root-equivalence relation, the extracted term of
 //!   every root, op-index and op-epoch consistency); observers installed and
 //!   budgets that never fire change no program and no counter.
+//! * **leaf repetition** — how many distinct report-cache keys the pool's
+//!   leaves have (the canonical hash of the annotated leaf), how many
+//!   distinct leaves a cache stores for it, and that a second, cached pass
+//!   over the pool runs no unit and selects the first pass's programs.
 //!
 //! To re-record after an *intended* change of the engine's work, run
 //! `HB_PRINT_GOLDEN=1 cargo test -p hb-bench --test pool -- --nocapture`
@@ -27,7 +31,8 @@ use hardboiled::movement::Placements;
 use hardboiled::postprocess::normalize_temps;
 use hardboiled::rules::{self, RuleSet};
 use hardboiled::{
-    Batching, CompileOutcome, CompileReport, DeviceCost, HbGraph, Session, SessionBuilder,
+    canonical_program_hash, Batching, CacheOutcome, CompileOutcome, CompileReport, DeviceCost,
+    HbGraph, ReportCache, Session, SessionBuilder,
 };
 use hb_accel::device::DeviceProfile;
 use hb_bench::workloads::{saturation_pool, workloads, Workload};
@@ -66,6 +71,14 @@ const SUITE: (RunCounts, [usize; 2]) = ([2516, 1794, 193, 51, 61, 9120, 18559], 
 
 /// Engine level: `[leaves, iterations]`, then the pool graph's counts.
 const ENGINE: ([usize; 2], RunCounts) = ([161, 5], [2546, 1811, 193, 51, 61, 9291, 18751]);
+
+/// The pool's leaves: `[leaves, distinct cache keys]` — keys are
+/// canonical, so renamed siblings share one.
+const LEAF_KEYS: [usize; 2] = [161, 84];
+
+/// Entries a cached per-leaf pass over the 14 workloads stores, one per
+/// exact leaf.
+const CACHED_ENTRIES: usize = 84;
 
 fn run_counts(run: &RunReport) -> RunCounts {
     [
@@ -197,12 +210,18 @@ fn pool_counts_equal_the_recorded_tables() {
     let leaves = saturation_pool(&all);
     let run = saturate(&leaves, &pool_runner()).report;
     let engine = ([leaves.len(), run.iterations], run_counts(&run));
+    let mut keys: Vec<u64> = (leaves.iter())
+        .map(|leaf| canonical_program_hash(leaf, &Placements::new()))
+        .collect();
+    keys.sort_unstable();
+    keys.dedup();
+    let leaf_keys = [leaves.len(), keys.len()];
 
     if std::env::var_os("HB_PRINT_GOLDEN").is_some() {
         for row in &rows {
             println!("    {row:?},");
         }
-        println!("SUITE = {suite:?}\nENGINE = {engine:?}");
+        println!("SUITE = {suite:?}\nENGINE = {engine:?}\nLEAF_KEYS = {leaf_keys:?}");
         return;
     }
     assert_eq!(rows.len(), WORKLOADS.len(), "count table out of date");
@@ -211,6 +230,29 @@ fn pool_counts_equal_the_recorded_tables() {
     }
     assert_eq!(suite, SUITE, "whole-suite counts moved");
     assert_eq!(engine, ENGINE, "engine-level pool counts moved");
+    assert_eq!(leaf_keys, LEAF_KEYS, "the pool's leaf repetition moved");
+}
+
+#[test]
+fn a_cached_second_pass_runs_no_unit_and_selects_the_first_pass_programs() {
+    let all = workloads();
+    let cache = Arc::new(ReportCache::default());
+    let session = (Session::builder().report_cache(Arc::clone(&cache)))
+        .build()
+        .expect("valid session");
+    let pass = || -> Vec<_> { all.iter().map(|w| compile(w, &session)).collect() };
+    let (first, second) = (pass(), pass());
+    assert_eq!(cache.len(), CACHED_ENTRIES, "cached entries moved");
+    let uncached = Session::default();
+    for (w, ((cold, _), (warm, report))) in all.iter().zip(first.iter().zip(&second)) {
+        let direct = compile(w, &uncached).0;
+        assert_eq!(cold, &direct, "{}: the first cached pass diverged", w.name);
+        assert_eq!(report.cache, CacheOutcome::Hit, "{}", w.name);
+        assert_eq!(warm, cold, "{}: the cached pass selected otherwise", w.name);
+        let extraction = report.extraction.as_ref().expect("leaves were read out");
+        assert_eq!(extraction.table_entries, 0, "{}: a unit ran", w.name);
+        assert!(report.stmts.iter().all(|s| s.eqsat == RunReport::default()));
+    }
 }
 
 #[test]

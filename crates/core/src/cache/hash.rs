@@ -1,5 +1,5 @@
 //! Canonical program hashing and policy fingerprints (the report cache's
-//! content-addressed key; see the module docs in [`super`]).
+//! content-addressed leaf keys; see the module docs in [`super`]).
 //!
 //! The canonical form renames every buffer and variable name to its
 //! first-occurrence index over a fixed pre-order walk, so structurally
@@ -286,15 +286,21 @@ pub fn canonical_program_hash(stmt: &Stmt, placements: &Placements) -> u64 {
     hasher.state
 }
 
-/// Cache key for a whole compile request: every program's canonical word
-/// stream, in order, then the session's policy fingerprint, in one chain.
-pub(crate) fn request_hash(programs: &[(&Stmt, &Placements)], fingerprint: u64) -> u64 {
+/// Cache keys of a request's annotated selection leaves: each leaf's
+/// canonical word stream with no placements (annotation has baked them into
+/// its `LocToLoc` nodes), then the session's policy fingerprint, in one
+/// chain per leaf — `canonical_program_hash(leaf, &Placements::new())`
+/// chained with the fingerprint. One hasher serves every leaf.
+pub(crate) fn leaf_keys(leaves: &[&Stmt], fingerprint: u64) -> Vec<u64> {
+    let none = Placements::new();
     let mut hasher = CanonHasher::new();
-    for (stmt, placements) in programs {
-        hasher.program(stmt, placements);
-    }
-    hasher.word(fingerprint);
-    hasher.state
+    let key = |&leaf| {
+        hasher.state = 0;
+        hasher.program(leaf, &none);
+        hasher.word(fingerprint);
+        hasher.state
+    };
+    leaves.iter().map(key).collect()
 }
 
 /// E-nodes whose costs a fingerprint samples: one per shape the built-in

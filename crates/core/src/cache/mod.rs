@@ -1,18 +1,25 @@
-//! The compile cache subsystem: memoized compiles and warm-start
+//! The compile cache subsystem: memoized leaf selections and warm-start
 //! snapshots for saturation-as-a-service.
 //!
-//! Suite compilation is deterministic — the same programs, target, cost
-//! model, batching mode and budgets always select the
-//! same programs (the byte-identity oracles in `tests/` pin this down).
-//! That determinism is what makes caching sound, and this module exploits
-//! it at two granularities:
+//! Selection is deterministic — the same leaf, target, cost model, batching
+//! mode and budgets always select the same statement at the same cost,
+//! whichever leaves share its e-graph (the per-leaf ≡ batched ≡
+//! suite-batched oracles in `tests/` and `crates/bench/tests/pool.rs` pin
+//! this down). That determinism is what makes caching sound, and this
+//! module exploits it at two granularities:
 //!
 //! * **Layer 1 — the report cache** ([`ReportCache`]): a bounded,
-//!   thread-safe, content-addressed map from *(canonical program hashes,
-//!   policy fingerprint)* to the finished compile. A hit skips the whole
-//!   pipeline — rule search, extraction, splicing — and returns the
-//!   stored programs and [`CompileReport`](crate::session::CompileReport)
-//!   verbatim (only the report's [`CacheOutcome`] differs).
+//!   thread-safe, content-addressed map from *(canonical leaf hash, policy
+//!   fingerprint)* to one **leaf selection** — the annotated leaf it was
+//!   selected for, the selected statement, whether it lowered, and its
+//!   root cost. The compile frame looks every leaf of a request up at once,
+//!   splices the hits, encodes and saturates only the misses, and stores
+//!   each miss whose own compile unit fully saturated. A request that
+//!   changes one leaf of sixty compiles one leaf; a request whose every
+//!   leaf hits runs no unit at all. The report describes the work the
+//!   compile did: a hit leaf's [`StmtReport`](crate::session::StmtReport)
+//!   carries its stored lowering outcome and no engine run, and its stored
+//!   cost lands in the extraction report's root costs.
 //! * **Layer 2 — e-graph snapshots** ([`SuiteSnapshot`]): a saturated
 //!   suite e-graph serialized through `hb_egraph::snapshot`, tagged with
 //!   the exporting session's policy fingerprint. A policy-compatible
@@ -26,20 +33,22 @@
 //!
 //! The key is content-addressed, never identity-addressed:
 //!
-//! * Each program hashes through [`canonical_program_hash`]: one
-//!   pre-order walk over the borrowed statement tree that feeds a
-//!   `splitmix64` chain, word by word, with each node's tag, its payload
-//!   (operator, type, lane count, immediate, intrinsic name by content) and
-//!   — in place of every buffer/variable name — the index of that name's
-//!   first occurrence on the walk; then the requested placements in
+//! * A program hashes through [`canonical_program_hash`]: one pre-order
+//!   walk over the borrowed statement tree that feeds a `splitmix64`
+//!   chain, word by word, with each node's tag, its payload (operator,
+//!   type, lane count, immediate, intrinsic name by content) and — in place
+//!   of every buffer/variable name — the index of that name's first
+//!   occurrence on the walk; then the requested placements in
 //!   first-occurrence order of the names they place. Nothing is copied,
 //!   rendered or sorted. Two structurally identical programs that differ
 //!   only in the names of their temporaries — the unrolled bodies a front
 //!   end stamps out — hash equal; intrinsic call names are semantic and
 //!   hash by content, as do placements of names the tree never mentions.
 //!   The chain is stable across processes, `HashMap` iteration orders and
-//!   id assignments. A request's key chains its programs' streams and the
-//!   policy fingerprint the same way.
+//!   id assignments.
+//! * A leaf's key is that hash of the *annotated* leaf with no placements
+//!   — annotation has already baked the placements into its `LocToLoc`
+//!   nodes — chained with the policy fingerprint.
 //! * The policy fingerprint folds in everything else a session can set
 //!   that can change the output: target name, batching mode, deadline,
 //!   match budget, the runner's node limit, and a probe of the cost model
@@ -50,37 +59,41 @@
 //!   instrumented and plain sessions.
 //!
 //! Hash collisions cannot corrupt results: a hit additionally requires
-//! the stored request (exact statements and placements) to equal the
-//! incoming one — on every lookup, a service's front door included — so
+//! the stored annotated leaf to equal the incoming one exactly, so
 //! canonically-colliding renamed siblings occupy separate entries and
-//! each caller gets back its own names.
+//! each leaf gets back its own names. A hit's statement is spliced as
+//! stored, its `__hb_tmpN` temporaries inside their own `Allocate` scopes —
+//! a program holding one leaf twice splices one stored selection twice.
 //!
-//! The consult runs first, on the request as the caller holds it: a hit
-//! clones nothing but the stored result, and a miss hands its key to the
-//! compile, which stores the request it owns by value (see `Session`'s
-//! "One path through a compile" and the service's "Front door").
+//! The lookup takes every leaf of a request under one lock acquisition,
+//! after annotation; the store takes every storable miss under one more
+//! (see `Session`'s "One path through a compile").
 //!
 //! ## Eviction and observability
 //!
-//! The cache is bounded ([`ReportCache::new`] takes a capacity) with
-//! generation-clocked least-recently-used eviction: every hit or store
-//! advances a logical clock, and inserting into a full cache evicts the
-//! entry with the oldest clock value. [`CacheStats`] exposes monotone
-//! hit/miss/bypass/eviction counters; each compile's own treatment lands
-//! on its report as a [`CacheOutcome`]. Compiles the cache has nothing for
-//! by construction — leaf-free programs (never stored), warm-starts,
-//! snapshot-exporting compiles, and fault-injected sessions — count as
-//! bypasses; every request counts as exactly one hit, miss or bypass,
-//! however often it was looked up; and only fully
-//! [`Saturated`](crate::session::CompileOutcome::Saturated) compiles are
-//! stored (a truncated or degraded result must not shadow a later clean
-//! one).
+//! The cache is bounded ([`ReportCache::new`] takes a capacity, in leaf
+//! entries) with generation-clocked least-recently-used eviction: every
+//! lookup or store advances a logical clock, and inserting into a full
+//! cache evicts the entry with the oldest clock value. [`CacheStats`]
+//! exposes monotone hit/miss/bypass counters, one per *request* —
+//! [`CacheOutcome::Hit`] when every leaf hit, [`CacheOutcome::Miss`] when
+//! at least one leaf compiled — and evictions per *leaf entry*; each
+//! compile's own treatment lands on its report as a [`CacheOutcome`].
+//! Compiles the cache has nothing for by construction — leaf-free
+//! programs, warm-starts, snapshot-exporting compiles, and fault-injected
+//! sessions — count as bypasses and neither look up nor store. Only a leaf
+//! whose own unit reached
+//! [`Saturated`](crate::session::CompileOutcome::Saturated) and whose term
+//! materialized is stored (a truncated or degraded selection must not
+//! shadow a later clean one), so one truncated leaf never blocks the store
+//! of its clean neighbours in other units.
 
 mod hash;
 mod snapshot;
 mod store;
 
 pub use hash::canonical_program_hash;
-pub(crate) use hash::{policy_fingerprint, request_hash};
+pub(crate) use hash::{leaf_keys, policy_fingerprint};
 pub use snapshot::{SuiteSnapshot, WarmRejection};
+pub(crate) use store::Selection;
 pub use store::{CacheOutcome, CacheStats, ReportCache};

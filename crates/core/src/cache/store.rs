@@ -7,45 +7,53 @@ use std::sync::Mutex;
 
 use hb_ir::stmt::Stmt;
 
-use crate::movement::Placements;
-use crate::session::IrSuiteResult;
-
 /// How the report cache treated one compile. Lands on
 /// [`CompileReport::cache`](crate::session::CompileReport::cache).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CacheOutcome {
-    /// The finished compile came straight from the cache.
+    /// Every selection leaf came from the cache: no compile unit ran.
     Hit,
-    /// The cache was consulted, missed, and (for fully saturated
-    /// outcomes) the fresh result was stored.
+    /// The cache was consulted and at least one leaf was compiled (and,
+    /// where its own unit fully saturated, stored).
     Miss,
     /// The cache had nothing to offer by construction: none is attached,
-    /// the request had no selection leaves (such compiles are never
-    /// stored), the compile warm-started from a snapshot or exported one,
-    /// or the session carries a fault plan.
+    /// the request had no selection leaves, the compile warm-started from a
+    /// snapshot or exported one, or the session carries a fault plan.
     #[default]
     Bypass,
 }
 
-/// Monotone, process-lifetime counters for one [`ReportCache`].
+/// Monotone, process-lifetime counters for one [`ReportCache`]. Each
+/// request counts once, however many leaves it has.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
-    /// Compiles answered from the cache.
+    /// Requests whose every leaf came from the cache.
     pub hits: u64,
-    /// Consulted compiles that ran the pipeline.
+    /// Consulted requests that compiled at least one leaf.
     pub misses: u64,
-    /// Compiles that skipped the cache (see [`CacheOutcome::Bypass`]).
+    /// Requests that skipped the cache (see [`CacheOutcome::Bypass`]).
     pub bypasses: u64,
-    /// Entries evicted to stay within capacity.
+    /// Leaf entries evicted to stay within capacity.
     pub evictions: u64,
 }
 
-/// One stored compile, bucketed under its content hash. The exact
-/// request rides along so a hash collision (including the intentional
-/// renamed-sibling collisions) can never serve the wrong entry.
+/// One leaf's selection: the statement spliced in its place, whether it
+/// absorbed every data movement, and its extraction cost. What a compile
+/// unit makes of each leaf it was given, and what the cache stores and a
+/// hit returns.
+#[derive(Debug, Clone)]
+pub(crate) struct Selection {
+    pub(crate) stmt: Stmt,
+    pub(crate) lowered: bool,
+    pub(crate) cost: Option<u64>,
+}
+
+/// One stored leaf selection, bucketed under its key. The annotated leaf
+/// rides along so a hash collision (including the intentional
+/// renamed-sibling collisions) can never serve the wrong selection.
 struct Entry {
-    request: Vec<(Stmt, Placements)>,
-    value: IrSuiteResult,
+    leaf: Stmt,
+    selection: Selection,
     last_used: u64,
 }
 
@@ -55,7 +63,7 @@ struct Inner {
     clock: u64,
 }
 
-/// A bounded, thread-safe, content-addressed cache of finished compiles,
+/// A bounded, thread-safe, content-addressed cache of leaf selections,
 /// shared across sessions (and [`CompileService`] workers) behind an
 /// `Arc`. See the module docs in [`super`] for keying, verification and
 /// eviction.
@@ -90,8 +98,8 @@ impl ReportCache {
     /// Capacity of [`ReportCache::default`].
     pub const DEFAULT_CAPACITY: usize = 256;
 
-    /// A cache holding at most `capacity` compiles (clamped to at least
-    /// one). Inserting into a full cache evicts the least-recently-used
+    /// A cache holding at most `capacity` leaf selections (clamped to at
+    /// least one). Inserting into a full cache evicts the least-recently-used
     /// entry.
     #[must_use]
     pub fn new(capacity: usize) -> Self {
@@ -109,13 +117,13 @@ impl ReportCache {
         }
     }
 
-    /// The configured capacity.
+    /// The configured capacity, in leaf selections.
     #[must_use]
     pub fn capacity(&self) -> usize {
         self.capacity
     }
 
-    /// Number of compiles currently stored.
+    /// Number of leaf selections currently stored.
     #[must_use]
     pub fn len(&self) -> usize {
         self.lock().len
@@ -146,89 +154,66 @@ impl ReportCache {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Records a compile that intentionally skipped the cache.
-    pub(crate) fn note_bypass(&self) {
-        self.bypasses.fetch_add(1, Ordering::Relaxed);
+    /// Counts one request as the hit, miss or bypass it was.
+    pub(crate) fn note(&self, outcome: CacheOutcome) {
+        let counter = match outcome {
+            CacheOutcome::Hit => &self.hits,
+            CacheOutcome::Miss => &self.misses,
+            CacheOutcome::Bypass => &self.bypasses,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records a consulted compile that ran the pipeline. Apart from
-    /// [`ReportCache::lookup`] because one request may be looked up twice
-    /// (at a service's front door, then by the worker it was queued for)
-    /// and must still count once — when its compile starts.
-    pub(crate) fn note_miss(&self) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Looks up a request by content hash, verifying the stored request
-    /// matches exactly (hash collisions can never serve a wrong entry).
-    /// Counts a hit; an unanswered lookup counts nothing (see
-    /// [`ReportCache::note_miss`]).
-    pub(crate) fn lookup(
-        &self,
-        key: u64,
-        request: &[(&Stmt, &Placements)],
-    ) -> Option<IrSuiteResult> {
+    /// Looks up every leaf of one request under one lock acquisition, by
+    /// key, answering only a leaf equal to the one that stored the entry (a
+    /// hash collision can never serve a wrong selection). Counts nothing
+    /// (see [`ReportCache::note`]).
+    pub(crate) fn lookup(&self, keys: &[u64], leaves: &[&Stmt]) -> Vec<Option<Selection>> {
         let mut inner = self.lock();
         inner.clock += 1;
         let clock = inner.clock;
-        let entry = inner.buckets.get_mut(&key).and_then(|entries| {
-            entries
-                .iter_mut()
-                .find(|e| matches_request(&e.request, request))
-        })?;
-        entry.last_used = clock;
-        let value = entry.value.clone();
-        drop(inner);
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        Some(value)
-    }
-
-    /// Stores a finished compile under the request that produced it (by
-    /// value: the entry keeps it for [`ReportCache::lookup`]'s exact
-    /// check), evicting the least-recently-used entry when at capacity.
-    /// Re-storing an existing request refreshes its value and recency
-    /// instead of duplicating it. Returns whether an entry was evicted, so
-    /// callers mirroring [`CacheStats`] into a metrics registry can count
-    /// evictions without re-reading stats.
-    pub(crate) fn store(
-        &self,
-        key: u64,
-        request: Vec<(Stmt, Placements)>,
-        value: IrSuiteResult,
-    ) -> bool {
-        let mut inner = self.lock();
-        inner.clock += 1;
-        let clock = inner.clock;
-        if let Some(entry) = inner
-            .buckets
-            .get_mut(&key)
-            .and_then(|entries| entries.iter_mut().find(|e| e.request == request))
-        {
-            entry.value = value;
+        let found = keys.iter().zip(leaves).map(|(key, &leaf)| {
+            let entries = inner.buckets.get_mut(key)?;
+            let entry = entries.iter_mut().find(|e| e.leaf == *leaf)?;
             entry.last_used = clock;
-            return false;
-        }
-        let evicted = inner.len >= self.capacity;
-        if evicted {
-            evict_lru(&mut inner);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        inner.buckets.entry(key).or_default().push(Entry {
-            request,
-            value,
-            last_used: clock,
+            Some(entry.selection.clone())
         });
-        inner.len += 1;
+        found.collect()
+    }
+
+    /// Stores `(key, annotated leaf, selection)` triples under one lock
+    /// acquisition, evicting the least-recently-used entry for each one that
+    /// finds the cache full. Re-storing an equal leaf refreshes its
+    /// selection and recency instead of duplicating it. Returns how many
+    /// entries were evicted, so callers mirroring [`CacheStats`] into a
+    /// metrics registry can count evictions without re-reading stats.
+    pub(crate) fn store(&self, fresh: Vec<(u64, Stmt, Selection)>) -> u64 {
+        let mut inner = self.lock();
+        inner.clock += 1;
+        let clock = inner.clock;
+        let mut evicted = 0;
+        for (key, leaf, selection) in fresh {
+            if let Some(entry) = (inner.buckets.get_mut(&key))
+                .and_then(|entries| entries.iter_mut().find(|e| e.leaf == leaf))
+            {
+                entry.selection = selection;
+                entry.last_used = clock;
+                continue;
+            }
+            if inner.len >= self.capacity {
+                evict_lru(&mut inner);
+                evicted += 1;
+            }
+            inner.buckets.entry(key).or_default().push(Entry {
+                leaf,
+                selection,
+                last_used: clock,
+            });
+            inner.len += 1;
+        }
+        self.evictions.fetch_add(evicted, Ordering::Relaxed);
         evicted
     }
-}
-
-fn matches_request(stored: &[(Stmt, Placements)], request: &[(&Stmt, &Placements)]) -> bool {
-    stored.len() == request.len()
-        && stored
-            .iter()
-            .zip(request)
-            .all(|((s, p), (rs, rp))| s == *rs && p == *rp)
 }
 
 fn evict_lru(inner: &mut Inner) {

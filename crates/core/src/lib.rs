@@ -55,7 +55,9 @@
 //! workers with per-request panic isolation and a drain/shutdown path — see
 //! [`service`]. The service's workers are the one concurrency axis: a
 //! single compile is serial. A worker's unit of work is a whole compile
-//! (0.2 ms and up on the benchmark), which dwarfs a queue hand-off, while
+//! (0.2 ms and up on the benchmark when it saturates; 0.06 ms on average
+//! on `service_mixed`, whose leaf cache answers most requests), which
+//! outweighs a queue hand-off, while
 //! the largest grain *inside* a compile — one rule's join over a wide
 //! index row — averages ~12 µs even on the 161-leaf shared suite graph
 //! (and no per-leaf graph has a row wide enough to split at all), so a
@@ -79,7 +81,7 @@
 //! compile at a time — one context per worker, not per worker and target.
 //! A warmed session therefore compiles without rebuilding its tables:
 //! `tests/compile_allocs.rs` budgets the allocations of a steady-state
-//! compile (9.5 per encoded e-node on its set; 30.3 before the pool), and
+//! compile (6.8 per encoded e-node on its set; 30.3 before the pool), and
 //! `tests/reuse.rs` pins that a reused context is invisible — programs,
 //! report counters and engine run reports equal those of fresh sessions,
 //! also after truncated, cancelled and panicked compiles.
@@ -117,11 +119,12 @@
 //! `core.symbols.interned`); the [`lang`] module docs say why a symbol's
 //! number never reaches a selected program.
 //!
-//! Because compilation is deterministic, repeated work can be memoized:
-//! the [`cache`] subsystem adds a bounded content-addressed
-//! [`ReportCache`] (attach with [`SessionBuilder::report_cache`] or
-//! share one across a service with
-//! [`CompileServiceBuilder::shared_cache`]) and e-graph
+//! Because selection is deterministic per leaf, repeated work can be
+//! memoized: the [`cache`] subsystem adds a bounded content-addressed
+//! [`ReportCache`] of leaf selections — a compile encodes only the leaves
+//! it has not selected before (attach with [`SessionBuilder::report_cache`]
+//! or share one across a service with
+//! [`CompileServiceBuilder::shared_cache`]) — and e-graph
 //! [`SuiteSnapshot`]s for warm-starting suite compiles
 //! ([`Session::compile_ir_suite_exporting`] /
 //! [`Session::compile_ir_suite_warm`]) — warm results are byte-identical

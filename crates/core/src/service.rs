@@ -1,4 +1,4 @@
-//! [`CompileService`] — a multi-threaded front door over [`Session`]s.
+//! [`CompileService`] — a multi-threaded compile service over [`Session`]s.
 //!
 //! A [`Session`] is immutable after construction and `Sync` (see the
 //! thread-safety notes in [`crate::session`]), so one long-lived session
@@ -25,29 +25,14 @@
 //!
 //! ## Request lifecycle
 //!
-//! **Front door.** A source that is already lowered offers its tree and
-//! placements borrowed ([`IntoProgram::view`]: `Stmt`, `Program`,
-//! `hb_lang::Lowered`). When the target's session carries a consultable
-//! report cache, `submit` asks the cache on the *submitting* thread, before
-//! anything is cloned or queued
-//! ([`Session`]'s one consult: one streaming hash of the request, one
-//! lookup that answers only a request equal to the stored one). A hit
-//! returns an already-resolved [`Ticket`]: no queue slot (so a full queue
-//! does not refuse it, and `service.rejected_busy` does not move), no
-//! worker wake-up, no reply hand-off, nothing to cancel (dropping the
-//! ticket counts no cancellation). It is counted in `service.requests` and
-//! in `service.door_hits`, and refused with
-//! [`ServiceError::ShuttingDown`] once shutdown has begun, like any other
-//! request. A miss is queued *with its key*, so the worker hashes nothing:
-//! its compile looks again under that key — another worker may have stored
-//! the entry in the meantime — and the request is counted once, as the hit,
-//! miss or bypass the worker's compile turns out to be. Sources without a
-//! view (real front ends) and sessions whose cache cannot be consulted
-//! (none attached, or a fault plan installed) are queued unasked: no front
-//! end ever runs on the submitting thread. `service.wait_ns`,
-//! `service.run_ns` and the queue-depth gauges therefore describe *queued*
-//! requests only — with a warm cache that is the misses, whose means are
-//! higher than the all-request means an unconsulted service reports.
+//! Every request is queued: `submit` runs no front end and asks no cache
+//! on the submitting thread. The worker that picks the request up converts
+//! the source it now owns ([`IntoProgram::into_program`]) and compiles it
+//! on the target's session, whose frame looks every selection leaf up in
+//! the shared report cache at once and compiles only the leaves it misses
+//! — a request whose every leaf hits encodes nothing. `service.requests`,
+//! `service.wait_ns`, `service.run_ns` and the queue-depth gauges therefore
+//! describe every request, hit or miss.
 //!
 //! **Queueing.** Every registered target owns its own bounded FIFO queue
 //! ([`CompileServiceBuilder::queue_capacity`] slots, default 256). Workers
@@ -123,7 +108,7 @@ use hb_obs::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot};
 
 use crate::cache::ReportCache;
 use crate::session::{
-    panic_message, BuildError, CompileError, CompileResult, Consult, IntoProgram, Session,
+    panic_message, BuildError, CompileError, CompileResult, IntoProgram, Session,
 };
 
 /// A queued request: a closure that performs the compile and fills its
@@ -175,8 +160,7 @@ impl fmt::Display for ServiceError {
 impl std::error::Error for ServiceError {}
 
 /// A request's handle. [`Ticket::wait`] blocks until the worker that
-/// picked the request up finishes it — or returns at once when the request
-/// was answered at the front door (see the module docs).
+/// picked the request up finishes it.
 ///
 /// Dropping a ticket without waiting *cancels* the request: if it is
 /// still queued the worker skips it, and if it is already running the
@@ -184,15 +168,14 @@ impl std::error::Error for ServiceError {}
 /// docs' lifecycle section). Dropping after completion is a no-op.
 #[must_use = "a ticket resolves to the request's result; dropping it cancels the compile"]
 pub struct Ticket {
-    /// Where the result is, or will be: filled by the worker's job, or
-    /// born settled when the request was answered at the front door.
+    /// Where the result will be: filled by the worker's job.
     reply: Arc<ReplySlot>,
     /// `Some` while cancel-on-drop is armed; [`Ticket::wait`] disarms.
-    /// Never armed on a ticket that was resolved at the front door.
     cancel: Option<CancelToken>,
 }
 
 /// The one-shot hand-off from a worker's job to the ticket waiting on it.
+#[derive(Default)]
 struct ReplySlot {
     state: Mutex<SlotState>,
     settled: Condvar,
@@ -207,13 +190,6 @@ struct SlotState {
 }
 
 impl ReplySlot {
-    fn new(state: SlotState) -> Arc<Self> {
-        Arc::new(ReplySlot {
-            state: Mutex::new(state),
-            settled: Condvar::new(),
-        })
-    }
-
     /// Every update of the state is one assignment, so a poisoned lock
     /// still guards a valid state.
     fn lock(&self) -> std::sync::MutexGuard<'_, SlotState> {
@@ -361,10 +337,10 @@ impl CompileServiceBuilder {
 
     /// Shares one bounded [`ReportCache`] across every registered session
     /// (default: no cache). Installed at [`CompileServiceBuilder::build`]
-    /// into each session that does not already carry its own cache, so
-    /// repeated requests for the same programs — from any worker, to any
-    /// target — hit instead of recompiling. Keys include each session's
-    /// policy fingerprint, so entries never cross targets or policies.
+    /// into each session that does not already carry its own cache, so a
+    /// leaf any worker has selected for any request is not compiled again.
+    /// Keys include each session's policy fingerprint, so entries never
+    /// cross targets or policies.
     /// Aggregate counters are available via
     /// [`CompileService::shared_cache`].
     #[must_use]
@@ -507,7 +483,6 @@ pub struct CompileService {
 /// shared by the service, its workers and every queued job.
 struct ServiceObs {
     requests: Counter,
-    door_hits: Counter,
     requests_panicked: Counter,
     rejected_busy: Counter,
     cancelled: Counter,
@@ -530,7 +505,6 @@ impl ServiceObs {
     fn resolve(metrics: &MetricsRegistry, names: &[String]) -> ServiceObs {
         ServiceObs {
             requests: metrics.counter("service.requests"),
-            door_hits: metrics.counter("service.door_hits"),
             requests_panicked: metrics.counter("service.requests_panicked"),
             rejected_busy: metrics.counter("service.rejected_busy"),
             cancelled: metrics.counter("service.cancelled"),
@@ -693,46 +667,6 @@ impl CompileService {
             .ok_or_else(|| ServiceError::UnknownTarget(target.to_string()))
     }
 
-    /// The front door (see the module docs): runs `work` here, on the
-    /// submitting thread, for a request whose consult already holds the
-    /// answer. No queue slot is taken, so a full queue does not refuse it.
-    fn answer_at_the_door(
-        &self,
-        work: impl FnOnce(Option<CancelToken>) -> Result<CompileResult, CompileError>,
-    ) -> Ticket {
-        self.obs.requests.inc();
-        self.obs.door_hits.inc();
-        let result = catch_unwind(AssertUnwindSafe(|| work(None))).unwrap_or_else(|payload| {
-            self.obs.requests_panicked.inc();
-            Err(CompileError::Engine(panic_message(&*payload)))
-        });
-        Ticket {
-            reply: ReplySlot::new(SlotState {
-                settled: true,
-                reply: Some(result),
-            }),
-            cancel: None,
-        }
-    }
-
-    /// What the front door asks the session's cache about `source`, if
-    /// anything: nothing for a source without a view or a session without
-    /// a cache, and nothing once shutdown has begun — a request that is
-    /// going to be refused must not be counted as a hit first.
-    fn ask_at_the_door(
-        &self,
-        session: &Session,
-        source: &impl IntoProgram,
-    ) -> Result<Option<Consult>, ServiceError> {
-        let Some(view) = source.view().filter(|_| session.report_cache().is_some()) else {
-            return Ok(None);
-        };
-        if !self.dispatcher.state.lock().expect(DISPATCH_LOCK).open {
-            return Err(ServiceError::ShuttingDown);
-        }
-        Ok(Some(session.consult(std::slice::from_ref(&view), None)))
-    }
-
     /// Queues `work` on target queue `idx` and returns the ticket its
     /// reply will arrive on; a full queue is refused at once.
     fn dispatch<F>(&self, idx: usize, work: F) -> Result<Ticket, ServiceError>
@@ -740,7 +674,7 @@ impl CompileService {
         F: FnOnce(Option<CancelToken>) -> Result<CompileResult, CompileError> + Send + 'static,
     {
         let cancel = CancelToken::new();
-        let slot = ReplySlot::new(SlotState::default());
+        let slot = Arc::<ReplySlot>::default();
         let reply = ReplySender(Arc::clone(&slot));
         let obs = Arc::clone(&self.obs);
         let job_cancel = cancel.clone();
@@ -799,9 +733,9 @@ impl CompileService {
         })
     }
 
-    /// Submits one program for compilation on `target`'s session: consulted
-    /// at the front door when it offers a view, queued unless the door holds
-    /// its answer. Never blocks: a full queue is [`ServiceError::Busy`].
+    /// Submits one program for compilation on `target`'s session: queued
+    /// for a worker, which converts and compiles it. Never blocks: a full
+    /// queue is [`ServiceError::Busy`].
     ///
     /// # Errors
     ///
@@ -813,15 +747,9 @@ impl CompileService {
         S: IntoProgram + Send + 'static,
     {
         let (idx, session) = self.resolve(target)?;
-        let consulted = self.ask_at_the_door(&session, &source)?;
-        let answered = matches!(consulted, Some(Consult::Hit(_)));
-        let work =
-            move |cancel| session.compile_lowered(|| source.into_program(), cancel, consulted);
-        if answered {
-            Ok(self.answer_at_the_door(work))
-        } else {
-            self.dispatch(idx, work)
-        }
+        self.dispatch(idx, move |cancel| {
+            session.compile_lowered(|| source.into_program(), cancel)
+        })
     }
 
     /// Drains and stops the service: already-queued requests still run to
@@ -974,11 +902,10 @@ mod tests {
     }
 
     /// Reachable only from inside the crate — `shutdown` consumes the
-    /// service — but the door must not outlive the queues it fronts: once
-    /// draining has begun, a request the cache could answer is refused like
-    /// any other, and counted nowhere.
+    /// service — but once draining has begun every submission is refused,
+    /// a program the cache holds included, and counted nowhere.
     #[test]
-    fn a_would_be_door_hit_is_refused_once_shutdown_has_begun() {
+    fn submissions_are_refused_once_shutdown_has_begun() {
         let mut service = CompileService::builder()
             .worker_threads(1)
             .register_target("sim")
@@ -991,16 +918,14 @@ mod tests {
         let before = service.metrics_snapshot();
         let stats = service.shared_cache().map(|c| c.stats());
         service.drain();
-        assert_eq!(
-            service.submit("sim", tile_leaf(0)).unwrap_err(),
-            ServiceError::ShuttingDown
-        );
-        assert_eq!(
-            service.submit("sim", tile_leaf(1)).unwrap_err(),
-            ServiceError::ShuttingDown
-        );
+        for leaf in [0, 1] {
+            assert_eq!(
+                service.submit("sim", tile_leaf(leaf)).unwrap_err(),
+                ServiceError::ShuttingDown
+            );
+        }
         let after = service.metrics_snapshot();
-        for name in ["service.requests", "service.door_hits", "cache.hits"] {
+        for name in ["service.requests", "cache.hits", "cache.misses"] {
             assert_eq!(after.counter(name), before.counter(name), "{name} moved");
         }
         assert_eq!(service.shared_cache().map(|c| c.stats()), stats);

@@ -1,5 +1,6 @@
-//! The one path every compile takes: the frame and its `Job`, the compile
-//! unit that touches an e-graph, and the pooled contexts units run in.
+//! The one path every compile takes: the frame and its `Job`, the per-leaf
+//! cache lookup and store, the compile unit that touches an e-graph, and
+//! the pooled contexts units run in.
 
 use std::sync::Mutex;
 use std::time::Instant;
@@ -12,7 +13,7 @@ use hb_ir::expr::Expr;
 use hb_ir::stmt::Stmt;
 
 use super::{Batching, CompileOutcome, CompileReport, IrSuiteResult, Session, StmtReport};
-use crate::cache::{request_hash, CacheOutcome, SuiteSnapshot};
+use crate::cache::{leaf_keys, CacheOutcome, Selection, SuiteSnapshot};
 use crate::cost::ModelCost;
 use crate::decode::decode_stmt;
 use crate::encode::encode_stmt;
@@ -59,10 +60,9 @@ pub(super) const POOL_LOCK: &str = "the context pool lock is held across no pani
 /// The one thing a compile frame is asked to do besides selecting — one
 /// value, so no call can ask for two at once.
 pub(super) enum Job<'a> {
-    /// An ordinary compile: consult the report cache — under the caller's
-    /// key when the caller's own consult already computed it and missed —
-    /// and say whether the result is worth storing.
-    Cached(Option<u64>),
+    /// An ordinary compile: look every leaf up in the report cache, compile
+    /// only the misses, and store each one its own unit fully saturated.
+    Cached,
     /// Fill the slot with the saturated suite graph. Only a batched run
     /// that reached [`CompileOutcome::Saturated`] exports: per-leaf mode
     /// has no shared graph, and a budget-truncated one would warm-start
@@ -73,16 +73,14 @@ pub(super) enum Job<'a> {
     Warm(Box<CompileCtx>, WarmStart),
 }
 
-/// What [`Session::consult`] found in the report cache for one request.
-pub(crate) enum Consult {
-    /// The stored compile of an equal request, its report marked
-    /// [`CacheOutcome::Hit`].
-    Hit(Box<IrSuiteResult>),
-    /// Nothing stored for this request; its key, so that whoever compiles
-    /// it need not hash it again.
-    Miss(u64),
-    /// Nothing to ask: no cache attached, or a fault-injected session.
-    Bypass,
+/// A missed leaf as its unit left it: the selection, the engine report of
+/// the leaf's own graph (per-leaf units; a default otherwise), and whether
+/// the cache may keep it — its unit reached [`CompileOutcome::Saturated`]
+/// and its own term materialized.
+struct Fresh {
+    selection: Selection,
+    eqsat: RunReport,
+    storable: bool,
 }
 
 impl Session {
@@ -122,102 +120,28 @@ impl Session {
         annotated
     }
 
-    /// Asks the report cache about one request, before anything is cloned,
-    /// annotated or lowered: the key is the canonical content of the whole
-    /// request plus this session's policy fingerprint (`key`, when a caller
-    /// computed it already), and a stored entry answers only a request
-    /// equal to the one that stored it. A hit is counted here, with the
-    /// outcome rung it reproduces; a miss is counted by the compile it
-    /// leads to ([`Session::compile_frame`]), so a request consulted twice —
-    /// at a service's front door, then by the worker it was queued for —
-    /// still counts once. Sessions without a cache have nothing to ask, and
-    /// neither do fault-injected ones: an injected engine fault would
-    /// otherwise poison the cache for every later (clean) compile of the
-    /// same request.
-    pub(crate) fn consult(&self, programs: &[(&Stmt, &Placements)], key: Option<u64>) -> Consult {
-        let cache = self.cache.as_ref();
-        #[cfg(feature = "fault-injection")]
-        let cache = cache.filter(|_| self.runner.fault_plan.is_none());
-        let Some(cache) = cache else {
-            return Consult::Bypass;
-        };
-        let key = key.unwrap_or_else(|| request_hash(programs, self.fingerprint));
-        let Some(mut hit) = cache.lookup(key, programs) else {
-            return Consult::Miss(key);
-        };
-        hit.report.cache = CacheOutcome::Hit;
-        if let Some(obs) = &self.obs {
-            obs.cache_hits.inc();
-            // The hit's stage timings describe the compile that populated
-            // the entry, not this call — count only the outcome rung
-            // (always the reference rung; only saturated compiles are
-            // stored).
-            obs.record_outcome(hit.report.outcome);
-        }
-        Consult::Hit(Box::new(hit))
-    }
-
-    /// Stores a compile [`Session::compile_frame`] asked to have stored,
-    /// under the request that produced it.
-    pub(super) fn store(
-        &self,
-        key: u64,
-        request: Vec<(Stmt, Placements)>,
-        compiled: &IrSuiteResult,
-    ) {
-        let cache = self.cache.as_ref().expect("a key implies a cache");
-        if cache.store(key, request, compiled.clone()) {
-            if let Some(obs) = &self.obs {
-                obs.cache_evictions.inc();
-            }
-        }
-    }
-
-    /// [`Session::compile_frame`] for a request borrowed from the caller:
-    /// a stored compile's cache entry takes a copy of it.
-    pub(super) fn compile_programs(
-        &self,
-        programs: &[(&Stmt, &Placements)],
-        budget: Budget,
-        job: Job<'_>,
-    ) -> IrSuiteResult {
-        let (compiled, store_under) = self.compile_frame(programs, budget, job);
-        if let Some(key) = store_under {
-            let request = programs
-                .iter()
-                .map(|(stmt, placements)| ((*stmt).clone(), (*placements).clone()))
-                .collect();
-            self.store(key, request, &compiled);
-        }
-        compiled
-    }
-
-    /// The one path every entry point takes: cache consult → annotate →
-    /// collect leaves → compile unit(s) → splice → record, all under one
-    /// call-level [`Budget`]. Returns the compile and, when it is worth
-    /// memoizing, the key to store it under — the store is the caller's,
-    /// which knows whether the request is its own to give away. Only a
+    /// The one path every entry point takes: annotate → collect leaves →
+    /// cache lookup → compile unit(s) over the misses → cache store →
+    /// splice → record, all under one call-level [`Budget`]. Only a
     /// [`Job::Cached`] compile consults or stores; the other jobs want the
     /// graph, not a memoized answer, and count as bypasses.
     ///
-    /// A unit is one leaf in [`Batching::PerLeaf`] mode — its engine
-    /// report lands in its [`StmtReport::eqsat`] — and every leaf of the
-    /// call otherwise, the shared run landing in [`CompileReport::batch`].
+    /// The lookup takes every leaf of the request at once, keyed by its
+    /// canonical hash and the policy fingerprint and verified against the
+    /// stored leaf. A unit is then one missed leaf in [`Batching::PerLeaf`]
+    /// mode — its engine report lands in its [`StmtReport::eqsat`] — and
+    /// every missed leaf of the call otherwise, the shared run landing in
+    /// [`CompileReport::batch`]; a leaf selects the same statement at the
+    /// same cost whichever leaves share its graph (the per-leaf ≡ batched
+    /// oracle), so hits and fresh selections splice side by side. A request
+    /// whose every leaf hits runs no unit at all.
     pub(super) fn compile_frame(
         &self,
         programs: &[(&Stmt, &Placements)],
         budget: Budget,
         job: Job<'_>,
-    ) -> (IrSuiteResult, Option<u64>) {
+    ) -> IrSuiteResult {
         let total_started = Instant::now();
-        let key = match &job {
-            Job::Cached(key) => match self.consult(programs, *key) {
-                Consult::Hit(hit) => return (*hit, None),
-                Consult::Miss(key) => Some(key),
-                Consult::Bypass => None,
-            },
-            Job::Export(_) | Job::Warm(..) => None,
-        };
         let mut report = CompileReport {
             target: self.target.name().to_string(),
             ..CompileReport::default()
@@ -232,21 +156,36 @@ impl Session {
         annotate_span.attr("leaves", leaves.len());
         report.stages.encode = annotate_span.finish();
 
-        // A leaf-free request has nothing to memoize and is never stored,
-        // so its consult could only miss: it counts as the bypass it is.
-        let key = key.filter(|_| !leaves.is_empty());
-        if let Some(cache) = &self.cache {
-            if key.is_some() {
-                report.cache = CacheOutcome::Miss;
-                cache.note_miss();
-                if let Some(obs) = &self.obs {
-                    obs.cache_misses.inc();
-                }
-            } else {
-                cache.note_bypass();
-                if let Some(obs) = &self.obs {
-                    obs.cache_bypasses.inc();
-                }
+        // A leaf-free request has nothing to look up or store: it counts as
+        // the bypass it is. Neither does a fault-injected session's: an
+        // injected engine fault would poison the cache for every later
+        // (clean) compile of the same leaves.
+        let consulted = matches!(job, Job::Cached) && !leaves.is_empty();
+        let cache = self.cache.as_deref().filter(|_| consulted);
+        #[cfg(feature = "fault-injection")]
+        let cache = cache.filter(|_| self.runner.fault_plan.is_none());
+        let keys = cache.map_or_else(Vec::new, |_| leaf_keys(&leaves, self.fingerprint));
+        let found = match cache {
+            Some(cache) => cache.lookup(&keys, &leaves),
+            None => vec![None; leaves.len()],
+        };
+        let missed: Vec<&Stmt> = (leaves.iter().zip(&found))
+            .filter_map(|(&leaf, hit)| hit.is_none().then_some(leaf))
+            .collect();
+        if let Some(attached) = &self.cache {
+            report.cache = match cache {
+                None => CacheOutcome::Bypass,
+                Some(_) if missed.is_empty() => CacheOutcome::Hit,
+                Some(_) => CacheOutcome::Miss,
+            };
+            attached.note(report.cache);
+            if let Some(obs) = &self.obs {
+                let counter = match report.cache {
+                    CacheOutcome::Hit => &obs.cache_hits,
+                    CacheOutcome::Miss => &obs.cache_misses,
+                    CacheOutcome::Bypass => &obs.cache_bypasses,
+                };
+                counter.inc();
             }
         }
         if leaves.is_empty() {
@@ -255,33 +194,58 @@ impl Session {
             if let Some(obs) = &self.obs {
                 obs.record_outcome(report.outcome);
             }
-            let compiled = IrSuiteResult {
+            return IrSuiteResult {
                 programs: annotated,
                 report,
                 leaf_counts,
             };
-            return (compiled, None);
         }
 
-        let mut selected = Vec::with_capacity(leaves.len());
+        let ran_units = !missed.is_empty();
+        let mut fresh = Vec::with_capacity(missed.len());
         if self.batching == Batching::PerLeaf && !matches!(job, Job::Warm(..)) {
-            // Each leaf a plain unit of its own (the consult is done);
-            // per-leaf graphs are no suite graph, so an export's slot
-            // stays empty.
-            for unit in leaves.chunks(1) {
-                let run = self.run_unit(
-                    unit,
-                    budget.clone(),
-                    Job::Cached(None),
-                    &mut report,
-                    &mut selected,
-                );
-                let leaf = report.stmts.last_mut();
-                leaf.expect("a unit reports every leaf it was given").eqsat = run;
+            // Each missed leaf a plain unit of its own; per-leaf graphs are
+            // no suite graph, so an export's slot stays empty.
+            for unit in missed.chunks(1) {
+                let run = self.run_unit(unit, budget.clone(), Job::Cached, &mut report, &mut fresh);
+                let leaf = fresh.last_mut();
+                leaf.expect("a unit selects every leaf it was given").eqsat = run;
             }
-        } else {
-            let run = self.run_unit(&leaves, budget, job, &mut report, &mut selected);
+        } else if ran_units {
+            let run = self.run_unit(&missed, budget, job, &mut report, &mut fresh);
             report.batch = Some(run);
+        }
+
+        // Every leaf in order — a hit as stored, a miss as its unit left it —
+        // and each miss worth memoizing stored, under one more lock.
+        let extraction = report.extraction.get_or_insert_with(Default::default);
+        let mut fresh = fresh.into_iter();
+        let mut stores = Vec::new();
+        let mut selected = Vec::with_capacity(leaves.len());
+        for (i, hit) in found.into_iter().enumerate() {
+            let (selection, eqsat) = match hit {
+                Some(selection) => (selection, RunReport::default()),
+                None => {
+                    let unit = fresh.next().expect("one selection per missed leaf");
+                    if cache.is_some() && unit.storable {
+                        let leaf = Stmt::clone(leaves[i]);
+                        stores.push((keys[i], leaf, unit.selection.clone()));
+                    }
+                    (unit.selection, unit.eqsat)
+                }
+            };
+            extraction.root_costs.push(selection.cost);
+            report.stmts.push(StmtReport {
+                lowered: selection.lowered,
+                eqsat,
+            });
+            selected.push(selection.stmt);
+        }
+        if let Some(cache) = cache.filter(|_| !stores.is_empty()) {
+            let evicted = cache.store(stores);
+            if let Some(obs) = &self.obs {
+                obs.cache_evictions.add(evicted);
+            }
         }
 
         let splice_span = self.tracer.span("splice");
@@ -289,18 +253,19 @@ impl Session {
         report.stages.splice = splice_span.finish();
         report.total_time = total_started.elapsed();
         if let Some(obs) = &self.obs {
-            obs.record_report(&report);
+            // Stage histograms describe compiles that ran a unit; a request
+            // the cache answered counts only its outcome rung.
+            if ran_units {
+                obs.record_report(&report);
+            } else {
+                obs.record_outcome(report.outcome);
+            }
         }
-        // Only the reference rung is worth memoizing: a truncated or
-        // degraded result must not shadow a later clean compile of the
-        // same request (budgets are in the key, but deadlines race).
-        let store_under = key.filter(|_| report.outcome == CompileOutcome::Saturated);
-        let compiled = IrSuiteResult {
+        IrSuiteResult {
             programs: annotated,
             report,
             leaf_counts,
-        };
-        (compiled, store_under)
+        }
     }
 
     /// One compile unit: encode `leaves` into one e-graph — the restored
@@ -310,10 +275,11 @@ impl Session {
     /// read every root out of it. Hash-consing dedups what the leaves
     /// share, and equal-cost ties break by content, so a leaf selects the
     /// same statement whichever leaves share its graph. Stage timings, the
-    /// outcome rung, one [`StmtReport`] per leaf and the extraction
-    /// figures accumulate into `report`, the selected statements onto
-    /// `selected`; the engine's report is returned for the caller to
-    /// place.
+    /// outcome rung and the extraction figures accumulate into `report`,
+    /// one [`Fresh`] selection per leaf onto `fresh` — storable only when
+    /// this unit's own outcome is [`CompileOutcome::Saturated`], so one
+    /// truncated unit never blocks its neighbours' stores; the engine's
+    /// report is returned for the caller to place.
     ///
     /// The context is this function's until it rests it: a panic anywhere
     /// below unwinds past that and drops it, so a half-rewritten graph is
@@ -324,12 +290,12 @@ impl Session {
         budget: Budget,
         job: Job<'_>,
         report: &mut CompileReport,
-        selected: &mut Vec<Stmt>,
+        fresh: &mut Vec<Fresh>,
     ) -> RunReport {
         let (mut ctx, warm, export) = match job {
             Job::Warm(ctx, warm) => (*ctx, Some(warm), None),
             Job::Export(slot) => (self.pop_ctx(), None, Some(slot)),
-            Job::Cached(_) => (self.pop_ctx(), None, None),
+            Job::Cached => (self.pop_ctx(), None, None),
         };
         let rules = self.rules();
 
@@ -381,7 +347,6 @@ impl Session {
             // form — extract() would panic on it.
             let term = cost.is_some().then(|| extractor.extract(root));
             extraction.readout_time += readout_started.elapsed();
-            extraction.root_costs.push(cost);
             // Undecodable terms and malformed materializations keep the
             // original (annotated, unoptimized) statement too, and demote
             // the compile. The original has no `__expr_var` markers, so
@@ -391,13 +356,17 @@ impl Session {
             if materialized.is_none() {
                 report.outcome = report.outcome.worst(CompileOutcome::FallbackUnoptimized);
             }
+            let storable = outcome == CompileOutcome::Saturated && materialized.is_some();
             let stmt = materialized.unwrap_or_else(|| original.clone());
-            report.stmts.push(StmtReport {
-                original: original.to_string(),
-                lowered: !stmt_has_movement(&stmt),
+            fresh.push(Fresh {
+                selection: Selection {
+                    lowered: !stmt_has_movement(&stmt),
+                    stmt,
+                    cost,
+                },
                 eqsat: RunReport::default(),
+                storable,
             });
-            selected.push(stmt);
         }
         extraction.table_entries += extractor.stats().table_entries;
         ctx.extract = extractor.into_scratch();

@@ -37,15 +37,16 @@
 //! selecting — honour a [`CancelToken`], export the saturated graph,
 //! warm-start from one — not in how they compile. Each is a few lines over
 //! one private frame that takes one `Job` — cached, export or warm, never
-//! two at once — and runs cache consult (on the borrowed request, before
-//! anything is cloned) → annotate → collect leaves → unit(s) → splice →
-//! record. A *unit* is the one function that touches an e-graph: encode
-//! its leaves into a pooled context's graph, run the phased schedule,
-//! export if its job says so, solve one
+//! two at once — and runs annotate → collect leaves → cache lookup (one
+//! per leaf, cached jobs only) → unit(s) over the missed leaves → cache
+//! store → splice → record. A *unit* is the one function that touches an
+//! e-graph: encode its leaves into a pooled context's graph, run the phased
+//! schedule, export if its job says so, solve one
 //! [`WorklistExtractor`](hb_egraph::extract::WorklistExtractor) cost table
-//! and read every root out of it — once per leaf in [`Batching::PerLeaf`]
-//! mode, once per call in [`Batching::Batched`] mode or warm. There is no
-//! extraction knob (see "Extension points" in the crate docs).
+//! and read every root out of it — once per missed leaf in
+//! [`Batching::PerLeaf`] mode, once per call in [`Batching::Batched`] mode
+//! or warm. There is no extraction knob (see "Extension points" in the
+//! crate docs).
 //!
 //! * this file — [`Program`], [`IntoProgram`], the [`Session`], its
 //!   accessors and its five cold entry points, and the metric handles;
@@ -53,10 +54,9 @@
 //!   [`BuildError`] and [`Batching`];
 //! * `report.rs` — what a compile returns: [`CompileError`], the
 //!   [`CompileOutcome`] ladder, [`CompileReport`] and its parts, and
-//!   [`CompileResult`], [`SuiteResult`] and [`IrSuiteResult`] (also what
-//!   the report cache stores);
-//! * `frame.rs` — the frame, its `Job`, the unit, the cache consult and
-//!   store, and the pooled compile contexts;
+//!   [`CompileResult`], [`SuiteResult`] and [`IrSuiteResult`];
+//! * `frame.rs` — the frame, its `Job`, the per-leaf cache lookup and
+//!   store, the unit, and the pooled compile contexts;
 //! * `suite.rs` — fault isolation: the suite's isolated fallback path,
 //!   the two `catch_unwind` layers around one program and the unoptimized
 //!   rung they degrade to;
@@ -99,7 +99,7 @@ mod suite;
 mod warm;
 
 pub use builder::{Batching, BuildError, SessionBuilder};
-pub(crate) use frame::{Consult, CtxPool};
+pub(crate) use frame::CtxPool;
 use frame::{Job, POOL_LOCK};
 pub use report::{
     CompileError, CompileOutcome, CompileReport, CompileResult, ExtractionReport, IrSuiteResult,
@@ -162,18 +162,6 @@ pub trait IntoProgram {
     {
         self.to_program()
     }
-
-    /// The statement tree and placements of a source that is already
-    /// lowered, borrowed — what a report-cache consult hashes and compares
-    /// without cloning anything. `None` (the default) for a real front end:
-    /// its program exists only once [`IntoProgram::to_program`] has run. A
-    /// source that answers `Some` promises that its conversions hand over
-    /// exactly this tree and these placements and do no work worth
-    /// isolating: a service answers such a source's cache hit on the
-    /// submitting thread.
-    fn view(&self) -> Option<(&Stmt, &Placements)> {
-        None
-    }
 }
 
 impl IntoProgram for Program {
@@ -184,10 +172,6 @@ impl IntoProgram for Program {
     fn into_program(self) -> Result<Program, CompileError> {
         Ok(self)
     }
-
-    fn view(&self) -> Option<(&Stmt, &Placements)> {
-        Some((&self.stmt, &self.placements))
-    }
 }
 
 impl IntoProgram for Stmt {
@@ -197,11 +181,6 @@ impl IntoProgram for Stmt {
 
     fn into_program(self) -> Result<Program, CompileError> {
         Ok(Program::new(self))
-    }
-
-    fn view(&self) -> Option<(&Stmt, &Placements)> {
-        static NO_PLACEMENTS: OnceLock<Placements> = OnceLock::new();
-        Some((self, NO_PLACEMENTS.get_or_init(Placements::new)))
     }
 }
 
@@ -456,7 +435,7 @@ impl Session {
         &self,
         source: &S,
     ) -> Result<CompileResult, CompileError> {
-        self.compile_lowered(|| source.to_program(), None, None)
+        self.compile_lowered(|| source.to_program(), None)
     }
 
     /// [`Session::compile`] with a per-request [`CancelToken`]: tripping
@@ -475,36 +454,22 @@ impl Session {
         source: &S,
         cancel: CancelToken,
     ) -> Result<CompileResult, CompileError> {
-        self.compile_lowered(|| source.to_program(), Some(cancel), None)
+        self.compile_lowered(|| source.to_program(), Some(cancel))
     }
 
-    /// One source through `lower` and the pipeline. `consulted` is what a
-    /// caller that already asked the report cache about this very source
-    /// found (the service's front door, through [`IntoProgram::view`]): a
-    /// hit is finished here — the stored compile under this source's own
-    /// notes and lowering time — and a miss's key rides into the compile, so
-    /// nothing is hashed twice.
+    /// One source through `lower` and the pipeline (a
+    /// [`CompileService`](crate::service::CompileService) worker's `lower`
+    /// moves the source it owns).
     pub(crate) fn compile_lowered(
         &self,
         lower: impl FnOnce() -> Result<Program, CompileError>,
         cancel: Option<CancelToken>,
-        consulted: Option<Consult>,
     ) -> Result<CompileResult, CompileError> {
         let _root = self.tracer.span("compile");
         let lower_span = self.tracer.span("lower");
         let program = lower()?;
         let lower = lower_span.finish();
-        let mut result = match consulted {
-            Some(Consult::Hit(hit)) => {
-                let mut result = hit.into_single();
-                result.report.notes.extend(program.notes);
-                result
-            }
-            Some(Consult::Miss(key)) => {
-                self.compile_program(program, self.request_budget(cancel), Some(key))?
-            }
-            _ => self.compile_program(program, self.request_budget(cancel), None)?,
-        };
+        let mut result = self.compile_program(program, self.request_budget(cancel))?;
         result.report.stages.lower = lower;
         result.report.total_time += lower;
         if let Some(obs) = &self.obs {
@@ -555,7 +520,7 @@ impl Session {
     /// empty suite compiles to an empty result).
     #[must_use]
     pub fn compile_ir_suite(&self, programs: &[(&Stmt, &Placements)]) -> IrSuiteResult {
-        self.compile_programs(programs, self.request_budget(None), Job::Cached(None))
+        self.compile_frame(programs, self.request_budget(None), Job::Cached)
     }
 }
 

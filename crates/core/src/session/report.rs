@@ -154,16 +154,15 @@ impl ExtractionReport {
     }
 }
 
-/// Outcome for one statement that went through equality saturation.
+/// Outcome for one selection leaf.
 #[derive(Debug, Clone)]
 pub struct StmtReport {
-    /// Pretty-printed original statement.
-    pub original: String,
     /// Whether all data movements were absorbed into intrinsics.
     pub lowered: bool,
-    /// Saturation statistics (per-leaf mode; in batched mode the shared
-    /// run lives in [`CompileReport::batch`] and this is an empty
-    /// default).
+    /// Saturation statistics of the leaf's own graph (per-leaf mode; in
+    /// batched mode the shared run lives in [`CompileReport::batch`], and
+    /// for a leaf served from the report cache no run happened — both leave
+    /// this an empty default).
     pub eqsat: RunReport,
 }
 
@@ -174,14 +173,16 @@ pub struct StmtReport {
 pub struct CompileReport {
     /// Name of the target the session compiled for.
     pub target: String,
-    /// Per-statement outcomes (only statements that were saturated).
+    /// Per-statement outcomes, one per selection leaf, in leaf order.
     pub stmts: Vec<StmtReport>,
-    /// The shared-graph saturation report when the batched mode ran (the
-    /// per-statement `eqsat` reports are then empty defaults — the work
-    /// happened once, here).
+    /// The shared-graph saturation report when the batched mode ran a unit
+    /// (the per-statement `eqsat` reports are then empty defaults — the
+    /// work happened once, here). `None` when every leaf came from the
+    /// report cache.
     pub batch: Option<RunReport>,
     /// What the extraction stage did (cost-table size, per-root costs,
-    /// readout time). `None` when nothing was saturated.
+    /// readout time); a leaf served from the report cache adds its stored
+    /// cost and nothing else. `None` when the request had no leaves.
     pub extraction: Option<ExtractionReport>,
     /// Where on the degradation ladder this compile landed (the worst
     /// rung across its leaves; see [`CompileOutcome`]).
@@ -191,9 +192,9 @@ pub struct CompileReport {
     /// End-to-end compile time (lowering included).
     pub total_time: Duration,
     /// How the session's report cache treated this compile
-    /// ([`CacheOutcome::Bypass`] when no cache is attached). On a
-    /// [`CacheOutcome::Hit`] the rest of the report — timings included —
-    /// is the stored report of the compile that populated the entry.
+    /// ([`CacheOutcome::Bypass`] when no cache is attached). Either way the
+    /// rest of the report describes the work this compile did: on a
+    /// [`CacheOutcome::Hit`] that is annotation and splicing only.
     pub cache: CacheOutcome,
     /// Wall-clock spent restoring the e-graph snapshot, when this
     /// compile warm-started via
@@ -270,7 +271,7 @@ impl SuiteResult {
 /// ([`Session::compile_ir_suite`](super::Session::compile_ir_suite)):
 /// infallible, no isolation wrapping — the shape the benches and the
 /// snapshot / warm-start paths consume. It is also what every compile frame
-/// returns and what the report cache stores and a hit reproduces.
+/// returns.
 #[derive(Debug, Clone)]
 pub struct IrSuiteResult {
     /// The selected programs, in input order.

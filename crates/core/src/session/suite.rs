@@ -44,7 +44,7 @@ impl Session {
             let refs: Vec<(&Stmt, &Placements)> =
                 programs.iter().map(|p| (&p.stmt, &p.placements)).collect();
             let shared = catch_unwind(AssertUnwindSafe(|| {
-                self.compile_programs(&refs, budget.clone(), Job::Cached(None))
+                self.compile_frame(&refs, budget.clone(), Job::Cached)
             }));
             if let Ok(compiled) = shared {
                 return Ok(self.split_suite(compiled, &programs, lower));
@@ -68,7 +68,7 @@ impl Session {
         let mut results = Vec::with_capacity(lowered.len());
         for lowered_program in lowered {
             results.push(lowered_program.and_then(|program| {
-                let unit = self.compile_program(program, budget.clone(), None)?;
+                let unit = self.compile_program(program, budget.clone())?;
                 report.outcome = report.outcome.worst(unit.report.outcome);
                 report.stmts.extend(unit.report.stmts.iter().cloned());
                 report.notes.extend(unit.report.notes.iter().cloned());
@@ -134,14 +134,12 @@ impl Session {
     /// — an engine panic degrades to the unoptimized fallback; a second
     /// panic (inside annotation or the fallback itself) becomes
     /// [`CompileError::Engine`] — its front-end notes on its report. The
-    /// program is the compile's own: a stored compile's cache entry takes
-    /// the tree and the placements instead of copying them. `key` as in
-    /// [`Job::Cached`].
+    /// program is the compile's own, so the fallback can still annotate it
+    /// after a panic.
     pub(super) fn compile_program(
         &self,
         program: Program,
         budget: Budget,
-        key: Option<u64>,
     ) -> Result<CompileResult, CompileError> {
         let Program {
             stmt,
@@ -150,15 +148,10 @@ impl Session {
         } = program;
         let mut result = catch_unwind(AssertUnwindSafe(|| {
             let optimized = catch_unwind(AssertUnwindSafe(|| {
-                self.compile_frame(&[(&stmt, &placements)], budget, Job::Cached(key))
+                self.compile_frame(&[(&stmt, &placements)], budget, Job::Cached)
             }));
             match optimized {
-                Ok((compiled, store_under)) => {
-                    if let Some(key) = store_under {
-                        self.store(key, vec![(stmt, placements)], &compiled);
-                    }
-                    compiled.into_single()
-                }
+                Ok(compiled) => compiled.into_single(),
                 Err(payload) => self.fallback_unit(&stmt, &placements, &panic_message(&payload)),
             }
         }))
@@ -175,15 +168,14 @@ impl Session {
     fn fallback_unit(&self, stmt: &Stmt, placements: &Placements, cause: &str) -> CompileResult {
         let started = Instant::now();
         let annotated = self.annotate(stmt, placements);
-        let (leaves, _) = collect_suite_leaves(std::slice::from_ref(&annotated));
-        let stmts = leaves.iter().map(|s| StmtReport {
-            original: s.to_string(),
+        let (_, leaf_counts) = collect_suite_leaves(std::slice::from_ref(&annotated));
+        let unlowered = StmtReport {
             lowered: false,
             eqsat: RunReport::default(),
-        });
+        };
         let report = CompileReport {
             target: self.target.name().to_string(),
-            stmts: stmts.collect(),
+            stmts: vec![unlowered; leaf_counts[0]],
             outcome: CompileOutcome::FallbackUnoptimized,
             notes: vec![format!(
                 "engine fault; spliced the unoptimized program: {cause}"

@@ -27,7 +27,7 @@ impl Session {
     ) -> (IrSuiteResult, Option<SuiteSnapshot>) {
         let mut snapshot = None;
         let budget = self.request_budget(None);
-        let compiled = self.compile_programs(programs, budget, Job::Export(&mut snapshot));
+        let compiled = self.compile_frame(programs, budget, Job::Export(&mut snapshot));
         (compiled, snapshot)
     }
 
@@ -94,7 +94,7 @@ impl Session {
         // leaves add.
         let warm = WarmStart::capture(&mut ctx.graph);
         let budget = self.request_budget(None);
-        let mut result = self.compile_programs(programs, budget, Job::Warm(ctx, warm));
+        let mut result = self.compile_frame(programs, budget, Job::Warm(ctx, warm));
         result.report.snapshot_restore = Some(restore);
         Ok(result)
     }

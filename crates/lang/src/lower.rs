@@ -703,10 +703,6 @@ impl hardboiled::IntoProgram for Lowered {
             placements: self.placements,
         })
     }
-
-    fn view(&self) -> Option<(&Stmt, &hardboiled::Placements)> {
-        Some((&self.stmt, &self.placements))
-    }
 }
 
 #[cfg(test)]

@@ -22,7 +22,7 @@ fn main() {
     // the cost model derived from its device profile, and the batched mode
     // (every leaf of a program saturates in one shared e-graph). The
     // compiled rule set is built once and reused across both runs, a
-    // report cache memoizes repeat compiles outright, and a metrics
+    // report cache memoizes every leaf's selection, and a metrics
     // registry aggregates outcome/cache counters and per-stage latency
     // histograms across every compile the session runs.
     let metrics = Arc::new(MetricsRegistry::default());
@@ -84,12 +84,12 @@ fn main() {
         );
     }
 
-    // Repeats are lookups: compiling the same schedule again is served
-    // from the session's report cache without re-saturating.
+    // Repeats are lookups: compiling the same schedule again finds every
+    // leaf in the session's report cache and saturates nothing.
     let again = app.run_with(&session, true);
     if let Some(report) = &again.selection {
         println!(
-            "== Tensor Cores schedule, recompiled ==\n  cache: {:?} (same report, no saturation run)\n",
+            "== Tensor Cores schedule, recompiled ==\n  cache: {:?} (every leaf cached, no saturation run)\n",
             report.cache
         );
     }

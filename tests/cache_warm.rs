@@ -1,20 +1,33 @@
-//! The cache subsystem's end-to-end contract: report-cache hits return
-//! byte-identical programs, renamed siblings never serve each other,
-//! eviction respects capacity, and warm-started suite compiles are
-//! byte-identical to cold ones while probing strictly fewer relation
-//! rows. Damaged snapshots degrade to a clean cold compile with a typed
-//! rejection — never a panic.
+//! The cache subsystem's end-to-end contract: the report cache stores
+//! leaf selections, and a compile served from it — wholly, partly or not at
+//! all — selects exactly what an uncached compile does; renamed siblings
+//! never serve each other, truncated leaves are never stored, and eviction
+//! respects capacity. Warm-started suite compiles are byte-identical to
+//! cold ones while probing strictly fewer relation rows, and damaged
+//! snapshots degrade to a clean cold compile with a typed rejection —
+//! never a panic.
 
 use std::sync::Arc;
 
+use hardboiled_repro::apps::conv1d::Conv1d;
+use hardboiled_repro::apps::conv2d::Conv2d;
+use hardboiled_repro::apps::gemm_wmma::GemmWmma;
+use hardboiled_repro::apps::harness::max_rel_error;
+use hardboiled_repro::apps::matmul_amx::{AmxMatmul, Layout, Variant};
+use hardboiled_repro::apps::resample_int::{Downsample, Upsample};
+use hardboiled_repro::egraph::schedule::RunReport;
 use hardboiled_repro::egraph::snapshot::SnapshotError;
+use hardboiled_repro::exec::Interp;
+use hardboiled_repro::hardboiled::postprocess::normalize_temps;
 use hardboiled_repro::hardboiled::{
-    Batching, CacheOutcome, CompileOutcome, CompileService, Placements, ReportCache, Session,
-    SuiteSnapshot, Symbol, TruncationReason, WarmRejection,
+    Batching, CacheOutcome, CancelToken, CompileOutcome, CompileReport, CompileService, Placements,
+    ReportCache, Session, SessionBuilder, SuiteSnapshot, Symbol, Tracer, TruncationReason,
+    WarmRejection,
 };
 use hardboiled_repro::ir::builder as b;
 use hardboiled_repro::ir::stmt::Stmt;
 use hardboiled_repro::ir::types::{MemoryType, ScalarType, Type};
+use hardboiled_repro::lang::lower::{lower, Lowered};
 
 /// One accelerator-touching leaf (AMX-tile buffer): a store of a squared
 /// load, distinct per name so programs are distinguishable. Deliberately
@@ -43,7 +56,7 @@ fn cached_session(capacity: usize) -> (Session, Arc<ReportCache>) {
 }
 
 // ---------------------------------------------------------------------------
-// Layer 1: the report cache.
+// Layer 1: the report cache, one entry per leaf selection.
 
 #[test]
 fn repeat_compile_hits_and_returns_identical_program() {
@@ -57,6 +70,10 @@ fn repeat_compile_hits_and_returns_identical_program() {
     assert_eq!(hit.report.cache, CacheOutcome::Hit);
     assert_eq!(hit.program, cold.program, "hit must be byte-identical");
     assert_eq!(hit.report.outcome, cold.report.outcome);
+    // No unit ran: the leaf's report carries no engine run, and its cost
+    // is the stored one.
+    assert_eq!(hit.report.stmts[0].eqsat, RunReport::default());
+    assert_eq!(root_costs(&hit.report), root_costs(&cold.report));
 
     let stats = cache.stats();
     assert_eq!(stats.hits, 1);
@@ -68,7 +85,7 @@ fn repeat_compile_hits_and_returns_identical_program() {
 fn renamed_sibling_is_not_served_from_the_cache() {
     // "a" and "b" share a canonical hash (first-occurrence renaming maps
     // both to the same skeleton) but must never serve each other's
-    // programs — the stored request is verified exactly.
+    // selections — the stored leaf is verified exactly.
     let (session, cache) = cached_session(8);
 
     let a = session.compile(&tile_leaf("a")).unwrap();
@@ -77,6 +94,7 @@ fn renamed_sibling_is_not_served_from_the_cache() {
     assert_eq!(b_res.report.cache, CacheOutcome::Miss);
     assert_ne!(a.program, b_res.program, "programs keep their own names");
     assert_eq!(cache.stats().hits, 0);
+    assert_eq!(cache.len(), 2, "siblings occupy separate entries");
 
     // Both entries coexist under the shared hash bucket.
     let a2 = session.compile(&tile_leaf("a")).unwrap();
@@ -120,6 +138,18 @@ fn eviction_respects_capacity() {
     let a2 = session.compile(&tile_leaf("a")).unwrap();
     assert_eq!(a2.report.cache, CacheOutcome::Hit);
     assert_eq!(cache.len(), 1);
+
+    // A program with more distinct leaves than the cache holds: entries
+    // are leaves, so one compile evicts within itself, never overfills,
+    // and its recompile still finds some leaves missing.
+    let (session, cache) = cached_session(4);
+    let unrolled = lower(&Conv1d { n: 512, k: 32 }.pipeline_tc_unrolled()).unwrap();
+    for _ in 0..2 {
+        let result = session.compile(&unrolled).unwrap();
+        assert_eq!(result.report.cache, CacheOutcome::Miss);
+        assert_eq!(cache.len(), 4);
+    }
+    assert!(cache.stats().evictions > 0);
 }
 
 #[test]
@@ -146,6 +176,269 @@ fn service_workers_share_one_cache() {
     assert_eq!(stats.hits, 1);
     assert_eq!(stats.misses, 1);
     service.shutdown();
+}
+
+fn root_costs(report: &CompileReport) -> Vec<Option<u64>> {
+    (report.extraction.as_ref()).map_or_else(Vec::new, |e| e.root_costs.clone())
+}
+
+/// The `hb-apps` programs the leaf-cache oracles run over: one or more of
+/// every family, with the unrolled conv1d for its renamed-sibling leaves.
+fn app_programs() -> Vec<Lowered> {
+    let amx = AmxMatmul::default();
+    let pipelines = [
+        Conv1d { n: 512, k: 16 }.pipeline(true),
+        Conv1d { n: 512, k: 32 }.pipeline_tc_unrolled(),
+        Conv2d {
+            width: 256,
+            height: 64,
+            kw: 8,
+            kh: 3,
+        }
+        .pipeline(true),
+        GemmWmma {
+            m: 32,
+            k: 32,
+            n: 32,
+        }
+        .pipeline(true),
+        amx.pipeline(Layout::Standard, Variant::Reference).unwrap(),
+        amx.pipeline(Layout::Vnni, Variant::Reference).unwrap(),
+        Downsample { n: 128, k: 16 }.pipeline(true),
+        Upsample { n: 256, taps: 8 }.pipeline(true),
+    ];
+    pipelines.iter().map(|p| lower(p).unwrap()).collect()
+}
+
+/// What a cached compile must share with an uncached one: every program's
+/// text (gensyms renumbered), every leaf's lowering outcome and every root
+/// cost, in order.
+type Selected = (Vec<String>, Vec<bool>, Vec<Option<u64>>);
+
+/// The three compile shapes the oracle runs: per-leaf and batched sessions
+/// compiling one program per call, and one `compile_suite` call.
+#[derive(Debug, Clone, Copy)]
+enum Shape {
+    PerLeaf,
+    Batched,
+    Suite,
+}
+
+impl Shape {
+    fn session(self) -> SessionBuilder {
+        let batching = match self {
+            Shape::PerLeaf => Batching::PerLeaf,
+            Shape::Batched | Shape::Suite => Batching::Batched,
+        };
+        Session::builder().target_name("sim").batching(batching)
+    }
+
+    /// Compiles `programs` through this shape: what was selected, and each
+    /// call's cache outcome.
+    fn run(self, session: &Session, programs: &[Lowered]) -> (Selected, Vec<CacheOutcome>) {
+        let text = |program: &Stmt| normalize_temps(&program.to_string());
+        let (texts, reports): (Vec<String>, Vec<CompileReport>) = match self {
+            Shape::Suite => {
+                let suite = session.compile_suite(programs).unwrap();
+                let texts = suite.programs().unwrap().into_iter().map(text);
+                (texts.collect(), vec![suite.report])
+            }
+            Shape::PerLeaf | Shape::Batched => (programs.iter())
+                .map(|program| {
+                    let result = session.compile(program).unwrap();
+                    (text(&result.program), result.report)
+                })
+                .unzip(),
+        };
+        let lowered = reports
+            .iter()
+            .flat_map(|r| r.stmts.iter().map(|s| s.lowered));
+        let costs = reports.iter().flat_map(root_costs);
+        let outcomes = reports.iter().map(|r| r.cache).collect();
+        ((texts, lowered.collect(), costs.collect()), outcomes)
+    }
+}
+
+/// Leaves the units of the traced compiles since the last call read out:
+/// the `roots` of every `extract` span.
+fn compiled_leaves(tracer: &Tracer) -> usize {
+    let spans = tracer.finished();
+    tracer.clear();
+    let roots = spans.iter().filter(|s| s.name == "extract").map(|s| {
+        let (_, roots) = s.attrs.iter().find(|(k, _)| *k == "roots").unwrap();
+        roots.parse::<usize>().unwrap()
+    });
+    roots.sum()
+}
+
+/// The leaf cache's identity oracle: over the `hb-apps` programs, in every
+/// compile shape, a cold cache, a warm one and a partly warm one (some
+/// leaves hit, some compile — inside one request, too) select exactly what
+/// an uncached session does, at the same root costs and lowering outcomes.
+#[test]
+fn cached_compiles_select_what_uncached_ones_do() {
+    let programs = app_programs();
+    for shape in [Shape::PerLeaf, Shape::Batched, Shape::Suite] {
+        let uncached = shape.session().build().unwrap();
+        let (reference, _) = shape.run(&uncached, &programs);
+        let leaves = reference.1.len();
+        let cached = |capacity: usize| {
+            let cache = Arc::new(ReportCache::new(capacity));
+            let tracer = Tracer::new();
+            let session = (shape.session())
+                .report_cache(Arc::clone(&cache))
+                .tracer(tracer.clone())
+                .build()
+                .unwrap();
+            (session, cache, tracer)
+        };
+
+        let (session, cache, tracer) = cached(1024);
+        let (cold, _) = shape.run(&session, &programs);
+        assert_eq!(cold, reference, "{shape:?}: cold cache");
+        assert!(compiled_leaves(&tracer) > 0, "{shape:?}: nothing compiled");
+        let (warm, outcomes) = shape.run(&session, &programs);
+        assert_eq!(warm, reference, "{shape:?}: warm cache");
+        assert!(
+            outcomes.iter().all(|o| *o == CacheOutcome::Hit),
+            "{shape:?}"
+        );
+        assert_eq!(compiled_leaves(&tracer), 0, "{shape:?}: a hit ran a unit");
+
+        // One entry short of every distinct leaf: the second pass finds
+        // some leaves and compiles the rest.
+        let (session, _, tracer) = cached(cache.len() - 1);
+        let _ = shape.run(&session, &programs);
+        let _ = compiled_leaves(&tracer);
+        let (partly, outcomes) = shape.run(&session, &programs);
+        assert_eq!(partly, reference, "{shape:?}: partly warm cache");
+        let compiled = compiled_leaves(&tracer);
+        assert!(
+            0 < compiled && compiled < leaves,
+            "{shape:?}: {compiled} of {leaves} leaves compiled"
+        );
+        assert!(outcomes.contains(&CacheOutcome::Miss), "{shape:?}");
+    }
+}
+
+/// Runs `program`, a compile of `lowered`, on the AMX matmul's inputs under
+/// `hb-exec` and returns its output.
+fn run_matmul(app: &AmxMatmul, lowered: &Lowered, program: &Stmt) -> Vec<f64> {
+    let inputs = app.inputs();
+    let data = [
+        ("A", &inputs.a_buf),
+        ("B", &inputs.b_buf),
+        ("Bv", &inputs.b_vnni),
+    ];
+    let mut it = Interp::new();
+    for (name, elem, _) in &lowered.inputs {
+        let (_, values) = data.iter().find(|(n, _)| n == name).unwrap();
+        it.mem
+            .alloc_init(name, *elem, MemoryType::Heap, values)
+            .unwrap();
+    }
+    let len = usize::try_from(lowered.output_len).unwrap();
+    let out = &lowered.output_name;
+    it.mem
+        .alloc(out, lowered.output_elem, len, MemoryType::Heap)
+        .unwrap();
+    it.run_kernel(program).unwrap();
+    it.mem.snapshot(out).unwrap()
+}
+
+/// A program holding one leaf twice is served, once warm, from one stored
+/// selection: both copies splice the same statement, temporaries and all.
+/// Each temporary lives in its own `Allocate` scope, so the program still
+/// computes what the uncached one does — compared by outputs, because the
+/// shared temporary names make the texts differ.
+#[test]
+fn a_leaf_repeated_in_one_program_is_served_from_one_selection() {
+    // The standard layout needs a VNNI swizzle of B, which the selector
+    // materializes into an `__hb_tmpN` buffer.
+    let app = AmxMatmul::default();
+    let once = lower(&app.pipeline(Layout::Standard, Variant::Reference).unwrap()).unwrap();
+    let twice = Lowered {
+        stmt: b::block(vec![once.stmt.clone(), once.stmt.clone()]),
+        ..once.clone()
+    };
+    let uncached = Session::default().compile(&twice).unwrap();
+    let (session, cache) = cached_session(64);
+    let _ = session.compile(&twice).unwrap();
+    let leaves = cache.len();
+    let warm = session.compile(&twice).unwrap();
+    assert_eq!(warm.report.cache, CacheOutcome::Hit);
+    assert_eq!(warm.report.num_statements(), 2 * leaves, "each leaf twice");
+
+    let text = warm.program.to_string();
+    let temps = |text: &str| {
+        let mut names: Vec<&str> = (text.match_indices("__hb_tmp"))
+            .map(|(i, _)| {
+                let digits = text[i + 8..].bytes().take_while(u8::is_ascii_digit);
+                &text[i..i + 8 + digits.count()]
+            })
+            .collect();
+        names.sort_unstable();
+        names.dedup();
+        names.len()
+    };
+    assert!(temps(&text) > 0, "a temporary was materialized:\n{text}");
+    assert_eq!(2 * temps(&text), temps(&uncached.program.to_string()));
+
+    let served = run_matmul(&app, &twice, &warm.program);
+    assert_eq!(served, run_matmul(&app, &twice, &uncached.program));
+    assert!(max_rel_error(&served, &app.reference(&app.inputs())) < 0.05);
+}
+
+/// Only a leaf whose own unit fully saturated is stored: a leaf a match
+/// budget, a tripped cancel token or an injected fault stopped short is
+/// not, so a later clean compile of it is a miss that selects what an
+/// uncached compile does.
+#[test]
+fn truncated_leaves_store_nothing() {
+    let cache = Arc::new(ReportCache::new(8));
+    let sim = || {
+        Session::builder()
+            .target_name("sim")
+            .report_cache(Arc::clone(&cache))
+    };
+    let stmt = tile_leaf("cut");
+    let uncached = Session::default().compile(&stmt).unwrap();
+    let text = |program: &Stmt| normalize_temps(&program.to_string());
+
+    let capped = sim().match_budget(1).build().unwrap();
+    let cut = capped.compile(&stmt).unwrap();
+    let reason = TruncationReason::MatchBudget;
+    assert_eq!(cut.report.outcome, CompileOutcome::Truncated { reason });
+    assert_eq!(cut.report.cache, CacheOutcome::Miss);
+    assert!(cache.is_empty(), "a match-budget-truncated leaf was stored");
+
+    let clean = sim().build().unwrap();
+    let token = CancelToken::new();
+    token.cancel();
+    let cancelled = clean.compile_cancellable(&stmt, token).unwrap();
+    let reason = TruncationReason::Cancelled;
+    assert_eq!(
+        cancelled.report.outcome,
+        CompileOutcome::Truncated { reason }
+    );
+    assert!(cache.is_empty(), "a cancelled leaf was stored");
+
+    #[cfg(feature = "fault-injection")]
+    {
+        use hardboiled_repro::egraph::fault::{Fault, FaultPlan};
+        let plan = FaultPlan::new(Fault::NodeExplosion { at_iteration: 0 });
+        let faulted = sim().fault_plan(plan).build().unwrap();
+        let exploded = faulted.compile(&stmt).unwrap();
+        assert_ne!(exploded.report.outcome, CompileOutcome::Saturated);
+        assert_eq!(exploded.report.cache, CacheOutcome::Bypass);
+        assert!(cache.is_empty(), "a fault-injected leaf was stored");
+    }
+
+    let later = clean.compile(&stmt).unwrap();
+    assert_eq!(later.report.cache, CacheOutcome::Miss);
+    assert_eq!(later.report.outcome, CompileOutcome::Saturated);
+    assert_eq!(text(&later.program), text(&uncached.program));
+    assert_eq!(cache.len(), 1);
 }
 
 // ---------------------------------------------------------------------------

@@ -71,7 +71,7 @@ fn timeless(run: &RunReport) -> RunReport {
 fn digest(result: &CompileResult) -> String {
     let report = &result.report;
     let stmts: Vec<_> = (report.stmts.iter())
-        .map(|s| (&s.original, s.lowered, timeless(&s.eqsat)))
+        .map(|s| (s.lowered, timeless(&s.eqsat)))
         .collect();
     let extraction = (report.extraction.as_ref()).map(|e| (e.table_entries, &e.root_costs));
     format!(

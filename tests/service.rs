@@ -9,10 +9,10 @@
 //! neighbors, dropped tickets free their worker at every stage of the
 //! request's life, and the metrics ledger stays exact throughout.
 //!
-//! The front-door half pins what a service with a shared report cache
-//! answers on the submitting thread, what it still queues, and that every
-//! request is counted as exactly one hit, miss or bypass however many
-//! threads race for the same cache entry.
+//! The report-cache half pins that a service with a shared cache queues
+//! every request, hit or miss, returns what a direct uncached compile
+//! returns, and counts every request as exactly one hit, miss or bypass
+//! however many threads race for the same leaf entries.
 
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
@@ -450,7 +450,7 @@ fn dropped_ticket_after_completion_moves_no_counters() {
 }
 
 // ---------------------------------------------------------------------
-// The front door
+// The shared report cache
 // ---------------------------------------------------------------------
 
 /// One accelerator-touching leaf (AMX-tile buffer), distinct per name but
@@ -477,16 +477,6 @@ fn leaf_free(name: &str) -> Stmt {
     )
 }
 
-/// A source that offers no borrowed view — what a real front end looks
-/// like to the front door — around one that would.
-struct NoView<S>(S);
-
-impl<S: IntoProgram> IntoProgram for NoView<S> {
-    fn to_program(&self) -> Result<Program, CompileError> {
-        self.0.to_program()
-    }
-}
-
 fn cached_service(workers: usize, queue: usize, entries: usize) -> CompileService {
     CompileService::builder()
         .worker_threads(workers)
@@ -498,20 +488,19 @@ fn cached_service(workers: usize, queue: usize, entries: usize) -> CompileServic
 }
 
 /// What every route to one program's result must agree on.
-fn essence(result: &CompileResult) -> (String, Vec<(String, bool)>, Vec<String>) {
-    let stmts = result.report.stmts.iter();
+fn essence(result: &CompileResult) -> (String, Vec<bool>, Vec<String>) {
     (
         normalize_temps(&result.program.to_string()),
-        stmts.map(|s| (s.original.clone(), s.lowered)).collect(),
+        result.report.stmts.iter().map(|s| s.lowered).collect(),
         result.report.notes.clone(),
     )
 }
 
-/// A hit answered at the door, a hit found by a worker and the cold
-/// compile that stored the entry return the same program, statement
-/// reports and notes — and say truthfully which of the three they were.
+/// A hit and the cold compile that stored its leaves return the program,
+/// statement reports and notes of a direct, uncached compile — and say
+/// truthfully which of the two they were. Both ran on the worker.
 #[test]
-fn door_hit_worker_hit_and_cold_compile_agree() {
+fn worker_hit_and_cold_compile_agree() {
     let source = conv_source();
     let service = cached_service(1, 4, 8);
     let direct = Session::default().compile(&source).unwrap();
@@ -520,52 +509,28 @@ fn door_hit_worker_hit_and_cold_compile_agree() {
         "a lowered source has notes"
     );
 
-    let cold = service
-        .submit("sim", source.clone())
-        .unwrap()
-        .wait()
-        .unwrap();
+    let cold = service.submit("sim", source.clone()).unwrap();
+    let cold = cold.wait().unwrap();
     assert_eq!(cold.report.cache, CacheOutcome::Miss);
-    assert_eq!(counter(&service, "service.door_hits"), 0);
-
-    let door = service
-        .submit("sim", source.clone())
-        .unwrap()
-        .wait()
-        .unwrap();
-    assert_eq!(door.report.cache, CacheOutcome::Hit);
-    assert_eq!(counter(&service, "service.door_hits"), 1);
-    // Answered without a worker: still only the cold request ran on one.
-    assert_eq!(hist_count(&service, "service.run_ns"), 1);
-
-    // No view, no question asked at the door: queued, and the worker's own
-    // consult finds the entry.
-    let queued = service.submit("sim", NoView(source.clone())).unwrap();
-    let worker = queued.wait().unwrap();
-    assert_eq!(worker.report.cache, CacheOutcome::Hit);
-    assert_eq!(counter(&service, "service.door_hits"), 1);
+    let hit = service.submit("sim", source).unwrap().wait().unwrap();
+    assert_eq!(hit.report.cache, CacheOutcome::Hit);
     assert_eq!(hist_count(&service, "service.run_ns"), 2);
 
-    for (route, result) in [
-        ("cold", &cold),
-        ("door hit", &door),
-        ("worker hit", &worker),
-    ] {
+    for (route, result) in [("cold", &cold), ("hit", &hit)] {
         assert_eq!(essence(result), essence(&direct), "{route} diverged");
     }
     let stats = service.shared_cache().unwrap().stats();
-    assert_eq!((stats.hits, stats.misses, stats.bypasses), (2, 1, 0));
-    assert_eq!(counter(&service, "service.requests"), 3);
+    assert_eq!((stats.hits, stats.misses, stats.bypasses), (1, 1, 0));
+    assert_eq!(counter(&service, "service.requests"), 2);
     service.shutdown();
 }
 
-/// A door hit takes no queue slot: it resolves on a target whose queue is
-/// full and whose only worker is parked, moves neither `rejected_busy` nor
-/// the depth gauges, and leaves nothing to cancel. A source without a view
-/// is queued even when the cache holds its program — no front end runs on
-/// the submitting thread, or `submit` would park on the gate.
+/// A program the cache holds is a request like any other: it takes a queue
+/// slot (a full queue refuses it), waits behind a parked worker, and its
+/// dropped ticket cancels it. A renamed sibling shares the cached leaf's
+/// key, not its entry: it compiles on its own and keeps its names.
 #[test]
-fn door_hits_need_no_slot_and_leave_nothing_to_cancel() {
+fn a_cached_program_queues_like_any_other() {
     let gate = Gate::new();
     let service = cached_service(1, 1, 8);
     let _fail_not_hang = OpenOnDrop(gate.clone());
@@ -573,8 +538,8 @@ fn door_hits_need_no_slot_and_leave_nothing_to_cancel() {
     let stored = service.submit("sim", hot.clone()).unwrap().wait().unwrap();
     assert_eq!(stored.report.cache, CacheOutcome::Miss);
 
-    // Park the worker inside a request that has no view to ask about, then
-    // fill the queue's one slot with a program the cache does not hold.
+    // Park the worker, then fill the queue's one slot with the cached
+    // program: the next copy of it is refused.
     let gated = service
         .submit(
             "sim",
@@ -587,56 +552,48 @@ fn door_hits_need_no_slot_and_leave_nothing_to_cancel() {
     wait_until("the worker to pick up the gated request", || {
         gauge(&service, "service.queue_depth.sim") == 0
     });
-    let queued = service.submit("sim", tile_leaf("cold")).expect("slot 1");
-    assert!(matches!(
-        service.submit("sim", tile_leaf("colder")).unwrap_err(),
-        ServiceError::Busy { .. }
-    ));
+    let queued = service.submit("sim", hot.clone()).expect("slot 1");
+    assert_eq!(
+        service.submit("sim", hot.clone()).unwrap_err(),
+        ServiceError::Busy {
+            target: "sim".to_string(),
+            depth: 1,
+        }
+    );
     assert_eq!(counter(&service, "service.rejected_busy"), 1);
-
-    // The cached program is answered all the same.
-    let answered = service.submit("sim", hot.clone()).expect("needs no slot");
-    let hit = answered.wait().unwrap();
-    assert_eq!(hit.report.cache, CacheOutcome::Hit);
-    assert_eq!(hit.program, stored.program);
-    assert_eq!(counter(&service, "service.rejected_busy"), 1);
-    assert_eq!(gauge(&service, "service.queue_depth.sim"), 1);
-    assert_eq!(counter(&service, "service.door_hits"), 1);
-
-    // Dropping a ticket that was born resolved cancels nothing.
-    drop(service.submit("sim", hot.clone()).expect("needs no slot"));
-    assert_eq!(counter(&service, "service.door_hits"), 2);
-    assert_eq!(counter(&service, "service.cancelled"), 0);
-
-    // A renamed sibling shares the cached program's key, not its entry:
-    // the door's lookup compares the request itself, so it is queued like
-    // any miss (here: refused, the queue being full).
-    assert!(matches!(
-        service.submit("sim", tile_leaf("sibling")).unwrap_err(),
-        ServiceError::Busy { .. }
-    ));
-    assert_eq!(counter(&service, "service.door_hits"), 2);
+    drop(queued);
 
     gate.open();
     assert!(gated.wait().is_ok());
-    assert_eq!(queued.wait().unwrap().report.cache, CacheOutcome::Miss);
+    wait_until("the worker to skip the cancelled copy", || {
+        counter(&service, "service.cancelled") == 1
+    });
+    let hit = service.submit("sim", hot).unwrap().wait().unwrap();
+    assert_eq!(hit.report.cache, CacheOutcome::Hit);
+    assert_eq!(hit.program, stored.program);
+
     let sibling = service.submit("sim", tile_leaf("sibling")).unwrap();
     let sibling = sibling.wait().unwrap();
     assert_eq!(sibling.report.cache, CacheOutcome::Miss);
     assert_ne!(sibling.program, stored.program, "a sibling keeps its names");
     let again = service.submit("sim", tile_leaf("sibling")).unwrap();
-    assert_eq!(again.wait().unwrap().program, sibling.program);
-    assert_eq!(counter(&service, "service.cancelled"), 0);
+    let again = again.wait().unwrap();
+    assert_eq!(again.report.cache, CacheOutcome::Hit);
+    assert_eq!(again.program, sibling.program);
+
+    // Six accepted, one skipped: every other request ran on the worker.
+    assert_eq!(counter(&service, "service.requests"), 6);
+    assert_eq!(hist_count(&service, "service.run_ns"), 5);
     assert_eq!(gauge(&service, "service.queue_depth"), 0);
     service.shutdown();
 }
 
 /// A session with a fault plan installed never consults the cache — an
-/// injected fault must not be memoized — so its service has no front door:
-/// every request is queued and counted as a bypass, as before there was one.
+/// injected fault must not be memoized — so every request it serves is
+/// compiled in full and counted as a bypass.
 #[cfg(feature = "fault-injection")]
 #[test]
-fn fault_injected_sessions_have_no_front_door() {
+fn fault_injected_sessions_bypass_the_cache() {
     use hardboiled_repro::egraph::fault::{Fault, FaultPlan};
 
     let plan = FaultPlan::new(Fault::RulePanic {
@@ -657,17 +614,17 @@ fn fault_injected_sessions_have_no_front_door() {
             .unwrap();
         assert_eq!(result.report.cache, CacheOutcome::Bypass);
     }
-    let stats = service.shared_cache().unwrap().stats();
+    let cache = service.shared_cache().unwrap();
+    let stats = cache.stats();
     assert_eq!((stats.hits, stats.misses, stats.bypasses), (0, 0, 2));
-    assert_eq!(counter(&service, "service.door_hits"), 0);
+    assert!(cache.is_empty());
     assert_eq!(hist_count(&service, "service.run_ns"), 2);
     service.shutdown();
 }
 
 /// Four submitters race a skewed request sequence through two workers and
-/// an 8-entry cache: entries are stored, hit at the door, hit by a worker
-/// that was queued behind the compile storing them, and evicted, all at
-/// once. Every request must come back as the direct, uncached compile of
+/// an 8-entry cache: leaf entries are stored, hit by a worker that was
+/// queued behind the compile storing them, and evicted, all at once. Every request must come back as the direct, uncached compile of
 /// its program and be counted exactly once — as the hit, miss or bypass
 /// its own report says it was.
 #[test]
@@ -741,11 +698,10 @@ fn cache_accounting_is_conserved_under_contention() {
     assert_eq!(counter(&service, "cache.hits"), stats.hits);
     assert_eq!(counter(&service, "cache.misses"), stats.misses);
     assert_eq!(counter(&service, "cache.bypasses"), stats.bypasses);
-    // Every request was answered at the door or run by a worker, and the
-    // scenario did exercise what it is about.
-    let door_hits = counter(&service, "service.door_hits");
-    assert_eq!(door_hits + hist_count(&service, "service.run_ns"), requests);
-    assert!(door_hits > 0 && door_hits <= stats.hits);
+    // Every request ran on a worker, and the scenario did exercise what it
+    // is about.
+    assert_eq!(hist_count(&service, "service.run_ns"), requests);
+    assert!(stats.hits > 0);
     assert!(stats.misses > 16, "nothing was evicted and compiled again");
     assert!(stats.evictions > 0);
     service.shutdown();
