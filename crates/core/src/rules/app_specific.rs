@@ -109,7 +109,7 @@ pub fn rules() -> Vec<Rw> {
                 [tyid, an, base, stride, m_lit],
             ));
             let (m_id, k_id) = (bound(s, "m"), bound(s, "k"));
-            eg.relations.insert("amx-a-tile", &[a, tile, m_id, k_id])
+            eg.insert_tuple("amx-a-tile", &[a, tile, m_id, k_id])
         }),
     ));
 
@@ -138,7 +138,7 @@ pub fn rules() -> Vec<Rw> {
             let idx = eg.add(HbLang::Ramp([row, stride_b, m_id]));
             let tyid = ty(eg, ScalarType::BF16, m * k);
             let dense = eg.add(HbLang::Load([tyid, an, idx]));
-            eg.relations.insert("amx-a-tile", &[a, dense, m_id, k_id])
+            eg.insert_tuple("amx-a-tile", &[a, dense, m_id, k_id])
         }),
     ));
 
@@ -187,7 +187,7 @@ pub fn rules() -> Vec<Rw> {
                 [tyid, tmp, zero, two_n, khalf],
             ));
             let (k_id, n_id) = (bound(s, "k"), bound(s, "n"));
-            eg.relations.insert("amx-b-tile", &[b, tile, k_id, n_id])
+            eg.insert_tuple("amx-b-tile", &[b, tile, k_id, n_id])
         }),
     ));
 
@@ -220,7 +220,7 @@ pub fn rules() -> Vec<Rw> {
             ));
             let k_full = num(eg, 2 * khalf);
             let n_id = bound(s, "n");
-            eg.relations.insert("amx-b-tile", &[b, tile, k_full, n_id])
+            eg.insert_tuple("amx-b-tile", &[b, tile, k_full, n_id])
         }),
     ));
 
@@ -253,7 +253,7 @@ pub fn rules() -> Vec<Rw> {
             let dense = eg.add(HbLang::Load([tyid, bn, idx]));
             let k_full = num(eg, 2 * khalf);
             let n_id = bound(s, "n");
-            eg.relations.insert("amx-b-tile", &[b, dense, k_full, n_id])
+            eg.insert_tuple("amx-b-tile", &[b, dense, k_full, n_id])
         }),
     ));
 
@@ -541,6 +541,6 @@ fn conv_like_rule(
 /// checks are meaningful in reports).
 pub fn declare_relations(eg: &mut HbGraph) {
     for r in ["amx-a-tile", "amx-b-tile"] {
-        eg.relations.declare(r);
+        eg.declare_relation(r);
     }
 }

@@ -42,7 +42,7 @@ pub fn rules() -> Vec<Rw> {
             Box::new(|eg: &mut HbGraph, s| {
                 let e = bound(s, "e");
                 let t = bound(s, "t");
-                eg.relations.insert("has-type", &[e, t])
+                eg.insert_tuple("has-type", &[e, t])
             }),
         ));
     }
@@ -82,7 +82,7 @@ mod tests {
         );
         let id = encode_expr(&mut eg, &e);
         Runner::default().run_to_fixpoint(&mut eg, &rules(), Budget::none());
-        let facts: Vec<_> = eg.relations.tuples("has-type").collect();
+        let facts: Vec<_> = eg.relations().tuples("has-type").collect();
         assert_eq!(facts.len(), 1);
         assert_eq!(eg.find(facts[0][0]), eg.find(id));
     }

@@ -7,7 +7,7 @@ use std::time::Instant;
 
 use hb_egraph::extract::{Extract, ExtractScratch, WorklistExtractor};
 use hb_egraph::pattern::MatchScratch;
-use hb_egraph::schedule::{Budget, RunReport, WarmStart};
+use hb_egraph::schedule::{Budget, RunReport};
 use hb_egraph::unionfind::Id;
 use hb_ir::expr::Expr;
 use hb_ir::stmt::Stmt;
@@ -68,9 +68,10 @@ pub(super) enum Job<'a> {
     /// has no shared graph, and a budget-truncated one would warm-start
     /// later compiles unsaturated.
     Export(&'a mut Option<SuiteSnapshot>),
-    /// Run one shared unit in this restored context, warm-started, whatever
-    /// the session's batching.
-    Warm(Box<CompileCtx>, WarmStart),
+    /// Run one shared unit in this restored context, warm-started at this
+    /// epoch (every rule as if it had last searched then), whatever the
+    /// session's batching.
+    Warm(Box<CompileCtx>, u64),
 }
 
 /// A missed leaf as its unit left it: the selection, the engine report of

@@ -2,7 +2,6 @@
 //! warm-start a compile from it. The only part of the session that
 //! restores a graph or can reject a snapshot.
 
-use hb_egraph::schedule::WarmStart;
 use hb_ir::stmt::Stmt;
 
 use super::frame::{CompileCtx, Job};
@@ -92,7 +91,7 @@ impl Session {
         // Everything in the restored graph predates the warm epoch: the
         // delta the phased schedule re-searches is exactly what the new
         // leaves add.
-        let warm = WarmStart::capture(&mut ctx.graph);
+        let warm = ctx.graph.bump_epoch();
         let budget = self.request_budget(None);
         let mut result = self.compile_frame(programs, budget, Job::Warm(ctx, warm));
         result.report.snapshot_restore = Some(restore);

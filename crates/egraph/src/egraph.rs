@@ -23,8 +23,12 @@
 //!   deterministically on rebuild) make "classes whose `k` rows changed
 //!   since epoch `e`" an O(changes-to-`k`) query
 //!   ([`EGraph::modified_candidates_for`]). A class-level epoch (the max
-//!   over its rows) and a global log are kept alongside: they serve
-//!   variable-rooted patterns and the scheduler's quiescence check.
+//!   over its rows) serves variable-rooted patterns, and one watermark —
+//!   the epoch of the last class change — the scheduler's quiescence
+//!   check;
+//! * **one clock**: relation tuples are stamped with the same epochs
+//!   ([`EGraph::insert_tuple`]), so one cutoff reads both class and tuple
+//!   changes.
 
 use std::collections::BTreeMap;
 use std::fmt::Debug;
@@ -219,8 +223,9 @@ pub struct EGraph<L: Language, N: Analysis<L> = ()> {
     num_nodes: usize,
     pending: Vec<(L, Id)>,
     analysis_pending: Vec<(L, Id)>,
-    /// Datalog-style relations over e-class ids (egglog's `relation`s).
-    pub relations: Relations,
+    /// Datalog-style relations over e-class ids (egglog's `relation`s),
+    /// stamped with this graph's epochs.
+    relations: Relations,
     clean: bool,
     /// Operator index: `op_key` → classes containing a node with that key.
     /// Entries may be stale (non-canonical) or duplicated between rebuilds;
@@ -235,12 +240,10 @@ pub struct EGraph<L: Language, N: Analysis<L> = ()> {
     /// Classes stamped since the last rebuild, awaiting upward epoch
     /// propagation.
     touched: Vec<Id>,
-    /// Append-only log of `(epoch, class)` modification events, epochs
-    /// nondecreasing — the class-granular delta read path
-    /// ([`EGraph::modified_since`], variable-rooted patterns, the
-    /// quiescence check). Compacted on rebuild once it outgrows the class
-    /// table.
-    modified_log: Vec<(u64, Id)>,
+    /// Epoch of the last class modification (an add, a stamp, or a
+    /// propagation step), 0 before the first — the whole-graph
+    /// quiescence watermark behind [`EGraph::any_modified_since`].
+    last_modified: u64,
     /// Per-operator append-only logs of `(epoch, class)` row-modification
     /// events, epochs nondecreasing within each log — the op-keyed delta
     /// read path ([`EGraph::modified_candidates_for`]). A class appears in
@@ -279,7 +282,7 @@ impl<L: Language, N: Analysis<L>> Default for EGraph<L, N> {
             dirty_ops: FastSet::default(),
             dirty_classes: Vec::new(),
             touched: Vec::new(),
-            modified_log: Vec::new(),
+            last_modified: 0,
             modified_log_by_op: OpRows::default(),
             work_epoch: 1,
             unioned_since_rebuild: false,
@@ -341,7 +344,7 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
         self.dirty_ops.clear();
         self.dirty_classes.clear();
         self.touched.clear();
-        self.modified_log.clear();
+        self.last_modified = 0;
         self.modified_log_by_op.clear();
         self.work_epoch = 1;
         self.unioned_since_rebuild = false;
@@ -423,11 +426,40 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
 
     /// Advances the modification clock and returns the new epoch. A caller
     /// that records the returned value `e` and later asks for classes with
-    /// `modified_epoch() >= e` sees exactly the classes (transitively)
-    /// modified after the bump.
+    /// `modified_epoch() >= e`, or for tuples stamped at or after `e`, sees
+    /// exactly the classes (transitively) modified and the tuples changed
+    /// after the bump.
     pub fn bump_epoch(&mut self) -> u64 {
         self.work_epoch += 1;
         self.work_epoch
+    }
+
+    /// The relation store, read-only: every write goes through
+    /// [`EGraph::insert_tuple`] so that it carries this graph's epoch.
+    #[must_use]
+    pub fn relations(&self) -> &Relations {
+        &self.relations
+    }
+
+    /// Inserts a tuple into relation `name`, stamped with the current
+    /// epoch; returns whether it was new.
+    pub fn insert_tuple(&mut self, name: &str, tuple: &[Id]) -> bool {
+        self.relations.insert(name, tuple, self.work_epoch)
+    }
+
+    /// Declares relation `name` (idempotent). Insertion auto-declares, so
+    /// this is only needed when emptiness of an undeclared relation
+    /// matters.
+    pub fn declare_relation(&mut self, name: &str) {
+        self.relations.declare(name);
+    }
+
+    /// Whether any class was (transitively) modified, or any relation
+    /// tuple changed, at or after `cutoff` — what a pure rule that last
+    /// searched at `cutoff` could see. O(relations).
+    #[must_use]
+    pub(crate) fn changed_since(&self, cutoff: u64) -> bool {
+        self.any_modified_since(cutoff) || self.relations.any_changed_since(cutoff)
     }
 
     /// Canonical ids of classes that contain at least one e-node whose
@@ -466,37 +498,28 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
             }
         }
         self.touched.push(id);
-        self.modified_log.push((epoch, id));
+        self.last_modified = epoch;
     }
 
-    /// Writes to `out` the canonical ids, sorted and deduplicated, of the
-    /// classes a modification log names at or after `cutoff`.
-    fn log_tail(&self, log: &[(u64, Id)], cutoff: u64, out: &mut Vec<Id>) {
-        out.clear();
-        let start = log.partition_point(|&(e, _)| e < cutoff);
-        // No liveness filter needed: `find` maps every logged id to a
-        // canonical root, and every root has a live class.
-        out.extend(log[start..].iter().map(|&(_, id)| self.find(id)));
-        out.sort_unstable();
-        out.dedup();
-    }
-
-    /// Writes to `out` (replacing its contents) the canonical ids of
-    /// classes (transitively) modified at or after `cutoff`, via the
-    /// modification log — O(changes), not O(classes), so a delta probe
-    /// over a saturated graph is free. May contain classes whose last
-    /// modification is slightly older than `cutoff` (log entries are
-    /// stamped at append time); such false positives only cost the matcher
-    /// a probe.
+    /// Writes to `out` (replacing its contents) the canonical ids,
+    /// ascending, of the classes whose epoch is at or after `cutoff` —
+    /// the delta enumeration of a variable-rooted pattern. A scan of the
+    /// class table: only patterns rooted at a bare variable need it, and
+    /// every other probe reads a per-op log.
     pub fn modified_since(&self, cutoff: u64, out: &mut Vec<Id>) {
-        self.log_tail(&self.modified_log, cutoff, out);
+        out.clear();
+        out.extend(
+            self.classes()
+                .filter(|class| class.modified >= cutoff)
+                .map(|class| class.id),
+        );
     }
 
     /// Whether any class was (transitively) modified at or after `cutoff`.
-    /// O(log changes) — the scheduler's cheap quiescence check.
+    /// O(1) — the scheduler's cheap quiescence check.
     #[must_use]
     pub fn any_modified_since(&self, cutoff: u64) -> bool {
-        self.modified_log.partition_point(|&(e, _)| e < cutoff) < self.modified_log.len()
+        self.last_modified >= cutoff
     }
 
     /// Writes to `out` (replacing its contents) the canonical ids of
@@ -505,11 +528,18 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
     /// that operator. Reads the per-op log tail, so the cost is O(changes
     /// to `key` rows), zero when that operator was untouched — a union in
     /// a region with no `key` activity does not widen this probe. Sorted
-    /// and deduplicated; may over-approximate like
-    /// [`EGraph::modified_since`] (false positives cost the matcher a
-    /// probe).
+    /// and deduplicated; may over-approximate, since a log entry carries
+    /// the epoch it was appended at, which can be later than the row's
+    /// (false positives cost the matcher a probe).
     pub fn modified_candidates_for(&self, key: u64, cutoff: u64, out: &mut Vec<Id>) {
-        self.log_tail(self.modified_log_by_op.row(key), cutoff, out);
+        out.clear();
+        let log = self.modified_log_by_op.row(key);
+        let start = log.partition_point(|&(e, _)| e < cutoff);
+        // No liveness filter needed: `find` maps every logged id to a
+        // canonical root, and every root has a live class.
+        out.extend(log[start..].iter().map(|&(_, id)| self.find(id)));
+        out.sort_unstable();
+        out.dedup();
     }
 
     /// Canonicalizes the children of `node` in place, compressing paths.
@@ -570,7 +600,7 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
         self.live += 1;
         self.num_nodes += 1;
         self.classes_by_op.push(key, id);
-        self.modified_log.push((epoch, id));
+        self.last_modified = epoch;
         self.modified_log_by_op.push(key, (epoch, id));
         self.memo.insert(node, id);
         id
@@ -712,7 +742,8 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
         }
         if self.unioned_since_rebuild {
             let uf = &self.unionfind;
-            self.relations.canonicalize(|id| uf.find(id));
+            self.relations
+                .canonicalize(|id| uf.find(id), self.work_epoch);
             self.unioned_since_rebuild = false;
         }
         self.propagate_epochs();
@@ -720,13 +751,9 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
         self.clean = true;
     }
 
-    /// Bounds the modification logs once they outgrow what they describe:
-    /// the global log against the class table, each per-op log against its
-    /// index row (see [`compact_log`]).
+    /// Bounds the per-op modification logs once they outgrow what they
+    /// describe: each against its index row (see [`compact_log`]).
     fn compact_modified_logs(&mut self) {
-        if self.modified_log.len() > 1024.max(4 * self.live) {
-            compact_log(&mut self.modified_log, &self.unionfind, &mut self.max_epoch);
-        }
         for (&key, log) in &mut self.modified_log_by_op.rows {
             if log.len() > 64.max(4 * self.classes_by_op.row(key).len()) {
                 compact_log(log, &self.unionfind, &mut self.max_epoch);
@@ -779,7 +806,7 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
                 }
                 if parent.modified < epoch {
                     parent.modified = epoch;
-                    self.modified_log.push((self.work_epoch, pid));
+                    self.last_modified = self.work_epoch;
                     worklist.push(pid);
                 }
             }
@@ -1040,11 +1067,7 @@ where
             }
         }
 
-        w.len(self.modified_log.len());
-        for &(e, id) in &self.modified_log {
-            w.u64(e);
-            w.id(id);
-        }
+        w.u64(self.last_modified);
 
         let mut op_logs: Vec<(u64, &Vec<(u64, Id)>)> = self
             .modified_log_by_op
@@ -1250,38 +1273,35 @@ where
             }
         }
 
-        let read_log = |r: &mut SnapshotReader<'_>| -> Result<Vec<(u64, Id)>, SnapshotError> {
+        let last_modified = r.u64()?;
+        if last_modified > work_epoch {
+            return Err(corrupt("last modification is past the clock"));
+        }
+        let n_logs = r.len()?;
+        let mut modified_log_by_op: OpRows<(u64, Id)> = OpRows::default();
+        for _ in 0..n_logs {
+            let key = key_at(&op_keys, r.u64()?)?;
             let len = r.len()?;
             let mut log = Vec::with_capacity(len);
             let mut last = 0u64;
             for _ in 0..len {
                 let e = r.u64()?;
                 if e < last || e > work_epoch {
-                    return Err(SnapshotError::Corrupt(
-                        "modification log is not sorted within the clock".into(),
-                    ));
+                    return Err(corrupt("modification log is not sorted within the clock"));
                 }
                 last = e;
                 let id = r.id()?;
                 if id.index() >= n {
-                    return Err(SnapshotError::Corrupt("logged id out of bounds".into()));
+                    return Err(corrupt("logged id out of bounds"));
                 }
                 log.push((e, id));
             }
-            Ok(log)
-        };
-        let modified_log = read_log(&mut r)?;
-        let n_logs = r.len()?;
-        let mut modified_log_by_op: OpRows<(u64, Id)> = OpRows::default();
-        for _ in 0..n_logs {
-            let key = key_at(&op_keys, r.u64()?)?;
-            let log = read_log(&mut r)?;
             if modified_log_by_op.rows.insert(key, log).is_some() {
                 return Err(corrupt("duplicate per-op modification log"));
             }
         }
 
-        let relations = Relations::read_snapshot(&mut r)?;
+        let relations = Relations::read_snapshot(&mut r, work_epoch)?;
         if !r.is_exhausted() {
             return Err(corrupt("trailing bytes after payload"));
         }
@@ -1301,7 +1321,7 @@ where
             dirty_ops: FastSet::default(),
             dirty_classes: Vec::new(),
             touched: Vec::new(),
-            modified_log,
+            last_modified,
             modified_log_by_op,
             work_epoch,
             unioned_since_rebuild: false,
@@ -1472,7 +1492,7 @@ mod tests {
         eg.modified_since(cutoff, &mut any_op);
         assert!(
             any_op.contains(&u),
-            "the class-level log still names the class"
+            "the class-level epoch still names the class"
         );
         eg.check_op_epochs();
     }

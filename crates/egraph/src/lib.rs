@@ -39,7 +39,7 @@
 //!   all of them. One entry point per job:
 //!   [`rewrite::CompiledQuery::search`] searches and
 //!   [`rewrite::Rewrite::run`] searches and applies, each in full
-//!   (`since: None`) or against delta cutoffs (`Some`);
+//!   (`since: None`) or against one delta cutoff epoch (`Some(epoch)`);
 //!   [`schedule::Runner::run_phased_in`] and
 //!   [`schedule::Runner::run_to_fixpoint`] saturate under the caller's
 //!   [`schedule::Budget`]. The scheduler holds one
@@ -142,16 +142,25 @@
 //!   epoch `e`" an O(changes-to-`k`) query, and [`schedule::Runner`]
 //!   records a per-rule epoch so a rule rooted at `Mul` re-probes only
 //!   classes whose `Mul` rows changed since it last ran; saturated phases
-//!   cost almost nothing. A class-level epoch (the max over rows) and a
-//!   global log back variable-rooted patterns and the quiescence check.
+//!   cost almost nothing. A class-level epoch (the max over rows) backs
+//!   variable-rooted patterns (a scan; no shipped rule has one), and one
+//!   watermark — the epoch of the last class change — the quiescence
+//!   check.
 //!   Probed vs skipped row counts land in `RunReport::delta_probed_rows` /
 //!   `delta_skipped_rows`. Soundness rests on every rule being pure
 //!   ([`rewrite::Rewrite::rule`]) and is documented in [`schedule`].
 //!
+//! * **One engine clock.** Relation tuples are stamped with the e-graph's
+//!   own epoch ([`egraph::EGraph::insert_tuple`]; the store has no clock,
+//!   tick or version of its own), so a rule keeps *one* cutoff — the epoch
+//!   it last searched at — for its pattern atoms and its relation atoms,
+//!   `since` is one number, and "did anything this rule can see change?"
+//!   is one O(relations) check on the graph.
+//!
 //! * **Semi-naive relation queries.** Queries that join relation atoms or
 //!   fresh-variable pattern atoms (not coverable by a single root probe)
 //!   are delta-evaluated Datalog-style: [`relation::Relations`] stamps
-//!   every tuple with the tick of its last change (insertion *or*
+//!   every tuple with the epoch of its last change (insertion *or*
 //!   canonicalization rewrite), and a delta [`rewrite::CompiledQuery::search`]
 //!   runs one join round per atom with that atom restricted to — and the
 //!   join re-ordered to start from — its delta. Relation deltas are read
@@ -195,8 +204,9 @@
 //! [`egraph::EGraph::snapshot`] serializes a clean (rebuilt) graph —
 //! union-find, classes with node lists and analysis data, operator index
 //! rows, the `(class, op_key)` epoch rows with their delta logs, and the
-//! relation store with its change logs — into a versioned, checksummed,
-//! dependency-free byte format ([`snapshot`]); [`egraph::EGraph::restore`]
+//! relation store with its epoch-stamped change logs — into a versioned,
+//! checksummed, dependency-free byte format ([`snapshot`]);
+//! [`egraph::EGraph::restore`]
 //! rebuilds the graph from those bytes, rejecting truncated, corrupted or
 //! version-bumped input with a typed [`snapshot::SnapshotError`] (never a
 //! panic, so callers can fall back to a cold build). Design points:
@@ -208,11 +218,11 @@
 //! * **Derived state is rebuilt, not stored.** The hash-cons memo is
 //!   reconstructed from the class node lists (exact on the clean graphs
 //!   `snapshot` accepts); worklists are empty by construction.
-//! * **Delta state survives.** Epoch rows, modification logs and
-//!   relation change ticks round-trip exactly, so a restored *saturated*
-//!   graph can warm-start: capture [`schedule::WarmStart`] cutoffs, encode
-//!   the new material (hash-consing dedups everything already present),
-//!   and pass them to [`schedule::Runner::run_phased_in`] — every rule starts
+//! * **Delta state survives.** The clock, epoch rows, modification logs
+//!   and tuple stamps round-trip exactly, so a restored *saturated* graph
+//!   can warm-start: bump the epoch, encode the new material
+//!   (hash-consing dedups everything already present), and pass the
+//!   bumped epoch to [`schedule::Runner::run_phased_in`] — every rule starts
 //!   "as if it had just searched the old graph" and only the semi-naive
 //!   delta for the new leaves is evaluated. Warm results are
 //!   byte-identical to cold ones (same closure, same content-based
@@ -313,6 +323,6 @@ pub use language::{Language, RecExpr};
 pub use pattern::{MatchScratch, Pattern, Subst};
 pub use relation::Relations;
 pub use rewrite::{Atom, CompiledQuery, Query, Rewrite};
-pub use schedule::{Budget, CancelToken, RunReport, Runner, WarmStart};
+pub use schedule::{Budget, CancelToken, RunReport, Runner};
 pub use snapshot::{SnapshotAnalysis, SnapshotError, SnapshotNode, SnapshotReader, SnapshotWriter};
 pub use unionfind::{Id, UnionFind};

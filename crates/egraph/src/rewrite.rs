@@ -32,8 +32,9 @@
 //! same *sequence*.
 //!
 //! Every search mode is this walk with a different first step. One entry
-//! point serves them all: `since: None` is a full search, `Some((epoch,
-//! rel_tick))` a delta search against those cutoffs.
+//! point serves them all: `since: None` is a full search, `Some(epoch)` a
+//! delta search against that one cutoff — class epochs and relation tuple
+//! stamps run on the same clock.
 //!
 //! * a **full** search starts at atom 0 with its operator's whole index
 //!   row;
@@ -48,7 +49,7 @@
 //! ## Delta search
 //!
 //! A delta search finds every match that did not exist when the caller's
-//! cutoffs were recorded. Two regimes:
+//! cutoff was recorded. Two regimes:
 //!
 //! * **single-root** queries (every enumeration descends from the first
 //!   pattern atom's root — see [`CompiledQuery::delta_eligible`]) probe
@@ -56,8 +57,8 @@
 //! * everything else — joins with relation atoms or fresh-variable pattern
 //!   atoms — is evaluated **semi-naively**: one round per atom, where round
 //!   `i` restricts atom `i` to its *delta* (classes modified since the
-//!   epoch cutoff for pattern atoms, tuples changed since the relation tick
-//!   for relation atoms — see [`crate::relation::Relations::tuples_since`])
+//!   cutoff for pattern atoms, tuples stamped since it for relation atoms —
+//!   see [`crate::relation::Relations::tuples_since`])
 //!   and every other atom to its full extent. A new match must use at
 //!   least one new atom-match, so the union of the rounds covers exactly
 //!   the new matches; rounds over a quiescent graph and relation store are
@@ -223,7 +224,7 @@ impl<L: Language> Query<L> {
                 }
                 Atom::Rel { name, vars } => {
                     for s in &substs {
-                        for tuple in egraph.relations.tuples(name) {
+                        for tuple in egraph.relations().tuples(name) {
                             if tuple.len() != vars.len() {
                                 continue;
                             }
@@ -257,26 +258,6 @@ enum CompiledAtom<L> {
     Rel { name: String, slots: Vec<u32> },
 }
 
-/// How a search pass restricts its enumerations (see the module docs).
-#[derive(Clone, Copy)]
-enum Restrict {
-    /// Full join over every atom.
-    Full,
-    /// Single-root delta: the first atom's root enumeration probes only
-    /// classes whose root-operator rows were stamped at or after the epoch
-    /// (sound for delta-eligible queries, whose only enumeration that is).
-    Root(u64),
-    /// One semi-naive round: atom `index` is evaluated first and
-    /// restricted to its delta (classes modified at/after `epoch` for
-    /// pattern atoms, tuples changed after `rel_tick` for relation atoms);
-    /// every other atom joins in full.
-    Atom {
-        index: usize,
-        epoch: u64,
-        rel_tick: u64,
-    },
-}
-
 /// A [`Query`] compiled for the backtracking matcher: one shared variable
 /// table and register file, one `Program` per pattern atom.
 pub struct CompiledQuery<L> {
@@ -297,8 +278,10 @@ struct Join<'a, L: Language, N: Analysis<L>> {
     first: usize,
     /// The first atom's root enumeration, when it is a pattern atom.
     roots: &'a [Id],
-    /// The first atom's tuple cutoff, when it is a delta relation atom.
-    rel_since: Option<u64>,
+    /// The pass's delta cutoff, which restricts the first atom only: a
+    /// pattern atom's to the `roots` stamped since, a relation atom's to
+    /// the tuples stamped since.
+    since: Option<u64>,
     /// Sorted class ids for variable-rooted atoms after the first,
     /// computed at most once per pass.
     all_ids: OnceCell<Vec<Id>>,
@@ -342,10 +325,10 @@ impl<L: Language, N: Analysis<L>> Join<'_, L, N> {
                 frame.vars[slot] = None;
             }
             CompiledAtom::Rel { name, slots } => {
-                let relations = &self.egraph.relations;
+                let relations = self.egraph.relations();
                 let visit = |tuple: &Vec<Id>| self.tuple(pos, slots, tuple, frame, out);
-                match self.rel_since.filter(|_| pos == 0) {
-                    Some(tick) => relations.tuples_since(name, tick).for_each(visit),
+                match self.since.filter(|_| pos == 0) {
+                    Some(cutoff) => relations.tuples_since(name, cutoff).for_each(visit),
                     None => relations.tuples(name).for_each(visit),
                 }
             }
@@ -406,10 +389,9 @@ impl<L: Language> CompiledQuery<L> {
 
     /// Every substitution satisfying the query, through the operator
     /// index. With `since: None`, a full search: the same sequence as
-    /// [`Query::search`]. With `since: Some((epoch_cutoff, rel_cutoff))` —
-    /// `epoch_cutoff` from [`EGraph::bump_epoch`], `rel_cutoff` from
-    /// [`crate::relation::Relations::tick`] — every match that did not
-    /// exist when the cutoffs were recorded: a single delta probe for
+    /// [`Query::search`]. With `since: Some(cutoff)` — `cutoff` from
+    /// [`EGraph::bump_epoch`] — every match that did not exist when the
+    /// cutoff was recorded: a single delta probe for
     /// delta-eligible queries, semi-naive rounds (one per atom) otherwise.
     /// A delta search may return a match that already existed (delta
     /// probes over-approximate); appliers are idempotent, so re-applying
@@ -419,7 +401,7 @@ impl<L: Language> CompiledQuery<L> {
     pub fn search<N: Analysis<L>>(
         &self,
         egraph: &EGraph<L, N>,
-        since: Option<(u64, u64)>,
+        since: Option<u64>,
         scratch: &mut MatchScratch,
     ) -> Vec<Subst> {
         self.find(egraph, since, scratch);
@@ -427,9 +409,10 @@ impl<L: Language> CompiledQuery<L> {
     }
 
     /// [`CompiledQuery::search`] into the emptied `scratch.matches`. A full
-    /// search is one [`Restrict::Full`] pass, a delta search of a
-    /// delta-eligible query one [`Restrict::Root`] pass. Anything else
-    /// is evaluated semi-naively: round `i` restricts atom `i` to its
+    /// search is one pass from atom 0; so is a delta search of a
+    /// delta-eligible query, its root enumeration restricted to the
+    /// classes stamped since the cutoff. Anything else is evaluated
+    /// semi-naively, one pass per atom: round `i` restricts atom `i` to its
     /// delta, and the join *starts* from that delta, so a round costs work
     /// proportional to its delta — not a full re-join. A match is found by
     /// round `i` iff atom `i`'s contribution is new, so the union over
@@ -442,32 +425,21 @@ impl<L: Language> CompiledQuery<L> {
     fn find<N: Analysis<L>>(
         &self,
         egraph: &EGraph<L, N>,
-        since: Option<(u64, u64)>,
+        since: Option<u64>,
         scratch: &mut MatchScratch,
     ) {
         scratch.matches.reset(self.vars.len());
-        let Some((epoch_cutoff, rel_cutoff)) = since else {
-            return self.pass(egraph, Restrict::Full, scratch);
+        let Some(cutoff) = since.filter(|_| !self.delta_eligible) else {
+            return self.pass(egraph, 0, since, scratch);
         };
-        if self.delta_eligible {
-            return self.pass(egraph, Restrict::Root(epoch_cutoff), scratch);
-        }
-        let classes_dirty = egraph.any_modified_since(epoch_cutoff);
-        let rels_dirty = egraph.relations.tick() > rel_cutoff;
+        let classes_dirty = egraph.any_modified_since(cutoff);
         for (index, atom) in self.atoms.iter().enumerate() {
             let delta_nonempty = match atom {
                 CompiledAtom::Pat { .. } => classes_dirty,
-                CompiledAtom::Rel { name, .. } => {
-                    rels_dirty && egraph.relations.changed_since(name, rel_cutoff)
-                }
+                CompiledAtom::Rel { name, .. } => egraph.relations().changed_since(name, cutoff),
             };
             if delta_nonempty {
-                let restrict = Restrict::Atom {
-                    index,
-                    epoch: epoch_cutoff,
-                    rel_tick: rel_cutoff,
-                };
-                self.pass(egraph, restrict, scratch);
+                self.pass(egraph, index, since, scratch);
             }
         }
         scratch.matches.sort_dedup();
@@ -480,10 +452,10 @@ impl<L: Language> CompiledQuery<L> {
             .collect()
     }
 
-    /// The root enumeration of the pass's first atom, when that is a
-    /// pattern atom: its operator's index row (every class, ascending, for
-    /// a variable root) in a full pass; in a delta pass, the classes whose
-    /// root-operator rows were stamped at or after the cutoff —
+    /// The root enumeration of the pass's first atom (atom `first`), when
+    /// that is a pattern atom: its operator's index row (every class,
+    /// ascending, for a variable root) in a full pass; in a delta pass, the
+    /// classes whose root-operator rows were stamped at or after `since` —
     /// O(changes to that operator's rows) via the per-op log, nothing
     /// when the operator was quiet — with the probe counters
     /// recorded on `scratch`, once.
@@ -494,19 +466,15 @@ impl<L: Language> CompiledQuery<L> {
     fn first_roots<'a, N: Analysis<L>>(
         &self,
         egraph: &'a EGraph<L, N>,
-        restrict: Restrict,
+        first: usize,
+        since: Option<u64>,
         scratch: &mut MatchScratch,
     ) -> Option<&'a [Id]> {
-        let (first, cutoff) = match restrict {
-            Restrict::Full => (0, None),
-            Restrict::Root(epoch) => (0, Some(epoch)),
-            Restrict::Atom { index, epoch, .. } => (index, Some(epoch)),
-        };
         scratch.roots.clear();
         let Some(CompiledAtom::Pat { program, .. }) = self.atoms.get(first) else {
             return None;
         };
-        match (cutoff, program.root_key) {
+        match (since, program.root_key) {
             (None, Some(key)) => return Some(egraph.candidates_for(key)),
             (None, None) => scratch.roots.extend(egraph.classes().map(|c| c.id)),
             (Some(cut), root_key) => {
@@ -526,55 +494,40 @@ impl<L: Language> CompiledQuery<L> {
         None
     }
 
-    /// Runs the matcher over the whole query with the first atom's root
-    /// enumeration given as `roots`, appending every match to `out`.
-    fn join<N: Analysis<L>>(
-        &self,
-        egraph: &EGraph<L, N>,
-        restrict: Restrict,
-        roots: &[Id],
-        frame: &mut Frame,
-        out: &mut MatchBuf,
-    ) {
-        debug_assert!(egraph.is_clean(), "search requires a rebuilt e-graph");
-        let (first, rel_since) = match restrict {
-            Restrict::Atom {
-                index, rel_tick, ..
-            } => (index, Some(rel_tick)),
-            Restrict::Full | Restrict::Root(_) => (0, None),
-        };
-        let join = Join {
-            query: self,
-            egraph,
-            first,
-            roots,
-            rel_since,
-            all_ids: OnceCell::new(),
-        };
-        frame.reset(self.vars.len(), self.nregs as usize);
-        join.atom(0, frame, out);
-    }
-
-    /// One pass: the first atom's enumeration, then the join, its matches
-    /// appended to `scratch.matches`.
+    /// One pass, evaluated from atom `first` and, with `since`, restricted
+    /// to that atom's delta (see the module docs): the first atom's
+    /// enumeration, then the depth-first join, its matches appended to
+    /// `scratch.matches`.
     fn pass<N: Analysis<L>>(
         &self,
         egraph: &EGraph<L, N>,
-        restrict: Restrict,
+        first: usize,
+        since: Option<u64>,
         scratch: &mut MatchScratch,
     ) {
-        let index_row = self.first_roots(egraph, restrict, scratch);
+        debug_assert!(egraph.is_clean(), "search requires a rebuilt e-graph");
+        let index_row = self.first_roots(egraph, first, since, scratch);
         let MatchScratch {
             frame,
             matches,
             roots,
             ..
         } = scratch;
-        self.join(egraph, restrict, index_row.unwrap_or(roots), frame, matches);
+        let join = Join {
+            query: self,
+            egraph,
+            first,
+            roots: index_row.unwrap_or(roots),
+            since,
+            all_ids: OnceCell::new(),
+        };
+        frame.reset(self.vars.len(), self.nregs as usize);
+        join.atom(0, frame, matches);
     }
 }
 
-/// Action run on each match; returns whether the e-graph changed.
+/// Action run on each match; returns whether the e-graph changed — a new
+/// tuple counts — since a fixpoint ends at a pass no action changed.
 pub type ApplyFn<L, N> = Box<dyn Fn(&mut EGraph<L, N>, &Subst) -> bool + Send + Sync>;
 
 /// A named rule: query → action.
@@ -651,7 +604,7 @@ impl<L: Language, N: Analysis<L>> Rewrite<L, N> {
     }
 
     /// Runs the rule once: searches the compiled query — in full with
-    /// `since: None`, else for the matches new since the cutoffs (see
+    /// `since: None`, else for the matches new since the cutoff (see
     /// [`CompiledQuery::search`]) — then applies every match, in order.
     /// Returns the number of matches that changed the graph. Rebuilds first
     /// if the graph is dirty, but does **not** rebuild after applying. The
@@ -660,7 +613,7 @@ impl<L: Language, N: Analysis<L>> Rewrite<L, N> {
     pub fn run(
         &self,
         egraph: &mut EGraph<L, N>,
-        since: Option<(u64, u64)>,
+        since: Option<u64>,
         scratch: &mut MatchScratch,
     ) -> usize {
         if !egraph.is_clean() {
@@ -753,20 +706,20 @@ mod tests {
         let two = eg.add(Math::Num(2));
         let m_good = eg.add(Math::Mul([a, two]));
         let _m_bad = eg.add(Math::Mul([a, b]));
-        eg.relations.insert("good", &[two]);
+        eg.insert_tuple("good", &[two]);
 
         let rule = Rewrite::<Math>::rule(
             "mark-good-products",
             Query::single("e", pmul(pvar("x"), pvar("y"))).with_relation("good", &["y"]),
             Box::new(|eg, s| {
                 let e = bound(s, "e");
-                eg.relations.insert("marked", &[e])
+                eg.insert_tuple("marked", &[e])
             }),
         );
         rule.run(&mut eg, None, &mut MatchScratch::new());
         eg.rebuild();
-        assert_eq!(eg.relations.len("marked"), 1);
-        assert!(eg.relations.contains("marked", &[eg.find(m_good)]));
+        assert_eq!(eg.relations().len("marked"), 1);
+        assert!(eg.relations().contains("marked", &[eg.find(m_good)]));
     }
 
     #[test]
@@ -774,8 +727,8 @@ mod tests {
         let mut eg = EG::new();
         let a = eg.add(Math::Sym("a".into()));
         let b = eg.add(Math::Sym("b".into()));
-        eg.relations.insert("pair", &[a, b]);
-        eg.relations.insert("pair", &[b, a]);
+        eg.insert_tuple("pair", &[a, b]);
+        eg.insert_tuple("pair", &[b, a]);
         let q: Query<Math> = Query { atoms: vec![] };
         let q = q.with_relation("pair", &["x", "y"]);
         assert_eq!(q.search(&eg).len(), 2);
@@ -829,8 +782,8 @@ mod tests {
         let m1 = eg.add(Math::Mul([a, two]));
         let _m2 = eg.add(Math::Mul([b, two]));
         let _s = eg.add(Math::Add([m1, b]));
-        eg.relations.insert("good", &[two]);
-        eg.relations.insert("good", &[b]);
+        eg.insert_tuple("good", &[two]);
+        eg.insert_tuple("good", &[b]);
 
         let queries: Vec<Query<Math>> = vec![
             Query::single("e", pmul(pvar("x"), pvar("y"))),
@@ -861,10 +814,8 @@ mod tests {
         let mut scratch = MatchScratch::new();
         // Full search finds the existing product.
         assert_eq!(q.search(&eg, None, &mut scratch).len(), 1);
-        let cutoff = eg.bump_epoch();
-        let rel_cutoff = eg.relations.tick();
+        let since = Some(eg.bump_epoch());
         // Nothing changed since the cutoff: delta search is empty.
-        let since = Some((cutoff, rel_cutoff));
         assert!(q.search(&eg, since, &mut scratch).is_empty());
         // A new product appears: delta search reports exactly it.
         let b = eg.add(Math::Sym("b".into()));
@@ -873,5 +824,40 @@ mod tests {
         let delta = q.search(&eg, since, &mut scratch);
         assert_eq!(delta.len(), 1);
         assert_eq!(delta[0].get("e"), Some(eg.find(mb)));
+    }
+
+    #[test]
+    fn one_cutoff_reads_class_and_tuple_changes() {
+        // Tuples run on the graph's clock: the epoch that cuts off class
+        // changes cuts off tuple changes too, whether the tuple is
+        // inserted or restamped by a rebuild's canonicalization.
+        let mut eg = EG::new();
+        let a = eg.add(Math::Sym("a".into()));
+        let b = eg.add(Math::Sym("b".into()));
+        let two = eg.add(Math::Num(2));
+        let m = eg.add(Math::Mul([a, two]));
+        eg.insert_tuple("pair", &[a, b]);
+        eg.rebuild();
+        let q = Query::single("e", pmul(pvar("x"), pvar("y")))
+            .with_relation("even", &["y"])
+            .compile();
+        let mut scratch = MatchScratch::new();
+        let cutoff = eg.bump_epoch();
+        assert!(!eg.changed_since(cutoff), "nothing stamped since the bump");
+        assert!(q.search(&eg, Some(cutoff), &mut scratch).is_empty());
+        // A new fact alone — no class changed — is a change a rule sees.
+        eg.insert_tuple("even", &[two]);
+        assert!(!eg.any_modified_since(cutoff));
+        assert!(eg.changed_since(cutoff));
+        let delta = q.search(&eg, Some(cutoff), &mut scratch);
+        assert_eq!(delta.len(), 1);
+        assert_eq!(delta[0].get("e"), Some(m));
+        // A union rewrites the old `pair` tuple: restamped at the current
+        // epoch, it is new to the same cutoff.
+        assert_eq!(eg.relations().tuples_since("pair", cutoff).count(), 0);
+        eg.union(a, b);
+        eg.rebuild();
+        let restamped: Vec<_> = eg.relations().tuples_since("pair", cutoff).collect();
+        assert_eq!(restamped, vec![&vec![eg.find(a), eg.find(a)]]);
     }
 }

@@ -6,8 +6,9 @@
 //! supporting rules always saturate in finitely many steps.
 //!
 //! The runner drives the engine's **delta search**: for every rule it
-//! remembers the modification epoch (and relation change tick) at which it
-//! last searched, and re-probes only what changed since — a single root
+//! remembers one number, the epoch at which it last searched, and
+//! re-probes only the classes and relation tuples stamped since — the
+//! graph and its relations share one clock — with a single root
 //! probe for delta-eligible rules, semi-naive join rounds for rules with
 //! relation atoms or fresh-variable pattern atoms (see
 //! [`crate::rewrite::CompiledQuery::search`]) — so once a phase
@@ -19,7 +20,8 @@
 //! [`RunReport::delta_skipped_rows`] count what the probes visited and
 //! what they left alone). Because every rule is pure by contract (see
 //! [`Rewrite::rule`]), a rule is searched in full only on its first run,
-//! and skipped outright while the graph and relation store are quiescent.
+//! and skipped outright while nothing in the graph or the relation store
+//! changed since that epoch.
 //! One [`MatchScratch`] per saturation run — the caller's, through
 //! [`Runner::run_phased_in`], when it has one to reuse across runs — is
 //! threaded through every search, so the compiled matcher's binding
@@ -290,71 +292,10 @@ impl BudgetClock {
     }
 }
 
-/// Per-rule delta-search bookkeeping.
-#[derive(Debug, Clone, Copy, Default)]
-struct RuleState {
-    /// Epoch recorded right after this rule's last search; classes
-    /// modified at or after it must be re-probed.
-    last_epoch: u64,
-    /// Relation change tick at the last search; tuples changed after it
-    /// feed the semi-naive relation-atom rounds.
-    last_rel_tick: u64,
-    /// Relations version at the last search; the quiescence skip needs
-    /// "no new tuple since this rule last ran".
-    last_rel_version: u64,
-    /// Whether the rule has searched at all yet.
-    ran_before: bool,
-}
-
-/// Delta cutoffs that let a restored, saturated e-graph **warm-start**
-/// saturation: instead of first-run full searches, every rule begins as
-/// if it had just searched the snapshotted graph, so only the semi-naive
-/// delta for material added *after* the restore is evaluated.
-///
-/// Capture with [`WarmStart::capture`] on the restored graph **before**
-/// encoding anything new into it; pass it to [`Runner::run_phased_in`].
-/// Sound only when the snapshot was taken from a *saturated* run under
-/// the **same rule set**: warm rules never re-search the quiet region, so
-/// any match missing there would stay missing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WarmStart {
-    /// Modification-epoch cutoff: classes stamped at or after it are
-    /// re-probed (everything encoded after [`WarmStart::capture`] stamps
-    /// at exactly this epoch or later).
-    pub epoch: u64,
-    /// Relation change-tick cutoff for the semi-naive relation rounds.
-    pub rel_tick: u64,
-    /// Relation version at capture; growth past it keeps warm rules from
-    /// being quiescence-skipped.
-    pub rel_version: u64,
-}
-
-impl WarmStart {
-    /// Records warm-start cutoffs on a restored graph, advancing the
-    /// epoch clock first — mirroring the scheduler's own cutoff
-    /// recording — so that everything encoded from now on stamps at or
-    /// after the returned epoch and is therefore visible to every warm
-    /// rule's first delta probe.
-    pub fn capture<L: Language, N: Analysis<L>>(egraph: &mut EGraph<L, N>) -> Self {
-        let epoch = egraph.bump_epoch();
-        WarmStart {
-            epoch,
-            rel_tick: egraph.relations.tick(),
-            rel_version: egraph.relations.version(),
-        }
-    }
-
-    /// The per-rule state a warm run seeds every rule with: "ran before,
-    /// at these cutoffs".
-    fn seed(self) -> RuleState {
-        RuleState {
-            last_epoch: self.epoch,
-            last_rel_tick: self.rel_tick,
-            last_rel_version: self.rel_version,
-            ran_before: true,
-        }
-    }
-}
+/// Per-rule delta-search bookkeeping: the epoch recorded right before the
+/// rule's last search, `None` until it first searches. Classes modified
+/// and tuples stamped at or after it must be re-probed.
+type RuleState = Option<u64>;
 
 /// Limits and phase driver for saturation.
 #[derive(Debug, Clone)]
@@ -465,38 +406,28 @@ impl Runner {
                 }
                 continue;
             }
-            let rel_version = egraph.relations.version();
+            let since = *state;
             // Quiescence skip: a rule sees only its matched classes and
             // relation atoms; if neither classes nor relations changed
             // since it last ran, it would find the same matches and its
             // (idempotent) application would change nothing — skip it.
-            if state.ran_before
-                && state.last_rel_version == rel_version
-                && !egraph.any_modified_since(state.last_epoch)
-            {
+            if since.is_some_and(|cutoff| !egraph.changed_since(cutoff)) {
                 report.skipped_searches += 1;
                 continue;
             }
             // Delta search is sound for every query shape (single-root
             // probe or semi-naive rounds), so only a first run is full.
-            let since = if state.ran_before {
+            if since.is_some() {
                 report.delta_searches += 1;
-                Some((state.last_epoch, state.last_rel_tick))
             } else {
                 report.full_searches += 1;
-                None
-            };
-            // Record the next cutoffs *before* applying so this rule's own
+            }
+            // Record the next cutoff *before* applying so this rule's own
             // unions and tuple inserts are re-probed on its next run.
-            let searched_at = egraph.bump_epoch();
-            let rel_tick_at = egraph.relations.tick();
+            *state = Some(egraph.bump_epoch());
             let n = rule.run(egraph, since, scratch);
             applied += n;
             clock.note_applied(n);
-            state.last_epoch = searched_at;
-            state.last_rel_tick = rel_tick_at;
-            state.last_rel_version = rel_version;
-            state.ran_before = true;
             if let (Some(sink), Some(started)) = (&self.profile_sink, search_started) {
                 // Draining the scratch's probe counters per rule (instead
                 // of once per pass below) attributes rows to the rule that
@@ -541,7 +472,7 @@ impl Runner {
         rules: &[Rewrite<L, N>],
         budget: Budget,
     ) -> RunReport {
-        let mut states = vec![RuleState::default(); rules.len()];
+        let mut states = vec![None; rules.len()];
         let mut scratch = MatchScratch::new();
         let mut clock = BudgetClock::new(budget);
         let mut report =
@@ -571,11 +502,9 @@ impl Runner {
                 break;
             }
             report.iterations += 1;
-            let relations_before = egraph.relations.version();
             let applied = self.run_iter(egraph, rules, states, scratch, clock, &mut report);
-            let relations_changed = egraph.relations.version() != relations_before;
             report.applied += applied;
-            if applied == 0 && !relations_changed && !clock.exhausted() {
+            if applied == 0 && !clock.exhausted() {
                 report.saturated = true;
                 break;
             }
@@ -653,15 +582,17 @@ impl Runner {
     /// plus one unamortized check per outer round, so overshoot is bounded
     /// by one iteration; the graph is always left rebuilt and valid.
     ///
-    /// With `warm` — captured on a restored, saturated snapshot — every
-    /// rule's delta state is seeded with the [`WarmStart`] cutoffs, so the
-    /// first pass probes only classes and relation tuples changed since
-    /// the capture (the leaves encoded after the restore) instead of
+    /// With `warm: Some(epoch)` — an [`EGraph::bump_epoch`] taken on a
+    /// restored, saturated snapshot **before** anything new was encoded
+    /// into it — every rule starts as if it had last searched at `epoch`,
+    /// so the first pass probes only classes and relation tuples changed
+    /// since (the leaves encoded after the restore) instead of
     /// re-searching the whole graph. Byte-identity with the cold run rests
     /// on the same invariants as every other delta path — semi-naive
     /// completeness plus content-based extraction tie-breaks — and holds
     /// only when the snapshot came from a **saturated** run of the **same
-    /// rules**.
+    /// rules**: warm rules never re-search the quiet region, so a match
+    /// missing there would stay missing.
     #[allow(clippy::too_many_arguments)]
     pub fn run_phased_in<L: Language, N: Analysis<L>>(
         &self,
@@ -670,14 +601,13 @@ impl Runner {
         supporting_rules: &[Rewrite<L, N>],
         outer_iters: usize,
         budget: Budget,
-        warm: Option<WarmStart>,
+        warm: Option<u64>,
         scratch: &mut MatchScratch,
     ) -> RunReport {
         let start = Instant::now();
         let mut report = RunReport::default();
-        let seed = warm.map(WarmStart::seed).unwrap_or_default();
-        let mut main_states = vec![seed; main_rules.len()];
-        let mut support_states = vec![seed; supporting_rules.len()];
+        let mut main_states = vec![warm; main_rules.len()];
+        let mut support_states = vec![warm; supporting_rules.len()];
         let mut clock = BudgetClock::new(budget);
         let support = self.fixpoint_with_states(
             egraph,
@@ -1024,7 +954,7 @@ mod tests {
             Query::single("e", n(2)),
             Box::new(|eg, s| {
                 let e = crate::rewrite::bound(s, "e");
-                eg.relations.insert("even", &[e])
+                eg.insert_tuple("even", &[e])
             }),
         );
         // Main: products by an even number get marked.
@@ -1033,11 +963,11 @@ mod tests {
             Query::single("e", pmul(pvar("x"), pvar("y"))).with_relation("even", &["y"]),
             Box::new(|eg, s| {
                 let e = crate::rewrite::bound(s, "e");
-                eg.relations.insert("marked", &[e])
+                eg.insert_tuple("marked", &[e])
             }),
         );
         let report = Runner::default().run_phased(&mut eg, &[main], &[support], 3);
         assert!(report.applied >= 2);
-        assert_eq!(eg.relations.len("marked"), 1);
+        assert_eq!(eg.relations().len("marked"), 1);
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! A snapshot is the exact persisted state of a *clean* (rebuilt) e-graph:
 //! union-find forest, classes with their node lists and analysis data,
-//! operator index rows, `(class, op_key)` epoch rows, the class-level and
-//! per-op modification logs, and the relation store with its change logs
-//! — everything the op-keyed delta machinery needs so a restored graph
+//! operator index rows, `(class, op_key)` epoch rows with the per-op
+//! modification logs, the last-modification watermark, and the relation
+//! store with its epoch-stamped change logs — everything the op-keyed delta machinery needs so a restored graph
 //! can **warm-start** saturation and run only the semi-naive delta for
 //! whatever is added after the restore.
 //!
@@ -55,7 +55,7 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"HBEG";
 /// Current snapshot format version. Bump on any wire-format change;
 /// restore rejects every other version with
 /// [`SnapshotError::UnsupportedVersion`].
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Why snapshot bytes could not be restored. Every variant is a clean,
 /// typed rejection — restoring never panics on bad input — so callers can

@@ -265,9 +265,9 @@ fn insert_tuples(eg: &mut EG, ids: &[Id], tuples: &[(u8, u32, u32)]) {
     for &(which, x, y) in tuples {
         let pick = |v: u32| ids[v as usize % ids.len()];
         if which % 2 == 0 {
-            eg.relations.insert("good", &[pick(x)]);
+            eg.insert_tuple("good", &[pick(x)]);
         } else {
-            eg.relations.insert("pair", &[pick(x), pick(y)]);
+            eg.insert_tuple("pair", &[pick(x), pick(y)]);
         }
     }
 }
@@ -295,8 +295,7 @@ proptest! {
             prop_assert!(!c.delta_eligible(), "these queries must need semi-naive");
         }
         let before: Vec<Vec<Subst>> = compiled.iter().map(|c| c.search(&eg, None, &mut MatchScratch::new())).collect();
-        let epoch_cutoff = eg.bump_epoch();
-        let rel_cutoff = eg.relations.tick();
+        let cutoff = eg.bump_epoch();
 
         apply_steps(&mut eg, &mut ids, &steps2);
         insert_tuples(&mut eg, &ids, &tuples2);
@@ -311,7 +310,7 @@ proptest! {
                 &naive.iter().map(|s| (Id(0), s.clone())).collect::<Vec<_>>(),
                 "full vs naive",
             );
-            let delta = c.search(&eg, Some((epoch_cutoff, rel_cutoff)), &mut scratch);
+            let delta = c.search(&eg, Some(cutoff), &mut scratch);
             for m in &delta {
                 prop_assert!(full.contains(m), "delta invented {m:?}");
             }
@@ -443,8 +442,7 @@ proptest! {
         eg.rebuild();
         let compiled: Vec<_> = genes.iter().map(|g| gen_query(g, 3).compile()).collect();
         let before: Vec<Vec<Subst>> = compiled.iter().map(|c| c.search(&eg, None, &mut MatchScratch::new())).collect();
-        let epoch_cutoff = eg.bump_epoch();
-        let rel_cutoff = eg.relations.tick();
+        let cutoff = eg.bump_epoch();
 
         apply_steps(&mut eg, &mut ids, &steps2);
         insert_tuples(&mut eg, &ids, &tuples2);
@@ -453,7 +451,7 @@ proptest! {
         let mut scratch = MatchScratch::new();
         for ((c, before), g) in compiled.iter().zip(&before).zip(&genes) {
             let full = c.search(&eg, None, &mut scratch);
-            let delta = c.search(&eg, Some((epoch_cutoff, rel_cutoff)), &mut scratch);
+            let delta = c.search(&eg, Some(cutoff), &mut scratch);
             assert_delta_covers(before, &full, &delta, &format!("genes {g:?}"));
         }
     }
@@ -490,8 +488,7 @@ proptest! {
         let queries: Vec<_> = genes.iter().map(|g| gen_query(g, 2)).collect();
         let compiled: Vec<_> = queries.iter().map(Query::compile).collect();
         let before: Vec<Vec<Subst>> = compiled.iter().map(|c| c.search(&eg, None, &mut MatchScratch::new())).collect();
-        let epoch_cutoff = eg.bump_epoch();
-        let rel_cutoff = eg.relations.tick();
+        let cutoff = eg.bump_epoch();
         widen(&mut eg, &mut ids, "new");
         apply_steps(&mut eg, &mut ids, &steps2);
         insert_tuples(&mut eg, &ids, &tuples[6..]);
@@ -501,13 +498,13 @@ proptest! {
         for (((query, c), before), g) in queries.iter().zip(&compiled).zip(&before).zip(&genes) {
             let full = c.search(&eg, None, &mut scratch);
             prop_assert_eq!(&query.search(&eg), &full, "genes {:?}", g);
-            let delta = c.search(&eg, Some((epoch_cutoff, rel_cutoff)), &mut scratch);
+            let delta = c.search(&eg, Some(cutoff), &mut scratch);
             assert_delta_covers(before, &full, &delta, &format!("genes {g:?}"));
             let probes = scratch.take_probe_counters();
             prop_assert_eq!(&full, &c.search(&eg, None, &mut scratch), "rerun, genes {:?}", g);
             prop_assert_eq!(
                 &delta,
-                &c.search(&eg, Some((epoch_cutoff, rel_cutoff)), &mut scratch),
+                &c.search(&eg, Some(cutoff), &mut scratch),
                 "delta rerun, genes {:?}", g
             );
             prop_assert_eq!(probes, scratch.take_probe_counters());
@@ -608,7 +605,7 @@ fn scheduler_semi_naive_finds_late_tuples_without_full_research() {
         Query::single("e", pmul(pvar("x"), pvar("y"))).with_relation("good", &["y"]),
         Box::new(|eg, s| {
             let e = hb_egraph::rewrite::bound(s, "e");
-            eg.relations.insert("marked", &[e])
+            eg.insert_tuple("marked", &[e])
         }),
     );
     let derive = Rewrite::<Math>::rule(
@@ -616,14 +613,14 @@ fn scheduler_semi_naive_finds_late_tuples_without_full_research() {
         Query::single("e", n(2)),
         Box::new(|eg, s| {
             let e = hb_egraph::rewrite::bound(s, "e");
-            eg.relations.insert("good", &[e])
+            eg.insert_tuple("good", &[e])
         }),
     );
     // Order matters: `main` searches before `good` is populated.
     let report = Runner::new(16, 20_000).run_to_fixpoint(&mut eg, &[main, derive], Budget::none());
     assert!(report.saturated);
     assert!(
-        eg.relations.contains("marked", &[eg.find(m)]),
+        eg.relations().contains("marked", &[eg.find(m)]),
         "the late-tuple join match was missed"
     );
     assert_eq!(
@@ -662,7 +659,7 @@ fn untouched_op_rows_are_not_probed() {
     eg.rebuild();
     let q_mul = Query::single("e", pmul(pvar("x"), pvar("y"))).compile();
     let q_div = Query::single("e", pdiv(pvar("x"), pvar("y"))).compile();
-    let since = Some((eg.bump_epoch(), eg.relations.tick()));
+    let since = Some(eg.bump_epoch());
     // One change, strictly under one class's Mul subtree.
     let c = eg.add(Math::Sym("c".into()));
     eg.union(mul_roots[0].0, c);
@@ -764,12 +761,17 @@ fn compaction_is_deterministic_and_exact() {
         out
     }
     for &cutoff in &cutoffs_a {
+        let class_level = collect(|out| a.modified_since(cutoff, out));
         assert_eq!(
-            collect(|out| a.modified_since(cutoff, out)),
+            class_level,
             collect(|out| b.modified_since(cutoff, out)),
-            "global log diverged between replicas at cutoff {cutoff}"
+            "class epochs diverged between replicas at cutoff {cutoff}"
         );
         let per_op = collect(|out| a.modified_candidates_for(mul_key, cutoff, out));
+        assert!(
+            per_op.iter().all(|id| class_level.contains(id)),
+            "the per-op log names a class whose epoch predates cutoff {cutoff}"
+        );
         assert_eq!(
             per_op,
             collect(|out| b.modified_candidates_for(mul_key, cutoff, out)),

@@ -19,7 +19,7 @@ use hb_egraph::extract::{AstSize, WorklistExtractor};
 use hb_egraph::math_lang::{pmul, pvar, Math};
 use hb_egraph::pattern::MatchScratch;
 use hb_egraph::rewrite::Rewrite;
-use hb_egraph::schedule::{Budget, Runner, WarmStart};
+use hb_egraph::schedule::{Budget, Runner};
 use hb_egraph::snapshot::{SnapshotError, SNAPSHOT_VERSION};
 use hb_egraph::unionfind::Id;
 
@@ -46,10 +46,10 @@ fn replay(steps: &[Step]) -> (EG, Vec<Id>) {
                 eg.union(pick(x), pick(y));
             }
             5 => {
-                eg.relations.insert("rel-a", &[pick(x)]);
+                eg.insert_tuple("rel-a", &[pick(x)]);
             }
             6 => {
-                eg.relations.insert("rel-b", &[pick(x), pick(y)]);
+                eg.insert_tuple("rel-b", &[pick(x), pick(y)]);
             }
             _ => eg.rebuild(),
         }
@@ -103,9 +103,6 @@ proptest! {
         prop_assert_eq!(back.num_nodes(), eg.num_nodes());
         prop_assert_eq!(back.num_classes(), eg.num_classes());
         prop_assert_eq!(back.work_epoch(), eg.work_epoch());
-        prop_assert_eq!(back.relations.tick(), eg.relations.tick());
-        prop_assert_eq!(back.relations.version(), eg.relations.version());
-        prop_assert_eq!(back.relations.total_tuples(), eg.relations.total_tuples());
         for id in &ids {
             prop_assert_eq!(back.find(*id), eg.find(*id));
         }
@@ -136,14 +133,14 @@ proptest! {
         prop_assert!(cold.saturated);
         let bytes = eg.snapshot();
         let mut back = EG::restore(&bytes).expect("restore");
-        let warm_cutoffs = WarmStart::capture(&mut back);
+        let warm_cutoff = back.bump_epoch();
         let warm = runner.run_phased_in(
             &mut back,
             &mul_rules(),
             &[],
             8,
             Budget::none(),
-            Some(warm_cutoffs),
+            Some(warm_cutoff),
             &mut MatchScratch::new(),
         );
         prop_assert!(warm.saturated);
@@ -182,7 +179,7 @@ fn warm_start_matches_cold_and_probes_fewer_rows() {
     assert!(pre.saturated);
     let bytes = base_eg.snapshot();
     let mut warm_eg = EG::restore(&bytes).expect("restore");
-    let cutoffs = WarmStart::capture(&mut warm_eg);
+    let cutoff = warm_eg.bump_epoch();
     let new_root = mul_chain(&mut warm_eg, 100, 4);
     warm_eg.rebuild();
     let warm = runner.run_phased_in(
@@ -191,7 +188,7 @@ fn warm_start_matches_cold_and_probes_fewer_rows() {
         &[],
         16,
         Budget::none(),
-        Some(cutoffs),
+        Some(cutoff),
         &mut MatchScratch::new(),
     );
     assert!(warm.saturated);
@@ -221,7 +218,7 @@ fn warm_start_matches_cold_and_probes_fewer_rows() {
 fn corrupted_truncated_and_bumped_bytes_are_typed_errors() {
     let mut eg = EG::new();
     let _ = mul_chain(&mut eg, 0, 6);
-    eg.relations.insert("rel-a", &[Id(0)]);
+    eg.insert_tuple("rel-a", &[Id(0)]);
     eg.rebuild();
     let bytes = eg.snapshot();
 

@@ -16,7 +16,7 @@ use hardboiled_repro::apps::harness::max_rel_error;
 use hardboiled_repro::apps::matmul_amx::{AmxMatmul, Layout, Variant};
 use hardboiled_repro::apps::resample_int::{Downsample, Upsample};
 use hardboiled_repro::egraph::schedule::RunReport;
-use hardboiled_repro::egraph::snapshot::SnapshotError;
+use hardboiled_repro::egraph::snapshot::{SnapshotError, SNAPSHOT_VERSION};
 use hardboiled_repro::exec::Interp;
 use hardboiled_repro::hardboiled::postprocess::normalize_temps;
 use hardboiled_repro::hardboiled::{
@@ -591,7 +591,7 @@ fn damaged_snapshots_fall_back_cold_with_typed_errors() {
             future_version,
             SnapshotError::UnsupportedVersion {
                 found: 0xee,
-                supported: 1,
+                supported: SNAPSHOT_VERSION,
             },
         ),
     ] {
