@@ -161,6 +161,7 @@ pub enum Expr {
 
 impl Expr {
     /// Number of lanes of the expression's value.
+    #[inline]
     #[must_use]
     pub fn lanes(&self) -> u32 {
         self.ty().lanes
@@ -168,29 +169,38 @@ impl Expr {
 
     /// Computes the expression's type.
     ///
+    /// Costs O(depth), not O(size): each node's type is read off one child
+    /// (a binary operation's left operand, a select's true arm, a ramp's
+    /// base), so the walk follows a single path to a leaf, and callers may
+    /// ask it at every node of a rewrite. The lane invariant — the operands
+    /// of one node agree in lanes — is enforced where trees are built
+    /// ([`crate::builder`] panics on a mismatch) and re-checked here only in
+    /// debug builds; `crate::reference::checked_ty` is the full checking
+    /// derivation the property tests hold this one equal to.
+    ///
     /// # Panics
     ///
-    /// Panics if the tree is ill-formed (mismatched operand lanes); trees
-    /// produced via [`crate::builder`] are well-formed by construction.
+    /// Panics if a `vector_reduce_add` does not divide its operand's lanes,
+    /// and in debug builds on mismatched operand lanes; trees produced via
+    /// [`crate::builder`] are well-formed by construction.
     #[must_use]
     pub fn ty(&self) -> Type {
         match self {
             Expr::IntImm(_) => Type::i32(),
-            Expr::FloatImm(_, st) => Type::new(*st, 1),
-            Expr::Var(_, st) => Type::new(*st, 1),
+            Expr::FloatImm(_, st) | Expr::Var(_, st) => Type::new(*st, 1),
             Expr::Cast(ty, value) => {
                 debug_assert_eq!(
                     ty.lanes,
-                    value.ty().lanes,
+                    value.lanes(),
                     "cast must preserve lane count: {self:?}"
                 );
                 *ty
             }
             Expr::Binary(op, a, b) => {
                 let ta = a.ty();
-                let tb = b.ty();
-                assert_eq!(
-                    ta.lanes, tb.lanes,
+                debug_assert_eq!(
+                    ta.lanes,
+                    b.lanes(),
                     "binary operands must have equal lanes: {self:?}"
                 );
                 if op.is_comparison() {
@@ -201,8 +211,8 @@ impl Expr {
             }
             Expr::Select(cond, t, f) => {
                 let tt = t.ty();
-                debug_assert_eq!(cond.ty().lanes, tt.lanes);
-                debug_assert_eq!(f.ty().lanes, tt.lanes);
+                debug_assert_eq!(cond.lanes(), tt.lanes);
+                debug_assert_eq!(f.lanes(), tt.lanes);
                 tt
             }
             Expr::Ramp {
@@ -213,7 +223,7 @@ impl Expr {
                 let tb = base.ty();
                 debug_assert_eq!(
                     tb.lanes,
-                    stride.ty().lanes,
+                    stride.lanes(),
                     "ramp base/stride lanes must match: {self:?}"
                 );
                 Type::new(tb.elem, tb.lanes * lanes)
@@ -222,7 +232,7 @@ impl Expr {
                 let tv = value.ty();
                 Type::new(tv.elem, tv.lanes * lanes)
             }
-            Expr::Load { ty, .. } => *ty,
+            Expr::Load { ty, .. } | Expr::Call { ty, .. } => *ty,
             Expr::VectorReduceAdd { lanes, value } => {
                 let tv = value.ty();
                 assert!(
@@ -232,12 +242,12 @@ impl Expr {
                 );
                 Type::new(tv.elem, *lanes)
             }
-            Expr::Call { ty, .. } => *ty,
             Expr::LocToLoc { value, .. } => value.ty(),
         }
     }
 
     /// Returns the constant integer value if the expression is an `IntImm`.
+    #[inline]
     #[must_use]
     pub fn as_int(&self) -> Option<i64> {
         match self {
@@ -257,32 +267,38 @@ impl Expr {
         }
     }
 
-    /// Whether the expression mentions the variable `name`.
+    /// Whether the expression mentions the variable `name` (the walk stops
+    /// at the first occurrence).
     #[must_use]
     pub fn uses_var(&self, name: &str) -> bool {
-        let mut found = false;
-        self.for_each(&mut |e| {
-            if let Expr::Var(n, _) = e {
-                if n == name {
-                    found = true;
-                }
-            }
-        });
-        found
+        self.any(&mut |e| matches!(e, Expr::Var(n, _) if n == name))
     }
 
-    /// Whether the expression loads from the buffer `name`.
+    /// Whether the expression loads from the buffer `name` (the walk stops
+    /// at the first such load).
     #[must_use]
     pub fn uses_buffer(&self, name: &str) -> bool {
-        let mut found = false;
-        self.for_each(&mut |e| {
-            if let Expr::Load { buffer, .. } = e {
-                if buffer == name {
-                    found = true;
-                }
+        self.any(&mut |e| matches!(e, Expr::Load { buffer, .. } if buffer == name))
+    }
+
+    /// Whether `f` holds for some sub-expression, `self` included: a
+    /// pre-order walk that stops at the first hit.
+    fn any(&self, f: &mut dyn FnMut(&Expr) -> bool) -> bool {
+        f(self)
+            || match self {
+                Expr::IntImm(_) | Expr::FloatImm(..) | Expr::Var(..) => false,
+                Expr::Cast(_, v)
+                | Expr::Broadcast { value: v, .. }
+                | Expr::VectorReduceAdd { value: v, .. }
+                | Expr::LocToLoc { value: v, .. }
+                | Expr::Load { index: v, .. } => v.any(f),
+                Expr::Binary(_, a, b)
+                | Expr::Ramp {
+                    base: a, stride: b, ..
+                } => a.any(f) || b.any(f),
+                Expr::Select(c, t, e) => c.any(f) || t.any(f) || e.any(f),
+                Expr::Call { args, .. } => args.iter().any(|a| a.any(f)),
             }
-        });
-        found
     }
 
     /// Pre-order traversal over all sub-expressions including `self`.
@@ -319,6 +335,7 @@ impl Expr {
     /// Moves the expression out, leaving `IntImm(0)` behind (no
     /// allocation): how a rewrite promotes a child over its parent without
     /// copying it.
+    #[inline]
     pub fn take(&mut self) -> Expr {
         std::mem::replace(self, Expr::IntImm(0))
     }
@@ -328,7 +345,10 @@ impl Expr {
     /// through the reference. `f` returns whether it changed the node; the
     /// result is whether any call did. A node `f` installs is not visited
     /// again in the same pass.
-    pub fn rewrite_bottom_up(&mut self, f: &mut dyn FnMut(&mut Expr) -> bool) -> bool {
+    pub fn rewrite_bottom_up<F>(&mut self, f: &mut F) -> bool
+    where
+        F: FnMut(&mut Expr) -> bool + ?Sized,
+    {
         let mut changed = false;
         match self {
             Expr::IntImm(_) | Expr::FloatImm(..) | Expr::Var(..) => {}
@@ -467,6 +487,48 @@ mod tests {
             replaced += usize::from(changed);
         }
         assert!(replaced > 128, "only {replaced} of 512 inputs mention x");
+    }
+
+    #[test]
+    fn ty_equals_the_checking_derivation() {
+        use crate::reference::{checked_ty, gen_expr, GENES};
+        use proptest::prelude::*;
+        let strategy = proptest::collection::vec(0u32..1_000_000, GENES);
+        let mut rng = TestRng::from_name("ty_equals_the_checking_derivation");
+        let mut vectors = 0;
+        for _ in 0..2048 {
+            let e = gen_expr(&strategy.generate(&mut rng));
+            let want = checked_ty(&e);
+            // Every node, not just the root: a rewrite asks at each one.
+            e.for_each(&mut |node| assert_eq!(node.ty(), checked_ty(node), "type of {node}"));
+            vectors += usize::from(want.lanes > 1);
+        }
+        assert!(vectors > 1024, "only {vectors} of 2048 inputs are vectors");
+    }
+
+    #[test]
+    fn early_exit_queries_equal_a_full_walk() {
+        use crate::reference::{gen_expr, GENES};
+        use proptest::prelude::*;
+        let strategy = proptest::collection::vec(0u32..1_000_000, GENES);
+        let mut rng = TestRng::from_name("early_exit_queries_equal_a_full_walk");
+        let (mut hits, mut misses) = (0, 0);
+        for _ in 0..2048 {
+            let e = gen_expr(&strategy.generate(&mut rng));
+            for name in ["x", "y", "A", "B", "z"] {
+                let (mut var, mut buffer) = (false, false);
+                e.for_each(&mut |node| match node {
+                    Expr::Var(n, _) => var |= n == name,
+                    Expr::Load { buffer: b, .. } => buffer |= b == name,
+                    _ => {}
+                });
+                assert_eq!(e.uses_var(name), var, "uses_var({name}) in {e}");
+                assert_eq!(e.uses_buffer(name), buffer, "uses_buffer({name}) in {e}");
+                hits += usize::from(var) + usize::from(buffer);
+                misses += usize::from(!var) + usize::from(!buffer);
+            }
+        }
+        assert!(hits > 2048 && misses > 2048, "{hits} hits, {misses} misses");
     }
 
     #[test]

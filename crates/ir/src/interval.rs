@@ -93,13 +93,21 @@ pub type VarRanges = HashMap<String, Interval>;
 /// not model (loads, calls, floats) or an unbound variable.
 #[must_use]
 pub fn bounds(e: &Expr, env: &VarRanges) -> Option<Interval> {
+    bounds_with(e, &|name| env.get(name).copied())
+}
+
+/// [`bounds`] with the variable ranges given by a function (`None` for an
+/// unbound variable), for callers that know them without building a map.
+#[must_use]
+pub fn bounds_with(e: &Expr, range_of: &dyn Fn(&str) -> Option<Interval>) -> Option<Interval> {
+    let bounds = |e: &Expr| bounds_with(e, range_of);
     match e {
         Expr::IntImm(v) => Some(Interval::point(*v)),
-        Expr::Var(name, _) => env.get(name).copied(),
-        Expr::Cast(ty, v) if ty.elem.is_int() => bounds(v, env),
+        Expr::Var(name, _) => range_of(name),
+        Expr::Cast(ty, v) if ty.elem.is_int() => bounds(v),
         Expr::Binary(op, a, b) => {
-            let ia = bounds(a, env)?;
-            let ib = bounds(b, env)?;
+            let ia = bounds(a)?;
+            let ib = bounds(b)?;
             match op {
                 BinOp::Add => Some(ia.add(ib)),
                 BinOp::Sub => Some(ia.sub(ib)),
@@ -144,8 +152,8 @@ pub fn bounds(e: &Expr, env: &VarRanges) -> Option<Interval> {
             }
         }
         Expr::Select(_, t, f) => {
-            let it = bounds(t, env)?;
-            let f = bounds(f, env)?;
+            let it = bounds(t)?;
+            let f = bounds(f)?;
             Some(it.union(&f))
         }
         Expr::Ramp {
@@ -153,13 +161,13 @@ pub fn bounds(e: &Expr, env: &VarRanges) -> Option<Interval> {
             stride,
             lanes,
         } => {
-            let ib = bounds(base, env)?;
-            let is = bounds(stride, env)?;
+            let ib = bounds(base)?;
+            let is = bounds(stride)?;
             let steps = i64::from(*lanes) - 1;
             let last = ib.add(is.mul(Interval::point(steps)));
             Some(ib.union(&last))
         }
-        Expr::Broadcast { value, .. } => bounds(value, env),
+        Expr::Broadcast { value, .. } => bounds(value),
         _ => None,
     }
 }

@@ -1,8 +1,9 @@
 //! Test support, compiled into the library so that the property tests of
 //! every crate in the stack can share it: the copying bottom-up rewrite this
 //! crate used before rewriting moved in place (the reference the in-place
-//! primitives are compared with), a gene-decoded generator of random
-//! well-typed expressions, and a whole-tree renamer.
+//! primitives are compared with), the lane-checking type derivation
+//! [`Expr::ty`] was before it went O(depth), a gene-decoded generator of
+//! random well-typed expressions, and a whole-tree renamer.
 
 use crate::expr::{BinOp, Expr};
 use crate::stmt::Stmt;
@@ -51,6 +52,74 @@ pub fn rebuild_bottom_up(e: &Expr, f: &mut dyn FnMut(&Expr) -> Option<Expr>) -> 
         },
     };
     f(&with_children).unwrap_or(with_children)
+}
+
+/// The type of `e`, derived from every operand and checking that operands
+/// agree in lanes at every node: O(size) per call, where [`Expr::ty`] reads
+/// one path and leaves the check to the builder.
+///
+/// # Panics
+///
+/// Panics on mismatched operand lanes anywhere in the tree, and when a
+/// `vector_reduce_add` does not divide its operand's lanes.
+#[must_use]
+pub fn checked_ty(e: &Expr) -> Type {
+    match e {
+        Expr::IntImm(_) => Type::i32(),
+        Expr::FloatImm(_, st) | Expr::Var(_, st) => Type::new(*st, 1),
+        Expr::Cast(ty, value) => {
+            assert_eq!(ty.lanes, checked_ty(value).lanes, "cast lanes: {e:?}");
+            *ty
+        }
+        Expr::Binary(op, a, b) => {
+            let (ta, tb) = (checked_ty(a), checked_ty(b));
+            assert_eq!(ta.lanes, tb.lanes, "binary operand lanes: {e:?}");
+            if op.is_comparison() {
+                Type::new(ScalarType::Bool, ta.lanes)
+            } else {
+                ta
+            }
+        }
+        Expr::Select(cond, t, f) => {
+            let tt = checked_ty(t);
+            assert_eq!(checked_ty(cond).lanes, tt.lanes, "select lanes: {e:?}");
+            assert_eq!(checked_ty(f).lanes, tt.lanes, "select lanes: {e:?}");
+            tt
+        }
+        Expr::Ramp {
+            base,
+            stride,
+            lanes,
+        } => {
+            let tb = checked_ty(base);
+            assert_eq!(tb.lanes, checked_ty(stride).lanes, "ramp lanes: {e:?}");
+            Type::new(tb.elem, tb.lanes * lanes)
+        }
+        Expr::Broadcast { value, lanes } => {
+            let tv = checked_ty(value);
+            Type::new(tv.elem, tv.lanes * lanes)
+        }
+        Expr::Load { ty, index, .. } => {
+            assert_eq!(ty.lanes, checked_ty(index).lanes, "load lanes: {e:?}");
+            *ty
+        }
+        Expr::VectorReduceAdd { lanes, value } => {
+            let tv = checked_ty(value);
+            assert!(
+                *lanes > 0 && tv.lanes.is_multiple_of(*lanes),
+                "vector_reduce_add lanes {lanes} must divide operand lanes {}",
+                tv.lanes
+            );
+            Type::new(tv.elem, *lanes)
+        }
+        Expr::Call { ty, args, .. } => {
+            for a in args {
+                let _ = checked_ty(a);
+            }
+            *ty
+        }
+        Expr::LocToLoc { value, .. } => checked_ty(value),
+    }
 }
 
 /// Number of genes [`gen_expr`] wants (it pads with zeros, which decode to

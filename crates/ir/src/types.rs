@@ -47,12 +47,14 @@ impl ScalarType {
     }
 
     /// Whether the type is a floating-point type.
+    #[inline]
     #[must_use]
     pub fn is_float(self) -> bool {
         matches!(self, ScalarType::BF16 | ScalarType::F16 | ScalarType::F32)
     }
 
     /// Whether the type is an integer type.
+    #[inline]
     #[must_use]
     pub fn is_int(self) -> bool {
         matches!(self, ScalarType::I32)
@@ -87,6 +89,7 @@ impl Type {
     /// # Panics
     ///
     /// Panics if `lanes` is zero.
+    #[inline]
     #[must_use]
     pub fn new(elem: ScalarType, lanes: u32) -> Self {
         assert!(lanes > 0, "a type must have at least one lane");
@@ -112,6 +115,7 @@ impl Type {
     }
 
     /// A scalar `int32`.
+    #[inline]
     #[must_use]
     pub fn i32() -> Self {
         Type::new(ScalarType::I32, 1)
@@ -124,12 +128,14 @@ impl Type {
     }
 
     /// Returns the same element type with a different lane count.
+    #[inline]
     #[must_use]
     pub fn with_lanes(self, lanes: u32) -> Self {
         Type::new(self.elem, lanes)
     }
 
     /// Whether this is a scalar type (exactly one lane).
+    #[inline]
     #[must_use]
     pub fn is_scalar(self) -> bool {
         self.lanes == 1

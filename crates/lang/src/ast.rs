@@ -126,15 +126,12 @@ impl ImageParam {
     }
 
     /// Strides per dimension (innermost first).
-    #[must_use]
-    pub fn strides(&self) -> Vec<i64> {
-        let mut out = Vec::with_capacity(self.extents.len());
-        let mut acc = 1i64;
-        for e in &self.extents {
-            out.push(acc);
-            acc *= e;
-        }
-        out
+    pub fn strides(&self) -> impl Iterator<Item = i64> + '_ {
+        self.extents.iter().scan(1i64, |acc, e| {
+            let stride = *acc;
+            *acc *= e;
+            Some(stride)
+        })
     }
 
     /// Calls the image at the given indices (innermost first).
@@ -407,7 +404,7 @@ mod tests {
     #[test]
     fn image_param_strides() {
         let img = ImageParam::new("I", ScalarType::F16, &[64, 32, 3]);
-        assert_eq!(img.strides(), vec![1, 64, 64 * 32]);
+        assert_eq!(img.strides().collect::<Vec<_>>(), vec![1, 64, 64 * 32]);
         assert_eq!(img.len(), 64 * 32 * 3);
         assert!(!img.is_empty());
     }

@@ -10,32 +10,47 @@
 //! Every step owns the tree it works on and edits it in place (the
 //! discipline stated in [`hb_ir::expr`]): index expressions are built and
 //! then simplified where they stand, a vectorized loop hands its body to
-//! the consuming [`crate::vectorize::widen_stmt_owned`], an unrolled loop
-//! is one `clone` per copy plus an in-place substitute-and-simplify, and
-//! unit loops and the final simplification rewrite the finished statement
+//! the consuming vectorizer ([`crate::vectorize`]), an unrolled loop is
+//! one `clone` per copy plus an in-place substitute-and-simplify, and unit
+//! loops and the final simplification rewrite the finished statement
 //! without rebuilding it. Funcs are read through their `RefCell` borrow,
 //! not cloned, and schedules are consulted under the names the user wrote —
 //! only IR loop variables carry the `func__var` qualification.
 //!
+//! # Cost
+//!
+//! Lowering is linear in what it builds. No step walks a subtree once per
+//! node above it: the vectorizer scans each expression once per loop, a
+//! node's type is O(depth) ([`Expr::ty`]), and "does this body load from
+//! that producer?" is one walk. Beside the output's own nodes and names it
+//! allocates little:
+//!
+//! - a stage binds its variables in a short list searched by name (`Env`),
+//!   and each use of a binding copies its expression;
+//! - a split's recombination moves into the one place its variable occurs,
+//!   the loop order is computed over borrowed names, and a loop's
+//!   qualified name is allocated only when it stays a loop;
+//! - index sums are built unfolded (`0 + i·1 + …`) and left to the
+//!   simplifier, which is the one place constants fold.
+//!
 //! `lower` never panics on a schedule or algorithm the front-end API can
-//! express: inconsistent reorders, non-dividing splits and non-positive
-//! vector divisors all come back as [`LowerError`] (`Session::compile`
-//! calls it outside its `catch_unwind`).
+//! express: inconsistent reorders, non-dividing splits, splits that reuse a
+//! loop variable's name, non-positive vector divisors and producer call
+//! sites whose regions cannot be merged all come back as [`LowerError`]
+//! (`Session::compile` calls it outside its `catch_unwind`).
 
 use std::collections::HashMap;
 
 use hb_ir::builder as b;
-use hb_ir::expr::Expr;
-use hb_ir::interval::{bounds, Interval, VarRanges};
+use hb_ir::expr::{BinOp, Expr};
+use hb_ir::interval::{bounds_with, Interval};
 use hb_ir::simplify::{simplify_in_place, simplify_stmt_in_place};
 use hb_ir::stmt::{ForKind, Stmt};
 use hb_ir::types::{MemoryType, ScalarType, Type};
 
-use crate::ast::{ComputePlacement, Func, HExpr, Pipeline};
+use crate::ast::{ComputePlacement, Func, HExpr, ImageParam, Pipeline};
 use crate::schedule::{LoopKind, StageSchedule};
-use crate::vectorize::{
-    decompose_mod_div, mod_div_divisor, widen_stmt_owned, LowerError, LowerResult,
-};
+use crate::vectorize::{LowerError, LowerResult, WidenScratch};
 
 /// One dimension of a realized region.
 #[derive(Debug, Clone)]
@@ -48,7 +63,23 @@ pub struct RegionDim {
 }
 
 /// Region per producer name.
-type Regions = HashMap<String, Vec<RegionDim>>;
+type Regions<'a> = Vec<(&'a str, Vec<RegionDim>)>;
+
+/// A stage's bindings: each variable name the algorithm writes → its IR
+/// expression. A stage binds a handful of names, so a scan beats hashing.
+struct Env<'a> {
+    vars: Vec<(&'a str, Expr)>,
+}
+
+impl Env<'_> {
+    /// A copy of the expression `name` is bound to.
+    fn lookup(&self, name: &str) -> Option<Expr> {
+        self.vars
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map(|(_, e)| e.clone())
+    }
+}
 
 /// The result of lowering a pipeline.
 #[derive(Debug, Clone)]
@@ -68,11 +99,12 @@ pub struct Lowered {
 }
 
 /// One final loop of a stage.
-struct LoopVar {
-    /// IR loop variable: the schedule's name qualified with the func name,
-    /// so producer loops never shadow consumer loops (region minima
-    /// reference consumer variables symbolically).
-    name: String,
+struct LoopVar<'a> {
+    /// The schedule's name of the loop variable. Its IR name is qualified
+    /// with the func name ([`qualify`]), so producer loops never shadow
+    /// consumer loops (region minima reference consumer variables
+    /// symbolically); only a loop that stays a loop owns it.
+    var: &'a str,
     /// Trip count.
     extent: i64,
     /// How the loop executes.
@@ -84,123 +116,235 @@ struct LoopVar {
 /// Per-stage lowering context.
 struct StageCtx<'a> {
     /// Final loops, innermost first.
-    vars: Vec<LoopVar>,
-    /// Root variable (as the algorithm names it) → recombination over the
-    /// final loop variables (local coordinates, starting at zero).
-    recomb: Vec<(&'a str, Expr)>,
+    vars: Vec<LoopVar<'a>>,
     /// Whether `atomic()` was requested.
     atomic: bool,
 }
 
-impl StageCtx<'_> {
-    fn recomb(&self, root: &str) -> &Expr {
-        let (_, e) = self
-            .recomb
-            .iter()
-            .find(|(name, _)| *name == root)
-            .expect("every root variable has a recombination");
-        e
-    }
+/// The IR name of `fname`'s schedule variable `var`: `fname__var`.
+fn qualify(fname: &str, var: &str) -> String {
+    let mut name = String::with_capacity(fname.len() + 2 + var.len());
+    qualify_into(&mut name, fname, var);
+    name
 }
 
-/// Builds the loop structure of one stage of `fname`. `roots` and the
+/// Writes `qualify(fname, var)` into `name`, reusing its buffer.
+fn qualify_into(name: &mut String, fname: &str, var: &str) {
+    name.clear();
+    name.push_str(fname);
+    name.push_str("__");
+    name.push_str(var);
+}
+
+/// Whether `name` is `qualify(fname, var)`, without building it.
+fn is_qualified(name: &str, fname: &str, var: &str) -> bool {
+    name.strip_prefix(fname)
+        .and_then(|rest| rest.strip_prefix("__"))
+        == Some(var)
+}
+
+/// `fname`'s loop variable `var` as an IR variable.
+fn loop_var(fname: &str, var: &str) -> Expr {
+    Expr::Var(qualify(fname, var), ScalarType::I32)
+}
+
+/// Builds the loop structure of one stage of `fname`, and each root
+/// variable's recombination over the final loop variables (local
+/// coordinates, starting at zero), in the order of `roots`. `roots` and the
 /// schedule use the algorithm's variable names; only the IR names in the
 /// result are qualified.
 fn stage_ctx<'a>(
     fname: &str,
     roots: &[(&'a str, i64, bool)], // (name, extent, is_rvar) innermost first
-    sched: &StageSchedule,
-) -> LowerResult<StageCtx<'a>> {
-    let q = |v: &str| format!("{fname}__{v}");
-    // Live variables as the splits rewrite them.
-    let mut live: Vec<(&str, i64, bool)> = roots.to_vec();
-    let mut recomb: Vec<(&str, Expr)> = roots
-        .iter()
-        .map(|(name, _, _)| (*name, b::var(&q(name))))
-        .collect();
+    sched: &'a StageSchedule,
+) -> LowerResult<(StageCtx<'a>, Vec<(&'a str, Expr)>)> {
+    // Live variables as the splits rewrite them, each with the index of the
+    // root whose recombination it occurs in (exactly once).
+    let mut live: Vec<(&str, i64, bool, usize)> =
+        Vec::with_capacity(roots.len() + sched.splits.len());
+    let mut recomb: Vec<(&str, Expr)> = Vec::with_capacity(roots.len());
+    for (at, &(name, extent, is_rvar)) in roots.iter().enumerate() {
+        if live.iter().any(|(n, ..)| *n == name) {
+            return Err(LowerError(format!(
+                "{fname}: variable {name} is bound twice"
+            )));
+        }
+        live.push((name, extent, is_rvar, at));
+        recomb.push((name, loop_var(fname, name)));
+    }
     for split in &sched.splits {
-        let old = q(&split.old);
         let pos = live
             .iter()
-            .position(|(name, _, _)| *name == split.old)
-            .ok_or_else(|| LowerError(format!("split of unknown variable {old}")))?;
-        let (_, old_extent, is_r) = live.swap_remove(pos);
+            .position(|(name, ..)| *name == split.old)
+            .ok_or_else(|| {
+                LowerError(format!(
+                    "split of unknown variable {}",
+                    qualify(fname, &split.old)
+                ))
+            })?;
+        let (_, old_extent, is_rvar, at) = live.swap_remove(pos);
         if split.factor <= 0 || old_extent % split.factor != 0 {
             return Err(LowerError(format!(
-                "split of {old} (extent {old_extent}) by non-dividing factor {}",
+                "split of {} (extent {old_extent}) by non-dividing factor {}",
+                qualify(fname, &split.old),
                 split.factor
             )));
         }
-        let replacement = b::add(
-            b::mul(b::var(&q(&split.outer)), b::int(split.factor)),
-            b::var(&q(&split.inner)),
-        );
-        for (_, e) in &mut recomb {
-            e.substitute(&old, &replacement);
+        let (outer, inner) = (split.outer.as_str(), split.inner.as_str());
+        if outer == inner || live.iter().any(|(n, ..)| *n == outer || *n == inner) {
+            return Err(LowerError(format!(
+                "{fname}: split of {} into {outer} and {inner} reuses a loop variable's name",
+                split.old
+            )));
         }
-        live.push((&split.inner, split.factor, is_r));
-        live.push((&split.outer, old_extent / split.factor, is_r));
+        // The recombination moves into the one place `old` occurs.
+        let mut replacement = Some(b::add(
+            b::mul(loop_var(fname, outer), b::int(split.factor)),
+            loop_var(fname, inner),
+        ));
+        recomb[at].1.rewrite_bottom_up(&mut |e| match e {
+            Expr::Var(n, _) if is_qualified(n, fname, &split.old) => {
+                replacement.take().map(|r| *e = r).is_some()
+            }
+            _ => false,
+        });
+        live.push((inner, split.factor, is_rvar, at));
+        live.push((outer, old_extent / split.factor, is_rvar, at));
     }
-    let names: Vec<String> = roots.iter().map(|(n, _, _)| (*n).to_string()).collect();
     let order = sched
-        .try_loop_vars(&names)
+        .try_loop_vars(roots.iter().map(|(n, _, _)| *n))
         .map_err(|e| LowerError(format!("{fname}: {e}")))?;
     let vars = order
-        .iter()
-        .map(|v| {
-            let &(_, extent, is_rvar) = live
+        .into_iter()
+        .map(|var| {
+            let &(_, extent, is_rvar, _) = live
                 .iter()
-                .find(|(name, _, _)| name == v)
+                .find(|(name, ..)| *name == var)
                 .expect("loop order and live variables come from the same splits");
             LoopVar {
-                name: q(v),
+                var,
                 extent,
-                kind: sched.kind(v),
+                kind: sched.kind(var),
                 is_rvar,
             }
         })
         .collect();
-    Ok(StageCtx {
+    let ctx = StageCtx {
         vars,
-        recomb,
         atomic: sched.atomic,
-    })
+    };
+    Ok((ctx, recomb))
+}
+
+/// Merges the region one call site needs into the region of the sites
+/// before it, dimension by dimension: the smaller minimum, and a size
+/// reaching the farther end. Two minima must differ by a constant (the
+/// same expression up to an integer offset) for the ends to compare.
+fn merge_regions(
+    pname: &str,
+    prev: Vec<RegionDim>,
+    site: Vec<RegionDim>,
+) -> LowerResult<Vec<RegionDim>> {
+    prev.into_iter()
+        .zip(site)
+        .map(|(a, bb)| {
+            if a.min == bb.min {
+                return Ok(RegionDim {
+                    size: a.size.max(bb.size),
+                    min: a.min,
+                });
+            }
+            let delta = constant_offset(&a.min, &bb.min).ok_or_else(|| {
+                LowerError(format!(
+                    "call sites of {pname} start at {} and {}, which differ by a non-constant",
+                    a.min, bb.min
+                ))
+            })?;
+            // `bb` starts `delta` elements after `a`; the region runs from
+            // the smaller start to the farther end.
+            let (min, lead) = if delta >= 0 {
+                (a.min, Some(0))
+            } else {
+                (bb.min, delta.checked_neg())
+            };
+            let size = lead
+                .and_then(|lead| {
+                    let end_a = a.size.checked_add(lead)?;
+                    let end_b = bb.size.checked_add(delta.checked_add(lead)?)?;
+                    Some(end_a.max(end_b))
+                })
+                .ok_or_else(|| LowerError(format!("the region of {pname} overflows")))?;
+            Ok(RegionDim { min, size })
+        })
+        .collect()
+}
+
+/// `b - a` when `a` and `b` are one expression plus different integer
+/// constants (`x`, `x + 1`, `x - 2`, `3`).
+fn constant_offset(a: &Expr, b: &Expr) -> Option<i64> {
+    /// Splits off the integer constant added at the top: `(rest, c)`.
+    fn split(e: &Expr) -> Option<(Option<&Expr>, i64)> {
+        Some(match e {
+            Expr::IntImm(c) => (None, *c),
+            Expr::Binary(op @ (BinOp::Add | BinOp::Sub), x, y) => match (x.as_int(), y.as_int()) {
+                (_, Some(c)) => {
+                    let (rest, d) = split(x)?;
+                    let sum = if *op == BinOp::Add {
+                        d.checked_add(c)
+                    } else {
+                        d.checked_sub(c)
+                    };
+                    (rest, sum?)
+                }
+                (Some(c), None) if *op == BinOp::Add => {
+                    let (rest, d) = split(y)?;
+                    (rest, c.checked_add(d)?)
+                }
+                _ => (Some(e), 0),
+            },
+            _ => (Some(e), 0),
+        })
+    }
+    let ((ra, ca), (rb, cb)) = (split(a)?, split(b)?);
+    if ra == rb {
+        cb.checked_sub(ca)
+    } else {
+        None
+    }
 }
 
 /// The lowering driver.
 struct Lowerer<'a> {
-    p: &'a Pipeline,
+    /// The pipeline's funcs, by name.
+    funcs: Vec<(&'a str, &'a Func)>,
+    /// The pipeline's input images.
+    images: Vec<(&'a str, &'a ImageParam)>,
     placements: HashMap<String, MemoryType>,
+    /// The vectorizer's scan buffer, shared by every vectorized loop.
+    widen: WidenScratch,
+    /// The IR name of the loop being vectorized or unrolled.
+    loop_name: String,
 }
 
 impl<'a> Lowerer<'a> {
-    /// All producers placed anywhere inside `consumer`.
-    fn producers_of(&self, consumer: &str) -> Vec<Func> {
-        let mut out = Vec::new();
-        for f in self.p.funcs.values() {
-            if let ComputePlacement::At { consumer: c, .. } = &f.borrow().placement {
-                if c == consumer {
-                    out.push(f.clone());
-                }
-            }
-        }
-        out.sort_by_key(Func::name);
-        out
+    fn image(&self, name: &str) -> Option<&'a ImageParam> {
+        self.images
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map(|(_, i)| *i)
+    }
+
+    fn func(&self, name: &str) -> Option<&'a Func> {
+        self.funcs.iter().find(|(n, _)| *n == name).map(|(_, f)| *f)
     }
 
     /// Lowers a front-end expression to scalar IR under `env`.
-    fn lower_hexpr(
-        &self,
-        e: &HExpr,
-        env: &HashMap<String, Expr>,
-        regions: &Regions,
-    ) -> LowerResult<Expr> {
+    fn lower_hexpr(&self, e: &HExpr, env: &Env, regions: &Regions) -> LowerResult<Expr> {
         match e {
             HExpr::Int(v) => Ok(b::int(*v)),
             HExpr::Float(v, st) => Ok(b::flt_t(*v, *st)),
             HExpr::Var(name) => env
-                .get(name)
-                .cloned()
+                .lookup(name)
                 .ok_or_else(|| LowerError(format!("unbound variable {name}"))),
             HExpr::Binary(op, a, bb) => {
                 let a = self.lower_hexpr(a, env, regions)?;
@@ -225,23 +369,20 @@ impl<'a> Lowerer<'a> {
         &self,
         name: &str,
         args: &[HExpr],
-        env: &HashMap<String, Expr>,
+        env: &Env,
         regions: &Regions,
     ) -> LowerResult<Expr> {
-        if let Some(img) = self.p.images.get(name) {
-            let strides = img.strides();
+        if let Some(img) = self.image(name) {
             let mut idx = b::int(0);
-            for (a, s) in args.iter().zip(&strides) {
+            for (a, stride) in args.iter().zip(img.strides()) {
                 let a = self.lower_hexpr(a, env, regions)?;
-                idx = b::add(idx, b::mul(a, b::int(*s)));
+                idx = b::add(idx, b::mul(a, b::int(stride)));
             }
             simplify_in_place(&mut idx);
             return Ok(b::load(Type::new(img.elem, 1), name, idx));
         }
         let f = self
-            .p
-            .funcs
-            .get(name)
+            .func(name)
             .ok_or_else(|| LowerError(format!("call to unknown func {name}")))?;
         let inner = f.borrow();
         match &inner.placement {
@@ -259,11 +400,15 @@ impl<'a> Lowerer<'a> {
                 self.lower_hexpr(&substituted, env, regions)
             }
             ComputePlacement::At { .. } => {
-                let region = regions.get(name).ok_or_else(|| {
-                    LowerError(format!(
-                        "func {name} is used here but realized in a different scope"
-                    ))
-                })?;
+                let region = regions
+                    .iter()
+                    .find(|(n, _)| *n == name)
+                    .map(|(_, r)| r)
+                    .ok_or_else(|| {
+                        LowerError(format!(
+                            "func {name} is used here but realized in a different scope"
+                        ))
+                    })?;
                 let mut idx = b::int(0);
                 let mut stride = 1i64;
                 for (a, dim) in args.iter().zip(region.iter()) {
@@ -279,14 +424,15 @@ impl<'a> Lowerer<'a> {
     }
 
     /// Infers the region of `producer` required by `consumer`, realized at
-    /// `at_var` of the consumer's stage described by `ctx`/`env`.
+    /// the loop `ctx.vars[at]` of the consumer's stage described by
+    /// `ctx`/`env`.
     fn infer_region(
         &self,
         consumer: &Func,
         producer: &Func,
-        at_var: &str,
+        at: usize,
         ctx: &StageCtx,
-        env: &HashMap<String, Expr>,
+        env: &Env,
         regions: &Regions,
     ) -> LowerResult<Vec<RegionDim>> {
         let pinner = producer.borrow();
@@ -302,24 +448,24 @@ impl<'a> Lowerer<'a> {
         }
         if sites.is_empty() {
             return Err(LowerError(format!(
-                "{pname} is computed at {at_var} of {} but never called by it",
+                "{pname} is computed at {} of {} but never called by it",
+                qualify(&cinner.name, ctx.vars[at].var),
                 cinner.name
             )));
         }
         let arity = pinner.dims.len();
-        // Loop variables strictly inside `at_var` vary per instance.
-        let pos = ctx
-            .vars
-            .iter()
-            .position(|lv| lv.name == at_var)
-            .ok_or_else(|| {
-                LowerError(format!(
-                    "compute_at variable {at_var} not found in {}'s loops",
-                    cinner.name
-                ))
-            })?;
-        let inner_vars = &ctx.vars[..pos];
-        let zero = b::int(0);
+        // Loop variables strictly inside the realization loop vary per
+        // instance; everything else is pinned to 0 for the size.
+        let inner_vars = &ctx.vars[..at];
+        let cname = cinner.name.as_str();
+        let inner_var = |name: &str| {
+            inner_vars
+                .iter()
+                .find(|lv| is_qualified(name, cname, lv.var))
+        };
+        let range_of = |name: &str| {
+            Some(inner_var(name).map_or(Interval::point(0), |lv| Interval::new(0, lv.extent - 1)))
+        };
 
         let mut region: Option<Vec<RegionDim>> = None;
         for site in sites {
@@ -329,23 +475,17 @@ impl<'a> Lowerer<'a> {
             let mut dims = Vec::with_capacity(arity);
             for arg in site {
                 let idx = self.lower_hexpr(arg, env, regions)?;
-                // Size: inner vars range fully, everything else pinned to 0.
-                let mut ranges = VarRanges::new();
-                idx.for_each(&mut |e| {
-                    if let Expr::Var(n, _) = e {
-                        ranges.insert(n.clone(), Interval::point(0));
-                    }
-                });
-                for lv in inner_vars {
-                    ranges.insert(lv.name.clone(), Interval::new(0, lv.extent - 1));
-                }
-                let iv = bounds(&idx, &ranges)
+                let iv = bounds_with(&idx, &range_of)
                     .ok_or_else(|| LowerError(format!("cannot bound access {idx} to {pname}")))?;
-                // Min: substitute inner vars by zero, keep outer symbolic.
+                // Min: inner vars at zero, outer ones kept symbolic.
                 let mut min = idx;
-                for lv in inner_vars {
-                    min.substitute(&lv.name, &zero);
-                }
+                min.rewrite_bottom_up(&mut |e| match e {
+                    Expr::Var(n, _) if inner_var(n).is_some() => {
+                        *e = Expr::IntImm(0);
+                        true
+                    }
+                    _ => false,
+                });
                 simplify_in_place(&mut min);
                 dims.push(RegionDim {
                     min,
@@ -354,22 +494,7 @@ impl<'a> Lowerer<'a> {
             }
             region = Some(match region.take() {
                 None => dims,
-                Some(prev) => prev
-                    .into_iter()
-                    .zip(dims)
-                    .map(|(a, bb)| {
-                        let size = a.size.max(bb.size);
-                        let min = if a.min == bb.min {
-                            a.min
-                        } else {
-                            // Conservative: take the smaller min via Min node.
-                            let mut min = b::min(a.min, bb.min);
-                            simplify_in_place(&mut min);
-                            min
-                        };
-                        RegionDim { min, size }
-                    })
-                    .collect(),
+                Some(prev) => merge_regions(pname, prev, dims)?,
             });
         }
         Ok(region.expect("at least one site"))
@@ -380,7 +505,7 @@ impl<'a> Lowerer<'a> {
     #[allow(clippy::too_many_lines)]
     fn realize(&mut self, f: &Func, region: &[RegionDim]) -> LowerResult<Stmt> {
         let inner = f.borrow();
-        let q = |v: &str| format!("{}__{v}", inner.name);
+        let fname = inner.name.as_str();
         let mut stages: Vec<Stmt> = Vec::new();
         let update_stage = inner.update.as_ref();
         let stage_descrs = std::iter::once((None, &inner.init_schedule))
@@ -388,86 +513,96 @@ impl<'a> Lowerer<'a> {
         for (update, sched) in stage_descrs {
             // Roots: reduction vars innermost, then dims.
             let rvars = update.map_or(&[][..], |u| &u.rdom.vars[..]);
-            let mut roots: Vec<(&str, i64, bool)> = Vec::new();
+            let mut roots: Vec<(&str, i64, bool)> = Vec::with_capacity(rvars.len() + region.len());
             for (rv, _, extent) in rvars {
                 roots.push((rv, *extent, true));
             }
             for (d, r) in inner.dims.iter().zip(region) {
                 roots.push((d, r.size, false));
             }
-            let ctx = stage_ctx(&inner.name, &roots, sched)?;
+            let (ctx, recomb) = stage_ctx(fname, &roots, sched)?;
+            let mut env = Env { vars: recomb };
 
-            // Environment: dim -> global expr; rvar -> min + recomb.
-            let mut env: HashMap<String, Expr> = HashMap::new();
-            for (d, r) in inner.dims.iter().zip(region) {
-                let mut global = b::add(r.min.clone(), ctx.recomb(d).clone());
-                simplify_in_place(&mut global);
-                env.insert(d.clone(), global);
-            }
-            for (rv, rmin, _) in rvars {
-                let mut global = b::add(b::int(*rmin), ctx.recomb(rv).clone());
-                simplify_in_place(&mut global);
-                env.insert(rv.clone(), global);
-            }
-
-            // Regions of this func's own producers (used in both leaf
-            // construction and loop wrapping), and where each is realized.
-            let mut regions = Regions::new();
-            let mut realize_plan: Vec<(String, Func)> = Vec::new();
-            for prod in self.producers_of(&inner.name) {
-                let var = match &prod.borrow().placement {
-                    ComputePlacement::At { var, .. } => q(var),
-                    ComputePlacement::Inline => continue,
-                };
-                if !ctx.vars.iter().any(|lv| lv.name == var) {
-                    continue; // realized in the other stage's loops
-                }
-                let r = self.infer_region(f, &prod, &var, &ctx, &env, &regions)?;
-                regions.insert(prod.name(), r);
-                realize_plan.push((var, prod));
-            }
-
-            // Leaf statement.
+            // The leaf's index: the dims' local coordinates.
             let mut idx = b::int(0);
             let mut stride = 1i64;
-            for (d, r) in inner.dims.iter().zip(region) {
-                idx = b::add(idx, b::mul(ctx.recomb(d).clone(), b::int(stride)));
+            for ((_, local), r) in env.vars[rvars.len()..].iter().zip(region) {
+                idx = b::add(idx, b::mul(local.clone(), b::int(stride)));
                 stride *= r.size;
             }
             simplify_in_place(&mut idx);
+
+            // Environment: each root's recombination becomes its global
+            // coordinate, min + recombination.
+            let mins = rvars
+                .iter()
+                .map(|(_, rmin, _)| b::int(*rmin))
+                .chain(region.iter().map(|r| r.min.clone()));
+            for ((_, coord), min) in env.vars.iter_mut().zip(mins) {
+                *coord = b::add(min, coord.take());
+                simplify_in_place(coord);
+            }
+
+            // Regions of this func's own producers (used in both leaf
+            // construction and loop wrapping), and the loop each is
+            // realized in.
+            let mut regions = Regions::new();
+            let mut realize_plan: Vec<(usize, &Func)> = Vec::new();
+            for &(pname, prod) in &self.funcs {
+                let at = match &prod.borrow().placement {
+                    ComputePlacement::At { consumer, var } if consumer == fname => {
+                        ctx.vars.iter().position(|lv| lv.var == var)
+                    }
+                    _ => continue, // not one of this func's producers
+                };
+                let Some(at) = at else {
+                    continue; // realized in the other stage's loops
+                };
+                let r = self.infer_region(f, prod, at, &ctx, &env, &regions)?;
+                regions.push((pname, r));
+                realize_plan.push((at, prod));
+            }
+
+            // Leaf statement.
             let mut body = if let Some(u) = update {
                 let rhs = self.lower_hexpr(&u.rhs, &env, &regions)?;
-                let load = b::load(Type::new(inner.elem, 1), &inner.name, idx.clone());
-                b::store(&inner.name, idx, b::add(load, rhs))
+                let load = b::load(Type::new(inner.elem, 1), fname, idx.clone());
+                b::store(fname, idx, b::add(load, rhs))
             } else {
-                let d = inner.pure_def.as_ref().ok_or_else(|| {
-                    LowerError(format!("func {} has no pure definition", inner.name))
-                })?;
+                let d = inner
+                    .pure_def
+                    .as_ref()
+                    .ok_or_else(|| LowerError(format!("func {fname} has no pure definition")))?;
                 let rhs = self.lower_hexpr(d, &env, &regions)?;
-                b::store(&inner.name, idx, rhs)
+                b::store(fname, idx, rhs)
             };
 
             // Wrap loops innermost-first.
-            for LoopVar {
-                name: var,
-                extent,
-                kind,
-                is_rvar,
-            } in &ctx.vars
+            for (
+                at,
+                LoopVar {
+                    var,
+                    extent,
+                    kind,
+                    is_rvar,
+                },
+            ) in ctx.vars.into_iter().enumerate()
             {
-                // Attach producer realizations scheduled at this var (only
+                // Attach producer realizations scheduled at this loop (only
                 // if this stage actually uses them).
-                for (at_var, prod) in &realize_plan {
-                    if at_var != var {
+                for (r, &(plan_at, prod)) in realize_plan.iter().enumerate() {
+                    if plan_at != at {
                         continue;
                     }
                     let pinner = prod.borrow();
                     let mut used = false;
-                    body.for_each_expr(&mut |e| used |= e.uses_buffer(&pinner.name));
+                    body.for_each_expr(&mut |e| {
+                        used |= matches!(e, Expr::Load { buffer, .. } if *buffer == pinner.name);
+                    });
                     if used {
-                        let r = &regions[&pinner.name];
-                        let prod_stmt = self.realize(prod, r)?;
-                        let size: i64 = r.iter().map(|d| d.size).product();
+                        let region = &regions[r].1;
+                        let prod_stmt = self.realize(prod, region)?;
+                        let size: i64 = region.iter().map(|d| d.size).product();
                         self.placements.insert(pinner.name.clone(), pinner.store_in);
                         body = b::allocate(
                             &pinner.name,
@@ -480,43 +615,23 @@ impl<'a> Lowerer<'a> {
                 }
                 match kind {
                     LoopKind::Vectorized => {
-                        let n = u32::try_from(*extent)
+                        let n = u32::try_from(extent)
                             .map_err(|_| LowerError(format!("vector extent {extent} too large")))?;
-                        if *is_rvar && !ctx.atomic {
+                        if is_rvar && !ctx.atomic {
                             return Err(LowerError(format!(
-                                "vectorizing reduction variable {var} requires atomic()"
+                                "vectorizing reduction variable {} requires atomic()",
+                                qualify(fname, var)
                             )));
                         }
-                        if let Some(c) = mod_div_divisor(&body, var)? {
-                            // The divisor is whatever constant the algorithm
-                            // wrote: zero or negative must not reach `%`.
-                            let inner_lanes = u32::try_from(c)
-                                .ok()
-                                .filter(|lanes| *lanes > 0)
-                                .ok_or_else(|| {
-                                    LowerError(format!(
-                                        "cannot vectorize {var} over its non-positive divisor {c}"
-                                    ))
-                                })?;
-                            if n % inner_lanes != 0 {
-                                return Err(LowerError(format!(
-                                    "extent {extent} of {var} not divisible by {c}"
-                                )));
-                            }
-                            let v0 = format!("{var}__p0");
-                            let v1 = format!("{var}__p1");
-                            let d = decompose_mod_div(body, var, c, &v0, &v1);
-                            let w0 = widen_stmt_owned(d, &v0, 0, inner_lanes)?;
-                            body = widen_stmt_owned(w0, &v1, 0, n / inner_lanes)?;
-                        } else {
-                            body = widen_stmt_owned(body, var, 0, n)?;
-                        }
+                        qualify_into(&mut self.loop_name, fname, var);
+                        body = self.widen.vectorize(body, &self.loop_name, n)?;
                     }
                     LoopKind::Unrolled => {
-                        let mut copies = Vec::with_capacity(*extent as usize);
-                        for i in 0..*extent {
+                        qualify_into(&mut self.loop_name, fname, var);
+                        let mut copies = Vec::with_capacity(extent as usize);
+                        for i in 0..extent {
                             let mut copy = body.clone();
-                            bind_var(&mut copy, var, &b::int(i));
+                            bind_var(&mut copy, &self.loop_name, &b::int(i));
                             copies.push(copy);
                         }
                         body = b::block(copies);
@@ -529,7 +644,13 @@ impl<'a> Lowerer<'a> {
                             LoopKind::GpuThread => ForKind::GpuThread,
                             LoopKind::Vectorized | LoopKind::Unrolled => unreachable!(),
                         };
-                        body = b::for_kind(var, b::int(0), b::int(*extent), kind, body);
+                        body = Stmt::For {
+                            var: qualify(fname, var),
+                            min: b::int(0),
+                            extent: b::int(extent),
+                            kind,
+                            body: Box::new(body),
+                        };
                     }
                 }
             }
@@ -638,9 +759,14 @@ pub fn lower(p: &Pipeline) -> LowerResult<Lowered> {
             size: extent,
         });
     }
+    let mut funcs: Vec<(&str, &Func)> = p.funcs.iter().map(|(n, f)| (n.as_str(), f)).collect();
+    funcs.sort_unstable_by_key(|(n, _)| *n);
     let mut lowerer = Lowerer {
-        p,
+        funcs,
+        images: p.images.iter().map(|(n, i)| (n.as_str(), i)).collect(),
         placements: HashMap::new(),
+        widen: WidenScratch::default(),
+        loop_name: String::new(),
     };
     let mut stmt = lowerer.realize(&p.output, &region)?;
     elide_unit_loops(&mut stmt);
@@ -811,6 +937,92 @@ mod tests {
         });
         let p = Pipeline::new(&out, &[], &[&img]);
         assert_lower_error(&p, "reorder must mention exactly");
+    }
+
+    #[test]
+    fn splits_that_reuse_a_loop_variable_name_are_lower_errors() {
+        // Two loops of one name would shadow each other; the
+        // recombination of `x` would read the wrong one.
+        let splits: [&dyn Fn(&mut StageSchedule); 3] = [
+            &|s| {
+                s.split("x", "xi", "xi", 8);
+            },
+            &|s| {
+                s.split("x", "y", "xi", 8);
+            },
+            &|s| {
+                s.split("x", "xo", "xi", 8).split("xo", "xoo", "xi", 2);
+            },
+        ];
+        for split in splits {
+            let img = ImageParam::new("in", ScalarType::F32, &[64 * 4]);
+            let out = Func::new("out", &["x", "y"], ScalarType::F32);
+            out.define(img.at(&[hv("x") + hv("y") * crate::ast::hi(64)]));
+            out.bound("x", 0, 64).bound("y", 0, 4);
+            out.stage_init(|s| split(s));
+            let p = Pipeline::new(&out, &[], &[&img]);
+            assert_lower_error(&p, "reuses a loop variable's name");
+        }
+        // Reusing the split variable's own name is fine (Halide's
+        // `split(x, x, xi, 8)`).
+        let img = ImageParam::new("in", ScalarType::F32, &[64]);
+        let out = Func::new("out", &["x"], ScalarType::F32);
+        out.define(img.at(&[hv("x")]));
+        out.bound("x", 0, 64);
+        out.stage_init(|s| {
+            s.split("x", "x", "xi", 8);
+        });
+        let p = Pipeline::new(&out, &[], &[&img]);
+        let data: Vec<f64> = (0..64).map(f64::from).collect();
+        assert_eq!(run(&lower(&p).unwrap(), &[("in", data.clone())]), data);
+    }
+
+    #[test]
+    fn a_reduction_variable_named_like_a_dimension_is_a_lower_error() {
+        let img = ImageParam::new("in", ScalarType::F32, &[16]);
+        let out = Func::new("out", &["x"], ScalarType::F32);
+        out.define(hf(0.0));
+        out.update_add(img.at(&[hv("x")]), &RDom::new("x", 0, 8));
+        out.bound("x", 0, 8);
+        let p = Pipeline::new(&out, &[], &[&img]);
+        assert_lower_error(&p, "variable x is bound twice");
+    }
+
+    #[test]
+    fn call_sites_whose_regions_do_not_line_up_are_lower_errors() {
+        // f(x) and f(2x) start at `xo*4` and `xo*4*2`: no constant offset
+        // relates the two, so no one region serves both.
+        let img = ImageParam::new("in", ScalarType::F32, &[64]);
+        let f = Func::new("f", &["x"], ScalarType::F32);
+        f.define(img.at(&[hv("x")]));
+        let g = Func::new("g", &["x"], ScalarType::F32);
+        g.define(f.at(&[hv("x")]) + f.at(&[hv("x") * crate::ast::hi(2)]));
+        g.bound("x", 0, 16);
+        g.stage_init(|s| {
+            s.split("x", "xo", "xi", 4);
+        });
+        f.compute_at(&g, "xo");
+        let p = Pipeline::new(&g, &[&f], &[&img]);
+        assert_lower_error(&p, "differ by a non-constant");
+    }
+
+    #[test]
+    fn constant_offsets_are_read_through_sums_and_differences() {
+        let x = || b::var("x");
+        assert_eq!(constant_offset(&x(), &b::add(x(), b::int(3))), Some(3));
+        assert_eq!(constant_offset(&b::add(x(), b::int(3)), &x()), Some(-3));
+        assert_eq!(
+            constant_offset(&b::sub(x(), b::int(2)), &b::add(b::int(1), x())),
+            Some(3)
+        );
+        assert_eq!(constant_offset(&b::int(4), &b::int(9)), Some(5));
+        assert_eq!(constant_offset(&x(), &b::var("y")), None);
+        assert_eq!(constant_offset(&x(), &b::int(0)), None);
+        assert_eq!(
+            constant_offset(&b::int(i64::MIN), &b::int(1)),
+            None,
+            "overflow"
+        );
     }
 
     #[test]

@@ -113,40 +113,44 @@ impl StageSchedule {
 
     /// Final loop variables for this stage given the stage's root variables
     /// (innermost first): applies splits to the default order, then any
-    /// explicit reorder.
+    /// explicit reorder. The names are borrowed from `roots` and the
+    /// schedule; nothing is copied.
     ///
     /// # Errors
     ///
     /// Fails if a split names a variable that is not live, or a reorder does
     /// not list exactly the post-split variables.
-    pub fn try_loop_vars(
-        &self,
-        root_vars_innermost_first: &[String],
-    ) -> Result<Vec<String>, String> {
-        let mut vars: Vec<String> = root_vars_innermost_first.to_vec();
+    pub fn try_loop_vars<'a>(
+        &'a self,
+        root_vars_innermost_first: impl IntoIterator<Item = &'a str>,
+    ) -> Result<Vec<&'a str>, String> {
+        let mut vars: Vec<&str> = root_vars_innermost_first.into_iter().collect();
+        vars.reserve(self.splits.len());
         for split in &self.splits {
             let pos = vars
                 .iter()
-                .position(|v| v == &split.old)
+                .position(|v| *v == split.old)
                 .ok_or_else(|| format!("split of unknown variable {}", split.old))?;
             // inner takes old's slot; outer goes immediately outside.
-            vars[pos] = split.inner.clone();
-            vars.insert(pos + 1, split.outer.clone());
+            vars[pos] = &split.inner;
+            vars.insert(pos + 1, &split.outer);
         }
         let Some(order) = &self.order else {
             return Ok(vars);
         };
-        let sorted = |names: &[String]| {
-            let mut names = names.to_vec();
-            names.sort();
-            names
-        };
-        if sorted(order) != sorted(&vars) {
+        // The same names with the same multiplicities, in any order.
+        let same = order.len() == vars.len()
+            && vars.iter().all(|v| {
+                order.iter().filter(|o| o == v).count() == vars.iter().filter(|w| *w == v).count()
+            });
+        if !same {
             return Err(format!(
                 "reorder must mention exactly the post-split variables {vars:?}, not {order:?}"
             ));
         }
-        Ok(order.clone())
+        vars.clear();
+        vars.extend(order.iter().map(String::as_str));
+        Ok(vars)
     }
 }
 
@@ -154,25 +158,18 @@ impl StageSchedule {
 mod tests {
     use super::*;
 
-    fn roots(names: &[&str]) -> Vec<String> {
-        names.iter().map(|s| (*s).to_string()).collect()
-    }
-
     #[test]
     fn split_replaces_variable_in_order() {
         let mut s = StageSchedule::default();
         s.split("x", "xo", "xi", 256);
-        assert_eq!(s.try_loop_vars(&roots(&["x"])).unwrap(), vec!["xi", "xo"]);
+        assert_eq!(s.try_loop_vars(["x"]).unwrap(), vec!["xi", "xo"]);
     }
 
     #[test]
     fn chained_splits() {
         let mut s = StageSchedule::default();
         s.split("x", "xo", "xi", 64).split("xi", "xim", "xii", 8);
-        assert_eq!(
-            s.try_loop_vars(&roots(&["x"])).unwrap(),
-            vec!["xii", "xim", "xo"]
-        );
+        assert_eq!(s.try_loop_vars(["x"]).unwrap(), vec!["xii", "xim", "xo"]);
     }
 
     #[test]
@@ -182,7 +179,7 @@ mod tests {
             .split("rx", "rxo", "rxi", 8)
             .reorder(&["rxi", "xi", "rxo", "xo"]);
         assert_eq!(
-            s.try_loop_vars(&roots(&["x", "rx"])).unwrap(),
+            s.try_loop_vars(["x", "rx"]).unwrap(),
             vec!["rxi", "xi", "rxo", "xo"]
         );
     }
@@ -191,7 +188,7 @@ mod tests {
     fn bad_reorder_rejected() {
         let mut s = StageSchedule::default();
         s.reorder(&["x", "zzz"]);
-        let err = s.try_loop_vars(&roots(&["x", "y"])).unwrap_err();
+        let err = s.try_loop_vars(["x", "y"]).unwrap_err();
         assert!(err.contains("must mention exactly"), "{err}");
     }
 

@@ -5,9 +5,13 @@
 use hardboiled_repro::accel::device::DeviceProfile;
 use hardboiled_repro::apps::conv1d::Conv1d;
 use hardboiled_repro::apps::gemm_wmma::GemmWmma;
-use hardboiled_repro::apps::harness::max_rel_error;
+use hardboiled_repro::apps::harness::{compile_and_run_with, max_rel_error};
 use hardboiled_repro::apps::matmul_amx::{table1, AmxMatmul, Layout, Variant};
 use hardboiled_repro::apps::resample_int::{Downsample, Upsample};
+use hardboiled_repro::hardboiled::Session;
+use hardboiled_repro::ir::stmt::Stmt;
+use hardboiled_repro::ir::types::ScalarType;
+use hardboiled_repro::lang::{hf, hi, hv, lower, Func, ImageParam, Pipeline};
 
 #[test]
 fn conv1d_full_pipeline_tensor_vs_cuda_vs_reference() {
@@ -132,4 +136,48 @@ fn compile_time_grows_with_unrolled_kernel_size() {
         hardboiled_repro::apps::harness::compile_only(&large.pipeline_tc_unrolled()).unwrap();
     assert!(r_large.num_statements() > r_small.num_statements());
     assert!(r_large.all_lowered(), "unrolled statements still lower");
+}
+
+#[test]
+fn a_producer_called_at_two_offsets_is_realized_over_both() {
+    // g(x) = f(x + a) + f(x + b), f computed per 4-wide tile of g: the
+    // region of f must run from the smaller offset to the farther end.
+    // Merging the call sites by the larger size alone allocated 4 elements
+    // and the run read f[4] out of bounds.
+    const N: i64 = 16;
+    let session = Session::default();
+    for (a, b) in [(0, 1), (2, 0), (1, 1)] {
+        let img = ImageParam::new("in", ScalarType::F32, &[N + 2]);
+        let f = Func::new("f", &["x"], ScalarType::F32);
+        f.define(img.at(&[hv("x")]) * hf(2.0));
+        let g = Func::new("g", &["x"], ScalarType::F32);
+        g.define(f.at(&[hv("x") + hi(a)]) + f.at(&[hv("x") + hi(b)]));
+        g.bound("x", 0, N);
+        g.stage_init(|s| {
+            s.split("x", "xo", "xi", 4);
+        });
+        f.compute_at(&g, "xo");
+        let p = Pipeline::new(&g, &[&f], &[&img]);
+
+        let mut allocated = None;
+        lower(&p).unwrap().stmt.for_each_stmt(&mut |s| {
+            if let Stmt::Allocate { name, size, .. } = s {
+                if name == "f" {
+                    allocated = Some(*size);
+                }
+            }
+        });
+        assert_eq!(
+            allocated,
+            Some(4 + a.abs_diff(b)),
+            "f(x + {a}) + f(x + {b})"
+        );
+
+        let data: Vec<f64> = (0..N + 2).map(|i| f64::from(i as i32 % 7) - 2.5).collect();
+        let run = compile_and_run_with(&session, &p, &[("in", &data)]).unwrap();
+        let want: Vec<f64> = (0..N as usize)
+            .map(|x| 2.0 * data[x + a as usize] + 2.0 * data[x + b as usize])
+            .collect();
+        assert_eq!(run.output, want, "f(x + {a}) + f(x + {b})");
+    }
 }
