@@ -79,8 +79,8 @@ fn warm_start_matches_cold_on_the_full_pool() {
     // one is `tests/pool.rs`'s engine-level row count: same 161 leaves).
     let cold_rows = cold.report.batch.as_ref().unwrap().delta_probed_rows;
     let warm_rows = warm.report.batch.as_ref().unwrap().delta_probed_rows;
-    assert_eq!((warm_rows, cold_rows), (242, 9291), "probed rows moved");
-    assert_eq!(snapshot.size_bytes(), 423_409, "snapshot length moved");
+    assert_eq!((warm_rows, cold_rows), (222, 7671), "probed rows moved");
+    assert_eq!(snapshot.size_bytes(), 410_897, "snapshot length moved");
 }
 
 /// First-occurrence renamer: the n-th distinct name seen on the canonical

@@ -11,18 +11,15 @@
 //! name indices straight into a `splitmix64` chain. No `DefaultHasher`, no
 //! iteration-order dependence, stable across processes.
 
-use std::fmt::Write as _;
 use std::time::Duration;
 
 use hb_egraph::schedule::Runner;
 use hb_egraph::snapshot::{payload_checksum, splitmix64};
-use hb_egraph::unionfind::Id;
-use hb_ir::expr::{BinOp, Expr};
+use hb_ir::expr::Expr;
 use hb_ir::stmt::Stmt;
-use hb_ir::types::{Location, ScalarType, Type};
+use hb_ir::types::Type;
 
-use crate::cost::CostModel;
-use crate::lang::HbLang;
+use crate::cost::DeviceCost;
 use crate::movement::Placements;
 use crate::session::Batching;
 
@@ -303,57 +300,10 @@ pub(crate) fn leaf_keys(leaves: &[&Stmt], fingerprint: u64) -> Vec<u64> {
     leaves.iter().map(key).collect()
 }
 
-/// E-nodes whose costs a fingerprint samples: one per shape the built-in
-/// cost models distinguish (literals, arithmetic, casts, loads, reduces,
-/// intrinsic calls, and every data-movement direction).
-fn cost_probe_nodes() -> Vec<HbLang> {
-    let mut nodes = vec![
-        HbLang::Num(0),
-        HbLang::Num(1),
-        HbLang::Flt(0, ScalarType::F32),
-        HbLang::Str("p".into()),
-        HbLang::VarE("p".into()),
-        HbLang::Ty(ScalarType::F32, [Id(0)]),
-        HbLang::MultiplyLanes([Id(0), Id(1)]),
-        HbLang::Cast([Id(0), Id(1)]),
-        HbLang::Select([Id(0), Id(1), Id(2)]),
-        HbLang::Ramp([Id(0), Id(1), Id(2)]),
-        HbLang::Bcast([Id(0), Id(1)]),
-        HbLang::Load([Id(0), Id(1), Id(2)]),
-        HbLang::Vra([Id(0), Id(1)]),
-        HbLang::call("tile_matmul", [Id(0)]),
-        HbLang::ExprVar([Id(0)]),
-        HbLang::StoreS([Id(0), Id(1), Id(2)]),
-        HbLang::EvalS([Id(0)]),
-    ];
-    for op in [
-        BinOp::Add,
-        BinOp::Sub,
-        BinOp::Mul,
-        BinOp::Div,
-        BinOp::Mod,
-        BinOp::Min,
-        BinOp::Max,
-        BinOp::Lt,
-        BinOp::Le,
-        BinOp::Eq,
-        BinOp::And,
-        BinOp::Or,
-    ] {
-        nodes.push(HbLang::Bin(op, [Id(0), Id(1)]));
-    }
-    for from in [Location::Mem, Location::Amx, Location::Wmma] {
-        for to in [Location::Mem, Location::Amx, Location::Wmma] {
-            nodes.push(HbLang::Loc(from, to, [Id(0)]));
-        }
-    }
-    nodes
-}
-
 /// Fingerprint of everything a session can set that can change a
 /// compile's output: target name, batching mode, deadline, match budget,
-/// the runner's node limit, and the cost model's price of every probe node
-/// (`cost_probe_nodes`). What is the same in every session (the outer
+/// the runner's node limit, and the two prices of the session's
+/// [`DeviceCost`]. What is the same in every session (the outer
 /// rounds and the runner's iteration limit) and what only observes a
 /// compile (tracer, metrics registry, profile sink) is left out, so cached
 /// reports and snapshots port across instrumented and plain sessions.
@@ -363,17 +313,17 @@ pub(crate) fn policy_fingerprint(
     deadline: Option<Duration>,
     match_budget: Option<usize>,
     runner: &Runner,
-    cost: &dyn CostModel,
+    cost: DeviceCost,
 ) -> u64 {
-    let mut text = format!(
+    let text = format!(
         "target={target_name}\u{1f}batching={batching:?}\
-         \u{1f}deadline={:?}\u{1f}match={match_budget:?}\u{1f}nodes={}",
+         \u{1f}deadline={:?}\u{1f}match={match_budget:?}\u{1f}nodes={}\
+         \u{1f}intrinsic={}\u{1f}movement={}",
         deadline.map(|d| d.as_nanos()),
         runner.node_limit,
+        cost.intrinsic,
+        cost.movement,
     );
-    for node in cost_probe_nodes() {
-        let _ = write!(text, "\u{1f}{}", cost.node_cost(&node));
-    }
     payload_checksum(text.as_bytes())
 }
 
@@ -381,7 +331,8 @@ pub(crate) fn policy_fingerprint(
 mod tests {
     use super::*;
     use hb_ir::builder::*;
-    use hb_ir::types::{MemoryType, Type};
+    use hb_ir::expr::BinOp;
+    use hb_ir::types::{MemoryType, ScalarType, Type};
 
     fn leaf(buf: &str, tmp: &str) -> (Stmt, Placements) {
         let loaded = load(

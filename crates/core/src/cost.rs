@@ -7,20 +7,18 @@
 //! none exists the movement survives and the selector reports the statement
 //! as not lowered (the "miss" of the paper's hit-or-miss framing).
 //!
-//! One implementation ships with the crate: [`DeviceCost`], the `Session`
-//! default, **derived from the target's [`DeviceProfile`]** — the
-//! per-intrinsic charge reflects how the device's tensor units compare to
-//! its general-purpose cores, so extraction prefers intrinsics exactly when
-//! the device makes them worthwhile. On every built-in profile (A100, RTX
-//! 4070 SUPER, AMX host) the derivation lands on the historical constants
+//! The model is [`DeviceCost`], the one a `Session` extracts with,
+//! **derived from the target's [`DeviceProfile`]**: the per-intrinsic
+//! charge reflects how the device's tensor units compare to its
+//! general-purpose cores, so extraction prefers intrinsics exactly when the
+//! device makes them worthwhile. On every built-in profile (A100, RTX 4070
+//! SUPER, AMX host) the derivation lands on the historical constants
 //! ([`MOVEMENT_PENALTY`], [`INTRINSIC_COST`]; the unit tests below keep the
 //! original hardcoded model as their reference), so selections are
 //! byte-identical to it; a profile with pathologically slow tensor units
 //! instead prices intrinsics above the movement penalty and extraction
-//! falls back to vector code.
-//!
-//! Custom models implement [`CostModel`] (a per-node charge; the extractor
-//! adds children) and plug in via `Session::builder().cost_model(...)`.
+//! falls back to vector code. Its two prices are all a session's cost
+//! policy is: they go into the session's policy fingerprint.
 
 use hb_accel::device::DeviceProfile;
 use hb_egraph::extract::CostFunction;
@@ -34,30 +32,6 @@ pub const MOVEMENT_PENALTY: u64 = 10_000;
 
 /// Own cost of an intrinsic call under the historical constants.
 pub const INTRINSIC_COST: u64 = 2;
-
-/// A pluggable extraction cost model: assigns each e-node its *own* cost;
-/// the extractor adds the best costs of the children (saturating).
-///
-/// Object-safe so `Session` can hold any model behind a `Box<dyn
-/// CostModel>`.
-pub trait CostModel: Send + Sync {
-    /// The node's own cost, excluding children.
-    fn node_cost(&self, node: &HbLang) -> u64;
-}
-
-/// Adapter: any [`CostModel`] is a [`CostFunction`] over [`HbLang`] by
-/// summing the node's own cost with its children's best costs.
-pub(crate) struct ModelCost<'a>(pub &'a dyn CostModel);
-
-impl CostFunction<HbLang> for ModelCost<'_> {
-    fn cost(&self, node: &HbLang, child_cost: &mut dyn FnMut(Id) -> u64) -> u64 {
-        let mut total = self.0.node_cost(node);
-        for &c in node.children() {
-            total = total.saturating_add(child_cost(c));
-        }
-        total
-    }
-}
 
 /// The device-derived cost model: AST size with the intrinsic charge
 /// computed from a [`DeviceProfile`].
@@ -108,19 +82,17 @@ impl DeviceCost {
     }
 }
 
-impl CostModel for DeviceCost {
-    fn node_cost(&self, node: &HbLang) -> u64 {
-        match node {
+/// Each node's own cost — a movement's or an intrinsic's price, 1 for
+/// anything else — plus its children's best costs (saturating).
+impl CostFunction<HbLang> for DeviceCost {
+    fn cost(&self, node: &HbLang, child_cost: &mut dyn FnMut(Id) -> u64) -> u64 {
+        let own = match node {
             HbLang::Loc(..) => self.movement,
             HbLang::Call(..) => self.intrinsic,
             _ => 1,
-        }
-    }
-}
-
-impl CostFunction<HbLang> for DeviceCost {
-    fn cost(&self, node: &HbLang, child_cost: &mut dyn FnMut(Id) -> u64) -> u64 {
-        ModelCost(self).cost(node, child_cost)
+        };
+        let children = node.children().iter().map(|&c| child_cost(c));
+        children.fold(own, u64::saturating_add)
     }
 }
 
@@ -137,15 +109,17 @@ mod tests {
     /// input — kept as the reference [`DeviceCost`] is held to.
     struct HbCost;
 
-    impl CostModel for HbCost {
-        fn node_cost(&self, node: &HbLang) -> u64 {
-            match node {
+    impl CostFunction<HbLang> for HbCost {
+        fn cost(&self, node: &HbLang, child_cost: &mut dyn FnMut(Id) -> u64) -> u64 {
+            let own = match node {
                 HbLang::Loc(..) => MOVEMENT_PENALTY,
                 // Intrinsic calls are single instructions; keep them
                 // competitive with the vector soup they replace.
                 HbLang::Call(..) => INTRINSIC_COST,
                 _ => 1,
-            }
+            };
+            let children = node.children().iter().map(|&c| child_cost(c));
+            children.fold(own, u64::saturating_add)
         }
     }
 
@@ -153,7 +127,7 @@ mod tests {
     fn movements_dominate_cost() {
         let mut eg = HbGraph::default();
         let id = encode_expr(&mut eg, &b::mem_to_amx(b::bcast(b::flt(0.0), 4)));
-        let ex = WorklistExtractor::new(&eg, ModelCost(&HbCost));
+        let ex = WorklistExtractor::new(&eg, HbCost);
         assert!(ex.cost_of(id).unwrap() >= MOVEMENT_PENALTY);
     }
 
@@ -167,7 +141,7 @@ mod tests {
         );
         eg.union(moved, call);
         eg.rebuild();
-        let ex = WorklistExtractor::new(&eg, ModelCost(&HbCost));
+        let ex = WorklistExtractor::new(&eg, HbCost);
         let term = ex.extract(moved);
         assert_eq!(
             crate::decode::decode_expr(&term).unwrap(),

@@ -37,7 +37,7 @@
 //!    families the target's rule profile selects), with supporting rules
 //!    run to fixpoint between iterations (§III-D2),
 //! 4. extraction picks the cheapest equivalent under the session's
-//!    [`CostModel`] (§III-D3),
+//!    [`DeviceCost`] (§III-D3),
 //! 5. [`decode`] + [`postprocess`] splice the result (materializing
 //!    `ExprVar` swizzle buffers) back into the loop nest.
 //!
@@ -139,12 +139,6 @@
 //!   no-accelerator `scalar` fallback, and `sim` (both families — the
 //!   default). Plug in a new backend by implementing the trait and passing
 //!   it to [`SessionBuilder::target`].
-//! * **Cost models** ([`cost::CostModel`]) assign per-node extraction
-//!   costs. The default, [`cost::DeviceCost`], is *derived from the
-//!   target's device profile*: intrinsics are priced by how the device's
-//!   tensor units compare to its general-purpose cores, so a device with
-//!   slow tensor units makes extraction keep the vector code. Override
-//!   with [`SessionBuilder::cost_model`].
 //! * **Extraction** is not an extension point: every compile unit solves
 //!   one [`hb_egraph::extract::WorklistExtractor`] cost table over its
 //!   saturated graph and reads every root out of it — one root per leaf
@@ -152,8 +146,13 @@
 //!   that and a shared term bank per batching mode, plus a shared-subterm
 //!   cost objective nothing consumed; the bank's readouts measured 0.73–0.79x
 //!   the worklist's on the 158-root suite graph — see the
-//!   `hb_egraph::extract` module docs — so the knob went.) What *is*
-//!   pluggable about extraction is the cost model above.
+//!   `hb_egraph::extract` module docs — so the knob went.)
+//! * **The cost model** is not an extension point either: a session
+//!   extracts with the [`cost::DeviceCost`] *derived from its target's
+//!   device profile* — intrinsics are priced by how the device's tensor
+//!   units compare to its general-purpose cores, so a device with slow
+//!   tensor units makes extraction keep the vector code. A different
+//!   price comes from a different target (the first bullet).
 //! * **Front ends** implement [`session::IntoProgram`]; `hb-lang` does so
 //!   for its `Pipeline` and `Lowered` types, which makes
 //!   `session.compile(&pipeline)` lower and select in one call.
@@ -172,7 +171,7 @@ pub mod session;
 pub use cache::{
     canonical_program_hash, CacheOutcome, CacheStats, ReportCache, SuiteSnapshot, WarmRejection,
 };
-pub use cost::{CostModel, DeviceCost};
+pub use cost::DeviceCost;
 pub use hb_accel::target::{AmxTarget, RuleProfile, ScalarTarget, SimTarget, Target, WmmaTarget};
 pub use hb_egraph::schedule::CancelToken;
 pub use hb_obs::{

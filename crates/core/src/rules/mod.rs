@@ -6,8 +6,14 @@
 //! * [`app_specific`] — tile-discovery rules for MatMul layouts and
 //!   convolution-like patterns (Fig. 10b, Appendix B),
 //! * [`lowering`] — rules emitting accelerator intrinsics (Fig. 10a),
-//! * [`supporting`] — type computations run to fixpoint between iterations
-//!   (§III-D2).
+//! * [`supporting`] — the type computation run to fixpoint between
+//!   iterations (§III-D2): one rule, `multiply-lanes`.
+//!
+//! Relations are tables that queries join, so a relation no rule reads is
+//! pure write cost: the only ones are the AMX tile facts `amx-a-tile` /
+//! `amx-b-tile`, written by the app-specific rules and read by
+//! `amx-matmul` (`crates/bench/tests/pool.rs` checks that every relation
+//! the pool fills is read).
 
 pub mod app_specific;
 pub mod axiomatic;
@@ -101,7 +107,7 @@ pub fn main_rules() -> Vec<Rw> {
     rules
 }
 
-/// The supporting rules (saturated between main iterations).
+/// The supporting rule set (saturated between main iterations).
 #[must_use]
 pub fn supporting_rules() -> Vec<Rw> {
     supporting::rules()
@@ -142,27 +148,33 @@ impl RuleSet {
 
     /// Builds the rule schedule for one target's [`RuleProfile`]: the
     /// accelerator families the target cannot lower are dropped by rule
-    /// name (`amx-*` / `wmma-*` across the app-specific and lowering
-    /// sets), so an AMX-only session never saturates with WMMA rules and
-    /// vice versa. The axiomatic and supporting rules are target-neutral
-    /// and always included.
+    /// name, in any case (`amx-*` / `wmma-*` across the app-specific and
+    /// lowering sets, and the axiomatic `bcast-through-*` rules named
+    /// after a movement such as `Mem2WMMA`), so an AMX-only session never
+    /// saturates with WMMA rules and vice versa. The other axiomatic rules
+    /// and the supporting rule are target-neutral and always included.
     #[must_use]
     pub fn for_profile(profile: RuleProfile) -> Self {
         RULE_BUILDS.fetch_add(1, Ordering::SeqCst);
         let mut main = main_rules();
-        match profile {
-            RuleProfile::All => {}
-            RuleProfile::Amx => main.retain(|r| !r.name.contains("wmma")),
-            RuleProfile::Wmma => main.retain(|r| !r.name.contains("amx")),
-            RuleProfile::None => {
-                main.retain(|r| !r.name.contains("wmma") && !r.name.contains("amx"));
-            }
-        }
+        let dropped: &[&str] = match profile {
+            RuleProfile::All => &[],
+            RuleProfile::Amx => &["wmma"],
+            RuleProfile::Wmma => &["amx"],
+            RuleProfile::None => &["wmma", "amx"],
+        };
+        main.retain(|r| !dropped.iter().any(|family| names_family(&r.name, family)));
         RuleSet {
             main,
             support: supporting_rules(),
         }
     }
+}
+
+/// Whether a rule name mentions accelerator family `family` (lowercase),
+/// in any case.
+fn names_family(name: &str, family: &str) -> bool {
+    name.to_ascii_lowercase().contains(family)
 }
 
 impl Default for RuleSet {
@@ -178,18 +190,39 @@ mod tests {
     #[test]
     fn rule_names_keep_the_family_prefix_convention() {
         // Profile filtering is name-based: a rule belongs to the AMX
-        // family iff its name contains "amx", to WMMA iff it contains
-        // "wmma". A name mentioning BOTH (e.g. a hypothetical
+        // family iff its name mentions "amx" in any case, to WMMA iff it
+        // mentions "wmma". A name mentioning BOTH (e.g. a hypothetical
         // "amx-to-wmma-copy") would silently vanish from *both*
         // single-target profiles, so this test makes that situation loud:
         // give such a rule a neutral name or extend `for_profile` with an
         // explicit family tag first.
         for r in main_rules() {
             assert!(
-                !(r.name.contains("amx") && r.name.contains("wmma")),
+                !(names_family(&r.name, "amx") && names_family(&r.name, "wmma")),
                 "rule {:?} names both families; profile filtering would drop it everywhere",
                 r.name
             );
+        }
+    }
+
+    #[test]
+    fn profiles_keep_no_rule_of_a_dropped_family() {
+        for (profile, dropped) in [
+            (RuleProfile::Amx, &["wmma"][..]),
+            (RuleProfile::Wmma, &["amx"][..]),
+            (RuleProfile::None, &["amx", "wmma"][..]),
+        ] {
+            let set = RuleSet::for_profile(profile);
+            for r in set.main.iter().chain(&set.support) {
+                let upper = r.name.to_ascii_uppercase();
+                for family in dropped {
+                    assert!(
+                        !upper.contains(&family.to_ascii_uppercase()),
+                        "{profile:?} keeps {:?}, a rule of the dropped {family} family",
+                        r.name
+                    );
+                }
+            }
         }
     }
 
@@ -203,5 +236,11 @@ mod tests {
         // Neutral rules (axiomatic + shared app rules) appear in every
         // profile; family rules in exactly one.
         assert_eq!(amx + wmma, all + none, "family rules must partition");
+        assert_eq!(
+            [all, amx, wmma, none],
+            [41, 30, 27, 16],
+            "main rule counts moved"
+        );
+        assert_eq!(supporting_rules().len(), 1);
     }
 }

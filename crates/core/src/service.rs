@@ -609,12 +609,6 @@ impl CompileService {
         }
     }
 
-    /// Worker pool size.
-    #[must_use]
-    pub fn workers(&self) -> usize {
-        self.workers.len()
-    }
-
     /// Per-target queue capacity (the bound behind
     /// [`ServiceError::Busy`]).
     #[must_use]
@@ -637,19 +631,6 @@ impl CompileService {
     #[must_use]
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         self.metrics.snapshot()
-    }
-
-    /// The service's metrics registry (always present — a private one
-    /// unless [`CompileServiceBuilder::shared_metrics`] supplied it).
-    #[must_use]
-    pub fn metrics(&self) -> &Arc<MetricsRegistry> {
-        &self.metrics
-    }
-
-    /// Registered target names, sorted.
-    #[must_use]
-    pub fn targets(&self) -> Vec<&str> {
-        self.names.iter().map(String::as_str).collect()
     }
 
     /// The session serving `target` — the same instance every request to
@@ -808,8 +789,6 @@ mod tests {
             .register_target("sim")
             .build()
             .unwrap();
-        assert_eq!(service.workers(), 2);
-        assert_eq!(service.targets(), vec!["sim"]);
         assert_eq!(service.queue_capacity(), DEFAULT_QUEUE_CAPACITY);
 
         let direct = Session::builder().target_name("sim").build().unwrap();

@@ -11,7 +11,7 @@ use hb_obs::{MetricsRegistry, ProfileHandle, ProfileSink, Tracer};
 
 use super::{ObsHandles, Session};
 use crate::cache::ReportCache;
-use crate::cost::{CostModel, DeviceCost};
+use crate::cost::DeviceCost;
 
 /// Session construction errors (builder validation).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -69,7 +69,7 @@ pub enum Batching {
     Batched,
 }
 
-/// Builder for [`Session`]: target, cost model, batching mode, the
+/// Builder for [`Session`]: target, batching mode, the
 /// saturation budgets (node limit, deadline, match cap),
 /// a report cache, and the three observers (tracer, metrics registry,
 /// profile sink). Everything else about a compile is fixed — in particular
@@ -78,7 +78,6 @@ pub enum Batching {
 pub struct SessionBuilder {
     target: Option<Box<dyn Target>>,
     unknown_target: Option<String>,
-    cost: Option<Box<dyn CostModel>>,
     batching: Batching,
     node_limit: Option<usize>,
     deadline: Option<Duration>,
@@ -96,7 +95,6 @@ impl SessionBuilder {
         SessionBuilder {
             target: None,
             unknown_target: None,
-            cost: None,
             batching: Batching::default(),
             node_limit: None,
             deadline: None,
@@ -134,14 +132,6 @@ impl SessionBuilder {
             }
             None => self.unknown_target = Some(name.to_string()),
         }
-        self
-    }
-
-    /// Overrides the extraction cost model (default: [`DeviceCost`]
-    /// derived from the target's device profile).
-    #[must_use]
-    pub fn cost_model(mut self, cost: impl CostModel + 'static) -> Self {
-        self.cost = Some(Box::new(cost));
         self
     }
 
@@ -268,9 +258,7 @@ impl SessionBuilder {
         }
         let batching = self.batching;
         let target = self.target.unwrap_or_else(|| Box::new(SimTarget::new()));
-        let cost = self
-            .cost
-            .unwrap_or_else(|| Box::new(DeviceCost::from_profile(target.device())));
+        let cost = DeviceCost::from_profile(target.device());
         let mut runner = Runner::new(
             16,
             self.node_limit.unwrap_or(match batching {
@@ -291,7 +279,7 @@ impl SessionBuilder {
             self.deadline,
             self.match_budget,
             &runner,
-            cost.as_ref(),
+            cost,
         );
         let obs = self.metrics.as_deref().map(ObsHandles::resolve);
         Ok(Session {

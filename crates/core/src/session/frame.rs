@@ -14,7 +14,6 @@ use hb_ir::stmt::Stmt;
 
 use super::{Batching, CompileOutcome, CompileReport, IrSuiteResult, Session, StmtReport};
 use crate::cache::{leaf_keys, CacheOutcome, Selection, SuiteSnapshot};
-use crate::cost::ModelCost;
 use crate::decode::decode_stmt;
 use crate::encode::encode_stmt;
 use crate::lang::{HbGraph, HbLang};
@@ -336,9 +335,8 @@ impl Session {
 
         let mut extract_span = self.tracer.span("extract");
         extract_span.attr("roots", ctx.roots.len());
-        let cost = ModelCost(self.cost.as_ref());
         let tables = std::mem::take(&mut ctx.extract);
-        let extractor = WorklistExtractor::with_scratch(&ctx.graph, cost, tables);
+        let extractor = WorklistExtractor::with_scratch(&ctx.graph, self.cost, tables);
         let extraction = report.extraction.get_or_insert_with(Default::default);
         for (&root, &original) in ctx.roots.iter().zip(leaves) {
             let readout_started = Instant::now();

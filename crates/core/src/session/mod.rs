@@ -2,8 +2,8 @@
 //!
 //! A [`Session`] owns everything one compilation context needs — the
 //! [`Target`] (device parameters, placement policy, rule profile), the
-//! extraction [`CostModel`] (derived from the target's device unless
-//! overridden), the batching mode and the saturation budget — and runs
+//! extraction [`DeviceCost`] derived from the target's device, the
+//! batching mode and the saturation budget — and runs
 //! lower → annotate → encode → saturate → extract → splice over anything
 //! implementing [`IntoProgram`] (an IR statement tree, a front-end
 //! `Pipeline` from `hb-lang`, or a pre-lowered `Lowered`). With
@@ -87,7 +87,7 @@ use hb_ir::stmt::Stmt;
 use hb_obs::{Counter, Gauge, Histogram, MetricsRegistry, Tracer};
 
 use crate::cache::ReportCache;
-use crate::cost::CostModel;
+use crate::cost::DeviceCost;
 use crate::lang::Symbol;
 use crate::movement::Placements;
 use crate::rules::RuleSet;
@@ -288,7 +288,7 @@ fn delta_rows(report: &CompileReport) -> (u64, u64) {
 /// is reused by every later call on the same session.
 pub struct Session {
     target: Box<dyn Target>,
-    cost: Box<dyn CostModel>,
+    cost: DeviceCost,
     batching: Batching,
     deadline: Option<Duration>,
     match_budget: Option<usize>,
@@ -343,7 +343,7 @@ impl Session {
 
     /// The session's policy fingerprint: a stable hash of everything
     /// besides the programs that can change a compile's output (target,
-    /// batching, budgets, cost-model probe). Cache keys fold
+    /// batching, budgets, the cost model's two prices). Cache keys fold
     /// it in, and [`SuiteSnapshot`](crate::cache::SuiteSnapshot)s carry the
     /// exporting session's value so warm-starts only run under a
     /// compatible policy.

@@ -164,6 +164,12 @@ impl Relations {
         })
     }
 
+    /// Names of every relation declared or written, in no particular
+    /// order.
+    pub fn names(&self) -> impl Iterator<Item = &str> {
+        self.tables.keys().map(String::as_str)
+    }
+
     /// Number of tuples in a relation.
     #[must_use]
     pub fn len(&self, name: &str) -> usize {
@@ -326,9 +332,9 @@ mod tests {
     #[test]
     fn declare_makes_visible_empty_relation() {
         let mut r = Relations::default();
-        r.declare("has-type");
-        assert_eq!(r.len("has-type"), 0);
-        assert_eq!(r.tuples("has-type").count(), 0);
+        r.declare("declared");
+        assert_eq!(r.len("declared"), 0);
+        assert_eq!(r.tuples("declared").count(), 0);
         assert!(!r.any_changed_since(0));
     }
 

@@ -35,9 +35,9 @@ fn large_unrolled() -> Lowered {
 }
 
 /// Four families with little in common: different operators, different
-/// intrinsics, different relations (`has-type` everywhere, the AMX tile
-/// relations only under the matmul), and a context that rests fifteen
-/// times larger after the last than after the others.
+/// intrinsics, relation tuples in one only (the AMX tile relations, under
+/// the matmul), and a context that rests fifteen times larger after the
+/// last than after the others.
 fn families() -> Vec<Lowered> {
     let amx = AmxMatmul {
         m: 32,
