@@ -1,14 +1,10 @@
-//! Canonical program hashing and policy fingerprints (the report cache's
-//! content-addressed leaf keys; see the module docs in [`super`]).
+//! Content hashing of programs and policy fingerprints (the report cache's
+//! leaf keys; see the module docs in [`super`]).
 //!
-//! The canonical form renames every buffer and variable name to its
-//! first-occurrence index over a fixed pre-order walk, so structurally
-//! identical programs — e.g. unrolled loop bodies differing only in the
-//! temporaries a front end generated — collide on purpose, while any
-//! structural difference (shape, operators, types, lane counts, intrinsic
-//! names, placements) keeps hashes apart. The canonical form is never
-//! built: one walk over the borrowed tree feeds node tags, payloads and
-//! name indices straight into a `splitmix64` chain. No `DefaultHasher`, no
+//! One walk over the borrowed tree feeds node tags, payloads and names
+//! straight into a `splitmix64` chain: equal programs hash equal, and any
+//! difference — shape, operators, types, lane counts, names, placements —
+//! keeps hashes apart up to 64-bit collisions. No `DefaultHasher`, no
 //! iteration-order dependence, stable across processes.
 
 use std::time::Duration;
@@ -26,9 +22,8 @@ use crate::session::Batching;
 /// Node tags of the word stream. Every node feeds its tag, then its
 /// payload words, then its children in walk order; arities are fixed by
 /// the tag (`Block` and `Call` feed their lengths), so the stream decodes
-/// to exactly one canonical tree and two trees feed equal streams only
-/// when they are equal up to renaming. The numbers are part of the key:
-/// changing one moves every hash (`tests/properties.rs` pins a constant).
+/// to exactly one tree. The numbers are part of the key: changing one
+/// moves every hash (`tests/properties.rs` pins a constant).
 mod tag {
     pub const INT: u64 = 1;
     pub const FLOAT: u64 = 2;
@@ -49,31 +44,15 @@ mod tag {
     pub const ALLOCATE: u64 = 17;
     pub const IF: u64 = 18;
     pub const PLACED: u64 = 19;
-    pub const UNMENTIONED: u64 = 20;
-    pub const PROGRAM_END: u64 = 21;
+    pub const PROGRAM_END: u64 = 20;
 }
 
-/// The streaming canonical hasher: the `splitmix64` chain state plus the
-/// first-occurrence renamer of the program being walked. The n-th
-/// distinct name seen on the walk feeds the index `n`, whatever it was
-/// called. Variables and buffers share one namespace (they share one in
-/// the e-graph's `Str`/`VarE` leaves too — a buffer and a loop var with
-/// the same name alias). Names are borrowed from the tree and searched
-/// newest first: programs mention few distinct names, and mostly the one
-/// they mentioned last.
-struct CanonHasher<'a> {
+/// The streaming content hasher: the `splitmix64` chain state.
+struct CanonHasher {
     state: u64,
-    names: Vec<&'a str>,
 }
 
-impl<'a> CanonHasher<'a> {
-    fn new() -> Self {
-        CanonHasher {
-            state: 0,
-            names: Vec::with_capacity(16),
-        }
-    }
-
+impl CanonHasher {
     fn word(&mut self, word: u64) {
         self.state = splitmix64(self.state ^ word);
     }
@@ -83,19 +62,12 @@ impl<'a> CanonHasher<'a> {
         self.word(u64::from(ty.lanes));
     }
 
-    fn index_of(&self, name: &str) -> Option<usize> {
-        self.names.iter().rposition(|known| *known == name)
+    /// Buffer, variable and intrinsic names all feed by content.
+    fn name(&mut self, name: &str) {
+        self.word(payload_checksum(name.as_bytes()));
     }
 
-    fn name(&mut self, name: &'a str) {
-        let index = self.index_of(name).unwrap_or_else(|| {
-            self.names.push(name);
-            self.names.len() - 1
-        });
-        self.word(index as u64);
-    }
-
-    fn expr(&mut self, e: &'a Expr) {
+    fn expr(&mut self, e: &Expr) {
         match e {
             Expr::IntImm(v) => {
                 self.word(tag::INT);
@@ -146,7 +118,6 @@ impl<'a> CanonHasher<'a> {
             Expr::Load { ty, buffer, index } => {
                 self.word(tag::LOAD);
                 self.ty(*ty);
-                // The buffer before the index: pre-order, like `Var`.
                 self.name(buffer);
                 self.expr(index);
             }
@@ -155,13 +126,10 @@ impl<'a> CanonHasher<'a> {
                 self.word(u64::from(*lanes));
                 self.expr(value);
             }
-            // Intrinsic names are semantic (they pick the instruction), so
-            // they feed by content (their checksum), unlike buffer/variable
-            // names.
             Expr::Call { ty, name, args } => {
                 self.word(tag::CALL);
                 self.ty(*ty);
-                self.word(payload_checksum(name.as_bytes()));
+                self.name(name);
                 self.word(args.len() as u64);
                 for arg in args {
                     self.expr(arg);
@@ -176,7 +144,7 @@ impl<'a> CanonHasher<'a> {
         }
     }
 
-    fn stmt(&mut self, s: &'a Stmt) {
+    fn stmt(&mut self, s: &Stmt) {
         match s {
             Stmt::Store {
                 buffer,
@@ -235,64 +203,44 @@ impl<'a> CanonHasher<'a> {
         }
     }
 
-    /// The requested placements, after the tree they annotate: those of
-    /// names the tree mentions in first-occurrence order (the renamer's own
-    /// order, whatever the map's), then those of names it never mentions
-    /// as an order-free sum of per-entry hashes of the raw name — such a
-    /// name has no canonical index, so it counts by content.
+    /// The requested placements, after the tree they annotate, as one
+    /// order-free sum of per-entry hashes (the map's iteration order is
+    /// not part of the program).
     fn placements(&mut self, placements: &Placements) {
-        let mut mentioned = 0;
-        for index in 0..self.names.len() {
-            if let Some(memory) = placements.get(self.names[index]) {
-                mentioned += 1;
-                self.word(tag::PLACED);
-                self.word(index as u64);
-                self.word(*memory as u64);
-            }
-        }
-        let mut unmentioned = 0u64;
-        if mentioned < placements.len() {
-            for (name, memory) in placements {
-                if self.index_of(name).is_none() {
-                    let entry = splitmix64(payload_checksum(name.as_bytes()));
-                    unmentioned = unmentioned.wrapping_add(splitmix64(entry ^ *memory as u64));
-                }
-            }
-        }
-        self.word(tag::UNMENTIONED);
-        self.word((placements.len() - mentioned) as u64);
-        self.word(unmentioned);
+        let sum = placements.iter().fold(0u64, |sum, (name, memory)| {
+            let entry = splitmix64(payload_checksum(name.as_bytes()));
+            sum.wrapping_add(splitmix64(entry ^ *memory as u64))
+        });
+        self.word(tag::PLACED);
+        self.word(placements.len() as u64);
+        self.word(sum);
     }
 
-    /// One whole program; the renamer starts over for the next.
-    fn program(&mut self, stmt: &'a Stmt, placements: &Placements) {
-        self.names.clear();
+    /// One whole program.
+    fn program(&mut self, stmt: &Stmt, placements: &Placements) {
         self.stmt(stmt);
         self.placements(placements);
         self.word(tag::PROGRAM_END);
     }
 }
 
-/// Content-addressed hash of one program (statement tree + requested
-/// placements), invariant under renaming of buffers/variables and under
-/// placement-map iteration order. See the module docs for the scheme.
+/// Content hash of one program (statement tree + requested placements):
+/// equal programs hash equal whatever the placement map's iteration
+/// order. See the module docs for the scheme.
 #[must_use]
 pub fn canonical_program_hash(stmt: &Stmt, placements: &Placements) -> u64 {
-    let mut hasher = CanonHasher::new();
+    let mut hasher = CanonHasher { state: 0 };
     hasher.program(stmt, placements);
     hasher.state
 }
 
 /// Cache keys of a request's annotated selection leaves: each leaf's
-/// canonical word stream with no placements (annotation has baked them into
-/// its `LocToLoc` nodes), then the session's policy fingerprint, in one
-/// chain per leaf — `canonical_program_hash(leaf, &Placements::new())`
-/// chained with the fingerprint. One hasher serves every leaf.
+/// content hash with no placements (annotation has baked them into its
+/// `LocToLoc` nodes) chained with the session's policy fingerprint.
 pub(crate) fn leaf_keys(leaves: &[&Stmt], fingerprint: u64) -> Vec<u64> {
     let none = Placements::new();
-    let mut hasher = CanonHasher::new();
     let key = |&leaf| {
-        hasher.state = 0;
+        let mut hasher = CanonHasher { state: 0 };
         hasher.program(leaf, &none);
         hasher.word(fingerprint);
         hasher.state
@@ -347,14 +295,15 @@ mod tests {
     }
 
     #[test]
-    fn renamed_siblings_collide() {
+    fn renamed_siblings_get_distinct_keys() {
         let (a, pa) = leaf("out0", "t0");
         let (b, pb) = leaf("out1", "some_other_temp");
-        assert_ne!(a, b);
-        assert_eq!(
+        assert_ne!(
             canonical_program_hash(&a, &pa),
             canonical_program_hash(&b, &pb)
         );
+        let keys = leaf_keys(&[&a, &b], 7);
+        assert_ne!(keys[0], keys[1]);
     }
 
     #[test]
@@ -409,8 +358,7 @@ mod tests {
 
     #[test]
     fn distinct_names_in_one_program_stay_distinct() {
-        // `x * y` and `x * x` must not collide even though both rename to
-        // small indices.
+        // `x * y` and `x * x` must not collide.
         let x = var_t("x", ScalarType::F32);
         let y = var_t("y", ScalarType::F32);
         let a = store("out", int(0), mul(x.clone(), y));

@@ -1,7 +1,7 @@
 //! The compile cache subsystem: memoized leaf selections and warm-start
 //! snapshots for saturation-as-a-service.
 //!
-//! Selection is deterministic — the same leaf, target, cost model, batching
+//! Selection is deterministic — the same leaf, target, device cost, batching
 //! mode and budgets always select the same statement at the same cost,
 //! whichever leaves share its e-graph (the per-leaf ≡ batched ≡
 //! suite-batched oracles in `tests/` and `crates/bench/tests/pool.rs` pin
@@ -9,7 +9,7 @@
 //! module exploits it at two granularities:
 //!
 //! * **Layer 1 — the report cache** ([`ReportCache`]): a bounded,
-//!   thread-safe, content-addressed map from *(canonical leaf hash, policy
+//!   thread-safe, content-addressed map from *(leaf content hash, policy
 //!   fingerprint)* to one **leaf selection** — the annotated leaf it was
 //!   selected for, the selected statement, whether it lowered, and its
 //!   root cost. The compile frame looks every leaf of a request up at once,
@@ -35,33 +35,29 @@
 //!
 //! * A program hashes through [`canonical_program_hash`]: one pre-order
 //!   walk over the borrowed statement tree that feeds a `splitmix64`
-//!   chain, word by word, with each node's tag, its payload (operator,
-//!   type, lane count, immediate, intrinsic name by content) and — in place
-//!   of every buffer/variable name — the index of that name's first
-//!   occurrence on the walk; then the requested placements in
-//!   first-occurrence order of the names they place. Nothing is copied,
-//!   rendered or sorted. Two structurally identical programs that differ
-//!   only in the names of their temporaries — the unrolled bodies a front
-//!   end stamps out — hash equal; intrinsic call names are semantic and
-//!   hash by content, as do placements of names the tree never mentions.
-//!   The chain is stable across processes, `HashMap` iteration orders and
-//!   id assignments.
+//!   chain, word by word, with each node's tag and its payload (operator,
+//!   type, lane count, immediate, and every buffer, variable and intrinsic
+//!   name by content); then the requested placements as one order-free sum
+//!   of per-entry hashes. Nothing is copied, rendered or sorted. The chain
+//!   is stable across processes, `HashMap` iteration orders and id
+//!   assignments.
 //! * A leaf's key is that hash of the *annotated* leaf with no placements
 //!   — annotation has already baked the placements into its `LocToLoc`
 //!   nodes — chained with the policy fingerprint.
 //! * The policy fingerprint folds in everything else a session can set
 //!   that can change the output: target name, batching mode, deadline,
-//!   match budget, the runner's node limit, and a probe of the cost model
-//!   over representative e-nodes. What every session shares (the outer
-//!   rounds, the runner's iteration limit) is left out, and so are the
-//!   observers (tracer, metrics registry, profile sink) — they never
-//!   change an output, so cached results and snapshots port across
-//!   instrumented and plain sessions.
+//!   match budget, the runner's node limit, and the two prices of the
+//!   session's [`DeviceCost`](crate::cost::DeviceCost). What every session
+//!   shares (the outer rounds, the runner's iteration limit) is left out,
+//!   and so are the observers (tracer, metrics registry, profile sink) —
+//!   they never change an output, so cached results and snapshots port
+//!   across instrumented and plain sessions.
 //!
-//! Hash collisions cannot corrupt results: a hit additionally requires
-//! the stored annotated leaf to equal the incoming one exactly, so
-//! canonically-colliding renamed siblings occupy separate entries and
-//! each leaf gets back its own names. A hit's statement is spliced as
+//! Key collisions cannot corrupt results: the cache holds one entry per
+//! key, and a hit additionally requires the stored annotated leaf to equal
+//! the incoming one exactly. Two different leaves can share a key only on
+//! a genuine 64-bit collision; the later store then replaces the earlier
+//! entry, and the earlier leaf misses. A hit's statement is spliced as
 //! stored, its `__hb_tmpN` temporaries inside their own `Allocate` scopes —
 //! a program holding one leaf twice splices one stored selection twice.
 //!

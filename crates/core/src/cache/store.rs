@@ -48,9 +48,8 @@ pub(crate) struct Selection {
     pub(crate) cost: Option<u64>,
 }
 
-/// One stored leaf selection, bucketed under its key. The annotated leaf
-/// rides along so a hash collision (including the intentional
-/// renamed-sibling collisions) can never serve the wrong selection.
+/// One stored leaf selection under its key. The annotated leaf rides
+/// along so a 64-bit key collision can never serve the wrong selection.
 struct Entry {
     leaf: Stmt,
     selection: Selection,
@@ -58,8 +57,7 @@ struct Entry {
 }
 
 struct Inner {
-    buckets: HashMap<u64, Vec<Entry>>,
-    len: usize,
+    entries: HashMap<u64, Entry>,
     clock: u64,
 }
 
@@ -105,8 +103,7 @@ impl ReportCache {
     pub fn new(capacity: usize) -> Self {
         ReportCache {
             inner: Mutex::new(Inner {
-                buckets: HashMap::new(),
-                len: 0,
+                entries: HashMap::new(),
                 clock: 0,
             }),
             capacity: capacity.max(1),
@@ -126,7 +123,7 @@ impl ReportCache {
     /// Number of leaf selections currently stored.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.lock().len
+        self.lock().entries.len()
     }
 
     /// Whether the cache is empty.
@@ -166,15 +163,14 @@ impl ReportCache {
 
     /// Looks up every leaf of one request under one lock acquisition, by
     /// key, answering only a leaf equal to the one that stored the entry (a
-    /// hash collision can never serve a wrong selection). Counts nothing
+    /// key collision can never serve a wrong selection). Counts nothing
     /// (see [`ReportCache::note`]).
     pub(crate) fn lookup(&self, keys: &[u64], leaves: &[&Stmt]) -> Vec<Option<Selection>> {
         let mut inner = self.lock();
         inner.clock += 1;
         let clock = inner.clock;
         let found = keys.iter().zip(leaves).map(|(key, &leaf)| {
-            let entries = inner.buckets.get_mut(key)?;
-            let entry = entries.iter_mut().find(|e| e.leaf == *leaf)?;
+            let entry = inner.entries.get_mut(key).filter(|e| e.leaf == *leaf)?;
             entry.last_used = clock;
             Some(entry.selection.clone())
         });
@@ -182,34 +178,28 @@ impl ReportCache {
     }
 
     /// Stores `(key, annotated leaf, selection)` triples under one lock
-    /// acquisition, evicting the least-recently-used entry for each one that
-    /// finds the cache full. Re-storing an equal leaf refreshes its
-    /// selection and recency instead of duplicating it. Returns how many
-    /// entries were evicted, so callers mirroring [`CacheStats`] into a
-    /// metrics registry can count evictions without re-reading stats.
+    /// acquisition, evicting the least-recently-used entry for each new key
+    /// that finds the cache full. A store under a key already held replaces
+    /// that entry — the same leaf re-stored, or, on a genuine 64-bit
+    /// collision, a different one. Returns how many entries were evicted,
+    /// so callers mirroring [`CacheStats`] into a metrics registry can
+    /// count evictions without re-reading stats.
     pub(crate) fn store(&self, fresh: Vec<(u64, Stmt, Selection)>) -> u64 {
         let mut inner = self.lock();
         inner.clock += 1;
         let clock = inner.clock;
         let mut evicted = 0;
         for (key, leaf, selection) in fresh {
-            if let Some(entry) = (inner.buckets.get_mut(&key))
-                .and_then(|entries| entries.iter_mut().find(|e| e.leaf == leaf))
-            {
-                entry.selection = selection;
-                entry.last_used = clock;
-                continue;
-            }
-            if inner.len >= self.capacity {
+            if !inner.entries.contains_key(&key) && inner.entries.len() >= self.capacity {
                 evict_lru(&mut inner);
                 evicted += 1;
             }
-            inner.buckets.entry(key).or_default().push(Entry {
+            let entry = Entry {
                 leaf,
                 selection,
                 last_used: clock,
-            });
-            inner.len += 1;
+            };
+            inner.entries.insert(key, entry);
         }
         self.evictions.fetch_add(evicted, Ordering::Relaxed);
         evicted
@@ -219,23 +209,38 @@ impl ReportCache {
 fn evict_lru(inner: &mut Inner) {
     // O(len) scan; capacities are small (hundreds) and eviction is off
     // the compile fast path, so a heap isn't worth the bookkeeping.
-    let victim = inner
-        .buckets
-        .iter()
-        .flat_map(|(&key, entries)| {
-            entries
-                .iter()
-                .enumerate()
-                .map(move |(i, e)| (e.last_used, key, i))
-        })
-        .min()
-        .map(|(_, key, i)| (key, i));
-    if let Some((key, i)) = victim {
-        let entries = inner.buckets.get_mut(&key).expect("victim bucket exists");
-        entries.remove(i);
-        if entries.is_empty() {
-            inner.buckets.remove(&key);
+    let victim = (inner.entries.iter())
+        .min_by_key(|(&key, e)| (e.last_used, key))
+        .map(|(&key, _)| key);
+    if let Some(key) = victim {
+        inner.entries.remove(&key);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hb_ir::builder::{int, store};
+
+    fn selected(leaf: &Stmt) -> Selection {
+        Selection {
+            stmt: leaf.clone(),
+            lowered: true,
+            cost: Some(1),
         }
-        inner.len -= 1;
+    }
+
+    #[test]
+    fn a_key_collision_replaces_the_entry_and_serves_only_its_leaf() {
+        let cache = ReportCache::new(4);
+        let (earlier, later) = (store("a", int(0), int(1)), store("b", int(0), int(2)));
+        cache.store(vec![(7, earlier.clone(), selected(&earlier))]);
+        cache.store(vec![(7, later.clone(), selected(&later))]);
+        assert_eq!(cache.len(), 1, "the later store replaces the earlier one");
+        let found = cache.lookup(&[7, 7], &[&earlier, &later]);
+        assert!(found[0].is_none(), "the earlier leaf was served");
+        let hit = found[1].as_ref().expect("the later leaf hits");
+        assert_eq!(hit.stmt, later);
+        assert_eq!(cache.stats().evictions, 0);
     }
 }

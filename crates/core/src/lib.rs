@@ -142,11 +142,8 @@
 //! * **Extraction** is not an extension point: every compile unit solves
 //!   one [`hb_egraph::extract::WorklistExtractor`] cost table over its
 //!   saturated graph and reads every root out of it — one root per leaf
-//!   graph, every root of a batched graph. (Sessions used to pick between
-//!   that and a shared term bank per batching mode, plus a shared-subterm
-//!   cost objective nothing consumed; the bank's readouts measured 0.73–0.79x
-//!   the worklist's on the 158-root suite graph — see the
-//!   `hb_egraph::extract` module docs — so the knob went.)
+//!   graph, every root of a batched graph. It is the only extractor
+//!   `hb_egraph` has.
 //! * **The cost model** is not an extension point either: a session
 //!   extracts with the [`cost::DeviceCost`] *derived from its target's
 //!   device profile* — intrinsics are priced by how the device's tensor

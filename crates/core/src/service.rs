@@ -326,8 +326,7 @@ impl CompileServiceBuilder {
     }
 
     /// Registers `name` with a caller-configured [`Session`] — the hook
-    /// for custom batching, cost models, budgets, or (in tests) fault
-    /// plans.
+    /// for a custom target, batching, budgets, or (in tests) fault plans.
     #[must_use]
     pub fn register(mut self, name: &str, session: Session) -> Self {
         self.entries

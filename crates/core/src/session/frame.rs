@@ -16,7 +16,7 @@ use super::{Batching, CompileOutcome, CompileReport, IrSuiteResult, Session, Stm
 use crate::cache::{leaf_keys, CacheOutcome, Selection, SuiteSnapshot};
 use crate::decode::decode_stmt;
 use crate::encode::encode_stmt;
-use crate::lang::{HbGraph, HbLang};
+use crate::lang::HbGraph;
 use crate::movement::{annotate_in_place, collect_placements, Placements};
 use crate::postprocess::try_materialize_owned;
 
@@ -35,7 +35,7 @@ pub(crate) struct CompileCtx {
     /// The unit's leaves as encoded, in leaf order.
     pub(super) roots: Vec<Id>,
     pub(super) matcher: MatchScratch,
-    pub(super) extract: ExtractScratch<HbLang>,
+    pub(super) extract: ExtractScratch,
 }
 
 /// The contexts a session (or a service, for all of its sessions) keeps

@@ -60,9 +60,9 @@
 //!   reads. The matcher writes its matches into one flat buffer and hands
 //!   them to appliers through one reused [`pattern::Subst`]
 //!   ([`pattern::MatchScratch`]); delta probes fill a scratch vector; the
-//!   extractors keep cost table, parent index, queue marks, tie-break
-//!   ranks, readout memo and term-bank slots in vectors indexed by class
-//!   id ([`extract::ExtractScratch`]), the cost table holding node
+//!   extractor keeps cost table, parent index, queue marks, tie-break
+//!   ranks and readout memo in vectors indexed by class id
+//!   ([`extract::ExtractScratch`]), the cost table holding node
 //!   *positions*, not node clones. The node counter is maintained, not
 //!   recounted (`check_op_index` recounts it).
 //!
@@ -180,14 +180,12 @@
 //!   graphs holding the same equivalences extract identical terms however
 //!   their ids were assigned, which is what lets the selector's shared
 //!   (batched) e-graph mode reproduce the per-leaf output byte for byte.
-//!   Each root is then read out through a dense stamped memo. This is the
-//!   extractor compile sessions run in every mode.
-//!   [`extract::SharedTableExtractor`] keeps the same table (and therefore
-//!   byte-identical terms, asserted by proptest against the worklist's)
-//!   but routes readouts through a shared term bank; measured no faster
-//!   than the worklist's readouts since the memo went dense (see the
-//!   [`extract`] module docs), it and the object-safe [`extract::Extract`]
-//!   trait remain only for the `benchmark/` package's staged path.
+//!   Each root is then read out through a dense stamped memo. It is the
+//!   only extractor, and compile sessions run it in every mode;
+//!   [`extract::SharedTableExtractor`] is a name for it and
+//!   [`extract::Extract`] a one-implementation trait, both kept only for
+//!   the `benchmark/` package's staged path (see the [`extract`] module
+//!   docs).
 //!
 //! ## Cancellation
 //!

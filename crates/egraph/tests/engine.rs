@@ -23,7 +23,7 @@
 use proptest::prelude::*;
 
 use hb_egraph::egraph::EGraph;
-use hb_egraph::extract::{AstSize, Extract, SharedTableExtractor, WorklistExtractor};
+use hb_egraph::extract::{AstSize, Extract, WorklistExtractor};
 use hb_egraph::language::Language;
 use hb_egraph::math_lang::{n, padd, pdiv, pmul, pshl, pvar, Math};
 use hb_egraph::pattern::{MatchScratch, Pattern, Subst};
@@ -531,7 +531,7 @@ proptest! {
     // that built, saturated and extracted one graph and was cleared must
     // build the next graph exactly as a fresh context does. Nothing the
     // first graph left behind (ids, rows, logs, relation tuples, epochs,
-    // match rows, cost-table entries, bank slots) may show.
+    // match rows, cost-table entries, readout memo) may show.
     #[test]
     fn cleared_context_rebuilds_the_fresh_graph(
         earlier in proptest::collection::vec((0u8..6, 0u32..64, 0u32..64), 50),
@@ -546,11 +546,11 @@ proptest! {
         let earlier_ids = replay_into(&mut eg, &earlier);
         insert_tuples(&mut eg, &earlier_ids, &earlier_tuples);
         saturate_in(&mut eg, &mut scratch);
-        let shared = SharedTableExtractor::new(&eg, AstSize);
+        let used = WorklistExtractor::new(&eg, AstSize);
         for &id in &earlier_ids {
-            let _ = shared.extract(id);
+            let _ = used.extract(id);
         }
-        let used_tables = shared.into_scratch();
+        let used_tables = used.into_scratch();
         eg.clear();
         prop_assert!(eg.is_empty() && eg.is_clean());
         prop_assert_eq!((eg.num_nodes(), eg.id_bound(), eg.work_epoch()), (0, 0, 1));
@@ -575,9 +575,8 @@ proptest! {
             );
         }
 
-        let reused = SharedTableExtractor::with_scratch(&eg, AstSize, used_tables);
+        let reused = WorklistExtractor::with_scratch(&eg, AstSize, used_tables);
         let reference = WorklistExtractor::new(&fresh, AstSize);
-        // Roots in replay order, so the bank fills across readouts.
         for &id in &ids {
             prop_assert_eq!(reused.cost_of(id), reference.cost_of(id));
             prop_assert_eq!(reused.extract(id).nodes(), reference.extract(id).nodes());

@@ -1,22 +1,14 @@
-//! The extraction strategies' cross-strategy contracts:
+//! The extractor's contracts:
 //!
-//! * cyclic classes (`x = f(x)`) extract through their acyclic members
-//!   under **both** strategies;
-//! * equal-cost tie-breaks are deterministic: the worklist and
-//!   shared-table strategies are *content*-deterministic (identical terms
+//! * cyclic classes (`x = f(x)`) extract through their acyclic members;
+//! * equal-cost tie-breaks are *content*-deterministic (identical terms
 //!   from differently-id'd graphs holding the same equivalences) — on a
 //!   fixed pair of graphs, and as a property over random graphs whose ids
 //!   are shifted by interleaved decoys, reused after `EGraph::clear()` or
 //!   assigned in a seed-chosen order;
-//! * property test: on randomized saturated graphs, every root's
-//!   shared-table readout is byte-identical to the worklist readout and
-//!   the two report the same cost — the oracle that keeps the `benchmark/`
-//!   package's staged path (shared-table on batched graphs) comparable
-//!   with compile sessions (worklist everywhere);
-//! * property test: the worklist strategy's dense tables and per-class
-//!   tie-break ranks choose, class by class, what the reference solver —
-//!   hash maps, and a recursive, pairwise-memoized content comparison —
-//!   chooses;
+//! * property test: the dense tables and per-class tie-break ranks choose,
+//!   class by class, what the reference solver — hash maps, and a
+//!   recursive, pairwise-memoized content comparison — chooses;
 //! * property test, ground truth: every class's `cost_of` is the minimum a
 //!   Bellman-Ford relaxation over plain vectors finds (nothing shared with
 //!   the extractor: no worklist, no parent index, no tie-breaks), every
@@ -30,9 +22,7 @@ use hb_egraph::egraph::EGraph;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 
-use hb_egraph::extract::{
-    AstSize, CostFunction, Extract, ExtractScratch, FnCost, SharedTableExtractor, WorklistExtractor,
-};
+use hb_egraph::extract::{AstSize, CostFunction, ExtractScratch, FnCost, WorklistExtractor};
 use hb_egraph::language::{Language, RecExpr};
 use hb_egraph::math_lang::{n, pdiv, pmul, pvar, Math};
 use hb_egraph::rewrite::Rewrite;
@@ -126,18 +116,12 @@ fn cyclic_graph() -> (EG, Id, Id) {
 }
 
 #[test]
-fn cyclic_classes_extract_under_every_strategy() {
+fn cyclic_classes_extract_through_their_acyclic_members() {
     let (eg, x, d) = cyclic_graph();
-    let strategies: Vec<Box<dyn Extract<Math> + '_>> = vec![
-        Box::new(WorklistExtractor::new(&eg, AstSize)),
-        Box::new(SharedTableExtractor::new(&eg, AstSize)),
-    ];
-    for ex in &strategies {
-        let name = ex.stats().strategy;
-        assert_eq!(ex.extract(x).to_sexp(), "x", "{name}");
-        assert_eq!(ex.cost_of(x), Some(1), "{name}");
-        assert_eq!(ex.extract(d).to_sexp(), "y", "{name}");
-    }
+    let ex = WorklistExtractor::new(&eg, AstSize);
+    assert_eq!(ex.extract(x).to_sexp(), "x");
+    assert_eq!(ex.cost_of(x), Some(1));
+    assert_eq!(ex.extract(d).to_sexp(), "y");
 }
 
 /// Two graphs holding the same equivalences with ids assigned in opposite
@@ -165,7 +149,7 @@ fn tied_graphs() -> (EG, Id, EG, Id) {
 }
 
 #[test]
-fn tree_strategies_break_ties_by_content_across_id_orders() {
+fn ties_break_by_content_across_id_orders() {
     let (g1, r1, g2, r2) = tied_graphs();
     let w1 = WorklistExtractor::new(&g1, AstSize).extract(r1);
     let w2 = WorklistExtractor::new(&g2, AstSize).extract(r2);
@@ -174,10 +158,6 @@ fn tree_strategies_break_ties_by_content_across_id_orders() {
         w2.to_sexp(),
         "worklist tie-break depended on id order"
     );
-    let s1 = SharedTableExtractor::new(&g1, AstSize).extract(r1);
-    let s2 = SharedTableExtractor::new(&g2, AstSize).extract(r2);
-    assert_eq!(s1.to_sexp(), w1.to_sexp(), "shared-table diverged (g1)");
-    assert_eq!(s2.to_sexp(), w2.to_sexp(), "shared-table diverged (g2)");
 }
 
 /// A graph holding exactly `eg`'s classes with ids assigned in a
@@ -238,7 +218,7 @@ proptest! {
     // classes re-added in a seed-chosen order. Every root reads the same
     // cost and term in all four — raw and saturated, under `AstSize` and
     // under a weighted function.
-    // `tree_strategies_break_ties_by_content_across_id_orders` is the
+    // `ties_break_by_content_across_id_orders` is the
     // fixed, readable instance.
     #[test]
     fn tie_breaks_follow_content_not_ids(
@@ -282,39 +262,6 @@ proptest! {
         prop_assert_eq!(&read(&decoyed, &decoyed_ids), &want, "decoys at {:?}", decoys);
         prop_assert_eq!(&read(&cleared, &cleared_ids), &want, "cleared graph");
         prop_assert_eq!(&read(&permuted, &permuted_ids), &want, "order {:?}", order);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    // The strategy-equivalence oracle: on randomized graphs — raw and
-    // saturated — the shared-table readout of every root is byte-identical
-    // to the worklist readout, at the same cost, whatever order roots are
-    // read in.
-    #[test]
-    fn shared_table_equals_worklist_per_root(
-        steps in proptest::collection::vec((0u8..6, 0u32..64, 0u32..64), 60),
-        saturate in 0u8..2,
-    ) {
-        let (mut eg, ids) = replay(&steps);
-        if saturate == 1 {
-            Runner::new(16, 20_000).run_to_fixpoint(&mut eg, &math_rules(), Budget::none());
-        }
-        let worklist = WorklistExtractor::new(&eg, AstSize);
-        let shared = SharedTableExtractor::new(&eg, AstSize);
-        for &root in &ids {
-            prop_assert_eq!(worklist.cost_of(root), shared.cost_of(root));
-            if worklist.cost_of(root).is_none() {
-                continue;
-            }
-            let w = worklist.extract(root);
-            let s = shared.extract(root);
-            prop_assert_eq!(
-                w.nodes(), s.nodes(),
-                "root {}: shared-table readout diverged", root
-            );
-        }
     }
 }
 
@@ -515,11 +462,7 @@ fn tree_size(term: &RecExpr<Math>) -> u64 {
 
 /// Checks every class of `eg` against [`min_ast_sizes`] with an extractor
 /// built over `scratch`, and hands the scratch back.
-fn assert_ground_truth(
-    eg: &mut EG,
-    scratch: ExtractScratch<Math>,
-    ctx: &str,
-) -> ExtractScratch<Math> {
+fn assert_ground_truth(eg: &mut EG, scratch: ExtractScratch, ctx: &str) -> ExtractScratch {
     let truth = min_ast_sizes(eg);
     let extractor = WorklistExtractor::with_scratch(eg, AstSize, scratch);
     let mut terms = Vec::new();

@@ -83,9 +83,8 @@ fn repeat_compile_hits_and_returns_identical_program() {
 
 #[test]
 fn renamed_sibling_is_not_served_from_the_cache() {
-    // "a" and "b" share a canonical hash (first-occurrence renaming maps
-    // both to the same skeleton) but must never serve each other's
-    // selections — the stored leaf is verified exactly.
+    // "a" and "b" differ only in their names: different leaves, which
+    // must never serve each other's selections.
     let (session, cache) = cached_session(8);
 
     let a = session.compile(&tile_leaf("a")).unwrap();
@@ -96,7 +95,7 @@ fn renamed_sibling_is_not_served_from_the_cache() {
     assert_eq!(cache.stats().hits, 0);
     assert_eq!(cache.len(), 2, "siblings occupy separate entries");
 
-    // Both entries coexist under the shared hash bucket.
+    // Both entries coexist.
     let a2 = session.compile(&tile_leaf("a")).unwrap();
     let b2 = session.compile(&tile_leaf("b")).unwrap();
     assert_eq!(a2.report.cache, CacheOutcome::Hit);
@@ -482,9 +481,13 @@ fn warm_start_is_byte_identical_and_probes_fewer_rows() {
     assert!(warm.report.snapshot_restore.is_some());
     assert!(cold.report.snapshot_restore.is_none());
 
-    // ... while searching only the semi-naive delta of the new leaf.
-    let cold_probed = cold.report.batch.as_ref().unwrap().delta_probed_rows;
-    let warm_probed = warm.report.batch.as_ref().unwrap().delta_probed_rows;
+    // ... while searching only the semi-naive delta of the new leaf. The
+    // cold run's first pass searches every rule in full, and no counter
+    // counts those rows: the warm run must run no full search at all.
+    let (cold_run, warm_run) = (cold.report.batch.unwrap(), warm.report.batch.unwrap());
+    assert!(cold_run.full_searches > 0, "cold run must search in full");
+    assert_eq!(warm_run.full_searches, 0, "warm run searched in full");
+    let (cold_probed, warm_probed) = (cold_run.delta_probed_rows, warm_run.delta_probed_rows);
     assert!(cold_probed > 0, "cold run must probe rows");
     assert!(
         warm_probed < cold_probed,

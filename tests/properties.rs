@@ -334,7 +334,7 @@ impl Edit {
 }
 
 #[test]
-fn canonical_hash_ignores_names_and_placement_order_and_nothing_else() {
+fn canonical_hash_ignores_placement_order_and_nothing_else() {
     let strategy = (
         proptest::collection::vec(0u32..1_000_000, GENES),
         0usize..1_000,
@@ -354,10 +354,16 @@ fn canonical_hash_ignores_names_and_placement_order_and_nothing_else() {
         let placements = hashed_placements([0, 1, 2, 3]);
         let hash = canonical_program_hash(&stmt, &placements);
 
-        // Renaming every buffer and variable moves nothing (the two
-        // placements of names the tree never mentions keep theirs: such a
-        // name counts by content); neither does the order the placements
-        // were inserted in.
+        // The order the placements were inserted in moves nothing.
+        for order in [[3, 2, 1, 0], [2, 0, 3, 1]] {
+            assert_eq!(
+                canonical_program_hash(&stmt, &hashed_placements(order)),
+                hash
+            );
+        }
+
+        // Renaming every buffer and variable moves it — with the
+        // placements renamed along, and with them left as they were.
         let other_name = |name: &str| name.chars().rev().chain(['_']).collect::<String>();
         let mut renamed = stmt.clone();
         rename_names(&mut renamed, &mut |name| *name = other_name(name));
@@ -367,17 +373,15 @@ fn canonical_hash_ignores_names_and_placement_order_and_nothing_else() {
             let memory = renamed_placements.remove(mentioned).unwrap();
             renamed_placements.insert(other_name(mentioned), memory);
         }
-        assert_eq!(
-            canonical_program_hash(&renamed, &renamed_placements),
-            hash,
-            "renaming moved the hash of {stmt}"
-        );
-        for order in [[3, 2, 1, 0], [2, 0, 3, 1]] {
-            assert_eq!(
-                canonical_program_hash(&stmt, &hashed_placements(order)),
-                hash
+        for placements in [&renamed_placements, &placements] {
+            assert_ne!(
+                canonical_program_hash(&renamed, placements),
+                hash,
+                "renaming left the hash of {stmt} where it was"
             );
         }
+        // So does renaming one placement alone.
+        assert_ne!(canonical_program_hash(&stmt, &renamed_placements), hash);
 
         // One operator, lane count, type, intrinsic name or immediate
         // changed anywhere in the tree moves it.
@@ -461,7 +465,7 @@ fn canonical_hash_of_a_fixed_program_is_pinned() {
     placements.insert("unmentioned".to_string(), MemoryType::Stack);
     assert_eq!(
         canonical_program_hash(&stmt, &placements),
-        0x5b94_37b4_a8c9_b101,
+        0x8b10_62d7_c07d_21ea,
         "the canonical hash of a fixed program moved"
     );
 }

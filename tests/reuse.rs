@@ -7,7 +7,7 @@
 //! to back on one session
 //! and compares every selected program, every `CompileReport` counter and
 //! every engine `RunReport` with those of fresh sessions, so no row, log,
-//! relation tuple, epoch or bank slot can leak across `clear()` unseen —
+//! relation tuple, epoch or cost-table entry can leak across `clear()` unseen —
 //! also after a compile a budget truncated, after one cancelled
 //! mid-saturation, under a contended pool, and (`--features
 //! fault-injection`) after one that panicked, whose context must be gone.

@@ -453,9 +453,8 @@ fn dropped_ticket_after_completion_moves_no_counters() {
 // The shared report cache
 // ---------------------------------------------------------------------
 
-/// One accelerator-touching leaf (AMX-tile buffer), distinct per name but
-/// one canonical form: every `tile_leaf` is a renamed sibling of every
-/// other.
+/// One accelerator-touching leaf (AMX-tile buffer), distinct per name:
+/// every `tile_leaf` is a renamed sibling of every other.
 fn tile_leaf(name: &str) -> Stmt {
     let idx = b::ramp(b::int(0), b::int(1), 8);
     let ld = b::load(Type::f32().with_lanes(8), &format!("x_{name}"), idx.clone());
@@ -527,8 +526,8 @@ fn worker_hit_and_cold_compile_agree() {
 
 /// A program the cache holds is a request like any other: it takes a queue
 /// slot (a full queue refuses it), waits behind a parked worker, and its
-/// dropped ticket cancels it. A renamed sibling shares the cached leaf's
-/// key, not its entry: it compiles on its own and keeps its names.
+/// dropped ticket cancels it. A renamed sibling is another leaf: it
+/// compiles on its own and keeps its names.
 #[test]
 fn a_cached_program_queues_like_any_other() {
     let gate = Gate::new();
