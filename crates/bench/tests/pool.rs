@@ -18,10 +18,15 @@
 //!   leaves have (the canonical hash of the annotated leaf), how many
 //!   distinct leaves a cache stores for it, and that a second, cached pass
 //!   over the pool runs no unit and selects the first pass's programs.
+//! * **selected programs** — the FNV-1a hash of every workload's
+//!   normalized program under `sim`, `amx` and `wmma` sessions, recorded
+//!   at a previous commit, so "byte-identical selection" is checked
+//!   against history and not only between configurations of one build.
 //!
 //! To re-record after an *intended* change of the engine's work, run
 //! `HB_PRINT_GOLDEN=1 cargo test -p hb-bench --test pool -- --nocapture`
-//! and paste the printed tables.
+//! and paste the printed tables. The program table moves only with an
+//! intended change of what the selector picks.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -38,7 +43,7 @@ use hb_accel::device::DeviceProfile;
 use hb_bench::workloads::{saturation_pool, workloads, Workload};
 use hb_egraph::extract::WorklistExtractor;
 use hb_egraph::rewrite::Atom;
-use hb_egraph::schedule::{RunReport, Runner};
+use hb_egraph::schedule::{Budget, RunReport, Runner};
 use hb_egraph::unionfind::Id;
 use hb_ir::stmt::Stmt;
 use hb_obs::{MetricsRegistry, NullSink, Tracer};
@@ -51,27 +56,27 @@ type RunCounts = [usize; 7];
 /// leaves' own graphs), then the [`RunCounts`] of its one batched graph.
 #[rustfmt::skip]
 const WORKLOADS: &[(&str, [usize; 3], RunCounts)] = &[
-    ("conv1d_tc_k16", [3, 112, 8], [83, 64, 120, 42, 9, 136, 281]),
-    ("conv1d_tc_k64", [3, 112, 8], [83, 64, 120, 42, 9, 136, 281]),
-    ("conv1d_tc_k32_n4096", [3, 112, 8], [83, 64, 120, 42, 9, 136, 281]),
-    ("conv1d_unrolled_k64", [10, 565, 36], [297, 217, 120, 42, 9, 813, 1196]),
-    ("conv1d_unrolled_k256", [34, 2148, 132], [1064, 768, 120, 42, 9, 3165, 4508]),
-    ("conv1d_unrolled_k128_n2048", [18, 1093, 68], [553, 401, 120, 42, 9, 1597, 2300]),
-    ("conv1d_unrolled_k512", [66, 4259, 260], [2087, 1503, 120, 42, 9, 6301, 8924]),
-    ("gemm_wmma_32", [3, 138, 8], [113, 81, 120, 42, 9, 249, 573]),
-    ("gemm_wmma_64", [3, 138, 8], [113, 81, 120, 42, 9, 249, 573]),
-    ("gemm_wmma_96_32_48", [3, 139, 8], [116, 83, 120, 42, 9, 250, 581]),
-    ("conv2d_512x64_k16x3", [3, 131, 8], [100, 74, 120, 42, 9, 147, 405]),
-    ("conv2d_256x128_k8x5", [3, 113, 8], [86, 66, 120, 42, 9, 137, 289]),
-    ("matmul_amx_standard", [3, 148, 9], [125, 91, 142, 42, 29, 285, 750]),
-    ("matmul_amx_vnni", [3, 147, 8], [124, 89, 118, 42, 11, 252, 652]),
+    ("conv1d_tc_k16", [3, 112, 8], [83, 64, 117, 42, 9, 135, 278]),
+    ("conv1d_tc_k64", [3, 112, 8], [83, 64, 117, 42, 9, 135, 278]),
+    ("conv1d_tc_k32_n4096", [3, 112, 8], [83, 64, 117, 42, 9, 135, 278]),
+    ("conv1d_unrolled_k64", [10, 565, 36], [297, 217, 117, 42, 9, 812, 1193]),
+    ("conv1d_unrolled_k256", [34, 2148, 132], [1064, 768, 117, 42, 9, 3164, 4505]),
+    ("conv1d_unrolled_k128_n2048", [18, 1093, 68], [553, 401, 117, 42, 9, 1596, 2297]),
+    ("conv1d_unrolled_k512", [66, 4259, 260], [2087, 1503, 117, 42, 9, 6300, 8921]),
+    ("gemm_wmma_32", [3, 138, 8], [113, 81, 117, 42, 9, 248, 570]),
+    ("gemm_wmma_64", [3, 138, 8], [113, 81, 117, 42, 9, 248, 570]),
+    ("gemm_wmma_96_32_48", [3, 139, 8], [116, 83, 117, 42, 9, 249, 578]),
+    ("conv2d_512x64_k16x3", [3, 131, 8], [100, 74, 117, 42, 9, 146, 402]),
+    ("conv2d_256x128_k8x5", [3, 113, 8], [86, 66, 117, 42, 9, 136, 286]),
+    ("matmul_amx_standard", [3, 148, 9], [125, 91, 139, 42, 29, 284, 747]),
+    ("matmul_amx_vnni", [3, 147, 8], [124, 89, 115, 42, 11, 251, 649]),
 ];
 
 /// The whole suite in one shared graph, then `[table entries, roots]`.
-const SUITE: (RunCounts, [usize; 2]) = ([2516, 1794, 142, 42, 29, 7516, 14579], [1794, 158]);
+const SUITE: (RunCounts, [usize; 2]) = ([2516, 1794, 139, 42, 29, 7513, 14570], [1794, 158]);
 
 /// Engine level: `[leaves, iterations]`, then the pool graph's counts.
-const ENGINE: ([usize; 2], RunCounts) = ([161, 5], [2546, 1811, 142, 42, 29, 7671, 14759]);
+const ENGINE: ([usize; 2], RunCounts) = ([161, 5], [2546, 1811, 139, 42, 29, 7668, 14750]);
 
 /// The pool's leaves: `[leaves, distinct cache keys]` — keys hash leaf
 /// content, names included, so equal leaves share one and nothing else
@@ -83,6 +88,35 @@ const LEAF_KEYS: [usize; 2] = [161, 85];
 /// Entries a cached per-leaf pass over the 14 workloads stores, one per
 /// exact leaf.
 const CACHED_ENTRIES: usize = 84;
+
+/// Per workload: the FNV-1a hash of its normalized program under the
+/// `sim`, `amx` and `wmma` targets, in that order.
+#[rustfmt::skip]
+const PROGRAMS: &[(&str, [u64; 3])] = &[
+    ("conv1d_tc_k16", [0x875267df326c0b6c, 0xd78e67a0fe266a8a, 0x875267df326c0b6c]),
+    ("conv1d_tc_k64", [0x59d25e9d337719c6, 0xd0a58cdbcafad530, 0x59d25e9d337719c6]),
+    ("conv1d_tc_k32_n4096", [0x35bff601fd822835, 0x2c3a7fee78104c49, 0x35bff601fd822835]),
+    ("conv1d_unrolled_k64", [0x82ca1439a96c756b, 0xcfd4dd8694181e91, 0x82ca1439a96c756b]),
+    ("conv1d_unrolled_k256", [0x16e196e9b8327a0f, 0x5d6eb4c0400ea883, 0x16e196e9b8327a0f]),
+    ("conv1d_unrolled_k128_n2048", [0x913e64964e3bebb3, 0xee40a90e8ef38313, 0x913e64964e3bebb3]),
+    ("conv1d_unrolled_k512", [0x801e40181722047d, 0x4f0b3cdff62d9097, 0x801e40181722047d]),
+    ("gemm_wmma_32", [0x8558343c3a55ae91, 0x1ced171994e2343e, 0x8558343c3a55ae91]),
+    ("gemm_wmma_64", [0x767a54be96a7a06a, 0x941c68c7747811db, 0x767a54be96a7a06a]),
+    ("gemm_wmma_96_32_48", [0xa6b61870b0fbb3c3, 0xdc45d60b79fcf5e2, 0xa6b61870b0fbb3c3]),
+    ("conv2d_512x64_k16x3", [0x0121d0e49afd9c06, 0x7f151697615939b8, 0x0121d0e49afd9c06]),
+    ("conv2d_256x128_k8x5", [0xf38cb472a90aa86c, 0xffbda37a314578b8, 0xf38cb472a90aa86c]),
+    ("matmul_amx_standard", [0x1a80a7f05e18c66c, 0x1a80a7f05e18c66c, 0x5a4dd4870946a1cf]),
+    ("matmul_amx_vnni", [0x1d33001cc4913b3c, 0x1d33001cc4913b3c, 0x5d8fc5c117795c9c]),
+];
+
+/// The targets [`PROGRAMS`] pins, in column order.
+const PROGRAM_TARGETS: [&str; 3] = ["sim", "amx", "wmma"];
+
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
 
 fn run_counts(run: &RunReport) -> RunCounts {
     [
@@ -143,7 +177,7 @@ fn every_shape(all: &[Workload]) -> Shapes {
 }
 
 /// The engine-level run: every leaf encoded into one graph and saturated
-/// under the phased schedule, no session around it.
+/// with the session's rule list and pass cap, no session around it.
 struct Saturated {
     graph: HbGraph,
     roots: Vec<Id>,
@@ -155,7 +189,7 @@ fn saturate(leaves: &[Stmt], runner: &Runner) -> Saturated {
     let mut graph = HbGraph::default();
     rules::app_specific::declare_relations(&mut graph);
     let roots = leaves.iter().map(|s| encode_stmt(&mut graph, s)).collect();
-    let report = runner.run_phased(&mut graph, &rule_set.main, &rule_set.support, 8);
+    let report = runner.run_to_fixpoint(&mut graph, &rule_set.main, Budget::none());
     Saturated {
         graph,
         roots,
@@ -164,7 +198,7 @@ fn saturate(leaves: &[Stmt], runner: &Runner) -> Saturated {
 }
 
 fn pool_runner() -> Runner {
-    Runner::new(16, 500_000)
+    Runner::new(8, 500_000)
 }
 
 /// Same saturated sizes, the same equivalence relation over all leaf roots
@@ -238,6 +272,35 @@ fn pool_counts_equal_the_recorded_tables() {
 }
 
 #[test]
+fn selected_programs_equal_the_recorded_hashes() {
+    let all = workloads();
+    let sessions: Vec<Session> = (PROGRAM_TARGETS.iter())
+        .map(|name| {
+            Session::builder()
+                .target_name(name)
+                .build()
+                .expect("valid session")
+        })
+        .collect();
+    let rows: Vec<(&str, [u64; 3])> = (all.iter())
+        .map(|w| {
+            let hashes = std::array::from_fn(|i| fnv1a(&compile(w, &sessions[i]).0));
+            (w.name, hashes)
+        })
+        .collect();
+    if std::env::var_os("HB_PRINT_GOLDEN").is_some() {
+        for (name, [sim, amx, wmma]) in &rows {
+            println!("    ({name:?}, [{sim:#018x}, {amx:#018x}, {wmma:#018x}]),");
+        }
+        return;
+    }
+    assert_eq!(rows.len(), PROGRAMS.len(), "program table out of date");
+    for (got, want) in rows.iter().zip(PROGRAMS) {
+        assert_eq!(got, want, "{}: a selected program moved", want.0);
+    }
+}
+
+#[test]
 fn a_cached_second_pass_runs_no_unit_and_selects_the_first_pass_programs() {
     let all = workloads();
     let cache = Arc::new(ReportCache::default());
@@ -301,7 +364,7 @@ fn every_relation_the_pool_fills_is_read_by_a_rule() {
     // holds tuples after saturating the pool must appear as a relation
     // atom of some rule.
     let rule_set = RuleSet::build();
-    let read: Vec<&str> = (rule_set.main.iter().chain(&rule_set.support))
+    let read: Vec<&str> = (rule_set.main.iter())
         .flat_map(|r| &r.query.atoms)
         .filter_map(|atom| match atom {
             Atom::Rel { name, .. } => Some(name.as_str()),

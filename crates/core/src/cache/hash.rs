@@ -251,8 +251,8 @@ pub(crate) fn leaf_keys(leaves: &[&Stmt], fingerprint: u64) -> Vec<u64> {
 /// Fingerprint of everything a session can set that can change a
 /// compile's output: target name, batching mode, deadline, match budget,
 /// the runner's node limit, and the two prices of the session's
-/// [`DeviceCost`]. What is the same in every session (the outer
-/// rounds and the runner's iteration limit) and what only observes a
+/// [`DeviceCost`]. What is the same in every session (the runner's
+/// iteration limit) and what only observes a
 /// compile (tracer, metrics registry, profile sink) is left out, so cached
 /// reports and snapshots port across instrumented and plain sessions.
 pub(crate) fn policy_fingerprint(

@@ -48,7 +48,7 @@
 //!   that can change the output: target name, batching mode, deadline,
 //!   match budget, the runner's node limit, and the two prices of the
 //!   session's [`DeviceCost`](crate::cost::DeviceCost). What every session
-//!   shares (the outer rounds, the runner's iteration limit) is left out,
+//!   shares (the runner's one iteration limit) is left out,
 //!   and so are the observers (tracer, metrics registry, profile sink) —
 //!   they never change an output, so cached results and snapshots port
 //!   across instrumented and plain sessions.

@@ -33,9 +33,9 @@
 //! 1. [`movement`] injects `loc_to_loc` data-movement markers (for the
 //!    placements the target's policy honors),
 //! 2. [`encode`] builds the e-graph term ([`lang::HbLang`], paper Fig. 9),
-//! 3. [`rules`] saturate — axiomatic, application-specific, lowering (the
-//!    families the target's rule profile selects), with supporting rules
-//!    run to fixpoint between iterations (§III-D2),
+//! 3. [`rules`] saturate in one loop — axiomatic, application-specific,
+//!    lowering (the families the target's rule profile selects), then the
+//!    supporting rule, last in every pass (§III-D2),
 //! 4. extraction picks the cheapest equivalent under the session's
 //!    [`DeviceCost`] (§III-D3),
 //! 5. [`decode`] + [`postprocess`] splice the result (materializing

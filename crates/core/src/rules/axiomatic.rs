@@ -291,14 +291,14 @@ mod tests {
     use crate::encode::encode_expr;
     use crate::lang::HbGraph;
     use crate::rules::supporting;
-    use hb_egraph::schedule::Runner;
+    use hb_egraph::schedule::{Budget, Runner};
     use hb_ir::builder as b;
     use hb_ir::types::Type;
 
     fn saturate(eg: &mut HbGraph) {
-        let main = rules();
-        let support = supporting::rules();
-        Runner::new(16, 200_000).run_phased(eg, &main, &support, 8);
+        let mut axioms = rules();
+        axioms.extend(supporting::rules());
+        Runner::new(8, 200_000).run_to_fixpoint(eg, &axioms, Budget::none());
     }
 
     #[test]

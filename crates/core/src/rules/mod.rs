@@ -6,8 +6,9 @@
 //! * [`app_specific`] — tile-discovery rules for MatMul layouts and
 //!   convolution-like patterns (Fig. 10b, Appendix B),
 //! * [`lowering`] — rules emitting accelerator intrinsics (Fig. 10a),
-//! * [`supporting`] — the type computation run to fixpoint between
-//!   iterations (§III-D2): one rule, `multiply-lanes`.
+//! * [`supporting`] — the type computation (Fig. 10d): one rule,
+//!   `multiply-lanes`, which [`RuleSet::for_profile`] appends last to the
+//!   one list a session saturates with (§III-D2, in one loop).
 //!
 //! Relations are tables that queries join, so a relation no rule reads is
 //! pure write cost: the only ones are the AMX tile facts `amx-a-tile` /
@@ -107,12 +108,6 @@ pub fn main_rules() -> Vec<Rw> {
     rules
 }
 
-/// The supporting rule set (saturated between main iterations).
-#[must_use]
-pub fn supporting_rules() -> Vec<Rw> {
-    supporting::rules()
-}
-
 /// Number of [`RuleSet`] constructions performed by this process. Rule
 /// construction compiles dozens of queries, so the `Session` builds rule
 /// sets lazily (once per session, and only when a program actually has
@@ -126,33 +121,35 @@ pub fn rule_build_count() -> usize {
     RULE_BUILDS.load(Ordering::SeqCst)
 }
 
-/// The full rule schedule (main + supporting), built — and its queries
+/// The rule list a session saturates with, built — and its queries
 /// compiled — once and shared across every leaf statement of a `Session`
 /// (and of every `compile` it runs). Rule construction compiles a few
 /// dozen queries; doing it per leaf used to dominate small-statement
 /// selection.
 pub struct RuleSet {
-    /// Main rules (axiomatic + app-specific + lowering), run in the outer
-    /// phased iterations.
+    /// Every rule, in pass order: axiomatic + app-specific + lowering,
+    /// then the supporting rule last.
     pub main: Vec<Rw>,
-    /// Supporting rules, saturated between main iterations.
+    /// Always empty: the supporting rule runs last in [`RuleSet::main`].
+    /// Kept only because `benchmark/` names it; goes with ROADMAP 2(iii).
     pub support: Vec<Rw>,
 }
 
 impl RuleSet {
-    /// Builds (and compiles) the complete rule schedule.
+    /// Builds (and compiles) the complete rule list.
     #[must_use]
     pub fn build() -> Self {
         Self::for_profile(RuleProfile::All)
     }
 
-    /// Builds the rule schedule for one target's [`RuleProfile`]: the
+    /// Builds the rule list for one target's [`RuleProfile`]: the
     /// accelerator families the target cannot lower are dropped by rule
     /// name, in any case (`amx-*` / `wmma-*` across the app-specific and
     /// lowering sets, and the axiomatic `bcast-through-*` rules named
     /// after a movement such as `Mem2WMMA`), so an AMX-only session never
     /// saturates with WMMA rules and vice versa. The other axiomatic rules
-    /// and the supporting rule are target-neutral and always included.
+    /// and the supporting rule are target-neutral and always included,
+    /// the supporting rule appended last, after the filtering.
     #[must_use]
     pub fn for_profile(profile: RuleProfile) -> Self {
         RULE_BUILDS.fetch_add(1, Ordering::SeqCst);
@@ -164,9 +161,10 @@ impl RuleSet {
             RuleProfile::None => &["wmma", "amx"],
         };
         main.retain(|r| !dropped.iter().any(|family| names_family(&r.name, family)));
+        main.extend(supporting::rules());
         RuleSet {
             main,
-            support: supporting_rules(),
+            support: Vec::new(),
         }
     }
 }
@@ -213,7 +211,7 @@ mod tests {
             (RuleProfile::None, &["amx", "wmma"][..]),
         ] {
             let set = RuleSet::for_profile(profile);
-            for r in set.main.iter().chain(&set.support) {
+            for r in &set.main {
                 let upper = r.name.to_ascii_uppercase();
                 for family in dropped {
                     assert!(
@@ -238,9 +236,20 @@ mod tests {
         assert_eq!(amx + wmma, all + none, "family rules must partition");
         assert_eq!(
             [all, amx, wmma, none],
-            [41, 30, 27, 16],
+            [42, 31, 28, 17],
             "main rule counts moved"
         );
-        assert_eq!(supporting_rules().len(), 1);
+        assert_eq!(supporting::rules().len(), 1);
+        for profile in [
+            RuleProfile::All,
+            RuleProfile::Amx,
+            RuleProfile::Wmma,
+            RuleProfile::None,
+        ] {
+            let set = RuleSet::for_profile(profile);
+            let last = set.main.last().map(|r| r.name.as_str());
+            assert_eq!(last, Some("multiply-lanes"), "{profile:?}");
+            assert!(set.support.is_empty(), "{profile:?}");
+        }
     }
 }

@@ -1,5 +1,6 @@
-//! Supporting rules (paper Fig. 10d): the type computation that always
-//! saturates and is run to fixpoint between main-rule iterations (§III-D2).
+//! Supporting rules (paper Fig. 10d): the type computation, which always
+//! saturates. It runs last in every pass of the one saturation loop
+//! (§III-D2; [`crate::rules::RuleSet::for_profile`] appends it).
 //!
 //! There is one: `multiply-lanes` concretizes `MultiplyLanes(t, x)` — the
 //! symbolic type the broadcast axioms leave behind — into `t`'s scalar type

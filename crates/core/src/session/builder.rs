@@ -13,6 +13,10 @@ use super::{ObsHandles, Session};
 use crate::cache::ReportCache;
 use crate::cost::DeviceCost;
 
+/// The session runner's one iteration limit: passes over the rules
+/// (§III-D2's fixed number of outer rounds).
+const OUTER_ITERS: usize = 8;
+
 /// Session construction errors (builder validation).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BuildError {
@@ -260,7 +264,7 @@ impl SessionBuilder {
         let target = self.target.unwrap_or_else(|| Box::new(SimTarget::new()));
         let cost = DeviceCost::from_profile(target.device());
         let mut runner = Runner::new(
-            16,
+            OUTER_ITERS,
             self.node_limit.unwrap_or(match batching {
                 Batching::PerLeaf => 200_000,
                 Batching::Batched => 500_000,

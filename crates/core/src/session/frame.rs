@@ -20,10 +20,6 @@ use crate::lang::HbGraph;
 use crate::movement::{annotate_in_place, collect_placements, Placements};
 use crate::postprocess::try_materialize_owned;
 
-/// Outer rounds of the main rules in every session's phased schedule
-/// (§III-D2's fixed budget).
-const OUTER_ITERS: usize = 8;
-
 /// Everything one compile unit — one leaf in [`Batching::PerLeaf`] mode,
 /// the shared graph of a call in [`Batching::Batched`] mode — builds,
 /// matches and extracts in. Kept by the session between units so that a
@@ -270,7 +266,7 @@ impl Session {
 
     /// One compile unit: encode `leaves` into one e-graph — the restored
     /// one's for a [`Job::Warm`] unit, a pooled context's otherwise —
-    /// saturate it under the phased schedule, export it for a
+    /// saturate it in one loop, export it for a
     /// [`Job::Export`] unit that saturated, solve its cost table once and
     /// read every root out of it. Hash-consing dedups what the leaves
     /// share, and equal-cost ties break by content, so a leaf selects the
@@ -311,15 +307,9 @@ impl Session {
         report.stages.encode += encode_span.finish();
 
         let mut saturate_span = self.tracer.span("saturate");
-        let run = self.runner.run_phased_in(
-            eg,
-            &rules.main,
-            &rules.support,
-            OUTER_ITERS,
-            budget,
-            warm,
-            &mut ctx.matcher,
-        );
+        let run = self
+            .runner
+            .run_in(eg, &rules.main, budget, warm, &mut ctx.matcher);
         saturate_span.attr("iterations", run.iterations);
         saturate_span.attr("applied", run.applied);
         report.stages.saturate += saturate_span.finish();

@@ -40,8 +40,8 @@
 //! two at once — and runs annotate → collect leaves → cache lookup (one
 //! per leaf, cached jobs only) → unit(s) over the missed leaves → cache
 //! store → splice → record. A *unit* is the one function that touches an
-//! e-graph: encode its leaves into a pooled context's graph, run the phased
-//! schedule, export if its job says so, solve one
+//! e-graph: encode its leaves into a pooled context's graph, saturate it
+//! in one loop, export if its job says so, solve one
 //! [`WorklistExtractor`](hb_egraph::extract::WorklistExtractor) cost table
 //! and read every root out of it — once per missed leaf in
 //! [`Batching::PerLeaf`] mode, once per call in [`Batching::Batched`] mode

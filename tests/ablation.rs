@@ -5,7 +5,7 @@
 //!    phase-ordering argument, §III-B).
 //! 2. **The movement penalty in the cost model is load-bearing** — with
 //!    plain AST size, extraction can prefer unlowered forms.
-//! 3. **Supporting rules must saturate between iterations** — without
+//! 3. **Supporting rules are load-bearing** — without
 //!    `MultiplyLanes` concretization, axiom-produced loads keep symbolic
 //!    types and the app rules cannot bind shapes.
 
@@ -71,14 +71,14 @@ fn device_cost() -> DeviceCost {
 
 fn saturate_and_extract(
     stmt: &Stmt,
-    main: Vec<hardboiled_repro::hardboiled::rules::Rw>,
+    mut main: Vec<hardboiled_repro::hardboiled::rules::Rw>,
     penalize_movement: bool,
 ) -> Stmt {
     let mut eg = HbGraph::default();
     hardboiled_repro::hardboiled::rules::app_specific::declare_relations(&mut eg);
     let root = encode_stmt(&mut eg, stmt);
-    let support = rules::supporting_rules();
-    Runner::new(16, 200_000).run_phased(&mut eg, &main, &support, 8);
+    main.extend(rules::supporting::rules());
+    Runner::new(8, 200_000).run_to_fixpoint(&mut eg, &main, Budget::none());
     let term = if penalize_movement {
         WorklistExtractor::new(&eg, device_cost()).extract(root)
     } else {

@@ -195,7 +195,7 @@ proptest! {
         // check the extracted form evaluates identically.
         use hardboiled_repro::accel::device::DeviceProfile;
         use hardboiled_repro::egraph::extract::WorklistExtractor;
-        use hardboiled_repro::egraph::schedule::Runner;
+        use hardboiled_repro::egraph::schedule::{Budget, Runner};
         use hardboiled_repro::hardboiled::cost::DeviceCost;
         use hardboiled_repro::hardboiled::decode::decode_expr;
         use hardboiled_repro::hardboiled::encode::encode_expr;
@@ -208,12 +208,9 @@ proptest! {
         );
         let mut eg = HbGraph::default();
         let id = encode_expr(&mut eg, &e);
-        Runner::new(8, 50_000).run_phased(
-            &mut eg,
-            &rules::axiomatic::rules(),
-            &rules::supporting_rules(),
-            4,
-        );
+        let mut axioms = rules::axiomatic::rules();
+        axioms.extend(rules::supporting::rules());
+        Runner::new(4, 50_000).run_to_fixpoint(&mut eg, &axioms, Budget::none());
         let cost = DeviceCost::from_profile(&DeviceProfile::a100());
         let term = WorklistExtractor::new(&eg, cost).extract(id);
         let back = decode_expr(&term).unwrap();
