@@ -2,8 +2,8 @@
 //! pool (every leaf of every workload — the 158-root suite `tests/pool.rs`
 //! pins) exported as a snapshot, then warm-started with one new workload.
 //! Warm selection must be **byte-identical** to a cold compile of the
-//! extended suite while probing exactly the recorded, 38x smaller, number
-//! of relation rows. Plus the content-hash corpus properties the cache's
+//! extended suite while probing exactly the recorded, 35x smaller, number
+//! of index rows. Plus the content-hash corpus properties the cache's
 //! keying rests on, checked against the program printed the long way.
 
 use std::collections::HashMap;
@@ -78,8 +78,8 @@ fn warm_start_matches_cold_on_the_full_pool() {
     // one is `tests/pool.rs`'s engine-level row count: same 161 leaves).
     let cold_rows = cold.report.batch.as_ref().unwrap().delta_probed_rows;
     let warm_rows = warm.report.batch.as_ref().unwrap().delta_probed_rows;
-    assert_eq!((warm_rows, cold_rows), (222, 7668), "probed rows moved");
-    assert_eq!(snapshot.size_bytes(), 410_897, "snapshot length moved");
+    assert_eq!((warm_rows, cold_rows), (222, 7673), "probed rows moved");
+    assert_eq!(snapshot.size_bytes(), 411_288, "snapshot length moved");
 }
 
 /// The collision oracle: the program `canonical_program_hash` streams

@@ -34,15 +34,16 @@ use std::time::Duration;
 use hardboiled::encode::encode_stmt;
 use hardboiled::movement::Placements;
 use hardboiled::postprocess::normalize_temps;
-use hardboiled::rules::{self, RuleSet};
+use hardboiled::rules::RuleSet;
 use hardboiled::{
     canonical_program_hash, Batching, CacheOutcome, CompileOutcome, CompileReport, DeviceCost,
-    HbGraph, ReportCache, Session, SessionBuilder,
+    HbGraph, HbLang, ReportCache, Session, SessionBuilder,
 };
 use hb_accel::device::DeviceProfile;
 use hb_bench::workloads::{saturation_pool, workloads, Workload};
 use hb_egraph::extract::WorklistExtractor;
-use hb_egraph::rewrite::Atom;
+use hb_egraph::language::Language;
+use hb_egraph::pattern::Pattern;
 use hb_egraph::schedule::{Budget, RunReport, Runner};
 use hb_egraph::unionfind::Id;
 use hb_ir::stmt::Stmt;
@@ -68,15 +69,15 @@ const WORKLOADS: &[(&str, [usize; 3], RunCounts)] = &[
     ("gemm_wmma_96_32_48", [3, 139, 8], [116, 83, 117, 42, 9, 249, 578]),
     ("conv2d_512x64_k16x3", [3, 131, 8], [100, 74, 117, 42, 9, 146, 402]),
     ("conv2d_256x128_k8x5", [3, 113, 8], [86, 66, 117, 42, 9, 136, 286]),
-    ("matmul_amx_standard", [3, 148, 9], [125, 91, 139, 42, 29, 284, 747]),
-    ("matmul_amx_vnni", [3, 147, 8], [124, 89, 115, 42, 11, 251, 649]),
+    ("matmul_amx_standard", [3, 150, 9], [127, 93, 139, 42, 29, 288, 748]),
+    ("matmul_amx_vnni", [3, 149, 8], [126, 91, 115, 42, 11, 254, 651]),
 ];
 
 /// The whole suite in one shared graph, then `[table entries, roots]`.
-const SUITE: (RunCounts, [usize; 2]) = ([2516, 1794, 139, 42, 29, 7513, 14570], [1794, 158]);
+const SUITE: (RunCounts, [usize; 2]) = ([2519, 1797, 139, 42, 29, 7518, 14572], [1797, 158]);
 
 /// Engine level: `[leaves, iterations]`, then the pool graph's counts.
-const ENGINE: ([usize; 2], RunCounts) = ([161, 5], [2546, 1811, 139, 42, 29, 7668, 14750]);
+const ENGINE: ([usize; 2], RunCounts) = ([161, 5], [2549, 1814, 139, 42, 29, 7673, 14752]);
 
 /// The pool's leaves: `[leaves, distinct cache keys]` — keys hash leaf
 /// content, names included, so equal leaves share one and nothing else
@@ -187,7 +188,6 @@ struct Saturated {
 fn saturate(leaves: &[Stmt], runner: &Runner) -> Saturated {
     let rule_set = RuleSet::build();
     let mut graph = HbGraph::default();
-    rules::app_specific::declare_relations(&mut graph);
     let roots = leaves.iter().map(|s| encode_stmt(&mut graph, s)).collect();
     let report = runner.run_to_fixpoint(&mut graph, &rule_set.main, Budget::none());
     Saturated {
@@ -358,31 +358,57 @@ fn indexed_matches_naive_on_the_pool_graph() {
     assert_eq!(plain, hooked, "null profile sink: a counter moved");
 }
 
+/// Whether `node` is a fact — a node rules state for each other to join,
+/// never a value.
+fn is_fact(node: &HbLang) -> bool {
+    matches!(node, HbLang::AmxATile(_) | HbLang::AmxBTile(_))
+}
+
 #[test]
-fn every_relation_the_pool_fills_is_read_by_a_rule() {
-    // A relation no query names is pure write cost: every relation that
-    // holds tuples after saturating the pool must appear as a relation
-    // atom of some rule.
+fn every_fact_the_pool_fills_is_read_by_a_rule() {
+    // A fact no query names is pure write cost: every fact operator the
+    // saturated pool graph holds must root an atom of some rule's query.
     let rule_set = RuleSet::build();
-    let read: Vec<&str> = (rule_set.main.iter())
-        .flat_map(|r| &r.query.atoms)
-        .filter_map(|atom| match atom {
-            Atom::Rel { name, .. } => Some(name.as_str()),
-            Atom::Pat { .. } => None,
-        })
-        .collect();
+    let read = |fact: &HbLang| {
+        (rule_set.main.iter())
+            .flat_map(|r| &r.query.atoms)
+            .any(|atom| matches!(&atom.pattern, Pattern::Node(op, _) if op.matches_op(fact)))
+    };
     let pool = saturate(&saturation_pool(&workloads()), &pool_runner());
-    let relations = pool.graph.relations();
-    let mut filled: Vec<&str> = relations
-        .names()
-        .filter(|&n| relations.len(n) > 0)
-        .collect();
-    filled.sort_unstable();
-    assert!(!filled.is_empty(), "the pool fills no relation");
-    for name in filled {
+    let mut filled: Vec<String> = Vec::new();
+    for fact in (pool.graph.classes().flat_map(|class| &class.nodes)).filter(|&node| is_fact(node))
+    {
         assert!(
-            read.contains(&name),
-            "relation {name:?} is written but no rule reads it"
+            read(fact),
+            "{} is added but no rule reads it",
+            fact.op_name()
+        );
+        filled.push(fact.op_name());
+    }
+    filled.sort_unstable();
+    filled.dedup();
+    assert_eq!(
+        filled,
+        ["amx-A-tile", "amx-B-tile"],
+        "the facts the pool fills"
+    );
+}
+
+#[test]
+fn facts_never_reach_a_program() {
+    // Facts are e-nodes, so the extractor sees them: no root's extracted
+    // term — what a selected program is decoded from — may contain one.
+    let pool = saturate(&saturation_pool(&workloads()), &pool_runner());
+    let extractor = WorklistExtractor::new(
+        &pool.graph,
+        DeviceCost::from_profile(&DeviceProfile::a100()),
+    );
+    for (i, &root) in pool.roots.iter().enumerate() {
+        let term = extractor.extract(root);
+        assert!(
+            !term.nodes().iter().any(is_fact),
+            "root {i}: {}",
+            term.to_sexp()
         );
     }
 }

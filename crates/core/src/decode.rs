@@ -138,6 +138,10 @@ fn at(rec: &RecExpr<HbLang>, id: Id) -> Result<Expr, DecodeError> {
             "statement node {} in expression position",
             node.op_name()
         ))),
+        node @ (HbLang::AmxATile(_) | HbLang::AmxBTile(_)) => Err(DecodeError(format!(
+            "fact node {} in a program",
+            node.op_name()
+        ))),
     }
 }
 
@@ -145,8 +149,8 @@ fn at(rec: &RecExpr<HbLang>, id: Id) -> Result<Expr, DecodeError> {
 ///
 /// # Errors
 ///
-/// Fails when the term contains unresolved type computations or statement
-/// nodes in expression position.
+/// Fails when the term contains unresolved type computations, statement
+/// nodes in expression position or fact nodes.
 pub fn decode_expr(rec: &RecExpr<HbLang>) -> Result<Expr, DecodeError> {
     at(rec, rec.root_id())
 }
@@ -240,5 +244,21 @@ mod tests {
         let ld = eg.add(HbLang::Load([ml, name, idx]));
         let term = eg.any_term(ld).unwrap();
         assert!(decode_expr(&term).is_err());
+    }
+
+    #[test]
+    fn fact_nodes_fail_decode() {
+        let mut eg = HbGraph::default();
+        let operand = encode_expr(&mut eg, &b::bcast(b::flt(1.0), 8));
+        let m = eg.add(HbLang::Num(16));
+        let k = eg.add(HbLang::Num(32));
+        for fact in [
+            HbLang::AmxATile([operand, operand, m, k]),
+            HbLang::AmxBTile([operand, operand, k, m]),
+        ] {
+            let id = eg.add(fact);
+            let err = decode_expr(&eg.any_term(id).unwrap()).unwrap_err();
+            assert!(err.0.contains("fact node"), "{err}");
+        }
     }
 }

@@ -210,6 +210,18 @@ pub fn pstore(
     Pattern::Node(HbLang::StoreS([Id(0); 3]), vec![name, index, value])
 }
 
+/// `(amx-A-tile operand tile m k)` fact pattern.
+#[must_use]
+pub fn pamx_a_tile(args: [Pattern<HbLang>; 4]) -> Pattern<HbLang> {
+    Pattern::Node(HbLang::AmxATile([Id(0); 4]), args.into())
+}
+
+/// `(amx-B-tile operand tile k n)` fact pattern.
+#[must_use]
+pub fn pamx_b_tile(args: [Pattern<HbLang>; 4]) -> Pattern<HbLang> {
+    Pattern::Node(HbLang::AmxBTile([Id(0); 4]), args.into())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

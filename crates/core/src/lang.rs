@@ -237,6 +237,15 @@ pub enum HbLang {
     StoreS([Id; 3]),
     /// An evaluate statement as a term.
     EvalS([Id; 1]),
+    /// The fact `(amx-A-tile A tileA m k)` (paper Fig. 10b): the operand
+    /// class `A` is available as the m×k AMX tile `tileA`. Added by the
+    /// application-specific rules and joined by `amx-matmul`; a fact is
+    /// no value, so no program root reaches its class and decoding
+    /// rejects it.
+    AmxATile([Id; 4]),
+    /// The fact `(amx-B-tile B tileB k n)`: operand `B` is available as
+    /// the k×n AMX tile `tileB` (see [`HbLang::AmxATile`]).
+    AmxBTile([Id; 4]),
 }
 
 impl HbLang {
@@ -259,6 +268,7 @@ impl Language for HbLang {
             | HbLang::Bcast(c)
             | HbLang::Vra(c) => c,
             HbLang::Select(c) | HbLang::Ramp(c) | HbLang::Load(c) | HbLang::StoreS(c) => c,
+            HbLang::AmxATile(c) | HbLang::AmxBTile(c) => c,
             HbLang::Call(_, args) => args,
         }
     }
@@ -273,6 +283,7 @@ impl Language for HbLang {
             | HbLang::Bcast(c)
             | HbLang::Vra(c) => c,
             HbLang::Select(c) | HbLang::Ramp(c) | HbLang::Load(c) | HbLang::StoreS(c) => c,
+            HbLang::AmxATile(c) | HbLang::AmxBTile(c) => c,
             HbLang::Call(_, args) => args,
         }
     }
@@ -297,7 +308,9 @@ impl Language for HbLang {
             | (HbLang::Vra(_), HbLang::Vra(_))
             | (HbLang::ExprVar(_), HbLang::ExprVar(_))
             | (HbLang::StoreS(_), HbLang::StoreS(_))
-            | (HbLang::EvalS(_), HbLang::EvalS(_)) => true,
+            | (HbLang::EvalS(_), HbLang::EvalS(_))
+            | (HbLang::AmxATile(_), HbLang::AmxATile(_))
+            | (HbLang::AmxBTile(_), HbLang::AmxBTile(_)) => true,
             (HbLang::Bin(a, _), HbLang::Bin(b, _)) => a == b,
             (HbLang::Call(a, ca), HbLang::Call(b, cb)) => a == b && ca.len() == cb.len(),
             (HbLang::Loc(f1, t1, _), HbLang::Loc(f2, t2, _)) => f1 == f2 && t1 == t2,
@@ -325,6 +338,8 @@ impl Language for HbLang {
             HbLang::ExprVar(_) => "ExprVar".into(),
             HbLang::StoreS(_) => "Store".into(),
             HbLang::EvalS(_) => "Evaluate".into(),
+            HbLang::AmxATile(_) => "amx-A-tile".into(),
+            HbLang::AmxBTile(_) => "amx-B-tile".into(),
         }
     }
 
@@ -369,7 +384,9 @@ impl Language for HbLang {
             | HbLang::Vra(_)
             | HbLang::ExprVar(_)
             | HbLang::StoreS(_)
-            | HbLang::EvalS(_) => {}
+            | HbLang::EvalS(_)
+            | HbLang::AmxATile(_)
+            | HbLang::AmxBTile(_) => {}
         }
         h.finish()
     }
@@ -544,6 +561,14 @@ impl SnapshotNode for HbLang {
                 w.u8(17);
                 w.id(*v);
             }
+            HbLang::AmxATile(c) => {
+                w.u8(18);
+                c.iter().for_each(|&id| w.id(id));
+            }
+            HbLang::AmxBTile(c) => {
+                w.u8(19);
+                c.iter().for_each(|&id| w.id(id));
+            }
         }
     }
 
@@ -585,6 +610,8 @@ impl SnapshotNode for HbLang {
             15 => HbLang::ExprVar(read_ids(r)?),
             16 => HbLang::StoreS(read_ids(r)?),
             17 => HbLang::EvalS(read_ids(r)?),
+            18 => HbLang::AmxATile(read_ids(r)?),
+            19 => HbLang::AmxBTile(read_ids(r)?),
             other => return Err(SnapshotError::Corrupt(format!("HbLang node tag {other}"))),
         })
     }
@@ -755,7 +782,9 @@ impl Analysis<HbLang> for HbAnalysis {
             | HbLang::MultiplyLanes(_)
             | HbLang::Str(_)
             | HbLang::StoreS(_)
-            | HbLang::EvalS(_) => HbData::default(),
+            | HbLang::EvalS(_)
+            | HbLang::AmxATile(_)
+            | HbLang::AmxBTile(_) => HbData::default(),
         }
     }
 
@@ -884,6 +913,8 @@ mod tests {
             HbLang::ExprVar([Id(12)]),
             HbLang::StoreS([Id(1), Id(2), Id(3)]),
             HbLang::EvalS([Id(4)]),
+            HbLang::AmxATile([Id(1), Id(2), Id(3), Id(4)]),
+            HbLang::AmxBTile([Id(5), Id(6), Id(7), Id(8)]),
         ];
         let mut w = SnapshotWriter::new();
         for n in &nodes {

@@ -9,6 +9,11 @@
 //!   convolution) and upsampling (multiphase filter) — lowered to WMMA
 //!   MatMuls against generalized Toeplitz matrices built by
 //!   `convolution_shuffle` / `upsample_shuffle` (§V-A/§V-B).
+//!
+//! The AMX rules do not rewrite the operand they match: each adds the tile
+//! it found together with a fact node, [`HbLang::AmxATile`] or
+//! [`HbLang::AmxBTile`], that `amx-matmul` joins (the paper's
+//! `amx-A-tile` / `amx-B-tile` relations).
 
 use hb_egraph::rewrite::{bound, Query};
 use hb_ir::types::{Location, ScalarType};
@@ -109,7 +114,7 @@ pub fn rules() -> Vec<Rw> {
                 [tyid, an, base, stride, m_lit],
             ));
             let (m_id, k_id) = (bound(s, "m"), bound(s, "k"));
-            eg.insert_tuple("amx-a-tile", &[a, tile, m_id, k_id])
+            add_fact(eg, HbLang::AmxATile([a, tile, m_id, k_id]))
         }),
     ));
 
@@ -138,7 +143,7 @@ pub fn rules() -> Vec<Rw> {
             let idx = eg.add(HbLang::Ramp([row, stride_b, m_id]));
             let tyid = ty(eg, ScalarType::BF16, m * k);
             let dense = eg.add(HbLang::Load([tyid, an, idx]));
-            eg.insert_tuple("amx-a-tile", &[a, dense, m_id, k_id])
+            add_fact(eg, HbLang::AmxATile([a, dense, m_id, k_id]))
         }),
     ));
 
@@ -187,7 +192,7 @@ pub fn rules() -> Vec<Rw> {
                 [tyid, tmp, zero, two_n, khalf],
             ));
             let (k_id, n_id) = (bound(s, "k"), bound(s, "n"));
-            eg.insert_tuple("amx-b-tile", &[b, tile, k_id, n_id])
+            add_fact(eg, HbLang::AmxBTile([b, tile, k_id, n_id]))
         }),
     ));
 
@@ -220,7 +225,7 @@ pub fn rules() -> Vec<Rw> {
             ));
             let k_full = num(eg, 2 * khalf);
             let n_id = bound(s, "n");
-            eg.insert_tuple("amx-b-tile", &[b, tile, k_full, n_id])
+            add_fact(eg, HbLang::AmxBTile([b, tile, k_full, n_id]))
         }),
     ));
 
@@ -253,7 +258,7 @@ pub fn rules() -> Vec<Rw> {
             let dense = eg.add(HbLang::Load([tyid, bn, idx]));
             let k_full = num(eg, 2 * khalf);
             let n_id = bound(s, "n");
-            eg.insert_tuple("amx-b-tile", &[b, dense, k_full, n_id])
+            add_fact(eg, HbLang::AmxBTile([b, dense, k_full, n_id]))
         }),
     ));
 
@@ -537,10 +542,15 @@ fn conv_like_rule(
     )
 }
 
-/// Ensures a fresh e-graph has the tile relations declared (so emptiness
-/// checks are meaningful in reports).
-pub fn declare_relations(eg: &mut HbGraph) {
-    for r in ["amx-a-tile", "amx-b-tile"] {
-        eg.declare_relation(r);
-    }
+/// Adds an AMX tile fact; returns whether it is new, the applier's
+/// "changed": a fact already stated changes nothing.
+fn add_fact(eg: &mut HbGraph, fact: HbLang) -> bool {
+    let nodes = eg.num_nodes();
+    eg.add(fact);
+    eg.num_nodes() > nodes
 }
+
+/// Does nothing: the tile facts are e-nodes, and a graph needs no
+/// declaration before it holds them. Kept only because the `benchmark/`
+/// package calls it; it goes with ROADMAP item 2(iii).
+pub fn declare_relations(_eg: &mut HbGraph) {}

@@ -4,7 +4,10 @@
 use hb_egraph::rewrite::{bound, Query};
 use hb_ir::types::{Location, ScalarType};
 
-use crate::encode::{padd, pbcast, pcast, pload, ploc, pmul, pnum, pramp, pstore, pty, pv, pvra};
+use crate::encode::{
+    padd, pamx_a_tile, pamx_b_tile, pbcast, pcast, pload, ploc, pmul, pnum, pramp, pstore, pty, pv,
+    pvra,
+};
 use crate::lang::{ConstVal, HbGraph, HbLang};
 use crate::rules::{cis, num, ty, Intrinsics, Rw};
 
@@ -34,8 +37,14 @@ pub fn rules() -> Vec<Rw> {
                 ),
             ),
         )
-        .with_relation("amx-a-tile", &["A", "tileA", "m", "k"])
-        .with_relation("amx-b-tile", &["B", "tileB", "k", "n"]),
+        .also(
+            "factA",
+            pamx_a_tile([pv("A"), pv("tileA"), pv("m"), pv("k")]),
+        )
+        .also(
+            "factB",
+            pamx_b_tile([pv("B"), pv("tileB"), pv("k"), pv("n")]),
+        ),
         Box::new(move |eg: &mut HbGraph, s| {
             let Some([m, n, k, mn, mnk]) = cis(eg, s, ["m", "n", "k", "mn", "mnk"]) else {
                 return false;

@@ -10,11 +10,11 @@
 //!   `multiply-lanes`, which [`RuleSet::for_profile`] appends last to the
 //!   one list a session saturates with (§III-D2, in one loop).
 //!
-//! Relations are tables that queries join, so a relation no rule reads is
-//! pure write cost: the only ones are the AMX tile facts `amx-a-tile` /
-//! `amx-b-tile`, written by the app-specific rules and read by
-//! `amx-matmul` (`crates/bench/tests/pool.rs` checks that every relation
-//! the pool fills is read).
+//! A fact one rule states for another is an e-node, so a fact no rule reads
+//! is pure write cost: the only ones are the AMX tile facts
+//! [`HbLang::AmxATile`] / [`HbLang::AmxBTile`], added by the app-specific
+//! rules and joined by `amx-matmul` (`crates/bench/tests/pool.rs` checks
+//! that every fact the pool holds is read).
 
 pub mod app_specific;
 pub mod axiomatic;

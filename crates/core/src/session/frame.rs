@@ -297,7 +297,6 @@ impl Session {
 
         let encode_span = self.tracer.span("encode");
         let eg = &mut ctx.graph;
-        crate::rules::app_specific::declare_relations(eg);
         ctx.roots.clear();
         ctx.roots.extend(leaves.iter().map(|s| encode_stmt(eg, s)));
         // Encoding only adds, so this finds nothing to do on a fresh graph;

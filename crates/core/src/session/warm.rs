@@ -35,8 +35,8 @@ impl Session {
     /// leaves dedup into already-saturated classes; new leaves become
     /// the semi-naive delta), saturates only from the warm epoch, and
     /// extracts — selecting programs **byte-identical** to a cold
-    /// [`Session::compile_ir_suite`] while searching strictly fewer
-    /// relation rows (see `RunReport::delta_probed_rows`).
+    /// [`Session::compile_ir_suite`] while probing strictly fewer index
+    /// rows (see `RunReport::delta_probed_rows`).
     ///
     /// Warm-start degrades, it never fails: a corrupted, truncated or
     /// version-mismatched snapshot, or one exported under a different

@@ -25,17 +25,17 @@
 //!   ([`EGraph::modified_candidates_for`]). A class-level epoch (the max
 //!   over its rows) serves variable-rooted patterns, and one watermark —
 //!   the epoch of the last class change — the scheduler's quiescence
-//!   check;
-//! * **one clock**: relation tuples are stamped with the same epochs
-//!   ([`EGraph::insert_tuple`]), so one cutoff reads both class and tuple
-//!   changes.
+//!   check.
+//!
+//! A fact a rule derives for another to join against is an e-node like
+//! any other: hash-consing dedups it, [`EGraph::rebuild`] canonicalizes it, the per-op logs carry
+//! its deltas and [`EGraph::snapshot`] its state.
 
 use std::collections::BTreeMap;
 use std::fmt::Debug;
 
 use crate::hash::{FastMap, FastSet};
 use crate::language::{Language, RecExpr};
-use crate::relation::Relations;
 use crate::snapshot::{
     frame_payload, unframe_payload, SnapshotAnalysis, SnapshotError, SnapshotNode, SnapshotReader,
     SnapshotWriter,
@@ -223,9 +223,6 @@ pub struct EGraph<L: Language, N: Analysis<L> = ()> {
     num_nodes: usize,
     pending: Vec<(L, Id)>,
     analysis_pending: Vec<(L, Id)>,
-    /// Datalog-style relations over e-class ids (egglog's `relation`s),
-    /// stamped with this graph's epochs.
-    relations: Relations,
     clean: bool,
     /// Operator index: `op_key` → classes containing a node with that key.
     /// Entries may be stale (non-canonical) or duplicated between rebuilds;
@@ -254,9 +251,6 @@ pub struct EGraph<L: Language, N: Analysis<L> = ()> {
     modified_log_by_op: OpRows<(u64, Id)>,
     /// Monotone modification clock; see [`EGraph::bump_epoch`].
     work_epoch: u64,
-    /// Whether any union happened since the last rebuild (gates relation
-    /// canonicalization).
-    unioned_since_rebuild: bool,
     /// Rebuild scratch: the `(parent class, parent op)` rows of the class
     /// whose epoch is being propagated.
     parent_rows: Vec<(Id, u64)>,
@@ -276,7 +270,6 @@ impl<L: Language, N: Analysis<L>> Default for EGraph<L, N> {
             num_nodes: 0,
             pending: Vec::new(),
             analysis_pending: Vec::new(),
-            relations: Relations::default(),
             clean: true,
             classes_by_op: OpRows::default(),
             dirty_ops: FastSet::default(),
@@ -285,7 +278,6 @@ impl<L: Language, N: Analysis<L>> Default for EGraph<L, N> {
             last_modified: 0,
             modified_log_by_op: OpRows::default(),
             work_epoch: 1,
-            unioned_since_rebuild: false,
             parent_rows: Vec::new(),
             max_epoch: Vec::new(),
         }
@@ -324,7 +316,7 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
         Self::default()
     }
 
-    /// Empties the graph — no ids, classes, relations or logs, the clock
+    /// Empties the graph — no ids, classes or logs, the clock
     /// back at 1: indistinguishable from [`EGraph::new`] to every caller —
     /// while keeping the capacity of every table and turning the classes
     /// into shells whose (small) vectors the classes to come fill again,
@@ -338,7 +330,6 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
         self.num_nodes = 0;
         self.pending.clear();
         self.analysis_pending.clear();
-        self.relations.clear();
         self.clean = true;
         self.classes_by_op.clear();
         self.dirty_ops.clear();
@@ -347,7 +338,6 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
         self.last_modified = 0;
         self.modified_log_by_op.clear();
         self.work_epoch = 1;
-        self.unioned_since_rebuild = false;
     }
 
     /// Canonical id for `id`.
@@ -426,40 +416,11 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
 
     /// Advances the modification clock and returns the new epoch. A caller
     /// that records the returned value `e` and later asks for classes with
-    /// `modified_epoch() >= e`, or for tuples stamped at or after `e`, sees
-    /// exactly the classes (transitively) modified and the tuples changed
-    /// after the bump.
+    /// `modified_epoch() >= e` sees exactly the classes (transitively)
+    /// modified after the bump.
     pub fn bump_epoch(&mut self) -> u64 {
         self.work_epoch += 1;
         self.work_epoch
-    }
-
-    /// The relation store, read-only: every write goes through
-    /// [`EGraph::insert_tuple`] so that it carries this graph's epoch.
-    #[must_use]
-    pub fn relations(&self) -> &Relations {
-        &self.relations
-    }
-
-    /// Inserts a tuple into relation `name`, stamped with the current
-    /// epoch; returns whether it was new.
-    pub fn insert_tuple(&mut self, name: &str, tuple: &[Id]) -> bool {
-        self.relations.insert(name, tuple, self.work_epoch)
-    }
-
-    /// Declares relation `name` (idempotent). Insertion auto-declares, so
-    /// this is only needed when emptiness of an undeclared relation
-    /// matters.
-    pub fn declare_relation(&mut self, name: &str) {
-        self.relations.declare(name);
-    }
-
-    /// Whether any class was (transitively) modified, or any relation
-    /// tuple changed, at or after `cutoff` — what a pure rule that last
-    /// searched at `cutoff` could see. O(relations).
-    #[must_use]
-    pub(crate) fn changed_since(&self, cutoff: u64) -> bool {
-        self.any_modified_since(cutoff) || self.relations.any_changed_since(cutoff)
     }
 
     /// Canonical ids of classes that contain at least one e-node whose
@@ -626,7 +587,6 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
             return (a, false);
         }
         self.clean = false;
-        self.unioned_since_rebuild = true;
         // Keep the class with more parents as the winner to move less data.
         let parents_of = |id: Id| self.slab[self.slot(id)].parents.len();
         let (winner, loser) = if parents_of(a) >= parents_of(b) {
@@ -672,15 +632,14 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
         (winner, true)
     }
 
-    /// Restores the congruence invariant and canonicalizes memo entries,
-    /// class node lists and relation tuples. Must be called after a batch of
-    /// unions before the next search.
+    /// Restores the congruence invariant and canonicalizes memo entries and
+    /// class node lists. Must be called after a batch of unions before the
+    /// next search.
     ///
     /// Incremental: only classes dirtied since the last rebuild (union
     /// winners, classes holding parents of union losers) have their node
-    /// lists re-canonicalized; only index rows for operators touched by
-    /// unions are compacted; relation tuples are only re-canonicalized when
-    /// a union actually happened. A saturated rebuild is near-free.
+    /// lists re-canonicalized, and only index rows for operators touched by
+    /// unions are compacted. A saturated rebuild is near-free.
     pub fn rebuild(&mut self) {
         while !self.pending.is_empty() || !self.analysis_pending.is_empty() {
             while let Some((mut node, cls)) = self.pending.pop() {
@@ -739,12 +698,6 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
                 row.sort_unstable();
                 row.dedup();
             }
-        }
-        if self.unioned_since_rebuild {
-            let uf = &self.unionfind;
-            self.relations
-                .canonicalize(|id| uf.find(id), self.work_epoch);
-            self.unioned_since_rebuild = false;
         }
         self.propagate_epochs();
         self.compact_modified_logs();
@@ -1086,7 +1039,6 @@ where
             }
         }
 
-        self.relations.write_snapshot(&mut w);
         frame_payload(w.into_bytes())
     }
 
@@ -1301,7 +1253,6 @@ where
             }
         }
 
-        let relations = Relations::read_snapshot(&mut r, work_epoch)?;
         if !r.is_exhausted() {
             return Err(corrupt("trailing bytes after payload"));
         }
@@ -1315,7 +1266,6 @@ where
             num_nodes,
             pending: Vec::new(),
             analysis_pending: Vec::new(),
-            relations,
             clean: true,
             classes_by_op,
             dirty_ops: FastSet::default(),
@@ -1324,7 +1274,6 @@ where
             last_modified,
             modified_log_by_op,
             work_epoch,
-            unioned_since_rebuild: false,
             parent_rows: Vec::new(),
             max_epoch: Vec::new(),
         })

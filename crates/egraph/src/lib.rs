@@ -3,10 +3,18 @@
 //! A from-scratch reimplementation of the egg/egglog machinery the paper
 //! builds HARDBOILED on: hash-consed [`egraph::EGraph`]s with congruence
 //! rebuilding, [`pattern::Pattern`] e-matching, pure
-//! [`rewrite::Rewrite`] rules with egglog-style Datalog
-//! [`relation::Relations`], one-loop [`schedule::Runner`] scheduling
-//! (§III-D2), per-class [`egraph::Analysis`] lattices, and cost-based
-//! term extraction (§III-D3; [`extract::WorklistExtractor`]).
+//! [`rewrite::Rewrite`] rules over multi-atom queries, one-loop
+//! [`schedule::Runner`] scheduling (§III-D2), per-class
+//! [`egraph::Analysis`] lattices, and cost-based term extraction
+//! (§III-D3; [`extract::WorklistExtractor`]).
+//!
+//! There is one data model: a fact one rule derives for another to join
+//! against — egglog's relation tuple, such as the paper's
+//! `(amx-A-tile A tileA m k)` — is an ordinary e-node its language
+//! declares, and a query reads it with a pattern atom rooted at a fresh
+//! variable. Hash-consing dedups facts, rebuilding canonicalizes them,
+//! the per-op logs carry their deltas and the snapshot their state, as
+//! for every other node.
 //!
 //! The engine is generic over a [`language::Language`]; the HARDBOILED
 //! tensor language lives in the `hardboiled` crate, and a small arithmetic
@@ -27,7 +35,7 @@
 //!   registers; `Var`: compare with the variable's binding, or bind it) —
 //!   the e-matching abstract machine of de Moura & Bjørner, as egg uses
 //!   it. A whole query — first atom, later atoms rooted at bound or fresh
-//!   variables, relation atoms — runs as *one* depth-first walk over a
+//!   variables — runs as *one* depth-first walk over a
 //!   single binding buffer and register file, undoing bindings as it
 //!   backtracks; a binding row is copied out — appended to the search's
 //!   flat match buffer — only at a complete match, so a candidate that
@@ -67,8 +75,8 @@
 //!
 //!   [`egraph::EGraph::clear`] empties a graph for the next one. It
 //!   **resets** everything a caller can observe — ids restart at 0, the
-//!   epoch clock at 1, the relation store (names included), memo, index
-//!   rows, delta logs and worklists are empty — so a cleared graph is
+//!   epoch clock at 1, memo, index rows, delta logs and worklists are
+//!   empty — so a cleared graph is
 //!   indistinguishable from a new one: same ids for the same `add`s, same
 //!   match sequences, same snapshot bytes (pinned by
 //!   `cleared_context_rebuilds_the_fresh_graph` in `tests/engine.rs`). It
@@ -103,10 +111,10 @@
 //!
 //! * **A cheap deterministic hasher.** The tables that are still hashed —
 //!   the hash-cons memo (keyed by e-node), the operator index and the
-//!   per-op logs (keyed by op key), the relation store (keyed by name) —
-//!   and [`language::Language::op_key`] itself hash with
+//!   per-op logs (keyed by op key) — and [`language::Language::op_key`]
+//!   itself hash with
 //!   [`hash::WordHasher`], an unkeyed multiply-rotate word hash: the keys
-//!   are e-nodes and names the program made itself, so SipHash's flooding
+//!   are e-nodes the program made itself, so SipHash's flooding
 //!   resistance bought nothing on the `add` / memo hot paths.
 //!   No behaviour depends on table iteration order (every enumeration is
 //!   sorted first); being unkeyed only makes op keys and allocation
@@ -124,8 +132,7 @@
 //! * **Incremental rebuild.** [`egraph::EGraph::rebuild`] re-canonicalizes
 //!   only classes dirtied since the last rebuild (union winners and the
 //!   classes holding parents of losers) instead of draining the entire
-//!   class map, and re-canonicalizes relation tuples only when a union
-//!   actually happened.
+//!   class map.
 //!
 //! * **Op-keyed modification epochs + delta search.** Change tracking is
 //!   per `(class, op_key)` row: every class carries one epoch per distinct
@@ -149,25 +156,16 @@
 //!   `delta_skipped_rows`. Soundness rests on every rule being pure
 //!   ([`rewrite::Rewrite::rule`]) and is documented in [`schedule`].
 //!
-//! * **One engine clock.** Relation tuples are stamped with the e-graph's
-//!   own epoch ([`egraph::EGraph::insert_tuple`]; the store has no clock,
-//!   tick or version of its own), so a rule keeps *one* cutoff — the epoch
-//!   it last searched at — for its pattern atoms and its relation atoms,
-//!   `since` is one number, and "did anything this rule can see change?"
-//!   is one O(relations) check on the graph.
-//!
-//! * **Semi-naive relation queries.** Queries that join relation atoms or
-//!   fresh-variable pattern atoms (not coverable by a single root probe)
-//!   are delta-evaluated Datalog-style: [`relation::Relations`] stamps
-//!   every tuple with the epoch of its last change (insertion *or*
-//!   canonicalization rewrite), and a delta [`rewrite::CompiledQuery::search`]
-//!   runs one join round per atom with that atom restricted to — and the
-//!   join re-ordered to start from — its delta. Relation deltas are read
-//!   from per-relation change logs (mirroring the per-op class logs), so
-//!   a round costs O(changes to that relation), not a table scan.
-//!   Empty-delta rounds are skipped outright, so these rules too cost
-//!   nearly nothing at quiescence, where they previously re-ran a full
-//!   join every pass.
+//! * **Semi-naive joins.** Queries with atoms rooted at fresh variables
+//!   (a rule joining a fact node, not coverable by a single root probe)
+//!   are delta-evaluated Datalog-style: a delta
+//!   [`rewrite::CompiledQuery::search`] runs one join round per atom with
+//!   that atom restricted to — and the join re-ordered to start from —
+//!   the classes its root operator's per-op log names since the cutoff, so
+//!   a round costs O(changes to that operator). A rule keeps *one* cutoff,
+//!   the epoch it last searched at, for all of its atoms; on a graph no
+//!   class of which changed since, every round is skipped, so these rules
+//!   too cost nearly nothing at quiescence.
 //!
 //! * **One extraction solver.** [`extract::WorklistExtractor`] solves
 //!   costs once at construction, by parent-propagation from the leaves up
@@ -200,9 +198,8 @@
 //!
 //! [`egraph::EGraph::snapshot`] serializes a clean (rebuilt) graph —
 //! union-find, classes with node lists and analysis data, operator index
-//! rows, the `(class, op_key)` epoch rows with their delta logs, and the
-//! relation store with its epoch-stamped change logs — into a versioned,
-//! checksummed, dependency-free byte format ([`snapshot`]);
+//! rows and the `(class, op_key)` epoch rows with their delta logs — into
+//! a versioned, checksummed, dependency-free byte format ([`snapshot`]);
 //! [`egraph::EGraph::restore`]
 //! rebuilds the graph from those bytes, rejecting truncated, corrupted or
 //! version-bumped input with a typed [`snapshot::SnapshotError`] (never a
@@ -215,8 +212,8 @@
 //! * **Derived state is rebuilt, not stored.** The hash-cons memo is
 //!   reconstructed from the class node lists (exact on the clean graphs
 //!   `snapshot` accepts); worklists are empty by construction.
-//! * **Delta state survives.** The clock, epoch rows, modification logs
-//!   and tuple stamps round-trip exactly, so a restored *saturated* graph
+//! * **Delta state survives.** The clock, epoch rows and modification
+//!   logs round-trip exactly, so a restored *saturated* graph
 //!   can warm-start: bump the epoch, encode the new material
 //!   (hash-consing dedups everything already present), and pass the
 //!   bumped epoch to [`schedule::Runner::run_in`] — every rule starts
@@ -303,7 +300,6 @@ pub mod hash;
 pub mod language;
 pub mod math_lang;
 pub mod pattern;
-pub mod relation;
 pub mod rewrite;
 pub mod schedule;
 pub mod snapshot;
@@ -318,7 +314,6 @@ pub use extract::{
 pub use fault::{Fault, FaultPlan, InjectedStop};
 pub use language::{Language, RecExpr};
 pub use pattern::{MatchScratch, Pattern, Subst};
-pub use relation::Relations;
 pub use rewrite::{Atom, CompiledQuery, Query, Rewrite};
 pub use schedule::{Budget, CancelToken, RunReport, Runner};
 pub use snapshot::{SnapshotAnalysis, SnapshotError, SnapshotNode, SnapshotReader, SnapshotWriter};

@@ -59,8 +59,6 @@ pub(crate) struct Frame {
     /// `Bind` loaded). Always canonical: every id comes from a root
     /// enumeration or a node list of a rebuilt graph.
     pub(crate) regs: Vec<Id>,
-    /// Slots bound by relation atoms, in binding order — their undo log.
-    pub(crate) trail: Vec<u32>,
 }
 
 impl Frame {
@@ -71,7 +69,6 @@ impl Frame {
         self.vars.resize(nvars, None);
         self.regs.clear();
         self.regs.resize(nregs, Id(0));
-        self.trail.clear();
     }
 }
 

@@ -1,6 +1,6 @@
-//! Rules: queries (conjunctions of patterns and relation atoms) and
-//! appliers — the engine's equivalent of egglog's `rewrite` and `rule`.
-//! Every rule is pure by contract (see [`Rewrite::rule`]).
+//! Rules: queries (conjunctions of pattern atoms) and appliers — the
+//! engine's equivalent of egglog's `rewrite` and `rule`. Every rule is pure
+//! by contract (see [`Rewrite::rule`]).
 //!
 //! Every [`Rewrite`] compiles its [`Query`] once at construction into a
 //! [`CompiledQuery`]; [`Rewrite::run`] searches it with
@@ -9,19 +9,22 @@
 //! naive reference implementation for equivalence tests and the
 //! scheduler's reference mode.
 //!
+//! A fact a rule derives for another rule to join against (egglog's
+//! relation tuple) is an ordinary e-node, and a query reads it with a
+//! pattern atom rooted at a fresh variable: hash-consing dedups facts,
+//! rebuilding canonicalizes them, and the per-op logs give their deltas.
+//!
 //! ## One matcher
 //!
-//! A compiled query is a list of atoms over one shared variable table and
-//! one register file: each pattern atom is a flat
-//! `pattern::Program`, each relation atom a list of column slots.
+//! A compiled query is a list of pattern atoms over one shared variable
+//! table and one register file, each a flat `pattern::Program`.
 //! A search — private `CompiledQuery::join` — is a single depth-first walk
-//! over one binding buffer: the first atom enumerates its roots (or
-//! tuples); at every way its program can be satisfied the walk continues
-//! *into* the next atom — a pattern atom rooted at a variable that is
-//! bound by then is just more `Bind`s under that class, one rooted at a
-//! fresh variable scans its operator's index row, a relation atom scans
-//! its tuples, binding the columns' unbound variables — and past the last
-//! atom the buffer is appended, as one row, to the search's flat match
+//! over one binding buffer: the first atom enumerates its roots; at every
+//! way its program can be satisfied the walk continues *into* the next
+//! atom — an atom rooted at a variable that is bound by then is just more
+//! `Bind`s under that class, one rooted at a fresh variable scans its
+//! operator's index row — and past the last atom the buffer is appended,
+//! as one row, to the search's flat match
 //! buffer (`pattern::MatchBuf`, kept in the [`MatchScratch`] from search to
 //! search). Every binding is undone on the way back, so nothing is copied
 //! for a candidate that does not match, and nothing is allocated for one
@@ -33,18 +36,17 @@
 //!
 //! Every search mode is this walk with a different first step. One entry
 //! point serves them all: `since: None` is a full search, `Some(epoch)` a
-//! delta search against that one cutoff — class epochs and relation tuple
-//! stamps run on the same clock.
+//! delta search against that one cutoff epoch.
 //!
 //! * a **full** search starts at atom 0 with its operator's whole index
 //!   row;
 //! * a **single-root delta** search starts at atom 0 with only the rows
 //!   stamped since the cutoff;
 //! * a **semi-naive round** starts at its delta atom — that atom's
-//!   modified rows or changed tuples — and visits the others in query
-//!   order from there (a conjunction's matches do not depend on the order
-//!   its atoms are visited in; whether a variable occurrence binds or
-//!   compares is decided at run time by whether its slot is bound).
+//!   modified rows — and visits the others in query order from there (a
+//!   conjunction's matches do not depend on the order its atoms are
+//!   visited in; whether a variable occurrence binds or compares is
+//!   decided at run time by whether its slot is bound).
 //!
 //! ## Delta search
 //!
@@ -52,17 +54,14 @@
 //! cutoff was recorded. Two regimes:
 //!
 //! * **single-root** queries (every enumeration descends from the first
-//!   pattern atom's root — see [`CompiledQuery::delta_eligible`]) probe
-//!   only the classes modified since the epoch cutoff, in one round;
-//! * everything else — joins with relation atoms or fresh-variable pattern
-//!   atoms — is evaluated **semi-naively**: one round per atom, where round
-//!   `i` restricts atom `i` to its *delta* (classes modified since the
-//!   cutoff for pattern atoms, tuples stamped since it for relation atoms —
-//!   see [`crate::relation::Relations::tuples_since`])
-//!   and every other atom to its full extent. A new match must use at
-//!   least one new atom-match, so the union of the rounds covers exactly
-//!   the new matches; rounds over a quiescent graph and relation store are
-//!   all empty and cost nearly nothing, where these queries previously
+//!   atom's root — see [`CompiledQuery::delta_eligible`]) probe only the
+//!   classes modified since the epoch cutoff, in one round;
+//! * queries with atoms rooted at fresh variables are evaluated
+//!   **semi-naively**: one round per atom, where round `i` restricts atom
+//!   `i` to the classes modified since the cutoff and every other atom to
+//!   its full extent. A new match must use at least one new atom-match, so
+//!   the union of the rounds covers exactly the new matches; rounds over a
+//!   quiescent graph are all skipped, where these queries previously
 //!   re-ran a full join every pass.
 //!
 //! Delta probes are **keyed by the atom's root operator**: an op-rooted
@@ -80,24 +79,14 @@ use crate::language::Language;
 use crate::pattern::{Frame, MatchBuf, MatchScratch, Pattern, Program, Subst};
 use crate::unionfind::Id;
 
-/// One atom of a rule's query.
-pub enum Atom<L> {
-    /// `(= var pattern)`: the class bound to `var` (or every class, if `var`
-    /// is unbound so far) must contain a term matching `pattern`.
-    Pat {
-        /// Variable naming the matched class.
-        var: String,
-        /// Pattern the class must contain.
-        pattern: Pattern<L>,
-    },
-    /// `(relation v1 v2 …)`: the tuple of classes bound to the variables
-    /// must be in the relation; unbound variables enumerate.
-    Rel {
-        /// Relation name.
-        name: String,
-        /// Variable names, one per column.
-        vars: Vec<String>,
-    },
+/// One atom of a rule's query, `(= var pattern)`: the class bound to `var`
+/// (or every class, if `var` is unbound so far) must contain a term
+/// matching `pattern`.
+pub struct Atom<L> {
+    /// Variable naming the matched class.
+    pub var: String,
+    /// Pattern the class must contain.
+    pub pattern: Pattern<L>,
 }
 
 /// A conjunctive query: atoms are solved left to right.
@@ -110,73 +99,44 @@ impl<L: Language> Query<L> {
     /// Query with a single root pattern bound to `var`.
     #[must_use]
     pub fn single(var: &str, pattern: Pattern<L>) -> Self {
-        Query {
-            atoms: vec![Atom::Pat {
-                var: var.to_string(),
-                pattern,
-            }],
-        }
+        Query { atoms: vec![] }.also(var, pattern)
     }
 
     /// Adds a `(= var pattern)` atom.
     #[must_use]
     pub fn also(mut self, var: &str, pattern: Pattern<L>) -> Self {
-        self.atoms.push(Atom::Pat {
+        self.atoms.push(Atom {
             var: var.to_string(),
             pattern,
         });
         self
     }
 
-    /// Adds a relation atom.
-    #[must_use]
-    pub fn with_relation(mut self, name: &str, vars: &[&str]) -> Self {
-        self.atoms.push(Atom::Rel {
-            name: name.to_string(),
-            vars: vars.iter().map(|v| (*v).to_string()).collect(),
-        });
-        self
-    }
-
     /// Compiles the query: interns every variable (shared across atoms)
-    /// and flattens every pattern atom into a matcher program over one
-    /// shared register file.
+    /// and flattens every atom into a matcher program over one shared
+    /// register file.
     #[must_use]
     pub fn compile(&self) -> CompiledQuery<L> {
         let mut vars: Vec<String> = Vec::new();
         let mut nregs = 0;
-        let intern = Pattern::<L>::intern;
         // Delta-eligibility: a *single* delta probe at the first atom's
         // root is sound when the only *enumeration* of classes happens
-        // there. That is the case when every atom is a pattern and every
-        // atom after the first constrains a variable some earlier atom
-        // already bound (all bindings then descend from the first root,
-        // and epoch propagation marks that root whenever any of them
-        // changes). A relation atom or a fresh-variable pattern atom
-        // enumerates globally — not eligible; those queries are delta-
-        // evaluated semi-naively instead (see `CompiledQuery::search`).
+        // there, i.e. when every atom after the first constrains a
+        // variable some earlier atom already bound (all bindings then
+        // descend from the first root, and epoch propagation marks that
+        // root whenever any of them changes). An atom rooted at a fresh
+        // variable enumerates globally — not eligible; those queries are
+        // delta-evaluated semi-naively instead (see `CompiledQuery::search`).
         let mut delta_eligible = !self.atoms.is_empty();
-        let atoms: Vec<CompiledAtom<L>> = self
-            .atoms
-            .iter()
-            .enumerate()
-            .map(|(i, atom)| match atom {
-                Atom::Pat { var, pattern } => {
-                    let vars_before = vars.len();
-                    let slot = intern(&mut vars, var);
-                    if i > 0 && (slot as usize) >= vars_before {
-                        delta_eligible = false;
-                    }
-                    let program = pattern.compile_into(&mut vars, &mut nregs);
-                    CompiledAtom::Pat { slot, program }
-                }
-                Atom::Rel { name, vars: cols } => {
+        let atoms: Vec<CompiledAtom<L>> = (self.atoms.iter().enumerate())
+            .map(|(i, Atom { var, pattern })| {
+                let vars_before = vars.len();
+                let slot = Pattern::<L>::intern(&mut vars, var);
+                if i > 0 && (slot as usize) >= vars_before {
                     delta_eligible = false;
-                    CompiledAtom::Rel {
-                        name: name.clone(),
-                        slots: cols.iter().map(|v| intern(&mut vars, v)).collect(),
-                    }
                 }
+                let program = pattern.compile_into(&mut vars, &mut nregs);
+                CompiledAtom { slot, program }
             })
             .collect();
         CompiledQuery {
@@ -194,49 +154,25 @@ impl<L: Language> Query<L> {
     #[must_use]
     pub fn search<N: Analysis<L>>(&self, egraph: &EGraph<L, N>) -> Vec<Subst> {
         let mut substs = vec![Subst::new()];
-        for atom in &self.atoms {
+        for Atom { var, pattern } in &self.atoms {
             let mut next = Vec::new();
-            match atom {
-                Atom::Pat { var, pattern } => {
-                    for s in &substs {
-                        if let Some(id) = s.get(var) {
-                            for mut m in pattern.search_class(egraph, id, s) {
-                                // Root var already bound; keep it.
-                                let ok = m.bind(var, egraph.find(id));
-                                debug_assert!(ok);
-                                next.push(m);
-                            }
-                        } else {
-                            // Sorted enumeration: class-map iteration order
-                            // is seeded per process; sorting makes the
-                            // reference matcher's match *order* (and hence
-                            // equal-cost extraction tie-breaks downstream)
-                            // reproducible across runs.
-                            for id in egraph.sorted_class_ids() {
-                                for mut m in pattern.search_class(egraph, id, s) {
-                                    if m.bind(var, egraph.find(id)) {
-                                        next.push(m);
-                                    }
-                                }
-                            }
-                        }
+            for s in &substs {
+                if let Some(id) = s.get(var) {
+                    for mut m in pattern.search_class(egraph, id, s) {
+                        // Root var already bound; keep it.
+                        let ok = m.bind(var, egraph.find(id));
+                        debug_assert!(ok);
+                        next.push(m);
                     }
-                }
-                Atom::Rel { name, vars } => {
-                    for s in &substs {
-                        for tuple in egraph.relations().tuples(name) {
-                            if tuple.len() != vars.len() {
-                                continue;
-                            }
-                            let mut m = s.clone();
-                            let mut ok = true;
-                            for (v, &id) in vars.iter().zip(tuple.iter()) {
-                                if !m.bind(v, egraph.find(id)) {
-                                    ok = false;
-                                    break;
-                                }
-                            }
-                            if ok {
+                } else {
+                    // Sorted enumeration: class-map iteration order is
+                    // seeded per process; sorting makes the reference
+                    // matcher's match *order* (and hence equal-cost
+                    // extraction tie-breaks downstream) reproducible across
+                    // runs.
+                    for id in egraph.sorted_class_ids() {
+                        for mut m in pattern.search_class(egraph, id, s) {
+                            if m.bind(var, egraph.find(id)) {
                                 next.push(m);
                             }
                         }
@@ -252,14 +188,14 @@ impl<L: Language> Query<L> {
     }
 }
 
-/// A compiled atom: variables as slots into the query's table.
-enum CompiledAtom<L> {
-    Pat { slot: u32, program: Program<L> },
-    Rel { name: String, slots: Vec<u32> },
+/// A compiled atom: its root variable as a slot into the query's table.
+struct CompiledAtom<L> {
+    slot: u32,
+    program: Program<L>,
 }
 
 /// A [`Query`] compiled for the backtracking matcher: one shared variable
-/// table and register file, one `Program` per pattern atom.
+/// table and register file, one `Program` per atom.
 pub struct CompiledQuery<L> {
     vars: Arc<Vec<String>>,
     atoms: Vec<CompiledAtom<L>>,
@@ -276,12 +212,9 @@ struct Join<'a, L: Language, N: Analysis<L>> {
     /// The atom evaluated first: the delta atom of a semi-naive round,
     /// else atom 0. The others follow in query order.
     first: usize,
-    /// The first atom's root enumeration, when it is a pattern atom.
+    /// The first atom's root enumeration (restricted to the classes
+    /// stamped since the cutoff in a delta pass).
     roots: &'a [Id],
-    /// The pass's delta cutoff, which restricts the first atom only: a
-    /// pattern atom's to the `roots` stamped since, a relation atom's to
-    /// the tuples stamped since.
-    since: Option<u64>,
     /// Sorted class ids for variable-rooted atoms after the first,
     /// computed at most once per pass.
     all_ids: OnceCell<Vec<Id>>,
@@ -302,86 +235,35 @@ impl<L: Language, N: Analysis<L>> Join<'_, L, N> {
             p if p <= self.first => p - 1,
             p => p,
         };
-        match &atoms[index] {
-            CompiledAtom::Pat { slot, program } => {
-                let (slot, root_reg) = (*slot as usize, program.root as usize);
-                let mut next = |frame: &mut Frame| self.atom(pos + 1, frame, out);
-                if let Some(id) = frame.vars[slot] {
-                    // Rooted at an already-bound variable: just more binds.
-                    frame.regs[root_reg] = id;
-                    program.run(self.egraph, 0, frame, &mut next);
-                    return;
-                }
-                let roots = match (pos, program.root_key) {
-                    (0, _) => self.roots,
-                    (_, Some(key)) => self.egraph.candidates_for(key),
-                    (_, None) => self.all_ids.get_or_init(|| self.egraph.sorted_class_ids()),
-                };
-                for &root in roots {
-                    frame.vars[slot] = Some(root);
-                    frame.regs[root_reg] = root;
-                    program.run(self.egraph, 0, frame, &mut next);
-                }
-                frame.vars[slot] = None;
-            }
-            CompiledAtom::Rel { name, slots } => {
-                let relations = self.egraph.relations();
-                let visit = |tuple: &Vec<Id>| self.tuple(pos, slots, tuple, frame, out);
-                match self.since.filter(|_| pos == 0) {
-                    Some(cutoff) => relations.tuples_since(name, cutoff).for_each(visit),
-                    None => relations.tuples(name).for_each(visit),
-                }
-            }
-        }
-    }
-
-    /// Unifies one relation tuple with the bindings (binding the columns'
-    /// unbound variables), continues into the next atom if it fits, and
-    /// undoes its bindings.
-    fn tuple(
-        &self,
-        pos: usize,
-        slots: &[u32],
-        tuple: &[Id],
-        frame: &mut Frame,
-        out: &mut MatchBuf,
-    ) {
-        if tuple.len() != slots.len() {
+        let CompiledAtom { slot, program } = &atoms[index];
+        let (slot, root_reg) = (*slot as usize, program.root as usize);
+        let mut next = |frame: &mut Frame| self.atom(pos + 1, frame, out);
+        if let Some(id) = frame.vars[slot] {
+            // Rooted at an already-bound variable: just more binds.
+            frame.regs[root_reg] = id;
+            program.run(self.egraph, 0, frame, &mut next);
             return;
         }
-        let mark = frame.trail.len();
-        let mut fits = true;
-        for (&slot, &id) in slots.iter().zip(tuple) {
-            let id = self.egraph.find(id);
-            match frame.vars[slot as usize] {
-                // Also catches nonlinear tuple variables: the first
-                // occurrence bound the slot just above.
-                Some(bound) if bound != id => {
-                    fits = false;
-                    break;
-                }
-                Some(_) => {}
-                None => {
-                    frame.vars[slot as usize] = Some(id);
-                    frame.trail.push(slot);
-                }
-            }
+        let roots = match (pos, program.root_key) {
+            (0, _) => self.roots,
+            (_, Some(key)) => self.egraph.candidates_for(key),
+            (_, None) => self.all_ids.get_or_init(|| self.egraph.sorted_class_ids()),
+        };
+        for &root in roots {
+            frame.vars[slot] = Some(root);
+            frame.regs[root_reg] = root;
+            program.run(self.egraph, 0, frame, &mut next);
         }
-        if fits {
-            self.atom(pos + 1, frame, out);
-        }
-        for slot in frame.trail.drain(mark..) {
-            frame.vars[slot as usize] = None;
-        }
+        frame.vars[slot] = None;
     }
 }
 
 impl<L: Language> CompiledQuery<L> {
     /// Whether a *single* delta probe at the first atom's root soundly
     /// finds every new match: true when all bindings descend from that
-    /// root. Queries where this is false (relation atoms, fresh-variable
-    /// pattern atoms) still support delta search, via the semi-naive
-    /// rounds of [`CompiledQuery::search`].
+    /// root. Queries where this is false (atoms rooted at fresh variables)
+    /// still support delta search, via the semi-naive rounds of
+    /// [`CompiledQuery::search`].
     #[must_use]
     pub fn delta_eligible(&self) -> bool {
         self.delta_eligible
@@ -416,8 +298,9 @@ impl<L: Language> CompiledQuery<L> {
     /// delta, and the join *starts* from that delta, so a round costs work
     /// proportional to its delta — not a full re-join. A match is found by
     /// round `i` iff atom `i`'s contribution is new, so the union over
-    /// rounds covers every new match. Rounds whose delta is provably empty
-    /// are skipped outright, which is what makes quiescent passes free.
+    /// rounds covers every new match. On a graph no class of which changed
+    /// since the cutoff every round is skipped, which is what makes
+    /// quiescent passes free.
     ///
     /// The rounds' rows are merged by a total-order sort and a dedup
     /// (matches with several new atoms are found by several rounds), so
@@ -432,14 +315,9 @@ impl<L: Language> CompiledQuery<L> {
         let Some(cutoff) = since.filter(|_| !self.delta_eligible) else {
             return self.pass(egraph, 0, since, scratch);
         };
-        let classes_dirty = egraph.any_modified_since(cutoff);
-        for (index, atom) in self.atoms.iter().enumerate() {
-            let delta_nonempty = match atom {
-                CompiledAtom::Pat { .. } => classes_dirty,
-                CompiledAtom::Rel { name, .. } => egraph.relations().changed_since(name, cutoff),
-            };
-            if delta_nonempty {
-                self.pass(egraph, index, since, scratch);
+        if egraph.any_modified_since(cutoff) {
+            for first in 0..self.atoms.len() {
+                self.pass(egraph, first, since, scratch);
             }
         }
         scratch.matches.sort_dedup();
@@ -452,17 +330,15 @@ impl<L: Language> CompiledQuery<L> {
             .collect()
     }
 
-    /// The root enumeration of the pass's first atom (atom `first`), when
-    /// that is a pattern atom: its operator's index row (every class,
-    /// ascending, for a variable root) in a full pass; in a delta pass, the
-    /// classes whose root-operator rows were stamped at or after `since` —
-    /// O(changes to that operator's rows) via the per-op log, nothing
-    /// when the operator was quiet — with the probe counters
-    /// recorded on `scratch`, once.
+    /// The root enumeration of the pass's first atom (atom `first`): its
+    /// operator's index row (every class, ascending, for a variable root)
+    /// in a full pass; in a delta pass, the classes whose root-operator
+    /// rows were stamped at or after `since` — O(changes to that
+    /// operator's rows) via the per-op log, nothing when the operator was
+    /// quiet — with the probe counters recorded on `scratch`, once.
     ///
     /// An index row is returned borrowed from the graph; every other
-    /// enumeration (none at all, for a pass that starts at a relation
-    /// atom) is left in `scratch.roots` and `None` returned.
+    /// enumeration is left in `scratch.roots` and `None` returned.
     fn first_roots<'a, N: Analysis<L>>(
         &self,
         egraph: &'a EGraph<L, N>,
@@ -471,10 +347,7 @@ impl<L: Language> CompiledQuery<L> {
         scratch: &mut MatchScratch,
     ) -> Option<&'a [Id]> {
         scratch.roots.clear();
-        let Some(CompiledAtom::Pat { program, .. }) = self.atoms.get(first) else {
-            return None;
-        };
-        match (since, program.root_key) {
+        match (since, self.atoms[first].program.root_key) {
             (None, Some(key)) => return Some(egraph.candidates_for(key)),
             (None, None) => scratch.roots.extend(egraph.classes().map(|c| c.id)),
             (Some(cut), root_key) => {
@@ -518,7 +391,6 @@ impl<L: Language> CompiledQuery<L> {
             egraph,
             first,
             roots: index_row.unwrap_or(roots),
-            since,
             all_ids: OnceCell::new(),
         };
         frame.reset(self.vars.len(), self.nregs as usize);
@@ -527,7 +399,7 @@ impl<L: Language> CompiledQuery<L> {
 }
 
 /// Action run on each match; returns whether the e-graph changed — a new
-/// tuple counts — since a fixpoint ends at a pass no action changed.
+/// fact node counts — since a fixpoint ends at a pass no action changed.
 pub type ApplyFn<L, N> = Box<dyn Fn(&mut EGraph<L, N>, &Subst) -> bool + Send + Sync>;
 
 /// A named rule: query → action.
@@ -561,18 +433,17 @@ impl<L: Language + 'static, N: Analysis<L>> Rewrite<L, N> {
     /// A general rule with an arbitrary action.
     ///
     /// Every rule is **pure** by contract: its applier reads only its
-    /// match — the matched classes' e-nodes and analysis data, plus the
-    /// query's relation atoms — never other classes or unrelated relation
-    /// state, and it writes only monotonically (adds, unions, tuple
-    /// inserts). The scheduler relies on it: a rule whose matched classes
-    /// and relations did not change since it last ran would find the same
-    /// matches and change nothing, so it is skipped, and every run after
-    /// the first is a delta search. An applier that read global state
-    /// could miss a match that state later enables; express such a read as
-    /// a relation atom of the query instead. Every rule `hardboiled` ships
-    /// keeps the contract: its appliers read only their match's bound
-    /// classes and those classes' analysis data, and only add, union and
-    /// insert.
+    /// match — the matched classes' e-nodes and analysis data — never
+    /// other classes, and it writes only monotonically (adds and unions).
+    /// The scheduler relies on it: a rule whose matched classes did not
+    /// change since it last ran would find the same matches and change
+    /// nothing, so it is skipped, and every run after the first is a delta
+    /// search. An applier that read global state could miss a match that
+    /// state later enables; a rule that needs global state puts it in its
+    /// query as a pattern atom over a fact node, which another rule adds.
+    /// Every rule `hardboiled` ships keeps the contract: its appliers read
+    /// only their match's bound classes and those classes' analysis data,
+    /// and only add and union.
     pub fn rule(name: &str, query: Query<L>, applier: ApplyFn<L, N>) -> Self {
         let compiled = query.compile();
         Rewrite {
@@ -648,7 +519,7 @@ pub fn bound(subst: &Subst, var: &str) -> Id {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::math_lang::{n, padd, pdiv, pmul, pvar, Math};
+    use crate::math_lang::{n, padd, pdiv, pmul, pshl, pvar, Math};
 
     type EG = EGraph<Math, ()>;
 
@@ -698,56 +569,51 @@ mod tests {
     }
 
     #[test]
-    fn multi_atom_query_with_relation() {
-        // rule: (= e (x * y)) ∧ good(y)  ⇒  mark(e)
+    fn multi_atom_query_with_a_fact_atom() {
+        // rule: (= e (x * y)) ∧ (= g (y << y))  ⇒  (e + e), where the fact
+        // `good(y)` is the node `y << y` and `marked(e)` the node `e + e`.
         let mut eg = EG::new();
         let a = eg.add(Math::Sym("a".into()));
         let b = eg.add(Math::Sym("b".into()));
         let two = eg.add(Math::Num(2));
         let m_good = eg.add(Math::Mul([a, two]));
         let _m_bad = eg.add(Math::Mul([a, b]));
-        eg.insert_tuple("good", &[two]);
+        eg.add(Math::Shl([two, two]));
 
         let rule = Rewrite::<Math>::rule(
             "mark-good-products",
-            Query::single("e", pmul(pvar("x"), pvar("y"))).with_relation("good", &["y"]),
+            Query::single("e", pmul(pvar("x"), pvar("y"))).also("g", pshl(pvar("y"), pvar("y"))),
             Box::new(|eg, s| {
                 let e = bound(s, "e");
-                eg.insert_tuple("marked", &[e])
+                let marked = eg.num_classes();
+                eg.add(Math::Add([e, e]));
+                eg.num_classes() > marked
             }),
         );
-        rule.run(&mut eg, None, &mut MatchScratch::new());
+        assert_eq!(rule.run(&mut eg, None, &mut MatchScratch::new()), 1);
         eg.rebuild();
-        assert_eq!(eg.relations().len("marked"), 1);
-        assert!(eg.relations().contains("marked", &[eg.find(m_good)]));
+        assert!(eg.lookup(&Math::Add([m_good, m_good])).is_some());
+        assert_eq!(rule.run(&mut eg, None, &mut MatchScratch::new()), 0);
     }
 
     #[test]
-    fn relation_atom_enumerates_unbound_vars() {
+    fn fact_atom_enumerates_unbound_vars() {
+        // `pair(x, y)` as the node `x / y`.
         let mut eg = EG::new();
         let a = eg.add(Math::Sym("a".into()));
         let b = eg.add(Math::Sym("b".into()));
-        eg.insert_tuple("pair", &[a, b]);
-        eg.insert_tuple("pair", &[b, a]);
-        let q: Query<Math> = Query { atoms: vec![] };
-        let q = q.with_relation("pair", &["x", "y"]);
-        assert_eq!(q.search(&eg).len(), 2);
-        assert_eq!(
-            q.compile()
-                .search(&eg, None, &mut MatchScratch::new())
-                .len(),
-            2
-        );
-        // Non-linear: pair(x, x) matches nothing.
-        let q2: Query<Math> = Query { atoms: vec![] };
-        let q2 = q2.with_relation("pair", &["x", "x"]);
-        assert_eq!(q2.search(&eg).len(), 0);
-        assert_eq!(
-            q2.compile()
-                .search(&eg, None, &mut MatchScratch::new())
-                .len(),
-            0
-        );
+        eg.add(Math::Div([a, b]));
+        eg.add(Math::Div([b, a]));
+        for (pattern, want) in [
+            (pdiv(pvar("x"), pvar("y")), 2),
+            // Non-linear: pair(x, x) matches nothing.
+            (pdiv(pvar("x"), pvar("x")), 0),
+        ] {
+            let q = Query::single("p", pattern);
+            assert_eq!(q.search(&eg).len(), want);
+            let compiled = q.compile().search(&eg, None, &mut MatchScratch::new());
+            assert_eq!(compiled.len(), want);
+        }
     }
 
     #[test]
@@ -782,14 +648,14 @@ mod tests {
         let m1 = eg.add(Math::Mul([a, two]));
         let _m2 = eg.add(Math::Mul([b, two]));
         let _s = eg.add(Math::Add([m1, b]));
-        eg.insert_tuple("good", &[two]);
-        eg.insert_tuple("good", &[b]);
+        eg.add(Math::Shl([two, two]));
+        eg.add(Math::Shl([b, b]));
 
         let queries: Vec<Query<Math>> = vec![
             Query::single("e", pmul(pvar("x"), pvar("y"))),
             Query::single("e", pmul(pvar("x"), n(2))),
             Query::single("e", pvar("e")),
-            Query::single("e", pmul(pvar("x"), pvar("y"))).with_relation("good", &["y"]),
+            Query::single("e", pmul(pvar("x"), pvar("y"))).also("g", pshl(pvar("y"), pvar("y"))),
             Query::single("e", padd(pvar("x"), pvar("y"))).also("x", pmul(pvar("p"), pvar("q"))),
         ];
         for q in &queries {
@@ -827,37 +693,50 @@ mod tests {
     }
 
     #[test]
-    fn one_cutoff_reads_class_and_tuple_changes() {
-        // Tuples run on the graph's clock: the epoch that cuts off class
-        // changes cuts off tuple changes too, whether the tuple is
-        // inserted or restamped by a rebuild's canonicalization.
+    fn one_cutoff_reads_new_and_recanonicalized_facts() {
+        // Facts are e-nodes, so the epoch that cuts off class changes cuts
+        // off fact changes too, whether the fact node is added or its
+        // children are recanonicalized by a union.
         let mut eg = EG::new();
         let a = eg.add(Math::Sym("a".into()));
         let b = eg.add(Math::Sym("b".into()));
         let two = eg.add(Math::Num(2));
         let m = eg.add(Math::Mul([a, two]));
-        eg.insert_tuple("pair", &[a, b]);
+        let pair = eg.add(Math::Div([a, b]));
         eg.rebuild();
-        let q = Query::single("e", pmul(pvar("x"), pvar("y")))
-            .with_relation("even", &["y"])
+        let even = Query::single("e", pmul(pvar("x"), pvar("y")))
+            .also("g", pshl(pvar("y"), pvar("y")))
             .compile();
+        assert!(!even.delta_eligible());
         let mut scratch = MatchScratch::new();
         let cutoff = eg.bump_epoch();
-        assert!(!eg.changed_since(cutoff), "nothing stamped since the bump");
-        assert!(q.search(&eg, Some(cutoff), &mut scratch).is_empty());
-        // A new fact alone — no class changed — is a change a rule sees.
-        eg.insert_tuple("even", &[two]);
-        assert!(!eg.any_modified_since(cutoff));
-        assert!(eg.changed_since(cutoff));
-        let delta = q.search(&eg, Some(cutoff), &mut scratch);
+        assert!(
+            !eg.any_modified_since(cutoff),
+            "nothing stamped since the bump"
+        );
+        assert!(even.search(&eg, Some(cutoff), &mut scratch).is_empty());
+        // A new fact alone — no old class changed — is a change a rule sees.
+        eg.add(Math::Shl([two, two]));
+        eg.rebuild();
+        assert!(eg.any_modified_since(cutoff));
+        let delta = even.search(&eg, Some(cutoff), &mut scratch);
         assert_eq!(delta.len(), 1);
         assert_eq!(delta[0].get("e"), Some(m));
-        // A union rewrites the old `pair` tuple: restamped at the current
-        // epoch, it is new to the same cutoff.
-        assert_eq!(eg.relations().tuples_since("pair", cutoff).count(), 0);
+        // A union rewrites the old `pair` fact's children: restamped at
+        // the current epoch, it is new to the same cutoff.
+        let div_key = Math::Div([Id(0), Id(0)]).op_key();
+        let mut changed = Vec::new();
+        eg.modified_candidates_for(div_key, cutoff, &mut changed);
+        assert!(changed.is_empty());
         eg.union(a, b);
         eg.rebuild();
-        let restamped: Vec<_> = eg.relations().tuples_since("pair", cutoff).collect();
-        assert_eq!(restamped, vec![&vec![eg.find(a), eg.find(a)]]);
+        eg.modified_candidates_for(div_key, cutoff, &mut changed);
+        assert_eq!(changed, vec![eg.find(pair)]);
+        let self_pairs = Query::single("e", pmul(pvar("x"), pvar("y")))
+            .also("p", pdiv(pvar("z"), pvar("z")))
+            .compile();
+        let delta = self_pairs.search(&eg, Some(cutoff), &mut scratch);
+        assert_eq!(delta.len(), 1);
+        assert_eq!(delta[0].get("z"), Some(eg.find(a)));
     }
 }

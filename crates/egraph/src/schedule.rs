@@ -15,10 +15,9 @@
 //!
 //! The runner drives the engine's **delta search**: for every rule it
 //! remembers one number, the epoch at which it last searched, and
-//! re-probes only the classes and relation tuples stamped since — the
-//! graph and its relations share one clock — with a single root
+//! re-probes only the classes stamped since — with a single root
 //! probe for delta-eligible rules, semi-naive join rounds for rules with
-//! relation atoms or fresh-variable pattern atoms (see
+//! atoms rooted at fresh variables (see
 //! [`crate::rewrite::CompiledQuery::search`]) — so once the graph
 //! saturates, re-running the rules costs almost nothing. Probes are
 //! **keyed by each atom's root operator**: a rule rooted at `Mul`
@@ -28,8 +27,8 @@
 //! [`RunReport::delta_skipped_rows`] count what the probes visited and
 //! what they left alone). Because every rule is pure by contract (see
 //! [`Rewrite::rule`]), a rule is searched in full only on its first run,
-//! and skipped outright while nothing in the graph or the relation store
-//! changed since that epoch.
+//! and skipped outright while nothing in the graph changed since that
+//! epoch.
 //! One [`MatchScratch`] per saturation run — the caller's, through
 //! [`Runner::run_in`], when it has one to reuse across runs — is
 //! threaded through every search, so the compiled matcher's binding
@@ -290,7 +289,7 @@ impl BudgetClock {
 
 /// Per-rule delta-search bookkeeping: the epoch recorded right before the
 /// rule's last search, `None` until it first searches. Classes modified
-/// and tuples stamped at or after it must be re-probed.
+/// at or after it must be re-probed.
 type RuleState = Option<u64>;
 
 /// Limits and driver for saturation.
@@ -403,11 +402,11 @@ impl Runner {
                 continue;
             }
             let since = *state;
-            // Quiescence skip: a rule sees only its matched classes and
-            // relation atoms; if neither classes nor relations changed
-            // since it last ran, it would find the same matches and its
-            // (idempotent) application would change nothing — skip it.
-            if since.is_some_and(|cutoff| !egraph.changed_since(cutoff)) {
+            // Quiescence skip: a rule sees only its matched classes; if no
+            // class changed since it last ran, it would find the same
+            // matches and its (idempotent) application would change
+            // nothing — skip it.
+            if since.is_some_and(|cutoff| !egraph.any_modified_since(cutoff)) {
                 report.skipped_searches += 1;
                 continue;
             }
@@ -419,7 +418,7 @@ impl Runner {
                 report.full_searches += 1;
             }
             // Record the next cutoff *before* applying so this rule's own
-            // unions and tuple inserts are re-probed on its next run.
+            // adds and unions are re-probed on its next run.
             *state = Some(egraph.bump_epoch());
             let n = rule.run(egraph, since, scratch);
             applied += n;
@@ -485,9 +484,8 @@ impl Runner {
     /// With `warm: Some(epoch)` — an [`EGraph::bump_epoch`] taken on a
     /// restored, saturated snapshot **before** anything new was encoded
     /// into it — every rule starts as if it had last searched at `epoch`,
-    /// so the first pass probes only classes and relation tuples changed
-    /// since (the leaves encoded after the restore) instead of
-    /// re-searching the whole graph. Byte-identity with the cold run rests
+    /// so the first pass probes only classes changed since (the leaves
+    /// encoded after the restore) instead of re-searching the whole graph. Byte-identity with the cold run rests
     /// on the same invariants as every other delta path — semi-naive
     /// completeness plus content-based extraction tie-breaks — and holds
     /// only when the snapshot came from a **saturated** run of the **same
@@ -579,7 +577,7 @@ impl Runner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::math_lang::{n, pdiv, pmul, pvar, Math};
+    use crate::math_lang::{n, pdiv, pmul, pshl, pvar, Math};
     use crate::rewrite::Query;
 
     type EG = EGraph<Math, ()>;
@@ -847,33 +845,39 @@ mod tests {
     }
 
     #[test]
-    fn a_fact_a_later_rule_inserts_fires_an_earlier_rule_next_pass() {
-        // One loop, no supporting phase: `mark` reads, through its
-        // relation atom, the facts `two-is-even` — later in the same list —
-        // inserts, so `mark` finds nothing on the first pass and must find
-        // its match by delta search on the next.
+    fn a_fact_a_later_rule_adds_fires_an_earlier_rule_next_pass() {
+        // One loop, no supporting phase: `mark` reads, through its fact
+        // atom, the facts `two-is-even` — later in the same list — adds
+        // (`even(y)` is the node `y << y`, `marked(e)` the node `e + e`),
+        // so `mark` finds nothing on the first pass and must find its
+        // match by delta search on the next.
         let mut eg = EG::new();
         let a = eg.add(Math::Sym("a".into()));
         let two = eg.add(Math::Num(2));
         let m = eg.add(Math::Mul([a, two]));
         let _d = eg.add(Math::Div([m, two]));
+        let add_fact = |eg: &mut EG, fact: Math| {
+            let classes = eg.num_classes();
+            eg.add(fact);
+            eg.num_classes() > classes
+        };
 
         // Products by an even number get marked.
         let mark = Rewrite::<Math>::rule(
             "mark",
-            Query::single("e", pmul(pvar("x"), pvar("y"))).with_relation("even", &["y"]),
-            Box::new(|eg, s| {
+            Query::single("e", pmul(pvar("x"), pvar("y"))).also("g", pshl(pvar("y"), pvar("y"))),
+            Box::new(move |eg, s| {
                 let e = crate::rewrite::bound(s, "e");
-                eg.insert_tuple("marked", &[e])
+                add_fact(eg, Math::Add([e, e]))
             }),
         );
         // Every literal 2 is "even".
         let even = Rewrite::<Math>::rule(
             "two-is-even",
             Query::single("e", n(2)),
-            Box::new(|eg, s| {
+            Box::new(move |eg, s| {
                 let e = crate::rewrite::bound(s, "e");
-                eg.insert_tuple("even", &[e])
+                add_fact(eg, Math::Shl([e, e]))
             }),
         );
         let report =
@@ -881,6 +885,6 @@ mod tests {
         assert!(report.saturated);
         assert_eq!(report.iterations, 3, "fact, mark, then a quiet pass");
         assert_eq!(report.applied, 2);
-        assert_eq!(eg.relations().len("marked"), 1);
+        assert!(eg.lookup(&Math::Add([m, m])).is_some());
     }
 }

@@ -3,10 +3,11 @@
 //! A snapshot is the exact persisted state of a *clean* (rebuilt) e-graph:
 //! union-find forest, classes with their node lists and analysis data,
 //! operator index rows, `(class, op_key)` epoch rows with the per-op
-//! modification logs, the last-modification watermark, and the relation
-//! store with its epoch-stamped change logs — everything the op-keyed delta machinery needs so a restored graph
-//! can **warm-start** saturation and run only the semi-naive delta for
-//! whatever is added after the restore.
+//! modification logs and the last-modification watermark — everything the
+//! op-keyed delta machinery needs so a restored graph can **warm-start**
+//! saturation and run only the semi-naive delta for whatever is added
+//! after the restore. Facts rules derive for each other are e-nodes, so
+//! they travel as nodes.
 //!
 //! ## Wire format
 //!
@@ -55,7 +56,7 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"HBEG";
 /// Current snapshot format version. Bump on any wire-format change;
 /// restore rejects every other version with
 /// [`SnapshotError::UnsupportedVersion`].
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Why snapshot bytes could not be restored. Every variant is a clean,
 /// typed rejection — restoring never panics on bad input — so callers can

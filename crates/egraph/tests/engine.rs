@@ -248,26 +248,37 @@ fn matchers_agree_after_full_math_saturation() {
     eg.check_op_index();
 }
 
-/// Queries exercising every non-delta-eligible shape: pattern⋈relation,
-/// relation-only, fresh-variable pattern atoms, relation-extended bindings.
-fn relation_queries() -> Vec<Query<Math>> {
+/// The fact `good(x)` as an e-node: `x << x`.
+fn good(x: &str) -> Pattern<Math> {
+    pshl(pvar(x), pvar(x))
+}
+
+/// The fact `pair(x, y)` as an e-node: `x / y`.
+fn pair(x: &str, y: &str) -> Pattern<Math> {
+    pdiv(pvar(x), pvar(y))
+}
+
+/// Queries exercising every non-delta-eligible shape: a pattern joined
+/// with a fact, two facts joined, fresh-variable pattern atoms, bindings a
+/// fact extends.
+fn fact_queries() -> Vec<Query<Math>> {
     vec![
-        Query::single("e", pmul(pvar("x"), pvar("y"))).with_relation("good", &["y"]),
-        Query { atoms: vec![] }.with_relation("pair", &["x", "y"]),
+        Query::single("e", pmul(pvar("x"), pvar("y"))).also("g", good("y")),
+        Query::single("g", good("x")).also("p", pair("x", "y")),
         Query::single("e", padd(pvar("x"), pvar("y"))).also("q", pmul(pvar("p"), pvar("p2"))),
-        Query::single("e", pmul(pvar("x"), pvar("y"))).with_relation("pair", &["y", "z"]),
+        Query::single("e", pmul(pvar("x"), pvar("y"))).also("p", pair("y", "z")),
     ]
 }
 
-/// Random tuple insertions into the `good` (unary) and `pair` (binary)
-/// relations, operands modulo the live id count.
-fn insert_tuples(eg: &mut EG, ids: &[Id], tuples: &[(u8, u32, u32)]) {
-    for &(which, x, y) in tuples {
+/// Random `good` (unary) and `pair` (binary) facts, added as e-nodes,
+/// operands modulo the live id count.
+fn add_facts(eg: &mut EG, ids: &[Id], facts: &[(u8, u32, u32)]) {
+    for &(which, x, y) in facts {
         let pick = |v: u32| ids[v as usize % ids.len()];
         if which % 2 == 0 {
-            eg.insert_tuple("good", &[pick(x)]);
+            eg.add(Math::Shl([pick(x), pick(x)]));
         } else {
-            eg.insert_tuple("pair", &[pick(x), pick(y)]);
+            eg.add(Math::Div([pick(x), pick(y)]));
         }
     }
 }
@@ -277,19 +288,20 @@ proptest! {
 
     // Semi-naive delta evaluation must be sound (no invented matches) and
     // complete (every match that appeared after the cutoffs is reported)
-    // for relation-atom queries, under randomized graph workouts and
-    // tuple insertions on both sides of the cutoff.
+    // for queries joining fact nodes through fresh-variable atoms, under
+    // randomized graph workouts and facts added on both sides of the
+    // cutoff.
     #[test]
     fn semi_naive_delta_covers_new_matches(
         steps1 in proptest::collection::vec((0u8..6, 0u32..64, 0u32..64), 40),
-        tuples1 in proptest::collection::vec((0u8..2, 0u32..64, 0u32..64), 6),
+        facts1 in proptest::collection::vec((0u8..2, 0u32..64, 0u32..64), 6),
         steps2 in proptest::collection::vec((0u8..6, 0u32..64, 0u32..64), 25),
-        tuples2 in proptest::collection::vec((0u8..2, 0u32..64, 0u32..64), 6),
+        facts2 in proptest::collection::vec((0u8..2, 0u32..64, 0u32..64), 6),
     ) {
         let (mut eg, mut ids) = replay(&steps1);
-        insert_tuples(&mut eg, &ids, &tuples1);
+        add_facts(&mut eg, &ids, &facts1);
         eg.rebuild();
-        let queries = relation_queries();
+        let queries = fact_queries();
         let compiled: Vec<_> = queries.iter().map(Query::compile).collect();
         for c in &compiled {
             prop_assert!(!c.delta_eligible(), "these queries must need semi-naive");
@@ -298,7 +310,7 @@ proptest! {
         let cutoff = eg.bump_epoch();
 
         apply_steps(&mut eg, &mut ids, &steps2);
-        insert_tuples(&mut eg, &ids, &tuples2);
+        add_facts(&mut eg, &ids, &facts2);
         eg.rebuild();
 
         let mut scratch = MatchScratch::new();
@@ -333,6 +345,8 @@ const PAT_VARS: [&str; 4] = ["x", "y", "z", "e"];
 /// Variables atoms are rooted at: fresh roots (`f`), roots an earlier
 /// pattern bound (`x`, `y`), and roots the atom's own pattern mentions.
 const ROOT_VARS: [&str; 4] = ["e", "f", "x", "y"];
+/// The fresh variable each fact atom is rooted at, by atom position.
+const FACT_VARS: [&str; 3] = ["g0", "g1", "g2"];
 
 /// Decodes a pattern of at most `depth` operator levels from a gene
 /// stream: variables, literals and binary operators.
@@ -358,18 +372,18 @@ fn gen_pattern(genes: &mut impl Iterator<Item = u32>, depth: u32) -> Pattern<Mat
 /// Decodes a query of one to `max_atoms` atoms from a gene stream. Every
 /// shape the matcher distinguishes comes up: operator- and variable-rooted
 /// patterns, nonlinear variables, later atoms rooted at bound and at fresh
-/// variables, and relation atoms (unary and binary, possibly nonlinear) in
-/// any position — including first.
+/// variables, and fact atoms (unary and binary facts, possibly nonlinear,
+/// each rooted at a fresh variable) in any position — including first.
 fn gen_query(genes: &[u32], max_atoms: u32) -> Query<Math> {
     let mut genes = genes.iter().copied();
     let atoms = 1 + genes.next().unwrap_or(0) % max_atoms;
     let mut query = Query { atoms: vec![] };
-    for _ in 0..atoms {
+    for fact in FACT_VARS.into_iter().take(atoms as usize) {
         let g = genes.next().unwrap_or(0) as usize;
         let root = ROOT_VARS[(g / 8) % 4];
         query = match g % 8 {
-            0 => query.with_relation("good", &[root]),
-            1 => query.with_relation("pair", &[root, PAT_VARS[(g / 32) % 4]]),
+            0 => query.also(fact, good(root)),
+            1 => query.also(fact, pair(root, PAT_VARS[(g / 32) % 4])),
             2 => query.also(root, pvar(PAT_VARS[(g / 32) % 4])),
             _ => query.also(root, gen_pattern(&mut genes, 2)),
         };
@@ -410,11 +424,11 @@ proptest! {
     #[test]
     fn matcher_emits_the_naive_sequence_on_random_queries(
         steps in proptest::collection::vec((0u8..6, 0u32..64, 0u32..64), 40),
-        tuples in proptest::collection::vec((0u8..2, 0u32..64, 0u32..64), 8),
+        facts in proptest::collection::vec((0u8..2, 0u32..64, 0u32..64), 8),
         genes in proptest::collection::vec(proptest::collection::vec(0u32..256, 24), 6),
     ) {
         let (mut eg, ids) = replay(&steps);
-        insert_tuples(&mut eg, &ids, &tuples);
+        add_facts(&mut eg, &ids, &facts);
         eg.rebuild();
         let mut scratch = MatchScratch::new();
         for g in &genes {
@@ -432,20 +446,20 @@ proptest! {
     #[test]
     fn delta_search_covers_new_matches_on_random_queries(
         steps1 in proptest::collection::vec((0u8..6, 0u32..64, 0u32..64), 40),
-        tuples1 in proptest::collection::vec((0u8..2, 0u32..64, 0u32..64), 6),
+        facts1 in proptest::collection::vec((0u8..2, 0u32..64, 0u32..64), 6),
         steps2 in proptest::collection::vec((0u8..6, 0u32..64, 0u32..64), 25),
-        tuples2 in proptest::collection::vec((0u8..2, 0u32..64, 0u32..64), 6),
+        facts2 in proptest::collection::vec((0u8..2, 0u32..64, 0u32..64), 6),
         genes in proptest::collection::vec(proptest::collection::vec(0u32..256, 24), 6),
     ) {
         let (mut eg, mut ids) = replay(&steps1);
-        insert_tuples(&mut eg, &ids, &tuples1);
+        add_facts(&mut eg, &ids, &facts1);
         eg.rebuild();
         let compiled: Vec<_> = genes.iter().map(|g| gen_query(g, 3).compile()).collect();
         let before: Vec<Vec<Subst>> = compiled.iter().map(|c| c.search(&eg, None, &mut MatchScratch::new())).collect();
         let cutoff = eg.bump_epoch();
 
         apply_steps(&mut eg, &mut ids, &steps2);
-        insert_tuples(&mut eg, &ids, &tuples2);
+        add_facts(&mut eg, &ids, &facts2);
         eg.rebuild();
 
         let mut scratch = MatchScratch::new();
@@ -470,7 +484,7 @@ proptest! {
     fn wide_rows_search_like_the_naive_matcher(
         steps1 in proptest::collection::vec((0u8..6, 0u32..256, 0u32..256), 30),
         steps2 in proptest::collection::vec((0u8..6, 0u32..256, 0u32..256), 30),
-        tuples in proptest::collection::vec((0u8..2, 0u32..256, 0u32..256), 12),
+        facts in proptest::collection::vec((0u8..2, 0u32..256, 0u32..256), 12),
         genes in proptest::collection::vec(proptest::collection::vec(0u32..256, 16), 4),
     ) {
         let mut eg = EG::new();
@@ -483,7 +497,7 @@ proptest! {
         };
         widen(&mut eg, &mut ids, "old");
         apply_steps(&mut eg, &mut ids, &steps1);
-        insert_tuples(&mut eg, &ids, &tuples[..6]);
+        add_facts(&mut eg, &ids, &facts[..6]);
         eg.rebuild();
         let queries: Vec<_> = genes.iter().map(|g| gen_query(g, 2)).collect();
         let compiled: Vec<_> = queries.iter().map(Query::compile).collect();
@@ -491,7 +505,7 @@ proptest! {
         let cutoff = eg.bump_epoch();
         widen(&mut eg, &mut ids, "new");
         apply_steps(&mut eg, &mut ids, &steps2);
-        insert_tuples(&mut eg, &ids, &tuples[6..]);
+        add_facts(&mut eg, &ids, &facts[6..]);
         eg.rebuild();
 
         let mut scratch = MatchScratch::new();
@@ -529,21 +543,21 @@ proptest! {
     // Reuse safety: a context — graph, matcher scratch, extraction scratch —
     // that built, saturated and extracted one graph and was cleared must
     // build the next graph exactly as a fresh context does. Nothing the
-    // first graph left behind (ids, rows, logs, relation tuples, epochs,
+    // first graph left behind (ids, rows, logs, fact nodes, epochs,
     // match rows, cost-table entries, readout memo) may show.
     #[test]
     fn cleared_context_rebuilds_the_fresh_graph(
         earlier in proptest::collection::vec((0u8..6, 0u32..64, 0u32..64), 50),
-        earlier_tuples in proptest::collection::vec((0u8..2, 0u32..64, 0u32..64), 6),
+        earlier_facts in proptest::collection::vec((0u8..2, 0u32..64, 0u32..64), 6),
         steps in proptest::collection::vec((0u8..5, 0u32..64, 0u32..64), 40),
-        tuples in proptest::collection::vec((0u8..2, 0u32..64, 0u32..64), 6),
+        facts in proptest::collection::vec((0u8..2, 0u32..64, 0u32..64), 6),
         genes in proptest::collection::vec(proptest::collection::vec(0u32..256, 24), 4),
     ) {
         // The used context: another graph, all the way through.
         let mut eg = EG::new();
         let mut scratch = MatchScratch::new();
         let earlier_ids = replay_into(&mut eg, &earlier);
-        insert_tuples(&mut eg, &earlier_ids, &earlier_tuples);
+        add_facts(&mut eg, &earlier_ids, &earlier_facts);
         saturate_in(&mut eg, &mut scratch);
         let used = WorklistExtractor::new(&eg, AstSize);
         for &id in &earlier_ids {
@@ -558,8 +572,8 @@ proptest! {
         let ids = replay_into(&mut eg, &steps);
         let (mut fresh, fresh_ids) = replay(&steps);
         prop_assert_eq!(&ids, &fresh_ids);
-        insert_tuples(&mut eg, &ids, &tuples);
-        insert_tuples(&mut fresh, &fresh_ids, &tuples);
+        add_facts(&mut eg, &ids, &facts);
+        add_facts(&mut fresh, &fresh_ids, &facts);
         let report = saturate_in(&mut eg, &mut scratch);
         let fresh_report = saturate_in(&mut fresh, &mut MatchScratch::new());
         prop_assert_eq!(report, fresh_report);
@@ -589,37 +603,42 @@ proptest! {
 }
 
 #[test]
-fn scheduler_semi_naive_finds_late_tuples_without_full_research() {
-    // The main rule joins against a relation that is *empty* when the rule
-    // first (full-)searches; a second rule derives the tuple afterwards.
+fn scheduler_semi_naive_finds_late_facts_without_full_research() {
+    // The main rule joins against a fact no node states when the rule
+    // first (full-)searches; a second rule adds the fact node afterwards.
     // The scheduler must surface the join match purely through the
     // semi-naive delta rounds — no second full search.
     let mut eg = EG::new();
     let a = eg.add(Math::Sym("a".into()));
     let two = eg.add(Math::Num(2));
     let m = eg.add(Math::Mul([a, two]));
+    let add_fact = |eg: &mut EG, fact: Math| {
+        let classes = eg.num_classes();
+        eg.add(fact);
+        eg.num_classes() > classes
+    };
     let main = Rewrite::<Math>::rule(
         "mark-good-products",
-        Query::single("e", pmul(pvar("x"), pvar("y"))).with_relation("good", &["y"]),
-        Box::new(|eg, s| {
+        Query::single("e", pmul(pvar("x"), pvar("y"))).also("g", good("y")),
+        Box::new(move |eg, s| {
             let e = hb_egraph::rewrite::bound(s, "e");
-            eg.insert_tuple("marked", &[e])
+            add_fact(eg, Math::Add([e, e]))
         }),
     );
     let derive = Rewrite::<Math>::rule(
         "two-is-good",
         Query::single("e", n(2)),
-        Box::new(|eg, s| {
+        Box::new(move |eg, s| {
             let e = hb_egraph::rewrite::bound(s, "e");
-            eg.insert_tuple("good", &[e])
+            add_fact(eg, Math::Shl([e, e]))
         }),
     );
-    // Order matters: `main` searches before `good` is populated.
+    // Order matters: `main` searches before `good(2)` is added.
     let report = Runner::new(16, 20_000).run_to_fixpoint(&mut eg, &[main, derive], Budget::none());
     assert!(report.saturated);
     assert!(
-        eg.relations().contains("marked", &[eg.find(m)]),
-        "the late-tuple join match was missed"
+        eg.lookup(&Math::Add([m, m])).is_some(),
+        "the late-fact join match was missed"
     );
     assert_eq!(
         report.full_searches, 2,
@@ -631,7 +650,7 @@ fn scheduler_semi_naive_finds_late_tuples_without_full_research() {
     );
     assert_eq!(
         report.skipped_searches, 1,
-        "a rule over a quiescent graph and relation store is skipped"
+        "a rule over a quiescent graph is skipped"
     );
 }
 

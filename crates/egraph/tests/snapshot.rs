@@ -3,7 +3,7 @@
 //! * snapshot → restore round-trips exactly: the restored graph passes
 //!   `check_op_index` / `check_op_epochs`, extracts byte-identical terms,
 //!   answers delta probes identically, and re-snapshots to the very same
-//!   bytes (randomized `add`/`union`/`relation`/`rebuild` workouts);
+//!   bytes (randomized `add`/`union`/`rebuild` workouts);
 //! * corrupted, truncated and version-bumped bytes are rejected with the
 //!   right typed `SnapshotError` — never a panic — and a cold build still
 //!   works afterwards;
@@ -45,12 +45,6 @@ fn replay(steps: &[Step]) -> (EG, Vec<Id>) {
             4 => {
                 eg.union(pick(x), pick(y));
             }
-            5 => {
-                eg.insert_tuple("rel-a", &[pick(x)]);
-            }
-            6 => {
-                eg.insert_tuple("rel-b", &[pick(x), pick(y)]);
-            }
             _ => eg.rebuild(),
         }
     }
@@ -87,7 +81,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     // Snapshot → restore is an exact round-trip on arbitrary clean
-    // graphs: invariant checkers pass, sizes and relation state match,
+    // graphs: invariant checkers pass, sizes and equivalences match,
     // extraction is byte-identical, and re-snapshotting the restored
     // graph reproduces the original bytes (so *all* persisted state
     // survived, not just what the checkers inspect).
@@ -214,7 +208,6 @@ fn warm_start_matches_cold_and_probes_fewer_rows() {
 fn corrupted_truncated_and_bumped_bytes_are_typed_errors() {
     let mut eg = EG::new();
     let _ = mul_chain(&mut eg, 0, 6);
-    eg.insert_tuple("rel-a", &[Id(0)]);
     eg.rebuild();
     let bytes = eg.snapshot();
 
@@ -226,11 +219,15 @@ fn corrupted_truncated_and_bumped_bytes_are_typed_errors() {
     assert!(matches!(EG::restore(&bad), Err(SnapshotError::BadMagic)));
 
     // Version bump.
+    assert_eq!(SNAPSHOT_VERSION, 3);
     let mut bumped = bytes.clone();
-    bumped[4..8].copy_from_slice(&(SNAPSHOT_VERSION + 1).to_le_bytes());
+    bumped[4..8].copy_from_slice(&4u32.to_le_bytes());
     assert!(matches!(
         EG::restore(&bumped),
-        Err(SnapshotError::UnsupportedVersion { .. })
+        Err(SnapshotError::UnsupportedVersion {
+            found: 4,
+            supported: 3
+        })
     ));
 
     // Every truncation point fails cleanly.

@@ -75,7 +75,6 @@ fn saturate_and_extract(
     penalize_movement: bool,
 ) -> Stmt {
     let mut eg = HbGraph::default();
-    hardboiled_repro::hardboiled::rules::app_specific::declare_relations(&mut eg);
     let root = encode_stmt(&mut eg, stmt);
     main.extend(rules::supporting::rules());
     Runner::new(8, 200_000).run_to_fixpoint(&mut eg, &main, Budget::none());
@@ -142,7 +141,6 @@ fn ablation_without_supporting_rules_types_stay_symbolic() {
     // type) cannot fire and the statement stays unlowered.
     let stmt = obscured_update();
     let mut eg = HbGraph::default();
-    hardboiled_repro::hardboiled::rules::app_specific::declare_relations(&mut eg);
     let root = encode_stmt(&mut eg, &stmt);
     let main = rules::main_rules();
     // Note: run_to_fixpoint over main rules only — no supporting phase.

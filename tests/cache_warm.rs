@@ -3,7 +3,7 @@
 //! all — selects exactly what an uncached compile does; renamed siblings
 //! never serve each other, truncated leaves are never stored, and eviction
 //! respects capacity. Warm-started suite compiles are byte-identical to
-//! cold ones while probing strictly fewer relation rows, and damaged
+//! cold ones while probing strictly fewer index rows, and damaged
 //! snapshots degrade to a clean cold compile with a typed rejection —
 //! never a panic.
 

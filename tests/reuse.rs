@@ -1,13 +1,13 @@
 //! Reuse safety of the session's compile contexts: a context — e-graph,
 //! matcher scratch, extraction scratch — that served one program and was
 //! cleared must compile the next exactly as a fresh session does. The
-//! oracle compiles families that differ in operators, relations and size (a
+//! oracle compiles families that differ in operators, facts and size (a
 //! `conv1d`, an AMX Vnni matmul, an upsample, and the unrolled 256-tap
 //! `conv1d` whose batched graph is the largest kind the pool retains) back
 //! to back on one session
 //! and compares every selected program, every `CompileReport` counter and
 //! every engine `RunReport` with those of fresh sessions, so no row, log,
-//! relation tuple, epoch or cost-table entry can leak across `clear()` unseen —
+//! fact node, epoch or cost-table entry can leak across `clear()` unseen —
 //! also after a compile a budget truncated, after one cancelled
 //! mid-saturation, under a contended pool, and (`--features
 //! fault-injection`) after one that panicked, whose context must be gone.
@@ -35,8 +35,8 @@ fn large_unrolled() -> Lowered {
 }
 
 /// Four families with little in common: different operators, different
-/// intrinsics, relation tuples in one only (the AMX tile relations, under
-/// the matmul), and a context that rests fifteen times larger after the
+/// intrinsics, fact nodes in one only (the AMX tile facts, under the
+/// matmul), and a context that rests fifteen times larger after the
 /// last than after the others.
 fn families() -> Vec<Lowered> {
     let amx = AmxMatmul {
