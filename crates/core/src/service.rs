@@ -34,6 +34,12 @@
 //! `service.wait_ns`, `service.run_ns` and the queue-depth gauges therefore
 //! describe every request, hit or miss.
 //!
+//! **Replies.** A [`Ticket`] is the receiving end of a one-slot
+//! `std::sync::mpsc::sync_channel`; the queued job holds the sender and
+//! sends exactly one reply, so a worker never blocks on it. A job dropped
+//! without replying disconnects the channel, which [`Ticket::wait`]
+//! reports as a [`CompileError::Engine`] instead of waiting forever.
+//!
 //! **Queueing.** Every registered target owns its own bounded FIFO queue
 //! ([`CompileServiceBuilder::queue_capacity`] slots, default 256). Workers
 //! drain the queues with a round-robin cursor over the sorted target
@@ -96,10 +102,11 @@
 //! (cancelled ones are skipped as usual); only *new* submissions are
 //! refused ([`ServiceError::ShuttingDown`]).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::mpsc::{sync_channel, Receiver};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -111,8 +118,8 @@ use crate::session::{
     panic_message, BuildError, CompileError, CompileResult, IntoProgram, Session,
 };
 
-/// A queued request: a closure that performs the compile and fills its
-/// own reply slot.
+/// A queued request: a closure that performs the compile and sends the
+/// reply to its ticket.
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
 /// Default per-target queue capacity
@@ -168,84 +175,10 @@ impl std::error::Error for ServiceError {}
 /// docs' lifecycle section). Dropping after completion is a no-op.
 #[must_use = "a ticket resolves to the request's result; dropping it cancels the compile"]
 pub struct Ticket {
-    /// Where the result will be: filled by the worker's job.
-    reply: Arc<ReplySlot>,
+    /// The receiving end of the request's one-slot reply channel.
+    reply: Receiver<Result<CompileResult, CompileError>>,
     /// `Some` while cancel-on-drop is armed; [`Ticket::wait`] disarms.
     cancel: Option<CancelToken>,
-}
-
-/// The one-shot hand-off from a worker's job to the ticket waiting on it.
-#[derive(Default)]
-struct ReplySlot {
-    state: Mutex<SlotState>,
-    settled: Condvar,
-}
-
-/// Unsettled (the default) until the job replies or is dropped without
-/// replying; `reply` is then the reply, until the ticket takes it.
-#[derive(Default)]
-struct SlotState {
-    settled: bool,
-    reply: Option<Result<CompileResult, CompileError>>,
-}
-
-impl ReplySlot {
-    /// Every update of the state is one assignment, so a poisoned lock
-    /// still guards a valid state.
-    fn lock(&self) -> std::sync::MutexGuard<'_, SlotState> {
-        self.state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Settles the slot with `reply` (`None`: abandoned), unless it is
-    /// settled already.
-    fn settle(&self, reply: Option<Result<CompileResult, CompileError>>) {
-        let mut state = self.lock();
-        if !state.settled {
-            *state = SlotState {
-                settled: true,
-                reply,
-            };
-            // Unlock first: the waiter wakes to a free lock.
-            drop(state);
-            self.settled.notify_one();
-        }
-    }
-
-    fn wait(&self) -> Result<CompileResult, CompileError> {
-        let mut state = self.lock();
-        while !state.settled {
-            state = self
-                .settled
-                .wait(state)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
-        // `None` is unreachable in practice: workers always reply exactly
-        // once (panics are caught inside the job), and shutdown drains the
-        // queue. Degrade to an error rather than hanging the caller.
-        state.reply.take().unwrap_or_else(|| {
-            Err(CompileError::Engine(
-                "compile worker exited before replying".to_string(),
-            ))
-        })
-    }
-}
-
-/// The job's end of a [`ReplySlot`]. Dropping it unfilled settles the slot
-/// as abandoned, so a ticket never waits for a reply that cannot come.
-struct ReplySender(Arc<ReplySlot>);
-
-impl ReplySender {
-    fn send(self, result: Result<CompileResult, CompileError>) {
-        self.0.settle(Some(result));
-    }
-}
-
-impl Drop for ReplySender {
-    fn drop(&mut self) {
-        self.0.settle(None);
-    }
 }
 
 impl fmt::Debug for Ticket {
@@ -267,7 +200,14 @@ impl Ticket {
         // Disarm cancel-on-drop: waiting out the result is the opposite
         // of abandoning the request.
         self.cancel = None;
-        self.reply.wait()
+        // A disconnect is unreachable in practice: workers always reply
+        // exactly once (panics are caught inside the job), and shutdown
+        // drains the queues. Degrade to an error rather than hanging.
+        self.reply.recv().unwrap_or_else(|_| {
+            Err(CompileError::Engine(
+                "compile worker exited before replying".to_string(),
+            ))
+        })
     }
 }
 
@@ -284,18 +224,11 @@ impl Drop for Ticket {
 pub struct CompileServiceBuilder {
     workers: Option<usize>,
     queue_capacity: Option<usize>,
-    entries: Vec<(String, SessionSpec)>,
+    /// Registered targets in registration order; [`Self::build`] reports
+    /// the first failed session build in that order.
+    entries: Vec<(String, Result<Session, BuildError>)>,
     cache: Option<Arc<ReportCache>>,
     metrics: Option<Arc<MetricsRegistry>>,
-}
-
-#[derive(Debug)]
-enum SessionSpec {
-    /// Build a default session for this registered target name.
-    Default,
-    /// Use this pre-built session (custom batching, budgets, fault
-    /// plans, …).
-    Ready(Box<Session>),
 }
 
 impl CompileServiceBuilder {
@@ -321,7 +254,8 @@ impl CompileServiceBuilder {
     /// same name (equivalent to `Session::builder().target_name(name)`).
     #[must_use]
     pub fn register_target(mut self, name: &str) -> Self {
-        self.entries.push((name.to_string(), SessionSpec::Default));
+        let session = Session::builder().target_name(name).build();
+        self.entries.push((name.to_string(), session));
         self
     }
 
@@ -329,8 +263,7 @@ impl CompileServiceBuilder {
     /// for a custom target, batching, budgets, or (in tests) fault plans.
     #[must_use]
     pub fn register(mut self, name: &str, session: Session) -> Self {
-        self.entries
-            .push((name.to_string(), SessionSpec::Ready(Box::new(session))));
+        self.entries.push((name.to_string(), Ok(session)));
         self
     }
 
@@ -383,29 +316,48 @@ impl CompileServiceBuilder {
         let workers = self.workers.unwrap_or_else(|| {
             std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
         });
-        let capacity = self.queue_capacity.unwrap_or(DEFAULT_QUEUE_CAPACITY);
         let metrics = self.metrics.unwrap_or_default();
         // One pool of compile contexts for every session: a worker runs one
         // compile at a time, whichever target it is for.
         let ctx_pool = Arc::<crate::session::CtxPool>::default();
-        let mut sessions = HashMap::new();
-        for (name, spec) in self.entries {
-            let mut session = match spec {
-                SessionSpec::Default => Session::builder().target_name(&name).build()?,
-                SessionSpec::Ready(session) => *session,
-            };
+        let mut targets: Vec<(String, Arc<Session>)> = Vec::new();
+        for (name, session) in self.entries {
+            let mut session = session?;
             if let Some(cache) = &self.cache {
                 session.install_cache(Arc::clone(cache));
             }
             session.install_metrics(Arc::clone(&metrics));
             session.share_ctx_pool(Arc::clone(&ctx_pool));
-            if sessions.insert(name.clone(), Arc::new(session)).is_some() {
-                return Err(BuildError::DuplicateTarget(name));
+            match targets.binary_search_by(|(known, _)| known.cmp(&name)) {
+                Ok(_) => return Err(BuildError::DuplicateTarget(name)),
+                Err(at) => targets.insert(at, (name, Arc::new(session))),
             }
         }
-        Ok(CompileService::spawn(
-            sessions, workers, capacity, self.cache, metrics,
-        ))
+        let obs = Arc::new(ServiceObs::resolve(&metrics, &targets));
+        let dispatcher = Arc::new(Dispatcher {
+            state: Mutex::new(DispatchState {
+                open: true,
+                queues: targets.iter().map(|_| VecDeque::new()).collect(),
+                cursor: 0,
+            }),
+            work_cv: Condvar::new(),
+            capacity: self.queue_capacity.unwrap_or(DEFAULT_QUEUE_CAPACITY),
+        });
+        let workers = (0..workers)
+            .map(|_| {
+                let dispatcher = Arc::clone(&dispatcher);
+                let obs = Arc::clone(&obs);
+                std::thread::spawn(move || CompileService::worker_loop(&dispatcher, &obs))
+            })
+            .collect();
+        Ok(CompileService {
+            targets,
+            dispatcher,
+            workers,
+            cache: self.cache,
+            metrics,
+            obs,
+        })
     }
 }
 
@@ -422,11 +374,27 @@ struct DispatchState {
     /// `false` once shutdown starts: submissions are refused, workers
     /// exit when the queues run dry.
     open: bool,
-    /// One FIFO per registered target, indexed in sorted-name order.
+    /// One FIFO per registered target, in the service's sorted target
+    /// order.
     queues: Vec<VecDeque<QueuedJob>>,
     /// Next queue a worker looks at — advanced past each pop so every
     /// pass takes at most one request per target.
     cursor: usize,
+}
+
+impl DispatchState {
+    /// Pops the next request, round-robin across targets.
+    fn pop_fair(&mut self) -> Option<(QueuedJob, usize)> {
+        let n = self.queues.len();
+        for k in 0..n {
+            let idx = (self.cursor + k) % n;
+            if let Some(job) = self.queues[idx].pop_front() {
+                self.cursor = (idx + 1) % n;
+                return Some((job, idx));
+            }
+        }
+        None
+    }
 }
 
 /// The queues + their rendezvous point: `work_cv` wakes workers when a
@@ -439,42 +407,34 @@ struct Dispatcher {
 
 const DISPATCH_LOCK: &str = "the dispatch lock is held across no panic";
 
-impl fmt::Debug for Dispatcher {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("Dispatcher(..)")
-    }
-}
-
 impl Dispatcher {
-    /// Pops the next request, round-robin across targets. Caller holds
-    /// the state lock.
-    fn pop_fair(st: &mut DispatchState) -> Option<(QueuedJob, usize)> {
-        let n = st.queues.len();
-        for k in 0..n {
-            let idx = (st.cursor + k) % n;
-            if let Some(job) = st.queues[idx].pop_front() {
-                st.cursor = (idx + 1) % n;
-                return Some((job, idx));
-            }
-        }
-        None
+    fn lock(&self) -> MutexGuard<'_, DispatchState> {
+        self.state.lock().expect(DISPATCH_LOCK)
     }
 }
 
 /// A fixed pool of compile workers fanning requests across one immutable
 /// [`Session`] per registered target. See the module docs.
-#[derive(Debug)]
 pub struct CompileService {
-    /// Sorted target names; `queues[i]` / `queue_depth_by_target[i]`
-    /// belong to `names[i]`.
-    names: Vec<String>,
-    index: HashMap<String, usize>,
-    sessions: Vec<Arc<Session>>,
+    /// One session per registered target, sorted by name; target `i` owns
+    /// queue `i` and depth gauge `i`.
+    targets: Vec<(String, Arc<Session>)>,
     dispatcher: Arc<Dispatcher>,
     workers: Vec<JoinHandle<()>>,
     cache: Option<Arc<ReportCache>>,
     metrics: Arc<MetricsRegistry>,
     obs: Arc<ServiceObs>,
+}
+
+impl fmt::Debug for CompileService {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("CompileService")
+            .field("targets", &self.targets)
+            .field("workers", &self.workers.len())
+            .field("queue_capacity", &self.dispatcher.capacity)
+            .field("cache", &self.cache)
+            .finish_non_exhaustive()
+    }
 }
 
 /// Pre-resolved service-level metric handles (same rationale as the
@@ -494,28 +454,35 @@ struct ServiceObs {
     cancel_latency_ns: Histogram,
 }
 
-impl fmt::Debug for ServiceObs {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("ServiceObs(..)")
-    }
-}
-
 impl ServiceObs {
-    fn resolve(metrics: &MetricsRegistry, names: &[String]) -> ServiceObs {
+    fn resolve(metrics: &MetricsRegistry, targets: &[(String, Arc<Session>)]) -> ServiceObs {
         ServiceObs {
             requests: metrics.counter("service.requests"),
             requests_panicked: metrics.counter("service.requests_panicked"),
             rejected_busy: metrics.counter("service.rejected_busy"),
             cancelled: metrics.counter("service.cancelled"),
             queue_depth: metrics.gauge("service.queue_depth"),
-            queue_depth_by_target: names
+            queue_depth_by_target: targets
                 .iter()
-                .map(|name| metrics.gauge(&format!("service.queue_depth.{name}")))
+                .map(|(name, _)| metrics.gauge(&format!("service.queue_depth.{name}")))
                 .collect(),
             wait_ns: metrics.histogram("service.wait_ns"),
             run_ns: metrics.histogram("service.run_ns"),
             cancel_latency_ns: metrics.histogram("service.cancel_latency_ns"),
         }
+    }
+
+    /// Whether `cancel` has been tripped; if so, the cancellation took
+    /// effect (a skip or an abort) and is counted with its latency.
+    fn took_effect(&self, cancel: &CancelToken) -> bool {
+        let cancelled = cancel.is_cancelled();
+        if cancelled {
+            self.cancelled.inc();
+            if let Some(at) = cancel.cancelled_at() {
+                self.cancel_latency_ns.observe_duration(at.elapsed());
+            }
+        }
+        cancelled
     }
 }
 
@@ -526,62 +493,15 @@ impl CompileService {
         CompileServiceBuilder::default()
     }
 
-    fn spawn(
-        by_name: HashMap<String, Arc<Session>>,
-        workers: usize,
-        capacity: usize,
-        cache: Option<Arc<ReportCache>>,
-        metrics: Arc<MetricsRegistry>,
-    ) -> Self {
-        let mut names: Vec<String> = by_name.keys().cloned().collect();
-        names.sort_unstable();
-        let index: HashMap<String, usize> = names
-            .iter()
-            .enumerate()
-            .map(|(i, name)| (name.clone(), i))
-            .collect();
-        let sessions: Vec<Arc<Session>> = names
-            .iter()
-            .map(|name| Arc::clone(&by_name[name]))
-            .collect();
-        let obs = Arc::new(ServiceObs::resolve(&metrics, &names));
-        let dispatcher = Arc::new(Dispatcher {
-            state: Mutex::new(DispatchState {
-                open: true,
-                queues: names.iter().map(|_| VecDeque::new()).collect(),
-                cursor: 0,
-            }),
-            work_cv: Condvar::new(),
-            capacity,
-        });
-        let workers = (0..workers)
-            .map(|_| {
-                let dispatcher = Arc::clone(&dispatcher);
-                let obs = Arc::clone(&obs);
-                std::thread::spawn(move || Self::worker_loop(&dispatcher, &obs))
-            })
-            .collect();
-        CompileService {
-            names,
-            index,
-            sessions,
-            dispatcher,
-            workers,
-            cache,
-            metrics,
-            obs,
-        }
-    }
-
     /// One worker: pop fairly, skip cancelled requests, run the rest.
     /// Exits when shutdown has been signalled *and* every queue is dry,
     /// so accepted requests always resolve.
     fn worker_loop(dispatcher: &Dispatcher, obs: &ServiceObs) {
         loop {
             let queued = {
-                let mut st = dispatcher.state.lock().unwrap();
+                let mut st = dispatcher.lock();
                 loop {
-                    if let Some((queued, idx)) = Dispatcher::pop_fair(&mut st) {
+                    if let Some((queued, idx)) = st.pop_fair() {
                         // Depth gauges track *queued* requests, so they
                         // move under the lock, in step with the queues.
                         obs.queue_depth.add(-1);
@@ -591,20 +511,14 @@ impl CompileService {
                     if !st.open {
                         return;
                     }
-                    st = dispatcher.work_cv.wait(st).unwrap();
+                    st = dispatcher.work_cv.wait(st).expect(DISPATCH_LOCK);
                 }
             };
-            if queued.cancel.is_cancelled() {
-                // Cancelled while queued: skip without compiling. The
-                // reply channel is gone (only a dropped ticket cancels),
-                // so there is nobody to answer.
-                obs.cancelled.inc();
-                if let Some(at) = queued.cancel.cancelled_at() {
-                    obs.cancel_latency_ns.observe_duration(at.elapsed());
-                }
-                continue;
+            // Cancelled while queued: skip without compiling. Only a
+            // dropped ticket cancels, so there is nobody to answer.
+            if !obs.took_effect(&queued.cancel) {
+                (queued.job)();
             }
-            (queued.job)();
         }
     }
 
@@ -637,80 +551,14 @@ impl CompileService {
     /// comparable to direct [`Session::compile`] calls.
     #[must_use]
     pub fn session(&self, target: &str) -> Option<&Session> {
-        self.index.get(target).map(|&i| self.sessions[i].as_ref())
+        self.find(target).map(|i| self.targets[i].1.as_ref())
     }
 
-    fn resolve(&self, target: &str) -> Result<(usize, Arc<Session>), ServiceError> {
-        self.index
-            .get(target)
-            .map(|&i| (i, Arc::clone(&self.sessions[i])))
-            .ok_or_else(|| ServiceError::UnknownTarget(target.to_string()))
-    }
-
-    /// Queues `work` on target queue `idx` and returns the ticket its
-    /// reply will arrive on; a full queue is refused at once.
-    fn dispatch<F>(&self, idx: usize, work: F) -> Result<Ticket, ServiceError>
-    where
-        F: FnOnce(Option<CancelToken>) -> Result<CompileResult, CompileError> + Send + 'static,
-    {
-        let cancel = CancelToken::new();
-        let slot = Arc::<ReplySlot>::default();
-        let reply = ReplySender(Arc::clone(&slot));
-        let obs = Arc::clone(&self.obs);
-        let job_cancel = cancel.clone();
-        let enqueued = Instant::now();
-        let job: Job = Box::new(move || {
-            obs.wait_ns.observe_duration(enqueued.elapsed());
-            let run_started = Instant::now();
-            // Per-request isolation: a panic becomes this request's
-            // `Engine` error; the worker (and queue) keep going. The
-            // panic counter feeds the chaos suite's truth check: every
-            // request-level fault must show up here, exactly once.
-            let run_cancel = job_cancel.clone();
-            let outcome = catch_unwind(AssertUnwindSafe(move || work(Some(run_cancel))))
-                .unwrap_or_else(|payload| {
-                    obs.requests_panicked.inc();
-                    Err(CompileError::Engine(panic_message(&*payload)))
-                });
-            // Observed *before* `run_ns`, so once the run histogram shows
-            // this request, a later ticket drop can no longer be
-            // miscounted as an effective cancellation.
-            if job_cancel.is_cancelled() {
-                obs.cancelled.inc();
-                if let Some(at) = job_cancel.cancelled_at() {
-                    obs.cancel_latency_ns.observe_duration(at.elapsed());
-                }
-            }
-            obs.run_ns.observe_duration(run_started.elapsed());
-            // A dropped ticket just means nobody is waiting.
-            reply.send(outcome);
-        });
-
-        let mut st = self.dispatcher.state.lock().expect(DISPATCH_LOCK);
-        if !st.open {
-            return Err(ServiceError::ShuttingDown);
-        }
-        let depth = st.queues[idx].len();
-        if depth >= self.dispatcher.capacity {
-            self.obs.rejected_busy.inc();
-            return Err(ServiceError::Busy {
-                target: self.names[idx].clone(),
-                depth,
-            });
-        }
-        st.queues[idx].push_back(QueuedJob {
-            job,
-            cancel: cancel.clone(),
-        });
-        self.obs.queue_depth.add(1);
-        self.obs.queue_depth_by_target[idx].add(1);
-        self.obs.requests.inc();
-        drop(st);
-        self.dispatcher.work_cv.notify_one();
-        Ok(Ticket {
-            reply: slot,
-            cancel: Some(cancel),
-        })
+    /// The position of `target` in the sorted target table.
+    fn find(&self, target: &str) -> Option<usize> {
+        self.targets
+            .binary_search_by(|(name, _)| name.as_str().cmp(target))
+            .ok()
     }
 
     /// Submits one program for compilation on `target`'s session: queued
@@ -726,9 +574,65 @@ impl CompileService {
     where
         S: IntoProgram + Send + 'static,
     {
-        let (idx, session) = self.resolve(target)?;
-        self.dispatch(idx, move |cancel| {
-            session.compile_lowered(|| source.into_program(), cancel)
+        let idx = self
+            .find(target)
+            .ok_or_else(|| ServiceError::UnknownTarget(target.to_string()))?;
+        let session = Arc::clone(&self.targets[idx].1);
+        let cancel = CancelToken::new();
+        // The job holds the sender: dropped unsent, it disconnects the
+        // ticket's receiver instead of leaving it waiting.
+        let (reply, receiver) = sync_channel(1);
+        let obs = Arc::clone(&self.obs);
+        let job_cancel = cancel.clone();
+        let enqueued = Instant::now();
+        let job: Job = Box::new(move || {
+            obs.wait_ns.observe_duration(enqueued.elapsed());
+            let run_started = Instant::now();
+            // Per-request isolation: a panic becomes this request's
+            // `Engine` error; the worker (and queue) keep going. The
+            // panic counter feeds the chaos suite's truth check: every
+            // request-level fault must show up here, exactly once.
+            let run_cancel = Some(job_cancel.clone());
+            let outcome = catch_unwind(AssertUnwindSafe(move || {
+                session.compile_lowered(|| source.into_program(), run_cancel)
+            }))
+            .unwrap_or_else(|payload| {
+                obs.requests_panicked.inc();
+                Err(CompileError::Engine(panic_message(&*payload)))
+            });
+            // Observed *before* `run_ns`, so once the run histogram shows
+            // this request, a later ticket drop can no longer be
+            // miscounted as an effective cancellation.
+            obs.took_effect(&job_cancel);
+            obs.run_ns.observe_duration(run_started.elapsed());
+            // A dropped ticket just means nobody is waiting.
+            let _ = reply.send(outcome);
+        });
+
+        let mut st = self.dispatcher.lock();
+        if !st.open {
+            return Err(ServiceError::ShuttingDown);
+        }
+        let depth = st.queues[idx].len();
+        if depth >= self.dispatcher.capacity {
+            self.obs.rejected_busy.inc();
+            return Err(ServiceError::Busy {
+                target: self.targets[idx].0.clone(),
+                depth,
+            });
+        }
+        st.queues[idx].push_back(QueuedJob {
+            job,
+            cancel: cancel.clone(),
+        });
+        self.obs.queue_depth.add(1);
+        self.obs.queue_depth_by_target[idx].add(1);
+        self.obs.requests.inc();
+        drop(st);
+        self.dispatcher.work_cv.notify_one();
+        Ok(Ticket {
+            reply: receiver,
+            cancel: Some(cancel),
         })
     }
 
@@ -741,10 +645,7 @@ impl CompileService {
     }
 
     fn drain(&mut self) {
-        {
-            let mut st = self.dispatcher.state.lock().unwrap();
-            st.open = false;
-        }
+        self.dispatcher.lock().open = false;
         // Every worker re-checks `open`: it finishes the queues, then stops.
         self.dispatcher.work_cv.notify_all();
         for worker in self.workers.drain(..) {
@@ -907,6 +808,27 @@ mod tests {
             assert_eq!(after.counter(name), before.counter(name), "{name} moved");
         }
         assert_eq!(service.shared_cache().map(|c| c.stats()), stats);
+    }
+
+    /// A job dropped without replying (a skipped request's, or one lost
+    /// to a worker that died) disconnects its ticket: `wait` returns an
+    /// `Engine` error at once instead of hanging. A ticket stays `Send`.
+    #[test]
+    fn abandoned_reply_resolves_the_ticket_with_an_engine_error() {
+        fn assert_send<T: Send>() {}
+        assert_send::<Ticket>();
+        let (reply, receiver) = sync_channel::<Result<CompileResult, CompileError>>(1);
+        let ticket = Ticket {
+            reply: receiver,
+            cancel: Some(CancelToken::new()),
+        };
+        drop(reply);
+        match ticket.wait() {
+            Err(CompileError::Engine(msg)) => {
+                assert!(msg.contains("exited before replying"), "{msg}");
+            }
+            other => panic!("expected Engine error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -449,6 +449,80 @@ fn dropped_ticket_after_completion_moves_no_counters() {
     service.shutdown();
 }
 
+/// A front end that logs its label when a worker converts it, then
+/// behaves exactly like the wrapped source.
+struct Recorded<S> {
+    label: &'static str,
+    log: Arc<Mutex<Vec<&'static str>>>,
+    inner: S,
+}
+
+impl<S: IntoProgram> IntoProgram for Recorded<S> {
+    fn to_program(&self) -> Result<Program, CompileError> {
+        let program = self.inner.to_program();
+        self.log.lock().unwrap().push(self.label);
+        program
+    }
+}
+
+/// The module docs' fairness promise: workers take the per-target queues
+/// round-robin, so one scalar request queued behind three sim requests
+/// runs second, not last as it would from a single FIFO.
+#[test]
+fn dispatch_is_round_robin_across_targets() {
+    let source = conv_source();
+    let gate = Gate::new();
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let recorded = |label, inner| Recorded {
+        label,
+        log: Arc::clone(&log),
+        inner,
+    };
+    let service = CompileService::builder()
+        .worker_threads(1)
+        .register_target("sim")
+        .register_target("scalar")
+        .build()
+        .unwrap();
+    let _fail_not_hang = OpenOnDrop(gate.clone());
+
+    // Park the only worker inside a sim request, then queue behind it.
+    let gated = service
+        .submit(
+            "sim",
+            Recorded {
+                label: "sim0",
+                log: Arc::clone(&log),
+                inner: GatedSource {
+                    inner: source.clone(),
+                    gate: gate.clone(),
+                },
+            },
+        )
+        .expect("accepted");
+    wait_until("the worker to pick up the gated request", || {
+        gauge(&service, "service.queue_depth.sim") == 0
+    });
+    let mut tickets = vec![gated];
+    for (target, label) in [
+        ("sim", "sim1"),
+        ("sim", "sim2"),
+        ("sim", "sim3"),
+        ("scalar", "scalar0"),
+    ] {
+        let source = recorded(label, source.clone());
+        tickets.push(service.submit(target, source).expect("accepted"));
+    }
+
+    gate.open();
+    assert!(tickets.into_iter().all(|ticket| ticket.wait().is_ok()));
+    assert_eq!(
+        *log.lock().unwrap(),
+        ["sim0", "scalar0", "sim1", "sim2", "sim3"]
+    );
+    service.shutdown();
+}
+
 // ---------------------------------------------------------------------
 // The shared report cache
 // ---------------------------------------------------------------------
