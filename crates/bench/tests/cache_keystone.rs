@@ -79,7 +79,7 @@ fn warm_start_matches_cold_on_the_full_pool() {
     let cold_rows = cold.report.batch.as_ref().unwrap().delta_probed_rows;
     let warm_rows = warm.report.batch.as_ref().unwrap().delta_probed_rows;
     assert_eq!((warm_rows, cold_rows), (222, 7673), "probed rows moved");
-    assert_eq!(snapshot.size_bytes(), 411_288, "snapshot length moved");
+    assert_eq!(snapshot.size_bytes(), 81_986, "snapshot length moved");
 }
 
 /// The collision oracle: the program `canonical_program_hash` streams

@@ -11,10 +11,11 @@ use hb_egraph::snapshot::SnapshotError;
 ///
 /// The byte form ([`SuiteSnapshot::to_bytes`]) is the fingerprint
 /// (little-endian `u64`) followed by the engine's framed snapshot
-/// (`hb_egraph::snapshot` format v1 — magic, version, length, checksum,
-/// payload). Corrupted, truncated or version-mismatched bytes surface as
-/// a typed [`SnapshotError`] at restore time, never a panic, and the
-/// warm entry point falls back to a cold compile.
+/// (`hb_egraph::snapshot` — magic, format version, length, checksum, and
+/// a payload of the graph's union-find and class contents). Corrupted,
+/// truncated or version-mismatched bytes surface as a typed
+/// [`SnapshotError`] at restore time, never a panic, and the warm entry
+/// point falls back to a cold compile.
 ///
 /// [`Session::compile_ir_suite_exporting`]: crate::session::Session::compile_ir_suite_exporting
 /// [`Session::compile_ir_suite_warm`]: crate::session::Session::compile_ir_suite_warm
@@ -26,8 +27,8 @@ pub struct SuiteSnapshot {
 
 impl SuiteSnapshot {
     /// The exporting session's policy fingerprint (target, batching,
-    /// budgets, cost probe — see the module docs in
-    /// [`super`]).
+    /// budgets, node limit, the intrinsic and movement prices — see the
+    /// module docs in [`super`]).
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
@@ -81,8 +82,8 @@ pub enum WarmRejection {
     /// an unsupported format version).
     Snapshot(SnapshotError),
     /// The snapshot was exported under a different policy fingerprint
-    /// (different target, batching mode, budgets or
-    /// cost model) — warm-starting it could select different programs.
+    /// (different target, batching mode, budgets, node limit or prices) —
+    /// warm-starting it could select different programs.
     PolicyMismatch {
         /// This session's fingerprint.
         expected: u64,

@@ -298,11 +298,9 @@ impl Session {
         let encode_span = self.tracer.span("encode");
         let eg = &mut ctx.graph;
         ctx.roots.clear();
+        // Encoding only adds, so the graph stays rebuilt: no union is
+        // pending, and no delta log outgrows its index row.
         ctx.roots.extend(leaves.iter().map(|s| encode_stmt(eg, s)));
-        // Encoding only adds, so this finds nothing to do on a fresh graph;
-        // on a restored one it bounds the modification logs the new
-        // leaves just extended.
-        eg.rebuild();
         report.stages.encode += encode_span.finish();
 
         let mut saturate_span = self.tracer.span("saturate");

@@ -29,9 +29,8 @@
 //!
 //! A fact a rule derives for another to join against is an e-node like
 //! any other: hash-consing dedups it, [`EGraph::rebuild`] canonicalizes it, the per-op logs carry
-//! its deltas and [`EGraph::snapshot`] its state.
+//! its deltas and [`EGraph::snapshot`] writes it with its class.
 
-use std::collections::BTreeMap;
 use std::fmt::Debug;
 
 use crate::hash::{FastMap, FastSet};
@@ -917,28 +916,21 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
     }
 }
 
-/// Resolves an operator-key table index read from a snapshot.
-fn key_at(op_keys: &[u64], idx: u64) -> Result<u64, SnapshotError> {
-    usize::try_from(idx)
-        .ok()
-        .and_then(|i| op_keys.get(i).copied())
-        .ok_or_else(|| SnapshotError::Corrupt("operator key index out of range".into()))
-}
-
 impl<L, N> EGraph<L, N>
 where
     L: SnapshotNode,
     N: SnapshotAnalysis<L>,
 {
-    /// Serializes the whole graph into the versioned snapshot byte format
-    /// (see [`crate::snapshot`] for the framing and the operator-key
-    /// indirection). The graph must be clean: a snapshot is the state a
-    /// search could run against, and only rebuilt graphs have canonical
-    /// node lists, compacted index rows and propagated epochs.
+    /// Serializes the graph's content into the versioned snapshot byte
+    /// format (see [`crate::snapshot`]): the union-find parents, then each
+    /// class, by ascending id, as its id, its nodes and its analysis data.
+    /// Nothing derived is written — [`EGraph::restore`] rebuilds the memo,
+    /// the parent lists, the operator index and the op rows from the node
+    /// lists. The graph must be clean: only a rebuilt graph has canonical
+    /// node lists.
     ///
-    /// The bytes are deterministic — hash maps are walked in sorted order
-    /// — so two structurally identical graphs snapshot identically within
-    /// one build.
+    /// The bytes are deterministic: two structurally identical graphs
+    /// snapshot identically.
     ///
     /// # Panics
     ///
@@ -947,42 +939,11 @@ where
     pub fn snapshot(&self) -> Vec<u8> {
         assert!(self.clean, "snapshot requires a rebuilt e-graph");
         let mut w = SnapshotWriter::new();
-        w.u64(self.work_epoch);
-
         let parents = self.unionfind.parents();
         w.len(parents.len());
         for &p in parents {
             w.id(p);
         }
-
-        // Operator-key table: one representative node per distinct key
-        // (minimal by `Ord` for determinism). Every key the graph tracks
-        // appears in some node list — node lists only ever grow — so the
-        // table covers the op rows, index rows and per-op logs below.
-        let mut reps: BTreeMap<u64, &L> = BTreeMap::new();
-        for class in self.classes() {
-            for node in &class.nodes {
-                let rep = reps.entry(node.op_key()).or_insert(node);
-                if node < *rep {
-                    *rep = node;
-                }
-            }
-        }
-        w.len(reps.len());
-        for node in reps.values() {
-            node.write_node(&mut w);
-        }
-        let index_of: FastMap<u64, u64> = reps
-            .keys()
-            .enumerate()
-            .map(|(i, &k)| (k, i as u64))
-            .collect();
-        let index_of = |key: u64| -> u64 {
-            *index_of
-                .get(&key)
-                .expect("every tracked op key has a representative node")
-        };
-
         w.len(self.live);
         for class in self.classes() {
             w.id(class.id);
@@ -991,76 +952,31 @@ where
                 node.write_node(&mut w);
             }
             N::write_data(&class.data, &mut w);
-            w.len(class.parents.len());
-            for (node, pid) in &class.parents {
-                node.write_node(&mut w);
-                w.id(*pid);
-            }
-            w.u64(class.modified);
-            w.len(class.op_epochs.len());
-            for &(key, epoch) in &class.op_epochs {
-                w.u64(index_of(key));
-                w.u64(epoch);
-            }
         }
-
-        let mut op_rows: Vec<(u64, &Vec<Id>)> = self
-            .classes_by_op
-            .rows
-            .iter()
-            .map(|(&k, row)| (k, row))
-            .collect();
-        op_rows.sort_unstable_by_key(|&(k, _)| k);
-        w.len(op_rows.len());
-        for (key, row) in op_rows {
-            w.u64(index_of(key));
-            w.len(row.len());
-            for &id in row {
-                w.id(id);
-            }
-        }
-
-        w.u64(self.last_modified);
-
-        let mut op_logs: Vec<(u64, &Vec<(u64, Id)>)> = self
-            .modified_log_by_op
-            .rows
-            .iter()
-            .map(|(&k, log)| (k, log))
-            .collect();
-        op_logs.sort_unstable_by_key(|&(k, _)| k);
-        w.len(op_logs.len());
-        for (key, log) in op_logs {
-            w.u64(index_of(key));
-            w.len(log.len());
-            for &(e, id) in log {
-                w.u64(e);
-                w.id(id);
-            }
-        }
-
         frame_payload(w.into_bytes())
     }
 
     /// Rebuilds a graph from bytes written by [`EGraph::snapshot`].
     ///
     /// Never panics on untrusted input: framing problems (truncation, bad
-    /// magic, version bump, checksum mismatch) and every structural
-    /// violation (non-root class ids, dangling children, cyclic
-    /// union-find, unsorted delta logs, …) are rejected with a typed
-    /// [`SnapshotError`] so the caller can fall back to a cold build. The
-    /// restored graph is clean and search-ready; its memo is
-    /// reconstructed from the class node lists, which is exact on the
-    /// clean graphs [`EGraph::snapshot`] accepts.
+    /// magic, another format version, checksum mismatch) and every
+    /// structural violation (cyclic or out-of-bounds union-find, class ids
+    /// that are not the ascending roots, an empty class, a child that is
+    /// not a canonical class, an e-node listed twice, trailing bytes)
+    /// are rejected with a typed [`SnapshotError`] so the caller can fall
+    /// back to a cold build.
+    ///
+    /// Everything else is derived from the node lists, as a rebuild leaves
+    /// it on a clean graph: the memo, the parent lists, the operator index
+    /// and each class's op rows — one per distinct op key, at epoch 0. The
+    /// delta logs are empty and the clock is at 1, so the restored graph
+    /// was built "before the clock started": a cutoff taken with
+    /// [`EGraph::bump_epoch`] after the restore sees exactly what changes
+    /// after it.
     pub fn restore(bytes: &[u8]) -> Result<Self, SnapshotError> {
         let payload = unframe_payload(bytes)?;
         let mut r = SnapshotReader::new(payload);
         let corrupt = |what: &str| SnapshotError::Corrupt(what.into());
-
-        let work_epoch = r.u64()?;
-        if work_epoch == 0 {
-            return Err(corrupt("work epoch must be at least 1"));
-        }
 
         let n = r.len()?;
         if u32::try_from(n).is_err() {
@@ -1103,34 +1019,23 @@ where
                 }
             }
         }
-        let unionfind = UnionFind::from_parents(parents);
+        let mut eg = EGraph {
+            unionfind: UnionFind::from_parents(parents),
+            slots: vec![NO_CLASS; n],
+            ..Self::default()
+        };
         let n_roots = (0..n)
-            .filter(|&i| unionfind.find(Id::from(i)) == Id::from(i))
+            .filter(|&i| eg.find(Id::from(i)) == Id::from(i))
             .count();
-
-        let n_ops = r.len()?;
-        let mut op_keys = Vec::with_capacity(n_ops);
-        let mut seen_keys = FastSet::with_capacity_and_hasher(n_ops, Default::default());
-        for _ in 0..n_ops {
-            let node = L::read_node(&mut r)?;
-            let key = node.op_key();
-            if !seen_keys.insert(key) {
-                return Err(corrupt("duplicate operator in key table"));
-            }
-            op_keys.push(key);
-        }
 
         let n_classes = r.len()?;
         if n_classes != n_roots {
             return Err(corrupt("class count does not match union-find roots"));
         }
-        let mut slots = vec![NO_CLASS; n];
-        let mut slab: Vec<EClass<L, N::Data>> = Vec::with_capacity(n_classes);
-        let mut num_nodes = 0;
         let mut last_id: Option<Id> = None;
         for _ in 0..n_classes {
             let id = r.id()?;
-            if id.index() >= n || unionfind.find(id) != id {
+            if id.index() >= n || eg.find(id) != id {
                 return Err(corrupt("class id is not a canonical root"));
             }
             if last_id.is_some_and(|prev| id <= prev) {
@@ -1142,141 +1047,56 @@ where
                 return Err(corrupt("class with no nodes"));
             }
             let mut nodes = Vec::with_capacity(n_nodes);
+            let mut op_epochs = Vec::with_capacity(1);
             for _ in 0..n_nodes {
                 let node = L::read_node(&mut r)?;
-                for &c in node.children() {
-                    if c.index() >= n || unionfind.find(c) != c {
-                        return Err(corrupt("node child is not a canonical class"));
-                    }
+                if node
+                    .children()
+                    .iter()
+                    .any(|&c| c.index() >= n || eg.find(c) != c)
+                {
+                    return Err(corrupt("node child is not a canonical class"));
+                }
+                if eg.memo.insert(node.clone(), id).is_some() {
+                    return Err(corrupt("an e-node appears twice"));
+                }
+                // Ascending class ids: every index row comes out sorted.
+                let key = node.op_key();
+                if !op_epochs.iter().any(|&(k, _)| k == key) {
+                    op_epochs.push((key, 0));
+                    eg.classes_by_op.push(key, id);
                 }
                 nodes.push(node);
             }
             let data = N::read_data(&mut r)?;
-            let n_parents = r.len()?;
-            let mut class_parents = Vec::with_capacity(n_parents);
-            for _ in 0..n_parents {
-                let node = L::read_node(&mut r)?;
-                let pid = r.id()?;
-                // Parent entries may be stale (non-canonical) by design;
-                // only bounds are checked.
-                if pid.index() >= n || node.children().iter().any(|c| c.index() >= n) {
-                    return Err(corrupt("parent entry out of bounds"));
-                }
-                class_parents.push((node, pid));
-            }
-            let modified = r.u64()?;
-            if modified > work_epoch {
-                return Err(corrupt("class epoch is past the clock"));
-            }
-            let n_rows = r.len()?;
-            let mut op_epochs = Vec::with_capacity(n_rows);
-            for _ in 0..n_rows {
-                let key = key_at(&op_keys, r.u64()?)?;
-                let epoch = r.u64()?;
-                if epoch > work_epoch {
-                    return Err(corrupt("op row epoch is past the clock"));
-                }
-                op_epochs.push((key, epoch));
-            }
-            num_nodes += nodes.len();
-            slots[id.index()] =
-                u32::try_from(slab.len()).map_err(|_| corrupt("too many classes"))?;
-            slab.push(EClass {
+            eg.num_nodes += nodes.len();
+            eg.slots[id.index()] = u32::try_from(eg.live).expect("fewer classes than ids");
+            eg.slab.push(EClass {
                 id,
                 nodes,
                 data,
-                parents: class_parents,
-                modified,
+                parents: Vec::new(),
+                modified: 0,
                 op_epochs,
             });
+            eg.live += 1;
         }
-
-        // The memo is derivable state on a clean graph: every canonical
-        // node maps to the class whose node list holds it.
-        let mut memo: FastMap<L, Id> = FastMap::default();
-        for class in &slab {
-            for node in &class.nodes {
-                if memo.insert(node.clone(), class.id).is_some() {
-                    return Err(corrupt("one e-node appears in two classes"));
-                }
-            }
-        }
-
-        let n_rows = r.len()?;
-        let mut classes_by_op: OpRows<Id> = OpRows::default();
-        for _ in 0..n_rows {
-            let key = key_at(&op_keys, r.u64()?)?;
-            let len = r.len()?;
-            let mut row = Vec::with_capacity(len);
-            let mut prev: Option<Id> = None;
-            for _ in 0..len {
-                let id = r.id()?;
-                if slots.get(id.index()).is_none_or(|&slot| slot == NO_CLASS) {
-                    return Err(corrupt("op index row names a dead class"));
-                }
-                if prev.is_some_and(|p| id <= p) {
-                    return Err(corrupt("op index row is not sorted and deduplicated"));
-                }
-                prev = Some(id);
-                row.push(id);
-            }
-            if classes_by_op.rows.insert(key, row).is_some() {
-                return Err(corrupt("duplicate op index row"));
-            }
-        }
-
-        let last_modified = r.u64()?;
-        if last_modified > work_epoch {
-            return Err(corrupt("last modification is past the clock"));
-        }
-        let n_logs = r.len()?;
-        let mut modified_log_by_op: OpRows<(u64, Id)> = OpRows::default();
-        for _ in 0..n_logs {
-            let key = key_at(&op_keys, r.u64()?)?;
-            let len = r.len()?;
-            let mut log = Vec::with_capacity(len);
-            let mut last = 0u64;
-            for _ in 0..len {
-                let e = r.u64()?;
-                if e < last || e > work_epoch {
-                    return Err(corrupt("modification log is not sorted within the clock"));
-                }
-                last = e;
-                let id = r.id()?;
-                if id.index() >= n {
-                    return Err(corrupt("logged id out of bounds"));
-                }
-                log.push((e, id));
-            }
-            if modified_log_by_op.rows.insert(key, log).is_some() {
-                return Err(corrupt("duplicate per-op modification log"));
-            }
-        }
-
         if !r.is_exhausted() {
             return Err(corrupt("trailing bytes after payload"));
         }
 
-        Ok(EGraph {
-            unionfind,
-            memo,
-            slots,
-            live: slab.len(),
-            slab,
-            num_nodes,
-            pending: Vec::new(),
-            analysis_pending: Vec::new(),
-            clean: true,
-            classes_by_op,
-            dirty_ops: FastSet::default(),
-            dirty_classes: Vec::new(),
-            touched: Vec::new(),
-            last_modified,
-            modified_log_by_op,
-            work_epoch,
-            parent_rows: Vec::new(),
-            max_epoch: Vec::new(),
-        })
+        // Parent lists, as `add` builds them: one entry per child slot.
+        for pos in 0..eg.live {
+            let id = eg.slab[pos].id;
+            for i in 0..eg.slab[pos].nodes.len() {
+                let node = eg.slab[pos].nodes[i].clone();
+                for &child in node.children() {
+                    let slot = eg.slot(child);
+                    eg.slab[slot].parents.push((node.clone(), id));
+                }
+            }
+        }
+        Ok(eg)
     }
 }
 

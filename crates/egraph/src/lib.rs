@@ -13,8 +13,8 @@
 //! `(amx-A-tile A tileA m k)` — is an ordinary e-node its language
 //! declares, and a query reads it with a pattern atom rooted at a fresh
 //! variable. Hash-consing dedups facts, rebuilding canonicalizes them,
-//! the per-op logs carry their deltas and the snapshot their state, as
-//! for every other node.
+//! the per-op logs carry their deltas and the snapshot carries them as
+//! nodes, as for every other node.
 //!
 //! The engine is generic over a [`language::Language`]; the HARDBOILED
 //! tensor language lives in the `hardboiled` crate, and a small arithmetic
@@ -78,7 +78,8 @@
 //!   epoch clock at 1, memo, index rows, delta logs and worklists are
 //!   empty — so a cleared graph is
 //!   indistinguishable from a new one: same ids for the same `add`s, same
-//!   match sequences, same snapshot bytes (pinned by
+//!   match sequences, same epochs, index rows and delta probes, same
+//!   snapshot bytes (pinned by
 //!   `cleared_context_rebuilds_the_fresh_graph` in `tests/engine.rs`). It
 //!   **keeps** capacity: the union-find, slot, slab, log and worklist
 //!   vectors, the memo's and the op tables' buckets. The classes
@@ -196,29 +197,27 @@
 //!
 //! ## Snapshots and warm-started saturation
 //!
-//! [`egraph::EGraph::snapshot`] serializes a clean (rebuilt) graph —
-//! union-find, classes with node lists and analysis data, operator index
-//! rows and the `(class, op_key)` epoch rows with their delta logs — into
-//! a versioned, checksummed, dependency-free byte format ([`snapshot`]);
-//! [`egraph::EGraph::restore`]
+//! [`egraph::EGraph::snapshot`] serializes a clean (rebuilt) graph's
+//! content — the union-find parents and each class's id, nodes and
+//! analysis data — into a versioned, checksummed, dependency-free byte
+//! format ([`snapshot`]); [`egraph::EGraph::restore`]
 //! rebuilds the graph from those bytes, rejecting truncated, corrupted or
 //! version-bumped input with a typed [`snapshot::SnapshotError`] (never a
 //! panic, so callers can fall back to a cold build). Design points:
 //!
-//! * **Op-key indirection.** [`language::Language::op_key`] values are
-//!   hashes of discriminants and payloads — stable within one binary, not
-//!   across builds — so the wire format stores a table of representative
-//!   e-nodes and re-derives the keys at restore time.
-//! * **Derived state is rebuilt, not stored.** The hash-cons memo is
-//!   reconstructed from the class node lists (exact on the clean graphs
-//!   `snapshot` accepts); worklists are empty by construction.
-//! * **Delta state survives.** The clock, epoch rows and modification
-//!   logs round-trip exactly, so a restored *saturated* graph
-//!   can warm-start: bump the epoch, encode the new material
-//!   (hash-consing dedups everything already present), and pass the
-//!   bumped epoch to [`schedule::Runner::run_in`] — every rule starts
-//!   "as if it had just searched the old graph" and only the semi-naive
-//!   delta for the new leaves is evaluated. Warm results are
+//! * **Only content is stored.** On a clean graph the memo, the parent
+//!   lists and the operator index are functions of the class node lists
+//!   (the rebuilding invariant), so restore derives them, and it cannot
+//!   accept an index that disagrees with the nodes. No op key is written
+//!   either: keys are hashes, stable within one binary but not across
+//!   builds, and restore computes them from the nodes it reads.
+//! * **Restored graphs are built before the clock started.** Every op row
+//!   is at epoch 0, the delta logs are empty and the clock is at 1. To
+//!   warm-start a restored *saturated* graph, bump the epoch, encode the
+//!   new material (hash-consing dedups everything already present), and
+//!   pass the bumped epoch to [`schedule::Runner::run_in`] — every rule
+//!   starts "as if it had just searched the old graph" and only the
+//!   semi-naive delta for the new leaves is evaluated. Warm results are
 //!   byte-identical to cold ones (same closure, same content-based
 //!   extraction tie-breaks) while `RunReport::delta_probed_rows` shows
 //!   strictly fewer probed rows; both are asserted by the snapshot

@@ -1,13 +1,15 @@
 //! Byte-level primitives for the versioned e-graph snapshot format.
 //!
-//! A snapshot is the exact persisted state of a *clean* (rebuilt) e-graph:
-//! union-find forest, classes with their node lists and analysis data,
-//! operator index rows, `(class, op_key)` epoch rows with the per-op
-//! modification logs and the last-modification watermark — everything the
-//! op-keyed delta machinery needs so a restored graph can **warm-start**
-//! saturation and run only the semi-naive delta for whatever is added
-//! after the restore. Facts rules derive for each other are e-nodes, so
-//! they travel as nodes.
+//! A snapshot is the content of a *clean* (rebuilt) e-graph and nothing
+//! it can re-derive: the union-find parents, then every class, by
+//! ascending id, as its id, its e-nodes and its analysis data. Facts rules
+//! derive for each other are e-nodes, so they travel as nodes.
+//! `EGraph::restore` derives the rest from the node lists — the memo, the
+//! parent lists, the operator index, one op row per distinct operator of
+//! each class at epoch 0 — and starts with empty delta logs and the clock
+//! at 1, so a restored graph can **warm-start** saturation: a cutoff
+//! bumped after the restore makes the semi-naive delta exactly what is
+//! added after it.
 //!
 //! ## Wire format
 //!
@@ -16,6 +18,8 @@
 //! ```text
 //! magic "HBEG" | format version u32 | payload length u64 |
 //! payload checksum u64 | payload bytes
+//!
+//! payload: parents: len, id* | classes: len, (id, nodes: len, node*, data)*
 //! ```
 //!
 //! The payload is written through [`SnapshotWriter`] and read back through
@@ -26,19 +30,11 @@
 //! runs, and a version bump is rejected by exact match on the header —
 //! never a panic, so callers can fall back to a cold compile.
 //!
-//! ## Operator-key indirection
-//!
-//! [`crate::language::Language::op_key`] values are hashes of whatever
-//! the language feeds [`crate::language::op_hasher`] — discriminants,
-//! payload bytes — which are stable within one binary but **not across
-//! binaries** (or compiler versions). Raw keys therefore never appear in
-//! a snapshot:
-//! the payload carries a table of *representative e-nodes*, one per
-//! distinct operator, and every keyed structure (op rows, per-op logs,
-//! index rows) refers to operators by table index. `EGraph::restore`
-//! re-derives the keys by calling `op_key()` on the representatives, so a
-//! snapshot written by one build restores correctly under another
-//! build's key values.
+//! [`crate::language::Language::op_key`] values are hashes — stable within
+//! one binary but **not across binaries** (or compiler versions) — so no
+//! key is ever written: restore calls `op_key()` on the nodes it reads,
+//! and a snapshot written by one build restores under another build's key
+//! values.
 //!
 //! Node payloads and analysis data are language-specific, so languages
 //! opt in by implementing [`SnapshotNode`] (and [`SnapshotAnalysis`] for
@@ -56,7 +52,7 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"HBEG";
 /// Current snapshot format version. Bump on any wire-format change;
 /// restore rejects every other version with
 /// [`SnapshotError::UnsupportedVersion`].
-pub const SNAPSHOT_VERSION: u32 = 3;
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// Why snapshot bytes could not be restored. Every variant is a clean,
 /// typed rejection — restoring never panics on bad input — so callers can
@@ -77,7 +73,7 @@ pub enum SnapshotError {
     /// The payload checksum does not match the header.
     ChecksumMismatch,
     /// The frame decoded but the payload violates a structural invariant
-    /// (dangling id, cyclic union-find, unsorted log, …).
+    /// (dangling id, cyclic union-find, an e-node listed twice, …).
     Corrupt(String),
 }
 

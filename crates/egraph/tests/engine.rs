@@ -18,7 +18,8 @@
 //! * a graph, matcher scratch and extraction scratch that served one graph
 //!   and were cleared rebuild another exactly as fresh ones do: same ids,
 //!   same saturation report, same match sequences, same extraction, same
-//!   snapshot bytes.
+//!   snapshot bytes, and the same answers from every epoch, index and
+//!   delta read of the public API.
 
 use proptest::prelude::*;
 
@@ -537,6 +538,62 @@ fn saturate_in(eg: &mut EG, scratch: &mut MatchScratch) -> hb_egraph::schedule::
     report
 }
 
+/// Asserts that two graphs built by the same steps answer every read of
+/// the public API alike — per class its nodes and epochs (the data is
+/// `()` here); per operator its index row and its delta probe at every
+/// cutoff the clock has passed; the class-level delta and the watermark
+/// at every such cutoff. The snapshot bytes carry content only, so this
+/// is what catches leftover rows, logs or epochs.
+fn assert_same_reads(eg: &EG, fresh: &EG) {
+    assert_eq!(eg.work_epoch(), fresh.work_epoch());
+    assert_eq!(eg.num_classes(), fresh.num_classes());
+    let mut keys = Vec::new();
+    for (class, want) in eg.classes().zip(fresh.classes()) {
+        assert_eq!(class.id, want.id);
+        assert_eq!(class.nodes, want.nodes, "class {}", class.id);
+        assert_eq!(
+            class.modified_epoch(),
+            want.modified_epoch(),
+            "class {}",
+            class.id
+        );
+        for key in class.nodes.iter().map(Language::op_key) {
+            assert_eq!(
+                class.op_modified_epoch(key),
+                want.op_modified_epoch(key),
+                "class {}, key {key:#x}",
+                class.id
+            );
+            keys.push(key);
+        }
+    }
+    keys.sort_unstable();
+    keys.dedup();
+    for &key in &keys {
+        assert_eq!(
+            eg.candidates_for(key),
+            fresh.candidates_for(key),
+            "key {key:#x}"
+        );
+    }
+    let (mut got, mut want) = (Vec::new(), Vec::new());
+    for cutoff in 1..=eg.work_epoch() {
+        for &key in &keys {
+            eg.modified_candidates_for(key, cutoff, &mut got);
+            fresh.modified_candidates_for(key, cutoff, &mut want);
+            assert_eq!(got, want, "key {key:#x}, cutoff {cutoff}");
+        }
+        eg.modified_since(cutoff, &mut got);
+        fresh.modified_since(cutoff, &mut want);
+        assert_eq!(got, want, "cutoff {cutoff}");
+        assert_eq!(
+            eg.any_modified_since(cutoff),
+            fresh.any_modified_since(cutoff),
+            "cutoff {cutoff}"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -578,6 +635,7 @@ proptest! {
         let fresh_report = saturate_in(&mut fresh, &mut MatchScratch::new());
         prop_assert_eq!(report, fresh_report);
         prop_assert_eq!(eg.snapshot(), fresh.snapshot());
+        assert_same_reads(&eg, &fresh);
 
         for g in &genes {
             let query = gen_query(g, 3).compile();
