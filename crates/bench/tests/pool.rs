@@ -22,6 +22,12 @@
 //!   normalized program under `sim`, `amx` and `wmma` sessions, recorded
 //!   at a previous commit, so "byte-identical selection" is checked
 //!   against history and not only between configurations of one build.
+//! * **per-rule work** — each rule's searches, probed rows, found and
+//!   applied matches, from a `CollectingSink`, on the 161-leaf engine run
+//!   (`RULES`) and on a coverage graph whose leaves make the rules the pool
+//!   never fires match (`RULES_COVERAGE`), so a matcher or rule change
+//!   names the rules whose work it moved. Each rule's share of search time
+//!   is printed beside it, never pinned.
 //!
 //! To re-record after an *intended* change of the engine's work, run
 //! `HB_PRINT_GOLDEN=1 cargo test -p hb-bench --test pool -- --nocapture`
@@ -40,14 +46,17 @@ use hardboiled::{
     HbGraph, HbLang, ReportCache, Session, SessionBuilder,
 };
 use hb_accel::device::DeviceProfile;
-use hb_bench::workloads::{saturation_pool, workloads, Workload};
+use hb_apps::matmul_amx::{AmxMatmul, Layout, Variant};
+use hb_apps::resample_int::{Downsample, Upsample};
+use hb_bench::workloads::{saturation_leaves, saturation_pool, workloads, Workload};
 use hb_egraph::extract::WorklistExtractor;
 use hb_egraph::language::Language;
 use hb_egraph::pattern::Pattern;
 use hb_egraph::schedule::{Budget, RunReport, Runner};
 use hb_egraph::unionfind::Id;
 use hb_ir::stmt::Stmt;
-use hb_obs::{MetricsRegistry, NullSink, Tracer};
+use hb_lang::lower::lower;
+use hb_obs::{CollectingSink, MetricsRegistry, NullSink, Tracer};
 
 /// One saturation run's `[nodes, classes, delta searches, full searches,
 /// skipped searches, probed rows, skipped rows]`.
@@ -108,6 +117,106 @@ const PROGRAMS: &[(&str, [u64; 3])] = &[
     ("conv2d_256x128_k8x5", [0xf38cb472a90aa86c, 0xffbda37a314578b8, 0xf38cb472a90aa86c]),
     ("matmul_amx_standard", [0x1a80a7f05e18c66c, 0x1a80a7f05e18c66c, 0x5a4dd4870946a1cf]),
     ("matmul_amx_vnni", [0x1d33001cc4913b3c, 0x1d33001cc4913b3c, 0x5d8fc5c117795c9c]),
+];
+
+/// One rule's work over a run: `[searches, probed rows, found, matches]`.
+type RuleWork = [usize; 4];
+
+/// Per rule, in pass order, its [`RuleWork`] in the 161-leaf engine run.
+#[rustfmt::skip]
+const RULES: &[(&str, RuleWork)] = &[
+    ("bcast-flatten", [5, 320, 28, 8]),
+    ("bcast-one", [5, 304, 4, 0]),
+    ("bcast-into-load", [5, 304, 144, 72]),
+    ("bcast-into-cast", [5, 232, 144, 72]),
+    ("ramp-bcast-absorb", [5, 311, 16, 8]),
+    ("add-comm", [5, 319, 788, 166]),
+    ("mul-comm", [5, 169, 434, 96]),
+    ("add-zero", [5, 239, 794, 8]),
+    ("ramp-one", [5, 385, 0, 0]),
+    ("ramp-zero-stride", [5, 385, 782, 0]),
+    ("bcast-nest-sibling-add", [5, 239, 21, 5]),
+    ("bcast-nest-sibling-mul", [5, 146, 0, 0]),
+    ("ramp-split-2", [5, 385, 446, 149]),
+    ("bcast-through-AMX2Mem", [4, 164, 0, 0]),
+    ("bcast-through-Mem2AMX", [4, 164, 0, 0]),
+    ("bcast-through-WMMA2Mem", [4, 164, 0, 0]),
+    ("bcast-through-Mem2WMMA", [4, 164, 0, 0]),
+    ("ramp-merge", [4, 11, 230, 0]),
+    ("vra-collapse", [4, 146, 0, 0]),
+    ("mul-one", [4, 146, 484, 0]),
+    ("amx-a-standard", [4, 224, 2, 1]),
+    ("amx-a-preloaded", [4, 3, 0, 0]),
+    ("amx-b-standard", [4, 224, 1, 1]),
+    ("amx-b-vnni", [4, 225, 1, 1]),
+    ("amx-b-vnni-preloaded", [4, 3, 0, 0]),
+    ("wmma-matmul", [4, 239, 8, 4]),
+    ("wmma-conv1d", [4, 239, 134, 67]),
+    ("wmma-downsample", [4, 239, 0, 0]),
+    ("wmma-upsample", [4, 239, 0, 0]),
+    ("amx-matmul", [4, 244, 4, 2]),
+    ("cancel-mem-amx", [4, 9, 6, 3]),
+    ("cancel-amx-mem", [4, 6, 6, 0]),
+    ("cancel-mem-wmma", [4, 222, 150, 75]),
+    ("cancel-wmma-mem", [4, 75, 75, 0]),
+    ("amx-tile-zero", [4, 7, 10, 1]),
+    ("wmma-tile-zero", [4, 147, 219, 1]),
+    ("amx-reg-load", [4, 6, 0, 0]),
+    ("amx-tile-store", [4, 157, 2, 1]),
+    ("wmma-tile-store", [4, 156, 15, 6]),
+    ("wmma-tile-store-flat", [4, 153, 9, 3]),
+    ("amx-tile-store-flat", [4, 150, 0, 0]),
+    ("multiply-lanes", [4, 9, 12, 6]),
+];
+
+/// Per rule, in pass order, its [`RuleWork`] in one graph of the
+/// [`coverage_leaves`], where every rule the pool leaves idle among
+/// `wmma-downsample`, `wmma-upsample`, `amx-a-preloaded`,
+/// `amx-b-vnni-preloaded` and `amx-reg-load` applies.
+#[rustfmt::skip]
+const RULES_COVERAGE: &[(&str, RuleWork)] = &[
+    ("bcast-flatten", [5, 45, 21, 6]),
+    ("bcast-one", [5, 33, 3, 0]),
+    ("bcast-into-load", [5, 33, 10, 5]),
+    ("bcast-into-cast", [5, 28, 10, 5]),
+    ("ramp-bcast-absorb", [5, 34, 12, 6]),
+    ("add-comm", [5, 40, 92, 24]),
+    ("mul-comm", [5, 29, 81, 23]),
+    ("add-zero", [5, 33, 102, 6]),
+    ("ramp-one", [5, 41, 0, 0]),
+    ("ramp-zero-stride", [5, 41, 104, 0]),
+    ("bcast-nest-sibling-add", [5, 33, 17, 5]),
+    ("bcast-nest-sibling-mul", [5, 12, 0, 0]),
+    ("ramp-split-2", [5, 41, 44, 13]),
+    ("bcast-through-AMX2Mem", [4, 26, 2, 1]),
+    ("bcast-through-Mem2AMX", [4, 25, 0, 0]),
+    ("bcast-through-WMMA2Mem", [4, 25, 0, 0]),
+    ("bcast-through-Mem2WMMA", [4, 25, 0, 0]),
+    ("ramp-merge", [4, 14, 32, 5]),
+    ("vra-collapse", [4, 12, 0, 0]),
+    ("mul-one", [4, 12, 70, 0]),
+    ("amx-a-standard", [4, 23, 4, 2]),
+    ("amx-a-preloaded", [4, 9, 2, 1]),
+    ("amx-b-standard", [4, 23, 1, 1]),
+    ("amx-b-vnni", [4, 24, 2, 2]),
+    ("amx-b-vnni-preloaded", [4, 9, 1, 1]),
+    ("wmma-matmul", [4, 33, 2, 0]),
+    ("wmma-conv1d", [4, 33, 0, 0]),
+    ("wmma-downsample", [4, 33, 2, 1]),
+    ("wmma-upsample", [4, 33, 2, 1]),
+    ("amx-matmul", [4, 44, 8, 4]),
+    ("cancel-mem-amx", [4, 17, 10, 5]),
+    ("cancel-amx-mem", [4, 11, 7, 0]),
+    ("cancel-mem-wmma", [4, 12, 8, 4]),
+    ("cancel-wmma-mem", [4, 4, 4, 0]),
+    ("amx-tile-zero", [4, 14, 21, 1]),
+    ("wmma-tile-zero", [4, 8, 12, 2]),
+    ("amx-reg-load", [4, 13, 4, 2]),
+    ("amx-tile-store", [4, 20, 2, 1]),
+    ("wmma-tile-store", [4, 19, 6, 2]),
+    ("wmma-tile-store-flat", [4, 19, 6, 2]),
+    ("amx-tile-store-flat", [4, 17, 0, 0]),
+    ("multiply-lanes", [4, 9, 12, 6]),
 ];
 
 /// The targets [`PROGRAMS`] pins, in column order.
@@ -269,6 +378,83 @@ fn pool_counts_equal_the_recorded_tables() {
     assert_eq!(suite, SUITE, "whole-suite counts moved");
     assert_eq!(engine, ENGINE, "engine-level pool counts moved");
     assert_eq!(leaf_keys, LEAF_KEYS, "the pool's leaf repetition moved");
+}
+
+/// The leaves of the resampling pipelines and of the AMX schedules the pool
+/// does not hold: register-resident (preloaded) operands and a reordered
+/// loop nest.
+fn coverage_leaves() -> Vec<Stmt> {
+    let amx = |layout, variant| {
+        (AmxMatmul::default().pipeline(layout, variant)).expect("a supported AMX schedule")
+    };
+    let pipelines = [
+        Downsample { n: 256, k: 16 }.pipeline(true),
+        Upsample { n: 512, taps: 8 }.pipeline(true),
+        amx(Layout::Standard, Variant::PreloadA),
+        amx(Layout::Vnni, Variant::PreloadB),
+        amx(Layout::Vnni, Variant::PreloadA),
+        amx(Layout::Standard, Variant::LoopReorder),
+    ];
+    (pipelines.iter())
+        .flat_map(|p| saturation_leaves(&lower(p).expect("lowering must succeed")))
+        .collect()
+}
+
+/// Saturates `leaves` in one graph under a [`CollectingSink`]: each rule's
+/// [`RuleWork`] in pass order, and its wall time.
+fn rule_ledger(leaves: &[Stmt]) -> Vec<(String, RuleWork, Duration)> {
+    let sink = Arc::new(CollectingSink::new());
+    saturate(leaves, &pool_runner().with_profile_sink(sink.clone()));
+    let mut ledger: Vec<(String, RuleWork, Duration)> = (RuleSet::build().main.iter())
+        .map(|rule| (rule.name.clone(), [0; 4], Duration::ZERO))
+        .collect();
+    for sample in sink.samples() {
+        let (_, work, time) = (ledger.iter_mut())
+            .find(|(name, ..)| *name == sample.rule)
+            .expect("a sample names a rule of the set");
+        let counts = [1, sample.probed_rows, sample.found, sample.matches];
+        for (total, count) in work.iter_mut().zip(counts) {
+            *total += count;
+        }
+        *time += sample.duration;
+    }
+    ledger
+}
+
+#[test]
+fn per_rule_work_equals_the_recorded_ledgers() {
+    let pool = rule_ledger(&saturation_pool(&workloads()));
+    let coverage = rule_ledger(&coverage_leaves());
+    let golden = std::env::var_os("HB_PRINT_GOLDEN").is_some();
+    for (title, ledger, want) in [
+        ("RULES", &pool, RULES),
+        ("RULES_COVERAGE", &coverage, RULES_COVERAGE),
+    ] {
+        let total: Duration = ledger.iter().map(|(.., time)| *time).sum();
+        println!("{title} (unpinned: each rule's share of search time)");
+        for (name, work, time) in ledger {
+            let share = time.as_secs_f64() / total.as_secs_f64().max(f64::MIN_POSITIVE);
+            if golden {
+                println!("    ({name:?}, {work:?}),");
+            } else {
+                let work = format!("{work:?}");
+                println!("    {name:<24} {work:<22} {:5.1} %", 100.0 * share);
+            }
+        }
+        if golden {
+            continue;
+        }
+        let got: Vec<(&str, RuleWork)> = (ledger.iter())
+            .map(|(name, work, _)| (name.as_str(), *work))
+            .collect();
+        assert_eq!(got.len(), want.len(), "{title}: rule list out of date");
+        for (got, want) in got.iter().zip(want) {
+            assert_eq!(
+                got, want,
+                "{title}: a rule's [searches, probed, found, matches] moved"
+            );
+        }
+    }
 }
 
 #[test]

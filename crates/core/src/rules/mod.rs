@@ -224,12 +224,69 @@ mod tests {
         }
     }
 
+    // Each profile's rule names in pass order. Filtering goes by name and
+    // the pass order fixes every count the engine reports, so a rule that
+    // is renamed, dropped or moved fails here by name.
+    #[rustfmt::skip]
+    const ALL: &[&str] = &[
+        "bcast-flatten", "bcast-one", "bcast-into-load", "bcast-into-cast", "ramp-bcast-absorb",
+        "add-comm", "mul-comm", "add-zero", "ramp-one", "ramp-zero-stride",
+        "bcast-nest-sibling-add", "bcast-nest-sibling-mul", "ramp-split-2",
+        "bcast-through-AMX2Mem", "bcast-through-Mem2AMX", "bcast-through-WMMA2Mem",
+        "bcast-through-Mem2WMMA", "ramp-merge", "vra-collapse", "mul-one", "amx-a-standard",
+        "amx-a-preloaded", "amx-b-standard", "amx-b-vnni", "amx-b-vnni-preloaded", "wmma-matmul",
+        "wmma-conv1d", "wmma-downsample", "wmma-upsample", "amx-matmul", "cancel-mem-amx",
+        "cancel-amx-mem", "cancel-mem-wmma", "cancel-wmma-mem", "amx-tile-zero", "wmma-tile-zero",
+        "amx-reg-load", "amx-tile-store", "wmma-tile-store", "wmma-tile-store-flat",
+        "amx-tile-store-flat", "multiply-lanes",
+    ];
+    #[rustfmt::skip]
+    const AMX: &[&str] = &[
+        "bcast-flatten", "bcast-one", "bcast-into-load", "bcast-into-cast", "ramp-bcast-absorb",
+        "add-comm", "mul-comm", "add-zero", "ramp-one", "ramp-zero-stride",
+        "bcast-nest-sibling-add", "bcast-nest-sibling-mul", "ramp-split-2",
+        "bcast-through-AMX2Mem", "bcast-through-Mem2AMX", "ramp-merge", "vra-collapse", "mul-one",
+        "amx-a-standard", "amx-a-preloaded", "amx-b-standard", "amx-b-vnni",
+        "amx-b-vnni-preloaded", "amx-matmul", "cancel-mem-amx", "cancel-amx-mem", "amx-tile-zero",
+        "amx-reg-load", "amx-tile-store", "amx-tile-store-flat", "multiply-lanes",
+    ];
+    #[rustfmt::skip]
+    const WMMA: &[&str] = &[
+        "bcast-flatten", "bcast-one", "bcast-into-load", "bcast-into-cast", "ramp-bcast-absorb",
+        "add-comm", "mul-comm", "add-zero", "ramp-one", "ramp-zero-stride",
+        "bcast-nest-sibling-add", "bcast-nest-sibling-mul", "ramp-split-2",
+        "bcast-through-WMMA2Mem", "bcast-through-Mem2WMMA", "ramp-merge", "vra-collapse",
+        "mul-one", "wmma-matmul", "wmma-conv1d", "wmma-downsample", "wmma-upsample",
+        "cancel-mem-wmma", "cancel-wmma-mem", "wmma-tile-zero", "wmma-tile-store",
+        "wmma-tile-store-flat", "multiply-lanes",
+    ];
+    #[rustfmt::skip]
+    const NONE: &[&str] = &[
+        "bcast-flatten", "bcast-one", "bcast-into-load", "bcast-into-cast", "ramp-bcast-absorb",
+        "add-comm", "mul-comm", "add-zero", "ramp-one", "ramp-zero-stride",
+        "bcast-nest-sibling-add", "bcast-nest-sibling-mul", "ramp-split-2", "ramp-merge",
+        "vra-collapse", "mul-one", "multiply-lanes",
+    ];
+
     #[test]
     fn profiles_partition_the_main_rules() {
-        let all = RuleSet::build().main.len();
-        let amx = RuleSet::for_profile(RuleProfile::Amx).main.len();
-        let wmma = RuleSet::for_profile(RuleProfile::Wmma).main.len();
-        let none = RuleSet::for_profile(RuleProfile::None).main.len();
+        let names = |profile| -> Vec<String> {
+            let set = RuleSet::for_profile(profile);
+            set.main.iter().map(|r| r.name.clone()).collect()
+        };
+        for (profile, want) in [
+            (RuleProfile::All, ALL),
+            (RuleProfile::Amx, AMX),
+            (RuleProfile::Wmma, WMMA),
+            (RuleProfile::None, NONE),
+        ] {
+            assert_eq!(
+                names(profile),
+                want,
+                "{profile:?}: rule names or order moved"
+            );
+        }
+        let [all, amx, wmma, none] = [ALL, AMX, WMMA, NONE].map(<[&str]>::len);
         assert!(amx < all && wmma < all, "{amx}/{wmma}/{all}");
         // Neutral rules (axiomatic + shared app rules) appear in every
         // profile; family rules in exactly one.
