@@ -4,12 +4,9 @@
 use hb_egraph::rewrite::{bound, Query};
 use hb_ir::types::{Location, ScalarType};
 
-use crate::encode::{
-    padd, pamx_a_tile, pamx_b_tile, pbcast, pcast, pload, ploc, pmul, pnum, pramp, pstore, pty, pv,
-    pvra,
-};
+use crate::encode::{pamx_a_tile, pamx_b_tile, pbcast, pload, ploc, pnum, pramp, pstore, pty, pv};
 use crate::lang::{ConstVal, HbGraph, HbLang};
-use crate::rules::{cis, num, ty, Intrinsics, Rw};
+use crate::rules::{cis, mac_query, num, ty, Intrinsics, Rw};
 
 /// Builds the lowering rule set.
 #[must_use]
@@ -24,27 +21,15 @@ pub fn rules() -> Vec<Rw> {
     //   => (union e (AMX2Mem (tile_matmul (Mem2AMX C) tileA tileB)))
     out.push(Rw::rule(
         "amx-matmul",
-        Query::single(
-            "e",
-            padd(
-                pv("C"),
-                pvra(
-                    pv("mn"),
-                    pmul(
-                        pcast(pty(ScalarType::F32, pv("mnk")), pv("A")),
-                        pcast(pty(ScalarType::F32, pv("mnk2")), pv("B")),
-                    ),
-                ),
+        mac_query()
+            .also(
+                "factA",
+                pamx_a_tile([pv("A"), pv("tileA"), pv("m"), pv("k")]),
+            )
+            .also(
+                "factB",
+                pamx_b_tile([pv("B"), pv("tileB"), pv("k"), pv("n")]),
             ),
-        )
-        .also(
-            "factA",
-            pamx_a_tile([pv("A"), pv("tileA"), pv("m"), pv("k")]),
-        )
-        .also(
-            "factB",
-            pamx_b_tile([pv("B"), pv("tileB"), pv("k"), pv("n")]),
-        ),
         Box::new(move |eg: &mut HbGraph, s| {
             let Some([m, n, k, mn, mnk]) = cis(eg, s, ["m", "n", "k", "mn", "mnk"]) else {
                 return false;
@@ -57,10 +42,8 @@ pub fn rules() -> Vec<Rw> {
             let (m_id, k_id, n_id) = (bound(s, "m"), bound(s, "k"), bound(s, "n"));
             let cm = eg.add(HbLang::Loc(Location::Mem, Location::Amx, [c]));
             let ty_c = ty(eg, ScalarType::F32, mn);
-            let call = eg.add(HbLang::call(
-                names.tile_matmul,
-                [ty_c, cm, tile_a, tile_b, m_id, k_id, n_id],
-            ));
+            let args = [ty_c, cm, tile_a, tile_b, m_id, k_id, n_id];
+            let call = eg.add(HbLang::call(names.tile_matmul, args));
             let res = eg.add(HbLang::Loc(Location::Amx, Location::Mem, [call]));
             eg.union(e, res).1
         }),
@@ -137,165 +120,77 @@ pub fn rules() -> Vec<Rw> {
             );
             let ty_id = ty(eg, ScalarType::BF16, l);
             let rows_id = bound(s, "rows");
-            let call = eg.add(HbLang::call(
-                names.tile_load,
-                [ty_id, name, base, stride, rows_id],
-            ));
+            let args = [ty_id, name, base, stride, rows_id];
+            let call = eg.add(HbLang::call(names.tile_load, args));
             eg.union(e, call).1
         }),
     ));
 
-    // --- Tile stores, nested (2-D) index form. -----------------------------
-    // store(buf, ramp(ramp(base, 1, N), xN(stride), M), AMX2Mem(tile))
-    //   => evaluate(tile_store(buf, base, stride, M, tile))
-    out.push(Rw::rule(
-        "amx-tile-store",
-        Query::single(
-            "s",
-            pstore(
-                pv("buf"),
-                pv("idx"),
-                ploc(Location::Amx, Location::Mem, pv("tile")),
-            ),
-        )
-        .also(
-            "idx",
-            pramp(
+    // --- Tile stores: one rule per (name, location, flat row). ------------
+    // Nested (2-D) index, `flat` = None:
+    //   store(buf, ramp(ramp(base, 1, N), xN(stride), M), AMX2Mem(tile))
+    //     => evaluate(tile_store(buf, base, stride, M, tile))
+    // Flat (contiguous) index, `flat` = Some(row), rows of `row` elements:
+    //   store(buf, ramp(base, 1, L), WMMA2Mem(tile)), L % 8 == 0
+    //     => evaluate(wmma_store(buf, base, 8, L/8, 8, tile))
+    // A WMMA store also names the tile's columns: N, or `row`.
+    for (name, loc, flat) in [
+        ("amx-tile-store", Location::Amx, None),
+        ("wmma-tile-store", Location::Wmma, None),
+        ("wmma-tile-store-flat", Location::Wmma, Some(8)),
+        ("amx-tile-store-flat", Location::Amx, Some(16)),
+    ] {
+        let idx = match flat {
+            None => pramp(
                 pramp(pv("base"), pnum(1), pv("n")),
                 pbcast(pv("stride"), pv("n")),
                 pv("m"),
             ),
-        ),
-        Box::new(move |eg: &mut HbGraph, s| {
-            let Some([_n, m]) = cis(eg, s, ["n", "m"]) else {
-                return false;
-            };
-            let (st, buf, base, stride, tile) = (
-                bound(s, "s"),
-                bound(s, "buf"),
-                bound(s, "base"),
-                bound(s, "stride"),
-                bound(s, "tile"),
-            );
-            let ty_id = ty(eg, ScalarType::I32, 1);
-            let m_lit = num(eg, m);
-            let call = eg.add(HbLang::call(
-                names.tile_store,
-                [ty_id, buf, base, stride, m_lit, tile],
-            ));
-            let ev = eg.add(HbLang::EvalS([call]));
-            eg.union(st, ev).1
-        }),
-    ));
-
-    out.push(Rw::rule(
-        "wmma-tile-store",
-        Query::single(
-            "s",
-            pstore(
-                pv("buf"),
-                pv("idx"),
-                ploc(Location::Wmma, Location::Mem, pv("tile")),
-            ),
-        )
-        .also(
-            "idx",
-            pramp(
-                pramp(pv("base"), pnum(1), pv("n")),
-                pbcast(pv("stride"), pv("n")),
-                pv("m"),
-            ),
-        ),
-        Box::new(move |eg: &mut HbGraph, s| {
-            let Some([n, m]) = cis(eg, s, ["n", "m"]) else {
-                return false;
-            };
-            let (st, buf, base, stride, tile) = (
-                bound(s, "s"),
-                bound(s, "buf"),
-                bound(s, "base"),
-                bound(s, "stride"),
-                bound(s, "tile"),
-            );
-            let ty_id = ty(eg, ScalarType::I32, 1);
-            let m_lit = num(eg, m);
-            let n_lit = num(eg, n);
-            let call = eg.add(HbLang::call(
-                names.wmma_store,
-                [ty_id, buf, base, stride, m_lit, n_lit, tile],
-            ));
-            let ev = eg.add(HbLang::EvalS([call]));
-            eg.union(st, ev).1
-        }),
-    ));
-
-    // --- Tile stores, flat (contiguous) index form. -------------------------
-    // store(buf, ramp(base, 1, L), WMMA2Mem(tile)), L % 8 == 0
-    //   => evaluate(wmma_store(buf, base, 8, L/8, 8, tile))
-    out.push(Rw::rule(
-        "wmma-tile-store-flat",
-        Query::single(
-            "s",
-            pstore(
-                pv("buf"),
-                pv("idx"),
-                ploc(Location::Wmma, Location::Mem, pv("tile")),
-            ),
-        )
-        .also("idx", pramp(pv("base"), pnum(1), pv("l"))),
-        Box::new(move |eg: &mut HbGraph, s| {
-            let Some([l]) = cis(eg, s, ["l"]) else {
-                return false;
-            };
-            let base = bound(s, "base");
-            if l % 8 != 0 || l < 8 || eg.data(base).lanes != Some(1) {
-                return false;
-            }
-            let (st, buf, tile) = (bound(s, "s"), bound(s, "buf"), bound(s, "tile"));
-            let ty_id = ty(eg, ScalarType::I32, 1);
-            let ld = num(eg, 8);
-            let m = num(eg, l / 8);
-            let n = num(eg, 8);
-            let call = eg.add(HbLang::call(
-                names.wmma_store,
-                [ty_id, buf, base, ld, m, n, tile],
-            ));
-            let ev = eg.add(HbLang::EvalS([call]));
-            eg.union(st, ev).1
-        }),
-    ));
-
-    out.push(Rw::rule(
-        "amx-tile-store-flat",
-        Query::single(
-            "s",
-            pstore(
-                pv("buf"),
-                pv("idx"),
-                ploc(Location::Amx, Location::Mem, pv("tile")),
-            ),
-        )
-        .also("idx", pramp(pv("base"), pnum(1), pv("l"))),
-        Box::new(move |eg: &mut HbGraph, s| {
-            let Some([l]) = cis(eg, s, ["l"]) else {
-                return false;
-            };
-            let base = bound(s, "base");
-            if l % 16 != 0 || l < 16 || eg.data(base).lanes != Some(1) {
-                return false;
-            }
-            let (st, buf, tile) = (bound(s, "s"), bound(s, "buf"), bound(s, "tile"));
-            let ty_id = ty(eg, ScalarType::I32, 1);
-            let stride = num(eg, 16);
-            let rows = num(eg, l / 16);
-            let call = eg.add(HbLang::call(
-                names.tile_store,
-                [ty_id, buf, base, stride, rows, tile],
-            ));
-            let ev = eg.add(HbLang::EvalS([call]));
-            eg.union(st, ev).1
-        }),
-    ));
+            Some(_) => pramp(pv("base"), pnum(1), pv("l")),
+        };
+        out.push(Rw::rule(
+            name,
+            Query::single(
+                "s",
+                pstore(pv("buf"), pv("idx"), ploc(loc, Location::Mem, pv("tile"))),
+            )
+            .also("idx", idx),
+            Box::new(move |eg: &mut HbGraph, s| {
+                let (rows, cols) = match flat {
+                    None => match cis(eg, s, ["n", "m"]) {
+                        Some([n, m]) => (m, n),
+                        None => return false,
+                    },
+                    Some(row) => match cis(eg, s, ["l"]) {
+                        Some([l]) if l % row == 0 && l >= row => (l / row, row),
+                        _ => return false,
+                    },
+                };
+                let (st, buf, tile) = (bound(s, "s"), bound(s, "buf"), bound(s, "tile"));
+                let base = bound(s, "base");
+                if flat.is_some() && eg.data(base).lanes != Some(1) {
+                    return false;
+                }
+                let ty_id = ty(eg, ScalarType::I32, 1);
+                let stride = match flat {
+                    None => bound(s, "stride"),
+                    Some(row) => num(eg, row),
+                };
+                let rows = num(eg, rows);
+                let call = if loc == Location::Amx {
+                    let args = [ty_id, buf, base, stride, rows, tile];
+                    HbLang::call(names.tile_store, args)
+                } else {
+                    let cols = num(eg, cols);
+                    let args = [ty_id, buf, base, stride, rows, cols, tile];
+                    HbLang::call(names.wmma_store, args)
+                };
+                let call = eg.add(call);
+                let ev = eg.add(HbLang::EvalS([call]));
+                eg.union(st, ev).1
+            }),
+        ));
+    }
 
     out
 }

@@ -10,6 +10,16 @@
 //!   `multiply-lanes`, which [`RuleSet::for_profile`] appends last to the
 //!   one list a session saturates with (§III-D2, in one loop).
 //!
+//! Each rule shape is written once. The five rules that emit a tensor
+//! intrinsic — `wmma-{matmul,conv1d,downsample,upsample}` and `amx-matmul`
+//! — build their queries from one multiply-accumulate query,
+//! [`mac_query`], adding their operand atoms with `.also(…)`; the three
+//! convolution-like ones come from one builder whose kind (Conv,
+//! Downsample, Upsample) picks what differs, and the four tile stores from
+//! one table. A rule's name, its place in the pass order, its query atoms
+//! and the order its applier creates nodes in are what the engine's
+//! counts depend on; `crates/bench/tests/pool.rs` pins each rule's work.
+//!
 //! A fact one rule states for another is an e-node, so a fact no rule reads
 //! is pure write cost: the only ones are the AMX tile facts
 //! [`HbLang::AmxATile`] / [`HbLang::AmxBTile`], added by the app-specific
@@ -25,9 +35,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use hb_accel::target::RuleProfile;
 use hb_egraph::pattern::Subst;
-use hb_egraph::rewrite::Rewrite;
+use hb_egraph::rewrite::{Query, Rewrite};
 use hb_egraph::unionfind::Id;
+use hb_ir::types::ScalarType;
 
+use crate::encode::{padd, pcast, pmul, pty, pv, pvra};
 use crate::lang::{const_int, HbAnalysis, HbGraph, HbLang, Symbol};
 
 /// The rewrite type all rule sets share.
@@ -56,9 +68,18 @@ pub fn num(eg: &mut HbGraph, v: i64) -> Id {
 }
 
 /// Adds a `Ty` node.
-pub fn ty(eg: &mut HbGraph, st: hb_ir::types::ScalarType, lanes: i64) -> Id {
+pub fn ty(eg: &mut HbGraph, st: ScalarType, lanes: i64) -> Id {
     let l = num(eg, lanes);
     eg.add(HbLang::Ty(st, [l]))
+}
+
+/// The multiply-accumulate every tensor-intrinsic selection rule starts
+/// from (Fig. 10a/b): `e = (Add C (VectorReduceAdd mn (Mul (Cast f32×mnk A)
+/// (Cast f32×mnk2 B))))`.
+pub(crate) fn mac_query() -> Query<HbLang> {
+    let widen = |lanes, operand| pcast(pty(ScalarType::F32, pv(lanes)), pv(operand));
+    let product = pmul(widen("mnk", "A"), widen("mnk2", "B"));
+    Query::single("e", padd(pv("C"), pvra(pv("mn"), product)))
 }
 
 /// The intrinsic names the appliers emit, interned once per rule-set build
