@@ -73,7 +73,9 @@ pub struct EClass<L, D> {
     pub nodes: Vec<L>,
     /// Analysis data.
     pub data: D,
-    /// Parent e-nodes (and the class they live in), possibly stale.
+    /// Parent e-nodes (and the class they live in), possibly stale: an
+    /// entry's ids may lag the union-find, but after a rebuild no two
+    /// entries are equal once canonicalized.
     parents: Vec<(L, Id)>,
     /// Epoch of the last change that could affect matches rooted here
     /// (directly or in a descendant — propagated on rebuild). The max over
@@ -233,6 +235,10 @@ pub struct EGraph<L: Language, N: Analysis<L> = ()> {
     /// Classes whose node lists need re-canonicalization on the next
     /// rebuild (union winners and classes containing parents of losers).
     dirty_classes: Vec<Id>,
+    /// Classes whose parent lists may hold one parent twice by the next
+    /// rebuild: union winners the loser brought parents to, then the
+    /// children of nodes the rebuild found congruent to another.
+    dirty_parents: Vec<Id>,
     /// Classes stamped since the last rebuild, awaiting upward epoch
     /// propagation.
     touched: Vec<Id>,
@@ -273,6 +279,7 @@ impl<L: Language, N: Analysis<L>> Default for EGraph<L, N> {
             classes_by_op: OpRows::default(),
             dirty_ops: FastSet::default(),
             dirty_classes: Vec::new(),
+            dirty_parents: Vec::new(),
             touched: Vec::new(),
             last_modified: 0,
             modified_log_by_op: OpRows::default(),
@@ -333,6 +340,7 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
         self.classes_by_op.clear();
         self.dirty_ops.clear();
         self.dirty_classes.clear();
+        self.dirty_parents.clear();
         self.touched.clear();
         self.last_modified = 0;
         self.modified_log_by_op.clear();
@@ -524,7 +532,10 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
         }
         let id = self.unionfind.make_set();
         let data = N::make(self, &node);
-        for &child in node.children() {
+        for (i, &child) in node.children().iter().enumerate() {
+            if node.children()[..i].contains(&child) {
+                continue;
+            }
             let slot = self.slot(child);
             let parents = &mut self.slab[slot].parents;
             if parents.capacity() == 0 {
@@ -612,6 +623,9 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
         self.dirty_classes
             .extend(lost.parents.iter().map(|&(_, parent_class)| parent_class));
         self.dirty_classes.push(winner);
+        if !lost.parents.is_empty() {
+            self.dirty_parents.push(winner);
+        }
         winner_class.nodes.append(&mut lost.nodes);
         // The loser's index rows now resolve to the winner (compact them
         // on the next rebuild), and its op rows carry over so the winner's
@@ -684,10 +698,20 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
             }
             nodes.sort();
             let before = nodes.len();
-            nodes.dedup();
+            // A node dropped here left one parent entry too many in each of
+            // its children's lists.
+            let dirty_parents = &mut self.dirty_parents;
+            nodes.dedup_by(|dropped, kept| {
+                let same = dropped == kept;
+                if same {
+                    dirty_parents.extend_from_slice(dropped.children());
+                }
+                same
+            });
             self.num_nodes -= before - nodes.len();
         }
         self.dirty_classes = dirty;
+        self.dedup_parents();
         // Compact index rows touched by unions.
         for key in self.dirty_ops.drain() {
             if let Some(row) = self.classes_by_op.rows.get_mut(&key) {
@@ -701,6 +725,33 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
         self.propagate_epochs();
         self.compact_modified_logs();
         self.clean = true;
+    }
+
+    /// Canonicalizes the parent lists that may hold a parent twice (see
+    /// `dirty_parents`) and keeps each entry once, so every rebuilt list
+    /// holds exactly the parents the node lists derive and `union` picks
+    /// its winner by the true count. Other lists are left as they are: a
+    /// hub whose parents did not change is not re-sorted.
+    fn dedup_parents(&mut self) {
+        let mut ids = std::mem::take(&mut self.dirty_parents);
+        for id in &mut ids {
+            *id = self.unionfind.find_mut(*id);
+        }
+        ids.sort_unstable();
+        ids.dedup();
+        for id in ids.drain(..) {
+            let slot = self.slot(id);
+            let parents = &mut self.slab[slot].parents;
+            for (node, class) in parents.iter_mut() {
+                for child in node.children_mut() {
+                    *child = self.unionfind.find_mut(*child);
+                }
+                *class = self.unionfind.find_mut(*class);
+            }
+            parents.sort_unstable();
+            parents.dedup();
+        }
+        self.dirty_parents = ids;
     }
 
     /// Bounds the per-op modification logs once they outgrow what they
@@ -1085,12 +1136,15 @@ where
             return Err(corrupt("trailing bytes after payload"));
         }
 
-        // Parent lists, as `add` builds them: one entry per child slot.
+        // Parent lists, as `add` builds them: one entry per distinct child.
         for pos in 0..eg.live {
             let id = eg.slab[pos].id;
             for i in 0..eg.slab[pos].nodes.len() {
                 let node = eg.slab[pos].nodes[i].clone();
-                for &child in node.children() {
+                for (j, &child) in node.children().iter().enumerate() {
+                    if node.children()[..j].contains(&child) {
+                        continue;
+                    }
                     let slot = eg.slot(child);
                     eg.slab[slot].parents.push((node.clone(), id));
                 }
@@ -1112,6 +1166,60 @@ mod tests {
         let mut out = Vec::new();
         eg.modified_candidates_for(key, cutoff, &mut out);
         out
+    }
+
+    /// Seeded add / union / rebuild workouts over `Math`: after every
+    /// rebuild, each class's parent list — canonicalized — holds exactly the
+    /// `(node, class)` pairs the node lists derive, each once.
+    #[test]
+    fn rebuilt_parent_lists_hold_each_parent_once() {
+        for seed in 1..=5u64 {
+            let mut state = seed;
+            let mut pick = |bound: usize| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                usize::try_from(state >> 33).expect("31 bits") % bound
+            };
+            let mut eg = EG::new();
+            let mut ids: Vec<Id> = (0..4).map(|v| eg.add(Math::Num(v))).collect();
+            for _ in 0..12 {
+                for _ in 0..10 {
+                    let (a, b) = (ids[pick(ids.len())], ids[pick(ids.len())]);
+                    let node = match pick(3) {
+                        0 => Math::Add([a, b]),
+                        1 => Math::Mul([a, b]),
+                        _ => Math::Div([a, a]),
+                    };
+                    ids.push(eg.add(node));
+                }
+                for _ in 0..3 {
+                    eg.union(ids[pick(ids.len())], ids[pick(ids.len())]);
+                }
+                eg.rebuild();
+                let (mut live, mut derived) = (0, 0);
+                for class in eg.classes() {
+                    let mut held: Vec<(Math, Id)> = (class.parents.iter())
+                        .map(|(node, parent)| (node.map_children(|c| eg.find(c)), eg.find(*parent)))
+                        .collect();
+                    live += held.len();
+                    held.sort();
+                    let mut want: Vec<(Math, Id)> = (eg.classes())
+                        .flat_map(|p| p.nodes.iter().map(move |node| (node.clone(), p.id)))
+                        .filter(|(node, _)| node.children().contains(&class.id))
+                        .collect();
+                    want.sort();
+                    derived += want.len();
+                    held.dedup();
+                    assert_eq!(held, want, "seed {seed}: class {} parents", class.id);
+                }
+                assert_eq!(
+                    live, derived,
+                    "seed {seed}: live vs derivable parent entries"
+                );
+            }
+            eg.check_op_index();
+        }
     }
 
     #[test]
