@@ -10,11 +10,11 @@
 //!   convolution) and upsampling (multiphase filter) — lowered to WMMA
 //!   MatMuls against generalized Toeplitz matrices built by
 //!   `convolution_shuffle` / `upsample_shuffle` (§V-A/§V-B). One builder,
-//!   [`toeplitz_rule`], makes all three; its [`Toeplitz`] kind picks the
+//!   `toeplitz_rule`, makes all three; its `Toeplitz` kind picks the
 //!   shape guard, A's leading dimension, the shuffle and the MMA.
 //!
 //! The four WMMA rules extend the shared multiply-accumulate query
-//! ([`mac_query`]) with two f16 operand loads. The AMX rules do not rewrite
+//! (`mac_query`) with two f16 operand loads. The AMX rules do not rewrite
 //! the operand they match: each adds the tile it found together with a
 //! fact node, [`HbLang::AmxATile`] or [`HbLang::AmxBTile`], that
 //! `amx-matmul` joins to the same query (the paper's `amx-A-tile` /

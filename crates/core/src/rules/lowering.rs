@@ -120,8 +120,10 @@ pub fn rules() -> Vec<Rw> {
             );
             let ty_id = ty(eg, ScalarType::BF16, l);
             let rows_id = bound(s, "rows");
-            let args = [ty_id, name, base, stride, rows_id];
-            let call = eg.add(HbLang::call(names.tile_load, args));
+            let call = eg.add(HbLang::call(
+                names.tile_load,
+                [ty_id, name, base, stride, rows_id],
+            ));
             eg.union(e, call).1
         }),
     ));

@@ -13,7 +13,7 @@
 //! Each rule shape is written once. The five rules that emit a tensor
 //! intrinsic — `wmma-{matmul,conv1d,downsample,upsample}` and `amx-matmul`
 //! — build their queries from one multiply-accumulate query,
-//! [`mac_query`], adding their operand atoms with `.also(…)`; the three
+//! `mac_query`, adding their operand atoms with `.also(…)`; the three
 //! convolution-like ones come from one builder whose kind (Conv,
 //! Downsample, Upsample) picks what differs, and the four tile stores from
 //! one table. A rule's name, its place in the pass order, its query atoms
