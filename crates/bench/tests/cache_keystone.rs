@@ -78,7 +78,7 @@ fn warm_start_matches_cold_on_the_full_pool() {
     // one is `tests/pool.rs`'s engine-level row count: same 161 leaves).
     let cold_rows = cold.report.batch.as_ref().unwrap().delta_probed_rows;
     let warm_rows = warm.report.batch.as_ref().unwrap().delta_probed_rows;
-    assert_eq!((warm_rows, cold_rows), (222, 7673), "probed rows moved");
+    assert_eq!((warm_rows, cold_rows), (173, 6127), "probed rows moved");
     assert_eq!(snapshot.size_bytes(), 81_986, "snapshot length moved");
 }
 

@@ -27,7 +27,8 @@
 //!   (`RULES`) and on a coverage graph whose leaves make the rules the pool
 //!   never fires match (`RULES_COVERAGE`), so a matcher or rule change
 //!   names the rules whose work it moved. Each rule's share of search time
-//!   is printed beside it, never pinned.
+//!   is printed beside it, never pinned. Every rule must apply a match in
+//!   one of the two tables, but for the [`KEPT_IDLE`] ones, which must not.
 //!
 //! To re-record after an *intended* change of the engine's work, run
 //! `HB_PRINT_GOLDEN=1 cargo test -p hb-bench --test pool -- --nocapture`
@@ -66,27 +67,27 @@ type RunCounts = [usize; 7];
 /// leaves' own graphs), then the [`RunCounts`] of its one batched graph.
 #[rustfmt::skip]
 const WORKLOADS: &[(&str, [usize; 3], RunCounts)] = &[
-    ("conv1d_tc_k16", [3, 112, 8], [83, 64, 117, 42, 9, 135, 278]),
-    ("conv1d_tc_k64", [3, 112, 8], [83, 64, 117, 42, 9, 135, 278]),
-    ("conv1d_tc_k32_n4096", [3, 112, 8], [83, 64, 117, 42, 9, 135, 278]),
-    ("conv1d_unrolled_k64", [10, 565, 36], [297, 217, 117, 42, 9, 812, 1193]),
-    ("conv1d_unrolled_k256", [34, 2148, 132], [1064, 768, 117, 42, 9, 3164, 4505]),
-    ("conv1d_unrolled_k128_n2048", [18, 1093, 68], [553, 401, 117, 42, 9, 1596, 2297]),
-    ("conv1d_unrolled_k512", [66, 4259, 260], [2087, 1503, 117, 42, 9, 6300, 8921]),
-    ("gemm_wmma_32", [3, 138, 8], [113, 81, 117, 42, 9, 248, 570]),
-    ("gemm_wmma_64", [3, 138, 8], [113, 81, 117, 42, 9, 248, 570]),
-    ("gemm_wmma_96_32_48", [3, 139, 8], [116, 83, 117, 42, 9, 249, 578]),
-    ("conv2d_512x64_k16x3", [3, 131, 8], [100, 74, 117, 42, 9, 146, 402]),
-    ("conv2d_256x128_k8x5", [3, 113, 8], [86, 66, 117, 42, 9, 136, 286]),
-    ("matmul_amx_standard", [3, 150, 9], [127, 93, 139, 42, 29, 288, 748]),
-    ("matmul_amx_vnni", [3, 149, 8], [126, 91, 115, 42, 11, 254, 651]),
+    ("conv1d_tc_k16", [3, 112, 8], [83, 64, 89, 32, 7, 109, 193]),
+    ("conv1d_tc_k64", [3, 112, 8], [83, 64, 89, 32, 7, 109, 193]),
+    ("conv1d_tc_k32_n4096", [3, 112, 8], [83, 64, 89, 32, 7, 109, 193]),
+    ("conv1d_unrolled_k64", [10, 565, 36], [297, 217, 89, 32, 7, 648, 880]),
+    ("conv1d_unrolled_k256", [34, 2148, 132], [1064, 768, 89, 32, 7, 2520, 3376]),
+    ("conv1d_unrolled_k128_n2048", [18, 1093, 68], [553, 401, 89, 32, 7, 1272, 1712]),
+    ("conv1d_unrolled_k512", [66, 4259, 260], [2087, 1503, 89, 32, 7, 5016, 6704]),
+    ("gemm_wmma_32", [3, 138, 8], [113, 81, 89, 32, 7, 201, 399]),
+    ("gemm_wmma_64", [3, 138, 8], [113, 81, 89, 32, 7, 201, 399]),
+    ("gemm_wmma_96_32_48", [3, 139, 8], [116, 83, 89, 32, 7, 202, 401]),
+    ("conv2d_512x64_k16x3", [3, 131, 8], [100, 74, 89, 32, 7, 120, 299]),
+    ("conv2d_256x128_k8x5", [3, 113, 8], [86, 66, 89, 32, 7, 110, 195]),
+    ("matmul_amx_standard", [3, 150, 9], [127, 93, 107, 32, 21, 234, 540]),
+    ("matmul_amx_vnni", [3, 149, 8], [126, 91, 88, 32, 8, 208, 449]),
 ];
 
 /// The whole suite in one shared graph, then `[table entries, roots]`.
-const SUITE: (RunCounts, [usize; 2]) = ([2519, 1797, 139, 42, 29, 7518, 14572], [1797, 158]);
+const SUITE: (RunCounts, [usize; 2]) = ([2519, 1797, 107, 32, 21, 6000, 11097], [1797, 158]);
 
 /// Engine level: `[leaves, iterations]`, then the pool graph's counts.
-const ENGINE: ([usize; 2], RunCounts) = ([161, 5], [2549, 1814, 139, 42, 29, 7673, 14752]);
+const ENGINE: ([usize; 2], RunCounts) = ([161, 5], [2549, 1814, 107, 32, 21, 6127, 11237]);
 
 /// The pool's leaves: `[leaves, distinct cache keys]` — keys hash leaf
 /// content, names included, so equal leaves share one and nothing else
@@ -133,18 +134,11 @@ const RULES: &[(&str, RuleWork)] = &[
     ("add-comm", [5, 319, 788, 166]),
     ("mul-comm", [5, 169, 434, 96]),
     ("add-zero", [5, 239, 794, 8]),
-    ("ramp-one", [5, 385, 0, 0]),
     ("ramp-zero-stride", [5, 385, 782, 0]),
     ("bcast-nest-sibling-add", [5, 239, 21, 5]),
-    ("bcast-nest-sibling-mul", [5, 146, 0, 0]),
     ("ramp-split-2", [5, 385, 446, 149]),
     ("bcast-through-AMX2Mem", [4, 164, 0, 0]),
-    ("bcast-through-Mem2AMX", [4, 164, 0, 0]),
-    ("bcast-through-WMMA2Mem", [4, 164, 0, 0]),
-    ("bcast-through-Mem2WMMA", [4, 164, 0, 0]),
     ("ramp-merge", [4, 11, 230, 0]),
-    ("vra-collapse", [4, 146, 0, 0]),
-    ("mul-one", [4, 146, 484, 0]),
     ("amx-a-standard", [4, 224, 2, 1]),
     ("amx-a-preloaded", [4, 3, 0, 0]),
     ("amx-b-standard", [4, 224, 1, 1]),
@@ -156,16 +150,13 @@ const RULES: &[(&str, RuleWork)] = &[
     ("wmma-upsample", [4, 239, 0, 0]),
     ("amx-matmul", [4, 244, 4, 2]),
     ("cancel-mem-amx", [4, 9, 6, 3]),
-    ("cancel-amx-mem", [4, 6, 6, 0]),
     ("cancel-mem-wmma", [4, 222, 150, 75]),
-    ("cancel-wmma-mem", [4, 75, 75, 0]),
     ("amx-tile-zero", [4, 7, 10, 1]),
     ("wmma-tile-zero", [4, 147, 219, 1]),
     ("amx-reg-load", [4, 6, 0, 0]),
     ("amx-tile-store", [4, 157, 2, 1]),
     ("wmma-tile-store", [4, 156, 15, 6]),
     ("wmma-tile-store-flat", [4, 153, 9, 3]),
-    ("amx-tile-store-flat", [4, 150, 0, 0]),
     ("multiply-lanes", [4, 9, 12, 6]),
 ];
 
@@ -183,18 +174,11 @@ const RULES_COVERAGE: &[(&str, RuleWork)] = &[
     ("add-comm", [5, 40, 92, 24]),
     ("mul-comm", [5, 29, 81, 23]),
     ("add-zero", [5, 33, 102, 6]),
-    ("ramp-one", [5, 41, 0, 0]),
     ("ramp-zero-stride", [5, 41, 104, 0]),
     ("bcast-nest-sibling-add", [5, 33, 17, 5]),
-    ("bcast-nest-sibling-mul", [5, 12, 0, 0]),
     ("ramp-split-2", [5, 41, 44, 13]),
     ("bcast-through-AMX2Mem", [4, 26, 2, 1]),
-    ("bcast-through-Mem2AMX", [4, 25, 0, 0]),
-    ("bcast-through-WMMA2Mem", [4, 25, 0, 0]),
-    ("bcast-through-Mem2WMMA", [4, 25, 0, 0]),
     ("ramp-merge", [4, 14, 32, 5]),
-    ("vra-collapse", [4, 12, 0, 0]),
-    ("mul-one", [4, 12, 70, 0]),
     ("amx-a-standard", [4, 23, 4, 2]),
     ("amx-a-preloaded", [4, 9, 2, 1]),
     ("amx-b-standard", [4, 23, 1, 1]),
@@ -206,18 +190,22 @@ const RULES_COVERAGE: &[(&str, RuleWork)] = &[
     ("wmma-upsample", [4, 33, 2, 1]),
     ("amx-matmul", [4, 44, 8, 4]),
     ("cancel-mem-amx", [4, 17, 10, 5]),
-    ("cancel-amx-mem", [4, 11, 7, 0]),
     ("cancel-mem-wmma", [4, 12, 8, 4]),
-    ("cancel-wmma-mem", [4, 4, 4, 0]),
     ("amx-tile-zero", [4, 14, 21, 1]),
     ("wmma-tile-zero", [4, 8, 12, 2]),
     ("amx-reg-load", [4, 13, 4, 2]),
     ("amx-tile-store", [4, 20, 2, 1]),
     ("wmma-tile-store", [4, 19, 6, 2]),
     ("wmma-tile-store-flat", [4, 19, 6, 2]),
-    ("amx-tile-store-flat", [4, 17, 0, 0]),
     ("multiply-lanes", [4, 9, 12, 6]),
 ];
+
+/// The rules that change neither ledger graph but stay in the set: with
+/// them deleted, the cold run of `tests/cache_warm.rs`'s four-leaf suite
+/// probes fewer rows than the warm run, and
+/// `warm_start_is_byte_identical_and_probes_fewer_rows` fails. They go with
+/// the warm-start path (ROADMAP item 11).
+const KEPT_IDLE: [&str; 2] = ["bcast-one", "ramp-zero-stride"];
 
 /// The targets [`PROGRAMS`] pins, in column order.
 const PROGRAM_TARGETS: [&str; 3] = ["sim", "amx", "wmma"];
@@ -455,6 +443,29 @@ fn per_rule_work_equals_the_recorded_ledgers() {
             );
         }
     }
+}
+
+#[test]
+fn every_rule_changes_a_ledger_graph() {
+    // A rule that applies no match on the pool or on the coverage graph
+    // adds search work and selects nothing. The ledgers are pinned to the
+    // live runs by `per_rule_work_equals_the_recorded_ledgers`.
+    let names = |table: &[(&'static str, RuleWork)]| -> Vec<&'static str> {
+        table.iter().map(|(name, _)| *name).collect()
+    };
+    assert_eq!(
+        names(RULES),
+        names(RULES_COVERAGE),
+        "the two ledgers list other rules"
+    );
+    let idle: Vec<&str> = (RULES.iter().zip(RULES_COVERAGE))
+        .filter(|((_, pool), (_, coverage))| pool[3] == 0 && coverage[3] == 0)
+        .map(|((name, _), _)| *name)
+        .collect();
+    assert_eq!(
+        idle, KEPT_IDLE,
+        "the rules idle on both ledger graphs are not the ones kept on purpose"
+    );
 }
 
 #[test]

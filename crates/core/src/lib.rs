@@ -81,7 +81,7 @@
 //! compile at a time — one context per worker, not per worker and target.
 //! A warmed session therefore compiles without rebuilding its tables:
 //! `tests/compile_allocs.rs` budgets the allocations of a steady-state
-//! compile (6.8 per encoded e-node on its set; 30.3 before the pool), and
+//! compile (6.6 per encoded e-node on its set; 30.3 before the pool), and
 //! `tests/reuse.rs` pins that a reused context is invisible — programs,
 //! report counters and engine run reports equal those of fresh sessions,
 //! also after truncated, cancelled and panicked compiles.

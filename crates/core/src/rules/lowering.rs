@@ -50,11 +50,10 @@ pub fn rules() -> Vec<Rw> {
     ));
 
     // --- Data-movement cancellation. --------------------------------------
+    // (Mem2AMX (AMX2Mem e)) => e; the reverse pairs never changed a graph.
     for (a, b, name) in [
         (Location::Mem, Location::Amx, "cancel-mem-amx"),
-        (Location::Amx, Location::Mem, "cancel-amx-mem"),
         (Location::Mem, Location::Wmma, "cancel-mem-wmma"),
-        (Location::Wmma, Location::Mem, "cancel-wmma-mem"),
     ] {
         out.push(Rw::rewrite(name, ploc(a, b, ploc(b, a, pv("e"))), pv("e")));
     }
@@ -132,7 +131,8 @@ pub fn rules() -> Vec<Rw> {
     // Nested (2-D) index, `flat` = None:
     //   store(buf, ramp(ramp(base, 1, N), xN(stride), M), AMX2Mem(tile))
     //     => evaluate(tile_store(buf, base, stride, M, tile))
-    // Flat (contiguous) index, `flat` = Some(row), rows of `row` elements:
+    // Flat (contiguous) index, WMMA only, `flat` = Some(row), rows of `row`
+    // elements:
     //   store(buf, ramp(base, 1, L), WMMA2Mem(tile)), L % 8 == 0
     //     => evaluate(wmma_store(buf, base, 8, L/8, 8, tile))
     // A WMMA store also names the tile's columns: N, or `row`.
@@ -140,7 +140,6 @@ pub fn rules() -> Vec<Rw> {
         ("amx-tile-store", Location::Amx, None),
         ("wmma-tile-store", Location::Wmma, None),
         ("wmma-tile-store-flat", Location::Wmma, Some(8)),
-        ("amx-tile-store-flat", Location::Amx, Some(16)),
     ] {
         let idx = match flat {
             None => pramp(

@@ -15,10 +15,12 @@
 //! — build their queries from one multiply-accumulate query,
 //! `mac_query`, adding their operand atoms with `.also(…)`; the three
 //! convolution-like ones come from one builder whose kind (Conv,
-//! Downsample, Upsample) picks what differs, and the four tile stores from
+//! Downsample, Upsample) picks what differs, and the three tile stores from
 //! one table. A rule's name, its place in the pass order, its query atoms
 //! and the order its applier creates nodes in are what the engine's
-//! counts depend on; `crates/bench/tests/pool.rs` pins each rule's work.
+//! counts depend on; `crates/bench/tests/pool.rs` pins each rule's work,
+//! and fails on a rule that applies no match on either of its ledger graphs
+//! (but for two kept on purpose, named there).
 //!
 //! A fact one rule states for another is an e-node, so a fact no rule reads
 //! is pure write cost: the only ones are the AMX tile facts
@@ -167,7 +169,7 @@ impl RuleSet {
     /// accelerator families the target cannot lower are dropped by rule
     /// name, in any case (`amx-*` / `wmma-*` across the app-specific and
     /// lowering sets, and the axiomatic `bcast-through-*` rules named
-    /// after a movement such as `Mem2WMMA`), so an AMX-only session never
+    /// after a movement such as `AMX2Mem`), so an AMX-only session never
     /// saturates with WMMA rules and vice versa. The other axiomatic rules
     /// and the supporting rule are target-neutral and always included,
     /// the supporting rule appended last, after the filtering.
@@ -251,42 +253,34 @@ mod tests {
     #[rustfmt::skip]
     const ALL: &[&str] = &[
         "bcast-flatten", "bcast-one", "bcast-into-load", "bcast-into-cast", "ramp-bcast-absorb",
-        "add-comm", "mul-comm", "add-zero", "ramp-one", "ramp-zero-stride",
-        "bcast-nest-sibling-add", "bcast-nest-sibling-mul", "ramp-split-2",
-        "bcast-through-AMX2Mem", "bcast-through-Mem2AMX", "bcast-through-WMMA2Mem",
-        "bcast-through-Mem2WMMA", "ramp-merge", "vra-collapse", "mul-one", "amx-a-standard",
-        "amx-a-preloaded", "amx-b-standard", "amx-b-vnni", "amx-b-vnni-preloaded", "wmma-matmul",
-        "wmma-conv1d", "wmma-downsample", "wmma-upsample", "amx-matmul", "cancel-mem-amx",
-        "cancel-amx-mem", "cancel-mem-wmma", "cancel-wmma-mem", "amx-tile-zero", "wmma-tile-zero",
-        "amx-reg-load", "amx-tile-store", "wmma-tile-store", "wmma-tile-store-flat",
-        "amx-tile-store-flat", "multiply-lanes",
+        "add-comm", "mul-comm", "add-zero", "ramp-zero-stride", "bcast-nest-sibling-add",
+        "ramp-split-2", "bcast-through-AMX2Mem", "ramp-merge", "amx-a-standard", "amx-a-preloaded",
+        "amx-b-standard", "amx-b-vnni", "amx-b-vnni-preloaded", "wmma-matmul", "wmma-conv1d",
+        "wmma-downsample", "wmma-upsample", "amx-matmul", "cancel-mem-amx", "cancel-mem-wmma",
+        "amx-tile-zero", "wmma-tile-zero", "amx-reg-load", "amx-tile-store", "wmma-tile-store",
+        "wmma-tile-store-flat", "multiply-lanes",
     ];
     #[rustfmt::skip]
     const AMX: &[&str] = &[
         "bcast-flatten", "bcast-one", "bcast-into-load", "bcast-into-cast", "ramp-bcast-absorb",
-        "add-comm", "mul-comm", "add-zero", "ramp-one", "ramp-zero-stride",
-        "bcast-nest-sibling-add", "bcast-nest-sibling-mul", "ramp-split-2",
-        "bcast-through-AMX2Mem", "bcast-through-Mem2AMX", "ramp-merge", "vra-collapse", "mul-one",
-        "amx-a-standard", "amx-a-preloaded", "amx-b-standard", "amx-b-vnni",
-        "amx-b-vnni-preloaded", "amx-matmul", "cancel-mem-amx", "cancel-amx-mem", "amx-tile-zero",
-        "amx-reg-load", "amx-tile-store", "amx-tile-store-flat", "multiply-lanes",
+        "add-comm", "mul-comm", "add-zero", "ramp-zero-stride", "bcast-nest-sibling-add",
+        "ramp-split-2", "bcast-through-AMX2Mem", "ramp-merge", "amx-a-standard", "amx-a-preloaded",
+        "amx-b-standard", "amx-b-vnni", "amx-b-vnni-preloaded", "amx-matmul", "cancel-mem-amx",
+        "amx-tile-zero", "amx-reg-load", "amx-tile-store", "multiply-lanes",
     ];
     #[rustfmt::skip]
     const WMMA: &[&str] = &[
         "bcast-flatten", "bcast-one", "bcast-into-load", "bcast-into-cast", "ramp-bcast-absorb",
-        "add-comm", "mul-comm", "add-zero", "ramp-one", "ramp-zero-stride",
-        "bcast-nest-sibling-add", "bcast-nest-sibling-mul", "ramp-split-2",
-        "bcast-through-WMMA2Mem", "bcast-through-Mem2WMMA", "ramp-merge", "vra-collapse",
-        "mul-one", "wmma-matmul", "wmma-conv1d", "wmma-downsample", "wmma-upsample",
-        "cancel-mem-wmma", "cancel-wmma-mem", "wmma-tile-zero", "wmma-tile-store",
+        "add-comm", "mul-comm", "add-zero", "ramp-zero-stride", "bcast-nest-sibling-add",
+        "ramp-split-2", "ramp-merge", "wmma-matmul", "wmma-conv1d", "wmma-downsample",
+        "wmma-upsample", "cancel-mem-wmma", "wmma-tile-zero", "wmma-tile-store",
         "wmma-tile-store-flat", "multiply-lanes",
     ];
     #[rustfmt::skip]
     const NONE: &[&str] = &[
         "bcast-flatten", "bcast-one", "bcast-into-load", "bcast-into-cast", "ramp-bcast-absorb",
-        "add-comm", "mul-comm", "add-zero", "ramp-one", "ramp-zero-stride",
-        "bcast-nest-sibling-add", "bcast-nest-sibling-mul", "ramp-split-2", "ramp-merge",
-        "vra-collapse", "mul-one", "multiply-lanes",
+        "add-comm", "mul-comm", "add-zero", "ramp-zero-stride", "bcast-nest-sibling-add",
+        "ramp-split-2", "ramp-merge", "multiply-lanes",
     ];
 
     #[test]
@@ -314,7 +308,7 @@ mod tests {
         assert_eq!(amx + wmma, all + none, "family rules must partition");
         assert_eq!(
             [all, amx, wmma, none],
-            [42, 31, 28, 17],
+            [32, 24, 21, 13],
             "main rule counts moved"
         );
         assert_eq!(supporting::rules().len(), 1);

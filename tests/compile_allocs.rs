@@ -133,14 +133,15 @@ fn encoded_nodes(lowered: &Lowered, batching: Batching) -> usize {
 }
 
 /// Allocations per encoded e-node the whole set may average: measured
-/// 6.20 (2 473 allocations for 399 nodes) once saturation ran in one loop
-/// and a unit stopped allocating the supporting phase's rule states, plus
-/// 10%. History on this set: 30.28 (12 082) with per-compile tables, 9.47
-/// (3 780) when the context pool landed and nodes still carried a `String`
-/// and a `Vec<Id>`, 7.29 (2 909) with interned names and boxed call
-/// arguments in the e-nodes, 6.80 (2 713) once statement reports stopped
-/// rendering their leaves, 6.23 (2 484) with one supporting rule.
-const BUDGET_PER_NODE: f64 = 6.8;
+/// 6.04 (2 408 allocations for 399 nodes), plus 10%. History on this set:
+/// 30.28 (12 082) with per-compile tables, 9.47 (3 780) when the context
+/// pool landed and nodes still carried a `String` and a `Vec<Id>`, 7.29
+/// (2 909) with interned names and boxed call arguments in the e-nodes,
+/// 6.80 (2 713) once statement reports stopped rendering their leaves, 6.23
+/// (2 484) with one supporting rule, 6.20 (2 473) once saturation ran in
+/// one loop and a unit stopped allocating the supporting phase's rule
+/// states.
+const BUDGET_PER_NODE: f64 = 6.6;
 
 #[test]
 fn a_warmed_compile_stays_within_its_allocation_budget() {
