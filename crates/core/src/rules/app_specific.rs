@@ -26,7 +26,7 @@ use hb_ir::types::{Location, ScalarType};
 
 use crate::encode::{pbcast, pload, ploc, pnum, pramp, pty, pv};
 use crate::lang::{HbGraph, HbLang};
-use crate::rules::{ci, cis, mac_query, num, ty, Intrinsics, Rw};
+use crate::rules::{ci, cis, mac_query, num, ty, Intrinsics, RuleList, Rw};
 
 /// AMX architectural limits for one `tdpbf16ps`.
 const AMX_MAX_M: i64 = 16;
@@ -115,13 +115,17 @@ fn amx_b_vnni_guards(eg: &HbGraph, s: &Subst) -> Option<(i64, i64)> {
 
 /// Builds the application-specific rule set.
 #[must_use]
-#[allow(clippy::too_many_lines)]
 pub fn rules() -> Vec<Rw> {
+    RuleList::all(add)
+}
+
+/// Adds the application-specific rules `out` keeps, in pass order.
+#[allow(clippy::too_many_lines)]
+pub(crate) fn add(out: &mut RuleList) {
     let names = Intrinsics::intern();
-    let mut out = Vec::new();
 
     // --- AMX operand A, standard layout, loaded from memory. -------------
-    out.push(Rw::rule(
+    out.rule(
         "amx-a-standard",
         amx_operand("A", false, a_index_pattern()),
         Box::new(move |eg: &mut HbGraph, s| {
@@ -137,10 +141,10 @@ pub fn rules() -> Vec<Rw> {
             let (m_id, k_id) = (bound(s, "m"), bound(s, "k"));
             add_fact(eg, HbLang::AmxATile([a, tile, m_id, k_id]))
         }),
-    ));
+    );
 
     // --- AMX operand A, already resident in tile registers (preloaded). --
-    out.push(Rw::rule(
+    out.rule(
         "amx-a-preloaded",
         amx_operand("A", true, a_index_pattern()),
         Box::new(|eg: &mut HbGraph, s| {
@@ -160,10 +164,10 @@ pub fn rules() -> Vec<Rw> {
             let dense = eg.add(HbLang::Load([tyid, an, idx]));
             add_fact(eg, HbLang::AmxATile([a, dense, m_id, k_id]))
         }),
-    ));
+    );
 
     // --- AMX operand B, standard layout: needs a VNNI swizzle. -----------
-    out.push(Rw::rule(
+    out.rule(
         "amx-b-standard",
         amx_operand("B", false, b_std_index_pattern()),
         Box::new(move |eg: &mut HbGraph, s| {
@@ -195,10 +199,10 @@ pub fn rules() -> Vec<Rw> {
             let tile = eg.add(HbLang::call(names.tile_load, args));
             add_fact(eg, HbLang::AmxBTile([b, tile, k_lit, n_lit]))
         }),
-    ));
+    );
 
     // --- AMX operand B, VNNI layout: load directly. ----------------------
-    out.push(Rw::rule(
+    out.rule(
         "amx-b-vnni",
         amx_operand("B", false, b_vnni_index_pattern()),
         Box::new(move |eg: &mut HbGraph, s| {
@@ -214,10 +218,10 @@ pub fn rules() -> Vec<Rw> {
             let k_full = num(eg, 2 * khalf);
             add_fact(eg, HbLang::AmxBTile([b, tile, k_full, bound(s, "n")]))
         }),
-    ));
+    );
 
     // --- AMX operand B, VNNI layout, preloaded in registers. -------------
-    out.push(Rw::rule(
+    out.rule(
         "amx-b-vnni-preloaded",
         amx_operand("B", true, b_vnni_index_pattern()),
         Box::new(|eg: &mut HbGraph, s| {
@@ -238,10 +242,10 @@ pub fn rules() -> Vec<Rw> {
             let k_full = num(eg, 2 * khalf);
             add_fact(eg, HbLang::AmxBTile([b, dense, k_full, bound(s, "n")]))
         }),
-    ));
+    );
 
     // --- WMMA MatMul (both operands standard layout, f16). ---------------
-    out.push(Rw::rule(
+    out.rule(
         "wmma-matmul",
         wmma_query(a_index_pattern(), b_std_index_pattern()),
         Box::new(move |eg: &mut HbGraph, s| {
@@ -269,7 +273,7 @@ pub fn rules() -> Vec<Rw> {
             let res = eg.add(HbLang::Loc(Location::Wmma, Location::Mem, [call]));
             eg.union(e, res).1
         }),
-    ));
+    );
 
     // --- Convolution-like patterns on WMMA (§V-A/§V-B). -------------------
     // A: ramp(ramp(base, 1, 8), x8(stride), L), or for upsampling each
@@ -310,10 +314,8 @@ pub fn rules() -> Vec<Rw> {
             Toeplitz::Upsample,
         ),
     ] {
-        out.push(toeplitz_rule(names, name, idx_a, idx_b, kind));
+        toeplitz_rule(out, names, name, idx_a, idx_b, kind);
     }
-
-    out
 }
 
 /// The shared multiply-accumulate query with both operands f16 loads whose
@@ -344,21 +346,22 @@ enum Toeplitz {
     Upsample,
 }
 
-/// One convolution-like WMMA rule of kind `kind` over the operand indices
-/// `idx_a` / `idx_b`.
+/// Adds one convolution-like WMMA rule of kind `kind` over the operand
+/// indices `idx_a` / `idx_b`.
 fn toeplitz_rule(
+    out: &mut RuleList,
     names: Intrinsics,
     name: &str,
     idx_a: Pattern<HbLang>,
     idx_b: Pattern<HbLang>,
     kind: Toeplitz,
-) -> Rw {
+) {
     let (want_l, want_mn, ld_a) = match kind {
         Toeplitz::Conv => (256, 256, 8),
         Toeplitz::Downsample => (128, 128, 8),
         Toeplitz::Upsample => (128, 256, 4),
     };
-    Rw::rule(
+    out.rule(
         name,
         wmma_query(idx_a, idx_b),
         Box::new(move |eg: &mut HbGraph, s| {
@@ -410,7 +413,7 @@ fn toeplitz_rule(
             let res = eg.add(HbLang::Loc(Location::Wmma, Location::Mem, [call]));
             eg.union(e, res).1
         }),
-    )
+    );
 }
 
 /// Adds an AMX tile fact; returns whether it is new, the applier's

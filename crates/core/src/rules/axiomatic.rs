@@ -16,16 +16,19 @@ use hb_ir::types::Location;
 
 use crate::encode::{padd, pbcast, pcast, pload, ploc, pmul, pmul_lanes, pnum, pramp, pv};
 use crate::lang::{HbGraph, HbLang};
-use crate::rules::{ci, cis, num, Rw};
+use crate::rules::{ci, cis, num, RuleList, Rw};
 
 /// Builds the axiomatic rule set.
 #[must_use]
-#[allow(clippy::too_many_lines)]
 pub fn rules() -> Vec<Rw> {
-    let mut out = Vec::new();
+    RuleList::all(add)
+}
 
+/// Adds the axiomatic rules `out` keeps, in pass order.
+#[allow(clippy::too_many_lines)]
+pub(crate) fn add(out: &mut RuleList) {
     // (Broadcast (Broadcast x l1) l2) => (Broadcast x (* l1 l2))
-    out.push(Rw::rule(
+    out.rule(
         "bcast-flatten",
         Query::single("e", pbcast(pbcast(pv("x"), pv("l1")), pv("l2"))),
         Box::new(|eg: &mut HbGraph, s| {
@@ -38,13 +41,13 @@ pub fn rules() -> Vec<Rw> {
             let flat = eg.add(HbLang::Bcast([x, l]));
             eg.union(e, flat).1
         }),
-    ));
+    );
 
     // (Broadcast x 1) => x
-    out.push(Rw::rewrite("bcast-one", pbcast(pv("x"), pnum(1)), pv("x")));
+    out.rewrite("bcast-one", pbcast(pv("x"), pnum(1)), pv("x"));
 
     // (Broadcast (Load t n i) l) => (Load (MultiplyLanes t l) n (Broadcast i l))
-    out.push(Rw::rewrite(
+    out.rewrite(
         "bcast-into-load",
         pbcast(pload(pv("t"), pv("n"), pv("i")), pv("l")),
         pload(
@@ -52,18 +55,18 @@ pub fn rules() -> Vec<Rw> {
             pv("n"),
             pbcast(pv("i"), pv("l")),
         ),
-    ));
+    );
 
     // (Broadcast (Cast t e) l) => (Cast (MultiplyLanes t l) (Broadcast e l))
-    out.push(Rw::rewrite(
+    out.rewrite(
         "bcast-into-cast",
         pbcast(pcast(pv("t"), pv("e")), pv("l")),
         pcast(pmul_lanes(pv("t"), pv("l")), pbcast(pv("e"), pv("l"))),
-    ));
+    );
 
     // (Add (Ramp b s rl) (Broadcast x bl)) => (Ramp (Add b (Broadcast x (/ bl rl))) s rl)
     //   :when ((= 0 (% bl rl)))
-    out.push(Rw::rule(
+    out.rule(
         "ramp-bcast-absorb",
         Query::single(
             "e",
@@ -84,23 +87,15 @@ pub fn rules() -> Vec<Rw> {
             let ramp = eg.add(HbLang::Ramp([newb, st, rl_id]));
             eg.union(e, ramp).1
         }),
-    ));
+    );
 
     // Commutativity (the paper implements commutativity but not
     // associativity, which blows up the e-graph).
-    out.push(Rw::rewrite(
-        "add-comm",
-        padd(pv("a"), pv("b")),
-        padd(pv("b"), pv("a")),
-    ));
-    out.push(Rw::rewrite(
-        "mul-comm",
-        pmul(pv("a"), pv("b")),
-        pmul(pv("b"), pv("a")),
-    ));
+    out.rewrite("add-comm", padd(pv("a"), pv("b")), padd(pv("b"), pv("a")));
+    out.rewrite("mul-comm", pmul(pv("a"), pv("b")), pmul(pv("b"), pv("a")));
 
     // (Add z x) => x when z is a (vector of) zero(s).
-    out.push(Rw::rule(
+    out.rule(
         "add-zero",
         Query::single("e", padd(pv("z"), pv("x"))),
         Box::new(|eg: &mut HbGraph, s| {
@@ -116,10 +111,10 @@ pub fn rules() -> Vec<Rw> {
             let x = bound(s, "x");
             eg.union(e, x).1
         }),
-    ));
+    );
 
     // (Ramp b z n) => (Broadcast b n) when z is zero.
-    out.push(Rw::rule(
+    out.rule(
         "ramp-zero-stride",
         Query::single("e", pramp(pv("b"), pv("z"), pv("n"))),
         Box::new(|eg: &mut HbGraph, s| {
@@ -135,14 +130,14 @@ pub fn rules() -> Vec<Rw> {
             let bc = eg.add(HbLang::Bcast([b, n]));
             eg.union(e, bc).1
         }),
-    ));
+    );
 
     // Sibling-hinted broadcast nesting (§A3): when a broadcast is added to
     // a ramp of fewer steps, nest the broadcast to expose the ramp's
     // structure:  (Add (Ramp x s l1) (Broadcast a l2))
     //          => (Add (Ramp x s l1) (Broadcast (Broadcast a (/ l2 l1)) l1))
     //   :when ((> l2 l1) (= 0 (% l2 l1)))
-    out.push(Rw::rule(
+    out.rule(
         "bcast-nest-sibling-add",
         Query::single(
             "e",
@@ -164,12 +159,12 @@ pub fn rules() -> Vec<Rw> {
             let combined = eg.add(HbLang::Bin(BinOp::Add, [ramp, bouter]));
             eg.union(e, combined).1
         }),
-    ));
+    );
 
     // Degenerate-VNNI recovery (§A3): split a unit-stride ramp of a scalar
     // base into a two-level nest: (Ramp e 1 l) => (Ramp (Ramp e 1 2)
     // (Broadcast 2 2) (/ l 2)).
-    out.push(Rw::rule(
+    out.rule(
         "ramp-split-2",
         Query::single("r", pramp(pv("e"), pnum(1), pv("l"))),
         Box::new(|eg: &mut HbGraph, s| {
@@ -189,20 +184,20 @@ pub fn rules() -> Vec<Rw> {
             let nested = eg.add(HbLang::Ramp([inner, stride, half]));
             eg.union(r, nested).1
         }),
-    ));
+    );
 
     // Broadcasts commute with data movements (loc_to_loc is
     // value-transparent): (Broadcast (AMX2Mem e) l) => (AMX2Mem (Broadcast e l)).
-    out.push(Rw::rewrite(
+    out.rewrite(
         "bcast-through-AMX2Mem",
         pbcast(ploc(Location::Amx, Location::Mem, pv("e")), pv("l")),
         ploc(Location::Amx, Location::Mem, pbcast(pv("e"), pv("l"))),
-    ));
+    );
 
     // The inverse merge: (Ramp (Ramp e 1 c) (Broadcast c c) l) => (Ramp e 1 c·l)
     // (contiguous two-level nests flatten back — needed when a mod/div lane
     // decomposition also split an unrelated affine access).
-    out.push(Rw::rule(
+    out.rule(
         "ramp-merge",
         Query::single(
             "r",
@@ -226,9 +221,7 @@ pub fn rules() -> Vec<Rw> {
             let flat = eg.add(HbLang::Ramp([e, one, full]));
             eg.union(r, flat).1
         }),
-    ));
-
-    out
+    );
 }
 
 #[cfg(test)]

@@ -6,20 +6,24 @@ use hb_ir::types::{Location, ScalarType};
 
 use crate::encode::{pamx_a_tile, pamx_b_tile, pbcast, pload, ploc, pnum, pramp, pstore, pty, pv};
 use crate::lang::{ConstVal, HbGraph, HbLang};
-use crate::rules::{cis, mac_query, num, ty, Intrinsics, Rw};
+use crate::rules::{cis, mac_query, num, ty, Intrinsics, RuleList, Rw};
 
 /// Builds the lowering rule set.
 #[must_use]
-#[allow(clippy::too_many_lines)]
 pub fn rules() -> Vec<Rw> {
+    RuleList::all(add)
+}
+
+/// Adds the lowering rules `out` keeps, in pass order.
+#[allow(clippy::too_many_lines)]
+pub(crate) fn add(out: &mut RuleList) {
     let names = Intrinsics::intern();
-    let mut out = Vec::new();
 
     // --- AMX MatMul (Fig. 10a, first rule). -------------------------------
     // (= e (Add C (VectorReduceAdd mn (Mul (Cast f32 A) (Cast f32 B)))))
     // (amx-A-tile A tileA m k) (amx-B-tile B tileB k n)
     //   => (union e (AMX2Mem (tile_matmul (Mem2AMX C) tileA tileB)))
-    out.push(Rw::rule(
+    out.rule(
         "amx-matmul",
         mac_query()
             .also(
@@ -47,7 +51,7 @@ pub fn rules() -> Vec<Rw> {
             let res = eg.add(HbLang::Loc(Location::Amx, Location::Mem, [call]));
             eg.union(e, res).1
         }),
-    ));
+    );
 
     // --- Data-movement cancellation. --------------------------------------
     // (Mem2AMX (AMX2Mem e)) => e; the reverse pairs never changed a graph.
@@ -55,7 +59,7 @@ pub fn rules() -> Vec<Rw> {
         (Location::Mem, Location::Amx, "cancel-mem-amx"),
         (Location::Mem, Location::Wmma, "cancel-mem-wmma"),
     ] {
-        out.push(Rw::rewrite(name, ploc(a, b, ploc(b, a, pv("e"))), pv("e")));
+        out.rewrite(name, ploc(a, b, ploc(b, a, pv("e"))), pv("e"));
     }
 
     // --- Zero initialization lowers to tile_zero. --------------------------
@@ -63,7 +67,7 @@ pub fn rules() -> Vec<Rw> {
         (Location::Amx, "amx-tile-zero"),
         (Location::Wmma, "wmma-tile-zero"),
     ] {
-        out.push(Rw::rule(
+        out.rule(
             name,
             Query::single("e", ploc(Location::Mem, loc, pv("z"))),
             Box::new(move |eg: &mut HbGraph, s| {
@@ -81,12 +85,12 @@ pub fn rules() -> Vec<Rw> {
                 let call = eg.add(HbLang::call(names.tile_zero, [ty_id]));
                 eg.union(e, call).1
             }),
-        ));
+        );
     }
 
     // --- Register staging: a dense copy into a tile-register buffer is a
     // tile_load (used by "preload A/B" schedules, Table I). ----------------
-    out.push(Rw::rule(
+    out.rule(
         "amx-reg-load",
         Query::single(
             "e",
@@ -125,7 +129,7 @@ pub fn rules() -> Vec<Rw> {
             ));
             eg.union(e, call).1
         }),
-    ));
+    );
 
     // --- Tile stores: one rule per (name, location, flat row). ------------
     // Nested (2-D) index, `flat` = None:
@@ -149,7 +153,7 @@ pub fn rules() -> Vec<Rw> {
             ),
             Some(_) => pramp(pv("base"), pnum(1), pv("l")),
         };
-        out.push(Rw::rule(
+        out.rule(
             name,
             Query::single(
                 "s",
@@ -190,8 +194,6 @@ pub fn rules() -> Vec<Rw> {
                 let ev = eg.add(HbLang::EvalS([call]));
                 eg.union(st, ev).1
             }),
-        ));
+        );
     }
-
-    out
 }

@@ -36,8 +36,8 @@ pub mod supporting;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use hb_accel::target::RuleProfile;
-use hb_egraph::pattern::Subst;
-use hb_egraph::rewrite::{Query, Rewrite};
+use hb_egraph::pattern::{Pattern, Subst};
+use hb_egraph::rewrite::{ApplyFn, Query, Rewrite};
 use hb_egraph::unionfind::Id;
 use hb_ir::types::ScalarType;
 
@@ -46,6 +46,9 @@ use crate::lang::{const_int, HbAnalysis, HbGraph, HbLang, Symbol};
 
 /// The rewrite type all rule sets share.
 pub type Rw = Rewrite<HbLang, HbAnalysis>;
+
+/// What a rule runs on each match.
+type Applier = ApplyFn<HbLang, HbAnalysis>;
 
 /// Integer constant of the class bound to `var`, if known.
 #[must_use]
@@ -125,10 +128,61 @@ impl Intrinsics {
 /// The complete main rule set (axiomatic + app-specific + lowering).
 #[must_use]
 pub fn main_rules() -> Vec<Rw> {
-    let mut rules = axiomatic::rules();
-    rules.extend(app_specific::rules());
-    rules.extend(lowering::rules());
-    rules
+    RuleList::all(add_main)
+}
+
+/// Adds the main rules `out` keeps, in pass order.
+fn add_main(out: &mut RuleList) {
+    axiomatic::add(out);
+    app_specific::add(out);
+    lowering::add(out);
+}
+
+/// The rules one build constructs. A rule is stated by name first, and one
+/// whose name mentions a dropped family is never constructed, so its query
+/// is never compiled.
+pub(crate) struct RuleList {
+    /// The accelerator families (lowercase) whose rules are dropped.
+    dropped: &'static [&'static str],
+    rules: Vec<Rw>,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Rules constructed on this thread: what a build paid for.
+    static CONSTRUCTED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+impl RuleList {
+    /// Every rule `add` states, none dropped.
+    fn all(add: fn(&mut RuleList)) -> Vec<Rw> {
+        let mut out = RuleList {
+            dropped: &[],
+            rules: Vec::new(),
+        };
+        add(&mut out);
+        out.rules
+    }
+
+    /// Constructs the rule `build` makes, unless `name` is dropped.
+    fn push(&mut self, name: &str, build: impl FnOnce() -> Rw) {
+        if self.dropped.iter().any(|family| names_family(name, family)) {
+            return;
+        }
+        #[cfg(test)]
+        CONSTRUCTED.with(|n| n.set(n.get() + 1));
+        self.rules.push(build());
+    }
+
+    /// States a rule: `query` joined, then `applier` run on each match.
+    pub(crate) fn rule(&mut self, name: &str, query: Query<HbLang>, applier: Applier) {
+        self.push(name, || Rw::rule(name, query, applier));
+    }
+
+    /// States a plain rewrite `lhs => rhs`.
+    pub(crate) fn rewrite(&mut self, name: &str, lhs: Pattern<HbLang>, rhs: Pattern<HbLang>) {
+        self.push(name, || Rw::rewrite(name, lhs, rhs));
+    }
 }
 
 /// Number of [`RuleSet`] constructions performed by this process. Rule
@@ -167,7 +221,8 @@ impl RuleSet {
 
     /// Builds the rule list for one target's [`RuleProfile`]: the
     /// accelerator families the target cannot lower are dropped by rule
-    /// name, in any case (`amx-*` / `wmma-*` across the app-specific and
+    /// name before they are constructed (no query of theirs is compiled),
+    /// in any case (`amx-*` / `wmma-*` across the app-specific and
     /// lowering sets, and the axiomatic `bcast-through-*` rules named
     /// after a movement such as `AMX2Mem`), so an AMX-only session never
     /// saturates with WMMA rules and vice versa. The other axiomatic rules
@@ -176,17 +231,19 @@ impl RuleSet {
     #[must_use]
     pub fn for_profile(profile: RuleProfile) -> Self {
         RULE_BUILDS.fetch_add(1, Ordering::SeqCst);
-        let mut main = main_rules();
-        let dropped: &[&str] = match profile {
-            RuleProfile::All => &[],
-            RuleProfile::Amx => &["wmma"],
-            RuleProfile::Wmma => &["amx"],
-            RuleProfile::None => &["wmma", "amx"],
+        let mut out = RuleList {
+            dropped: match profile {
+                RuleProfile::All => &[],
+                RuleProfile::Amx => &["wmma"],
+                RuleProfile::Wmma => &["amx"],
+                RuleProfile::None => &["wmma", "amx"],
+            },
+            rules: Vec::new(),
         };
-        main.retain(|r| !dropped.iter().any(|family| names_family(&r.name, family)));
-        main.extend(supporting::rules());
+        add_main(&mut out);
+        supporting::add(&mut out);
         RuleSet {
-            main,
+            main: out.rules,
             support: Vec::new(),
         }
     }
@@ -282,6 +339,25 @@ mod tests {
         "add-comm", "mul-comm", "add-zero", "ramp-zero-stride", "bcast-nest-sibling-add",
         "ramp-split-2", "ramp-merge", "multiply-lanes",
     ];
+
+    #[test]
+    fn a_profile_constructs_only_the_rules_it_keeps() {
+        for profile in [
+            RuleProfile::All,
+            RuleProfile::Amx,
+            RuleProfile::Wmma,
+            RuleProfile::None,
+        ] {
+            let before = CONSTRUCTED.with(std::cell::Cell::get);
+            let set = RuleSet::for_profile(profile);
+            let built = CONSTRUCTED.with(std::cell::Cell::get) - before;
+            assert_eq!(
+                built,
+                set.main.len(),
+                "{profile:?}: rules built to be dropped"
+            );
+        }
+    }
 
     #[test]
     fn profiles_partition_the_main_rules() {

@@ -10,15 +10,20 @@ use hb_egraph::rewrite::{bound, Query};
 
 use crate::encode::{pmul_lanes, pv};
 use crate::lang::{const_int, HbGraph, HbLang};
-use crate::rules::{ci, num, Rw};
+use crate::rules::{ci, num, RuleList, Rw};
 
 /// Builds the supporting rule set: the one `MultiplyLanes` concretization
 /// rule.
 #[must_use]
 pub fn rules() -> Vec<Rw> {
+    RuleList::all(add)
+}
+
+/// Adds the supporting rule to `out`.
+pub(crate) fn add(out: &mut RuleList) {
     // (rewrite (MultiplyLanes (St l) x) (St (* l x))), for every St: the
     // applier reads the scalar type and lanes of each `Ty` node in `t`.
-    vec![Rw::rule(
+    out.rule(
         "multiply-lanes",
         Query::single("e", pmul_lanes(pv("t"), pv("x"))),
         Box::new(|eg: &mut HbGraph, s| {
@@ -42,7 +47,7 @@ pub fn rules() -> Vec<Rw> {
             }
             changed
         }),
-    )]
+    );
 }
 
 #[cfg(test)]
