@@ -1,6 +1,8 @@
 //! Fig. 6: kernel compilation time for 1-D convolution — total pipeline
 //! time and the share spent inside equality saturation (the paper's
-//! egglog series). Larger kernels unroll into more statements.
+//! egglog series). Larger kernels unroll into more statements, but the
+//! unrolled statements differ only in base offsets: the session saturates
+//! one leaf per shape, so the eqsat column stays flat in k.
 
 use hb_apps::conv1d::Conv1d;
 use hb_apps::harness::compile_only;
@@ -8,21 +10,28 @@ use hb_apps::harness::compile_only;
 fn main() {
     println!("FIG 6 — Conv1D compile time (this machine, wall clock)\n");
     println!(
-        "{:>5} {:>14} {:>14} {:>7}",
-        "k", "eqsat (ms)", "total (ms)", "stmts"
+        "{:>5} {:>14} {:>14} {:>7} {:>7}",
+        "k", "eqsat (ms)", "total (ms)", "stmts", "shapes"
     );
     for k in [8i64, 32, 56, 96, 160, 256] {
         let app = Conv1d { n: 4096, k };
         let p = app.pipeline_tc_unrolled();
         let (_, report) = compile_only(&p).expect("compile");
+        // Per-leaf mode runs one unit per shape, whose engine report goes
+        // to the shape's first leaf; the other leaves carry none.
+        let shapes = (report.stmts.iter())
+            .filter(|s| s.eqsat.iterations > 0)
+            .count();
         println!(
-            "{:>5} {:>14.2} {:>14.2} {:>7}",
+            "{:>5} {:>14.2} {:>14.2} {:>7} {:>7}",
             k,
             report.stages.saturate.as_secs_f64() * 1e3,
             report.total_time.as_secs_f64() * 1e3,
             report.num_statements(),
+            shapes,
         );
     }
     println!("\npaper shape: EqSat dominates compile time and grows with k,");
-    println!("but stays manageable (seconds at k=256).");
+    println!("but stays manageable (seconds at k=256). Here the statements");
+    println!("grow with k and the shapes do not, so neither does eqsat.");
 }

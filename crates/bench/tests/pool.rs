@@ -1,6 +1,6 @@
 //! The selector workload pool (`hb_bench::workloads`: 14 workloads, 158
-//! saturated roots, 161 leaves at engine level) as one guard that reads no
-//! clock:
+//! leaves in sessions, which saturate one root per leaf shape, 161 leaves
+//! at engine level) as one guard that reads no clock:
 //!
 //! * **counts at equality** — the work the engine does on the pool (nodes,
 //!   classes, iterations, searches by kind, probed and skipped rows, cost
@@ -63,17 +63,19 @@ use hb_obs::{CollectingSink, MetricsRegistry, NullSink, Tracer};
 /// skipped searches, probed rows, skipped rows]`.
 type RunCounts = [usize; 7];
 
-/// Per workload: per-leaf `[statements, nodes, iterations]` (summed over its
-/// leaves' own graphs), then the [`RunCounts`] of its one batched graph.
+/// Per workload: per-leaf `[statements, nodes, iterations]` (summed over the
+/// graphs of its leaf shapes — a session saturates one leaf per shape, so
+/// the unrolled conv1d rows do not grow with k), then the [`RunCounts`] of
+/// its one batched graph.
 #[rustfmt::skip]
 const WORKLOADS: &[(&str, [usize; 3], RunCounts)] = &[
     ("conv1d_tc_k16", [3, 112, 8], [83, 64, 89, 32, 7, 109, 193]),
     ("conv1d_tc_k64", [3, 112, 8], [83, 64, 89, 32, 7, 109, 193]),
     ("conv1d_tc_k32_n4096", [3, 112, 8], [83, 64, 89, 32, 7, 109, 193]),
-    ("conv1d_unrolled_k64", [10, 565, 36], [297, 217, 89, 32, 7, 648, 880]),
-    ("conv1d_unrolled_k256", [34, 2148, 132], [1064, 768, 89, 32, 7, 2520, 3376]),
-    ("conv1d_unrolled_k128_n2048", [18, 1093, 68], [553, 401, 89, 32, 7, 1272, 1712]),
-    ("conv1d_unrolled_k512", [66, 4259, 260], [2087, 1503, 89, 32, 7, 5016, 6704]),
+    ("conv1d_unrolled_k64", [10, 172, 12], [108, 82, 89, 32, 7, 180, 256]),
+    ("conv1d_unrolled_k256", [34, 172, 12], [108, 82, 89, 32, 7, 180, 256]),
+    ("conv1d_unrolled_k128_n2048", [18, 172, 12], [108, 82, 89, 32, 7, 180, 256]),
+    ("conv1d_unrolled_k512", [66, 172, 12], [108, 82, 89, 32, 7, 180, 256]),
     ("gemm_wmma_32", [3, 138, 8], [113, 81, 89, 32, 7, 201, 399]),
     ("gemm_wmma_64", [3, 138, 8], [113, 81, 89, 32, 7, 201, 399]),
     ("gemm_wmma_96_32_48", [3, 139, 8], [116, 83, 89, 32, 7, 202, 401]),
@@ -83,8 +85,10 @@ const WORKLOADS: &[(&str, [usize; 3], RunCounts)] = &[
     ("matmul_amx_vnni", [3, 149, 8], [126, 91, 88, 32, 8, 208, 449]),
 ];
 
-/// The whole suite in one shared graph, then `[table entries, roots]`.
-const SUITE: (RunCounts, [usize; 2]) = ([2519, 1797, 107, 32, 21, 6000, 11097], [1797, 158]);
+/// The whole suite in one shared graph, then `[table entries, root costs]`
+/// (one cost per leaf). The graph holds one root per leaf shape, a fifth
+/// of the engine-level graph below, which encodes every leaf.
+const SUITE: (RunCounts, [usize; 2]) = ([543, 379, 107, 32, 21, 1164, 2479], [379, 158]);
 
 /// Engine level: `[leaves, iterations]`, then the pool graph's counts.
 const ENGINE: ([usize; 2], RunCounts) = ([161, 5], [2549, 1814, 107, 32, 21, 6127, 11237]);

@@ -89,7 +89,7 @@ mod snapshot;
 mod store;
 
 pub use hash::canonical_program_hash;
-pub(crate) use hash::{leaf_keys, policy_fingerprint};
+pub(crate) use hash::{leaf_keys, policy_fingerprint, shape_key};
 pub use snapshot::{SuiteSnapshot, WarmRejection};
 pub(crate) use store::Selection;
 pub use store::{CacheOutcome, CacheStats, ReportCache};

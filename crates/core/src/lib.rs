@@ -41,6 +41,17 @@
 //! 5. [`decode`] + [`postprocess`] splice the result (materializing
 //!    `ExprVar` swizzle buffers) back into the loop nest.
 //!
+//! A compile's leaves take one path: report-cache lookup → group the
+//! misses by shape → compile unit(s) → instantiate → cache store → splice.
+//! Leaves that differ only in base-offset literals — the statements of an
+//! unrolled loop — share a *shape*: the leaf with those literals replaced
+//! by parameters, which the rules treat like loop variables. A unit
+//! saturates one root per shape; each leaf of the shape then gets the
+//! shape's selection with its own literals substituted back, byte-identical
+//! to what it selects alone. So the Fig. 6 conv1d's graph stays the same
+//! size as its unroll factor grows (108 e-nodes at k = 64 and at k = 512).
+//! A leaf alone in its shape compiles as itself.
+//!
 //! [`Session::compile_suite`] batches entire suites: with
 //! [`Batching::Batched`], every leaf of every program shares one e-graph
 //! and one saturation run, with results byte-identical to per-leaf
@@ -65,8 +76,8 @@
 //!
 //! ## Compile contexts
 //!
-//! A compile *unit* — one leaf in [`Batching::PerLeaf`] mode, the shared
-//! graph of a call in [`Batching::Batched`] mode — builds its e-graph,
+//! A compile *unit* — one leaf shape in [`Batching::PerLeaf`] mode, the
+//! shared graph of a call in [`Batching::Batched`] mode — builds its e-graph,
 //! runs its searches and solves its extraction in a `CompileCtx`: an
 //! [`HbGraph`], the engine's matcher scratch and its extraction scratch.
 //! A session keeps these between units in a small pool (a mutex around a
@@ -93,10 +104,12 @@
 //! that compile as before, and the next one starts from a fresh context.
 //! *Retention bound:* a context whose unit made more than 4 096 e-class
 //! ids (`MAX_RETAINED_IDS`) is dropped instead of pooled — the smallest
-//! power of two above every graph the benchmark builds: per-leaf graphs
-//! make 16–100 ids, small batched programs a few hundred, the suites and
-//! large unrolled programs 1 600–2 100. A pooled context carries the
-//! capacity envelope of the largest graph it ever held (power-of-two
+//! power of two above every graph the benchmark built before leaves were
+//! grouped by shape: per-leaf graphs make 16–100 ids, small batched
+//! programs a few hundred, the suites and large unrolled programs made
+//! 1 600–2 100 (grouped, unrolled programs build 108 e-nodes and the
+//! suites 860–980). A pooled context carries the capacity envelope of the
+//! largest graph it ever held (power-of-two
 //! tables stay doubled for every later, smaller graph), so what the bound
 //! admits is paid for in resident bytes: with 48-byte e-nodes, pooling the
 //! large graphs read `peak_live_bytes` +4.2 % on `unrolled_large` and
@@ -164,6 +177,7 @@ pub mod postprocess;
 pub mod rules;
 pub mod service;
 pub mod session;
+mod shape;
 
 pub use cache::{
     canonical_program_hash, CacheOutcome, CacheStats, ReportCache, SuiteSnapshot, WarmRejection,

@@ -1,6 +1,7 @@
 //! The one path every compile takes: the frame and its `Job`, the per-leaf
-//! cache lookup and store, the compile unit that touches an e-graph, and
-//! the pooled contexts units run in.
+//! cache lookup and store, the grouping of missed leaves by shape, the
+//! compile unit that touches an e-graph, and the pooled contexts units run
+//! in.
 
 use std::sync::Mutex;
 use std::time::Instant;
@@ -19,16 +20,17 @@ use crate::encode::encode_stmt;
 use crate::lang::HbGraph;
 use crate::movement::{annotate_in_place, collect_placements, Placements};
 use crate::postprocess::try_materialize_owned;
+use crate::shape::{group, instantiate, Shape};
 
-/// Everything one compile unit — one leaf in [`Batching::PerLeaf`] mode,
-/// the shared graph of a call in [`Batching::Batched`] mode — builds,
+/// Everything one compile unit — one leaf shape in [`Batching::PerLeaf`]
+/// mode, the shared graph of a call in [`Batching::Batched`] mode — builds,
 /// matches and extracts in. Kept by the session between units so that a
 /// long-lived session (a service worker's, above all) stops allocating its
 /// tables: the graph is cleared, the scratches refill in place.
 #[derive(Default)]
 pub(crate) struct CompileCtx {
     pub(super) graph: HbGraph,
-    /// The unit's leaves as encoded, in leaf order.
+    /// The unit's shapes as encoded, one root each, in shape order.
     pub(super) roots: Vec<Id>,
     pub(super) matcher: MatchScratch,
     pub(super) extract: ExtractScratch,
@@ -69,8 +71,9 @@ pub(super) enum Job<'a> {
     Warm(Box<CompileCtx>, u64),
 }
 
-/// A missed leaf as its unit left it: the selection, the engine report of
-/// the leaf's own graph (per-leaf units; a default otherwise), and whether
+/// A missed leaf as its unit left it: the selection (its shape's, with the
+/// leaf's own literals), the engine report of the shape's own graph (on the
+/// shape's first leaf in per-leaf units; a default otherwise), and whether
 /// the cache may keep it — its unit reached [`CompileOutcome::Saturated`]
 /// and its own term materialized.
 struct Fresh {
@@ -117,20 +120,26 @@ impl Session {
     }
 
     /// The one path every entry point takes: annotate → collect leaves →
-    /// cache lookup → compile unit(s) over the misses → cache store →
-    /// splice → record, all under one call-level [`Budget`]. Only a
-    /// [`Job::Cached`] compile consults or stores; the other jobs want the
-    /// graph, not a memoized answer, and count as bypasses.
+    /// cache lookup → group the misses by shape → compile unit(s) over the
+    /// shapes → instantiate each leaf → cache store → splice → record, all
+    /// under one call-level [`Budget`]. Only a [`Job::Cached`] compile
+    /// consults or stores; the other jobs want the graph, not a memoized
+    /// answer, and count as bypasses.
     ///
     /// The lookup takes every leaf of the request at once, keyed by its
     /// canonical hash and the policy fingerprint and verified against the
-    /// stored leaf. A unit is then one missed leaf in [`Batching::PerLeaf`]
-    /// mode — its engine report lands in its [`StmtReport::eqsat`] — and
-    /// every missed leaf of the call otherwise, the shared run landing in
-    /// [`CompileReport::batch`]; a leaf selects the same statement at the
-    /// same cost whichever leaves share its graph (the per-leaf ≡ batched
-    /// oracle), so hits and fresh selections splice side by side. A request
-    /// whose every leaf hits runs no unit at all.
+    /// stored leaf. The misses are then grouped by shape
+    /// ([`crate::shape`]): leaves that differ only in base offsets share
+    /// one root, a parametrized copy of the first, and a leaf alone in its
+    /// shape is its own root. A unit is one shape in [`Batching::PerLeaf`]
+    /// mode — its engine report lands in the [`StmtReport::eqsat`] of the
+    /// shape's first leaf — and every shape of the call otherwise, the
+    /// shared run landing in [`CompileReport::batch`]; a root selects the
+    /// same statement at the same cost whichever roots share its graph (the
+    /// per-leaf ≡ batched oracle), so hits and fresh selections splice side
+    /// by side. A request whose shapes are all distinct runs exactly the
+    /// units it ran before shapes were grouped; one whose every leaf hits
+    /// runs no unit at all.
     pub(super) fn compile_frame(
         &self,
         programs: &[(&Stmt, &Placements)],
@@ -198,17 +207,19 @@ impl Session {
         }
 
         let ran_units = !missed.is_empty();
-        let mut fresh = Vec::with_capacity(missed.len());
+        let shapes = group(&missed);
+        let mut fresh: Vec<Option<Fresh>> = missed.iter().map(|_| None).collect();
         if self.batching == Batching::PerLeaf && !matches!(job, Job::Warm(..)) {
-            // Each missed leaf a plain unit of its own; per-leaf graphs are
-            // no suite graph, so an export's slot stays empty.
-            for unit in missed.chunks(1) {
+            // Each shape a plain unit of its own, whose engine report goes
+            // to its first leaf; per-leaf graphs are no suite graph, so an
+            // export's slot stays empty.
+            for unit in shapes.chunks(1) {
                 let run = self.run_unit(unit, budget.clone(), Job::Cached, &mut report, &mut fresh);
-                let leaf = fresh.last_mut();
-                leaf.expect("a unit selects every leaf it was given").eqsat = run;
+                let first = fresh[unit[0].members[0].at].as_mut();
+                first.expect("a unit selects every leaf it was given").eqsat = run;
             }
         } else if ran_units {
-            let run = self.run_unit(&missed, budget, job, &mut report, &mut fresh);
+            let run = self.run_unit(&shapes, budget, job, &mut report, &mut fresh);
             report.batch = Some(run);
         }
 
@@ -222,7 +233,8 @@ impl Session {
             let (selection, eqsat) = match hit {
                 Some(selection) => (selection, RunReport::default()),
                 None => {
-                    let unit = fresh.next().expect("one selection per missed leaf");
+                    let unit = fresh.next().flatten();
+                    let unit = unit.expect("one selection per missed leaf");
                     if cache.is_some() && unit.storable {
                         let leaf = Stmt::clone(leaves[i]);
                         stores.push((keys[i], leaf, unit.selection.clone()));
@@ -264,29 +276,32 @@ impl Session {
         }
     }
 
-    /// One compile unit: encode `leaves` into one e-graph — the restored
-    /// one's for a [`Job::Warm`] unit, a pooled context's otherwise —
-    /// saturate it in one loop, export it for a
+    /// One compile unit: encode the roots of `shapes` into one e-graph —
+    /// the restored one's for a [`Job::Warm`] unit, a pooled context's
+    /// otherwise — saturate it in one loop, export it for a
     /// [`Job::Export`] unit that saturated, solve its cost table once and
-    /// read every root out of it. Hash-consing dedups what the leaves
-    /// share, and equal-cost ties break by content, so a leaf selects the
-    /// same statement whichever leaves share its graph. Stage timings, the
-    /// outcome rung and the extraction figures accumulate into `report`,
-    /// one [`Fresh`] selection per leaf onto `fresh` — storable only when
-    /// this unit's own outcome is [`CompileOutcome::Saturated`], so one
-    /// truncated unit never blocks its neighbours' stores; the engine's
-    /// report is returned for the caller to place.
+    /// read every root out of it. Hash-consing dedups what the roots
+    /// share, and equal-cost ties break by content, so a root selects the
+    /// same statement whichever roots share its graph. A root's term is
+    /// decoded once; each member of its shape gets a copy with its own
+    /// literals substituted, materialized on its own (fresh `__hb_tmpN`
+    /// names per leaf). Stage timings, the outcome rung and the extraction
+    /// figures accumulate into `report`, one [`Fresh`] selection per member
+    /// into its slot of `fresh` — storable only when this unit's own
+    /// outcome is [`CompileOutcome::Saturated`], so one truncated unit
+    /// never blocks its neighbours' stores; the engine's report is returned
+    /// for the caller to place.
     ///
     /// The context is this function's until it rests it: a panic anywhere
     /// below unwinds past that and drops it, so a half-rewritten graph is
     /// never cleared and reused.
     fn run_unit(
         &self,
-        leaves: &[&Stmt],
+        shapes: &[Shape<'_>],
         budget: Budget,
         job: Job<'_>,
         report: &mut CompileReport,
-        fresh: &mut Vec<Fresh>,
+        fresh: &mut [Option<Fresh>],
     ) -> RunReport {
         let (mut ctx, warm, export) = match job {
             Job::Warm(ctx, warm) => (*ctx, Some(warm), None),
@@ -300,7 +315,8 @@ impl Session {
         ctx.roots.clear();
         // Encoding only adds, so the graph stays rebuilt: no union is
         // pending, and no delta log outgrows its index row.
-        ctx.roots.extend(leaves.iter().map(|s| encode_stmt(eg, s)));
+        ctx.roots
+            .extend(shapes.iter().map(|s| encode_stmt(eg, &s.root)));
         report.stages.encode += encode_span.finish();
 
         let mut saturate_span = self.tracer.span("saturate");
@@ -325,7 +341,7 @@ impl Session {
         let tables = std::mem::take(&mut ctx.extract);
         let extractor = WorklistExtractor::with_scratch(&ctx.graph, self.cost, tables);
         let extraction = report.extraction.get_or_insert_with(Default::default);
-        for (&root, &original) in ctx.roots.iter().zip(leaves) {
+        for (&root, shape) in ctx.roots.iter().zip(shapes) {
             let readout_started = Instant::now();
             let cost = extractor.cost_of(root);
             // A root with no constructible term (possible only for custom
@@ -333,26 +349,36 @@ impl Session {
             // form — extract() would panic on it.
             let term = cost.is_some().then(|| extractor.extract(root));
             extraction.readout_time += readout_started.elapsed();
-            // Undecodable terms and malformed materializations keep the
-            // original (annotated, unoptimized) statement too, and demote
-            // the compile. The original has no `__expr_var` markers, so
-            // materializing it would be an identity.
-            let materialized = (term.and_then(|t| decode_stmt(&t).ok()))
-                .and_then(|decoded| try_materialize_owned(decoded).ok());
-            if materialized.is_none() {
-                report.outcome = report.outcome.worst(CompileOutcome::FallbackUnoptimized);
+            let mut decoded = term.and_then(|t| decode_stmt(&t).ok());
+            for (left, member) in (0..shape.members.len()).rev().zip(&shape.members) {
+                let mut stmt = if left == 0 {
+                    decoded.take()
+                } else {
+                    decoded.clone()
+                };
+                if let Some(stmt) = stmt.as_mut().filter(|_| !member.values.is_empty()) {
+                    instantiate(stmt, &member.values);
+                }
+                // Undecodable terms and malformed materializations keep the
+                // original (annotated, unoptimized) statement too, and
+                // demote the compile. The original has no `__expr_var`
+                // markers, so materializing it would be an identity.
+                let materialized = stmt.and_then(|s| try_materialize_owned(s).ok());
+                if materialized.is_none() {
+                    report.outcome = report.outcome.worst(CompileOutcome::FallbackUnoptimized);
+                }
+                let storable = outcome == CompileOutcome::Saturated && materialized.is_some();
+                let stmt = materialized.unwrap_or_else(|| member.leaf.clone());
+                fresh[member.at] = Some(Fresh {
+                    selection: Selection {
+                        lowered: !stmt_has_movement(&stmt),
+                        stmt,
+                        cost,
+                    },
+                    eqsat: RunReport::default(),
+                    storable,
+                });
             }
-            let storable = outcome == CompileOutcome::Saturated && materialized.is_some();
-            let stmt = materialized.unwrap_or_else(|| original.clone());
-            fresh.push(Fresh {
-                selection: Selection {
-                    lowered: !stmt_has_movement(&stmt),
-                    stmt,
-                    cost,
-                },
-                eqsat: RunReport::default(),
-                storable,
-            });
         }
         extraction.table_entries += extractor.stats().table_entries;
         ctx.extract = extractor.into_scratch();

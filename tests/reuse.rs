@@ -1,10 +1,9 @@
 //! Reuse safety of the session's compile contexts: a context — e-graph,
 //! matcher scratch, extraction scratch — that served one program and was
 //! cleared must compile the next exactly as a fresh session does. The
-//! oracle compiles families that differ in operators, facts and size (a
+//! oracle compiles families that differ in operators, facts and shapes (a
 //! `conv1d`, an AMX Vnni matmul, an upsample, and the unrolled 256-tap
-//! `conv1d` whose batched graph is the largest kind the pool retains) back
-//! to back on one session
+//! `conv1d`, whose 34 leaves are four shapes) back to back on one session
 //! and compares every selected program, every `CompileReport` counter and
 //! every engine `RunReport` with those of fresh sessions, so no row, log,
 //! fact node, epoch or cost-table entry can leak across `clear()` unseen —
@@ -22,22 +21,17 @@ use hardboiled_repro::apps::resample_int::Upsample;
 use hardboiled_repro::egraph::schedule::RunReport;
 use hardboiled_repro::hardboiled::postprocess::normalize_temps;
 use hardboiled_repro::hardboiled::{
-    Batching, CancelToken, CompileOutcome, CompileResult, ProfileSink, Session, SessionBuilder,
-    TruncationReason,
+    Batching, CancelToken, CompileOutcome, CompileResult, IrSuiteResult, ProfileSink, Session,
+    SessionBuilder, TruncationReason,
 };
+use hardboiled_repro::ir::reference::rename_names;
 use hardboiled_repro::lang::lower::{lower, Lowered};
 use hardboiled_repro::obs::RuleSearchSample;
 
-/// `conv1d_unrolled_k256` of the bench suites: 34 leaves, and batched one
-/// graph of well over a thousand e-class ids.
-fn large_unrolled() -> Lowered {
-    lower(&Conv1d { n: 1024, k: 256 }.pipeline_tc_unrolled()).unwrap()
-}
-
 /// Four families with little in common: different operators, different
 /// intrinsics, fact nodes in one only (the AMX tile facts, under the
-/// matmul), and a context that rests fifteen times larger after the
-/// last than after the others.
+/// matmul), and parametrized shapes in the last, whose batched graph (108
+/// nodes) is about the size of the others' (83, 156 and 90).
 fn families() -> Vec<Lowered> {
     let amx = AmxMatmul {
         m: 32,
@@ -48,8 +42,29 @@ fn families() -> Vec<Lowered> {
         lower(&Conv1d { n: 512, k: 16 }.pipeline(true)).unwrap(),
         lower(&amx.pipeline(Layout::Vnni, Variant::PreloadB).unwrap()).unwrap(),
         lower(&Upsample { n: 1024, taps: 8 }.pipeline(true)).unwrap(),
-        large_unrolled(),
+        lower(&Conv1d { n: 1024, k: 256 }.pipeline_tc_unrolled()).unwrap(),
     ]
+}
+
+/// Four copies of every family, each copy's names prefixed apart: sixteen
+/// programs of distinct shapes, so one batched suite of them builds a
+/// graph of over a thousand e-class ids.
+fn large_suite() -> Vec<Lowered> {
+    let families = families();
+    let copy = |c: usize, family: &Lowered| {
+        let mut stmt = family.stmt.clone();
+        rename_names(&mut stmt, &mut |name| name.insert_str(0, &format!("c{c}_")));
+        let placements = family.placements.iter();
+        Lowered {
+            stmt,
+            placements: placements.map(|(n, m)| (format!("c{c}_{n}"), *m)).collect(),
+            ..family.clone()
+        }
+    };
+    (0..4)
+        .flat_map(|c| families.iter().map(move |family| (c, family)))
+        .map(|(c, family)| copy(c, family))
+        .collect()
 }
 
 /// The order the shared session sees them in: every small family follows
@@ -121,13 +136,14 @@ fn a_reused_session_compiles_like_fresh_ones() {
 fn a_large_batched_context_comes_back_from_the_pool() {
     // Contexts above a thousand ids used to be dropped: every large compile
     // built its tables again.
-    let large = large_unrolled();
+    let large = large_suite();
+    let programs: Vec<_> = (large.iter()).map(|l| (&l.stmt, &l.placements)).collect();
     let session = Session::builder()
         .batching(Batching::Batched)
         .build()
         .unwrap();
     assert_eq!(session.pooled_contexts(), 0);
-    let first = session.compile(&large).unwrap();
+    let first = session.compile_ir_suite(&programs);
     let run = first.report.batch.as_ref().unwrap();
     assert!(
         run.nodes > 1024,
@@ -140,8 +156,16 @@ fn a_large_batched_context_comes_back_from_the_pool() {
         "the large context was dropped"
     );
     // The second compile pops that context and puts it back: none is built.
-    let second = session.compile(&large).unwrap();
+    let second = session.compile_ir_suite(&programs);
     assert_eq!(session.pooled_contexts(), 1);
+    let digest = |r: &IrSuiteResult| {
+        let texts: Vec<_> = (r.programs.iter())
+            .map(|p| normalize_temps(&p.to_string()))
+            .collect();
+        let extraction = (r.report.extraction.as_ref()).map(|e| (e.table_entries, &e.root_costs));
+        let run = r.report.batch.as_ref().map(timeless);
+        format!("{texts:?}\n{run:?}\n{extraction:?}")
+    };
     assert_eq!(digest(&second), digest(&first));
 }
 

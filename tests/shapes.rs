@@ -2,15 +2,23 @@
 //!
 //! The Fig. 6 schedule unrolls conv1d's reduction loop, so a kernel of `k`
 //! taps lowers to `k / 8` multiply-accumulate leaves that differ only in the
-//! literal offsets of their ramps. This file holds the oracle that such
-//! programs select what they selected in history: the FNV-1a hash of each
-//! normalized program under `sim`, `amx` and `wmma` sessions, in both
-//! batching modes, recorded at a previous commit ([`PROGRAMS`]). The table
-//! moves only with an intended change of what the selector picks; re-record
-//! it with `HB_PRINT_GOLDEN=1 cargo test --release --test shapes --
-//! --nocapture`.
+//! literal offsets of their ramps. A session saturates one leaf per shape
+//! and substitutes each leaf's offsets into the shape's selection. This
+//! file holds the oracles of that:
+//!
+//! * **history** — such programs select what they selected before shapes
+//!   were grouped: the FNV-1a hash of each normalized program under `sim`,
+//!   `amx` and `wmma` sessions, in both batching modes, recorded at a
+//!   previous commit ([`PROGRAMS`]). The table moves only with an intended
+//!   change of what the selector picks; re-record it with `HB_PRINT_GOLDEN=1
+//!   cargo test --release --test shapes -- --nocapture`.
+//! * **semantics** — the selected programs run on the simulator and match
+//!   the scalar reference.
+//! * **Fig. 6 is flat** — the batched graph of an unrolled conv1d does not
+//!   grow with the unroll factor.
 
 use hardboiled_repro::apps::conv1d::Conv1d;
+use hardboiled_repro::apps::harness::{compile_and_run_with, max_rel_error};
 use hardboiled_repro::hardboiled::postprocess::normalize_temps;
 use hardboiled_repro::hardboiled::{Batching, Session};
 use hardboiled_repro::lang::lower::lower;
@@ -102,4 +110,38 @@ fn unrolled_programs_equal_the_recorded_hashes() {
         assert_eq!(got_name, want_name, "program table out of order");
         assert_eq!(got, want, "{want_name}: a selected program moved");
     }
+}
+
+#[test]
+fn unrolled_programs_run_within_tolerance_of_the_reference() {
+    for target in ["sim", "wmma"] {
+        for batching in [Batching::PerLeaf, Batching::Batched] {
+            let session = session(target, batching);
+            for k in [8, 64, 288, 512] {
+                let app = Conv1d { n: 256, k };
+                let (i, kernel) = app.inputs();
+                let inputs = [("I", &i[..]), ("K", &kernel[..])];
+                let run = compile_and_run_with(&session, &app.pipeline_tc_unrolled(), &inputs)
+                    .expect("conv1d runs");
+                let report = run.selection.as_ref().expect("the selector ran");
+                assert!(report.all_lowered(), "{target} {batching:?} k={k}");
+                let error = max_rel_error(&run.output, &app.reference());
+                assert!(error < 0.05, "{target} {batching:?} k={k}: error {error}");
+            }
+        }
+    }
+}
+
+#[test]
+fn the_batched_graph_does_not_grow_with_the_unroll_factor() {
+    let session = session("sim", Batching::Batched);
+    let compile = |k| {
+        let lowered = lower(&Conv1d { n: 512, k }.pipeline_tc_unrolled()).unwrap();
+        let report = session.compile(&lowered).unwrap().report;
+        let nodes = report.batch.as_ref().expect("a batched run").nodes;
+        (report.num_statements(), nodes)
+    };
+    let ((small_leaves, small), (large_leaves, large)) = (compile(64), compile(512));
+    assert_eq!((small_leaves, large_leaves), (10, 66));
+    assert_eq!(small, large, "the graph grew with k");
 }
