@@ -52,6 +52,7 @@ mod tag {
 }
 
 /// The streaming content hasher: the `splitmix64` chain state.
+#[derive(Default)]
 struct CanonHasher {
     state: u64,
     /// In a shape key, the parameter values met so far, by number; `None`
@@ -255,10 +256,7 @@ impl CanonHasher {
 /// order. See the module docs for the scheme.
 #[must_use]
 pub fn canonical_program_hash(stmt: &Stmt, placements: &Placements) -> u64 {
-    let mut hasher = CanonHasher {
-        state: 0,
-        params: None,
-    };
+    let mut hasher = CanonHasher::default();
     hasher.program(stmt, placements);
     hasher.state
 }
@@ -269,10 +267,7 @@ pub fn canonical_program_hash(stmt: &Stmt, placements: &Placements) -> u64 {
 pub(crate) fn leaf_keys(leaves: &[&Stmt], fingerprint: u64) -> Vec<u64> {
     let none = Placements::new();
     let key = |&leaf| {
-        let mut hasher = CanonHasher {
-            state: 0,
-            params: None,
-        };
+        let mut hasher = CanonHasher::default();
         hasher.program(leaf, &none);
         hasher.word(fingerprint);
         hasher.state
@@ -285,8 +280,8 @@ pub(crate) fn leaf_keys(leaves: &[&Stmt], fingerprint: u64) -> Vec<u64> {
 /// up to 64-bit collisions, which the grouping verifies away).
 pub(crate) fn shape_key(leaf: &Stmt) -> u64 {
     let mut hasher = CanonHasher {
-        state: 0,
         params: Some(Vec::new()),
+        ..CanonHasher::default()
     };
     hasher.stmt(leaf);
     hasher.state

@@ -350,8 +350,10 @@ impl Session {
             let term = cost.is_some().then(|| extractor.extract(root));
             extraction.readout_time += readout_started.elapsed();
             let mut decoded = term.and_then(|t| decode_stmt(&t).ok());
-            for (left, member) in (0..shape.members.len()).rev().zip(&shape.members) {
-                let mut stmt = if left == 0 {
+            let last = shape.members.len() - 1;
+            for (j, member) in shape.members.iter().enumerate() {
+                // The last member takes the decoded term, the others a copy.
+                let mut stmt = if j == last {
                     decoded.take()
                 } else {
                     decoded.clone()

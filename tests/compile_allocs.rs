@@ -140,7 +140,8 @@ fn encoded_nodes(lowered: &Lowered, batching: Batching) -> usize {
 /// 6.80 (2 713) once statement reports stopped rendering their leaves, 6.23
 /// (2 484) with one supporting rule, 6.20 (2 473) once saturation ran in
 /// one loop and a unit stopped allocating the supporting phase's rule
-/// states.
+/// states, 5.73 (2 287) once a compile saturated one leaf per shape (the
+/// budget was left where the 6.04 reading put it).
 const BUDGET_PER_NODE: f64 = 6.6;
 
 #[test]
