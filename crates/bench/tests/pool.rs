@@ -14,10 +14,11 @@
 //!   graph (sizes, the root-equivalence relation, the extracted term of
 //!   every root, op-index and op-epoch consistency); observers installed and
 //!   budgets that never fire change no program and no counter.
-//! * **leaf repetition** — how many distinct report-cache keys the pool's
-//!   leaves have (the canonical hash of the annotated leaf), how many
-//!   distinct leaves a cache stores for it, and that a second, cached pass
-//!   over the pool runs no unit and selects the first pass's programs.
+//! * **leaf repetition** — how many distinct contents (the canonical hash
+//!   of the annotated leaf) and how many distinct leaf shapes the pool's
+//!   leaves have, how many shapes a cache stores for it, and that a second,
+//!   cached pass over the pool runs no unit and selects the first pass's
+//!   programs.
 //! * **selected programs** — the FNV-1a hash of every workload's
 //!   normalized program under `sim`, `amx` and `wmma` sessions, recorded
 //!   at a previous commit, so "byte-identical selection" is checked
@@ -28,7 +29,7 @@
 //!   never fires match (`RULES_COVERAGE`), so a matcher or rule change
 //!   names the rules whose work it moved. Each rule's share of search time
 //!   is printed beside it, never pinned. Every rule must apply a match in
-//!   one of the two tables, but for the [`KEPT_IDLE`] ones, which must not.
+//!   one of the two tables ([`KEPT_IDLE`] lists none that may not).
 //!
 //! To re-record after an *intended* change of the engine's work, run
 //! `HB_PRINT_GOLDEN=1 cargo test -p hb-bench --test pool -- --nocapture`
@@ -69,40 +70,41 @@ type RunCounts = [usize; 7];
 /// its one batched graph.
 #[rustfmt::skip]
 const WORKLOADS: &[(&str, [usize; 3], RunCounts)] = &[
-    ("conv1d_tc_k16", [3, 112, 8], [83, 64, 89, 32, 7, 109, 193]),
-    ("conv1d_tc_k64", [3, 112, 8], [83, 64, 89, 32, 7, 109, 193]),
-    ("conv1d_tc_k32_n4096", [3, 112, 8], [83, 64, 89, 32, 7, 109, 193]),
-    ("conv1d_unrolled_k64", [10, 172, 12], [108, 82, 89, 32, 7, 180, 256]),
-    ("conv1d_unrolled_k256", [34, 172, 12], [108, 82, 89, 32, 7, 180, 256]),
-    ("conv1d_unrolled_k128_n2048", [18, 172, 12], [108, 82, 89, 32, 7, 180, 256]),
-    ("conv1d_unrolled_k512", [66, 172, 12], [108, 82, 89, 32, 7, 180, 256]),
-    ("gemm_wmma_32", [3, 138, 8], [113, 81, 89, 32, 7, 201, 399]),
-    ("gemm_wmma_64", [3, 138, 8], [113, 81, 89, 32, 7, 201, 399]),
-    ("gemm_wmma_96_32_48", [3, 139, 8], [116, 83, 89, 32, 7, 202, 401]),
-    ("conv2d_512x64_k16x3", [3, 131, 8], [100, 74, 89, 32, 7, 120, 299]),
-    ("conv2d_256x128_k8x5", [3, 113, 8], [86, 66, 89, 32, 7, 110, 195]),
-    ("matmul_amx_standard", [3, 150, 9], [127, 93, 107, 32, 21, 234, 540]),
-    ("matmul_amx_vnni", [3, 149, 8], [126, 91, 88, 32, 8, 208, 449]),
+    ("conv1d_tc_k16", [3, 112, 8], [83, 64, 83, 30, 7, 95, 163]),
+    ("conv1d_tc_k64", [3, 112, 8], [83, 64, 83, 30, 7, 95, 163]),
+    ("conv1d_tc_k32_n4096", [3, 112, 8], [83, 64, 83, 30, 7, 95, 163]),
+    ("conv1d_unrolled_k64", [10, 172, 12], [108, 82, 83, 30, 7, 159, 216]),
+    ("conv1d_unrolled_k256", [34, 172, 12], [108, 82, 83, 30, 7, 159, 216]),
+    ("conv1d_unrolled_k128_n2048", [18, 172, 12], [108, 82, 83, 30, 7, 159, 216]),
+    ("conv1d_unrolled_k512", [66, 172, 12], [108, 82, 83, 30, 7, 159, 216]),
+    ("gemm_wmma_32", [3, 138, 8], [113, 81, 83, 30, 7, 176, 338]),
+    ("gemm_wmma_64", [3, 138, 8], [113, 81, 83, 30, 7, 176, 338]),
+    ("gemm_wmma_96_32_48", [3, 139, 8], [116, 83, 83, 30, 7, 177, 340]),
+    ("conv2d_512x64_k16x3", [3, 131, 8], [100, 74, 83, 30, 7, 106, 269]),
+    ("conv2d_256x128_k8x5", [3, 113, 8], [86, 66, 83, 30, 7, 96, 165]),
+    ("matmul_amx_standard", [3, 150, 9], [127, 93, 99, 30, 21, 204, 450]),
+    ("matmul_amx_vnni", [3, 149, 8], [126, 91, 82, 30, 8, 185, 380]),
 ];
 
 /// The whole suite in one shared graph, then `[table entries, root costs]`
 /// (one cost per leaf). The graph holds one root per leaf shape, a fifth
 /// of the engine-level graph below, which encodes every leaf.
-const SUITE: (RunCounts, [usize; 2]) = ([543, 379, 107, 32, 21, 1164, 2479], [379, 158]);
+const SUITE: (RunCounts, [usize; 2]) = ([543, 379, 99, 30, 21, 1041, 2091], [379, 158]);
 
 /// Engine level: `[leaves, iterations]`, then the pool graph's counts.
-const ENGINE: ([usize; 2], RunCounts) = ([161, 5], [2549, 1814, 107, 32, 21, 6127, 11237]);
+const ENGINE: ([usize; 2], RunCounts) = ([161, 5], [2549, 1814, 99, 30, 21, 5438, 9465]);
 
-/// The pool's leaves: `[leaves, distinct cache keys]` — keys hash leaf
-/// content, names included, so equal leaves share one and nothing else
-/// does. One more than `CACHED_ENTRIES`: one of the pool's three extra
-/// `gemm_wmma` leaves is in no workload (its twin there differs only in a
-/// name).
-const LEAF_KEYS: [usize; 2] = [161, 85];
+/// The pool's leaves: `[leaves, distinct contents, distinct shapes]`. A
+/// content hash covers the whole annotated leaf, names included, so equal
+/// leaves share one and nothing else does; it is not the report cache's
+/// key, which hashes a leaf's shape (leaves that differ only in base
+/// offsets share one), read here as the roots one batched unit over every
+/// leaf reads out.
+const LEAF_KEYS: [usize; 3] = [161, 85, 23];
 
 /// Entries a cached per-leaf pass over the 14 workloads stores, one per
-/// exact leaf.
-const CACHED_ENTRIES: usize = 84;
+/// leaf shape.
+const CACHED_ENTRIES: usize = 22;
 
 /// Per workload: the FNV-1a hash of its normalized program under the
 /// `sim`, `amx` and `wmma` targets, in that order.
@@ -131,14 +133,12 @@ type RuleWork = [usize; 4];
 #[rustfmt::skip]
 const RULES: &[(&str, RuleWork)] = &[
     ("bcast-flatten", [5, 320, 28, 8]),
-    ("bcast-one", [5, 304, 4, 0]),
     ("bcast-into-load", [5, 304, 144, 72]),
     ("bcast-into-cast", [5, 232, 144, 72]),
     ("ramp-bcast-absorb", [5, 311, 16, 8]),
     ("add-comm", [5, 319, 788, 166]),
     ("mul-comm", [5, 169, 434, 96]),
     ("add-zero", [5, 239, 794, 8]),
-    ("ramp-zero-stride", [5, 385, 782, 0]),
     ("bcast-nest-sibling-add", [5, 239, 21, 5]),
     ("ramp-split-2", [5, 385, 446, 149]),
     ("bcast-through-AMX2Mem", [4, 164, 0, 0]),
@@ -171,14 +171,12 @@ const RULES: &[(&str, RuleWork)] = &[
 #[rustfmt::skip]
 const RULES_COVERAGE: &[(&str, RuleWork)] = &[
     ("bcast-flatten", [5, 45, 21, 6]),
-    ("bcast-one", [5, 33, 3, 0]),
     ("bcast-into-load", [5, 33, 10, 5]),
     ("bcast-into-cast", [5, 28, 10, 5]),
     ("ramp-bcast-absorb", [5, 34, 12, 6]),
     ("add-comm", [5, 40, 92, 24]),
     ("mul-comm", [5, 29, 81, 23]),
     ("add-zero", [5, 33, 102, 6]),
-    ("ramp-zero-stride", [5, 41, 104, 0]),
     ("bcast-nest-sibling-add", [5, 33, 17, 5]),
     ("ramp-split-2", [5, 41, 44, 13]),
     ("bcast-through-AMX2Mem", [4, 26, 2, 1]),
@@ -204,12 +202,9 @@ const RULES_COVERAGE: &[(&str, RuleWork)] = &[
     ("multiply-lanes", [4, 9, 12, 6]),
 ];
 
-/// The rules that change neither ledger graph but stay in the set: with
-/// them deleted, the cold run of `tests/cache_warm.rs`'s four-leaf suite
-/// probes fewer rows than the warm run, and
-/// `warm_start_is_byte_identical_and_probes_fewer_rows` fails. They go with
-/// the warm-start path (ROADMAP item 11).
-const KEPT_IDLE: [&str; 2] = ["bcast-one", "ramp-zero-stride"];
+/// The rules that change neither ledger graph but stay in the set: none. A
+/// rule that applies no match on either graph is deleted, not kept.
+const KEPT_IDLE: [&str; 0] = [];
 
 /// The targets [`PROGRAMS`] pins, in column order.
 const PROGRAM_TARGETS: [&str; 3] = ["sim", "amx", "wmma"];
@@ -325,6 +320,24 @@ fn assert_same_saturation(a: &Saturated, b: &Saturated, what: &str) {
     }
 }
 
+/// The distinct shapes of `leaves`: the roots one batched unit over all of
+/// them reads out.
+fn leaf_shapes(leaves: &[Stmt]) -> usize {
+    let tracer = Tracer::new();
+    let session = (batched().tracer(tracer.clone()))
+        .build()
+        .expect("valid session");
+    let none = Placements::new();
+    let suite: Vec<(&Stmt, &Placements)> = leaves.iter().map(|leaf| (leaf, &none)).collect();
+    let report = session.compile_ir_suite(&suite).report;
+    assert_eq!(report.num_statements(), leaves.len(), "a leaf was lost");
+    let extract = tracer.finished().into_iter().find(|s| s.name == "extract");
+    let (_, roots) = (extract.expect("a unit ran").attrs.into_iter())
+        .find(|(key, _)| *key == "roots")
+        .expect("an extract span counts its roots");
+    roots.parse().expect("a count")
+}
+
 #[test]
 fn pool_counts_equal_the_recorded_tables() {
     let all = workloads();
@@ -354,7 +367,7 @@ fn pool_counts_equal_the_recorded_tables() {
         .collect();
     keys.sort_unstable();
     keys.dedup();
-    let leaf_keys = [leaves.len(), keys.len()];
+    let leaf_keys = [leaves.len(), keys.len(), leaf_shapes(&leaves)];
 
     if std::env::var_os("HB_PRINT_GOLDEN").is_some() {
         for row in &rows {

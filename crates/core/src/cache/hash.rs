@@ -1,26 +1,25 @@
 //! Content hashing of programs and policy fingerprints (the report cache's
-//! leaf keys; see the module docs in [`super`]).
+//! shape keys; see the module docs in [`super`]).
 //!
 //! One walk over the borrowed tree feeds node tags, payloads and names
 //! straight into a `splitmix64` chain: equal programs hash equal, and any
-//! difference — shape, operators, types, lane counts, names, placements —
-//! keeps hashes apart up to 64-bit collisions. No `DefaultHasher`, no
-//! iteration-order dependence, stable across processes. The same walk keys
-//! a leaf's shape (see [`crate::shape`]): its base-offset literals feed
-//! their parameter numbers instead of their values.
+//! difference — shape, operators, types, lane counts, literals, names,
+//! placements — keeps hashes apart up to 64-bit collisions. No
+//! `DefaultHasher`, no iteration-order dependence, stable across processes.
+//! A leaf shape's key is this hash of its parametrized root (see
+//! [`crate::shape`]), whose parameters are plain variables.
 
 use std::time::Duration;
 
 use hb_egraph::schedule::Runner;
 use hb_egraph::snapshot::{payload_checksum, splitmix64};
-use hb_ir::expr::{BinOp, Expr};
+use hb_ir::expr::Expr;
 use hb_ir::stmt::Stmt;
 use hb_ir::types::Type;
 
 use crate::cost::DeviceCost;
 use crate::movement::Placements;
 use crate::session::Batching;
-use crate::shape::{is_param, is_plain, number};
 
 /// Node tags of the word stream. Every node feeds its tag, then its
 /// payload words, then its children in walk order; arities are fixed by
@@ -48,16 +47,12 @@ mod tag {
     pub const IF: u64 = 18;
     pub const PLACED: u64 = 19;
     pub const PROGRAM_END: u64 = 20;
-    pub const PARAM: u64 = 21;
 }
 
 /// The streaming content hasher: the `splitmix64` chain state.
 #[derive(Default)]
 struct CanonHasher {
     state: u64,
-    /// In a shape key, the parameter values met so far, by number; `None`
-    /// in a content hash, which feeds every literal's value.
-    params: Option<Vec<i64>>,
 }
 
 impl CanonHasher {
@@ -115,7 +110,7 @@ impl CanonHasher {
             } => {
                 self.word(tag::RAMP);
                 self.word(u64::from(*lanes));
-                self.base(base, false);
+                self.expr(base);
                 self.expr(stride);
             }
             Expr::Broadcast { value, lanes } => {
@@ -149,25 +144,6 @@ impl CanonHasher {
                 self.word(*to as u64);
                 self.expr(value);
             }
-        }
-    }
-
-    /// A ramp base, whose base-offset literals feed their parameter
-    /// numbers when keying a shape.
-    fn base(&mut self, e: &Expr, plain_sibling: bool) {
-        match (e, &mut self.params) {
-            (Expr::IntImm(v), Some(params)) if is_param(*v, plain_sibling) => {
-                let n = number(params, *v);
-                self.word(tag::PARAM);
-                self.word(n as u64);
-            }
-            (Expr::Binary(op @ (BinOp::Add | BinOp::Sub), a, b), Some(_)) => {
-                self.word(tag::BINARY);
-                self.word(*op as u64);
-                self.base(a, is_plain(b));
-                self.base(b, is_plain(a));
-            }
-            _ => self.expr(e),
         }
     }
 
@@ -261,29 +237,13 @@ pub fn canonical_program_hash(stmt: &Stmt, placements: &Placements) -> u64 {
     hasher.state
 }
 
-/// Cache keys of a request's annotated selection leaves: each leaf's
-/// content hash with no placements (annotation has baked them into its
-/// `LocToLoc` nodes) chained with the session's policy fingerprint.
-pub(crate) fn leaf_keys(leaves: &[&Stmt], fingerprint: u64) -> Vec<u64> {
-    let none = Placements::new();
-    let key = |&leaf| {
-        let mut hasher = CanonHasher::default();
-        hasher.program(leaf, &none);
-        hasher.word(fingerprint);
-        hasher.state
-    };
-    leaves.iter().map(key).collect()
-}
-
-/// The hash of an annotated leaf's shape: equal for leaves that differ
-/// only in the values of their base-offset literals (and in nothing else
-/// up to 64-bit collisions, which the grouping verifies away).
-pub(crate) fn shape_key(leaf: &Stmt) -> u64 {
-    let mut hasher = CanonHasher {
-        params: Some(Vec::new()),
-        ..CanonHasher::default()
-    };
-    hasher.stmt(leaf);
+/// The cache key of an annotated leaf shape's root: its content hash with
+/// no placements (annotation has baked them into its `LocToLoc` nodes)
+/// chained with the session's policy fingerprint.
+pub(crate) fn leaf_key(root: &Stmt, fingerprint: u64) -> u64 {
+    let mut hasher = CanonHasher::default();
+    hasher.program(root, &Placements::new());
+    hasher.word(fingerprint);
     hasher.state
 }
 
@@ -341,8 +301,7 @@ mod tests {
             canonical_program_hash(&a, &pa),
             canonical_program_hash(&b, &pb)
         );
-        let keys = leaf_keys(&[&a, &b], 7);
-        assert_ne!(keys[0], keys[1]);
+        assert_ne!(leaf_key(&a, 7), leaf_key(&b, 7));
     }
 
     #[test]

@@ -11,10 +11,11 @@ use hb_ir::stmt::Stmt;
 /// [`CompileReport::cache`](crate::session::CompileReport::cache).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CacheOutcome {
-    /// Every selection leaf came from the cache: no compile unit ran.
+    /// Every selection leaf's shape came from the cache: no compile unit
+    /// ran.
     Hit,
-    /// The cache was consulted and at least one leaf was compiled (and,
-    /// where its own unit fully saturated, stored).
+    /// The cache was consulted and at least one leaf shape was compiled
+    /// (and, where its own unit fully saturated, stored).
     Miss,
     /// The cache had nothing to offer by construction: none is attached,
     /// the request had no selection leaves, the compile warm-started from a
@@ -27,31 +28,31 @@ pub enum CacheOutcome {
 /// request counts once, however many leaves it has.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
-    /// Requests whose every leaf came from the cache.
+    /// Requests whose every leaf shape came from the cache.
     pub hits: u64,
-    /// Consulted requests that compiled at least one leaf.
+    /// Consulted requests that compiled at least one leaf shape.
     pub misses: u64,
     /// Requests that skipped the cache (see [`CacheOutcome::Bypass`]).
     pub bypasses: u64,
-    /// Leaf entries evicted to stay within capacity.
+    /// Shape entries evicted to stay within capacity.
     pub evictions: u64,
 }
 
-/// One leaf's selection: the statement spliced in its place, whether it
-/// absorbed every data movement, and its extraction cost. What a compile
-/// unit makes of each leaf it was given, and what the cache stores and a
-/// hit returns.
+/// One leaf shape's selection: the term decoded from its root, before any
+/// member's literals are substituted and its temporaries materialized
+/// (`None` when the root had no constructible or decodable term), and the
+/// root's extraction cost. What a compile unit makes of each root it was
+/// given, and what the cache stores and a hit returns.
 #[derive(Debug, Clone)]
 pub(crate) struct Selection {
-    pub(crate) stmt: Stmt,
-    pub(crate) lowered: bool,
+    pub(crate) term: Option<Stmt>,
     pub(crate) cost: Option<u64>,
 }
 
-/// One stored leaf selection under its key. The annotated leaf rides
-/// along so a 64-bit key collision can never serve the wrong selection.
+/// One stored shape selection under its key. The shape's root rides along
+/// so a 64-bit key collision can never serve the wrong selection.
 struct Entry {
-    leaf: Stmt,
+    root: Stmt,
     selection: Selection,
     last_used: u64,
 }
@@ -61,7 +62,7 @@ struct Inner {
     clock: u64,
 }
 
-/// A bounded, thread-safe, content-addressed cache of leaf selections,
+/// A bounded, thread-safe, content-addressed cache of leaf-shape selections,
 /// shared across sessions (and [`CompileService`] workers) behind an
 /// `Arc`. See the module docs in [`super`] for keying, verification and
 /// eviction.
@@ -96,7 +97,7 @@ impl ReportCache {
     /// Capacity of [`ReportCache::default`].
     pub const DEFAULT_CAPACITY: usize = 256;
 
-    /// A cache holding at most `capacity` leaf selections (clamped to at
+    /// A cache holding at most `capacity` shape selections (clamped to at
     /// least one). Inserting into a full cache evicts the least-recently-used
     /// entry.
     #[must_use]
@@ -114,13 +115,13 @@ impl ReportCache {
         }
     }
 
-    /// The configured capacity, in leaf selections.
+    /// The configured capacity, in shape selections.
     #[must_use]
     pub fn capacity(&self) -> usize {
         self.capacity
     }
 
-    /// Number of leaf selections currently stored.
+    /// Number of shape selections currently stored.
     #[must_use]
     pub fn len(&self) -> usize {
         self.lock().entries.len()
@@ -161,27 +162,30 @@ impl ReportCache {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Looks up every leaf of one request under one lock acquisition, by
-    /// key, answering only a leaf equal to the one that stored the entry (a
-    /// key collision can never serve a wrong selection). Counts nothing
-    /// (see [`ReportCache::note`]).
-    pub(crate) fn lookup(&self, keys: &[u64], leaves: &[&Stmt]) -> Vec<Option<Selection>> {
+    /// Looks up every `(key, root)` shape of one request under one lock
+    /// acquisition, answering only a root equal to the one that stored the
+    /// entry (a key collision can never serve a wrong selection). Counts
+    /// nothing (see [`ReportCache::note`]).
+    pub(crate) fn lookup<'a>(
+        &self,
+        shapes: impl IntoIterator<Item = (u64, &'a Stmt)>,
+    ) -> Vec<Option<Selection>> {
         let mut inner = self.lock();
         inner.clock += 1;
         let clock = inner.clock;
-        let found = keys.iter().zip(leaves).map(|(key, &leaf)| {
-            let entry = inner.entries.get_mut(key).filter(|e| e.leaf == *leaf)?;
+        let found = shapes.into_iter().map(|(key, root)| {
+            let entry = inner.entries.get_mut(&key).filter(|e| e.root == *root)?;
             entry.last_used = clock;
             Some(entry.selection.clone())
         });
         found.collect()
     }
 
-    /// Stores `(key, annotated leaf, selection)` triples under one lock
-    /// acquisition, evicting the least-recently-used entry for each new key
-    /// that finds the cache full. A store under a key already held replaces
-    /// that entry — the same leaf re-stored, or, on a genuine 64-bit
-    /// collision, a different one. Returns how many entries were evicted,
+    /// Stores `(key, root, selection)` triples under one lock acquisition,
+    /// evicting the least-recently-used entry for each new key that finds
+    /// the cache full. A store under a key already held replaces that entry
+    /// — the same shape re-stored, or, on a genuine 64-bit collision, a
+    /// different one. Returns how many entries were evicted,
     /// so callers mirroring [`CacheStats`] into a metrics registry can
     /// count evictions without re-reading stats.
     pub(crate) fn store(&self, fresh: Vec<(u64, Stmt, Selection)>) -> u64 {
@@ -189,13 +193,13 @@ impl ReportCache {
         inner.clock += 1;
         let clock = inner.clock;
         let mut evicted = 0;
-        for (key, leaf, selection) in fresh {
+        for (key, root, selection) in fresh {
             if !inner.entries.contains_key(&key) && inner.entries.len() >= self.capacity {
                 evict_lru(&mut inner);
                 evicted += 1;
             }
             let entry = Entry {
-                leaf,
+                root,
                 selection,
                 last_used: clock,
             };
@@ -222,25 +226,24 @@ mod tests {
     use super::*;
     use hb_ir::builder::{int, store};
 
-    fn selected(leaf: &Stmt) -> Selection {
+    fn selected(root: &Stmt) -> Selection {
         Selection {
-            stmt: leaf.clone(),
-            lowered: true,
+            term: Some(root.clone()),
             cost: Some(1),
         }
     }
 
     #[test]
-    fn a_key_collision_replaces_the_entry_and_serves_only_its_leaf() {
+    fn a_key_collision_replaces_the_entry_and_serves_only_its_root() {
         let cache = ReportCache::new(4);
         let (earlier, later) = (store("a", int(0), int(1)), store("b", int(0), int(2)));
         cache.store(vec![(7, earlier.clone(), selected(&earlier))]);
         cache.store(vec![(7, later.clone(), selected(&later))]);
         assert_eq!(cache.len(), 1, "the later store replaces the earlier one");
-        let found = cache.lookup(&[7, 7], &[&earlier, &later]);
-        assert!(found[0].is_none(), "the earlier leaf was served");
-        let hit = found[1].as_ref().expect("the later leaf hits");
-        assert_eq!(hit.stmt, later);
+        let found = cache.lookup([(7, &earlier), (7, &later)]);
+        assert!(found[0].is_none(), "the earlier root was served");
+        let hit = found[1].as_ref().expect("the later root hits");
+        assert_eq!(hit.term.as_ref(), Some(&later));
         assert_eq!(cache.stats().evictions, 0);
     }
 }

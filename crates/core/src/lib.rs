@@ -41,16 +41,18 @@
 //! 5. [`decode`] + [`postprocess`] splice the result (materializing
 //!    `ExprVar` swizzle buffers) back into the loop nest.
 //!
-//! A compile's leaves take one path: report-cache lookup → group the
-//! misses by shape → compile unit(s) → instantiate → cache store → splice.
-//! Leaves that differ only in base-offset literals — the statements of an
-//! unrolled loop — share a *shape*: the leaf with those literals replaced
-//! by parameters, which the rules treat like loop variables. A unit
-//! saturates one root per shape; each leaf of the shape then gets the
-//! shape's selection with its own literals substituted back, byte-identical
-//! to what it selects alone. So the Fig. 6 conv1d's graph stays the same
-//! size as its unroll factor grows (108 e-nodes at k = 64 and at k = 512).
-//! A leaf alone in its shape compiles as itself.
+//! A compile's leaves take one path: group every leaf by shape →
+//! report-cache lookup, one per shape → compile unit(s) over the missed
+//! shapes → instantiate each leaf → cache store → splice. Leaves that
+//! differ only in base-offset literals — the statements of an unrolled
+//! loop — share a *shape*: the leaf with those literals replaced by
+//! parameters, which the rules treat like loop variables. A unit saturates
+//! one root per shape; each leaf of the shape, whether its shape hit or was
+//! just selected, then gets the shape's term with its own literals
+//! substituted back and materializes on its own, byte-identical to what it
+//! selects alone. So the Fig. 6 conv1d's graph stays the same size as its
+//! unroll factor grows (108 e-nodes at k = 64 and at k = 512), and a shape
+//! the cache stored at one set of offsets serves every other.
 //!
 //! [`Session::compile_suite`] batches entire suites: with
 //! [`Batching::Batched`], every leaf of every program shares one e-graph
@@ -67,7 +69,7 @@
 //! [`service`]. The service's workers are the one concurrency axis: a
 //! single compile is serial. A worker's unit of work is a whole compile
 //! (0.2 ms and up on the benchmark when it saturates; 0.06 ms on average
-//! on `service_mixed`, whose leaf cache answers most requests), which
+//! on `service_mixed`, whose report cache answers most requests), which
 //! outweighs a queue hand-off, while
 //! the largest grain *inside* a compile — one rule's join over a wide
 //! index row — averages ~12 µs even on the 161-leaf shared suite graph
@@ -134,8 +136,8 @@
 //!
 //! Because selection is deterministic per leaf, repeated work can be
 //! memoized: the [`cache`] subsystem adds a bounded content-addressed
-//! [`ReportCache`] of leaf selections — a compile encodes only the leaves
-//! it has not selected before (attach with [`SessionBuilder::report_cache`]
+//! [`ReportCache`] of leaf-shape selections — a compile encodes only the
+//! shapes it has not selected before (attach with [`SessionBuilder::report_cache`]
 //! or share one across a service with
 //! [`CompileServiceBuilder::shared_cache`]) — and e-graph
 //! [`SuiteSnapshot`]s for warm-starting suite compiles

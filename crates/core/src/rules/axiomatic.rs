@@ -2,9 +2,10 @@
 //! undo the simplifier's pattern obfuscation inside the e-graph.
 //!
 //! The set departs from the paper's listing but not from its result: it
-//! does not carry `(Ramp x s 1) => x`, the collapse of nested
-//! `VectorReduceAdd`s, `(Mul 1 x) => x`, sibling-hinted nesting under
-//! `Mul`, or a broadcast through `Mem2AMX`, `WMMA2Mem` or `Mem2WMMA`. None
+//! does not carry `(Ramp x s 1) => x`, `(Broadcast x 1) => x`, a ramp of
+//! stride 0 as a broadcast, the collapse of nested `VectorReduceAdd`s,
+//! `(Mul 1 x) => x`, sibling-hinted nesting under `Mul`, or a broadcast
+//! through `Mem2AMX`, `WMMA2Mem` or `Mem2WMMA`. None
 //! applied a match on the per-rule ledger graphs of
 //! `crates/bench/tests/pool.rs`, and without them no selected program of
 //! the benchmark populations changes (seeds 1–3, every target, per-leaf and
@@ -42,9 +43,6 @@ pub(crate) fn add(out: &mut RuleList) {
             eg.union(e, flat).1
         }),
     );
-
-    // (Broadcast x 1) => x
-    out.rewrite("bcast-one", pbcast(pv("x"), pnum(1)), pv("x"));
 
     // (Broadcast (Load t n i) l) => (Load (MultiplyLanes t l) n (Broadcast i l))
     out.rewrite(
@@ -110,25 +108,6 @@ pub(crate) fn add(out: &mut RuleList) {
             let e = bound(s, "e");
             let x = bound(s, "x");
             eg.union(e, x).1
-        }),
-    );
-
-    // (Ramp b z n) => (Broadcast b n) when z is zero.
-    out.rule(
-        "ramp-zero-stride",
-        Query::single("e", pramp(pv("b"), pv("z"), pv("n"))),
-        Box::new(|eg: &mut HbGraph, s| {
-            let z = bound(s, "z");
-            let zero = eg
-                .data(z)
-                .constant
-                .is_some_and(crate::lang::ConstVal::is_zero);
-            if !zero {
-                return false;
-            }
-            let (e, b, n) = (bound(s, "e"), bound(s, "b"), bound(s, "n"));
-            let bc = eg.add(HbLang::Bcast([b, n]));
-            eg.union(e, bc).1
         }),
     );
 

@@ -309,35 +309,34 @@ mod tests {
     // is renamed, dropped or moved fails here by name.
     #[rustfmt::skip]
     const ALL: &[&str] = &[
-        "bcast-flatten", "bcast-one", "bcast-into-load", "bcast-into-cast", "ramp-bcast-absorb",
-        "add-comm", "mul-comm", "add-zero", "ramp-zero-stride", "bcast-nest-sibling-add",
-        "ramp-split-2", "bcast-through-AMX2Mem", "ramp-merge", "amx-a-standard", "amx-a-preloaded",
-        "amx-b-standard", "amx-b-vnni", "amx-b-vnni-preloaded", "wmma-matmul", "wmma-conv1d",
-        "wmma-downsample", "wmma-upsample", "amx-matmul", "cancel-mem-amx", "cancel-mem-wmma",
-        "amx-tile-zero", "wmma-tile-zero", "amx-reg-load", "amx-tile-store", "wmma-tile-store",
-        "wmma-tile-store-flat", "multiply-lanes",
+        "bcast-flatten", "bcast-into-load", "bcast-into-cast", "ramp-bcast-absorb", "add-comm",
+        "mul-comm", "add-zero", "bcast-nest-sibling-add", "ramp-split-2", "bcast-through-AMX2Mem",
+        "ramp-merge", "amx-a-standard", "amx-a-preloaded", "amx-b-standard", "amx-b-vnni",
+        "amx-b-vnni-preloaded", "wmma-matmul", "wmma-conv1d", "wmma-downsample", "wmma-upsample",
+        "amx-matmul", "cancel-mem-amx", "cancel-mem-wmma", "amx-tile-zero", "wmma-tile-zero",
+        "amx-reg-load", "amx-tile-store", "wmma-tile-store", "wmma-tile-store-flat",
+        "multiply-lanes",
     ];
     #[rustfmt::skip]
     const AMX: &[&str] = &[
-        "bcast-flatten", "bcast-one", "bcast-into-load", "bcast-into-cast", "ramp-bcast-absorb",
-        "add-comm", "mul-comm", "add-zero", "ramp-zero-stride", "bcast-nest-sibling-add",
-        "ramp-split-2", "bcast-through-AMX2Mem", "ramp-merge", "amx-a-standard", "amx-a-preloaded",
-        "amx-b-standard", "amx-b-vnni", "amx-b-vnni-preloaded", "amx-matmul", "cancel-mem-amx",
-        "amx-tile-zero", "amx-reg-load", "amx-tile-store", "multiply-lanes",
+        "bcast-flatten", "bcast-into-load", "bcast-into-cast", "ramp-bcast-absorb", "add-comm",
+        "mul-comm", "add-zero", "bcast-nest-sibling-add", "ramp-split-2", "bcast-through-AMX2Mem",
+        "ramp-merge", "amx-a-standard", "amx-a-preloaded", "amx-b-standard", "amx-b-vnni",
+        "amx-b-vnni-preloaded", "amx-matmul", "cancel-mem-amx", "amx-tile-zero", "amx-reg-load",
+        "amx-tile-store", "multiply-lanes",
     ];
     #[rustfmt::skip]
     const WMMA: &[&str] = &[
-        "bcast-flatten", "bcast-one", "bcast-into-load", "bcast-into-cast", "ramp-bcast-absorb",
-        "add-comm", "mul-comm", "add-zero", "ramp-zero-stride", "bcast-nest-sibling-add",
-        "ramp-split-2", "ramp-merge", "wmma-matmul", "wmma-conv1d", "wmma-downsample",
-        "wmma-upsample", "cancel-mem-wmma", "wmma-tile-zero", "wmma-tile-store",
-        "wmma-tile-store-flat", "multiply-lanes",
+        "bcast-flatten", "bcast-into-load", "bcast-into-cast", "ramp-bcast-absorb", "add-comm",
+        "mul-comm", "add-zero", "bcast-nest-sibling-add", "ramp-split-2", "ramp-merge",
+        "wmma-matmul", "wmma-conv1d", "wmma-downsample", "wmma-upsample", "cancel-mem-wmma",
+        "wmma-tile-zero", "wmma-tile-store", "wmma-tile-store-flat", "multiply-lanes",
     ];
     #[rustfmt::skip]
     const NONE: &[&str] = &[
-        "bcast-flatten", "bcast-one", "bcast-into-load", "bcast-into-cast", "ramp-bcast-absorb",
-        "add-comm", "mul-comm", "add-zero", "ramp-zero-stride", "bcast-nest-sibling-add",
-        "ramp-split-2", "ramp-merge", "multiply-lanes",
+        "bcast-flatten", "bcast-into-load", "bcast-into-cast", "ramp-bcast-absorb", "add-comm",
+        "mul-comm", "add-zero", "bcast-nest-sibling-add", "ramp-split-2", "ramp-merge",
+        "multiply-lanes",
     ];
 
     #[test]
@@ -384,7 +383,7 @@ mod tests {
         assert_eq!(amx + wmma, all + none, "family rules must partition");
         assert_eq!(
             [all, amx, wmma, none],
-            [32, 24, 21, 13],
+            [30, 22, 19, 11],
             "main rule counts moved"
         );
         assert_eq!(supporting::rules().len(), 1);

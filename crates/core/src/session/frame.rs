@@ -1,7 +1,8 @@
-//! The one path every compile takes: the frame and its `Job`, the per-leaf
-//! cache lookup and store, the grouping of missed leaves by shape, the
-//! compile unit that touches an e-graph, and the pooled contexts units run
-//! in.
+//! The one path every compile takes: the frame and its `Job`, which groups
+//! every leaf by shape, looks the shapes up in the report cache, runs the
+//! compile unit that touches an e-graph over the missed ones, instantiates
+//! each leaf from its shape's selection, stores the fresh shapes and
+//! splices; and the pooled contexts units run in.
 
 use std::sync::Mutex;
 use std::time::Instant;
@@ -14,13 +15,13 @@ use hb_ir::expr::Expr;
 use hb_ir::stmt::Stmt;
 
 use super::{Batching, CompileOutcome, CompileReport, IrSuiteResult, Session, StmtReport};
-use crate::cache::{leaf_keys, CacheOutcome, Selection, SuiteSnapshot};
+use crate::cache::{CacheOutcome, Selection, SuiteSnapshot};
 use crate::decode::decode_stmt;
 use crate::encode::encode_stmt;
 use crate::lang::HbGraph;
 use crate::movement::{annotate_in_place, collect_placements, Placements};
 use crate::postprocess::try_materialize_owned;
-use crate::shape::{group, instantiate, Shape};
+use crate::shape::{group, instantiate, parametrize};
 
 /// Everything one compile unit — one leaf shape in [`Batching::PerLeaf`]
 /// mode, the shared graph of a call in [`Batching::Batched`] mode — builds,
@@ -71,17 +72,6 @@ pub(super) enum Job<'a> {
     Warm(Box<CompileCtx>, u64),
 }
 
-/// A missed leaf as its unit left it: the selection (its shape's, with the
-/// leaf's own literals), the engine report of the shape's own graph (on the
-/// shape's first leaf in per-leaf units; a default otherwise), and whether
-/// the cache may keep it — its unit reached [`CompileOutcome::Saturated`]
-/// and its own term materialized.
-struct Fresh {
-    selection: Selection,
-    eqsat: RunReport,
-    storable: bool,
-}
-
 impl Session {
     /// A context for one compile unit: one at rest in the pool, or a fresh
     /// one when none is. Units running at once (service workers, callers
@@ -120,26 +110,27 @@ impl Session {
     }
 
     /// The one path every entry point takes: annotate → collect leaves →
-    /// cache lookup → group the misses by shape → compile unit(s) over the
+    /// group them by shape → cache lookup → compile unit(s) over the missed
     /// shapes → instantiate each leaf → cache store → splice → record, all
     /// under one call-level [`Budget`]. Only a [`Job::Cached`] compile
     /// consults or stores; the other jobs want the graph, not a memoized
     /// answer, and count as bypasses.
     ///
-    /// The lookup takes every leaf of the request at once, keyed by its
-    /// canonical hash and the policy fingerprint and verified against the
-    /// stored leaf. The misses are then grouped by shape
-    /// ([`crate::shape`]): leaves that differ only in base offsets share
-    /// one root, a parametrized copy of the first, and a leaf alone in its
-    /// shape is its own root. A unit is one shape in [`Batching::PerLeaf`]
-    /// mode — its engine report lands in the [`StmtReport::eqsat`] of the
-    /// shape's first leaf — and every shape of the call otherwise, the
-    /// shared run landing in [`CompileReport::batch`]; a root selects the
-    /// same statement at the same cost whichever roots share its graph (the
-    /// per-leaf ≡ batched oracle), so hits and fresh selections splice side
-    /// by side. A request whose shapes are all distinct runs exactly the
-    /// units it ran before shapes were grouped; one whose every leaf hits
-    /// runs no unit at all.
+    /// Every leaf is parametrized in place and grouped by shape
+    /// ([`crate::shape`]): leaves that differ only in base offsets share one
+    /// root, the first one, and a leaf alone in its shape is a root all the
+    /// same. The lookup takes every shape of the
+    /// request at once, keyed by its root's content hash and the policy
+    /// fingerprint and verified against the stored root. A unit is one
+    /// missed shape in [`Batching::PerLeaf`] mode — its engine report lands
+    /// in the [`StmtReport::eqsat`] of the shape's first leaf — and every
+    /// missed shape of the call otherwise, the shared run landing in
+    /// [`CompileReport::batch`]; a root selects the same statement at the
+    /// same cost whichever roots share its graph (the per-leaf ≡ batched
+    /// oracle), so hits and fresh selections take one path from there: each
+    /// member gets its shape's term with its own literals substituted,
+    /// materialized on its own. A request whose every shape hits runs no
+    /// unit at all.
     pub(super) fn compile_frame(
         &self,
         programs: &[(&Stmt, &Placements)],
@@ -157,6 +148,7 @@ impl Session {
             .iter()
             .map(|(stmt, extra)| self.annotate(stmt, extra))
             .collect();
+        let literals = parametrize_leaves(&mut annotated);
         let (leaves, leaf_counts) = collect_suite_leaves(&annotated);
         annotate_span.attr("leaves", leaves.len());
         report.stages.encode = annotate_span.finish();
@@ -169,13 +161,13 @@ impl Session {
         let cache = self.cache.as_deref().filter(|_| consulted);
         #[cfg(feature = "fault-injection")]
         let cache = cache.filter(|_| self.runner.fault_plan.is_none());
-        let keys = cache.map_or_else(Vec::new, |_| leaf_keys(&leaves, self.fingerprint));
-        let found = match cache {
-            Some(cache) => cache.lookup(&keys, &leaves),
-            None => vec![None; leaves.len()],
+        let shapes = group(leaves.iter().copied().zip(literals), self.fingerprint);
+        let mut selections = match cache {
+            Some(cache) => cache.lookup(shapes.iter().map(|s| (s.key, s.root))),
+            None => vec![None; shapes.len()],
         };
-        let missed: Vec<&Stmt> = (leaves.iter().zip(&found))
-            .filter_map(|(&leaf, hit)| hit.is_none().then_some(leaf))
+        let missed: Vec<usize> = (0..shapes.len())
+            .filter(|&s| selections[s].is_none())
             .collect();
         if let Some(attached) = &self.cache {
             report.cache = match cache {
@@ -206,48 +198,81 @@ impl Session {
             };
         }
 
-        let ran_units = !missed.is_empty();
-        let shapes = group(&missed);
-        let mut fresh: Vec<Option<Fresh>> = missed.iter().map(|_| None).collect();
+        // Whether each shape's own unit saturated: only such a shape is
+        // stored, so one truncated unit never blocks its neighbours' stores
+        // (a hit is already stored).
+        let mut saturated = vec![false; shapes.len()];
+        let unfilled = StmtReport {
+            lowered: false,
+            eqsat: RunReport::default(),
+        };
+        report.stmts = vec![unfilled; leaves.len()];
         if self.batching == Batching::PerLeaf && !matches!(job, Job::Warm(..)) {
             // Each shape a plain unit of its own, whose engine report goes
             // to its first leaf; per-leaf graphs are no suite graph, so an
             // export's slot stays empty.
-            for unit in shapes.chunks(1) {
-                let run = self.run_unit(unit, budget.clone(), Job::Cached, &mut report, &mut fresh);
-                let first = fresh[unit[0].members[0].at].as_mut();
-                first.expect("a unit selects every leaf it was given").eqsat = run;
+            for &s in &missed {
+                let shape = &shapes[s];
+                let (run, selected) =
+                    self.run_unit(&[shape.root], budget.clone(), Job::Cached, &mut report);
+                saturated[s] = CompileOutcome::of_run(&run) == CompileOutcome::Saturated;
+                selections[s] = selected.into_iter().next();
+                report.stmts[shape.members[0].at].eqsat = run;
             }
-        } else if ran_units {
-            let run = self.run_unit(&shapes, budget, job, &mut report, &mut fresh);
+        } else if !missed.is_empty() {
+            let roots: Vec<&Stmt> = missed.iter().map(|&s| shapes[s].root).collect();
+            let (run, selected) = self.run_unit(&roots, budget, job, &mut report);
+            let whole = CompileOutcome::of_run(&run) == CompileOutcome::Saturated;
+            for (&s, selection) in missed.iter().zip(selected) {
+                saturated[s] = whole;
+                selections[s] = Some(selection);
+            }
             report.batch = Some(run);
         }
 
-        // Every leaf in order — a hit as stored, a miss as its unit left it —
-        // and each miss worth memoizing stored, under one more lock.
+        // Every member of every shape, hit or miss, gets a copy of the
+        // shape's term with its own literals substituted, materialized on
+        // its own (fresh `__hb_tmpN` names per leaf); each missed shape
+        // worth memoizing is stored, under one more lock.
+        let splice_span = self.tracer.span("splice");
         let extraction = report.extraction.get_or_insert_with(Default::default);
-        let mut fresh = fresh.into_iter();
+        extraction.root_costs = vec![None; leaves.len()];
+        let mut selected: Vec<Option<Stmt>> = vec![None; leaves.len()];
         let mut stores = Vec::new();
-        let mut selected = Vec::with_capacity(leaves.len());
-        for (i, hit) in found.into_iter().enumerate() {
-            let (selection, eqsat) = match hit {
-                Some(selection) => (selection, RunReport::default()),
-                None => {
-                    let unit = fresh.next().flatten();
-                    let unit = unit.expect("one selection per missed leaf");
-                    if cache.is_some() && unit.storable {
-                        let leaf = Stmt::clone(leaves[i]);
-                        stores.push((keys[i], leaf, unit.selection.clone()));
-                    }
-                    (unit.selection, unit.eqsat)
+        for ((shape, selection), saturated) in shapes.into_iter().zip(selections).zip(saturated) {
+            let Selection { mut term, cost } = selection.expect("a unit selects every root");
+            let kept = (cache.is_some() && saturated).then(|| term.clone());
+            let mut materialized_all = true;
+            let last = shape.members.len() - 1;
+            for (j, member) in shape.members.iter().enumerate() {
+                // The last member takes the term, the others a copy.
+                let mut stmt = if j == last { term.take() } else { term.clone() };
+                if let Some(stmt) = stmt.as_mut().filter(|_| !member.values.is_empty()) {
+                    instantiate(stmt, &member.values);
                 }
-            };
-            extraction.root_costs.push(selection.cost);
-            report.stmts.push(StmtReport {
-                lowered: selection.lowered,
-                eqsat,
-            });
-            selected.push(selection.stmt);
+                // A root with no constructible term (possible only for
+                // custom pipelines encoding cyclic-only classes), an
+                // undecodable term and a malformed materialization keep the
+                // original (annotated, unoptimized) leaf, the root
+                // instantiated, and demote the compile. The original has no
+                // `__expr_var` markers, so materializing it would be an
+                // identity.
+                let materialized = stmt.and_then(|s| try_materialize_owned(s).ok());
+                materialized_all &= materialized.is_some();
+                let stmt = materialized.unwrap_or_else(|| {
+                    let mut leaf = shape.root.clone();
+                    instantiate(&mut leaf, &member.values);
+                    leaf
+                });
+                report.stmts[member.at].lowered = !stmt_has_movement(&stmt);
+                extraction.root_costs[member.at] = cost;
+                selected[member.at] = Some(stmt);
+            }
+            if !materialized_all {
+                report.outcome = report.outcome.worst(CompileOutcome::FallbackUnoptimized);
+            } else if let Some(term) = kept {
+                stores.push((shape.key, shape.root.clone(), Selection { term, cost }));
+            }
         }
         if let Some(cache) = cache.filter(|_| !stores.is_empty()) {
             let evicted = cache.store(stores);
@@ -255,18 +280,16 @@ impl Session {
                 obs.cache_evictions.add(evicted);
             }
         }
-
-        let splice_span = self.tracer.span("splice");
         splice_selected(&mut annotated, selected);
         report.stages.splice = splice_span.finish();
         report.total_time = total_started.elapsed();
         if let Some(obs) = &self.obs {
             // Stage histograms describe compiles that ran a unit; a request
             // the cache answered counts only its outcome rung.
-            if ran_units {
-                obs.record_report(&report);
-            } else {
+            if missed.is_empty() {
                 obs.record_outcome(report.outcome);
+            } else {
+                obs.record_report(&report);
             }
         }
         IrSuiteResult {
@@ -276,33 +299,27 @@ impl Session {
         }
     }
 
-    /// One compile unit: encode the roots of `shapes` into one e-graph —
-    /// the restored one's for a [`Job::Warm`] unit, a pooled context's
-    /// otherwise — saturate it in one loop, export it for a
-    /// [`Job::Export`] unit that saturated, solve its cost table once and
-    /// read every root out of it. Hash-consing dedups what the roots
-    /// share, and equal-cost ties break by content, so a root selects the
-    /// same statement whichever roots share its graph. A root's term is
-    /// decoded once; each member of its shape gets a copy with its own
-    /// literals substituted, materialized on its own (fresh `__hb_tmpN`
-    /// names per leaf). Stage timings, the outcome rung and the extraction
-    /// figures accumulate into `report`, one [`Fresh`] selection per member
-    /// into its slot of `fresh` — storable only when this unit's own
-    /// outcome is [`CompileOutcome::Saturated`], so one truncated unit
-    /// never blocks its neighbours' stores; the engine's report is returned
-    /// for the caller to place.
+    /// One compile unit: encode `roots` into one e-graph — the restored
+    /// one's for a [`Job::Warm`] unit, a pooled context's otherwise —
+    /// saturate it in one loop, export it for a [`Job::Export`] unit that
+    /// saturated, solve its cost table once and read every root out of it,
+    /// decoded. Hash-consing dedups what the roots share, and equal-cost
+    /// ties break by content, so a root selects the same term whichever
+    /// roots share its graph. Stage timings, the outcome rung and the
+    /// extraction figures accumulate into `report`; the engine's report and
+    /// one [`Selection`] per root, in order, are returned for the caller to
+    /// place.
     ///
     /// The context is this function's until it rests it: a panic anywhere
     /// below unwinds past that and drops it, so a half-rewritten graph is
     /// never cleared and reused.
     fn run_unit(
         &self,
-        shapes: &[Shape<'_>],
+        roots: &[&Stmt],
         budget: Budget,
         job: Job<'_>,
         report: &mut CompileReport,
-        fresh: &mut [Option<Fresh>],
-    ) -> RunReport {
+    ) -> (RunReport, Vec<Selection>) {
         let (mut ctx, warm, export) = match job {
             Job::Warm(ctx, warm) => (*ctx, Some(warm), None),
             Job::Export(slot) => (self.pop_ctx(), None, Some(slot)),
@@ -316,7 +333,7 @@ impl Session {
         // Encoding only adds, so the graph stays rebuilt: no union is
         // pending, and no delta log outgrows its index row.
         ctx.roots
-            .extend(shapes.iter().map(|s| encode_stmt(eg, &s.root)));
+            .extend(roots.iter().map(|root| encode_stmt(eg, root)));
         report.stages.encode += encode_span.finish();
 
         let mut saturate_span = self.tracer.span("saturate");
@@ -341,53 +358,40 @@ impl Session {
         let tables = std::mem::take(&mut ctx.extract);
         let extractor = WorklistExtractor::with_scratch(&ctx.graph, self.cost, tables);
         let extraction = report.extraction.get_or_insert_with(Default::default);
-        for (&root, shape) in ctx.roots.iter().zip(shapes) {
-            let readout_started = Instant::now();
-            let cost = extractor.cost_of(root);
-            // A root with no constructible term (possible only for custom
-            // pipelines encoding cyclic-only classes) keeps its original
-            // form — extract() would panic on it.
-            let term = cost.is_some().then(|| extractor.extract(root));
-            extraction.readout_time += readout_started.elapsed();
-            let mut decoded = term.and_then(|t| decode_stmt(&t).ok());
-            let last = shape.members.len() - 1;
-            for (j, member) in shape.members.iter().enumerate() {
-                // The last member takes the decoded term, the others a copy.
-                let mut stmt = if j == last {
-                    decoded.take()
-                } else {
-                    decoded.clone()
-                };
-                if let Some(stmt) = stmt.as_mut().filter(|_| !member.values.is_empty()) {
-                    instantiate(stmt, &member.values);
-                }
-                // Undecodable terms and malformed materializations keep the
-                // original (annotated, unoptimized) statement too, and
-                // demote the compile. The original has no `__expr_var`
-                // markers, so materializing it would be an identity.
-                let materialized = stmt.and_then(|s| try_materialize_owned(s).ok());
-                if materialized.is_none() {
-                    report.outcome = report.outcome.worst(CompileOutcome::FallbackUnoptimized);
-                }
-                let storable = outcome == CompileOutcome::Saturated && materialized.is_some();
-                let stmt = materialized.unwrap_or_else(|| member.leaf.clone());
-                fresh[member.at] = Some(Fresh {
-                    selection: Selection {
-                        lowered: !stmt_has_movement(&stmt),
-                        stmt,
-                        cost,
-                    },
-                    eqsat: RunReport::default(),
-                    storable,
-                });
-            }
-        }
+        let selections = (ctx.roots.iter())
+            .map(|&root| {
+                let readout_started = Instant::now();
+                let cost = extractor.cost_of(root);
+                // extract() would panic on a root with no constructible term.
+                let term = cost.is_some().then(|| extractor.extract(root));
+                extraction.readout_time += readout_started.elapsed();
+                let term = term.and_then(|t| decode_stmt(&t).ok());
+                Selection { term, cost }
+            })
+            .collect();
         extraction.table_entries += extractor.stats().table_entries;
         ctx.extract = extractor.into_scratch();
         report.stages.extract += extract_span.finish();
         self.rest_ctx(ctx);
-        run
+        (run, selections)
     }
+}
+
+/// Turns every selection leaf of the annotated programs into its shape, in
+/// place ([`crate::shape`]), in the order pass 1 collects them: each leaf's
+/// literals. Every leaf is spliced over before the frame returns, so no
+/// parameter reaches a selected program.
+fn parametrize_leaves(annotated: &mut [Stmt]) -> Vec<Vec<i64>> {
+    let mut literals = Vec::new();
+    for tree in annotated {
+        tree.rewrite_stmts_in_place(&mut |s| {
+            if is_selection_leaf(s) {
+                literals.push(parametrize(s));
+            }
+            false
+        });
+    }
+    literals
 }
 
 /// Pass 1 of the pipeline: each annotated program's selection leaves, in
@@ -412,14 +416,17 @@ pub(super) fn collect_suite_leaves(annotated: &[Stmt]) -> (Vec<&Stmt>, Vec<usize
 
 /// Pass 2 of the pipeline: move each selected statement over its leaf, in
 /// the same traversal order pass 1 collected them.
-fn splice_selected(annotated: &mut [Stmt], selected: Vec<Stmt>) {
+fn splice_selected(annotated: &mut [Stmt], selected: Vec<Option<Stmt>>) {
     let mut selected = selected.into_iter();
     for tree in annotated {
         tree.rewrite_stmts_in_place(&mut |s| {
             if !is_selection_leaf(s) {
                 return false;
             }
-            *s = selected.next().expect("one selected statement per leaf");
+            *s = selected
+                .next()
+                .flatten()
+                .expect("one selected statement per leaf");
             true
         });
     }

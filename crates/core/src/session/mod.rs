@@ -37,13 +37,14 @@
 //! selecting — honour a [`CancelToken`], export the saturated graph,
 //! warm-start from one — not in how they compile. Each is a few lines over
 //! one private frame that takes one `Job` — cached, export or warm, never
-//! two at once — and runs annotate → collect leaves → cache lookup (one
-//! per leaf, cached jobs only) → unit(s) over the missed leaves → cache
-//! store → splice → record. A *unit* is the one function that touches an
-//! e-graph: encode its leaves into a pooled context's graph, saturate it
-//! in one loop, export if its job says so, solve one
+//! two at once — and runs annotate → collect leaves → group them by shape
+//! → cache lookup (one per shape, cached jobs only) → unit(s) over the
+//! missed shapes → instantiate each leaf → cache store → splice → record.
+//! A *unit* is the one function that touches an e-graph: encode its shape
+//! roots into a pooled context's graph, saturate it in one loop, export if
+//! its job says so, solve one
 //! [`WorklistExtractor`](hb_egraph::extract::WorklistExtractor) cost table
-//! and read every root out of it — once per missed leaf in
+//! and read every root out of it — once per missed shape in
 //! [`Batching::PerLeaf`] mode, once per call in [`Batching::Batched`] mode
 //! or warm. There is no extraction knob (see "Extension points" in the
 //! crate docs).
@@ -55,7 +56,7 @@
 //! * `report.rs` — what a compile returns: [`CompileError`], the
 //!   [`CompileOutcome`] ladder, [`CompileReport`] and its parts, and
 //!   [`CompileResult`], [`SuiteResult`] and [`IrSuiteResult`];
-//! * `frame.rs` — the frame, its `Job`, the per-leaf cache lookup and
+//! * `frame.rs` — the frame, its `Job`, the per-shape cache lookup and
 //!   store, the unit, and the pooled compile contexts;
 //! * `suite.rs` — fault isolation: the suite's isolated fallback path,
 //!   the two `catch_unwind` layers around one program and the unoptimized

@@ -119,9 +119,11 @@ pub struct StageTimings {
     pub encode: Duration,
     /// Equality saturation (the paper's Fig. 6 "egglog" series).
     pub saturate: Duration,
-    /// Extraction + decoding + `ExprVar` materialization.
+    /// Extraction + decoding.
     pub extract: Duration,
-    /// Splicing selected statements back into their loop nests.
+    /// Instantiating each leaf from its shape's selection, `ExprVar`
+    /// materialization, the cache store and splicing the statements back
+    /// into their loop nests.
     pub splice: Duration,
 }
 

@@ -1,5 +1,6 @@
 //! Leaf shapes: selection leaves that differ only in base offsets select
-//! alike, so a compile saturates one leaf per shape.
+//! alike, so a compile saturates one leaf per shape and the report cache
+//! keeps one entry per shape.
 //!
 //! An unrolled loop lowers to one leaf per iteration, each the same
 //! statement at another offset: the Fig. 6 conv1d at `k` taps has `k / 8`
@@ -24,64 +25,72 @@
 //! the one the leaf selects on its own (`tests/shapes.rs` and the pool's
 //! program table pin it against history).
 //!
-//! The compile frame groups its missed leaves with [`group`]: one
-//! streaming hash of each leaf's shape (`cache::hash::shape_key`, no tree
-//! built), and for a shape of two or more leaves a [`parametrize`]d copy of
-//! each, which must equal the first's — a hash collision never groups
-//! leaves that differ. A shape of one leaf compiles as that leaf itself.
-//! After extraction, each member's selection is the shape's with its own
-//! literals substituted back ([`instantiate`]).
+//! The compile frame [`parametrize`]s *every* leaf in place and groups them
+//! with [`group`]: leaves whose parametrized forms are equal share one
+//! [`Shape`] whose root is that form — also a shape of one leaf, so there
+//! is no special case. A leaf that names a reserved parameter is left as
+//! it is: it is its own root. A shape's key is the content hash of its root
+//! chained with the policy fingerprint (`cache::leaf_key`), the one key both
+//! the grouping and the report cache use; equal keys group only equal
+//! roots, so a hash collision never groups leaves that differ. After
+//! extraction, or on a cache hit, each member's selection is the shape's
+//! with its own literals substituted back ([`instantiate`]), and so is its
+//! unoptimized fallback: [`instantiate`] turns the root back into the
+//! member's own leaf.
 
-use std::borrow::Cow;
 use std::collections::HashMap;
 
 use hb_ir::expr::{BinOp, Expr};
 use hb_ir::stmt::Stmt;
 use hb_ir::types::ScalarType;
 
-use crate::cache::shape_key;
+use crate::cache::leaf_key;
 
 /// The reserved name prefix of a parameter. A leaf that names a variable
-/// with it is never grouped.
+/// with it is never parametrized.
 const PARAM: &str = "__hb_param";
 
 /// Whether a literal of value `v` in a ramp base becomes a parameter, given
 /// whether its `Add` / `Sub` sibling is a literal or a variable.
-pub(crate) fn is_param(v: i64, plain_sibling: bool) -> bool {
+fn is_param(v: i64, plain_sibling: bool) -> bool {
     v != 0 && v != 1 && !plain_sibling
 }
 
 /// Whether `e` is a literal or a variable: a sibling that keeps a literal
 /// concrete.
-pub(crate) fn is_plain(e: &Expr) -> bool {
+fn is_plain(e: &Expr) -> bool {
     matches!(e, Expr::IntImm(_) | Expr::Var(..))
 }
 
 /// The number of parameter value `v`: its index among `values`, where it
 /// is appended when new.
-pub(crate) fn number(values: &mut Vec<i64>, v: i64) -> usize {
+fn number(values: &mut Vec<i64>, v: i64) -> usize {
     values.iter().position(|&x| x == v).unwrap_or_else(|| {
         values.push(v);
         values.len() - 1
     })
 }
 
-/// The leaf's shape and its literals, by parameter number; `None` for a
-/// leaf that names a reserved parameter.
-pub(crate) fn parametrize(leaf: &Stmt) -> Option<(Stmt, Vec<i64>)> {
-    let mut shape = leaf.clone();
-    let (mut values, mut reserved) = (Vec::new(), false);
-    shape.map_exprs(&mut |e| {
-        e.rewrite_bottom_up(&mut |node| {
-            match node {
-                Expr::Ramp { base, .. } => parametrize_base(base, false, &mut values),
-                Expr::Var(name, _) => reserved |= name.starts_with(PARAM),
-                _ => {}
-            }
-            false
-        })
+/// Turns a leaf into its shape, in place, and returns its literals, by
+/// parameter number. A leaf that names a reserved parameter is left as it
+/// is, with no literals.
+pub(crate) fn parametrize(leaf: &mut Stmt) -> Vec<i64> {
+    let mut reserved = false;
+    leaf.for_each_expr(&mut |e| {
+        reserved |= matches!(e, Expr::Var(name, _) if name.starts_with(PARAM));
     });
-    (!reserved).then_some((shape, values))
+    let mut values = Vec::new();
+    if !reserved {
+        leaf.map_exprs(&mut |e| {
+            e.rewrite_bottom_up(&mut |node| {
+                if let Expr::Ramp { base, .. } = node {
+                    parametrize_base(base, false, &mut values);
+                }
+                false
+            })
+        });
+    }
+    values
 }
 
 /// Replaces the parameter literals of a ramp base (see the module docs).
@@ -120,61 +129,47 @@ pub(crate) fn instantiate(stmt: &mut Stmt, values: &[i64]) {
     });
 }
 
-/// Leaves that select alike: what their unit encodes, and each member.
+/// Leaves that select alike: the root their unit encodes and the cache
+/// keys, and each member.
 pub(crate) struct Shape<'a> {
-    /// The one member itself, or the first member's [`parametrize`]d form.
-    pub root: Cow<'a, Stmt>,
+    /// The root's content hash chained with the policy fingerprint.
+    pub key: u64,
+    /// The first member, [`parametrize`]d.
+    pub root: &'a Stmt,
     /// In leaf order.
-    pub members: Vec<Member<'a>>,
+    pub members: Vec<Member>,
 }
 
 /// One leaf of a [`Shape`].
-pub(crate) struct Member<'a> {
+pub(crate) struct Member {
     /// Its position among the grouped leaves.
     pub at: usize,
-    pub leaf: &'a Stmt,
-    /// Its literals, by parameter number; empty while the root is the
-    /// leaf itself.
+    /// Its literals, by parameter number.
     pub values: Vec<i64>,
 }
 
-/// Groups `leaves` by shape, shapes in order of their first member.
-pub(crate) fn group<'a>(leaves: &[&'a Stmt]) -> Vec<Shape<'a>> {
+/// Groups [`parametrize`]d leaves, each with its literals, by shape: shapes
+/// in order of their first member, each keyed under the session's policy
+/// `fingerprint`.
+pub(crate) fn group<'a>(
+    leaves: impl IntoIterator<Item = (&'a Stmt, Vec<i64>)>,
+    fingerprint: u64,
+) -> Vec<Shape<'a>> {
     let mut shapes: Vec<Shape<'a>> = Vec::new();
     let mut by_key: HashMap<u64, usize> = HashMap::new();
-    for (at, &leaf) in leaves.iter().enumerate() {
-        let key = shape_key(leaf);
-        if let Some(&s) = by_key.get(&key) {
-            if let Some(values) = shapes[s].admit(leaf) {
-                shapes[s].members.push(Member { at, leaf, values });
-                continue;
+    for (at, (root, values)) in leaves.into_iter().enumerate() {
+        let key = leaf_key(root, fingerprint);
+        let member = Member { at, values };
+        match by_key.get(&key) {
+            Some(&s) if shapes[s].root == root => shapes[s].members.push(member),
+            _ => {
+                by_key.entry(key).or_insert(shapes.len());
+                let members = vec![member];
+                shapes.push(Shape { key, root, members });
             }
         }
-        by_key.entry(key).or_insert(shapes.len());
-        shapes.push(Shape {
-            root: Cow::Borrowed(leaf),
-            members: vec![Member {
-                at,
-                leaf,
-                values: Vec::new(),
-            }],
-        });
     }
     shapes
-}
-
-impl Shape<'_> {
-    /// `leaf`'s literals if it has this shape, parametrizing the root
-    /// first if it is still its one member.
-    fn admit(&mut self, leaf: &Stmt) -> Option<Vec<i64>> {
-        if let Cow::Borrowed(first) = self.root {
-            let (root, values) = parametrize(first)?;
-            self.root = Cow::Owned(root);
-            self.members[0].values = values;
-        }
-        let (shape, values) = parametrize(leaf)?;
-        (shape == *self.root).then_some(values)
-    }
 }
 
 #[cfg(test)]
@@ -195,11 +190,26 @@ mod tests {
         mul(var("out__xo"), int(256))
     }
 
+    /// Each leaf parametrized, with its literals.
+    fn parametrized(leaves: &[Stmt]) -> Vec<(Stmt, Vec<i64>)> {
+        let one = |leaf: &Stmt| {
+            let mut shape = leaf.clone();
+            let values = parametrize(&mut shape);
+            (shape, values)
+        };
+        leaves.iter().map(one).collect()
+    }
+
+    fn group_all(leaves: &[(Stmt, Vec<i64>)]) -> Vec<Shape<'_>> {
+        group(leaves.iter().map(|(s, v)| (s, v.clone())), 0)
+    }
+
     fn shapes_of(leaves: &[Stmt]) -> Vec<Vec<usize>> {
-        let refs: Vec<&Stmt> = leaves.iter().collect();
-        let shapes = group(&refs);
         let members = |s: &Shape| s.members.iter().map(|m| m.at).collect();
-        shapes.iter().map(members).collect()
+        group_all(&parametrized(leaves))
+            .iter()
+            .map(members)
+            .collect()
     }
 
     #[test]
@@ -207,20 +217,19 @@ mod tests {
         let leaves: Vec<Stmt> = [8, 16, 24]
             .map(|off| leaf_at(add(xo(), int(off)), 1, 8))
             .into();
-        let refs: Vec<&Stmt> = leaves.iter().collect();
-        let shapes = group(&refs);
+        let shaped = parametrized(&leaves);
+        let shapes = group_all(&shaped);
         assert_eq!(shapes.len(), 1);
         let shape = &shapes[0];
         for member in &shape.members {
-            let mut back = shape.root.clone().into_owned();
+            let mut back = shape.root.clone();
             instantiate(&mut back, &member.values);
-            assert_eq!(&back, member.leaf);
+            assert_eq!(back, leaves[member.at]);
         }
         // Literal bases group too, and equal values share a parameter.
         let bare = [8, 16].map(|off| leaf_at(int(off), 1, 8));
         assert_eq!(shapes_of(&bare), [vec![0, 1]]);
-        let refs: Vec<&Stmt> = bare.iter().collect();
-        assert_eq!(group(&refs)[0].members[1].values, [16]);
+        assert_eq!(group_all(&parametrized(&bare))[0].members[1].values, [16]);
     }
 
     #[test]
@@ -264,6 +273,13 @@ mod tests {
     #[test]
     fn a_reserved_name_is_never_grouped() {
         let named = |off| leaf_at(add(add(var("__hb_param0"), xo()), int(off)), 1, 8);
-        assert_eq!(shapes_of(&[named(8), named(16)]), [vec![0], vec![1]]);
+        let leaves = [named(8), named(16)];
+        assert_eq!(shapes_of(&leaves), [vec![0], vec![1]]);
+        let shaped = parametrized(&leaves);
+        assert_eq!(
+            shaped[0],
+            (leaves[0].clone(), vec![]),
+            "a reserved leaf moved"
+        );
     }
 }

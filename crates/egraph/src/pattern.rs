@@ -126,12 +126,13 @@ impl MatchBuf {
 /// rules and passes; it is language-independent, so one serves every rule
 /// in a rule set.
 ///
-/// The scratch doubles as the **delta-probe counter** carrier: it is the
-/// one `&mut` context already threaded through every search, so the
-/// matcher accumulates how many candidate rows its delta probes actually
-/// visited (vs. how many the probed operators' index rows hold in total)
-/// without widening any search signature. The scheduler drains the
-/// counters into its `RunReport` via [`MatchScratch::take_probe_counters`].
+/// The scratch doubles as the **probe counter** carrier: it is the one
+/// `&mut` context already threaded through every search, so the matcher
+/// accumulates how many candidate rows its full searches enumerated and
+/// its delta probes actually visited (vs. how many the probed operators'
+/// index rows hold in total) without widening any search signature. The
+/// scheduler drains the counters into its `RunReport` via
+/// [`MatchScratch::take_probe_counters`].
 #[derive(Debug, Default)]
 pub struct MatchScratch {
     pub(crate) frame: Frame,
@@ -143,6 +144,8 @@ pub struct MatchScratch {
     /// The substitution each match is loaded into for its applier — one,
     /// reused, instead of a clone per match.
     pub(crate) subst: Subst,
+    /// Candidate classes enumerated by full searches since the last drain.
+    full_rows: usize,
     /// Candidate classes enumerated by delta probes since the last drain.
     probed_rows: usize,
     /// Candidate classes delta probes did *not* have to visit: the probed
@@ -157,6 +160,11 @@ impl MatchScratch {
         Self::default()
     }
 
+    /// Records one full search's enumeration of `rows` candidate classes.
+    pub(crate) fn record_full(&mut self, rows: usize) {
+        self.full_rows += rows;
+    }
+
     /// Records one delta probe: `probed` candidates enumerated out of a
     /// `universe` of classes the probed operator's index row holds (all
     /// classes, for a variable-rooted probe).
@@ -165,10 +173,11 @@ impl MatchScratch {
         self.skipped_rows += universe.saturating_sub(probed);
     }
 
-    /// Returns `(probed, skipped)` row counts accumulated by delta probes
-    /// since the last call, resetting both.
-    pub fn take_probe_counters(&mut self) -> (usize, usize) {
-        let out = (self.probed_rows, self.skipped_rows);
+    /// Returns the `(full, probed, skipped)` row counts accumulated by full
+    /// searches and delta probes since the last call, resetting all three.
+    pub fn take_probe_counters(&mut self) -> (usize, usize, usize) {
+        let out = (self.full_rows, self.probed_rows, self.skipped_rows);
+        self.full_rows = 0;
         self.probed_rows = 0;
         self.skipped_rows = 0;
         out

@@ -277,8 +277,9 @@ impl<L: Language> CompiledQuery<L> {
     /// delta-eligible queries, semi-naive rounds (one per atom) otherwise.
     /// A delta search may return a match that already existed (delta
     /// probes over-approximate); appliers are idempotent, so re-applying
-    /// is harmless. Only a delta search's probes count into `scratch`'s
-    /// probe counters.
+    /// is harmless. A full search counts the rows it enumerates, a delta
+    /// search the rows it probes and skips, into `scratch`'s probe
+    /// counters.
     #[must_use]
     pub fn search<N: Analysis<L>>(
         &self,
@@ -335,7 +336,8 @@ impl<L: Language> CompiledQuery<L> {
     /// in a full pass; in a delta pass, the classes whose root-operator
     /// rows were stamped at or after `since` — O(changes to that
     /// operator's rows) via the per-op log, nothing when the operator was
-    /// quiet — with the probe counters recorded on `scratch`, once.
+    /// quiet — with the probe counters (full or delta) recorded on
+    /// `scratch`, once.
     ///
     /// An index row is returned borrowed from the graph; every other
     /// enumeration is left in `scratch.roots` and `None` returned.
@@ -348,8 +350,15 @@ impl<L: Language> CompiledQuery<L> {
     ) -> Option<&'a [Id]> {
         scratch.roots.clear();
         match (since, self.atoms[first].program.root_key) {
-            (None, Some(key)) => return Some(egraph.candidates_for(key)),
-            (None, None) => scratch.roots.extend(egraph.classes().map(|c| c.id)),
+            (None, Some(key)) => {
+                let row = egraph.candidates_for(key);
+                scratch.record_full(row.len());
+                return Some(row);
+            }
+            (None, None) => {
+                scratch.roots.extend(egraph.classes().map(|c| c.id));
+                scratch.record_full(scratch.roots.len());
+            }
             (Some(cut), root_key) => {
                 let universe = match root_key {
                     Some(key) => {

@@ -90,6 +90,11 @@ pub struct RunReport {
     pub full_searches: usize,
     /// Rule searches skipped entirely by the quiescence check.
     pub skipped_searches: usize,
+    /// Candidate op rows (classes) full searches enumerated: every class
+    /// of each searched query's first-atom operator row (every class, for
+    /// a variable root). With [`RunReport::delta_probed_rows`] it is every
+    /// row the run's searches started from.
+    pub full_probed_rows: usize,
     /// Candidate op rows (classes) delta probes actually visited: a probe
     /// enumerates only classes whose `(class, root_op)` rows changed since
     /// the rule last ran.
@@ -427,7 +432,8 @@ impl Runner {
                 // Draining the scratch's probe counters per rule (instead
                 // of once per pass below) attributes rows to the rule that
                 // probed them; the report totals are identical either way.
-                let (probed, skipped) = scratch.take_probe_counters();
+                let (full, probed, skipped) = scratch.take_probe_counters();
+                report.full_probed_rows += full;
                 report.delta_probed_rows += probed;
                 report.delta_skipped_rows += skipped;
                 sink.on_rule_search(&RuleSearchSample {
@@ -439,7 +445,8 @@ impl Runner {
                 });
             }
         }
-        let (probed, skipped) = scratch.take_probe_counters();
+        let (full, probed, skipped) = scratch.take_probe_counters();
+        report.full_probed_rows += full;
         report.delta_probed_rows += probed;
         report.delta_skipped_rows += skipped;
         self.rebuild_profiled(egraph);

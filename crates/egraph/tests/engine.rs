@@ -742,13 +742,13 @@ fn untouched_op_rows_are_not_probed() {
 
     let mut scratch = MatchScratch::new();
     let _ = q_div.search(&eg, since, &mut scratch);
-    let (div_probed, _) = scratch.take_probe_counters();
+    let (_, div_probed, _) = scratch.take_probe_counters();
     assert_eq!(
         div_probed, 0,
         "no Div row changed — the op-keyed Div probe must visit nothing"
     );
     let _ = q_mul.search(&eg, since, &mut scratch);
-    let (mul_probed, _) = scratch.take_probe_counters();
+    let (_, mul_probed, _) = scratch.take_probe_counters();
     assert!(
         mul_probed > 0,
         "the changed Mul row must be probed under op-keyed tracking"

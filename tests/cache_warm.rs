@@ -1,8 +1,8 @@
 //! The cache subsystem's end-to-end contract: the report cache stores
-//! leaf selections, and a compile served from it — wholly, partly or not at
-//! all — selects exactly what an uncached compile does; renamed siblings
-//! never serve each other, truncated leaves are never stored, and eviction
-//! respects capacity. Warm-started suite compiles are byte-identical to
+//! leaf-shape selections, and a compile served from it — wholly, partly or
+//! not at all, at the stored offsets or at others — selects exactly what an
+//! uncached compile does; renamed siblings never serve each other,
+//! truncated leaves are never stored, and eviction respects capacity. Warm-started suite compiles are byte-identical to
 //! cold ones while probing strictly fewer index rows, and damaged
 //! snapshots degrade to a clean cold compile with a typed rejection —
 //! never a panic.
@@ -56,7 +56,7 @@ fn cached_session(capacity: usize) -> (Session, Arc<ReportCache>) {
 }
 
 // ---------------------------------------------------------------------------
-// Layer 1: the report cache, one entry per leaf selection.
+// Layer 1: the report cache, one entry per leaf-shape selection.
 
 #[test]
 fn repeat_compile_hits_and_returns_identical_program() {
@@ -138,15 +138,16 @@ fn eviction_respects_capacity() {
     assert_eq!(a2.report.cache, CacheOutcome::Hit);
     assert_eq!(cache.len(), 1);
 
-    // A program with more distinct leaves than the cache holds: entries
-    // are leaves, so one compile evicts within itself, never overfills,
-    // and its recompile still finds some leaves missing.
-    let (session, cache) = cached_session(4);
+    // A program with more leaf shapes than the cache holds (the unrolled
+    // conv1d has four): entries are shapes, so one compile evicts within
+    // itself, never overfills, and its recompile still finds some shapes
+    // missing.
+    let (session, cache) = cached_session(3);
     let unrolled = lower(&Conv1d { n: 512, k: 32 }.pipeline_tc_unrolled()).unwrap();
     for _ in 0..2 {
         let result = session.compile(&unrolled).unwrap();
         assert_eq!(result.report.cache, CacheOutcome::Miss);
-        assert_eq!(cache.len(), 4);
+        assert_eq!(cache.len(), 3);
     }
     assert!(cache.stats().evictions > 0);
 }
@@ -320,6 +321,49 @@ fn cached_compiles_select_what_uncached_ones_do() {
     }
 }
 
+/// A shape one program stored serves another program's leaves at other
+/// offsets: the unrolled conv1d at k = 128 has leaves the k = 64 kernel
+/// never had, which differ from its leaves only in base offsets, so once
+/// k = 64 is cached it runs no unit and selects what an uncached session
+/// does, in either batching mode.
+#[test]
+fn a_shape_stored_at_other_offsets_serves_a_hit() {
+    let text = |program: &Stmt| normalize_temps(&program.to_string());
+    let small = lower(&Conv1d { n: 256, k: 64 }.pipeline_tc_unrolled()).unwrap();
+    let large = lower(&Conv1d { n: 256, k: 128 }.pipeline_tc_unrolled()).unwrap();
+    for batching in [Batching::PerLeaf, Batching::Batched] {
+        let builder = || Session::builder().target_name("sim").batching(batching);
+        let uncached = builder().build().unwrap().compile(&large).unwrap();
+        let tracer = Tracer::new();
+        let session = (builder())
+            .report_cache(Arc::new(ReportCache::default()))
+            .tracer(tracer.clone())
+            .build()
+            .unwrap();
+        let first = session.compile(&small).unwrap();
+        assert_eq!(first.report.cache, CacheOutcome::Miss, "{batching:?}");
+        assert!(
+            compiled_leaves(&tracer) > 0,
+            "{batching:?}: nothing compiled"
+        );
+
+        let second = session.compile(&large).unwrap();
+        assert_eq!(second.report.cache, CacheOutcome::Hit, "{batching:?}");
+        assert_eq!(
+            compiled_leaves(&tracer),
+            0,
+            "{batching:?}: a hit ran a unit"
+        );
+        assert_eq!(
+            text(&second.program),
+            text(&uncached.program),
+            "{batching:?}"
+        );
+        assert_eq!(second.report.outcome, uncached.report.outcome);
+        assert_eq!(root_costs(&second.report), root_costs(&uncached.report));
+    }
+}
+
 /// Runs `program`, a compile of `lowered`, on the AMX matmul's inputs under
 /// `hb-exec` and returns its output.
 fn run_matmul(app: &AmxMatmul, lowered: &Lowered, program: &Stmt) -> Vec<f64> {
@@ -346,10 +390,9 @@ fn run_matmul(app: &AmxMatmul, lowered: &Lowered, program: &Stmt) -> Vec<f64> {
 }
 
 /// A program holding one leaf twice is served, once warm, from one stored
-/// selection: both copies splice the same statement, temporaries and all.
-/// Each temporary lives in its own `Allocate` scope, so the program still
-/// computes what the uncached one does — compared by outputs, because the
-/// shared temporary names make the texts differ.
+/// selection: each copy instantiates and materializes it on its own, so the
+/// warm program holds as many temporaries as the uncached one, reads the
+/// same text once they are renumbered, and computes the same output.
 #[test]
 fn a_leaf_repeated_in_one_program_is_served_from_one_selection() {
     // The standard layout needs a VNNI swizzle of B, which the selector
@@ -381,7 +424,9 @@ fn a_leaf_repeated_in_one_program_is_served_from_one_selection() {
         names.len()
     };
     assert!(temps(&text) > 0, "a temporary was materialized:\n{text}");
-    assert_eq!(2 * temps(&text), temps(&uncached.program.to_string()));
+    let uncached_text = uncached.program.to_string();
+    assert_eq!(temps(&text), temps(&uncached_text));
+    assert_eq!(normalize_temps(&text), normalize_temps(&uncached_text));
 
     let served = run_matmul(&app, &twice, &warm.program);
     assert_eq!(served, run_matmul(&app, &twice, &uncached.program));
@@ -482,13 +527,20 @@ fn warm_start_is_byte_identical_and_probes_fewer_rows() {
     assert!(cold.report.snapshot_restore.is_none());
 
     // ... while searching only the semi-naive delta of the new leaf. The
-    // cold run's first pass searches every rule in full, and no counter
-    // counts those rows: the warm run must run no full search at all.
+    // cold run's first pass searches every rule in full; the warm run runs
+    // no full search at all, and probes fewer rows in total — the rows its
+    // delta probes visit against the rows the cold run's full searches
+    // enumerate and its delta probes visit.
     let (cold_run, warm_run) = (cold.report.batch.unwrap(), warm.report.batch.unwrap());
     assert!(cold_run.full_searches > 0, "cold run must search in full");
     assert_eq!(warm_run.full_searches, 0, "warm run searched in full");
-    let (cold_probed, warm_probed) = (cold_run.delta_probed_rows, warm_run.delta_probed_rows);
-    assert!(cold_probed > 0, "cold run must probe rows");
+    assert_eq!(warm_run.full_probed_rows, 0, "warm run enumerated in full");
+    let total = |run: &RunReport| run.full_probed_rows + run.delta_probed_rows;
+    let (cold_probed, warm_probed) = (total(&cold_run), total(&warm_run));
+    assert!(
+        cold_run.full_probed_rows > 0,
+        "cold run must enumerate rows"
+    );
     assert!(
         warm_probed < cold_probed,
         "warm must probe strictly fewer rows ({warm_probed} vs {cold_probed})"
