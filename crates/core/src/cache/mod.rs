@@ -71,7 +71,8 @@
 //!
 //! The lookup takes every shape of a request under one lock acquisition,
 //! after annotation and grouping; the store takes every storable missed
-//! shape under one more (see `Session`'s "One path through a compile").
+//! shape under one more, each moving its root into its entry (see
+//! `Session`'s "One path through a compile").
 //!
 //! ## Eviction and observability
 //!

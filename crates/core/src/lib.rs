@@ -41,18 +41,21 @@
 //! 5. [`decode`] + [`postprocess`] splice the result (materializing
 //!    `ExprVar` swizzle buffers) back into the loop nest.
 //!
-//! A compile's leaves take one path: group every leaf by shape →
-//! report-cache lookup, one per shape → compile unit(s) over the missed
-//! shapes → instantiate each leaf → cache store → splice. Leaves that
-//! differ only in base-offset literals — the statements of an unrolled
-//! loop — share a *shape*: the leaf with those literals replaced by
-//! parameters, which the rules treat like loop variables. A unit saturates
-//! one root per shape; each leaf of the shape, whether its shape hit or was
-//! just selected, then gets the shape's term with its own literals
-//! substituted back and materializes on its own, byte-identical to what it
-//! selects alone. So the Fig. 6 conv1d's graph stays the same size as its
-//! unroll factor grows (108 e-nodes at k = 64 and at k = 512), and a shape
-//! the cache stored at one set of offsets serves every other.
+//! A compile's leaves take one path: one walk takes every leaf out of its
+//! tree, leaving a hole, and groups it by shape → report-cache lookup, one
+//! per shape → compile unit(s) over the missed shapes → instantiate each
+//! leaf → cache store → fill the holes. Leaves that differ only in
+//! base-offset literals — the statements of an unrolled loop — share a
+//! *shape*: the leaf with those literals replaced by parameters, which the
+//! rules treat like loop variables. The shape owns its first leaf as its
+//! root and keeps only the literals of the others, whose copies the walk
+//! drops, so a compile holds one leaf per shape, not one per leaf. A unit
+//! saturates one root per shape; each leaf of the shape, whether its shape
+//! hit or was just selected, then gets the shape's term with its own
+//! literals substituted back and materializes on its own, byte-identical
+//! to what it selects alone. So the Fig. 6 conv1d's graph stays the same
+//! size as its unroll factor grows (108 e-nodes at k = 64 and at k = 512),
+//! and a shape the cache stored at one set of offsets serves every other.
 //!
 //! [`Session::compile_suite`] batches entire suites: with
 //! [`Batching::Batched`], every leaf of every program shares one e-graph
@@ -94,7 +97,9 @@
 //! compile at a time — one context per worker, not per worker and target.
 //! A warmed session therefore compiles without rebuilding its tables:
 //! `tests/compile_allocs.rs` budgets the allocations of a steady-state
-//! compile (6.6 per encoded e-node on its set; 30.3 before the pool), and
+//! compile (5.7 per encoded e-node on its set; 30.3 before the pool),
+//! `tests/compile_peak.rs` its peak live bytes against the program it
+//! returns, and
 //! `tests/reuse.rs` pins that a reused context is invisible — programs,
 //! report counters and engine run reports equal those of fresh sessions,
 //! also after truncated, cancelled and panicked compiles.

@@ -1,8 +1,8 @@
-//! The one path every compile takes: the frame and its `Job`, which groups
-//! every leaf by shape, looks the shapes up in the report cache, runs the
-//! compile unit that touches an e-graph over the missed ones, instantiates
-//! each leaf from its shape's selection, stores the fresh shapes and
-//! splices; and the pooled contexts units run in.
+//! The one path every compile takes: the frame and its `Job`, which takes
+//! the leaves out and groups them by shape in one walk, looks the shapes up
+//! in the report cache, runs the compile unit that touches an e-graph over
+//! the missed ones, instantiates each leaf from its shape's selection,
+//! stores the fresh shapes and fills the holes; and the pooled contexts.
 
 use std::sync::Mutex;
 use std::time::Instant;
@@ -21,7 +21,7 @@ use crate::encode::encode_stmt;
 use crate::lang::HbGraph;
 use crate::movement::{annotate_in_place, collect_placements, Placements};
 use crate::postprocess::try_materialize_owned;
-use crate::shape::{group, instantiate, parametrize};
+use crate::shape::{instantiate, Grouping, Shape};
 
 /// Everything one compile unit — one leaf shape in [`Batching::PerLeaf`]
 /// mode, the shared graph of a call in [`Batching::Batched`] mode — builds,
@@ -109,28 +109,29 @@ impl Session {
         annotated
     }
 
-    /// The one path every entry point takes: annotate → collect leaves →
-    /// group them by shape → cache lookup → compile unit(s) over the missed
-    /// shapes → instantiate each leaf → cache store → splice → record, all
-    /// under one call-level [`Budget`]. Only a [`Job::Cached`] compile
-    /// consults or stores; the other jobs want the graph, not a memoized
-    /// answer, and count as bypasses.
+    /// The one path every entry point takes: annotate → take the leaves out
+    /// and group them by shape → cache lookup → compile unit(s) over the
+    /// missed shapes → instantiate each leaf → cache store → splice →
+    /// record, all under one call-level [`Budget`]. Only a [`Job::Cached`]
+    /// compile consults or stores; the other jobs want the graph, not a
+    /// memoized answer, and count as bypasses.
     ///
-    /// Every leaf is parametrized in place and grouped by shape
+    /// One walk takes every leaf out of the annotated trees, leaving a hole
+    /// at a recorded position, and groups it by shape on the spot
     /// ([`crate::shape`]): leaves that differ only in base offsets share one
-    /// root, the first one, and a leaf alone in its shape is a root all the
-    /// same. The lookup takes every shape of the
-    /// request at once, keyed by its root's content hash and the policy
-    /// fingerprint and verified against the stored root. A unit is one
-    /// missed shape in [`Batching::PerLeaf`] mode — its engine report lands
-    /// in the [`StmtReport::eqsat`] of the shape's first leaf — and every
-    /// missed shape of the call otherwise, the shared run landing in
+    /// owned root, the first one, and a later member's copy is dropped
+    /// there, so the frame holds one leaf per shape from then on. The lookup
+    /// takes every shape at once, keyed by its root's content hash and the
+    /// policy fingerprint and verified against the stored root. A unit is
+    /// one missed shape in [`Batching::PerLeaf`] mode — its engine report
+    /// lands in the [`StmtReport::eqsat`] of the shape's first leaf — and
+    /// every missed shape of the call otherwise, the shared run landing in
     /// [`CompileReport::batch`]; a root selects the same statement at the
     /// same cost whichever roots share its graph (the per-leaf ≡ batched
     /// oracle), so hits and fresh selections take one path from there: each
     /// member gets its shape's term with its own literals substituted,
-    /// materialized on its own. A request whose every shape hits runs no
-    /// unit at all.
+    /// materialized on its own, in its leaf's hole. A request whose every
+    /// shape hits runs no unit at all.
     pub(super) fn compile_frame(
         &self,
         programs: &[(&Stmt, &Placements)],
@@ -148,22 +149,20 @@ impl Session {
             .iter()
             .map(|(stmt, extra)| self.annotate(stmt, extra))
             .collect();
-        let literals = parametrize_leaves(&mut annotated);
-        let (leaves, leaf_counts) = collect_suite_leaves(&annotated);
-        annotate_span.attr("leaves", leaves.len());
-        report.stages.encode = annotate_span.finish();
+        let (shapes, holes, leaf_counts) = take_leaves(&mut annotated, self.fingerprint);
+        let leaves = holes.len();
+        annotate_span.attr("leaves", leaves);
 
         // A leaf-free request has nothing to look up or store: it counts as
         // the bypass it is. Neither does a fault-injected session's: an
         // injected engine fault would poison the cache for every later
         // (clean) compile of the same leaves.
-        let consulted = matches!(job, Job::Cached) && !leaves.is_empty();
+        let consulted = matches!(job, Job::Cached) && leaves > 0;
         let cache = self.cache.as_deref().filter(|_| consulted);
         #[cfg(feature = "fault-injection")]
         let cache = cache.filter(|_| self.runner.fault_plan.is_none());
-        let shapes = group(leaves.iter().copied().zip(literals), self.fingerprint);
         let mut selections = match cache {
-            Some(cache) => cache.lookup(shapes.iter().map(|s| (s.key, s.root))),
+            Some(cache) => cache.lookup(shapes.iter().map(|s| (s.key, &s.root))),
             None => vec![None; shapes.len()],
         };
         let missed: Vec<usize> = (0..shapes.len())
@@ -185,7 +184,8 @@ impl Session {
                 counter.inc();
             }
         }
-        if leaves.is_empty() {
+        report.stages.encode = annotate_span.finish();
+        if leaves == 0 {
             // Leaf-free programs never touch the rule set (nor build it).
             report.total_time = total_started.elapsed();
             if let Some(obs) = &self.obs {
@@ -206,7 +206,7 @@ impl Session {
             lowered: false,
             eqsat: RunReport::default(),
         };
-        report.stmts = vec![unfilled; leaves.len()];
+        report.stmts = vec![unfilled; leaves];
         if self.batching == Batching::PerLeaf && !matches!(job, Job::Warm(..)) {
             // Each shape a plain unit of its own, whose engine report goes
             // to its first leaf; per-leaf graphs are no suite graph, so an
@@ -214,13 +214,13 @@ impl Session {
             for &s in &missed {
                 let shape = &shapes[s];
                 let (run, selected) =
-                    self.run_unit(&[shape.root], budget.clone(), Job::Cached, &mut report);
+                    self.run_unit(&[&shape.root], budget.clone(), Job::Cached, &mut report);
                 saturated[s] = CompileOutcome::of_run(&run) == CompileOutcome::Saturated;
                 selections[s] = selected.into_iter().next();
                 report.stmts[shape.members[0].at].eqsat = run;
             }
         } else if !missed.is_empty() {
-            let roots: Vec<&Stmt> = missed.iter().map(|&s| shapes[s].root).collect();
+            let roots: Vec<&Stmt> = missed.iter().map(|&s| &shapes[s].root).collect();
             let (run, selected) = self.run_unit(&roots, budget, job, &mut report);
             let whole = CompileOutcome::of_run(&run) == CompileOutcome::Saturated;
             for (&s, selection) in missed.iter().zip(selected) {
@@ -233,11 +233,11 @@ impl Session {
         // Every member of every shape, hit or miss, gets a copy of the
         // shape's term with its own literals substituted, materialized on
         // its own (fresh `__hb_tmpN` names per leaf); each missed shape
-        // worth memoizing is stored, under one more lock.
+        // worth memoizing moves its root into the store, under one more lock.
         let splice_span = self.tracer.span("splice");
         let extraction = report.extraction.get_or_insert_with(Default::default);
-        extraction.root_costs = vec![None; leaves.len()];
-        let mut selected: Vec<Option<Stmt>> = vec![None; leaves.len()];
+        extraction.root_costs = vec![None; leaves];
+        let mut selected: Vec<Option<Stmt>> = vec![None; leaves];
         let mut stores = Vec::new();
         for ((shape, selection), saturated) in shapes.into_iter().zip(selections).zip(saturated) {
             let Selection { mut term, cost } = selection.expect("a unit selects every root");
@@ -271,7 +271,7 @@ impl Session {
             if !materialized_all {
                 report.outcome = report.outcome.worst(CompileOutcome::FallbackUnoptimized);
             } else if let Some(term) = kept {
-                stores.push((shape.key, shape.root.clone(), Selection { term, cost }));
+                stores.push((shape.key, shape.root, Selection { term, cost }));
             }
         }
         if let Some(cache) = cache.filter(|_| !stores.is_empty()) {
@@ -280,7 +280,7 @@ impl Session {
                 obs.cache_evictions.add(evicted);
             }
         }
-        splice_selected(&mut annotated, selected);
+        fill_holes(&mut annotated, &holes, selected);
         report.stages.splice = splice_span.finish();
         report.total_time = total_started.elapsed();
         if let Some(obs) = &self.obs {
@@ -377,60 +377,53 @@ impl Session {
     }
 }
 
-/// Turns every selection leaf of the annotated programs into its shape, in
-/// place ([`crate::shape`]), in the order pass 1 collects them: each leaf's
-/// literals. Every leaf is spliced over before the frame returns, so no
-/// parameter reaches a selected program.
-fn parametrize_leaves(annotated: &mut [Stmt]) -> Vec<Vec<i64>> {
-    let mut literals = Vec::new();
+/// Takes every selection leaf out of the annotated programs and groups it
+/// by shape as it goes ([`Grouping`]), in one bottom-up walk, which leaves
+/// an empty `Block` in its place: the shapes, each hole's position (its
+/// index among the statements the walk visits, over every tree) and
+/// per-program leaf counts.
+fn take_leaves(annotated: &mut [Stmt], fingerprint: u64) -> (Vec<Shape>, Vec<usize>, Vec<usize>) {
+    let mut grouping = Grouping::default();
+    let mut leaf_counts = Vec::with_capacity(annotated.len());
+    let (mut holes, mut visited) = (Vec::new(), 0);
     for tree in annotated {
+        let before = holes.len();
         tree.rewrite_stmts_in_place(&mut |s| {
-            if is_selection_leaf(s) {
-                literals.push(parametrize(s));
+            visited += 1;
+            let leaf = is_selection_leaf(s);
+            if leaf {
+                grouping.add(holes.len(), s.take(), fingerprint);
+                holes.push(visited);
             }
-            false
+            leaf
         });
+        leaf_counts.push(holes.len() - before);
     }
-    literals
+    (grouping.shapes, holes, leaf_counts)
 }
 
-/// Pass 1 of the pipeline: each annotated program's selection leaves, in
-/// traversal order and borrowed from the trees, plus per-program counts.
-/// `for_each_stmt` visits leaf statements in the same left-to-right order
-/// as the bottom-up rewrite used for splicing (leaves have no statement
-/// children).
-pub(super) fn collect_suite_leaves(annotated: &[Stmt]) -> (Vec<&Stmt>, Vec<usize>) {
-    let mut leaves: Vec<&Stmt> = Vec::new();
-    let mut leaf_counts: Vec<usize> = Vec::with_capacity(annotated.len());
-    for tree in annotated {
-        let before = leaves.len();
-        tree.for_each_stmt(&mut |s| {
-            if is_selection_leaf(s) {
-                leaves.push(s);
-            }
-        });
-        leaf_counts.push(leaves.len() - before);
-    }
-    (leaves, leaf_counts)
+/// The number of selection leaves of an annotated program.
+pub(super) fn count_leaves(annotated: &Stmt) -> usize {
+    let mut leaves = 0;
+    annotated.for_each_stmt(&mut |s| leaves += usize::from(is_selection_leaf(s)));
+    leaves
 }
 
-/// Pass 2 of the pipeline: move each selected statement over its leaf, in
-/// the same traversal order pass 1 collected them.
-fn splice_selected(annotated: &mut [Stmt], selected: Vec<Option<Stmt>>) {
-    let mut selected = selected.into_iter();
+/// Moves each selected statement into its leaf's hole, found by the
+/// position [`take_leaves`] recorded in the same walk, so a `Block` that
+/// was empty in the input stays as it is.
+fn fill_holes(annotated: &mut [Stmt], holes: &[usize], selected: Vec<Option<Stmt>>) {
+    let mut selected = holes.iter().zip(selected).peekable();
+    let mut visited = 0;
     for tree in annotated {
         tree.rewrite_stmts_in_place(&mut |s| {
-            if !is_selection_leaf(s) {
-                return false;
-            }
-            *s = selected
-                .next()
-                .flatten()
-                .expect("one selected statement per leaf");
-            true
+            visited += 1;
+            let hole = selected.next_if(|&(&at, _)| at == visited);
+            hole.map(|(_, stmt)| *s = stmt.expect("one selected statement per leaf"))
+                .is_some()
         });
     }
-    debug_assert!(selected.next().is_none(), "leaf traversal order diverged");
+    debug_assert!(selected.next().is_none(), "a hole was left unfilled");
 }
 
 /// Whether any expression of the statement tree moves data.

@@ -37,9 +37,10 @@
 //! selecting — honour a [`CancelToken`], export the saturated graph,
 //! warm-start from one — not in how they compile. Each is a few lines over
 //! one private frame that takes one `Job` — cached, export or warm, never
-//! two at once — and runs annotate → collect leaves → group them by shape
-//! → cache lookup (one per shape, cached jobs only) → unit(s) over the
-//! missed shapes → instantiate each leaf → cache store → splice → record.
+//! two at once — and runs annotate → take the leaves out and group them by
+//! shape in one walk → cache lookup (one per shape, cached jobs only) →
+//! unit(s) over the missed shapes → instantiate each leaf → cache store →
+//! fill the holes → record.
 //! A *unit* is the one function that touches an e-graph: encode its shape
 //! roots into a pooled context's graph, saturate it in one loop, export if
 //! its job says so, solve one

@@ -115,7 +115,9 @@ impl CompileOutcome {
 pub struct StageTimings {
     /// Front-end lowering (`IntoProgram::to_program`).
     pub lower: Duration,
-    /// Movement annotation + e-graph encoding.
+    /// Movement annotation, taking the leaves out and grouping them by
+    /// shape, the report-cache lookup and its hit / miss note (the frame's
+    /// `annotate` span), then e-graph encoding (each unit's `encode` span).
     pub encode: Duration,
     /// Equality saturation (the paper's Fig. 6 "egglog" series).
     pub saturate: Duration,

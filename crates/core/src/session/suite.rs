@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 use hb_egraph::schedule::{Budget, CancelToken, RunReport};
 use hb_ir::stmt::Stmt;
 
-use super::frame::{collect_suite_leaves, Job};
+use super::frame::{count_leaves, Job};
 use super::{
     CompileError, CompileOutcome, CompileReport, CompileResult, IntoProgram, IrSuiteResult,
     Program, Session, StageTimings, StmtReport, SuiteResult,
@@ -168,14 +168,13 @@ impl Session {
     fn fallback_unit(&self, stmt: &Stmt, placements: &Placements, cause: &str) -> CompileResult {
         let started = Instant::now();
         let annotated = self.annotate(stmt, placements);
-        let (_, leaf_counts) = collect_suite_leaves(std::slice::from_ref(&annotated));
         let unlowered = StmtReport {
             lowered: false,
             eqsat: RunReport::default(),
         };
         let report = CompileReport {
             target: self.target.name().to_string(),
-            stmts: vec![unlowered; leaf_counts[0]],
+            stmts: vec![unlowered; count_leaves(&annotated)],
             outcome: CompileOutcome::FallbackUnoptimized,
             notes: vec![format!(
                 "engine fault; spliced the unoptimized program: {cause}"

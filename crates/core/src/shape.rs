@@ -25,11 +25,13 @@
 //! the one the leaf selects on its own (`tests/shapes.rs` and the pool's
 //! program table pin it against history).
 //!
-//! The compile frame [`parametrize`]s *every* leaf in place and groups them
-//! with [`group`]: leaves whose parametrized forms are equal share one
-//! [`Shape`] whose root is that form — also a shape of one leaf, so there
-//! is no special case. A leaf that names a reserved parameter is left as
-//! it is: it is its own root. A shape's key is the content hash of its root
+//! The compile frame takes *every* leaf out of its tree and hands it to a
+//! [`Grouping`], which [`parametrize`]s it and keeps it as the root of a new
+//! [`Shape`] when no earlier leaf has its parametrized form — also a shape
+//! of one leaf, so there is no special case — or drops it on the spot when
+//! one has, keeping only its literals: from grouping on a compile holds one
+//! leaf per shape. A leaf that names a reserved parameter is left as it is:
+//! it is its own root. A shape's key is the content hash of its root
 //! chained with the policy fingerprint (`cache::leaf_key`), the one key both
 //! the grouping and the report cache use; equal keys group only equal
 //! roots, so a hash collision never groups leaves that differ. After
@@ -131,11 +133,11 @@ pub(crate) fn instantiate(stmt: &mut Stmt, values: &[i64]) {
 
 /// Leaves that select alike: the root their unit encodes and the cache
 /// keys, and each member.
-pub(crate) struct Shape<'a> {
+pub(crate) struct Shape {
     /// The root's content hash chained with the policy fingerprint.
     pub key: u64,
     /// The first member, [`parametrize`]d.
-    pub root: &'a Stmt,
+    pub root: Stmt,
     /// In leaf order.
     pub members: Vec<Member>,
 }
@@ -148,28 +150,32 @@ pub(crate) struct Member {
     pub values: Vec<i64>,
 }
 
-/// Groups [`parametrize`]d leaves, each with its literals, by shape: shapes
-/// in order of their first member, each keyed under the session's policy
-/// `fingerprint`.
-pub(crate) fn group<'a>(
-    leaves: impl IntoIterator<Item = (&'a Stmt, Vec<i64>)>,
-    fingerprint: u64,
-) -> Vec<Shape<'a>> {
-    let mut shapes: Vec<Shape<'a>> = Vec::new();
-    let mut by_key: HashMap<u64, usize> = HashMap::new();
-    for (at, (root, values)) in leaves.into_iter().enumerate() {
-        let key = leaf_key(root, fingerprint);
+/// Leaves grouped by shape as they come: shapes in order of their first
+/// member.
+#[derive(Default)]
+pub(crate) struct Grouping {
+    pub shapes: Vec<Shape>,
+    by_key: HashMap<u64, usize>,
+}
+
+impl Grouping {
+    /// [`parametrize`]s the leaf at position `at` and adds it to its shape,
+    /// keyed under the policy `fingerprint`: as the root of a new one, or,
+    /// when an earlier root equals it, as one more member whose copy is
+    /// dropped here.
+    pub(crate) fn add(&mut self, at: usize, mut leaf: Stmt, fingerprint: u64) {
+        let values = parametrize(&mut leaf);
+        let key = leaf_key(&leaf, fingerprint);
         let member = Member { at, values };
-        match by_key.get(&key) {
-            Some(&s) if shapes[s].root == root => shapes[s].members.push(member),
+        match self.by_key.get(&key) {
+            Some(&s) if self.shapes[s].root == leaf => self.shapes[s].members.push(member),
             _ => {
-                by_key.entry(key).or_insert(shapes.len());
-                let members = vec![member];
-                shapes.push(Shape { key, root, members });
+                self.by_key.entry(key).or_insert(self.shapes.len());
+                let (root, members) = (leaf, vec![member]);
+                self.shapes.push(Shape { key, root, members });
             }
         }
     }
-    shapes
 }
 
 #[cfg(test)]
@@ -190,26 +196,18 @@ mod tests {
         mul(var("out__xo"), int(256))
     }
 
-    /// Each leaf parametrized, with its literals.
-    fn parametrized(leaves: &[Stmt]) -> Vec<(Stmt, Vec<i64>)> {
-        let one = |leaf: &Stmt| {
-            let mut shape = leaf.clone();
-            let values = parametrize(&mut shape);
-            (shape, values)
-        };
-        leaves.iter().map(one).collect()
-    }
-
-    fn group_all(leaves: &[(Stmt, Vec<i64>)]) -> Vec<Shape<'_>> {
-        group(leaves.iter().map(|(s, v)| (s, v.clone())), 0)
+    /// The leaves grouped by shape.
+    fn group_all(leaves: &[Stmt]) -> Vec<Shape> {
+        let mut grouping = Grouping::default();
+        for (at, leaf) in leaves.iter().enumerate() {
+            grouping.add(at, leaf.clone(), 0);
+        }
+        grouping.shapes
     }
 
     fn shapes_of(leaves: &[Stmt]) -> Vec<Vec<usize>> {
         let members = |s: &Shape| s.members.iter().map(|m| m.at).collect();
-        group_all(&parametrized(leaves))
-            .iter()
-            .map(members)
-            .collect()
+        group_all(leaves).iter().map(members).collect()
     }
 
     #[test]
@@ -217,8 +215,7 @@ mod tests {
         let leaves: Vec<Stmt> = [8, 16, 24]
             .map(|off| leaf_at(add(xo(), int(off)), 1, 8))
             .into();
-        let shaped = parametrized(&leaves);
-        let shapes = group_all(&shaped);
+        let shapes = group_all(&leaves);
         assert_eq!(shapes.len(), 1);
         let shape = &shapes[0];
         for member in &shape.members {
@@ -229,7 +226,7 @@ mod tests {
         // Literal bases group too, and equal values share a parameter.
         let bare = [8, 16].map(|off| leaf_at(int(off), 1, 8));
         assert_eq!(shapes_of(&bare), [vec![0, 1]]);
-        assert_eq!(group_all(&parametrized(&bare))[0].members[1].values, [16]);
+        assert_eq!(group_all(&bare)[0].members[1].values, [16]);
     }
 
     #[test]
@@ -275,11 +272,8 @@ mod tests {
         let named = |off| leaf_at(add(add(var("__hb_param0"), xo()), int(off)), 1, 8);
         let leaves = [named(8), named(16)];
         assert_eq!(shapes_of(&leaves), [vec![0], vec![1]]);
-        let shaped = parametrized(&leaves);
-        assert_eq!(
-            shaped[0],
-            (leaves[0].clone(), vec![]),
-            "a reserved leaf moved"
-        );
+        let mut shaped = leaves[0].clone();
+        assert_eq!(parametrize(&mut shaped), [], "a reserved leaf got literals");
+        assert_eq!(shaped, leaves[0], "a reserved leaf moved");
     }
 }

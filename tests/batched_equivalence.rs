@@ -241,3 +241,68 @@ fn every_compile_shape_runs_the_same_unit() {
         }
     }
 }
+
+/// Every `Block` of `s` with an empty `Block` after each of its statements.
+fn with_empty_blocks(s: &Stmt) -> Stmt {
+    s.rewrite_stmts_bottom_up(&mut |s| match s {
+        Stmt::Block(stmts) => Some(Stmt::Block(
+            (stmts.iter())
+                .flat_map(|s| [s.clone(), Stmt::Block(Vec::new())])
+                .collect(),
+        )),
+        _ => None,
+    })
+}
+
+fn empty_blocks(s: &Stmt) -> usize {
+    let mut n = 0;
+    s.for_each_stmt(&mut |s| n += usize::from(matches!(s, Stmt::Block(b) if b.is_empty())));
+    n
+}
+
+/// The FNV-1a hashes of the two normalized programs of
+/// [`empty_blocks_beside_leaves_survive_the_splice`]'s suite, per-leaf and
+/// batched alike. An empty `Block` prints as nothing, so the first equals
+/// the plain program's hash in `tests/shapes.rs`.
+const HOLEY_SUITE: [u64; 2] = [0x30cd_9c5f_5500_cf09, 0x8558_343c_3a55_ae91];
+
+#[test]
+fn empty_blocks_beside_leaves_survive_the_splice() {
+    // The frame takes every leaf out of its tree, leaving an empty `Block`,
+    // and fills those holes after selection. An empty `Block` the program
+    // already held sits beside the leaves of an unrolled conv1d here, in a
+    // suite with a second program: both must come out as they did when the
+    // frame found its leaves by their data movement instead (the hashes
+    // and counts below were recorded then), with every input empty block
+    // still in place.
+    let mut holey = lower(&Conv1d { n: 512, k: 64 }.pipeline_tc_unrolled()).unwrap();
+    holey.stmt = with_empty_blocks(&holey.stmt);
+    let gemm = GemmWmma {
+        m: 32,
+        k: 32,
+        n: 32,
+    };
+    let plain = lower(&gemm.pipeline(true)).unwrap();
+    let inputs = [holey, plain];
+    let input_blocks = empty_blocks(&inputs[0].stmt);
+    assert!(input_blocks > 10, "the program holds empty blocks");
+    for batching in [Batching::PerLeaf, Batching::Batched] {
+        let suite = session(batching).compile_suite(&inputs).unwrap();
+        let programs = suite.programs().unwrap();
+        let leaves: Vec<usize> = (suite.results.iter())
+            .map(|r| r.as_ref().unwrap().report.num_statements())
+            .collect();
+        assert_eq!(leaves, [10, 3], "{batching:?}: leaf counts");
+        assert_eq!(empty_blocks(programs[0]), input_blocks, "{batching:?}");
+        let hashes: Vec<u64> = (programs.iter())
+            .map(|p| fnv1a(&normalize_temps(&p.to_string())))
+            .collect();
+        assert_eq!(hashes, HOLEY_SUITE, "{batching:?}: a program moved");
+    }
+}
+
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}

@@ -132,8 +132,9 @@ fn encoded_nodes(lowered: &Lowered, batching: Batching) -> usize {
     nodes + shared.num_nodes()
 }
 
-/// Allocations per encoded e-node the whole set may average: measured
-/// 6.04 (2 408 allocations for 399 nodes), plus 10%. History on this set:
+/// Allocations per encoded e-node the whole set may average: 5.17 (2 061
+/// allocations for 399 nodes, the reading it was set at), plus 10%.
+/// History on this set:
 /// 30.28 (12 082) with per-compile tables, 9.47 (3 780) when the context
 /// pool landed and nodes still carried a `String` and a `Vec<Id>`, 7.29
 /// (2 909) with interned names and boxed call arguments in the e-nodes,
@@ -141,8 +142,10 @@ fn encoded_nodes(lowered: &Lowered, batching: Batching) -> usize {
 /// (2 484) with one supporting rule, 6.20 (2 473) once saturation ran in
 /// one loop and a unit stopped allocating the supporting phase's rule
 /// states, 5.73 (2 287) once a compile saturated one leaf per shape (the
-/// budget was left where the 6.04 reading put it).
-const BUDGET_PER_NODE: f64 = 6.6;
+/// budget was left where a 6.04 reading put it), 5.17 (2 061) once every
+/// leaf was parametrized in place, 5.15 (2 055) once one walk took the
+/// leaves out and grouped them.
+const BUDGET_PER_NODE: f64 = 5.7;
 
 #[test]
 fn a_warmed_compile_stays_within_its_allocation_budget() {

@@ -16,12 +16,34 @@
 //!   the scalar reference.
 //! * **Fig. 6 is flat** — the batched graph of an unrolled conv1d does not
 //!   grow with the unroll factor.
+//! * **unshaped reference** — every leaf of the selector pool, the `hb-apps`
+//!   applications and the unrolled ladder selects what it selects when
+//!   saturated alone and never parametrized, through public API only
+//!   (encode → saturate → extract → decode → materialize), under every
+//!   target and both batching modes, with and without a report cache. The
+//!   history table pins shapes against themselves; this pins the parameter
+//!   rule against the plain selection it must not change.
+
+use std::collections::HashMap;
+use std::sync::Arc;
 
 use hardboiled_repro::apps::conv1d::Conv1d;
+use hardboiled_repro::apps::conv2d::Conv2d;
+use hardboiled_repro::apps::gemm_wmma::GemmWmma;
 use hardboiled_repro::apps::harness::{compile_and_run_with, max_rel_error};
-use hardboiled_repro::hardboiled::postprocess::normalize_temps;
-use hardboiled_repro::hardboiled::{Batching, Session};
-use hardboiled_repro::lang::lower::lower;
+use hardboiled_repro::apps::matmul_amx::{AmxMatmul, Layout, Variant};
+use hardboiled_repro::apps::resample_int::{Downsample, Upsample};
+use hardboiled_repro::egraph::extract::WorklistExtractor;
+use hardboiled_repro::egraph::schedule::{Budget, Runner};
+use hardboiled_repro::hardboiled::decode::decode_stmt;
+use hardboiled_repro::hardboiled::encode::encode_stmt;
+use hardboiled_repro::hardboiled::movement::{annotate_stmt, collect_placements};
+use hardboiled_repro::hardboiled::postprocess::{normalize_temps, try_materialize_owned};
+use hardboiled_repro::hardboiled::rules::RuleSet;
+use hardboiled_repro::hardboiled::{Batching, DeviceCost, HbGraph, ReportCache, Session};
+use hardboiled_repro::ir::expr::Expr;
+use hardboiled_repro::ir::stmt::Stmt;
+use hardboiled_repro::lang::lower::{lower, Lowered};
 
 /// The targets [`PROGRAMS`] pins, in column order.
 const TARGETS: [&str; 3] = ["sim", "amx", "wmma"];
@@ -144,4 +166,130 @@ fn the_batched_graph_does_not_grow_with_the_unroll_factor() {
     let ((small_leaves, small), (large_leaves, large)) = (compile(64), compile(512));
     assert_eq!((small_leaves, large_leaves), (10, 66));
     assert_eq!(small, large, "the graph grew with k");
+}
+
+/// Whether the annotated statement is a leaf a session saturates: a
+/// `Store` / `Evaluate` that moves data.
+fn is_selection_leaf(s: &Stmt) -> bool {
+    let mut moves = false;
+    s.for_each_expr(&mut |e| moves |= matches!(e, Expr::LocToLoc { .. }));
+    moves && matches!(s, Stmt::Store { .. } | Stmt::Evaluate(_))
+}
+
+/// What `session` selects for `lowered` when every leaf is saturated in a
+/// graph of its own, as it is, and never parametrized: the annotated
+/// program with each leaf replaced by its plain selection. `memo` holds
+/// the selections already made under this session's target, by leaf.
+fn unshaped(session: &Session, lowered: &Lowered, memo: &mut HashMap<String, Stmt>) -> Stmt {
+    let target = session.target();
+    let mut placements = collect_placements(&lowered.stmt);
+    placements.extend(lowered.placements.iter().map(|(k, v)| (k.clone(), *v)));
+    placements.retain(|_, m| target.supports(*m));
+    let rules = RuleSet::for_profile(target.rule_profile());
+    let cost = DeviceCost::from_profile(target.device());
+    // A session's runner: eight passes, the per-leaf node limit.
+    let runner = Runner::new(8, 200_000);
+    let select = |leaf: &Stmt| {
+        let mut graph = HbGraph::default();
+        let root = encode_stmt(&mut graph, leaf);
+        runner.run_to_fixpoint(&mut graph, &rules.main, Budget::none());
+        let extractor = WorklistExtractor::new(&graph, cost);
+        let term = extractor.cost_of(root).map(|_| extractor.extract(root));
+        let decoded = term.and_then(|t| decode_stmt(&t).ok());
+        let materialized = decoded.and_then(|d| try_materialize_owned(d).ok());
+        materialized.unwrap_or_else(|| leaf.clone())
+    };
+    let annotated = annotate_stmt(&lowered.stmt, &placements);
+    annotated.rewrite_stmts_bottom_up(&mut |s| {
+        is_selection_leaf(s).then(|| {
+            let key = format!("{s:?}");
+            memo.entry(key).or_insert_with(|| select(s)).clone()
+        })
+    })
+}
+
+/// The selector pool, the `hb-apps` applications and the unrolled ladder.
+fn reference_inputs() -> Vec<(String, Lowered)> {
+    let pool = hb_bench::workloads::workloads();
+    let mut inputs: Vec<(String, Lowered)> = (pool.into_iter())
+        .map(|w| (w.name.to_string(), w.lowered))
+        .collect();
+    let conv2d = Conv2d {
+        width: 256,
+        height: 64,
+        kw: 8,
+        kh: 3,
+    };
+    let gemm = GemmWmma {
+        m: 32,
+        k: 48,
+        n: 64,
+    };
+    let mut apps = vec![
+        ("conv1d".to_string(), Conv1d { n: 512, k: 8 }.pipeline(true)),
+        ("conv2d".to_string(), conv2d.pipeline(true)),
+        ("gemm_wmma".to_string(), gemm.pipeline(true)),
+        (
+            "downsample".to_string(),
+            Downsample { n: 128, k: 16 }.pipeline(true),
+        ),
+        (
+            "upsample".to_string(),
+            Upsample { n: 256, taps: 8 }.pipeline(true),
+        ),
+    ];
+    for layout in [Layout::Standard, Layout::Vnni] {
+        for variant in Variant::all() {
+            if let Ok(p) = AmxMatmul::default().pipeline(layout, variant) {
+                apps.push((format!("amx_{layout:?}_{variant:?}"), p));
+            }
+        }
+    }
+    apps.extend(
+        programs()
+            .iter()
+            .map(|app| (name(app), app.pipeline_tc_unrolled())),
+    );
+    for (name, pipeline) in apps {
+        let lowered = lower(&pipeline).unwrap_or_else(|e| panic!("{name}: {e}"));
+        inputs.push((name, lowered));
+    }
+    inputs
+}
+
+#[test]
+fn every_leaf_selects_as_it_does_unshaped() {
+    let inputs = reference_inputs();
+    for target in TARGETS {
+        let mut memo = HashMap::new();
+        // (label, session), the cached ones sharing one cache per mode, so
+        // a shape one program stores serves the next ones.
+        let mut sessions = Vec::new();
+        for batching in [Batching::PerLeaf, Batching::Batched] {
+            sessions.push((format!("{batching:?}"), session(target, batching)));
+            let cached = Session::builder()
+                .target_name(target)
+                .batching(batching)
+                .report_cache(Arc::new(ReportCache::new(1024)))
+                .build()
+                .expect("valid session");
+            sessions.push((format!("{batching:?} cached"), cached));
+        }
+        for (name, lowered) in &inputs {
+            let want = normalize_temps(&unshaped(&sessions[0].1, lowered, &mut memo).to_string());
+            for (label, session) in &sessions {
+                // A cached session compiles twice: its shapes miss or hit
+                // across programs, then every one of them hits.
+                let passes = if label.ends_with("cached") { 2 } else { 1 };
+                for _ in 0..passes {
+                    let got = session.compile(lowered).expect("a pool program compiles");
+                    let got = normalize_temps(&got.program.to_string());
+                    assert_eq!(
+                        got, want,
+                        "{target} {label}: {name} selects otherwise unshaped"
+                    );
+                }
+            }
+        }
+    }
 }
