@@ -107,8 +107,11 @@
 //! Two rules bound what the pool holds. *Discard on panic:* the unit runs
 //! between the pop and the push, so a panic unwinds past the push and
 //! drops the context it was working in — a half-rewritten graph is never
-//! cleared and reused; the session's `catch_unwind` ladder then degrades
-//! that compile as before, and the next one starts from a fresh context.
+//! cleared and reused; the frame's `catch_unwind` around its units then
+//! degrades that compile to the unoptimized program (no later unit runs,
+//! every leaf gets its annotated original back), a panic outside any unit
+//! becomes the request's `CompileError::Engine` one level up, and the next
+//! compile starts from a fresh context.
 //! *Retention bound:* a context whose unit made more than 4 096 e-class
 //! ids (`MAX_RETAINED_IDS`) is dropped instead of pooled — the smallest
 //! power of two above every graph the benchmark built before leaves were

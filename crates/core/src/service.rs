@@ -77,7 +77,8 @@
 //! ## Request isolation
 //!
 //! Each request runs under its own `catch_unwind`, on top of the
-//! session's internal two-layer isolation (see
+//! session's own two layers — engine faults per compile unit, any other
+//! panic per request (see
 //! [`crate::session`]): a panic anywhere in one request — including in
 //! the front end's conversion ([`IntoProgram::into_program`]: a worker
 //! owns the source it was queued with), which runs *before* the

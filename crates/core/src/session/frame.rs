@@ -4,6 +4,7 @@
 //! the missed ones, instantiates each leaf from its shape's selection,
 //! stores the fresh shapes and fills the holes; and the pooled contexts.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -14,7 +15,9 @@ use hb_egraph::unionfind::Id;
 use hb_ir::expr::Expr;
 use hb_ir::stmt::Stmt;
 
-use super::{Batching, CompileOutcome, CompileReport, IrSuiteResult, Session, StmtReport};
+use super::{
+    panic_message, Batching, CompileOutcome, CompileReport, IrSuiteResult, Session, StmtReport,
+};
 use crate::cache::{CacheOutcome, Selection, SuiteSnapshot};
 use crate::decode::decode_stmt;
 use crate::encode::encode_stmt;
@@ -95,18 +98,14 @@ impl Session {
     }
 
     /// Applies the target's placement policy and annotates data movements
-    /// (the shared front half of both batching modes).
-    pub(super) fn annotate(&self, stmt: &Stmt, extra_placements: &Placements) -> Stmt {
+    /// in place (the shared front half of both batching modes).
+    fn annotate(&self, stmt: &mut Stmt, extra_placements: &Placements) {
         let mut placements = collect_placements(stmt);
-        for (k, v) in extra_placements {
-            placements.insert(k.clone(), *v);
-        }
+        placements.extend(extra_placements.iter().map(|(k, v)| (k.clone(), *v)));
         // Placement policy: placements the target cannot honor are
         // ignored; the affected statements keep their vector code.
         placements.retain(|_, m| self.target.supports(*m));
-        let mut annotated = stmt.clone();
-        annotate_in_place(&mut annotated, &placements);
-        annotated
+        annotate_in_place(stmt, &placements);
     }
 
     /// The one path every entry point takes: annotate → take the leaves out
@@ -132,9 +131,16 @@ impl Session {
     /// member gets its shape's term with its own literals substituted,
     /// materialized on its own, in its leaf's hole. A request whose every
     /// shape hits runs no unit at all.
+    ///
+    /// The frame owns the programs it compiles and annotates them in place.
+    /// After an engine fault no later unit runs and every leaf gets its
+    /// original back, as a leaf with no term does: the annotated input,
+    /// [`CompileOutcome::FallbackUnoptimized`], an "engine fault" note and
+    /// no engine or extraction report, stored and counted nowhere
+    /// ([`IrSuiteResult::faulted`] has the caller count or retry it).
     pub(super) fn compile_frame(
         &self,
-        programs: &[(&Stmt, &Placements)],
+        programs: Vec<(Stmt, &Placements)>,
         budget: Budget,
         job: Job<'_>,
     ) -> IrSuiteResult {
@@ -145,10 +151,11 @@ impl Session {
         };
 
         let mut annotate_span = self.tracer.span("annotate");
-        let mut annotated: Vec<Stmt> = programs
-            .iter()
-            .map(|(stmt, extra)| self.annotate(stmt, extra))
-            .collect();
+        let mut annotated = Vec::with_capacity(programs.len());
+        for (mut stmt, extra) in programs {
+            self.annotate(&mut stmt, extra);
+            annotated.push(stmt);
+        }
         let (shapes, holes, leaf_counts) = take_leaves(&mut annotated, self.fingerprint);
         let leaves = holes.len();
         annotate_span.attr("leaves", leaves);
@@ -195,6 +202,7 @@ impl Session {
                 programs: annotated,
                 report,
                 leaf_counts,
+                faulted: false,
             };
         }
 
@@ -202,32 +210,38 @@ impl Session {
         // stored, so one truncated unit never blocks its neighbours' stores
         // (a hit is already stored).
         let mut saturated = vec![false; shapes.len()];
-        let unfilled = StmtReport {
-            lowered: false,
-            eqsat: RunReport::default(),
-        };
-        report.stmts = vec![unfilled; leaves];
-        if self.batching == Batching::PerLeaf && !matches!(job, Job::Warm(..)) {
-            // Each shape a plain unit of its own, whose engine report goes
-            // to its first leaf; per-leaf graphs are no suite graph, so an
-            // export's slot stays empty.
-            for &s in &missed {
-                let shape = &shapes[s];
-                let (run, selected) =
-                    self.run_unit(&[&shape.root], budget.clone(), Job::Cached, &mut report);
-                saturated[s] = CompileOutcome::of_run(&run) == CompileOutcome::Saturated;
-                selections[s] = selected.into_iter().next();
-                report.stmts[shape.members[0].at].eqsat = run;
+        report.stmts = vec![StmtReport::default(); leaves];
+        // Engine faults are caught here, around the units: a panic drops
+        // the unit's context and runs no later unit.
+        let units = catch_unwind(AssertUnwindSafe(|| {
+            if self.batching == Batching::PerLeaf && !matches!(job, Job::Warm(..)) {
+                // Each shape a plain unit of its own, whose engine report
+                // goes to its first leaf; per-leaf graphs are no suite
+                // graph, so an export's slot stays empty.
+                for &s in &missed {
+                    let shape = &shapes[s];
+                    let (run, selected) =
+                        self.run_unit(&[&shape.root], budget.clone(), Job::Cached, &mut report);
+                    saturated[s] = CompileOutcome::of_run(&run) == CompileOutcome::Saturated;
+                    selections[s] = selected.into_iter().next();
+                    report.stmts[shape.members[0].at].eqsat = run;
+                }
+            } else if !missed.is_empty() {
+                let roots: Vec<&Stmt> = missed.iter().map(|&s| &shapes[s].root).collect();
+                let (run, selected) = self.run_unit(&roots, budget, job, &mut report);
+                let whole = CompileOutcome::of_run(&run) == CompileOutcome::Saturated;
+                for (&s, selection) in missed.iter().zip(selected) {
+                    saturated[s] = whole;
+                    selections[s] = Some(selection);
+                }
+                report.batch = Some(run);
             }
-        } else if !missed.is_empty() {
-            let roots: Vec<&Stmt> = missed.iter().map(|&s| &shapes[s].root).collect();
-            let (run, selected) = self.run_unit(&roots, budget, job, &mut report);
-            let whole = CompileOutcome::of_run(&run) == CompileOutcome::Saturated;
-            for (&s, selection) in missed.iter().zip(selected) {
-                saturated[s] = whole;
-                selections[s] = Some(selection);
-            }
-            report.batch = Some(run);
+        }));
+        let fault = units.err().map(|payload| panic_message(&*payload));
+        if fault.is_some() {
+            // Hits and earlier units' shapes too: none materializes or stores.
+            selections.fill(None);
+            report.stmts.fill(StmtReport::default());
         }
 
         // Every member of every shape, hit or miss, gets a copy of the
@@ -240,9 +254,12 @@ impl Session {
         let mut selected: Vec<Option<Stmt>> = vec![None; leaves];
         let mut stores = Vec::new();
         for ((shape, selection), saturated) in shapes.into_iter().zip(selections).zip(saturated) {
-            let Selection { mut term, cost } = selection.expect("a unit selects every root");
+            let (mut term, cost) = selection.map_or((None, None), |s| (s.term, s.cost));
             let kept = (cache.is_some() && saturated).then(|| term.clone());
             let mut materialized_all = true;
+            // Instantiating moves no data, so whether a leaf lowered is read
+            // once per shape, off its first member that materialized.
+            let mut lowered = None;
             let last = shape.members.len() - 1;
             for (j, member) in shape.members.iter().enumerate() {
                 // The last member takes the term, the others a copy.
@@ -250,21 +267,23 @@ impl Session {
                 if let Some(stmt) = stmt.as_mut().filter(|_| !member.values.is_empty()) {
                     instantiate(stmt, &member.values);
                 }
-                // A root with no constructible term (possible only for
-                // custom pipelines encoding cyclic-only classes), an
-                // undecodable term and a malformed materialization keep the
-                // original (annotated, unoptimized) leaf, the root
-                // instantiated, and demote the compile. The original has no
-                // `__expr_var` markers, so materializing it would be an
-                // identity.
+                // A faulted unit, a root with no constructible term
+                // (possible only for custom pipelines encoding cyclic-only
+                // classes), an undecodable term and a malformed
+                // materialization keep the original (annotated,
+                // unoptimized) leaf, the root instantiated, and demote the
+                // compile. The original has no `__expr_var` markers, so
+                // materializing it would be an identity.
                 let materialized = stmt.and_then(|s| try_materialize_owned(s).ok());
                 materialized_all &= materialized.is_some();
+                report.stmts[member.at].lowered = materialized
+                    .as_ref()
+                    .is_some_and(|stmt| *lowered.get_or_insert_with(|| !stmt_has_movement(stmt)));
                 let stmt = materialized.unwrap_or_else(|| {
                     let mut leaf = shape.root.clone();
                     instantiate(&mut leaf, &member.values);
                     leaf
                 });
-                report.stmts[member.at].lowered = !stmt_has_movement(&stmt);
                 extraction.root_costs[member.at] = cost;
                 selected[member.at] = Some(stmt);
             }
@@ -283,7 +302,11 @@ impl Session {
         fill_holes(&mut annotated, &holes, selected);
         report.stages.splice = splice_span.finish();
         report.total_time = total_started.elapsed();
-        if let Some(obs) = &self.obs {
+        if let Some(cause) = &fault {
+            report.extraction = None;
+            let note = format!("engine fault; spliced the unoptimized program: {cause}");
+            report.notes.push(note);
+        } else if let Some(obs) = &self.obs {
             // Stage histograms describe compiles that ran a unit; a request
             // the cache answered counts only its outcome rung.
             if missed.is_empty() {
@@ -296,6 +319,15 @@ impl Session {
             programs: annotated,
             report,
             leaf_counts,
+            faulted: fault.is_some(),
+        }
+    }
+
+    /// Counts a faulted frame on the fallback rung, which the frame leaves to
+    /// its caller: a suite retries a faulted shared run instead.
+    pub(super) fn record_fault(&self, compiled: &IrSuiteResult) {
+        if let Some(obs) = self.obs.as_ref().filter(|_| compiled.faulted) {
+            obs.record_outcome(CompileOutcome::FallbackUnoptimized);
         }
     }
 
@@ -400,13 +432,6 @@ fn take_leaves(annotated: &mut [Stmt], fingerprint: u64) -> (Vec<Shape>, Vec<usi
         leaf_counts.push(holes.len() - before);
     }
     (grouping.shapes, holes, leaf_counts)
-}
-
-/// The number of selection leaves of an annotated program.
-pub(super) fn count_leaves(annotated: &Stmt) -> usize {
-    let mut leaves = 0;
-    annotated.for_each_stmt(&mut |s| leaves += usize::from(is_selection_leaf(s)));
-    leaves
 }
 
 /// Moves each selected statement into its leaf's hole, found by the

@@ -33,7 +33,7 @@
 //! ## One path through a compile, one file per decision
 //!
 //! The seven `compile*` methods differ in what they accept (one source, a
-//! suite, IR), in whether they isolate panics, and in what they do besides
+//! suite, IR), in how they isolate panics, and in what they do besides
 //! selecting — honour a [`CancelToken`], export the saturated graph,
 //! warm-start from one — not in how they compile. Each is a few lines over
 //! one private frame that takes one `Job` — cached, export or warm, never
@@ -58,10 +58,10 @@
 //!   [`CompileOutcome`] ladder, [`CompileReport`] and its parts, and
 //!   [`CompileResult`], [`SuiteResult`] and [`IrSuiteResult`];
 //! * `frame.rs` — the frame, its `Job`, the per-shape cache lookup and
-//!   store, the unit, and the pooled compile contexts;
-//! * `suite.rs` — fault isolation: the suite's isolated fallback path,
-//!   the two `catch_unwind` layers around one program and the unoptimized
-//!   rung they degrade to;
+//!   store, the units with the engine-fault fallback around them, and the
+//!   pooled compile contexts;
+//! * `suite.rs` — the suite's per-program retry path and the request-level
+//!   `catch_unwind` around one program;
 //! * `warm.rs` — the snapshot path, the one file that restores a graph.
 //!
 //! ## Thread safety and service ownership
@@ -422,17 +422,16 @@ impl Session {
         }
     }
 
-    /// Compiles one program through the full pipeline, panic-isolated:
-    /// an engine panic degrades to the unoptimized lowered fallback
-    /// ([`CompileOutcome::FallbackUnoptimized`]) rather than propagating,
-    /// so `compile` is total for any lowerable input.
+    /// Compiles one program through the full pipeline, which owns it and
+    /// copies none of it: an engine panic in a compile unit degrades to the
+    /// annotated, unoptimized program
+    /// ([`CompileOutcome::FallbackUnoptimized`]) rather than propagating.
     ///
     /// # Errors
     ///
     /// Returns [`CompileError::Lower`] when the front end fails (IR-level
     /// sources — [`Stmt`], [`Program`] — never do) and
-    /// [`CompileError::Engine`] only when the fallback path itself
-    /// panics.
+    /// [`CompileError::Engine`] for a panic outside any unit.
     pub fn compile<S: IntoProgram + ?Sized>(
         &self,
         source: &S,
@@ -518,12 +517,20 @@ impl Session {
         self.compile_suite_with_cancel(sources, Some(cancel))
     }
 
-    /// IR-level suite entry point (infallible, no isolation wrapping; an
-    /// empty suite compiles to an empty result).
+    /// IR-level suite entry point over copies of the borrowed programs (an
+    /// empty suite compiles to an empty result). An engine fault degrades
+    /// it as [`Session::compile`]; a panic outside a unit propagates.
     #[must_use]
     pub fn compile_ir_suite(&self, programs: &[(&Stmt, &Placements)]) -> IrSuiteResult {
-        self.compile_frame(programs, self.request_budget(None), Job::Cached)
+        let compiled = self.compile_frame(owned(programs), self.request_budget(None), Job::Cached);
+        self.record_fault(&compiled);
+        compiled
     }
+}
+
+/// A copy of each borrowed program, for the frame to own.
+fn owned<'a>(programs: &[(&Stmt, &'a Placements)]) -> Vec<(Stmt, &'a Placements)> {
+    programs.iter().map(|&(s, p)| (s.clone(), p)).collect()
 }
 
 #[cfg(test)]

@@ -16,10 +16,10 @@ pub enum CompileError {
     Lower(String),
     /// `compile_suite` was called with no programs.
     EmptySuite,
-    /// The engine panicked and the panic could not be absorbed by the
-    /// unoptimized fallback (a second panic inside the isolation unit).
-    /// In `compile_suite` the error is confined to the offending program;
-    /// the rest of the suite still compiles.
+    /// A panic outside a compile unit — in annotation, shape grouping, the
+    /// cache or the splice — which the per-unit unoptimized fallback does
+    /// not cover. In `compile_suite` the error is confined to the offending
+    /// program; the rest of the suite still compiles.
     Engine(String),
 }
 
@@ -159,7 +159,7 @@ impl ExtractionReport {
 }
 
 /// Outcome for one selection leaf.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct StmtReport {
     /// Whether all data movements were absorbed into intrinsics.
     pub lowered: bool,
@@ -286,14 +286,7 @@ pub struct IrSuiteResult {
     /// Each program's leaf count, so the suite entry points can slice the
     /// concatenated statement reports per program.
     pub(crate) leaf_counts: Vec<usize>,
-}
-
-impl IrSuiteResult {
-    /// The result of a one-program request.
-    pub(super) fn into_single(mut self) -> CompileResult {
-        CompileResult {
-            program: (self.programs.pop()).expect("one program in, one program out"),
-            report: self.report,
-        }
-    }
+    /// Whether a compile unit panicked: every program is its annotated input
+    /// and no outcome was recorded, so a suite can retry it per program.
+    pub(crate) faulted: bool,
 }

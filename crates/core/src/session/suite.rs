@@ -1,17 +1,18 @@
-//! Fault isolation: the suite compile with its per-program fallback path,
-//! the two `catch_unwind` layers around one program, and the unoptimized
-//! rung they degrade to.
+//! Fault isolation above the frame, which itself degrades an engine fault
+//! in its units to the unoptimized program: the suite's per-program retry
+//! of a faulted shared run, and the request-level `catch_unwind` that
+//! turns a panic outside any unit into [`CompileError::Engine`].
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
-use hb_egraph::schedule::{Budget, CancelToken, RunReport};
+use hb_egraph::schedule::{Budget, CancelToken};
 use hb_ir::stmt::Stmt;
 
-use super::frame::{count_leaves, Job};
+use super::frame::Job;
 use super::{
-    CompileError, CompileOutcome, CompileReport, CompileResult, IntoProgram, IrSuiteResult,
-    Program, Session, StageTimings, StmtReport, SuiteResult,
+    CompileError, CompileReport, CompileResult, IntoProgram, IrSuiteResult, Program, Session,
+    StageTimings, SuiteResult,
 };
 use crate::movement::Placements;
 
@@ -37,21 +38,22 @@ impl Session {
             obs.stage_lower.observe_duration(lower);
         }
 
-        // Fast path: every program lowered and the whole-suite compile
-        // (one shared e-graph in batched mode) survives.
+        // Fast path: every program lowered and the whole-suite compile (one
+        // shared e-graph in batched mode) of their copies survives.
         if lowered.iter().all(Result::is_ok) {
             let programs: Vec<&Program> = lowered.iter().filter_map(|r| r.as_ref().ok()).collect();
-            let refs: Vec<(&Stmt, &Placements)> =
-                programs.iter().map(|p| (&p.stmt, &p.placements)).collect();
+            let copies: Vec<(Stmt, &Placements)> = (programs.iter())
+                .map(|p| (p.stmt.clone(), &p.placements))
+                .collect();
             let shared = catch_unwind(AssertUnwindSafe(|| {
-                self.compile_frame(&refs, budget.clone(), Job::Cached)
+                self.compile_frame(copies, budget.clone(), Job::Cached)
             }));
-            if let Ok(compiled) = shared {
+            if let Some(compiled) = shared.ok().filter(|c| !c.faulted) {
                 return Ok(self.split_suite(compiled, &programs, lower));
             }
-            // A panic in the shared run falls through to the isolated
-            // path; the fault plan counters (chaos tests) and transient
-            // faults have moved on, so surviving programs recompile.
+            // A fault (counted nowhere) falls through to the isolated path;
+            // the fault plan counters (chaos tests) and transient faults have
+            // moved on, so surviving programs recompile.
         }
 
         // Isolated path: one unit per program, errors confined to their
@@ -96,6 +98,7 @@ impl Session {
             programs: selected,
             mut report,
             leaf_counts,
+            ..
         } = compiled;
         report.stages.lower = lower;
         report.total_time += lower;
@@ -130,12 +133,11 @@ impl Session {
         SuiteResult { results, report }
     }
 
-    /// One lowered program through the pipeline with both isolation layers
-    /// — an engine panic degrades to the unoptimized fallback; a second
-    /// panic (inside annotation or the fallback itself) becomes
-    /// [`CompileError::Engine`] — its front-end notes on its report. The
-    /// program is the compile's own, so the fallback can still annotate it
-    /// after a panic.
+    /// One lowered program through the pipeline, which it owns: the frame
+    /// annotates it in place and degrades an engine fault in any of its
+    /// units to the unoptimized program (counted here, once, on the
+    /// fallback rung); a panic outside a unit becomes
+    /// [`CompileError::Engine`]. Its front-end notes go on its report.
     pub(super) fn compile_program(
         &self,
         program: Program,
@@ -146,52 +148,19 @@ impl Session {
             placements,
             notes,
         } = program;
-        let mut result = catch_unwind(AssertUnwindSafe(|| {
-            let optimized = catch_unwind(AssertUnwindSafe(|| {
-                self.compile_frame(&[(&stmt, &placements)], budget, Job::Cached)
-            }));
-            match optimized {
-                Ok(compiled) => compiled.into_single(),
-                Err(payload) => self.fallback_unit(&stmt, &placements, &panic_message(&payload)),
-            }
+        let compiled = catch_unwind(AssertUnwindSafe(|| {
+            self.compile_frame(vec![(stmt, &placements)], budget, Job::Cached)
         }))
-        .map_err(|payload| CompileError::Engine(panic_message(&payload)))?;
-        result.report.notes.extend(notes);
-        Ok(result)
-    }
-
-    /// The ladder's last rung: splice the plain lowered (annotated)
-    /// program unoptimized. Annotation applies no rewrite rules, and
-    /// programs with residual data movement execute correctly (the same
-    /// path statements that never lower take), so this is total for any
-    /// lowerable input.
-    fn fallback_unit(&self, stmt: &Stmt, placements: &Placements, cause: &str) -> CompileResult {
-        let started = Instant::now();
-        let annotated = self.annotate(stmt, placements);
-        let unlowered = StmtReport {
-            lowered: false,
-            eqsat: RunReport::default(),
-        };
-        let report = CompileReport {
-            target: self.target.name().to_string(),
-            stmts: vec![unlowered; count_leaves(&annotated)],
-            outcome: CompileOutcome::FallbackUnoptimized,
-            notes: vec![format!(
-                "engine fault; spliced the unoptimized program: {cause}"
-            )],
-            total_time: started.elapsed(),
-            ..CompileReport::default()
-        };
-        // The panic aborted the frame before its own recording point, so
-        // this is the only place this compile's outcome lands in the
-        // registry — exactly once, on the fallback rung.
-        if let Some(obs) = &self.obs {
-            obs.record_outcome(CompileOutcome::FallbackUnoptimized);
-        }
-        CompileResult {
-            program: annotated,
-            report,
-        }
+        .map_err(|payload| CompileError::Engine(panic_message(&*payload)))?;
+        self.record_fault(&compiled);
+        let IrSuiteResult {
+            mut programs,
+            mut report,
+            ..
+        } = compiled;
+        report.notes.extend(notes);
+        let program = programs.pop().expect("one program in, one program out");
+        Ok(CompileResult { program, report })
     }
 }
 

@@ -5,7 +5,7 @@
 use hb_ir::stmt::Stmt;
 
 use super::frame::{CompileCtx, Job};
-use super::{IrSuiteResult, Session};
+use super::{owned, IrSuiteResult, Session};
 use crate::cache::{SuiteSnapshot, WarmRejection};
 use crate::lang::HbGraph;
 use crate::movement::Placements;
@@ -26,7 +26,8 @@ impl Session {
     ) -> (IrSuiteResult, Option<SuiteSnapshot>) {
         let mut snapshot = None;
         let budget = self.request_budget(None);
-        let compiled = self.compile_frame(programs, budget, Job::Export(&mut snapshot));
+        let compiled = self.compile_frame(owned(programs), budget, Job::Export(&mut snapshot));
+        self.record_fault(&compiled);
         (compiled, snapshot)
     }
 
@@ -93,7 +94,8 @@ impl Session {
         // leaves add.
         let warm = ctx.graph.bump_epoch();
         let budget = self.request_budget(None);
-        let mut result = self.compile_frame(programs, budget, Job::Warm(ctx, warm));
+        let mut result = self.compile_frame(owned(programs), budget, Job::Warm(ctx, warm));
+        self.record_fault(&result);
         result.report.snapshot_restore = Some(restore);
         Ok(result)
     }

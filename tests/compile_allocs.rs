@@ -144,7 +144,9 @@ fn encoded_nodes(lowered: &Lowered, batching: Batching) -> usize {
 /// states, 5.73 (2 287) once a compile saturated one leaf per shape (the
 /// budget was left where a 6.04 reading put it), 5.17 (2 061) once every
 /// leaf was parametrized in place, 5.15 (2 055) once one walk took the
-/// leaves out and grouped them.
+/// leaves out and grouped them, 5.16 (2 059) once the frame took its
+/// programs by value (this borrowing entry point copies them at its call
+/// site, as annotation used to: one more vector per compile).
 const BUDGET_PER_NODE: f64 = 5.7;
 
 #[test]
