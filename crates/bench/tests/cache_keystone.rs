@@ -55,8 +55,8 @@ fn warm_start_matches_cold_on_the_full_pool() {
     let (warm, rejection) = session.compile_ir_suite_warm(&full, &snapshot);
     assert_eq!(rejection, None, "a same-policy snapshot must warm-start");
 
-    // Byte-identical selection, leaf for leaf (modulo the process-global
-    // temp counter, like every other equivalence oracle in this repo).
+    // Byte-identical selection, leaf for leaf (modulo temp numbers, like
+    // every other equivalence oracle in this repo).
     assert_eq!(warm.programs.len(), cold.programs.len());
     for (i, (c, w)) in cold.programs.iter().zip(&warm.programs).enumerate() {
         assert_eq!(
@@ -116,7 +116,9 @@ fn canonical_hash_agrees_with_the_canonical_text_on_the_corpus() {
         .iter()
         .map(|w| {
             let mut stmt = w.lowered.stmt.clone();
-            rename_names(&mut stmt, &mut |name| name.insert_str(0, "other_"));
+            rename_names(&mut stmt, &mut |name| {
+                *name = format!("other_{name}").into()
+            });
             let placements = w.lowered.placements.iter();
             (
                 stmt,

@@ -66,8 +66,8 @@
 //! entry, and the earlier shape misses. A hit takes the path a fresh
 //! selection takes: every member of the shape gets a copy of the stored
 //! term with its own literals substituted, materialized on its own, so
-//! each leaf gets fresh `__hb_tmpN` names, exactly as an uncached compile
-//! gives it.
+//! each leaf gets the `__hb_tmpN` names the compile's counter reaches, and
+//! a hit returns the program an uncached compile returns, byte for byte.
 //!
 //! The lookup takes every shape of a request under one lock acquisition,
 //! after annotation and grouping; the store takes every storable missed

@@ -9,7 +9,7 @@ use hb_ir::expr::Expr;
 use hb_ir::stmt::Stmt;
 use hb_ir::types::Type;
 
-use crate::lang::HbLang;
+use crate::lang::{HbLang, Symbol};
 
 /// Error produced when an extracted term is not a well-formed IR tree.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -49,9 +49,9 @@ fn decode_ty(rec: &RecExpr<HbLang>, id: Id) -> Result<Type, DecodeError> {
     }
 }
 
-fn decode_str(rec: &RecExpr<HbLang>, id: Id) -> Result<String, DecodeError> {
+fn decode_str(rec: &RecExpr<HbLang>, id: Id) -> Result<Symbol, DecodeError> {
     match rec.node(id) {
-        HbLang::Str(s) => Ok(s.to_string()),
+        HbLang::Str(s) => Ok(*s),
         // Materialization markers may stand where a buffer name is expected;
         // post-processing replaces them before execution.
         other => Err(DecodeError(format!(
@@ -65,11 +65,11 @@ fn at(rec: &RecExpr<HbLang>, id: Id) -> Result<Expr, DecodeError> {
     match rec.node(id) {
         HbLang::Num(v) => Ok(Expr::IntImm(*v)),
         HbLang::Flt(bits, st) => Ok(Expr::FloatImm(f64::from_bits(*bits), *st)),
-        HbLang::VarE(name) => Ok(Expr::Var(name.to_string(), hb_ir::types::ScalarType::I32)),
+        HbLang::VarE(name) => Ok(Expr::Var(*name, hb_ir::types::ScalarType::I32)),
         HbLang::Str(name) => {
             // Buffer references inside intrinsic argument positions decode to
             // int32 vars carrying the buffer name (the exec convention).
-            Ok(Expr::Var(name.to_string(), hb_ir::types::ScalarType::I32))
+            Ok(Expr::Var(*name, hb_ir::types::ScalarType::I32))
         }
         HbLang::Ty(..) | HbLang::MultiplyLanes(_) => {
             Err(DecodeError("type node in expression position".to_string()))
@@ -110,14 +110,16 @@ fn at(rec: &RecExpr<HbLang>, id: Id) -> Result<Expr, DecodeError> {
                     .first()
                     .ok_or_else(|| DecodeError(format!("call {name} missing type child")))?,
             )?;
-            let args = children[1..]
-                .iter()
-                .map(|&c| at(rec, c))
-                .collect::<Result<Vec<_>, _>>()?;
+            // Sized exactly, so boxing it does not reallocate (collecting
+            // through `Result` would not be).
+            let mut args = Vec::with_capacity(children.len() - 1);
+            for &c in &children[1..] {
+                args.push(at(rec, c)?);
+            }
             Ok(Expr::Call {
                 ty,
-                name: name.to_string(),
-                args,
+                name: *name,
+                args: args.into(),
             })
         }
         HbLang::Loc(from, to, [v]) => Ok(Expr::LocToLoc {
@@ -130,8 +132,8 @@ fn at(rec: &RecExpr<HbLang>, id: Id) -> Result<Expr, DecodeError> {
             let ty = inner.ty();
             Ok(Expr::Call {
                 ty,
-                name: crate::postprocess::EXPR_VAR_MARKER.to_string(),
-                args: vec![inner],
+                name: crate::postprocess::expr_var_marker(),
+                args: Box::new([inner]),
             })
         }
         node @ (HbLang::StoreS(_) | HbLang::EvalS(_)) => Err(DecodeError(format!(

@@ -24,7 +24,7 @@ pub fn encode_expr(eg: &mut HbGraph, e: &Expr) -> Id {
     match e {
         Expr::IntImm(v) => eg.add(HbLang::Num(*v)),
         Expr::FloatImm(v, st) => eg.add(HbLang::Flt(v.to_bits(), *st)),
-        Expr::Var(name, _) => eg.add(HbLang::VarE(name.into())),
+        Expr::Var(name, _) => eg.add(HbLang::VarE(*name)),
         Expr::Cast(ty, v) => {
             let t = add_type(eg, *ty);
             let v = encode_expr(eg, v);
@@ -58,7 +58,7 @@ pub fn encode_expr(eg: &mut HbGraph, e: &Expr) -> Id {
         }
         Expr::Load { ty, buffer, index } => {
             let t = add_type(eg, *ty);
-            let n = eg.add(HbLang::Str(buffer.into()));
+            let n = eg.add(HbLang::Str(*buffer));
             let i = encode_expr(eg, index);
             eg.add(HbLang::Load([t, n, i]))
         }
@@ -75,7 +75,7 @@ pub fn encode_expr(eg: &mut HbGraph, e: &Expr) -> Id {
             for a in args {
                 children.push(encode_expr(eg, a));
             }
-            eg.add(HbLang::call(name, children))
+            eg.add(HbLang::call(*name, children))
         }
         Expr::LocToLoc { from, to, value } => {
             let v = encode_expr(eg, value);
@@ -97,7 +97,7 @@ pub fn encode_stmt(eg: &mut HbGraph, s: &Stmt) -> Id {
             index,
             value,
         } => {
-            let n = eg.add(HbLang::Str(buffer.into()));
+            let n = eg.add(HbLang::Str(*buffer));
             let i = encode_expr(eg, index);
             let v = encode_expr(eg, value);
             eg.add(HbLang::StoreS([n, i, v]))

@@ -7,40 +7,27 @@
 //!
 //! # Names are [`Symbol`]s
 //!
-//! Buffer, variable and intrinsic names sit in e-nodes as a [`Symbol`]: a
-//! 4-byte index into one process-wide, append-only table of distinct names.
-//! With call arguments in a boxed slice that makes an [`HbLang`] 24 bytes
-//! (48 with `String` / `Vec<Id>`), and the saturation loop — which copies a
-//! node into its class, the memo and one parent entry per child on every
-//! insert, and hashes and compares it on every lookup — never touches a
-//! `String`: symbol equality, hashing and [`Language::matches_op`] are
-//! integer operations that read no table and take no lock.
+//! Buffer, variable and intrinsic names sit in e-nodes as the IR's own
+//! [`Symbol`] (the module docs of [`hb_ir::symbol`] give the table and its
+//! rules). With call arguments in a boxed slice that makes an [`HbLang`] 24
+//! bytes (48 with `String` / `Vec<Id>`), encoding and decoding copy names,
+//! and the saturation loop — which copies a node into its class, the memo
+//! and one parent entry per child on every insert, and hashes and compares
+//! it on every lookup — never touches a `String`: symbol equality, hashing
+//! and [`Language::matches_op`] are integer operations that read no table
+//! and take no lock.
 //!
-//! The table is process-wide because everything that names a node is
-//! context-free: [`Language::op_key`], the derived `Ord`, `Display` and the
-//! snapshot codec take no context argument, and a session's rule patterns
-//! are built once and must equal nodes of every pooled graph (and of every
-//! graph of every other session of a service). It grows with the distinct
-//! identifiers the process has compiled and never shrinks — under a hundred
-//! bytes plus the name per identifier ([`Symbol::interned`] is exported as
-//! the `core.symbols.interned` gauge).
-//!
-//! A symbol's *number* depends on what the process compiled before, so
-//! nothing that can reach a selected program may read it: `Ord` (class node
-//! lists are sorted, which fixes match order) compares the names when the
-//! symbols differ, and `op_key` (extraction tie-breaks and every per-op
-//! table are ordered by it) finishes a hasher that was primed with the
-//! name when it was interned. Programs, node order and every deterministic
-//! count are therefore functions of the names alone, and the snapshot wire
-//! format keeps writing strings.
+//! A symbol's number must reach no selected program: the derived `Ord`
+//! (class node lists are sorted, which fixes match order) compares names,
+//! and `op_key` (extraction tie-breaks and every per-op table are ordered by
+//! it) finishes a hasher primed with the name, kept in a side table indexed
+//! by the symbol's number and filled the first time a symbol is keyed.
+//! Programs, node order and every deterministic count are therefore
+//! functions of the names alone, and the snapshot wire format keeps writing
+//! strings.
 
-use std::cmp::Ordering;
-use std::collections::HashMap;
-use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::mem::discriminant;
-use std::ops::Deref;
-use std::sync::{LazyLock, Mutex, OnceLock};
 
 use hb_egraph::egraph::{Analysis, EGraph};
 use hb_egraph::hash::WordHasher;
@@ -50,150 +37,32 @@ use hb_egraph::snapshot::{
 };
 use hb_egraph::unionfind::Id;
 use hb_ir::expr::BinOp;
+use hb_ir::symbol::Slots;
+pub use hb_ir::symbol::Symbol;
 use hb_ir::types::{Location, ScalarType};
 
-/// An interned name (see the module docs): equal names, equal symbols.
-///
-/// `Eq`, `Hash` and `Clone` work on the 4-byte index alone; `Ord`,
-/// `Display` and `Deref<Target = str>` go through the name.
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Symbol(u32);
+/// [`op_hasher`]s that have hashed the discriminant of [`HbLang::Str`],
+/// [`HbLang::VarE`] and [`HbLang::Call`] (in that order) and then a
+/// symbol's name, by the symbol's number, so an op key costs no pass over
+/// the string.
+static PRIMED: Slots<[WordHasher; 3]> = Slots::new();
 
-/// One interned name and what [`Language::op_key`] needs of it.
-struct SymbolEntry {
-    name: &'static str,
-    /// [`op_hasher`]s that have hashed the discriminant of
-    /// [`HbLang::Str`], [`HbLang::VarE`] and [`HbLang::Call`] (in that
-    /// order) and then `name`, so an op key costs no pass over the string.
-    primed: [WordHasher; 3],
-}
-
-/// Name → symbol; the lock every [`Symbol::from`] takes, and the only one.
-static SYMBOLS: LazyLock<Mutex<HashMap<&'static str, Symbol>>> = LazyLock::new(Mutex::default);
-
-/// Symbol → entry, readable without a lock: chunk `c` holds
-/// `FIRST_CHUNK << c` write-once slots and is allocated when its first
-/// symbol is interned, so no entry ever moves.
-static ENTRIES: [OnceLock<Box<[OnceLock<SymbolEntry>]>>; NUM_CHUNKS] =
-    [const { OnceLock::new() }; NUM_CHUNKS];
-const FIRST_CHUNK: usize = 64;
-const NUM_CHUNKS: usize = (u32::BITS - FIRST_CHUNK.ilog2() + 1) as usize;
-
-const SYMBOLS_LOCK: &str = "the symbol table lock is held across no panic";
-
-impl Symbol {
-    /// Chunk and offset of the entry of symbol number `index`.
-    fn slot(index: u32) -> (usize, usize) {
-        let i = index as usize + FIRST_CHUNK;
-        let chunk = (i.ilog2() - FIRST_CHUNK.ilog2()) as usize;
-        (chunk, i - (FIRST_CHUNK << chunk))
-    }
-
-    fn intern(name: &str) -> Symbol {
-        let mut symbols = SYMBOLS.lock().expect(SYMBOLS_LOCK);
-        if let Some(&symbol) = symbols.get(name) {
-            return symbol;
-        }
-        let index = u32::try_from(symbols.len()).expect("fewer than 2^32 distinct names");
-        // Names live as long as the process: the table is append-only.
-        let name: &'static str = Box::leak(name.into());
-        let primed = [
-            HbLang::Str(Symbol(index)),
-            HbLang::VarE(Symbol(index)),
-            HbLang::Call(Symbol(index), Box::default()),
+/// The primed hashers of `symbol` (see [`PRIMED`]).
+fn primed(symbol: Symbol) -> &'static [WordHasher; 3] {
+    PRIMED.get_or_init(symbol.index(), || {
+        let name = symbol.as_str();
+        [
+            HbLang::Str(symbol),
+            HbLang::VarE(symbol),
+            HbLang::Call(symbol, Box::default()),
         ]
         .map(|variant| {
             let mut h = op_hasher();
             discriminant(&variant).hash(&mut h);
             name.hash(&mut h);
             h
-        });
-        let (chunk, offset) = Symbol::slot(index);
-        let slots = ENTRIES[chunk]
-            .get_or_init(|| (0..FIRST_CHUNK << chunk).map(|_| OnceLock::new()).collect());
-        assert!(
-            slots[offset].set(SymbolEntry { name, primed }).is_ok(),
-            "a slot is written once, under the symbol table lock"
-        );
-        symbols.insert(name, Symbol(index));
-        Symbol(index)
-    }
-
-    fn entry(self) -> &'static SymbolEntry {
-        let (chunk, offset) = Symbol::slot(self.0);
-        ENTRIES[chunk]
-            .get()
-            .and_then(|slots| slots[offset].get())
-            .expect("a symbol is handed out after its entry is written")
-    }
-
-    /// The name.
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        self.entry().name
-    }
-
-    /// How many distinct names this process has interned.
-    #[must_use]
-    pub fn interned() -> usize {
-        SYMBOLS.lock().expect(SYMBOLS_LOCK).len()
-    }
-}
-
-impl From<&str> for Symbol {
-    fn from(name: &str) -> Self {
-        Symbol::intern(name)
-    }
-}
-
-impl From<&String> for Symbol {
-    fn from(name: &String) -> Self {
-        Symbol::intern(name)
-    }
-}
-
-impl From<String> for Symbol {
-    fn from(name: String) -> Self {
-        Symbol::intern(&name)
-    }
-}
-
-impl Deref for Symbol {
-    type Target = str;
-
-    fn deref(&self) -> &str {
-        self.as_str()
-    }
-}
-
-impl Ord for Symbol {
-    /// By name: a symbol's number depends on interning order (see the
-    /// module docs).
-    fn cmp(&self, other: &Self) -> Ordering {
-        if self == other {
-            Ordering::Equal
-        } else {
-            self.as_str().cmp(other.as_str())
-        }
-    }
-}
-
-impl PartialOrd for Symbol {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl fmt::Display for Symbol {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl fmt::Debug for Symbol {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(self.as_str(), f)
-    }
+        })
+    })
 }
 
 /// E-nodes of the HARDBOILED internal representation.
@@ -351,9 +220,9 @@ impl Language for HbLang {
         // the value hashing the string here would give, and never the
         // symbol's number.
         let mut h = match self {
-            HbLang::Str(s) => s.entry().primed[0],
-            HbLang::VarE(s) => s.entry().primed[1],
-            HbLang::Call(name, _) => name.entry().primed[2],
+            HbLang::Str(s) => primed(*s)[0],
+            HbLang::VarE(s) => primed(*s)[1],
+            HbLang::Call(name, _) => primed(*name)[2],
             _ => {
                 let mut h = op_hasher();
                 discriminant(self).hash(&mut h);
@@ -958,10 +827,9 @@ mod tests {
     }
 
     #[test]
-    fn nodes_are_three_words_and_symbols_one_u32() {
+    fn nodes_are_three_words() {
         // What `EGraph::add` copies 2 + arity times per new node.
         assert!(std::mem::size_of::<HbLang>() <= 24);
-        assert_eq!(std::mem::size_of::<Symbol>(), 4);
     }
 
     /// The parent representation's key: discriminant, then the name as a
@@ -1005,55 +873,12 @@ mod tests {
     }
 
     #[test]
-    fn symbols_order_and_print_by_name() {
+    fn named_nodes_order_and_print_by_name() {
         // Interned in descending order: numbers and names disagree.
-        let names = ["sym-order-zz", "sym-order-m", "sym-order-a"];
-        let symbols: Vec<Symbol> = names.iter().map(|&n| n.into()).collect();
-        assert!(symbols[0].0 < symbols[1].0 && symbols[1].0 < symbols[2].0);
-        assert!(symbols[0] > symbols[1] && symbols[1] > symbols[2]);
-        assert!(HbLang::Str(symbols[0]) > HbLang::Str(symbols[2]));
-        assert_eq!(symbols[1], Symbol::from(String::from("sym-order-m")));
-        assert_eq!(symbols[1].to_string(), "sym-order-m");
-        assert_eq!(format!("{:?}", symbols[1]), "\"sym-order-m\"");
-        assert_eq!(HbLang::Str(symbols[1]).op_name(), "\"sym-order-m\"");
-        assert_eq!(&*symbols[2], "sym-order-a");
-    }
-
-    #[test]
-    fn concurrent_interning_agrees_on_every_name() {
-        // Eight threads, released together, each interning a window of a
-        // shared name list wide enough to cross the first chunks: names in
-        // several windows must get one symbol whichever thread wins.
-        const THREADS: usize = 8;
-        let names: Vec<String> = (0..400).map(|i| format!("concurrent-sym-{i}")).collect();
-        let before = Symbol::interned();
-        let barrier = std::sync::Barrier::new(THREADS);
-        let per_thread: Vec<Vec<(usize, Symbol)>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..THREADS)
-                .map(|t| {
-                    let (names, barrier) = (&names, &barrier);
-                    s.spawn(move || {
-                        barrier.wait();
-                        (t * 40..t * 40 + 120)
-                            .map(|i| (i, Symbol::from(&names[i])))
-                            .collect()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("interning does not panic"))
-                .collect()
-        });
-        let mut by_name = vec![None; names.len()];
-        for (i, symbol) in per_thread.into_iter().flatten() {
-            assert_eq!(symbol.as_str(), names[i]);
-            assert_eq!(*by_name[i].get_or_insert(symbol), symbol, "{}", names[i]);
-            assert_eq!(Symbol::from(names[i].as_str()), symbol);
-        }
-        assert!(by_name.iter().all(Option::is_some));
-        // Other tests intern too; these 400 were all new.
-        assert!(Symbol::interned() >= before + names.len());
+        let (zz, a) = (Symbol::from("node-order-zz"), Symbol::from("node-order-a"));
+        assert!(zz.index() < a.index());
+        assert!(HbLang::Str(zz) > HbLang::Str(a));
+        assert_eq!(HbLang::Str(a).op_name(), "\"node-order-a\"");
     }
 
     #[test]

@@ -133,14 +133,18 @@
 //! option for any of this: the pool size follows use, the bounds are the
 //! two constants in `session/frame.rs`.
 //!
-//! What a context does *not* own is names. E-nodes carry
-//! [`lang::Symbol`]s — indices into one process-wide, append-only table —
-//! because the session's rule patterns are built once and must equal nodes
-//! of every pooled graph, and `op_key`, `Ord`, `Display` and the snapshot
-//! codec have no context to ask. The table grows with the distinct
-//! identifiers the process has compiled and never shrinks (gauge
-//! `core.symbols.interned`); the [`lang`] module docs say why a symbol's
-//! number never reaches a selected program.
+//! What a context does *not* own is names. The IR and the e-nodes carry
+//! one name type, [`hb_ir::Symbol`] (re-exported as [`lang::Symbol`]) — an
+//! index into one process-wide, append-only table — because the session's
+//! rule patterns are built once and must equal nodes of every pooled
+//! graph, and `op_key`, `Ord`, `Display` and the snapshot codec have no
+//! context to ask; encoding and decoding copy names. The table grows with
+//! the distinct identifiers the process has compiled and never shrinks
+//! (gauge `core.symbols.interned`), so the names a compile makes up are
+//! numbered per compile: temporaries (`__hb_tmpN`, [`postprocess`]) and
+//! shape parameters (`__hb_paramN`) come from numbered tables, and a
+//! repeated compile interns nothing. The [`hb_ir::symbol`] and [`lang`]
+//! module docs say why a symbol's number never reaches a selected program.
 //!
 //! Because selection is deterministic per leaf, repeated work can be
 //! memoized: the [`cache`] subsystem adds a bounded content-addressed

@@ -12,10 +12,14 @@ use std::collections::HashMap;
 use hb_ir::builder::loc_to_loc;
 use hb_ir::expr::Expr;
 use hb_ir::stmt::Stmt;
+use hb_ir::symbol::Symbol;
 use hb_ir::types::{Location, MemoryType};
 
 /// Map from buffer name to its scheduled placement.
 pub type Placements = HashMap<String, MemoryType>;
+
+/// [`Placements`] by interned name: what annotation looks buffers up in.
+pub(crate) type SymbolPlacements = HashMap<Symbol, MemoryType>;
 
 /// Collects placements from the `Allocate` nodes of a statement tree.
 #[must_use]
@@ -23,14 +27,14 @@ pub fn collect_placements(stmt: &Stmt) -> Placements {
     let mut out = Placements::new();
     stmt.for_each_stmt(&mut |s| {
         if let Stmt::Allocate { name, memory, .. } = s {
-            out.insert(name.clone(), *memory);
+            out.insert(name.to_string(), *memory);
         }
     });
     out
 }
 
-fn accel_location(placements: &Placements, buffer: &str) -> Option<Location> {
-    placements.get(buffer).and_then(|m| {
+fn accel_location(placements: &SymbolPlacements, buffer: Symbol) -> Option<Location> {
+    placements.get(&buffer).and_then(|m| {
         if m.is_accelerator() {
             Some(m.location())
         } else {
@@ -40,12 +44,12 @@ fn accel_location(placements: &Placements, buffer: &str) -> Option<Location> {
 }
 
 /// Wraps the accelerator-buffer loads of an expression, in place.
-fn annotate_expr(e: &mut Expr, placements: &Placements) -> bool {
+fn annotate_expr(e: &mut Expr, placements: &SymbolPlacements) -> bool {
     e.rewrite_bottom_up(&mut |node| {
         let Expr::Load { buffer, .. } = &*node else {
             return false;
         };
-        let Some(loc) = accel_location(placements, buffer) else {
+        let Some(loc) = accel_location(placements, *buffer) else {
             return false;
         };
         *node = loc_to_loc(loc, Location::Mem, node.take());
@@ -55,7 +59,7 @@ fn annotate_expr(e: &mut Expr, placements: &Placements) -> bool {
 
 /// Annotates a whole statement tree with data movements, in place; returns
 /// whether it inserted one.
-pub fn annotate_in_place(stmt: &mut Stmt, placements: &Placements) -> bool {
+pub(crate) fn annotate_in_place(stmt: &mut Stmt, placements: &SymbolPlacements) -> bool {
     stmt.rewrite_stmts_in_place(&mut |s| match s {
         Stmt::Store {
             buffer,
@@ -63,7 +67,7 @@ pub fn annotate_in_place(stmt: &mut Stmt, placements: &Placements) -> bool {
             value,
         } => {
             let loads = annotate_expr(index, placements) | annotate_expr(value, placements);
-            let Some(loc) = accel_location(placements, buffer) else {
+            let Some(loc) = accel_location(placements, *buffer) else {
                 return loads;
             };
             *value = loc_to_loc(Location::Mem, loc, value.take());
@@ -74,11 +78,12 @@ pub fn annotate_in_place(stmt: &mut Stmt, placements: &Placements) -> bool {
     })
 }
 
-/// [`annotate_in_place`] on a copy.
+/// Annotates a copy of a whole statement tree with data movements.
 #[must_use]
 pub fn annotate_stmt(stmt: &Stmt, placements: &Placements) -> Stmt {
+    let placements = placements.iter().map(|(k, v)| (Symbol::from(k), *v));
     let mut out = stmt.clone();
-    annotate_in_place(&mut out, placements);
+    annotate_in_place(&mut out, &placements.collect());
     out
 }
 

@@ -5,29 +5,80 @@
 //! real allocations: an `Allocate` in stack scratch, an initializing store
 //! of the inner expression, and a reference to the buffer where the marker
 //! stood.
+//!
+//! # Temporary names
+//!
+//! A temporary is named `__hb_tmpN`, its symbol taken from one numbered
+//! table ([`Numbered`]). A session's compile numbers its temporaries from 0
+//! in splice order, skipping any `__hb_tmpN` its input already allocates,
+//! through one counter threaded through the frame's materializations, so a
+//! repeated compile returns the same text and interns nothing (the symbol
+//! table never frees a name, so numbers that grew with every compile would
+//! grow it forever). The public
+//! [`try_materialize_owned`] / [`try_materialize_stmt`] number from the
+//! process-wide `NEXT_TEMP` counter instead, so leaves they materialize
+//! separately never share a name; each of their temporaries interns one
+//! name.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::LazyLock;
 
 use hb_ir::builder::{allocate, block, ramp, store};
 use hb_ir::expr::Expr;
 use hb_ir::stmt::Stmt;
+use hb_ir::symbol::{Numbered, Symbol};
 use hb_ir::types::{MemoryType, ScalarType};
 
 /// Intrinsic name marking an `ExprVar` in decoded IR.
 pub const EXPR_VAR_MARKER: &str = "__expr_var";
 
-static NEXT_TEMP: AtomicUsize = AtomicUsize::new(0);
-
-fn fresh_name() -> String {
-    let n = NEXT_TEMP.fetch_add(1, Ordering::Relaxed);
-    format!("__hb_tmp{n}")
+/// [`EXPR_VAR_MARKER`]'s symbol.
+pub(crate) fn expr_var_marker() -> Symbol {
+    static MARKER: LazyLock<Symbol> = LazyLock::new(|| Symbol::from(EXPR_VAR_MARKER));
+    *MARKER
 }
 
-/// Renumbers `__hb_tmpN` gensyms by first appearance so programs from two
-/// selector runs compare equal: the temp counter above is global to the
-/// process, not per-run, so byte-comparing selected programs across runs
-/// requires this canonicalization first. Used by every equivalence oracle
-/// (the batched-vs-per-leaf tests, `crates/bench/tests/pool.rs`).
+/// The temporaries' names, `__hb_tmp0`, `__hb_tmp1`, ….
+static TEMPS: Numbered = Numbered::new("__hb_tmp");
+
+/// The next temporary number of the public entry points, process-wide.
+static NEXT_TEMP: AtomicU32 = AtomicU32::new(0);
+
+/// One compile's temporary names: `__hb_tmp0`, `__hb_tmp1`, … in order,
+/// skipping each name its input already allocates (a compiled program
+/// compiled again), which a temporary of the same name would shadow.
+#[derive(Default)]
+pub(crate) struct Temps {
+    next: u32,
+    taken: Vec<Symbol>,
+}
+
+impl Temps {
+    /// Notes an allocation of the input; a temporary's name is kept out of
+    /// the numbering.
+    pub(crate) fn allocated(&mut self, name: Symbol) {
+        if name.starts_with(TEMPS.prefix()) {
+            self.taken.push(name);
+        }
+    }
+
+    fn fresh(&mut self) -> Symbol {
+        loop {
+            let name = TEMPS.get(self.next);
+            self.next += 1;
+            if !self.taken.contains(&name) {
+                return name;
+            }
+        }
+    }
+}
+
+/// Renumbers `__hb_tmpN` gensyms by first appearance so programs compare
+/// equal whatever numbers their temporaries got: a compile numbers its own
+/// from 0, but leaves materialized through [`try_materialize_stmt`] take
+/// process-wide numbers. Used by the oracles that compare such leaves with
+/// a session's program (`benchmark/`'s staged path) and by the equivalence
+/// tests.
 #[must_use]
 pub fn normalize_temps(program: &str) -> String {
     let mut out = String::with_capacity(program.len());
@@ -55,7 +106,7 @@ pub fn normalize_temps(program: &str) -> String {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Materialization {
     /// Generated buffer name.
-    pub name: String,
+    pub name: Symbol,
     /// Element type.
     pub elem: ScalarType,
     /// Number of elements.
@@ -80,17 +131,20 @@ impl std::fmt::Display for MaterializeError {
 impl std::error::Error for MaterializeError {}
 
 /// Replaces the `__expr_var(inner)` markers of an expression with
-/// buffer-name variables, in place, moving each `inner` into `mats`.
+/// buffer-name variables named by `fresh`, in place, moving each `inner`
+/// into `mats`.
 fn extract_materializations(
     e: &mut Expr,
     mats: &mut Vec<Materialization>,
+    fresh: &mut dyn FnMut() -> Symbol,
 ) -> Result<(), MaterializeError> {
+    let marker = expr_var_marker();
     let mut malformed = false;
     e.rewrite_bottom_up(&mut |node| {
         let Expr::Call { name, args, .. } = node else {
             return false;
         };
-        if name != EXPR_VAR_MARKER {
+        if *name != marker {
             return false;
         }
         let Some(inner) = args.first_mut().map(Expr::take) else {
@@ -98,9 +152,9 @@ fn extract_materializations(
             return false;
         };
         let ty = inner.ty();
-        let tmp = fresh_name();
+        let tmp = fresh();
         mats.push(Materialization {
-            name: tmp.clone(),
+            name: tmp,
             elem: ty.elem,
             size: u64::from(ty.lanes),
             init: inner,
@@ -118,20 +172,35 @@ fn extract_materializations(
 
 /// Post-processes one leaf statement, consuming it: materializes its
 /// `ExprVar`s, wrapping the statement in the needed allocations and
-/// initializing stores.
+/// initializing stores. The temporaries take process-unique numbers, each
+/// interning one name that the process keeps (see the module docs): this
+/// entry point survives only until the benchmark's staged path compiles
+/// through a session (ROADMAP item 2(iii)).
 ///
 /// # Errors
 ///
 /// Returns [`MaterializeError`] on a malformed marker or a temp buffer too
 /// large to address with a 32-bit ramp.
-pub fn try_materialize_owned(mut s: Stmt) -> Result<Stmt, MaterializeError> {
+pub fn try_materialize_owned(s: Stmt) -> Result<Stmt, MaterializeError> {
+    materialize(s, &mut || {
+        TEMPS.get(NEXT_TEMP.fetch_add(1, Ordering::Relaxed))
+    })
+}
+
+/// [`try_materialize_owned`] naming the temporaries from a compile's
+/// [`Temps`].
+pub(crate) fn materialize_numbered(s: Stmt, temps: &mut Temps) -> Result<Stmt, MaterializeError> {
+    materialize(s, &mut || temps.fresh())
+}
+
+fn materialize(mut s: Stmt, fresh: &mut dyn FnMut() -> Symbol) -> Result<Stmt, MaterializeError> {
     let mut mats = Vec::new();
     match &mut s {
         Stmt::Store { index, value, .. } => {
-            extract_materializations(index, &mut mats)?;
-            extract_materializations(value, &mut mats)?;
+            extract_materializations(index, &mut mats, fresh)?;
+            extract_materializations(value, &mut mats, fresh)?;
         }
-        Stmt::Evaluate(e) => extract_materializations(e, &mut mats)?,
+        Stmt::Evaluate(e) => extract_materializations(e, &mut mats, fresh)?,
         _ => {}
     }
     let mut out = s;
@@ -143,12 +212,12 @@ pub fn try_materialize_owned(mut s: Stmt) -> Result<Stmt, MaterializeError> {
             ))
         })?;
         let init = store(
-            &mat.name,
+            mat.name,
             ramp(hb_ir::builder::int(0), hb_ir::builder::int(1), lanes),
             mat.init,
         );
         out = allocate(
-            &mat.name,
+            mat.name,
             mat.elem,
             mat.size,
             MemoryType::Stack,
@@ -158,7 +227,7 @@ pub fn try_materialize_owned(mut s: Stmt) -> Result<Stmt, MaterializeError> {
     Ok(out)
 }
 
-/// [`try_materialize_owned`] on a copy.
+/// [`try_materialize_owned`] on a copy, with its process-unique names.
 ///
 /// # Errors
 ///
@@ -177,8 +246,8 @@ mod tests {
         let ty = inner.ty();
         Expr::Call {
             ty,
-            name: EXPR_VAR_MARKER.to_string(),
-            args: vec![inner],
+            name: expr_var_marker(),
+            args: Box::new([inner]),
         }
     }
 
@@ -241,8 +310,8 @@ mod tests {
         // path must get an Err to feed the fallback rung.
         let bad = Expr::Call {
             ty: Type::f32().with_lanes(4),
-            name: EXPR_VAR_MARKER.to_string(),
-            args: vec![],
+            name: expr_var_marker(),
+            args: Box::new([]),
         };
         let s = b::store("out", b::ramp(b::int(0), b::int(1), 4), bad);
         let err = try_materialize_stmt(&s).unwrap_err();

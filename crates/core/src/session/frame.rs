@@ -14,6 +14,7 @@ use hb_egraph::schedule::{Budget, RunReport};
 use hb_egraph::unionfind::Id;
 use hb_ir::expr::Expr;
 use hb_ir::stmt::Stmt;
+use hb_ir::symbol::Symbol;
 
 use super::{
     panic_message, Batching, CompileOutcome, CompileReport, IrSuiteResult, Session, StmtReport,
@@ -22,8 +23,8 @@ use crate::cache::{CacheOutcome, Selection, SuiteSnapshot};
 use crate::decode::decode_stmt;
 use crate::encode::encode_stmt;
 use crate::lang::HbGraph;
-use crate::movement::{annotate_in_place, collect_placements, Placements};
-use crate::postprocess::try_materialize_owned;
+use crate::movement::{annotate_in_place, Placements, SymbolPlacements};
+use crate::postprocess::{materialize_numbered, Temps};
 use crate::shape::{instantiate, Grouping, Shape};
 
 /// Everything one compile unit — one leaf shape in [`Batching::PerLeaf`]
@@ -98,10 +99,17 @@ impl Session {
     }
 
     /// Applies the target's placement policy and annotates data movements
-    /// in place (the shared front half of both batching modes).
-    fn annotate(&self, stmt: &mut Stmt, extra_placements: &Placements) {
-        let mut placements = collect_placements(stmt);
-        placements.extend(extra_placements.iter().map(|(k, v)| (k.clone(), *v)));
+    /// in place (the shared front half of both batching modes), noting in
+    /// `temps` what the program allocates.
+    fn annotate(&self, stmt: &mut Stmt, extra_placements: &Placements, temps: &mut Temps) {
+        let mut placements = SymbolPlacements::new();
+        stmt.for_each_stmt(&mut |s| {
+            if let Stmt::Allocate { name, memory, .. } = s {
+                placements.insert(*name, *memory);
+                temps.allocated(*name);
+            }
+        });
+        placements.extend(extra_placements.iter().map(|(k, v)| (Symbol::from(k), *v)));
         // Placement policy: placements the target cannot honor are
         // ignored; the affected statements keep their vector code.
         placements.retain(|_, m| self.target.supports(*m));
@@ -152,8 +160,9 @@ impl Session {
 
         let mut annotate_span = self.tracer.span("annotate");
         let mut annotated = Vec::with_capacity(programs.len());
+        let mut temps = Temps::default();
         for (mut stmt, extra) in programs {
-            self.annotate(&mut stmt, extra);
+            self.annotate(&mut stmt, extra, &mut temps);
             annotated.push(stmt);
         }
         let (shapes, holes, leaf_counts) = take_leaves(&mut annotated, self.fingerprint);
@@ -246,8 +255,9 @@ impl Session {
 
         // Every member of every shape, hit or miss, gets a copy of the
         // shape's term with its own literals substituted, materialized on
-        // its own (fresh `__hb_tmpN` names per leaf); each missed shape
-        // worth memoizing moves its root into the store, under one more lock.
+        // its own (temporaries numbered per compile, in this order); each
+        // missed shape worth memoizing moves its root into the store, under
+        // one more lock.
         let splice_span = self.tracer.span("splice");
         let extraction = report.extraction.get_or_insert_with(Default::default);
         extraction.root_costs = vec![None; leaves];
@@ -274,7 +284,7 @@ impl Session {
                 // unoptimized) leaf, the root instantiated, and demote the
                 // compile. The original has no `__expr_var` markers, so
                 // materializing it would be an identity.
-                let materialized = stmt.and_then(|s| try_materialize_owned(s).ok());
+                let materialized = stmt.and_then(|s| materialize_numbered(s, &mut temps).ok());
                 materialized_all &= materialized.is_some();
                 report.stmts[member.at].lowered = materialized
                     .as_ref()

@@ -44,13 +44,15 @@ use std::collections::HashMap;
 
 use hb_ir::expr::{BinOp, Expr};
 use hb_ir::stmt::Stmt;
+use hb_ir::symbol::Numbered;
 use hb_ir::types::ScalarType;
 
 use crate::cache::leaf_key;
 
-/// The reserved name prefix of a parameter. A leaf that names a variable
-/// with it is never parametrized.
-const PARAM: &str = "__hb_param";
+/// The parameters' names, `__hb_param0`, `__hb_param1`, …, interned once
+/// per number. A leaf that names a variable with their prefix is never
+/// parametrized.
+static PARAMS: Numbered = Numbered::new("__hb_param");
 
 /// Whether a literal of value `v` in a ramp base becomes a parameter, given
 /// whether its `Add` / `Sub` sibling is a literal or a variable.
@@ -66,11 +68,12 @@ fn is_plain(e: &Expr) -> bool {
 
 /// The number of parameter value `v`: its index among `values`, where it
 /// is appended when new.
-fn number(values: &mut Vec<i64>, v: i64) -> usize {
-    values.iter().position(|&x| x == v).unwrap_or_else(|| {
+fn number(values: &mut Vec<i64>, v: i64) -> u32 {
+    let n = values.iter().position(|&x| x == v).unwrap_or_else(|| {
         values.push(v);
         values.len() - 1
-    })
+    });
+    u32::try_from(n).expect("fewer than 2^32 parameters")
 }
 
 /// Turns a leaf into its shape, in place, and returns its literals, by
@@ -79,7 +82,7 @@ fn number(values: &mut Vec<i64>, v: i64) -> usize {
 pub(crate) fn parametrize(leaf: &mut Stmt) -> Vec<i64> {
     let mut reserved = false;
     leaf.for_each_expr(&mut |e| {
-        reserved |= matches!(e, Expr::Var(name, _) if name.starts_with(PARAM));
+        reserved |= matches!(e, Expr::Var(name, _) if name.starts_with(PARAMS.prefix()));
     });
     let mut values = Vec::new();
     if !reserved {
@@ -99,8 +102,7 @@ pub(crate) fn parametrize(leaf: &mut Stmt) -> Vec<i64> {
 fn parametrize_base(e: &mut Expr, plain_sibling: bool, values: &mut Vec<i64>) {
     match e {
         Expr::IntImm(v) if is_param(*v, plain_sibling) => {
-            let name = format!("{PARAM}{}", number(values, *v));
-            *e = Expr::Var(name, ScalarType::I32);
+            *e = Expr::Var(PARAMS.get(number(values, *v)), ScalarType::I32);
         }
         Expr::Binary(BinOp::Add | BinOp::Sub, a, b) => {
             let (plain_a, plain_b) = (is_plain(a), is_plain(b));
@@ -112,17 +114,15 @@ fn parametrize_base(e: &mut Expr, plain_sibling: bool, values: &mut Vec<i64>) {
 }
 
 /// Substitutes `values` for the parameters of a statement selected for a
-/// shape, in place.
+/// shape, in place. A parameter is matched by its symbol.
 pub(crate) fn instantiate(stmt: &mut Stmt, values: &[i64]) {
     stmt.map_exprs(&mut |e| {
         e.rewrite_bottom_up(&mut |node| {
             let Expr::Var(name, _) = node else {
                 return false;
             };
-            let n = name
-                .strip_prefix(PARAM)
-                .and_then(|n| n.parse::<usize>().ok());
-            let Some(&v) = n.and_then(|n| values.get(n)) else {
+            let param = (0..).zip(values).find(|&(n, _)| PARAMS.get(n) == *name);
+            let Some((_, &v)) = param else {
                 return false;
             };
             *node = Expr::IntImm(v);

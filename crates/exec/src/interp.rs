@@ -13,6 +13,7 @@ use hb_accel::wmma::TensorCoreUnit;
 use hb_ir::expr::{BinOp, Expr};
 use hb_ir::numeric::round_to;
 use hb_ir::stmt::{ForKind, Stmt};
+use hb_ir::symbol::Symbol;
 use hb_ir::types::ScalarType;
 
 use crate::buffer::{ExecError, ExecResult, Memory};
@@ -25,7 +26,7 @@ pub struct Interp {
     /// Simulated memory (owns the byte counters).
     pub mem: Memory,
     /// Loop-variable bindings.
-    env: HashMap<String, i64>,
+    env: HashMap<Symbol, i64>,
     /// AMX tile unit.
     pub amx: AmxUnit,
     /// Tensor-core unit.
@@ -55,13 +56,13 @@ impl Interp {
 
     /// Binds a loop/parameter variable for the duration of the run.
     pub fn bind(&mut self, name: &str, v: i64) {
-        self.env.insert(name.to_string(), v);
+        self.env.insert(Symbol::from(name), v);
     }
 
     /// Current binding of a variable.
     #[must_use]
     pub fn lookup(&self, name: &str) -> Option<i64> {
-        self.env.get(name).copied()
+        self.env.get(&Symbol::from(name)).copied()
     }
 
     /// Runs a statement as one GPU kernel (counts a launch).
@@ -114,16 +115,16 @@ impl Interp {
                 if *kind == ForKind::GpuLane {
                     // Warp-synchronous: WMMA statements execute once for the
                     // whole warp (the functional simulator holds whole tiles).
-                    self.env.insert(var.clone(), min);
+                    self.env.insert(*var, min);
                     self.exec(body)?;
                 } else {
                     for i in min..min + extent {
-                        self.env.insert(var.clone(), i);
+                        self.env.insert(*var, i);
                         self.exec(body)?;
                     }
                 }
                 match saved {
-                    Some(v) => self.env.insert(var.clone(), v),
+                    Some(v) => self.env.insert(*var, v),
                     None => self.env.remove(var),
                 };
                 Ok(())

@@ -6,6 +6,7 @@
 
 use crate::expr::{BinOp, Expr};
 use crate::stmt::{ForKind, Stmt};
+use crate::symbol::Symbol;
 use crate::types::{Location, MemoryType, ScalarType, Type};
 
 /// Integer immediate (scalar `int32`).
@@ -28,14 +29,14 @@ pub fn flt_t(v: f64, st: ScalarType) -> Expr {
 
 /// Scalar `int32` variable.
 #[must_use]
-pub fn var(name: &str) -> Expr {
-    Expr::Var(name.to_string(), ScalarType::I32)
+pub fn var(name: impl Into<Symbol>) -> Expr {
+    Expr::Var(name.into(), ScalarType::I32)
 }
 
 /// Scalar variable with explicit element type.
 #[must_use]
-pub fn var_t(name: &str, st: ScalarType) -> Expr {
-    Expr::Var(name.to_string(), st)
+pub fn var_t(name: impl Into<Symbol>, st: ScalarType) -> Expr {
+    Expr::Var(name.into(), st)
 }
 
 fn bin(op: BinOp, a: Expr, b: Expr) -> Expr {
@@ -174,11 +175,11 @@ pub fn bcast(value: Expr, lanes: u32) -> Expr {
 ///
 /// Panics if `ty.lanes` differs from `index` lanes.
 #[must_use]
-pub fn load(ty: Type, buffer: &str, index: Expr) -> Expr {
+pub fn load(ty: Type, buffer: impl Into<Symbol>, index: Expr) -> Expr {
     assert_eq!(ty.lanes, index.lanes(), "load type/index lane mismatch");
     Expr::Load {
         ty,
-        buffer: buffer.to_string(),
+        buffer: buffer.into(),
         index: Box::new(index),
     }
 }
@@ -208,11 +209,11 @@ pub fn vreduce_add(lanes: u32, value: Expr) -> Expr {
 
 /// Intrinsic call.
 #[must_use]
-pub fn call(ty: Type, name: &str, args: Vec<Expr>) -> Expr {
+pub fn call(ty: Type, name: impl Into<Symbol>, args: Vec<Expr>) -> Expr {
     Expr::Call {
         ty,
-        name: name.to_string(),
-        args,
+        name: name.into(),
+        args: args.into(),
     }
 }
 
@@ -252,10 +253,10 @@ pub fn wmma_to_mem(value: Expr) -> Expr {
 
 /// Store statement `buffer[index] = value`.
 #[must_use]
-pub fn store(buffer: &str, index: Expr, value: Expr) -> Stmt {
+pub fn store(buffer: impl Into<Symbol>, index: Expr, value: Expr) -> Stmt {
     assert_eq!(index.lanes(), value.lanes(), "store index/value lanes");
     Stmt::Store {
-        buffer: buffer.to_string(),
+        buffer: buffer.into(),
         index,
         value,
     }
@@ -269,15 +270,15 @@ pub fn evaluate(e: Expr) -> Stmt {
 
 /// Serial `for` loop.
 #[must_use]
-pub fn for_serial(v: &str, min: Expr, extent: Expr, body: Stmt) -> Stmt {
+pub fn for_serial(v: impl Into<Symbol>, min: Expr, extent: Expr, body: Stmt) -> Stmt {
     for_kind(v, min, extent, ForKind::Serial, body)
 }
 
 /// Loop with an explicit kind.
 #[must_use]
-pub fn for_kind(v: &str, min: Expr, extent: Expr, kind: ForKind, body: Stmt) -> Stmt {
+pub fn for_kind(v: impl Into<Symbol>, min: Expr, extent: Expr, kind: ForKind, body: Stmt) -> Stmt {
     Stmt::For {
-        var: v.to_string(),
+        var: v.into(),
         min,
         extent,
         kind,
@@ -293,9 +294,15 @@ pub fn block(stmts: Vec<Stmt>) -> Stmt {
 
 /// Scoped allocation.
 #[must_use]
-pub fn allocate(name: &str, elem: ScalarType, size: u64, memory: MemoryType, body: Stmt) -> Stmt {
+pub fn allocate(
+    name: impl Into<Symbol>,
+    elem: ScalarType,
+    size: u64,
+    memory: MemoryType,
+    body: Stmt,
+) -> Stmt {
     Stmt::Allocate {
-        name: name.to_string(),
+        name: name.into(),
         elem,
         size,
         memory,

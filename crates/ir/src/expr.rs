@@ -18,6 +18,7 @@
 //! lines each). The copying rewrite survives only as the reference
 //! the property tests compare against (`reference.rs`, test builds only).
 
+use crate::symbol::Symbol;
 use crate::types::{Location, ScalarType, Type};
 
 /// Binary operators. Arithmetic operators act pointwise over vectors;
@@ -91,7 +92,7 @@ pub enum Expr {
     /// Floating-point immediate with an explicit scalar element type.
     FloatImm(f64, ScalarType),
     /// A scalar variable reference (loop variables, parameters).
-    Var(String, ScalarType),
+    Var(Symbol, ScalarType),
     /// Reinterpreting/converting cast; `ty.lanes` must equal the operand's.
     Cast(Type, Box<Expr>),
     /// Binary operation applied pointwise.
@@ -120,7 +121,7 @@ pub enum Expr {
         /// Result type of the load.
         ty: Type,
         /// Name of the buffer loaded from.
-        buffer: String,
+        buffer: Symbol,
         /// Index vector (element type `int32`).
         index: Box<Expr>,
     },
@@ -140,9 +141,9 @@ pub enum Expr {
         /// Result type.
         ty: Type,
         /// Intrinsic name (e.g. `tile_matmul`, `wmma.mma.sync`).
-        name: String,
+        name: Symbol,
         /// Arguments.
-        args: Vec<Expr>,
+        args: Box<[Expr]>,
     },
     /// Data movement between locations (`mem_to_amx` and friends).
     ///
@@ -270,15 +271,15 @@ impl Expr {
     /// Whether the expression mentions the variable `name` (the walk stops
     /// at the first occurrence).
     #[must_use]
-    pub fn uses_var(&self, name: &str) -> bool {
-        self.any(&mut |e| matches!(e, Expr::Var(n, _) if n == name))
+    pub fn uses_var(&self, name: Symbol) -> bool {
+        self.any(&mut |e| matches!(e, Expr::Var(n, _) if *n == name))
     }
 
     /// Whether the expression loads from the buffer `name` (the walk stops
     /// at the first such load).
     #[must_use]
-    pub fn uses_buffer(&self, name: &str) -> bool {
-        self.any(&mut |e| matches!(e, Expr::Load { buffer, .. } if buffer == name))
+    pub fn uses_buffer(&self, name: Symbol) -> bool {
+        self.any(&mut |e| matches!(e, Expr::Load { buffer, .. } if *buffer == name))
     }
 
     /// Whether `f` holds for some sub-expression, `self` included: a
@@ -380,9 +381,9 @@ impl Expr {
 
     /// Replaces every occurrence of variable `name` with a copy of
     /// `replacement`, in place; returns whether there was one.
-    pub fn substitute(&mut self, name: &str, replacement: &Expr) -> bool {
+    pub fn substitute(&mut self, name: Symbol, replacement: &Expr) -> bool {
         self.rewrite_bottom_up(&mut |e| match e {
-            Expr::Var(n, _) if n == name => {
+            Expr::Var(n, _) if *n == name => {
                 *e = replacement.clone();
                 true
             }
@@ -450,18 +451,21 @@ mod tests {
     #[test]
     fn uses_var_and_buffer() {
         let e = load(Type::f32().with_lanes(4), "A", ramp(var("x"), int(1), 4));
-        assert!(e.uses_var("x"));
-        assert!(!e.uses_var("y"));
-        assert!(e.uses_buffer("A"));
-        assert!(!e.uses_buffer("B"));
+        assert!(e.uses_var("x".into()));
+        assert!(!e.uses_var("y".into()));
+        assert!(e.uses_buffer("A".into()));
+        assert!(!e.uses_buffer("B".into()));
     }
 
     #[test]
     fn substitute_replaces_vars() {
         let mut e = add(var("x"), int(1));
-        assert!(e.substitute("x", &int(41)));
+        assert!(e.substitute("x".into(), &int(41)));
         assert_eq!(e, add(int(41), int(1)));
-        assert!(!e.substitute("x", &int(7)), "nothing left to replace");
+        assert!(
+            !e.substitute("x".into(), &int(7)),
+            "nothing left to replace"
+        );
     }
 
     #[test]
@@ -481,9 +485,9 @@ mod tests {
                 _ => None,
             });
             let mut got = e.clone();
-            let changed = got.substitute("x", &replacement);
+            let changed = got.substitute("x".into(), &replacement);
             assert_eq!(got, want, "substituting {replacement} for x in {e}");
-            assert_eq!(changed, e.uses_var("x"));
+            assert_eq!(changed, e.uses_var("x".into()));
             replaced += usize::from(changed);
         }
         assert!(replaced > 128, "only {replaced} of 512 inputs mention x");
@@ -522,8 +526,12 @@ mod tests {
                     Expr::Load { buffer: b, .. } => buffer |= b == name,
                     _ => {}
                 });
-                assert_eq!(e.uses_var(name), var, "uses_var({name}) in {e}");
-                assert_eq!(e.uses_buffer(name), buffer, "uses_buffer({name}) in {e}");
+                assert_eq!(e.uses_var(name.into()), var, "uses_var({name}) in {e}");
+                assert_eq!(
+                    e.uses_buffer(name.into()),
+                    buffer,
+                    "uses_buffer({name}) in {e}"
+                );
                 hits += usize::from(var) + usize::from(buffer);
                 misses += usize::from(!var) + usize::from(!buffer);
             }

@@ -13,6 +13,10 @@
 //!   and accelerator register files, and
 //! * loops, allocations and intrinsic calls on the statement level.
 //!
+//! Every name in a tree — variables, buffers, intrinsics, loop variables —
+//! is an interned [`symbol::Symbol`], so copying, comparing and hashing a
+//! tree never touches a `String` (see the [`symbol`] module docs).
+//!
 //! The [`simplify`] module reproduces Halide's pattern-obscuring local
 //! rewrites, which is the phase-ordering problem HARDBOILED's equality
 //! saturation undoes.
@@ -38,8 +42,10 @@ pub mod printer;
 pub mod reference;
 pub mod simplify;
 pub mod stmt;
+pub mod symbol;
 pub mod types;
 
 pub use expr::{BinOp, Expr};
 pub use stmt::{ForKind, Stmt};
+pub use symbol::Symbol;
 pub use types::{Location, MemoryType, ScalarType, Type};

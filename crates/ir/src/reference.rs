@@ -7,6 +7,7 @@
 
 use crate::expr::{BinOp, Expr};
 use crate::stmt::Stmt;
+use crate::symbol::Symbol;
 use crate::types::{ScalarType, Type};
 
 /// The copying bottom-up rewrite: rebuilds every node of the tree, children
@@ -33,7 +34,7 @@ pub fn rebuild_bottom_up(e: &Expr, f: &mut dyn FnMut(&Expr) -> Option<Expr>) -> 
         },
         Expr::Load { ty, buffer, index } => Expr::Load {
             ty: *ty,
-            buffer: buffer.clone(),
+            buffer: *buffer,
             index: go(index),
         },
         Expr::VectorReduceAdd { lanes, value } => Expr::VectorReduceAdd {
@@ -42,7 +43,7 @@ pub fn rebuild_bottom_up(e: &Expr, f: &mut dyn FnMut(&Expr) -> Option<Expr>) -> 
         },
         Expr::Call { ty, name, args } => Expr::Call {
             ty: *ty,
-            name: name.clone(),
+            name: *name,
             args: args.iter().map(|a| *go(a)).collect(),
         },
         Expr::LocToLoc { from, to, value } => Expr::LocToLoc {
@@ -150,7 +151,7 @@ pub fn gen_scalar_int(genes: &[u32]) -> Expr {
 /// Hands every buffer and variable name in the tree — `Store`, `For` and
 /// `Allocate` names, `Var`s and `Load` buffers; intrinsic names are not
 /// names in this sense — to `f` for renaming in place.
-pub fn rename_names(stmt: &mut Stmt, f: &mut dyn FnMut(&mut String)) {
+pub fn rename_names(stmt: &mut Stmt, f: &mut dyn FnMut(&mut Symbol)) {
     stmt.rewrite_stmts_in_place(&mut |s| {
         match s {
             Stmt::Store { buffer: name, .. }

@@ -221,7 +221,7 @@ fn step(e: &mut Expr) -> bool {
             bcast(
                 Expr::Load {
                     ty: Type::new(ty.elem, idx.lanes()),
-                    buffer: std::mem::take(buffer),
+                    buffer: *buffer,
                     index: Box::new(idx.take()),
                 },
                 *lanes,

@@ -9,6 +9,7 @@
 //! callers that hold the tree by reference.
 
 use crate::expr::Expr;
+use crate::symbol::Symbol;
 use crate::types::{MemoryType, ScalarType};
 
 /// How a loop is executed.
@@ -35,7 +36,7 @@ pub enum Stmt {
     /// `buffer[index] = value` (vectorized when `index` is a vector).
     Store {
         /// Destination buffer name.
-        buffer: String,
+        buffer: Symbol,
         /// Index vector.
         index: Expr,
         /// Stored value (lane count matches the index).
@@ -46,7 +47,7 @@ pub enum Stmt {
     /// A counted loop over `var` in `[min, min+extent)`.
     For {
         /// Loop variable name (scalar `int32` in the body).
-        var: String,
+        var: Symbol,
         /// Loop lower bound.
         min: Expr,
         /// Trip count.
@@ -62,7 +63,7 @@ pub enum Stmt {
     /// live for the duration of `body`.
     Allocate {
         /// Buffer name introduced for `body`.
-        name: String,
+        name: Symbol,
         /// Element type.
         elem: ScalarType,
         /// Number of elements.
@@ -195,8 +196,8 @@ mod tests {
     #[test]
     fn map_exprs_rewrites_indices() {
         let mut s = sample();
-        assert!(s.map_exprs(&mut |e| e.substitute("x", &int(7))));
-        assert!(!s.map_exprs(&mut |e| e.substitute("x", &int(7))));
+        assert!(s.map_exprs(&mut |e| e.substitute("x".into(), &int(7))));
+        assert!(!s.map_exprs(&mut |e| e.substitute("x".into(), &int(7))));
         let mut saw = false;
         s.for_each_expr(&mut |e| {
             if let crate::expr::Expr::Ramp { base, .. } = e {
@@ -217,7 +218,7 @@ mod tests {
                 body,
                 ..
             } => Some(Stmt::For {
-                var: var.clone(),
+                var: *var,
                 min: min.clone(),
                 extent: extent.clone(),
                 kind: ForKind::Parallel,

@@ -29,7 +29,8 @@
 //!   and each use of a binding copies its expression;
 //! - a split's recombination moves into the one place its variable occurs,
 //!   the loop order is computed over borrowed names, and a loop's
-//!   qualified name is allocated only when it stays a loop;
+//!   qualified name is interned through one reused buffer, so it
+//!   allocates only the first time the process meets it;
 //! - index sums are built unfolded (`0 + i·1 + …`) and left to the
 //!   simplifier, which is the one place constants fold.
 //!
@@ -39,6 +40,7 @@
 //! sites whose regions cannot be merged all come back as [`LowerError`]
 //! (`Session::compile` calls it outside its `catch_unwind`).
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 
 use hb_ir::builder as b;
@@ -46,6 +48,7 @@ use hb_ir::expr::{BinOp, Expr};
 use hb_ir::interval::{bounds_with, Interval};
 use hb_ir::simplify::{simplify_in_place, simplify_stmt_in_place};
 use hb_ir::stmt::{ForKind, Stmt};
+use hb_ir::symbol::Symbol;
 use hb_ir::types::{MemoryType, ScalarType, Type};
 
 use crate::ast::{ComputePlacement, Func, HExpr, ImageParam, Pipeline};
@@ -121,19 +124,20 @@ struct StageCtx<'a> {
     atomic: bool,
 }
 
-/// The IR name of `fname`'s schedule variable `var`: `fname__var`.
-fn qualify(fname: &str, var: &str) -> String {
-    let mut name = String::with_capacity(fname.len() + 2 + var.len());
-    qualify_into(&mut name, fname, var);
-    name
-}
-
-/// Writes `qualify(fname, var)` into `name`, reusing its buffer.
-fn qualify_into(name: &mut String, fname: &str, var: &str) {
-    name.clear();
-    name.push_str(fname);
-    name.push_str("__");
-    name.push_str(var);
+/// The IR name of `fname`'s schedule variable `var`: `fname__var`, built
+/// in a reused buffer and interned, so a name lowering met before costs no
+/// allocation.
+fn qualify(fname: &str, var: &str) -> Symbol {
+    thread_local! {
+        static NAME: RefCell<String> = const { RefCell::new(String::new()) };
+    }
+    NAME.with_borrow_mut(|name| {
+        name.clear();
+        name.push_str(fname);
+        name.push_str("__");
+        name.push_str(var);
+        Symbol::from(name.as_str())
+    })
 }
 
 /// Whether `name` is `qualify(fname, var)`, without building it.
@@ -322,8 +326,6 @@ struct Lowerer<'a> {
     placements: HashMap<String, MemoryType>,
     /// The vectorizer's scan buffer, shared by every vectorized loop.
     widen: WidenScratch,
-    /// The IR name of the loop being vectorized or unrolled.
-    loop_name: String,
 }
 
 impl<'a> Lowerer<'a> {
@@ -506,8 +508,9 @@ impl<'a> Lowerer<'a> {
     fn realize(&mut self, f: &Func, region: &[RegionDim]) -> LowerResult<Stmt> {
         let inner = f.borrow();
         let fname = inner.name.as_str();
-        let mut stages: Vec<Stmt> = Vec::new();
         let update_stage = inner.update.as_ref();
+        // Sized exactly: the returned program keeps this capacity.
+        let mut stages = Vec::with_capacity(1 + usize::from(update_stage.is_some()));
         let stage_descrs = std::iter::once((None, &inner.init_schedule))
             .chain(update_stage.map(|u| (Some(u), &inner.update_schedule)));
         for (update, sched) in stage_descrs {
@@ -595,9 +598,10 @@ impl<'a> Lowerer<'a> {
                         continue;
                     }
                     let pinner = prod.borrow();
+                    let pname = Symbol::from(&pinner.name);
                     let mut used = false;
                     body.for_each_expr(&mut |e| {
-                        used |= matches!(e, Expr::Load { buffer, .. } if *buffer == pinner.name);
+                        used |= matches!(e, Expr::Load { buffer, .. } if *buffer == pname);
                     });
                     if used {
                         let region = &regions[r].1;
@@ -605,7 +609,7 @@ impl<'a> Lowerer<'a> {
                         let size: i64 = region.iter().map(|d| d.size).product();
                         self.placements.insert(pinner.name.clone(), pinner.store_in);
                         body = b::allocate(
-                            &pinner.name,
+                            pname,
                             pinner.elem,
                             size as u64,
                             pinner.store_in,
@@ -623,15 +627,14 @@ impl<'a> Lowerer<'a> {
                                 qualify(fname, var)
                             )));
                         }
-                        qualify_into(&mut self.loop_name, fname, var);
-                        body = self.widen.vectorize(body, &self.loop_name, n)?;
+                        body = self.widen.vectorize(body, qualify(fname, var), n)?;
                     }
                     LoopKind::Unrolled => {
-                        qualify_into(&mut self.loop_name, fname, var);
+                        let name = qualify(fname, var);
                         let mut copies = Vec::with_capacity(extent as usize);
                         for i in 0..extent {
                             let mut copy = body.clone();
-                            bind_var(&mut copy, &self.loop_name, &b::int(i));
+                            bind_var(&mut copy, name, &b::int(i));
                             copies.push(copy);
                         }
                         body = b::block(copies);
@@ -662,7 +665,7 @@ impl<'a> Lowerer<'a> {
 
 /// Binds `var` to `value` throughout `s`: substitutes it into every
 /// expression and simplifies each one, in place.
-fn bind_var(s: &mut Stmt, var: &str, value: &Expr) {
+fn bind_var(s: &mut Stmt, var: Symbol, value: &Expr) {
     s.map_exprs(&mut |e| e.substitute(var, value) | simplify_in_place(e));
 }
 
@@ -731,7 +734,7 @@ fn elide_unit_loops(s: &mut Stmt) {
             return false;
         }
         let mut body = body.take();
-        bind_var(&mut body, var, min);
+        bind_var(&mut body, *var, min);
         *st = body;
         true
     });
@@ -766,7 +769,6 @@ pub fn lower(p: &Pipeline) -> LowerResult<Lowered> {
         images: p.images.iter().map(|(n, i)| (n.as_str(), i)).collect(),
         placements: HashMap::new(),
         widen: WidenScratch::default(),
-        loop_name: String::new(),
     };
     let mut stmt = lowerer.realize(&p.output, &region)?;
     elide_unit_loops(&mut stmt);

@@ -33,6 +33,7 @@
 use hb_ir::builder::{add, bcast, mul, ramp};
 use hb_ir::expr::{BinOp, Expr};
 use hb_ir::stmt::Stmt;
+use hb_ir::symbol::Symbol;
 use hb_ir::types::{ScalarType, Type};
 
 /// Lowering/vectorization error.
@@ -78,7 +79,7 @@ impl Facts {
 /// subtree) and notes every `v % c` / `v / c` in `divisors`. One visit per
 /// node. A child's facts are read back from `out` rather than returned by
 /// value, which would copy them through memory once more per node.
-fn scan(e: &Expr, v: &str, out: &mut Vec<Facts>, divisors: &mut Divisors) {
+fn scan(e: &Expr, v: Symbol, out: &mut Vec<Facts>, divisors: &mut Divisors) {
     let at = out.len();
     out.push(Facts {
         uses: false,
@@ -94,7 +95,7 @@ fn scan(e: &Expr, v: &str, out: &mut Vec<Facts>, divisors: &mut Divisors) {
     let (uses, affine, ty) = match e {
         Expr::IntImm(_) => (false, true, Type::i32()),
         Expr::FloatImm(_, st) => (false, true, Type::new(*st, 1)),
-        Expr::Var(name, st) => (name == v, true, Type::new(*st, 1)),
+        Expr::Var(name, st) => (*name == v, true, Type::new(*st, 1)),
         Expr::Cast(ty, value) => {
             let f = kid(value);
             (f.uses, f.affine && ty.elem == ScalarType::I32, *ty)
@@ -241,14 +242,14 @@ struct Divisors {
 
 impl Divisors {
     /// Notes `e` if it is `v % c` or `v / c`.
-    fn note(&mut self, e: &Expr, v: &str) {
+    fn note(&mut self, e: &Expr, v: Symbol) {
         let Expr::Binary(BinOp::Mod | BinOp::Div, a, b) = e else {
             return;
         };
         let (Expr::Var(name, _), Expr::IntImm(c)) = (a.as_ref(), b.as_ref()) else {
             return;
         };
-        if name == v {
+        if *name == v {
             match self.first {
                 None => self.first = Some(*c),
                 Some(prev) if prev == *c => {}
@@ -258,7 +259,7 @@ impl Divisors {
     }
 
     /// The one divisor, if any.
-    fn divisor(&self, v: &str) -> LowerResult<Option<i64>> {
+    fn divisor(&self, v: Symbol) -> LowerResult<Option<i64>> {
         if self.conflict {
             return Err(LowerError(format!(
                 "multiple distinct divisors for {v}; cannot decompose"
@@ -270,7 +271,7 @@ impl Divisors {
 
 /// Scans every expression of `s` that widening `s` reads, in the order it
 /// reads them, and notes `v`'s divisors in every expression of `s`.
-fn prescan(s: &Stmt, v: &str, facts: &mut Vec<Facts>, divisors: &mut Divisors) {
+fn prescan(s: &Stmt, v: Symbol, facts: &mut Vec<Facts>, divisors: &mut Divisors) {
     match s {
         Stmt::Store { index, value, .. } => {
             scan(index, v, facts, divisors);
@@ -314,7 +315,7 @@ impl WidenScratch {
     /// Fails on distinct or non-positive divisors, a divisor that does not
     /// divide `n`, and on statements that cannot be vectorized over `var`
     /// ([`Widen::stmt`]).
-    pub(crate) fn vectorize(&mut self, body: Stmt, var: &str, n: u32) -> LowerResult<Stmt> {
+    pub(crate) fn vectorize(&mut self, body: Stmt, var: Symbol, n: u32) -> LowerResult<Stmt> {
         let mut divisors = Divisors::default();
         self.0.clear();
         prescan(&body, var, &mut self.0, &mut divisors);
@@ -336,16 +337,16 @@ impl WidenScratch {
                 "extent {n} of {var} not divisible by {c}"
             )));
         }
-        let v0 = format!("{var}__p0");
-        let v1 = format!("{var}__p1");
-        let d = decompose_mod_div(body, var, c, &v0, &v1);
-        let w0 = self.stmt(d, &v0, 0, inner_lanes)?;
-        self.stmt(w0, &v1, 0, n / inner_lanes)
+        let v0 = Symbol::from(format!("{var}__p0"));
+        let v1 = Symbol::from(format!("{var}__p1"));
+        let d = decompose_mod_div(body, var, c, v0, v1);
+        let w0 = self.stmt(d, v0, 0, inner_lanes)?;
+        self.stmt(w0, v1, 0, n / inner_lanes)
     }
 
     /// Widens the leaf statement `s` over `v ∈ [min, min+n)`, the new
     /// dimension outermost, scanning into this buffer.
-    fn stmt(&mut self, s: Stmt, v: &str, min: i64, n: u32) -> LowerResult<Stmt> {
+    fn stmt(&mut self, s: Stmt, v: Symbol, min: i64, n: u32) -> LowerResult<Stmt> {
         self.0.clear();
         prescan(&s, v, &mut self.0, &mut Divisors::default());
         Widen::new(v, min, n, &self.0).stmt(s)
@@ -354,7 +355,7 @@ impl WidenScratch {
 
 /// One widening over `v ∈ [min, min+n)`, reading the facts of a scan.
 struct Widen<'a> {
-    v: &'a str,
+    v: Symbol,
     min: i64,
     n: u32,
     /// Facts of the expressions being widened, in scan order.
@@ -364,7 +365,7 @@ struct Widen<'a> {
 }
 
 impl<'a> Widen<'a> {
-    fn new(v: &'a str, min: i64, n: u32, facts: &'a [Facts]) -> Self {
+    fn new(v: Symbol, min: i64, n: u32, facts: &'a [Facts]) -> Self {
         Widen {
             v,
             min,
@@ -408,7 +409,7 @@ impl<'a> Widen<'a> {
                 let lhs_at = value_at + 1;
                 let value = match value {
                     Expr::Binary(BinOp::Add, lhs, rhs)
-                        if !self.facts[lhs_at].uses && is_accumulator(&lhs, &buffer, &index) =>
+                        if !self.facts[lhs_at].uses && is_accumulator(&lhs, buffer, &index) =>
                     {
                         let mut at = lhs_at + self.facts[lhs_at].span();
                         // Extend an existing reduction (second rvar lane
@@ -540,7 +541,7 @@ impl<'a> Widen<'a> {
 
 /// Whether `lhs` is the accumulator `buffer[index]` of a reduction update
 /// (its freedom of the loop variable is the caller's to check).
-fn is_accumulator(lhs: &Expr, buffer: &str, index: &Expr) -> bool {
+fn is_accumulator(lhs: &Expr, buffer: Symbol, index: &Expr) -> bool {
     let Expr::Load {
         buffer: b2,
         index: i2,
@@ -549,16 +550,16 @@ fn is_accumulator(lhs: &Expr, buffer: &str, index: &Expr) -> bool {
     else {
         return false;
     };
-    b2 == buffer && i2.as_ref() == index
+    *b2 == buffer && i2.as_ref() == index
 }
 
 /// Rewrites `v % c → v0`, `v / c → v1`, and remaining `v → v0 + c·v1`,
 /// consuming the statement.
 #[must_use]
-pub fn decompose_mod_div(mut s: Stmt, v: &str, c: i64, v0: &str, v1: &str) -> Stmt {
+pub fn decompose_mod_div(mut s: Stmt, v: Symbol, c: i64, v0: Symbol, v1: Symbol) -> Stmt {
     let recombined = add(
-        Expr::Var(v0.to_string(), ScalarType::I32),
-        mul(Expr::IntImm(c), Expr::Var(v1.to_string(), ScalarType::I32)),
+        Expr::Var(v0, ScalarType::I32),
+        mul(Expr::IntImm(c), Expr::Var(v1, ScalarType::I32)),
     );
     s.map_exprs(&mut |e| {
         let split = e.rewrite_bottom_up(&mut |node| {
@@ -566,9 +567,9 @@ pub fn decompose_mod_div(mut s: Stmt, v: &str, c: i64, v0: &str, v1: &str) -> St
                 return false;
             };
             match (a.as_ref(), b.as_ref()) {
-                (Expr::Var(name, st), Expr::IntImm(cc)) if name == v && *cc == c => {
+                (Expr::Var(name, st), Expr::IntImm(cc)) if *name == v && *cc == c => {
                     let part = if *op == BinOp::Mod { v0 } else { v1 };
-                    *node = Expr::Var(part.to_string(), *st);
+                    *node = Expr::Var(part, *st);
                     true
                 }
                 _ => false,
@@ -588,6 +589,7 @@ mod tests {
 
     /// The coefficient of `v` in `e`, if `e` is affine in `v`.
     fn affine_coeff(e: &Expr, v: &str) -> Option<Expr> {
+        let v = Symbol::from(v);
         let mut facts = Vec::new();
         scan(e, v, &mut facts, &mut Divisors::default());
         facts[0].affine.then(|| coeff(e, &facts))
@@ -595,6 +597,7 @@ mod tests {
 
     /// `e` widened over `v ∈ [min, min+n)`.
     fn widen_expr(e: Expr, v: &str, min: i64, n: u32) -> LowerResult<Expr> {
+        let v = Symbol::from(v);
         let mut facts = Vec::new();
         scan(&e, v, &mut facts, &mut Divisors::default());
         Widen::new(v, min, n, &facts).node(e, 0, None)
@@ -602,7 +605,7 @@ mod tests {
 
     /// The leaf statement `s` widened over `v ∈ [min, min+n)`.
     fn widen_stmt(s: Stmt, v: &str, min: i64, n: u32) -> LowerResult<Stmt> {
-        WidenScratch::default().stmt(s, v, min, n)
+        WidenScratch::default().stmt(s, v.into(), min, n)
     }
 
     #[test]
@@ -710,16 +713,17 @@ mod tests {
         use super::super::{LowerError, LowerResult};
         use hb_ir::builder::{add, bcast, mul, ramp};
         use hb_ir::expr::{BinOp, Expr};
+        use hb_ir::symbol::Symbol;
         use hb_ir::types::ScalarType;
 
-        pub fn affine_coeff(e: &Expr, v: &str) -> Option<Expr> {
+        pub fn affine_coeff(e: &Expr, v: Symbol) -> Option<Expr> {
             if !e.uses_var(v) {
                 let lanes = e.lanes();
                 let zero = Expr::IntImm(0);
                 return Some(if lanes == 1 { zero } else { bcast(zero, lanes) });
             }
             match e {
-                Expr::Var(name, _) if name == v => Some(Expr::IntImm(1)),
+                Expr::Var(name, _) if *name == v => Some(Expr::IntImm(1)),
                 Expr::Binary(BinOp::Add, a, b) => {
                     let ca = affine_coeff(a, v)?;
                     let cb = affine_coeff(b, v)?;
@@ -798,7 +802,7 @@ mod tests {
             })
         }
 
-        pub fn widen_expr(e: Expr, v: &str, min: i64, n: u32) -> LowerResult<Expr> {
+        pub fn widen_expr(e: Expr, v: Symbol, min: i64, n: u32) -> LowerResult<Expr> {
             if !e.uses_var(v) {
                 return Ok(bcast(e, n));
             }
@@ -939,14 +943,15 @@ mod tests {
             };
             let (min, n) = (i64::from(g.pick(3)), 2 << g.pick(3));
             for v in ["x", "r"] {
-                let want = rewalking::affine_coeff(&e, v);
+                let want = rewalking::affine_coeff(&e, v.into());
                 assert_eq!(affine_coeff(&e, v), want, "coefficient of {v} in {e}");
-                affine += usize::from(e.uses_var(v) && rewalking::affine_coeff(&e, v).is_some());
-                non_affine += usize::from(rewalking::affine_coeff(&e, v).is_none());
+                let uses = e.uses_var(v.into());
+                affine += usize::from(uses && rewalking::affine_coeff(&e, v.into()).is_some());
+                non_affine += usize::from(rewalking::affine_coeff(&e, v.into()).is_none());
             }
             // Nested, as `lower` applies it: r innermost, then x outside it.
-            let want = rewalking::widen_expr(e.clone(), "r", min, n)
-                .and_then(|w| rewalking::widen_expr(w, "x", 0, 4));
+            let want = rewalking::widen_expr(e.clone(), "r".into(), min, n)
+                .and_then(|w| rewalking::widen_expr(w, "x".into(), 0, 4));
             let got = widen_expr(e.clone(), "r", min, n).and_then(|w| widen_expr(w, "x", 0, 4));
             assert_eq!(got, want, "widening {e}");
             widened += usize::from(want.is_ok());
@@ -955,11 +960,12 @@ mod tests {
             if let Ok(w) = &want {
                 let lanes = i64::from(w.lanes());
                 let index = b::ramp(b::mul(b::var("y"), b::int(lanes)), b::int(1), w.lanes());
-                let want = rewalking::widen_expr(index.clone(), "y", 1, 2).and_then(|index| {
+                let y = Symbol::from("y");
+                let want = rewalking::widen_expr(index.clone(), y, 1, 2).and_then(|index| {
                     Ok(Stmt::Store {
                         buffer: "out".into(),
                         index,
-                        value: rewalking::widen_expr(w.clone(), "y", 1, 2)?,
+                        value: rewalking::widen_expr(w.clone(), y, 1, 2)?,
                     })
                 });
                 let got = widen_stmt(b::store("out", index, w.clone()), "y", 1, 2);
@@ -1045,6 +1051,7 @@ mod tests {
         );
         let s = b::store("B", b::int(0), b::cast(Type::f32(), idx));
         let divisor = |s: &Stmt, v: &str| {
+            let v = Symbol::from(v);
             let mut divisors = Divisors::default();
             prescan(s, v, &mut Vec::new(), &mut divisors);
             divisors.divisor(v)
@@ -1061,10 +1068,10 @@ mod tests {
         );
         let err = divisor(&two, "r").unwrap_err();
         assert!(err.0.contains("multiple distinct divisors"), "{err}");
-        let d = decompose_mod_div(s, "r", 2, "r0", "r1");
+        let d = decompose_mod_div(s, "r".into(), 2, "r0".into(), "r1".into());
         let mut uses_r = false;
         d.for_each_expr(&mut |e| {
-            if e.uses_var("r") {
+            if e.uses_var("r".into()) {
                 uses_r = true;
             }
         });

@@ -1,7 +1,7 @@
 //! Batched (shared e-graph) selection must be indistinguishable from the
 //! default per-leaf path on every pipeline-producing workload in
-//! `crates/apps`: same selected program, byte for byte (modulo the global
-//! `__hb_tmp` counter, renumbered before comparison), and the same
+//! `crates/apps`: same selected program, byte for byte (modulo `__hb_tmp`
+//! numbers, renumbered before comparison), and the same
 //! per-statement lowering outcomes.
 //!
 //! The oracles run through `Session::compile` and the raw IR-level

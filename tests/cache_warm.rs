@@ -35,13 +35,13 @@ use hardboiled_repro::lang::lower::{lower, Lowered};
 /// saturation scale.
 fn tile_leaf(name: &str) -> Stmt {
     let idx = b::ramp(b::int(0), b::int(1), 8);
-    let ld = b::load(Type::f32().with_lanes(8), &format!("x_{name}"), idx.clone());
+    let ld = b::load(Type::f32().with_lanes(8), format!("x_{name}"), idx.clone());
     b::allocate(
-        &format!("acc_{name}"),
+        format!("acc_{name}"),
         ScalarType::F32,
         8,
         MemoryType::AmxTile,
-        b::store(&format!("acc_{name}"), idx, b::mul(ld.clone(), ld)),
+        b::store(format!("acc_{name}"), idx, b::mul(ld.clone(), ld)),
     )
 }
 

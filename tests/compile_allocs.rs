@@ -132,7 +132,7 @@ fn encoded_nodes(lowered: &Lowered, batching: Batching) -> usize {
     nodes + shared.num_nodes()
 }
 
-/// Allocations per encoded e-node the whole set may average: 5.17 (2 061
+/// Allocations per encoded e-node the whole set may average: 4.20 (1 674
 /// allocations for 399 nodes, the reading it was set at), plus 10%.
 /// History on this set:
 /// 30.28 (12 082) with per-compile tables, 9.47 (3 780) when the context
@@ -146,8 +146,10 @@ fn encoded_nodes(lowered: &Lowered, batching: Batching) -> usize {
 /// leaf was parametrized in place, 5.15 (2 055) once one walk took the
 /// leaves out and grouped them, 5.16 (2 059) once the frame took its
 /// programs by value (this borrowing entry point copies them at its call
-/// site, as annotation used to: one more vector per compile).
-const BUDGET_PER_NODE: f64 = 5.7;
+/// site, as annotation used to: one more vector per compile), 4.20 (1 674)
+/// once every IR name was an interned symbol, so no copy, decode or
+/// materialization allocates a name.
+const BUDGET_PER_NODE: f64 = 4.61;
 
 #[test]
 fn a_warmed_compile_stays_within_its_allocation_budget() {

@@ -101,19 +101,23 @@ fn peak_and_output(compile: impl FnOnce() -> Vec<Stmt>) -> (i64, i64) {
 }
 
 /// Peak bytes live above the lowered program per byte of the returned
-/// program, for a borrowed IR compile: measured 1.170 (191 377 bytes at
-/// the peak for a 163 540-byte output), plus 10%. The frame that
+/// program, for a borrowed IR compile: set at a reading of 1.170 (191 377
+/// bytes at the peak for a 163 540-byte output), plus 10%. The frame that
 /// parametrized every leaf in place in its annotated copy, and held that
 /// copy beside the selected statements, read 1.793 (293 252 bytes). The
 /// copy this entry point makes of the program it borrows is part of the
-/// reading: the frame owns what it compiles.
+/// reading: the frame owns what it compiles. With interned names (32-byte
+/// expressions, 80-byte statements) it reads 1.246 (108 379 bytes for an
+/// 87 008-byte output): both shrank, the output more, so the bound stays.
 const PEAK_PER_OUTPUT_BYTE: f64 = 1.29;
 
 /// Peak bytes live per byte of the returned program for
-/// `Session::compile(&pipeline)`, lowering included: measured 1.172
-/// (192 486 bytes at the peak for a 164 300-byte output), plus 10%. The
-/// compile that kept the lowered program for its fallback and annotated a
-/// copy of it read 1.822 (298 027 bytes for a 163 540-byte output).
+/// `Session::compile(&pipeline)`, lowering included: set at a reading of
+/// 1.172 (192 486 bytes at the peak for a 164 300-byte output), plus 10%.
+/// The compile that kept the lowered program for its fallback and
+/// annotated a copy of it read 1.822 (298 027 bytes for a 163 540-byte
+/// output). With interned names it reads 1.250 (108 728 bytes for
+/// 87 008), the bound staying as above.
 const COMPILE_PEAK_PER_OUTPUT_BYTE: f64 = 1.29;
 
 #[test]
@@ -140,6 +144,13 @@ fn a_warmed_compile_peaks_near_its_output() {
         assert!(result.report.all_lowered(), "conv1d must select");
         vec![result.program]
     });
+    // Both return the same program, and the owned path returns the tree
+    // lowering built: sized exactly, it holds no more bytes than a copy.
+    assert_eq!(
+        ir_suite.1, compile.1,
+        "compile returns {} bytes, compile_ir_suite {}",
+        compile.1, ir_suite.1
+    );
     let cases = [
         ("compile_ir_suite", ir_suite, PEAK_PER_OUTPUT_BYTE),
         ("compile", compile, COMPILE_PEAK_PER_OUTPUT_BYTE),

@@ -18,13 +18,13 @@ use hardboiled_repro::ir::types::{MemoryType, ScalarType, Type};
 /// per `i` so repeated compiles can be cache hits or misses at will.
 fn tile_leaf(i: i64) -> Stmt {
     let idx = b::ramp(b::int(i), b::int(1), 8);
-    let ld = b::load(Type::f32().with_lanes(8), &format!("x{i}"), idx.clone());
+    let ld = b::load(Type::f32().with_lanes(8), format!("x{i}"), idx.clone());
     b::allocate(
-        &format!("acc{i}"),
+        format!("acc{i}"),
         ScalarType::F32,
         8,
         MemoryType::AmxTile,
-        b::store(&format!("acc{i}"), idx, b::mul(ld.clone(), ld)),
+        b::store(format!("acc{i}"), idx, b::mul(ld.clone(), ld)),
     )
 }
 

@@ -302,7 +302,7 @@ impl Edit {
                 other(&mut ty.elem);
             }
             (Edit::Type, Expr::Var(_, st) | Expr::FloatImm(_, st)) => other(st),
-            (Edit::Intrinsic, Expr::Call { name, .. }) => name.push('2'),
+            (Edit::Intrinsic, Expr::Call { name, .. }) => *name = format!("{name}2").into(),
             (Edit::Immediate, Expr::IntImm(v)) => *v += 1,
             (Edit::Immediate, Expr::FloatImm(v, _)) => *v += 0.5,
             _ => return false,
@@ -363,7 +363,7 @@ fn canonical_hash_ignores_placement_order_and_nothing_else() {
         // placements renamed along, and with them left as they were.
         let other_name = |name: &str| name.chars().rev().chain(['_']).collect::<String>();
         let mut renamed = stmt.clone();
-        rename_names(&mut renamed, &mut |name| *name = other_name(name));
+        rename_names(&mut renamed, &mut |name| *name = other_name(name).into());
         assert_ne!(renamed, stmt);
         let mut renamed_placements = hashed_placements([3, 2, 1, 0]);
         for mentioned in ["out", "acc"] {

@@ -53,7 +53,7 @@ fn large_suite() -> Vec<Lowered> {
     let families = families();
     let copy = |c: usize, family: &Lowered| {
         let mut stmt = family.stmt.clone();
-        rename_names(&mut stmt, &mut |name| name.insert_str(0, &format!("c{c}_")));
+        rename_names(&mut stmt, &mut |name| *name = format!("c{c}_{name}").into());
         let placements = family.placements.iter();
         Lowered {
             stmt,

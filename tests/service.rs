@@ -531,20 +531,20 @@ fn dispatch_is_round_robin_across_targets() {
 /// every `tile_leaf` is a renamed sibling of every other.
 fn tile_leaf(name: &str) -> Stmt {
     let idx = b::ramp(b::int(0), b::int(1), 8);
-    let ld = b::load(Type::f32().with_lanes(8), &format!("x_{name}"), idx.clone());
+    let ld = b::load(Type::f32().with_lanes(8), format!("x_{name}"), idx.clone());
     b::allocate(
-        &format!("acc_{name}"),
+        format!("acc_{name}"),
         ScalarType::F32,
         8,
         MemoryType::AmxTile,
-        b::store(&format!("acc_{name}"), idx, b::mul(ld.clone(), ld)),
+        b::store(format!("acc_{name}"), idx, b::mul(ld.clone(), ld)),
     )
 }
 
 /// A program with nothing to select: compiles to itself, is never stored.
 fn leaf_free(name: &str) -> Stmt {
     b::store(
-        &format!("out_{name}"),
+        format!("out_{name}"),
         b::ramp(b::int(0), b::int(1), 4),
         b::bcast(b::flt(2.0), 4),
     )

@@ -489,3 +489,55 @@ fn suite_cancellation_covers_every_program() {
         );
     }
 }
+
+// ---------------------------------------------------------------------------
+// Temporaries.
+
+/// A compile numbers its temporaries from 0, so a program that already
+/// allocates `__hb_tmpN` buffers — a compiled program compiled again — must
+/// get numbers past them: a temporary of the same name would shadow the
+/// input's, and the interpreter rejects a buffer allocated twice.
+#[test]
+fn temporaries_never_shadow_an_input_allocation() {
+    use hardboiled_repro::ir::builder as b;
+    use hardboiled_repro::ir::stmt::Stmt;
+    use hardboiled_repro::ir::types::{MemoryType, ScalarType};
+
+    // The standard layout's VNNI swizzle of B materializes a temporary.
+    let app = AmxMatmul::default();
+    let lowered = lower(&app.pipeline(Layout::Standard, Variant::Reference).unwrap()).unwrap();
+    let allocations = |s: &Stmt| {
+        let mut names = Vec::new();
+        s.for_each_stmt(&mut |s| {
+            if let Stmt::Allocate { name, .. } = s {
+                names.push(name.to_string());
+            }
+        });
+        names
+    };
+    let session = Session::default();
+    let once = session.compile(&lowered).unwrap().program;
+    let temps: Vec<String> = allocations(&once)
+        .into_iter()
+        .filter(|n| n.starts_with("__hb_tmp"))
+        .collect();
+    assert_eq!(temps.first().map(String::as_str), Some("__hb_tmp0"));
+    let wrapped = b::allocate(
+        "__hb_tmp0",
+        ScalarType::F32,
+        1,
+        MemoryType::Stack,
+        lowered.stmt,
+    );
+    let again = session.compile_ir_suite(&[(&wrapped, &lowered.placements)]);
+    let again = &again.programs[0];
+    let mut names = allocations(again);
+    let all = names.len();
+    names.sort_unstable();
+    names.dedup();
+    assert_eq!(
+        names.len(),
+        all,
+        "a temporary shadows an allocation:\n{again}"
+    );
+}

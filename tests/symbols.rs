@@ -46,7 +46,7 @@ fn named(base: &str, suffix: &str) -> String {
 /// between them by the content order of the two buffer names.
 fn program(suffix: &str) -> Stmt {
     let n = |base: &str| named(base, suffix);
-    let v = |base: &str| b::var(&n(base));
+    let v = |base: &str| b::var(n(base));
     let f32s = |lanes| Type::f32().with_lanes(lanes);
     let bf16s = |lanes| Type::bf16().with_lanes(lanes);
     let tile = |row: &str| -> Expr {
@@ -56,7 +56,7 @@ fn program(suffix: &str) -> Stmt {
             16,
         )
     };
-    let zero = b::store(&n("mm"), tile("iyo"), b::bcast(b::flt(0.0), 256));
+    let zero = b::store(n("mm"), tile("iyo"), b::bcast(b::flt(0.0), 256));
     let idx_a = b::add(
         b::bcast(
             b::ramp(
@@ -84,26 +84,26 @@ fn program(suffix: &str) -> Stmt {
         16,
     );
     let product = b::mul(
-        b::cast(f32s(8192), b::load(bf16s(8192), &n("A"), idx_a)),
-        b::bcast(b::cast(f32s(512), b::load(bf16s(512), &n("B"), idx_b)), 16),
+        b::cast(f32s(8192), b::load(bf16s(8192), n("A"), idx_a)),
+        b::bcast(b::cast(f32s(512), b::load(bf16s(512), n("B"), idx_b)), 16),
     );
     let update = b::store(
-        &n("mm"),
+        n("mm"),
         tile("uyo"),
         b::add(
-            b::load(f32s(256), &n("mm"), tile("uyo")),
+            b::load(f32s(256), n("mm"), tile("uyo")),
             b::vreduce_add(256, product),
         ),
     );
     let row = || b::ramp(b::mul(v("yo"), b::int(256)), b::int(1), 256);
     let bias = b::store(
-        &n("mm"),
+        n("mm"),
         tile("yo"),
         b::add(
-            b::load(f32s(256), &n("mm"), tile("yo")),
+            b::load(f32s(256), n("mm"), tile("yo")),
             b::add(
-                b::load(f32s(256), &n("P"), row()),
-                b::load(f32s(256), &n("Q"), row()),
+                b::load(f32s(256), n("P"), row()),
+                b::load(f32s(256), n("Q"), row()),
             ),
         ),
     );
@@ -119,12 +119,12 @@ fn program(suffix: &str) -> Stmt {
         b::bcast(b::int(32), 16),
         16,
     );
-    let write = b::store(&n("out"), out_idx, b::load(f32s(256), &n("mm"), tile("yo")));
-    let two = |var: &str, body: Stmt| b::for_serial(&n(var), b::int(0), b::int(2), body);
+    let write = b::store(n("out"), out_idx, b::load(f32s(256), n("mm"), tile("yo")));
+    let two = |var: &str, body: Stmt| b::for_serial(n(var), b::int(0), b::int(2), body);
     two(
         "xo",
         b::allocate(
-            &n("mm"),
+            n("mm"),
             ScalarType::F32,
             512,
             MemoryType::AmxTile,
