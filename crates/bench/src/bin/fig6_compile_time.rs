@@ -17,11 +17,9 @@ fn main() {
         let app = Conv1d { n: 4096, k };
         let p = app.pipeline_tc_unrolled();
         let (_, report) = compile_only(&p).expect("compile");
-        // Per-leaf mode runs one unit per shape, whose engine report goes
-        // to the shape's first leaf; the other leaves carry none.
-        let shapes = (report.stmts.iter())
-            .filter(|s| s.eqsat.iterations > 0)
-            .count();
+        // The default session compiles per leaf, uncached: one unit per
+        // shape.
+        let shapes = report.units.len();
         println!(
             "{:>5} {:>14.2} {:>14.2} {:>7} {:>7}",
             k,

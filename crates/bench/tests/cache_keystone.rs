@@ -79,9 +79,11 @@ fn warm_start_matches_cold_on_the_full_pool() {
     // same 161 leaves), because a session saturates each leaf shape once:
     // the unrolled conv1d leaves that differ only in base offsets share
     // one root.
-    let cold_rows = cold.report.batch.as_ref().unwrap().delta_probed_rows;
-    let warm_rows = warm.report.batch.as_ref().unwrap().delta_probed_rows;
-    assert_eq!((warm_rows, cold_rows), (161, 1160), "probed rows moved");
+    let ([cold_run], [warm_run]) = (&cold.report.units[..], &warm.report.units[..]) else {
+        panic!("a shared unit each");
+    };
+    let rows = (warm_run.delta_probed_rows, cold_run.delta_probed_rows);
+    assert_eq!(rows, (161, 1160), "probed rows moved");
     assert_eq!(snapshot.size_bytes(), 16_767, "snapshot length moved");
 }
 

@@ -98,8 +98,8 @@ const ENGINE: ([usize; 2], RunCounts) = ([161, 5], [2549, 1814, 99, 30, 21, 5438
 /// content hash covers the whole annotated leaf, names included, so equal
 /// leaves share one and nothing else does; it is not the report cache's
 /// key, which hashes a leaf's shape (leaves that differ only in base
-/// offsets share one), read here as the roots one batched unit over every
-/// leaf reads out.
+/// offsets share one), read here as the units an uncached per-leaf compile
+/// of every leaf runs.
 const LEAF_KEYS: [usize; 3] = [161, 85, 23];
 
 /// Entries a cached per-leaf pass over the 14 workloads stores, one per
@@ -320,34 +320,34 @@ fn assert_same_saturation(a: &Saturated, b: &Saturated, what: &str) {
     }
 }
 
-/// The distinct shapes of `leaves`: the roots one batched unit over all of
-/// them reads out.
+/// The distinct shapes of `leaves`: the units an uncached per-leaf compile
+/// of all of them runs, one per shape.
 fn leaf_shapes(leaves: &[Stmt]) -> usize {
-    let tracer = Tracer::new();
-    let session = (batched().tracer(tracer.clone()))
-        .build()
-        .expect("valid session");
     let none = Placements::new();
     let suite: Vec<(&Stmt, &Placements)> = leaves.iter().map(|leaf| (leaf, &none)).collect();
-    let report = session.compile_ir_suite(&suite).report;
+    let report = Session::default().compile_ir_suite(&suite).report;
     assert_eq!(report.num_statements(), leaves.len(), "a leaf was lost");
-    let extract = tracer.finished().into_iter().find(|s| s.name == "extract");
-    let (_, roots) = (extract.expect("a unit ran").attrs.into_iter())
-        .find(|(key, _)| *key == "roots")
-        .expect("an extract span counts its roots");
-    roots.parse().expect("a count")
+    report.units.len()
+}
+
+/// The run of a compile that ran one shared unit.
+fn shared_unit(report: &CompileReport) -> &RunReport {
+    let [run] = &report.units[..] else {
+        panic!("one shared unit, not {}", report.units.len());
+    };
+    run
 }
 
 #[test]
 fn pool_counts_equal_the_recorded_tables() {
     let all = workloads();
     let shapes = every_shape(&all);
-    let shared_run = |r: &CompileReport| run_counts(r.batch.as_ref().expect("a batched run"));
+    let shared_run = |r: &CompileReport| run_counts(shared_unit(r));
     let rows: Vec<(&str, [usize; 3], RunCounts)> = (all.iter())
         .zip(shapes.per_leaf.iter().zip(&shapes.batched))
         .map(|(w, ((_, per_leaf), (_, shared)))| {
             assert_eq!(per_leaf.outcome, CompileOutcome::Saturated, "{}", w.name);
-            let runs = || per_leaf.stmts.iter().map(|s| &s.eqsat);
+            let runs = || per_leaf.units.iter();
             let nodes = runs().map(|r| r.nodes).sum();
             let iterations = runs().map(|r| r.iterations).sum();
             let leafwise = [per_leaf.num_statements(), nodes, iterations];
@@ -357,7 +357,7 @@ fn pool_counts_equal_the_recorded_tables() {
     let report = &shapes.suite.1;
     assert_eq!(report.outcome, CompileOutcome::Saturated);
     let extraction = report.extraction.as_ref().expect("an extraction report");
-    let tables = [extraction.table_entries, extraction.roots()];
+    let tables = [extraction.table_entries, extraction.root_costs.len()];
     let suite = (shared_run(report), tables);
     let leaves = saturation_pool(&all);
     let run = saturate(&leaves, &pool_runner()).report;
@@ -532,7 +532,7 @@ fn a_cached_second_pass_runs_no_unit_and_selects_the_first_pass_programs() {
         assert_eq!(warm, cold, "{}: the cached pass selected otherwise", w.name);
         let extraction = report.extraction.as_ref().expect("leaves were read out");
         assert_eq!(extraction.table_entries, 0, "{}: a unit ran", w.name);
-        assert!(report.stmts.iter().all(|s| s.eqsat == RunReport::default()));
+        assert!(report.units.is_empty(), "{}: a unit ran", w.name);
     }
 }
 
@@ -632,7 +632,7 @@ fn observers_and_idle_budgets_change_nothing() {
     let all = workloads();
     // Everything the run and the extraction counted.
     let counters = |report: &CompileReport| {
-        let run = counted(report.batch.as_ref().expect("a batched run"));
+        let run = counted(shared_unit(report));
         let extraction = report.extraction.as_ref().expect("an extraction report");
         (run, extraction.table_entries, extraction.root_costs.clone())
     };

@@ -20,9 +20,9 @@
 //!   changes one leaf of sixty compiles at most one shape, and none when
 //!   an earlier request stored that shape at any offsets; a request whose
 //!   every shape hits runs no unit at all. The report describes the work
-//!   the compile did: a hit leaf's
-//!   [`StmtReport`](crate::session::StmtReport) carries no engine run, and
-//!   its shape's stored cost lands in the extraction report's root costs.
+//!   the compile did: a hit shape runs no unit, so it adds nothing to
+//!   [`CompileReport::units`](crate::session::CompileReport::units), and
+//!   its stored cost lands in the extraction report's root costs.
 //! * **Layer 2 — e-graph snapshots** ([`SuiteSnapshot`]): a saturated
 //!   suite e-graph serialized through `hb_egraph::snapshot`, tagged with
 //!   the exporting session's policy fingerprint. A policy-compatible

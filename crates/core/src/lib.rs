@@ -60,10 +60,10 @@
 //! [`Session::compile_suite`] batches entire suites: with
 //! [`Batching::Batched`], every leaf of every program shares one e-graph
 //! and one saturation run, with results byte-identical to per-leaf
-//! compilation. The [`CompileReport`] unifies statement outcomes, engine
-//! saturation statistics, front-end diagnostics, per-stage timings
-//! (lower / encode / saturate / extract / splice) and an
-//! [`ExtractionReport`] (cost-table size, per-root costs, readout time).
+//! compilation. The [`CompileReport`] unifies statement outcomes, one
+//! engine run report per compile unit, front-end diagnostics, per-stage
+//! timings (lower / encode / saturate / extract / splice) and an
+//! [`ExtractionReport`] (cost-table size, per-leaf costs, readout time).
 //!
 //! For server-style use, [`CompileService`] stacks a fixed worker pool on
 //! top: one long-lived session per registered target, `compile` requests

@@ -130,10 +130,9 @@ impl Session {
     /// there, so the frame holds one leaf per shape from then on. The lookup
     /// takes every shape at once, keyed by its root's content hash and the
     /// policy fingerprint and verified against the stored root. A unit is
-    /// one missed shape in [`Batching::PerLeaf`] mode — its engine report
-    /// lands in the [`StmtReport::eqsat`] of the shape's first leaf — and
-    /// every missed shape of the call otherwise, the shared run landing in
-    /// [`CompileReport::batch`]; a root selects the same statement at the
+    /// one missed shape in [`Batching::PerLeaf`] mode and every missed shape
+    /// of the call otherwise, and each unit's engine report is pushed onto
+    /// [`CompileReport::units`]; a root selects the same statement at the
     /// same cost whichever roots share its graph (the per-leaf ≡ batched
     /// oracle), so hits and fresh selections take one path from there: each
     /// member gets its shape's term with its own literals substituted,
@@ -143,8 +142,8 @@ impl Session {
     /// The frame owns the programs it compiles and annotates them in place.
     /// After an engine fault no later unit runs and every leaf gets its
     /// original back, as a leaf with no term does: the annotated input,
-    /// [`CompileOutcome::FallbackUnoptimized`], an "engine fault" note and
-    /// no engine or extraction report, stored and counted nowhere
+    /// [`CompileOutcome::FallbackUnoptimized`], an "engine fault" note, no
+    /// unit and no extraction report, stored and counted nowhere
     /// ([`IrSuiteResult::faulted`] has the caller count or retry it).
     pub(super) fn compile_frame(
         &self,
@@ -224,16 +223,15 @@ impl Session {
         // the unit's context and runs no later unit.
         let units = catch_unwind(AssertUnwindSafe(|| {
             if self.batching == Batching::PerLeaf && !matches!(job, Job::Warm(..)) {
-                // Each shape a plain unit of its own, whose engine report
-                // goes to its first leaf; per-leaf graphs are no suite
-                // graph, so an export's slot stays empty.
+                // Each shape a plain unit of its own; per-leaf graphs are no
+                // suite graph, so an export's slot stays empty.
                 for &s in &missed {
-                    let shape = &shapes[s];
+                    let root = &shapes[s].root;
                     let (run, selected) =
-                        self.run_unit(&[&shape.root], budget.clone(), Job::Cached, &mut report);
+                        self.run_unit(&[root], budget.clone(), Job::Cached, &mut report);
                     saturated[s] = CompileOutcome::of_run(&run) == CompileOutcome::Saturated;
                     selections[s] = selected.into_iter().next();
-                    report.stmts[shape.members[0].at].eqsat = run;
+                    report.units.push(run);
                 }
             } else if !missed.is_empty() {
                 let roots: Vec<&Stmt> = missed.iter().map(|&s| &shapes[s].root).collect();
@@ -243,14 +241,14 @@ impl Session {
                     saturated[s] = whole;
                     selections[s] = Some(selection);
                 }
-                report.batch = Some(run);
+                report.units.push(run);
             }
         }));
         let fault = units.err().map(|payload| panic_message(&*payload));
         if fault.is_some() {
             // Hits and earlier units' shapes too: none materializes or stores.
             selections.fill(None);
-            report.stmts.fill(StmtReport::default());
+            report.units.clear();
         }
 
         // Every member of every shape, hit or miss, gets a copy of the

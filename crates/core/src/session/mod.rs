@@ -26,9 +26,10 @@
 //! assert_eq!(result.report.num_statements(), 0);
 //! ```
 //!
-//! The [`CompileReport`] carries the selector's statement outcomes, the
-//! engine's [`RunReport`](hb_egraph::schedule::RunReport), front-end
-//! diagnostics and per-stage wall-clock timings ([`StageTimings`]).
+//! The [`CompileReport`] carries the selector's statement outcomes, one
+//! engine [`RunReport`](hb_egraph::schedule::RunReport) per unit that ran
+//! ([`CompileReport::units`]), front-end diagnostics and per-stage
+//! wall-clock timings ([`StageTimings`]).
 //!
 //! ## One path through a compile, one file per decision
 //!
@@ -266,20 +267,14 @@ impl ObsHandles {
     }
 }
 
-/// Total delta-matcher row traffic in a report: the batched run's
-/// counters when one shared saturation ran, else the sum over the
-/// per-leaf engine reports.
+/// Total delta-matcher row traffic in a report, summed over its units.
 fn delta_rows(report: &CompileReport) -> (u64, u64) {
-    if let Some(run) = &report.batch {
-        (run.delta_probed_rows as u64, run.delta_skipped_rows as u64)
-    } else {
-        report.stmts.iter().fold((0, 0), |(p, s), stmt| {
-            (
-                p + stmt.eqsat.delta_probed_rows as u64,
-                s + stmt.eqsat.delta_skipped_rows as u64,
-            )
-        })
-    }
+    report.units.iter().fold((0, 0), |(p, s), run| {
+        (
+            p + run.delta_probed_rows as u64,
+            s + run.delta_skipped_rows as u64,
+        )
+    })
 }
 
 /// One compilation context: target, cost model, batching mode, saturation

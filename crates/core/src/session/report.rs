@@ -130,32 +130,25 @@ pub struct StageTimings {
 }
 
 /// What the extraction stage did: the settled cost-table size(s), each
-/// root's extraction cost, and the wall-clock spent reading roots out (cost
+/// leaf's extraction cost, and the wall-clock spent reading roots out (cost
 /// lookup + term extraction — the per-root half of the extract stage; the
 /// per-graph cost solve and the decode / materialization are excluded).
 ///
-/// In per-leaf mode every leaf solves its own table; the sizes below are
-/// summed across leaves.
+/// Every unit solves its own table; the sizes below are summed across
+/// units.
 #[derive(Debug, Clone, Default)]
 pub struct ExtractionReport {
     /// Cost-table entries (classes with a constructible term), summed over
     /// every e-graph the compile solved.
     pub table_entries: usize,
-    /// Extraction cost of each saturated root, in leaf order (`None` for a
-    /// root with no constructible term — cannot happen for encoded
-    /// statements, kept honest for custom pipelines).
+    /// Extraction cost of each leaf's shape, one entry per leaf in leaf
+    /// order, hit or miss (`None` for a root with no constructible term —
+    /// cannot happen for encoded statements, kept honest for custom
+    /// pipelines).
     pub root_costs: Vec<Option<u64>>,
     /// Total wall-clock across all per-root term readouts (decode and
     /// materialization excluded).
     pub readout_time: Duration,
-}
-
-impl ExtractionReport {
-    /// Number of roots read out.
-    #[must_use]
-    pub fn roots(&self) -> usize {
-        self.root_costs.len()
-    }
 }
 
 /// Outcome for one selection leaf.
@@ -163,11 +156,6 @@ impl ExtractionReport {
 pub struct StmtReport {
     /// Whether all data movements were absorbed into intrinsics.
     pub lowered: bool,
-    /// Saturation statistics of the leaf's own graph (per-leaf mode; in
-    /// batched mode the shared run lives in [`CompileReport::batch`], and
-    /// for a leaf served from the report cache no run happened — both leave
-    /// this an empty default).
-    pub eqsat: RunReport,
 }
 
 /// The unified compilation report: per-statement selection outcomes, the
@@ -179,11 +167,13 @@ pub struct CompileReport {
     pub target: String,
     /// Per-statement outcomes, one per selection leaf, in leaf order.
     pub stmts: Vec<StmtReport>,
-    /// The shared-graph saturation report when the batched mode ran a unit
-    /// (the per-statement `eqsat` reports are then empty defaults — the
-    /// work happened once, here). `None` when every leaf came from the
-    /// report cache.
-    pub batch: Option<RunReport>,
+    /// The engine's report of every compile unit that ran, in run order: one
+    /// per missed leaf shape in [`Batching::PerLeaf`](super::Batching::PerLeaf)
+    /// mode, one per call in [`Batching::Batched`](super::Batching::Batched)
+    /// mode and on a warm start. Empty when no unit ran: every shape hit the
+    /// report cache, the request had no leaves, or an engine fault dropped
+    /// the compile's selections.
+    pub units: Vec<RunReport>,
     /// What the extraction stage did (cost-table size, per-root costs,
     /// readout time); a leaf served from the report cache adds its stored
     /// cost and nothing else. `None` when the request had no leaves.
@@ -211,13 +201,14 @@ pub struct CompileReport {
 }
 
 impl CompileReport {
-    /// Whether every saturated statement lowered fully.
+    /// Whether every selection leaf lowered fully.
     #[must_use]
     pub fn all_lowered(&self) -> bool {
         self.stmts.iter().all(|s| s.lowered)
     }
 
-    /// Number of statements that went through saturation.
+    /// Number of selection leaves, served from the report cache or selected
+    /// by a unit.
     #[must_use]
     pub fn num_statements(&self) -> usize {
         self.stmts.len()
@@ -244,8 +235,9 @@ pub struct SuiteResult {
     /// that program.
     pub results: Vec<Result<CompileResult, CompileError>>,
     /// Aggregate report for the whole suite: `stmts` concatenates the
-    /// successful programs' leaves in order, `outcome` is the worst rung
-    /// any program hit. Stage timings are suite-level.
+    /// successful programs' leaves in order, `units` holds every unit the
+    /// suite ran (the per-program reports hold none), `outcome` is the
+    /// worst rung any program hit. Stage timings are suite-level.
     pub report: CompileReport,
 }
 
@@ -289,4 +281,16 @@ pub struct IrSuiteResult {
     /// Whether a compile unit panicked: every program is its annotated input
     /// and no outcome was recorded, so a suite can retry it per program.
     pub(crate) faulted: bool,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_leaf_report_is_one_flag() {
+        // The frame allocates one per leaf before any unit runs; an engine
+        // run belongs in `CompileReport::units`, once per unit.
+        assert_eq!(std::mem::size_of::<StmtReport>(), 1);
+    }
 }

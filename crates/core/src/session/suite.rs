@@ -56,9 +56,10 @@ impl Session {
             // moved on, so surviving programs recompile.
         }
 
-        // Isolated path: one unit per program, errors confined to their
+        // Isolated path: one frame per program, errors confined to their
         // slot, all programs sharing the call-level budget. The suite
-        // report sums what the units report, as `split_suite`'s does.
+        // report sums what the frames report and takes their units, as
+        // `split_suite`'s does.
         let mut report = CompileReport {
             target: self.target.name().to_string(),
             stages: StageTimings {
@@ -70,15 +71,17 @@ impl Session {
         let mut results = Vec::with_capacity(lowered.len());
         for lowered_program in lowered {
             results.push(lowered_program.and_then(|program| {
-                let unit = self.compile_program(program, budget.clone())?;
-                report.outcome = report.outcome.worst(unit.report.outcome);
-                report.stmts.extend(unit.report.stmts.iter().cloned());
-                report.notes.extend(unit.report.notes.iter().cloned());
-                report.stages.encode += unit.report.stages.encode;
-                report.stages.saturate += unit.report.stages.saturate;
-                report.stages.extract += unit.report.stages.extract;
-                report.stages.splice += unit.report.stages.splice;
-                Ok(unit)
+                let mut compiled = self.compile_program(program, budget.clone())?;
+                let own = &mut compiled.report;
+                report.outcome = report.outcome.worst(own.outcome);
+                report.stmts.extend(own.stmts.iter().cloned());
+                report.units.append(&mut own.units);
+                report.notes.extend(own.notes.iter().cloned());
+                report.stages.encode += own.stages.encode;
+                report.stages.saturate += own.stages.saturate;
+                report.stages.extract += own.stages.extract;
+                report.stages.splice += own.stages.splice;
+                Ok(compiled)
             }));
         }
         report.total_time = lower_started.elapsed();
@@ -87,7 +90,7 @@ impl Session {
 
     /// Splits a whole-suite compile into per-program results sharing the
     /// suite-level report (per-program slices of the statement reports;
-    /// timings, the batch run and extraction stats stay suite-level).
+    /// timings, the units and extraction stats stay suite-level).
     fn split_suite(
         &self,
         compiled: IrSuiteResult,
@@ -114,7 +117,7 @@ impl Session {
                 let unit_report = CompileReport {
                     target: report.target.clone(),
                     stmts: report.stmts[next..next + count].to_vec(),
-                    batch: report.batch.clone(),
+                    units: Vec::new(),
                     extraction: None,
                     outcome: report.outcome,
                     stages: report.stages,

@@ -49,8 +49,9 @@ fn main() {
         println!("== {label} schedule ==");
         if let Some(report) = &r.selection {
             println!(
-                "  HARDBOILED: {} statements saturated, all lowered: {}, cache: {:?}",
+                "  HARDBOILED: {} selection leaves, units run: {}, all lowered: {}, cache: {:?}",
                 report.num_statements(),
+                report.units.len(),
                 report.all_lowered(),
                 report.cache
             );
@@ -61,9 +62,9 @@ fn main() {
             );
             if let Some(ex) = &report.extraction {
                 println!(
-                    "  extraction: {} table entries, {} roots, readout {:?}",
+                    "  extraction: {} table entries, {} leaf costs, readout {:?}",
                     ex.table_entries,
-                    ex.roots(),
+                    ex.root_costs.len(),
                     ex.readout_time
                 );
             }

@@ -15,7 +15,6 @@ use hardboiled_repro::apps::conv2d::Conv2d;
 use hardboiled_repro::apps::gemm_wmma::GemmWmma;
 use hardboiled_repro::apps::matmul_amx::{AmxMatmul, Layout, Variant};
 use hardboiled_repro::apps::resample_int::{Downsample, Upsample};
-use hardboiled_repro::egraph::schedule::RunReport;
 use hardboiled_repro::hardboiled::postprocess::normalize_temps;
 use hardboiled_repro::hardboiled::{
     Batching, CancelToken, CompileOutcome, CompileReport, ReportCache, Session,
@@ -52,10 +51,12 @@ fn assert_batched_equivalent(name: &str, pipeline: &Pipeline) {
         );
     }
     if r_leaf.num_statements() > 0 {
-        let batch = r_batch.batch.as_ref().expect("batched mode sets batch");
+        let [batch] = &r_batch.units[..] else {
+            panic!("{name}: batched mode runs one unit");
+        };
         assert!(batch.nodes > 0, "{name}: shared graph cannot be empty");
     } else {
-        assert!(r_batch.batch.is_none(), "{name}: no leaves, no batch run");
+        assert!(r_batch.units.is_empty(), "{name}: no leaves, no unit");
     }
 }
 
@@ -135,7 +136,7 @@ fn whole_suite_batch_selects_identically() {
     let suite = session(Batching::Batched).compile_ir_suite(&programs);
     let outs = suite.programs;
     assert_eq!(outs.len(), lowereds.len());
-    assert!(suite.report.batch.is_some());
+    assert_eq!(suite.report.units.len(), 1, "one shared unit");
     let per_leaf_session = session(Batching::PerLeaf);
     for (i, (lowered, out)) in lowereds.iter().zip(&outs).enumerate() {
         let per_leaf = per_leaf_session.compile(lowered).unwrap().program;
@@ -155,7 +156,7 @@ fn statements_without_movement_are_untouched_in_batched_mode() {
     let lowered = lower(&app.pipeline(false)).unwrap();
     let result = session(Batching::Batched).compile(&lowered).unwrap();
     assert_eq!(result.report.num_statements(), 0);
-    assert!(result.report.batch.is_none());
+    assert!(result.report.units.is_empty());
     assert_eq!(result.program.to_string(), lowered.stmt.to_string());
 }
 
@@ -232,13 +233,12 @@ fn every_compile_shape_runs_the_same_unit() {
         assert_eq!(report.outcome, CompileOutcome::Saturated, "{shape}");
         let extraction = report.extraction.as_ref().expect("leaves were extracted");
         assert_eq!(&extraction.root_costs, reference_costs, "{shape}: costs");
-        assert_eq!(extraction.roots(), report.num_statements(), "{shape}");
-        assert_eq!(report.batch.is_some(), *shared, "{shape}: batch report");
-        // The engine's report lands in the statements exactly when each
-        // had a graph of its own.
-        for stmt in &report.stmts {
-            assert_eq!(stmt.eqsat == RunReport::default(), *shared, "{shape}");
-        }
+        let leaves = report.num_statements();
+        assert_eq!(extraction.root_costs.len(), leaves, "{shape}");
+        // One shared unit, or one per leaf: every leaf of the suite is a
+        // shape of its own.
+        let units = if *shared { 1 } else { leaves };
+        assert_eq!(report.units.len(), units, "{shape}: units");
     }
 }
 

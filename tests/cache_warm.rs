@@ -70,9 +70,9 @@ fn repeat_compile_hits_and_returns_identical_program() {
     assert_eq!(hit.report.cache, CacheOutcome::Hit);
     assert_eq!(hit.program, cold.program, "hit must be byte-identical");
     assert_eq!(hit.report.outcome, cold.report.outcome);
-    // No unit ran: the leaf's report carries no engine run, and its cost
-    // is the stored one.
-    assert_eq!(hit.report.stmts[0].eqsat, RunReport::default());
+    // No unit ran, and the leaf's cost is the stored one.
+    assert_eq!(cold.report.units.len(), 1);
+    assert!(hit.report.units.is_empty());
     assert_eq!(root_costs(&hit.report), root_costs(&cold.report));
 
     let stats = cache.stats();
@@ -531,12 +531,14 @@ fn warm_start_is_byte_identical_and_probes_fewer_rows() {
     // no full search at all, and probes fewer rows in total — the rows its
     // delta probes visit against the rows the cold run's full searches
     // enumerate and its delta probes visit.
-    let (cold_run, warm_run) = (cold.report.batch.unwrap(), warm.report.batch.unwrap());
+    let ([cold_run], [warm_run]) = (&cold.report.units[..], &warm.report.units[..]) else {
+        panic!("a shared unit each");
+    };
     assert!(cold_run.full_searches > 0, "cold run must search in full");
     assert_eq!(warm_run.full_searches, 0, "warm run searched in full");
     assert_eq!(warm_run.full_probed_rows, 0, "warm run enumerated in full");
     let total = |run: &RunReport| run.full_probed_rows + run.delta_probed_rows;
-    let (cold_probed, warm_probed) = (total(&cold_run), total(&warm_run));
+    let (cold_probed, warm_probed) = (total(cold_run), total(warm_run));
     assert!(
         cold_run.full_probed_rows > 0,
         "cold run must enumerate rows"

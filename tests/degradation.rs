@@ -113,7 +113,9 @@ fn deadline_bounds_full_suite_wall_clock() {
             reason: TruncationReason::Deadline
         }
     );
-    let batch = suite.report.batch.as_ref().expect("shared-graph run");
+    let [batch] = &suite.report.units[..] else {
+        panic!("one shared-graph unit");
+    };
     assert!(batch.deadline_hit, "engine report must record the deadline");
     // The acceptance bound: the budget plus one iteration of slack (the
     // clock is only polled between rules) plus the unbudgeted extraction

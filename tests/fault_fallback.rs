@@ -1,11 +1,11 @@
 //! The unoptimized fallback after an engine fault (cargo feature
 //! `fault-injection`): a compile unit that panics gives back the annotated
 //! program and nothing else — every program equal to `annotate_stmt` of
-//! its input, every leaf unlowered with no engine report, no extraction
-//! report, nothing stored in the cache, one "engine fault" note and one
-//! count on the fallback rung — whichever unit faults, in either batching
-//! mode. A suite whose shared run faults retries program by program and
-//! counts only the retries.
+//! its input, every leaf unlowered, no unit and no extraction report,
+//! nothing stored in the cache, one "engine fault" note and one count on
+//! the fallback rung — whichever unit faults, in either batching mode. A
+//! suite whose shared run faults retries program by program, counts only
+//! the retries and reports each retry's unit.
 #![cfg(feature = "fault-injection")]
 
 use std::panic;
@@ -92,13 +92,8 @@ fn assert_fallback_report(report: &CompileReport, leaves: usize, what: &str) {
     );
     for (i, stmt) in report.stmts.iter().enumerate() {
         assert!(!stmt.lowered, "{what}: leaf {i} claims to have lowered");
-        assert_eq!(
-            stmt.eqsat,
-            RunReport::default(),
-            "{what}: leaf {i} kept engine data"
-        );
     }
-    assert!(report.batch.is_none(), "{what}: a batch report survived");
+    assert!(report.units.is_empty(), "{what}: a unit's report survived");
     assert!(
         report.extraction.is_none(),
         "{what}: an extraction report survived"
@@ -135,18 +130,14 @@ const ONE_FALLBACK: [u64; 6] = [0, 0, 0, 0, 0, 1];
 fn a_fault_in_a_later_per_leaf_unit_falls_back_whole() {
     quiet_injected_panics();
     let lowered = unrolled();
-    // A clean per-leaf compile: one unit per shape, its engine report on
-    // the shape's first leaf. Every rule of every pass is one search the
-    // plan counts, skipped or not.
+    // A clean per-leaf compile: one unit per shape. Every rule of every
+    // pass is one search the plan counts, skipped or not.
     let clean = Session::builder()
         .build()
         .unwrap()
         .compile(&lowered)
         .unwrap();
-    let units: Vec<&RunReport> = (clean.report.stmts.iter())
-        .map(|s| &s.eqsat)
-        .filter(|run| run.iterations > 0)
-        .collect();
+    let units = &clean.report.units;
     assert!(units.len() >= 2, "the program needs two shapes");
     let first = units[0].full_searches + units[0].delta_searches + units[0].skipped_searches;
     // The first search of the second unit.
@@ -227,4 +218,46 @@ fn a_faulted_shared_suite_run_counts_only_its_retries() {
         );
     }
     assert_eq!(outcomes(&metrics), [2, 0, 0, 0, 0, 0]);
+}
+
+#[test]
+fn a_retried_suite_reports_one_unit_per_program_with_leaves() {
+    quiet_injected_panics();
+    // Two GEMMs around a program with no accelerator placements, hence no
+    // leaves and no unit.
+    let plain = lower(&Conv1d { n: 256, k: 8 }.pipeline(false)).unwrap();
+    let sources = [gemm(), plain, gemm()];
+    let clean = (Session::builder().batching(Batching::Batched).build())
+        .unwrap()
+        .compile(&gemm())
+        .unwrap();
+    let [clean_run] = &clean.report.units[..] else {
+        panic!("a clean batched compile runs one unit");
+    };
+
+    let plan = FaultPlan::new(Fault::RulePanic { at_search: 0 });
+    let (session, _) = faulty(Batching::Batched, &plan);
+    let suite = session.compile_suite(&sources).unwrap();
+    assert_eq!(plan.times_fired(), 1, "the shared run must hit the fault");
+    assert_eq!(suite.report.outcome, CompileOutcome::Saturated);
+    let leaves: Vec<usize> = (suite.results.iter())
+        .map(|r| r.as_ref().unwrap().report.num_statements())
+        .collect();
+    assert_eq!(
+        leaves,
+        [
+            clean.report.num_statements(),
+            0,
+            clean.report.num_statements()
+        ]
+    );
+    // The suite report holds every retry's unit; the programs' own hold none.
+    assert_eq!(suite.report.units.len(), 2, "one unit per GEMM");
+    for result in &suite.results {
+        assert!(result.as_ref().unwrap().report.units.is_empty());
+    }
+    let counts = |run: &RunReport| (run.nodes, run.classes, run.iterations, run.applied);
+    for run in &suite.report.units {
+        assert_eq!(counts(run), counts(clean_run), "a retry ran another unit");
+    }
 }

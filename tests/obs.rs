@@ -43,7 +43,9 @@ fn span_tree_is_byte_stable_under_the_test_clock() {
         .unwrap();
     let leaf = tile_leaf(0);
     let result = session.compile(&leaf).unwrap();
-    let run = result.report.batch.as_ref().expect("batched run report");
+    let [run] = &result.report.units[..] else {
+        panic!("one batched unit");
+    };
     // Clock readings: compile opens at 0; six children each consume an
     // open+close tick pair; compile closes at 13.
     let expected = format!(
@@ -123,7 +125,9 @@ fn collecting_sink_observes_rule_searches() {
         .build()
         .unwrap();
     let result = session.compile(&tile_leaf(0)).unwrap();
-    let run = result.report.batch.as_ref().expect("batched run report");
+    let [run] = &result.report.units[..] else {
+        panic!("one batched unit");
+    };
     let samples = sink.samples();
     assert!(!samples.is_empty(), "no rule searches observed");
     assert!(samples.iter().all(|s| !s.rule.is_empty()));

@@ -81,19 +81,17 @@ fn timeless(run: &RunReport) -> RunReport {
 
 /// Everything a compile produced except its wall clock: the program
 /// (gensyms renumbered — their counter is process-wide), the outcome, each
-/// statement's report and engine run, the batched run, the extraction
-/// counters and the notes.
+/// statement's report, every unit's engine run, the extraction counters
+/// and the notes.
 fn digest(result: &CompileResult) -> String {
     let report = &result.report;
-    let stmts: Vec<_> = (report.stmts.iter())
-        .map(|s| (s.lowered, timeless(&s.eqsat)))
-        .collect();
+    let lowered: Vec<bool> = report.stmts.iter().map(|s| s.lowered).collect();
+    let units: Vec<_> = report.units.iter().map(timeless).collect();
     let extraction = (report.extraction.as_ref()).map(|e| (e.table_entries, &e.root_costs));
     format!(
-        "{}\n{:?}\n{stmts:#?}\n{:?}\n{extraction:?}\n{:?}",
+        "{}\n{:?}\n{lowered:?}\n{units:#?}\n{extraction:?}\n{:?}",
         normalize_temps(&result.program.to_string()),
         report.outcome,
-        report.batch.as_ref().map(timeless),
         report.notes,
     )
 }
@@ -144,7 +142,9 @@ fn a_large_batched_context_comes_back_from_the_pool() {
         .unwrap();
     assert_eq!(session.pooled_contexts(), 0);
     let first = session.compile_ir_suite(&programs);
-    let run = first.report.batch.as_ref().unwrap();
+    let [run] = &first.report.units[..] else {
+        panic!("one batched unit");
+    };
     assert!(
         run.nodes > 1024,
         "{} nodes, so at least as many ids",
@@ -163,8 +163,8 @@ fn a_large_batched_context_comes_back_from_the_pool() {
             .map(|p| normalize_temps(&p.to_string()))
             .collect();
         let extraction = (r.report.extraction.as_ref()).map(|e| (e.table_entries, &e.root_costs));
-        let run = r.report.batch.as_ref().map(timeless);
-        format!("{texts:?}\n{run:?}\n{extraction:?}")
+        let units: Vec<_> = r.report.units.iter().map(timeless).collect();
+        format!("{texts:?}\n{units:?}\n{extraction:?}")
     };
     assert_eq!(digest(&second), digest(&first));
 }

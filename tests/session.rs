@@ -207,7 +207,7 @@ fn scalar_target_passes_programs_through() {
         .unwrap();
     let result = session.compile(&lowered).unwrap();
     assert_eq!(result.report.num_statements(), 0);
-    assert!(result.report.batch.is_none());
+    assert!(result.report.units.is_empty());
     // No saturation leaves -> the annotated tree IS the input tree.
     assert_eq!(result.program.to_string(), lowered.stmt.to_string());
 }
@@ -259,7 +259,10 @@ fn extraction_report_covers_every_root_in_both_modes_and_scalar_has_none() {
         .extraction
         .as_ref()
         .expect("saturated → report");
-    assert_eq!(extraction.roots(), per_leaf.report.num_statements());
+    assert_eq!(
+        extraction.root_costs.len(),
+        per_leaf.report.num_statements()
+    );
     assert!(extraction.table_entries > 0);
     assert!(extraction.root_costs.iter().all(Option::is_some));
 
@@ -273,7 +276,7 @@ fn extraction_report_covers_every_root_in_both_modes_and_scalar_has_none() {
         .extraction
         .as_ref()
         .expect("saturated → report");
-    assert_eq!(shared.roots(), result.report.num_statements());
+    assert_eq!(shared.root_costs.len(), result.report.num_statements());
     assert!(shared.table_entries > 0);
     assert_eq!(shared.root_costs, extraction.root_costs);
     // No-leaf compiles have no extraction stage at all.
@@ -317,7 +320,7 @@ fn suite_compilation_matches_per_program_compilation() {
     let suite = session.compile_suite(&sources).unwrap();
     let programs = suite.programs().expect("suite fully compiled");
     assert_eq!(programs.len(), 2);
-    assert!(suite.report.batch.is_some(), "shared-graph run must report");
+    assert_eq!(suite.report.units.len(), 1, "one shared-graph unit");
     for (lowered, out) in sources.iter().zip(&programs) {
         let single = session.compile(lowered).unwrap();
         assert_eq!(

@@ -15,7 +15,8 @@
 //! * **semantics** — the selected programs run on the simulator and match
 //!   the scalar reference.
 //! * **Fig. 6 is flat** — the batched graph of an unrolled conv1d does not
-//!   grow with the unroll factor.
+//!   grow with the unroll factor, nor does the number of units an uncached
+//!   per-leaf compile of it runs, one per shape.
 //! * **unshaped reference** — every leaf of the selector pool, the `hb-apps`
 //!   applications and the unrolled ladder selects what it selects when
 //!   saturated alone and never parametrized, through public API only
@@ -160,12 +161,40 @@ fn the_batched_graph_does_not_grow_with_the_unroll_factor() {
     let compile = |k| {
         let lowered = lower(&Conv1d { n: 512, k }.pipeline_tc_unrolled()).unwrap();
         let report = session.compile(&lowered).unwrap().report;
-        let nodes = report.batch.as_ref().expect("a batched run").nodes;
+        let [run] = &report.units[..] else {
+            panic!("one batched unit");
+        };
+        let nodes = run.nodes;
         (report.num_statements(), nodes)
     };
     let ((small_leaves, small), (large_leaves, large)) = (compile(64), compile(512));
     assert_eq!((small_leaves, large_leaves), (10, 66));
     assert_eq!(small, large, "the graph grew with k");
+}
+
+#[test]
+fn per_leaf_units_do_not_grow_with_the_unroll_factor() {
+    let session = session("sim", Batching::PerLeaf);
+    for n in [512, 768] {
+        // (leaves, units) along the ladder.
+        let counts: Vec<(usize, usize)> = (0..9)
+            .map(|i| {
+                let app = Conv1d { n, k: 64 + 56 * i };
+                let lowered = lower(&app.pipeline_tc_unrolled()).unwrap();
+                let report = session.compile(&lowered).unwrap().report;
+                (report.num_statements(), report.units.len())
+            })
+            .collect();
+        assert!(
+            counts.windows(2).all(|w| w[0].0 < w[1].0),
+            "n={n}: the leaves must grow with k: {counts:?}"
+        );
+        assert!(counts[0].1 > 0, "n={n}: an uncached compile runs a unit");
+        assert!(
+            counts.iter().all(|&(_, units)| units == counts[0].1),
+            "n={n}: the units grew with k: {counts:?}"
+        );
+    }
 }
 
 /// Whether the annotated statement is a leaf a session saturates: a

@@ -162,14 +162,12 @@ fn timeless(run: &RunReport) -> RunReport {
 /// statements lowered, every engine counter, table size and root costs.
 fn nameless_digest(result: &CompileResult) -> String {
     let report = &result.report;
-    let stmts: Vec<_> = (report.stmts.iter())
-        .map(|s| (s.lowered, timeless(&s.eqsat)))
-        .collect();
+    let lowered: Vec<bool> = report.stmts.iter().map(|s| s.lowered).collect();
+    let units: Vec<_> = report.units.iter().map(timeless).collect();
     let extraction = (report.extraction.as_ref()).map(|e| (e.table_entries, &e.root_costs));
     format!(
-        "{:?}\n{stmts:?}\n{:?}\n{extraction:?}",
+        "{:?}\n{lowered:?}\n{units:?}\n{extraction:?}",
         report.outcome,
-        report.batch.as_ref().map(timeless),
     )
 }
 
