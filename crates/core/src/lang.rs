@@ -19,8 +19,8 @@
 //!
 //! A symbol's number must reach no selected program: the derived `Ord`
 //! (class node lists are sorted, which fixes match order) compares names,
-//! and `op_key` (extraction tie-breaks and every per-op table are ordered by
-//! it) finishes a hasher primed with the name, kept in a side table indexed
+//! and `op_key` (extraction tie-breaks are ordered by it and the operator
+//! index is keyed by it) finishes a hasher primed with the name, kept in a side table indexed
 //! by the symbol's number and filled the first time a symbol is keyed.
 //! Programs, node order and every deterministic count are therefore
 //! functions of the names alone, and the snapshot wire format keeps writing

@@ -371,7 +371,7 @@ impl Session {
         let eg = &mut ctx.graph;
         ctx.roots.clear();
         // Encoding only adds, so the graph stays rebuilt: no union is
-        // pending, and no delta log outgrows its index row.
+        // pending.
         ctx.roots
             .extend(roots.iter().map(|root| encode_stmt(eg, root)));
         report.stages.encode += encode_span.finish();

@@ -14,6 +14,7 @@ use super::{
     CompileError, CompileReport, CompileResult, IntoProgram, IrSuiteResult, Program, Session,
     StageTimings, SuiteResult,
 };
+use crate::cache::CacheOutcome;
 use crate::movement::Placements;
 
 impl Session {
@@ -58,8 +59,8 @@ impl Session {
 
         // Isolated path: one frame per program, errors confined to their
         // slot, all programs sharing the call-level budget. The suite
-        // report sums what the frames report and takes their units, as
-        // `split_suite`'s does.
+        // report sums what the frames report and takes their units and
+        // extraction reports, as `split_suite`'s report holds them.
         let mut report = CompileReport {
             target: self.target.name().to_string(),
             stages: StageTimings {
@@ -76,6 +77,17 @@ impl Session {
                 report.outcome = report.outcome.worst(own.outcome);
                 report.stmts.extend(own.stmts.iter().cloned());
                 report.units.append(&mut own.units);
+                if let Some(own_extraction) = own.extraction.take() {
+                    let extraction = report.extraction.get_or_insert_with(Default::default);
+                    extraction.table_entries += own_extraction.table_entries;
+                    extraction.root_costs.extend(own_extraction.root_costs);
+                    extraction.readout_time += own_extraction.readout_time;
+                }
+                report.cache = match (report.cache, own.cache) {
+                    (CacheOutcome::Bypass, cache) | (cache, CacheOutcome::Bypass) => cache,
+                    (CacheOutcome::Hit, CacheOutcome::Hit) => CacheOutcome::Hit,
+                    _ => CacheOutcome::Miss,
+                };
                 report.notes.extend(own.notes.iter().cloned());
                 report.stages.encode += own.stages.encode;
                 report.stages.saturate += own.stages.saturate;

@@ -13,23 +13,17 @@
 //!   indexed e-matching visits only classes that can possibly match;
 //! * **incremental rebuilding**: only classes dirtied by unions since the
 //!   last rebuild have their node lists re-canonicalized;
-//! * **op-keyed modification epochs**: every `(class, op_key)` row carries
-//!   the epoch of the last change that could affect matches rooted at that
-//!   class *through a node with that operator*. Changes propagate to
-//!   transitive parents on rebuild, but each ancestor is stamped only in
-//!   the rows of the parent-node operators the change actually flows
-//!   through — so a union near a widely shared leaf does not mark every
-//!   op row of every ancestor. Per-op append-only delta logs (compacted
-//!   deterministically on rebuild) make "classes whose `k` rows changed
-//!   since epoch `e`" an O(changes-to-`k`) query
-//!   ([`EGraph::modified_candidates_for`]). A class-level epoch (the max
-//!   over its rows) serves variable-rooted patterns, and one watermark —
-//!   the epoch of the last class change — the scheduler's quiescence
-//!   check.
+//! * **modification epochs**: every class carries the epoch of the last
+//!   change that could affect matches rooted at it, lifted to its
+//!   transitive parents on rebuild (egg's per-class change stamp). A delta
+//!   probe is an index row filtered by that epoch
+//!   ([`EGraph::modified_since`]), and one watermark — the epoch of the
+//!   last class change — is the scheduler's quiescence check.
 //!
 //! A fact a rule derives for another to join against is an e-node like
-//! any other: hash-consing dedups it, [`EGraph::rebuild`] canonicalizes it, the per-op logs carry
-//! its deltas and [`EGraph::snapshot`] writes it with its class.
+//! any other: hash-consing dedups it, [`EGraph::rebuild`] canonicalizes
+//! it, its class epoch carries its deltas and [`EGraph::snapshot`] writes
+//! it with its class.
 
 use std::fmt::Debug;
 
@@ -78,15 +72,8 @@ pub struct EClass<L, D> {
     /// entries are equal once canonicalized.
     parents: Vec<(L, Id)>,
     /// Epoch of the last change that could affect matches rooted here
-    /// (directly or in a descendant — propagated on rebuild). The max over
-    /// `op_epochs` rows.
+    /// (directly or in a descendant — propagated on rebuild).
     modified: u64,
-    /// Per-operator modification rows: `(op_key, epoch)` where `epoch` is
-    /// the last change that could affect matches rooted here *through a
-    /// node with that operator*. Keys are exactly the distinct op keys of
-    /// `nodes`; classes hold a handful of operators, so a linear scan
-    /// beats hashing.
-    op_epochs: Vec<(u64, u64)>,
 }
 
 impl<L, D> EClass<L, D> {
@@ -97,42 +84,11 @@ impl<L, D> EClass<L, D> {
         self.modified
     }
 
-    /// Epoch of the last modification affecting matches rooted at this
-    /// class through a node with the given [`Language::op_key`], or `None`
-    /// if the class holds no such node. Valid after a rebuild.
-    #[must_use]
-    pub fn op_modified_epoch(&self, key: u64) -> Option<u64> {
-        self.op_epochs
-            .iter()
-            .find_map(|&(k, e)| (k == key).then_some(e))
-    }
-
-    /// Advances the `(class, key)` row to `epoch`; returns whether the row
-    /// moved (callers log the change only then, keeping the per-op delta
-    /// logs duplicate-light).
-    fn bump_op_epoch(&mut self, key: u64, epoch: u64) -> bool {
-        match self.op_epochs.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, e)) => {
-                if *e < epoch {
-                    *e = epoch;
-                    true
-                } else {
-                    false
-                }
-            }
-            None => {
-                self.op_epochs.push((key, epoch));
-                true
-            }
-        }
-    }
-
     /// Turns the class into a shell: its vectors emptied, the small ones
     /// kept for the class that takes its place (see [`SPARE_CAPACITY`]).
     fn empty(&mut self) {
         park(&mut self.nodes);
         park(&mut self.parents);
-        park(&mut self.op_epochs);
     }
 }
 
@@ -158,31 +114,21 @@ fn park<T>(vector: &mut Vec<T>) {
     }
 }
 
-/// `op_key → Vec<T>` rows — the operator index and the per-op delta logs.
-/// [`OpRows::clear`] empties the table but parks the row vectors, so a
-/// reused graph refills its rows without allocating. A row exists only
-/// while it is non-empty.
-#[derive(Debug, Clone)]
-struct OpRows<T> {
-    rows: FastMap<u64, Vec<T>>,
-    spare: Vec<Vec<T>>,
+/// The operator index's `op_key → classes` rows. [`OpRows::clear`]
+/// empties the table but parks the row vectors, so a reused graph refills
+/// its rows without allocating. A row exists only while it is non-empty.
+#[derive(Debug, Clone, Default)]
+struct OpRows {
+    rows: FastMap<u64, Vec<Id>>,
+    spare: Vec<Vec<Id>>,
 }
 
-impl<T> Default for OpRows<T> {
-    fn default() -> Self {
-        OpRows {
-            rows: FastMap::default(),
-            spare: Vec::new(),
-        }
-    }
-}
-
-impl<T> OpRows<T> {
-    fn row(&self, key: u64) -> &[T] {
+impl OpRows {
+    fn row(&self, key: u64) -> &[Id] {
         self.rows.get(&key).map(Vec::as_slice).unwrap_or_default()
     }
 
-    fn push(&mut self, key: u64, item: T) {
+    fn push(&mut self, key: u64, item: Id) {
         let spare = &mut self.spare;
         self.rows
             .entry(key)
@@ -229,7 +175,7 @@ pub struct EGraph<L: Language, N: Analysis<L> = ()> {
     /// Entries may be stale (non-canonical) or duplicated between rebuilds;
     /// a rebuild compacts the rows unions touched
     /// ([`EGraph::candidates_for`]).
-    classes_by_op: OpRows<Id>,
+    classes_by_op: OpRows,
     /// Op keys whose index rows need compaction on the next rebuild.
     dirty_ops: FastSet<u64>,
     /// Classes whose node lists need re-canonicalization on the next
@@ -246,22 +192,8 @@ pub struct EGraph<L: Language, N: Analysis<L> = ()> {
     /// propagation step), 0 before the first — the whole-graph
     /// quiescence watermark behind [`EGraph::any_modified_since`].
     last_modified: u64,
-    /// Per-operator append-only logs of `(epoch, class)` row-modification
-    /// events, epochs nondecreasing within each log — the op-keyed delta
-    /// read path ([`EGraph::modified_candidates_for`]). A class appears in
-    /// log `k` when its `(class, k)` row was stamped: a `k`-node was added,
-    /// a union merged `k`-nodes into it, or a change propagated up through
-    /// a parent node with op `k`. Compacted deterministically on rebuild
-    /// once a log outgrows its index row.
-    modified_log_by_op: OpRows<(u64, Id)>,
     /// Monotone modification clock; see [`EGraph::bump_epoch`].
     work_epoch: u64,
-    /// Rebuild scratch: the `(parent class, parent op)` rows of the class
-    /// whose epoch is being propagated.
-    parent_rows: Vec<(Id, u64)>,
-    /// Log-compaction scratch, by id: the highest epoch logged for the id.
-    /// All zero between compactions (epochs start at 1).
-    max_epoch: Vec<u64>,
 }
 
 impl<L: Language, N: Analysis<L>> Default for EGraph<L, N> {
@@ -282,37 +214,9 @@ impl<L: Language, N: Analysis<L>> Default for EGraph<L, N> {
             dirty_parents: Vec::new(),
             touched: Vec::new(),
             last_modified: 0,
-            modified_log_by_op: OpRows::default(),
             work_epoch: 1,
-            parent_rows: Vec::new(),
-            max_epoch: Vec::new(),
         }
     }
-}
-
-/// Bounds a modification log: one entry per live class at its maximum
-/// logged epoch, in place. Exact (not lossy) for every future cutoff, and
-/// **deterministic**: the result is fully ordered by `(epoch, id)`, ids
-/// being unique keys. `max_epoch` is the all-zero by-id scratch; it is all
-/// zero again on return. Pinned by `compaction_is_deterministic_and_exact`
-/// in `tests/engine.rs`.
-fn compact_log(log: &mut Vec<(u64, Id)>, unionfind: &UnionFind, max_epoch: &mut Vec<u64>) {
-    // No liveness filter needed: `find` maps every logged id to a live
-    // root (which, in a per-op log, still holds a node with that op key —
-    // node lists only ever grow).
-    max_epoch.resize(unionfind.len(), 0);
-    for &(epoch, id) in log.iter() {
-        let slot = &mut max_epoch[unionfind.find(id).index()];
-        *slot = (*slot).max(epoch);
-    }
-    // The first entry of each class takes the class's maximum and zeroes
-    // the scratch; its later entries then read zero and are dropped.
-    log.retain_mut(|entry| {
-        let id = unionfind.find(entry.1);
-        *entry = (std::mem::take(&mut max_epoch[id.index()]), id);
-        entry.0 != 0
-    });
-    log.sort_unstable();
 }
 
 impl<L: Language, N: Analysis<L>> EGraph<L, N> {
@@ -322,7 +226,7 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
         Self::default()
     }
 
-    /// Empties the graph — no ids, classes or logs, the clock
+    /// Empties the graph — no ids or classes, the clock
     /// back at 1: indistinguishable from [`EGraph::new`] to every caller —
     /// while keeping the capacity of every table and turning the classes
     /// into shells whose (small) vectors the classes to come fill again,
@@ -343,7 +247,6 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
         self.dirty_parents.clear();
         self.touched.clear();
         self.last_modified = 0;
-        self.modified_log_by_op.clear();
         self.work_epoch = 1;
     }
 
@@ -445,42 +348,45 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
         self.classes_by_op.row(key)
     }
 
-    /// Stamps `id` (which must be canonical) as modified now: the class
-    /// epoch, and every one of its op rows. Called at union sites (the
-    /// merged class's matches can change through any of its nodes —
-    /// including cross-matcher root-id changes for ops that only one side
-    /// contributed; `union` merges the loser's row keys into the winner
-    /// first, so the rows cover the merged node list) and on analysis-data
-    /// changes (appliers may read the data under any root operator). Walks
-    /// the existing rows, not the node list — O(distinct ops), no
-    /// allocation.
+    /// Stamps `id` (which must be canonical) as modified now. Called at
+    /// union sites (the merged class's matches can change through any of
+    /// its nodes) and on analysis-data changes; the rebuild lifts the
+    /// stamp to the class's transitive parents.
     fn stamp(&mut self, id: Id) {
         let epoch = self.work_epoch;
         let slot = self.slot(id);
-        let class = &mut self.slab[slot];
-        class.modified = epoch;
-        for &mut (key, ref mut row) in &mut class.op_epochs {
-            if *row < epoch {
-                *row = epoch;
-                self.modified_log_by_op.push(key, (epoch, id));
-            }
-        }
+        self.slab[slot].modified = epoch;
         self.touched.push(id);
         self.last_modified = epoch;
     }
 
     /// Writes to `out` (replacing its contents) the canonical ids,
-    /// ascending, of the classes whose epoch is at or after `cutoff` —
-    /// the delta enumeration of a variable-rooted pattern. A scan of the
-    /// class table: only patterns rooted at a bare variable need it, and
-    /// every other probe reads a per-op log.
-    pub fn modified_since(&self, cutoff: u64, out: &mut Vec<Id>) {
+    /// ascending, of the classes whose epoch is at or after `cutoff` among
+    /// those that hold a node with [`Language::op_key`] `key` — or among
+    /// every class, for `None` — and returns how many classes that was:
+    /// the delta enumeration of a pattern rooted at that operator (or at a
+    /// bare variable), and the size of the universe it was filtered from.
+    pub fn modified_since(&self, key: Option<u64>, cutoff: u64, out: &mut Vec<Id>) -> usize {
         out.clear();
-        out.extend(
-            self.classes()
-                .filter(|class| class.modified >= cutoff)
-                .map(|class| class.id),
-        );
+        match key {
+            Some(key) => {
+                let row = self.candidates_for(key);
+                out.extend(
+                    row.iter()
+                        .copied()
+                        .filter(|&id| self.slab[self.slot(id)].modified >= cutoff),
+                );
+                row.len()
+            }
+            None => {
+                out.extend(
+                    self.classes()
+                        .filter(|c| c.modified >= cutoff)
+                        .map(|c| c.id),
+                );
+                self.live
+            }
+        }
     }
 
     /// Whether any class was (transitively) modified at or after `cutoff`.
@@ -488,26 +394,6 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
     #[must_use]
     pub fn any_modified_since(&self, cutoff: u64) -> bool {
         self.last_modified >= cutoff
-    }
-
-    /// Writes to `out` (replacing its contents) the canonical ids of
-    /// classes whose `(class, key)` rows were stamped at or after `cutoff`
-    /// — the **op-keyed** delta-probe enumeration for a pattern rooted at
-    /// that operator. Reads the per-op log tail, so the cost is O(changes
-    /// to `key` rows), zero when that operator was untouched — a union in
-    /// a region with no `key` activity does not widen this probe. Sorted
-    /// and deduplicated; may over-approximate, since a log entry carries
-    /// the epoch it was appended at, which can be later than the row's
-    /// (false positives cost the matcher a probe).
-    pub fn modified_candidates_for(&self, key: u64, cutoff: u64, out: &mut Vec<Id>) {
-        out.clear();
-        let log = self.modified_log_by_op.row(key);
-        let start = log.partition_point(|&(e, _)| e < cutoff);
-        // No liveness filter needed: `find` maps every logged id to a
-        // canonical root, and every root has a live class.
-        out.extend(log[start..].iter().map(|&(_, id)| self.find(id)));
-        out.sort_unstable();
-        out.dedup();
     }
 
     /// Canonicalizes the children of `node` in place, compressing paths.
@@ -543,7 +429,6 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
             }
             parents.push((node.clone(), id));
         }
-        let key = node.op_key();
         let epoch = self.work_epoch;
         debug_assert_eq!(id.index(), self.slots.len(), "ids are dense");
         self.slots
@@ -562,17 +447,13 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
                 data,
                 parents: Vec::new(),
                 modified: epoch,
-                op_epochs: Vec::with_capacity(1),
             }),
         }
-        let class = &mut self.slab[self.live];
-        class.nodes.push(node.clone());
-        class.op_epochs.push((key, epoch));
+        self.slab[self.live].nodes.push(node.clone());
         self.live += 1;
         self.num_nodes += 1;
-        self.classes_by_op.push(key, id);
+        self.classes_by_op.push(node.op_key(), id);
         self.last_modified = epoch;
-        self.modified_log_by_op.push(key, (epoch, id));
         self.memo.insert(node, id);
         id
     }
@@ -626,15 +507,11 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
         if !lost.parents.is_empty() {
             self.dirty_parents.push(winner);
         }
+        // The loser's index rows now resolve to the winner: compact them
+        // on the next rebuild.
+        self.dirty_ops
+            .extend(lost.nodes.iter().map(Language::op_key));
         winner_class.nodes.append(&mut lost.nodes);
-        // The loser's index rows now resolve to the winner (compact them
-        // on the next rebuild), and its op rows carry over so the winner's
-        // row keys keep covering its (now merged) node list; the stamp
-        // below then lifts every row to the current epoch.
-        for (key, epoch) in lost.op_epochs.drain(..) {
-            self.dirty_ops.insert(key);
-            winner_class.bump_op_epoch(key, epoch);
-        }
         winner_class.parents.append(&mut lost.parents);
         if N::merge(&mut winner_class.data, lost.data.clone()) {
             self.analysis_pending
@@ -723,7 +600,6 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
             }
         }
         self.propagate_epochs();
-        self.compact_modified_logs();
         self.clean = true;
     }
 
@@ -754,30 +630,10 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
         self.dirty_parents = ids;
     }
 
-    /// Bounds the per-op modification logs once they outgrow what they
-    /// describe: each against its index row (see [`compact_log`]).
-    fn compact_modified_logs(&mut self) {
-        for (&key, log) in &mut self.modified_log_by_op.rows {
-            if log.len() > 64.max(4 * self.classes_by_op.row(key).len()) {
-                compact_log(log, &self.unionfind, &mut self.max_epoch);
-            }
-        }
-    }
-
-    /// Pushes modification epochs to transitive parents so that delta
-    /// searches see every class whose match results could have changed.
-    ///
-    /// Op-keyed: a change in class `c` flows to a parent class only
-    /// through the actual parent e-nodes, so each parent is stamped in the
-    /// rows of those nodes' operators — `(parent, Mul)` stays untouched
-    /// when the change arrived under the parent's `Div` node. The
-    /// class-level epoch (max over rows) drives the worklist: a parent is
-    /// re-traversed only when its max advanced, which is exactly when its
-    /// own parents' rows (keyed by *their* parent-node ops, independent of
-    /// which row advanced here) could still be behind. Row stamps are
-    /// gated per row, not on the class max: a second path into an
-    /// already-traversed parent through a different-op parent node must
-    /// still stamp that op's row.
+    /// Lifts the epochs of the classes stamped since the last rebuild to
+    /// their transitive parents, so that delta searches see every class
+    /// whose match results could have changed. A parent is re-traversed
+    /// only when its epoch advanced.
     fn propagate_epochs(&mut self) {
         let mut worklist = std::mem::take(&mut self.touched);
         for id in &mut worklist {
@@ -785,28 +641,13 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
         }
         worklist.sort_unstable();
         worklist.dedup();
-        let mut parent_rows = std::mem::take(&mut self.parent_rows);
         while let Some(id) = worklist.pop() {
-            let class = &self.slab[self.slot(id)];
-            let epoch = class.modified;
-            parent_rows.clear();
-            parent_rows.extend(
-                class
-                    .parents
-                    .iter()
-                    .map(|(node, pid)| (*pid, node.op_key())),
-            );
-            parent_rows.sort_unstable();
-            parent_rows.dedup();
-            for &(pid, key) in &parent_rows {
-                let pid = self.unionfind.find_mut(pid);
-                let slot = self.slot(pid);
-                let parent = &mut self.slab[slot];
-                if parent.bump_op_epoch(key, epoch) {
-                    // Logged at the clock's current value to keep the
-                    // log sorted; any cutoff ≤ `epoch` still sees it.
-                    self.modified_log_by_op.push(key, (self.work_epoch, pid));
-                }
+            let slot = self.slot(id);
+            let epoch = self.slab[slot].modified;
+            for i in 0..self.slab[slot].parents.len() {
+                let pid = self.unionfind.find_mut(self.slab[slot].parents[i].1);
+                let parent_slot = self.slot(pid);
+                let parent = &mut self.slab[parent_slot];
                 if parent.modified < epoch {
                     parent.modified = epoch;
                     self.last_modified = self.work_epoch;
@@ -815,7 +656,6 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
             }
         }
         self.touched = worklist;
-        self.parent_rows = parent_rows;
     }
 
     /// Whether the graph is rebuilt (safe to search).
@@ -872,62 +712,35 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
         }
     }
 
-    /// Asserts the op-keyed epoch invariants on a rebuilt graph:
-    ///
-    /// * every class's row keys are exactly the distinct op keys of its
-    ///   node list;
-    /// * the class-level epoch is the maximum over its rows;
-    /// * every row is **log-covered**: a delta probe for its op at a
-    ///   cutoff at or below the row's epoch re-surfaces the class.
+    /// Asserts the epoch invariants on a rebuilt graph: every class's
+    /// epoch is at or after the epoch of each of its children (a change
+    /// reached every ancestor), and the quiescence watermark is at or
+    /// after every class epoch.
     ///
     /// Testing/debugging aid (used by the engine's property tests).
     ///
     /// # Panics
     ///
-    /// Panics with a diagnostic if any invariant is violated.
-    pub fn check_op_epochs(&self) {
-        assert!(
-            self.is_clean(),
-            "check_op_epochs requires a rebuilt e-graph"
-        );
-        // One pass over the per-op logs, sorted: `(key, canonical id,
-        // logged epoch)`. A probe at cutoff `c` re-surfaces a class iff its
-        // max logged epoch is ≥ `c`, so the last entry of a `(key, id)`
-        // run is exactly the coverage the row check below needs — without
-        // an O(rows × log) probe per row.
-        let mut logged: Vec<(u64, Id, u64)> = Vec::new();
-        for (&key, log) in &self.modified_log_by_op.rows {
-            logged.extend(log.iter().map(|&(e, id)| (key, self.find(id), e)));
-        }
-        logged.sort_unstable();
+    /// Panics with a diagnostic if either invariant is violated.
+    pub fn check_epochs(&self) {
+        assert!(self.is_clean(), "check_epochs requires a rebuilt e-graph");
         for class in self.classes() {
-            let mut want: Vec<u64> = class.nodes.iter().map(Language::op_key).collect();
-            want.sort_unstable();
-            want.dedup();
-            let mut got: Vec<u64> = class.op_epochs.iter().map(|&(k, _)| k).collect();
-            got.sort_unstable();
-            assert_eq!(
-                got, want,
-                "class {}: op rows diverge from its node operators",
-                class.id
+            assert!(
+                self.last_modified >= class.modified,
+                "class {}: epoch {} is past the watermark {}",
+                class.id,
+                class.modified,
+                self.last_modified
             );
-            let max_row = class.op_epochs.iter().map(|&(_, e)| e).max().unwrap_or(0);
-            assert_eq!(
-                class.modified, max_row,
-                "class {}: class epoch is not the max over its op rows",
-                class.id
-            );
-            for &(key, epoch) in &class.op_epochs {
-                let run_end = logged.partition_point(|&entry| entry <= (key, class.id, u64::MAX));
-                let covered = match run_end.checked_sub(1).map(|i| logged[i]) {
-                    Some((k, id, e)) if (k, id) == (key, class.id) => e,
-                    _ => 0,
-                };
+            for &child in class.nodes.iter().flat_map(Language::children) {
+                let child = self.class(child);
                 assert!(
-                    covered >= epoch,
-                    "class {}: row (key {key:#x}, epoch {epoch}) is not log-covered \
-                     (max logged epoch {covered})",
-                    class.id
+                    class.modified >= child.modified,
+                    "class {}: epoch {} is before its child {}'s {}",
+                    class.id,
+                    class.modified,
+                    child.id,
+                    child.modified
                 );
             }
         }
@@ -976,8 +789,7 @@ where
     /// format (see [`crate::snapshot`]): the union-find parents, then each
     /// class, by ascending id, as its id, its nodes and its analysis data.
     /// Nothing derived is written — [`EGraph::restore`] rebuilds the memo,
-    /// the parent lists, the operator index and the op rows from the node
-    /// lists. The graph must be clean: only a rebuilt graph has canonical
+    /// the parent lists and the operator index from the node lists. The graph must be clean: only a rebuilt graph has canonical
     /// node lists.
     ///
     /// The bytes are deterministic: two structurally identical graphs
@@ -1018,10 +830,9 @@ where
     /// back to a cold build.
     ///
     /// Everything else is derived from the node lists, as a rebuild leaves
-    /// it on a clean graph: the memo, the parent lists, the operator index
-    /// and each class's op rows — one per distinct op key, at epoch 0. The
-    /// delta logs are empty and the clock is at 1, so the restored graph
-    /// was built "before the clock started": a cutoff taken with
+    /// it on a clean graph: the memo, the parent lists and the operator
+    /// index. Every class is at epoch 0 and the clock at 1, so the restored
+    /// graph was built "before the clock started": a cutoff taken with
     /// [`EGraph::bump_epoch`] after the restore sees exactly what changes
     /// after it.
     pub fn restore(bytes: &[u8]) -> Result<Self, SnapshotError> {
@@ -1097,8 +908,7 @@ where
             if n_nodes == 0 {
                 return Err(corrupt("class with no nodes"));
             }
-            let mut nodes = Vec::with_capacity(n_nodes);
-            let mut op_epochs = Vec::with_capacity(1);
+            let mut nodes: Vec<L> = Vec::with_capacity(n_nodes);
             for _ in 0..n_nodes {
                 let node = L::read_node(&mut r)?;
                 if node
@@ -1113,8 +923,7 @@ where
                 }
                 // Ascending class ids: every index row comes out sorted.
                 let key = node.op_key();
-                if !op_epochs.iter().any(|&(k, _)| k == key) {
-                    op_epochs.push((key, 0));
+                if !nodes.iter().any(|other| other.op_key() == key) {
                     eg.classes_by_op.push(key, id);
                 }
                 nodes.push(node);
@@ -1128,7 +937,6 @@ where
                 data,
                 parents: Vec::new(),
                 modified: 0,
-                op_epochs,
             });
             eg.live += 1;
         }
@@ -1157,16 +965,11 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::math_lang::Math;
+    use crate::math_lang::{n, pdiv, pmul, pvar, Math};
+    use crate::pattern::MatchScratch;
+    use crate::rewrite::Query;
 
     type EG = EGraph<Math, ()>;
-
-    /// The op-keyed delta probe, collected.
-    fn probe(eg: &EG, key: u64, cutoff: u64) -> Vec<Id> {
-        let mut out = Vec::new();
-        eg.modified_candidates_for(key, cutoff, &mut out);
-        out
-    }
 
     /// Seeded add / union / rebuild workouts over `Math`: after every
     /// rebuild, each class's parent list — canonicalized — holds exactly the
@@ -1217,6 +1020,7 @@ mod tests {
                     live, derived,
                     "seed {seed}: live vs derivable parent entries"
                 );
+                eg.check_epochs();
             }
             eg.check_op_index();
         }
@@ -1335,76 +1139,59 @@ mod tests {
     }
 
     #[test]
-    fn op_rows_track_only_the_changed_operator() {
-        // A class holding nodes of two operators with disjoint subtrees:
-        // a change under one subtree must stamp only that operator's row.
+    fn a_union_under_a_shared_leaf_resurfaces_its_ancestors_to_every_probe() {
+        // One leaf (`two`) shared by a Mul parent and a Div parent, each
+        // parent's class also holding a node of the other operator.
         let mut eg = EG::new();
         let a = eg.add(Math::Sym("a".into()));
         let b = eg.add(Math::Sym("b".into()));
         let c = eg.add(Math::Sym("c".into()));
-        let two = eg.add(Math::Num(2));
-        let three = eg.add(Math::Num(3));
-        let m = eg.add(Math::Mul([a, two]));
-        let d = eg.add(Math::Div([b, three]));
-        eg.union(m, d); // the class now holds a Mul node and a Div node
-        eg.rebuild();
-        let u = eg.find(m);
-        let mul_key = Math::Mul([Id(0), Id(0)]).op_key();
-        let div_key = Math::Div([Id(0), Id(0)]).op_key();
-        assert!(eg.class(u).op_modified_epoch(mul_key).is_some());
-        assert!(eg.class(u).op_modified_epoch(div_key).is_some());
-        let cutoff = eg.bump_epoch();
-        // Change strictly under the Div node's subtree.
-        eg.union(b, c);
-        eg.rebuild();
-        assert!(
-            probe(&eg, div_key, cutoff).contains(&u),
-            "the Div row must re-surface the class"
-        );
-        assert!(
-            !probe(&eg, mul_key, cutoff).contains(&u),
-            "the untouched Mul row must not re-surface the class"
-        );
-        let mut any_op = Vec::new();
-        eg.modified_since(cutoff, &mut any_op);
-        assert!(
-            any_op.contains(&u),
-            "the class-level epoch still names the class"
-        );
-        eg.check_op_epochs();
-    }
-
-    #[test]
-    fn union_near_shared_leaf_stamps_only_flow_through_ops() {
-        // The motivating workload shape: one widely shared leaf (`two`)
-        // with Mul parents in one region and Div parents in another. A
-        // union inside the Mul region must not stamp the Div parents'
-        // rows, even though per-class ancestor propagation from the shared
-        // leaf would have.
-        let mut eg = EG::new();
-        let a = eg.add(Math::Sym("a".into()));
-        let b = eg.add(Math::Sym("b".into()));
         let two = eg.add(Math::Num(2));
         let m = eg.add(Math::Mul([a, two]));
         let d = eg.add(Math::Div([b, two]));
+        let m_div = eg.add(Math::Div([a, c]));
+        let d_mul = eg.add(Math::Mul([b, c]));
+        eg.union(m, m_div);
+        eg.union(d, d_mul);
         eg.rebuild();
+        let queries = [
+            (Math::Mul([a, a]), Query::single("e", pmul(pvar("x"), n(3)))),
+            (Math::Div([a, a]), Query::single("e", pdiv(pvar("x"), n(3)))),
+        ];
+        let before: Vec<_> = queries.iter().map(|(_, q)| q.search(&eg)).collect();
         let cutoff = eg.bump_epoch();
-        // Union at the shared leaf's sibling inside the Mul region.
-        let c = eg.add(Math::Sym("c".into()));
-        eg.union(a, c);
+        // The union is at the shared leaf: `2 = 3` makes new matches
+        // under both operators.
+        let three = eg.add(Math::Num(3));
+        eg.union(two, three);
         eg.rebuild();
-        let mul_key = Math::Mul([Id(0), Id(0)]).op_key();
-        let div_key = Math::Div([Id(0), Id(0)]).op_key();
-        assert!(probe(&eg, mul_key, cutoff).contains(&eg.find(m)));
-        assert!(
-            probe(&eg, div_key, cutoff).is_empty(),
-            "no Div row changed, so the Div probe must be empty"
-        );
-        assert!(
-            eg.class(d).op_modified_epoch(div_key).unwrap() < cutoff,
-            "the Div parent's row must keep its old epoch"
-        );
-        eg.check_op_epochs();
+        eg.check_epochs();
+        let mut ancestors = vec![eg.find(m), eg.find(d)];
+        ancestors.sort_unstable();
+        let mut scratch = MatchScratch::new();
+        for ((op, query), before) in queries.iter().zip(before) {
+            let mut probed = Vec::new();
+            eg.modified_since(Some(op.op_key()), cutoff, &mut probed);
+            assert_eq!(probed, ancestors, "both ancestors re-surface");
+            // Every match the naive matcher finds that did not exist at the
+            // cutoff, under its ids of then or now, the delta search finds.
+            let delta = query.compile().search(&eg, Some(cutoff), &mut scratch);
+            let canon = |m: &crate::pattern::Subst| {
+                let mut ids: Vec<(String, Id)> =
+                    m.iter().map(|(v, &id)| (v.clone(), eg.find(id))).collect();
+                ids.sort();
+                ids
+            };
+            let old: Vec<_> = before.iter().map(canon).collect();
+            let new: Vec<_> = (query.search(&eg).iter())
+                .filter(|m| !old.contains(&canon(m)))
+                .cloned()
+                .collect();
+            assert!(!new.is_empty());
+            for m in &new {
+                assert!(delta.contains(m), "delta search missed {m:?}");
+            }
+        }
     }
 
     #[test]
@@ -1433,5 +1220,6 @@ mod tests {
             eg.class(two).modified_epoch() < cutoff,
             "unrelated leaf must not be marked"
         );
+        eg.check_epochs();
     }
 }

@@ -13,7 +13,7 @@
 //! `(amx-A-tile A tileA m k)` — is an ordinary e-node its language
 //! declares, and a query reads it with a pattern atom rooted at a fresh
 //! variable. Hash-consing dedups facts, rebuilding canonicalizes them,
-//! the per-op logs carry their deltas and the snapshot carries them as
+//! class epochs carry their deltas and the snapshot carries them as
 //! nodes, as for every other node.
 //!
 //! The engine is generic over a [`language::Language`]; the HARDBOILED
@@ -75,18 +75,18 @@
 //!
 //!   [`egraph::EGraph::clear`] empties a graph for the next one. It
 //!   **resets** everything a caller can observe — ids restart at 0, the
-//!   epoch clock at 1, memo, index rows, delta logs and worklists are
+//!   epoch clock at 1, memo, index rows and worklists are
 //!   empty — so a cleared graph is
 //!   indistinguishable from a new one: same ids for the same `add`s, same
 //!   match sequences, same epochs, index rows and delta probes, same
 //!   snapshot bytes (pinned by
 //!   `cleared_context_rebuilds_the_fresh_graph` in `tests/engine.rs`). It
-//!   **keeps** capacity: the union-find, slot, slab, log and worklist
-//!   vectors, the memo's and the op tables' buckets. The classes
+//!   **keeps** capacity: the union-find, slot, slab and worklist
+//!   vectors, the memo's and the op index's buckets. The classes
 //!   themselves stay in the slab as *shells* past the live prefix, their
-//!   three vectors (nodes, parents, op rows) emptied, and the next `add`s
+//!   two vectors (nodes, parents) emptied, and the next `add`s
 //!   fill them again — the slab's dead tail is the free list; emptied
-//!   index rows and per-op logs wait on a free list of their own. A shell
+//!   index rows wait on a free list of their own. A shell
 //!   or a free list keeps only small vectors (four elements; new ones
 //!   start at one): they are handed to new owners in no particular order,
 //!   so a hub's 300-entry parent list would otherwise end up under every
@@ -111,8 +111,8 @@
 //!   0.72x the allocations of a saturation run and 0.82x the peak bytes.
 //!
 //! * **A cheap deterministic hasher.** The tables that are still hashed —
-//!   the hash-cons memo (keyed by e-node), the operator index and the
-//!   per-op logs (keyed by op key) — and [`language::Language::op_key`]
+//!   the hash-cons memo (keyed by e-node) and the operator index (keyed
+//!   by op key) — and [`language::Language::op_key`]
 //!   itself hash with
 //!   [`hash::WordHasher`], an unkeyed multiply-rotate word hash: the keys
 //!   are e-nodes the program made itself, so SipHash's flooding
@@ -135,26 +135,24 @@
 //!   classes holding parents of losers) instead of draining the entire
 //!   class map.
 //!
-//! * **Op-keyed modification epochs + delta search.** Change tracking is
-//!   per `(class, op_key)` row: every class carries one epoch per distinct
-//!   operator in its node list, stamped when that operator's matches
-//!   rooted at the class could have changed. Union sites stamp every row
-//!   of the merged class (the root id changes for matches through either
-//!   side's nodes); rebuild propagates changes to transitive parents
-//!   through the *actual parent e-nodes*, stamping each ancestor only in
-//!   the rows of the operators the change flows through — so a union near
-//!   a widely shared leaf no longer re-surfaces every ancestor for every
-//!   root operator. Per-op append-only logs (compacted deterministically,
-//!   ordered by `(epoch, id)`) make "classes whose `k` rows changed since
-//!   epoch `e`" an O(changes-to-`k`) query, and [`schedule::Runner`]
-//!   records a per-rule epoch so a rule rooted at `Mul` re-probes only
-//!   classes whose `Mul` rows changed since it last ran; a pass over a
-//!   saturated graph costs almost nothing. A class-level epoch (the max over rows) backs
-//!   variable-rooted patterns (a scan; no shipped rule has one), and one
-//!   watermark — the epoch of the last class change — the quiescence
-//!   check.
+//! * **Modification epochs + delta search.** Every class carries one
+//!   epoch, the last change that could affect matches rooted at it: an
+//!   `add`, a union (the merged class's matches change through either
+//!   side's nodes) or an analysis-data change stamps the class, and
+//!   rebuild lifts the stamp to its transitive parents — the per-class
+//!   change stamp egg's rebuild keeps. A delta probe of a pattern rooted
+//!   at operator `k` is `k`'s index row filtered by epoch (every class,
+//!   for a variable root; [`egraph::EGraph::modified_since`]), and
+//!   [`schedule::Runner`] records a per-rule epoch, so a rule re-probes
+//!   only classes changed since it last ran and a pass over a saturated
+//!   graph costs almost nothing. One watermark — the epoch of the last
+//!   class change — is the quiescence check.
 //!   Probed vs skipped row counts land in `RunReport::delta_probed_rows` /
-//!   `delta_skipped_rows`. Soundness rests on every rule being pure
+//!   `delta_skipped_rows`; their sum is the length of the probed index
+//!   rows. (One
+//!   epoch per `(class, operator)` with per-operator change logs probed
+//!   7–9 % fewer rows on the benchmark pool and cost more allocations and
+//!   bytes than it saved.) Soundness rests on every rule being pure
 //!   ([`rewrite::Rewrite::rule`]) and is documented in [`schedule`].
 //!
 //! * **Semi-naive joins.** Queries with atoms rooted at fresh variables
@@ -162,8 +160,8 @@
 //!   are delta-evaluated Datalog-style: a delta
 //!   [`rewrite::CompiledQuery::search`] runs one join round per atom with
 //!   that atom restricted to — and the join re-ordered to start from —
-//!   the classes its root operator's per-op log names since the cutoff, so
-//!   a round costs O(changes to that operator). A rule keeps *one* cutoff,
+//!   the classes of its root operator's index row changed since the
+//!   cutoff. A rule keeps *one* cutoff,
 //!   the epoch it last searched at, for all of its atoms; on a graph no
 //!   class of which changed since, every round is skipped, so these rules
 //!   too cost nearly nothing at quiescence.
@@ -211,8 +209,8 @@
 //!   accept an index that disagrees with the nodes. No op key is written
 //!   either: keys are hashes, stable within one binary but not across
 //!   builds, and restore computes them from the nodes it reads.
-//! * **Restored graphs are built before the clock started.** Every op row
-//!   is at epoch 0, the delta logs are empty and the clock is at 1. To
+//! * **Restored graphs are built before the clock started.** Every class
+//!   is at epoch 0 and the clock is at 1. To
 //!   warm-start a restored *saturated* graph, bump the epoch, encode the
 //!   new material (hash-consing dedups everything already present), and
 //!   pass the bumped epoch to [`schedule::Runner::run_in`] — every rule

@@ -138,8 +138,8 @@ pub struct MatchScratch {
     pub(crate) frame: Frame,
     /// Where a search leaves its matches.
     pub(crate) matches: MatchBuf,
-    /// The root enumeration of a delta probe (filled by the e-graph's
-    /// `modified_*` read paths instead of a fresh vector per probe).
+    /// The root enumeration of a delta probe (filled by
+    /// `EGraph::modified_since` instead of a fresh vector per probe).
     pub(crate) roots: Vec<Id>,
     /// The substitution each match is loaded into for its applier — one,
     /// reused, instead of a clone per match.
@@ -149,7 +149,7 @@ pub struct MatchScratch {
     /// Candidate classes enumerated by delta probes since the last drain.
     probed_rows: usize,
     /// Candidate classes delta probes did *not* have to visit: the probed
-    /// operators' remaining index-row entries, whose rows were quiet.
+    /// operators' remaining index-row entries, whose classes were quiet.
     skipped_rows: usize,
 }
 

@@ -12,7 +12,7 @@
 //! A fact a rule derives for another rule to join against (egglog's
 //! relation tuple) is an ordinary e-node, and a query reads it with a
 //! pattern atom rooted at a fresh variable: hash-consing dedups facts,
-//! rebuilding canonicalizes them, and the per-op logs give their deltas.
+//! rebuilding canonicalizes them, and class epochs give their deltas.
 //!
 //! ## One matcher
 //!
@@ -40,10 +40,10 @@
 //!
 //! * a **full** search starts at atom 0 with its operator's whole index
 //!   row;
-//! * a **single-root delta** search starts at atom 0 with only the rows
+//! * a **single-root delta** search starts at atom 0 with only the classes
 //!   stamped since the cutoff;
 //! * a **semi-naive round** starts at its delta atom — that atom's
-//!   modified rows — and visits the others in query order from there (a
+//!   modified classes — and visits the others in query order from there (a
 //!   conjunction's matches do not depend on the order its atoms are
 //!   visited in; whether a variable occurrence binds or compares is
 //!   decided at run time by whether its slot is bound).
@@ -64,12 +64,11 @@
 //!   quiescent graph are all skipped, where these queries previously
 //!   re-ran a full join every pass.
 //!
-//! Delta probes are **keyed by the atom's root operator**: an op-rooted
-//! atom enumerates only classes whose `(class, op_key)` rows changed
-//! ([`crate::egraph::EGraph::modified_candidates_for`]), so activity
-//! confined to other operators — even in this atom's transitive ancestors
-//! — costs it nothing. Every probe records how many candidate rows it
-//! visited vs. skipped into the [`MatchScratch`] counters.
+//! A delta probe is the atom's root-operator index row (every class, for a
+//! variable root) filtered by class epoch
+//! ([`crate::egraph::EGraph::modified_since`]). Every probe records how
+//! many candidate rows it visited vs. skipped into the [`MatchScratch`]
+//! counters.
 
 use std::cell::OnceCell;
 use std::sync::Arc;
@@ -333,11 +332,9 @@ impl<L: Language> CompiledQuery<L> {
 
     /// The root enumeration of the pass's first atom (atom `first`): its
     /// operator's index row (every class, ascending, for a variable root)
-    /// in a full pass; in a delta pass, the classes whose root-operator
-    /// rows were stamped at or after `since` — O(changes to that
-    /// operator's rows) via the per-op log, nothing when the operator was
-    /// quiet — with the probe counters (full or delta) recorded on
-    /// `scratch`, once.
+    /// in a full pass; in a delta pass, the classes of that enumeration
+    /// stamped at or after `since` — with the probe counters (full or
+    /// delta) recorded on `scratch`, once.
     ///
     /// An index row is returned borrowed from the graph; every other
     /// enumeration is left in `scratch.roots` and `None` returned.
@@ -348,32 +345,24 @@ impl<L: Language> CompiledQuery<L> {
         since: Option<u64>,
         scratch: &mut MatchScratch,
     ) -> Option<&'a [Id]> {
-        scratch.roots.clear();
-        match (since, self.atoms[first].program.root_key) {
-            (None, Some(key)) => {
-                let row = egraph.candidates_for(key);
-                scratch.record_full(row.len());
-                return Some(row);
+        let root_key = self.atoms[first].program.root_key;
+        match since {
+            None => {
+                let row = root_key.map(|key| egraph.candidates_for(key));
+                // Every class is at epoch 0 or later.
+                let rows = row.map_or_else(
+                    || egraph.modified_since(None, 0, &mut scratch.roots),
+                    <[Id]>::len,
+                );
+                scratch.record_full(rows);
+                row
             }
-            (None, None) => {
-                scratch.roots.extend(egraph.classes().map(|c| c.id));
-                scratch.record_full(scratch.roots.len());
-            }
-            (Some(cut), root_key) => {
-                let universe = match root_key {
-                    Some(key) => {
-                        egraph.modified_candidates_for(key, cut, &mut scratch.roots);
-                        egraph.candidates_for(key).len()
-                    }
-                    None => {
-                        egraph.modified_since(cut, &mut scratch.roots);
-                        egraph.num_classes()
-                    }
-                };
+            Some(cutoff) => {
+                let universe = egraph.modified_since(root_key, cutoff, &mut scratch.roots);
                 scratch.record_probe(scratch.roots.len(), universe);
+                None
             }
         }
-        None
     }
 
     /// One pass, evaluated from atom `first` and, with `since`, restricted
@@ -733,13 +722,13 @@ mod tests {
         assert_eq!(delta[0].get("e"), Some(m));
         // A union rewrites the old `pair` fact's children: restamped at
         // the current epoch, it is new to the same cutoff.
-        let div_key = Math::Div([Id(0), Id(0)]).op_key();
+        let div_key = Some(Math::Div([Id(0), Id(0)]).op_key());
         let mut changed = Vec::new();
-        eg.modified_candidates_for(div_key, cutoff, &mut changed);
+        eg.modified_since(div_key, cutoff, &mut changed);
         assert!(changed.is_empty());
         eg.union(a, b);
         eg.rebuild();
-        eg.modified_candidates_for(div_key, cutoff, &mut changed);
+        eg.modified_since(div_key, cutoff, &mut changed);
         assert_eq!(changed, vec![eg.find(pair)]);
         let self_pairs = Query::single("e", pmul(pvar("x"), pvar("y")))
             .also("p", pdiv(pvar("z"), pvar("z")))

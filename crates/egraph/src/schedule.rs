@@ -19,11 +19,9 @@
 //! probe for delta-eligible rules, semi-naive join rounds for rules with
 //! atoms rooted at fresh variables (see
 //! [`crate::rewrite::CompiledQuery::search`]) — so once the graph
-//! saturates, re-running the rules costs almost nothing. Probes are
-//! **keyed by each atom's root operator**: a rule rooted at `Mul`
-//! re-probes only classes whose `Mul` rows changed since it last ran, not
-//! every modified class that happens to contain a `Mul` node
-//! ([`RunReport::delta_probed_rows`] /
+//! saturates, re-running the rules costs almost nothing. A rule rooted
+//! at `Mul` re-probes the classes of the `Mul` index row stamped since it
+//! last ran ([`RunReport::delta_probed_rows`] /
 //! [`RunReport::delta_skipped_rows`] count what the probes visited and
 //! what they left alone). Because every rule is pure by contract (see
 //! [`Rewrite::rule`]), a rule is searched in full only on its first run,
@@ -90,18 +88,18 @@ pub struct RunReport {
     pub full_searches: usize,
     /// Rule searches skipped entirely by the quiescence check.
     pub skipped_searches: usize,
-    /// Candidate op rows (classes) full searches enumerated: every class
+    /// Candidate rows (classes) full searches enumerated: every class
     /// of each searched query's first-atom operator row (every class, for
     /// a variable root). With [`RunReport::delta_probed_rows`] it is every
     /// row the run's searches started from.
     pub full_probed_rows: usize,
-    /// Candidate op rows (classes) delta probes actually visited: a probe
-    /// enumerates only classes whose `(class, root_op)` rows changed since
-    /// the rule last ran.
+    /// Candidate rows (classes) delta probes actually visited: the
+    /// classes of the probed operator's index row (every class, for a
+    /// variable root) whose epoch is at or after the rule's last search.
     pub delta_probed_rows: usize,
-    /// Candidate op rows delta probes skipped: the probed operators'
-    /// remaining index-row entries, which were quiet since the rule last
-    /// ran. `probed + skipped` is the work a non-delta indexed search
+    /// Candidate rows delta probes skipped: the probed operators'
+    /// remaining index-row entries, whose classes were quiet since the
+    /// rule last ran. `probed + skipped` is the work a non-delta indexed search
     /// would have done, so `skipped / (probed + skipped)` is the delta
     /// machinery's coverage.
     pub delta_skipped_rows: usize,

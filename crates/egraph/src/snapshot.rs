@@ -5,9 +5,8 @@
 //! ascending id, as its id, its e-nodes and its analysis data. Facts rules
 //! derive for each other are e-nodes, so they travel as nodes.
 //! `EGraph::restore` derives the rest from the node lists — the memo, the
-//! parent lists, the operator index, one op row per distinct operator of
-//! each class at epoch 0 — and starts with empty delta logs and the clock
-//! at 1, so a restored graph can **warm-start** saturation: a cutoff
+//! parent lists, the operator index — and starts every class at epoch 0
+//! and the clock at 1, so a restored graph can **warm-start** saturation: a cutoff
 //! bumped after the restore makes the semi-naive delta exactly what is
 //! added after it.
 //!

@@ -8,9 +8,8 @@
 //! * saturation with the indexed + delta scheduler reaches the same
 //!   e-graph (nodes, classes, equivalences) and extracts the same terms as
 //!   the naive matcher path;
-//! * op-keyed delta probes skip classes whose probed-operator rows were
-//!   untouched (counter-based), and modification-log compaction is
-//!   deterministic and exact;
+//! * every class epoch is at or after its children's and at or before
+//!   the quiescence watermark (`check_epochs`);
 //! * on random graphs and random queries of every shape the backtracking
 //!   matcher emits the naive reference's match *sequence* and its delta
 //!   search covers every match created since the cutoffs — also on index
@@ -153,10 +152,10 @@ proptest! {
         let (eg, _) = replay(&steps);
         // check_op_index panics if the maintained index differs anywhere
         // from a from-scratch recomputation over the class table;
-        // check_op_epochs pins the op-keyed row invariants (row keys ==
-        // node operators, class epoch == max row, rows log-covered).
+        // check_epochs pins the epoch invariants (a class is no older than
+        // its children, the watermark no older than any class).
         eg.check_op_index();
-        eg.check_op_epochs();
+        eg.check_epochs();
     }
 
     #[test]
@@ -187,7 +186,7 @@ proptest! {
         prop_assert_eq!(r1.saturated, r2.saturated);
         prop_assert_eq!(r1.nodes, r2.nodes, "node counts diverged");
         prop_assert_eq!(r1.classes, r2.classes, "class counts diverged");
-        fast.check_op_epochs();
+        fast.check_epochs();
         // Same equivalences between all tracked ids.
         for &x in &ids {
             for &y in &ids {
@@ -336,7 +335,7 @@ proptest! {
                 }
             }
         }
-        eg.check_op_epochs();
+        eg.check_epochs();
     }
 }
 
@@ -534,16 +533,16 @@ fn saturate_in(eg: &mut EG, scratch: &mut MatchScratch) -> hb_egraph::schedule::
     let mut report = runner.run_in(eg, &math_rules(), Budget::none(), None, scratch);
     report.elapsed = std::time::Duration::ZERO;
     eg.check_op_index();
-    eg.check_op_epochs();
+    eg.check_epochs();
     report
 }
 
 /// Asserts that two graphs built by the same steps answer every read of
-/// the public API alike — per class its nodes and epochs (the data is
-/// `()` here); per operator its index row and its delta probe at every
-/// cutoff the clock has passed; the class-level delta and the watermark
-/// at every such cutoff. The snapshot bytes carry content only, so this
-/// is what catches leftover rows, logs or epochs.
+/// the public API alike — per class its nodes and epoch (the data is
+/// `()` here); per operator its index row; per operator, and over every
+/// class, the delta enumeration at every cutoff the clock has passed; the
+/// watermark at every such cutoff. The snapshot bytes carry content only,
+/// so this is what catches leftover rows or epochs.
 fn assert_same_reads(eg: &EG, fresh: &EG) {
     assert_eq!(eg.work_epoch(), fresh.work_epoch());
     assert_eq!(eg.num_classes(), fresh.num_classes());
@@ -557,15 +556,7 @@ fn assert_same_reads(eg: &EG, fresh: &EG) {
             "class {}",
             class.id
         );
-        for key in class.nodes.iter().map(Language::op_key) {
-            assert_eq!(
-                class.op_modified_epoch(key),
-                want.op_modified_epoch(key),
-                "class {}, key {key:#x}",
-                class.id
-            );
-            keys.push(key);
-        }
+        keys.extend(class.nodes.iter().map(Language::op_key));
     }
     keys.sort_unstable();
     keys.dedup();
@@ -578,14 +569,13 @@ fn assert_same_reads(eg: &EG, fresh: &EG) {
     }
     let (mut got, mut want) = (Vec::new(), Vec::new());
     for cutoff in 1..=eg.work_epoch() {
-        for &key in &keys {
-            eg.modified_candidates_for(key, cutoff, &mut got);
-            fresh.modified_candidates_for(key, cutoff, &mut want);
-            assert_eq!(got, want, "key {key:#x}, cutoff {cutoff}");
+        for key in keys.iter().copied().map(Some).chain([None]) {
+            assert_eq!(
+                eg.modified_since(key, cutoff, &mut got),
+                fresh.modified_since(key, cutoff, &mut want)
+            );
+            assert_eq!(got, want, "key {key:?}, cutoff {cutoff}");
         }
-        eg.modified_since(cutoff, &mut got);
-        fresh.modified_since(cutoff, &mut want);
-        assert_eq!(got, want, "cutoff {cutoff}");
         assert_eq!(
             eg.any_modified_since(cutoff),
             fresh.any_modified_since(cutoff),
@@ -600,7 +590,7 @@ proptest! {
     // Reuse safety: a context — graph, matcher scratch, extraction scratch —
     // that built, saturated and extracted one graph and was cleared must
     // build the next graph exactly as a fresh context does. Nothing the
-    // first graph left behind (ids, rows, logs, fact nodes, epochs,
+    // first graph left behind (ids, rows, fact nodes, epochs,
     // match rows, cost-table entries, readout memo) may show.
     #[test]
     fn cleared_context_rebuilds_the_fresh_graph(
@@ -710,158 +700,6 @@ fn scheduler_semi_naive_finds_late_facts_without_full_research() {
         report.skipped_searches, 1,
         "a rule over a quiescent graph is skipped"
     );
-}
-
-#[test]
-fn untouched_op_rows_are_not_probed() {
-    // Epoch exactness, counter-based: a class holding both a Mul and a Div
-    // node sees a change under its Mul subtree only. The Div-rooted
-    // query's delta probe must visit zero rows, although the class is
-    // modified and contains a Div node; the Mul-rooted one must visit the
-    // changed row.
-    let mut eg = EG::new();
-    let two = eg.add(Math::Num(2));
-    let three = eg.add(Math::Num(3));
-    let mut mul_roots = Vec::new();
-    for i in 0..8 {
-        let a = eg.add(Math::Sym(format!("a{i}")));
-        let b = eg.add(Math::Sym(format!("b{i}")));
-        let m = eg.add(Math::Mul([a, two]));
-        let d = eg.add(Math::Div([b, three]));
-        eg.union(m, d); // every class holds a Mul node and a Div node
-        mul_roots.push((a, m));
-    }
-    eg.rebuild();
-    let q_mul = Query::single("e", pmul(pvar("x"), pvar("y"))).compile();
-    let q_div = Query::single("e", pdiv(pvar("x"), pvar("y"))).compile();
-    let since = Some(eg.bump_epoch());
-    // One change, strictly under one class's Mul subtree.
-    let c = eg.add(Math::Sym("c".into()));
-    eg.union(mul_roots[0].0, c);
-    eg.rebuild();
-
-    let mut scratch = MatchScratch::new();
-    let _ = q_div.search(&eg, since, &mut scratch);
-    let (_, div_probed, _) = scratch.take_probe_counters();
-    assert_eq!(
-        div_probed, 0,
-        "no Div row changed — the op-keyed Div probe must visit nothing"
-    );
-    let _ = q_mul.search(&eg, since, &mut scratch);
-    let (_, mul_probed, _) = scratch.take_probe_counters();
-    assert!(
-        mul_probed > 0,
-        "the changed Mul row must be probed under op-keyed tracking"
-    );
-    eg.check_op_epochs();
-}
-
-#[test]
-fn runner_delta_probes_skip_the_untouched_operator() {
-    // Runner-level pin: multi-op classes u_i hold a Mul node and a Div
-    // node with disjoint subtrees. A rule that only changes the Div
-    // side's shared leaf (`3` gains a Div node) restamps the u_i through
-    // their Div parent nodes alone, so the Mul-rooted rule's delta probe
-    // skips all eight u_i (each is modified and contains a Mul node) and
-    // only the Div- and literal-rooted probes visit rows.
-    let mut eg = EG::new();
-    let two = eg.add(Math::Num(2));
-    let three = eg.add(Math::Num(3));
-    for i in 0..8 {
-        let a = eg.add(Math::Sym(format!("a{i}")));
-        let b = eg.add(Math::Sym(format!("b{i}")));
-        let m = eg.add(Math::Mul([a, two]));
-        let d = eg.add(Math::Div([b, three]));
-        eg.union(m, d);
-    }
-    eg.rebuild();
-    let rules: Vec<Rewrite<Math>> = vec![
-        // Never fires; its delta probes of the Mul rows are under test.
-        // Runs first so the Div-side change below lands *after* its first
-        // full search and must be covered by its delta window.
-        Rewrite::rewrite("mul-one", pmul(pvar("x"), n(1)), pvar("x")),
-        // Never fires; keeps a Div-rooted probe in the mix for realism.
-        Rewrite::rewrite("div-threes", pdiv(n(3), n(3)), n(1)),
-        // Fires once: `3` ≡ `3/1`, a change strictly on the Div side.
-        Rewrite::rewrite("three-div-one", n(3), pdiv(n(3), n(1))),
-    ];
-    let report = Runner::new(16, 20_000).run_to_fixpoint(&mut eg, &rules, Budget::none());
-    assert!(report.saturated);
-    assert_eq!((report.nodes, report.classes, report.applied), (36, 27, 1));
-    assert_eq!((report.full_searches, report.delta_searches), (3, 3));
-    assert_eq!(report.delta_probed_rows, 10);
-    assert_eq!(
-        report.delta_skipped_rows, 8,
-        "the Mul-rooted probe must skip every u_i"
-    );
-    eg.check_op_epochs();
-}
-
-#[test]
-fn compaction_is_deterministic_and_exact() {
-    // Regression: modification-log compaction folds the log through a
-    // by-id scratch kept between rebuilds (and across `clear()`); the
-    // compacted log must be fully ordered by (epoch, id) and the scratch
-    // must come back all zero, so delta replay depends on neither. The
-    // second replica of the workout is built in a graph that already
-    // compacted another workout's logs, so a leak diverges their probes.
-    let mul_key = Math::Mul([Id(0), Id(0)]).op_key();
-    let build = |mut eg: EG| {
-        eg.clear();
-        let two = eg.add(Math::Num(2));
-        // A Mul chain deep enough that every union propagates ~40 epochs.
-        let mut chain = vec![eg.add(Math::Sym("x".into()))];
-        for _ in 0..40 {
-            let top = *chain.last().unwrap();
-            chain.push(eg.add(Math::Mul([top, two])));
-        }
-        eg.rebuild();
-        let mut cutoffs = Vec::new();
-        // Enough stamped epochs that rebuild compacts the logs repeatedly.
-        for i in 0..60 {
-            cutoffs.push(eg.bump_epoch());
-            let s = eg.add(Math::Sym(format!("s{i}")));
-            eg.union(s, chain[0]);
-            eg.rebuild();
-        }
-        (eg, cutoffs)
-    };
-    let (a, cutoffs_a) = build(EG::new());
-    let (used, _) = build(EG::new());
-    let (b, cutoffs_b) = build(used);
-    assert_eq!(cutoffs_a, cutoffs_b, "replicas must replay identically");
-    fn collect(read: impl FnOnce(&mut Vec<Id>)) -> Vec<Id> {
-        let mut out = Vec::new();
-        read(&mut out);
-        out
-    }
-    for &cutoff in &cutoffs_a {
-        let class_level = collect(|out| a.modified_since(cutoff, out));
-        assert_eq!(
-            class_level,
-            collect(|out| b.modified_since(cutoff, out)),
-            "class epochs diverged between replicas at cutoff {cutoff}"
-        );
-        let per_op = collect(|out| a.modified_candidates_for(mul_key, cutoff, out));
-        assert!(
-            per_op.iter().all(|id| class_level.contains(id)),
-            "the per-op log names a class whose epoch predates cutoff {cutoff}"
-        );
-        assert_eq!(
-            per_op,
-            collect(|out| b.modified_candidates_for(mul_key, cutoff, out)),
-            "per-op log diverged between replicas at cutoff {cutoff}"
-        );
-        // Exactness after compaction: the whole chain was restamped after
-        // every cutoff, so every chain class must still be reported.
-        assert_eq!(
-            per_op.len(),
-            40,
-            "compaction lost chain entries at cutoff {cutoff}"
-        );
-    }
-    a.check_op_epochs();
-    b.check_op_epochs();
 }
 
 #[test]

@@ -1,12 +1,12 @@
 //! Snapshot-format and warm-start invariants. A snapshot carries the
 //! union-find parents and each class's id, nodes and analysis data;
-//! `restore` derives the rest (memo, parent lists, operator index, op
-//! rows at epoch 0, empty delta logs, the clock at 1).
+//! `restore` derives the rest (memo, parent lists, operator index, every
+//! class at epoch 0, the clock at 1).
 //!
 //! * snapshot → restore round-trips exactly on randomized
 //!   `add`/`union`/`rebuild`/`bump_epoch` workouts: the restored graph
-//!   passes `check_op_index` / `check_op_epochs`, its clock is 1 and every
-//!   op row 0, it extracts byte-identical terms, re-snapshots to the very
+//!   passes `check_op_index` / `check_epochs`, its clock is 1 and every
+//!   class epoch 0, it extracts byte-identical terms, re-snapshots to the very
 //!   same bytes, and after the same growth as the live graph its delta
 //!   probes name the same classes;
 //! * corrupted, truncated and version-bumped bytes are rejected with the
@@ -127,7 +127,7 @@ proptest! {
     // Snapshot → restore is an exact round-trip of what the bytes carry
     // on arbitrary clean graphs, and the derived state is the v4 contract:
     // invariant checkers pass, sizes and equivalences match, the clock is
-    // 1 and every op row 0, extraction is byte-identical, re-snapshotting
+    // 1 and every class epoch 0, extraction is byte-identical, re-snapshotting
     // reproduces the original bytes — and the same growth after a bump on
     // both graphs leaves every delta probe naming the same classes.
     #[test]
@@ -140,16 +140,13 @@ proptest! {
         let bytes = eg.snapshot();
         let mut back = EG::restore(&bytes).expect("restore of a fresh snapshot");
         back.check_op_index();
-        back.check_op_epochs();
+        back.check_epochs();
         prop_assert_eq!(back.num_nodes(), eg.num_nodes());
         prop_assert_eq!(back.num_classes(), eg.num_classes());
         prop_assert_eq!(back.work_epoch(), 1, "a restored clock starts at 1");
         prop_assert!(!back.any_modified_since(1));
         for class in back.classes() {
             prop_assert_eq!(class.modified_epoch(), 0);
-            for node in &class.nodes {
-                prop_assert_eq!(class.op_modified_epoch(node.op_key()), Some(0));
-            }
         }
         for id in &ids {
             prop_assert_eq!(back.find(*id), eg.find(*id));
@@ -174,16 +171,13 @@ proptest! {
         grow(&mut eg, &ids, x, y);
         grow(&mut back, &ids, x, y);
         back.check_op_index();
-        back.check_op_epochs();
+        back.check_epochs();
         let (mut live_out, mut back_out) = (Vec::new(), Vec::new());
-        for key in op_keys(&eg) {
-            eg.modified_candidates_for(key, live_cut, &mut live_out);
-            back.modified_candidates_for(key, back_cut, &mut back_out);
-            prop_assert_eq!(canonical_in(&back, &live_out), back_out.clone(), "key {:#x}", key);
+        for key in op_keys(&eg).into_iter().map(Some).chain([None]) {
+            eg.modified_since(key, live_cut, &mut live_out);
+            back.modified_since(key, back_cut, &mut back_out);
+            prop_assert_eq!(canonical_in(&back, &live_out), back_out.clone(), "key {:?}", key);
         }
-        eg.modified_since(live_cut, &mut live_out);
-        back.modified_since(back_cut, &mut back_out);
-        prop_assert_eq!(canonical_in(&back, &live_out), back_out);
     }
 
     // A saturated snapshot stays saturated and delta-quiet after
@@ -266,7 +260,7 @@ fn warm_start_matches_cold_and_probes_fewer_rows() {
     // Byte-identity: same closure sizes, same extracted terms.
     assert_eq!(warm_eg.num_nodes(), cold_eg.num_nodes());
     assert_eq!(warm_eg.num_classes(), cold_eg.num_classes());
-    warm_eg.check_op_epochs();
+    warm_eg.check_epochs();
     let cold_x = WorklistExtractor::new(&cold_eg, AstSize);
     let warm_x = WorklistExtractor::new(&warm_eg, AstSize);
     for (cold_id, warm_id) in [(base_root_cold, base_root), (new_root_cold, new_root)] {
@@ -333,7 +327,7 @@ fn corrupted_truncated_and_bumped_bytes_are_typed_errors() {
 /// snapshot's payload corrupted in 1–3 bytes and re-framed so that the
 /// checksum passes. Every restore is either a typed error or a graph that
 /// keeps the engine's invariants and survives a warm run — never an
-/// accepted graph whose index or op rows diverge from its node lists.
+/// accepted graph whose index or epochs diverge from its node lists.
 #[test]
 fn reframed_corrupt_payloads_restore_consistent_or_are_rejected() {
     const WORKOUTS: usize = 200;
@@ -366,7 +360,7 @@ fn reframed_corrupt_payloads_restore_consistent_or_are_rejected() {
             };
             accepted += 1;
             back.check_op_index();
-            back.check_op_epochs();
+            back.check_epochs();
             let cutoff = back.bump_epoch();
             let leaf = back.add(Math::Sym("new".into()));
             if let Some(&old) = back.sorted_class_ids().first() {
@@ -381,7 +375,7 @@ fn reframed_corrupt_payloads_restore_consistent_or_are_rejected() {
                 &mut MatchScratch::new(),
             );
             back.check_op_index();
-            back.check_op_epochs();
+            back.check_epochs();
         }
     }
     assert!(

@@ -132,7 +132,7 @@ fn encoded_nodes(lowered: &Lowered, batching: Batching) -> usize {
     nodes + shared.num_nodes()
 }
 
-/// Allocations per encoded e-node the whole set may average: 4.20 (1 674
+/// Allocations per encoded e-node the whole set may average: 3.72 (1 483
 /// allocations for 399 nodes, the reading it was set at), plus 10%.
 /// History on this set:
 /// 30.28 (12 082) with per-compile tables, 9.47 (3 780) when the context
@@ -148,8 +148,10 @@ fn encoded_nodes(lowered: &Lowered, batching: Batching) -> usize {
 /// programs by value (this borrowing entry point copies them at its call
 /// site, as annotation used to: one more vector per compile), 4.20 (1 674)
 /// once every IR name was an interned symbol, so no copy, decode or
-/// materialization allocates a name.
-const BUDGET_PER_NODE: f64 = 4.61;
+/// materialization allocates a name, 4.21 (1 678) with one engine report
+/// per unit, 3.72 (1 483) once a class kept one modification epoch instead
+/// of one per operator, with no per-operator change logs.
+const BUDGET_PER_NODE: f64 = 4.09;
 
 #[test]
 fn a_warmed_compile_stays_within_its_allocation_budget() {

@@ -110,7 +110,9 @@ fn peak_and_output(compile: impl FnOnce() -> Vec<Stmt>) -> (i64, i64) {
 /// expressions, 80-byte statements) it reads 1.246 (108 379 bytes for an
 /// 87 008-byte output): both shrank, the output more, so the bound stays.
 /// With a 1-byte leaf report (112 bytes while each embedded an engine run)
-/// it reads 1.166 (101 469 bytes for the same output).
+/// it reads 1.166 (101 469 bytes for the same output), and with one
+/// modification epoch per class (no per-operator rows or change logs)
+/// 1.163 (101 229 bytes).
 const PEAK_PER_OUTPUT_BYTE: f64 = 1.29;
 
 /// Peak bytes live for the borrowed IR compile, beside the ratio so that a
@@ -124,8 +126,9 @@ const PEAK_BYTES: i64 = 111_615;
 /// The compile that kept the lowered program for its fallback and
 /// annotated a copy of it read 1.822 (298 027 bytes for a 163 540-byte
 /// output). With interned names it reads 1.250 (108 728 bytes for
-/// 87 008), the bound staying as above, and with a 1-byte leaf report
-/// 1.170 (101 818 bytes).
+/// 87 008), the bound staying as above, with a 1-byte leaf report
+/// 1.170 (101 818 bytes), and with one modification epoch per class 1.168
+/// (101 626 bytes).
 const COMPILE_PEAK_PER_OUTPUT_BYTE: f64 = 1.29;
 
 /// Peak bytes live for `Session::compile(&pipeline)`: the reading of

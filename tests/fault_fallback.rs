@@ -260,4 +260,11 @@ fn a_retried_suite_reports_one_unit_per_program_with_leaves() {
     for run in &suite.report.units {
         assert_eq!(counts(run), counts(clean_run), "a retry ran another unit");
     }
+    // And one root cost per leaf of the suite.
+    let extraction = suite.report.extraction.as_ref().expect("retries extract");
+    assert_eq!(
+        extraction.root_costs.len(),
+        leaves.iter().sum::<usize>(),
+        "one root cost per leaf"
+    );
 }

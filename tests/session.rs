@@ -413,6 +413,50 @@ fn isolated_suite_reports_like_the_shared_path() {
     assert!(stages.extract > zero && stages.splice > zero);
 }
 
+#[test]
+fn a_suite_compiled_program_by_program_keeps_its_extraction_and_cache_reports() {
+    // GEMM, an unlowerable member, GEMM on a cached batched session takes
+    // the isolated path. Its suite report must hold one root cost per
+    // leaf, in program order, and a cache outcome folded over the
+    // programs (the first misses, the second hits: a miss), as the shared
+    // path's report does for the two GEMMs alone.
+    use hardboiled::{CacheOutcome, IntoProgram, ReportCache};
+    let gemm = || {
+        let pipeline = GemmWmma {
+            m: 32,
+            k: 32,
+            n: 32,
+        }
+        .pipeline(true);
+        Source(Some(lower(&pipeline).unwrap().to_program().unwrap()))
+    };
+    let cached = || {
+        Session::builder()
+            .batching(Batching::Batched)
+            .report_cache(std::sync::Arc::new(ReportCache::new(16)))
+            .build()
+            .unwrap()
+    };
+    let shared = cached().compile_suite(&[gemm(), gemm()]).unwrap();
+    let isolated = (cached().compile_suite(&[gemm(), Source(None), gemm()])).unwrap();
+    assert_eq!(isolated.errors(), 1);
+    let costs = |report: &hardboiled::CompileReport| {
+        let extraction = report.extraction.as_ref().expect("an extraction report");
+        extraction.root_costs.clone()
+    };
+    assert_eq!(costs(&isolated.report), costs(&shared.report));
+    assert_eq!(
+        costs(&isolated.report).len(),
+        isolated.report.num_statements()
+    );
+    assert_eq!(shared.report.cache, CacheOutcome::Miss);
+    assert_eq!(isolated.report.cache, CacheOutcome::Miss);
+    // The programs' own reports hold no extraction report on either path.
+    for compiled in isolated.results.iter().chain(&shared.results).flatten() {
+        assert!(compiled.report.extraction.is_none());
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Per-request cancellation (`compile_cancellable`).
 
