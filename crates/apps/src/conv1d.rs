@@ -87,7 +87,7 @@ impl Conv1d {
     #[must_use]
     pub fn pipeline_tc_unrolled(&self) -> Pipeline {
         let p = self.pipeline(true);
-        let conv = p.funcs.get("conv").expect("conv func");
+        let conv = p.func("conv").expect("conv func");
         conv.stage_update(|s| {
             s.unroll("rxo");
         });

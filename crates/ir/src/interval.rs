@@ -7,6 +7,7 @@
 use std::collections::HashMap;
 
 use crate::expr::{BinOp, Expr};
+use crate::symbol::Symbol;
 
 /// A closed integer interval `[min, max]`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -93,17 +94,17 @@ pub type VarRanges = HashMap<String, Interval>;
 /// not model (loads, calls, floats) or an unbound variable.
 #[must_use]
 pub fn bounds(e: &Expr, env: &VarRanges) -> Option<Interval> {
-    bounds_with(e, &|name| env.get(name).copied())
+    bounds_with(e, &|name| env.get(name.as_str()).copied())
 }
 
 /// [`bounds`] with the variable ranges given by a function (`None` for an
 /// unbound variable), for callers that know them without building a map.
 #[must_use]
-pub fn bounds_with(e: &Expr, range_of: &dyn Fn(&str) -> Option<Interval>) -> Option<Interval> {
+pub fn bounds_with(e: &Expr, range_of: &dyn Fn(Symbol) -> Option<Interval>) -> Option<Interval> {
     let bounds = |e: &Expr| bounds_with(e, range_of);
     match e {
         Expr::IntImm(v) => Some(Interval::point(*v)),
-        Expr::Var(name, _) => range_of(name),
+        Expr::Var(name, _) => range_of(*name),
         Expr::Cast(ty, v) if ty.elem.is_int() => bounds(v),
         Expr::Binary(op, a, b) => {
             let ia = bounds(a)?;

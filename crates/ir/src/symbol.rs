@@ -4,9 +4,11 @@
 //! ([`Expr::Load`], [`Stmt::Store`], [`Stmt::Allocate`]), an intrinsic
 //! ([`Expr::Call`]) and a loop variable ([`Stmt::For`]) — is a [`Symbol`]:
 //! a 4-byte index into one process-wide, append-only table of distinct
-//! names. The e-graph language of the selector (`hardboiled::HbLang`) holds
-//! the same type, so encoding a tree into an e-graph and decoding one back
-//! copies names instead of interning or allocating them, and cloning,
+//! names. The e-graph language of the selector (`hardboiled::HbLang`) and
+//! the front end (`hb_lang`'s funcs, images, schedules and expressions)
+//! hold the same type, so lowering a pipeline puts its names into the IR as
+//! they are, encoding a tree into an e-graph and decoding one back copies
+//! names instead of interning or allocating them, and cloning,
 //! dropping, comparing and hashing a tree never touches a `String`: symbol
 //! equality and hashing are integer operations that read no table and take
 //! no lock. With call arguments in a boxed slice that makes an [`Expr`] 32

@@ -3,12 +3,21 @@
 //!
 //! Algorithms are functional definitions of arrays (paper §II-B); schedules
 //! (in [`crate::schedule`]) separately describe how they execute.
+//!
+//! Every name — a func's, its dimensions', an image's, a reduction
+//! variable's and a placement's — is an interned [`Symbol`], the type the
+//! IR names its variables and buffers with: the builders take `&str` and
+//! intern it once, and lowering copies and compares 4-byte symbols. The
+//! keyed tables are small vectors: a func's bounds are `(dimension,
+//! range)` pairs in the order they were first set, where setting a
+//! dimension again overwrites its range, and a [`Pipeline`] lists its funcs
+//! and images sorted by name.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use hb_ir::expr::BinOp;
+use hb_ir::symbol::Symbol;
 use hb_ir::types::{MemoryType, ScalarType};
 
 use crate::schedule::StageSchedule;
@@ -21,16 +30,17 @@ pub enum HExpr {
     /// Float immediate with element type.
     Float(f64, ScalarType),
     /// A (pure or reduction) variable.
-    Var(String),
+    Var(Symbol),
     /// A call to a [`Func`] or [`ImageParam`]; arguments are listed
     /// innermost dimension first (the Halide/OpenGL convention, paper fn. 1).
-    Call(String, Vec<HExpr>),
+    Call(Symbol, Box<[HExpr]>),
     /// Binary operation.
     Binary(BinOp, Box<HExpr>, Box<HExpr>),
     /// Element-type cast.
     Cast(ScalarType, Box<HExpr>),
-    /// Two-way select.
-    Select(Box<HExpr>, Box<HExpr>, Box<HExpr>),
+    /// Two-way select: condition, then the true and false values, boxed
+    /// together so an `HExpr` stays three words.
+    Select(Box<[HExpr; 3]>),
 }
 
 impl HExpr {
@@ -39,11 +49,11 @@ impl HExpr {
     pub fn uses_var(&self, name: &str) -> bool {
         match self {
             HExpr::Int(_) | HExpr::Float(..) => false,
-            HExpr::Var(v) => v == name,
+            HExpr::Var(v) => *v == name,
             HExpr::Call(_, args) => args.iter().any(|a| a.uses_var(name)),
             HExpr::Binary(_, a, b) => a.uses_var(name) || b.uses_var(name),
             HExpr::Cast(_, e) => e.uses_var(name),
-            HExpr::Select(c, t, f) => c.uses_var(name) || t.uses_var(name) || f.uses_var(name),
+            HExpr::Select(ops) => ops.iter().any(|e| e.uses_var(name)),
         }
     }
 }
@@ -63,7 +73,7 @@ pub fn hi(v: i64) -> HExpr {
 /// Variable reference.
 #[must_use]
 pub fn hv(name: &str) -> HExpr {
-    HExpr::Var(name.to_string())
+    HExpr::Var(Symbol::from(name))
 }
 
 /// `cast<float32>(e)` — the ubiquitous accumulate cast.
@@ -95,7 +105,7 @@ hexpr_binop!(Rem, rem, BinOp::Mod);
 #[derive(Debug, Clone, PartialEq)]
 pub struct ImageParam {
     /// Buffer name.
-    pub name: String,
+    pub name: Symbol,
     /// Element type.
     pub elem: ScalarType,
     /// Extents, innermost dimension first.
@@ -107,7 +117,7 @@ impl ImageParam {
     #[must_use]
     pub fn new(name: &str, elem: ScalarType, extents: &[i64]) -> Self {
         ImageParam {
-            name: name.to_string(),
+            name: Symbol::from(name),
             elem,
             extents: extents.to_vec(),
         }
@@ -143,7 +153,7 @@ impl ImageParam {
             "arity mismatch for {}",
             self.name
         );
-        HExpr::Call(self.name.clone(), args.to_vec())
+        HExpr::Call(self.name, args.into())
     }
 }
 
@@ -152,7 +162,7 @@ impl ImageParam {
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct RDom {
     /// Variables: `(name, min, extent)`, innermost first.
-    pub vars: Vec<(String, i64, i64)>,
+    pub vars: Vec<(Symbol, i64, i64)>,
 }
 
 impl RDom {
@@ -160,21 +170,21 @@ impl RDom {
     #[must_use]
     pub fn new(name: &str, min: i64, extent: i64) -> Self {
         RDom {
-            vars: vec![(name.to_string(), min, extent)],
+            vars: vec![(Symbol::from(name), min, extent)],
         }
     }
 
     /// Adds another (outer) reduction variable.
     #[must_use]
     pub fn with(mut self, name: &str, min: i64, extent: i64) -> Self {
-        self.vars.push((name.to_string(), min, extent));
+        push_exact(&mut self.vars, (Symbol::from(name), min, extent));
         self
     }
 
     /// Whether `name` is one of the reduction variables.
     #[must_use]
     pub fn contains(&self, name: &str) -> bool {
-        self.vars.iter().any(|(n, _, _)| n == name)
+        self.vars.iter().any(|(n, _, _)| *n == name)
     }
 }
 
@@ -200,9 +210,9 @@ pub enum ComputePlacement {
     /// Realized at the given loop variable of the given consumer func.
     At {
         /// Consumer func name.
-        consumer: String,
+        consumer: Symbol,
         /// Loop variable (post-split name) in the consumer's nest.
-        var: String,
+        var: Symbol,
     },
 }
 
@@ -210,14 +220,15 @@ pub enum ComputePlacement {
 #[derive(Debug, Clone)]
 pub struct FuncInner {
     /// Func name (also its buffer name when realized).
-    pub name: String,
+    pub name: Symbol,
     /// Pure dimension names, innermost first.
-    pub dims: Vec<String>,
+    pub dims: Box<[Symbol]>,
     /// Storage element type.
     pub elem: ScalarType,
     /// Explicit output bounds per dimension (required for the pipeline
-    /// output): `(min, extent)`.
-    pub bounds: HashMap<String, (i64, i64)>,
+    /// output): `(dimension, (min, extent))`, one pair per dimension in the
+    /// order first bound; bounding a dimension again overwrites it.
+    pub bounds: Vec<(Symbol, (i64, i64))>,
     /// Pure (initialization) definition.
     pub pure_def: Option<HExpr>,
     /// Update definition, if any.
@@ -247,10 +258,10 @@ impl Func {
     pub fn new(name: &str, dims: &[&str], elem: ScalarType) -> Self {
         Func {
             inner: Rc::new(RefCell::new(FuncInner {
-                name: name.to_string(),
-                dims: dims.iter().map(|d| (*d).to_string()).collect(),
+                name: Symbol::from(name),
+                dims: dims.iter().map(|&d| Symbol::from(d)).collect(),
                 elem,
-                bounds: HashMap::new(),
+                bounds: Vec::new(),
                 pure_def: None,
                 update: None,
                 placement: ComputePlacement::Inline,
@@ -263,8 +274,8 @@ impl Func {
 
     /// The func's name.
     #[must_use]
-    pub fn name(&self) -> String {
-        self.inner.borrow().name.clone()
+    pub fn name(&self) -> Symbol {
+        self.inner.borrow().name
     }
 
     /// Read access to the internal state.
@@ -309,15 +320,16 @@ impl Func {
             "arity mismatch for {}",
             inner.name
         );
-        HExpr::Call(inner.name.clone(), args.to_vec())
+        HExpr::Call(inner.name, args.into())
     }
 
     /// Constrains a dimension to `[min, min+extent)` (Halide's `bound`).
     pub fn bound(&self, dim: &str, min: i64, extent: i64) -> &Self {
-        self.inner
-            .borrow_mut()
-            .bounds
-            .insert(dim.to_string(), (min, extent));
+        set(
+            &mut self.inner.borrow_mut().bounds,
+            dim.into(),
+            (min, extent),
+        );
         self
     }
 
@@ -325,7 +337,7 @@ impl Func {
     pub fn compute_at(&self, consumer: &Func, var: &str) -> &Self {
         self.inner.borrow_mut().placement = ComputePlacement::At {
             consumer: consumer.name(),
-            var: var.to_string(),
+            var: var.into(),
         };
         self
     }
@@ -349,16 +361,45 @@ impl Func {
     }
 }
 
+/// Appends `item`, growing the vector by exactly one slot: the front end's
+/// lists hold a few entries each and live as long as their pipeline, so
+/// they keep no spare capacity.
+pub(crate) fn push_exact<T>(items: &mut Vec<T>, item: T) {
+    items.reserve_exact(1);
+    items.push(item);
+}
+
+/// Sets `key` to `value` in a small keyed table: overwrites the pair that
+/// has the key, or appends one.
+pub(crate) fn set<V>(pairs: &mut Vec<(Symbol, V)>, key: Symbol, value: V) {
+    if let Some((_, v)) = pairs.iter_mut().find(|(k, _)| *k == key) {
+        *v = value;
+    } else {
+        push_exact(pairs, (key, value));
+    }
+}
+
+/// The value `key` is set to in a small keyed table.
+pub(crate) fn get<V: Copy>(pairs: &[(Symbol, V)], key: Symbol) -> Option<V> {
+    pairs.iter().find(|(k, _)| *k == key).map(|&(_, v)| v)
+}
+
 /// A complete pipeline: the output func plus the input images, with every
 /// reachable func discoverable through call edges.
+///
+/// Funcs and images are kept sorted by name. A handle listed twice (or the
+/// output listed again among the funcs) and an image listed twice are kept
+/// once; two *different* funcs or images that share a name, or a func named
+/// like an image, are all kept, and [`crate::lower::lower`] rejects the
+/// pipeline naming the shared name.
 #[derive(Debug, Clone)]
 pub struct Pipeline {
     /// Output func.
     pub output: Func,
-    /// All funcs by name (output included).
-    pub funcs: HashMap<String, Func>,
-    /// Input images by name.
-    pub images: HashMap<String, ImageParam>,
+    /// All funcs (output included), sorted by name.
+    pub funcs: Vec<Func>,
+    /// Input images, sorted by name.
+    pub images: Vec<ImageParam>,
 }
 
 impl Pipeline {
@@ -366,20 +407,41 @@ impl Pipeline {
     /// and image it (transitively) references.
     #[must_use]
     pub fn new(output: &Func, funcs: &[&Func], images: &[&ImageParam]) -> Self {
-        let mut map = HashMap::new();
-        map.insert(output.name(), output.clone());
-        for f in funcs {
-            map.insert(f.name(), (*f).clone());
+        let mut all: Vec<Func> = Vec::with_capacity(1 + funcs.len());
+        for f in std::iter::once(output).chain(funcs.iter().copied()) {
+            if !all.iter().any(|g| Rc::ptr_eq(&g.inner, &f.inner)) {
+                all.push(f.clone());
+            }
         }
-        let images = images
-            .iter()
-            .map(|i| (i.name.clone(), (*i).clone()))
-            .collect();
+        all.sort_by_key(Func::name);
+        let mut imgs: Vec<ImageParam> = Vec::with_capacity(images.len());
+        for &i in images {
+            if !imgs.contains(i) {
+                imgs.push(i.clone());
+            }
+        }
+        imgs.sort_by_key(|i| i.name);
         Pipeline {
             output: output.clone(),
-            funcs: map,
-            images,
+            funcs: all,
+            images: imgs,
         }
+    }
+
+    /// The func named `name` (the first listed, if several share it).
+    #[must_use]
+    pub fn func(&self, name: &str) -> Option<&Func> {
+        let at = self
+            .funcs
+            .partition_point(|f| f.borrow().name.as_str() < name);
+        self.funcs.get(at).filter(|f| f.borrow().name == name)
+    }
+
+    /// The image named `name` (the first listed, if several share it).
+    #[must_use]
+    pub fn image(&self, name: &str) -> Option<&ImageParam> {
+        let at = self.images.partition_point(|i| i.name.as_str() < name);
+        self.images.get(at).filter(|i| i.name == name)
     }
 }
 
@@ -449,6 +511,42 @@ mod tests {
             }
         );
         assert_eq!(inner.store_in, MemoryType::WmmaAccumulator);
+    }
+
+    #[test]
+    fn front_end_nodes_are_small() {
+        // What every clone, move and drop of an expression copies per node,
+        // and what every `Func` handle points at: names are 4-byte symbols,
+        // not 24-byte strings, and the keyed tables are vectors, not maps
+        // (48 and 480 bytes with `String` names and hash maps).
+        assert_eq!(std::mem::size_of::<HExpr>(), 24);
+        assert_eq!(std::mem::size_of::<FuncInner>(), 280);
+    }
+
+    #[test]
+    fn bounds_overwrite_and_pipelines_sort_by_name() {
+        let f = Func::new("f", &["x", "y"], ScalarType::F32);
+        f.bound("y", 0, 4).bound("x", 0, 8).bound("y", 2, 6);
+        let pairs: Vec<(&str, (i64, i64))> = (f.borrow().bounds.iter())
+            .map(|(d, r)| (d.as_str(), *r))
+            .collect();
+        assert_eq!(pairs, [("y", (2, 6)), ("x", (0, 8))]);
+
+        let (c, a) = (
+            ImageParam::new("c", ScalarType::F32, &[8]),
+            ImageParam::new("a", ScalarType::F32, &[8]),
+        );
+        let g = Func::new("g", &["x"], ScalarType::F32);
+        let p = Pipeline::new(&g, &[&f, &g, &f], &[&c, &a, &c]);
+        let funcs: Vec<Symbol> = p.funcs.iter().map(Func::name).collect();
+        let images: Vec<Symbol> = p.images.iter().map(|i| i.name).collect();
+        assert_eq!(
+            (funcs, images),
+            (vec!["f".into(), "g".into()], vec!["a".into(), "c".into()])
+        );
+        assert_eq!(p.func("g").map(Func::name), Some("g".into()));
+        assert_eq!(p.image("c"), Some(&c));
+        assert!(p.func("h").is_none() && p.image("b").is_none());
     }
 
     #[test]

@@ -8,6 +8,16 @@
 //! nests with nested vectorization ([`vectorize`]) — the IR HARDBOILED's
 //! instruction selector consumes.
 //!
+//! Every name the front end holds — a func's, an image's, a dimension's, a
+//! loop or reduction variable's — is an interned `hb_ir::Symbol`, the type
+//! the IR and the selector's e-graph name things with; the builders take
+//! `&str` and intern it once. Its tables are small vectors, not hash maps:
+//! a [`ast::Pipeline`] lists its funcs and images sorted by name, and a
+//! func's bounds and a stage's loop kinds are `(name, value)` pairs, where
+//! setting a name again overwrites its value. Lowering compares and copies
+//! 4-byte symbols, and rejects two different funcs or images that share a
+//! name.
+//!
 //! [`ast::Pipeline`] and [`lower::Lowered`] implement
 //! `hardboiled::IntoProgram`, so `session.compile(&pipeline)` lowers and
 //! selects in one call through the `Session` API.

@@ -15,7 +15,9 @@
 //! loops and the final simplification rewrite the finished statement
 //! without rebuilding it. Funcs are read through their `RefCell` borrow,
 //! not cloned, and schedules are consulted under the names the user wrote —
-//! only IR loop variables carry the `func__var` qualification.
+//! only IR loop variables carry the `func__var` qualification. Every name is
+//! a [`Symbol`], the type of the IR's names, so lowering compares and copies
+//! 4-byte symbols and a call site's buffer name goes into the IR as is.
 //!
 //! # Cost
 //!
@@ -28,17 +30,18 @@
 //! - a stage binds its variables in a short list searched by name (`Env`),
 //!   and each use of a binding copies its expression;
 //! - a split's recombination moves into the one place its variable occurs,
-//!   the loop order is computed over borrowed names, and a loop's
-//!   qualified name is interned through one reused buffer, so it
-//!   allocates only the first time the process meets it;
+//!   the loop order is computed over symbols, and a loop's qualified name
+//!   is interned once per lowering (`Qualified`) through one reused buffer,
+//!   so it allocates only the first time the process meets it;
 //! - index sums are built unfolded (`0 + i·1 + …`) and left to the
 //!   simplifier, which is the one place constants fold.
 //!
 //! `lower` never panics on a schedule or algorithm the front-end API can
 //! express: inconsistent reorders, non-dividing splits, splits that reuse a
-//! loop variable's name, non-positive vector divisors and producer call
-//! sites whose regions cannot be merged all come back as [`LowerError`]
-//! (`Session::compile` calls it outside its `catch_unwind`).
+//! loop variable's name, non-positive vector divisors, producer call sites
+//! whose regions cannot be merged and two funcs or images sharing a name
+//! all come back as [`LowerError`] (`Session::compile` calls it outside its
+//! `catch_unwind`).
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -51,7 +54,7 @@ use hb_ir::stmt::{ForKind, Stmt};
 use hb_ir::symbol::Symbol;
 use hb_ir::types::{MemoryType, ScalarType, Type};
 
-use crate::ast::{ComputePlacement, Func, HExpr, ImageParam, Pipeline};
+use crate::ast::{get, ComputePlacement, Func, HExpr, ImageParam, Pipeline};
 use crate::schedule::{LoopKind, StageSchedule};
 use crate::vectorize::{LowerError, LowerResult, WidenScratch};
 
@@ -66,17 +69,17 @@ pub struct RegionDim {
 }
 
 /// Region per producer name.
-type Regions<'a> = Vec<(&'a str, Vec<RegionDim>)>;
+type Regions = Vec<(Symbol, Vec<RegionDim>)>;
 
 /// A stage's bindings: each variable name the algorithm writes → its IR
 /// expression. A stage binds a handful of names, so a scan beats hashing.
-struct Env<'a> {
-    vars: Vec<(&'a str, Expr)>,
+struct Env {
+    vars: Vec<(Symbol, Expr)>,
 }
 
-impl Env<'_> {
+impl Env {
     /// A copy of the expression `name` is bound to.
-    fn lookup(&self, name: &str) -> Option<Expr> {
+    fn lookup(&self, name: Symbol) -> Option<Expr> {
         self.vars
             .iter()
             .find(|(n, _)| *n == name)
@@ -102,12 +105,13 @@ pub struct Lowered {
 }
 
 /// One final loop of a stage.
-struct LoopVar<'a> {
-    /// The schedule's name of the loop variable. Its IR name is qualified
-    /// with the func name ([`qualify`]), so producer loops never shadow
-    /// consumer loops (region minima reference consumer variables
-    /// symbolically); only a loop that stays a loop owns it.
-    var: &'a str,
+struct LoopVar {
+    /// The schedule's name of the loop variable.
+    var: Symbol,
+    /// Its IR name, qualified with the func name ([`Qualified`]), so
+    /// producer loops never shadow consumer loops (region minima reference
+    /// consumer variables symbolically).
+    ir: Symbol,
     /// Trip count.
     extent: i64,
     /// How the loop executes.
@@ -117,39 +121,66 @@ struct LoopVar<'a> {
 }
 
 /// Per-stage lowering context.
-struct StageCtx<'a> {
+struct StageCtx {
     /// Final loops, innermost first.
-    vars: Vec<LoopVar<'a>>,
+    vars: Vec<LoopVar>,
     /// Whether `atomic()` was requested.
     atomic: bool,
 }
 
-/// The IR name of `fname`'s schedule variable `var`: `fname__var`, built
-/// in a reused buffer and interned, so a name lowering met before costs no
-/// allocation.
-fn qualify(fname: &str, var: &str) -> Symbol {
-    thread_local! {
-        static NAME: RefCell<String> = const { RefCell::new(String::new()) };
+/// The IR names of schedule variables, `fname__var`, each pair interned at
+/// most once per lowering: a pair met again is a scan of this short list,
+/// which takes no lock.
+struct Qualified {
+    names: Vec<((Symbol, Symbol), Symbol)>,
+}
+
+impl Qualified {
+    fn new() -> Self {
+        // Room for the pairs of a typical pipeline: one allocation.
+        Qualified {
+            names: Vec::with_capacity(32),
+        }
     }
-    NAME.with_borrow_mut(|name| {
-        name.clear();
-        name.push_str(fname);
-        name.push_str("__");
-        name.push_str(var);
-        Symbol::from(name.as_str())
-    })
+
+    /// The IR name of `fname`'s schedule variable `var`. A pair met first
+    /// is built in a reused buffer, so a name the process met before costs
+    /// no allocation.
+    fn get(&mut self, fname: Symbol, var: Symbol) -> Symbol {
+        thread_local! {
+            static NAME: RefCell<String> = const { RefCell::new(String::new()) };
+        }
+        if let Some(&(_, name)) = self.names.iter().find(|(key, _)| *key == (fname, var)) {
+            return name;
+        }
+        let name = NAME.with_borrow_mut(|name| {
+            name.clear();
+            name.push_str(&fname);
+            name.push_str("__");
+            name.push_str(&var);
+            Symbol::from(name.as_str())
+        });
+        self.names.push(((fname, var), name));
+        name
+    }
 }
 
-/// Whether `name` is `qualify(fname, var)`, without building it.
-fn is_qualified(name: &str, fname: &str, var: &str) -> bool {
-    name.strip_prefix(fname)
-        .and_then(|rest| rest.strip_prefix("__"))
-        == Some(var)
+/// A loop variable's IR name as an IR variable.
+fn loop_var(ir: Symbol) -> Expr {
+    Expr::Var(ir, ScalarType::I32)
 }
 
-/// `fname`'s loop variable `var` as an IR variable.
-fn loop_var(fname: &str, var: &str) -> Expr {
-    Expr::Var(qualify(fname, var), ScalarType::I32)
+/// One live variable while the splits rewrite a stage's roots.
+struct Live {
+    /// The schedule's name.
+    var: Symbol,
+    /// The IR name.
+    ir: Symbol,
+    extent: i64,
+    is_rvar: bool,
+    /// The index of the root whose recombination the variable occurs in
+    /// (exactly once).
+    root: usize,
 }
 
 /// Builds the loop structure of one stage of `fname`, and each root
@@ -157,79 +188,91 @@ fn loop_var(fname: &str, var: &str) -> Expr {
 /// coordinates, starting at zero), in the order of `roots`. `roots` and the
 /// schedule use the algorithm's variable names; only the IR names in the
 /// result are qualified.
-fn stage_ctx<'a>(
-    fname: &str,
-    roots: &[(&'a str, i64, bool)], // (name, extent, is_rvar) innermost first
-    sched: &'a StageSchedule,
-) -> LowerResult<(StageCtx<'a>, Vec<(&'a str, Expr)>)> {
-    // Live variables as the splits rewrite them, each with the index of the
-    // root whose recombination it occurs in (exactly once).
-    let mut live: Vec<(&str, i64, bool, usize)> =
-        Vec::with_capacity(roots.len() + sched.splits.len());
-    let mut recomb: Vec<(&str, Expr)> = Vec::with_capacity(roots.len());
-    for (at, &(name, extent, is_rvar)) in roots.iter().enumerate() {
-        if live.iter().any(|(n, ..)| *n == name) {
+fn stage_ctx(
+    fname: Symbol,
+    roots: impl Iterator<Item = (Symbol, i64, bool)>, // (name, extent, is_rvar) innermost first
+    sched: &StageSchedule,
+    qualified: &mut Qualified,
+) -> LowerResult<(StageCtx, Vec<(Symbol, Expr)>)> {
+    let num_roots = roots.size_hint().0;
+    let mut live: Vec<Live> = Vec::with_capacity(num_roots + sched.splits.len());
+    let mut recomb: Vec<(Symbol, Expr)> = Vec::with_capacity(num_roots);
+    for (root, (var, extent, is_rvar)) in roots.enumerate() {
+        if live.iter().any(|l| l.var == var) {
             return Err(LowerError(format!(
-                "{fname}: variable {name} is bound twice"
+                "{fname}: variable {var} is bound twice"
             )));
         }
-        live.push((name, extent, is_rvar, at));
-        recomb.push((name, loop_var(fname, name)));
+        let ir = qualified.get(fname, var);
+        live.push(Live {
+            var,
+            ir,
+            extent,
+            is_rvar,
+            root,
+        });
+        recomb.push((var, loop_var(ir)));
     }
     for split in &sched.splits {
         let pos = live
             .iter()
-            .position(|(name, ..)| *name == split.old)
+            .position(|l| l.var == split.old)
             .ok_or_else(|| {
-                LowerError(format!(
-                    "split of unknown variable {}",
-                    qualify(fname, &split.old)
-                ))
+                LowerError(format!("split of unknown variable {fname}__{}", split.old))
             })?;
-        let (_, old_extent, is_rvar, at) = live.swap_remove(pos);
-        if split.factor <= 0 || old_extent % split.factor != 0 {
+        let old = live.swap_remove(pos);
+        if split.factor <= 0 || old.extent % split.factor != 0 {
             return Err(LowerError(format!(
-                "split of {} (extent {old_extent}) by non-dividing factor {}",
-                qualify(fname, &split.old),
-                split.factor
+                "split of {} (extent {}) by non-dividing factor {}",
+                old.ir, old.extent, split.factor
             )));
         }
-        let (outer, inner) = (split.outer.as_str(), split.inner.as_str());
-        if outer == inner || live.iter().any(|(n, ..)| *n == outer || *n == inner) {
+        let (outer, inner) = (split.outer, split.inner);
+        if outer == inner || live.iter().any(|l| l.var == outer || l.var == inner) {
             return Err(LowerError(format!(
                 "{fname}: split of {} into {outer} and {inner} reuses a loop variable's name",
                 split.old
             )));
         }
+        let (outer_ir, inner_ir) = (qualified.get(fname, outer), qualified.get(fname, inner));
         // The recombination moves into the one place `old` occurs.
         let mut replacement = Some(b::add(
-            b::mul(loop_var(fname, outer), b::int(split.factor)),
-            loop_var(fname, inner),
+            b::mul(loop_var(outer_ir), b::int(split.factor)),
+            loop_var(inner_ir),
         ));
-        recomb[at].1.rewrite_bottom_up(&mut |e| match e {
-            Expr::Var(n, _) if is_qualified(n, fname, &split.old) => {
-                replacement.take().map(|r| *e = r).is_some()
-            }
+        recomb[old.root].1.rewrite_bottom_up(&mut |e| match e {
+            Expr::Var(n, _) if *n == old.ir => replacement.take().map(|r| *e = r).is_some(),
             _ => false,
         });
-        live.push((inner, split.factor, is_rvar, at));
-        live.push((outer, old_extent / split.factor, is_rvar, at));
+        live.push(Live {
+            var: inner,
+            ir: inner_ir,
+            extent: split.factor,
+            ..old
+        });
+        live.push(Live {
+            var: outer,
+            ir: outer_ir,
+            extent: old.extent / split.factor,
+            ..old
+        });
     }
     let order = sched
-        .try_loop_vars(roots.iter().map(|(n, _, _)| *n))
+        .try_loop_vars(recomb.iter().map(|&(var, _)| var))
         .map_err(|e| LowerError(format!("{fname}: {e}")))?;
     let vars = order
         .into_iter()
         .map(|var| {
-            let &(_, extent, is_rvar, _) = live
+            let l = live
                 .iter()
-                .find(|(name, ..)| *name == var)
+                .find(|l| l.var == var)
                 .expect("loop order and live variables come from the same splits");
             LoopVar {
                 var,
-                extent,
+                ir: l.ir,
+                extent: l.extent,
                 kind: sched.kind(var),
-                is_rvar,
+                is_rvar: l.is_rvar,
             }
         })
         .collect();
@@ -320,23 +363,21 @@ fn constant_offset(a: &Expr, b: &Expr) -> Option<i64> {
 /// The lowering driver.
 struct Lowerer<'a> {
     /// The pipeline's funcs, by name.
-    funcs: Vec<(&'a str, &'a Func)>,
+    funcs: Vec<(Symbol, &'a Func)>,
     /// The pipeline's input images.
-    images: Vec<(&'a str, &'a ImageParam)>,
+    images: &'a [ImageParam],
     placements: HashMap<String, MemoryType>,
+    qualified: Qualified,
     /// The vectorizer's scan buffer, shared by every vectorized loop.
     widen: WidenScratch,
 }
 
 impl<'a> Lowerer<'a> {
-    fn image(&self, name: &str) -> Option<&'a ImageParam> {
-        self.images
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, i)| *i)
+    fn image(&self, name: Symbol) -> Option<&'a ImageParam> {
+        self.images.iter().find(|i| i.name == name)
     }
 
-    fn func(&self, name: &str) -> Option<&'a Func> {
+    fn func(&self, name: Symbol) -> Option<&'a Func> {
         self.funcs.iter().find(|(n, _)| *n == name).map(|(_, f)| *f)
     }
 
@@ -346,7 +387,7 @@ impl<'a> Lowerer<'a> {
             HExpr::Int(v) => Ok(b::int(*v)),
             HExpr::Float(v, st) => Ok(b::flt_t(*v, *st)),
             HExpr::Var(name) => env
-                .lookup(name)
+                .lookup(*name)
                 .ok_or_else(|| LowerError(format!("unbound variable {name}"))),
             HExpr::Binary(op, a, bb) => {
                 let a = self.lower_hexpr(a, env, regions)?;
@@ -357,19 +398,20 @@ impl<'a> Lowerer<'a> {
                 let inner = self.lower_hexpr(inner, env, regions)?;
                 Ok(b::cast(Type::new(*st, 1), inner))
             }
-            HExpr::Select(c, t, f) => {
+            HExpr::Select(ops) => {
+                let [c, t, f] = &**ops;
                 let c = self.lower_hexpr(c, env, regions)?;
                 let t = self.lower_hexpr(t, env, regions)?;
                 let f = self.lower_hexpr(f, env, regions)?;
                 Ok(b::select(c, t, f))
             }
-            HExpr::Call(name, args) => self.lower_call(name, args, env, regions),
+            HExpr::Call(name, args) => self.lower_call(*name, args, env, regions),
         }
     }
 
     fn lower_call(
         &self,
-        name: &str,
+        name: Symbol,
         args: &[HExpr],
         env: &Env,
         regions: &Regions,
@@ -438,7 +480,7 @@ impl<'a> Lowerer<'a> {
         regions: &Regions,
     ) -> LowerResult<Vec<RegionDim>> {
         let pinner = producer.borrow();
-        let pname = pinner.name.as_str();
+        let pname = pinner.name;
         // Gather call sites in the consumer's definitions.
         let cinner = consumer.borrow();
         let mut sites: Vec<&[HExpr]> = Vec::new();
@@ -451,21 +493,15 @@ impl<'a> Lowerer<'a> {
         if sites.is_empty() {
             return Err(LowerError(format!(
                 "{pname} is computed at {} of {} but never called by it",
-                qualify(&cinner.name, ctx.vars[at].var),
-                cinner.name
+                ctx.vars[at].ir, cinner.name
             )));
         }
         let arity = pinner.dims.len();
         // Loop variables strictly inside the realization loop vary per
         // instance; everything else is pinned to 0 for the size.
         let inner_vars = &ctx.vars[..at];
-        let cname = cinner.name.as_str();
-        let inner_var = |name: &str| {
-            inner_vars
-                .iter()
-                .find(|lv| is_qualified(name, cname, lv.var))
-        };
-        let range_of = |name: &str| {
+        let inner_var = |name: Symbol| inner_vars.iter().find(|lv| lv.ir == name);
+        let range_of = |name: Symbol| {
             Some(inner_var(name).map_or(Interval::point(0), |lv| Interval::new(0, lv.extent - 1)))
         };
 
@@ -482,7 +518,7 @@ impl<'a> Lowerer<'a> {
                 // Min: inner vars at zero, outer ones kept symbolic.
                 let mut min = idx;
                 min.rewrite_bottom_up(&mut |e| match e {
-                    Expr::Var(n, _) if inner_var(n).is_some() => {
+                    Expr::Var(n, _) if inner_var(*n).is_some() => {
                         *e = Expr::IntImm(0);
                         true
                     }
@@ -496,7 +532,7 @@ impl<'a> Lowerer<'a> {
             }
             region = Some(match region.take() {
                 None => dims,
-                Some(prev) => merge_regions(pname, prev, dims)?,
+                Some(prev) => merge_regions(&pname, prev, dims)?,
             });
         }
         Ok(region.expect("at least one site"))
@@ -507,7 +543,7 @@ impl<'a> Lowerer<'a> {
     #[allow(clippy::too_many_lines)]
     fn realize(&mut self, f: &Func, region: &[RegionDim]) -> LowerResult<Stmt> {
         let inner = f.borrow();
-        let fname = inner.name.as_str();
+        let fname = inner.name;
         let update_stage = inner.update.as_ref();
         // Sized exactly: the returned program keeps this capacity.
         let mut stages = Vec::with_capacity(1 + usize::from(update_stage.is_some()));
@@ -516,14 +552,9 @@ impl<'a> Lowerer<'a> {
         for (update, sched) in stage_descrs {
             // Roots: reduction vars innermost, then dims.
             let rvars = update.map_or(&[][..], |u| &u.rdom.vars[..]);
-            let mut roots: Vec<(&str, i64, bool)> = Vec::with_capacity(rvars.len() + region.len());
-            for (rv, _, extent) in rvars {
-                roots.push((rv, *extent, true));
-            }
-            for (d, r) in inner.dims.iter().zip(region) {
-                roots.push((d, r.size, false));
-            }
-            let (ctx, recomb) = stage_ctx(fname, &roots, sched)?;
+            let roots = (rvars.iter().map(|&(rv, _, extent)| (rv, extent, true)))
+                .chain((inner.dims.iter().zip(region)).map(|(&d, r)| (d, r.size, false)));
+            let (ctx, recomb) = stage_ctx(fname, roots, sched, &mut self.qualified)?;
             let mut env = Env { vars: recomb };
 
             // The leaf's index: the dims' local coordinates.
@@ -552,7 +583,7 @@ impl<'a> Lowerer<'a> {
             let mut regions = Regions::new();
             let mut realize_plan: Vec<(usize, &Func)> = Vec::new();
             for &(pname, prod) in &self.funcs {
-                let at = match &prod.borrow().placement {
+                let at = match prod.borrow().placement {
                     ComputePlacement::At { consumer, var } if consumer == fname => {
                         ctx.vars.iter().position(|lv| lv.var == var)
                     }
@@ -584,10 +615,11 @@ impl<'a> Lowerer<'a> {
             for (
                 at,
                 LoopVar {
-                    var,
+                    ir,
                     extent,
                     kind,
                     is_rvar,
+                    ..
                 },
             ) in ctx.vars.into_iter().enumerate()
             {
@@ -598,7 +630,7 @@ impl<'a> Lowerer<'a> {
                         continue;
                     }
                     let pinner = prod.borrow();
-                    let pname = Symbol::from(&pinner.name);
+                    let pname = pinner.name;
                     let mut used = false;
                     body.for_each_expr(&mut |e| {
                         used |= matches!(e, Expr::Load { buffer, .. } if *buffer == pname);
@@ -607,7 +639,7 @@ impl<'a> Lowerer<'a> {
                         let region = &regions[r].1;
                         let prod_stmt = self.realize(prod, region)?;
                         let size: i64 = region.iter().map(|d| d.size).product();
-                        self.placements.insert(pinner.name.clone(), pinner.store_in);
+                        self.placements.insert(pname.to_string(), pinner.store_in);
                         body = b::allocate(
                             pname,
                             pinner.elem,
@@ -623,18 +655,16 @@ impl<'a> Lowerer<'a> {
                             .map_err(|_| LowerError(format!("vector extent {extent} too large")))?;
                         if is_rvar && !ctx.atomic {
                             return Err(LowerError(format!(
-                                "vectorizing reduction variable {} requires atomic()",
-                                qualify(fname, var)
+                                "vectorizing reduction variable {ir} requires atomic()"
                             )));
                         }
-                        body = self.widen.vectorize(body, qualify(fname, var), n)?;
+                        body = self.widen.vectorize(body, ir, n)?;
                     }
                     LoopKind::Unrolled => {
-                        let name = qualify(fname, var);
                         let mut copies = Vec::with_capacity(extent as usize);
                         for i in 0..extent {
                             let mut copy = body.clone();
-                            bind_var(&mut copy, name, &b::int(i));
+                            bind_var(&mut copy, ir, &b::int(i));
                             copies.push(copy);
                         }
                         body = b::block(copies);
@@ -648,7 +678,7 @@ impl<'a> Lowerer<'a> {
                             LoopKind::Vectorized | LoopKind::Unrolled => unreachable!(),
                         };
                         body = Stmt::For {
-                            var: qualify(fname, var),
+                            var: ir,
                             min: b::int(0),
                             extent: b::int(extent),
                             kind,
@@ -669,11 +699,11 @@ fn bind_var(s: &mut Stmt, var: Symbol, value: &Expr) {
     s.map_exprs(&mut |e| e.substitute(var, value) | simplify_in_place(e));
 }
 
-fn collect_call_args<'a>(e: &'a HExpr, name: &str, out: &mut Vec<&'a [HExpr]>) {
+fn collect_call_args<'a>(e: &'a HExpr, name: Symbol, out: &mut Vec<&'a [HExpr]>) {
     match e {
         HExpr::Int(_) | HExpr::Float(..) | HExpr::Var(_) => {}
         HExpr::Call(n, args) => {
-            if n == name {
+            if *n == name {
                 out.push(args);
             }
             for a in args {
@@ -685,16 +715,16 @@ fn collect_call_args<'a>(e: &'a HExpr, name: &str, out: &mut Vec<&'a [HExpr]>) {
             collect_call_args(bb, name, out);
         }
         HExpr::Cast(_, inner) => collect_call_args(inner, name, out),
-        HExpr::Select(c, t, f) => {
-            collect_call_args(c, name, out);
-            collect_call_args(t, name, out);
-            collect_call_args(f, name, out);
+        HExpr::Select(ops) => {
+            for op in ops.iter() {
+                collect_call_args(op, name, out);
+            }
         }
     }
 }
 
 /// `e` with each of `dims` replaced by the argument in the same position.
-fn subst_hexpr(e: &HExpr, dims: &[String], args: &[HExpr]) -> HExpr {
+fn subst_hexpr(e: &HExpr, dims: &[Symbol], args: &[HExpr]) -> HExpr {
     let sub = |e: &HExpr| Box::new(subst_hexpr(e, dims, args));
     match e {
         HExpr::Int(_) | HExpr::Float(..) => e.clone(),
@@ -705,7 +735,7 @@ fn subst_hexpr(e: &HExpr, dims: &[String], args: &[HExpr]) -> HExpr {
             .unwrap_or(e)
             .clone(),
         HExpr::Call(n, call_args) => HExpr::Call(
-            n.clone(),
+            *n,
             call_args
                 .iter()
                 .map(|a| subst_hexpr(a, dims, args))
@@ -713,7 +743,9 @@ fn subst_hexpr(e: &HExpr, dims: &[String], args: &[HExpr]) -> HExpr {
         ),
         HExpr::Binary(op, a, bb) => HExpr::Binary(*op, sub(a), sub(bb)),
         HExpr::Cast(st, inner) => HExpr::Cast(*st, sub(inner)),
-        HExpr::Select(c, t, f) => HExpr::Select(sub(c), sub(t), sub(f)),
+        HExpr::Select(ops) => {
+            HExpr::Select(Box::new(ops.each_ref().map(|e| subst_hexpr(e, dims, args))))
+        }
     }
 }
 
@@ -740,18 +772,36 @@ fn elide_unit_loops(s: &mut Stmt) {
     });
 }
 
+/// A name two of the pipeline's funcs and images share: a call could not
+/// tell them apart. ([`Pipeline::new`] keeps a handle or an image listed
+/// twice once.)
+fn shared_name(funcs: &[(Symbol, &Func)], images: &[ImageParam]) -> Option<Symbol> {
+    let names = || (funcs.iter().map(|&(name, _)| name)).chain(images.iter().map(|i| i.name));
+    names()
+        .enumerate()
+        .find_map(|(at, name)| names().take(at).any(|n| n == name).then_some(name))
+}
+
 /// Lowers a pipeline to IR.
 ///
 /// # Errors
 ///
 /// Fails when the output lacks explicit bounds, a schedule is inconsistent
-/// (non-dividing splits, reduction vectorization without `atomic()`), or an
-/// algorithm uses unsupported constructs.
+/// (non-dividing splits, reduction vectorization without `atomic()`), two
+/// funcs or images share a name, or an algorithm uses unsupported
+/// constructs.
 pub fn lower(p: &Pipeline) -> LowerResult<Lowered> {
+    let mut funcs: Vec<(Symbol, &Func)> = p.funcs.iter().map(|f| (f.name(), f)).collect();
+    if let Some(name) = shared_name(&funcs, &p.images) {
+        return Err(LowerError(format!(
+            "two different funcs or images are named {name}"
+        )));
+    }
+    funcs.sort_unstable_by_key(|&(name, _)| name);
     let out = p.output.borrow();
     let mut region = Vec::with_capacity(out.dims.len());
-    for d in &out.dims {
-        let (min, extent) = out.bounds.get(d).copied().ok_or_else(|| {
+    for &d in &out.dims {
+        let (min, extent) = get(&out.bounds, d).ok_or_else(|| {
             LowerError(format!(
                 "output {} needs bound() for dimension {d}",
                 out.name
@@ -762,12 +812,11 @@ pub fn lower(p: &Pipeline) -> LowerResult<Lowered> {
             size: extent,
         });
     }
-    let mut funcs: Vec<(&str, &Func)> = p.funcs.iter().map(|(n, f)| (n.as_str(), f)).collect();
-    funcs.sort_unstable_by_key(|(n, _)| *n);
     let mut lowerer = Lowerer {
         funcs,
-        images: p.images.iter().map(|(n, i)| (n.as_str(), i)).collect(),
+        images: &p.images,
         placements: HashMap::new(),
+        qualified: Qualified::new(),
         widen: WidenScratch::default(),
     };
     let mut stmt = lowerer.realize(&p.output, &region)?;
@@ -775,22 +824,20 @@ pub fn lower(p: &Pipeline) -> LowerResult<Lowered> {
     simplify_stmt_in_place(&mut stmt);
 
     let mut placements = lowerer.placements;
-    placements.insert(out.name.clone(), MemoryType::Heap);
-    for img in p.images.values() {
-        placements.insert(img.name.clone(), MemoryType::Heap);
+    placements.insert(out.name.to_string(), MemoryType::Heap);
+    for img in &p.images {
+        placements.insert(img.name.to_string(), MemoryType::Heap);
     }
-    // `images` is a randomly keyed map: list the inputs by name so two
-    // lowerings of one pipeline agree.
-    let mut inputs: Vec<(String, ScalarType, i64)> = p
-        .images
-        .values()
-        .map(|i| (i.name.clone(), i.elem, i.len()))
+    // Listed by name, so two lowerings of one pipeline agree whatever order
+    // its images were given in.
+    let mut inputs: Vec<(String, ScalarType, i64)> = (p.images.iter())
+        .map(|i| (i.name.to_string(), i.elem, i.len()))
         .collect();
     inputs.sort_by(|a, b| a.0.cmp(&b.0));
     Ok(Lowered {
         stmt,
         placements,
-        output_name: out.name.clone(),
+        output_name: out.name.to_string(),
         output_elem: out.elem,
         output_len: region.iter().map(|d| d.size).product(),
         inputs,
@@ -889,11 +936,8 @@ mod tests {
     }
 
     #[test]
-    fn inputs_are_listed_by_name_whatever_the_map_order() {
-        // `Pipeline::images` is a randomly keyed map: two builds of one
-        // pipeline iterate it in different orders.
-        let build = || {
-            let names = ["e", "b", "d", "a", "c", "f"];
+    fn inputs_are_listed_by_name_whatever_the_listing_order() {
+        let build = |names: [&str; 6]| {
             let imgs: Vec<ImageParam> = names
                 .iter()
                 .map(|n| ImageParam::new(n, ScalarType::F32, &[8]))
@@ -909,7 +953,8 @@ mod tests {
             let refs: Vec<&ImageParam> = imgs.iter().collect();
             lower(&Pipeline::new(&out, &[], &refs)).unwrap()
         };
-        let (first, second) = (build(), build());
+        let first = build(["e", "b", "d", "a", "c", "f"]);
+        let second = build(["f", "a", "c", "e", "d", "b"]);
         assert_eq!(first.inputs, second.inputs);
         let names: Vec<&str> = first.inputs.iter().map(|(n, _, _)| n.as_str()).collect();
         assert_eq!(names, ["a", "b", "c", "d", "e", "f"]);
@@ -988,6 +1033,38 @@ mod tests {
         out.bound("x", 0, 8);
         let p = Pipeline::new(&out, &[], &[&img]);
         assert_lower_error(&p, "variable x is bound twice");
+    }
+
+    #[test]
+    fn funcs_and_images_that_share_a_name_are_lower_errors() {
+        // Two different funcs named `g`: a call to `g` cannot tell them
+        // apart, whichever order they are listed in.
+        let img = ImageParam::new("I", ScalarType::F32, &[8]);
+        let a = Func::new("g", &["x"], ScalarType::F32);
+        a.define(img.at(&[hv("x")]) + hf(1.0));
+        let b = Func::new("g", &["x"], ScalarType::F32);
+        b.define(img.at(&[hv("x")]) * hf(2.0));
+        let out = Func::new("out", &["x"], ScalarType::F32);
+        out.define(a.at(&[hv("x")]));
+        out.bound("x", 0, 8);
+        for funcs in [[&a, &b], [&b, &a]] {
+            let p = Pipeline::new(&out, &funcs, &[&img]);
+            assert_lower_error(&p, "two different funcs or images are named g");
+        }
+        // A func named like an image, and two different images of one name.
+        let shadow = Func::new("I", &["x"], ScalarType::F32);
+        shadow.define(hf(0.0));
+        let p = Pipeline::new(&out, &[&a, &shadow], &[&img]);
+        assert_lower_error(&p, "two different funcs or images are named I");
+        let wider = ImageParam::new("I", ScalarType::F32, &[16]);
+        let p = Pipeline::new(&out, &[&a], &[&img, &wider]);
+        assert_lower_error(&p, "two different funcs or images are named I");
+        // The same handle or image listed twice, and the output listed
+        // again among the funcs, stay legal.
+        let p = Pipeline::new(&out, &[&a, &a, &out], &[&img, &img]);
+        let data: Vec<f64> = (0..8).map(f64::from).collect();
+        let want: Vec<f64> = data.iter().map(|v| v + 1.0).collect();
+        assert_eq!(run(&lower(&p).unwrap(), &[("I", data)]), want);
     }
 
     #[test]

@@ -10,13 +10,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use hardboiled_repro::apps::conv1d::Conv1d;
-use hardboiled_repro::apps::conv2d::Conv2d;
-use hardboiled_repro::apps::gemm_wmma::GemmWmma;
-use hardboiled_repro::apps::matmul_amx::{AmxMatmul, Layout as AmxLayout, Variant};
-use hardboiled_repro::apps::resample_int::{Downsample, Upsample};
 use hardboiled_repro::ir::stmt::Stmt;
-use hardboiled_repro::lang::{lower, Pipeline};
+use hardboiled_repro::lang::lower;
+
+mod support;
 
 struct Counting;
 
@@ -72,63 +69,16 @@ fn ir_nodes(stmt: &Stmt) -> u64 {
     n
 }
 
-fn pipelines() -> Vec<(&'static str, Pipeline)> {
-    let amx = AmxMatmul {
-        m: 32,
-        k: 64,
-        n: 48,
-    };
-    vec![
-        ("conv1d", Conv1d { n: 512, k: 16 }.pipeline(true)),
-        (
-            "conv1d_unrolled_k64",
-            Conv1d { n: 512, k: 64 }.pipeline_tc_unrolled(),
-        ),
-        (
-            "conv2d",
-            Conv2d {
-                width: 512,
-                height: 4,
-                kw: 16,
-                kh: 3,
-            }
-            .pipeline(true),
-        ),
-        (
-            "gemm_wmma",
-            GemmWmma {
-                m: 32,
-                k: 48,
-                n: 64,
-            }
-            .pipeline(true),
-        ),
-        (
-            "amx_standard_reference",
-            amx.pipeline(AmxLayout::Standard, Variant::Reference)
-                .unwrap(),
-        ),
-        (
-            "amx_vnni_preload_b",
-            amx.pipeline(AmxLayout::Vnni, Variant::PreloadB).unwrap(),
-        ),
-        ("downsample", Downsample { n: 512, k: 16 }.pipeline(true)),
-        (
-            "upsample_cuda",
-            Upsample { n: 1024, taps: 8 }.pipeline(false),
-        ),
-    ]
-}
-
-/// Allocations per lowered node the whole set may average: measured 2.82
-/// (2 520 allocations for 894 nodes) once every IR name was an interned
-/// symbol, plus 10%. History on this set: 3.32 (2 972) when lowering went
+/// Allocations per lowered node the whole set may average: measured 2.77
+/// (2 479 allocations for 894 nodes) once the front end's names were
+/// interned symbols too, plus 10%. History on this set: 2.82 (2 520) once
+/// every IR name was an interned symbol, 3.32 (2 972) when lowering went
 /// linear, 4.59 with the in-place discipline before it, 21.1 its parent.
-const BUDGET_PER_NODE: f64 = 3.1;
+const BUDGET_PER_NODE: f64 = 3.05;
 
 #[test]
 fn lower_stays_within_its_allocation_budget() {
-    let pipelines = pipelines();
+    let pipelines = support::pipelines();
     let (mut allocs, mut nodes) = (0u64, 0u64);
     for (name, p) in &pipelines {
         let before = ALLOCS.load(Ordering::Relaxed);

@@ -15,6 +15,10 @@
 //! different tie-breaks: an op key is a hash of the name.) Renamed copies
 //! must still agree on everything a name cannot reach: costs and every
 //! saturation counter.
+//!
+//! The front end holds the same symbols. Lowering makes no tie-break by
+//! name, so there two renamed copies of one pipeline, their names interned
+//! in opposite orders, must lower to the same text once the suffix is gone.
 
 use std::process::Command;
 use std::time::Duration;
@@ -29,6 +33,7 @@ use hardboiled_repro::ir::builder as b;
 use hardboiled_repro::ir::expr::Expr;
 use hardboiled_repro::ir::stmt::Stmt;
 use hardboiled_repro::ir::types::{MemoryType, ScalarType, Type};
+use hardboiled_repro::lang::{hf, hv, lower, Func, ImageParam, Pipeline, RDom};
 
 /// Buffers, then loop variables, of [`program`].
 const NAMES: [&str; 11] = [
@@ -259,6 +264,88 @@ fn interning_order_is_invisible() {
             "the same names interned in the opposite order selected differently"
         );
     }
+}
+
+/// Funcs, images and variables of [`pipeline`].
+const LANG_FUNCS: [&str; 4] = ["conv", "out", "pre", "scaled"];
+const LANG_IMAGES: [&str; 3] = ["B", "I", "K"];
+const LANG_VARS: [&str; 4] = ["rx", "x", "xi", "xo"];
+
+/// A pipeline over names ending in `suffix`: two producers realized at one
+/// loop of the output (one with a reduction), an inlined func, three
+/// images and a vectorized split — every table lowering keys by name.
+fn pipeline(suffix: &str) -> Pipeline {
+    let n = |base: &str| named(base, suffix);
+    let x = || hv(&n("x"));
+    let f32 = ScalarType::F32;
+    let img = ImageParam::new(&n("I"), f32, &[64 + 8]);
+    let kern = ImageParam::new(&n("K"), f32, &[8]);
+    let bias = ImageParam::new(&n("B"), f32, &[64]);
+    let conv = Func::new(&n("conv"), &[&n("x")], f32);
+    conv.define(hf(0.0));
+    let rx = RDom::new(&n("rx"), 0, 8);
+    conv.update_add(
+        kern.at(&[hv(&n("rx"))]) * img.at(&[x() + hv(&n("rx"))]),
+        &rx,
+    );
+    let pre = Func::new(&n("pre"), &[&n("x")], f32);
+    pre.define(img.at(&[x()]) * hf(2.0));
+    let scaled = Func::new(&n("scaled"), &[&n("x")], f32);
+    scaled.define(bias.at(&[x()]) * hf(0.5));
+    let out = Func::new(&n("out"), &[&n("x")], f32);
+    out.define(conv.at(&[x()]) + pre.at(&[x()]) + scaled.at(&[x()]));
+    out.bound(&n("x"), 0, 64);
+    out.stage_init(|s| {
+        s.split(&n("x"), &n("xo"), &n("xi"), 16).vectorize(&n("xi"));
+    });
+    conv.compute_at(&out, &n("xo"));
+    pre.compute_at(&out, &n("xo"))
+        .store_in(MemoryType::WmmaAccumulator);
+    Pipeline::new(&out, &[&scaled, &pre, &conv], &[&kern, &bias, &img])
+}
+
+/// Everything `lower` returns for the `suffix` pipeline, with the suffix
+/// taken out of every name.
+fn lowered_without(suffix: &str) -> String {
+    let l = lower(&pipeline(suffix)).expect("the pipeline lowers");
+    let mut placements: Vec<String> = (l.placements.iter())
+        .map(|(name, memory)| format!("{name}={memory:?}"))
+        .collect();
+    placements.sort();
+    format!(
+        "{}\nplacements {placements:?}\noutput {}:{}:{}\ninputs {:?}",
+        l.stmt, l.output_name, l.output_elem, l.output_len, l.inputs
+    )
+    .replace(suffix, "")
+}
+
+#[test]
+fn interning_order_is_invisible_to_lowering() {
+    const ASCENDING: &str = "__lang_fwd";
+    const DESCENDING: &str = "__lang_rev";
+    for (suffix, ascending) in [(ASCENDING, true), (DESCENDING, false)] {
+        // Every name lowering can meet, loop variables qualified with
+        // each func's name included, before anything else interns one.
+        let bases = LANG_FUNCS.iter().chain(&LANG_IMAGES).chain(&LANG_VARS);
+        let qualified = LANG_FUNCS
+            .iter()
+            .flat_map(|f| LANG_VARS.iter().map(move |v| format!("{f}{suffix}__{v}")));
+        let mut names: Vec<String> = bases.map(|b| named(b, suffix)).chain(qualified).collect();
+        names.sort();
+        if !ascending {
+            names.reverse();
+        }
+        // Fresh names: their numbers follow the order chosen here (other
+        // tests may intern between them).
+        let symbols: Vec<Symbol> = names.iter().map(Symbol::from).collect();
+        assert!(symbols.windows(2).all(|w| w[0].index() < w[1].index()));
+    }
+    let (fwd, rev) = (lowered_without(ASCENDING), lowered_without(DESCENDING));
+    assert!(
+        fwd.contains("allocate conv") && fwd.contains("allocate pre"),
+        "{fwd}"
+    );
+    assert_eq!(fwd, rev, "interning order reached the lowered program");
 }
 
 /// Short names over a three-letter alphabet: equal names, prefixes and
