@@ -61,8 +61,10 @@
 //! * `frame.rs` — the frame, its `Job`, the per-shape cache lookup and
 //!   store, the units with the engine-fault fallback around them, and the
 //!   pooled compile contexts;
-//! * `suite.rs` — the suite's per-program retry path and the request-level
-//!   `catch_unwind` around one program;
+//! * `suite.rs` — the suite's fast path, which moves its lowered programs
+//!   into the frame, the per-program retry that lowers the sources again
+//!   after a fault, and the request-level `catch_unwind` around one
+//!   program;
 //! * `warm.rs` — the snapshot path, the one file that restores a graph.
 //!
 //! ## Thread safety and service ownership
@@ -479,12 +481,16 @@ impl Session {
     /// [`Batching::PerLeaf`] programs are still compiled in one call but
     /// each leaf gets its own graph.
     ///
+    /// The suite lowers every source once and moves the lowered programs
+    /// into the shared run, which owns them: no copy is kept.
+    ///
     /// Faults are isolated per program: a front-end failure or an engine
     /// panic lands in that program's slot of [`SuiteResult::results`]
-    /// while the rest of the suite completes. (After a panic in the
-    /// shared batched run, the surviving programs are recompiled in
-    /// isolation — each still batches its own leaves — under the same
-    /// call-level budget.)
+    /// while the rest of the suite completes. (After a fault in the shared
+    /// run, the suite lowers the sources again — lowering is deterministic,
+    /// and the time lands in [`StageTimings::lower`] — and recompiles the
+    /// surviving programs in isolation, each still batching its own
+    /// leaves, under the same call-level budget.)
     ///
     /// # Errors
     ///
@@ -500,6 +506,8 @@ impl Session {
     /// [`Session::compile_suite`] with a per-request [`CancelToken`] —
     /// one token covers the whole suite (tripping it truncates every
     /// still-running saturation; see [`Session::compile_cancellable`]).
+    /// The programs move into the shared run as there, and a fault
+    /// re-lowers the sources for the isolated retry, under the same token.
     ///
     /// # Errors
     ///

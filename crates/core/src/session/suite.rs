@@ -2,6 +2,16 @@
 //! in its units to the unoptimized program: the suite's per-program retry
 //! of a faulted shared run, and the request-level `catch_unwind` that
 //! turns a panic outside any unit into [`CompileError::Engine`].
+//!
+//! A suite holds each program once. Its fast path moves every lowered
+//! statement into one frame, which owns and annotates it; the programs
+//! keep only their placements, which the frame reads, and their notes,
+//! which `split_suite` moves into each program's report. When the shared
+//! run faults in a unit or panics outside one, the isolated path lowers
+//! the sources again with [`IntoProgram::to_program`], the call the suite
+//! made once already, and compiles program by program. Lowering is
+//! deterministic, so the retry compiles the programs the shared run saw;
+//! its time goes into [`StageTimings::lower`].
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
@@ -32,29 +42,40 @@ impl Session {
         let _root = self.tracer.span("compile_suite");
         let lower_started = Instant::now();
         let lower_span = self.tracer.span("lower");
-        let lowered: Vec<Result<Program, CompileError>> =
+        let mut lowered: Vec<Result<Program, CompileError>> =
             sources.iter().map(IntoProgram::to_program).collect();
-        let lower = lower_span.finish();
+        let mut lower = lower_span.finish();
         if let Some(obs) = &self.obs {
             obs.stage_lower.observe_duration(lower);
         }
 
         // Fast path: every program lowered and the whole-suite compile (one
-        // shared e-graph in batched mode) of their copies survives.
+        // shared e-graph in batched mode) survives. The frame takes each
+        // program's statement; its placements and notes stay for the frame
+        // to read and `split_suite` to hand out.
         if lowered.iter().all(Result::is_ok) {
-            let programs: Vec<&Program> = lowered.iter().filter_map(|r| r.as_ref().ok()).collect();
-            let copies: Vec<(Stmt, &Placements)> = (programs.iter())
-                .map(|p| (p.stmt.clone(), &p.placements))
+            let mut programs: Vec<Program> = lowered.into_iter().flatten().collect();
+            let stmts: Vec<(Stmt, &Placements)> = (programs.iter_mut())
+                .map(|p| {
+                    let stmt = std::mem::replace(&mut p.stmt, Stmt::Block(Vec::new()));
+                    (stmt, &p.placements)
+                })
                 .collect();
             let shared = catch_unwind(AssertUnwindSafe(|| {
-                self.compile_frame(copies, budget.clone(), Job::Cached)
+                self.compile_frame(stmts, budget.clone(), Job::Cached)
             }));
             if let Some(compiled) = shared.ok().filter(|c| !c.faulted) {
-                return Ok(self.split_suite(compiled, &programs, lower));
+                return Ok(self.split_suite(compiled, programs, lower));
             }
-            // A fault (counted nowhere) falls through to the isolated path;
-            // the fault plan counters (chaos tests) and transient faults have
-            // moved on, so surviving programs recompile.
+            // A fault (counted nowhere) falls through to the isolated path,
+            // which lowers the sources again: the frame consumed their
+            // statements, and lowering is deterministic, so the retry sees
+            // the programs the shared run saw. The fault plan counters
+            // (chaos tests) and transient faults have moved on, so
+            // surviving programs recompile.
+            let relower_span = self.tracer.span("lower");
+            lowered = sources.iter().map(IntoProgram::to_program).collect();
+            lower += relower_span.finish();
         }
 
         // Isolated path: one frame per program, errors confined to their
@@ -102,11 +123,13 @@ impl Session {
 
     /// Splits a whole-suite compile into per-program results sharing the
     /// suite-level report (per-program slices of the statement reports;
-    /// timings, the units and extraction stats stay suite-level).
+    /// timings, the units and extraction stats stay suite-level). Each
+    /// program's notes move into its own report; the suite report holds a
+    /// copy of every program's.
     fn split_suite(
         &self,
         compiled: IrSuiteResult,
-        programs: &[&Program],
+        programs: Vec<Program>,
         lower: Duration,
     ) -> SuiteResult {
         let IrSuiteResult {
@@ -117,7 +140,7 @@ impl Session {
         } = compiled;
         report.stages.lower = lower;
         report.total_time += lower;
-        for p in programs {
+        for p in &programs {
             report.notes.extend(p.notes.iter().cloned());
         }
         let mut next = 0usize;
@@ -136,7 +159,7 @@ impl Session {
                     total_time: report.total_time,
                     cache: report.cache,
                     snapshot_restore: report.snapshot_restore,
-                    notes: program.notes.clone(),
+                    notes: program.notes,
                 };
                 next += count;
                 Ok(CompileResult {

@@ -201,6 +201,17 @@ pub struct UpdateDef {
     pub rdom: RDom,
 }
 
+/// A func's update stage: its definition and its schedule. A func holds one
+/// only once [`Func::update_add`] or [`Func::stage_update`], whichever comes
+/// first, creates it, so a func with no update carries one empty pointer.
+#[derive(Debug, Clone, Default)]
+pub struct UpdateStage {
+    /// Update definition, once [`Func::update_add`] has given it.
+    pub def: Option<UpdateDef>,
+    /// Schedule of the update stage.
+    pub schedule: StageSchedule,
+}
+
 /// Where and when a func is computed.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub enum ComputePlacement {
@@ -231,16 +242,27 @@ pub struct FuncInner {
     pub bounds: Vec<(Symbol, (i64, i64))>,
     /// Pure (initialization) definition.
     pub pure_def: Option<HExpr>,
-    /// Update definition, if any.
-    pub update: Option<UpdateDef>,
+    /// Update stage, boxed on first use.
+    pub update: Option<Box<UpdateStage>>,
     /// Placement.
     pub placement: ComputePlacement,
     /// Storage placement (the `store_in` directive, §III).
     pub store_in: MemoryType,
     /// Schedule of the pure stage.
     pub init_schedule: StageSchedule,
-    /// Schedule of the update stage.
-    pub update_schedule: StageSchedule,
+}
+
+impl FuncInner {
+    /// The update definition, if any.
+    #[must_use]
+    pub fn update_def(&self) -> Option<&UpdateDef> {
+        self.update.as_ref()?.def.as_ref()
+    }
+
+    /// The update stage, created on first use.
+    fn update_stage(&mut self) -> &mut UpdateStage {
+        self.update.get_or_insert_with(Box::default)
+    }
 }
 
 /// A pipeline stage: a named, schedulable, functional array definition.
@@ -267,7 +289,6 @@ impl Func {
                 placement: ComputePlacement::Inline,
                 store_in: MemoryType::Heap,
                 init_schedule: StageSchedule::default(),
-                update_schedule: StageSchedule::default(),
             })),
         }
     }
@@ -300,11 +321,11 @@ impl Func {
             inner.name
         );
         assert!(
-            inner.update.is_none(),
+            inner.update_def().is_none(),
             "{} already has an update",
             inner.name
         );
-        inner.update = Some(UpdateDef {
+        inner.update_stage().def = Some(UpdateDef {
             rhs,
             rdom: rdom.clone(),
         });
@@ -356,7 +377,7 @@ impl Func {
 
     /// Applies schedule edits to the update stage.
     pub fn stage_update(&self, edit: impl FnOnce(&mut StageSchedule)) -> &Self {
-        edit(&mut self.inner.borrow_mut().update_schedule);
+        edit(&mut self.inner.borrow_mut().update_stage().schedule);
         self
     }
 }
@@ -479,7 +500,31 @@ mod tests {
         f.update_add(hv("x") + hv("r"), &r);
         let inner = f.borrow();
         assert!(inner.pure_def.is_some());
-        assert!(inner.update.as_ref().unwrap().rdom.contains("r"));
+        assert!(inner.update_def().unwrap().rdom.contains("r"));
+    }
+
+    #[test]
+    fn the_update_stage_is_boxed_by_whichever_call_comes_first() {
+        let r = RDom::new("r", 0, 16);
+        let plain = Func::new("p", &["x"], ScalarType::F32);
+        plain.define(hf(0.0));
+        assert!(plain.borrow().update.is_none(), "no update, no stage");
+
+        // Scheduled before it is defined, and the other way round: either
+        // order keeps both the definition and the schedule.
+        let early = Func::new("e", &["x"], ScalarType::F32);
+        early.define(hf(0.0));
+        early.stage_update(|s| s.atomic = true);
+        early.update_add(hv("r"), &r);
+        let late = Func::new("l", &["x"], ScalarType::F32);
+        late.define(hf(0.0));
+        late.update_add(hv("r"), &r);
+        late.stage_update(|s| s.atomic = true);
+        for f in [&early, &late] {
+            let inner = f.borrow();
+            assert!(inner.update_def().is_some_and(|u| u.rdom.contains("r")));
+            assert!(inner.update.as_ref().unwrap().schedule.atomic);
+        }
     }
 
     #[test]
@@ -517,10 +562,12 @@ mod tests {
     fn front_end_nodes_are_small() {
         // What every clone, move and drop of an expression copies per node,
         // and what every `Func` handle points at: names are 4-byte symbols,
-        // not 24-byte strings, and the keyed tables are vectors, not maps
-        // (48 and 480 bytes with `String` names and hash maps).
+        // not 24-byte strings, the keyed tables are vectors, not maps, and
+        // the update stage is boxed on first use (48 and 480 bytes with
+        // `String` names and hash maps, `FuncInner` 280 with the update's
+        // definition and schedule inline).
         assert_eq!(std::mem::size_of::<HExpr>(), 24);
-        assert_eq!(std::mem::size_of::<FuncInner>(), 280);
+        assert_eq!(std::mem::size_of::<FuncInner>(), 168);
     }
 
     #[test]

@@ -431,7 +431,7 @@ impl<'a> Lowerer<'a> {
         let inner = f.borrow();
         match &inner.placement {
             ComputePlacement::Inline => {
-                if inner.update.is_some() {
+                if inner.update_def().is_some() {
                     return Err(LowerError(format!(
                         "func {name} has an update and must be given a compute_at placement"
                     )));
@@ -487,7 +487,7 @@ impl<'a> Lowerer<'a> {
         if let Some(d) = &cinner.pure_def {
             collect_call_args(d, pname, &mut sites);
         }
-        if let Some(u) = &cinner.update {
+        if let Some(u) = cinner.update_def() {
             collect_call_args(&u.rhs, pname, &mut sites);
         }
         if sites.is_empty() {
@@ -544,11 +544,12 @@ impl<'a> Lowerer<'a> {
     fn realize(&mut self, f: &Func, region: &[RegionDim]) -> LowerResult<Stmt> {
         let inner = f.borrow();
         let fname = inner.name;
-        let update_stage = inner.update.as_ref();
+        let update_stage =
+            (inner.update.as_deref()).and_then(|u| Some((u.def.as_ref()?, &u.schedule)));
         // Sized exactly: the returned program keeps this capacity.
         let mut stages = Vec::with_capacity(1 + usize::from(update_stage.is_some()));
         let stage_descrs = std::iter::once((None, &inner.init_schedule))
-            .chain(update_stage.map(|u| (Some(u), &inner.update_schedule)));
+            .chain(update_stage.map(|(u, sched)| (Some(u), sched)));
         for (update, sched) in stage_descrs {
             // Roots: reduction vars innermost, then dims.
             let rvars = update.map_or(&[][..], |u| &u.rdom.vars[..]);

@@ -1,11 +1,13 @@
 //! Peak memory of a warmed compile: the high-water mark of bytes live
 //! above what was live before the call, in bytes and against the bytes of
-//! the program the compile returns — for `Session::compile_ir_suite` on a lowered
-//! program it borrows, and for `Session::compile` on the pipeline, which
-//! lowers inside the measured span and hands the frame the program it
-//! owns. A compile has to build its output, so what this bounds is
-//! everything held beside it at its peak: the program being annotated, the
-//! leaves taken out of it, the shapes, the selections.
+//! the program the compile returns — for `Session::compile_ir_suite` on a
+//! lowered program it borrows, for `Session::compile` on the pipeline,
+//! which lowers inside the measured span and hands the frame the program
+//! it owns, and for a batched `Session::compile_suite` of several
+//! pipelines, which moves every lowered program into one frame. A compile
+//! has to build its output, so what this bounds is everything held beside
+//! it at its peak: the programs being annotated, the leaves taken out of
+//! them, the shapes, the selections.
 //! Its counting allocator reads bytes, not time, so the reading repeats
 //! exactly and the gate cannot flake.
 //!
@@ -15,6 +17,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 
 use hardboiled_repro::apps::conv1d::Conv1d;
+use hardboiled_repro::apps::gemm_wmma::GemmWmma;
 use hardboiled_repro::hardboiled::{Batching, Session};
 use hardboiled_repro::ir::stmt::Stmt;
 use hardboiled_repro::lang::lower;
@@ -127,13 +130,26 @@ const PEAK_BYTES: i64 = 111_615;
 /// annotated a copy of it read 1.822 (298 027 bytes for a 163 540-byte
 /// output). With interned names it reads 1.250 (108 728 bytes for
 /// 87 008), the bound staying as above, with a 1-byte leaf report
-/// 1.170 (101 818 bytes), and with one modification epoch per class 1.168
-/// (101 626 bytes).
+/// 1.170 (101 818 bytes), with one modification epoch per class 1.168
+/// (101 626 bytes), and with interned front-end names 1.168 (101 649).
 const COMPILE_PEAK_PER_OUTPUT_BYTE: f64 = 1.29;
 
 /// Peak bytes live for `Session::compile(&pipeline)`: the reading of
 /// 101 818 bytes plus 10%, below the 112 240 bytes the ratio allows.
 const COMPILE_PEAK_BYTES: i64 = 111_999;
+
+/// Peak bytes live per byte of the returned programs for a batched
+/// `Session::compile_suite` of three pipelines (the unrolled conv1d, a
+/// GEMM, a program with no leaves), lowering included: set at a reading of
+/// 1.210 (111 959 bytes for a 92 528-byte output), plus 10%. The suite that
+/// cloned every lowered program so that its isolated retry had an original
+/// read 1.901 (175 919 bytes); it now moves the programs into the frame
+/// and lowers the sources again after a fault.
+const SUITE_PEAK_PER_OUTPUT_BYTE: f64 = 1.331;
+
+/// Peak bytes live for the batched `Session::compile_suite`: the reading of
+/// 111 959 bytes plus 10%.
+const SUITE_PEAK_BYTES: i64 = 123_155;
 
 #[test]
 fn a_warmed_compile_peaks_near_its_output() {
@@ -159,6 +175,35 @@ fn a_warmed_compile_peaks_near_its_output() {
         assert!(result.report.all_lowered(), "conv1d must select");
         vec![result.program]
     });
+    // A suite lowers every source, then compiles the programs in one
+    // shared graph; none of them is held twice.
+    let gemm = GemmWmma {
+        m: 32,
+        k: 32,
+        n: 32,
+    };
+    let sources = [
+        pipeline,
+        gemm.pipeline(true),
+        Conv1d { n: 256, k: 8 }.pipeline(false),
+    ];
+    for _ in 0..2 {
+        drop(session.compile_suite(&sources).unwrap());
+    }
+    let suite = peak_and_output(|| {
+        let suite = session.compile_suite(&sources).unwrap();
+        assert!(suite.report.all_lowered(), "every leaf must select");
+        let leaves: Vec<usize> = (suite.results.iter())
+            .map(|r| r.as_ref().unwrap().report.num_statements())
+            .collect();
+        assert!(
+            leaves[0] > 0 && leaves[1] > 0 && leaves[2] == 0,
+            "{leaves:?}"
+        );
+        (suite.results.into_iter())
+            .map(|r| r.unwrap().program)
+            .collect()
+    });
     // Both return the same program, and the owned path returns the tree
     // lowering built: sized exactly, it holds no more bytes than a copy.
     assert_eq!(
@@ -178,6 +223,12 @@ fn a_warmed_compile_peaks_near_its_output() {
             compile,
             COMPILE_PEAK_PER_OUTPUT_BYTE,
             COMPILE_PEAK_BYTES,
+        ),
+        (
+            "compile_suite",
+            suite,
+            SUITE_PEAK_PER_OUTPUT_BYTE,
+            SUITE_PEAK_BYTES,
         ),
     ];
     for (name, (peak, output), bound, bytes) in cases {

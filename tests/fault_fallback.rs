@@ -4,8 +4,9 @@
 //! its input, every leaf unlowered, no unit and no extraction report,
 //! nothing stored in the cache, one "engine fault" note and one count on
 //! the fallback rung — whichever unit faults, in either batching mode. A
-//! suite whose shared run faults retries program by program, counts only
-//! the retries and reports each retry's unit.
+//! suite whose shared run faults lowers its sources again, retries program
+//! by program, counts only the retries and reports each retry's unit and
+//! each program's front-end note once.
 #![cfg(feature = "fault-injection")]
 
 use std::panic;
@@ -22,6 +23,7 @@ use hardboiled_repro::hardboiled::{
 };
 use hardboiled_repro::ir::stmt::Stmt;
 use hardboiled_repro::lang::lower::{lower, Lowered};
+use hardboiled_repro::lang::Pipeline;
 
 static QUIET: Once = Once::new();
 
@@ -267,4 +269,73 @@ fn a_retried_suite_reports_one_unit_per_program_with_leaves() {
         leaves.iter().sum::<usize>(),
         "one root cost per leaf"
     );
+}
+
+#[test]
+fn a_faulted_suite_of_pipelines_lowers_them_again_for_its_retries() {
+    quiet_injected_panics();
+    // Pipelines, not `Lowered`: the shared run consumes the lowered
+    // programs, so the retry lowers each source again.
+    let gemm = GemmWmma {
+        m: 32,
+        k: 32,
+        n: 32,
+    };
+    let sources: [Pipeline; 3] = [
+        Conv1d { n: 512, k: 32 }.pipeline_tc_unrolled(),
+        gemm.pipeline(true),
+        Conv1d { n: 256, k: 8 }.pipeline(false),
+    ];
+    let clean = (Session::builder().batching(Batching::Batched).build())
+        .unwrap()
+        .compile_suite(&sources)
+        .unwrap();
+
+    let plan = FaultPlan::new(Fault::RulePanic { at_search: 0 });
+    let (session, metrics) = faulty(Batching::Batched, &plan);
+    let suite = session.compile_suite(&sources).unwrap();
+    assert_eq!(plan.times_fired(), 1, "the shared run must hit the fault");
+    assert_eq!(suite.report.outcome, CompileOutcome::Saturated);
+    assert_eq!(
+        outcomes(&metrics),
+        [3, 0, 0, 0, 0, 0],
+        "one count per retry"
+    );
+
+    let lowering_notes = |report: &CompileReport| -> Vec<String> {
+        (report.notes.iter())
+            .filter(|n| n.starts_with("lowered pipeline "))
+            .cloned()
+            .collect()
+    };
+    let mut notes = Vec::new();
+    for (i, (retried, clean)) in suite.results.iter().zip(&clean.results).enumerate() {
+        let (retried, clean) = (retried.as_ref().unwrap(), clean.as_ref().unwrap());
+        assert_eq!(
+            normalize_temps(&retried.program.to_string()),
+            normalize_temps(&clean.program.to_string()),
+            "program {i}: the retry diverged from a clean session"
+        );
+        // Each program's front-end note, once, in its own report, as the
+        // clean shared run hands it out.
+        let own = lowering_notes(&retried.report);
+        assert_eq!(
+            own.len(),
+            1,
+            "program {i}: notes {:?}",
+            retried.report.notes
+        );
+        assert_eq!(retried.report.notes, clean.report.notes, "program {i}");
+        notes.extend(own);
+    }
+    // The suite report holds one copy of each program's note, in order.
+    assert_eq!(lowering_notes(&suite.report), notes);
+    assert_eq!(suite.report.notes, clean.report.notes);
+    for (i, note) in notes.iter().enumerate() {
+        assert_eq!(
+            notes.iter().filter(|n| *n == note).count(),
+            1,
+            "program {i}'s note is not its own: {note}"
+        );
+    }
 }
