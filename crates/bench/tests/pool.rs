@@ -592,7 +592,7 @@ fn every_fact_the_pool_fills_is_read_by_a_rule() {
     let rule_set = RuleSet::build();
     let read = |fact: &HbLang| {
         (rule_set.main.iter())
-            .flat_map(|r| &r.query.atoms)
+            .flat_map(|r| r.compiled.decompile().atoms)
             .any(|atom| matches!(&atom.pattern, Pattern::Node(op, _) if op.matches_op(fact)))
     };
     let pool = saturate(&saturation_pool(&workloads()), &pool_runner());

@@ -218,11 +218,13 @@ impl SessionBuilder {
 
     /// Attaches a metrics registry (default: none — zero recording
     /// overhead). The session records the compile-outcome ladder
-    /// (`compile.outcome.*`), cache traffic (`cache.*`), per-stage
-    /// duration histograms (`stage.*_ns`) and the delta matcher's row
-    /// counters (`engine.delta_*_rows`). Pass the same `Arc` to several
-    /// sessions (or let [`CompileServiceBuilder::shared_metrics`] do it)
-    /// to aggregate across them.
+    /// (`compile.outcome.*`), suites retried program by program after a
+    /// faulted shared run (`compile.suite_retries`), cache traffic
+    /// (`cache.*`), per-stage duration histograms (`stage.*_ns`) and the
+    /// delta matcher's row counters (`engine.delta_*_rows`). Pass the same
+    /// `Arc` to several sessions (or let
+    /// [`CompileServiceBuilder::shared_metrics`] do it) to aggregate across
+    /// them.
     ///
     /// [`CompileServiceBuilder::shared_metrics`]: crate::service::CompileServiceBuilder::shared_metrics
     #[must_use]

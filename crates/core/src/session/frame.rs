@@ -144,7 +144,7 @@ impl Session {
     /// original back, as a leaf with no term does: the annotated input,
     /// [`CompileOutcome::FallbackUnoptimized`], an "engine fault" note, no
     /// unit and no extraction report, stored and counted nowhere
-    /// ([`IrSuiteResult::faulted`] has the caller count or retry it).
+    /// ([`IrSuiteResult::fault`] has the caller count or retry it).
     pub(super) fn compile_frame(
         &self,
         programs: Vec<(Stmt, &Placements)>,
@@ -210,7 +210,7 @@ impl Session {
                 programs: annotated,
                 report,
                 leaf_counts,
-                faulted: false,
+                fault: None,
             };
         }
 
@@ -327,14 +327,14 @@ impl Session {
             programs: annotated,
             report,
             leaf_counts,
-            faulted: fault.is_some(),
+            fault,
         }
     }
 
     /// Counts a faulted frame on the fallback rung, which the frame leaves to
     /// its caller: a suite retries a faulted shared run instead.
     pub(super) fn record_fault(&self, compiled: &IrSuiteResult) {
-        if let Some(obs) = self.obs.as_ref().filter(|_| compiled.faulted) {
+        if let Some(obs) = self.obs.as_ref().filter(|_| compiled.fault.is_some()) {
             obs.record_outcome(CompileOutcome::FallbackUnoptimized);
         }
     }

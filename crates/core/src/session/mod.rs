@@ -213,6 +213,8 @@ struct ObsHandles {
     cache_evictions: Counter,
     delta_probed_rows: Counter,
     delta_skipped_rows: Counter,
+    /// Suites whose shared run faulted and were retried program by program.
+    suite_retries: Counter,
     stage_lower: Histogram,
     stage_encode: Histogram,
     stage_saturate: Histogram,
@@ -231,6 +233,7 @@ impl ObsHandles {
             cache_evictions: metrics.counter("cache.evictions"),
             delta_probed_rows: metrics.counter("engine.delta_probed_rows"),
             delta_skipped_rows: metrics.counter("engine.delta_skipped_rows"),
+            suite_retries: metrics.counter("compile.suite_retries"),
             stage_lower: metrics.histogram("stage.lower_ns"),
             stage_encode: metrics.histogram("stage.encode_ns"),
             stage_saturate: metrics.histogram("stage.saturate_ns"),

@@ -278,9 +278,10 @@ pub struct IrSuiteResult {
     /// Each program's leaf count, so the suite entry points can slice the
     /// concatenated statement reports per program.
     pub(crate) leaf_counts: Vec<usize>,
-    /// Whether a compile unit panicked: every program is its annotated input
-    /// and no outcome was recorded, so a suite can retry it per program.
-    pub(crate) faulted: bool,
+    /// The panic message, if a compile unit panicked: every program is its
+    /// annotated input and no outcome was recorded, so a suite can retry it
+    /// per program.
+    pub(crate) fault: Option<String>,
 }
 
 #[cfg(test)]

@@ -11,7 +11,9 @@
 //! the sources again with [`IntoProgram::to_program`], the call the suite
 //! made once already, and compiles program by program. Lowering is
 //! deterministic, so the retry compiles the programs the shared run saw;
-//! its time goes into [`StageTimings::lower`].
+//! its time goes into [`StageTimings::lower`] and the `stage.lower_ns`
+//! histogram. The suite report opens with a note naming the fault, and
+//! the `compile.suite_retries` counter counts the retry once.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
@@ -53,6 +55,7 @@ impl Session {
         // shared e-graph in batched mode) survives. The frame takes each
         // program's statement; its placements and notes stay for the frame
         // to read and `split_suite` to hand out.
+        let mut notes = Vec::new();
         if lowered.iter().all(Result::is_ok) {
             let mut programs: Vec<Program> = lowered.into_iter().flatten().collect();
             let stmts: Vec<(Stmt, &Placements)> = (programs.iter_mut())
@@ -64,18 +67,32 @@ impl Session {
             let shared = catch_unwind(AssertUnwindSafe(|| {
                 self.compile_frame(stmts, budget.clone(), Job::Cached)
             }));
-            if let Some(compiled) = shared.ok().filter(|c| !c.faulted) {
-                return Ok(self.split_suite(compiled, programs, lower));
-            }
-            // A fault (counted nowhere) falls through to the isolated path,
-            // which lowers the sources again: the frame consumed their
-            // statements, and lowering is deterministic, so the retry sees
-            // the programs the shared run saw. The fault plan counters
-            // (chaos tests) and transient faults have moved on, so
-            // surviving programs recompile.
+            let cause = match shared {
+                Ok(compiled) => match compiled.fault {
+                    None => return Ok(self.split_suite(compiled, programs, lower)),
+                    Some(cause) => cause,
+                },
+                Err(payload) => panic_message(&*payload),
+            };
+            // A fault falls through to the isolated path, counted once as a
+            // retry (not on the fallback rung: the retries count their own
+            // outcomes) and noted on the suite report. The path lowers the
+            // sources again: the frame consumed their statements, and
+            // lowering is deterministic, so the retry sees the programs the
+            // shared run saw. The fault plan counters (chaos tests) and
+            // transient faults have moved on, so surviving programs
+            // recompile.
             let relower_span = self.tracer.span("lower");
             lowered = sources.iter().map(IntoProgram::to_program).collect();
-            lower += relower_span.finish();
+            let relower = relower_span.finish();
+            lower += relower;
+            if let Some(obs) = &self.obs {
+                obs.stage_lower.observe_duration(relower);
+                obs.suite_retries.inc();
+            }
+            notes.push(format!(
+                "shared suite run faulted; retried program by program: {cause}"
+            ));
         }
 
         // Isolated path: one frame per program, errors confined to their
@@ -88,6 +105,7 @@ impl Session {
                 lower,
                 ..StageTimings::default()
             },
+            notes,
             ..CompileReport::default()
         };
         let mut results = Vec::with_capacity(lowered.len());

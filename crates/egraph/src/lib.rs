@@ -247,15 +247,18 @@
 //! ladder holds under seeded faults; the hooks cost nothing when the
 //! feature is off.
 //!
-//! The pre-overhaul naive matcher is retained
+//! The pre-overhaul naive matcher is kept
 //! ([`pattern::Pattern::search`], [`rewrite::Query::search`],
-//! `Runner::use_naive_matcher`) as the reference oracle — algorithmically
-//! unchanged (full class scans, string-keyed binding, a fresh list of
-//! substitutions per pattern node), with one amendment: class enumeration
-//! is sorted by id so equal-cost extraction tie-breaks downstream are
-//! reproducible across runs. Equivalence tests in `tests/engine.rs`
-//! assert identical match *sequences* on random graphs and random queries
-//! of every shape, and identical saturation outcomes, and
+//! `Runner::use_naive_matcher`) as the reference oracle, run on the query
+//! each rule's compiled form decompiles to
+//! ([`rewrite::CompiledQuery::decompile`]; a rule keeps no uncompiled
+//! copy) — algorithmically unchanged (full class scans, string-keyed
+//! binding, a fresh list of substitutions per pattern node), with one
+//! amendment: class enumeration is sorted by id so equal-cost extraction
+//! tie-breaks downstream are reproducible across runs. Equivalence tests
+//! in `tests/engine.rs` assert identical match *sequences* on random
+//! graphs and random queries of every shape, and identical saturation
+//! outcomes, and
 //! `crates/bench/tests/pool.rs` holds the compiled matcher to it on the
 //! 161-leaf whole-program graph (sizes, root equivalences, extracted
 //! terms).

@@ -25,10 +25,18 @@
 //!   shape in every search mode;
 //! * the **naive reference matcher** ([`Pattern::search`] /
 //!   [`Pattern::search_class`]): the original walk over every class,
-//!   retained verbatim as the oracle for equivalence tests and the
-//!   scheduler's reference mode (`Runner::use_naive_matcher`). Pre-order
-//!   depth-first search visits matches in exactly the lexicographic
-//!   (e-node, child 0, child 1, …) order of its nested loops.
+//!   kept verbatim as the oracle for equivalence tests and the
+//!   scheduler's reference mode (`Runner::use_naive_matcher`), which runs
+//!   each rule's query decompiled from its compiled form
+//!   ([`crate::rewrite::CompiledQuery::decompile`]): a rule holds no
+//!   second, uncompiled copy. Pre-order depth-first search visits matches
+//!   in exactly the lexicographic (e-node, child 0, child 1, …) order of
+//!   its nested loops.
+//!
+//! A node's arity is its operator's: `Bind` reads it off the op's
+//! placeholder children, so a pattern whose op carries a different number
+//! of placeholders than it has subpatterns is rejected when it is
+//! compiled, and a rewrite's right-hand side when the rule is built.
 //!
 //! [`Subst`] keeps its string-keyed API ([`Subst::get`], [`Subst::bind`])
 //! as a compatibility shim for rule appliers; internally it is a shared
@@ -305,14 +313,10 @@ pub enum Pattern<L> {
 #[derive(Debug, Clone)]
 pub(crate) enum Instr<L> {
     /// For every e-node of the class in `regs[reg]` whose operator matches
-    /// `op` and that has `arity` children: load the children into
-    /// `regs[out..out + arity]` and continue.
-    Bind {
-        reg: u32,
-        out: u32,
-        arity: u32,
-        op: L,
-    },
+    /// `op` and that has as many children as `op` has placeholder children
+    /// (its arity): load the children into `regs[out..out + arity]` and
+    /// continue.
+    Bind { reg: u32, out: u32, op: L },
     /// The class in `regs[reg]` must be variable `slot`'s binding; binds
     /// the variable (until backtracking) if it has none.
     Var { reg: u32, slot: u32 },
@@ -362,19 +366,38 @@ impl<L: Language> Program<L> {
                     }
                 }
             }
-            Some(Instr::Bind {
-                reg,
-                out,
-                arity,
-                op,
-            }) => {
-                let (out, arity) = (*out as usize, *arity as usize);
+            Some(Instr::Bind { reg, out, op }) => {
+                let (out, arity) = (*out as usize, op.children().len());
                 for node in &egraph.class(frame.regs[*reg as usize]).nodes {
                     if node.matches_op(op) && node.children().len() == arity {
                         frame.regs[out..out + arity].copy_from_slice(node.children());
                         self.run(egraph, pc + 1, frame, on_match);
                     }
                 }
+            }
+        }
+    }
+
+    /// The pattern this program was compiled from, its variables named by
+    /// `vars` (the query's table): the pre-order code read back, each
+    /// `Bind` heading as many subpatterns as its op has placeholder
+    /// children.
+    pub(crate) fn decompile(&self, vars: &[String]) -> Pattern<L> {
+        let mut code = self.code.iter();
+        let pattern = Self::read(&mut code, vars);
+        debug_assert!(code.next().is_none(), "a program is one pattern");
+        pattern
+    }
+
+    /// Reads one pattern off the front of `code`.
+    fn read(code: &mut std::slice::Iter<'_, Instr<L>>, vars: &[String]) -> Pattern<L> {
+        match code.next().expect("a program is one whole pattern") {
+            Instr::Var { slot, .. } => Pattern::Var(vars[*slot as usize].clone()),
+            Instr::Bind { op, .. } => {
+                let children = (op.children().iter())
+                    .map(|_| Self::read(code, vars))
+                    .collect();
+                Pattern::Node(op.clone(), children)
             }
         }
     }
@@ -427,19 +450,46 @@ impl<L: Language> Pattern<L> {
                 slot: Self::intern(vars, v),
             }),
             Pattern::Node(op, children) => {
+                if let Some(why) = Self::arity_mismatch(op, children.len()) {
+                    panic!("cannot compile a malformed pattern: {why}");
+                }
                 let out = *nregs;
                 let arity = u32::try_from(children.len()).expect("pattern arity overflow");
                 *nregs = out.checked_add(arity).expect("pattern register overflow");
                 code.push(Instr::Bind {
                     reg,
                     out,
-                    arity,
                     op: op.clone(),
                 });
                 for (r, c) in (out..).zip(children) {
                     c.emit(r, vars, nregs, code);
                 }
             }
+        }
+    }
+
+    /// Why `op` cannot head a node of `subpatterns` subpatterns, if it
+    /// cannot: the matcher reads a node's arity off `op`'s placeholder
+    /// children and [`Pattern::instantiate`] fills one child per
+    /// placeholder, so the two counts must agree.
+    fn arity_mismatch(op: &L, subpatterns: usize) -> Option<String> {
+        let placeholders = op.children().len();
+        (placeholders != subpatterns).then(|| {
+            format!(
+                "operator `{}` carries {placeholders} placeholder children but has {subpatterns} subpatterns",
+                op.op_name()
+            )
+        })
+    }
+
+    /// Why the pattern is malformed, if it is: its first node, in
+    /// pre-order, whose operator's placeholder children do not number its
+    /// subpatterns — the check compiling a pattern makes.
+    pub(crate) fn malformed(&self) -> Option<String> {
+        match self {
+            Pattern::Var(_) => None,
+            Pattern::Node(op, children) => Self::arity_mismatch(op, children.len())
+                .or_else(|| children.iter().find_map(Pattern::malformed)),
         }
     }
 
@@ -512,19 +562,22 @@ impl<L: Language> Pattern<L> {
     ///
     /// # Panics
     ///
-    /// Panics if a pattern variable is unbound.
+    /// Panics if a pattern variable is unbound, or if a node has fewer
+    /// subpatterns than its operator has placeholder children.
     pub fn instantiate<N: Analysis<L>>(&self, egraph: &mut EGraph<L, N>, subst: &Subst) -> Id {
         match self {
             Pattern::Var(v) => subst
                 .get(v)
                 .unwrap_or_else(|| panic!("unbound pattern variable ?{v}")),
             Pattern::Node(op, children) => {
-                // `op`'s own children are placeholders, one per subpattern.
+                // `op`'s own children are placeholders, one per subpattern
+                // (`Rewrite::rewrite` rejects a right-hand side where not).
+                debug_assert!(Self::arity_mismatch(op, children.len()).is_none());
                 let mut subpatterns = children.iter();
-                let node = op.map_children(|placeholder| {
-                    subpatterns
-                        .next()
-                        .map_or(placeholder, |c| c.instantiate(egraph, subst))
+                let node = op.map_children(|_| {
+                    (subpatterns.next())
+                        .expect("one subpattern per placeholder child")
+                        .instantiate(egraph, subst)
                 });
                 egraph.add(node)
             }

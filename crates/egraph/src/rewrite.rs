@@ -3,11 +3,11 @@
 //! by contract (see [`Rewrite::rule`]).
 //!
 //! Every [`Rewrite`] compiles its [`Query`] once at construction into a
-//! [`CompiledQuery`]; [`Rewrite::run`] searches it with
-//! [`CompiledQuery::search`] and applies what it found. The uncompiled
-//! [`Query::search`] (with [`Rewrite::run_naive`]) is retained as the
-//! naive reference implementation for equivalence tests and the
-//! scheduler's reference mode.
+//! [`CompiledQuery`] and keeps only that; [`Rewrite::run`] searches it with
+//! [`CompiledQuery::search`] and applies what it found. The naive
+//! reference implementation, [`Query::search`], kept for equivalence tests
+//! and the scheduler's reference mode, runs ([`Rewrite::run_naive`]) the
+//! query [`CompiledQuery::decompile`] reads back from the compiled form.
 //!
 //! A fact a rule derives for another rule to join against (egglog's
 //! relation tuple) is an ordinary e-node, and a query reads it with a
@@ -81,6 +81,7 @@ use crate::unionfind::Id;
 /// One atom of a rule's query, `(= var pattern)`: the class bound to `var`
 /// (or every class, if `var` is unbound so far) must contain a term
 /// matching `pattern`.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Atom<L> {
     /// Variable naming the matched class.
     pub var: String,
@@ -89,6 +90,7 @@ pub struct Atom<L> {
 }
 
 /// A conjunctive query: atoms are solved left to right.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Query<L> {
     /// Conjuncts.
     pub atoms: Vec<Atom<L>>,
@@ -114,6 +116,11 @@ impl<L: Language> Query<L> {
     /// Compiles the query: interns every variable (shared across atoms)
     /// and flattens every atom into a matcher program over one shared
     /// register file.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a pattern node's operator carries a different number of
+    /// placeholder children than the node has subpatterns.
     #[must_use]
     pub fn compile(&self) -> CompiledQuery<L> {
         let mut vars: Vec<String> = Vec::new();
@@ -268,6 +275,22 @@ impl<L: Language> CompiledQuery<L> {
         self.delta_eligible
     }
 
+    /// The query this was compiled from, read back from the compiled
+    /// form: each atom's root variable and its program's pre-order code
+    /// as a pattern. `q.compile().decompile() == q` for every query that
+    /// compiles; the naive reference path ([`Rewrite::run_naive`]) runs
+    /// it, so a rule keeps no uncompiled copy.
+    #[must_use]
+    pub fn decompile(&self) -> Query<L> {
+        let atoms = (self.atoms.iter())
+            .map(|atom| Atom {
+                var: self.vars[atom.slot as usize].clone(),
+                pattern: atom.program.decompile(&self.vars),
+            })
+            .collect();
+        Query { atoms }
+    }
+
     /// Every substitution satisfying the query, through the operator
     /// index. With `since: None`, a full search: the same sequence as
     /// [`Query::search`]. With `since: Some(cutoff)` — `cutoff` from
@@ -404,9 +427,8 @@ pub type ApplyFn<L, N> = Box<dyn Fn(&mut EGraph<L, N>, &Subst) -> bool + Send + 
 pub struct Rewrite<L: Language, N: Analysis<L> = ()> {
     /// Rule name (for reports).
     pub name: String,
-    /// Query side (uncompiled — the naive reference path).
-    pub query: Query<L>,
-    /// Compiled query (the indexed path [`Rewrite::run`] uses).
+    /// Query side, compiled: the indexed path [`Rewrite::run`] searches,
+    /// and what the naive path decompiles.
     pub compiled: CompiledQuery<L>,
     /// Action side.
     pub applier: ApplyFn<L, N>,
@@ -415,8 +437,17 @@ pub struct Rewrite<L: Language, N: Analysis<L> = ()> {
 impl<L: Language + 'static, N: Analysis<L>> Rewrite<L, N> {
     /// A `rewrite lhs => rhs` rule: matches `lhs` anywhere and unions the
     /// matched class with the instantiated `rhs`.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the rule, if a node of `rhs` has a different number
+    /// of subpatterns than its operator has placeholder children — the
+    /// check [`Query::compile`] makes of `lhs`.
     #[allow(clippy::self_named_constructors)] // egg's established API name
     pub fn rewrite(name: &str, lhs: Pattern<L>, rhs: Pattern<L>) -> Self {
+        if let Some(why) = rhs.malformed() {
+            panic!("rule {name}: malformed right-hand side: {why}");
+        }
         Self::rule(
             name,
             Query::single("$root", lhs),
@@ -443,11 +474,9 @@ impl<L: Language + 'static, N: Analysis<L>> Rewrite<L, N> {
     /// only their match's bound classes and those classes' analysis data,
     /// and only add and union.
     pub fn rule(name: &str, query: Query<L>, applier: ApplyFn<L, N>) -> Self {
-        let compiled = query.compile();
         Rewrite {
             name: name.to_string(),
-            query,
-            compiled,
+            compiled: query.compile(),
             applier,
         }
     }
@@ -492,14 +521,14 @@ impl<L: Language, N: Analysis<L>> Rewrite<L, N> {
         self.apply_matches(egraph, scratch)
     }
 
-    /// Like [`Rewrite::run`] in full, but with the retained naive matcher —
-    /// the reference path. Returns `(matches found, matches that changed
-    /// the graph)`.
+    /// Like [`Rewrite::run`] in full, but with the naive matcher over the
+    /// decompiled query — the reference path. Returns `(matches found,
+    /// matches that changed the graph)`.
     pub fn run_naive(&self, egraph: &mut EGraph<L, N>) -> (usize, usize) {
         if !egraph.is_clean() {
             egraph.rebuild();
         }
-        let matches = self.query.search(egraph);
+        let matches = self.compiled.decompile().search(egraph);
         let changed = matches.iter().filter(|m| self.apply(egraph, m)).count();
         (matches.len(), changed)
     }
@@ -664,6 +693,53 @@ mod tests {
                 assert!(compiled.contains(m), "compiled missed {m:?}");
             }
         }
+    }
+
+    #[test]
+    fn a_compiled_query_decompiles_to_itself() {
+        let queries: Vec<Query<Math>> = vec![
+            Query::single("e", pvar("e")),
+            Query::single("e", pmul(pvar("x"), n(2))),
+            Query::single("e", pdiv(pmul(pvar("a"), pvar("b")), pvar("a")))
+                .also("g", pshl(pvar("b"), pvar("b")))
+                .also("a", padd(pvar("p"), n(0))),
+        ];
+        for q in queries {
+            assert_eq!(q.compile().decompile(), q);
+        }
+    }
+
+    /// `(x * ?)`: a product whose op carries two placeholder children but
+    /// which has one subpattern.
+    fn one_armed_product() -> Pattern<Math> {
+        Pattern::Node(Math::Mul([Id(0), Id(0)]), vec![pvar("x")])
+    }
+
+    #[test]
+    #[should_panic(expected = "operator `*` carries 2 placeholder children but has 1 subpatterns")]
+    fn a_query_op_with_more_placeholders_than_subpatterns_fails_to_compile() {
+        let _ = Query::single("e", padd(one_armed_product(), pvar("y"))).compile();
+    }
+
+    #[test]
+    #[should_panic(expected = "operator `2` carries 0 placeholder children but has 1 subpatterns")]
+    fn a_query_op_with_fewer_placeholders_than_subpatterns_fails_to_compile() {
+        let _ = Query::single("e", Pattern::Node(Math::Num(2), vec![pvar("x")])).compile();
+    }
+
+    #[test]
+    #[should_panic(expected = "rule short-rhs: malformed right-hand side: operator `*` \
+                               carries 2 placeholder children but has 1 subpatterns")]
+    fn a_rewrite_rejects_an_rhs_op_with_more_placeholders_than_subpatterns() {
+        let _ = Rewrite::<Math>::rewrite("short-rhs", pmul(pvar("x"), n(1)), one_armed_product());
+    }
+
+    #[test]
+    #[should_panic(expected = "rule long-rhs: malformed right-hand side: operator `/` \
+                               carries 2 placeholder children but has 3 subpatterns")]
+    fn a_rewrite_rejects_an_rhs_op_with_fewer_placeholders_than_subpatterns() {
+        let rhs = Pattern::Node(Math::Div([Id(0), Id(0)]), vec![pvar("x"), n(1), pvar("x")]);
+        let _ = Rewrite::<Math>::rewrite("long-rhs", pmul(pvar("x"), n(1)), padd(pvar("x"), rhs));
     }
 
     #[test]

@@ -32,9 +32,9 @@
 //! threaded through every search, so the compiled matcher's binding
 //! buffer, register file and match buffer live across candidates, rules
 //! and passes. Setting [`Runner::use_naive_matcher`]
-//! bypasses all of this and runs every rule through the retained naive
-//! reference matcher ([`Rewrite::run_naive`]) — the path every matcher
-//! oracle compares against.
+//! bypasses all of this and runs every rule's decompiled query through the
+//! naive reference matcher ([`Rewrite::run_naive`]) — the path every
+//! matcher oracle compares against.
 //!
 //! Deadline, match cap and cancel token reach a run only through the
 //! [`Budget`] its caller passes, used as given.
@@ -302,9 +302,10 @@ pub struct Runner {
     pub max_iterations: usize,
     /// Stop when the graph exceeds this many e-nodes.
     pub node_limit: usize,
-    /// Search with the retained naive reference matcher instead of the
-    /// indexed/delta path (the reference for cross-checking; the match
-    /// sets are identical, only the time spent differs).
+    /// Search each rule's decompiled query with the naive reference
+    /// matcher instead of the indexed/delta path (the reference for
+    /// cross-checking; the match sets are identical, only the time spent
+    /// differs).
     pub use_naive_matcher: bool,
     /// Opt-in profiling callbacks at rule-search boundaries (see the
     /// module docs). `None` (the default) keeps every hook site down to

@@ -220,6 +220,7 @@ fn a_faulted_shared_suite_run_counts_only_its_retries() {
         );
     }
     assert_eq!(outcomes(&metrics), [2, 0, 0, 0, 0, 0]);
+    assert_eq!(metrics.snapshot().counter("compile.suite_retries"), Some(1));
 }
 
 #[test]
@@ -301,6 +302,17 @@ fn a_faulted_suite_of_pipelines_lowers_them_again_for_its_retries() {
         [3, 0, 0, 0, 0, 0],
         "one count per retry"
     );
+    // The fault shows: one retry counted, the second lowering observed
+    // beside the first, and the suite report's first note names the cause.
+    let snap = metrics.snapshot();
+    assert_eq!(snap.counter("compile.suite_retries"), Some(1));
+    assert_eq!(snap.histogram("stage.lower_ns").map(|h| h.count), Some(2));
+    let retry_note = &suite.report.notes[0];
+    assert!(
+        retry_note.starts_with("shared suite run faulted; retried program by program: ")
+            && retry_note.contains("injected fault"),
+        "{retry_note}"
+    );
 
     let lowering_notes = |report: &CompileReport| -> Vec<String> {
         (report.notes.iter())
@@ -328,9 +340,10 @@ fn a_faulted_suite_of_pipelines_lowers_them_again_for_its_retries() {
         assert_eq!(retried.report.notes, clean.report.notes, "program {i}");
         notes.extend(own);
     }
-    // The suite report holds one copy of each program's note, in order.
+    // Past the retry note, the suite report holds one copy of each
+    // program's note, in order, as a clean run's does.
     assert_eq!(lowering_notes(&suite.report), notes);
-    assert_eq!(suite.report.notes, clean.report.notes);
+    assert_eq!(suite.report.notes[1..], clean.report.notes);
     for (i, note) in notes.iter().enumerate() {
         assert_eq!(
             notes.iter().filter(|n| *n == note).count(),

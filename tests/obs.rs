@@ -201,6 +201,7 @@ fn registry_aggregates_session_and_cache_metrics_exactly() {
     assert_eq!(stats.hits, 1);
     assert_eq!(stats.misses, 1);
     assert_eq!(snap.counter("compile.outcome.saturated"), Some(2));
+    assert_eq!(snap.counter("compile.suite_retries"), Some(0));
     // The hit never re-ran the pipeline: one histogram entry per stage.
     for stage in ["stage.saturate_ns", "stage.extract_ns", "stage.splice_ns"] {
         assert_eq!(
